@@ -24,9 +24,10 @@ from .operators import (CaseTag, GeneratorWord, RadialMultiplier, ShiftedVector,
 from .report import Check, VerificationReport
 from .symbols import (ConstantTail, GeometricTail, HankelFactorization, HankelPair,
                       PsiDecomposition, RadialSymbol, evaluate, factorize,
-                      hankel_pair, norm_C, psi_decompose, psi_via_factors,
+                      hankel_pair, hankel_trace_norm, norm_C, psi_decompose,
+                      psi_via_factors,
                       ricard_xu_bound, trace_norm, write_symbol_csv)
-from .verify import (ReducedWord, apply_multiplier, embed, spanning_check,
-                     vacuum_expectation, verify_main_theorem, word_operator)
+from .verify import (ReducedWord, embed, spanning_check, vacuum_expectation,
+                     verify_main_theorem, word_operator)
 
 __version__ = "0.1.0"

@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .report import VerificationReport
-
-ALGEBRAIC_TOL = 1e-13
+from .report import ALGEBRAIC_TOL, VerificationReport
 
 
 class TracialAlgebra:
@@ -240,6 +238,8 @@ class CrossedFactor:
 
     def random_kernel(self, rng, min_norm: float = 1e-8) -> "FactorElement":
         """Random element with vanishing conditional expectation onto N."""
+        if self.group.order < 2:
+            raise ValueError("the trivial group has no nonzero kernel elements")
         while True:
             x = self.random(rng)
             x = x - self.from_base(cond_exp(x))

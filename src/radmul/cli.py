@@ -12,7 +12,7 @@ import sys
 from .algebra import verify_pp_basis
 from .config import ConfigError, RunConfig, load_config
 from .report import VerificationReport
-from .symbols import hankel_pair, norm_C, ricard_xu_bound, trace_norm, write_symbol_csv
+from .symbols import hankel_trace_norm, norm_C, ricard_xu_bound, write_symbol_csv
 from .verify import (embedding_suite, fock_suite, lemma_suite, main_theorem_suite,
                      norm_bound_suite, operator_suite, spanning_check)
 
@@ -29,21 +29,23 @@ def _fmt(value: float) -> str:
     return "%.12g" % value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed must be nonnegative")
+    return value
+
+
 def cmd_symbol(args) -> int:
     cfg = load_config(args.config)
     phi = cfg.symbol
-    M = cfg.hankel_dim
-    pair = hankel_pair(phi, M)
-    h1, k1 = trace_norm(pair.h), trace_norm(pair.k)
-    value, err = norm_C(phi, M)
-    print("h_trace_norm =", _fmt(h1))
-    print("k_trace_norm =", _fmt(k1))
+    print("h_trace_norm =", _fmt(hankel_trace_norm(phi, 0)))
+    print("k_trace_norm =", _fmt(hankel_trace_norm(phi, 1)))
     print("abs_limit =", _fmt(abs(phi.limit)))
-    print("class_C_norm =", _fmt(value))
-    print("class_C_norm_error_bound =", _fmt(err))
+    print("class_C_norm =", _fmt(norm_C(phi)))
     print("linear_growth_bound =", _fmt(ricard_xu_bound(phi)))
     if args.csv:
-        write_symbol_csv(args.csv, phi, M)
+        write_symbol_csv(args.csv, phi, cfg.hankel_dim)
         print("csv written to", args.csv)
     return 0
 
@@ -65,15 +67,14 @@ def _run_suites(cfg: RunConfig, suite: str, eigen_tol=None) -> VerificationRepor
         report.extend(operator_suite(space, seed=seed))
         report.extend(embedding_suite(space, seed=seed))
     if suite in ("all", "cases"):
-        report.extend(lemma_suite(space, symbols, cfg.hankel_dim, seed=seed, tol=eigen))
+        report.extend(lemma_suite(space, symbols, seed=seed, tol=eigen))
     if suite in ("all", "theorem"):
-        report.extend(main_theorem_suite(space, symbols, cfg.hankel_dim,
-                                         seed=seed, tol=eigen))
+        report.extend(main_theorem_suite(space, symbols, seed=seed, tol=eigen))
     if suite in ("all", "spanning"):
         report.extend(spanning_check(space))
     if suite in ("all", "bound"):
-        report.extend(norm_bound_suite(space, symbols, cfg.hankel_dim, seed=seed,
-                                       samples=25, tol=tols["spectral"]))
+        report.extend(norm_bound_suite(space, symbols, seed=seed, samples=25,
+                                       tol=tols["spectral"]))
     return report
 
 
@@ -96,9 +97,9 @@ def cmd_bound(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     space = cfg.space()
-    report = norm_bound_suite(space, [cfg.symbol], cfg.hankel_dim, seed=cfg.seed,
+    report = norm_bound_suite(space, [cfg.symbol], seed=cfg.seed,
                               samples=args.samples, tol=cfg.tolerances["spectral"])
-    value, _ = norm_C(cfg.symbol, cfg.hankel_dim)
+    value = norm_C(cfg.symbol)
     observed = max((c.details.get("observed", 0.0) for c in report.checks
                     if "observed" in c.details), default=0.0)
     print("class_C_norm =", _fmt(value))
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     p.add_argument("--tol", type=float, default=None, help="override the eigen tolerance")
     p.add_argument("--report", default=None, help="where to write the report JSON")
     p.add_argument("--suite", choices=SUITES, default="all")
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="sampled completely bounded norm envelope")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--samples", type=int, default=50)
     p.set_defaults(func=cmd_bound)
 

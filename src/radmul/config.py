@@ -1,7 +1,7 @@
 """Run configuration: JSON schema, validation, canonical digest, presets.
 
 A configuration bundles the base algebra, the crossed-product factors, the
-radial symbol, the two truncation parameters, the tolerances, and a seed::
+radial symbol, the truncation parameters, the tolerances, and a seed::
 
     {
       "base_algebra": {"kind": "scalar"} | {"kind": "matrix", "dim": 2},
@@ -17,42 +17,62 @@ radial symbol, the two truncation parameters, the tolerances, and a seed::
       "seed": 0
     }
 
-Complex scalars are plain numbers or [re, im] pairs; the action unitary is
+Complex scalars are finite numbers or [re, im] pairs; the action unitary is
 a row-major matrix of [re, im] pairs.  Inner actions are supported for
-cyclic groups, which act through powers of the supplied unitary.
+cyclic groups, which act through powers of the supplied unitary.  Groups
+need order >= 2.  ``fock_len`` is the word-length cutoff; ``hankel_dim``
+only sizes the symbol table of ``radmul symbol --csv``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from .fock import Amalgam, FockSpace
+from .report import DEFAULT_TOLERANCES
 from .symbols import ConstantTail, GeometricTail, RadialSymbol
-
-DEFAULT_TOLERANCES = {"algebraic": 1e-13, "spectral": 1e-8, "eigen": 1e-10}
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def _is_real(value) -> bool:
+    # finite and within float range; NaN fails the comparison
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _complex(value) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError("expected a number or an [re, im] pair, got %r" % (value,))
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
+        return complex(value[0], value[1])
+    raise ConfigError("expected a finite number or an [re, im] pair, got %r" % (value,))
+
+
+def _int(value, name: str, minimum: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError("%s must be an integer >= %d, got %r" % (name, minimum, value))
+    return value
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError("%s must be an object" % name)
+    return value
 
 
 def _complex_matrix(rows) -> np.ndarray:
     try:
         return np.array([[_complex(v) for v in row] for row in rows], dtype=complex)
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("bad complex matrix: %s" % exc) from exc
 
 
@@ -85,29 +105,31 @@ def _parse_base(fragment) -> TracialAlgebra:
     if kind == "scalar":
         return TracialAlgebra.scalar()
     if kind == "matrix":
-        dim = fragment.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ConfigError("matrix base_algebra needs a positive integer 'dim'")
-        return TracialAlgebra.matrix(dim)
+        return TracialAlgebra.matrix(_int(fragment.get("dim"), "matrix base_algebra 'dim'", 1))
     raise ConfigError("unknown base_algebra kind %r" % (kind,))
 
 
 def _parse_group(fragment) -> FiniteGroup:
     if not isinstance(fragment, dict) or "kind" not in fragment:
         raise ConfigError("factor group needs a 'kind'")
+    kind = fragment["kind"]
+    if kind not in ("cyclic", "table"):
+        raise ConfigError("unknown group kind %r" % (kind,))
     try:
-        if fragment["kind"] == "cyclic":
-            return FiniteGroup.cyclic(int(fragment["order"]))
-        if fragment["kind"] == "table":
-            return FiniteGroup(fragment["table"])
+        if kind == "cyclic":
+            group = FiniteGroup.cyclic(_int(fragment["order"], "group order", 2))
+        else:
+            group = FiniteGroup(fragment["table"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad group fragment: %s" % exc) from exc
-    raise ConfigError("unknown group kind %r" % (fragment["kind"],))
+    if group.order < 2:
+        # a trivial factor has no letters: no reduced words to sample
+        raise ConfigError("factor groups need order >= 2")
+    return group
 
 
 def _parse_factor(base: TracialAlgebra, fragment) -> CrossedFactor:
-    if not isinstance(fragment, dict):
-        raise ConfigError("each factor must be an object")
+    _object(fragment, "each factor")
     group = _parse_group(fragment.get("group", {}))
     action = fragment.get("action", "trivial")
     if action == "trivial":
@@ -128,10 +150,11 @@ def _parse_factor(base: TracialAlgebra, fragment) -> CrossedFactor:
 
 
 def _parse_symbol(fragment) -> RadialSymbol:
-    if not isinstance(fragment, dict):
-        raise ConfigError("symbol must be an object")
-    head = tuple(_complex(v) for v in fragment.get("head", []))
-    tail_frag = fragment.get("tail", {"kind": "constant", "limit": 0})
+    head = _object(fragment, "symbol").get("head", [])
+    if not isinstance(head, list):
+        raise ConfigError("symbol head must be a list")
+    head = tuple(_complex(v) for v in head)
+    tail_frag = _object(fragment.get("tail", {"kind": "constant", "limit": 0}), "symbol tail")
     kind = tail_frag.get("kind")
     try:
         if kind == "constant":
@@ -152,31 +175,24 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("configuration must be a JSON object")
     base = _parse_base(data.get("base_algebra", {"kind": "scalar"}))
     factor_frags = data.get("factors")
-    if not factor_frags:
-        raise ConfigError("configuration needs at least one factor")
+    if not isinstance(factor_frags, list) or not factor_frags:
+        raise ConfigError("configuration needs a list of at least one factor")
     factors = [_parse_factor(base, f) for f in factor_frags]
     symbol = _parse_symbol(data.get("symbol", {"head": [1.0]}))
 
-    trunc = data.get("truncation", {})
-    fock_len = int(trunc.get("fock_len", 5))
-    hankel_dim = int(trunc.get("hankel_dim", symbol.default_hankel_dim()))
-    if fock_len < 2:
-        raise ConfigError("fock_len must be at least 2")
-    if hankel_dim < 1:
-        raise ConfigError("hankel_dim must be positive")
+    trunc = _object(data.get("truncation", {}), "truncation")
+    fock_len = _int(trunc.get("fock_len", 5), "fock_len", 2)
+    hankel_dim = _int(trunc.get("hankel_dim", max(2 * len(symbol.head), 32)), "hankel_dim", 1)
     if isinstance(symbol.tail, ConstantTail) and hankel_dim < symbol.head_end + 1:
         raise ConfigError("hankel_dim must cover the symbol head (need >= %d)"
                           % (symbol.head_end + 1))
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(data.get("tolerances", {}))
+    tolerances = dict(DEFAULT_TOLERANCES, **_object(data.get("tolerances", {}), "tolerances"))
     for name, value in tolerances.items():
-        if not (isinstance(value, (int, float)) and value > 0):
-            raise ConfigError("tolerance %r must be positive" % name)
+        if not (_is_real(value) and value > 0):
+            raise ConfigError("tolerance %r must be a finite positive number" % name)
 
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    seed = _int(data.get("seed", 0), "seed", 0)
 
     return RunConfig(base_algebra=base, factors=factors, symbol=symbol,
                      fock_len=fock_len, hankel_dim=hankel_dim,

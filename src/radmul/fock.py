@@ -93,11 +93,6 @@ class Amalgam:
         fac = self.factors[i]
         return fac.alpha(fac.group.inv(g), b)
 
-    def letter_star(self, letter: Letter) -> Letter:
-        """(u_g)* = u_{g^{-1}} within the same factor."""
-        i, g = letter
-        return (i, self.factors[i].group.inv(g))
-
 
 def enumerate_words(amalgam: Amalgam, max_len: int) -> list:
     """All reduced words of length <= max_len in length-lexicographic order."""
@@ -277,11 +272,6 @@ class FockSpace:
     def guard_mask(self, max_len: int) -> np.ndarray:
         """Scalar-basis indices whose word length stays within max_len."""
         return self.lengths <= max_len
-
-    def word_count(self, max_len=None) -> int:
-        if max_len is None:
-            return len(self.words)
-        return sum(1 for w in self.words if len(w) <= max_len)
 
 
 def canonicalize(space: FockSpace, letters, coeffs=None) -> FockVector:

@@ -16,10 +16,14 @@ and the two transformer families
                   + sum_{n>=1} D_{S^n x} rho^n(a) D*_{S^n y}
     Phi2_{x,y}(a) = (same head) + sum_{n>=1} D_{S^n x} rho^{n-1}(epsilon(a)) D*_{S^n y}
 
-from which the radial multiplier T = T1 + T2 + c*Id is assembled with the
-rank-one pairs of the symbol's two Hankel matrices.  S is the forward
-shift ((S x)(0) = 0, (S x)(t) = x(t-1)), so D_{(S*)^n x} scales the
-length-k sector by x(k+n) and D_{S^n x} by x(k-n).
+from which the radial multiplier T = T1 + T2 + c*Id is built: T1 sums
+Phi1 blocks over the rank-one pairs of the symbol's first Hankel difference
+matrix h, T2 sums Phi2 blocks over the pairs of the second one, k.  S is
+the forward shift ((S x)(0) = 0, (S x)(t) = x(t-1)), so D_{(S*)^n x}
+scales the length-k sector by x(k+n) and D_{S^n x} by x(k-n).  The pair
+sums depend on the pairs only through h and k, so the multiplier reads its
+weights off the symbol in closed form; ``phi_block_matrix`` keeps the
+pair-by-pair route for tests.
 
 Everything here commutes with the right N-action.  Operators act on
 :class:`~radmul.fock.FockVector` values through word-level rules and
@@ -37,7 +41,7 @@ import numpy as np
 
 from .fock import FockSpace, FockVector, SectorProjection, apply_projection
 from .report import VerificationReport
-from .symbols import RadialSymbol, factorize, hankel_pair
+from .symbols import RadialSymbol, psi_decompose
 
 DENSE_CAP = 2000  # largest dimension materialized for norm/adjoint checks
 _RC_KEY = "right_creation_mats"
@@ -62,19 +66,10 @@ class StructuredOperator:
         self._matrix = None if matrix is None else np.asarray(matrix, dtype=complex)
         self._matrix_fn = matrix_fn
 
-    @staticmethod
-    def from_matrix(space, matrix, name="matrix") -> "StructuredOperator":
-        return StructuredOperator(space, matrix=matrix, name=name)
-
     def __call__(self, vec: FockVector) -> FockVector:
         if self._apply is not None:
             return self._apply(vec)
         return self.space.from_array(self.matrix() @ vec.to_array())
-
-    def apply_array(self, arr: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix @ arr
-        return self.space.to_array(self(self.space.from_array(arr)))
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
@@ -587,28 +582,28 @@ def phi_block(space: FockSpace, variant: int, x, y, a: StructuredOperator) -> St
 
 def _pair_table0(P: np.ndarray, L: int) -> np.ndarray:
     """tab[a, b] = sum_t P[a+t, b+t] over the available diagonal span."""
-    M = P.shape[0]
-    tab = np.zeros((L + 1, L + 1), dtype=complex)
-    for aa in range(L + 1):
-        for bb in range(L + 1):
-            span = M - max(aa, bb)
-            if span > 0:
-                tab[aa, bb] = np.trace(P[aa:aa + span, bb:bb + span])
-    return tab
+    return np.array([[np.trace(P[a:, b:]) for b in range(L + 1)] for a in range(L + 1)],
+                    dtype=complex)
 
 
 def _pair_table_shift(P: np.ndarray, L: int, n: int) -> np.ndarray:
-    M = P.shape[0]
+    """tab[a, b] = P[a-n, b-n] for a, b >= n."""
     tab = np.zeros((L + 1, L + 1), dtype=complex)
-    for aa in range(n, L + 1):
-        for bb in range(n, L + 1):
-            if aa - n < M and bb - n < M:
-                tab[aa, bb] = P[aa - n, bb - n]
+    m = min(L + 1 - n, P.shape[0])
+    tab[n:n + m, n:n + m] = P[:m, :m]
     return tab
 
 
 def _expand_table(space: FockSpace, tab: np.ndarray) -> np.ndarray:
     return tab[np.ix_(space.lengths, space.lengths)]
+
+
+def _weighted_sum(space: FockSpace, tabs, A: np.ndarray, tower) -> np.ndarray:
+    """tab_0 * A + sum_{n>=1} tab_n * tower[n-1], tables expanded entrywise."""
+    out = _expand_table(space, tabs[0]) * A
+    for n in range(1, space.L_max + 1):
+        out += _expand_table(space, tabs[n]) * tower[n - 1]
+    return out
 
 
 def phi_block_matrix(space: FockSpace, variant: int, x, y, A: np.ndarray,
@@ -620,10 +615,8 @@ def phi_block_matrix(space: FockSpace, variant: int, x, y, A: np.ndarray,
     if tower is None:
         tower = rho_tower(space, A, L) if variant == 1 else eps_rho_tower(space, A, L)
     P = np.outer(x, y.conj())
-    out = _expand_table(space, _pair_table0(P, L)) * A
-    for n in range(1, L + 1):
-        out += _expand_table(space, _pair_table_shift(P, L, n)) * tower[n - 1]
-    return out
+    tabs = [_pair_table0(P, L)] + [_pair_table_shift(P, L, n) for n in range(1, L + 1)]
+    return _weighted_sum(space, tabs, A, tower)
 
 
 def phi_cb_bound(space: FockSpace, x, y) -> float:
@@ -757,59 +750,53 @@ def alternating_letter_tuples(space: FockSpace, length: int) -> list:
     return out
 
 
+def _weight_tables(phi: RadialSymbol, L: int, shift: int) -> np.ndarray:
+    """Stacked (L+1) x (L+1) weight tables of T1 (shift 0) or T2 (shift 1).
+
+    Summing the Phi blocks over the rank-one pairs of h (or k) leaves
+    tab_0[a, b] = psi1(a+b+shift) and, for n >= 1, tab_n[a, b] =
+    d(a+b-2n+shift) on a, b >= n, with d(s) = phi(s) - phi(s+1).
+    """
+    dec = psi_decompose(phi)
+    psi = np.array([dec.psi1(s + shift) for s in range(2 * L + 1)], dtype=complex)
+    d = np.array([phi(s) - phi(s + 1) for s in range(2 * L + 2)], dtype=complex)
+    idx = np.arange(L + 1)
+    total = idx[:, None] + idx[None, :]
+    low = np.minimum(idx[:, None], idx[None, :])
+    n = idx[1:, None, None]
+    shifted = np.where(low >= n, d[np.maximum(total - 2 * n + shift, 0)], 0)
+    return np.concatenate([psi[total][None], shifted])
+
+
 class RadialMultiplier:
     """The assembled transformer a -> T(a) = T1(a) + T2(a) + c a.
 
     T1 sums Phi1 blocks over the rank-one pairs of the first Hankel
     difference matrix, T2 sums Phi2 blocks over the pairs of the second,
     and c is the symbol's limit.  On matrices the pair sums collapse into
-    length-indexed weight tables applied entrywise against the rho-iterates
-    of the argument, which keeps one application at a handful of dense
-    products.
+    length-indexed weight tables, read off the symbol in closed form and
+    applied entrywise against the rho-iterates of the argument, which
+    keeps one application at a handful of dense products.
     """
 
-    def __init__(self, space: FockSpace, symbol: RadialSymbol, hankel_dim=None):
+    def __init__(self, space: FockSpace, symbol: RadialSymbol):
         self.space = space
         self.symbol = symbol
-        self.hankel_dim = int(hankel_dim or symbol.default_hankel_dim())
-        pair = hankel_pair(symbol, self.hankel_dim)
-        self.h_factors = factorize(pair.h)
-        self.k_factors = factorize(pair.k)
-        self.tail_error = pair.tail_error
         self.limit = symbol.limit
-        L = space.L_max
-        self._tabs_h = self._tables(self.h_factors, L)
-        self._tabs_k = self._tables(self.k_factors, L)
-
-    def _tables(self, factors, L):
-        X, Y = factors.stacked()
-        if X.shape[0]:
-            P = X.T @ Y.conj()
-        else:
-            P = np.zeros((self.hankel_dim, self.hankel_dim), dtype=complex)
-        tabs = [_pair_table0(P, L)]
-        for n in range(1, L + 1):
-            tabs.append(_pair_table_shift(P, L, n))
-        return tabs
-
-    def _component_matrix(self, A, tabs, tower):
-        space = self.space
-        out = _expand_table(space, tabs[0]) * A
-        for n in range(1, space.L_max + 1):
-            out += _expand_table(space, tabs[n]) * tower[n - 1]
-        return out
+        self._tabs_h = _weight_tables(symbol, space.L_max, 0)
+        self._tabs_k = _weight_tables(symbol, space.L_max, 1)
 
     def t1_matrix(self, A: np.ndarray, tower=None) -> np.ndarray:
         A = np.asarray(A, dtype=complex)
         if tower is None:
             tower = rho_tower(self.space, A, self.space.L_max)
-        return self._component_matrix(A, self._tabs_h, tower)
+        return _weighted_sum(self.space, self._tabs_h, A, tower)
 
     def t2_matrix(self, A: np.ndarray, eps_tower=None) -> np.ndarray:
         A = np.asarray(A, dtype=complex)
         if eps_tower is None:
             eps_tower = eps_rho_tower(self.space, A, self.space.L_max)
-        return self._component_matrix(A, self._tabs_k, eps_tower)
+        return _weighted_sum(self.space, self._tabs_k, A, eps_tower)
 
     def apply_matrix(self, A: np.ndarray, tower=None, eps_tower=None) -> np.ndarray:
         A = np.asarray(A, dtype=complex)
@@ -880,8 +867,8 @@ class RadialMultiplier:
         return self.apply(a)
 
 
-def build_T(space: FockSpace, phi: RadialSymbol, hankel_dim=None) -> RadialMultiplier:
-    return RadialMultiplier(space, phi, hankel_dim)
+def build_T(space: FockSpace, phi: RadialSymbol) -> RadialMultiplier:
+    return RadialMultiplier(space, phi)
 
 
 def _power_iteration(mv, rmv, n, seed, rel_tol, max_iter):

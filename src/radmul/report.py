@@ -13,6 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+# default tolerances; a configuration may override each of them
+ALGEBRAIC_TOL = 1e-13
+EIGEN_TOL = 1e-10
+SPECTRAL_TOL = 1e-8
+DEFAULT_TOLERANCES = {"algebraic": ALGEBRAIC_TOL, "spectral": SPECTRAL_TOL, "eigen": EIGEN_TOL}
+
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"

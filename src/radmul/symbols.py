@@ -9,16 +9,18 @@ difference matrices
     h[i, j] = phi(i+j)   - phi(i+j+1)
     k[i, j] = phi(i+j+1) - phi(i+j+2)
 
-have summable singular values, the error of an M x M cutoff admits a
-closed-form bound, and the telescoped parts
+have finite rank (Kronecker's theorem: their symbols are rational), so the
+class norm ||phi||_C = ||h||_1 + ||k||_1 + |lim phi| is exact from a small
+matrix, and the telescoped parts
 
     psi1(n) = sum_{i>=0} (phi(n+2i) - phi(n+2i+1)),   psi2(n) = psi1(n+1)
 
 recover the symbol exactly: phi = psi1 + psi2 + lim phi.
 
-Rank-one factorizations of h and k supply the vector pairs whose sliding
-correlations reproduce psi1 and psi2; those pairs are the raw material of
-the multiplier assembled in :mod:`radmul.operators`.
+The paper factors h and k into rank-one vector pairs whose sliding
+correlations reproduce psi1 and psi2.  M x M truncations with a bound on
+the discarded trace norm (``hankel_pair``), their SVD pairs (``factorize``)
+and ``psi_via_factors`` keep that route as an oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -90,9 +92,6 @@ class RadialSymbol:
         if isinstance(self.tail, GeometricTail):
             return self.tail.limit + self.tail.coefficient * self.tail.ratio ** n
         return self.tail.limit
-
-    def default_hankel_dim(self) -> int:
-        return max(2 * (self.head_end + 1), 32)
 
     # common examples used across tests and presets
     @staticmethod
@@ -200,15 +199,6 @@ class HankelFactorization:
     def norm_sum(self) -> float:
         return float(sum(np.linalg.norm(x) * np.linalg.norm(y) for x, y in self.pairs))
 
-    def stacked(self):
-        """(X, Y) with rows x_i resp. y_i; (0, M)-shaped when empty."""
-        if not self.pairs:
-            z = np.zeros((0, self.dim), dtype=complex)
-            return z, z.copy()
-        X = np.stack([x for x, _ in self.pairs])
-        Y = np.stack([y for _, y in self.pairs])
-        return X, Y
-
 
 def factorize(A: np.ndarray, rel_cutoff: float = SV_RELATIVE_CUTOFF) -> HankelFactorization:
     A = np.atleast_2d(np.asarray(A, dtype=complex))
@@ -282,11 +272,31 @@ def psi_via_factors(fh: HankelFactorization, fk: HankelFactorization,
     return correlate(fh), correlate(fk)
 
 
-def norm_C(phi: RadialSymbol, M: int) -> tuple:
-    """(||h||_1 + ||k||_1 + |c| at truncation M, bound on the truncation error)."""
-    hp = hankel_pair(phi, M)
-    value = trace_norm(hp.h) + trace_norm(hp.k) + abs(phi.limit)
-    return value, hp.tail_error
+def hankel_trace_norm(phi: RadialSymbol, shift: int) -> float:
+    """Exact trace norm of (d(i+j+shift)), d(s) = phi(s) - phi(s+1): ||h||_1
+    for shift 0, ||k||_1 for shift 1.
+
+    Past p = head_end + 1 the entries are g z**(i+j), g = r (1-z) z**shift, so
+    rows and columns >= p collapse onto the unit vector (z**j / N)_{j>=p},
+    N**2 = |z|**(2p) / (1 - |z|**2), leaving a (p+1) x (p+1) matrix.
+    """
+    p = phi.head_end + 1
+    i = np.arange(p)
+    d = np.array([phi(s) - phi(s + 1) for s in range(2 * p + shift)], dtype=complex)
+    C = np.zeros((p + 1, p + 1), dtype=complex)
+    C[:p, :p] = d[i[:, None] + i[None, :] + shift]
+    if isinstance(phi.tail, GeometricTail):
+        z = phi.tail.ratio
+        g = phi.tail.coefficient * (1 - z) * z ** shift
+        N = math.sqrt(abs(z) ** (2 * p) / (1 - abs(z) ** 2))
+        C[:p, p] = C[p, :p] = g * z ** i * N
+        C[p, p] = g * N * N
+    return trace_norm(C)
+
+
+def norm_C(phi: RadialSymbol) -> float:
+    """The class norm ||h||_1 + ||k||_1 + |c|, exact (no truncation)."""
+    return hankel_trace_norm(phi, 0) + hankel_trace_norm(phi, 1) + abs(phi.limit)
 
 
 def ricard_xu_bound(phi: RadialSymbol) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import FactorElement, cond_exp
 from .fock import FockSpace, FockVector, Word, lambda_span
-from .operators import (CaseTag, GeneratorWord, RadialMultiplier, ShiftedVector,
+from .operators import (CaseTag, GeneratorWord, ShiftedVector,
                         StructuredOperator, adjoint_check, alternating_letter_tuples,
                         annihilation, build_T, creation, diag, ends_in_factor_op,
                         eps_rho_tower, epsilon_matrix, identity_op, left_mult,
@@ -30,12 +30,8 @@ from .operators import (CaseTag, GeneratorWord, RadialMultiplier, ShiftedVector,
                         partition_identity_residual, phi_block_matrix, phi_cb_bound,
                         right_creation, right_mult, rho, rho_matrix, rho_tower,
                         start_complement_op, zero_op)
-from .report import VerificationReport
+from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
 from .symbols import norm_C, psi_decompose
-
-EIGEN_TOL = 1e-10
-SPECTRAL_TOL = 1e-8
-ALGEBRAIC_TOL = 1e-13
 
 
 def _spec_norm(A: np.ndarray) -> float:
@@ -119,11 +115,6 @@ def vacuum_expectation(space: FockSpace, A: StructuredOperator) -> np.ndarray:
     """Vacuum-sector coefficient of A applied to the vacuum; realizes the
     conditional expectation onto N for embedded words."""
     return A(space.vacuum()).coeff(Word())
-
-
-def apply_multiplier(T: RadialMultiplier, A):
-    """T applied to an operator or to its materialized matrix."""
-    return T(A)
 
 
 def random_reduced_word(rng, space: FockSpace, n: int) -> ReducedWord:
@@ -269,20 +260,17 @@ def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
     # rho(Id) = Q_1 and epsilon(Id) = Q_1 on the truncated space
     q1 = length_at_least_op(space, 1).matrix()
     res_rho = float(np.abs(rho_matrix(space, np.eye(space.dim)) - q1).max())
-    from .operators import epsilon_matrix
     res_eps = float(np.abs(epsilon_matrix(space, np.eye(space.dim)) - q1).max())
     report.add("rho_of_identity", res_rho, tol)
     report.add("epsilon_of_identity", res_eps, tol)
 
     # the factorization bound for Phi never exceeds the vector norms
-    for _ in range(3):
-        xv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
-        yv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
-        bound = phi_cb_bound(space, xv, yv)
-        cap = float(np.linalg.norm(xv) * np.linalg.norm(yv))
-        report.add("phi_factorization_bound", max(bound - cap, 0.0), 1e-10,
-                   bound=bound, cap=cap)
-        break
+    xv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
+    yv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
+    bound = phi_cb_bound(space, xv, yv)
+    cap = float(np.linalg.norm(xv) * np.linalg.norm(yv))
+    report.add("phi_factorization_bound", max(bound - cap, 0.0), 1e-10,
+               bound=bound, cap=cap)
     return report
 
 
@@ -313,7 +301,7 @@ def _gen_guard(space: FockSpace, w: GeneratorWord, depth: int) -> int:
     return space.L_max - max(w.k - w.l, 0) - depth
 
 
-def lemma_suite(space: FockSpace, symbols, hankel_dim=None, seed: int = 0,
+def lemma_suite(space: FockSpace, symbols, seed: int = 0,
                 tol: float = EIGEN_TOL, max_rho_power: int = 2) -> VerificationReport:
     """Scaling rules on symbolic generators, compared as matrices on the
     guard band: rho powers, epsilon case rules, both Phi eigen-formulas,
@@ -321,7 +309,7 @@ def lemma_suite(space: FockSpace, symbols, hankel_dim=None, seed: int = 0,
     rng = np.random.default_rng([seed, 4])
     report = VerificationReport()
     gens = _generator_zoo(space, seed)
-    mults = [(phi, build_T(space, phi, hankel_dim)) for phi in symbols]
+    mults = [(phi, build_T(space, phi)) for phi in symbols]
     decs = [(phi, psi_decompose(phi)) for phi, _ in mults]
 
     vec_len = max(space.L_max + 2, 8)
@@ -389,7 +377,7 @@ def lemma_suite(space: FockSpace, symbols, hankel_dim=None, seed: int = 0,
     return report
 
 
-def main_theorem_suite(space: FockSpace, symbols, hankel_dim=None, seed: int = 0,
+def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
                        tol: float = EIGEN_TOL, words_per_length: int = 10,
                        max_len=None) -> VerificationReport:
     """The multiplier action on sampled reduced words: T(A) = phi(n) A on the
@@ -399,7 +387,7 @@ def main_theorem_suite(space: FockSpace, symbols, hankel_dim=None, seed: int = 0
     report = VerificationReport()
     if max_len is None:
         max_len = min(3, space.L_max - 2)
-    mults = [(phi, build_T(space, phi, hankel_dim)) for phi in symbols]
+    mults = [(phi, build_T(space, phi)) for phi in symbols]
 
     res_action = 0.0
     res_vacuum = 0.0
@@ -448,7 +436,7 @@ def main_theorem_suite(space: FockSpace, symbols, hankel_dim=None, seed: int = 0
     return report
 
 
-def norm_bound_suite(space: FockSpace, symbols, hankel_dim=None, seed: int = 0,
+def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
                      samples: int = 50, amplifications=(1, 2, 3),
                      tol: float = SPECTRAL_TOL, terms: int = 3) -> VerificationReport:
     """Sampled two-sided envelope for the multiplier norm.
@@ -460,8 +448,8 @@ def norm_bound_suite(space: FockSpace, symbols, hankel_dim=None, seed: int = 0,
     rng = np.random.default_rng([seed, 6])
     report = VerificationReport()
     for si, phi in enumerate(symbols):
-        T = build_T(space, phi, hankel_dim)
-        c_norm, _ = norm_C(phi, T.hankel_dim)
+        T = build_T(space, phi)
+        c_norm = norm_C(phi)
         worst = 0.0
         for _ in range(samples):
             kls = [(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
@@ -565,15 +553,14 @@ def spanning_check(space: FockSpace, max_len=None) -> VerificationReport:
     return report
 
 
-def verify_main_theorem(space: FockSpace, symbols, hankel_dim=None, seed: int = 0,
+def verify_main_theorem(space: FockSpace, symbols, seed: int = 0,
                         tol: float = EIGEN_TOL, words_per_length: int = 10,
                         bound_samples: int = 25) -> VerificationReport:
     """Scaling action on sampled reduced words, case rules on generators,
     the sampled norm bound, and the right-module property, in one report."""
     report = VerificationReport()
-    report.extend(main_theorem_suite(space, symbols, hankel_dim, seed, tol,
+    report.extend(main_theorem_suite(space, symbols, seed, tol,
                                      words_per_length=words_per_length))
-    report.extend(lemma_suite(space, symbols, hankel_dim, seed, tol))
-    report.extend(norm_bound_suite(space, symbols, hankel_dim, seed,
-                                   samples=bound_samples))
+    report.extend(lemma_suite(space, symbols, seed, tol))
+    report.extend(norm_bound_suite(space, symbols, seed, samples=bound_samples))
     return report

@@ -32,12 +32,12 @@ def _line(num, name, ok, detail=""):
 
 def test_criterion_1_norm_values():
     t0 = time.perf_counter()
-    v_delta, _ = norm_C(RadialSymbol.delta0(), 60)
-    v_ind, _ = norm_C(RadialSymbol.indicator01(), 60)
+    v_delta = norm_C(RadialSymbol.delta0())
+    v_ind = norm_C(RadialSymbol.indicator01())
     ok = abs(v_delta - 1.0) <= 1e-12 and abs(v_ind - 3.0) <= 1e-12
     worst_geo = 0.0
     for z in (0.3, 0.5, 0.7):
-        value, _ = norm_C(RadialSymbol.geometric(z), 60)
+        value = norm_C(RadialSymbol.geometric(z))
         worst_geo = max(worst_geo, abs(value - 1.0))
     elapsed = time.perf_counter() - t0
     ok = ok and worst_geo <= 1e-8 and elapsed < 1.0
@@ -91,7 +91,7 @@ def test_criterion_5_lemma_suite(dih_space, mat2_space, acceptance_symbols):
     for space in (dih_space, mat2_space):
         assert space.L_max == 5
         total_dim += space.dim
-        rep = lemma_suite(space, acceptance_symbols, 60, seed=ACCEPT_SEED, tol=1e-10)
+        rep = lemma_suite(space, acceptance_symbols, seed=ACCEPT_SEED, tol=1e-10)
         ok = ok and rep.passed
         worst = max(worst, rep.worst_residual())
     elapsed = time.perf_counter() - t0
@@ -104,7 +104,7 @@ def test_criterion_6_theorem_action(dih_space, mat2_space, acceptance_symbols):
     worst = 0.0
     ok = True
     for space in (dih_space, mat2_space):
-        rep = main_theorem_suite(space, acceptance_symbols, 60, seed=ACCEPT_SEED,
+        rep = main_theorem_suite(space, acceptance_symbols, seed=ACCEPT_SEED,
                                  tol=1e-10, words_per_length=50, max_len=3)
         ok = ok and rep.passed
         for c in rep.checks:
@@ -115,7 +115,7 @@ def test_criterion_6_theorem_action(dih_space, mat2_space, acceptance_symbols):
 
 
 def test_criterion_7_norm_bound(dih_space, acceptance_symbols):
-    rep = norm_bound_suite(dih_space, acceptance_symbols, 60, seed=ACCEPT_SEED,
+    rep = norm_bound_suite(dih_space, acceptance_symbols, seed=ACCEPT_SEED,
                            samples=200, amplifications=(1, 2, 3), tol=1e-8)
     upper = max(c.max_residual for c in rep.checks if c.name.startswith("norm_bound_upper"))
     lower = max(c.max_residual for c in rep.checks if c.name.startswith("norm_bound_lower"))
@@ -125,7 +125,7 @@ def test_criterion_7_norm_bound(dih_space, acceptance_symbols):
 
 def test_criterion_8_comparison_bound():
     phi = RadialSymbol.indicator01()
-    ours, _ = norm_C(phi, 60)
+    ours = norm_C(phi)
     theirs = ricard_xu_bound(phi)
     ok = abs(ours - 3.0) <= 1e-12 and theirs == 5.0 and ours < theirs
     _line(8, "comparison_bound", ok, "class_C=%.12g linear_growth=%.12g" % (ours, theirs))
@@ -147,6 +147,6 @@ def test_criterion_9_determinism(tmp_path):
 def test_infinite_comparison_case():
     # supplementary to criterion 8: the constant symbol has class-C norm 1
     # while the linear-growth series diverges
-    value, _ = norm_C(RadialSymbol.constant(1.0), 32)
+    value = norm_C(RadialSymbol.constant(1.0))
     assert abs(value - 1.0) <= 1e-12
     assert math.isinf(ricard_xu_bound(RadialSymbol.constant(1.0)))

@@ -99,6 +99,15 @@ def test_trace_state_is_tracial():
     assert (x.star() * x).trace().real > 0
 
 
+def test_random_kernel_rejects_trivial_group():
+    # the trivial group has no nonzero kernel element; sampling must fail
+    # at once instead of redrawing forever
+    with pytest.raises(ValueError):
+        scalar_factor(order=1).random_kernel(np.random.default_rng(0))
+    x = scalar_factor(order=2).random_kernel(np.random.default_rng(0))
+    assert np.abs(cond_exp(x)).max() < 1e-12
+
+
 def test_cond_exp_properties():
     fac = inner_factor()
     rng = np.random.default_rng(4)

@@ -96,6 +96,45 @@ def test_malformed_config_exits_2(tmp_path):
     assert main(["verify", "--config", str(path)]) == 2
 
 
+def _set(data, path, value):
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("path, value", [
+    (("symbol",), {"head": [1], "tail": 5}),
+    (("truncation",), {"fock_len": "x"}),
+    (("symbol",), {"head": [float("nan")], "tail": {"kind": "constant", "limit": 0}}),
+    (("symbol",), {"head": [1], "tail": {"kind": "constant", "limit": [0.5, float("inf")]}}),
+    (("symbol",), {"head": 1}),
+    (("truncation",), {"fock_len": 4, "hankel_dim": 2.5}),
+    (("truncation",), [4]),
+    (("tolerances",), {"eigen": float("inf")}),
+    (("factors",), 5),
+    (("factors", 0, "group"), {"kind": "cyclic", "order": 1}),
+    (("factors", 0, "group"), {"kind": "table", "table": [[0]]}),
+    (("seed",), -1),
+], ids=["tail-not-object", "fock_len-string", "head-nan", "limit-inf", "head-not-list",
+        "hankel_dim-float", "truncation-not-object", "tolerance-inf", "factors-not-list",
+        "cyclic-order-1", "table-order-1", "seed-negative"])
+def test_bad_config_fragment_exits_2(tmp_path, capsys, path, value):
+    data = _set(preset_config("dih"), path, value)
+    code = main(["verify", "--suite", "theorem", "--config", write_config(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
+def test_negative_seed_override_is_a_usage_error(dih_config):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", dih_config, "--seed", "-1"])
+    assert exc.value.code == 2
+
+
 def test_corrupted_unitary_exits_2(tmp_path):
     data = preset_config("mat2")
     data["factors"][1]["action"]["unitary"] = [[[1, 0], [0, 0]], [[0, 0], [3, 0]]]
@@ -161,6 +200,20 @@ def test_cmd_verify_delta0_passes(tmp_path):
     data["truncation"] = {"fock_len": 4, "hankel_dim": 16}
     data["symbol"] = {"head": [1], "tail": {"kind": "constant", "limit": 0}}
     assert main(["verify", "--config", write_config(tmp_path, data)]) == 0
+
+
+@pytest.mark.parametrize("ratio", [0.9, 0.97, 0.99])
+def test_cmd_verify_slow_geometric_tail_passes(tmp_path, capsys, ratio):
+    # slow tails defeat any fixed Hankel cutoff; the multiplier and the
+    # class norm must not depend on one
+    data = preset_config("dih")
+    del data["truncation"]["hankel_dim"]
+    data["symbol"] = {"head": [1.0],
+                      "tail": {"kind": "geometric", "coefficient": 1.0,
+                               "ratio": ratio, "limit": 0}}
+    code = main(["verify", "--suite", "all", "--config", write_config(tmp_path, data)])
+    out = capsys.readouterr().out
+    assert code == 0, [line for line in out.splitlines() if not line.startswith("PASS")]
 
 
 # ---------------------------------------------------------------- bound command

@@ -9,7 +9,8 @@ from radmul.operators import (CaseTag, GeneratorWord, ShiftedVector, adjoint_che
                               partition_identity_residual, phi_block,
                               phi_block_matrix, phi_cb_bound, right_annihilation,
                               right_creation, right_mult, rho, rho_matrix, zero_op)
-from radmul.symbols import ConstantTail, RadialSymbol, psi_decompose
+from radmul.symbols import (ConstantTail, RadialSymbol, factorize, hankel_pair,
+                            psi_decompose)
 
 
 def column_matrix(space, op):
@@ -298,7 +299,7 @@ def test_alternating_tuples_count(dih_space, cy3_space):
 # ---------------------------------------------------------------- the multiplier
 
 def test_constant_symbol_gives_identity(dih_space):
-    T = build_T(dih_space, RadialSymbol.constant(1.0), 16)
+    T = build_T(dih_space, RadialSymbol.constant(1.0))
     rng = np.random.default_rng(8)
     A = rng.standard_normal((dih_space.dim, dih_space.dim)) + 0j
     assert np.abs(T.t1_matrix(A)).max() == 0
@@ -307,7 +308,7 @@ def test_constant_symbol_gives_identity(dih_space):
 
 
 def test_delta0_rules(dih_space):
-    T = build_T(dih_space, RadialSymbol.delta0(), 16)
+    T = build_T(dih_space, RadialSymbol.delta0())
     a00 = identity_op(dih_space).matrix()
     assert np.abs(T.apply_matrix(a00) - a00).max() <= 1e-12
     a10 = GeneratorWord(((0, 1),), ()).operator(dih_space).matrix()
@@ -316,7 +317,7 @@ def test_delta0_rules(dih_space):
 
 def test_indicator_t1_rule(dih_space):
     phi = RadialSymbol.indicator01()
-    T = build_T(dih_space, phi, 16)
+    T = build_T(dih_space, phi)
     dec = psi_decompose(phi)
     for cre, ann in [((), ()), (((0, 1),), ()), (((0, 1),), ((1, 1),))]:
         gen = GeneratorWord(cre, ann)
@@ -328,7 +329,7 @@ def test_indicator_t1_rule(dih_space):
 
 def test_multiplier_vector_route_matches_matrix(mat2_space):
     rng = np.random.default_rng(9)
-    T = build_T(mat2_space, RadialSymbol.indicator01(), 16)
+    T = build_T(mat2_space, RadialSymbol.indicator01())
     gen = GeneratorWord(((0, 1),), ((1, 1), (0, 1)),
                         cre_coeffs=(mat2_space.base.random(rng),
                                     mat2_space.base.random(rng)),
@@ -344,17 +345,24 @@ def test_multiplier_vector_route_matches_matrix(mat2_space):
     assert np.abs(lazy.matrix() - direct).max() <= 1e-12
 
 
+def _svd_pairs(phi, M):
+    # the paper's route: rank-one pairs of the truncated Hankel matrices
+    hp = hankel_pair(phi, M)
+    return factorize(hp.h).pairs, factorize(hp.k).pairs
+
+
 def test_t1_equals_sum_of_phi_blocks(dih_space):
     phi = RadialSymbol.geometric(0.5)
-    T = build_T(dih_space, phi, 24)
+    T = build_T(dih_space, phi)
+    h_pairs, k_pairs = _svd_pairs(phi, 24)
     gen = GeneratorWord(((0, 1),), ((0, 1),))
     A = gen.operator(dih_space).matrix()
     total = np.zeros_like(A)
-    for x, y in T.h_factors.pairs:
+    for x, y in h_pairs:
         total += phi_block_matrix(dih_space, 1, x, y, A)
     assert np.abs(total - T.t1_matrix(A)).max() <= 1e-11
     total2 = np.zeros_like(A)
-    for z, w in T.k_factors.pairs:
+    for z, w in k_pairs:
         total2 += phi_block_matrix(dih_space, 2, z, w, A)
     assert np.abs(total2 - T.t2_matrix(A)).max() <= 1e-11
 
@@ -367,7 +375,7 @@ def test_case_convention_pinned_by_scaling(dih_space):
     gen = GeneratorWord(((0, 1),), ((1, 1), (0, 1)))
     assert gen.case is CaseTag.CASE2
     phi = RadialSymbol.geometric(0.5)  # phi(2) = 0.25 != phi(3) = 0.125
-    T = build_T(dih_space, phi, 32)
+    T = build_T(dih_space, phi)
     A = gen.operator(dih_space).matrix()
     guard = dih_space.guard_mask(dih_space.L_max - 1)
     res2 = np.abs((T.apply_matrix(A) - phi(2) * A)[:, guard]).max()
@@ -381,13 +389,14 @@ def test_multiplier_collapse_on_arbitrary_matrix(dih_space):
     # blocks pair by pair, for inputs far outside the generated algebra
     rng = np.random.default_rng(12)
     phi = RadialSymbol(head=(1.0, -0.5, 0.25), tail=ConstantTail(0.1))
-    T = build_T(dih_space, phi, 24)
+    T = build_T(dih_space, phi)
+    h_pairs, k_pairs = _svd_pairs(phi, 24)
     A = rng.standard_normal((dih_space.dim, dih_space.dim)) \
         + 1j * rng.standard_normal((dih_space.dim, dih_space.dim))
     total = T.limit * A
-    for x, y in T.h_factors.pairs:
+    for x, y in h_pairs:
         total = total + phi_block_matrix(dih_space, 1, x, y, A)
-    for z, w in T.k_factors.pairs:
+    for z, w in k_pairs:
         total = total + phi_block_matrix(dih_space, 2, z, w, A)
     assert np.abs(total - T.apply_matrix(A)).max() <= 1e-11 * np.abs(A).max()
 

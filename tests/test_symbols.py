@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from radmul.symbols import (ConstantTail, GeometricTail, HankelPair, RadialSymbol,
-                            evaluate, factorize, hankel_pair, norm_C, psi_decompose,
-                            psi_via_factors, ricard_xu_bound, trace_norm,
-                            write_symbol_csv)
+                            evaluate, factorize, hankel_pair, hankel_trace_norm, norm_C,
+                            psi_decompose, psi_via_factors, ricard_xu_bound,
+                            trace_norm, write_symbol_csv)
 
 from conftest import symbol_zoo
 
@@ -118,13 +118,12 @@ def test_trace_norm_zero():
 # ---------------------------------------------------------------- class-C norm
 
 def test_norm_delta0():
-    value, err = norm_C(RadialSymbol.delta0(), 32)
+    value = norm_C(RadialSymbol.delta0())
     assert value == pytest.approx(1.0, abs=1e-12)
-    assert err == 0.0
 
 
 def test_norm_indicator():
-    value, _ = norm_C(RadialSymbol.indicator01(), 32)
+    value = norm_C(RadialSymbol.indicator01())
     assert value == pytest.approx(3.0, abs=1e-12)
 
 
@@ -132,12 +131,32 @@ def test_norm_indicator():
 def test_norm_geometric_rank_one(z):
     # h = (1-z) v v^T with v = (z^n): ||h||_1 = (1-z)/(1-z^2) = 1/(1+z),
     # and k = z h, so the total is exactly 1
-    value, err = norm_C(RadialSymbol.geometric(z), 60)
+    value = norm_C(RadialSymbol.geometric(z))
     assert value == pytest.approx(1.0, abs=1e-8)
-    assert err < 1e-6  # conservative antidiagonal-count bound
     hp = hankel_pair(RadialSymbol.geometric(z), 60)
     assert trace_norm(hp.h) == pytest.approx(1.0 / (1.0 + z), abs=1e-10)
     assert trace_norm(hp.k) == pytest.approx(z / (1.0 + z), abs=1e-10)
+
+
+def test_norm_C_exact_within_truncation_envelope(zoo):
+    # compressing to M x M can only lower the trace norm, and the discarded
+    # part costs at most tail_error: the exact value sits in between
+    extra = [
+        RadialSymbol.geometric(0.9),
+        RadialSymbol.geometric(0.0, coefficient=2.0),
+        RadialSymbol(head=(1.0,), tail=GeometricTail(1.0, 0.0)),
+        RadialSymbol.geometric(-0.8 + 0.1j),
+        RadialSymbol.geometric(-0.5, coefficient=0.5j, limit=0.3),
+        RadialSymbol(head=(1.0, 2.0, -1.0, 0.5j), tail=GeometricTail(0.7, -0.6, 0.2)),
+    ]
+    for phi in zoo + extra:
+        hp = hankel_pair(phi, 400)
+        lower = trace_norm(hp.h) + trace_norm(hp.k) + abs(phi.limit)
+        value = norm_C(phi)
+        assert isinstance(value, float)
+        assert lower - 1e-12 <= value <= lower + hp.tail_error + 1e-12
+        assert hankel_trace_norm(phi, 0) == pytest.approx(trace_norm(hp.h), abs=1e-12)
+        assert hankel_trace_norm(phi, 1) == pytest.approx(trace_norm(hp.k), abs=1e-12)
 
 
 # ---------------------------------------------------------------- psi split
@@ -286,7 +305,7 @@ def test_ricard_xu_indicator_vs_class_norm():
     bound = ricard_xu_bound(phi)
     assert bound == pytest.approx(5.0)
     # the class-C norm is the sharper constant here
-    assert norm_C(phi, 32)[0] < bound
+    assert norm_C(phi) < bound
 
 
 def test_ricard_xu_constant_diverges():

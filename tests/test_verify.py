@@ -94,27 +94,27 @@ def test_vacuum_expectation(dih_space):
 
 def test_multiplier_on_identity(dih_space):
     phi = RadialSymbol.indicator01()
-    T = build_T(dih_space, phi, 16)
+    T = build_T(dih_space, phi)
     assert np.abs(T.apply_matrix(np.eye(dih_space.dim))
                   - phi(0) * np.eye(dih_space.dim)).max() <= 1e-12
 
 
 def test_delta0_kills_embedded_letter(dih_space):
-    T = build_T(dih_space, RadialSymbol.delta0(), 16)
+    T = build_T(dih_space, RadialSymbol.delta0())
     A = embed(dih_space, dih_space.amalgam.factor(0).unitary(1)).matrix()
     guard = dih_space.guard_mask(dih_space.L_max - 1)
     assert np.abs(T.apply_matrix(A)[:, guard]).max() <= 1e-12
 
 
 def test_indicator_kills_length_two_word(dih_space):
-    T = build_T(dih_space, RadialSymbol.indicator01(), 16)
+    T = build_T(dih_space, RadialSymbol.indicator01())
     A = word_operator(dih_space, unit_word(dih_space, (0, 1), (1, 1))).matrix()
     guard = dih_space.guard_mask(dih_space.L_max - 2)
     assert np.abs(T.apply_matrix(A)[:, guard]).max() <= 1e-11
 
 
 def test_constant_symbol_fixes_all_words(dih_space):
-    T = build_T(dih_space, RadialSymbol.constant(1.0), 16)
+    T = build_T(dih_space, RadialSymbol.constant(1.0))
     rng = np.random.default_rng(2)
     for n in range(3):
         A = word_operator(dih_space, random_reduced_word(rng, dih_space, n)).matrix()
@@ -125,7 +125,7 @@ def test_delta0_reproduces_vacuum_expectation(mat2_space):
     # T for the unit point mass keeps exactly the length-0 part: on sums of
     # reduced words it reproduces the expectation onto N as an operator
     rng = np.random.default_rng(3)
-    T = build_T(mat2_space, RadialSymbol.delta0(), 16)
+    T = build_T(mat2_space, RadialSymbol.delta0())
     b = mat2_space.base.random(rng)
     w1 = word_operator(mat2_space, random_reduced_word(rng, mat2_space, 1))
     w2 = word_operator(mat2_space, random_reduced_word(rng, mat2_space, 2))
@@ -138,21 +138,21 @@ def test_delta0_reproduces_vacuum_expectation(mat2_space):
 
 def test_main_theorem_suites_pass(dih_space, mat2_space, acceptance_symbols):
     for space in (dih_space, mat2_space):
-        rep = main_theorem_suite(space, acceptance_symbols, 32, seed=11,
+        rep = main_theorem_suite(space, acceptance_symbols, seed=11,
                                  words_per_length=6)
         assert rep.passed, [c.name for c in rep.failed()]
 
 
 def test_case_two_pipeline_on_cyclic3(cy3_space, acceptance_symbols):
-    rep = main_theorem_suite(cy3_space, acceptance_symbols, 32, seed=12,
+    rep = main_theorem_suite(cy3_space, acceptance_symbols, seed=12,
                              words_per_length=4, max_len=2)
     assert rep.passed, [c.name for c in rep.failed()]
-    rep = lemma_suite(cy3_space, [RadialSymbol.indicator01()], 32, seed=12)
+    rep = lemma_suite(cy3_space, [RadialSymbol.indicator01()], seed=12)
     assert rep.passed, [c.name for c in rep.failed()]
 
 
 def test_verify_main_theorem_wrapper(dih_space):
-    rep = verify_main_theorem(dih_space, [RadialSymbol.delta0()], 24, seed=5,
+    rep = verify_main_theorem(dih_space, [RadialSymbol.delta0()], seed=5,
                               words_per_length=4, bound_samples=10)
     assert rep.passed
     names = {c.name for c in rep.checks}
@@ -192,14 +192,14 @@ def test_fock_and_operator_suites(dih_space, mat2_space):
 
 
 def test_norm_bound_suite(dih_space, acceptance_symbols):
-    rep = norm_bound_suite(dih_space, acceptance_symbols, 60, seed=13, samples=20)
+    rep = norm_bound_suite(dih_space, acceptance_symbols, seed=13, samples=20)
     assert rep.passed, [c.name for c in rep.failed()]
 
 
 def test_report_determinism(dih_space):
-    a = main_theorem_suite(dih_space, [RadialSymbol.delta0()], 24, seed=21,
+    a = main_theorem_suite(dih_space, [RadialSymbol.delta0()], seed=21,
                            words_per_length=3)
-    b = main_theorem_suite(dih_space, [RadialSymbol.delta0()], 24, seed=21,
+    b = main_theorem_suite(dih_space, [RadialSymbol.delta0()], seed=21,
                            words_per_length=3)
     assert a.to_json() == b.to_json()
 
@@ -210,9 +210,9 @@ def test_complex_symbol_pipeline(dih_space):
     from radmul.symbols import GeometricTail
     phi = RadialSymbol(head=(1.0, 0.3j),
                        tail=GeometricTail(0.8 - 0.2j, 0.4 + 0.35j, 0.15 - 0.1j))
-    rep = lemma_suite(dih_space, [phi], 48, seed=31)
+    rep = lemma_suite(dih_space, [phi], seed=31)
     assert rep.passed, [c.name for c in rep.failed()]
-    rep = main_theorem_suite(dih_space, [phi], 48, seed=31, words_per_length=6)
+    rep = main_theorem_suite(dih_space, [phi], seed=31, words_per_length=6)
     assert rep.passed, [c.name for c in rep.failed()]
 
 
