@@ -12,7 +12,6 @@ basis: E(u_g* u_h) = delta_{g,h} and every x equals sum_g E(x u_g) u_g*.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,8 +151,11 @@ class FiniteGroup:
                 raise ValueError("table is not a Latin square")
             if not np.any(t[g] == 0):
                 raise ValueError("element %d has no inverse" % g)
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if t[t[a, b], c] != t[a, t[b, c]]:
+        for a in range(n):
+            # row a compares (ab)c, i.e. t[t[a]][b, c], with a(bc) = t[a][t][b, c]
+            bad = np.argwhere(t[t[a]] != t[a][t])
+            if len(bad):
+                b, c = bad[0]
                 raise ValueError("table is not associative at (%d, %d, %d)" % (a, b, c))
 
     def mul(self, a: int, b: int) -> int:

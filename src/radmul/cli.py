@@ -7,6 +7,7 @@ Exit codes: 0 all requested checks pass, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .algebra import verify_pp_basis
@@ -33,6 +34,20 @@ def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("seed must be nonnegative")
+    return value
+
+
+def _tol(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError("tolerance must be finite and positive")
+    return value
+
+
+def _samples(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("need at least one sample")
     return value
 
 
@@ -125,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
-    p.add_argument("--tol", type=float, default=None, help="override the eigen tolerance")
+    p.add_argument("--tol", type=_tol, default=None, help="override the eigen tolerance")
     p.add_argument("--report", default=None, help="where to write the report JSON")
     p.add_argument("--suite", choices=SUITES, default="all")
     p.set_defaults(func=cmd_verify)
@@ -133,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="sampled completely bounded norm envelope")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_samples, default=50)
     p.set_defaults(func=cmd_bound)
 
     return parser

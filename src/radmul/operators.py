@@ -25,10 +25,17 @@ sums depend on the pairs only through h and k, so the multiplier reads its
 weights off the symbol in closed form; ``phi_block_matrix`` keeps the
 pair-by-pair route for tests.
 
-Everything here commutes with the right N-action.  Operators act on
-:class:`~radmul.fock.FockVector` values through word-level rules and
-materialize to dense matrices in the enumerated basis on demand; sums over
-letters and factors always run in configuration order.
+Everything here commutes with the right N-action, except the right
+creations, which are covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b).
+Operators act on :class:`~radmul.fock.FockVector` values through word-level
+rules and materialize to dense matrices in the enumerated basis on demand;
+sums over letters and factors always run in configuration order.  Right
+creation and left N-multiplication are partial word-to-word maps with one
+coefficient block per word, cached per space in word-index form on first
+use (``_right_maps``, ``_push_unitaries``): rho on a matrix gathers, per
+letter, the source-word blocks of its argument, conjugates them by the
+letter's alpha block and scatters them to the target words; left
+multiplication writes the pushed blocks U_w b U_w* on the block diagonal.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from .report import VerificationReport
 from .symbols import RadialSymbol, psi_decompose
 
 DENSE_CAP = 2000  # largest dimension materialized for norm/adjoint checks
-_RC_KEY = "right_creation_mats"
 
 
 class StructuredOperator:
@@ -151,24 +157,65 @@ def zero_op(space: FockSpace) -> StructuredOperator:
                               name="0")
 
 
-def _word_blocks(space: FockSpace):
-    """(start, stop) coordinate slices per enumerated word."""
-    k = space.dim_N
-    return [(i * k, (i + 1) * k) for i in range(len(space.words))]
+def _blocks(space: FockSpace, A: np.ndarray) -> np.ndarray:
+    """View of a dim x dim matrix as (word, word, dim_N, dim_N) blocks."""
+    n, k = len(space.words), space.dim_N
+    return A.reshape(n, k, n, k).transpose(0, 2, 1, 3)
+
+
+def _alpha_block(space: FockSpace, i: int, g: int) -> np.ndarray:
+    """Coordinate matrix of the coefficient map c -> alpha_g(c)."""
+    W = space.amalgam.factor(i).unitaries[g]
+    return np.kron(W, W.conj())
+
+
+def _right_maps(space: FockSpace) -> list:
+    """Word-index form of the right creations, one (src, dst, blk) per letter.
+
+    R_{gamma*} for gamma = (i, g) sends the word src[j] to dst[j] = src[j]
+    gamma* and twists its coefficient by blk = alpha_g in coordinates.
+    """
+    if "right_maps" not in space.cache:
+        maps = []
+        for i, g in space.amalgam.letters():
+            appended = (i, space.amalgam.factor(i).group.inv(g))
+            src = [j for j, w in enumerate(space.words)
+                   if len(w) < space.L_max and w.last_factor != i]
+            dst = [space.word_index[space.words[j].append(appended)] for j in src]
+            maps.append((np.array(src, dtype=int), np.array(dst, dtype=int),
+                         _alpha_block(space, i, g)))
+        space.cache["right_maps"] = maps
+    return space.cache["right_maps"]
+
+
+def _push_unitaries(space: FockSpace) -> np.ndarray:
+    """U_w per word, stacked (n_words, d, d): pushing b through w gives U_w b U_w*.
+
+    Built by the prefix recursion U_{w gamma} = W_{g^{-1}} U_w, since
+    b u_g = u_g alpha_{g^{-1}}(b) and alpha_h = Ad(W_h).
+    """
+    if "push_unitaries" not in space.cache:
+        am = space.amalgam
+        U = np.empty((len(space.words), space.base.d, space.base.d), dtype=complex)
+        U[0] = space.base.identity()
+        for j, w in enumerate(space.words[1:], start=1):
+            i, g = w.letters[-1]
+            fac = am.factor(i)
+            U[j] = fac.unitaries[fac.group.inv(g)] @ U[space.word_index[w.drop_last()]]
+        space.cache["push_unitaries"] = U
+    return space.cache["push_unitaries"]
 
 
 def _left_mult_matrix(space: FockSpace, b: np.ndarray) -> np.ndarray:
     # block diagonal: on the word w the left action multiplies the right
-    # coefficient by b pushed through the letters, i.e. kron(pushed, 1)
-    am = space.amalgam
-    d = space.base.d
-    eye = np.eye(d)
+    # coefficient by b pushed through the letters, i.e. kron(U_w b U_w*, 1)
+    U = _push_unitaries(space)
+    pushed = U @ b @ U.conj().transpose(0, 2, 1)
+    n, d = len(space.words), space.base.d
+    blocks = np.einsum("wpr,qs->wpqrs", pushed, np.eye(d)).reshape(n, d * d, d * d)
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    for (lo, hi), w in zip(_word_blocks(space), space.words):
-        pushed = b
-        for letter in w.letters:
-            pushed = am.push(pushed, letter)
-        out[lo:hi, lo:hi] = np.kron(pushed, eye)
+    idx = np.arange(n)
+    _blocks(space, out)[idx, idx] = blocks
     return out
 
 
@@ -221,14 +268,11 @@ def _left_pair(space: FockSpace, letter):
 def _creation_matrix(space: FockSpace, letter) -> np.ndarray:
     key = ("creation_mat", letter)
     if key not in space.cache:
-        k = space.dim_N
-        eye = np.eye(k)
+        src = [j for j, w in enumerate(space.words)
+               if len(w) < space.L_max and w.first_factor != letter[0]]
+        dst = [space.word_index[space.words[j].prepend(letter)] for j in src]
         out = np.zeros((space.dim, space.dim), dtype=complex)
-        for (lo, hi), w in zip(_word_blocks(space), space.words):
-            if len(w) >= space.L_max or (w.letters and w.first_factor == letter[0]):
-                continue
-            ti = space.word_index[w.prepend(letter)] * k
-            out[ti:ti + k, lo:hi] = eye
+        _blocks(space, out)[dst, src] = np.eye(space.dim_N)
         space.cache[key] = out
     return space.cache[key]
 
@@ -279,26 +323,12 @@ def _right_pair(space: FockSpace, letter):
     return create, annihilate
 
 
-def _alpha_block(space: FockSpace, i: int, g: int) -> np.ndarray:
-    """Coordinate matrix of the coefficient map c -> alpha_g(c)."""
-    W = space.amalgam.factor(i).unitaries[g]
-    return np.kron(W, W.conj())
-
-
 def _right_creation_matrix(space: FockSpace, letter) -> np.ndarray:
     key = ("right_creation_mat", letter)
     if key not in space.cache:
-        i, g = letter
-        fac = space.amalgam.factor(i)
-        appended = (i, fac.group.inv(g))
-        blk = _alpha_block(space, i, g)
-        k = space.dim_N
+        src, dst, blk = _right_maps(space)[space.amalgam.letters().index(letter)]
         out = np.zeros((space.dim, space.dim), dtype=complex)
-        for (lo, hi), w in zip(_word_blocks(space), space.words):
-            if len(w) >= space.L_max or (w.letters and w.last_factor == i):
-                continue
-            ti = space.word_index[w.append(appended)] * k
-            out[ti:ti + k, lo:hi] = blk
+        _blocks(space, out)[dst, src] = blk
         space.cache[key] = out
     return space.cache[key]
 
@@ -408,17 +438,16 @@ def diag(space: FockSpace, x) -> StructuredOperator:
                               name="D")
 
 
-def _right_creation_mats(space: FockSpace) -> list:
-    if _RC_KEY not in space.cache:
-        space.cache[_RC_KEY] = [right_creation(space, l).matrix()
-                                for l in space.amalgam.letters()]
-    return space.cache[_RC_KEY]
-
-
 def rho_matrix(space: FockSpace, A: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(np.asarray(A, dtype=complex))
-    for R in _right_creation_mats(space):
-        out += R @ A @ R.conj().T
+    """sum_gamma R A R^* on matrices: per letter, gather the (src, src) blocks
+    of A, conjugate each by blk and scatter them to (dst, dst).  The letters'
+    target words end differently, so their scatters never overlap."""
+    A = _blocks(space, np.asarray(A, dtype=complex))
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out4 = _blocks(space, out)
+    for src, dst, blk in _right_maps(space):
+        out4[np.ix_(dst, dst)] = np.einsum("ab,ijbc,dc->ijad", blk,
+                                           A[np.ix_(src, src)], blk.conj())
     return out
 
 

@@ -229,7 +229,7 @@ def _vec_max(v: FockVector) -> float:
 def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
                    n_partition: int = 20, vec_len: int = 32) -> VerificationReport:
     """Adjoint pairs, the shifted-weight partition identity, and the
-    right-module property of the building blocks."""
+    right-module property (covariance, for R_{gamma*}) of the building blocks."""
     rng = np.random.default_rng([seed, 2])
     report = VerificationReport()
 
@@ -245,16 +245,21 @@ def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
                diag(space, ShiftedVector(tuple(x), 1, "backward"))]:
         report.extend(adjoint_check(op, tol=tol, seed=seed))
 
-    # everything in sight commutes with the right action
-    rb = right_mult(space, space.base.random(rng))
+    # everything in sight commutes with the right action, except R_{gamma*},
+    # which is covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b)
+    b = space.base.random(rng)
+    rb = right_mult(space, b)
+    i, g = letter
+    rb_twisted = right_mult(space, space.amalgam.factor(i).alpha(g, b))
     worst = 0.0
-    ops = [creation(space, letter), annihilation(space, letter),
-           right_creation(space, letter), diag(space, x[:space.L_max + 2]),
-           ends_in_factor_op(space, 0), rho(space, identity_op(space))]
-    for op in ops:
+    ops = [(creation(space, letter), rb), (annihilation(space, letter), rb),
+           (right_creation(space, letter), rb_twisted),
+           (diag(space, x[:space.L_max + 2]), rb), (ends_in_factor_op(space, 0), rb),
+           (rho(space, identity_op(space)), rb)]
+    for op, rb_out in ops:
         for _ in range(3):
             v = _random_vector(rng, space)
-            worst = max(worst, _vec_max(op(rb(v)) - rb(op(v))))
+            worst = max(worst, _vec_max(op(rb(v)) - rb_out(op(v))))
     report.add("right_module_blocks", worst, tol)
 
     # rho(Id) = Q_1 and epsilon(Id) = Q_1 on the truncated space

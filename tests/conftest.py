@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from radmul.config import parse_config, preset_config
@@ -22,6 +23,30 @@ def cy3_space():
     cfg = preset_config("cy3")
     cfg["truncation"]["fock_len"] = 4
     return parse_config(cfg).space()
+
+
+def _pairs(matrix):
+    return [[[z.real, z.imag] for z in row] for row in matrix]
+
+
+def noncommuting_config(fock_len=3):
+    """M_2 base, two order-3 factors acting by Ad diag(1, w) and by its
+    Hadamard conjugate (w = exp(2 pi i / 3)); the two actions do not commute,
+    so the order in which a coefficient is pushed through a word matters."""
+    w = np.exp(2j * np.pi / 3)
+    V = np.diag([1.0, w])
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    factors = [{"group": {"kind": "cyclic", "order": 3},
+                "action": {"kind": "inner", "unitary": _pairs(U)}} for U in (V, H @ V @ H)]
+    return {"base_algebra": {"kind": "matrix", "dim": 2}, "factors": factors,
+            "symbol": {"head": [1.0, 1.0], "tail": {"kind": "constant", "limit": 0}},
+            "truncation": {"fock_len": fock_len}, "seed": 0}
+
+
+@pytest.fixture(scope="session")
+def noncomm_space():
+    """M_2 base, two order-3 factors with non-commuting inner actions (dim 116)."""
+    return parse_config(noncommuting_config()).space()
 
 
 def symbol_zoo():

@@ -78,6 +78,24 @@ def test_group_rejects_non_associative():
         FiniteGroup(bad)
 
 
+def test_associativity_error_names_first_failing_triple():
+    bad = np.array([[0, 1, 2, 3, 4],
+                    [1, 0, 3, 4, 2],
+                    [2, 4, 0, 1, 3],
+                    [3, 2, 4, 0, 1],
+                    [4, 3, 1, 2, 0]])
+    first = next((a, b, c) for a in range(5) for b in range(5) for c in range(5)
+                 if bad[bad[a, b], c] != bad[a, bad[b, c]])
+    with pytest.raises(ValueError, match=r"associative at \(%d, %d, %d\)" % first):
+        FiniteGroup(bad)
+
+
+def test_large_cyclic_group_validates():
+    g = FiniteGroup.cyclic(200)
+    assert g.mul(150, 70) == 20
+    assert g.inv(1) == 199
+
+
 # ---------------------------------------------------------------- crossed product
 
 def test_crossed_product_arithmetic():

@@ -5,6 +5,8 @@ import pytest
 from radmul.cli import main
 from radmul.config import ConfigError, load_config, parse_config, preset_config
 
+from conftest import noncommuting_config
+
 
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
@@ -135,6 +137,21 @@ def test_negative_seed_override_is_a_usage_error(dih_config):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "-1"],
+    ["bound", "--samples", "0"],
+    ["bound", "--samples", "-3"],
+], ids=["tol-nan", "tol-negative", "samples-zero", "samples-negative"])
+def test_bad_numeric_flag_is_a_usage_error(dih_config, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", dih_config])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument %s" % argv[1] in err
+    assert "Traceback" not in err
+
+
 def test_corrupted_unitary_exits_2(tmp_path):
     data = preset_config("mat2")
     data["factors"][1]["action"]["unitary"] = [[[1, 0], [0, 0]], [[0, 0], [3, 0]]]
@@ -193,6 +210,14 @@ def test_cmd_verify_tol_override_can_fail(tmp_path, dih_config):
     path = write_config(tmp_path, data, "geo.json")
     assert main(["verify", "--config", path, "--suite", "cases",
                  "--tol", "1e-30"]) == 1
+
+
+def test_cmd_verify_operators_on_noncommuting_actions(tmp_path, capsys):
+    # right_module_blocks holds R_{gamma*} to its covariance, not to plain
+    # commutation, which fails once the letter's factor acts nontrivially
+    path = write_config(tmp_path, noncommuting_config())
+    assert main(["verify", "--config", path, "--suite", "operators"]) == 0
+    assert "PASS  right_module_blocks" in capsys.readouterr().out
 
 
 def test_cmd_verify_delta0_passes(tmp_path):

@@ -180,6 +180,65 @@ def test_rho_identity_is_q1(dih_space, mat2_space):
         assert np.abs(got - q1).max() == 0
 
 
+SPACES = ["dih_space", "mat2_space", "cy3_space", "noncomm_space"]
+SCALAR_BASE = {"dih_space", "cy3_space"}
+
+
+def push_loop_left_mult(space, b):
+    """Oracle: push b through every word letter by letter, one kron per word."""
+    k = space.dim_N
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for j, w in enumerate(space.words):
+        pushed = b
+        for letter in w.letters:
+            pushed = space.amalgam.push(pushed, letter)
+        out[j * k:(j + 1) * k, j * k:(j + 1) * k] = np.kron(pushed, np.eye(space.base.d))
+    return out
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_rho_matrix_matches_dense_sum(request, name):
+    # oracle: rho(A) = sum_gamma R A R^H with dense right creations
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
+    want = np.zeros_like(A)
+    for letter in space.amalgam.letters():
+        op = right_creation(space, letter)
+        R = op.matrix()
+        assert np.abs(R - column_matrix(space, op)).max() <= 1e-15
+        want += R @ A @ R.conj().T
+    diff = np.abs(rho_matrix(space, A) - want).max()
+    assert diff == 0 if name in SCALAR_BASE else diff <= 1e-13
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_left_mult_matrix_matches_push_loop(request, name):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        b = space.base.random(rng)
+        diff = np.abs(left_mult(space, b).matrix() - push_loop_left_mult(space, b)).max()
+        assert diff == 0 if name in SCALAR_BASE else diff <= 1e-13
+
+
+def test_noncommuting_fixture_push_order_matters(noncomm_space):
+    # pushing through the letters in reverse order gives a different operator,
+    # so the left-multiplication oracle above pins the order
+    space = noncomm_space
+    b = space.base.random(np.random.default_rng(14))
+    M = left_mult(space, b).matrix()
+    k = space.dim_N
+    worst = 0.0
+    for j, w in enumerate(space.words):
+        pushed = b
+        for letter in reversed(w.letters):
+            pushed = space.amalgam.push(pushed, letter)
+        block = M[j * k:(j + 1) * k, j * k:(j + 1) * k]
+        worst = max(worst, np.abs(block - np.kron(pushed, np.eye(2))).max())
+    assert worst > 0.1
+
+
 def test_rho_kills_vacuum(dih_space):
     R = rho(dih_space, identity_op(dih_space))
     assert R(dih_space.vacuum()).is_zero()
