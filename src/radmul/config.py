@@ -19,9 +19,10 @@ radial symbol, the truncation parameters, the tolerances, and a seed::
 
 Complex scalars are finite numbers or [re, im] pairs; the action unitary is
 a row-major matrix of [re, im] pairs.  Inner actions are supported for
-cyclic groups, which act through powers of the supplied unitary.  Groups
-need order >= 2.  ``fock_len`` is the word-length cutoff; ``hankel_dim``
-only sizes the symbol table of ``radmul symbol --csv``.
+cyclic groups, which act through powers of the supplied unitary.  A run
+needs at least two factors, groups need order >= 2, and only the three
+tolerance names above are accepted.  ``fock_len`` is the word-length
+cutoff; ``hankel_dim`` only sizes the symbol table of ``radmul symbol --csv``.
 """
 
 from __future__ import annotations
@@ -175,8 +176,9 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("configuration must be a JSON object")
     base = _parse_base(data.get("base_algebra", {"kind": "scalar"}))
     factor_frags = data.get("factors")
-    if not isinstance(factor_frags, list) or not factor_frags:
-        raise ConfigError("configuration needs a list of at least one factor")
+    if not isinstance(factor_frags, list) or len(factor_frags) < 2:
+        # a single factor has no reduced words beyond length one
+        raise ConfigError("an amalgamated free product needs a list of at least two factors")
     factors = [_parse_factor(base, f) for f in factor_frags]
     symbol = _parse_symbol(data.get("symbol", {"head": [1.0]}))
 
@@ -187,7 +189,12 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("hankel_dim must cover the symbol head (need >= %d)"
                           % (symbol.head_end + 1))
 
-    tolerances = dict(DEFAULT_TOLERANCES, **_object(data.get("tolerances", {}), "tolerances"))
+    tol_frag = _object(data.get("tolerances", {}), "tolerances")
+    unknown = sorted(set(tol_frag) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ConfigError("unknown tolerance %r (known: %s)"
+                          % (unknown[0], ", ".join(sorted(DEFAULT_TOLERANCES))))
+    tolerances = dict(DEFAULT_TOLERANCES, **tol_frag)
     for name, value in tolerances.items():
         if not (_is_real(value) and value > 0):
             raise ConfigError("tolerance %r must be a finite positive number" % name)

@@ -36,6 +36,12 @@ use (``_right_maps``, ``_push_unitaries``): rho on a matrix gathers, per
 letter, the source-word blocks of its argument, conjugates them by the
 letter's alpha block and scatters them to the target words; left
 multiplication writes the pushed blocks U_w b U_w* on the block diagonal.
+
+``op_norm`` is the package's one spectral norm.  On a matrix it takes an
+exact SVD of each connected component of the support, batched by block
+shape (a matrix of at most ``SPLIT_MIN`` rows and columns is taken whole),
+and falls back to seeded power iteration only when a component exceeds
+``dense_cap`` in both dimensions.
 """
 
 from __future__ import annotations
@@ -50,7 +56,12 @@ from .fock import FockSpace, FockVector, SectorProjection, apply_projection
 from .report import VerificationReport
 from .symbols import RadialSymbol, psi_decompose
 
-DENSE_CAP = 2000  # largest dimension materialized for norm/adjoint checks
+# op_norm takes exact SVDs up to this size: the smaller side of a support
+# block of an array, or the Fock dimension of an operator it materializes
+DENSE_CAP = 2000
+# op_norm takes one SVD of an array no longer than this on either side: there
+# a dense SVD costs less than finding the support blocks (crossover ~40-56)
+SPLIT_MIN = 48
 
 
 class StructuredOperator:
@@ -926,15 +937,94 @@ def _power_iteration(mv, rmv, n, seed, rel_tol, max_iter):
     return float(sigma)
 
 
+def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Smallest node index in the connected component of each of ``n`` nodes,
+    for the graph with edges (u[e], v[e]): roots hook onto the smallest root
+    across each edge, then pointer jumping flattens the forest."""
+    lab = np.arange(n)
+    while True:
+        lu, lv = lab[u], lab[v]
+        if np.array_equal(lu, lv):
+            return lab
+        low = np.minimum(lu, lv)
+        np.minimum.at(lab, lu, low)
+        np.minimum.at(lab, lv, low)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+
+
+def _block_norm(A: np.ndarray, dense_cap: int) -> float | None:
+    """Largest singular value of ``A`` from one SVD per support component, or
+    None when some component exceeds ``dense_cap`` in both dimensions.
+
+    Rows and columns are the nodes of a bipartite graph whose edges are the
+    nonzero entries; permuting both by component makes ``A`` block diagonal,
+    whose singular values are those of its blocks.  All-zero rows and
+    columns belong to no block; only exact zeros split the graph.
+    """
+    r, c = np.nonzero(A)
+    if r.size == 0:
+        return 0.0
+    n_r, n_c = A.shape
+    lab = _component_labels(r, n_r + c, n_r + n_c)
+    row_lab, col_lab = lab[:n_r], lab[n_r:]
+    n_rows = np.bincount(row_lab, minlength=n_r + n_c)
+    n_cols = np.bincount(col_lab, minlength=n_r + n_c)
+    # an all-zero row or column is a component of its own with no partner
+    comps = np.flatnonzero(n_rows * n_cols)
+    a, b = n_rows[comps], n_cols[comps]
+    if np.minimum(a, b).max() > dense_cap:
+        return None
+    # rows and columns ordered by component; each component's run starts at
+    # the exclusive prefix sum of its size
+    rows = np.argsort(row_lab, kind="stable")
+    cols = np.argsort(col_lab, kind="stable")
+    row_start = (np.cumsum(n_rows) - n_rows)[comps]
+    col_start = (np.cumsum(n_cols) - n_cols)[comps]
+    # components grouped by block shape, one batched SVD per shape
+    shape = a * (n_c + 1) + b
+    order = np.argsort(shape, kind="stable")
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(shape[order])) + 1, [order.size]))
+    best = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        grp = order[lo:hi]
+        ri = rows[row_start[grp, None] + np.arange(a[grp[0]])]
+        ci = cols[col_start[grp, None] + np.arange(b[grp[0]])]
+        blocks = A[ri[:, :, None], ci[:, None, :]]
+        best = max(best, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
+    return best
+
+
 def op_norm(a, seed: int = 0, rel_tol: float = 1e-8, max_iter: int = 5000,
             dense_cap: int = DENSE_CAP) -> float:
-    """Spectral norm: exact SVD up to ``dense_cap``, else seeded power iteration."""
+    """Spectral norm, the package's only one.
+
+    An array is split into the connected components of its support (rows
+    and columns joined by nonzero entries) and each component gets an exact
+    SVD, batched by block shape; the largest first singular value is the
+    norm.  A component larger than ``dense_cap`` in both dimensions sends
+    the whole array to seeded power iteration, and an array with no side
+    longer than ``SPLIT_MIN`` (nor ``dense_cap``) gets one SVD whole.  An
+    empty or all-zero array has norm 0, and an array with a non-finite entry
+    has norm inf (not nan, which ``max`` would silently drop).  A structured
+    operator is materialized when small, already dense, or without an
+    adjoint rule, and otherwise runs power iteration through its word-level
+    action.
+    """
     if isinstance(a, np.ndarray):
         A = np.asarray(a, dtype=complex)
         if A.size == 0:
             return 0.0
-        if min(A.shape) <= dense_cap:
+        if not np.isfinite(A).all():
+            return float("inf")
+        if max(A.shape) <= min(SPLIT_MIN, dense_cap):
             return float(np.linalg.svd(A, compute_uv=False)[0])
+        norm = _block_norm(A, dense_cap)
+        if norm is not None:
+            return norm
         return _power_iteration(lambda v: A @ v, lambda v: A.conj().T @ v,
                                 A.shape[1], seed, rel_tol, max_iter)
     space = a.space

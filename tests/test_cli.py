@@ -119,9 +119,12 @@ def _set(data, path, value):
     (("factors", 0, "group"), {"kind": "cyclic", "order": 1}),
     (("factors", 0, "group"), {"kind": "table", "table": [[0]]}),
     (("seed",), -1),
+    (("factors",), [{"group": {"kind": "cyclic", "order": 2}}]),
+    (("tolerances",), {"bogus": 1}),
 ], ids=["tail-not-object", "fock_len-string", "head-nan", "limit-inf", "head-not-list",
         "hankel_dim-float", "truncation-not-object", "tolerance-inf", "factors-not-list",
-        "cyclic-order-1", "table-order-1", "seed-negative"])
+        "cyclic-order-1", "table-order-1", "seed-negative", "single-factor",
+        "tolerance-unknown"])
 def test_bad_config_fragment_exits_2(tmp_path, capsys, path, value):
     data = _set(preset_config("dih"), path, value)
     code = main(["verify", "--suite", "theorem", "--config", write_config(tmp_path, data)])
@@ -225,6 +228,22 @@ def test_cmd_verify_delta0_passes(tmp_path):
     data["truncation"] = {"fock_len": 4, "hankel_dim": 16}
     data["symbol"] = {"head": [1], "tail": {"kind": "constant", "limit": 0}}
     assert main(["verify", "--config", write_config(tmp_path, data)]) == 0
+
+
+def test_cmd_verify_overflowing_symbol_fails_checks(tmp_path, capsys):
+    # phi(0) = 1e308 overflows the amplified matrices to inf; their norms
+    # are inf, so the checks that take them fail instead of raising
+    data = preset_config("dih")
+    data["symbol"] = {"head": [1e308]}
+    data["truncation"] = {"fock_len": 3}
+    code = main(["verify", "--config", write_config(tmp_path, data)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    failed = sorted(line.split()[1] for line in captured.out.splitlines()
+                    if line.startswith("FAIL"))
+    assert failed == ["multiplier_linearity", "norm_bound_upper[0]",
+                      "theorem_action_on_words"]
 
 
 @pytest.mark.parametrize("ratio", [0.9, 0.97, 0.99])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from radmul.fock import Word
-from radmul.operators import (CaseTag, GeneratorWord, ShiftedVector, adjoint_check,
-                              alternating_letter_tuples, annihilation, build_T,
+from radmul.operators import (SPLIT_MIN, CaseTag, GeneratorWord, ShiftedVector,
+                              adjoint_check, alternating_letter_tuples, annihilation, build_T,
                               case_of, creation, diag, epsilon, epsilon_matrix,
                               identity_op, left_mult, length_at_least_op, op_norm,
                               partition_identity_residual, phi_block,
@@ -11,6 +11,7 @@ from radmul.operators import (CaseTag, GeneratorWord, ShiftedVector, adjoint_che
                               right_creation, right_mult, rho, rho_matrix, zero_op)
 from radmul.symbols import (ConstantTail, RadialSymbol, factorize, hankel_pair,
                             psi_decompose)
+from radmul.verify import amplified_samples
 
 
 def column_matrix(space, op):
@@ -485,3 +486,77 @@ def test_op_norm_power_iteration_matches_svd():
 def test_op_norm_structured_power_iteration(dih_space):
     op = creation(dih_space, (0, 1))
     assert op_norm(op, dense_cap=1) == pytest.approx(1.0, rel=1e-6)
+
+
+def svd_norm(A):
+    """Oracle: largest singular value from one SVD of the whole matrix."""
+    s = np.linalg.svd(A, compute_uv=False)
+    return float(s[0]) if s.size else 0.0
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def permuted_block_diagonal(rng, shapes, zero_rows=0, zero_cols=0, scales=None):
+    """Blocks of the given shapes (times the given scales) on the diagonal,
+    padded with all-zero rows and columns, then rows and columns shuffled."""
+    n_r = sum(a for a, _ in shapes) + zero_rows
+    n_c = sum(b for _, b in shapes) + zero_cols
+    A = np.zeros((n_r, n_c), dtype=complex)
+    i = j = 0
+    for (a, b), scale in zip(shapes, scales or [1.0] * len(shapes)):
+        A[i:i + a, j:j + b] = scale * random_complex(rng, (a, b))
+        i, j = i + a, j + b
+    return A[rng.permutation(n_r)][:, rng.permutation(n_c)]
+
+
+def _joined_blocks():
+    A = np.zeros((55, 55), dtype=complex)
+    A[:30, :25] = random_complex(np.random.default_rng(3), (30, 25))
+    A[30:, 25:] = 2.0 * random_complex(np.random.default_rng(4), (25, 30))
+    A[29, 40] = 1e-300  # one component, however small the link
+    return A
+
+
+# every nonempty input is longer than SPLIT_MIN on some side, so op_norm
+# splits it into support blocks instead of taking one dense SVD
+@pytest.mark.parametrize("A", [
+    np.zeros((50, 60)),
+    np.zeros((0, 3)),
+    random_complex(np.random.default_rng(0), (70, 30)),
+    random_complex(np.random.default_rng(1), (1, 60)),
+    random_complex(np.random.default_rng(2), (60, 60)),
+    permuted_block_diagonal(np.random.default_rng(5),
+                            [(3, 2), (1, 1), (4, 4), (2, 5), (2, 3), (1, 3), (6, 6)] * 3,
+                            zero_rows=3, zero_cols=2),
+    _joined_blocks(),
+    # transposed shapes must not share a batch; the norm sits in either one
+    permuted_block_diagonal(np.random.default_rng(6), [(3, 2)] * 10 + [(2, 3)] * 10,
+                            scales=[1.0] * 10 + [3.0] * 10),
+    permuted_block_diagonal(np.random.default_rng(7), [(3, 2)] * 10 + [(2, 3)] * 10,
+                            scales=[3.0] * 10 + [1.0] * 10),
+], ids=["zero", "empty", "rectangular", "row", "dense", "permuted-blocks", "joined-1e-300",
+        "transposed-shapes-a", "transposed-shapes-b"])
+def test_op_norm_matches_full_svd(A):
+    assert A.size == 0 or max(A.shape) > SPLIT_MIN
+    assert abs(op_norm(A) - svd_norm(A)) <= 1e-13 * svd_norm(A)
+
+
+@pytest.mark.parametrize("space_name", ["dih_space", "mat2_space", "cy3_space",
+                                        "noncomm_space"])
+def test_op_norm_matches_full_svd_on_amplified_samples(request, space_name):
+    space = request.getfixturevalue(space_name)
+    T = build_T(space, RadialSymbol(head=(1.0, -0.5, 0.25), tail=ConstantTail(0.1)))
+    rng = np.random.default_rng(8)
+    for big, tbig in amplified_samples(rng, space, T, samples=4,
+                                       amplifications=(1, 2, 3), terms=3):
+        for A in (big, tbig):
+            assert abs(op_norm(A) - svd_norm(A)) <= 1e-13 * svd_norm(A)
+
+
+def test_op_norm_small_blocks_above_dense_cap_stay_exact():
+    # 60 x 60 exceeds the cap, but every support component is 3 x 3; one
+    # power-iteration step could not reach 1e-13
+    A = permuted_block_diagonal(np.random.default_rng(9), [(3, 3)] * 20)
+    assert abs(op_norm(A, dense_cap=10, max_iter=1) - svd_norm(A)) <= 1e-13 * svd_norm(A)
