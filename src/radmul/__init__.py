@@ -15,12 +15,12 @@ from .algebra import (CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra,
                       verify_pp_basis)
 from .config import ConfigError, RunConfig, load_config, parse_config, preset_config
 from .fock import (Amalgam, FockSpace, FockVector, SectorProjection, Word,
-                   apply_projection, canonicalize, enumerate_words, lambda_span)
+                   canonicalize, enumerate_words, lambda_span)
 from .operators import (CaseTag, GeneratorWord, RadialMultiplier, ShiftedVector,
                         StructuredOperator, adjoint_check, annihilation, build_T,
-                        case_of, creation, diag, epsilon, identity_op, left_mult,
-                        op_norm, phi_block, phi_cb_bound, right_annihilation,
-                        right_creation, right_mult, rho, zero_op)
+                        case_of, creation, diag, epsilon_matrix, identity_op, left_mult,
+                        op_norm, phi_block_matrix, phi_cb_bound, right_annihilation,
+                        right_creation, right_mult, rho_matrix, zero_op)
 from .report import Check, VerificationReport
 from .symbols import (ConstantTail, GeometricTail, HankelFactorization, HankelPair,
                       PsiDecomposition, RadialSymbol, evaluate, factorize,

@@ -188,7 +188,8 @@ class FockVector:
 
 @dataclass(frozen=True)
 class SectorProjection:
-    """Diagonal projection keyed on word length or on the final factor."""
+    """Diagonal projection keyed on word length or on the final factor;
+    :func:`radmul.operators.sector_operator` gives its matrix."""
 
     kind: str  # "length_at_least" | "length_exactly" | "ends_in_factor"
     param: int
@@ -196,17 +197,6 @@ class SectorProjection:
     def __post_init__(self):
         if self.kind not in ("length_at_least", "length_exactly", "ends_in_factor"):
             raise ValueError("unknown sector projection %r" % (self.kind,))
-
-    def accepts(self, word: Word) -> bool:
-        if self.kind == "length_at_least":
-            return len(word) >= self.param
-        if self.kind == "length_exactly":
-            return len(word) == self.param
-        return len(word) >= 1 and word.last_factor == self.param
-
-
-def apply_projection(p: SectorProjection, xi: FockVector) -> FockVector:
-    return FockVector(xi.space, {w: b for w, b in xi.items() if p.accepts(w)})
 
 
 class FockSpace:
@@ -252,22 +242,20 @@ class FockSpace:
         return FockVector(self, {word: coeff})
 
     def to_array(self, vec: FockVector) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        k = self.dim_N
-        for w, b in vec.items():
-            start = self.word_index[w] * k
-            out[start:start + k] = b.reshape(-1) / self._scale
-        return out
+        out = np.zeros((len(self.words), self.dim_N), dtype=complex)
+        if vec.coeffs:
+            rows = [self.word_index[w] for w in vec.coeffs]
+            out[rows] = np.reshape(list(vec.coeffs.values()), (len(rows), -1)) / self._scale
+        return out.reshape(-1)
 
     def from_array(self, arr: np.ndarray) -> FockVector:
-        arr = np.asarray(arr, dtype=complex)
         d = self.base.d
-        coeffs = {}
-        for wi, w in enumerate(self.words):
-            seg = arr[wi * self.dim_N:(wi + 1) * self.dim_N]
-            if np.any(seg):
-                coeffs[w] = seg.reshape(d, d) * self._scale
-        return FockVector(self, coeffs)
+        blocks = np.asarray(arr, dtype=complex).reshape(len(self.words), d, d)
+        nonzero = np.flatnonzero(blocks.any(axis=(1, 2)))
+        vec = FockVector(self)
+        # already nonzero complex blocks of basis words: no per-word filter
+        vec.coeffs = dict(zip([self.words[j] for j in nonzero], blocks[nonzero] * self._scale))
+        return vec
 
     def guard_mask(self, max_len: int) -> np.ndarray:
         """Scalar-basis indices whose word length stays within max_len."""

@@ -11,6 +11,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 # default tolerances; a configuration may override each of them
@@ -22,6 +23,14 @@ DEFAULT_TOLERANCES = {"algebraic": ALGEBRAIC_TOL, "spectral": SPECTRAL_TOL, "eig
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
+
+
+def _json_float(value):
+    """``value``, or for a non-finite float, which strict JSON has no token
+    for, the string "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    return value
 
 
 @dataclass
@@ -80,6 +89,8 @@ class VerificationReport:
         return [c.line() for c in sorted(self.checks, key=lambda c: c.name)]
 
     def to_payload(self) -> dict:
+        """The report as JSON-ready data; a non-finite residual, tolerance or
+        detail is written as the string "inf", "-inf" or "nan"."""
         return {
             "config_digest": self.context.get("config_digest", ""),
             "seed": int(self.context.get("seed", 0)),
@@ -87,16 +98,16 @@ class VerificationReport:
                 {
                     "name": c.name,
                     "status": c.status,
-                    "max_residual": c.max_residual,
-                    "tolerance": c.tolerance,
-                    "details": c.details,
+                    "max_residual": _json_float(c.max_residual),
+                    "tolerance": _json_float(c.tolerance),
+                    "details": {k: _json_float(v) for k, v in c.details.items()},
                 }
                 for c in sorted(self.checks, key=lambda c: c.name)
             ],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_payload(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

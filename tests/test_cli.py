@@ -246,6 +246,29 @@ def test_cmd_verify_overflowing_symbol_fails_checks(tmp_path, capsys):
                       "theorem_action_on_words"]
 
 
+def test_cmd_verify_overflowing_symbol_report_is_strict_json(tmp_path, capsys):
+    # the non-finite residuals of the failing checks are written as strings,
+    # not as the bare Infinity / NaN tokens strict JSON parsers reject
+    data = preset_config("dih")
+    data["symbol"] = {"head": [1e308]}
+    data["truncation"] = {"fock_len": 3}
+    report_path = tmp_path / "report.json"
+    code = main(["verify", "--config", write_config(tmp_path, data),
+                 "--report", str(report_path)])
+    capsys.readouterr()
+    assert code == 1
+
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    payload = json.loads(report_path.read_text(), parse_constant=reject)
+    residuals = {c["name"]: c["max_residual"] for c in payload["checks"]
+                 if c["status"] == "fail"}
+    assert set(residuals) == {"multiplier_linearity", "norm_bound_upper[0]",
+                              "theorem_action_on_words"}
+    assert "inf" in residuals.values()
+
+
 @pytest.mark.parametrize("ratio", [0.9, 0.97, 0.99])
 def test_cmd_verify_slow_geometric_tail_passes(tmp_path, capsys, ratio):
     # slow tails defeat any fixed Hankel cutoff; the multiplier and the

@@ -5,7 +5,8 @@ import pytest
 
 from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from radmul.fock import (Amalgam, FockSpace, SectorProjection, Word,
-                         apply_projection, canonicalize, enumerate_words, lambda_span)
+                         canonicalize, enumerate_words, lambda_span)
+from radmul.operators import sector_operator
 
 V2 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -124,19 +125,39 @@ def test_array_roundtrip_preserves_inner(mat2_space):
     assert np.allclose(vx.to_array(), x)
 
 
+def test_coordinate_maps_match_word_loop(mat2_space):
+    # oracle: one word segment at a time, skipping all-zero segments
+    space = mat2_space
+    k, d, s = space.dim_N, space.base.d, np.sqrt(space.base.d)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    x[3 * k:5 * k] = 0  # two zero words
+    x[7 * k] = 1e-300  # a tiny entry keeps its word
+    want = {w: x[j * k:(j + 1) * k].reshape(d, d) * s for j, w in enumerate(space.words)
+            if np.any(x[j * k:(j + 1) * k])}
+    got = space.from_array(x)
+    assert list(got.coeffs) == list(want)
+    assert all(np.array_equal(got.coeffs[w], want[w]) for w in want)
+    back = np.zeros(space.dim, dtype=complex)
+    for w, b in got.items():
+        j = space.word_index[w]
+        back[j * k:(j + 1) * k] = b.reshape(-1) / s
+    assert np.array_equal(got.to_array(), back)
+    assert space.to_array(space.zero_vector()).shape == (space.dim,)
+
+
 # ---------------------------------------------------------------- projections
 
 def test_projection_examples(dih_space):
     vac = dih_space.vacuum()
-    assert apply_projection(SectorProjection("length_at_least", 1), vac).is_zero()
+    assert sector_operator(dih_space, SectorProjection("length_at_least", 1))(vac).is_zero()
     w = dih_space.word_vector(Word(((0, 1), (1, 1))))
-    assert apply_projection(SectorProjection("ends_in_factor", 0), w).is_zero()
-    kept = apply_projection(SectorProjection("ends_in_factor", 1), w)
+    assert sector_operator(dih_space, SectorProjection("ends_in_factor", 0))(w).is_zero()
+    kept = sector_operator(dih_space, SectorProjection("ends_in_factor", 1))(w)
     assert not kept.is_zero()
 
 
 def test_projection_idempotent_selfadjoint(dih_space):
-    from radmul.operators import sector_operator
     for p in (SectorProjection("length_at_least", 2),
               SectorProjection("length_exactly", 1),
               SectorProjection("ends_in_factor", 1)):
@@ -149,8 +170,8 @@ def test_projection_commutes_with_right_action(mat2_space):
     rng = np.random.default_rng(5)
     b = mat2_space.base.random(rng)
     v = mat2_space.from_array(rng.standard_normal(mat2_space.dim) + 0j)
-    p = SectorProjection("ends_in_factor", 1)
-    diff = apply_projection(p, v.right_mul(b)) - apply_projection(p, v).right_mul(b)
+    P = sector_operator(mat2_space, SectorProjection("ends_in_factor", 1))
+    diff = P(v.right_mul(b)) - P(v).right_mul(b)
     assert diff.is_zero(1e-13)
 
 

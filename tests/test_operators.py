@@ -2,22 +2,21 @@ import numpy as np
 import pytest
 
 from radmul.fock import Word
+from oracles import (append_star, column_matrix, left_action, prepend, right_action,
+                     strip_first, strip_star)
 from radmul.operators import (SPLIT_MIN, CaseTag, GeneratorWord, ShiftedVector,
                               adjoint_check, alternating_letter_tuples, annihilation, build_T,
-                              case_of, creation, diag, epsilon, epsilon_matrix,
+                              case_of, creation, diag, epsilon_matrix,
                               identity_op, left_mult, length_at_least_op, op_norm,
-                              partition_identity_residual, phi_block,
+                              partition_identity_residual,
                               phi_block_matrix, phi_cb_bound, right_annihilation,
-                              right_creation, right_mult, rho, rho_matrix, zero_op)
+                              right_creation, right_mult, rho_matrix, zero_op)
 from radmul.symbols import (ConstantTail, RadialSymbol, factorize, hankel_pair,
                             psi_decompose)
 from radmul.verify import amplified_samples
 
-
-def column_matrix(space, op):
-    """Materialize through the word-level action, bypassing matrix_fn shortcuts."""
-    cols = [space.to_array(op(space.basis_fock_vector(i))) for i in range(space.dim)]
-    return np.stack(cols, axis=1)
+SPACES = ["dih_space", "mat2_space", "cy3_space", "noncomm_space"]
+SCALAR_BASE = {"dih_space", "cy3_space"}
 
 
 def brute_phi_scalar(x, y, k, l, shift=0):
@@ -84,15 +83,28 @@ def test_right_annihilation_coefficient_twist(mat2_space):
     assert np.allclose(out.coeff(Word(((0, 1),))), V @ b @ V)
 
 
-def test_direct_matrices_match_action(mat2_space, cy3_space):
+def test_direct_matrices_match_action(request):
+    # oracle: the word-level rules, materialized column by column
     rng = np.random.default_rng(11)
-    for space, letter in ((mat2_space, (1, 1)), (cy3_space, (0, 1))):
+    for name in SPACES:
+        space = request.getfixturevalue(name)
+        pairs = []
+        for letter in space.amalgam.letters():
+            pairs += [(creation(space, letter), prepend(space, letter)),
+                      (annihilation(space, letter), strip_first(space, letter)),
+                      (right_creation(space, letter), append_star(space, letter)),
+                      (right_annihilation(space, letter), strip_star(space, letter))]
         b = space.base.random(rng)
-        ops = [creation(space, letter), annihilation(space, letter),
-               right_creation(space, letter), right_annihilation(space, letter),
-               left_mult(space, b), right_mult(space, b)]
-        for op in ops:
-            assert np.abs(op.matrix() - column_matrix(space, op)).max() <= 1e-13, op.name
+        pairs += [(left_mult(space, b), left_action(b)), (right_mult(space, b), right_action(b))]
+        for op, rule in pairs:
+            diff = np.abs(op.matrix() - column_matrix(space, rule)).max()
+            assert diff <= 1e-13, (name, op.name)
+
+
+@pytest.mark.parametrize("make", [creation, annihilation, right_creation, right_annihilation])
+def test_letter_constructors_reject_group_identity(dih_space, make):
+    with pytest.raises(ValueError):
+        make(dih_space, (0, 0))
 
 
 # ---------------------------------------------------------------- adjoints
@@ -101,9 +113,16 @@ def test_adjoint_pairs(dih_space, mat2_space):
     rng = np.random.default_rng(1)
     for space in (dih_space, mat2_space):
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        for op in (creation(space, (0, 1)), right_creation(space, (1, 1)),
-                   diag(space, x)):
-            assert adjoint_check(op, tol=1e-12).passed
+        for op, op_star in ((creation(space, (0, 1)), annihilation(space, (0, 1))),
+                            (right_creation(space, (1, 1)), right_annihilation(space, (1, 1))),
+                            (diag(space, x), diag(space, x.conj()))):
+            assert adjoint_check(op, op_star, tol=1e-12).passed
+
+
+def test_adjoint_check_rejects_wrong_adjoint(cy3_space):
+    # L*(0, 2) strips a different letter than L(0, 1) prepends
+    report = adjoint_check(creation(cy3_space, (0, 1)), annihilation(cy3_space, (0, 2)))
+    assert [c.status for c in report.checks] == ["fail", "fail"]
 
 
 def test_diag_adjoint_is_conjugate(dih_space):
@@ -114,7 +133,7 @@ def test_diag_adjoint_is_conjugate(dih_space):
 
 
 def test_zero_operator_self_adjoint(dih_space):
-    assert adjoint_check(zero_op(dih_space), tol=0.0).passed
+    assert adjoint_check(zero_op(dih_space), zero_op(dih_space), tol=0.0).passed
 
 
 # ---------------------------------------------------------------- diagonal maps
@@ -181,10 +200,6 @@ def test_rho_identity_is_q1(dih_space, mat2_space):
         assert np.abs(got - q1).max() == 0
 
 
-SPACES = ["dih_space", "mat2_space", "cy3_space", "noncomm_space"]
-SCALAR_BASE = {"dih_space", "cy3_space"}
-
-
 def push_loop_left_mult(space, b):
     """Oracle: push b through every word letter by letter, one kron per word."""
     k = space.dim_N
@@ -199,15 +214,14 @@ def push_loop_left_mult(space, b):
 
 @pytest.mark.parametrize("name", SPACES)
 def test_rho_matrix_matches_dense_sum(request, name):
-    # oracle: rho(A) = sum_gamma R A R^H with dense right creations
+    # oracle: rho(A) = sum_gamma R A R^H, each R_{gamma*} materialized from
+    # the word-level rule
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(12)
     A = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
     want = np.zeros_like(A)
     for letter in space.amalgam.letters():
-        op = right_creation(space, letter)
-        R = op.matrix()
-        assert np.abs(R - column_matrix(space, op)).max() <= 1e-15
+        R = column_matrix(space, append_star(space, letter))
         want += R @ A @ R.conj().T
     diff = np.abs(rho_matrix(space, A) - want).max()
     assert diff == 0 if name in SCALAR_BASE else diff <= 1e-13
@@ -241,17 +255,16 @@ def test_noncommuting_fixture_push_order_matters(noncomm_space):
 
 
 def test_rho_kills_vacuum(dih_space):
-    R = rho(dih_space, identity_op(dih_space))
-    assert R(dih_space.vacuum()).is_zero()
+    R = rho_matrix(dih_space, identity_op(dih_space).matrix())
+    assert not np.any(R @ dih_space.vacuum().to_array())
 
 
 def test_rho_case2_generator_fixed_on_guarded_words(dih_space):
     gen = GeneratorWord(((0, 1),), ((0, 1),))
-    a = gen.operator(dih_space)
-    chi = dih_space.word_vector(Word(((0, 1), (1, 1))))  # guarded length-2 word
-    lhs = rho(dih_space, a)(chi)
-    rhs = a(chi)
-    assert (lhs - rhs).is_zero(1e-13)
+    A = gen.operator(dih_space).matrix()
+    chi = dih_space.word_vector(Word(((0, 1), (1, 1)))).to_array()  # guarded length-2 word
+    lhs = rho_matrix(dih_space, A) @ chi
+    assert np.abs(lhs - A @ chi).max() <= 1e-13
 
 
 def test_epsilon_identity_is_q1(dih_space):
@@ -304,21 +317,6 @@ def test_phi_eigen_formula_on_generators(dih_space):
 def test_phi_zero_vector_gives_zero(dih_space):
     out = phi_block_matrix(dih_space, 1, np.zeros(6), np.ones(6), np.eye(dih_space.dim))
     assert np.abs(out).max() == 0
-
-
-def test_phi_block_vector_route_matches_matrix(mat2_space):
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    gen = GeneratorWord(((0, 1),), ((1, 1),),
-                        cre_coeffs=(mat2_space.base.random(rng),
-                                    mat2_space.base.random(rng)),
-                        ann_coeffs=(mat2_space.base.random(rng),))
-    a = gen.operator(mat2_space)
-    for variant in (1, 2):
-        op = phi_block(mat2_space, variant, x, y, a)
-        assert np.abs(op.matrix() - phi_block_matrix(
-            mat2_space, variant, x, y, a.matrix())).max() <= 1e-11
 
 
 def test_phi_cb_bound_values(dih_space):
@@ -387,24 +385,6 @@ def test_indicator_t1_rule(dih_space):
         assert np.abs((T.t1_matrix(A) - want * A)[:, guard]).max() <= 1e-11
 
 
-def test_multiplier_vector_route_matches_matrix(mat2_space):
-    rng = np.random.default_rng(9)
-    T = build_T(mat2_space, RadialSymbol.indicator01())
-    gen = GeneratorWord(((0, 1),), ((1, 1), (0, 1)),
-                        cre_coeffs=(mat2_space.base.random(rng),
-                                    mat2_space.base.random(rng)),
-                        ann_coeffs=(mat2_space.base.random(rng),
-                                    mat2_space.base.random(rng)))
-    a = gen.operator(mat2_space)
-    lazy = T.apply(a)
-    direct = T.apply_matrix(a.matrix())
-    # materialize the lazy route column by column through fock vectors
-    cols = np.stack([lazy(mat2_space.basis_fock_vector(i)).to_array()
-                     for i in range(mat2_space.dim)], axis=1)
-    assert np.abs(cols - direct).max() <= 1e-11
-    assert np.abs(lazy.matrix() - direct).max() <= 1e-12
-
-
 def _svd_pairs(phi, M):
     # the paper's route: rank-one pairs of the truncated Hankel matrices
     hp = hankel_pair(phi, M)
@@ -464,16 +444,16 @@ def test_multiplier_collapse_on_arbitrary_matrix(dih_space):
 # ---------------------------------------------------------------- norms
 
 def test_op_norm_identity(dih_space):
-    assert op_norm(identity_op(dih_space)) == pytest.approx(1.0)
+    assert op_norm(identity_op(dih_space).matrix()) == pytest.approx(1.0)
 
 
 def test_op_norm_creation_is_isometry(dih_space):
-    assert op_norm(creation(dih_space, (0, 1))) == pytest.approx(1.0)
+    assert op_norm(creation(dih_space, (0, 1)).matrix()) == pytest.approx(1.0)
 
 
 def test_op_norm_diag(dih_space):
     x = np.array([0.5, -2.0, 1.0, 0.0, 0.0, 0.0])
-    assert op_norm(diag(dih_space, x)) == pytest.approx(2.0)
+    assert op_norm(diag(dih_space, x).matrix()) == pytest.approx(2.0)
 
 
 def test_op_norm_power_iteration_matches_svd():
@@ -481,11 +461,6 @@ def test_op_norm_power_iteration_matches_svd():
     A = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     exact = float(np.linalg.svd(A, compute_uv=False)[0])
     assert op_norm(A, dense_cap=10, max_iter=20000) == pytest.approx(exact, rel=1e-6)
-
-
-def test_op_norm_structured_power_iteration(dih_space):
-    op = creation(dih_space, (0, 1))
-    assert op_norm(op, dense_cap=1) == pytest.approx(1.0, rel=1e-6)
 
 
 def svd_norm(A):

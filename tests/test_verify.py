@@ -7,7 +7,8 @@ from radmul.symbols import RadialSymbol
 from radmul.verify import (ReducedWord, embed, embedding_suite, fock_suite,
                            lemma_suite, main_theorem_suite, norm_bound_suite,
                            operator_suite, random_reduced_word, spanning_check,
-                           vacuum_expectation, verify_main_theorem, word_operator)
+                           vacuum_expectation, verify_main_theorem, word_operator,
+                           word_vacuum_images)
 
 
 def unit_word(space, *indexed_letters, right=None):
@@ -181,6 +182,17 @@ def test_spanning_full_truncation(dih_space):
     rep = spanning_check(dih_space)
     assert rep.passed
     assert rep.checks[0].details["rank"] == dih_space.dim
+
+
+@pytest.mark.parametrize("name", ["mat2_space", "cy3_space", "noncomm_space"])
+def test_word_vacuum_images_match_word_operators(request, name):
+    # oracle: one word operator per word and N-basis element, applied to the vacuum
+    space = request.getfixturevalue(name)
+    want = [word_operator(space, unit_word(space, *w.letters, right=b))(space.vacuum()).to_array()
+            for w in space.words if len(w) <= 2 for b in space.base.basis()]
+    got = word_vacuum_images(space, 2)
+    assert len(got) == len(want)
+    assert max(np.abs(g - v).max() for g, v in zip(got, want)) <= 1e-13
 
 
 # ---------------------------------------------------------------- misc suites
