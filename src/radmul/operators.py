@@ -20,10 +20,15 @@ from which the radial multiplier T = T1 + T2 + c*Id is built: T1 sums
 Phi1 blocks over the rank-one pairs of the symbol's first Hankel difference
 matrix h, T2 sums Phi2 blocks over the pairs of the second one, k.  S is
 the forward shift ((S x)(0) = 0, (S x)(t) = x(t-1)), so D_{(S*)^n x}
-scales the length-k sector by x(k+n) and D_{S^n x} by x(k-n).  The pair
-sums depend on the pairs only through h and k, so the multiplier reads its
-weights off the symbol in closed form; ``phi_block_matrix`` keeps the
-pair-by-pair route for tests.
+scales the length-k sector by x(k+n) and D_{S^n x} by x(k-n).
+
+Each of these maps -- Phi1, Phi2, T1, T2 and T -- is one weight stack over
+one tower: the ``tower`` of a matrix A lists A, its rho-iterates and the
+rho-iterates of eps(A), and ``weighted_sum`` scales every entry of tower
+matrix m between words of lengths a and b by W[m, a, b].  ``phi_weights``
+builds the stack of one Phi block; the pair sums depend on the pairs only
+through h and k, so the multiplier reads its stacks off the symbol in
+closed form.
 
 Everything here commutes with the right N-action, except the right
 creations, which are covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b).
@@ -360,8 +365,8 @@ def rho_matrix(space: FockSpace, A: np.ndarray) -> np.ndarray:
     out = np.zeros((space.dim, space.dim), dtype=complex)
     out4 = _blocks(space, out)
     for src, dst, blk in _right_maps(space):
-        out4[np.ix_(dst, dst)] = np.einsum("ab,ijbc,dc->ijad", blk,
-                                           A[np.ix_(src, src)], blk.conj())
+        out4[dst[:, None], dst] = np.einsum("ab,ijbc,dc->ijad", blk,
+                                            A[src[:, None], src], blk.conj())
     return out
 
 
@@ -392,49 +397,54 @@ def epsilon_matrix(space: FockSpace, A: np.ndarray) -> np.ndarray:
     return _eps_mask(space) * np.asarray(A, dtype=complex)
 
 
-def _pair_table0(P: np.ndarray, L: int) -> np.ndarray:
-    """tab[a, b] = sum_t P[a+t, b+t] over the available diagonal span."""
-    return np.array([[np.trace(P[a:, b:]) for b in range(L + 1)] for a in range(L + 1)],
-                    dtype=complex)
+def tower(space: FockSpace, A: np.ndarray) -> list:
+    """The 2L+1 matrices a weight stack weights, L = ``space.L_max``:
 
+        [A, rho(A), ..., rho^L(A), eps(A), rho(eps(A)), ..., rho^{L-1}(eps(A))],
 
-def _pair_table_shift(P: np.ndarray, L: int, n: int) -> np.ndarray:
-    """tab[a, b] = P[a-n, b-n] for a, b >= n."""
-    tab = np.zeros((L + 1, L + 1), dtype=complex)
-    m = min(L + 1 - n, P.shape[0])
-    tab[n:n + m, n:n + m] = P[:m, :m]
-    return tab
-
-
-def _expand_table(space: FockSpace, tab: np.ndarray) -> np.ndarray:
-    return tab[np.ix_(space.lengths, space.lengths)]
-
-
-def _weighted_sum(space: FockSpace, tabs, A: np.ndarray, tower) -> np.ndarray:
-    """tab_0 * A + sum_{n>=1} tab_n * tower[n-1], tables expanded entrywise.
-
-    A symbol near the float range may overflow here; the inf or nan it
-    leaves makes the checks that read the result fail, so numpy is not
-    asked to warn about it as well.
+    so entry n <= L is rho^n(A) and entry L+n, n >= 1, is rho^{n-1}(eps(A)).
     """
+    A = np.asarray(A, dtype=complex)
+    return [A] + rho_tower(space, A, space.L_max) + eps_rho_tower(space, A, space.L_max)
+
+
+def weighted_sum(space: FockSpace, W: np.ndarray, tower: list) -> np.ndarray:
+    """sum_m W[m, |r|, |c|] tower[m][r, c] for a (2L+1, L+1, L+1) weight
+    stack W, indexed by tower entry, row word length and column word length.
+
+    Words come in length order, so the rows of one length are a contiguous
+    slice; only the (entry, row length) pairs with a nonzero weight are
+    visited.  A symbol near the float range may overflow here; the inf or
+    nan it leaves makes the checks that read the result fail, so numpy is
+    not asked to warn about it as well.
+    """
+    starts = np.searchsorted(space.lengths, np.arange(space.L_max + 2))
+    by_col = W[:, :, space.lengths]
+    out = np.zeros((space.dim, space.dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _expand_table(space, tabs[0]) * A
-        for n in range(1, space.L_max + 1):
-            out += _expand_table(space, tabs[n]) * tower[n - 1]
+        for m, a in zip(*np.nonzero(W.any(axis=2))):
+            rows = slice(starts[a], starts[a + 1])
+            out[rows] += by_col[m, a] * tower[m][rows]
     return out
 
 
-def phi_block_matrix(space: FockSpace, variant: int, x, y, A: np.ndarray,
-                     tower=None) -> np.ndarray:
-    """Phi^(variant)_{x,y} on a matrix; ``tower`` may supply the precomputed
-    rho iterates (rho^n(A) for variant 1, rho^{n-1}(eps(A)) for variant 2)."""
-    A = np.asarray(A, dtype=complex)
+def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
+    """Weight stack of Phi^(variant)_{x,y}: entry 0 holds
+    sum_t x(a+t) conj(y(b+t)), and x(a-n) conj(y(b-n)) on a, b >= n goes to
+    entry n (rho^n, variant 1) or L+n (rho^{n-1} eps, variant 2)."""
     L = space.L_max
-    if tower is None:
-        tower = rho_tower(space, A, L) if variant == 1 else eps_rho_tower(space, A, L)
-    P = np.outer(x, y.conj())
-    tabs = [_pair_table0(P, L)] + [_pair_table_shift(P, L, n) for n in range(1, L + 1)]
-    return _weighted_sum(space, tabs, A, tower)
+    P = np.outer(x, np.conj(y))
+    W = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)
+    W[0] = [[np.trace(P[a:, b:]) for b in range(L + 1)] for a in range(L + 1)]
+    for n in range(1, L + 1):
+        m = min(L + 1 - n, P.shape[0])
+        W[n if variant == 1 else L + n, n:n + m, n:n + m] = P[:m, :m]
+    return W
+
+
+def phi_block_matrix(space: FockSpace, variant: int, x, y, A: np.ndarray) -> np.ndarray:
+    """Phi^(variant)_{x,y} on a matrix."""
+    return weighted_sum(space, phi_weights(space, variant, x, y), tower(space, A))
 
 
 def phi_cb_bound(space: FockSpace, x, y) -> float:
@@ -529,21 +539,22 @@ class GeneratorWord:
         return CaseTag.CASE1
 
     def operator(self, space: FockSpace) -> StructuredOperator:
-        op = identity_op(space)
         cre_coeffs = self.cre_coeffs or (None,) * (self.k + 1)
         ann_coeffs = self.ann_coeffs or (None,) * self.l
+        factors = []
         for j, xi in enumerate(self.cre_letters):
             if cre_coeffs[j] is not None:
-                op = op @ left_mult(space, cre_coeffs[j])
-            op = op @ creation(space, xi)
-        if self.k and cre_coeffs[self.k] is not None:
-            op = op @ left_mult(space, cre_coeffs[self.k])
-        elif self.k == 0 and cre_coeffs and cre_coeffs[0] is not None:
-            op = op @ left_mult(space, cre_coeffs[0])
+                factors.append(left_mult(space, cre_coeffs[j]))
+            factors.append(creation(space, xi))
+        if cre_coeffs[self.k] is not None:
+            factors.append(left_mult(space, cre_coeffs[self.k]))
         for j in range(self.l - 1, -1, -1):
-            op = op @ annihilation(space, self.ann_letters[j])
+            factors.append(annihilation(space, self.ann_letters[j]))
             if ann_coeffs[j] is not None:
-                op = op @ left_mult(space, ann_coeffs[j])
+                factors.append(left_mult(space, ann_coeffs[j]))
+        op = factors[0] if factors else identity_op(space)
+        for factor in factors[1:]:
+            op = op @ factor
         return StructuredOperator(space, op.matrix, name="gen(k=%d,l=%d)" % (self.k, self.l))
 
 
@@ -566,13 +577,16 @@ def alternating_letter_tuples(space: FockSpace, length: int) -> list:
     return out
 
 
-def _weight_tables(phi: RadialSymbol, L: int, shift: int) -> np.ndarray:
-    """Stacked (L+1) x (L+1) weight tables of T1 (shift 0) or T2 (shift 1).
+def _weight_stack(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:
+    """Weight stack of T1 (variant 1) or T2 (variant 2), laid out as the
+    stack of a Phi block of the same variant.
 
-    Summing the Phi blocks over the rank-one pairs of h (or k) leaves
-    tab_0[a, b] = psi1(a+b+shift) and, for n >= 1, tab_n[a, b] =
-    d(a+b-2n+shift) on a, b >= n, with d(s) = phi(s) - phi(s+1).
+    Summing the Phi blocks over the rank-one pairs of h (or k) leaves, with
+    shift = variant - 1 and d(s) = phi(s) - phi(s+1), the weight
+    psi1(a+b+shift) on entry 0 and d(a+b-2n+shift) on a, b >= n on the
+    entry of rho^n (variant 1) or of rho^{n-1} eps (variant 2).
     """
+    shift = variant - 1
     dec = psi_decompose(phi)
     psi = np.array([dec.psi1(s + shift) for s in range(2 * L + 1)], dtype=complex)
     d = np.array([phi(s) - phi(s + 1) for s in range(2 * L + 2)], dtype=complex)
@@ -580,8 +594,11 @@ def _weight_tables(phi: RadialSymbol, L: int, shift: int) -> np.ndarray:
     total = idx[:, None] + idx[None, :]
     low = np.minimum(idx[:, None], idx[None, :])
     n = idx[1:, None, None]
-    shifted = np.where(low >= n, d[np.maximum(total - 2 * n + shift, 0)], 0)
-    return np.concatenate([psi[total][None], shifted])
+    W = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)
+    W[0] = psi[total]
+    first = 1 if variant == 1 else L + 1
+    W[first:first + L] = np.where(low >= n, d[np.maximum(total - 2 * n + shift, 0)], 0)
+    return W
 
 
 class RadialMultiplier:
@@ -589,35 +606,24 @@ class RadialMultiplier:
 
     T1 sums Phi1 blocks over the rank-one pairs of the first Hankel
     difference matrix, T2 sums Phi2 blocks over the pairs of the second,
-    and c is the symbol's limit.  The pair sums collapse into
-    length-indexed weight tables, read off the symbol in closed form and
-    applied entrywise against the rho-iterates of the argument, which
-    keeps one application at a handful of dense products.
+    and c is the symbol's limit.  The pair sums collapse into weight stacks
+    over the argument's ``tower``, read off the symbol in closed form:
+    ``t1_weights`` on A and its rho-iterates, ``t2_weights`` on A and the
+    rho-iterates of eps(A), and ``weights``, their sum with c added to the
+    weight of A, which is T itself.
     """
 
     def __init__(self, space: FockSpace, symbol: RadialSymbol):
         self.space = space
         self.symbol = symbol
         self.limit = symbol.limit
-        self._tabs_h = _weight_tables(symbol, space.L_max, 0)
-        self._tabs_k = _weight_tables(symbol, space.L_max, 1)
+        self.t1_weights = _weight_stack(symbol, space.L_max, 1)
+        self.t2_weights = _weight_stack(symbol, space.L_max, 2)
+        self.weights = self.t1_weights + self.t2_weights
+        self.weights[0] += self.limit
 
-    def t1_matrix(self, A: np.ndarray, tower=None) -> np.ndarray:
-        A = np.asarray(A, dtype=complex)
-        if tower is None:
-            tower = rho_tower(self.space, A, self.space.L_max)
-        return _weighted_sum(self.space, self._tabs_h, A, tower)
-
-    def t2_matrix(self, A: np.ndarray, eps_tower=None) -> np.ndarray:
-        A = np.asarray(A, dtype=complex)
-        if eps_tower is None:
-            eps_tower = eps_rho_tower(self.space, A, self.space.L_max)
-        return _weighted_sum(self.space, self._tabs_k, A, eps_tower)
-
-    def apply_matrix(self, A: np.ndarray, tower=None, eps_tower=None) -> np.ndarray:
-        A = np.asarray(A, dtype=complex)
-        return (self.t1_matrix(A, tower) + self.t2_matrix(A, eps_tower)
-                + self.limit * A)
+    def apply_matrix(self, A: np.ndarray) -> np.ndarray:
+        return weighted_sum(self.space, self.weights, tower(self.space, A))
 
 
 def build_T(space: FockSpace, phi: RadialSymbol) -> RadialMultiplier:

@@ -2,7 +2,7 @@
 
 Every suite in the package reports its results as a ``VerificationReport``:
 a list of named checks, each carrying the worst residual observed, the
-tolerance it was held to, and a pass/fail/skipped status.  Reports are
+tolerance it was held to, and a pass/fail status.  Reports are
 merged by concatenation and serialized deterministically (checks sorted by
 name, keys sorted, no timestamps), so identical configuration + seed pairs
 produce byte-identical files.
@@ -22,7 +22,6 @@ DEFAULT_TOLERANCES = {"algebraic": ALGEBRAIC_TOL, "spectral": SPECTRAL_TOL, "eig
 
 PASS = "pass"
 FAIL = "fail"
-SKIPPED = "skipped"
 
 
 def _json_float(value):
@@ -38,12 +37,11 @@ class Check:
     name: str
     max_residual: float
     tolerance: float
-    status: str = ""
+    status: str = field(init=False)
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.status:
-            self.status = PASS if self.max_residual <= self.tolerance else FAIL
+        self.status = PASS if self.max_residual <= self.tolerance else FAIL
 
     def line(self) -> str:
         return "%-4s  %-48s  residual %.3e  (tol %.1e)" % (
@@ -63,12 +61,6 @@ class VerificationReport:
 
     def add(self, name: str, max_residual: float, tolerance: float, **details) -> Check:
         check = Check(name, float(max_residual), float(tolerance), details=details)
-        self.checks.append(check)
-        return check
-
-    def add_skipped(self, name: str, reason: str = "") -> Check:
-        check = Check(name, 0.0, 0.0, status=SKIPPED,
-                      details={"reason": reason} if reason else {})
         self.checks.append(check)
         return check
 

@@ -25,11 +25,11 @@ from .fock import FockSpace, FockVector, Word, lambda_span
 from .operators import (CaseTag, GeneratorWord, ShiftedVector,
                         StructuredOperator, adjoint_check, alternating_letter_tuples,
                         annihilation, build_T, creation, diag, ends_in_factor_op,
-                        eps_rho_tower, epsilon_matrix, left_mult,
-                        length_at_least_op, length_exactly_op, op_norm,
-                        partition_identity_residual, phi_block_matrix, phi_cb_bound,
-                        right_annihilation, right_creation, right_mult, rho_matrix,
-                        rho_tower, start_complement_op, zero_op)
+                        epsilon_matrix, left_mult, length_at_least_op,
+                        length_exactly_op, op_norm, partition_identity_residual,
+                        phi_cb_bound, phi_weights, right_annihilation, right_creation,
+                        right_mult, rho_matrix, start_complement_op, tower,
+                        weighted_sum, zero_op)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
 from .symbols import norm_C, psi_decompose
 
@@ -316,7 +316,9 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     vec_len = max(space.L_max + 2, 8)
     xs = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
     ys = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
+    phi_stacks = [phi_weights(space, variant, xs, ys) for variant in (1, 2)]
 
+    L = space.L_max
     res_rho = 0.0
     res_eps = 0.0
     res_phi = [0.0, 0.0]
@@ -326,22 +328,21 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
         a_mat = gw.operator(space).matrix()
         k, l = gw.k, gw.l
         case = gw.case
-        tower = rho_tower(space, a_mat, space.L_max)
-        eps_tower = eps_rho_tower(space, a_mat, space.L_max)
+        tw = tower(space, a_mat)
 
         # rho^n(a) = a Q_{l+n}
         for n in range(1, max_rho_power + 1):
             qmask = (space.lengths >= l + n).astype(complex)
             target = a_mat * qmask[None, :]
             g = space.guard_mask(_gen_guard(space, gw, n))
-            res_rho = max(res_rho, _masked_max(tower[n - 1] - target, g))
+            res_rho = max(res_rho, _masked_max(tw[n] - target, g))
 
         # epsilon case rules
         g = space.guard_mask(_gen_guard(space, gw, 1))
         if case is CaseTag.CASE2:
-            res_eps = max(res_eps, _masked_max(eps_tower[0] - a_mat, g))
+            res_eps = max(res_eps, _masked_max(tw[L + 1] - a_mat, g))
         else:
-            res_eps = max(res_eps, _masked_max(eps_tower[0] - tower[0], g))
+            res_eps = max(res_eps, _masked_max(tw[L + 1] - tw[1], g))
 
         # Phi eigen-formulas
         span = len(xs) - max(k, l)
@@ -351,22 +352,21 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
             scalar2 = complex(np.vdot(ys[l - 1:l - 1 + span2], xs[k - 1:k - 1 + span2]))
         else:
             scalar2 = scalar1
-        phi1 = phi_block_matrix(space, 1, xs, ys, a_mat, tower)
-        res_phi[0] = max(res_phi[0], _masked_max(phi1 - scalar1 * a_mat, g))
-        phi2 = phi_block_matrix(space, 2, xs, ys, a_mat, eps_tower)
-        res_phi[1] = max(res_phi[1], _masked_max(phi2 - scalar2 * a_mat, g))
+        for i, scalar in enumerate((scalar1, scalar2)):
+            phi_a = weighted_sum(space, phi_stacks[i], tw)
+            res_phi[i] = max(res_phi[i], _masked_max(phi_a - scalar * a_mat, g))
 
         # multiplier rules
         for (phi, T), (_, dec) in zip(mults, decs):
-            t1 = T.t1_matrix(a_mat, tower)
-            t2 = T.t2_matrix(a_mat, eps_tower)
+            t1 = weighted_sum(space, T.t1_weights, tw)
+            t2 = weighted_sum(space, T.t2_weights, tw)
             want1 = dec.psi1(k + l)
             want2 = dec.psi2(k + l) if case is CaseTag.CASE1 else dec.psi2(k + l - 2)
             res_t12 = max(res_t12, _masked_max(t1 - want1 * a_mat, g))
             res_t12 = max(res_t12, _masked_max(t2 - want2 * a_mat, g))
             n_eff = k + l if case is CaseTag.CASE1 else k + l - 1
             want = phi(n_eff)
-            total = t1 + t2 + T.limit * a_mat
+            total = weighted_sum(space, T.weights, tw)
             res_t = max(res_t, _masked_max(total - want * a_mat, g))
 
     report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
@@ -392,19 +392,14 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
 
     res_action = 0.0
     res_vacuum = 0.0
-    ops_by_len = {}
+    first = {}  # the first word operator of each length, reused below
     for n in range(0, max_len + 1):
-        ops_by_len[n] = []
-        for _ in range(words_per_length):
-            w = random_reduced_word(rng, space, n)
-            A = word_operator(space, w).matrix()
-            ops_by_len[n].append(
-                (A, rho_tower(space, A, space.L_max),
-                 eps_rho_tower(space, A, space.L_max)))
         guard = space.guard_mask(space.L_max - n)
-        for (phi, T) in mults:
-            for A, tower, eps_tower in ops_by_len[n]:
-                TA = T.apply_matrix(A, tower, eps_tower)
+        for _ in range(words_per_length):
+            A = word_operator(space, random_reduced_word(rng, space, n)).matrix()
+            first.setdefault(n, A)
+            for phi, T in mults:
+                TA = T.apply_matrix(A)
                 # an overflowing symbol leaves inf or nan here, failing the checks
                 with np.errstate(over="ignore", invalid="ignore"):
                     diff = (TA - phi(n) * A)[:, guard]
@@ -424,8 +419,8 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     res_lin = 0.0
     res_mod = 0.0
     phi0, T0 = mults[0]
-    A = ops_by_len[min(1, max_len)][0][0]
-    B = ops_by_len[0][0][0]
+    A = first[min(1, max_len)]
+    B = first[0]
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     diff = T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A) - be * T0.apply_matrix(B)
     res_lin = op_norm(diff) / max(op_norm(A), 1.0)

@@ -3,7 +3,8 @@
 The package builds every operator as a matrix scattered from word-index
 arrays.  The rules here act on one :class:`~radmul.fock.FockVector` at a
 time, word by word, as the definitions read; ``column_matrix`` turns a rule
-into the matrix it defines, column by column.
+into the matrix it defines, column by column.  ``weighted_sum_dense`` is the
+weight-stack sum with every table expanded to a full matrix.
 """
 
 import numpy as np
@@ -64,3 +65,10 @@ def left_action(b):
 
 def right_action(b):
     return lambda vec: vec.right_mul(b)
+
+
+def weighted_sum_dense(space, W, tower):
+    """sum_m W[m, |r|, |c|] tower[m][r, c], every weight table expanded to a
+    full dim x dim array by the row and column word lengths."""
+    ell = space.lengths
+    return sum(W[m][np.ix_(ell, ell)] * tower[m] for m in range(len(tower)))

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -282,6 +283,42 @@ def test_cmd_verify_slow_geometric_tail_passes(tmp_path, capsys, ratio):
     out = capsys.readouterr().out
     assert code == 0, [line for line in out.splitlines() if not line.startswith("PASS")]
 
+
+
+def _cyclic(order):
+    return {"group": {"kind": "cyclic", "order": order}, "action": "trivial"}
+
+
+def _s3_table():
+    perms = list(itertools.permutations(range(3)))
+    return [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+
+
+# models whose length sectors have uneven sizes, unlike the presets
+UNEVEN_MODELS = {
+    "z2*z3": [_cyclic(2), _cyclic(3)],
+    "z2*z2*z2": [_cyclic(2), _cyclic(2), _cyclic(2)],
+    "s3*z2": [{"group": {"kind": "table", "table": _s3_table()}, "action": "trivial"},
+              _cyclic(2)],
+}
+
+
+@pytest.mark.parametrize("model, runs", [("z2*z3", 2), ("z2*z2*z2", 1), ("s3*z2", 1)])
+def test_cmd_verify_all_on_uneven_sectors(tmp_path, capsys, model, runs):
+    data = {"base_algebra": {"kind": "scalar"}, "factors": UNEVEN_MODELS[model],
+            "symbol": {"head": [1, 0.5],
+                       "tail": {"kind": "geometric", "coefficient": [0.3, 0.2],
+                                "ratio": -0.6, "limit": 0.1}},
+            "truncation": {"fock_len": 4}, "seed": 0}
+    path = write_config(tmp_path, data)
+    reports = []
+    for r in range(runs):
+        report_path = tmp_path / ("report%d.json" % r)
+        code = main(["verify", "--suite", "all", "--config", path, "--report", str(report_path)])
+        out = capsys.readouterr().out
+        assert code == 0, [line for line in out.splitlines() if not line.startswith("PASS")]
+        reports.append(report_path.read_bytes())
+    assert len(set(reports)) == 1
 
 # ---------------------------------------------------------------- bound command
 

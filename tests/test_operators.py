@@ -3,17 +3,18 @@ import pytest
 
 from radmul.fock import Word
 from oracles import (append_star, column_matrix, left_action, prepend, right_action,
-                     strip_first, strip_star)
+                     strip_first, strip_star, weighted_sum_dense)
 from radmul.operators import (SPLIT_MIN, CaseTag, GeneratorWord, ShiftedVector,
                               adjoint_check, alternating_letter_tuples, annihilation, build_T,
                               case_of, creation, diag, epsilon_matrix,
                               identity_op, left_mult, length_at_least_op, op_norm,
                               partition_identity_residual,
                               phi_block_matrix, phi_cb_bound, right_annihilation,
-                              right_creation, right_mult, rho_matrix, zero_op)
+                              right_creation, right_mult, rho_matrix, tower, weighted_sum,
+                              zero_op)
 from radmul.symbols import (ConstantTail, RadialSymbol, factorize, hankel_pair,
                             psi_decompose)
-from radmul.verify import amplified_samples
+from radmul.verify import amplified_samples, random_generator_word
 
 SPACES = ["dih_space", "mat2_space", "cy3_space", "noncomm_space"]
 SCALAR_BASE = {"dih_space", "cy3_space"}
@@ -348,11 +349,74 @@ def test_generator_validation():
         GeneratorWord(((0, 1),), (), cre_coeffs=(np.eye(1),))
 
 
+
+def generator_factor_matrices(space, gw):
+    """Oracle: b_0, L_{xi_1}, b_1, ..., L_{xi_k}, b_k, then L*_{eta_l}, bt_l,
+    ..., L*_{eta_1}, bt_1 as matrices from the word-level rules, identity
+    coefficients spelled out."""
+    one = space.base.identity()
+    b = gw.cre_coeffs or (one,) * (gw.k + 1)
+    bt = gw.ann_coeffs or (one,) * gw.l
+    mats = [column_matrix(space, left_action(b[0]))]
+    for xi, coeff in zip(gw.cre_letters, b[1:]):
+        mats += [column_matrix(space, prepend(space, xi)),
+                 column_matrix(space, left_action(coeff))]
+    for j in range(gw.l - 1, -1, -1):
+        mats += [column_matrix(space, strip_first(space, gw.ann_letters[j])),
+                 column_matrix(space, left_action(bt[j]))]
+    return mats
+
+
+@pytest.mark.parametrize("name", ["dih_space", "mat2_space", "noncomm_space"])
+def test_generator_operator_matches_factor_product(request, name):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(16)
+    gens = [GeneratorWord((), ()),
+            GeneratorWord((), (), cre_coeffs=(space.base.random(rng),))]
+    gens += [random_generator_word(rng, space, k, l, with_coeffs=c)
+             for k, l in [(1, 0), (0, 1), (2, 1), (1, 2), (2, 2)] for c in (False, True)]
+    for gw in gens:
+        want = np.linalg.multi_dot(generator_factor_matrices(space, gw) + [np.eye(space.dim)])
+        got = gw.operator(space).matrix()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
 def test_alternating_tuples_count(dih_space, cy3_space):
     assert len(alternating_letter_tuples(dih_space, 2)) == 2
     # cy3: 4 letters, first free (4), then 2 choices from the other factor
     assert len(alternating_letter_tuples(cy3_space, 2)) == 8
 
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_tower_layout(request, name):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(17)
+    A = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
+    L = space.L_max
+    tw = tower(space, A)
+    assert len(tw) == 2 * L + 1
+    B, E = A, epsilon_matrix(space, A)
+    for n in range(L + 1):
+        assert np.array_equal(tw[n], B)
+        B = rho_matrix(space, B)
+    for n in range(L):
+        assert np.array_equal(tw[L + 1 + n], E)
+        E = rho_matrix(space, E)
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_weighted_sum_matches_expanded_tables(request, name):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(18)
+    L = space.L_max
+    shape = (2 * L + 1, L + 1, L + 1)
+    W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    W[[1, L + 2]] = 0     # tower entries with no weight
+    W[0, 1] = W[L, 0] = 0  # row lengths with no weight
+    A = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
+    tw = tower(space, A)
+    want = weighted_sum_dense(space, W, tw)
+    assert np.abs(weighted_sum(space, W, tw) - want).max() <= 1e-14 * np.abs(want).max()
 
 # ---------------------------------------------------------------- the multiplier
 
@@ -360,8 +424,9 @@ def test_constant_symbol_gives_identity(dih_space):
     T = build_T(dih_space, RadialSymbol.constant(1.0))
     rng = np.random.default_rng(8)
     A = rng.standard_normal((dih_space.dim, dih_space.dim)) + 0j
-    assert np.abs(T.t1_matrix(A)).max() == 0
-    assert np.abs(T.t2_matrix(A)).max() == 0
+    tw = tower(dih_space, A)
+    assert np.abs(weighted_sum(dih_space, T.t1_weights, tw)).max() == 0
+    assert np.abs(weighted_sum(dih_space, T.t2_weights, tw)).max() == 0
     assert np.allclose(T.apply_matrix(A), A)
 
 
@@ -382,7 +447,8 @@ def test_indicator_t1_rule(dih_space):
         A = gen.operator(dih_space).matrix()
         want = dec.psi1(gen.k + gen.l)
         guard = dih_space.guard_mask(dih_space.L_max - max(gen.k - gen.l, 0) - 1)
-        assert np.abs((T.t1_matrix(A) - want * A)[:, guard]).max() <= 1e-11
+        t1 = weighted_sum(dih_space, T.t1_weights, tower(dih_space, A))
+        assert np.abs((t1 - want * A)[:, guard]).max() <= 1e-11
 
 
 def _svd_pairs(phi, M):
@@ -397,14 +463,15 @@ def test_t1_equals_sum_of_phi_blocks(dih_space):
     h_pairs, k_pairs = _svd_pairs(phi, 24)
     gen = GeneratorWord(((0, 1),), ((0, 1),))
     A = gen.operator(dih_space).matrix()
+    tw = tower(dih_space, A)
     total = np.zeros_like(A)
     for x, y in h_pairs:
         total += phi_block_matrix(dih_space, 1, x, y, A)
-    assert np.abs(total - T.t1_matrix(A)).max() <= 1e-11
+    assert np.abs(total - weighted_sum(dih_space, T.t1_weights, tw)).max() <= 1e-11
     total2 = np.zeros_like(A)
     for z, w in k_pairs:
         total2 += phi_block_matrix(dih_space, 2, z, w, A)
-    assert np.abs(total2 - T.t2_matrix(A)).max() <= 1e-11
+    assert np.abs(total2 - weighted_sum(dih_space, T.t2_weights, tw)).max() <= 1e-11
 
 
 def test_case_convention_pinned_by_scaling(dih_space):
