@@ -119,12 +119,15 @@ class FockVector:
     __slots__ = ("space", "coeffs")
 
     def __init__(self, space: "FockSpace", coeffs=None):
+        """Keep the complex coefficients of the words within the truncation
+        that are not all zero, filtered in one pass over the stacked blocks."""
         self.space = space
         self.coeffs = {}
-        if coeffs:
-            for w, b in coeffs.items():
-                if len(w) <= space.L_max and np.any(b):
-                    self.coeffs[w] = np.asarray(b, dtype=complex)
+        words = [w for w in coeffs or () if len(w) <= space.L_max]
+        if words:
+            blocks = np.asarray([coeffs[w] for w in words], dtype=complex)
+            keep = blocks.reshape(len(words), -1).any(axis=1)
+            self.coeffs = {w: b for w, b, k in zip(words, blocks, keep) if k}
 
     def coeff(self, word: Word) -> np.ndarray:
         got = self.coeffs.get(word)
@@ -189,7 +192,7 @@ class FockVector:
 @dataclass(frozen=True)
 class SectorProjection:
     """Diagonal projection keyed on word length or on the final factor;
-    :func:`radmul.operators.sector_operator` gives its matrix."""
+    :func:`radmul.operators.sector_operator` gives its operator."""
 
     kind: str  # "length_at_least" | "length_exactly" | "ends_in_factor"
     param: int
@@ -203,10 +206,10 @@ class FockSpace:
     """Enumerated word basis at a fixed truncation, with coordinate maps.
 
     The scalar orthonormal basis is (word, onb element of N) in
-    length-lexicographic word order; its size is the materialized matrix
-    dimension for every operator in :mod:`radmul.operators`.  The instance
-    carries a cache dict so operator-level helpers can memoize materialized
-    building blocks (right creations, sector masks) per space.
+    length-lexicographic word order; its size is the dimension of every
+    operator in :mod:`radmul.operators`.  The instance carries a cache dict
+    so operator-level helpers can memoize their word-index maps (letter
+    maps, right creations, push unitaries) per space.
     """
 
     def __init__(self, amalgam: Amalgam, L_max: int):

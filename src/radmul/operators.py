@@ -23,31 +23,41 @@ the forward shift ((S x)(0) = 0, (S x)(t) = x(t-1)), so D_{(S*)^n x}
 scales the length-k sector by x(k+n) and D_{S^n x} by x(k-n).
 
 Each of these maps -- Phi1, Phi2, T1, T2 and T -- is one weight stack over
-one tower: the ``tower`` of a matrix A lists A, its rho-iterates and the
+one tower: the ``tower`` of an operator A lists A, its rho-iterates and the
 rho-iterates of eps(A), and ``weighted_sum`` scales every entry of tower
-matrix m between words of lengths a and b by W[m, a, b].  ``phi_weights``
+member m between words of lengths a and b by W[m, a, b].  ``phi_weights``
 builds the stack of one Phi block; the pair sums depend on the pairs only
 through h and k, so the multiplier reads its stacks off the symbol in
 closed form.
 
 Everything here commutes with the right N-action, except the right
 creations, which are covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b).
-Every operator is a dense matrix in the enumerated basis, built lazily on
-first use; applying one to a :class:`~radmul.fock.FockVector` goes through
-its coordinate array.  Sums over letters and factors always run in
-configuration order.  Creations and annihilations on either side and left
-N-multiplication are partial word-to-word maps with one coefficient block
-per word, scattered from word-index arrays cached per space on first use
-(``_right_maps``, ``_push_unitaries``): rho on a matrix gathers, per
-letter, the source-word blocks of its argument, conjugates them by the
-letter's alpha block and scatters them to the target words; left
-multiplication writes the pushed blocks U_w b U_w* on the block diagonal.
+Every operator is block-sparse on word pairs: a :class:`StructuredOperator`
+holds word-index arrays ``rows`` and ``cols`` and one dim_N x dim_N
+coefficient block per (row word, column word) pair, and scatters them into
+a dense matrix only when ``matrix()`` is asked for.  The building blocks
+come from word-index maps cached per space on first use: a creation or
+annihilation on either side is a partial word map (a target word per word,
+-1 where it vanishes) with one block, left N-multiplication is the
+identity map with the pushed blocks U_w b U_w* (``_push_unitaries``), and
+sector projections and length-diagonal maps are diagonal entries.  A
+product joins the left factor's columns to the right factor's rows -- a
+gather when the left factor is a partial word map -- and adds the entries
+that land on the same word pair.  rho maps every entry through all the
+letters' right creations at once and conjugates it by their alpha blocks
+(``_right_maps``); epsilon keeps the entries whose row and column words end
+in the same factor.  ``rho_matrix``, ``epsilon_matrix``, ``tower``,
+``weighted_sum`` and the multiplier also take a dense matrix: it becomes
+entries through one np.nonzero over its blocks, and the result comes back
+as a matrix.  Sums over letters and factors always run in configuration
+order.
 
-``op_norm`` is the package's one spectral norm.  It takes an exact SVD of
-each connected component of a matrix's support, batched by block shape (a
-matrix of at most ``SPLIT_MIN`` rows and columns is taken whole), and falls
-back to seeded power iteration only when a component exceeds ``dense_cap``
-in both dimensions.
+``op_norm`` is the package's one spectral norm.  It works on the scalar
+entries of its argument (an operator, an :class:`Entries` or an array),
+takes an exact SVD of each connected component of their support, batched
+by block shape (an operand of at most ``SPLIT_MIN`` rows and columns is
+taken whole), and falls back to seeded power iteration only when a
+component exceeds ``dense_cap`` in both dimensions.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,61 +81,193 @@ DENSE_CAP = 2000
 SPLIT_MIN = 48
 
 
-class StructuredOperator:
-    """Linear map on the truncated Fock space, held as a lazily built matrix.
+def _sum_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = sum of values[e] over index[e] == i, added in entry order
+    (as np.add.at does), for values of any trailing shape."""
+    width = int(np.prod(values.shape[1:]))
+    idx = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
+    flat = values.ravel()
+    out = np.empty(n * width, dtype=complex)
+    out.real = np.bincount(idx, flat.real, n * width)
+    out.imag = np.bincount(idx, flat.imag, n * width)
+    return out.reshape((n,) + values.shape[1:])
 
-    ``matrix_fn`` builds the dense matrix in the enumerated basis on the
-    first call of ``matrix()``, which caches it.  Composition, sums, scalar
-    multiples and the adjoint compose these matrix functions without
-    materializing anything; applying the operator to a vector multiplies its
-    coordinates.
+
+def _coalesce(rows, cols, values, n_cols: int) -> tuple:
+    """Entries with one value per (row, col) pair; repeated pairs are added
+    in entry order."""
+    key = rows * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])
+    if first.all():
+        return rows, cols, values
+    slot = np.empty(key.size, dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    uniq = key[order[first]]
+    return uniq // n_cols, uniq % n_cols, _sum_at(slot, values, uniq.size)
+
+
+class Entries(NamedTuple):
+    """Scalar entries of a sparse matrix of ``shape``: ``values[e]`` at
+    ``(rows[e], cols[e])``, one entry per position."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple
+
+    def matrix(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.rows, self.cols] = self.values
+        return out
+
+    def columns(self, mask: np.ndarray) -> "Entries":
+        """The columns ``mask`` keeps, renumbered: ``matrix()[:, mask]``."""
+        keep = mask[self.cols]
+        renumber = np.cumsum(mask) - 1
+        return Entries(self.rows[keep], renumber[self.cols[keep]], self.values[keep],
+                       (self.shape[0], int(np.count_nonzero(mask))))
+
+
+class StructuredOperator:
+    """Linear map on the truncated Fock space, block-sparse on word pairs.
+
+    ``blocks[e]`` is the dim_N x dim_N coefficient block from the column
+    word ``cols[e]`` to the row word ``rows[e]`` (word indices of the space,
+    each pair at most once).  ``matrix()`` scatters the blocks into the
+    dense matrix in the enumerated basis on its first call and caches it.
+    Products, sums, scalar multiples and the adjoint work on the entries;
+    ``op @ x`` and ``op(vec)`` apply the operator to a coordinate array and
+    to a Fock vector.
     """
 
-    def __init__(self, space: FockSpace, matrix_fn, name: str = "op"):
+    def __init__(self, space: FockSpace, rows, cols, blocks, name: str = "op"):
         self.space = space
         self.name = name
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.blocks = np.asarray(blocks, dtype=complex)
         self._matrix = None
-        self._matrix_fn = matrix_fn
+
+    @property
+    def shape(self) -> tuple:
+        return (self.space.dim, self.space.dim)
 
     def __call__(self, vec: FockVector) -> FockVector:
-        return self.space.from_array(self.matrix() @ vec.to_array())
+        return self.space.from_array(self @ vec.to_array())
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = np.asarray(self._matrix_fn(), dtype=complex)
+            n, k = len(self.space.words), self.space.dim_N
+            out = np.zeros((n, k, n, k), dtype=complex)
+            out[self.rows, :, self.cols, :] = self.blocks
+            self._matrix = out.reshape(self.shape)
         return self._matrix
 
-    def adjoint(self) -> "StructuredOperator":
-        return StructuredOperator(self.space, lambda: self.matrix().conj().T,
-                                  name=self.name + "*")
+    def entries(self) -> Entries:
+        """The nonzero scalar entries: block entry [i, j] of word pair (r, c)
+        sits at row r dim_N + i, column c dim_N + j."""
+        k = self.space.dim_N
+        e, i, j = np.nonzero(self.blocks)
+        return Entries(self.rows[e] * k + i, self.cols[e] * k + j, self.blocks[e, i, j],
+                       self.shape)
 
-    def __matmul__(self, other: "StructuredOperator") -> "StructuredOperator":
-        return StructuredOperator(self.space, lambda: self.matrix() @ other.matrix(),
-                                  name="(%s %s)" % (self.name, other.name))
+    def renamed(self, name: str) -> "StructuredOperator":
+        return StructuredOperator(self.space, self.rows, self.cols, self.blocks, name)
+
+    def adjoint(self) -> "StructuredOperator":
+        return StructuredOperator(self.space, self.cols, self.rows,
+                                  self.blocks.conj().transpose(0, 2, 1), self.name + "*")
+
+    def __matmul__(self, other):
+        if isinstance(other, StructuredOperator):
+            return StructuredOperator(self.space, *_product(self, other),
+                                      name="(%s %s)" % (self.name, other.name))
+        k = self.space.dim_N
+        x = np.asarray(other, dtype=complex).reshape(-1, k)
+        terms = (self.blocks @ x[self.cols][:, :, None])[:, :, 0]
+        return _sum_at(self.rows, terms, len(x)).reshape(-1)
 
     def __add__(self, other: "StructuredOperator") -> "StructuredOperator":
-        return StructuredOperator(self.space, lambda: self.matrix() + other.matrix(),
-                                  name="(%s + %s)" % (self.name, other.name))
+        return op_sum(self.space, [self, other], "(%s + %s)" % (self.name, other.name))
 
-    def __sub__(self, other):
-        return self + (-1.0) * other
+    def __sub__(self, other: "StructuredOperator") -> "StructuredOperator":
+        return self + (-other)
 
     def __rmul__(self, scalar) -> "StructuredOperator":
         scalar = complex(scalar)
-        return StructuredOperator(self.space, lambda: scalar * self.matrix(),
+        return StructuredOperator(self.space, self.rows, self.cols, scalar * self.blocks,
                                   name="(%r * %s)" % (scalar, self.name))
 
-    def __neg__(self):
-        return (-1.0) * self
+    def __neg__(self) -> "StructuredOperator":
+        return StructuredOperator(self.space, self.rows, self.cols, -self.blocks,
+                                  name="-" + self.name)
 
 
-def identity_op(space: FockSpace) -> StructuredOperator:
-    return StructuredOperator(space, lambda: np.eye(space.dim, dtype=complex), name="Id")
+def _product(a: StructuredOperator, b: StructuredOperator) -> tuple:
+    """Entries of a @ b: each entry (j, c) of b meets every entry (r, j) of a.
+
+    When a is a partial word map (each row and each column at most once) the
+    join is a gather and every (r, c) comes out once; otherwise repeated
+    pairs are added.
+    """
+    n = len(a.space.words)
+    count = np.bincount(a.cols, minlength=n)
+    if count.max(initial=0) <= 1:
+        at = np.full(n, -1)
+        at[a.cols] = np.arange(a.cols.size)
+        ea = at[b.rows]
+        eb = np.nonzero(ea >= 0)[0]
+        ea = ea[eb]
+        repeats = np.bincount(a.rows, minlength=n).max(initial=0) > 1
+    else:
+        order = np.argsort(a.cols, kind="stable")
+        start = np.cumsum(count) - count
+        reps = count[b.rows]
+        eb = np.repeat(np.arange(b.rows.size), reps)
+        ea = order[np.repeat(start[b.rows], reps) + np.arange(eb.size)
+                   - np.repeat(np.cumsum(reps) - reps, reps)]
+        repeats = True
+    rows, cols = a.rows[ea], b.cols[eb]
+    blocks = a.blocks[ea] @ b.blocks[eb]
+    return _coalesce(rows, cols, blocks, n) if repeats else (rows, cols, blocks)
 
 
-def zero_op(space: FockSpace) -> StructuredOperator:
-    return StructuredOperator(space, lambda: np.zeros((space.dim, space.dim), dtype=complex),
-                              name="0")
+def op_sum(space: FockSpace, ops, name: str = "sum") -> StructuredOperator:
+    """sum of the operators, entries on the same word pair added in list order."""
+    rows = np.concatenate([op.rows for op in ops])
+    cols = np.concatenate([op.cols for op in ops])
+    blocks = np.concatenate([op.blocks for op in ops])
+    return StructuredOperator(space, *_coalesce(rows, cols, blocks, len(space.words)), name)
+
+
+def op_product(space: FockSpace, factors, name: str) -> StructuredOperator:
+    """factors[0] @ factors[1] @ ..., evaluated right to left so that each
+    left factor that is a partial word map gathers; the identity if empty."""
+    if not factors:
+        return identity_op(space).renamed(name)
+    op = factors[-1]
+    for factor in reversed(factors[:-1]):
+        op = factor @ op
+    return op.renamed(name)
+
+
+def amplify(coeffs, ops) -> Entries:
+    """sum_i C_i (x) A_i for m x m scalar blocks C_i and operators A_i, as
+    scalar entries: C_i[p, q] A_i[r, c] sits at row p dim + r and column
+    q dim + c, and the terms on one position are added in order."""
+    m, dim = len(coeffs[0]), ops[0].space.dim
+    p, q = np.divmod(np.arange(m * m), m)
+    rows, cols, values = [], [], []
+    for C, A in zip(coeffs, ops):
+        e = A.entries()
+        rows.append((p[:, None] * dim + e.rows).ravel())
+        cols.append((q[:, None] * dim + e.cols).ravel())
+        values.append((C.reshape(-1, 1) * e.values).ravel())
+    size = m * dim
+    return Entries(*_coalesce(np.concatenate(rows), np.concatenate(cols),
+                              np.concatenate(values), size), (size, size))
 
 
 def _blocks(space: FockSpace, A: np.ndarray) -> np.ndarray:
@@ -133,28 +276,67 @@ def _blocks(space: FockSpace, A: np.ndarray) -> np.ndarray:
     return A.reshape(n, k, n, k).transpose(0, 2, 1, 3)
 
 
+def _as_op(space: FockSpace, A) -> StructuredOperator:
+    """A as entries: an operator as it is, a dense matrix through one
+    np.nonzero over its blocks."""
+    if isinstance(A, StructuredOperator):
+        return A
+    blocks = _blocks(space, np.asarray(A, dtype=complex))
+    r, c = np.nonzero(blocks.any(axis=(2, 3)))
+    return StructuredOperator(space, r, c, blocks[r, c], name="array")
+
+
+def _like(A, op: StructuredOperator):
+    """op in the form A came in: an operator, or a matrix for an array."""
+    return op if isinstance(A, StructuredOperator) else op.matrix()
+
+
+def _word_values(space: FockSpace, per_index: np.ndarray) -> np.ndarray:
+    """Per-word view of a per-basis-index array of the space."""
+    return per_index[::space.dim_N]
+
+
+def _diag_op(space: FockSpace, values, name: str, block=None) -> StructuredOperator:
+    """values[w] * block on the diagonal (block: the identity), for the words
+    with a nonzero value."""
+    values = np.asarray(values)
+    block = np.eye(space.dim_N) if block is None else block
+    keep = np.flatnonzero(values)
+    return StructuredOperator(space, keep, keep, values[keep, None, None] * block, name)
+
+
+def identity_op(space: FockSpace) -> StructuredOperator:
+    return _diag_op(space, np.ones(len(space.words)), "Id")
+
+
+def zero_op(space: FockSpace) -> StructuredOperator:
+    k = space.dim_N
+    return StructuredOperator(space, [], [], np.zeros((0, k, k)), name="0")
+
+
 def _alpha_block(space: FockSpace, i: int, g: int) -> np.ndarray:
     """Coordinate matrix of the coefficient map c -> alpha_g(c)."""
     W = space.amalgam.factor(i).unitaries[g]
     return np.kron(W, W.conj())
 
 
-def _right_maps(space: FockSpace) -> list:
-    """Word-index form of the right creations, one (src, dst, blk) per letter.
+def _right_maps(space: FockSpace) -> tuple:
+    """Word-index form of the right creations: (table, alpha).
 
-    R_{gamma*} for gamma = (i, g) sends the word src[j] to dst[j] = src[j]
-    gamma* and twists its coefficient by blk = alpha_g in coordinates.
+    For the letters gamma = (i, g) in configuration order, R_{gamma*} sends
+    the word j to table[gamma, j] = j gamma* (-1 where it vanishes) and
+    twists its coefficient by alpha[gamma] = alpha_g in coordinates.
     """
     if "right_maps" not in space.cache:
-        maps = []
-        for i, g in space.amalgam.letters():
+        letters = space.amalgam.letters()
+        table = np.full((len(letters), len(space.words)), -1, dtype=np.intp)
+        for t, (i, g) in enumerate(letters):
             appended = (i, space.amalgam.factor(i).group.inv(g))
-            src = [j for j, w in enumerate(space.words)
-                   if len(w) < space.L_max and w.last_factor != i]
-            dst = [space.word_index[space.words[j].append(appended)] for j in src]
-            maps.append((np.array(src, dtype=int), np.array(dst, dtype=int),
-                         _alpha_block(space, i, g)))
-        space.cache["right_maps"] = maps
+            for j, w in enumerate(space.words):
+                if len(w) < space.L_max and w.last_factor != i:
+                    table[t, j] = space.word_index[w.append(appended)]
+        alpha = np.stack([_alpha_block(space, i, g) for i, g in letters])
+        space.cache["right_maps"] = (table, alpha)
     return space.cache["right_maps"]
 
 
@@ -176,29 +358,21 @@ def _push_unitaries(space: FockSpace) -> np.ndarray:
     return space.cache["push_unitaries"]
 
 
-def _left_mult_matrix(space: FockSpace, b: np.ndarray) -> np.ndarray:
-    # block diagonal: on the word w the left action multiplies the right
-    # coefficient by b pushed through the letters, i.e. kron(U_w b U_w*, 1)
+def left_mult(space: FockSpace, b) -> StructuredOperator:
+    """Left N-multiplication: on the word w it multiplies the right
+    coefficient by b pushed through the letters, i.e. kron(U_w b U_w*, 1)."""
+    b = space.base.element(b)
     U = _push_unitaries(space)
     pushed = U @ b @ U.conj().transpose(0, 2, 1)
     n, d = len(space.words), space.base.d
     blocks = np.einsum("wpr,qs->wpqrs", pushed, np.eye(d)).reshape(n, d * d, d * d)
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    idx = np.arange(n)
-    _blocks(space, out)[idx, idx] = blocks
-    return out
-
-
-def left_mult(space: FockSpace, b) -> StructuredOperator:
-    b = space.base.element(b)
-    return StructuredOperator(space, lambda: _left_mult_matrix(space, b), name="lmul")
+    return StructuredOperator(space, np.arange(n), np.arange(n), blocks, name="lmul")
 
 
 def right_mult(space: FockSpace, b) -> StructuredOperator:
     """The right N-action itself; every toolkit operator commutes with it."""
     block = np.kron(np.eye(space.base.d), space.base.element(b).T)
-    return StructuredOperator(space, lambda: np.kron(np.eye(len(space.words)), block),
-                              name="rmul")
+    return _diag_op(space, np.ones(len(space.words)), "rmul", block)
 
 
 def _letter(letter) -> tuple:
@@ -208,20 +382,22 @@ def _letter(letter) -> tuple:
     return letter
 
 
-def _word_map_matrix(space: FockSpace, key, word_map, blk) -> np.ndarray:
-    """Matrix sending each word w to word_map(w) (dropped where that is None),
-    twisting its coefficient by blk; cached in the space under ``key``."""
+def _word_map(space: FockSpace, key, word_map) -> np.ndarray:
+    """Target word index per word of ``word_map`` (-1 where it gives None),
+    cached in the space under ``key``."""
     if key not in space.cache:
-        src, dst = [], []
-        for j, w in enumerate(space.words):
-            target = word_map(w)
-            if target is not None:
-                src.append(j)
-                dst.append(space.word_index[target])
-        out = np.zeros((space.dim, space.dim), dtype=complex)
-        _blocks(space, out)[dst, src] = blk
-        space.cache[key] = out
+        targets = [word_map(w) for w in space.words]
+        space.cache[key] = np.array([-1 if t is None else space.word_index[t]
+                                     for t in targets], dtype=np.intp)
     return space.cache[key]
+
+
+def _map_op(space: FockSpace, target: np.ndarray, blk: np.ndarray,
+            name: str) -> StructuredOperator:
+    """The partial word map j -> target[j], twisting each coefficient by blk."""
+    src = np.flatnonzero(target >= 0)
+    return StructuredOperator(space, target[src], src,
+                              np.broadcast_to(blk, (src.size,) + blk.shape), name)
 
 
 def creation(space: FockSpace, letter) -> StructuredOperator:
@@ -233,10 +409,8 @@ def creation(space: FockSpace, letter) -> StructuredOperator:
             return w.prepend(letter)
         return None
 
-    return StructuredOperator(
-        space, lambda: _word_map_matrix(space, ("creation", letter), word_map,
-                                        np.eye(space.dim_N)),
-        name="L%r" % (letter,))
+    return _map_op(space, _word_map(space, ("creation", letter), word_map),
+                   np.eye(space.dim_N), "L%r" % (letter,))
 
 
 def annihilation(space: FockSpace, letter) -> StructuredOperator:
@@ -246,27 +420,16 @@ def annihilation(space: FockSpace, letter) -> StructuredOperator:
     def word_map(w):
         return w.drop_first() if w.letters and w.letters[0] == letter else None
 
-    return StructuredOperator(
-        space, lambda: _word_map_matrix(space, ("annihilation", letter), word_map,
-                                        np.eye(space.dim_N)),
-        name="L*%r" % (letter,))
-
-
-def _right_creation_matrix(space: FockSpace, letter) -> np.ndarray:
-    key = ("right_creation", letter)
-    if key not in space.cache:
-        src, dst, blk = _right_maps(space)[space.amalgam.letters().index(letter)]
-        out = np.zeros((space.dim, space.dim), dtype=complex)
-        _blocks(space, out)[dst, src] = blk
-        space.cache[key] = out
-    return space.cache[key]
+    return _map_op(space, _word_map(space, ("annihilation", letter), word_map),
+                   np.eye(space.dim_N), "L*%r" % (letter,))
 
 
 def right_creation(space: FockSpace, letter) -> StructuredOperator:
     """R_{gamma*}: append gamma* = u_{g^{-1}}; zero against a same-factor end."""
     letter = _letter(letter)
-    return StructuredOperator(space, lambda: _right_creation_matrix(space, letter),
-                              name="R%r" % (letter,))
+    table, alpha = _right_maps(space)
+    t = space.amalgam.letters().index(letter)
+    return _map_op(space, table[t], alpha[t], "R%r" % (letter,))
 
 
 def right_annihilation(space: FockSpace, letter) -> StructuredOperator:
@@ -278,24 +441,19 @@ def right_annihilation(space: FockSpace, letter) -> StructuredOperator:
     def word_map(w):
         return w.drop_last() if w.letters and w.letters[-1] == (i, gi) else None
 
-    return StructuredOperator(
-        space, lambda: _word_map_matrix(space, ("right_annihilation", letter), word_map,
-                                        _alpha_block(space, i, gi)),
-        name="R*%r" % (letter,))
-
-
-def _diag_op(space: FockSpace, values: np.ndarray, name: str) -> StructuredOperator:
-    return StructuredOperator(space, lambda: np.diag(values.astype(complex)), name=name)
+    return _map_op(space, _word_map(space, ("right_annihilation", letter), word_map),
+                   _alpha_block(space, i, gi), "R*%r" % (letter,))
 
 
 def sector_operator(space: FockSpace, p: SectorProjection) -> StructuredOperator:
+    lengths = _word_values(space, space.lengths)
     if p.kind == "length_at_least":
-        diag = space.lengths >= p.param
+        keep = lengths >= p.param
     elif p.kind == "length_exactly":
-        diag = space.lengths == p.param
+        keep = lengths == p.param
     else:
-        diag = (space.last_factors == p.param) & (space.lengths >= 1)
-    return _diag_op(space, diag, "P[%s %d]" % (p.kind, p.param))
+        keep = (_word_values(space, space.last_factors) == p.param) & (lengths >= 1)
+    return _diag_op(space, keep, "P[%s %d]" % (p.kind, p.param))
 
 
 def length_at_least_op(space, n) -> StructuredOperator:
@@ -317,7 +475,8 @@ def start_complement_op(space: FockSpace, i: int) -> StructuredOperator:
     e_0 = 1 neither creates nor annihilates, it guards the sector where
     the factor acts through its N-part.
     """
-    return _diag_op(space, space.first_factors != i, "P[start!=%d]" % i)
+    return _diag_op(space, _word_values(space, space.first_factors) != i,
+                    "P[start!=%d]" % i)
 
 
 @dataclass(frozen=True)
@@ -354,78 +513,83 @@ def diag(space: FockSpace, x) -> StructuredOperator:
     """D_x: multiply the length-k sector by the (shifted) scalar x(k)."""
     sv = x if isinstance(x, ShiftedVector) else ShiftedVector(tuple(np.asarray(x).ravel()))
     values = np.array([sv.value(k) for k in range(space.L_max + 1)], dtype=complex)
-    return _diag_op(space, values[space.lengths], "D")
+    return _diag_op(space, values[_word_values(space, space.lengths)], "D")
 
 
-def rho_matrix(space: FockSpace, A: np.ndarray) -> np.ndarray:
-    """sum_gamma R A R^* on matrices: per letter, gather the (src, src) blocks
-    of A, conjugate each by blk and scatter them to (dst, dst).  The letters'
-    target words end differently, so their scatters never overlap."""
-    A = _blocks(space, np.asarray(A, dtype=complex))
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    out4 = _blocks(space, out)
-    for src, dst, blk in _right_maps(space):
-        out4[dst[:, None], dst] = np.einsum("ab,ijbc,dc->ijad", blk,
-                                            A[src[:, None], src], blk.conj())
-    return out
+def rho_matrix(space: FockSpace, A):
+    """sum_gamma R A R^* on an operator (or a dense matrix): every entry
+    (r, c, X) goes to (r gamma*, c gamma*, alpha X alpha^*) for each letter
+    gamma whose right creation is defined on both words, all letters in one
+    vectorized step.  The letters' target words end differently, so no two
+    images land on the same word pair."""
+    op = _as_op(space, A)
+    table, alpha = _right_maps(space)
+    tr, tc = table[:, op.rows], table[:, op.cols]
+    t, e = np.nonzero(np.minimum(tr, tc) >= 0)
+    blocks = alpha[t] @ op.blocks[e] @ alpha[t].conj().transpose(0, 2, 1)
+    return _like(A, StructuredOperator(space, tr[t, e], tc[t, e], blocks,
+                                       name="rho(%s)" % op.name))
 
 
-def rho_tower(space: FockSpace, A: np.ndarray, n_max: int) -> list:
+def rho_tower(space: FockSpace, A, n_max: int) -> list:
     """[rho(A), rho^2(A), ..., rho^{n_max}(A)]."""
     out = []
-    B = np.asarray(A, dtype=complex)
+    B = _as_op(space, A)
     for _ in range(n_max):
         B = rho_matrix(space, B)
         out.append(B)
-    return out
+    return [_like(A, B) for B in out]
 
 
-def eps_rho_tower(space: FockSpace, A: np.ndarray, n_max: int) -> list:
+def eps_rho_tower(space: FockSpace, A, n_max: int) -> list:
     """[eps(A), rho(eps(A)), ..., rho^{n_max-1}(eps(A))]."""
-    E = epsilon_matrix(space, A)
-    return [E] + rho_tower(space, E, n_max - 1)
+    E = epsilon_matrix(space, _as_op(space, A))
+    return [_like(A, B) for B in [E] + rho_tower(space, E, n_max - 1)]
 
 
-def _eps_mask(space: FockSpace) -> np.ndarray:
-    if "eps_mask" not in space.cache:
-        lf = space.last_factors
-        space.cache["eps_mask"] = (lf[:, None] == lf[None, :]) & (lf[:, None] >= 0)
-    return space.cache["eps_mask"]
+def epsilon_matrix(space: FockSpace, A):
+    """sum_i q_i A q_i: the entries whose row and column words end in the
+    same factor."""
+    op = _as_op(space, A)
+    last = _word_values(space, space.last_factors)
+    keep = np.flatnonzero((last[op.rows] == last[op.cols]) & (last[op.rows] >= 0))
+    return _like(A, StructuredOperator(space, op.rows[keep], op.cols[keep], op.blocks[keep],
+                                       name="eps(%s)" % op.name))
 
 
-def epsilon_matrix(space: FockSpace, A: np.ndarray) -> np.ndarray:
-    return _eps_mask(space) * np.asarray(A, dtype=complex)
-
-
-def tower(space: FockSpace, A: np.ndarray) -> list:
-    """The 2L+1 matrices a weight stack weights, L = ``space.L_max``:
+def tower(space: FockSpace, A) -> list:
+    """The 2L+1 operators a weight stack weights, L = ``space.L_max``:
 
         [A, rho(A), ..., rho^L(A), eps(A), rho(eps(A)), ..., rho^{L-1}(eps(A))],
 
-    so entry n <= L is rho^n(A) and entry L+n, n >= 1, is rho^{n-1}(eps(A)).
+    so member n <= L is rho^n(A) and member L+n, n >= 1, is rho^{n-1}(eps(A)).
     """
-    A = np.asarray(A, dtype=complex)
-    return [A] + rho_tower(space, A, space.L_max) + eps_rho_tower(space, A, space.L_max)
+    op = _as_op(space, A)
+    members = [op] + rho_tower(space, op, space.L_max) + eps_rho_tower(space, op, space.L_max)
+    return [_like(A, B) for B in members]
 
 
-def weighted_sum(space: FockSpace, W: np.ndarray, tower: list) -> np.ndarray:
+def weighted_sum(space: FockSpace, W: np.ndarray, tower: list):
     """sum_m W[m, |r|, |c|] tower[m][r, c] for a (2L+1, L+1, L+1) weight
-    stack W, indexed by tower entry, row word length and column word length.
+    stack W, indexed by tower member, row word length and column word length.
 
-    Words come in length order, so the rows of one length are a contiguous
-    slice; only the (entry, row length) pairs with a nonzero weight are
-    visited.  A symbol near the float range may overflow here; the inf or
-    nan it leaves makes the checks that read the result fail, so numpy is
-    not asked to warn about it as well.
+    Each entry is scaled by the weight of its word lengths, entries of zero
+    weight are dropped, and the entries on one word pair are added in tower
+    order.  A symbol near the float range may overflow here; the inf or nan
+    it leaves makes the checks that read the result fail, so numpy is not
+    asked to warn about it as well.
     """
-    starts = np.searchsorted(space.lengths, np.arange(space.L_max + 2))
-    by_col = W[:, :, space.lengths]
-    out = np.zeros((space.dim, space.dim), dtype=complex)
+    ops = [_as_op(space, member) for member in tower]
+    m = np.repeat(np.arange(len(ops)), [op.rows.size for op in ops])
+    rows = np.concatenate([op.rows for op in ops])
+    cols = np.concatenate([op.cols for op in ops])
+    lengths = _word_values(space, space.lengths)
+    w = W[m, lengths[rows], lengths[cols]]
+    keep = np.nonzero(w)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, a in zip(*np.nonzero(W.any(axis=2))):
-            rows = slice(starts[a], starts[a + 1])
-            out[rows] += by_col[m, a] * tower[m][rows]
-    return out
+        blocks = w[keep, None, None] * np.concatenate([op.blocks for op in ops])[keep]
+        out = _coalesce(rows[keep], cols[keep], blocks, len(space.words))
+    return _like(tower[0], StructuredOperator(space, *out, name="sum"))
 
 
 def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
@@ -442,8 +606,8 @@ def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
     return W
 
 
-def phi_block_matrix(space: FockSpace, variant: int, x, y, A: np.ndarray) -> np.ndarray:
-    """Phi^(variant)_{x,y} on a matrix."""
+def phi_block_matrix(space: FockSpace, variant: int, x, y, A):
+    """Phi^(variant)_{x,y} on an operator or a matrix."""
     return weighted_sum(space, phi_weights(space, variant, x, y), tower(space, A))
 
 
@@ -454,20 +618,22 @@ def phi_cb_bound(space: FockSpace, x, y) -> float:
         u = { D_{(S*)^n x},  D_{S^n x} R_zeta },   v likewise from y.
 
     The exact partition of shifted weights makes both sums multiples of the
-    identity, so the value never exceeds ||x||_2 ||y||_2.
+    identity, so the value never exceeds ||x||_2 ||y||_2.  Every term is a
+    diagonal map D times a diagonal operator times D*, a row and column
+    scaling of entries.
     """
     def side(v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=complex).ravel()
-        total = np.zeros((space.dim, space.dim), dtype=complex)
+        v = tuple(np.asarray(v, dtype=complex).ravel())
+        terms = []
         for n in range(len(v)):
-            dn = diag(space, ShiftedVector(tuple(v), n, "backward")).matrix()
-            total += dn @ dn.conj().T
-        B = np.eye(space.dim, dtype=complex)
+            dn = diag(space, ShiftedVector(v, n, "backward"))
+            terms.append(dn @ dn.adjoint())
+        B = identity_op(space)
         for n in range(1, space.L_max + 1):
             B = rho_matrix(space, B)  # rho^n(Id) = Q_n on the truncated space
-            dn = diag(space, ShiftedVector(tuple(v), n, "forward")).matrix()
-            total += dn @ B @ dn.conj().T
-        return op_norm(total)
+            dn = diag(space, ShiftedVector(v, n, "forward"))
+            terms.append(dn @ B @ dn.adjoint())
+        return op_norm(op_sum(space, terms))
 
     return float(np.sqrt(side(x)) * np.sqrt(side(y)))
 
@@ -552,10 +718,7 @@ class GeneratorWord:
             factors.append(annihilation(space, self.ann_letters[j]))
             if ann_coeffs[j] is not None:
                 factors.append(left_mult(space, ann_coeffs[j]))
-        op = factors[0] if factors else identity_op(space)
-        for factor in factors[1:]:
-            op = op @ factor
-        return StructuredOperator(space, op.matrix, name="gen(k=%d,l=%d)" % (self.k, self.l))
+        return op_product(space, factors, "gen(k=%d,l=%d)" % (self.k, self.l))
 
 
 def case_of(w: GeneratorWord) -> CaseTag:
@@ -622,7 +785,8 @@ class RadialMultiplier:
         self.weights = self.t1_weights + self.t2_weights
         self.weights[0] += self.limit
 
-    def apply_matrix(self, A: np.ndarray) -> np.ndarray:
+    def apply_matrix(self, A):
+        """T(A) for an operator, or for a dense matrix as a matrix."""
         return weighted_sum(self.space, self.weights, tower(self.space, A))
 
 
@@ -675,73 +839,97 @@ def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
             lab = jumped
 
 
-def _block_norm(A: np.ndarray, dense_cap: int) -> float | None:
-    """Largest singular value of ``A`` from one SVD per support component, or
-    None when some component exceeds ``dense_cap`` in both dimensions.
+def _rank_in_component(lab: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Rank of each node among the nodes of its component, in index order."""
+    order = np.argsort(lab, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[lab[order]]
+    return rank
+
+
+def _block_norm(e: Entries, dense_cap: int) -> float | None:
+    """Largest singular value of the matrix of ``e`` from one SVD per support
+    component, or None when some component exceeds ``dense_cap`` in both
+    dimensions.
 
     Rows and columns are the nodes of a bipartite graph whose edges are the
-    nonzero entries; permuting both by component makes ``A`` block diagonal,
-    whose singular values are those of its blocks.  All-zero rows and
-    columns belong to no block; only exact zeros split the graph.
+    entries; permuting both by component makes the matrix block diagonal,
+    whose singular values are those of its blocks.  Rows and columns without
+    entries belong to no block.
     """
-    r, c = np.nonzero(A)
-    if r.size == 0:
+    if e.rows.size == 0:
         return 0.0
-    n_r, n_c = A.shape
-    lab = _component_labels(r, n_r + c, n_r + n_c)
+    n_r, n_c = e.shape
+    lab = _component_labels(e.rows, n_r + e.cols, n_r + n_c)
     row_lab, col_lab = lab[:n_r], lab[n_r:]
     n_rows = np.bincount(row_lab, minlength=n_r + n_c)
     n_cols = np.bincount(col_lab, minlength=n_r + n_c)
-    # an all-zero row or column is a component of its own with no partner
+    # a row or column without entries is a component of its own with no partner
     comps = np.flatnonzero(n_rows * n_cols)
     a, b = n_rows[comps], n_cols[comps]
     if np.minimum(a, b).max() > dense_cap:
         return None
-    # rows and columns ordered by component; each component's run starts at
-    # the exclusive prefix sum of its size
-    rows = np.argsort(row_lab, kind="stable")
-    cols = np.argsort(col_lab, kind="stable")
-    row_start = (np.cumsum(n_rows) - n_rows)[comps]
-    col_start = (np.cumsum(n_cols) - n_cols)[comps]
-    # components grouped by block shape, one batched SVD per shape
-    shape = a * (n_c + 1) + b
-    order = np.argsort(shape, kind="stable")
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(shape[order])) + 1, [order.size]))
+    # components grouped by block shape, one batched SVD per shape; in its
+    # group's stack a component sits at its rank among the group's
+    # components, and a row (column) at its rank in the component
+    shapes, group, counts = np.unique(a * (n_c + 1) + b, return_inverse=True,
+                                      return_counts=True)
+    slot = _rank_in_component(group, counts)
+    comp = np.empty(n_r + n_c, dtype=np.intp)
+    comp[comps] = np.arange(comps.size)
+    ent = comp[row_lab[e.rows]]
+    row_rank = _rank_in_component(row_lab, n_rows)
+    col_rank = _rank_in_component(col_lab, n_cols)
+    by_group = np.argsort(group[ent], kind="stable")
+    ends = np.cumsum(np.bincount(group[ent], minlength=shapes.size))
     best = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        grp = order[lo:hi]
-        ri = rows[row_start[grp, None] + np.arange(a[grp[0]])]
-        ci = cols[col_start[grp, None] + np.arange(b[grp[0]])]
-        blocks = A[ri[:, :, None], ci[:, None, :]]
+    for shape, count, sel in zip(shapes, counts, np.split(by_group, ends[:-1])):
+        blocks = np.zeros((count,) + divmod(int(shape), n_c + 1), dtype=complex)
+        blocks[slot[ent[sel]], row_rank[e.rows[sel]], col_rank[e.cols[sel]]] = e.values[sel]
         best = max(best, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
     return best
 
 
-def op_norm(A: np.ndarray, seed: int = 0, rel_tol: float = 1e-8, max_iter: int = 5000,
-            dense_cap: int = DENSE_CAP) -> float:
-    """Spectral norm of a matrix, the package's only one.
-
-    The matrix is split into the connected components of its support (rows
-    and columns joined by nonzero entries) and each component gets an exact
-    SVD, batched by block shape; the largest first singular value is the
-    norm.  A component larger than ``dense_cap`` in both dimensions sends
-    the whole matrix to seeded power iteration, and a matrix with no side
-    longer than ``SPLIT_MIN`` (nor ``dense_cap``) gets one SVD whole.  An
-    empty or all-zero matrix has norm 0, and a matrix with a non-finite
-    entry has norm inf (not nan, which ``max`` would silently drop).
-    """
+def _scalar_entries(A) -> Entries:
+    """The nonzero scalar entries of an operator, of an Entries or of an array."""
+    if isinstance(A, StructuredOperator):
+        return A.entries()
+    if isinstance(A, Entries):
+        keep = np.flatnonzero(A.values)
+        return Entries(A.rows[keep], A.cols[keep], A.values[keep], A.shape)
     A = np.asarray(A, dtype=complex)
-    if A.size == 0:
+    r, c = np.nonzero(A)
+    return Entries(r, c, A[r, c], A.shape)
+
+
+def op_norm(A, seed: int = 0, rel_tol: float = 1e-8, max_iter: int = 5000,
+            dense_cap: int = DENSE_CAP) -> float:
+    """Spectral norm of an operator, an :class:`Entries` or an array, the
+    package's only one.
+
+    It works on the nonzero scalar entries (exact zeros dropped first).  The
+    matrix is split into the connected components of their support (rows
+    and columns joined by entries) and each component gets an exact SVD,
+    batched by block shape; the largest first singular value is the norm.
+    A component larger than ``dense_cap`` in both dimensions sends the whole
+    matrix to seeded power iteration, and an operand with no side longer
+    than ``SPLIT_MIN`` (nor ``dense_cap``) gets one SVD whole.  An empty or
+    all-zero operand has norm 0, and one with a non-finite entry has norm
+    inf (not nan, which ``max`` would silently drop).
+    """
+    e = _scalar_entries(A)
+    if 0 in e.shape:
         return 0.0
-    if not np.isfinite(A).all():
+    if not np.isfinite(e.values).all():
         return float("inf")
-    if max(A.shape) <= min(SPLIT_MIN, dense_cap):
-        return float(np.linalg.svd(A, compute_uv=False)[0])
-    norm = _block_norm(A, dense_cap)
+    if max(e.shape) <= min(SPLIT_MIN, dense_cap):
+        return float(np.linalg.svd(e.matrix(), compute_uv=False)[0])
+    norm = _block_norm(e, dense_cap)
     if norm is not None:
         return norm
-    return _power_iteration(lambda v: A @ v, lambda v: A.conj().T @ v,
-                            A.shape[1], seed, rel_tol, max_iter)
+    return _power_iteration(lambda v: _sum_at(e.rows, e.values * v[e.cols], e.shape[0]),
+                            lambda w: _sum_at(e.cols, e.values.conj() * w[e.rows], e.shape[1]),
+                            e.shape[1], seed, rel_tol, max_iter)
 
 
 def adjoint_check(a: StructuredOperator, a_star: StructuredOperator, tol: float = 1e-12,

@@ -22,11 +22,11 @@ import numpy as np
 
 from .algebra import FactorElement, cond_exp
 from .fock import FockSpace, FockVector, Word, lambda_span
-from .operators import (CaseTag, GeneratorWord, ShiftedVector,
-                        StructuredOperator, adjoint_check, alternating_letter_tuples,
-                        annihilation, build_T, creation, diag, ends_in_factor_op,
-                        epsilon_matrix, left_mult, length_at_least_op,
-                        length_exactly_op, op_norm, partition_identity_residual,
+from .operators import (CaseTag, GeneratorWord, ShiftedVector, StructuredOperator,
+                        adjoint_check, alternating_letter_tuples, amplify, annihilation,
+                        build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
+                        identity_op, left_mult, length_at_least_op, length_exactly_op,
+                        op_norm, op_product, op_sum, partition_identity_residual,
                         phi_cb_bound, phi_weights, right_annihilation, right_creation,
                         right_mult, rho_matrix, start_complement_op, tower,
                         weighted_sum, zero_op)
@@ -34,12 +34,13 @@ from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
 from .symbols import norm_C, psi_decompose
 
 
-def _masked_max(A: np.ndarray, col_mask: np.ndarray) -> float:
-    """Largest entry of the columns surviving the guard mask; 0 when none do."""
-    sub = A[:, col_mask]
-    if sub.size == 0:
-        return 0.0
-    return float(np.abs(sub).max())
+def _masked_max(op: StructuredOperator, col_mask=None) -> float:
+    """Largest entry of the operator's matrix in the columns the guard mask
+    keeps (all columns without a mask); 0 when it has none there."""
+    blocks = op.blocks
+    if col_mask is not None:
+        blocks = blocks[col_mask[op.cols * op.space.dim_N]]
+    return float(np.abs(blocks).max()) if blocks.size else 0.0
 
 
 def embed(space: FockSpace, a: FactorElement) -> StructuredOperator:
@@ -56,7 +57,7 @@ def embed(space: FockSpace, a: FactorElement) -> StructuredOperator:
     fac = a.factor
     basis = fac.pp_basis()
     guard = start_complement_op(space, idx)
-    total = None
+    terms = []
     for j, ej in enumerate(basis):
         up = guard if j == 0 else creation(space, (idx, j))
         ej_star = ej.star()
@@ -65,11 +66,10 @@ def embed(space: FockSpace, a: FactorElement) -> StructuredOperator:
             if not np.any(np.abs(coef) > 0):
                 continue
             down = guard if k == 0 else annihilation(space, (idx, k))
-            term = up @ left_mult(space, coef) @ down
-            total = term if total is None else total + term
-    if total is None:
+            terms.append(op_product(space, [up, left_mult(space, coef), down], "term"))
+    if not terms:
         return zero_op(space)
-    return StructuredOperator(space, total.matrix, name="embed")
+    return op_sum(space, terms, "embed")
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,10 @@ class ReducedWord:
 
 
 def word_operator(space: FockSpace, w: ReducedWord) -> StructuredOperator:
-    op = left_mult(space, w.coeffs[0])
+    factors = [left_mult(space, w.coeffs[0])]
     for a, b in zip(w.letters, w.coeffs[1:]):
-        op = op @ embed(space, a) @ left_mult(space, b)
-    return StructuredOperator(space, op.matrix, name="word(n=%d)" % w.length)
+        factors += [embed(space, a), left_mult(space, b)]
+    return op_product(space, factors, "word(n=%d)" % w.length)
 
 
 def vacuum_expectation(space: FockSpace, A: StructuredOperator) -> np.ndarray:
@@ -192,10 +192,9 @@ def fock_suite(space: FockSpace, seed: int = 0,
     # Q_n = Q_{n+1} + (length exactly n)
     worst = 0.0
     for n in range(space.L_max):
-        qn = length_at_least_op(space, n).matrix()
-        qn1 = length_at_least_op(space, n + 1).matrix()
-        en = length_exactly_op(space, n).matrix()
-        worst = max(worst, float(np.abs(qn - qn1 - en).max()))
+        split = (length_at_least_op(space, n) - length_at_least_op(space, n + 1)
+                 - length_exactly_op(space, n))
+        worst = max(worst, _masked_max(split))
     report.add("fock_length_projection_split", worst, tol)
 
     # the length-k spanning families have full rank jointly
@@ -250,8 +249,7 @@ def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
     ops = [(creation(space, letter), rb), (annihilation(space, letter), rb),
            (right_creation(space, letter), rb_twisted),
            (diag(space, x[:space.L_max + 2]), rb), (ends_in_factor_op(space, 0), rb),
-           (StructuredOperator(space, lambda: rho_matrix(space, np.eye(space.dim)),
-                               name="rho(Id)"), rb)]
+           (rho_matrix(space, identity_op(space)), rb)]
     for op, rb_out in ops:
         for _ in range(3):
             v = _random_vector(rng, space)
@@ -259,9 +257,9 @@ def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
     report.add("right_module_blocks", worst, tol)
 
     # rho(Id) = Q_1 and epsilon(Id) = Q_1 on the truncated space
-    q1 = length_at_least_op(space, 1).matrix()
-    res_rho = float(np.abs(rho_matrix(space, np.eye(space.dim)) - q1).max())
-    res_eps = float(np.abs(epsilon_matrix(space, np.eye(space.dim)) - q1).max())
+    q1 = length_at_least_op(space, 1)
+    res_rho = _masked_max(rho_matrix(space, identity_op(space)) - q1)
+    res_eps = _masked_max(epsilon_matrix(space, identity_op(space)) - q1)
     report.add("rho_of_identity", res_rho, tol)
     report.add("epsilon_of_identity", res_eps, tol)
 
@@ -325,22 +323,21 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     res_t = 0.0
     res_t12 = 0.0
     for gw in gens:
-        a_mat = gw.operator(space).matrix()
+        a = gw.operator(space)
         k, l = gw.k, gw.l
         case = gw.case
-        tw = tower(space, a_mat)
+        tw = tower(space, a)
 
         # rho^n(a) = a Q_{l+n}
         for n in range(1, max_rho_power + 1):
-            qmask = (space.lengths >= l + n).astype(complex)
-            target = a_mat * qmask[None, :]
+            target = a @ length_at_least_op(space, l + n)
             g = space.guard_mask(_gen_guard(space, gw, n))
             res_rho = max(res_rho, _masked_max(tw[n] - target, g))
 
         # epsilon case rules
         g = space.guard_mask(_gen_guard(space, gw, 1))
         if case is CaseTag.CASE2:
-            res_eps = max(res_eps, _masked_max(tw[L + 1] - a_mat, g))
+            res_eps = max(res_eps, _masked_max(tw[L + 1] - a, g))
         else:
             res_eps = max(res_eps, _masked_max(tw[L + 1] - tw[1], g))
 
@@ -354,7 +351,7 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
             scalar2 = scalar1
         for i, scalar in enumerate((scalar1, scalar2)):
             phi_a = weighted_sum(space, phi_stacks[i], tw)
-            res_phi[i] = max(res_phi[i], _masked_max(phi_a - scalar * a_mat, g))
+            res_phi[i] = max(res_phi[i], _masked_max(phi_a - scalar * a, g))
 
         # multiplier rules
         for (phi, T), (_, dec) in zip(mults, decs):
@@ -362,12 +359,12 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
             t2 = weighted_sum(space, T.t2_weights, tw)
             want1 = dec.psi1(k + l)
             want2 = dec.psi2(k + l) if case is CaseTag.CASE1 else dec.psi2(k + l - 2)
-            res_t12 = max(res_t12, _masked_max(t1 - want1 * a_mat, g))
-            res_t12 = max(res_t12, _masked_max(t2 - want2 * a_mat, g))
+            res_t12 = max(res_t12, _masked_max(t1 - want1 * a, g))
+            res_t12 = max(res_t12, _masked_max(t2 - want2 * a, g))
             n_eff = k + l if case is CaseTag.CASE1 else k + l - 1
             want = phi(n_eff)
             total = weighted_sum(space, T.weights, tw)
-            res_t = max(res_t, _masked_max(total - want * a_mat, g))
+            res_t = max(res_t, _masked_max(total - want * a, g))
 
     report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
     report.add("epsilon_case_rules", res_eps, tol)
@@ -393,23 +390,21 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     res_action = 0.0
     res_vacuum = 0.0
     first = {}  # the first word operator of each length, reused below
+    vac = space.guard_mask(0)  # the vacuum columns, always guarded
     for n in range(0, max_len + 1):
         guard = space.guard_mask(space.L_max - n)
         for _ in range(words_per_length):
-            A = word_operator(space, random_reduced_word(rng, space, n)).matrix()
+            A = word_operator(space, random_reduced_word(rng, space, n))
             first.setdefault(n, A)
             for phi, T in mults:
                 TA = T.apply_matrix(A)
                 # an overflowing symbol leaves inf or nan here, failing the checks
                 with np.errstate(over="ignore", invalid="ignore"):
-                    diff = (TA - phi(n) * A)[:, guard]
-                    vac_diff = TA[:, :space.dim_N] - phi(n) * A[:, :space.dim_N]
-                scale = max(op_norm(A[:, guard]), 1e-30)
-                res_action = max(res_action, op_norm(diff) / scale)
-                # vacuum column is always guarded
-                vac = A[:, :space.dim_N]
-                res_vacuum = max(res_vacuum, float(np.abs(vac_diff).max())
-                                 / max(float(np.abs(vac).max()), 1e-30))
+                    diff = TA - phi(n) * A
+                scale = max(op_norm(A.entries().columns(guard)), 1e-30)
+                res_action = max(res_action, op_norm(diff.entries().columns(guard)) / scale)
+                res_vacuum = max(res_vacuum,
+                                 _masked_max(diff, vac) / max(_masked_max(A, vac), 1e-30))
     report.add("theorem_action_on_words", res_action, tol,
                lengths=max_len, per_length=words_per_length, symbols=len(mults))
     report.add("theorem_vacuum_coefficients", res_vacuum, tol)
@@ -424,10 +419,10 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     diff = T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A) - be * T0.apply_matrix(B)
     res_lin = op_norm(diff) / max(op_norm(A), 1.0)
-    lam = left_mult(space, space.base.random(rng)).matrix()
+    lam = left_mult(space, space.base.random(rng))
     guard = space.guard_mask(space.L_max - max(1, max_len))
-    diff = (T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam)[:, guard]
-    res_mod = op_norm(diff) / max(op_norm(A), 1.0)
+    diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
+    res_mod = op_norm(diff.entries().columns(guard)) / max(op_norm(A), 1.0)
     report.add("multiplier_linearity", res_lin, 1e-12)
     report.add("multiplier_right_module", res_mod, tol)
     return report
@@ -436,20 +431,21 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
 def amplified_samples(rng, space: FockSpace, T, samples: int, amplifications, terms: int):
     """Yield ``(sum C_i (x) A_i, sum C_i (x) T(A_i))`` for ``samples`` random
     combinations of ``terms`` generator words A_i, once per amplification m,
-    with random complex m x m coefficient blocks C_i."""
+    with random complex m x m coefficient blocks C_i.  Both are scalar
+    :class:`~radmul.operators.Entries` of the (m dim) x (m dim) matrix,
+    built by ``amplify`` without the dense array."""
     for _ in range(samples):
         kls = [(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
                for _ in range(terms)]
         gens = [random_generator_word(rng, space, k, l) for k, l in kls]
-        mats = [g.operator(space).matrix() for g in gens]
-        tmats = [T.apply_matrix(A) for A in mats]
+        ops = [g.operator(space) for g in gens]
+        tops = [T.apply_matrix(A) for A in ops]
         for m in amplifications:
             blocks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-                      for _ in mats]
+                      for _ in ops]
             # an overflowing symbol leaves inf or nan in tbig; op_norm reads inf
             with np.errstate(over="ignore", invalid="ignore"):
-                pair = (sum(np.kron(C, A) for C, A in zip(blocks, mats)),
-                        sum(np.kron(C, A) for C, A in zip(blocks, tmats)))
+                pair = (amplify(blocks, ops), amplify(blocks, tops))
             yield pair
 
 
@@ -461,8 +457,9 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     Upper: sup ||(id_m (x) T)(a)|| / ||a|| <= class-C norm + tol over random
     combinations of generator words with m x m scalar coefficient blocks.
     Lower: the scaling action attains |phi(n)| on pure creation words.
-    Norms come from ``op_norm``: the amplified matrices are sparse on word
-    indices, so each is an exact SVD of its many small support components.
+    Norms come from ``op_norm`` on the entries of the amplified matrices,
+    which are never built densely: they are sparse on word indices, so each
+    norm is an exact SVD of their many small support components.
     """
     rng = np.random.default_rng([seed, 6])
     report = VerificationReport()
@@ -483,7 +480,7 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
         for n in range(0, min(3, space.L_max) + 1):
             want = max(want, abs(phi(n)))
             cre = alternating_letter_tuples(space, n)[0] if n else ()
-            A = GeneratorWord(cre, ()).operator(space).matrix()
+            A = GeneratorWord(cre, ()).operator(space)
             na = op_norm(A)
             if na > 0:
                 attained = max(attained, op_norm(T.apply_matrix(A)) / na)
@@ -504,18 +501,16 @@ def embedding_suite(space: FockSpace, seed: int = 0,
     res_unit = 0.0
     guard = space.guard_mask(space.L_max - 2)
     for i, fac in enumerate(space.amalgam.factors):
-        one = embed(space, fac.identity()).matrix()
-        res_unit = max(res_unit, float(
-            np.abs((one - np.eye(space.dim))[:, space.guard_mask(space.L_max - 1)]).max()))
+        one = embed(space, fac.identity())
+        res_unit = max(res_unit, _masked_max(one - identity_op(space),
+                                             space.guard_mask(space.L_max - 1)))
         for _ in range(3):
             a = fac.random(rng)
             b = fac.random(rng)
             ea, eb = embed(space, a), embed(space, b)
             eab = embed(space, a * b)
-            diff = (ea.matrix() @ eb.matrix() - eab.matrix())[:, guard]
-            res_mult = max(res_mult, float(np.abs(diff).max()))
-            diff = embed(space, a.star()).matrix() - ea.matrix().conj().T
-            res_star = max(res_star, float(np.abs(diff).max()))
+            res_mult = max(res_mult, _masked_max(ea @ eb - eab, guard))
+            res_star = max(res_star, _masked_max(embed(space, a.star()) - ea.adjoint()))
             # N-valued matrix coefficients against the basis vectors
             basis = fac.pp_basis()
             for lidx, el in enumerate(basis):
@@ -540,15 +535,15 @@ def word_vacuum_images(space: FockSpace, max_len: int) -> list:
     every word (g_1, ..., g_n) of length <= max_len (in basis order) and
     every N-basis element b.
 
-    Each is the vacuum array multiplied, right to left, by the matrices of
-    left_mult(b) and of the letters' embeddings, each materialized once;
-    the word operator's interior coefficients are identities, so this is
+    Each is the vacuum array multiplied, right to left, by left_mult(b) and
+    by the letters' embeddings, each built once; the word operator's
+    interior coefficients are identities, so this is
     word_operator(...)(vacuum) without building one operator per word.
     """
-    embeds = {(i, g): embed(space, space.amalgam.factor(i).unitary(g)).matrix()
+    embeds = {(i, g): embed(space, space.amalgam.factor(i).unitary(g))
               for i, g in space.amalgam.letters()}
     vac = space.vacuum().to_array()
-    starts = [left_mult(space, b).matrix() @ vac for b in space.base.basis()]
+    starts = [left_mult(space, b) @ vac for b in space.base.basis()]
     out = []
     for w in space.words:
         if len(w) > max_len:

@@ -4,7 +4,9 @@ The package builds every operator as a matrix scattered from word-index
 arrays.  The rules here act on one :class:`~radmul.fock.FockVector` at a
 time, word by word, as the definitions read; ``column_matrix`` turns a rule
 into the matrix it defines, column by column.  ``weighted_sum_dense`` is the
-weight-stack sum with every table expanded to a full matrix.
+weight-stack sum with every table expanded to a full matrix, and
+``rho_dense``, ``epsilon_dense`` and ``tower_dense`` are rho, epsilon and
+the tower on dense matrices, gathered and scattered block by block.
 """
 
 import numpy as np
@@ -72,3 +74,55 @@ def weighted_sum_dense(space, W, tower):
     full dim x dim array by the row and column word lengths."""
     ell = space.lengths
     return sum(W[m][np.ix_(ell, ell)] * tower[m] for m in range(len(tower)))
+
+
+def _word_blocks(space, A):
+    """View of a dim x dim matrix as (word, word, dim_N, dim_N) blocks."""
+    n, k = len(space.words), space.dim_N
+    return A.reshape(n, k, n, k).transpose(0, 2, 1, 3)
+
+
+def right_letter_maps(space):
+    """Per letter gamma = (i, g): the words R_{gamma*} is defined on, their
+    images w gamma* and the coordinate matrix of alpha_g."""
+    out = []
+    for i, g in space.amalgam.letters():
+        fac = space.amalgam.factor(i)
+        appended = (i, fac.group.inv(g))
+        src = [j for j, w in enumerate(space.words)
+               if len(w) < space.L_max and w.last_factor != i]
+        dst = [space.word_index[space.words[j].append(appended)] for j in src]
+        W = fac.unitaries[g]
+        out.append((np.array(src, dtype=int), np.array(dst, dtype=int), np.kron(W, W.conj())))
+    return out
+
+
+def rho_dense(space, A):
+    """sum_gamma R A R^* on a dense matrix: per letter, gather the (src, src)
+    blocks of A, conjugate each by the alpha block and scatter them to
+    (dst, dst); the letters' target words end differently, so the scatters
+    never overlap."""
+    A = _word_blocks(space, np.asarray(A, dtype=complex))
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out4 = _word_blocks(space, out)
+    for src, dst, blk in right_letter_maps(space):
+        out4[dst[:, None], dst] = np.einsum("ab,ijbc,dc->ijad", blk,
+                                            A[src[:, None], src], blk.conj())
+    return out
+
+
+def epsilon_dense(space, A):
+    """Keep the entries whose row and column words end in the same factor."""
+    lf = space.last_factors
+    return ((lf[:, None] == lf[None, :]) & (lf[:, None] >= 0)) * np.asarray(A, dtype=complex)
+
+
+def tower_dense(space, A):
+    """[A, rho(A), ..., rho^L(A), eps(A), rho(eps(A)), ..., rho^{L-1}(eps(A))]."""
+    out = [np.asarray(A, dtype=complex)]
+    for _ in range(space.L_max):
+        out.append(rho_dense(space, out[-1]))
+    out.append(epsilon_dense(space, A))
+    for _ in range(space.L_max - 1):
+        out.append(rho_dense(space, out[-1]))
+    return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
-from radmul.fock import (Amalgam, FockSpace, SectorProjection, Word,
+from radmul.fock import (Amalgam, FockSpace, FockVector, SectorProjection, Word,
                          canonicalize, enumerate_words, lambda_span)
 from radmul.operators import sector_operator
 
@@ -144,6 +144,24 @@ def test_coordinate_maps_match_word_loop(mat2_space):
         back[j * k:(j + 1) * k] = b.reshape(-1) / s
     assert np.array_equal(got.to_array(), back)
     assert space.to_array(space.zero_vector()).shape == (space.dim,)
+
+
+def test_vector_constructor_matches_word_loop(mat2_space):
+    # oracle: one word at a time, dropping over-length and all-zero words
+    space = mat2_space
+    rng = np.random.default_rng(7)
+    words = list(space.words[:6]) + [Word(((0, 1), (1, 1)) * 3)]  # beyond L_max = 5
+    coeffs = {w: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for w in words}
+    coeffs[words[2]] = np.zeros((2, 2))
+    coeffs[words[4]] = np.array([[0, 1e-300], [0, 0]])  # a tiny entry keeps its word
+    coeffs[words[5]] = np.eye(2, dtype=int)  # cast to complex
+    want = {w: np.asarray(b, dtype=complex) for w, b in coeffs.items()
+            if len(w) <= space.L_max and np.any(b)}
+    got = FockVector(space, coeffs).coeffs
+    assert list(got) == list(want)
+    assert all(got[w].dtype == complex and np.array_equal(got[w], want[w]) for w in want)
+    assert FockVector(space, {}).coeffs == {}
+    assert FockVector(space, {words[-1]: np.eye(2)}).coeffs == {}
 
 
 # ---------------------------------------------------------------- projections

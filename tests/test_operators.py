@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from radmul.algebra import cond_exp
 from radmul.fock import Word
-from oracles import (append_star, column_matrix, left_action, prepend, right_action,
-                     strip_first, strip_star, weighted_sum_dense)
-from radmul.operators import (SPLIT_MIN, CaseTag, GeneratorWord, ShiftedVector,
-                              adjoint_check, alternating_letter_tuples, annihilation, build_T,
-                              case_of, creation, diag, epsilon_matrix,
+from oracles import (append_star, column_matrix, epsilon_dense, left_action, prepend,
+                     right_action, rho_dense, strip_first, strip_star, tower_dense,
+                     weighted_sum_dense)
+from radmul.operators import (SPLIT_MIN, CaseTag, Entries, GeneratorWord, ShiftedVector,
+                              StructuredOperator, adjoint_check, alternating_letter_tuples,
+                              annihilation, build_T, case_of, creation, diag, epsilon_matrix,
                               identity_op, left_mult, length_at_least_op, op_norm,
                               partition_identity_residual,
                               phi_block_matrix, phi_cb_bound, right_annihilation,
@@ -14,7 +16,8 @@ from radmul.operators import (SPLIT_MIN, CaseTag, GeneratorWord, ShiftedVector,
                               zero_op)
 from radmul.symbols import (ConstantTail, RadialSymbol, factorize, hankel_pair,
                             psi_decompose)
-from radmul.verify import amplified_samples, random_generator_word
+from radmul.verify import (ReducedWord, amplified_samples, embed, random_generator_word,
+                           random_reduced_word, word_operator)
 
 SPACES = ["dih_space", "mat2_space", "cy3_space", "noncomm_space"]
 SCALAR_BASE = {"dih_space", "cy3_space"}
@@ -418,6 +421,157 @@ def test_weighted_sum_matches_expanded_tables(request, name):
     want = weighted_sum_dense(space, W, tw)
     assert np.abs(weighted_sum(space, W, tw) - want).max() <= 1e-14 * np.abs(want).max()
 
+# ---------------------------------------------------------------- entries against dense oracles
+
+def random_operator(space, rng, density=0.2):
+    """Operator with random blocks on a random set of word pairs."""
+    n, k = len(space.words), space.dim_N
+    r, c = np.nonzero(rng.random((n, n)) < density)
+    return StructuredOperator(space, r, c, random_complex(rng, (r.size, k, k)), "random")
+
+
+def entry_cases(space, rng):
+    """A random operator, the empty operator and one whose blocks are all zero."""
+    op = random_operator(space, rng)
+    return [op, zero_op(space),
+            StructuredOperator(space, op.rows, op.cols, np.zeros_like(op.blocks), "zeros")]
+
+
+def assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_entry_rho_epsilon_tower_match_dense_oracles(request, name):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(21)
+    L = space.L_max
+    for op in entry_cases(space, rng):
+        A = op.matrix()
+        rho = rho_matrix(space, op)
+        assert isinstance(rho, StructuredOperator)
+        assert_close(rho.matrix(), rho_dense(space, A))
+        assert_close(epsilon_matrix(space, op).matrix(), epsilon_dense(space, A))
+        tw, want = tower(space, op), tower_dense(space, A)
+        assert len(tw) == len(want) == 2 * L + 1
+        for member, dense in zip(tw, want):
+            assert_close(member.matrix(), dense)
+        W = random_complex(rng, (2 * L + 1, L + 1, L + 1))
+        W[[2, L + 1]] = 0
+        assert_close(weighted_sum(space, W, tw).matrix(), weighted_sum_dense(space, W, want))
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_product_matches_dense_product(request, name):
+    # left factors: a partial word map (a gather), a map sending every word
+    # to the vacuum (a gather whose rows repeat) and a random operator (a join)
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(26)
+    n, k = len(space.words), space.dim_N
+    to_vacuum = StructuredOperator(space, np.zeros(n, dtype=int), np.arange(n),
+                                   random_complex(rng, (n, k, k)), "to vacuum")
+    for a in (creation(space, space.amalgam.letters()[-1]), to_vacuum,
+              random_operator(space, rng)):
+        for b in entry_cases(space, rng):
+            want = a.matrix() @ b.matrix()
+            assert_close((a @ b).matrix(), want)
+            assert_close((a + b).matrix(), a.matrix() + b.matrix())
+            assert_close((a - 2j * b.adjoint()).matrix(), a.matrix() - 2j * b.matrix().conj().T)
+
+
+def dense_embed(space, a):
+    """Oracle: sum_{j,k} L_{e_j} E(e_j* a e_k) L*_{e_k} as dense matrices from
+    the word-level rules, the e_0 slots being the projection onto words that
+    do not start in the factor."""
+    i = next(j for j, fac in enumerate(space.amalgam.factors) if fac is a.factor)
+    basis = a.factor.pp_basis()
+    guard = np.diag(np.repeat([w.first_factor != i for w in space.words],
+                              space.dim_N)).astype(complex)
+    total = np.zeros((space.dim, space.dim), dtype=complex)
+    for j, ej in enumerate(basis):
+        up = guard if j == 0 else column_matrix(space, prepend(space, (i, j)))
+        for k, ek in enumerate(basis):
+            down = guard if k == 0 else column_matrix(space, strip_first(space, (i, k)))
+            coef = column_matrix(space, left_action(cond_exp(ej.star() * a * ek)))
+            total += np.linalg.multi_dot([up, coef, down])
+    return total
+
+
+@pytest.mark.parametrize("name", ["dih_space", "mat2_space", "cy3_space", "noncomm_space"])
+def test_embed_and_word_operator_match_factor_products(request, name):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(22)
+    for fac in space.amalgam.factors:
+        a, b = fac.random(rng), fac.random(rng)
+        want = dense_embed(space, a)
+        assert np.abs(embed(space, a).matrix() - want).max() <= 1e-14 * np.abs(want).max()
+        # a product through an embed adds several terms on one word pair
+        want = want @ dense_embed(space, b)
+        got = (embed(space, a) @ embed(space, b)).matrix()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for n in (1, 2, 3):
+        w = random_reduced_word(rng, space, n)
+        mats = [column_matrix(space, left_action(w.coeffs[0]))]
+        for a, b in zip(w.letters, w.coeffs[1:]):
+            mats += [dense_embed(space, a), column_matrix(space, left_action(b))]
+        want = np.linalg.multi_dot(mats)
+        got = word_operator(space, w).matrix()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    b = space.base.random(rng)
+    got = word_operator(space, ReducedWord((), (b,), ())).matrix()
+    assert np.array_equal(got, left_mult(space, b).matrix())
+
+
+def random_entries(rng, n, density=0.08):
+    r, c = np.nonzero(rng.random((n, n)) < density)
+    values = random_complex(rng, r.size)
+    values[::5] = 0  # explicit zero values
+    return Entries(r, c, values, (n, n))
+
+
+# one operand on each side of SPLIT_MIN: a whole SVD and one per support block
+@pytest.mark.parametrize("n", [SPLIT_MIN - 8, SPLIT_MIN + 12])
+def test_op_norm_on_entries_matches_full_svd(n):
+    rng = np.random.default_rng(23)
+    e = random_entries(rng, n)
+    assert abs(op_norm(e) - svd_norm(e.matrix())) <= 1e-13 * svd_norm(e.matrix())
+    values = e.values.copy()
+    values[3] = np.inf
+    assert op_norm(Entries(e.rows, e.cols, values, e.shape)) == float("inf")
+    none = np.zeros(0, dtype=int)
+    assert op_norm(Entries(none, none, np.zeros(0, dtype=complex), (n, n))) == 0.0
+    assert op_norm(Entries(none, none, np.zeros(0, dtype=complex), (0, n))) == 0.0
+    assert op_norm(Entries(e.rows, e.cols, np.zeros(e.rows.size), e.shape)) == 0.0
+
+
+def test_op_norm_drops_explicit_zero_entries():
+    # 3 x 3 blocks linked only by explicit zero values: dropped first, the
+    # blocks stay below dense_cap and one power-iteration step is never taken
+    A = permuted_block_diagonal(np.random.default_rng(24), [(3, 3)] * 20)
+    r, c = np.nonzero(A)
+    link = np.arange(59)
+    e = Entries(np.concatenate([r, link]), np.concatenate([c, link + 1]),
+                np.concatenate([A[r, c], np.zeros(59)]), A.shape)
+    assert abs(op_norm(e, dense_cap=10, max_iter=1) - svd_norm(A)) <= 1e-13 * svd_norm(A)
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_op_norm_on_operators_matches_full_svd(request, name):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(25)
+    for op in entry_cases(space, rng):
+        want = svd_norm(op.matrix())
+        assert abs(op_norm(op) - want) <= 1e-13 * want
+
+
+def test_op_norm_of_generator_killed_by_T(dih_space):
+    # the preset symbol vanishes from length 2 on, so T leaves no entries
+    T = build_T(dih_space, RadialSymbol(head=(1.0, 1.0), tail=ConstantTail(0.0)))
+    TA = T.apply_matrix(GeneratorWord(((0, 1), (1, 1)), ()).operator(dih_space))
+    assert TA.rows.size == 0
+    assert op_norm(TA) == 0.0
+
+
 # ---------------------------------------------------------------- the multiplier
 
 def test_constant_symbol_gives_identity(dih_space):
@@ -594,7 +748,8 @@ def test_op_norm_matches_full_svd_on_amplified_samples(request, space_name):
     for big, tbig in amplified_samples(rng, space, T, samples=4,
                                        amplifications=(1, 2, 3), terms=3):
         for A in (big, tbig):
-            assert abs(op_norm(A) - svd_norm(A)) <= 1e-13 * svd_norm(A)
+            dense = A.matrix()
+            assert abs(op_norm(A) - svd_norm(dense)) <= 1e-13 * svd_norm(dense)
 
 
 def test_op_norm_small_blocks_above_dense_cap_stay_exact():
