@@ -14,8 +14,8 @@ from .algebra import (CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra,
                       cond_exp, e0_vanishing, pp_expand, pp_reconstruct,
                       verify_pp_basis)
 from .config import ConfigError, RunConfig, load_config, parse_config, preset_config
-from .fock import (Amalgam, FockSpace, FockVector, SectorProjection, Word,
-                   canonicalize, enumerate_words, lambda_span)
+from .fock import (Amalgam, FockSpace, FockVector, Word, canonicalize, enumerate_words,
+                   lambda_span)
 from .operators import (CaseTag, GeneratorWord, RadialMultiplier, ShiftedVector,
                         StructuredOperator, adjoint_check, annihilation, build_T,
                         case_of, creation, diag, epsilon_matrix, identity_op, left_mult,

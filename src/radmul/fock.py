@@ -114,70 +114,63 @@ def enumerate_words(amalgam: Amalgam, max_len: int) -> list:
 
 
 class FockVector:
-    """Finitely supported map from words to right N-coefficients."""
+    """Right N-coefficients of a vector, one per word of the space:
+    ``blocks[j]`` is the d x d coefficient of ``space.words[j]``."""
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "blocks")
 
     def __init__(self, space: "FockSpace", coeffs=None):
-        """Keep the complex coefficients of the words within the truncation
-        that are not all zero, filtered in one pass over the stacked blocks."""
+        """The vector with the given {word: coefficient} entries; words past
+        the truncation are dropped."""
         self.space = space
-        self.coeffs = {}
-        words = [w for w in coeffs or () if len(w) <= space.L_max]
-        if words:
-            blocks = np.asarray([coeffs[w] for w in words], dtype=complex)
-            keep = blocks.reshape(len(words), -1).any(axis=1)
-            self.coeffs = {w: b for w, b, k in zip(words, blocks, keep) if k}
+        d = space.base.d
+        self.blocks = np.zeros((len(space.words), d, d), dtype=complex)
+        for w, b in (coeffs or {}).items():
+            if len(w) <= space.L_max:
+                self.blocks[space.word_index[w]] = b
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients by word, in basis order."""
+        nonzero = np.flatnonzero(self.blocks.any(axis=(1, 2)))
+        return {self.space.words[j]: self.blocks[j] for j in nonzero}
 
     def coeff(self, word: Word) -> np.ndarray:
-        got = self.coeffs.get(word)
-        return got if got is not None else self.space.base.zero()
+        j = self.space.word_index.get(word)
+        return self.space.base.zero() if j is None else self.blocks[j]
 
     def items(self):
         return self.coeffs.items()
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(np.abs(b).max() <= tol for b in self.coeffs.values())
+        return bool(np.abs(self.blocks).max() <= tol)
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.coeffs)
-        for w, b in other.coeffs.items():
-            out[w] = out.get(w, 0) + b
-        return FockVector(self.space, out)
+        return _vector(self.space, self.blocks + other.blocks)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-1.0) * other
+        return _vector(self.space, self.blocks - other.blocks)
 
     def __rmul__(self, scalar) -> "FockVector":
-        return FockVector(self.space, {w: scalar * b for w, b in self.coeffs.items()})
+        return _vector(self.space, scalar * self.blocks)
 
     def __neg__(self) -> "FockVector":
-        return (-1.0) * self
+        return _vector(self.space, -self.blocks)
 
     def right_mul(self, b) -> "FockVector":
-        b = self.space.base.element(b)
-        return FockVector(self.space, {w: c @ b for w, c in self.coeffs.items()})
+        return _vector(self.space, self.blocks @ self.space.base.element(b))
 
     def left_mul(self, b) -> "FockVector":
-        """Left N-action: push b through every letter onto the right coefficient."""
-        b = self.space.base.element(b)
-        am = self.space.amalgam
-        out = {}
-        for w, c in self.coeffs.items():
-            pushed = b
-            for letter in w.letters:
-                pushed = am.push(pushed, letter)
-            out[w] = out.get(w, 0) + pushed @ c
-        return FockVector(self.space, out)
+        """Left N-action: b pushed through the letters of w is U_w b U_w*."""
+        U = self.space.push_unitaries()
+        pushed = U @ self.space.base.element(b) @ U.conj().transpose(0, 2, 1)
+        return _vector(self.space, pushed @ self.blocks)
 
     def inner_N(self, other: "FockVector") -> np.ndarray:
-        """N-valued inner product, conjugate-linear in self."""
-        out = self.space.base.zero()
-        for w, c in self.coeffs.items():
-            d = other.coeffs.get(w)
-            if d is not None:
-                out += c.conj().T @ d
-        return out
+        """N-valued inner product sum_w c_w* d_w, conjugate-linear in self,
+        added one word at a time in basis order."""
+        terms = self.blocks.conj().transpose(0, 2, 1) @ other.blocks
+        return np.cumsum(terms, axis=0)[-1]
 
     def inner(self, other: "FockVector") -> complex:
         return self.space.base.trace(self.inner_N(other))
@@ -189,17 +182,11 @@ class FockVector:
         return self.space.to_array(self)
 
 
-@dataclass(frozen=True)
-class SectorProjection:
-    """Diagonal projection keyed on word length or on the final factor;
-    :func:`radmul.operators.sector_operator` gives its operator."""
-
-    kind: str  # "length_at_least" | "length_exactly" | "ends_in_factor"
-    param: int
-
-    def __post_init__(self):
-        if self.kind not in ("length_at_least", "length_exactly", "ends_in_factor"):
-            raise ValueError("unknown sector projection %r" % (self.kind,))
+def _vector(space: "FockSpace", blocks: np.ndarray) -> FockVector:
+    """The vector of the space holding ``blocks`` as they are."""
+    vec = FockVector.__new__(FockVector)
+    vec.space, vec.blocks = space, blocks
+    return vec
 
 
 class FockSpace:
@@ -208,8 +195,8 @@ class FockSpace:
     The scalar orthonormal basis is (word, onb element of N) in
     length-lexicographic word order; its size is the dimension of every
     operator in :mod:`radmul.operators`.  The instance carries a cache dict
-    so operator-level helpers can memoize their word-index maps (letter
-    maps, right creations, push unitaries) per space.
+    so ``push_unitaries`` and the operator-level helpers can memoize their
+    word-index maps (letter maps, right creations) per space.
     """
 
     def __init__(self, amalgam: Amalgam, L_max: int):
@@ -245,20 +232,29 @@ class FockSpace:
         return FockVector(self, {word: coeff})
 
     def to_array(self, vec: FockVector) -> np.ndarray:
-        out = np.zeros((len(self.words), self.dim_N), dtype=complex)
-        if vec.coeffs:
-            rows = [self.word_index[w] for w in vec.coeffs]
-            out[rows] = np.reshape(list(vec.coeffs.values()), (len(rows), -1)) / self._scale
-        return out.reshape(-1)
+        return vec.blocks.reshape(-1) / self._scale
 
     def from_array(self, arr: np.ndarray) -> FockVector:
         d = self.base.d
-        blocks = np.asarray(arr, dtype=complex).reshape(len(self.words), d, d)
-        nonzero = np.flatnonzero(blocks.any(axis=(1, 2)))
-        vec = FockVector(self)
-        # already nonzero complex blocks of basis words: no per-word filter
-        vec.coeffs = dict(zip([self.words[j] for j in nonzero], blocks[nonzero] * self._scale))
-        return vec
+        blocks = np.asarray(arr, dtype=complex).reshape(len(self.words), d, d) * self._scale
+        return _vector(self, blocks)
+
+    def push_unitaries(self) -> np.ndarray:
+        """U_w per word, stacked (n_words, d, d): pushing b through w gives
+        U_w b U_w*, built on first use and cached.
+
+        Built by the prefix recursion U_{w gamma} = W_{g^{-1}} U_w, since
+        b u_g = u_g alpha_{g^{-1}}(b) and alpha_h = Ad(W_h).
+        """
+        if "push_unitaries" not in self.cache:
+            U = np.empty((len(self.words), self.base.d, self.base.d), dtype=complex)
+            U[0] = self.base.identity()
+            for j, w in enumerate(self.words[1:], start=1):
+                i, g = w.letters[-1]
+                fac = self.amalgam.factor(i)
+                U[j] = fac.unitaries[fac.group.inv(g)] @ U[self.word_index[w.drop_last()]]
+            self.cache["push_unitaries"] = U
+        return self.cache["push_unitaries"]
 
     def guard_mask(self, max_len: int) -> np.ndarray:
         """Scalar-basis indices whose word length stays within max_len."""

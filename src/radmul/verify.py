@@ -197,11 +197,12 @@ def fock_suite(space: FockSpace, seed: int = 0,
         worst = max(worst, _masked_max(split))
     report.add("fock_length_projection_split", worst, tol)
 
-    # the length-k spanning families have full rank jointly
-    vs = []
-    for kk in range(space.L_max + 1):
-        vs.extend(v.to_array() for v in lambda_span(space, kk))
-    G = np.stack(vs, axis=1)
+    # the length-k spanning families have full rank jointly; they hold one
+    # vector per word and N-basis element, written straight into G
+    G = np.zeros((space.dim, space.dim), dtype=complex)
+    span = (v for kk in range(space.L_max + 1) for v in lambda_span(space, kk))
+    for col, v in enumerate(span):
+        G[:, col] = v.to_array()
     rank = int(np.linalg.matrix_rank(G, tol=1e-10))
     report.add("fock_lambda_span_rank", float(space.dim - rank), 0.5,
                rank=rank, dim=space.dim)
@@ -214,7 +215,7 @@ def _random_vector(rng, space: FockSpace) -> FockVector:
 
 
 def _vec_max(v: FockVector) -> float:
-    return max((float(np.abs(b).max()) for b in v.coeffs.values()), default=0.0)
+    return float(np.abs(v.blocks).max())
 
 
 def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
@@ -530,10 +531,10 @@ def embedding_suite(space: FockSpace, seed: int = 0,
     return report
 
 
-def word_vacuum_images(space: FockSpace, max_len: int) -> list:
-    """Coordinate arrays of u_{g_1} ... u_{g_n} b applied to the vacuum, for
-    every word (g_1, ..., g_n) of length <= max_len (in basis order) and
-    every N-basis element b.
+def word_vacuum_images(space: FockSpace, max_len: int):
+    """Yield the coordinate arrays of u_{g_1} ... u_{g_n} b applied to the
+    vacuum, for every word (g_1, ..., g_n) of length <= max_len (in basis
+    order) and every N-basis element b.
 
     Each is the vacuum array multiplied, right to left, by left_mult(b) and
     by the letters' embeddings, each built once; the word operator's
@@ -544,15 +545,13 @@ def word_vacuum_images(space: FockSpace, max_len: int) -> list:
               for i, g in space.amalgam.letters()}
     vac = space.vacuum().to_array()
     starts = [left_mult(space, b) @ vac for b in space.base.basis()]
-    out = []
     for w in space.words:
         if len(w) > max_len:
             continue
         for vec in starts:
             for letter in reversed(w.letters):
                 vec = embeds[letter] @ vec
-            out.append(vec)
-    return out
+            yield vec
 
 
 def spanning_check(space: FockSpace, max_len=None) -> VerificationReport:
@@ -562,9 +561,11 @@ def spanning_check(space: FockSpace, max_len=None) -> VerificationReport:
     if max_len is None:
         max_len = space.L_max
     report = VerificationReport()
-    G = np.stack(word_vacuum_images(space, max_len), axis=1)
+    expected = int(np.count_nonzero(space.guard_mask(max_len)))
+    G = np.zeros((space.dim, expected), dtype=complex)
+    for col, vec in enumerate(word_vacuum_images(space, max_len)):
+        G[:, col] = vec
     rank = int(np.linalg.matrix_rank(G, tol=1e-10))
-    expected = G.shape[1]
     report.add("spanning_rank_len%d" % max_len, float(expected - rank), 0.5,
                rank=rank, expected=expected)
     return report

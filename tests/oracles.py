@@ -7,11 +7,13 @@ into the matrix it defines, column by column.  ``weighted_sum_dense`` is the
 weight-stack sum with every table expanded to a full matrix, and
 ``rho_dense``, ``epsilon_dense`` and ``tower_dense`` are rho, epsilon and
 the tower on dense matrices, gathered and scattered block by block.
+``as_op`` turns a dense matrix into the operator the package functions take.
 """
 
 import numpy as np
 
 from radmul.fock import FockVector
+from radmul.operators import StructuredOperator
 
 
 def column_matrix(space, rule):
@@ -61,8 +63,18 @@ def strip_star(space, letter):
 
 
 def left_action(b):
-    """Left N-action: push b through every letter onto the right coefficient."""
-    return lambda vec: vec.left_mul(b)
+    """Left N-action: push b through every letter onto the right coefficient,
+    one letter at a time."""
+    def rule(vec):
+        space = vec.space
+        out = {}
+        for w, c in vec.items():
+            pushed = space.base.element(b)
+            for letter in w.letters:
+                pushed = space.amalgam.push(pushed, letter)
+            out[w] = pushed @ c
+        return FockVector(space, out)
+    return rule
 
 
 def right_action(b):
@@ -80,6 +92,14 @@ def _word_blocks(space, A):
     """View of a dim x dim matrix as (word, word, dim_N, dim_N) blocks."""
     n, k = len(space.words), space.dim_N
     return A.reshape(n, k, n, k).transpose(0, 2, 1, 3)
+
+
+def as_op(space, A):
+    """A dense dim x dim matrix as an operator: one block per word pair
+    whose block is not all zero."""
+    blocks = _word_blocks(space, np.asarray(A, dtype=complex))
+    r, c = np.nonzero(blocks.any(axis=(2, 3)))
+    return StructuredOperator(space, r, c, blocks[r, c], name="array")
 
 
 def right_letter_maps(space):

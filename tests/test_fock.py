@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
-from radmul.fock import (Amalgam, FockSpace, FockVector, SectorProjection, Word,
-                         canonicalize, enumerate_words, lambda_span)
-from radmul.operators import sector_operator
+from radmul.fock import (Amalgam, FockSpace, FockVector, Word, canonicalize,
+                         enumerate_words, lambda_span)
+from radmul.operators import ends_in_factor_op, length_at_least_op, length_exactly_op
 
 V2 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -168,18 +168,19 @@ def test_vector_constructor_matches_word_loop(mat2_space):
 
 def test_projection_examples(dih_space):
     vac = dih_space.vacuum()
-    assert sector_operator(dih_space, SectorProjection("length_at_least", 1))(vac).is_zero()
+    assert length_at_least_op(dih_space, 1)(vac).is_zero()
+    for i in range(len(dih_space.amalgam.factors)):
+        assert ends_in_factor_op(dih_space, i)(vac).is_zero()
     w = dih_space.word_vector(Word(((0, 1), (1, 1))))
-    assert sector_operator(dih_space, SectorProjection("ends_in_factor", 0))(w).is_zero()
-    kept = sector_operator(dih_space, SectorProjection("ends_in_factor", 1))(w)
+    assert ends_in_factor_op(dih_space, 0)(w).is_zero()
+    kept = ends_in_factor_op(dih_space, 1)(w)
     assert not kept.is_zero()
 
 
 def test_projection_idempotent_selfadjoint(dih_space):
-    for p in (SectorProjection("length_at_least", 2),
-              SectorProjection("length_exactly", 1),
-              SectorProjection("ends_in_factor", 1)):
-        P = sector_operator(dih_space, p).matrix()
+    for op in (length_at_least_op(dih_space, 2), length_exactly_op(dih_space, 1),
+               ends_in_factor_op(dih_space, 1)):
+        P = op.matrix()
         assert np.allclose(P @ P, P)
         assert np.allclose(P.conj().T, P)
 
@@ -188,14 +189,9 @@ def test_projection_commutes_with_right_action(mat2_space):
     rng = np.random.default_rng(5)
     b = mat2_space.base.random(rng)
     v = mat2_space.from_array(rng.standard_normal(mat2_space.dim) + 0j)
-    P = sector_operator(mat2_space, SectorProjection("ends_in_factor", 1))
+    P = ends_in_factor_op(mat2_space, 1)
     diff = P(v.right_mul(b)) - P(v).right_mul(b)
     assert diff.is_zero(1e-13)
-
-
-def test_unknown_projection_kind_rejected():
-    with pytest.raises(ValueError):
-        SectorProjection("starts_with", 0)
 
 
 # ---------------------------------------------------------------- spanning sets

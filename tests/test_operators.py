@@ -3,7 +3,7 @@ import pytest
 
 from radmul.algebra import cond_exp
 from radmul.fock import Word
-from oracles import (append_star, column_matrix, epsilon_dense, left_action, prepend,
+from oracles import (append_star, as_op, column_matrix, epsilon_dense, left_action, prepend,
                      right_action, rho_dense, strip_first, strip_star, tower_dense,
                      weighted_sum_dense)
 from radmul.operators import (SPLIT_MIN, CaseTag, Entries, GeneratorWord, ShiftedVector,
@@ -186,11 +186,11 @@ def test_partition_identity_as_operators(dih_space):
     for n in range(len(x)):
         D = diag(dih_space, ShiftedVector(tuple(x), n, "backward")).matrix()
         total += D @ D.conj().T
-    Q = np.eye(dih_space.dim, dtype=complex)
+    Q = as_op(dih_space, np.eye(dih_space.dim))
     for n in range(1, dih_space.L_max + 1):
         Q = rho_matrix(dih_space, Q)
         D = diag(dih_space, ShiftedVector(tuple(x), n, "forward")).matrix()
-        total += D @ Q @ D.conj().T
+        total += D @ Q.matrix() @ D.conj().T
     want = float(np.vdot(x, x).real) * np.eye(dih_space.dim)
     assert np.abs(total - want).max() <= 1e-12 * np.vdot(x, x).real
 
@@ -199,7 +199,7 @@ def test_partition_identity_as_operators(dih_space):
 
 def test_rho_identity_is_q1(dih_space, mat2_space):
     for space in (dih_space, mat2_space):
-        got = rho_matrix(space, np.eye(space.dim))
+        got = rho_matrix(space, as_op(space, np.eye(space.dim))).matrix()
         q1 = length_at_least_op(space, 1).matrix()
         assert np.abs(got - q1).max() == 0
 
@@ -227,7 +227,7 @@ def test_rho_matrix_matches_dense_sum(request, name):
     for letter in space.amalgam.letters():
         R = column_matrix(space, append_star(space, letter))
         want += R @ A @ R.conj().T
-    diff = np.abs(rho_matrix(space, A) - want).max()
+    diff = np.abs(rho_matrix(space, as_op(space, A)).matrix() - want).max()
     assert diff == 0 if name in SCALAR_BASE else diff <= 1e-13
 
 
@@ -259,20 +259,20 @@ def test_noncommuting_fixture_push_order_matters(noncomm_space):
 
 
 def test_rho_kills_vacuum(dih_space):
-    R = rho_matrix(dih_space, identity_op(dih_space).matrix())
+    R = rho_matrix(dih_space, identity_op(dih_space)).matrix()
     assert not np.any(R @ dih_space.vacuum().to_array())
 
 
 def test_rho_case2_generator_fixed_on_guarded_words(dih_space):
     gen = GeneratorWord(((0, 1),), ((0, 1),))
-    A = gen.operator(dih_space).matrix()
+    A = gen.operator(dih_space)
     chi = dih_space.word_vector(Word(((0, 1), (1, 1)))).to_array()  # guarded length-2 word
-    lhs = rho_matrix(dih_space, A) @ chi
+    lhs = rho_matrix(dih_space, A).matrix() @ chi
     assert np.abs(lhs - A @ chi).max() <= 1e-13
 
 
 def test_epsilon_identity_is_q1(dih_space):
-    got = epsilon_matrix(dih_space, np.eye(dih_space.dim))
+    got = epsilon_matrix(dih_space, as_op(dih_space, np.eye(dih_space.dim))).matrix()
     q1 = length_at_least_op(dih_space, 1).matrix()
     assert np.abs(got - q1).max() == 0
 
@@ -281,13 +281,14 @@ def test_epsilon_case_rules(cy3_space):
     space = cy3_space
     g2 = GeneratorWord(((0, 1),), ((0, 2),))  # same factor: case 2
     assert g2.case is CaseTag.CASE2
-    A = g2.operator(space).matrix()
-    assert np.abs(epsilon_matrix(space, A) - A).max() <= 1e-13
+    A = g2.operator(space)
+    assert np.abs(epsilon_matrix(space, A).matrix() - A.matrix()).max() <= 1e-13
 
     g1 = GeneratorWord(((0, 1),), ((1, 1),))  # different factors: case 1
     assert g1.case is CaseTag.CASE1
-    A = g1.operator(space).matrix()
-    assert np.abs(epsilon_matrix(space, A) - rho_matrix(space, A)).max() <= 1e-13
+    A = g1.operator(space)
+    assert np.abs(epsilon_matrix(space, A).matrix()
+                  - rho_matrix(space, A).matrix()).max() <= 1e-13
 
 
 # ---------------------------------------------------------------- phi blocks
@@ -295,7 +296,7 @@ def test_epsilon_case_rules(cy3_space):
 def test_phi1_of_identity_is_norm_squared(dih_space):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    out = phi_block_matrix(dih_space, 1, x, x, np.eye(dih_space.dim))
+    out = phi_block_matrix(dih_space, 1, x, x, as_op(dih_space, np.eye(dih_space.dim))).matrix()
     want = float(np.vdot(x, x).real) * np.eye(dih_space.dim)
     assert np.abs(out - want).max() <= 1e-12 * np.vdot(x, x).real
 
@@ -307,19 +308,21 @@ def test_phi_eigen_formula_on_generators(dih_space):
     for cre, ann in [((), ()), (((0, 1),), ()), (((0, 1),), ((0, 1),)),
                      (((0, 1),), ((1, 1),)), (((0, 1), (1, 1)), ((0, 1),))]:
         gen = GeneratorWord(cre, ann)
-        A = gen.operator(dih_space).matrix()
+        op = gen.operator(dih_space)
+        A = op.matrix()
         k, l = gen.k, gen.l
         guard = dih_space.guard_mask(dih_space.L_max - max(k - l, 0) - 1)
         s1 = brute_phi_scalar(x, y, k, l)
-        out1 = phi_block_matrix(dih_space, 1, x, y, A)
+        out1 = phi_block_matrix(dih_space, 1, x, y, op).matrix()
         assert np.abs((out1 - s1 * A)[:, guard]).max() <= 1e-10
         s2 = s1 if gen.case is CaseTag.CASE1 else brute_phi_scalar(x, y, k, l, shift=1)
-        out2 = phi_block_matrix(dih_space, 2, x, y, A)
+        out2 = phi_block_matrix(dih_space, 2, x, y, op).matrix()
         assert np.abs((out2 - s2 * A)[:, guard]).max() <= 1e-10
 
 
 def test_phi_zero_vector_gives_zero(dih_space):
-    out = phi_block_matrix(dih_space, 1, np.zeros(6), np.ones(6), np.eye(dih_space.dim))
+    out = phi_block_matrix(dih_space, 1, np.zeros(6), np.ones(6),
+                           as_op(dih_space, np.eye(dih_space.dim))).matrix()
     assert np.abs(out).max() == 0
 
 
@@ -396,14 +399,15 @@ def test_tower_layout(request, name):
     rng = np.random.default_rng(17)
     A = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
     L = space.L_max
-    tw = tower(space, A)
+    op = as_op(space, A)
+    tw = tower(space, op)
     assert len(tw) == 2 * L + 1
-    B, E = A, epsilon_matrix(space, A)
+    B, E = op, epsilon_matrix(space, op)
     for n in range(L + 1):
-        assert np.array_equal(tw[n], B)
+        assert np.array_equal(tw[n].matrix(), B.matrix())
         B = rho_matrix(space, B)
     for n in range(L):
-        assert np.array_equal(tw[L + 1 + n], E)
+        assert np.array_equal(tw[L + 1 + n].matrix(), E.matrix())
         E = rho_matrix(space, E)
 
 
@@ -417,9 +421,10 @@ def test_weighted_sum_matches_expanded_tables(request, name):
     W[[1, L + 2]] = 0     # tower entries with no weight
     W[0, 1] = W[L, 0] = 0  # row lengths with no weight
     A = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
-    tw = tower(space, A)
-    want = weighted_sum_dense(space, W, tw)
-    assert np.abs(weighted_sum(space, W, tw) - want).max() <= 1e-14 * np.abs(want).max()
+    tw = tower(space, as_op(space, A))
+    want = weighted_sum_dense(space, W, [member.matrix() for member in tw])
+    got = weighted_sum(space, W, tw).matrix()
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 # ---------------------------------------------------------------- entries against dense oracles
 
@@ -545,14 +550,14 @@ def test_op_norm_on_entries_matches_full_svd(n):
 
 
 def test_op_norm_drops_explicit_zero_entries():
-    # 3 x 3 blocks linked only by explicit zero values: dropped first, the
-    # blocks stay below dense_cap and one power-iteration step is never taken
+    # 3 x 3 blocks linked only by explicit zero values: dropped first, so the
+    # support still splits into the 3 x 3 blocks
     A = permuted_block_diagonal(np.random.default_rng(24), [(3, 3)] * 20)
     r, c = np.nonzero(A)
     link = np.arange(59)
     e = Entries(np.concatenate([r, link]), np.concatenate([c, link + 1]),
                 np.concatenate([A[r, c], np.zeros(59)]), A.shape)
-    assert abs(op_norm(e, dense_cap=10, max_iter=1) - svd_norm(A)) <= 1e-13 * svd_norm(A)
+    assert abs(op_norm(e) - svd_norm(A)) <= 1e-13 * svd_norm(A)
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -578,18 +583,19 @@ def test_constant_symbol_gives_identity(dih_space):
     T = build_T(dih_space, RadialSymbol.constant(1.0))
     rng = np.random.default_rng(8)
     A = rng.standard_normal((dih_space.dim, dih_space.dim)) + 0j
-    tw = tower(dih_space, A)
-    assert np.abs(weighted_sum(dih_space, T.t1_weights, tw)).max() == 0
-    assert np.abs(weighted_sum(dih_space, T.t2_weights, tw)).max() == 0
-    assert np.allclose(T.apply_matrix(A), A)
+    op = as_op(dih_space, A)
+    tw = tower(dih_space, op)
+    assert np.abs(weighted_sum(dih_space, T.t1_weights, tw).matrix()).max() == 0
+    assert np.abs(weighted_sum(dih_space, T.t2_weights, tw).matrix()).max() == 0
+    assert np.allclose(T.apply_matrix(op).matrix(), A)
 
 
 def test_delta0_rules(dih_space):
     T = build_T(dih_space, RadialSymbol.delta0())
-    a00 = identity_op(dih_space).matrix()
-    assert np.abs(T.apply_matrix(a00) - a00).max() <= 1e-12
-    a10 = GeneratorWord(((0, 1),), ()).operator(dih_space).matrix()
-    assert np.abs(T.apply_matrix(a10)).max() <= 1e-12
+    a00 = identity_op(dih_space)
+    assert np.abs(T.apply_matrix(a00).matrix() - a00.matrix()).max() <= 1e-12
+    a10 = GeneratorWord(((0, 1),), ()).operator(dih_space)
+    assert np.abs(T.apply_matrix(a10).matrix()).max() <= 1e-12
 
 
 def test_indicator_t1_rule(dih_space):
@@ -598,11 +604,11 @@ def test_indicator_t1_rule(dih_space):
     dec = psi_decompose(phi)
     for cre, ann in [((), ()), (((0, 1),), ()), (((0, 1),), ((1, 1),))]:
         gen = GeneratorWord(cre, ann)
-        A = gen.operator(dih_space).matrix()
+        op = gen.operator(dih_space)
         want = dec.psi1(gen.k + gen.l)
         guard = dih_space.guard_mask(dih_space.L_max - max(gen.k - gen.l, 0) - 1)
-        t1 = weighted_sum(dih_space, T.t1_weights, tower(dih_space, A))
-        assert np.abs((t1 - want * A)[:, guard]).max() <= 1e-11
+        t1 = weighted_sum(dih_space, T.t1_weights, tower(dih_space, op)).matrix()
+        assert np.abs((t1 - want * op.matrix())[:, guard]).max() <= 1e-11
 
 
 def _svd_pairs(phi, M):
@@ -616,16 +622,16 @@ def test_t1_equals_sum_of_phi_blocks(dih_space):
     T = build_T(dih_space, phi)
     h_pairs, k_pairs = _svd_pairs(phi, 24)
     gen = GeneratorWord(((0, 1),), ((0, 1),))
-    A = gen.operator(dih_space).matrix()
-    tw = tower(dih_space, A)
-    total = np.zeros_like(A)
+    op = gen.operator(dih_space)
+    tw = tower(dih_space, op)
+    total = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for x, y in h_pairs:
-        total += phi_block_matrix(dih_space, 1, x, y, A)
-    assert np.abs(total - weighted_sum(dih_space, T.t1_weights, tw)).max() <= 1e-11
-    total2 = np.zeros_like(A)
+        total += phi_block_matrix(dih_space, 1, x, y, op).matrix()
+    assert np.abs(total - weighted_sum(dih_space, T.t1_weights, tw).matrix()).max() <= 1e-11
+    total2 = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for z, w in k_pairs:
-        total2 += phi_block_matrix(dih_space, 2, z, w, A)
-    assert np.abs(total2 - weighted_sum(dih_space, T.t2_weights, tw)).max() <= 1e-11
+        total2 += phi_block_matrix(dih_space, 2, z, w, op).matrix()
+    assert np.abs(total2 - weighted_sum(dih_space, T.t2_weights, tw).matrix()).max() <= 1e-11
 
 
 def test_case_convention_pinned_by_scaling(dih_space):
@@ -637,10 +643,11 @@ def test_case_convention_pinned_by_scaling(dih_space):
     assert gen.case is CaseTag.CASE2
     phi = RadialSymbol.geometric(0.5)  # phi(2) = 0.25 != phi(3) = 0.125
     T = build_T(dih_space, phi)
-    A = gen.operator(dih_space).matrix()
+    op = gen.operator(dih_space)
+    A, TA = op.matrix(), T.apply_matrix(op).matrix()
     guard = dih_space.guard_mask(dih_space.L_max - 1)
-    res2 = np.abs((T.apply_matrix(A) - phi(2) * A)[:, guard]).max()
-    res1 = np.abs((T.apply_matrix(A) - phi(3) * A)[:, guard]).max()
+    res2 = np.abs((TA - phi(2) * A)[:, guard]).max()
+    res1 = np.abs((TA - phi(3) * A)[:, guard]).max()
     assert res2 <= 1e-10
     assert res1 > 1e-3
 
@@ -654,12 +661,13 @@ def test_multiplier_collapse_on_arbitrary_matrix(dih_space):
     h_pairs, k_pairs = _svd_pairs(phi, 24)
     A = rng.standard_normal((dih_space.dim, dih_space.dim)) \
         + 1j * rng.standard_normal((dih_space.dim, dih_space.dim))
+    op = as_op(dih_space, A)
     total = T.limit * A
     for x, y in h_pairs:
-        total = total + phi_block_matrix(dih_space, 1, x, y, A)
+        total = total + phi_block_matrix(dih_space, 1, x, y, op).matrix()
     for z, w in k_pairs:
-        total = total + phi_block_matrix(dih_space, 2, z, w, A)
-    assert np.abs(total - T.apply_matrix(A)).max() <= 1e-11 * np.abs(A).max()
+        total = total + phi_block_matrix(dih_space, 2, z, w, op).matrix()
+    assert np.abs(total - T.apply_matrix(op).matrix()).max() <= 1e-11 * np.abs(A).max()
 
 
 # ---------------------------------------------------------------- norms
@@ -675,13 +683,6 @@ def test_op_norm_creation_is_isometry(dih_space):
 def test_op_norm_diag(dih_space):
     x = np.array([0.5, -2.0, 1.0, 0.0, 0.0, 0.0])
     assert op_norm(diag(dih_space, x).matrix()) == pytest.approx(2.0)
-
-
-def test_op_norm_power_iteration_matches_svd():
-    rng = np.random.default_rng(10)
-    A = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    exact = float(np.linalg.svd(A, compute_uv=False)[0])
-    assert op_norm(A, dense_cap=10, max_iter=20000) == pytest.approx(exact, rel=1e-6)
 
 
 def svd_norm(A):
@@ -753,7 +754,7 @@ def test_op_norm_matches_full_svd_on_amplified_samples(request, space_name):
 
 
 def test_op_norm_small_blocks_above_dense_cap_stay_exact():
-    # 60 x 60 exceeds the cap, but every support component is 3 x 3; one
-    # power-iteration step could not reach 1e-13
+    # 60 x 60 is longer than SPLIT_MIN, so each 3 x 3 support component gets
+    # its own exact SVD
     A = permuted_block_diagonal(np.random.default_rng(9), [(3, 3)] * 20)
-    assert abs(op_norm(A, dense_cap=10, max_iter=1) - svd_norm(A)) <= 1e-13 * svd_norm(A)
+    assert abs(op_norm(A) - svd_norm(A)) <= 1e-13 * svd_norm(A)

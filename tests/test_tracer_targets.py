@@ -6,7 +6,8 @@ import json
 from pathlib import Path
 
 import radmul.cli  # noqa: F401  (loads every radmul module, as the tracer does)
-from radmul.config import preset_config
+from radmul.config import parse_config, preset_config
+from radmul.operators import length_at_least_op
 
 RADBENCH = Path(__file__).resolve().parents[1] / "radbench"
 
@@ -25,7 +26,9 @@ def test_tracer_targets_resolve(monkeypatch):
 
 def test_traced_run_matches_untraced(monkeypatch, tmp_path, capsys):
     # the tracer wraps matrix() and reads op._matrix and op.name; a traced
-    # run must give the untraced report and see materializations and rho
+    # run must give the untraced report and see rho.  verify never asks for a
+    # dense matrix, so one operator is materialized explicitly: the tracer
+    # must count it and tag it with its kind
     monkeypatch.syspath_prepend(str(RADBENCH))
     import tracer
 
@@ -43,6 +46,7 @@ def test_traced_run_matches_untraced(monkeypatch, tmp_path, capsys):
     traced.install()
     try:
         code = verify(tmp_path / "traced.json")
+        length_at_least_op(parse_config(data).space(), 1).matrix()
     finally:
         traced.uninstall()
     capsys.readouterr()
@@ -51,4 +55,5 @@ def test_traced_run_matches_untraced(monkeypatch, tmp_path, capsys):
     traced.dump(tmp_path / "spans.json")
     metrics = tracer.layer_metrics(json.loads((tmp_path / "spans.json").read_text()))
     assert metrics["operators.materialize.calls"] > 0
+    assert metrics["operators.materialize.sector.calls"] == 1
     assert metrics["operators.rho.calls"] > 0
