@@ -5,7 +5,8 @@ reduced word of the amalgamated free product by a symbol value phi(length),
 and verifies its defining identities and norm bound numerically:
 symbol-side Hankel calculus (:mod:`radmul.symbols`), finite crossed-product
 models (:mod:`radmul.algebra`), the truncated Fock space
-(:mod:`radmul.fock`), the operator toolkit and the assembled multiplier
+(:mod:`radmul.fock`), sparse entries and the spectral norm
+(:mod:`radmul.sparse`), the operator toolkit and the assembled multiplier
 (:mod:`radmul.operators`), and the end-to-end suites
 (:mod:`radmul.verify`).
 """

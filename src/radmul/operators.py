@@ -51,97 +51,59 @@ keeps the entries whose row and column words end in the same factor.
 blocks and the multiplier take an operator and return one.  Sums over
 letters and factors always run in configuration order.
 
-``op_norm`` is the package's one spectral norm.  It works on the scalar
-entries of its argument (an operator, an :class:`Entries` or an array) and
-takes an exact SVD of each connected component of their support, batched
-by block shape; an operand of at most ``SPLIT_MIN`` rows and columns is
-taken whole.
+An operator may also be a stack: ``stack`` puts several operators into one,
+each entry carrying the index of its sample, and every operation above --
+products, sums, scalings (one scalar per sample), rho, epsilon, the tower,
+the weighted sum, ``block_max`` and ``op_norm`` -- keys its entries on
+(sample, row word, column word) and runs once for the whole stack.  Each
+sample comes out exactly as it does as a single operator, entry order
+included, so the sampled suites of :mod:`radmul.verify` can batch their
+samples without moving a residual.  A single operator is a stack of one.
+The scalar entries and the spectral norm ``op_norm`` live in
+:mod:`radmul.sparse`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .fock import FockSpace, FockVector
 from .report import VerificationReport
+from .sparse import Entries, coalesce, op_norm, sample_count, sample_ids, sum_at
 from .symbols import RadialSymbol, psi_decompose
 
-# op_norm takes one SVD of an array no longer than this on either side: there
-# a dense SVD costs less than finding the support blocks (crossover ~40-56)
-SPLIT_MIN = 48
-
-
-def _sum_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """out[i] = sum of values[e] over index[e] == i, added in entry order
-    (as np.add.at does), for values of any trailing shape."""
-    width = int(np.prod(values.shape[1:]))
-    idx = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
-    flat = values.ravel()
-    out = np.empty(n * width, dtype=complex)
-    out.real = np.bincount(idx, flat.real, n * width)
-    out.imag = np.bincount(idx, flat.imag, n * width)
-    return out.reshape((n,) + values.shape[1:])
-
-
-def _coalesce(rows, cols, values, n_cols: int) -> tuple:
-    """Entries with one value per (row, col) pair; repeated pairs are added
-    in entry order."""
-    key = rows * n_cols + cols
-    order = np.argsort(key, kind="stable")
-    first = np.ones(key.size, dtype=bool)
-    np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])
-    if first.all():
-        return rows, cols, values
-    slot = np.empty(key.size, dtype=np.intp)
-    slot[order] = np.cumsum(first) - 1
-    uniq = key[order[first]]
-    return uniq // n_cols, uniq % n_cols, _sum_at(slot, values, uniq.size)
-
-
-class Entries(NamedTuple):
-    """Scalar entries of a sparse matrix of ``shape``: ``values[e]`` at
-    ``(rows[e], cols[e])``, one entry per position."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    shape: tuple
-
-    def matrix(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=complex)
-        out[self.rows, self.cols] = self.values
-        return out
-
-    def columns(self, mask: np.ndarray) -> "Entries":
-        """The columns ``mask`` keeps, renumbered: ``matrix()[:, mask]``."""
-        keep = mask[self.cols]
-        renumber = np.cumsum(mask) - 1
-        return Entries(self.rows[keep], renumber[self.cols[keep]], self.values[keep],
-                       (self.shape[0], int(np.count_nonzero(mask))))
-
-
 class StructuredOperator:
-    """Linear map on the truncated Fock space, block-sparse on word pairs.
+    """Linear map on the truncated Fock space, block-sparse on word pairs,
+    or a stack of such maps.
 
     ``blocks[e]`` is the dim_N x dim_N coefficient block from the column
     word ``cols[e]`` to the row word ``rows[e]`` (word indices of the space,
-    each pair at most once).  ``matrix()`` scatters the blocks into the
-    dense matrix in the enumerated basis on its first call and caches it.
-    Products, sums, scalar multiples and the adjoint work on the entries;
-    ``op @ x`` and ``op(vec)`` apply the operator to a coordinate array and
-    to a Fock vector.
+    each pair at most once per sample).  A stack of ``n_samples`` operators
+    also carries the sample index ``samples[e]`` of each entry; a single
+    operator has ``samples`` and ``n_samples`` None and behaves as a stack
+    of one.  ``matrix()`` scatters the blocks into the dense matrix in the
+    enumerated basis (one per sample for a stack) on its first call and
+    caches it.  Products, sums, scalar multiples (one scalar per sample for
+    a stack) and the adjoint work on the entries, sample by sample; ``op @
+    x`` and ``op(vec)`` apply the operator to a coordinate array and to a
+    Fock vector.
     """
 
-    def __init__(self, space: FockSpace, rows, cols, blocks, name: str = "op"):
+    # numpy arrays and scalars leave ``array * op`` to __rmul__
+    __array_ufunc__ = None
+
+    def __init__(self, space: FockSpace, rows, cols, blocks, name: str = "op",
+                 samples=None, n_samples=None):
         self.space = space
         self.name = name
         self.rows = np.asarray(rows, dtype=np.intp)
         self.cols = np.asarray(cols, dtype=np.intp)
         self.blocks = np.asarray(blocks, dtype=complex)
+        self.samples = None if samples is None else np.asarray(samples, dtype=np.intp)
+        self.n_samples = None if samples is None else int(n_samples)
         self._matrix = None
 
     @property
@@ -154,9 +116,10 @@ class StructuredOperator:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             n, k = len(self.space.words), self.space.dim_N
-            out = np.zeros((n, k, n, k), dtype=complex)
-            out[self.rows, :, self.cols, :] = self.blocks
-            self._matrix = out.reshape(self.shape)
+            out = np.zeros((sample_count(self), n, k, n, k), dtype=complex)
+            out[sample_ids(self), self.rows, :, self.cols, :] = self.blocks
+            out = out.reshape((-1,) + self.shape)
+            self._matrix = out if self.samples is not None else out[0]
         return self._matrix
 
     def entries(self) -> Entries:
@@ -165,23 +128,51 @@ class StructuredOperator:
         k = self.space.dim_N
         e, i, j = np.nonzero(self.blocks)
         return Entries(self.rows[e] * k + i, self.cols[e] * k + j, self.blocks[e, i, j],
-                       self.shape)
+                       self.shape, None if self.samples is None else self.samples[e],
+                       self.n_samples)
+
+    def _new(self, rows, cols, blocks, name: str, index=None) -> "StructuredOperator":
+        """An operator in this operator's stack whose entries come from its
+        entries ``index`` (all of them, in order, without it)."""
+        samples = self.samples
+        if samples is not None and index is not None:
+            samples = samples[index]
+        return StructuredOperator(self.space, rows, cols, blocks, name, samples,
+                                  self.n_samples)
+
+    def block_max(self, keep=None):
+        """Largest absolute block entry among the entries ``keep`` marks (all
+        of them without it), 0 where there is none: a float, or one value
+        per sample for a stack (nan where a kept entry is nan)."""
+        blocks, samples = self.blocks, sample_ids(self)
+        if keep is not None:
+            blocks, samples = blocks[keep], samples[keep]
+        out = np.zeros(sample_count(self))
+        if blocks.size:
+            with np.errstate(invalid="ignore"):  # a nan entry is kept, not warned about
+                np.maximum.at(out, samples, np.abs(blocks).max(axis=(1, 2)))
+        return out if self.samples is not None else float(out[0])
+
+    def subset(self, keep) -> "StructuredOperator":
+        """The entries ``keep`` marks, in this operator's stack."""
+        return self._new(self.rows[keep], self.cols[keep], self.blocks[keep], self.name, keep)
 
     def renamed(self, name: str) -> "StructuredOperator":
-        return StructuredOperator(self.space, self.rows, self.cols, self.blocks, name)
+        return self._new(self.rows, self.cols, self.blocks, name)
 
     def adjoint(self) -> "StructuredOperator":
-        return StructuredOperator(self.space, self.cols, self.rows,
-                                  self.blocks.conj().transpose(0, 2, 1), self.name + "*")
+        return self._new(self.cols, self.rows, self.blocks.conj().transpose(0, 2, 1),
+                         self.name + "*")
 
     def __matmul__(self, other):
         if isinstance(other, StructuredOperator):
-            return StructuredOperator(self.space, *_product(self, other),
-                                      name="(%s %s)" % (self.name, other.name))
+            _same_stack(self, other)
+            return _in_stack_of(self, *_product(self, other), "(%s %s)" % (self.name, other.name))
         k = self.space.dim_N
         x = np.asarray(other, dtype=complex).reshape(-1, k)
         terms = (self.blocks @ x[self.cols][:, :, None])[:, :, 0]
-        return _sum_at(self.rows, terms, len(x)).reshape(-1)
+        out = sum_at(sample_ids(self) * len(x) + self.rows, terms, sample_count(self) * len(x))
+        return out.reshape(-1) if self.samples is None else out.reshape(sample_count(self), -1)
 
     def __add__(self, other: "StructuredOperator") -> "StructuredOperator":
         return op_sum(self.space, [self, other], "(%s + %s)" % (self.name, other.name))
@@ -190,50 +181,81 @@ class StructuredOperator:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "StructuredOperator":
+        """scalar * op; for a stack, ``scalar`` may hold one scalar per sample."""
+        if np.ndim(scalar):
+            scale = np.asarray(scalar, dtype=complex)[self.samples][:, None, None]
+            return self._new(self.rows, self.cols, scale * self.blocks,
+                             "(scaled %s)" % self.name)
         scalar = complex(scalar)
-        return StructuredOperator(self.space, self.rows, self.cols, scalar * self.blocks,
-                                  name="(%r * %s)" % (scalar, self.name))
+        return self._new(self.rows, self.cols, scalar * self.blocks,
+                         "(%r * %s)" % (scalar, self.name))
 
     def __neg__(self) -> "StructuredOperator":
-        return StructuredOperator(self.space, self.rows, self.cols, -self.blocks,
-                                  name="-" + self.name)
+        return self._new(self.rows, self.cols, -self.blocks, "-" + self.name)
+
+
+def stack(ops, name: str = "stack") -> StructuredOperator:
+    """Single operators as the samples of one stack, in order."""
+    return StructuredOperator(ops[0].space, np.concatenate([op.rows for op in ops]),
+                              np.concatenate([op.cols for op in ops]),
+                              np.concatenate([op.blocks for op in ops]), name,
+                              np.repeat(np.arange(len(ops)), [op.rows.size for op in ops]),
+                              len(ops))
+
+
+def _in_stack_of(ref: StructuredOperator, samples, rows, cols, blocks,
+                 name: str) -> StructuredOperator:
+    """An operator with these entries, a stack like ``ref`` or a single one."""
+    return StructuredOperator(ref.space, rows, cols, blocks, name,
+                              None if ref.samples is None else samples, ref.n_samples)
+
+
+def _same_stack(*ops) -> None:
+    """Operands of one product or sum are single operators or stacks of one size."""
+    if len({op.n_samples for op in ops}) > 1:
+        raise ValueError("operands from different stacks")
 
 
 def _product(a: StructuredOperator, b: StructuredOperator) -> tuple:
-    """Entries of a @ b: each entry (j, c) of b meets every entry (r, j) of a.
+    """Entries (samples, rows, cols, blocks) of a @ b: each entry (j, c) of
+    b meets every entry (r, j) of a in the same sample.
 
-    When a is a partial word map (each row and each column at most once) the
-    join is a gather and every (r, c) comes out once; otherwise repeated
-    pairs are added.
+    When a is a partial word map (each row and each column at most once per
+    sample) the join is a gather and every (r, c) comes out once; otherwise
+    repeated pairs are added.
     """
     n = len(a.space.words)
-    count = np.bincount(a.cols, minlength=n)
+    size = sample_count(a) * n
+    key_a, key_b = sample_ids(a) * n + a.cols, sample_ids(b) * n + b.rows
+    count = np.bincount(key_a, minlength=size)
     if count.max(initial=0) <= 1:
-        at = np.full(n, -1)
-        at[a.cols] = np.arange(a.cols.size)
-        ea = at[b.rows]
+        at = np.full(size, -1)
+        at[key_a] = np.arange(key_a.size)
+        ea = at[key_b]
         eb = np.nonzero(ea >= 0)[0]
         ea = ea[eb]
-        repeats = np.bincount(a.rows, minlength=n).max(initial=0) > 1
+        repeats = np.bincount(sample_ids(a) * n + a.rows, minlength=size).max(initial=0) > 1
     else:
-        order = np.argsort(a.cols, kind="stable")
+        order = np.argsort(key_a, kind="stable")
         start = np.cumsum(count) - count
-        reps = count[b.rows]
-        eb = np.repeat(np.arange(b.rows.size), reps)
-        ea = order[np.repeat(start[b.rows], reps) + np.arange(eb.size)
+        reps = count[key_b]
+        eb = np.repeat(np.arange(key_b.size), reps)
+        ea = order[np.repeat(start[key_b], reps) + np.arange(eb.size)
                    - np.repeat(np.cumsum(reps) - reps, reps)]
         repeats = True
-    rows, cols = a.rows[ea], b.cols[eb]
-    blocks = a.blocks[ea] @ b.blocks[eb]
-    return _coalesce(rows, cols, blocks, n) if repeats else (rows, cols, blocks)
+    out = (sample_ids(b)[eb], a.rows[ea], b.cols[eb], a.blocks[ea] @ b.blocks[eb])
+    return coalesce(*out, n) if repeats else out
 
 
 def op_sum(space: FockSpace, ops, name: str = "sum") -> StructuredOperator:
-    """sum of the operators, entries on the same word pair added in list order."""
-    rows = np.concatenate([op.rows for op in ops])
-    cols = np.concatenate([op.cols for op in ops])
-    blocks = np.concatenate([op.blocks for op in ops])
-    return StructuredOperator(space, *_coalesce(rows, cols, blocks, len(space.words)), name)
+    """sum of the operators, entries on the same word pair added in list
+    order, sample by sample for stacks."""
+    _same_stack(*ops)
+    merged = coalesce(np.concatenate([sample_ids(op) for op in ops]),
+                      np.concatenate([op.rows for op in ops]),
+                      np.concatenate([op.cols for op in ops]),
+                      np.concatenate([op.blocks for op in ops]), len(space.words))
+    return _in_stack_of(ops[0], *merged, name)
 
 
 def op_product(space: FockSpace, factors, name: str) -> StructuredOperator:
@@ -250,18 +272,25 @@ def op_product(space: FockSpace, factors, name: str) -> StructuredOperator:
 def amplify(coeffs, ops) -> Entries:
     """sum_i C_i (x) A_i for m x m scalar blocks C_i and operators A_i, as
     scalar entries: C_i[p, q] A_i[r, c] sits at row p dim + r and column
-    q dim + c, and the terms on one position are added in order."""
-    m, dim = len(coeffs[0]), ops[0].space.dim
+    q dim + c, and the terms on one position are added in order.  When the
+    A_i are stacks, C_i holds one m x m block per sample and the result is
+    the stack of the samples' sums."""
+    m, dim = np.shape(coeffs[0])[-1], ops[0].space.dim
     p, q = np.divmod(np.arange(m * m), m)
-    rows, cols, values = [], [], []
+    samples, rows, cols, values = [], [], [], []
     for C, A in zip(coeffs, ops):
         e = A.entries()
+        C = np.asarray(C).reshape(-1, m * m)
+        samples.append(np.tile(sample_ids(e), m * m))
         rows.append((p[:, None] * dim + e.rows).ravel())
         cols.append((q[:, None] * dim + e.cols).ravel())
-        values.append((C.reshape(-1, 1) * e.values).ravel())
+        values.append((C[sample_ids(e)].T * e.values).ravel())
     size = m * dim
-    return Entries(*_coalesce(np.concatenate(rows), np.concatenate(cols),
-                              np.concatenate(values), size), (size, size))
+    samples, rows, cols, values = coalesce(*(np.concatenate(x) for x in
+                                              (samples, rows, cols, values)), size)
+    stacked = ops[0].samples is not None
+    return Entries(rows, cols, values, (size, size), samples if stacked else None,
+                   ops[0].n_samples)
 
 
 def _word_values(space: FockSpace, per_index: np.ndarray) -> np.ndarray:
@@ -315,13 +344,19 @@ def _right_maps(space: FockSpace) -> tuple:
 
 def left_mult(space: FockSpace, b) -> StructuredOperator:
     """Left N-multiplication: on the word w it multiplies the right
-    coefficient by b pushed through the letters, i.e. kron(U_w b U_w*, 1)."""
-    b = space.base.element(b)
+    coefficient by b pushed through the letters, i.e. kron(U_w b U_w*, 1).
+    For a (count, d, d) array of coefficients it is the stack of their left
+    multiplications, sample t holding the blocks of b[t] on every word."""
+    b = space.base.element(b) if np.ndim(b) < 3 else np.asarray(b, dtype=complex)
     U = space.push_unitaries()
-    pushed = U @ b @ U.conj().transpose(0, 2, 1)
+    pushed = U @ b[..., None, :, :] @ U.conj().transpose(0, 2, 1)
     n, d = len(space.words), space.base.d
-    blocks = np.einsum("wpr,qs->wpqrs", pushed, np.eye(d)).reshape(n, d * d, d * d)
-    return StructuredOperator(space, np.arange(n), np.arange(n), blocks, name="lmul")
+    blocks = np.einsum("...wpr,qs->...wpqrs", pushed, np.eye(d)).reshape(-1, d * d, d * d)
+    words = np.arange(n)
+    if b.ndim < 3:
+        return StructuredOperator(space, words, words, blocks, name="lmul")
+    return StructuredOperator(space, np.tile(words, len(b)), np.tile(words, len(b)), blocks,
+                              "lmul", np.repeat(np.arange(len(b)), n), len(b))
 
 
 def right_mult(space: FockSpace, b) -> StructuredOperator:
@@ -475,7 +510,7 @@ def rho_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperator:
     tr, tc = table[:, A.rows], table[:, A.cols]
     t, e = np.nonzero(np.minimum(tr, tc) >= 0)
     blocks = alpha[t] @ A.blocks[e] @ alpha[t].conj().transpose(0, 2, 1)
-    return StructuredOperator(space, tr[t, e], tc[t, e], blocks, name="rho(%s)" % A.name)
+    return A._new(tr[t, e], tc[t, e], blocks, "rho(%s)" % A.name, e)
 
 
 def rho_tower(space: FockSpace, A: StructuredOperator, n_max: int) -> list:
@@ -498,8 +533,7 @@ def epsilon_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperato
     same factor."""
     last = _word_values(space, space.last_factors)
     keep = np.flatnonzero((last[A.rows] == last[A.cols]) & (last[A.rows] >= 0))
-    return StructuredOperator(space, A.rows[keep], A.cols[keep], A.blocks[keep],
-                              name="eps(%s)" % A.name)
+    return A._new(A.rows[keep], A.cols[keep], A.blocks[keep], "eps(%s)" % A.name, keep)
 
 
 def tower(space: FockSpace, A: StructuredOperator) -> list:
@@ -528,10 +562,11 @@ def weighted_sum(space: FockSpace, W: np.ndarray, tower: list) -> StructuredOper
     lengths = _word_values(space, space.lengths)
     w = W[m, lengths[rows], lengths[cols]]
     keep = np.nonzero(w)[0]
+    samples = np.concatenate([sample_ids(op) for op in tower])[keep]
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = w[keep, None, None] * np.concatenate([op.blocks for op in tower])[keep]
-        out = _coalesce(rows[keep], cols[keep], blocks, len(space.words))
-    return StructuredOperator(space, *out, name="sum")
+        out = coalesce(samples, rows[keep], cols[keep], blocks, len(space.words))
+    return _in_stack_of(tower[0], *out, "sum")
 
 
 def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
@@ -735,107 +770,6 @@ class RadialMultiplier:
 
 def build_T(space: FockSpace, phi: RadialSymbol) -> RadialMultiplier:
     return RadialMultiplier(space, phi)
-
-
-def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Smallest node index in the connected component of each of ``n`` nodes,
-    for the graph with edges (u[e], v[e]): roots hook onto the smallest root
-    across each edge, then pointer jumping flattens the forest."""
-    lab = np.arange(n)
-    while True:
-        lu, lv = lab[u], lab[v]
-        if np.array_equal(lu, lv):
-            return lab
-        low = np.minimum(lu, lv)
-        np.minimum.at(lab, lu, low)
-        np.minimum.at(lab, lv, low)
-        while True:
-            jumped = lab[lab]
-            if np.array_equal(jumped, lab):
-                break
-            lab = jumped
-
-
-def _rank_in_component(lab: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Rank of each node among the nodes of its component, in index order."""
-    order = np.argsort(lab, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[lab[order]]
-    return rank
-
-
-def _block_norm(e: Entries) -> float:
-    """Largest singular value of the matrix of ``e`` from one SVD per support
-    component.
-
-    Rows and columns are the nodes of a bipartite graph whose edges are the
-    entries; permuting both by component makes the matrix block diagonal,
-    whose singular values are those of its blocks.  Rows and columns without
-    entries belong to no block.
-    """
-    if e.rows.size == 0:
-        return 0.0
-    n_r, n_c = e.shape
-    lab = _component_labels(e.rows, n_r + e.cols, n_r + n_c)
-    row_lab, col_lab = lab[:n_r], lab[n_r:]
-    n_rows = np.bincount(row_lab, minlength=n_r + n_c)
-    n_cols = np.bincount(col_lab, minlength=n_r + n_c)
-    # a row or column without entries is a component of its own with no partner
-    comps = np.flatnonzero(n_rows * n_cols)
-    a, b = n_rows[comps], n_cols[comps]
-    # components grouped by block shape, one batched SVD per shape; in its
-    # group's stack a component sits at its rank among the group's
-    # components, and a row (column) at its rank in the component
-    shapes, group, counts = np.unique(a * (n_c + 1) + b, return_inverse=True,
-                                      return_counts=True)
-    slot = _rank_in_component(group, counts)
-    comp = np.empty(n_r + n_c, dtype=np.intp)
-    comp[comps] = np.arange(comps.size)
-    ent = comp[row_lab[e.rows]]
-    row_rank = _rank_in_component(row_lab, n_rows)
-    col_rank = _rank_in_component(col_lab, n_cols)
-    by_group = np.argsort(group[ent], kind="stable")
-    ends = np.cumsum(np.bincount(group[ent], minlength=shapes.size))
-    best = 0.0
-    for shape, count, sel in zip(shapes, counts, np.split(by_group, ends[:-1])):
-        blocks = np.zeros((count,) + divmod(int(shape), n_c + 1), dtype=complex)
-        blocks[slot[ent[sel]], row_rank[e.rows[sel]], col_rank[e.cols[sel]]] = e.values[sel]
-        best = max(best, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
-    return best
-
-
-def _scalar_entries(A) -> Entries:
-    """The nonzero scalar entries of an operator, of an Entries or of an array."""
-    if isinstance(A, StructuredOperator):
-        return A.entries()
-    if isinstance(A, Entries):
-        keep = np.flatnonzero(A.values)
-        return Entries(A.rows[keep], A.cols[keep], A.values[keep], A.shape)
-    A = np.asarray(A, dtype=complex)
-    r, c = np.nonzero(A)
-    return Entries(r, c, A[r, c], A.shape)
-
-
-def op_norm(A) -> float:
-    """Spectral norm of an operator, an :class:`Entries` or an array, the
-    package's only one.
-
-    It works on the nonzero scalar entries (exact zeros dropped first).  The
-    matrix is split into the connected components of their support (rows
-    and columns joined by entries) and each component gets an exact SVD,
-    batched by block shape; the largest first singular value is the norm.
-    An operand with no side longer than ``SPLIT_MIN`` gets one SVD whole.
-    An empty or all-zero operand has norm 0, and one with a non-finite entry
-    has norm inf (not nan, which ``max`` would silently drop).
-    """
-    e = _scalar_entries(A)
-    if 0 in e.shape:
-        return 0.0
-    if not np.isfinite(e.values).all():
-        return float("inf")
-    if max(e.shape) <= SPLIT_MIN:
-        return float(np.linalg.svd(e.matrix(), compute_uv=False)[0])
-    return _block_norm(e)
 
 
 def adjoint_check(a: StructuredOperator, a_star: StructuredOperator, tol: float = 1e-12,

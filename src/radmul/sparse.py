@@ -1,0 +1,222 @@
+"""Sparse scalar entries, with a sample axis, and the spectral norm on them.
+
+An :class:`Entries` lists the nonzero entries of a sparse matrix; with a
+sample index per entry it is a stack of such matrices, and every operation
+here treats the samples apart.  ``coalesce`` merges entries on one position
+(added in entry order), and ``op_norm``, the package's one spectral norm,
+takes an exact SVD of each connected component of the support, batched by
+block shape over all samples.  :mod:`radmul.operators` keeps its
+block-sparse operators in the same form, with a dim_N x dim_N block in
+place of each scalar.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+# op_norm takes one SVD of an array no longer than this on either side: there
+# a dense SVD costs less than finding the support blocks (crossover ~40-56)
+SPLIT_MIN = 48
+
+
+def sum_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = sum of values[e] over index[e] == i, added in entry order
+    (as np.add.at does), for values of any trailing shape."""
+    width = int(np.prod(values.shape[1:]))
+    idx = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
+    flat = values.ravel()
+    out = np.empty(n * width, dtype=complex)
+    out.real = np.bincount(idx, flat.real, n * width)
+    out.imag = np.bincount(idx, flat.imag, n * width)
+    return out.reshape((n,) + values.shape[1:])
+
+
+def coalesce(samples, rows, cols, values, n_cols: int) -> tuple:
+    """Entries with one value per (sample, row, col) position; repeated
+    positions are added in entry order.
+
+    A sample with a repeated position comes out sorted by position, the
+    other samples keep their entries as they are, so every sample of a stack
+    gets exactly the entries it gets as a single operator.
+    """
+    key = (samples * n_cols + rows) * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])
+    if first.all():
+        return samples, rows, cols, values
+    merge = np.zeros(samples.max() + 1, dtype=bool)
+    merge[samples[order[~first]]] = True
+    clean = ~merge[samples]
+    if clean.any():
+        merged = coalesce(samples[~clean], rows[~clean], cols[~clean], values[~clean], n_cols)
+        return tuple(np.concatenate([x[clean], y])
+                     for x, y in zip((samples, rows, cols, values), merged))
+    slot = np.empty(key.size, dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    uniq = key[order[first]]
+    pos, cols = np.divmod(uniq, n_cols)
+    samples, rows = np.divmod(pos, n_cols)
+    return samples, rows, cols, sum_at(slot, values, uniq.size)
+
+
+def sample_ids(x) -> np.ndarray:
+    """Sample index per entry of an operator or an Entries (0 for a single one)."""
+    return np.zeros(x.rows.size, dtype=np.intp) if x.samples is None else x.samples
+
+
+def sample_count(x) -> int:
+    """Number of samples of an operator or an Entries (1 for a single one)."""
+    return 1 if x.n_samples is None else x.n_samples
+
+
+class Entries(NamedTuple):
+    """Scalar entries of a sparse matrix of ``shape``: ``values[e]`` at
+    ``(rows[e], cols[e])``, one entry per position.  With ``samples`` it is
+    a stack of ``n_samples`` such matrices, entry e belonging to sample
+    ``samples[e]``."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple
+    samples: np.ndarray = None
+    n_samples: int = None
+
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, or the (n_samples,) + shape array of a stack."""
+        out = np.zeros((sample_count(self),) + self.shape, dtype=complex)
+        out[sample_ids(self), self.rows, self.cols] = self.values
+        return out if self.samples is not None else out[0]
+
+    def columns(self, mask: np.ndarray) -> "Entries":
+        """The columns ``mask`` keeps, renumbered: ``matrix()[..., mask]``."""
+        keep = mask[self.cols]
+        renumber = np.cumsum(mask) - 1
+        return Entries(self.rows[keep], renumber[self.cols[keep]], self.values[keep],
+                       (self.shape[0], int(np.count_nonzero(mask))),
+                       None if self.samples is None else self.samples[keep], self.n_samples)
+
+    def select(self, keep: np.ndarray) -> "Entries":
+        """The stack of the samples ``keep`` marks, renumbered in order."""
+        on = keep[self.samples]
+        renumber = np.cumsum(keep) - 1
+        return Entries(self.rows[on], self.cols[on], self.values[on], self.shape,
+                       renumber[self.samples[on]], int(np.count_nonzero(keep)))
+
+
+def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Smallest node index in the connected component of each of ``n`` nodes,
+    for the graph with edges (u[e], v[e]): roots hook onto the smallest root
+    across each edge, then pointer jumping flattens the forest."""
+    lab = np.arange(n)
+    while True:
+        lu, lv = lab[u], lab[v]
+        if np.array_equal(lu, lv):
+            return lab
+        low = np.minimum(lu, lv)
+        np.minimum.at(lab, lu, low)
+        np.minimum.at(lab, lv, low)
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
+
+
+def _rank_in_component(lab: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Rank of each node among the nodes of its component, in index order."""
+    order = np.argsort(lab, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[lab[order]]
+    return rank
+
+
+def _block_norms(e: Entries) -> np.ndarray:
+    """Largest singular value of each sample's matrix from one SVD per
+    support component.
+
+    Rows and columns are the nodes of a bipartite graph whose edges are the
+    entries; permuting both by component makes the matrix block diagonal,
+    whose singular values are those of its blocks.  Rows and columns without
+    entries belong to no block.  The samples of a stack are the diagonal
+    blocks of one matrix, so no component spans two samples.
+    """
+    n_s = sample_count(e)
+    best = np.zeros(n_s)
+    if e.rows.size == 0:
+        return best
+    n_r, n_c = n_s * e.shape[0], n_s * e.shape[1]
+    rows, cols = sample_ids(e) * e.shape[0] + e.rows, sample_ids(e) * e.shape[1] + e.cols
+    lab = _component_labels(rows, n_r + cols, n_r + n_c)
+    row_lab, col_lab = lab[:n_r], lab[n_r:]
+    n_rows = np.bincount(row_lab, minlength=n_r + n_c)
+    n_cols = np.bincount(col_lab, minlength=n_r + n_c)
+    # a row or column without entries is a component of its own with no
+    # partner; a component's label is its first row, which gives its sample
+    comps = np.flatnonzero(n_rows * n_cols)
+    a, b = n_rows[comps], n_cols[comps]
+    # components grouped by block shape, one batched SVD per shape; in its
+    # group's stack a component sits at its rank among the group's
+    # components, and a row (column) at its rank in the component
+    shapes, group, counts = np.unique(a * (n_c + 1) + b, return_inverse=True,
+                                      return_counts=True)
+    slot = _rank_in_component(group, counts)
+    comp = np.empty(n_r + n_c, dtype=np.intp)
+    comp[comps] = np.arange(comps.size)
+    ent = comp[row_lab[rows]]
+    row_rank = _rank_in_component(row_lab, n_rows)
+    col_rank = _rank_in_component(col_lab, n_cols)
+    by_group = np.argsort(group[ent], kind="stable")
+    ends = np.cumsum(np.bincount(group[ent], minlength=shapes.size))
+    for g, (shape, count, sel) in enumerate(zip(shapes, counts,
+                                                np.split(by_group, ends[:-1]))):
+        blocks = np.zeros((count,) + divmod(int(shape), n_c + 1), dtype=complex)
+        blocks[slot[ent[sel]], row_rank[rows[sel]], col_rank[cols[sel]]] = e.values[sel]
+        top = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+        np.maximum.at(best, comps[group == g] // e.shape[0], top)
+    return best
+
+
+def _scalar_entries(A) -> Entries:
+    """The nonzero scalar entries of an operator, of an Entries or of an
+    array, as a stack (of one, unless A is a stack)."""
+    if hasattr(A, "entries"):
+        A = A.entries()
+    elif not isinstance(A, Entries):
+        A = np.asarray(A, dtype=complex)
+        r, c = np.nonzero(A)
+        A = Entries(r, c, A[r, c], A.shape)
+    keep = np.flatnonzero(A.values)
+    return Entries(A.rows[keep], A.cols[keep], A.values[keep], A.shape, sample_ids(A)[keep],
+                   sample_count(A))
+
+
+def op_norm(A):
+    """Spectral norm of an operator, an :class:`Entries` or an array, the
+    package's only one: a float, or for a stack an array with the norm of
+    each sample.
+
+    It works on the nonzero scalar entries (exact zeros dropped first).  The
+    matrix is split into the connected components of their support (rows
+    and columns joined by entries) and each component gets an exact SVD,
+    batched by block shape over all samples; the largest first singular
+    value of a sample is its norm.  An operand with no side longer than
+    ``SPLIT_MIN`` gets one SVD whole per sample.  An empty or all-zero
+    sample has norm 0, and one with a non-finite entry has norm inf (not
+    nan, which ``max`` would silently drop).
+    """
+    e = _scalar_entries(A)
+    norms = np.zeros(e.n_samples)
+    if 0 not in e.shape:
+        finite = np.ones(e.n_samples, dtype=bool)
+        finite[e.samples[~np.isfinite(e.values)]] = False
+        norms[~finite] = np.inf
+        e = e.select(finite)
+        if e.n_samples and max(e.shape) <= SPLIT_MIN:
+            norms[finite] = np.linalg.svd(e.matrix(), compute_uv=False)[:, 0]
+        elif e.n_samples:
+            norms[finite] = _block_norms(e)
+    return norms if getattr(A, "samples", None) is not None else float(norms[0])

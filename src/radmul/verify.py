@@ -12,6 +12,17 @@ The suites here drive the assembled multiplier against its contract: the
 scaling action phi(length) on sampled reduced words, the case rules on
 symbolic generators, the right-module structure, and the sampled
 completely bounded norm envelope.
+
+The sampled suites draw all their samples first, in a fixed order, and then
+evaluate each check once per chunk of samples: the chunk's operators form
+one stack (see :mod:`radmul.operators`), so the towers, weighted sums,
+norms and maxima run once per chunk instead of once per sample.  A chunk
+holds as many samples as fit in ``CHUNK_ENTRIES`` tower entries; without
+the cap a whole suite's towers are held at once, which at cy3 fock_len 9
+raises the lemma suite's peak RSS from 43 MB to 128 MB.  Every sample gets
+exactly the numbers it gets on its own, so the chunk size never changes a
+report.  ``embed`` reads its word structure from a per-space cache and its
+coefficients in closed form.
 """
 
 from __future__ import annotations
@@ -28,24 +39,108 @@ from .operators import (CaseTag, GeneratorWord, ShiftedVector, StructuredOperato
                         identity_op, left_mult, length_at_least_op, length_exactly_op,
                         op_norm, op_product, op_sum, partition_identity_residual,
                         phi_cb_bound, phi_weights, right_annihilation, right_creation,
-                        right_mult, rho_matrix, start_complement_op, tower,
+                        right_mult, rho_matrix, stack, start_complement_op, tower,
                         weighted_sum, zero_op)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
+from .sparse import SPLIT_MIN
 from .symbols import norm_C, psi_decompose
 
+# a chunk of samples holds towers of at most this many scalar entries in all
+# (at least one sample).  The lemma suite then runs in 6 chunks at cy3
+# fock_len 5 and 127 at fock_len 9, within 1 MB of the peak RSS of one
+# sample at a time; twice the cap adds about 1 MB at fock_len 5
+CHUNK_ENTRIES = 4096
 
-def _masked_max(op: StructuredOperator, col_mask=None) -> float:
-    """Largest entry of the operator's matrix in the columns the guard mask
-    keeps (all columns without a mask); 0 when it has none there."""
-    blocks = op.blocks
-    if col_mask is not None:
-        blocks = blocks[col_mask[op.cols * op.space.dim_N]]
-    return float(np.abs(blocks).max()) if blocks.size else 0.0
+
+def _chunks(samples, size):
+    """Split an iterable of samples into consecutive runs for one stack each.
+
+    Yields ``(index of the run's first sample, the run's samples)``; a run
+    takes samples while their ``size(sample)`` adds up to at most
+    ``CHUNK_ENTRIES`` scalar entries, and at least one.  The samples are
+    drawn from the iterable one run at a time.
+    """
+    run, total, start = [], 0, 0
+    for i, sample in enumerate(samples):
+        entries = size(sample)
+        if run and total + entries > CHUNK_ENTRIES:
+            yield start, run
+            run, total, start = [], 0, i
+        run.append(sample)
+        total += entries
+    if run:
+        yield start, run
+
+
+def _tower_size(space: FockSpace):
+    """The size of a sample (an operator or a list of them) for ``_chunks``:
+    the scalar entries of its towers, about 2L+1 per block entry."""
+    per = (2 * space.L_max + 1) * space.dim_N ** 2
+
+    def size(sample) -> int:
+        return per * sum(op.rows.size for op in (sample if isinstance(sample, list)
+                                                 else [sample]))
+    return size
+
+
+def _fold(worst: float, *values) -> float:
+    """The running maximum ``worst`` updated with every value, nan dropped
+    (as ``max(worst, value)`` drops it)."""
+    for v in values:
+        worst = float(np.fmax.reduce(np.ravel(v), initial=worst))
+    return worst
+
+
+def _masked_max(op: StructuredOperator, max_len=None):
+    """Largest entry of the operator's matrix in the columns whose word is
+    at most ``max_len`` letters long (all columns when None); 0 when it has
+    none there.  For a stack it gives one value per sample, and ``max_len``
+    may hold one bound per sample."""
+    if max_len is None:
+        return op.block_max()
+    if np.ndim(max_len):
+        max_len = np.asarray(max_len)[op.samples]
+    return op.block_max(op.space.lengths[op.cols * op.space.dim_N] <= max_len)
+
+
+def _embed_terms(space: FockSpace, i: int) -> dict:
+    """Word-index structure of the terms of ``embed`` on factor i, cached in
+    the space: per (j, k), the rows, columns and middle words of the
+    entries of up_j lmul(c) down_k, in the order that product lists them.
+
+    up_0 = down_0 is the projection onto the words that do not start in
+    factor i, up_j the creation L_{(i, j)} and down_k the annihilation
+    L*_{(i, k)}.  All of them are partial word maps with identity blocks,
+    so the term's block on an entry is lmul(c)'s block on the middle word.
+    """
+    key = ("embed_terms", i)
+    if key not in space.cache:
+        order = space.amalgam.factor(i).group.order
+        guard = start_complement_op(space, i)
+        ups = [guard] + [creation(space, (i, j)) for j in range(1, order)]
+        downs = [guard] + [annihilation(space, (i, k)) for k in range(1, order)]
+        terms = {}
+        for j, up in enumerate(ups):
+            at = np.full(len(space.words), -1)
+            at[up.cols] = np.arange(up.cols.size)
+            for k, down in enumerate(downs):
+                hit = at[down.rows]
+                keep = np.flatnonzero(hit >= 0)
+                terms[j, k] = (up.rows[hit[keep]], down.cols[keep], down.rows[keep])
+        space.cache[key] = terms
+    return space.cache[key]
 
 
 def embed(space: FockSpace, a: FactorElement) -> StructuredOperator:
     """Represent a factor element as the matching left multiplication on the
-    truncated Fock space."""
+    truncated Fock space.
+
+    The (j, k) term L_{e_j} E(e_j* a e_k) L*_{e_k} takes its words from the
+    cached ``_embed_terms`` and its coefficient in closed form: with
+    e_j = u_{g_j}, E(u_{g_j}* a u_{g_k}) = alpha_{g_j^{-1}}(a_{g_j g_k^{-1}}).
+    Terms with a zero coefficient are left out, and the terms are added in
+    (j, k) order.
+    """
     factors = space.amalgam.factors
     idx = None
     for i, fac in enumerate(factors):
@@ -55,20 +150,23 @@ def embed(space: FockSpace, a: FactorElement) -> StructuredOperator:
     if idx is None:
         raise ValueError("element does not belong to a configured factor")
     fac = a.factor
-    basis = fac.pp_basis()
-    guard = start_complement_op(space, idx)
-    terms = []
-    for j, ej in enumerate(basis):
-        up = guard if j == 0 else creation(space, (idx, j))
-        ej_star = ej.star()
-        for k, ek in enumerate(basis):
-            coef = cond_exp(ej_star * a * ek)
-            if not np.any(np.abs(coef) > 0):
-                continue
-            down = guard if k == 0 else annihilation(space, (idx, k))
-            terms.append(op_product(space, [up, left_mult(space, coef), down], "term"))
-    if not terms:
+    group = fac.group
+    structure = _embed_terms(space, idx)
+    pairs, coefs = [], []
+    for j in range(group.order):
+        for k in range(group.order):
+            coef = fac.alpha(group.inv(j), a.coeff(group.mul(j, group.inv(k))))
+            if np.any(np.abs(coef) > 0):
+                pairs.append((j, k))
+                coefs.append(coef)
+    if not coefs:
         return zero_op(space)
+    lmul = left_mult(space, np.array(coefs)).blocks
+    n = len(space.words)
+    terms = []
+    for t, pair in enumerate(pairs):
+        rows, cols, mid = structure[pair]
+        terms.append(StructuredOperator(space, rows, cols, lmul[t * n + mid], "term"))
     return op_sum(space, terms, "embed")
 
 
@@ -198,15 +296,34 @@ def fock_suite(space: FockSpace, seed: int = 0,
     report.add("fock_length_projection_split", worst, tol)
 
     # the length-k spanning families have full rank jointly; they hold one
-    # vector per word and N-basis element, written straight into G
-    G = np.zeros((space.dim, space.dim), dtype=complex)
-    span = (v for kk in range(space.L_max + 1) for v in lambda_span(space, kk))
-    for col, v in enumerate(span):
-        G[:, col] = v.to_array()
-    rank = int(np.linalg.matrix_rank(G, tol=1e-10))
+    # vector per word and N-basis element
+    rank = _word_block_rank(space, lambda: (v.to_array() for kk in range(space.L_max + 1)
+                                            for v in lambda_span(space, kk)))
     report.add("fock_lambda_span_rank", float(space.dim - rank), 0.5,
                rank=rank, dim=space.dim)
     return report
+
+
+def _word_block_rank(space: FockSpace, columns) -> int:
+    """Rank (singular values above 1e-10) of the matrix whose columns the
+    call ``columns()`` yields, dim_N of them per word in basis order.
+
+    When every column lies on its own word's coordinates, the matrix is
+    block diagonal on words and its rank is the sum of the dim_N x dim_N
+    block ranks, one batched SVD; for the Lambda family each block is a
+    multiple of a permutation.  A column that leaks off its word sends the
+    check back to one dense ``matrix_rank``.
+    """
+    k = space.dim_N
+    blocks = []
+    for c, col in enumerate(columns()):
+        own = col[c // k * k:c // k * k + k]
+        if np.count_nonzero(own) != np.count_nonzero(col):
+            return int(np.linalg.matrix_rank(np.stack(list(columns()), axis=1), tol=1e-10))
+        blocks.append(own.copy())  # not a view, which would keep the column
+    if not blocks:
+        return 0
+    return int(np.linalg.matrix_rank(np.reshape(blocks, (-1, k, k)), tol=1e-10).sum())
 
 
 def _random_vector(rng, space: FockSpace) -> FockVector:
@@ -297,15 +414,23 @@ def _generator_zoo(space: FockSpace, seed: int, max_k: int = 2, max_l: int = 2,
     return out
 
 
-def _gen_guard(space: FockSpace, w: GeneratorWord, depth: int) -> int:
-    return space.L_max - max(w.k - w.l, 0) - depth
+def _phi_scalars(xs: np.ndarray, ys: np.ndarray, gw: GeneratorWord) -> tuple:
+    """The eigenvalues of Phi1_{x,y} and Phi2_{x,y} on the generator."""
+    k, l = gw.k, gw.l
+    span = len(xs) - max(k, l)
+    scalar1 = complex(np.vdot(ys[l:l + span], xs[k:k + span]))
+    if gw.case is CaseTag.CASE1:
+        return scalar1, scalar1
+    span2 = len(xs) - max(k, l) + 1
+    return scalar1, complex(np.vdot(ys[l - 1:l - 1 + span2], xs[k - 1:k - 1 + span2]))
 
 
 def lemma_suite(space: FockSpace, symbols, seed: int = 0,
                 tol: float = EIGEN_TOL, max_rho_power: int = 2) -> VerificationReport:
     """Scaling rules on symbolic generators, compared as matrices on the
     guard band: rho powers, epsilon case rules, both Phi eigen-formulas,
-    and the component / total rules of every supplied multiplier."""
+    and the component / total rules of every supplied multiplier.  The
+    generators are checked a chunk at a time, as one stack."""
     rng = np.random.default_rng([seed, 4])
     report = VerificationReport()
     gens = _generator_zoo(space, seed)
@@ -318,54 +443,50 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     phi_stacks = [phi_weights(space, variant, xs, ys) for variant in (1, 2)]
 
     L = space.L_max
+    lengths = space.lengths[::space.dim_N]
     res_rho = 0.0
     res_eps = 0.0
     res_phi = [0.0, 0.0]
     res_t = 0.0
     res_t12 = 0.0
-    for gw in gens:
-        a = gw.operator(space)
-        k, l = gw.k, gw.l
-        case = gw.case
+    for start, ops in _chunks((gw.operator(space) for gw in gens), _tower_size(space)):
+        chunk = gens[start:start + len(ops)]
+        a = stack(ops, "gens")
+        k = np.array([gw.k for gw in chunk])
+        l = np.array([gw.l for gw in chunk])
+        case2 = np.array([gw.case is CaseTag.CASE2 for gw in chunk])
+        guard = L - np.maximum(k - l, 0)  # the guard band at depth 0
         tw = tower(space, a)
 
-        # rho^n(a) = a Q_{l+n}
+        # rho^n(a) = a Q_{l+n}: the entries of a in the columns of length >= l+n
         for n in range(1, max_rho_power + 1):
-            target = a @ length_at_least_op(space, l + n)
-            g = space.guard_mask(_gen_guard(space, gw, n))
-            res_rho = max(res_rho, _masked_max(tw[n] - target, g))
+            target = a.subset(lengths[a.cols] >= (l + n)[a.samples])
+            res_rho = _fold(res_rho, _masked_max(tw[n] - target, guard - n))
 
-        # epsilon case rules
-        g = space.guard_mask(_gen_guard(space, gw, 1))
-        if case is CaseTag.CASE2:
-            res_eps = max(res_eps, _masked_max(tw[L + 1] - a, g))
-        else:
-            res_eps = max(res_eps, _masked_max(tw[L + 1] - tw[1], g))
+        # epsilon case rules: eps(a) = a in case 2, rho(a) in case 1
+        g = guard - 1
+        target = op_sum(space, [a.subset(case2[a.samples]),
+                                tw[1].subset(~case2[tw[1].samples])])
+        res_eps = _fold(res_eps, _masked_max(tw[L + 1] - target, g))
 
         # Phi eigen-formulas
-        span = len(xs) - max(k, l)
-        scalar1 = complex(np.vdot(ys[l:l + span], xs[k:k + span]))
-        if case is CaseTag.CASE2:
-            span2 = len(xs) - max(k, l) + 1
-            scalar2 = complex(np.vdot(ys[l - 1:l - 1 + span2], xs[k - 1:k - 1 + span2]))
-        else:
-            scalar2 = scalar1
-        for i, scalar in enumerate((scalar1, scalar2)):
+        scalars = np.array([_phi_scalars(xs, ys, gw) for gw in chunk])
+        for i in range(2):
             phi_a = weighted_sum(space, phi_stacks[i], tw)
-            res_phi[i] = max(res_phi[i], _masked_max(phi_a - scalar * a, g))
+            res_phi[i] = _fold(res_phi[i], _masked_max(phi_a - scalars[:, i] * a, g))
 
         # multiplier rules
+        n_eff = np.where(case2, k + l - 1, k + l)
         for (phi, T), (_, dec) in zip(mults, decs):
             t1 = weighted_sum(space, T.t1_weights, tw)
             t2 = weighted_sum(space, T.t2_weights, tw)
-            want1 = dec.psi1(k + l)
-            want2 = dec.psi2(k + l) if case is CaseTag.CASE1 else dec.psi2(k + l - 2)
-            res_t12 = max(res_t12, _masked_max(t1 - want1 * a, g))
-            res_t12 = max(res_t12, _masked_max(t2 - want2 * a, g))
-            n_eff = k + l if case is CaseTag.CASE1 else k + l - 1
-            want = phi(n_eff)
+            want1 = np.array([dec.psi1(int(n)) for n in k + l])
+            want2 = np.array([dec.psi2(int(n)) for n in np.where(case2, k + l - 2, k + l)])
+            res_t12 = _fold(res_t12, _masked_max(t1 - want1 * a, g),
+                            _masked_max(t2 - want2 * a, g))
             total = weighted_sum(space, T.weights, tw)
-            res_t = max(res_t, _masked_max(total - want * a, g))
+            want = np.array([phi(int(n)) for n in n_eff])
+            res_t = _fold(res_t, _masked_max(total - want * a, g))
 
     report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
     report.add("epsilon_case_rules", res_eps, tol)
@@ -381,31 +502,40 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
                        max_len=None) -> VerificationReport:
     """The multiplier action on sampled reduced words: T(A) = phi(n) A on the
     guard band, exact vacuum coefficients, linearity, and the right-module
-    property of T."""
+    property of T.  The words of one length are checked a chunk at a time,
+    as one stack."""
     rng = np.random.default_rng([seed, 5])
     report = VerificationReport()
     if max_len is None:
         max_len = min(3, space.L_max - 2)
     mults = [(phi, build_T(space, phi)) for phi in symbols]
+    words = {n: [random_reduced_word(rng, space, n) for _ in range(words_per_length)]
+             for n in range(0, max_len + 1)}
 
     res_action = 0.0
     res_vacuum = 0.0
     first = {}  # the first word operator of each length, reused below
-    vac = space.guard_mask(0)  # the vacuum columns, always guarded
-    for n in range(0, max_len + 1):
+    for n, sampled in words.items():
         guard = space.guard_mask(space.L_max - n)
-        for _ in range(words_per_length):
-            A = word_operator(space, random_reduced_word(rng, space, n))
-            first.setdefault(n, A)
+        for _, ops in _chunks((word_operator(space, w) for w in sampled), _tower_size(space)):
+            first.setdefault(n, ops[0])
+            A = stack(ops, "words")
+            A_guard = A.entries().columns(guard)
             for phi, T in mults:
                 TA = T.apply_matrix(A)
                 # an overflowing symbol leaves inf or nan here, failing the checks
                 with np.errstate(over="ignore", invalid="ignore"):
                     diff = TA - phi(n) * A
-                scale = max(op_norm(A.entries().columns(guard)), 1e-30)
-                res_action = max(res_action, op_norm(diff.entries().columns(guard)) / scale)
-                res_vacuum = max(res_vacuum,
-                                 _masked_max(diff, vac) / max(_masked_max(A, vac), 1e-30))
+                # a word whose difference has no entry in the guard columns
+                # has residual exactly 0, so its two norms are not taken
+                d = diff.entries().columns(guard)
+                live = np.zeros(len(ops), dtype=bool)
+                live[d.samples] = True
+                if live.any():
+                    scale = np.maximum(op_norm(A_guard.select(live)), 1e-30)
+                    res_action = _fold(res_action, op_norm(d.select(live)) / scale)
+                res_vacuum = _fold(res_vacuum, _masked_max(diff, 0)
+                                   / np.maximum(_masked_max(A, 0), 1e-30))
     report.add("theorem_action_on_words", res_action, tol,
                lengths=max_len, per_length=words_per_length, symbols=len(mults))
     report.add("theorem_vacuum_coefficients", res_vacuum, tol)
@@ -429,25 +559,38 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     return report
 
 
-def amplified_samples(rng, space: FockSpace, T, samples: int, amplifications, terms: int):
-    """Yield ``(sum C_i (x) A_i, sum C_i (x) T(A_i))`` for ``samples`` random
-    combinations of ``terms`` generator words A_i, once per amplification m,
-    with random complex m x m coefficient blocks C_i.  Both are scalar
-    :class:`~radmul.operators.Entries` of the (m dim) x (m dim) matrix,
-    built by ``amplify`` without the dense array."""
+def amplified_stacks(rng, space: FockSpace, T, samples: int, amplifications, terms: int):
+    """Draw ``samples`` random combinations of ``terms`` generator words A_i
+    with random complex m x m coefficient blocks C_i per amplification m,
+    then yield ``(m, sum C_i (x) A_i, sum C_i (x) T(A_i))`` per chunk of
+    combinations and amplification.  Both sums are stacks of scalar
+    :class:`~radmul.sparse.Entries` of the (m dim) x (m dim) matrices, one
+    sample per combination, built by ``amplify`` without the dense arrays.
+
+    Per combination the draws are the (k, l) of every term, the words, and
+    then the blocks of every amplification in turn.
+    """
+    gens, coeffs = [], []
     for _ in range(samples):
-        kls = [(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-               for _ in range(terms)]
-        gens = [random_generator_word(rng, space, k, l) for k, l in kls]
-        ops = [g.operator(space) for g in gens]
+        kls = [(int(rng.integers(0, 3)), int(rng.integers(0, 3))) for _ in range(terms)]
+        gens.append([random_generator_word(rng, space, k, l) for k, l in kls])
+        coeffs.append({m: [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                           for _ in range(terms)] for m in amplifications})
+    combos = ([g.operator(space) for g in words] for words in gens)
+    # op_norm takes an amplified matrix no longer than SPLIT_MIN whole, as
+    # one dense array per sample
+    side = max(amplifications) * space.dim
+    dense = side * side if side <= SPLIT_MIN else 0
+    tower_size = _tower_size(space)
+    for start, run in _chunks(combos, lambda combo: tower_size(combo) + dense):
+        ops = [stack([combo[i] for combo in run], "terms") for i in range(terms)]
         tops = [T.apply_matrix(A) for A in ops]
         for m in amplifications:
-            blocks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-                      for _ in ops]
+            blocks = [np.array([c[m][i] for c in coeffs[start:start + len(run)]])
+                      for i in range(terms)]
             # an overflowing symbol leaves inf or nan in tbig; op_norm reads inf
             with np.errstate(over="ignore", invalid="ignore"):
-                pair = (amplify(blocks, ops), amplify(blocks, tops))
-            yield pair
+                yield m, amplify(blocks, ops), amplify(blocks, tops)
 
 
 def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
@@ -460,7 +603,8 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     Lower: the scaling action attains |phi(n)| on pure creation words.
     Norms come from ``op_norm`` on the entries of the amplified matrices,
     which are never built densely: they are sparse on word indices, so each
-    norm is an exact SVD of their many small support components.
+    norm is an exact SVD of their many small support components, one
+    batched run per chunk of combinations and amplification.
     """
     rng = np.random.default_rng([seed, 6])
     report = VerificationReport()
@@ -468,23 +612,26 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
         T = build_T(space, phi)
         c_norm = norm_C(phi)
         worst = 0.0
-        for big, tbig in amplified_samples(rng, space, T, samples, amplifications, terms):
+        for _, big, tbig in amplified_stacks(rng, space, T, samples, amplifications, terms):
             na = op_norm(big)
-            if na < 1e-12:
-                continue
-            worst = max(worst, op_norm(tbig) / na)
+            live = na >= 1e-12
+            if live.any():
+                worst = _fold(worst, op_norm(tbig.select(live)) / na[live])
         report.add("norm_bound_upper[%d]" % si, max(worst - c_norm, 0.0), tol,
                    observed=worst, class_c_norm=c_norm, samples=samples)
 
         attained = 0.0
         want = 0.0
-        for n in range(0, min(3, space.L_max) + 1):
+        lengths = range(0, min(3, space.L_max) + 1)
+        for n in lengths:
             want = max(want, abs(phi(n)))
-            cre = alternating_letter_tuples(space, n)[0] if n else ()
-            A = GeneratorWord(cre, ()).operator(space)
+        creations = (GeneratorWord(alternating_letter_tuples(space, n)[0] if n else (),
+                                   ()).operator(space) for n in lengths)
+        for _, ops in _chunks(creations, _tower_size(space)):
+            A = stack(ops, "creations")
             na = op_norm(A)
-            if na > 0:
-                attained = max(attained, op_norm(T.apply_matrix(A)) / na)
+            ratio = op_norm(T.apply_matrix(A)) / np.where(na > 0, na, 1.0)
+            attained = _fold(attained, ratio[na > 0])
         report.add("norm_bound_lower[%d]" % si, max(want - attained, 0.0), tol,
                    attained=attained, eigen_max=want)
     return report
@@ -493,34 +640,36 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
 def embedding_suite(space: FockSpace, seed: int = 0,
                     tol: float = 1e-11) -> VerificationReport:
     """embed is a unital *-homomorphism on each factor (guard band), with the
-    right N-valued matrix coefficients against the module basis."""
+    right N-valued matrix coefficients against the module basis.  The
+    sampled pairs (a, b) are checked a chunk at a time, as stacks; the
+    coefficients are compared with the ``FactorElement`` products
+    E(e_m* a e_l), a route independent of ``embed``'s closed form."""
     rng = np.random.default_rng([seed, 7])
     report = VerificationReport()
+    factors = space.amalgam.factors
+    draws = [(i, fac.random(rng), fac.random(rng)) for i, fac in enumerate(factors)
+             for _ in range(3)]
+    ones = stack([embed(space, fac.identity()) for fac in factors], "ones")
+    ids = stack([identity_op(space)] * len(factors), "ids")
+    res_unit = _fold(0.0, _masked_max(ones - ids, space.L_max - 1))
     res_mult = 0.0
     res_star = 0.0
     res_coef = 0.0
-    res_unit = 0.0
-    guard = space.guard_mask(space.L_max - 2)
-    for i, fac in enumerate(space.amalgam.factors):
-        one = embed(space, fac.identity())
-        res_unit = max(res_unit, _masked_max(one - identity_op(space),
-                                             space.guard_mask(space.L_max - 1)))
-        for _ in range(3):
-            a = fac.random(rng)
-            b = fac.random(rng)
-            ea, eb = embed(space, a), embed(space, b)
-            eab = embed(space, a * b)
-            res_mult = max(res_mult, _masked_max(ea @ eb - eab, guard))
-            res_star = max(res_star, _masked_max(embed(space, a.star()) - ea.adjoint()))
-            # N-valued matrix coefficients against the basis vectors
-            basis = fac.pp_basis()
-            for lidx, el in enumerate(basis):
-                el_vec = (space.vacuum() if lidx == 0
-                          else space.word_vector(Word(((i, lidx),))))
-                ael = ea(el_vec)
-                for midx, em in enumerate(basis):
-                    em_vec = (space.vacuum() if midx == 0
-                              else space.word_vector(Word(((i, midx),))))
+    images = ([embed(space, a), embed(space, b), embed(space, a * b), embed(space, a.star())]
+              for _, a, b in draws)
+    for start, run in _chunks(images, _tower_size(space)):
+        ea, eb, eab, ea_star = (stack([sample[t] for sample in run], "embeds")
+                                for t in range(4))
+        res_mult = _fold(res_mult, _masked_max(ea @ eb - eab, space.L_max - 2))
+        res_star = _fold(res_star, _masked_max(ea_star - ea.adjoint()))
+        # N-valued matrix coefficients against the basis vectors
+        for (i, a, _), sample in zip(draws[start:], run):
+            basis = factors[i].pp_basis()
+            vectors = [space.vacuum()] + [space.word_vector(Word(((i, g),)))
+                                          for g in range(1, len(basis))]
+            for el, el_vec in zip(basis, vectors):
+                ael = sample[0](el_vec)
+                for em, em_vec in zip(basis, vectors):
                     got = em_vec.inner_N(ael)
                     want = cond_exp(em.star() * a * el)
                     res_coef = max(res_coef, float(np.abs(got - want).max()))
@@ -557,15 +706,13 @@ def word_vacuum_images(space: FockSpace, max_len: int):
 def spanning_check(space: FockSpace, max_len=None) -> VerificationReport:
     """Vacuum images of basis-letter words with N-basis coefficients
     (``word_vacuum_images``) span the truncated space, so the scaling action
-    on words pins the multiplier."""
+    on words pins the multiplier.  Each image lies on its own word, so the
+    rank is a sum of per-word block ranks (``_word_block_rank``)."""
     if max_len is None:
         max_len = space.L_max
     report = VerificationReport()
     expected = int(np.count_nonzero(space.guard_mask(max_len)))
-    G = np.zeros((space.dim, expected), dtype=complex)
-    for col, vec in enumerate(word_vacuum_images(space, max_len)):
-        G[:, col] = vec
-    rank = int(np.linalg.matrix_rank(G, tol=1e-10))
+    rank = _word_block_rank(space, lambda: word_vacuum_images(space, max_len))
     report.add("spanning_rank_len%d" % max_len, float(expected - rank), 0.5,
                rank=rank, expected=expected)
     return report

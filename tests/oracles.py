@@ -8,12 +8,23 @@ weight-stack sum with every table expanded to a full matrix, and
 ``rho_dense``, ``epsilon_dense`` and ``tower_dense`` are rho, epsilon and
 the tower on dense matrices, gathered and scattered block by block.
 ``as_op`` turns a dense matrix into the operator the package functions take.
+
+``embed_by_products`` and ``lemma_suite_per_generator`` are the sample-by-
+sample routes the package replaced: the factor embedding with coefficients
+from ``FactorElement`` products, and the lemma suite with one generator
+operator at a time.
 """
 
 import numpy as np
 
+from radmul.algebra import cond_exp
 from radmul.fock import FockVector
-from radmul.operators import StructuredOperator
+from radmul.operators import (CaseTag, StructuredOperator, annihilation, build_T, creation,
+                              left_mult, length_at_least_op, op_product, op_sum, phi_weights,
+                              start_complement_op, tower, weighted_sum, zero_op)
+from radmul.report import EIGEN_TOL, VerificationReport
+from radmul.symbols import psi_decompose
+from radmul.verify import _generator_zoo
 
 
 def column_matrix(space, rule):
@@ -146,3 +157,95 @@ def tower_dense(space, A):
     for _ in range(space.L_max - 1):
         out.append(rho_dense(space, out[-1]))
     return out
+
+
+def embed_by_products(space, a):
+    """sum_{j,k} L_{e_j} E(e_j* a e_k) L*_{e_k}, each coefficient from
+    FactorElement products and each term a product of three operators."""
+    idx = next(i for i, fac in enumerate(space.amalgam.factors) if fac is a.factor)
+    basis = a.factor.pp_basis()
+    guard = start_complement_op(space, idx)
+    terms = []
+    for j, ej in enumerate(basis):
+        up = guard if j == 0 else creation(space, (idx, j))
+        for k, ek in enumerate(basis):
+            coef = cond_exp(ej.star() * a * ek)
+            if not np.any(np.abs(coef) > 0):
+                continue
+            down = guard if k == 0 else annihilation(space, (idx, k))
+            terms.append(op_product(space, [up, left_mult(space, coef), down], "term"))
+    return op_sum(space, terms, "embed") if terms else zero_op(space)
+
+
+def _masked_max(op, col_mask=None):
+    blocks = op.blocks
+    if col_mask is not None:
+        blocks = blocks[col_mask[op.cols * op.space.dim_N]]
+    return float(np.abs(blocks).max()) if blocks.size else 0.0
+
+
+def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_power=2):
+    """The lemma suite with one generator operator, one tower and one
+    check at a time."""
+    rng = np.random.default_rng([seed, 4])
+    report = VerificationReport()
+    gens = _generator_zoo(space, seed)
+    mults = [(phi, build_T(space, phi)) for phi in symbols]
+    decs = [(phi, psi_decompose(phi)) for phi, _ in mults]
+
+    vec_len = max(space.L_max + 2, 8)
+    xs = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
+    ys = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
+    phi_stacks = [phi_weights(space, variant, xs, ys) for variant in (1, 2)]
+
+    L = space.L_max
+    res_rho = res_eps = res_t = res_t12 = 0.0
+    res_phi = [0.0, 0.0]
+    for gw in gens:
+        a = gw.operator(space)
+        k, l = gw.k, gw.l
+        case = gw.case
+        tw = tower(space, a)
+
+        def guard(depth):
+            return space.guard_mask(L - max(k - l, 0) - depth)
+
+        for n in range(1, max_rho_power + 1):
+            target = a @ length_at_least_op(space, l + n)
+            res_rho = max(res_rho, _masked_max(tw[n] - target, guard(n)))
+
+        g = guard(1)
+        if case is CaseTag.CASE2:
+            res_eps = max(res_eps, _masked_max(tw[L + 1] - a, g))
+        else:
+            res_eps = max(res_eps, _masked_max(tw[L + 1] - tw[1], g))
+
+        span = len(xs) - max(k, l)
+        scalar1 = complex(np.vdot(ys[l:l + span], xs[k:k + span]))
+        if case is CaseTag.CASE2:
+            span2 = len(xs) - max(k, l) + 1
+            scalar2 = complex(np.vdot(ys[l - 1:l - 1 + span2], xs[k - 1:k - 1 + span2]))
+        else:
+            scalar2 = scalar1
+        for i, scalar in enumerate((scalar1, scalar2)):
+            phi_a = weighted_sum(space, phi_stacks[i], tw)
+            res_phi[i] = max(res_phi[i], _masked_max(phi_a - scalar * a, g))
+
+        for (phi, T), (_, dec) in zip(mults, decs):
+            t1 = weighted_sum(space, T.t1_weights, tw)
+            t2 = weighted_sum(space, T.t2_weights, tw)
+            want1 = dec.psi1(k + l)
+            want2 = dec.psi2(k + l) if case is CaseTag.CASE1 else dec.psi2(k + l - 2)
+            res_t12 = max(res_t12, _masked_max(t1 - want1 * a, g))
+            res_t12 = max(res_t12, _masked_max(t2 - want2 * a, g))
+            n_eff = k + l if case is CaseTag.CASE1 else k + l - 1
+            total = weighted_sum(space, T.weights, tw)
+            res_t = max(res_t, _masked_max(total - phi(n_eff) * a, g))
+
+    report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
+    report.add("epsilon_case_rules", res_eps, tol)
+    report.add("phi1_eigenvalue_rule", res_phi[0], tol)
+    report.add("phi2_eigenvalue_rule", res_phi[1], tol)
+    report.add("t1_t2_component_rules", res_t12, tol, symbols=len(mults))
+    report.add("multiplier_case_rules", res_t, tol, symbols=len(mults))
+    return report

@@ -6,17 +6,18 @@ from radmul.fock import Word
 from oracles import (append_star, as_op, column_matrix, epsilon_dense, left_action, prepend,
                      right_action, rho_dense, strip_first, strip_star, tower_dense,
                      weighted_sum_dense)
-from radmul.operators import (SPLIT_MIN, CaseTag, Entries, GeneratorWord, ShiftedVector,
+from radmul.sparse import SPLIT_MIN
+from radmul.operators import (CaseTag, Entries, GeneratorWord, ShiftedVector,
                               StructuredOperator, adjoint_check, alternating_letter_tuples,
                               annihilation, build_T, case_of, creation, diag, epsilon_matrix,
                               identity_op, left_mult, length_at_least_op, op_norm,
                               partition_identity_residual,
                               phi_block_matrix, phi_cb_bound, right_annihilation,
-                              right_creation, right_mult, rho_matrix, tower, weighted_sum,
-                              zero_op)
+                              right_creation, right_mult, rho_matrix, stack, tower,
+                              weighted_sum, zero_op)
 from radmul.symbols import (ConstantTail, RadialSymbol, factorize, hankel_pair,
                             psi_decompose)
-from radmul.verify import (ReducedWord, amplified_samples, embed, random_generator_word,
+from radmul.verify import (ReducedWord, amplified_stacks, embed, random_generator_word,
                            random_reduced_word, word_operator)
 
 SPACES = ["dih_space", "mat2_space", "cy3_space", "noncomm_space"]
@@ -484,6 +485,41 @@ def test_product_matches_dense_product(request, name):
             assert_close((a - 2j * b.adjoint()).matrix(), a.matrix() - 2j * b.matrix().conj().T)
 
 
+@pytest.mark.parametrize("name", SPACES)
+def test_stacked_operations_repeat_each_sample_exactly(request, name):
+    # every sample of a stack comes out bit for bit, entries in the same
+    # order, as its single operator does: the left factors mix a gather, a
+    # gather with repeated rows, a join with repeated pairs and an empty one
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(27)
+    n, k, L = len(space.words), space.dim_N, space.L_max
+    to_vacuum = StructuredOperator(space, np.zeros(n, dtype=int), np.arange(n),
+                                   random_complex(rng, (n, k, k)), "to vacuum")
+    lefts = [creation(space, space.amalgam.letters()[-1]), to_vacuum,
+             random_operator(space, rng), zero_op(space)]
+    rights = [random_operator(space, rng) for _ in lefts]
+    A, B = stack(lefts), stack(rights)
+    scale = random_complex(rng, len(lefts))
+    W = random_complex(rng, (2 * L + 1, L + 1, L + 1))
+    pairs = list(zip(lefts, rights, scale))
+    cases = [(A @ B, [a @ b for a, b, _ in pairs]),
+             (scale * A - B.adjoint(), [c * a - b.adjoint() for a, b, c in pairs]),
+             (rho_matrix(space, B), [rho_matrix(space, b) for b in rights]),
+             (epsilon_matrix(space, B), [epsilon_matrix(space, b) for b in rights]),
+             (weighted_sum(space, W, tower(space, A @ B)),
+              [weighted_sum(space, W, tower(space, a @ b)) for a, b, _ in pairs])]
+    for got, want in cases:
+        assert got.n_samples == len(want)
+        for s, single in enumerate(want):
+            on = got.samples == s
+            for field in ("rows", "cols", "blocks"):
+                assert np.array_equal(getattr(got, field)[on], getattr(single, field))
+    assert op_norm(A @ B).tolist() == [op_norm(a @ b) for a, b, _ in pairs]
+    assert (A @ B).block_max().tolist() == [(a @ b).block_max() for a, b, _ in pairs]
+    with pytest.raises(ValueError):
+        A @ stack(rights[:2])
+
+
 def dense_embed(space, a):
     """Oracle: sum_{j,k} L_{e_j} E(e_j* a e_k) L*_{e_k} as dense matrices from
     the word-level rules, the e_0 slots being the projection onto words that
@@ -746,11 +782,11 @@ def test_op_norm_matches_full_svd_on_amplified_samples(request, space_name):
     space = request.getfixturevalue(space_name)
     T = build_T(space, RadialSymbol(head=(1.0, -0.5, 0.25), tail=ConstantTail(0.1)))
     rng = np.random.default_rng(8)
-    for big, tbig in amplified_samples(rng, space, T, samples=4,
-                                       amplifications=(1, 2, 3), terms=3):
+    for _, big, tbig in amplified_stacks(rng, space, T, samples=4, amplifications=(1, 2, 3),
+                                         terms=3):
         for A in (big, tbig):
-            dense = A.matrix()
-            assert abs(op_norm(A) - svd_norm(dense)) <= 1e-13 * svd_norm(dense)
+            for dense, norm in zip(A.matrix(), op_norm(A)):
+                assert abs(norm - svd_norm(dense)) <= 1e-13 * svd_norm(dense)
 
 
 def test_op_norm_small_blocks_above_dense_cap_stay_exact():
