@@ -120,7 +120,8 @@ def _parse_group(fragment) -> FiniteGroup:
         if kind == "cyclic":
             group = FiniteGroup.cyclic(_int(fragment["order"], "group order", 2))
         else:
-            group = FiniteGroup(fragment["table"])
+            group = FiniteGroup([[_int(v, "group table entry", 0) for v in row]
+                                 for row in fragment["table"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad group fragment: %s" % exc) from exc
     if group.order < 2:

@@ -283,14 +283,10 @@ def canonicalize(space: FockSpace, letters, coeffs=None) -> FockVector:
     return FockVector(space, {word: acc})
 
 
-def lambda_span(space: FockSpace, k: int) -> list:
-    """Spanning family of the length-k sector: words paired with N basis elements."""
+def lambda_span(space: FockSpace, k: int):
+    """Spanning family of the length-k sector, words paired with N basis
+    elements, yielded one vector at a time."""
     if k > space.L_max:
         raise ValueError("sector beyond truncation")
-    out = []
-    for w in space.words:
-        if len(w) != k:
-            continue
-        for b in space.base.basis():
-            out.append(FockVector(space, {w: b}))
-    return out
+    return (FockVector(space, {w: b}) for w in space.words if len(w) == k
+            for b in space.base.basis())

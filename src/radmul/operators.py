@@ -1,7 +1,7 @@
 """Operator toolkit on the truncated Fock space.
 
 Building blocks: creation/annihilation by basis letters on either side,
-length-diagonal maps driven by shifted coefficient vectors, the
+length-diagonal maps D_x (the length-k sector scaled by x(k)), the
 right-shift average
 
     rho(a) = sum_{gamma} R_{gamma*} a R_{gamma*}^*,
@@ -20,7 +20,8 @@ from which the radial multiplier T = T1 + T2 + c*Id is built: T1 sums
 Phi1 blocks over the rank-one pairs of the symbol's first Hankel difference
 matrix h, T2 sums Phi2 blocks over the pairs of the second one, k.  S is
 the forward shift ((S x)(0) = 0, (S x)(t) = x(t-1)), so D_{(S*)^n x}
-scales the length-k sector by x(k+n) and D_{S^n x} by x(k-n).
+scales the length-k sector by x(k+n) and D_{S^n x} by x(k-n); as arrays,
+(S*)^n x is x[n:] and S^n x is n zeros followed by x.
 
 Each of these maps -- Phi1, Phi2, T1, T2 and T -- is one weight stack over
 one tower: the ``tower`` of an operator A lists A, its rho-iterates and the
@@ -51,16 +52,19 @@ keeps the entries whose row and column words end in the same factor.
 blocks and the multiplier take an operator and return one.  Sums over
 letters and factors always run in configuration order.
 
-An operator may also be a stack: ``stack`` puts several operators into one,
-each entry carrying the index of its sample, and every operation above --
+Every operator is a stack: each entry carries the index of its sample, and
+a single operator is a stack of one whose entries all belong to sample 0.
+``stack`` puts several operators into one, and every operation above --
 products, sums, scalings (one scalar per sample), rho, epsilon, the tower,
 the weighted sum, ``block_max`` and ``op_norm`` -- keys its entries on
 (sample, row word, column word) and runs once for the whole stack.  Each
 sample comes out exactly as it does as a single operator, entry order
 included, so the sampled suites of :mod:`radmul.verify` can batch their
-samples without moving a residual.  A single operator is a stack of one.
-The scalar entries and the spectral norm ``op_norm`` live in
-:mod:`radmul.sparse`.
+samples without moving a residual.  The one flag ``stacked``, set by
+``stack`` (and by ``left_mult`` on an array of coefficients), makes
+``matrix()``, ``op @ x``, ``block_max`` and ``op_norm`` return one result
+per sample; the scalar entries, that rule (``_per_sample``) and the
+spectral norm ``op_norm`` live in :mod:`radmul.sparse`.
 """
 
 from __future__ import annotations
@@ -72,38 +76,40 @@ import numpy as np
 
 from .fock import FockSpace, FockVector
 from .report import VerificationReport
-from .sparse import Entries, coalesce, op_norm, sample_count, sample_ids, sum_at
+from .sparse import Entries, _per_sample, coalesce, op_norm, sum_at
 from .symbols import RadialSymbol, psi_decompose
 
 class StructuredOperator:
-    """Linear map on the truncated Fock space, block-sparse on word pairs,
-    or a stack of such maps.
+    """A stack of linear maps on the truncated Fock space, block-sparse on
+    word pairs; a single map is a stack of one.
 
     ``blocks[e]`` is the dim_N x dim_N coefficient block from the column
-    word ``cols[e]`` to the row word ``rows[e]`` (word indices of the space,
-    each pair at most once per sample).  A stack of ``n_samples`` operators
-    also carries the sample index ``samples[e]`` of each entry; a single
-    operator has ``samples`` and ``n_samples`` None and behaves as a stack
-    of one.  ``matrix()`` scatters the blocks into the dense matrix in the
-    enumerated basis (one per sample for a stack) on its first call and
-    caches it.  Products, sums, scalar multiples (one scalar per sample for
-    a stack) and the adjoint work on the entries, sample by sample; ``op @
-    x`` and ``op(vec)`` apply the operator to a coordinate array and to a
-    Fock vector.
+    word ``cols[e]`` to the row word ``rows[e]`` of sample ``samples[e]``
+    (word indices of the space, each pair at most once per sample), and
+    ``n_samples`` counts the samples; an operator built without them has
+    one sample, 0.  Products, sums, scalar multiples (one scalar per sample
+    for an array) and the adjoint work on the entries, sample by sample.
+    ``matrix()`` scatters the blocks into the dense matrix in the enumerated
+    basis on its first call and caches it; ``op @ x`` and ``op(vec)`` apply
+    the operator to a coordinate array and to a Fock vector.  ``matrix()``,
+    ``op @ x``, ``block_max`` and ``op_norm`` give one result per sample for
+    a stack built by :func:`stack` and the one result for any other
+    operator, the ``stacked`` flag telling them apart.
     """
 
     # numpy arrays and scalars leave ``array * op`` to __rmul__
     __array_ufunc__ = None
 
     def __init__(self, space: FockSpace, rows, cols, blocks, name: str = "op",
-                 samples=None, n_samples=None):
+                 samples=0, n_samples: int = 1, stacked: bool = False):
         self.space = space
         self.name = name
         self.rows = np.asarray(rows, dtype=np.intp)
         self.cols = np.asarray(cols, dtype=np.intp)
         self.blocks = np.asarray(blocks, dtype=complex)
-        self.samples = None if samples is None else np.asarray(samples, dtype=np.intp)
-        self.n_samples = None if samples is None else int(n_samples)
+        self.samples = (np.asarray(samples, dtype=np.intp) if np.ndim(samples)
+                        else np.full(self.rows.shape, samples, dtype=np.intp))
+        self.n_samples, self.stacked = int(n_samples), stacked
         self._matrix = None
 
     @property
@@ -116,10 +122,9 @@ class StructuredOperator:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             n, k = len(self.space.words), self.space.dim_N
-            out = np.zeros((sample_count(self), n, k, n, k), dtype=complex)
-            out[sample_ids(self), self.rows, :, self.cols, :] = self.blocks
-            out = out.reshape((-1,) + self.shape)
-            self._matrix = out if self.samples is not None else out[0]
+            out = np.zeros((self.n_samples, n, k, n, k), dtype=complex)
+            out[self.samples, self.rows, :, self.cols, :] = self.blocks
+            self._matrix = _per_sample(self, out.reshape((-1,) + self.shape))
         return self._matrix
 
     def entries(self) -> Entries:
@@ -128,51 +133,47 @@ class StructuredOperator:
         k = self.space.dim_N
         e, i, j = np.nonzero(self.blocks)
         return Entries(self.rows[e] * k + i, self.cols[e] * k + j, self.blocks[e, i, j],
-                       self.shape, None if self.samples is None else self.samples[e],
-                       self.n_samples)
+                       self.shape, self.samples[e], self.n_samples, self.stacked)
 
-    def _new(self, rows, cols, blocks, name: str, index=None) -> "StructuredOperator":
-        """An operator in this operator's stack whose entries come from its
-        entries ``index`` (all of them, in order, without it)."""
-        samples = self.samples
-        if samples is not None and index is not None:
-            samples = samples[index]
+    def _new(self, samples, rows, cols, blocks, name: str) -> "StructuredOperator":
+        """An operator with these entries in this operator's stack."""
         return StructuredOperator(self.space, rows, cols, blocks, name, samples,
-                                  self.n_samples)
+                                  self.n_samples, self.stacked)
 
     def block_max(self, keep=None):
         """Largest absolute block entry among the entries ``keep`` marks (all
-        of them without it), 0 where there is none: a float, or one value
-        per sample for a stack (nan where a kept entry is nan)."""
-        blocks, samples = self.blocks, sample_ids(self)
+        of them without it), 0 where there is none, per sample (nan where a
+        kept entry is nan)."""
+        blocks, samples = self.blocks, self.samples
         if keep is not None:
             blocks, samples = blocks[keep], samples[keep]
-        out = np.zeros(sample_count(self))
+        out = np.zeros(self.n_samples)
         if blocks.size:
             with np.errstate(invalid="ignore"):  # a nan entry is kept, not warned about
                 np.maximum.at(out, samples, np.abs(blocks).max(axis=(1, 2)))
-        return out if self.samples is not None else float(out[0])
+        return _per_sample(self, out)
 
     def subset(self, keep) -> "StructuredOperator":
         """The entries ``keep`` marks, in this operator's stack."""
-        return self._new(self.rows[keep], self.cols[keep], self.blocks[keep], self.name, keep)
+        return self._new(self.samples[keep], self.rows[keep], self.cols[keep],
+                         self.blocks[keep], self.name)
 
     def renamed(self, name: str) -> "StructuredOperator":
-        return self._new(self.rows, self.cols, self.blocks, name)
+        return self._new(self.samples, self.rows, self.cols, self.blocks, name)
 
     def adjoint(self) -> "StructuredOperator":
-        return self._new(self.cols, self.rows, self.blocks.conj().transpose(0, 2, 1),
-                         self.name + "*")
+        return self._new(self.samples, self.cols, self.rows,
+                         self.blocks.conj().transpose(0, 2, 1), self.name + "*")
 
     def __matmul__(self, other):
         if isinstance(other, StructuredOperator):
             _same_stack(self, other)
-            return _in_stack_of(self, *_product(self, other), "(%s %s)" % (self.name, other.name))
+            return self._new(*_product(self, other), "(%s %s)" % (self.name, other.name))
         k = self.space.dim_N
         x = np.asarray(other, dtype=complex).reshape(-1, k)
         terms = (self.blocks @ x[self.cols][:, :, None])[:, :, 0]
-        out = sum_at(sample_ids(self) * len(x) + self.rows, terms, sample_count(self) * len(x))
-        return out.reshape(-1) if self.samples is None else out.reshape(sample_count(self), -1)
+        out = sum_at(self.samples * len(x) + self.rows, terms, self.n_samples * len(x))
+        return _per_sample(self, out.reshape(self.n_samples, -1))
 
     def __add__(self, other: "StructuredOperator") -> "StructuredOperator":
         return op_sum(self.space, [self, other], "(%s + %s)" % (self.name, other.name))
@@ -181,17 +182,17 @@ class StructuredOperator:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "StructuredOperator":
-        """scalar * op; for a stack, ``scalar`` may hold one scalar per sample."""
+        """scalar * op; ``scalar`` may hold one scalar per sample."""
         if np.ndim(scalar):
             scale = np.asarray(scalar, dtype=complex)[self.samples][:, None, None]
-            return self._new(self.rows, self.cols, scale * self.blocks,
+            return self._new(self.samples, self.rows, self.cols, scale * self.blocks,
                              "(scaled %s)" % self.name)
         scalar = complex(scalar)
-        return self._new(self.rows, self.cols, scalar * self.blocks,
+        return self._new(self.samples, self.rows, self.cols, scalar * self.blocks,
                          "(%r * %s)" % (scalar, self.name))
 
     def __neg__(self) -> "StructuredOperator":
-        return self._new(self.rows, self.cols, -self.blocks, "-" + self.name)
+        return self._new(self.samples, self.rows, self.cols, -self.blocks, "-" + self.name)
 
 
 def stack(ops, name: str = "stack") -> StructuredOperator:
@@ -200,19 +201,12 @@ def stack(ops, name: str = "stack") -> StructuredOperator:
                               np.concatenate([op.cols for op in ops]),
                               np.concatenate([op.blocks for op in ops]), name,
                               np.repeat(np.arange(len(ops)), [op.rows.size for op in ops]),
-                              len(ops))
-
-
-def _in_stack_of(ref: StructuredOperator, samples, rows, cols, blocks,
-                 name: str) -> StructuredOperator:
-    """An operator with these entries, a stack like ``ref`` or a single one."""
-    return StructuredOperator(ref.space, rows, cols, blocks, name,
-                              None if ref.samples is None else samples, ref.n_samples)
+                              len(ops), True)
 
 
 def _same_stack(*ops) -> None:
     """Operands of one product or sum are single operators or stacks of one size."""
-    if len({op.n_samples for op in ops}) > 1:
+    if len({(op.stacked, op.n_samples) for op in ops}) > 1:
         raise ValueError("operands from different stacks")
 
 
@@ -225,8 +219,8 @@ def _product(a: StructuredOperator, b: StructuredOperator) -> tuple:
     repeated pairs are added.
     """
     n = len(a.space.words)
-    size = sample_count(a) * n
-    key_a, key_b = sample_ids(a) * n + a.cols, sample_ids(b) * n + b.rows
+    size = a.n_samples * n
+    key_a, key_b = a.samples * n + a.cols, b.samples * n + b.rows
     count = np.bincount(key_a, minlength=size)
     if count.max(initial=0) <= 1:
         at = np.full(size, -1)
@@ -234,7 +228,7 @@ def _product(a: StructuredOperator, b: StructuredOperator) -> tuple:
         ea = at[key_b]
         eb = np.nonzero(ea >= 0)[0]
         ea = ea[eb]
-        repeats = np.bincount(sample_ids(a) * n + a.rows, minlength=size).max(initial=0) > 1
+        repeats = np.bincount(a.samples * n + a.rows, minlength=size).max(initial=0) > 1
     else:
         order = np.argsort(key_a, kind="stable")
         start = np.cumsum(count) - count
@@ -243,19 +237,17 @@ def _product(a: StructuredOperator, b: StructuredOperator) -> tuple:
         ea = order[np.repeat(start[key_b], reps) + np.arange(eb.size)
                    - np.repeat(np.cumsum(reps) - reps, reps)]
         repeats = True
-    out = (sample_ids(b)[eb], a.rows[ea], b.cols[eb], a.blocks[ea] @ b.blocks[eb])
+    out = (b.samples[eb], a.rows[ea], b.cols[eb], a.blocks[ea] @ b.blocks[eb])
     return coalesce(*out, n) if repeats else out
 
 
 def op_sum(space: FockSpace, ops, name: str = "sum") -> StructuredOperator:
     """sum of the operators, entries on the same word pair added in list
-    order, sample by sample for stacks."""
+    order, sample by sample."""
     _same_stack(*ops)
-    merged = coalesce(np.concatenate([sample_ids(op) for op in ops]),
-                      np.concatenate([op.rows for op in ops]),
-                      np.concatenate([op.cols for op in ops]),
-                      np.concatenate([op.blocks for op in ops]), len(space.words))
-    return _in_stack_of(ops[0], *merged, name)
+    merged = coalesce(*(np.concatenate([getattr(op, f) for op in ops])
+                        for f in ("samples", "rows", "cols", "blocks")), len(space.words))
+    return ops[0]._new(*merged, name)
 
 
 def op_product(space: FockSpace, factors, name: str) -> StructuredOperator:
@@ -270,27 +262,25 @@ def op_product(space: FockSpace, factors, name: str) -> StructuredOperator:
 
 
 def amplify(coeffs, ops) -> Entries:
-    """sum_i C_i (x) A_i for m x m scalar blocks C_i and operators A_i, as
-    scalar entries: C_i[p, q] A_i[r, c] sits at row p dim + r and column
-    q dim + c, and the terms on one position are added in order.  When the
-    A_i are stacks, C_i holds one m x m block per sample and the result is
-    the stack of the samples' sums."""
+    """sum_i C_i (x) A_i for operators A_i with one m x m scalar block C_i
+    per sample, as scalar entries in the A_i's stack: C_i[p, q] A_i[r, c]
+    sits at row p dim + r and column q dim + c, and the terms on one
+    position are added in order."""
     m, dim = np.shape(coeffs[0])[-1], ops[0].space.dim
     p, q = np.divmod(np.arange(m * m), m)
     samples, rows, cols, values = [], [], [], []
     for C, A in zip(coeffs, ops):
         e = A.entries()
         C = np.asarray(C).reshape(-1, m * m)
-        samples.append(np.tile(sample_ids(e), m * m))
+        samples.append(np.tile(e.samples, m * m))
         rows.append((p[:, None] * dim + e.rows).ravel())
         cols.append((q[:, None] * dim + e.cols).ravel())
-        values.append((C[sample_ids(e)].T * e.values).ravel())
+        values.append((C[e.samples].T * e.values).ravel())
     size = m * dim
     samples, rows, cols, values = coalesce(*(np.concatenate(x) for x in
                                               (samples, rows, cols, values)), size)
-    stacked = ops[0].samples is not None
-    return Entries(rows, cols, values, (size, size), samples if stacked else None,
-                   ops[0].n_samples)
+    return Entries(rows, cols, values, (size, size), samples, ops[0].n_samples,
+                   ops[0].stacked)
 
 
 def _word_values(space: FockSpace, per_index: np.ndarray) -> np.ndarray:
@@ -347,16 +337,14 @@ def left_mult(space: FockSpace, b) -> StructuredOperator:
     coefficient by b pushed through the letters, i.e. kron(U_w b U_w*, 1).
     For a (count, d, d) array of coefficients it is the stack of their left
     multiplications, sample t holding the blocks of b[t] on every word."""
-    b = space.base.element(b) if np.ndim(b) < 3 else np.asarray(b, dtype=complex)
+    stacked = np.ndim(b) == 3
+    b = np.asarray(b, dtype=complex) if stacked else space.base.element(b)[None]
     U = space.push_unitaries()
-    pushed = U @ b[..., None, :, :] @ U.conj().transpose(0, 2, 1)
+    pushed = U @ b[:, None, :, :] @ U.conj().transpose(0, 2, 1)
     n, d = len(space.words), space.base.d
     blocks = np.einsum("...wpr,qs->...wpqrs", pushed, np.eye(d)).reshape(-1, d * d, d * d)
-    words = np.arange(n)
-    if b.ndim < 3:
-        return StructuredOperator(space, words, words, blocks, name="lmul")
-    return StructuredOperator(space, np.tile(words, len(b)), np.tile(words, len(b)), blocks,
-                              "lmul", np.repeat(np.arange(len(b)), n), len(b))
+    samples, words = np.divmod(np.arange(len(b) * n), n)
+    return StructuredOperator(space, words, words, blocks, "lmul", samples, len(b), stacked)
 
 
 def right_mult(space: FockSpace, b) -> StructuredOperator:
@@ -463,40 +451,11 @@ def start_complement_op(space: FockSpace, i: int) -> StructuredOperator:
                     "P[start!=%d]" % i)
 
 
-@dataclass(frozen=True)
-class ShiftedVector:
-    """A coefficient vector together with a power of the shift.
-
-    direction "forward" means S^n (value at k reads base[k-n]),
-    "backward" means (S*)^n (value at k reads base[k+n]); out-of-range
-    reads are zero.
-    """
-
-    base: tuple
-    shift: int = 0
-    direction: str = "forward"
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(complex(v) for v in self.base))
-        if self.shift < 0:
-            raise ValueError("shift count must be nonnegative")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
-
-    def value(self, k: int) -> complex:
-        idx = k - self.shift if self.direction == "forward" else k + self.shift
-        if 0 <= idx < len(self.base):
-            return self.base[idx]
-        return 0j
-
-    def conj(self) -> "ShiftedVector":
-        return ShiftedVector(tuple(np.conj(v) for v in self.base), self.shift, self.direction)
-
-
 def diag(space: FockSpace, x) -> StructuredOperator:
-    """D_x: multiply the length-k sector by the (shifted) scalar x(k)."""
-    sv = x if isinstance(x, ShiftedVector) else ShiftedVector(tuple(np.asarray(x).ravel()))
-    values = np.array([sv.value(k) for k in range(space.L_max + 1)], dtype=complex)
+    """D_x: multiply the length-k sector by x(k), zero past the end of x."""
+    x = np.asarray(x, dtype=complex).ravel()[:space.L_max + 1]
+    values = np.zeros(space.L_max + 1, dtype=complex)
+    values[:x.size] = x
     return _diag_op(space, values[_word_values(space, space.lengths)], "D")
 
 
@@ -510,7 +469,7 @@ def rho_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperator:
     tr, tc = table[:, A.rows], table[:, A.cols]
     t, e = np.nonzero(np.minimum(tr, tc) >= 0)
     blocks = alpha[t] @ A.blocks[e] @ alpha[t].conj().transpose(0, 2, 1)
-    return A._new(tr[t, e], tc[t, e], blocks, "rho(%s)" % A.name, e)
+    return A._new(A.samples[e], tr[t, e], tc[t, e], blocks, "rho(%s)" % A.name)
 
 
 def rho_tower(space: FockSpace, A: StructuredOperator, n_max: int) -> list:
@@ -533,7 +492,7 @@ def epsilon_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperato
     same factor."""
     last = _word_values(space, space.last_factors)
     keep = np.flatnonzero((last[A.rows] == last[A.cols]) & (last[A.rows] >= 0))
-    return A._new(A.rows[keep], A.cols[keep], A.blocks[keep], "eps(%s)" % A.name, keep)
+    return A.subset(keep).renamed("eps(%s)" % A.name)
 
 
 def tower(space: FockSpace, A: StructuredOperator) -> list:
@@ -562,11 +521,11 @@ def weighted_sum(space: FockSpace, W: np.ndarray, tower: list) -> StructuredOper
     lengths = _word_values(space, space.lengths)
     w = W[m, lengths[rows], lengths[cols]]
     keep = np.nonzero(w)[0]
-    samples = np.concatenate([sample_ids(op) for op in tower])[keep]
+    samples = np.concatenate([op.samples for op in tower])[keep]
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = w[keep, None, None] * np.concatenate([op.blocks for op in tower])[keep]
         out = coalesce(samples, rows[keep], cols[keep], blocks, len(space.words))
-    return _in_stack_of(tower[0], *out, "sum")
+    return tower[0]._new(*out, "sum")
 
 
 def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
@@ -601,15 +560,15 @@ def phi_cb_bound(space: FockSpace, x, y) -> float:
     scaling of entries.
     """
     def side(v: np.ndarray) -> float:
-        v = tuple(np.asarray(v, dtype=complex).ravel())
+        v = np.asarray(v, dtype=complex).ravel()
         terms = []
         for n in range(len(v)):
-            dn = diag(space, ShiftedVector(v, n, "backward"))
+            dn = diag(space, v[n:])  # (S*)^n v
             terms.append(dn @ dn.adjoint())
         B = identity_op(space)
         for n in range(1, space.L_max + 1):
             B = rho_matrix(space, B)  # rho^n(Id) = Q_n on the truncated space
-            dn = diag(space, ShiftedVector(v, n, "forward"))
+            dn = diag(space, np.concatenate([np.zeros(n), v]))  # S^n v
             terms.append(dn @ B @ dn.adjoint())
         return op_norm(op_sum(space, terms))
 
@@ -697,10 +656,6 @@ class GeneratorWord:
             if ann_coeffs[j] is not None:
                 factors.append(left_mult(space, ann_coeffs[j]))
         return op_product(space, factors, "gen(k=%d,l=%d)" % (self.k, self.l))
-
-
-def case_of(w: GeneratorWord) -> CaseTag:
-    return w.case
 
 
 def alternating_letter_tuples(space: FockSpace, length: int) -> list:

@@ -1,18 +1,18 @@
 """Sparse scalar entries, with a sample axis, and the spectral norm on them.
 
-An :class:`Entries` lists the nonzero entries of a sparse matrix; with a
-sample index per entry it is a stack of such matrices, and every operation
-here treats the samples apart.  ``coalesce`` merges entries on one position
-(added in entry order), and ``op_norm``, the package's one spectral norm,
-takes an exact SVD of each connected component of the support, batched by
-block shape over all samples.  :mod:`radmul.operators` keeps its
-block-sparse operators in the same form, with a dim_N x dim_N block in
-place of each scalar.
+An :class:`Entries` lists the nonzero entries of a stack of sparse
+matrices, each entry carrying the index of its sample; a single matrix is a
+stack of one, and every operation here treats the samples apart.
+``coalesce`` merges entries on one position (added in entry order), and
+``op_norm``, the package's one spectral norm, takes an exact SVD of each
+connected component of the support, batched by block shape over all
+samples.  Only ``_per_sample`` reads the ``stacked`` flag: it hands a stack
+its per-sample results and a single matrix the result of its one sample.
+:mod:`radmul.operators` keeps its block-sparse operators in the same form,
+with a dim_N x dim_N block in place of each scalar.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,49 +62,47 @@ def coalesce(samples, rows, cols, values, n_cols: int) -> tuple:
     return samples, rows, cols, sum_at(slot, values, uniq.size)
 
 
-def sample_ids(x) -> np.ndarray:
-    """Sample index per entry of an operator or an Entries (0 for a single one)."""
-    return np.zeros(x.rows.size, dtype=np.intp) if x.samples is None else x.samples
+def _per_sample(x, values: np.ndarray):
+    """The results ``values`` of the samples of x, one per sample: all of
+    them for a stack, and that of its one sample (a float for a scalar) for
+    an operand not built as a stack."""
+    if x.stacked:
+        return values
+    return values[0] if values.ndim > 1 else float(values[0])
 
 
-def sample_count(x) -> int:
-    """Number of samples of an operator or an Entries (1 for a single one)."""
-    return 1 if x.n_samples is None else x.n_samples
+class Entries:
+    """Scalar entries of a stack of ``n_samples`` sparse matrices of
+    ``shape``: ``values[e]`` at ``(rows[e], cols[e])`` of sample
+    ``samples[e]``, one entry per position.  ``Entries(rows, cols, values,
+    shape)`` is a single matrix, a stack of one whose samples are all 0."""
 
-
-class Entries(NamedTuple):
-    """Scalar entries of a sparse matrix of ``shape``: ``values[e]`` at
-    ``(rows[e], cols[e])``, one entry per position.  With ``samples`` it is
-    a stack of ``n_samples`` such matrices, entry e belonging to sample
-    ``samples[e]``."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    shape: tuple
-    samples: np.ndarray = None
-    n_samples: int = None
+    def __init__(self, rows, cols, values, shape, samples=0, n_samples=1, stacked=False):
+        self.rows, self.cols, self.values, self.shape = rows, cols, values, tuple(shape)
+        self.samples = (np.asarray(samples, dtype=np.intp) if np.ndim(samples)
+                        else np.full(np.shape(rows), samples, dtype=np.intp))
+        self.n_samples, self.stacked = int(n_samples), stacked
 
     def matrix(self) -> np.ndarray:
         """The dense matrix, or the (n_samples,) + shape array of a stack."""
-        out = np.zeros((sample_count(self),) + self.shape, dtype=complex)
-        out[sample_ids(self), self.rows, self.cols] = self.values
-        return out if self.samples is not None else out[0]
+        out = np.zeros((self.n_samples,) + self.shape, dtype=complex)
+        out[self.samples, self.rows, self.cols] = self.values
+        return _per_sample(self, out)
 
     def columns(self, mask: np.ndarray) -> "Entries":
         """The columns ``mask`` keeps, renumbered: ``matrix()[..., mask]``."""
         keep = mask[self.cols]
         renumber = np.cumsum(mask) - 1
         return Entries(self.rows[keep], renumber[self.cols[keep]], self.values[keep],
-                       (self.shape[0], int(np.count_nonzero(mask))),
-                       None if self.samples is None else self.samples[keep], self.n_samples)
+                       (self.shape[0], int(np.count_nonzero(mask))), self.samples[keep],
+                       self.n_samples, self.stacked)
 
     def select(self, keep: np.ndarray) -> "Entries":
         """The stack of the samples ``keep`` marks, renumbered in order."""
         on = keep[self.samples]
         renumber = np.cumsum(keep) - 1
         return Entries(self.rows[on], self.cols[on], self.values[on], self.shape,
-                       renumber[self.samples[on]], int(np.count_nonzero(keep)))
+                       renumber[self.samples[on]], int(np.count_nonzero(keep)), True)
 
 
 def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -144,12 +142,12 @@ def _block_norms(e: Entries) -> np.ndarray:
     entries belong to no block.  The samples of a stack are the diagonal
     blocks of one matrix, so no component spans two samples.
     """
-    n_s = sample_count(e)
+    n_s = e.n_samples
     best = np.zeros(n_s)
     if e.rows.size == 0:
         return best
     n_r, n_c = n_s * e.shape[0], n_s * e.shape[1]
-    rows, cols = sample_ids(e) * e.shape[0] + e.rows, sample_ids(e) * e.shape[1] + e.cols
+    rows, cols = e.samples * e.shape[0] + e.rows, e.samples * e.shape[1] + e.cols
     lab = _component_labels(rows, n_r + cols, n_r + n_c)
     row_lab, col_lab = lab[:n_r], lab[n_r:]
     n_rows = np.bincount(row_lab, minlength=n_r + n_c)
@@ -182,7 +180,7 @@ def _block_norms(e: Entries) -> np.ndarray:
 
 def _scalar_entries(A) -> Entries:
     """The nonzero scalar entries of an operator, of an Entries or of an
-    array, as a stack (of one, unless A is a stack)."""
+    array."""
     if hasattr(A, "entries"):
         A = A.entries()
     elif not isinstance(A, Entries):
@@ -190,8 +188,8 @@ def _scalar_entries(A) -> Entries:
         r, c = np.nonzero(A)
         A = Entries(r, c, A[r, c], A.shape)
     keep = np.flatnonzero(A.values)
-    return Entries(A.rows[keep], A.cols[keep], A.values[keep], A.shape, sample_ids(A)[keep],
-                   sample_count(A))
+    return Entries(A.rows[keep], A.cols[keep], A.values[keep], A.shape, A.samples[keep],
+                   A.n_samples, A.stacked)
 
 
 def op_norm(A):
@@ -214,9 +212,9 @@ def op_norm(A):
         finite = np.ones(e.n_samples, dtype=bool)
         finite[e.samples[~np.isfinite(e.values)]] = False
         norms[~finite] = np.inf
-        e = e.select(finite)
-        if e.n_samples and max(e.shape) <= SPLIT_MIN:
-            norms[finite] = np.linalg.svd(e.matrix(), compute_uv=False)[:, 0]
-        elif e.n_samples:
-            norms[finite] = _block_norms(e)
-    return norms if getattr(A, "samples", None) is not None else float(norms[0])
+        live = e.select(finite)
+        if live.n_samples and max(e.shape) <= SPLIT_MIN:
+            norms[finite] = np.linalg.svd(live.matrix(), compute_uv=False)[:, 0]
+        elif live.n_samples:
+            norms[finite] = _block_norms(live)
+    return _per_sample(e, norms)

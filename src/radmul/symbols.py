@@ -82,9 +82,6 @@ class RadialSymbol:
         return complex(self.tail.limit)
 
     def __call__(self, n: int) -> complex:
-        return self.evaluate(n)
-
-    def evaluate(self, n: int) -> complex:
         if n < 0:
             raise ValueError("radial symbols are defined on n >= 0")
         if n < len(self.head):
@@ -110,10 +107,6 @@ class RadialSymbol:
     def geometric(ratio, coefficient=1.0, limit=0.0) -> "RadialSymbol":
         return RadialSymbol(head=(), tail=GeometricTail(complex(coefficient),
                                                         complex(ratio), complex(limit)))
-
-
-def evaluate(phi: RadialSymbol, n: int) -> complex:
-    return phi.evaluate(n)
 
 
 @dataclass(frozen=True)

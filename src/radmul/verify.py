@@ -14,15 +14,19 @@ symbolic generators, the right-module structure, and the sampled
 completely bounded norm envelope.
 
 The sampled suites draw all their samples first, in a fixed order, and then
-evaluate each check once per chunk of samples: the chunk's operators form
-one stack (see :mod:`radmul.operators`), so the towers, weighted sums,
-norms and maxima run once per chunk instead of once per sample.  A chunk
-holds as many samples as fit in ``CHUNK_ENTRIES`` tower entries; without
-the cap a whole suite's towers are held at once, which at cy3 fock_len 9
-raises the lemma suite's peak RSS from 43 MB to 128 MB.  Every sample gets
-exactly the numbers it gets on its own, so the chunk size never changes a
-report.  ``embed`` reads its word structure from a per-space cache and its
-coefficients in closed form.
+hand them to one function, ``_stacked_chunks``: it builds each sample's
+operators, groups consecutive samples into chunks and yields each chunk's
+samples with one stack per operator role (see :mod:`radmul.operators`), so
+the towers, weighted sums, norms and maxima run once per chunk instead of
+once per sample.  A chunk holds as many samples as fit in
+``CHUNK_ENTRIES`` tower entries; without the cap a whole suite's towers
+are held at once, which at cy3 fock_len 9 raises the lemma suite's peak
+RSS from 43 MB to 128 MB.  Every sample gets exactly the numbers it gets
+on its own, so the chunk size never changes a report.  The residuals of
+the multiplier checks are divided by the symbol's scale
+(``_symbol_scale``), since T's rounding grows with phi.  ``embed`` reads
+its word structure from a per-space cache and its coefficients in closed
+form.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .algebra import FactorElement, cond_exp
 from .fock import FockSpace, FockVector, Word, lambda_span
-from .operators import (CaseTag, GeneratorWord, ShiftedVector, StructuredOperator,
+from .operators import (CaseTag, GeneratorWord, StructuredOperator,
                         adjoint_check, alternating_letter_tuples, amplify, annihilation,
                         build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
                         identity_op, left_mult, length_at_least_op, length_exactly_op,
@@ -52,35 +56,34 @@ from .symbols import norm_C, psi_decompose
 CHUNK_ENTRIES = 4096
 
 
-def _chunks(samples, size):
-    """Split an iterable of samples into consecutive runs for one stack each.
+def _stacked_chunks(space: FockSpace, samples, operators, extra: int = 0):
+    """Group the samples into consecutive chunks and yield each chunk's
+    samples (a list) with their stacks.
 
-    Yields ``(index of the run's first sample, the run's samples)``; a run
-    takes samples while their ``size(sample)`` adds up to at most
-    ``CHUNK_ENTRIES`` scalar entries, and at least one.  The samples are
-    drawn from the iterable one run at a time.
+    ``operators(sample)`` gives a sample's operators, one per role, and
+    stack t holds every sample's operator t in order.  A chunk takes samples
+    while their towers (about 2L+1 scalar entries per block entry, plus
+    ``extra`` per sample) add up to at most ``CHUNK_ENTRIES``, and at least
+    one; the samples are drawn from the iterable one chunk at a time.
     """
-    run, total, start = [], 0, 0
-    for i, sample in enumerate(samples):
-        entries = size(sample)
-        if run and total + entries > CHUNK_ENTRIES:
-            yield start, run
-            run, total, start = [], 0, i
-        run.append(sample)
-        total += entries
-    if run:
-        yield start, run
-
-
-def _tower_size(space: FockSpace):
-    """The size of a sample (an operator or a list of them) for ``_chunks``:
-    the scalar entries of its towers, about 2L+1 per block entry."""
     per = (2 * space.L_max + 1) * space.dim_N ** 2
+    run, total = [], 0
+    for sample in samples:
+        ops = operators(sample)
+        size = per * sum(op.rows.size for op in ops) + extra
+        if run and total + size > CHUNK_ENTRIES:
+            yield _chunk(run)
+            run, total = [], 0
+        run.append((sample, ops))
+        total += size
+    if run:
+        yield _chunk(run)
 
-    def size(sample) -> int:
-        return per * sum(op.rows.size for op in (sample if isinstance(sample, list)
-                                                 else [sample]))
-    return size
+
+def _chunk(run) -> tuple:
+    """The samples of a run of (sample, operators) pairs, and one stack per role."""
+    samples, ops = zip(*run)
+    return list(samples), [stack(list(role)) for role in zip(*ops)]
 
 
 def _fold(worst: float, *values) -> float:
@@ -91,16 +94,20 @@ def _fold(worst: float, *values) -> float:
     return worst
 
 
-def _masked_max(op: StructuredOperator, max_len=None):
+def _masked_max(op: StructuredOperator, max_len=np.inf):
     """Largest entry of the operator's matrix in the columns whose word is
-    at most ``max_len`` letters long (all columns when None); 0 when it has
-    none there.  For a stack it gives one value per sample, and ``max_len``
-    may hold one bound per sample."""
-    if max_len is None:
-        return op.block_max()
-    if np.ndim(max_len):
-        max_len = np.asarray(max_len)[op.samples]
+    at most ``max_len`` letters long (all columns without it); 0 when it
+    has none there.  For a stack it gives one value per sample, and
+    ``max_len`` may hold one bound per sample."""
+    max_len = np.full(op.n_samples, max_len)[op.samples]
     return op.block_max(op.space.lengths[op.cols * op.space.dim_N] <= max_len)
+
+
+def _symbol_scale(space: FockSpace, phi) -> float:
+    """s = max(1, |phi(n)| for 0 <= n <= 2L+1), the scale of phi on the
+    truncated space.  The multiplier residuals are rounding on phi's scale,
+    so they are divided by s; s = 1 for a symbol bounded by 1."""
+    return max(1.0, max(abs(phi(n)) for n in range(2 * space.L_max + 2)))
 
 
 def _embed_terms(space: FockSpace, i: int) -> dict:
@@ -351,10 +358,9 @@ def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
     # each adjoint is built by its own rule, not as a conjugate transpose
     letter = space.amalgam.letters()[0]
     x = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
-    sv = ShiftedVector(tuple(x), 1, "backward")
     for op, op_star in [(creation(space, letter), annihilation(space, letter)),
                         (right_creation(space, letter), right_annihilation(space, letter)),
-                        (diag(space, sv), diag(space, sv.conj()))]:
+                        (diag(space, x[1:]), diag(space, np.conj(x[1:])))]:
         report.extend(adjoint_check(op, op_star, tol=tol, seed=seed))
 
     # everything in sight commutes with the right action, except R_{gamma*},
@@ -434,8 +440,8 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     rng = np.random.default_rng([seed, 4])
     report = VerificationReport()
     gens = _generator_zoo(space, seed)
-    mults = [(phi, build_T(space, phi)) for phi in symbols]
-    decs = [(phi, psi_decompose(phi)) for phi, _ in mults]
+    mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
+    decs = [psi_decompose(phi) for phi in symbols]
 
     vec_len = max(space.L_max + 2, 8)
     xs = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
@@ -449,9 +455,7 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     res_phi = [0.0, 0.0]
     res_t = 0.0
     res_t12 = 0.0
-    for start, ops in _chunks((gw.operator(space) for gw in gens), _tower_size(space)):
-        chunk = gens[start:start + len(ops)]
-        a = stack(ops, "gens")
+    for chunk, (a,) in _stacked_chunks(space, gens, lambda gw: [gw.operator(space)]):
         k = np.array([gw.k for gw in chunk])
         l = np.array([gw.l for gw in chunk])
         case2 = np.array([gw.case is CaseTag.CASE2 for gw in chunk])
@@ -477,16 +481,16 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
 
         # multiplier rules
         n_eff = np.where(case2, k + l - 1, k + l)
-        for (phi, T), (_, dec) in zip(mults, decs):
+        for (phi, T, s), dec in zip(mults, decs):
             t1 = weighted_sum(space, T.t1_weights, tw)
             t2 = weighted_sum(space, T.t2_weights, tw)
             want1 = np.array([dec.psi1(int(n)) for n in k + l])
             want2 = np.array([dec.psi2(int(n)) for n in np.where(case2, k + l - 2, k + l)])
-            res_t12 = _fold(res_t12, _masked_max(t1 - want1 * a, g),
-                            _masked_max(t2 - want2 * a, g))
+            res_t12 = _fold(res_t12, _masked_max(t1 - want1 * a, g) / s,
+                            _masked_max(t2 - want2 * a, g) / s)
             total = weighted_sum(space, T.weights, tw)
             want = np.array([phi(int(n)) for n in n_eff])
-            res_t = _fold(res_t, _masked_max(total - want * a, g))
+            res_t = _fold(res_t, _masked_max(total - want * a, g) / s)
 
     report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
     report.add("epsilon_case_rules", res_eps, tol)
@@ -508,20 +512,17 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     report = VerificationReport()
     if max_len is None:
         max_len = min(3, space.L_max - 2)
-    mults = [(phi, build_T(space, phi)) for phi in symbols]
+    mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
     words = {n: [random_reduced_word(rng, space, n) for _ in range(words_per_length)]
              for n in range(0, max_len + 1)}
 
     res_action = 0.0
     res_vacuum = 0.0
-    first = {}  # the first word operator of each length, reused below
     for n, sampled in words.items():
         guard = space.guard_mask(space.L_max - n)
-        for _, ops in _chunks((word_operator(space, w) for w in sampled), _tower_size(space)):
-            first.setdefault(n, ops[0])
-            A = stack(ops, "words")
+        for chunk, (A,) in _stacked_chunks(space, sampled, lambda w: [word_operator(space, w)]):
             A_guard = A.entries().columns(guard)
-            for phi, T in mults:
+            for phi, T, s in mults:
                 TA = T.apply_matrix(A)
                 # an overflowing symbol leaves inf or nan here, failing the checks
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -529,31 +530,29 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
                 # a word whose difference has no entry in the guard columns
                 # has residual exactly 0, so its two norms are not taken
                 d = diff.entries().columns(guard)
-                live = np.zeros(len(ops), dtype=bool)
+                live = np.zeros(len(chunk), dtype=bool)
                 live[d.samples] = True
                 if live.any():
                     scale = np.maximum(op_norm(A_guard.select(live)), 1e-30)
-                    res_action = _fold(res_action, op_norm(d.select(live)) / scale)
+                    res_action = _fold(res_action, op_norm(d.select(live)) / scale / s)
                 res_vacuum = _fold(res_vacuum, _masked_max(diff, 0)
-                                   / np.maximum(_masked_max(A, 0), 1e-30))
+                                   / np.maximum(_masked_max(A, 0), 1e-30) / s)
     report.add("theorem_action_on_words", res_action, tol,
                lengths=max_len, per_length=words_per_length, symbols=len(mults))
     report.add("theorem_vacuum_coefficients", res_vacuum, tol)
 
     # linearity and the right-module property of T (right action = composing
     # with a left multiplication, the N-copy inside the algebra)
-    res_lin = 0.0
-    res_mod = 0.0
-    phi0, T0 = mults[0]
-    A = first[min(1, max_len)]
-    B = first[0]
+    _, T0, s = mults[0]
+    A = word_operator(space, words[min(1, max_len)][0])
+    B = word_operator(space, words[0][0])
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     diff = T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A) - be * T0.apply_matrix(B)
-    res_lin = op_norm(diff) / max(op_norm(A), 1.0)
+    res_lin = op_norm(diff) / max(op_norm(A), 1.0) / s
     lam = left_mult(space, space.base.random(rng))
     guard = space.guard_mask(space.L_max - max(1, max_len))
     diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
-    res_mod = op_norm(diff.entries().columns(guard)) / max(op_norm(A), 1.0)
+    res_mod = op_norm(diff.entries().columns(guard)) / max(op_norm(A), 1.0) / s
     report.add("multiplier_linearity", res_lin, 1e-12)
     report.add("multiplier_right_module", res_mod, tol)
     return report
@@ -570,24 +569,21 @@ def amplified_stacks(rng, space: FockSpace, T, samples: int, amplifications, ter
     Per combination the draws are the (k, l) of every term, the words, and
     then the blocks of every amplification in turn.
     """
-    gens, coeffs = [], []
+    draws = []
     for _ in range(samples):
         kls = [(int(rng.integers(0, 3)), int(rng.integers(0, 3))) for _ in range(terms)]
-        gens.append([random_generator_word(rng, space, k, l) for k, l in kls])
-        coeffs.append({m: [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-                           for _ in range(terms)] for m in amplifications})
-    combos = ([g.operator(space) for g in words] for words in gens)
+        gens = [random_generator_word(rng, space, k, l) for k, l in kls]
+        draws.append((gens, {m: [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                                 for _ in range(terms)] for m in amplifications}))
     # op_norm takes an amplified matrix no longer than SPLIT_MIN whole, as
     # one dense array per sample
     side = max(amplifications) * space.dim
     dense = side * side if side <= SPLIT_MIN else 0
-    tower_size = _tower_size(space)
-    for start, run in _chunks(combos, lambda combo: tower_size(combo) + dense):
-        ops = [stack([combo[i] for combo in run], "terms") for i in range(terms)]
+    for chunk, ops in _stacked_chunks(space, draws, lambda d: [g.operator(space) for g in d[0]],
+                                      dense):
         tops = [T.apply_matrix(A) for A in ops]
         for m in amplifications:
-            blocks = [np.array([c[m][i] for c in coeffs[start:start + len(run)]])
-                      for i in range(terms)]
+            blocks = [np.array([c[m][i] for _, c in chunk]) for i in range(terms)]
             # an overflowing symbol leaves inf or nan in tbig; op_norm reads inf
             with np.errstate(over="ignore", invalid="ignore"):
                 yield m, amplify(blocks, ops), amplify(blocks, tops)
@@ -625,10 +621,9 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
         lengths = range(0, min(3, space.L_max) + 1)
         for n in lengths:
             want = max(want, abs(phi(n)))
-        creations = (GeneratorWord(alternating_letter_tuples(space, n)[0] if n else (),
-                                   ()).operator(space) for n in lengths)
-        for _, ops in _chunks(creations, _tower_size(space)):
-            A = stack(ops, "creations")
+        creations = [GeneratorWord(alternating_letter_tuples(space, n)[0] if n else (), ())
+                     for n in lengths]
+        for _, (A,) in _stacked_chunks(space, creations, lambda gw: [gw.operator(space)]):
             na = op_norm(A)
             ratio = op_norm(T.apply_matrix(A)) / np.where(na > 0, na, 1.0)
             attained = _fold(attained, ratio[na > 0])
@@ -649,26 +644,28 @@ def embedding_suite(space: FockSpace, seed: int = 0,
     factors = space.amalgam.factors
     draws = [(i, fac.random(rng), fac.random(rng)) for i, fac in enumerate(factors)
              for _ in range(3)]
-    ones = stack([embed(space, fac.identity()) for fac in factors], "ones")
-    ids = stack([identity_op(space)] * len(factors), "ids")
-    res_unit = _fold(0.0, _masked_max(ones - ids, space.L_max - 1))
+    res_unit = 0.0
+    for _, (ones, ids) in _stacked_chunks(space, factors, lambda fac: [
+            embed(space, fac.identity()), identity_op(space)]):
+        res_unit = _fold(res_unit, _masked_max(ones - ids, space.L_max - 1))
     res_mult = 0.0
     res_star = 0.0
     res_coef = 0.0
-    images = ([embed(space, a), embed(space, b), embed(space, a * b), embed(space, a.star())]
-              for _, a, b in draws)
-    for start, run in _chunks(images, _tower_size(space)):
-        ea, eb, eab, ea_star = (stack([sample[t] for sample in run], "embeds")
-                                for t in range(4))
+
+    def images(draw):
+        _, a, b = draw
+        return [embed(space, a), embed(space, b), embed(space, a * b), embed(space, a.star())]
+
+    for chunk, (ea, eb, eab, ea_star) in _stacked_chunks(space, draws, images):
         res_mult = _fold(res_mult, _masked_max(ea @ eb - eab, space.L_max - 2))
         res_star = _fold(res_star, _masked_max(ea_star - ea.adjoint()))
         # N-valued matrix coefficients against the basis vectors
-        for (i, a, _), sample in zip(draws[start:], run):
+        for s, (i, a, _) in enumerate(chunk):
             basis = factors[i].pp_basis()
             vectors = [space.vacuum()] + [space.word_vector(Word(((i, g),)))
                                           for g in range(1, len(basis))]
             for el, el_vec in zip(basis, vectors):
-                ael = sample[0](el_vec)
+                ael = space.from_array((ea @ el_vec.to_array())[s])
                 for em, em_vec in zip(basis, vectors):
                     got = em_vec.inner_N(ael)
                     want = cond_exp(em.star() * a * el)

@@ -84,12 +84,12 @@ def test_suites_with_factor_product_embed_give_the_same_reports(request, monkeyp
 def test_one_sample_chunks_give_the_same_report(tmp_path, monkeypatch, capsys, preset):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(preset_config(preset)))
-    chunks, runs = verify._chunks, []
+    chunks, runs = verify._stacked_chunks, []
 
-    def spy(samples, size):
-        for start, run in chunks(samples, size):
-            runs.append(len(run))
-            yield start, run
+    def spy(*args):
+        for samples, stacks in chunks(*args):
+            runs.append(len(samples))
+            yield samples, stacks
 
     def report(path):
         runs.clear()
@@ -97,7 +97,7 @@ def test_one_sample_chunks_give_the_same_report(tmp_path, monkeypatch, capsys, p
                      "--report", str(path)]) == 0
         return path.read_bytes()
 
-    monkeypatch.setattr(verify, "_chunks", spy)
+    monkeypatch.setattr(verify, "_stacked_chunks", spy)
     batched = report(tmp_path / "batched.json")
     assert max(runs) > 1
     monkeypatch.setattr(verify, "CHUNK_ENTRIES", 1)

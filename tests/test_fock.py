@@ -197,14 +197,14 @@ def test_projection_commutes_with_right_action(mat2_space):
 # ---------------------------------------------------------------- spanning sets
 
 def test_lambda_span_dimensions(dih_space, mat2_space):
-    assert len(lambda_span(dih_space, 0)) == 1
-    assert len(lambda_span(mat2_space, 0)) == 4
-    vecs = lambda_span(dih_space, 1)
+    assert len(list(lambda_span(dih_space, 0))) == 1
+    assert len(list(lambda_span(mat2_space, 0))) == 4
+    vecs = list(lambda_span(dih_space, 1))
     assert {tuple(v.coeffs)[0].letters for v in vecs} == {((0, 1),), ((1, 1),)}
     # spanning: each sector family is linearly independent and full
     for space in (dih_space, mat2_space):
         for k in (0, 1, 2):
-            fam = lambda_span(space, k)
+            fam = list(lambda_span(space, k))
             G = np.stack([v.to_array() for v in fam], axis=1)
             assert np.linalg.matrix_rank(G, tol=1e-10) == len(fam)
 

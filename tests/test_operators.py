@@ -7,9 +7,9 @@ from oracles import (append_star, as_op, column_matrix, epsilon_dense, left_acti
                      right_action, rho_dense, strip_first, strip_star, tower_dense,
                      weighted_sum_dense)
 from radmul.sparse import SPLIT_MIN
-from radmul.operators import (CaseTag, Entries, GeneratorWord, ShiftedVector,
-                              StructuredOperator, adjoint_check, alternating_letter_tuples,
-                              annihilation, build_T, case_of, creation, diag, epsilon_matrix,
+from radmul.operators import (CaseTag, Entries, GeneratorWord, StructuredOperator,
+                              adjoint_check, alternating_letter_tuples,
+                              annihilation, build_T, creation, diag, epsilon_matrix,
                               identity_op, left_mult, length_at_least_op, op_norm,
                               partition_identity_residual,
                               phi_block_matrix, phi_cb_bound, right_annihilation,
@@ -158,14 +158,14 @@ def test_diag_e0_kills_length_one(dih_space):
 
 def test_diag_backward_shift(dih_space):
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    D = diag(dih_space, ShiftedVector(tuple(x), 1, "backward"))
+    D = diag(dih_space, x[1:])  # (S*)x
     w = dih_space.word_vector(Word(((0, 1),)))  # length 1 -> x(2) = 3
     assert D(w).coeff(Word(((0, 1),)))[0, 0] == pytest.approx(3.0)
 
 
 def test_diag_forward_shift_vanishes_below(dih_space):
     x = np.array([1.0, 2.0, 3.0])
-    D = diag(dih_space, ShiftedVector(tuple(x), 2, "forward"))
+    D = diag(dih_space, np.concatenate([np.zeros(2), x]))  # S^2 x
     assert D(dih_space.word_vector(Word(((0, 1),)))).is_zero()  # k=1 < n=2
 
 
@@ -185,12 +185,12 @@ def test_partition_identity_as_operators(dih_space):
     x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     total = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for n in range(len(x)):
-        D = diag(dih_space, ShiftedVector(tuple(x), n, "backward")).matrix()
+        D = diag(dih_space, x[n:]).matrix()
         total += D @ D.conj().T
     Q = as_op(dih_space, np.eye(dih_space.dim))
     for n in range(1, dih_space.L_max + 1):
         Q = rho_matrix(dih_space, Q)
-        D = diag(dih_space, ShiftedVector(tuple(x), n, "forward")).matrix()
+        D = diag(dih_space, np.concatenate([np.zeros(n), x])).matrix()
         total += D @ Q.matrix() @ D.conj().T
     want = float(np.vdot(x, x).real) * np.eye(dih_space.dim)
     assert np.abs(total - want).max() <= 1e-12 * np.vdot(x, x).real
@@ -343,10 +343,10 @@ def test_phi_cb_bound_values(dih_space):
 # ---------------------------------------------------------------- cases
 
 def test_case_classification():
-    assert case_of(GeneratorWord((), ((0, 1),))) is CaseTag.CASE1
-    assert case_of(GeneratorWord(((0, 1),), ())) is CaseTag.CASE1
-    assert case_of(GeneratorWord(((0, 1),), ((1, 1),))) is CaseTag.CASE1
-    assert case_of(GeneratorWord(((1, 1), (0, 1)), ((1, 1), (0, 1)))) is CaseTag.CASE2
+    assert GeneratorWord((), ((0, 1),)).case is CaseTag.CASE1
+    assert GeneratorWord(((0, 1),), ()).case is CaseTag.CASE1
+    assert GeneratorWord(((0, 1),), ((1, 1),)).case is CaseTag.CASE1
+    assert GeneratorWord(((1, 1), (0, 1)), ((1, 1), (0, 1))).case is CaseTag.CASE2
 
 
 def test_generator_validation():
@@ -518,6 +518,21 @@ def test_stacked_operations_repeat_each_sample_exactly(request, name):
     assert (A @ B).block_max().tolist() == [(a @ b).block_max() for a, b, _ in pairs]
     with pytest.raises(ValueError):
         A @ stack(rights[:2])
+    # a single operator is a stack of one: stacking it alone keeps its
+    # entries and gives its results as the one sample's, but the two forms
+    # do not mix in a product
+    x = random_complex(rng, space.dim)
+    for single in lefts + rights:
+        one = stack([single])
+        assert one.n_samples == 1 and not one.samples.any()
+        for field in ("rows", "cols", "blocks"):
+            assert np.array_equal(getattr(one, field), getattr(single, field))
+        assert np.array_equal(one.matrix(), single.matrix()[None])
+        assert np.array_equal(one @ x, (single @ x)[None])
+        assert one.block_max().tolist() == [single.block_max()]
+        assert op_norm(one).tolist() == [op_norm(single)]
+        with pytest.raises(ValueError):
+            single @ one
 
 
 def dense_embed(space, a):

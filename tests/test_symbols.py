@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radmul.symbols import (ConstantTail, GeometricTail, HankelPair, RadialSymbol,
-                            evaluate, factorize, hankel_pair, hankel_trace_norm, norm_C,
+                            factorize, hankel_pair, hankel_trace_norm, norm_C,
                             psi_decompose, psi_via_factors, ricard_xu_bound,
                             trace_norm, write_symbol_csv)
 
@@ -36,7 +36,7 @@ def test_evaluate_head_tail_boundary():
 
 def test_evaluate_geometric_formula():
     phi = RadialSymbol(head=(), tail=GeometricTail(1.0, 0.5, 0.0))
-    assert evaluate(phi, 3) == pytest.approx(0.125)
+    assert phi(3) == pytest.approx(0.125)
 
 
 def test_evaluate_rejects_negative():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import radmul.verify as verify
 from oracles import as_op
 from radmul.fock import Word
-from radmul.operators import build_T, left_mult, op_norm
-from radmul.symbols import RadialSymbol
+from radmul.operators import RadialMultiplier, build_T, left_mult, op_norm
+from radmul.symbols import ConstantTail, RadialSymbol
 from radmul.verify import (ReducedWord, embed, embedding_suite, fock_suite,
                            lemma_suite, main_theorem_suite, norm_bound_suite,
                            operator_suite, random_reduced_word, spanning_check,
@@ -152,6 +153,27 @@ def test_case_two_pipeline_on_cyclic3(cy3_space, acceptance_symbols):
     assert rep.passed, [c.name for c in rep.failed()]
     rep = lemma_suite(cy3_space, [RadialSymbol.indicator01()], seed=12)
     assert rep.passed, [c.name for c in rep.failed()]
+
+
+def test_scaled_case_rules_still_catch_a_perturbed_weight(cy3_space, monkeypatch):
+    # dividing by phi's scale keeps the case rules sharp: one weight of T
+    # off by a relative 1e-6 still fails them on a symbol of size 1e6
+    phi = RadialSymbol(head=(1e6, -1e6), tail=ConstantTail(0.0))
+
+    def case_rules():
+        checks = {c.name: c for c in lemma_suite(cy3_space, [phi]).checks}
+        return checks["multiplier_case_rules"].status
+
+    assert case_rules() == "pass"
+
+    def perturbed(space, symbol):
+        T = RadialMultiplier(space, symbol)
+        at = np.unravel_index(np.abs(T.weights).argmax(), T.weights.shape)
+        T.weights[at] *= 1 + 1e-6
+        return T
+
+    monkeypatch.setattr(verify, "build_T", perturbed)
+    assert case_rules() == "fail"
 
 
 def test_verify_main_theorem_wrapper(dih_space):
