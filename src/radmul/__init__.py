@@ -24,7 +24,7 @@ from .operators import (CaseTag, GeneratorWord, RadialMultiplier, StructuredOper
 from .report import Check, VerificationReport
 from .symbols import (ConstantTail, GeometricTail, HankelFactorization, HankelPair,
                       PsiDecomposition, RadialSymbol, factorize, hankel_pair,
-                      hankel_trace_norm, norm_C, psi_decompose, psi_via_factors,
+                      hankel_trace_norm, norm_C, psi_decompose,
                       ricard_xu_bound, trace_norm, write_symbol_csv)
 from .verify import (ReducedWord, embed, spanning_check, vacuum_expectation,
                      verify_main_theorem, word_operator)

@@ -33,38 +33,21 @@ closed form.
 
 Everything here commutes with the right N-action, except the right
 creations, which are covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b).
-Every operator is block-sparse on word pairs: a :class:`StructuredOperator`
-holds word-index arrays ``rows`` and ``cols`` and one dim_N x dim_N
-coefficient block per (row word, column word) pair, and scatters them into
-a dense matrix only when ``matrix()`` is asked for.  The building blocks
-come from word-index maps cached per space on first use: a creation or
-annihilation on either side is a partial word map (a target word per word,
--1 where it vanishes) with one block, left N-multiplication is the
-identity map with the pushed blocks U_w b U_w*
-(:meth:`FockSpace.push_unitaries`), and sector projections and
-length-diagonal maps are diagonal entries.  A product joins the left
-factor's columns to the right factor's rows -- a gather when the left
-factor is a partial word map -- and adds the entries that land on the same
-word pair.  rho maps every entry through all the letters' right creations
-at once and conjugates it by their alpha blocks (``_right_maps``); epsilon
-keeps the entries whose row and column words end in the same factor.
-``rho_matrix``, ``epsilon_matrix``, ``tower``, ``weighted_sum``, the Phi
-blocks and the multiplier take an operator and return one.  Sums over
-letters and factors always run in configuration order.
+A :class:`StructuredOperator` holds one dim_N x dim_N block per word pair.
+Creations and annihilations are partial word maps cached per space, left
+N-multiplication the identity map with the pushed blocks U_w b U_w*; a
+product joins the left factor's columns to the right factor's rows and adds
+the entries that meet on one pair; rho maps every entry through all the
+letters' right creations at once (``_right_maps``); epsilon keeps the
+entries whose row and column words end in the same factor.  Sums over
+letters and factors run in configuration order.
 
-Every operator is a stack: each entry carries the index of its sample, and
-a single operator is a stack of one whose entries all belong to sample 0.
-``stack`` puts several operators into one, and every operation above --
-products, sums, scalings (one scalar per sample), rho, epsilon, the tower,
-the weighted sum, ``block_max`` and ``op_norm`` -- keys its entries on
-(sample, row word, column word) and runs once for the whole stack.  Each
-sample comes out exactly as it does as a single operator, entry order
-included, so the sampled suites of :mod:`radmul.verify` can batch their
-samples without moving a residual.  The one flag ``stacked``, set by
-``stack`` (and by ``left_mult`` on an array of coefficients), makes
-``matrix()``, ``op @ x``, ``block_max`` and ``op_norm`` return one result
-per sample; the scalar entries, that rule (``_per_sample``) and the
-spectral norm ``op_norm`` live in :mod:`radmul.sparse`.
+Every operator is a stack: each entry carries its sample, and a single
+operator is a stack of one.  Every operation runs once for a whole stack,
+each sample coming out exactly as it does alone, entry order included.
+``generator_operators`` builds a family of generator words as one stack;
+``matrix()``, ``op @ x``, ``block_max`` and ``op_norm`` give one result per
+sample when the flag ``stacked`` is set.
 """
 
 from __future__ import annotations
@@ -83,18 +66,13 @@ class StructuredOperator:
     """A stack of linear maps on the truncated Fock space, block-sparse on
     word pairs; a single map is a stack of one.
 
-    ``blocks[e]`` is the dim_N x dim_N coefficient block from the column
-    word ``cols[e]`` to the row word ``rows[e]`` of sample ``samples[e]``
-    (word indices of the space, each pair at most once per sample), and
-    ``n_samples`` counts the samples; an operator built without them has
-    one sample, 0.  Products, sums, scalar multiples (one scalar per sample
-    for an array) and the adjoint work on the entries, sample by sample.
-    ``matrix()`` scatters the blocks into the dense matrix in the enumerated
-    basis on its first call and caches it; ``op @ x`` and ``op(vec)`` apply
-    the operator to a coordinate array and to a Fock vector.  ``matrix()``,
-    ``op @ x``, ``block_max`` and ``op_norm`` give one result per sample for
-    a stack built by :func:`stack` and the one result for any other
-    operator, the ``stacked`` flag telling them apart.
+    ``blocks[e]`` is the dim_N x dim_N block from the column word ``cols[e]``
+    to the row word ``rows[e]`` of sample ``samples[e]`` (each pair at most
+    once per sample).  Products, sums, scalar multiples (one scalar per
+    sample for an array) and the adjoint work sample by sample.
+    ``matrix()`` scatters the blocks into the dense matrix (cached);
+    ``op @ x`` and ``op(vec)`` apply the operator to a coordinate array and
+    to a Fock vector.
     """
 
     # numpy arrays and scalars leave ``array * op`` to __rmul__
@@ -157,6 +135,18 @@ class StructuredOperator:
         """The entries ``keep`` marks, in this operator's stack."""
         return self._new(self.samples[keep], self.rows[keep], self.cols[keep],
                          self.blocks[keep], self.name)
+
+    def select(self, keep) -> "StructuredOperator":
+        """The stack of the samples ``keep`` marks, renumbered in order."""
+        on = keep[self.samples]
+        renumber = np.cumsum(keep) - 1
+        return StructuredOperator(self.space, self.rows[on], self.cols[on], self.blocks[on],
+                                  self.name, renumber[self.samples[on]],
+                                  int(np.count_nonzero(keep)), True)
+
+    def as_single(self, name: str) -> "StructuredOperator":
+        """This stack of one as a single operator."""
+        return StructuredOperator(self.space, self.rows, self.cols, self.blocks, name)
 
     def renamed(self, name: str) -> "StructuredOperator":
         return self._new(self.samples, self.rows, self.cols, self.blocks, name)
@@ -250,17 +240,6 @@ def op_sum(space: FockSpace, ops, name: str = "sum") -> StructuredOperator:
     return ops[0]._new(*merged, name)
 
 
-def op_product(space: FockSpace, factors, name: str) -> StructuredOperator:
-    """factors[0] @ factors[1] @ ..., evaluated right to left so that each
-    left factor that is a partial word map gathers; the identity if empty."""
-    if not factors:
-        return identity_op(space).renamed(name)
-    op = factors[-1]
-    for factor in reversed(factors[:-1]):
-        op = factor @ op
-    return op.renamed(name)
-
-
 def amplify(coeffs, ops) -> Entries:
     """sum_i C_i (x) A_i for operators A_i with one m x m scalar block C_i
     per sample, as scalar entries in the A_i's stack: C_i[p, q] A_i[r, c]
@@ -332,6 +311,15 @@ def _right_maps(space: FockSpace) -> tuple:
     return space.cache["right_maps"]
 
 
+def lmul_blocks(space: FockSpace, b: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The blocks kron(U_w b_t U_w*, 1) of left N-multiplication by b_t on
+    the word w, for the pairs (b_t, w) = (b[t], words[t])."""
+    U = space.push_unitaries()[words]
+    pushed = U @ b @ U.conj().transpose(0, 2, 1)
+    d = space.base.d
+    return np.einsum("wpr,qs->wpqrs", pushed, np.eye(d)).reshape(-1, d * d, d * d)
+
+
 def left_mult(space: FockSpace, b) -> StructuredOperator:
     """Left N-multiplication: on the word w it multiplies the right
     coefficient by b pushed through the letters, i.e. kron(U_w b U_w*, 1).
@@ -339,12 +327,9 @@ def left_mult(space: FockSpace, b) -> StructuredOperator:
     multiplications, sample t holding the blocks of b[t] on every word."""
     stacked = np.ndim(b) == 3
     b = np.asarray(b, dtype=complex) if stacked else space.base.element(b)[None]
-    U = space.push_unitaries()
-    pushed = U @ b[:, None, :, :] @ U.conj().transpose(0, 2, 1)
-    n, d = len(space.words), space.base.d
-    blocks = np.einsum("...wpr,qs->...wpqrs", pushed, np.eye(d)).reshape(-1, d * d, d * d)
-    samples, words = np.divmod(np.arange(len(b) * n), n)
-    return StructuredOperator(space, words, words, blocks, "lmul", samples, len(b), stacked)
+    samples, words = np.divmod(np.arange(len(b) * len(space.words)), len(space.words))
+    return StructuredOperator(space, words, words, lmul_blocks(space, b[samples], words),
+                              "lmul", samples, len(b), stacked)
 
 
 def right_mult(space: FockSpace, b) -> StructuredOperator:
@@ -642,20 +627,78 @@ class GeneratorWord:
         return CaseTag.CASE1
 
     def operator(self, space: FockSpace) -> StructuredOperator:
-        cre_coeffs = self.cre_coeffs or (None,) * (self.k + 1)
-        ann_coeffs = self.ann_coeffs or (None,) * self.l
-        factors = []
-        for j, xi in enumerate(self.cre_letters):
-            if cre_coeffs[j] is not None:
-                factors.append(left_mult(space, cre_coeffs[j]))
-            factors.append(creation(space, xi))
-        if cre_coeffs[self.k] is not None:
-            factors.append(left_mult(space, cre_coeffs[self.k]))
-        for j in range(self.l - 1, -1, -1):
-            factors.append(annihilation(space, self.ann_letters[j]))
-            if ann_coeffs[j] is not None:
-                factors.append(left_mult(space, ann_coeffs[j]))
-        return op_product(space, factors, "gen(k=%d,l=%d)" % (self.k, self.l))
+        return generator_operators(space, [self]).as_single("gen(k=%d,l=%d)" % (self.k, self.l))
+
+
+def _chain(gw: GeneratorWord, letters: list) -> list:
+    """gw's factors right to left: ("map", row of ``_letter_maps``) or
+    ("lmul", coefficient), absent coefficients left out."""
+    out = []
+    for j in range(gw.l):
+        if gw.ann_coeffs:
+            out.append(("lmul", gw.ann_coeffs[j]))
+        out.append(("map", len(letters) + letters.index(gw.ann_letters[j])))
+    if gw.cre_coeffs:
+        out.append(("lmul", gw.cre_coeffs[gw.k]))
+    for j in reversed(range(gw.k)):
+        out.append(("map", letters.index(gw.cre_letters[j])))
+        if gw.cre_coeffs:
+            out.append(("lmul", gw.cre_coeffs[j]))
+    return out
+
+
+def generator_operators(space: FockSpace, gens) -> StructuredOperator:
+    """The generator words ``gens`` as one stack, sample t holding gens[t].
+
+    Generators whose chains (``_chain``) have the same kinds of factors
+    follow every column word of every sample through the chain together,
+    right to left: one gather from the letter maps per letter, and per
+    coefficient its block at the current word multiplied on from the left,
+    as the product does.  Each sample gets its product's entries in its
+    order (column words ascending).
+    """
+    n, letters, maps = len(space.words), space.amalgam.letters(), _letter_maps(space)
+    chains = [_chain(gw, letters) for gw in gens]
+    groups = {}
+    for t, chain in enumerate(chains):
+        groups.setdefault(tuple(kind for kind, _ in chain), []).append(t)
+    k = space.dim_N
+    parts = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros((0, k, k)),)]
+    for kinds, ids in groups.items():
+        local = np.repeat(np.arange(len(ids)), n)
+        cols = np.tile(np.arange(n), len(ids))
+        rows, blocks = cols, None
+        for p, kind in enumerate(kinds):
+            values = [chains[t][p][1] for t in ids]
+            if kind == "map":
+                rows = maps[np.array(values)[local], rows]
+                keep = np.flatnonzero(rows >= 0)
+                local, rows, cols = local[keep], rows[keep], cols[keep]
+                blocks = None if blocks is None else blocks[keep]
+            else:
+                coeffs = np.array([space.base.element(b) for b in values], dtype=complex)
+                lmul = lmul_blocks(space, coeffs[local], rows)
+                blocks = lmul if blocks is None else lmul @ blocks
+        if blocks is None:
+            blocks = np.broadcast_to(np.eye(k), (rows.size, k, k))
+        parts.append((np.array(ids)[local], rows, cols, blocks))
+    samples, rows, cols, blocks = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(samples, kind="stable")
+    return StructuredOperator(space, rows[order], cols[order], blocks[order], "gen(stack)",
+                              samples[order], len(gens), True)
+
+
+def _letter_maps(space: FockSpace) -> np.ndarray:
+    """Target word per word (-1 where it vanishes) of the left creations by
+    the T letters in configuration order (rows 0..T-1), then of their
+    annihilations (rows T..2T-1), cached in the space."""
+    if "letter_maps" not in space.cache:
+        ops = [f(space, x) for f in (creation, annihilation) for x in space.amalgam.letters()]
+        table = np.full((len(ops), len(space.words)), -1)
+        for t, op in enumerate(ops):
+            table[t, op.cols] = op.rows
+        space.cache["letter_maps"] = table
+    return space.cache["letter_maps"]
 
 
 def alternating_letter_tuples(space: FockSpace, length: int) -> list:
@@ -715,8 +758,9 @@ class RadialMultiplier:
         self.limit = symbol.limit
         self.t1_weights = _weight_stack(symbol, space.L_max, 1)
         self.t2_weights = _weight_stack(symbol, space.L_max, 2)
-        self.weights = self.t1_weights + self.t2_weights
-        self.weights[0] += self.limit
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf near the float range
+            self.weights = self.t1_weights + self.t2_weights
+            self.weights[0] += self.limit
 
     def apply_matrix(self, A: StructuredOperator) -> StructuredOperator:
         """T(A)."""

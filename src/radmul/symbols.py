@@ -19,8 +19,9 @@ recover the symbol exactly: phi = psi1 + psi2 + lim phi.
 
 The paper factors h and k into rank-one vector pairs whose sliding
 correlations reproduce psi1 and psi2.  M x M truncations with a bound on
-the discarded trace norm (``hankel_pair``), their SVD pairs (``factorize``)
-and ``psi_via_factors`` keep that route as an oracle for the closed forms.
+the discarded trace norm (``hankel_pair``) and their SVD pairs
+(``factorize``) keep that route as an oracle for the closed forms (see also
+``psi_via_factors`` in the tests).
 """
 
 from __future__ import annotations
@@ -165,10 +166,13 @@ def hankel_pair(phi: RadialSymbol, M: int) -> HankelPair:
 
 
 def trace_norm(A: np.ndarray) -> float:
-    """Sum of singular values (Schatten-1 norm)."""
+    """Sum of singular values (Schatten-1 norm); inf for a matrix with a
+    non-finite entry, which LAPACK is not handed."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.size == 0:
         return 0.0
+    if not np.isfinite(A).all():
+        return math.inf
     return float(np.linalg.svd(A, compute_uv=False).sum())
 
 
@@ -238,31 +242,6 @@ class PsiDecomposition:
 
 def psi_decompose(phi: RadialSymbol) -> PsiDecomposition:
     return PsiDecomposition(phi)
-
-
-def psi_via_factors(fh: HankelFactorization, fk: HankelFactorization,
-                    k: int, l: int) -> tuple:
-    """(psi1(k+l), psi2(k+l)) recovered from the sliding correlations
-
-        sum_i sum_t x_i(k+t) * conj(y_i(l+t))
-
-    of the rank-one pairs of h resp. k.  Must agree with the telescoped
-    values up to the Hankel truncation error.
-    """
-    if k < 0 or l < 0:
-        raise ValueError("sector indices must be nonnegative")
-
-    def correlate(fact: HankelFactorization) -> complex:
-        if k >= fact.dim or l >= fact.dim:
-            raise ValueError(
-                "index pair (%d, %d) outside truncation dim %d" % (k, l, fact.dim))
-        span = fact.dim - max(k, l)
-        total = 0j
-        for x, y in fact.pairs:
-            total += np.vdot(y[l:l + span], x[k:k + span])
-        return total
-
-    return correlate(fh), correlate(fk)
 
 
 def hankel_trace_norm(phi: RadialSymbol, shift: int) -> float:

@@ -13,20 +13,14 @@ scaling action phi(length) on sampled reduced words, the case rules on
 symbolic generators, the right-module structure, and the sampled
 completely bounded norm envelope.
 
-The sampled suites draw all their samples first, in a fixed order, and then
-hand them to one function, ``_stacked_chunks``: it builds each sample's
-operators, groups consecutive samples into chunks and yields each chunk's
-samples with one stack per operator role (see :mod:`radmul.operators`), so
-the towers, weighted sums, norms and maxima run once per chunk instead of
-once per sample.  A chunk holds as many samples as fit in
-``CHUNK_ENTRIES`` tower entries; without the cap a whole suite's towers
-are held at once, which at cy3 fock_len 9 raises the lemma suite's peak
-RSS from 43 MB to 128 MB.  Every sample gets exactly the numbers it gets
-on its own, so the chunk size never changes a report.  The residuals of
-the multiplier checks are divided by the symbol's scale
-(``_symbol_scale``), since T's rounding grows with phi.  ``embed`` reads
-its word structure from a per-space cache and its coefficients in closed
-form.
+The sampled suites draw all their samples first and build each operator
+role of all of them as one stack (``embed``, ``word_operator`` and
+``generator_operators`` take sequences), cut to the columns their checks
+read.  ``_stacked_chunks`` cuts the samples into ranges of at most
+``CHUNK_ENTRIES`` tower entries, so towers, norms and maxima run once per
+range with bounded memory.  Every sample gets exactly the numbers it gets
+on its own, so neither the ranges nor the cuts change a report.  The
+multiplier residuals are divided by the symbol's scale (``_symbol_scale``).
 """
 
 from __future__ import annotations
@@ -37,16 +31,16 @@ import numpy as np
 
 from .algebra import FactorElement, cond_exp
 from .fock import FockSpace, FockVector, Word, lambda_span
-from .operators import (CaseTag, GeneratorWord, StructuredOperator,
+from .operators import (CaseTag, GeneratorWord, StructuredOperator, _letter_maps,
                         adjoint_check, alternating_letter_tuples, amplify, annihilation,
                         build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
-                        identity_op, left_mult, length_at_least_op, length_exactly_op,
-                        op_norm, op_product, op_sum, partition_identity_residual,
-                        phi_cb_bound, phi_weights, right_annihilation, right_creation,
-                        right_mult, rho_matrix, stack, start_complement_op, tower,
-                        weighted_sum, zero_op)
+                        generator_operators, identity_op, left_mult, length_at_least_op,
+                        length_exactly_op, lmul_blocks, op_norm, op_sum,
+                        partition_identity_residual, phi_cb_bound, phi_weights,
+                        right_annihilation, right_creation, right_mult, rho_matrix, stack,
+                        tower, weighted_sum)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
-from .sparse import SPLIT_MIN
+from .sparse import SPLIT_MIN, coalesce
 from .symbols import norm_C, psi_decompose
 
 # a chunk of samples holds towers of at most this many scalar entries in all
@@ -56,49 +50,43 @@ from .symbols import norm_C, psi_decompose
 CHUNK_ENTRIES = 4096
 
 
-def _stacked_chunks(space: FockSpace, samples, operators, extra: int = 0):
-    """Group the samples into consecutive chunks and yield each chunk's
-    samples (a list) with their stacks.
-
-    ``operators(sample)`` gives a sample's operators, one per role, and
-    stack t holds every sample's operator t in order.  A chunk takes samples
-    while their towers (about 2L+1 scalar entries per block entry, plus
-    ``extra`` per sample) add up to at most ``CHUNK_ENTRIES``, and at least
-    one; the samples are drawn from the iterable one chunk at a time.
-    """
+def _stacked_chunks(space: FockSpace, stacks, extra: int = 0):
+    """Yield (slice, stacks of its samples) for consecutive ranges of the
+    samples of ``stacks`` (one per operator role, all of one size).  A range
+    takes samples while their towers (2L+1 scalar entries per block entry,
+    plus ``extra`` per sample) add up to at most ``CHUNK_ENTRIES``, and at
+    least one."""
+    n = stacks[0].n_samples
     per = (2 * space.L_max + 1) * space.dim_N ** 2
-    run, total = [], 0
-    for sample in samples:
-        ops = operators(sample)
-        size = per * sum(op.rows.size for op in ops) + extra
-        if run and total + size > CHUNK_ENTRIES:
-            yield _chunk(run)
-            run, total = [], 0
-        run.append((sample, ops))
+    sizes = per * np.bincount(np.concatenate([op.samples for op in stacks]), minlength=n) + extra
+    start, total = 0, 0
+    for t, size in enumerate(sizes):
+        if t > start and total + size > CHUNK_ENTRIES:
+            yield _chunk(stacks, start, t)
+            start, total = t, 0
         total += size
-    if run:
-        yield _chunk(run)
+    if n > start:
+        yield _chunk(stacks, start, n)
 
 
-def _chunk(run) -> tuple:
-    """The samples of a run of (sample, operators) pairs, and one stack per role."""
-    samples, ops = zip(*run)
-    return list(samples), [stack(list(role)) for role in zip(*ops)]
+def _chunk(stacks, start: int, stop: int) -> tuple:
+    keep = np.zeros(stacks[0].n_samples, dtype=bool)
+    keep[start:stop] = True
+    return slice(start, stop), [op.select(keep) for op in stacks]
 
 
 def _fold(worst: float, *values) -> float:
-    """The running maximum ``worst`` updated with every value, nan dropped
-    (as ``max(worst, value)`` drops it)."""
+    """The running maximum ``worst`` updated with every value; a nan, a
+    residual that could not be evaluated, stays nan and fails its check."""
     for v in values:
-        worst = float(np.fmax.reduce(np.ravel(v), initial=worst))
+        worst = float(np.max(np.ravel(v), initial=worst))
     return worst
 
 
 def _masked_max(op: StructuredOperator, max_len=np.inf):
-    """Largest entry of the operator's matrix in the columns whose word is
-    at most ``max_len`` letters long (all columns without it); 0 when it
-    has none there.  For a stack it gives one value per sample, and
-    ``max_len`` may hold one bound per sample."""
+    """Largest entry of the operator's matrix (per sample) in the columns of
+    words at most ``max_len`` letters long (per sample or for all); 0 when
+    there is none."""
     max_len = np.full(op.n_samples, max_len)[op.samples]
     return op.block_max(op.space.lengths[op.cols * op.space.dim_N] <= max_len)
 
@@ -111,70 +99,56 @@ def _symbol_scale(space: FockSpace, phi) -> float:
 
 
 def _embed_terms(space: FockSpace, i: int) -> dict:
-    """Word-index structure of the terms of ``embed`` on factor i, cached in
-    the space: per (j, k), the rows, columns and middle words of the
-    entries of up_j lmul(c) down_k, in the order that product lists them.
-
-    up_0 = down_0 is the projection onto the words that do not start in
-    factor i, up_j the creation L_{(i, j)} and down_k the annihilation
-    L*_{(i, k)}.  All of them are partial word maps with identity blocks,
-    so the term's block on an entry is lmul(c)'s block on the middle word.
-    """
+    """Per (j, k), the rows, columns (ascending) and middle words of the
+    entries of up_j lmul(c) down_k, cached: up_0 = down_0 keeps the words
+    not starting in factor i, up_j creates (i, j), down_k annihilates (i, k)."""
     key = ("embed_terms", i)
     if key not in space.cache:
-        order = space.amalgam.factor(i).group.order
-        guard = start_complement_op(space, i)
-        ups = [guard] + [creation(space, (i, j)) for j in range(1, order)]
-        downs = [guard] + [annihilation(space, (i, k)) for k in range(1, order)]
+        letters, maps = space.amalgam.letters(), _letter_maps(space)
+        words = np.arange(len(space.words))
+        guard = np.where(space.first_factors[::space.dim_N] != i, words, -1)
+        at = [letters.index((i, g)) for g in range(1, space.amalgam.factor(i).group.order)]
+        downs = [guard] + [maps[len(letters) + t] for t in at]
         terms = {}
-        for j, up in enumerate(ups):
-            at = np.full(len(space.words), -1)
-            at[up.cols] = np.arange(up.cols.size)
+        for j, up in enumerate([guard] + [maps[t] for t in at]):
             for k, down in enumerate(downs):
-                hit = at[down.rows]
-                keep = np.flatnonzero(hit >= 0)
-                terms[j, k] = (up.rows[hit[keep]], down.cols[keep], down.rows[keep])
+                cols = np.flatnonzero(down >= 0)
+                cols = cols[up[down[cols]] >= 0]
+                terms[j, k] = (up[down[cols]], cols, down[cols])
         space.cache[key] = terms
     return space.cache[key]
 
 
-def embed(space: FockSpace, a: FactorElement) -> StructuredOperator:
-    """Represent a factor element as the matching left multiplication on the
-    truncated Fock space.
-
-    The (j, k) term L_{e_j} E(e_j* a e_k) L*_{e_k} takes its words from the
-    cached ``_embed_terms`` and its coefficient in closed form: with
-    e_j = u_{g_j}, E(u_{g_j}* a u_{g_k}) = alpha_{g_j^{-1}}(a_{g_j g_k^{-1}}).
-    Terms with a zero coefficient are left out, and the terms are added in
-    (j, k) order.
+def embed(space: FockSpace, a) -> StructuredOperator:
+    """The left multiplication by a factor element on the truncated Fock
+    space, or the stack of them for a sequence of elements (of any factors):
+    the sum of the (j, k) terms L_{e_j} E(e_j* a e_k) L*_{e_k} with nonzero
+    coefficient, E(u_{g_j}* a u_{g_k}) = alpha_{g_j^{-1}}(a_{g_j g_k^{-1}})
+    for e_j = u_{g_j}, words from ``_embed_terms``, added in (j, k) order.
     """
+    single = isinstance(a, FactorElement)
+    elements = [a] if single else a
     factors = space.amalgam.factors
-    idx = None
-    for i, fac in enumerate(factors):
-        if fac is a.factor:
-            idx = i
-            break
-    if idx is None:
-        raise ValueError("element does not belong to a configured factor")
-    fac = a.factor
-    group = fac.group
-    structure = _embed_terms(space, idx)
-    pairs, coefs = [], []
-    for j in range(group.order):
-        for k in range(group.order):
-            coef = fac.alpha(group.inv(j), a.coeff(group.mul(j, group.inv(k))))
-            if np.any(np.abs(coef) > 0):
-                pairs.append((j, k))
-                coefs.append(coef)
-    if not coefs:
-        return zero_op(space)
-    lmul = left_mult(space, np.array(coefs)).blocks
-    n = len(space.words)
-    terms = []
-    for t, pair in enumerate(pairs):
-        rows, cols, mid = structure[pair]
-        terms.append(StructuredOperator(space, rows, cols, lmul[t * n + mid], "term"))
-    return op_sum(space, terms, "embed")
+    terms, coefs = [(np.zeros(0, dtype=np.intp),) * 5], []
+    for s, x in enumerate(elements):
+        idx = next((i for i, fac in enumerate(factors) if fac is x.factor), None)
+        if idx is None:
+            raise ValueError("element does not belong to a configured factor")
+        group = x.factor.group
+        for j in range(group.order):
+            for k in range(group.order):
+                coef = x.factor.alpha(group.inv(j), x.coeff(group.mul(j, group.inv(k))))
+                if (np.abs(coef) > 0).any():
+                    rows, cols, mid = _embed_terms(space, idx)[j, k]
+                    terms.append((np.full(rows.size, s), rows, cols, mid,
+                                  np.full(rows.size, len(coefs))))
+                    coefs.append(coef)
+    samples, rows, cols, mid, term = (np.concatenate(x) for x in zip(*terms))
+    d = space.base.d
+    blocks = lmul_blocks(space, np.reshape(coefs, (-1, d, d))[term], mid)
+    samples, rows, cols, blocks = coalesce(samples, rows, cols, blocks, len(space.words))
+    op = StructuredOperator(space, rows, cols, blocks, "embed", samples, len(elements), True)
+    return op.as_single("embed") if single else op
 
 
 @dataclass(frozen=True)
@@ -201,11 +175,34 @@ class ReducedWord:
         return len(self.letters)
 
 
-def word_operator(space: FockSpace, w: ReducedWord) -> StructuredOperator:
-    factors = [left_mult(space, w.coeffs[0])]
-    for a, b in zip(w.letters, w.coeffs[1:]):
-        factors += [embed(space, a), left_mult(space, b)]
-    return op_product(space, factors, "word(n=%d)" % w.length)
+def word_operator(space: FockSpace, w, max_col_len=None) -> StructuredOperator:
+    """b_0 embed(a_1) b_1 ... embed(a_n) b_n for a reduced word, or the stack
+    of them for words of one length, multiplied right to left.
+
+    With ``max_col_len`` the last factor is cut to the columns of words at
+    most that long, and so is the product.  When ``max_col_len >= n - 1``
+    every kept entry also adds its terms in the same order: every product
+    but the last sorts (``coalesce``) the same samples, since a sample that
+    repeats a position in a column repeats one in the column of its first
+    n - 1 letters.
+    """
+    single = isinstance(w, ReducedWord)
+    words = [w] if single else w
+    n = words[0].length
+    if any(x.length != n for x in words):
+        raise ValueError("a stack of words holds words of one length")
+
+    def lmul(j):
+        return left_mult(space, np.array([space.base.element(x.coeffs[j]) for x in words]))
+
+    op = lmul(n)
+    if max_col_len is not None:
+        op = op.subset(space.lengths[op.cols * space.dim_N] <= max_col_len)
+    for j in reversed(range(n)):
+        op = embed(space, [x.letters[j] for x in words]) @ op
+        op = lmul(j) @ op
+    name = "word(n=%d)" % n
+    return op.as_single(name) if single else op.renamed(name)
 
 
 def vacuum_expectation(space: FockSpace, A: StructuredOperator) -> np.ndarray:
@@ -455,42 +452,46 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     res_phi = [0.0, 0.0]
     res_t = 0.0
     res_t12 = 0.0
-    for chunk, (a,) in _stacked_chunks(space, gens, lambda gw: [gw.operator(space)]):
-        k = np.array([gw.k for gw in chunk])
-        l = np.array([gw.l for gw in chunk])
-        case2 = np.array([gw.case is CaseTag.CASE2 for gw in chunk])
-        guard = L - np.maximum(k - l, 0)  # the guard band at depth 0
+    k = np.array([gw.k for gw in gens])
+    l = np.array([gw.l for gw in gens])
+    case2 = np.array([gw.case is CaseTag.CASE2 for gw in gens])
+    g = L - np.maximum(k - l, 0) - 1  # the guard band at depth 1
+    scalars = np.array([_phi_scalars(xs, ys, gw) for gw in gens])
+    wants = [(np.array([dec.psi1(int(n)) for n in k + l]),
+              np.array([dec.psi2(int(n)) for n in np.where(case2, k + l - 2, k + l)]),
+              np.array([phi(int(n)) for n in np.where(case2, k + l - 1, k + l)]))
+             for phi, dec in zip(symbols, decs)]
+    # every check reads the columns of length <= g only, and a column of
+    # rho(a), eps(a) or a weighted sum reads the same or a shorter column of a
+    A = generator_operators(space, gens)
+    for sl, (a,) in _stacked_chunks(space, [A.subset(lengths[A.cols] <= g[A.samples])]):
         tw = tower(space, a)
 
         # rho^n(a) = a Q_{l+n}: the entries of a in the columns of length >= l+n
         for n in range(1, max_rho_power + 1):
-            target = a.subset(lengths[a.cols] >= (l + n)[a.samples])
-            res_rho = _fold(res_rho, _masked_max(tw[n] - target, guard - n))
+            target = a.subset(lengths[a.cols] >= (l[sl] + n)[a.samples])
+            res_rho = _fold(res_rho, _masked_max(tw[n] - target, g[sl] + 1 - n))
 
         # epsilon case rules: eps(a) = a in case 2, rho(a) in case 1
-        g = guard - 1
-        target = op_sum(space, [a.subset(case2[a.samples]),
-                                tw[1].subset(~case2[tw[1].samples])])
-        res_eps = _fold(res_eps, _masked_max(tw[L + 1] - target, g))
+        target = op_sum(space, [a.subset(case2[sl][a.samples]),
+                                tw[1].subset(~case2[sl][tw[1].samples])])
+        res_eps = _fold(res_eps, _masked_max(tw[L + 1] - target, g[sl]))
 
         # Phi eigen-formulas
-        scalars = np.array([_phi_scalars(xs, ys, gw) for gw in chunk])
         for i in range(2):
             phi_a = weighted_sum(space, phi_stacks[i], tw)
-            res_phi[i] = _fold(res_phi[i], _masked_max(phi_a - scalars[:, i] * a, g))
+            res_phi[i] = _fold(res_phi[i], _masked_max(phi_a - scalars[sl, i] * a, g[sl]))
 
-        # multiplier rules
-        n_eff = np.where(case2, k + l - 1, k + l)
-        for (phi, T, s), dec in zip(mults, decs):
+        # multiplier rules; an overflowing symbol leaves inf or nan here,
+        # failing the checks
+        for (_, T, s), (want1, want2, want) in zip(mults, wants):
             t1 = weighted_sum(space, T.t1_weights, tw)
             t2 = weighted_sum(space, T.t2_weights, tw)
-            want1 = np.array([dec.psi1(int(n)) for n in k + l])
-            want2 = np.array([dec.psi2(int(n)) for n in np.where(case2, k + l - 2, k + l)])
-            res_t12 = _fold(res_t12, _masked_max(t1 - want1 * a, g) / s,
-                            _masked_max(t2 - want2 * a, g) / s)
             total = weighted_sum(space, T.weights, tw)
-            want = np.array([phi(int(n)) for n in n_eff])
-            res_t = _fold(res_t, _masked_max(total - want * a, g) / s)
+            with np.errstate(over="ignore", invalid="ignore"):
+                res_t12 = _fold(res_t12, _masked_max(t1 - want1[sl] * a, g[sl]) / s,
+                                _masked_max(t2 - want2[sl] * a, g[sl]) / s)
+                res_t = _fold(res_t, _masked_max(total - want[sl] * a, g[sl]) / s)
 
     report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
     report.add("epsilon_case_rules", res_eps, tol)
@@ -520,7 +521,10 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     res_vacuum = 0.0
     for n, sampled in words.items():
         guard = space.guard_mask(space.L_max - n)
-        for chunk, (A,) in _stacked_chunks(space, sampled, lambda w: [word_operator(space, w)]):
+        # the checks read the guard columns only, and a column of T(A) reads
+        # the same or a shorter column of A; see word_operator for n - 1
+        stacks = [word_operator(space, sampled, max(space.L_max - n, n - 1))]
+        for _, (A,) in _stacked_chunks(space, stacks):
             A_guard = A.entries().columns(guard)
             for phi, T, s in mults:
                 TA = T.apply_matrix(A)
@@ -530,7 +534,7 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
                 # a word whose difference has no entry in the guard columns
                 # has residual exactly 0, so its two norms are not taken
                 d = diff.entries().columns(guard)
-                live = np.zeros(len(chunk), dtype=bool)
+                live = np.zeros(A.n_samples, dtype=bool)
                 live[d.samples] = True
                 if live.any():
                     scale = np.maximum(op_norm(A_guard.select(live)), 1e-30)
@@ -547,27 +551,26 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     A = word_operator(space, words[min(1, max_len)][0])
     B = word_operator(space, words[0][0])
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
-    diff = T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A) - be * T0.apply_matrix(B)
-    res_lin = op_norm(diff) / max(op_norm(A), 1.0) / s
     lam = left_mult(space, space.base.random(rng))
     guard = space.guard_mask(space.L_max - max(1, max_len))
-    diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
-    res_mod = op_norm(diff.entries().columns(guard)) / max(op_norm(A), 1.0) / s
+    with np.errstate(over="ignore", invalid="ignore"):  # as above
+        diff = (T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A)
+                - be * T0.apply_matrix(B))
+        res_lin = op_norm(diff) / max(op_norm(A), 1.0) / s
+        diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
+        res_mod = op_norm(diff.entries().columns(guard)) / max(op_norm(A), 1.0) / s
     report.add("multiplier_linearity", res_lin, 1e-12)
     report.add("multiplier_right_module", res_mod, tol)
     return report
 
 
 def amplified_stacks(rng, space: FockSpace, T, samples: int, amplifications, terms: int):
-    """Draw ``samples`` random combinations of ``terms`` generator words A_i
-    with random complex m x m coefficient blocks C_i per amplification m,
-    then yield ``(m, sum C_i (x) A_i, sum C_i (x) T(A_i))`` per chunk of
-    combinations and amplification.  Both sums are stacks of scalar
-    :class:`~radmul.sparse.Entries` of the (m dim) x (m dim) matrices, one
-    sample per combination, built by ``amplify`` without the dense arrays.
-
-    Per combination the draws are the (k, l) of every term, the words, and
-    then the blocks of every amplification in turn.
+    """Draw ``samples`` combinations of ``terms`` random generator words A_i
+    with random complex m x m blocks C_i per amplification m, then yield
+    ``(m, sum C_i (x) A_i, sum C_i (x) T(A_i))`` per chunk of combinations
+    and amplification, as stacks of scalar entries (``amplify``), one sample
+    per combination.  Per combination the draws are the (k, l) of every
+    term, the words, and then the blocks of every amplification in turn.
     """
     draws = []
     for _ in range(samples):
@@ -579,8 +582,9 @@ def amplified_stacks(rng, space: FockSpace, T, samples: int, amplifications, ter
     # one dense array per sample
     side = max(amplifications) * space.dim
     dense = side * side if side <= SPLIT_MIN else 0
-    for chunk, ops in _stacked_chunks(space, draws, lambda d: [g.operator(space) for g in d[0]],
-                                      dense):
+    stacks = [generator_operators(space, [gens[i] for gens, _ in draws]) for i in range(terms)]
+    for sl, ops in _stacked_chunks(space, stacks, dense):
+        chunk = draws[sl]
         tops = [T.apply_matrix(A) for A in ops]
         for m in amplifications:
             blocks = [np.array([c[m][i] for _, c in chunk]) for i in range(terms)]
@@ -597,10 +601,8 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     Upper: sup ||(id_m (x) T)(a)|| / ||a|| <= class-C norm + tol over random
     combinations of generator words with m x m scalar coefficient blocks.
     Lower: the scaling action attains |phi(n)| on pure creation words.
-    Norms come from ``op_norm`` on the entries of the amplified matrices,
-    which are never built densely: they are sparse on word indices, so each
-    norm is an exact SVD of their many small support components, one
-    batched run per chunk of combinations and amplification.
+    Norms are exact SVDs of the support components of the amplified
+    matrices' entries (``op_norm``), one batched run per chunk.
     """
     rng = np.random.default_rng([seed, 6])
     report = VerificationReport()
@@ -623,7 +625,7 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
             want = max(want, abs(phi(n)))
         creations = [GeneratorWord(alternating_letter_tuples(space, n)[0] if n else (), ())
                      for n in lengths]
-        for _, (A,) in _stacked_chunks(space, creations, lambda gw: [gw.operator(space)]):
+        for _, (A,) in _stacked_chunks(space, [generator_operators(space, creations)]):
             na = op_norm(A)
             ratio = op_norm(T.apply_matrix(A)) / np.where(na > 0, na, 1.0)
             attained = _fold(attained, ratio[na > 0])
@@ -645,18 +647,23 @@ def embedding_suite(space: FockSpace, seed: int = 0,
     draws = [(i, fac.random(rng), fac.random(rng)) for i, fac in enumerate(factors)
              for _ in range(3)]
     res_unit = 0.0
-    for _, (ones, ids) in _stacked_chunks(space, factors, lambda fac: [
-            embed(space, fac.identity()), identity_op(space)]):
+    units = [embed(space, [fac.identity() for fac in factors]),
+             stack([identity_op(space)] * len(factors))]
+    for _, (ones, ids) in _stacked_chunks(space, units):
         res_unit = _fold(res_unit, _masked_max(ones - ids, space.L_max - 1))
     res_mult = 0.0
     res_star = 0.0
     res_coef = 0.0
 
-    def images(draw):
-        _, a, b = draw
-        return [embed(space, a), embed(space, b), embed(space, a * b), embed(space, a.star())]
+    def guarded(op):  # the columns the multiplicativity check reads
+        return op.subset(space.lengths[op.cols * space.dim_N] <= space.L_max - 2)
 
-    for chunk, (ea, eb, eab, ea_star) in _stacked_chunks(space, draws, images):
+    images = [embed(space, [a for _, a, _ in draws]),
+              guarded(embed(space, [b for _, _, b in draws])),
+              guarded(embed(space, [a * b for _, a, b in draws])),
+              embed(space, [a.star() for _, a, _ in draws])]
+    for sl, (ea, eb, eab, ea_star) in _stacked_chunks(space, images):
+        chunk = draws[sl]
         res_mult = _fold(res_mult, _masked_max(ea @ eb - eab, space.L_max - 2))
         res_star = _fold(res_star, _masked_max(ea_star - ea.adjoint()))
         # N-valued matrix coefficients against the basis vectors
@@ -680,12 +687,8 @@ def embedding_suite(space: FockSpace, seed: int = 0,
 def word_vacuum_images(space: FockSpace, max_len: int):
     """Yield the coordinate arrays of u_{g_1} ... u_{g_n} b applied to the
     vacuum, for every word (g_1, ..., g_n) of length <= max_len (in basis
-    order) and every N-basis element b.
-
-    Each is the vacuum array multiplied, right to left, by left_mult(b) and
-    by the letters' embeddings, each built once; the word operator's
-    interior coefficients are identities, so this is
-    word_operator(...)(vacuum) without building one operator per word.
+    order) and every N-basis element b: the vacuum array multiplied, right
+    to left, by left_mult(b) and the letters' embeddings, each built once.
     """
     embeds = {(i, g): embed(space, space.amalgam.factor(i).unitary(g))
               for i, g in space.amalgam.letters()}

@@ -12,7 +12,13 @@ the tower on dense matrices, gathered and scattered block by block.
 ``embed_by_products`` and ``lemma_suite_per_generator`` are the sample-by-
 sample routes the package replaced: the factor embedding with coefficients
 from ``FactorElement`` products, and the lemma suite with one generator
-operator at a time.
+operator at a time; ``theorem_suite_per_word`` is the main theorem suite
+with one whole word operator at a time.  ``generator_chain``,
+``embed_per_element`` and ``word_by_products`` build one generator, one
+embedding and one word operator from single operators (``op_product``),
+the routes the package's stacked constructors replaced.
+``psi_via_factors`` recovers psi1 and psi2 from the rank-one pairs of the
+truncated Hankel matrices.
 """
 
 import numpy as np
@@ -20,11 +26,13 @@ import numpy as np
 from radmul.algebra import cond_exp
 from radmul.fock import FockVector
 from radmul.operators import (CaseTag, StructuredOperator, annihilation, build_T, creation,
-                              left_mult, length_at_least_op, op_product, op_sum, phi_weights,
+                              identity_op, left_mult, length_at_least_op, op_sum, phi_weights,
                               start_complement_op, tower, weighted_sum, zero_op)
 from radmul.report import EIGEN_TOL, VerificationReport
-from radmul.symbols import psi_decompose
-from radmul.verify import _generator_zoo
+from radmul.symbols import HankelFactorization, psi_decompose
+from radmul.sparse import op_norm
+from radmul.verify import (_embed_terms, _fold, _generator_zoo, _symbol_scale,
+                           random_reduced_word)
 
 
 def column_matrix(space, rule):
@@ -159,6 +167,67 @@ def tower_dense(space, A):
     return out
 
 
+def op_product(space, factors, name):
+    """factors[0] @ factors[1] @ ..., evaluated right to left so that each
+    left factor that is a partial word map gathers; the identity if empty."""
+    if not factors:
+        return identity_op(space).renamed(name)
+    op = factors[-1]
+    for factor in reversed(factors[:-1]):
+        op = factor @ op
+    return op.renamed(name)
+
+
+def generator_chain(space, gw):
+    """b_0 L_{xi_1} b_1 ... L_{xi_k} b_k L*_{eta_l} bt_l ... L*_{eta_1} bt_1
+    as a product of single operators, absent coefficients left out."""
+    cre_coeffs = gw.cre_coeffs or (None,) * (gw.k + 1)
+    ann_coeffs = gw.ann_coeffs or (None,) * gw.l
+    factors = []
+    for j, xi in enumerate(gw.cre_letters):
+        if cre_coeffs[j] is not None:
+            factors.append(left_mult(space, cre_coeffs[j]))
+        factors.append(creation(space, xi))
+    if cre_coeffs[gw.k] is not None:
+        factors.append(left_mult(space, cre_coeffs[gw.k]))
+    for j in range(gw.l - 1, -1, -1):
+        factors.append(annihilation(space, gw.ann_letters[j]))
+        if ann_coeffs[j] is not None:
+            factors.append(left_mult(space, ann_coeffs[j]))
+    return op_product(space, factors, "gen(k=%d,l=%d)" % (gw.k, gw.l))
+
+
+def embed_per_element(space, a):
+    """embed of one element: the closed-form coefficient of each (j, k) term
+    through one left_mult, one single operator per term, and their sum."""
+    idx = next(i for i, fac in enumerate(space.amalgam.factors) if fac is a.factor)
+    group = a.factor.group
+    pairs, coefs = [], []
+    for j in range(group.order):
+        for k in range(group.order):
+            coef = a.factor.alpha(group.inv(j), a.coeff(group.mul(j, group.inv(k))))
+            if np.any(np.abs(coef) > 0):
+                pairs.append((j, k))
+                coefs.append(coef)
+    if not coefs:
+        return zero_op(space)
+    lmul = left_mult(space, np.array(coefs)).blocks
+    n = len(space.words)
+    terms = []
+    for t, pair in enumerate(pairs):
+        rows, cols, mid = _embed_terms(space, idx)[pair]
+        terms.append(StructuredOperator(space, rows, cols, lmul[t * n + mid], "term"))
+    return op_sum(space, terms, "embed")
+
+
+def word_by_products(space, w):
+    """b_0 embed(a_1) b_1 ... embed(a_n) b_n as a product of single operators."""
+    factors = [left_mult(space, w.coeffs[0])]
+    for a, b in zip(w.letters, w.coeffs[1:]):
+        factors += [embed_per_element(space, a), left_mult(space, b)]
+    return op_product(space, factors, "word(n=%d)" % w.length)
+
+
 def embed_by_products(space, a):
     """sum_{j,k} L_{e_j} E(e_j* a e_k) L*_{e_k}, each coefficient from
     FactorElement products and each term a product of three operators."""
@@ -202,7 +271,7 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
     res_rho = res_eps = res_t = res_t12 = 0.0
     res_phi = [0.0, 0.0]
     for gw in gens:
-        a = gw.operator(space)
+        a = generator_chain(space, gw)
         k, l = gw.k, gw.l
         case = gw.case
         tw = tower(space, a)
@@ -248,4 +317,72 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
     report.add("phi2_eigenvalue_rule", res_phi[1], tol)
     report.add("t1_t2_component_rules", res_t12, tol, symbols=len(mults))
     report.add("multiplier_case_rules", res_t, tol, symbols=len(mults))
+    return report
+
+
+def psi_via_factors(fh: HankelFactorization, fk: HankelFactorization,
+                    k: int, l: int) -> tuple:
+    """(psi1(k+l), psi2(k+l)) recovered from the sliding correlations
+
+        sum_i sum_t x_i(k+t) * conj(y_i(l+t))
+
+    of the rank-one pairs of h resp. k.  Must agree with the telescoped
+    values up to the Hankel truncation error.
+    """
+    if k < 0 or l < 0:
+        raise ValueError("sector indices must be nonnegative")
+
+    def correlate(fact: HankelFactorization) -> complex:
+        if k >= fact.dim or l >= fact.dim:
+            raise ValueError(
+                "index pair (%d, %d) outside truncation dim %d" % (k, l, fact.dim))
+        span = fact.dim - max(k, l)
+        total = 0j
+        for x, y in fact.pairs:
+            total += np.vdot(y[l:l + span], x[k:k + span])
+        return total
+
+    return correlate(fh), correlate(fk)
+
+
+def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_length=10):
+    """The main theorem suite with one word operator, built whole by
+    ``word_by_products``, one multiplier application and one pair of norms
+    at a time."""
+    rng = np.random.default_rng([seed, 5])
+    report = VerificationReport()
+    max_len = min(3, space.L_max - 2)
+    mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
+    words = {n: [random_reduced_word(rng, space, n) for _ in range(words_per_length)]
+             for n in range(0, max_len + 1)}
+    vacuum = space.guard_mask(0)
+    res_action = res_vacuum = 0.0
+    for n, sampled in words.items():
+        guard = space.guard_mask(space.L_max - n)
+        for w in sampled:
+            A = word_by_products(space, w)
+            for phi, T, s in mults:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    diff = T.apply_matrix(A) - phi(n) * A
+                d = diff.entries().columns(guard)
+                if d.rows.size:
+                    scale = max(op_norm(A.entries().columns(guard)), 1e-30)
+                    res_action = _fold(res_action, op_norm(d) / scale / s)
+                res_vacuum = _fold(res_vacuum, _masked_max(diff, vacuum)
+                                   / max(_masked_max(A, vacuum), 1e-30) / s)
+    report.add("theorem_action_on_words", res_action, tol,
+               lengths=max_len, per_length=words_per_length, symbols=len(mults))
+    report.add("theorem_vacuum_coefficients", res_vacuum, tol)
+
+    _, T0, s = mults[0]
+    A = word_by_products(space, words[min(1, max_len)][0])
+    B = word_by_products(space, words[0][0])
+    al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
+    diff = T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A) - be * T0.apply_matrix(B)
+    report.add("multiplier_linearity", op_norm(diff) / max(op_norm(A), 1.0) / s, 1e-12)
+    lam = left_mult(space, space.base.random(rng))
+    guard = space.guard_mask(space.L_max - max(1, max_len))
+    diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
+    report.add("multiplier_right_module",
+               op_norm(diff.entries().columns(guard)) / max(op_norm(A), 1.0) / s, tol)
     return report

@@ -1,7 +1,7 @@
-"""The sampled suites evaluate their checks on stacks of samples, a chunk at
-a time, build embeddings from cached word structure and take ranks by word
-blocks; each must give the numbers of the per-sample routes it replaced
-(``oracles``), whatever the chunk size."""
+"""The sampled suites build their operators as stacks, cut to the columns
+their checks read, evaluate the checks a chunk of samples at a time and take
+ranks by word blocks; each must give the numbers of the per-sample routes it
+replaced (``oracles``), whatever the chunk size."""
 
 import json
 
@@ -9,16 +9,21 @@ import numpy as np
 import pytest
 
 import radmul.verify as verify
-from oracles import embed_by_products, lemma_suite_per_generator
+from oracles import (embed_by_products, embed_per_element, generator_chain,
+                     lemma_suite_per_generator, theorem_suite_per_word, word_by_products)
+from radmul.algebra import FactorElement
 from radmul.cli import main
 from radmul.config import preset_config
 from radmul.fock import lambda_span
+from radmul.operators import GeneratorWord, build_T, generator_operators, stack, tower
 from radmul.report import VerificationReport
 from radmul.symbols import GeometricTail, RadialSymbol
 from radmul.verify import (embed, embedding_suite, fock_suite, lemma_suite,
-                           main_theorem_suite, spanning_check, word_vacuum_images)
+                           main_theorem_suite, random_generator_word, random_reduced_word,
+                           spanning_check, word_operator, word_vacuum_images)
 
 EXACT = ["dih_space", "mat2_space", "cy3_space"]
+SPACES = EXACT + ["noncomm_space"]
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +38,122 @@ def assert_reports_agree(got, want, tol):
     for g, w in zip(got.checks, want.checks):
         assert (g.status, g.details) == (w.status, w.details), g.name
         assert abs(g.max_residual - w.max_residual) <= tol, g.name
+
+
+def assert_sample_is(stack_op, s, want):
+    """Sample s of the stack has exactly want's entries, in want's order."""
+    on = stack_op.samples == s
+    for got, expected in zip((stack_op.rows[on], stack_op.cols[on], stack_op.blocks[on]),
+                             (want.rows, want.cols, want.blocks)):
+        assert np.array_equal(got, expected)
+
+
+def every_signature(space, rng):
+    """Generators of every (k, l), each with and without each coefficient
+    string, in shuffled order."""
+    base, gens = space.base, []
+    for k in range(3):
+        for l in range(3):
+            for cre in (False, True):
+                for ann in (False, True):
+                    gw = random_generator_word(rng, space, k, l, with_coeffs=False)
+                    gens.append(GeneratorWord(
+                        gw.cre_letters, gw.ann_letters,
+                        cre_coeffs=tuple(base.random(rng) for _ in range(k + 1)) if cre else (),
+                        ann_coeffs=tuple(base.random(rng) for _ in range(l)) if ann else ()))
+    return [gens[t] for t in rng.permutation(len(gens))]
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_generator_stack_matches_chain_oracle(request, name):
+    space = request.getfixturevalue(name)
+    gens = every_signature(space, np.random.default_rng(42))
+    A = generator_operators(space, gens)
+    assert (A.n_samples, A.stacked) == (len(gens), True)
+    for s, gw in enumerate(gens):
+        want = generator_chain(space, gw)
+        assert_sample_is(A, s, want)
+        single = gw.operator(space)
+        assert (single.n_samples, single.stacked) == (1, False)
+        assert_sample_is(single, 0, want)
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_embed_stack_matches_per_element_oracle(request, name):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(43)
+    elements = []
+    for fac in space.amalgam.factors:
+        elements += [fac.random(rng), fac.random_kernel(rng), fac.identity(), fac.unitary(1),
+                     fac.from_base(space.base.random(rng)), FactorElement(fac, {})]
+    elements = [elements[t] for t in rng.permutation(len(elements))]
+    E = embed(space, elements)
+    assert (E.n_samples, E.stacked) == (len(elements), True)
+    for s, a in enumerate(elements):
+        want = embed_per_element(space, a)
+        assert_sample_is(E, s, want)
+        assert_sample_is(embed(space, a), 0, want)
+        assert (want.rows.size == 0) == (not a.coeffs)
+    zero = embed(space, [FactorElement(space.amalgam.factor(0), {})])
+    assert (zero.n_samples, zero.rows.size) == (1, 0)
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_word_stack_matches_product_oracle(request, name):
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(44)
+    for n in range(min(3, space.L_max) + 1):
+        words = [random_reduced_word(rng, space, n) for _ in range(4)]
+        W = word_operator(space, words)
+        for s, w in enumerate(words):
+            want = word_by_products(space, w)
+            assert_sample_is(W, s, want)
+            assert_sample_is(word_operator(space, w), 0, want)
+    with pytest.raises(ValueError):
+        word_operator(space, [random_reduced_word(rng, space, n) for n in (1, 2)])
+
+
+def kept(op, max_len):
+    """Each sample's dense matrix with the columns of words longer than its
+    bound in ``max_len`` set to zero."""
+    cols = op.space.lengths[None, :] <= np.asarray(max_len)[:, None]
+    return np.where(cols[:, None, :], op.matrix(), 0)
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_column_cuts_keep_towers_and_multiplier_exact(request, name, symbols):
+    space = request.getfixturevalue(name)
+    L, lengths = space.L_max, space.lengths[::space.dim_N]
+    rng = np.random.default_rng(45)
+    T = build_T(space, symbols[2])
+    # the lemma suite's cut: each generator to the columns of length <= g
+    gens = every_signature(space, rng)
+    full = generator_operators(space, gens)
+    g = np.array([L - max(gw.k - gw.l, 0) - 1 for gw in gens])
+    cut = full.subset(lengths[full.cols] <= g[full.samples])
+    pairs = list(zip(tower(space, full), tower(space, cut)))
+    pairs.append((T.apply_matrix(full), T.apply_matrix(cut)))
+    for a, b in pairs:
+        assert np.array_equal(kept(b, g), kept(a, g))
+    # the theorem suite's cut: words of length n built on the columns of
+    # length <= max(L - n, n - 1), compared on the guard band L - n
+    for n in range(min(3, L - 2) + 1):
+        words = [random_reduced_word(rng, space, n) for _ in range(3)]
+        full = word_operator(space, words)
+        cut = word_operator(space, words, max(L - n, n - 1))
+        band = np.full(len(words), L - n)
+        pairs = list(zip(tower(space, full), tower(space, cut)))
+        pairs += [(full, cut), (T.apply_matrix(full), T.apply_matrix(cut))]
+        for a, b in pairs:
+            assert np.array_equal(kept(b, band), kept(a, band))
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_theorem_suite_matches_per_word_oracle(request, name, symbols):
+    space = request.getfixturevalue(name)
+    got = main_theorem_suite(space, symbols, seed=3)
+    want = theorem_suite_per_word(space, symbols, seed=3)
+    assert got.to_json() == want.to_json()
 
 
 @pytest.mark.parametrize("name", EXACT + ["noncomm_space"])
@@ -71,8 +192,13 @@ def test_suites_with_factor_product_embed_give_the_same_reports(request, monkeyp
         report.extend(spanning_check(space))
         return report
 
+    def stacked_by_products(space, a):
+        if isinstance(a, FactorElement):
+            return embed_by_products(space, a)
+        return stack([embed_by_products(space, x) for x in a])
+
     got = run()
-    monkeypatch.setattr(verify, "embed", embed_by_products)
+    monkeypatch.setattr(verify, "embed", stacked_by_products)
     want = run()
     if name in EXACT:
         assert got.to_json() == want.to_json()
@@ -80,7 +206,7 @@ def test_suites_with_factor_product_embed_give_the_same_reports(request, monkeyp
         assert_reports_agree(got, want, 1e-14)
 
 
-@pytest.mark.parametrize("preset", ["dih", "mat2"])
+@pytest.mark.parametrize("preset", ["dih", "mat2", "cy3"])
 def test_one_sample_chunks_give_the_same_report(tmp_path, monkeypatch, capsys, preset):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(preset_config(preset)))
@@ -88,7 +214,8 @@ def test_one_sample_chunks_give_the_same_report(tmp_path, monkeypatch, capsys, p
 
     def spy(*args):
         for samples, stacks in chunks(*args):
-            runs.append(len(samples))
+            runs.append(samples.stop - samples.start)
+            assert all(op.n_samples == runs[-1] for op in stacks)
             yield samples, stacks
 
     def report(path):

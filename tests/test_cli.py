@@ -237,6 +237,8 @@ def test_cmd_verify_delta0_passes(tmp_path):
 def test_cmd_verify_overflowing_symbol_fails_checks(tmp_path, capsys):
     # phi(0) = 1e308 overflows the amplified matrices to inf; their norms
     # are inf, so the checks that take them fail instead of raising.  The
+    # vacuum coefficients of T(A) - phi(0) A are inf - inf = nan for some
+    # words: a residual that cannot be evaluated fails its check.  The
     # linearity residual stays finite (about 5e288) and is rounding on phi's
     # scale, which the multiplier residuals are divided by, so it passes
     data = preset_config("dih")
@@ -248,7 +250,8 @@ def test_cmd_verify_overflowing_symbol_fails_checks(tmp_path, capsys):
     assert "Traceback" not in captured.err
     failed = sorted(line.split()[1] for line in captured.out.splitlines()
                     if line.startswith("FAIL"))
-    assert failed == ["norm_bound_upper[0]", "theorem_action_on_words"]
+    assert failed == ["norm_bound_upper[0]", "theorem_action_on_words",
+                      "theorem_vacuum_coefficients"]
 
 
 def test_cmd_verify_overflowing_symbol_report_is_strict_json(tmp_path, capsys):
@@ -269,8 +272,30 @@ def test_cmd_verify_overflowing_symbol_report_is_strict_json(tmp_path, capsys):
     payload = json.loads(report_path.read_text(), parse_constant=reject)
     residuals = {c["name"]: c["max_residual"] for c in payload["checks"]
                  if c["status"] == "fail"}
-    assert set(residuals) == {"norm_bound_upper[0]", "theorem_action_on_words"}
+    assert set(residuals) == {"norm_bound_upper[0]", "theorem_action_on_words",
+                              "theorem_vacuum_coefficients"}
     assert "inf" in residuals.values()
+    assert residuals["theorem_vacuum_coefficients"] == "nan"
+
+
+@pytest.mark.parametrize("command", ["verify", "symbol"])
+def test_overflowing_symbol_leaves_stderr_empty(tmp_path, capfd, command):
+    # a symbol at the float range overflows T's weights, the wanted values and
+    # the Hankel matrices; the checks that read them fail, with no numpy
+    # warning (errors under pytest) and no LAPACK message on stderr
+    data = preset_config("dih")
+    data["symbol"] = {"head": [1e308, -1e308, 1e308]}
+    data["truncation"] = {"fock_len": 3}
+    extra = ["--suite", "all"] if command == "verify" else []
+    code = main([command, "--config", write_config(tmp_path, data)] + extra)
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    if command == "verify":
+        assert code == 1
+        assert "FAIL  norm_bound_upper[0]" in captured.out
+    else:
+        assert code == 0
+        assert "class_C_norm = inf" in captured.out
 
 
 @pytest.mark.parametrize("head", [[1e6, -1e6], [1, 1e9], [1e12, 1e12]])

@@ -6,10 +6,11 @@ import pytest
 
 from radmul.symbols import (ConstantTail, GeometricTail, HankelPair, RadialSymbol,
                             factorize, hankel_pair, hankel_trace_norm, norm_C,
-                            psi_decompose, psi_via_factors, ricard_xu_bound,
-                            trace_norm, write_symbol_csv)
+                            psi_decompose, ricard_xu_bound, trace_norm,
+                            write_symbol_csv)
 
 from conftest import symbol_zoo
+from oracles import psi_via_factors
 
 
 def brute_psi1(phi, n, terms=2000):
