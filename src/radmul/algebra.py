@@ -2,17 +2,18 @@
 
 The base algebra N is a full matrix algebra M_d(C) with its normalized
 trace (d = 1 gives the scalar case).  Each factor is the crossed product
-N x| G by a finite group acting through trace-preserving *-automorphisms;
-its elements are finitely supported sums sum_g b_g u_g with b_g in N and
-u_g unitaries obeying u_g b = alpha_g(b) u_g.  The inclusion N in N x| G
-has integer index |G|, conditional expectation x -> b_e, and the group
-unitaries (u_g), with u_e = 1 listed first, form an orthonormal module
-basis: E(u_g* u_h) = delta_{g,h} and every x equals sum_g E(x u_g) u_g*.
+N x| G by a finite group acting through trace-preserving *-automorphisms
+alpha_g = Ad(W_g); its elements are sums sum_g b_g u_g with b_g in N and
+u_g unitaries obeying u_g b = alpha_g(b) u_g, each held as one (|G|, d, d)
+array of its coefficients b_g.  Sums, scalar multiples and adjoints are
+array operations, and a product is one loop over the group table.  The
+inclusion N in N x| G has integer index |G|, conditional expectation
+x -> b_e, and the group unitaries (u_g), with u_e = 1 listed first, form an
+orthonormal module basis: E(u_g* u_h) = delta_{g,h} and every x equals
+sum_g E(x u_g) u_g*.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +24,7 @@ class TracialAlgebra:
     """M_d(C) with the normalized trace tau = Tr/d.
 
     Elements are (d, d) complex arrays.  The linear basis is the family of
-    matrix units E_pq in row-major order; structure constants and the
-    involution table are derived from it on demand.
+    matrix units E_pq in row-major order, one (d*d, d, d) array.
     """
 
     def __init__(self, d: int):
@@ -61,64 +61,25 @@ class TracialAlgebra:
             raise ValueError("expected shape (%d, %d)" % (self.d, self.d))
         return x
 
-    def mul(self, x, y) -> np.ndarray:
-        return x @ y
-
-    def star(self, x) -> np.ndarray:
-        return x.conj().T
-
     def trace(self, x) -> complex:
         return complex(np.trace(x)) / self.d
 
-    def inner(self, x, y) -> complex:
-        """tau(x* y); conjugate-linear in the first slot."""
-        return self.trace(x.conj().T @ y)
+    def basis(self) -> np.ndarray:
+        """Matrix units E_pq, row-major, as one (d*d, d, d) array."""
+        return np.eye(self.dim, dtype=complex).reshape(self.dim, self.d, self.d)
 
-    def norm(self, x) -> float:
-        return float(np.sqrt(max(self.inner(x, x).real, 0.0)))
-
-    def basis(self) -> list:
-        """Matrix units E_pq, row-major."""
-        out = []
-        for p in range(self.d):
-            for q in range(self.d):
-                e = self.zero()
-                e[p, q] = 1.0
-                out.append(e)
-        return out
-
-    def onb(self) -> list:
+    def onb(self) -> np.ndarray:
         """Orthonormal basis for tau: sqrt(d) * E_pq."""
-        s = np.sqrt(self.d)
-        return [s * e for e in self.basis()]
+        return np.sqrt(self.d) * self.basis()
 
     def random(self, rng) -> np.ndarray:
         return (rng.standard_normal((self.d, self.d))
                 + 1j * rng.standard_normal((self.d, self.d)))
 
-    def structure_constants(self) -> np.ndarray:
-        """c[i, j, k] with basis_i basis_j = sum_k c[i, j, k] basis_k."""
-        basis = self.basis()
-        n = len(basis)
-        c = np.zeros((n, n, n), dtype=complex)
-        for i, ei in enumerate(basis):
-            for j, ej in enumerate(basis):
-                prod = ei @ ej
-                c[i, j, :] = prod.reshape(-1)
-        return c
-
-    def involution_table(self) -> np.ndarray:
-        """s[i, j] with basis_i* = sum_j s[i, j] basis_j (conjugate-linear part factored out)."""
-        basis = self.basis()
-        n = len(basis)
-        s = np.zeros((n, n), dtype=complex)
-        for i, ei in enumerate(basis):
-            s[i, :] = ei.conj().T.reshape(-1)
-        return s
-
 
 class FiniteGroup:
-    """Finite group given by its multiplication table, identity at index 0."""
+    """Finite group given by its multiplication table, identity at index 0;
+    ``inverses[g]`` is the inverse of g."""
 
     def __init__(self, table):
         table = np.asarray(table, dtype=int)
@@ -127,10 +88,7 @@ class FiniteGroup:
         self.table = table
         self.order = table.shape[0]
         self._validate()
-        self._inv = np.empty(self.order, dtype=int)
-        for g in range(self.order):
-            hits = np.nonzero(table[g] == 0)[0]
-            self._inv[g] = hits[0]
+        self.inverses = np.argmax(table == 0, axis=1)
 
     @staticmethod
     def cyclic(order: int) -> "FiniteGroup":
@@ -162,22 +120,22 @@ class FiniteGroup:
         return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        return int(self._inv[a])
+        return int(self.inverses[a])
 
 
 class CrossedFactor:
     """N x| G for a trace-preserving action of a finite group G on N.
 
-    ``unitaries[g]`` implements alpha_g = Ad(unitaries[g]); the trivial
-    action uses identities.  The inclusion index is |G|.
+    ``unitaries[g]`` implements alpha_g = Ad(unitaries[g]), one (|G|, d, d)
+    array; the trivial action uses identities.  The inclusion index is |G|.
     """
 
     def __init__(self, base: TracialAlgebra, group: FiniteGroup, unitaries=None):
         self.base = base
         self.group = group
         if unitaries is None:
-            unitaries = [base.identity() for _ in range(group.order)]
-        self.unitaries = [np.asarray(w, dtype=complex) for w in unitaries]
+            unitaries = [base.identity()] * group.order
+        self.unitaries = np.array(unitaries, dtype=complex)
         self._validate()
 
     @staticmethod
@@ -195,12 +153,10 @@ class CrossedFactor:
 
     def _validate(self):
         d = self.base.d
-        if len(self.unitaries) != self.group.order:
-            raise ValueError("need one unitary per group element")
+        if self.unitaries.shape != (self.group.order, d, d):
+            raise ValueError("need one %d x %d unitary per group element" % (d, d))
         eye = np.eye(d)
         for g, w in enumerate(self.unitaries):
-            if w.shape != (d, d):
-                raise ValueError("unitary %d has wrong shape" % g)
             if np.abs(w.conj().T @ w - eye).max() > 1e-10:
                 raise ValueError("matrix for group element %d is not unitary" % g)
         if np.abs(self.unitaries[0] - eye).max() > 1e-12:
@@ -218,140 +174,116 @@ class CrossedFactor:
     def index(self) -> int:
         return self.group.order
 
-    def alpha(self, g: int, b: np.ndarray) -> np.ndarray:
+    def alpha(self, g, b: np.ndarray) -> np.ndarray:
+        """alpha_g(b) = W_g b W_g*; for an array of group elements and a
+        stack of coefficients, one per element, the stack of their images."""
         w = self.unitaries[g]
-        return w @ b @ w.conj().T
+        return w @ b @ np.swapaxes(w, -1, -2).conj()
+
+    def _element(self, g: int, b) -> "FactorElement":
+        """b u_g."""
+        coeffs = np.zeros((self.group.order, self.base.d, self.base.d), dtype=complex)
+        coeffs[g] = b
+        return FactorElement(self, coeffs)
 
     def identity(self) -> "FactorElement":
-        return FactorElement(self, {0: self.base.identity()})
+        return self._element(0, self.base.identity())
 
     def from_base(self, b) -> "FactorElement":
-        return FactorElement(self, {0: self.base.element(b)})
+        return self._element(0, self.base.element(b))
 
     def unitary(self, g: int) -> "FactorElement":
-        return FactorElement(self, {g: self.base.identity()})
+        return self._element(g, self.base.identity())
 
     def pp_basis(self) -> list:
         """Group unitaries with u_e = 1 first."""
         return [self.unitary(g) for g in range(self.group.order)]
 
     def random(self, rng) -> "FactorElement":
-        return FactorElement(self, {g: self.base.random(rng) for g in range(self.group.order)})
+        return FactorElement(self, np.array([self.base.random(rng)
+                                             for _ in range(self.group.order)]))
 
     def random_kernel(self, rng, min_norm: float = 1e-8) -> "FactorElement":
-        """Random element with vanishing conditional expectation onto N."""
+        """Random element with vanishing conditional expectation onto N: a
+        random element with its identity coefficient set to zero, drawn
+        again while its 2-norm tau(x* x)^(1/2) is at most ``min_norm``."""
         if self.group.order < 2:
             raise ValueError("the trivial group has no nonzero kernel elements")
         while True:
             x = self.random(rng)
-            x = x - self.from_base(cond_exp(x))
-            if x.norm() > min_norm:
+            x.coeffs[0] = 0
+            if np.linalg.norm(x.coeffs) / np.sqrt(self.base.d) > min_norm:
                 return x
 
 
-@dataclass
 class FactorElement:
-    """sum_g coeffs[g] u_g inside one crossed product."""
+    """sum_g coeffs[g] u_g inside one crossed product; ``coeffs`` is the
+    (|G|, d, d) array of the coefficients, held as it is given."""
 
-    factor: CrossedFactor
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("factor", "coeffs")
 
-    def __post_init__(self):
-        clean = {}
-        for g, b in self.coeffs.items():
-            arr = self.factor.base.element(b)
-            if np.any(arr):
-                clean[int(g)] = arr
-        self.coeffs = clean
-
-    def coeff(self, g: int) -> np.ndarray:
-        return self.coeffs.get(g, self.factor.base.zero())
+    def __init__(self, factor: CrossedFactor, coeffs: np.ndarray):
+        self.factor = factor
+        self.coeffs = coeffs
 
     def __add__(self, other: "FactorElement") -> "FactorElement":
-        out = dict(self.coeffs)
-        for g, b in other.coeffs.items():
-            out[g] = out.get(g, 0) + b
-        return FactorElement(self.factor, out)
+        return FactorElement(self.factor, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "FactorElement") -> "FactorElement":
-        return self + (-1.0) * other
+        return FactorElement(self.factor, self.coeffs - other.coeffs)
 
     def __rmul__(self, scalar) -> "FactorElement":
-        return FactorElement(self.factor, {g: scalar * b for g, b in self.coeffs.items()})
+        return FactorElement(self.factor, scalar * self.coeffs)
 
-    def __mul__(self, other):
-        """Product in the crossed product: (b u_g)(c u_h) = b alpha_g(c) u_{gh}."""
-        if not isinstance(other, FactorElement):
-            return FactorElement(self.factor,
-                                 {g: b * other for g, b in self.coeffs.items()})
+    def __mul__(self, other: "FactorElement") -> "FactorElement":
+        """Product in the crossed product: (b u_g)(c u_h) = b alpha_g(c) u_{gh},
+        the terms of one g for every h at once, added in the order of g."""
         fac = self.factor
-        out: dict = {}
-        for g, b in self.coeffs.items():
-            for h, c in other.coeffs.items():
-                gh = fac.group.mul(g, h)
-                out[gh] = out.get(gh, 0) + b @ fac.alpha(g, c)
+        out = np.zeros_like(self.coeffs)
+        for g, b in enumerate(self.coeffs):
+            out[fac.group.table[g]] += b @ fac.alpha(g, other.coeffs)
         return FactorElement(fac, out)
 
     def star(self) -> "FactorElement":
         """(b u_g)* = alpha_{g^{-1}}(b*) u_{g^{-1}}."""
-        fac = self.factor
-        out = {}
-        for g, b in self.coeffs.items():
-            gi = fac.group.inv(g)
-            out[gi] = fac.alpha(gi, b.conj().T)
-        return FactorElement(fac, out)
+        inv = self.factor.group.inverses
+        out = np.empty_like(self.coeffs)
+        out[inv] = self.factor.alpha(inv, self.coeffs.conj().transpose(0, 2, 1))
+        return FactorElement(self.factor, out)
 
     def trace(self) -> complex:
         """tau_i = tau of the identity coefficient."""
-        return self.factor.base.trace(self.coeff(0))
-
-    def norm(self) -> float:
-        val = (self.star() * self).trace().real
-        return float(np.sqrt(max(val, 0.0)))
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(np.abs(b).max() <= tol for b in self.coeffs.values())
+        return self.factor.base.trace(self.coeffs[0])
 
 
 def cond_exp(x: FactorElement) -> np.ndarray:
     """Conditional expectation onto N: keep the identity coefficient."""
-    return x.coeff(0)
+    return x.coeffs[0]
 
 
-def pp_expand(x: FactorElement) -> list:
-    """Coefficients (E(x u_g))_g of the module-basis expansion of x.
+def pp_expand(x: FactorElement) -> np.ndarray:
+    """Coefficients (E(x u_g))_g of the module-basis expansion of x, one
+    (|G|, d, d) array.
 
     E(x u_g) picks out the coefficient of x at g^{-1}, so the expansion
     sum_g E(x u_g) u_g* reproduces x exactly.
     """
-    fac = x.factor
-    return [x.coeff(fac.group.inv(g)) for g in range(fac.group.order)]
+    return x.coeffs[x.factor.group.inverses]
 
 
 def pp_reconstruct(factor: CrossedFactor, coeffs) -> FactorElement:
-    """sum_g coeffs[g] u_g* for the canonical basis."""
-    out = FactorElement(factor, {})
-    for g, b in enumerate(coeffs):
-        out = out + factor.from_base(b) * factor.unitary(g).star()
-    return out
+    """sum_g coeffs[g] u_g* for the canonical basis: coeffs[g] u_{g^{-1}}."""
+    return FactorElement(factor, np.array(coeffs, dtype=complex)[factor.group.inverses])
 
 
 def _onb_elements(factor: CrossedFactor) -> list:
     """Orthonormal basis of L2(M_i, tau_i): {b u_g : b in onb(N), g in G}."""
-    out = []
-    for g in range(factor.group.order):
-        for b in factor.base.onb():
-            out.append(FactorElement(factor, {g: b}))
-    return out
+    return [factor._element(g, b) for g in range(factor.group.order)
+            for b in factor.base.onb()]
 
 
-def _coords(factor: CrossedFactor, x: FactorElement, onb: list) -> np.ndarray:
+def _coords(x: FactorElement, onb: list) -> np.ndarray:
     return np.array([(e.star() * x).trace() for e in onb], dtype=complex)
-
-
-def _left_mult_matrix(factor: CrossedFactor, apply_fn, onb: list) -> np.ndarray:
-    cols = [_coords(factor, apply_fn(e), onb) for e in onb]
-    return np.stack(cols, axis=1)
 
 
 def verify_pp_basis(factor: CrossedFactor, basis=None,
@@ -364,8 +296,7 @@ def verify_pp_basis(factor: CrossedFactor, basis=None,
     """
     if basis is None:
         basis = factor.pp_basis()
-    base = factor.base
-    eye = base.identity()
+    eye = factor.base.identity()
     report = VerificationReport()
 
     ortho = 0.0
@@ -380,26 +311,22 @@ def verify_pp_basis(factor: CrossedFactor, basis=None,
     report.add("pp_orthogonality", ortho, tol, basis_size=len(basis))
     report.add("pp_normalization", normal, tol, basis_size=len(basis))
 
+    # the matrix of y -> sum_j e_j E(e_j* y) in the orthonormal basis
     onb = _onb_elements(factor)
     total = np.zeros((len(onb), len(onb)), dtype=complex)
     for ej in basis:
         ej_star = ej.star()
-
-        def jones_term(y, ej=ej, ej_star=ej_star):
-            return ej * factor.from_base(cond_exp(ej_star * y))
-
-        total += _left_mult_matrix(factor, jones_term, onb)
+        total += np.stack([_coords(ej * factor.from_base(cond_exp(ej_star * y)), onb)
+                           for y in onb], axis=1)
     unit_res = float(np.abs(total - np.eye(len(onb))).max())
     report.add("pp_partition_of_unity", unit_res, tol, space_dim=len(onb))
 
     expansion = 0.0
     for x in onb:
-        rec = FactorElement(factor, {})
+        rec = 0 * x
         for ej in basis:
             rec = rec + factor.from_base(cond_exp(x * ej)) * ej.star()
-        diff = rec - x
-        expansion = max(expansion, max((float(np.abs(b).max())
-                                        for b in diff.coeffs.values()), default=0.0))
+        expansion = max(expansion, float(np.abs((rec - x).coeffs).max()))
     report.add("pp_expansion", expansion, tol, spanning_size=len(onb))
     return report
 
@@ -416,8 +343,7 @@ def e0_vanishing(factor: CrossedFactor, g: int, b,
     coeffs = pp_expand(x)
     report = VerificationReport()
     report.add("e0_coefficient_vanishes", float(np.abs(coeffs[0]).max()), tol, g=g)
-    partial = pp_reconstruct(factor, [factor.base.zero()] + coeffs[1:])
-    diff = partial - x
-    res = max((float(np.abs(v).max()) for v in diff.coeffs.values()), default=0.0)
-    report.add("e0_truncated_reconstruction", res, tol, g=g)
+    coeffs[0] = 0
+    diff = pp_reconstruct(factor, coeffs) - x
+    report.add("e0_truncated_reconstruction", float(np.abs(diff.coeffs).max()), tol, g=g)
     return report

@@ -194,7 +194,9 @@ class FockSpace:
 
     The scalar orthonormal basis is (word, onb element of N) in
     length-lexicographic word order; its size is the dimension of every
-    operator in :mod:`radmul.operators`.  The instance carries a cache dict
+    operator in :mod:`radmul.operators`.  ``lengths``, ``first_factors`` and
+    ``last_factors`` hold each word's length and first and last factor (-1
+    for the vacuum), one entry per word.  The instance carries a cache dict
     so ``push_unitaries`` and the operator-level helpers can memoize their
     word-index maps (letter maps, right creations) per space.
     """
@@ -210,9 +212,9 @@ class FockSpace:
         self.n_onb = self.base.onb()
         self.dim_N = len(self.n_onb)
         self.dim = len(self.words) * self.dim_N
-        self.lengths = np.repeat([len(w) for w in self.words], self.dim_N)
-        self.first_factors = np.repeat([w.first_factor for w in self.words], self.dim_N)
-        self.last_factors = np.repeat([w.last_factor for w in self.words], self.dim_N)
+        self.lengths = np.array([len(w) for w in self.words])
+        self.first_factors = np.array([w.first_factor for w in self.words])
+        self.last_factors = np.array([w.last_factor for w in self.words])
         self._scale = np.sqrt(self.base.d)
         self.cache: dict = {}
 
@@ -258,7 +260,7 @@ class FockSpace:
 
     def guard_mask(self, max_len: int) -> np.ndarray:
         """Scalar-basis indices whose word length stays within max_len."""
-        return self.lengths <= max_len
+        return np.repeat(self.lengths <= max_len, self.dim_N)
 
 
 def canonicalize(space: FockSpace, letters, coeffs=None) -> FockVector:

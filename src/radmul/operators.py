@@ -136,6 +136,13 @@ class StructuredOperator:
         return self._new(self.samples[keep], self.rows[keep], self.cols[keep],
                          self.blocks[keep], self.name)
 
+    def columns_upto(self, max_len) -> "StructuredOperator":
+        """The entries in the columns of words at most ``max_len`` letters
+        long (one bound per sample for an array)."""
+        if np.ndim(max_len):
+            max_len = np.asarray(max_len)[self.samples]
+        return self.subset(self.space.lengths[self.cols] <= max_len)
+
     def select(self, keep) -> "StructuredOperator":
         """The stack of the samples ``keep`` marks, renumbered in order."""
         on = keep[self.samples]
@@ -260,11 +267,6 @@ def amplify(coeffs, ops) -> Entries:
                                               (samples, rows, cols, values)), size)
     return Entries(rows, cols, values, (size, size), samples, ops[0].n_samples,
                    ops[0].stacked)
-
-
-def _word_values(space: FockSpace, per_index: np.ndarray) -> np.ndarray:
-    """Per-word view of a per-basis-index array of the space."""
-    return per_index[::space.dim_N]
 
 
 def _diag_op(space: FockSpace, values, name: str, block=None) -> StructuredOperator:
@@ -409,19 +411,19 @@ def right_annihilation(space: FockSpace, letter) -> StructuredOperator:
 
 
 def length_at_least_op(space: FockSpace, n: int) -> StructuredOperator:
-    return _diag_op(space, _word_values(space, space.lengths) >= n,
+    return _diag_op(space, space.lengths >= n,
                     "P[length_at_least %d]" % n)
 
 
 def length_exactly_op(space: FockSpace, n: int) -> StructuredOperator:
-    return _diag_op(space, _word_values(space, space.lengths) == n,
+    return _diag_op(space, space.lengths == n,
                     "P[length_exactly %d]" % n)
 
 
 def ends_in_factor_op(space: FockSpace, i: int) -> StructuredOperator:
     """Projection onto the words whose last letter is in factor i; the
     vacuum's last factor is -1, so it is never kept."""
-    return _diag_op(space, _word_values(space, space.last_factors) == i,
+    return _diag_op(space, space.last_factors == i,
                     "P[ends_in_factor %d]" % i)
 
 
@@ -432,7 +434,7 @@ def start_complement_op(space: FockSpace, i: int) -> StructuredOperator:
     e_0 = 1 neither creates nor annihilates, it guards the sector where
     the factor acts through its N-part.
     """
-    return _diag_op(space, _word_values(space, space.first_factors) != i,
+    return _diag_op(space, space.first_factors != i,
                     "P[start!=%d]" % i)
 
 
@@ -441,7 +443,7 @@ def diag(space: FockSpace, x) -> StructuredOperator:
     x = np.asarray(x, dtype=complex).ravel()[:space.L_max + 1]
     values = np.zeros(space.L_max + 1, dtype=complex)
     values[:x.size] = x
-    return _diag_op(space, values[_word_values(space, space.lengths)], "D")
+    return _diag_op(space, values[space.lengths], "D")
 
 
 def rho_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperator:
@@ -475,7 +477,7 @@ def eps_rho_tower(space: FockSpace, A: StructuredOperator, n_max: int) -> list:
 def epsilon_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperator:
     """sum_i q_i A q_i: the entries whose row and column words end in the
     same factor."""
-    last = _word_values(space, space.last_factors)
+    last = space.last_factors
     keep = np.flatnonzero((last[A.rows] == last[A.cols]) & (last[A.rows] >= 0))
     return A.subset(keep).renamed("eps(%s)" % A.name)
 
@@ -503,8 +505,7 @@ def weighted_sum(space: FockSpace, W: np.ndarray, tower: list) -> StructuredOper
     m = np.repeat(np.arange(len(tower)), [op.rows.size for op in tower])
     rows = np.concatenate([op.rows for op in tower])
     cols = np.concatenate([op.cols for op in tower])
-    lengths = _word_values(space, space.lengths)
-    w = W[m, lengths[rows], lengths[cols]]
+    w = W[m, space.lengths[rows], space.lengths[cols]]
     keep = np.nonzero(w)[0]
     samples = np.concatenate([op.samples for op in tower])[keep]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -550,9 +551,8 @@ def phi_cb_bound(space: FockSpace, x, y) -> float:
         for n in range(len(v)):
             dn = diag(space, v[n:])  # (S*)^n v
             terms.append(dn @ dn.adjoint())
-        B = identity_op(space)
-        for n in range(1, space.L_max + 1):
-            B = rho_matrix(space, B)  # rho^n(Id) = Q_n on the truncated space
+        # rho^n(Id) = Q_n on the truncated space
+        for n, B in enumerate(rho_tower(space, identity_op(space), space.L_max), start=1):
             dn = diag(space, np.concatenate([np.zeros(n), v]))  # S^n v
             terms.append(dn @ B @ dn.adjoint())
         return op_norm(op_sum(space, terms))
@@ -748,19 +748,25 @@ class RadialMultiplier:
     and c is the symbol's limit.  The pair sums collapse into weight stacks
     over the argument's ``tower``, read off the symbol in closed form:
     ``t1_weights`` on A and its rho-iterates, ``t2_weights`` on A and the
-    rho-iterates of eps(A), and ``weights``, their sum with c added to the
-    weight of A, which is T itself.
+    rho-iterates of eps(A), and ``weights``, which is T itself.  Past the
+    weight of A the two stacks fill disjoint members, so T's are theirs;
+    T's weight of A, psi1(a+b) + psi2(a+b) + c, is phi(a+b), read off phi
+    itself, since the sum cancels where psi1 is large (|psi1| ~ 1/(1+z) for
+    a tail ratio z near -1) while |phi| stays small.
     """
 
     def __init__(self, space: FockSpace, symbol: RadialSymbol):
         self.space = space
         self.symbol = symbol
         self.limit = symbol.limit
-        self.t1_weights = _weight_stack(symbol, space.L_max, 1)
-        self.t2_weights = _weight_stack(symbol, space.L_max, 2)
+        L = space.L_max
+        self.t1_weights = _weight_stack(symbol, L, 1)
+        self.t2_weights = _weight_stack(symbol, L, 2)
+        phi = np.array([symbol(s) for s in range(2 * L + 1)], dtype=complex)
+        idx = np.arange(L + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf near the float range
             self.weights = self.t1_weights + self.t2_weights
-            self.weights[0] += self.limit
+        self.weights[0] = phi[idx[:, None] + idx[None, :]]
 
     def apply_matrix(self, A: StructuredOperator) -> StructuredOperator:
         """T(A)."""

@@ -20,7 +20,9 @@ read.  ``_stacked_chunks`` cuts the samples into ranges of at most
 ``CHUNK_ENTRIES`` tower entries, so towers, norms and maxima run once per
 range with bounded memory.  Every sample gets exactly the numbers it gets
 on its own, so neither the ranges nor the cuts change a report.  The
-multiplier residuals are divided by the symbol's scale (``_symbol_scale``).
+multiplier residuals are divided by the symbol's scale (``_symbol_scale``),
+the T1/T2 component residuals by the larger of it and the largest weight of
+T1 and T2 (``_component_scale``).
 """
 
 from __future__ import annotations
@@ -83,19 +85,19 @@ def _fold(worst: float, *values) -> float:
     return worst
 
 
-def _masked_max(op: StructuredOperator, max_len=np.inf):
-    """Largest entry of the operator's matrix (per sample) in the columns of
-    words at most ``max_len`` letters long (per sample or for all); 0 when
-    there is none."""
-    max_len = np.full(op.n_samples, max_len)[op.samples]
-    return op.block_max(op.space.lengths[op.cols * op.space.dim_N] <= max_len)
-
-
 def _symbol_scale(space: FockSpace, phi) -> float:
     """s = max(1, |phi(n)| for 0 <= n <= 2L+1), the scale of phi on the
     truncated space.  The multiplier residuals are rounding on phi's scale,
     so they are divided by s; s = 1 for a symbol bounded by 1."""
     return max(1.0, max(abs(phi(n)) for n in range(2 * space.L_max + 2)))
+
+
+def _component_scale(T, s: float) -> float:
+    """max(s, the largest weight of T1 and of T2): the scale of what the
+    component rules compare, T1(a) and T2(a) against psi1 a and psi2 a.
+    T1 and T2 can be far larger than phi (psi1 ~ 1/(1+z) for a tail ratio
+    z near -1), and their rounding is on their own scale."""
+    return max(s, np.abs(T.t1_weights).max(), np.abs(T.t2_weights).max())
 
 
 def _embed_terms(space: FockSpace, i: int) -> dict:
@@ -106,7 +108,7 @@ def _embed_terms(space: FockSpace, i: int) -> dict:
     if key not in space.cache:
         letters, maps = space.amalgam.letters(), _letter_maps(space)
         words = np.arange(len(space.words))
-        guard = np.where(space.first_factors[::space.dim_N] != i, words, -1)
+        guard = np.where(space.first_factors != i, words, -1)
         at = [letters.index((i, g)) for g in range(1, space.amalgam.factor(i).group.order)]
         downs = [guard] + [maps[len(letters) + t] for t in at]
         terms = {}
@@ -135,14 +137,14 @@ def embed(space: FockSpace, a) -> StructuredOperator:
         if idx is None:
             raise ValueError("element does not belong to a configured factor")
         group = x.factor.group
-        for j in range(group.order):
-            for k in range(group.order):
-                coef = x.factor.alpha(group.inv(j), x.coeff(group.mul(j, group.inv(k))))
-                if (np.abs(coef) > 0).any():
-                    rows, cols, mid = _embed_terms(space, idx)[j, k]
-                    terms.append((np.full(rows.size, s), rows, cols, mid,
-                                  np.full(rows.size, len(coefs))))
-                    coefs.append(coef)
+        j, k = np.divmod(np.arange(group.order ** 2), group.order)
+        inv = group.inverses
+        coef = x.factor.alpha(inv[j], x.coeffs[group.table[j, inv[k]]])
+        for t in np.flatnonzero((np.abs(coef) > 0).any(axis=(1, 2))):
+            rows, cols, mid = _embed_terms(space, idx)[j[t], k[t]]
+            terms.append((np.full(rows.size, s), rows, cols, mid,
+                          np.full(rows.size, len(coefs))))
+            coefs.append(coef[t])
     samples, rows, cols, mid, term = (np.concatenate(x) for x in zip(*terms))
     d = space.base.d
     blocks = lmul_blocks(space, np.reshape(coefs, (-1, d, d))[term], mid)
@@ -197,7 +199,7 @@ def word_operator(space: FockSpace, w, max_col_len=None) -> StructuredOperator:
 
     op = lmul(n)
     if max_col_len is not None:
-        op = op.subset(space.lengths[op.cols * space.dim_N] <= max_col_len)
+        op = op.columns_upto(max_col_len)
     for j in reversed(range(n)):
         op = embed(space, [x.letters[j] for x in words]) @ op
         op = lmul(j) @ op
@@ -296,7 +298,7 @@ def fock_suite(space: FockSpace, seed: int = 0,
     for n in range(space.L_max):
         split = (length_at_least_op(space, n) - length_at_least_op(space, n + 1)
                  - length_exactly_op(space, n))
-        worst = max(worst, _masked_max(split))
+        worst = max(worst, split.block_max())
     report.add("fock_length_projection_split", worst, tol)
 
     # the length-k spanning families have full rank jointly; they hold one
@@ -379,8 +381,8 @@ def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
 
     # rho(Id) = Q_1 and epsilon(Id) = Q_1 on the truncated space
     q1 = length_at_least_op(space, 1)
-    res_rho = _masked_max(rho_matrix(space, identity_op(space)) - q1)
-    res_eps = _masked_max(epsilon_matrix(space, identity_op(space)) - q1)
+    res_rho = (rho_matrix(space, identity_op(space)) - q1).block_max()
+    res_eps = (epsilon_matrix(space, identity_op(space)) - q1).block_max()
     report.add("rho_of_identity", res_rho, tol)
     report.add("epsilon_of_identity", res_eps, tol)
 
@@ -437,7 +439,10 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     rng = np.random.default_rng([seed, 4])
     report = VerificationReport()
     gens = _generator_zoo(space, seed)
-    mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
+    mults = []
+    for phi in symbols:
+        T, s = build_T(space, phi), _symbol_scale(space, phi)
+        mults.append((T, s, _component_scale(T, s)))
     decs = [psi_decompose(phi) for phi in symbols]
 
     vec_len = max(space.L_max + 2, 8)
@@ -446,7 +451,6 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     phi_stacks = [phi_weights(space, variant, xs, ys) for variant in (1, 2)]
 
     L = space.L_max
-    lengths = space.lengths[::space.dim_N]
     res_rho = 0.0
     res_eps = 0.0
     res_phi = [0.0, 0.0]
@@ -464,34 +468,36 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     # every check reads the columns of length <= g only, and a column of
     # rho(a), eps(a) or a weighted sum reads the same or a shorter column of a
     A = generator_operators(space, gens)
-    for sl, (a,) in _stacked_chunks(space, [A.subset(lengths[A.cols] <= g[A.samples])]):
+    for sl, (a,) in _stacked_chunks(space, [A.columns_upto(g)]):
         tw = tower(space, a)
 
         # rho^n(a) = a Q_{l+n}: the entries of a in the columns of length >= l+n
         for n in range(1, max_rho_power + 1):
-            target = a.subset(lengths[a.cols] >= (l[sl] + n)[a.samples])
-            res_rho = _fold(res_rho, _masked_max(tw[n] - target, g[sl] + 1 - n))
+            target = a.subset(space.lengths[a.cols] >= (l[sl] + n)[a.samples])
+            res_rho = _fold(res_rho, (tw[n] - target).columns_upto(g[sl] + 1 - n).block_max())
 
         # epsilon case rules: eps(a) = a in case 2, rho(a) in case 1
         target = op_sum(space, [a.subset(case2[sl][a.samples]),
                                 tw[1].subset(~case2[sl][tw[1].samples])])
-        res_eps = _fold(res_eps, _masked_max(tw[L + 1] - target, g[sl]))
+        res_eps = _fold(res_eps, (tw[L + 1] - target).columns_upto(g[sl]).block_max())
 
         # Phi eigen-formulas
         for i in range(2):
             phi_a = weighted_sum(space, phi_stacks[i], tw)
-            res_phi[i] = _fold(res_phi[i], _masked_max(phi_a - scalars[sl, i] * a, g[sl]))
+            res_phi[i] = _fold(res_phi[i],
+                               (phi_a - scalars[sl, i] * a).columns_upto(g[sl]).block_max())
 
         # multiplier rules; an overflowing symbol leaves inf or nan here,
         # failing the checks
-        for (_, T, s), (want1, want2, want) in zip(mults, wants):
+        for (T, s, s12), (want1, want2, want) in zip(mults, wants):
             t1 = weighted_sum(space, T.t1_weights, tw)
             t2 = weighted_sum(space, T.t2_weights, tw)
             total = weighted_sum(space, T.weights, tw)
             with np.errstate(over="ignore", invalid="ignore"):
-                res_t12 = _fold(res_t12, _masked_max(t1 - want1[sl] * a, g[sl]) / s,
-                                _masked_max(t2 - want2[sl] * a, g[sl]) / s)
-                res_t = _fold(res_t, _masked_max(total - want[sl] * a, g[sl]) / s)
+                res_t12 = _fold(res_t12,
+                                (t1 - want1[sl] * a).columns_upto(g[sl]).block_max() / s12,
+                                (t2 - want2[sl] * a).columns_upto(g[sl]).block_max() / s12)
+                res_t = _fold(res_t, (total - want[sl] * a).columns_upto(g[sl]).block_max() / s)
 
     report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
     report.add("epsilon_case_rules", res_eps, tol)
@@ -539,8 +545,8 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
                 if live.any():
                     scale = np.maximum(op_norm(A_guard.select(live)), 1e-30)
                     res_action = _fold(res_action, op_norm(d.select(live)) / scale / s)
-                res_vacuum = _fold(res_vacuum, _masked_max(diff, 0)
-                                   / np.maximum(_masked_max(A, 0), 1e-30) / s)
+                res_vacuum = _fold(res_vacuum, diff.columns_upto(0).block_max()
+                                   / np.maximum(A.columns_upto(0).block_max(), 1e-30) / s)
     report.add("theorem_action_on_words", res_action, tol,
                lengths=max_len, per_length=words_per_length, symbols=len(mults))
     report.add("theorem_vacuum_coefficients", res_vacuum, tol)
@@ -650,22 +656,20 @@ def embedding_suite(space: FockSpace, seed: int = 0,
     units = [embed(space, [fac.identity() for fac in factors]),
              stack([identity_op(space)] * len(factors))]
     for _, (ones, ids) in _stacked_chunks(space, units):
-        res_unit = _fold(res_unit, _masked_max(ones - ids, space.L_max - 1))
+        res_unit = _fold(res_unit, (ones - ids).columns_upto(space.L_max - 1).block_max())
     res_mult = 0.0
     res_star = 0.0
     res_coef = 0.0
 
-    def guarded(op):  # the columns the multiplicativity check reads
-        return op.subset(space.lengths[op.cols * space.dim_N] <= space.L_max - 2)
-
+    # the multiplicativity check reads the columns of length <= L - 2
     images = [embed(space, [a for _, a, _ in draws]),
-              guarded(embed(space, [b for _, _, b in draws])),
-              guarded(embed(space, [a * b for _, a, b in draws])),
+              embed(space, [b for _, _, b in draws]).columns_upto(space.L_max - 2),
+              embed(space, [a * b for _, a, b in draws]).columns_upto(space.L_max - 2),
               embed(space, [a.star() for _, a, _ in draws])]
     for sl, (ea, eb, eab, ea_star) in _stacked_chunks(space, images):
         chunk = draws[sl]
-        res_mult = _fold(res_mult, _masked_max(ea @ eb - eab, space.L_max - 2))
-        res_star = _fold(res_star, _masked_max(ea_star - ea.adjoint()))
+        res_mult = _fold(res_mult, (ea @ eb - eab).columns_upto(space.L_max - 2).block_max())
+        res_star = _fold(res_star, (ea_star - ea.adjoint()).block_max())
         # N-valued matrix coefficients against the basis vectors
         for s, (i, a, _) in enumerate(chunk):
             basis = factors[i].pp_basis()

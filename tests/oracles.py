@@ -103,7 +103,7 @@ def right_action(b):
 def weighted_sum_dense(space, W, tower):
     """sum_m W[m, |r|, |c|] tower[m][r, c], every weight table expanded to a
     full dim x dim array by the row and column word lengths."""
-    ell = space.lengths
+    ell = np.repeat(space.lengths, space.dim_N)
     return sum(W[m][np.ix_(ell, ell)] * tower[m] for m in range(len(tower)))
 
 
@@ -152,7 +152,7 @@ def rho_dense(space, A):
 
 def epsilon_dense(space, A):
     """Keep the entries whose row and column words end in the same factor."""
-    lf = space.last_factors
+    lf = np.repeat(space.last_factors, space.dim_N)
     return ((lf[:, None] == lf[None, :]) & (lf[:, None] >= 0)) * np.asarray(A, dtype=complex)
 
 
@@ -205,7 +205,7 @@ def embed_per_element(space, a):
     pairs, coefs = [], []
     for j in range(group.order):
         for k in range(group.order):
-            coef = a.factor.alpha(group.inv(j), a.coeff(group.mul(j, group.inv(k))))
+            coef = a.factor.alpha(group.inv(j), a.coeffs[group.mul(j, group.inv(k))])
             if np.any(np.abs(coef) > 0):
                 pairs.append((j, k))
                 coefs.append(coef)
@@ -246,10 +246,9 @@ def embed_by_products(space, a):
     return op_sum(space, terms, "embed") if terms else zero_op(space)
 
 
-def _masked_max(op, col_mask=None):
-    blocks = op.blocks
-    if col_mask is not None:
-        blocks = blocks[col_mask[op.cols * op.space.dim_N]]
+def _masked_max(op, max_len=np.inf):
+    """Largest block entry in the columns of words at most max_len long."""
+    blocks = op.blocks[op.space.lengths[op.cols] <= max_len]
     return float(np.abs(blocks).max()) if blocks.size else 0.0
 
 
@@ -259,8 +258,8 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
     rng = np.random.default_rng([seed, 4])
     report = VerificationReport()
     gens = _generator_zoo(space, seed)
-    mults = [(phi, build_T(space, phi)) for phi in symbols]
-    decs = [(phi, psi_decompose(phi)) for phi, _ in mults]
+    mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
+    decs = [psi_decompose(phi) for phi in symbols]
 
     vec_len = max(space.L_max + 2, 8)
     xs = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
@@ -277,7 +276,7 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
         tw = tower(space, a)
 
         def guard(depth):
-            return space.guard_mask(L - max(k - l, 0) - depth)
+            return L - max(k - l, 0) - depth
 
         for n in range(1, max_rho_power + 1):
             target = a @ length_at_least_op(space, l + n)
@@ -300,16 +299,18 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
             phi_a = weighted_sum(space, phi_stacks[i], tw)
             res_phi[i] = max(res_phi[i], _masked_max(phi_a - scalar * a, g))
 
-        for (phi, T), (_, dec) in zip(mults, decs):
+        for (phi, T, s), dec in zip(mults, decs):
+            # T1 and T2 are compared on the scale of their own weights
+            s12 = max(s, np.abs(T.t1_weights).max(), np.abs(T.t2_weights).max())
             t1 = weighted_sum(space, T.t1_weights, tw)
             t2 = weighted_sum(space, T.t2_weights, tw)
             want1 = dec.psi1(k + l)
             want2 = dec.psi2(k + l) if case is CaseTag.CASE1 else dec.psi2(k + l - 2)
-            res_t12 = max(res_t12, _masked_max(t1 - want1 * a, g))
-            res_t12 = max(res_t12, _masked_max(t2 - want2 * a, g))
+            res_t12 = max(res_t12, _masked_max(t1 - want1 * a, g) / s12)
+            res_t12 = max(res_t12, _masked_max(t2 - want2 * a, g) / s12)
             n_eff = k + l if case is CaseTag.CASE1 else k + l - 1
             total = weighted_sum(space, T.weights, tw)
-            res_t = max(res_t, _masked_max(total - phi(n_eff) * a, g))
+            res_t = max(res_t, _masked_max(total - phi(n_eff) * a, g) / s)
 
     report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
     report.add("epsilon_case_rules", res_eps, tol)
@@ -355,7 +356,6 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
     mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
     words = {n: [random_reduced_word(rng, space, n) for _ in range(words_per_length)]
              for n in range(0, max_len + 1)}
-    vacuum = space.guard_mask(0)
     res_action = res_vacuum = 0.0
     for n, sampled in words.items():
         guard = space.guard_mask(space.L_max - n)
@@ -368,8 +368,8 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
                 if d.rows.size:
                     scale = max(op_norm(A.entries().columns(guard)), 1e-30)
                     res_action = _fold(res_action, op_norm(d) / scale / s)
-                res_vacuum = _fold(res_vacuum, _masked_max(diff, vacuum)
-                                   / max(_masked_max(A, vacuum), 1e-30) / s)
+                res_vacuum = _fold(res_vacuum, _masked_max(diff, 0)
+                                   / max(_masked_max(A, 0), 1e-30) / s)
     report.add("theorem_action_on_words", res_action, tol,
                lengths=max_len, per_length=words_per_length, symbols=len(mults))
     report.add("theorem_vacuum_coefficients", res_vacuum, tol)

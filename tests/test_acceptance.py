@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from radmul.algebra import verify_pp_basis
 from radmul.cli import _run_suites

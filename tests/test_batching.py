@@ -85,7 +85,7 @@ def test_embed_stack_matches_per_element_oracle(request, name):
     elements = []
     for fac in space.amalgam.factors:
         elements += [fac.random(rng), fac.random_kernel(rng), fac.identity(), fac.unitary(1),
-                     fac.from_base(space.base.random(rng)), FactorElement(fac, {})]
+                     fac.from_base(space.base.random(rng)), 0 * fac.identity()]
     elements = [elements[t] for t in rng.permutation(len(elements))]
     E = embed(space, elements)
     assert (E.n_samples, E.stacked) == (len(elements), True)
@@ -93,8 +93,8 @@ def test_embed_stack_matches_per_element_oracle(request, name):
         want = embed_per_element(space, a)
         assert_sample_is(E, s, want)
         assert_sample_is(embed(space, a), 0, want)
-        assert (want.rows.size == 0) == (not a.coeffs)
-    zero = embed(space, [FactorElement(space.amalgam.factor(0), {})])
+        assert (want.rows.size == 0) == (not a.coeffs.any())
+    zero = embed(space, [0 * space.amalgam.factor(0).identity()])
     assert (zero.n_samples, zero.rows.size) == (1, 0)
 
 
@@ -116,14 +116,14 @@ def test_word_stack_matches_product_oracle(request, name):
 def kept(op, max_len):
     """Each sample's dense matrix with the columns of words longer than its
     bound in ``max_len`` set to zero."""
-    cols = op.space.lengths[None, :] <= np.asarray(max_len)[:, None]
+    cols = np.repeat(op.space.lengths, op.space.dim_N) <= np.asarray(max_len)[:, None]
     return np.where(cols[:, None, :], op.matrix(), 0)
 
 
 @pytest.mark.parametrize("name", SPACES)
 def test_column_cuts_keep_towers_and_multiplier_exact(request, name, symbols):
     space = request.getfixturevalue(name)
-    L, lengths = space.L_max, space.lengths[::space.dim_N]
+    L, lengths = space.L_max, space.lengths
     rng = np.random.default_rng(45)
     T = build_T(space, symbols[2])
     # the lemma suite's cut: each generator to the columns of length <= g

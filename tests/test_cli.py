@@ -310,10 +310,11 @@ def test_cmd_verify_large_symbol_passes(tmp_path, capsys, head):
     assert code == 0, [line for line in out.splitlines() if not line.startswith("PASS")]
 
 
-@pytest.mark.parametrize("ratio", [0.9, 0.97, 0.99])
+@pytest.mark.parametrize("ratio", [0.9, 0.97, 0.99, -0.999999])
 def test_cmd_verify_slow_geometric_tail_passes(tmp_path, capsys, ratio):
     # slow tails defeat any fixed Hankel cutoff; the multiplier and the
-    # class norm must not depend on one
+    # class norm must not depend on one.  Near ratio -1, psi1 ~ 1/(1+z)
+    # dwarfs phi, so T may not take phi as a sum of psi1, psi2 and c
     data = preset_config("dih")
     del data["truncation"]["hankel_dim"]
     data["symbol"] = {"head": [1.0],

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
-from radmul.fock import (Amalgam, FockSpace, FockVector, Word, canonicalize,
-                         enumerate_words, lambda_span)
+from radmul.fock import (Amalgam, FockVector, Word, canonicalize, enumerate_words,
+                         lambda_span)
 from radmul.operators import ends_in_factor_op, length_at_least_op, length_exactly_op
 
 V2 = np.diag([1.0, -1.0]).astype(complex)

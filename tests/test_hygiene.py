@@ -1,13 +1,16 @@
-"""Source hygiene that a linter would check: no module of the package imports
-a name it never uses (``__init__.py`` imports only to re-export)."""
+"""Source hygiene that a linter would check: no module of the package and no
+test module imports a name it never uses (the package's ``__init__.py``
+imports only to re-export)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "radmul"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "radmul"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -27,6 +30,11 @@ def unused_imports(source: str) -> list:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: "tests/" + p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

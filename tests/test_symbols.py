@@ -4,12 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from radmul.symbols import (ConstantTail, GeometricTail, HankelPair, RadialSymbol,
-                            factorize, hankel_pair, hankel_trace_norm, norm_C,
-                            psi_decompose, ricard_xu_bound, trace_norm,
-                            write_symbol_csv)
+from radmul.symbols import (ConstantTail, GeometricTail, RadialSymbol, factorize,
+                            hankel_pair, hankel_trace_norm, norm_C, psi_decompose,
+                            ricard_xu_bound, trace_norm, write_symbol_csv)
 
-from conftest import symbol_zoo
 from oracles import psi_via_factors
 
 

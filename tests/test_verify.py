@@ -4,8 +4,8 @@ import pytest
 import radmul.verify as verify
 from oracles import as_op
 from radmul.fock import Word
-from radmul.operators import RadialMultiplier, build_T, left_mult, op_norm
-from radmul.symbols import ConstantTail, RadialSymbol
+from radmul.operators import RadialMultiplier, build_T, left_mult
+from radmul.symbols import ConstantTail, GeometricTail, RadialSymbol
 from radmul.verify import (ReducedWord, embed, embedding_suite, fock_suite,
                            lemma_suite, main_theorem_suite, norm_bound_suite,
                            operator_suite, random_reduced_word, spanning_check,
@@ -174,6 +174,33 @@ def test_scaled_case_rules_still_catch_a_perturbed_weight(cy3_space, monkeypatch
 
     monkeypatch.setattr(verify, "build_T", perturbed)
     assert case_rules() == "fail"
+
+
+@pytest.mark.parametrize("stack, check", [("t1_weights", "t1_t2_component_rules"),
+                                          ("t2_weights", "t1_t2_component_rules"),
+                                          ("weights", "multiplier_case_rules")])
+def test_rules_near_ratio_minus_one_catch_a_perturbed_weight(dih_space, monkeypatch,
+                                                             stack, check):
+    # at tail ratio -0.999999, psi1 ~ 1/(1 + z) = 1e6 while |phi| <= 1: the
+    # component rules are divided by the largest weight of T1 and T2, and
+    # the case rules by phi's scale, so a relative 1e-6 error in the
+    # largest weight of T1, T2 or T still fails at about 1e-6
+    phi = RadialSymbol(head=(1.0,), tail=GeometricTail(1.0, -0.999999))
+
+    def rule():
+        return {c.name: c for c in lemma_suite(dih_space, [phi]).checks}[check]
+
+    assert rule().status == "pass"
+
+    def perturbed(space, symbol):
+        T = RadialMultiplier(space, symbol)
+        W = getattr(T, stack)
+        W[np.unravel_index(np.abs(W).argmax(), W.shape)] *= 1 + 1e-6
+        return T
+
+    monkeypatch.setattr(verify, "build_T", perturbed)
+    assert rule().status == "fail"
+    assert 1e-7 < rule().max_residual < 1e-5
 
 
 def test_verify_main_theorem_wrapper(dih_space):
