@@ -48,6 +48,11 @@ each sample coming out exactly as it does alone, entry order included.
 ``generator_operators`` builds a family of generator words as one stack;
 ``matrix()``, ``op @ x``, ``block_max`` and ``op_norm`` give one result per
 sample when the flag ``stacked`` is set.
+
+The operator is the package's one sparse matrix type.  ``amplify`` builds
+the amplifications sum_i C_i (x) A_i of the norm-bound sampler on the A_i's
+word pairs, with m dim_N x m dim_N blocks, and ``op_norm`` reads the
+scalar entries of any operator off its blocks.
 """
 
 from __future__ import annotations
@@ -59,18 +64,20 @@ import numpy as np
 
 from .fock import FockSpace, FockVector
 from .report import VerificationReport
-from .sparse import Entries, _per_sample, coalesce, op_norm, sum_at
+from .sparse import _per_sample, coalesce, op_norm, sum_at
 from .symbols import RadialSymbol, psi_decompose
 
 class StructuredOperator:
     """A stack of linear maps on the truncated Fock space, block-sparse on
     word pairs; a single map is a stack of one.
 
-    ``blocks[e]`` is the dim_N x dim_N block from the column word ``cols[e]``
-    to the row word ``rows[e]`` of sample ``samples[e]`` (each pair at most
-    once per sample).  Products, sums, scalar multiples (one scalar per
-    sample for an array) and the adjoint work sample by sample.
-    ``matrix()`` scatters the blocks into the dense matrix (cached);
+    ``blocks[e]`` is the k x k block from the column word ``cols[e]`` to the
+    row word ``rows[e]`` of sample ``samples[e]`` (each pair at most once
+    per sample), k = dim_N except for an amplification (``amplify``).
+    Products, sums, scalar multiples (one scalar per sample for an array)
+    and the adjoint work sample by sample.  ``entries()`` lists the nonzero
+    scalar entries, and ``matrix()`` scatters them into the dense matrix
+    (cached);
     ``op @ x`` and ``op(vec)`` apply the operator to a coordinate array and
     to a Fock vector.
     """
@@ -92,26 +99,32 @@ class StructuredOperator:
 
     @property
     def shape(self) -> tuple:
-        return (self.space.dim, self.space.dim)
+        n = len(self.space.words) * self.blocks.shape[-1]
+        return (n, n)
 
     def __call__(self, vec: FockVector) -> FockVector:
         return self.space.from_array(self @ vec.to_array())
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            n, k = len(self.space.words), self.space.dim_N
-            out = np.zeros((self.n_samples, n, k, n, k), dtype=complex)
-            out[self.samples, self.rows, :, self.cols, :] = self.blocks
-            self._matrix = _per_sample(self, out.reshape((-1,) + self.shape))
+            samples, rows, cols, values = self.entries()
+            out = np.zeros((self.n_samples,) + self.shape, dtype=complex)
+            out[samples, rows, cols] = values
+            self._matrix = _per_sample(self, out)
         return self._matrix
 
-    def entries(self) -> Entries:
-        """The nonzero scalar entries: block entry [i, j] of word pair (r, c)
-        sits at row r dim_N + i, column c dim_N + j."""
-        k = self.space.dim_N
+    def entries(self) -> tuple:
+        """The nonzero scalar entries (samples, rows, cols, values).  The
+        basis is m copies of the Fock space's, m = 1 except for an
+        amplification (``amplify``), whose blocks are m x m arrays of
+        dim_N x dim_N blocks: entry [p k + a, q k + b] of the block of word
+        pair (r, c) sits at row p dim + r k + a, column q dim + c k + b
+        (k = dim_N)."""
+        k, dim = self.space.dim_N, self.space.dim
         e, i, j = np.nonzero(self.blocks)
-        return Entries(self.rows[e] * k + i, self.cols[e] * k + j, self.blocks[e, i, j],
-                       self.shape, self.samples[e], self.n_samples, self.stacked)
+        (p, a), (q, b) = np.divmod(i, k), np.divmod(j, k)
+        return (self.samples[e], p * dim + self.rows[e] * k + a,
+                q * dim + self.cols[e] * k + b, self.blocks[e, i, j])
 
     def _new(self, samples, rows, cols, blocks, name: str) -> "StructuredOperator":
         """An operator with these entries in this operator's stack."""
@@ -166,10 +179,13 @@ class StructuredOperator:
         if isinstance(other, StructuredOperator):
             _same_stack(self, other)
             return self._new(*_product(self, other), "(%s %s)" % (self.name, other.name))
+        # the coordinates by word, those of a word's m copies side by side
         k = self.space.dim_N
-        x = np.asarray(other, dtype=complex).reshape(-1, k)
+        m = self.blocks.shape[-1] // k
+        x = np.asarray(other, dtype=complex).reshape(m, -1, k).swapaxes(0, 1).reshape(-1, m * k)
         terms = (self.blocks @ x[self.cols][:, :, None])[:, :, 0]
         out = sum_at(self.samples * len(x) + self.rows, terms, self.n_samples * len(x))
+        out = out.reshape(self.n_samples, -1, m, k).swapaxes(1, 2)
         return _per_sample(self, out.reshape(self.n_samples, -1))
 
     def __add__(self, other: "StructuredOperator") -> "StructuredOperator":
@@ -208,8 +224,8 @@ def _same_stack(*ops) -> None:
 
 
 def _product(a: StructuredOperator, b: StructuredOperator) -> tuple:
-    """Entries (samples, rows, cols, blocks) of a @ b: each entry (j, c) of
-    b meets every entry (r, j) of a in the same sample.
+    """The entries (samples, rows, cols, blocks) of a @ b: each entry (j, c)
+    of b meets every entry (r, j) of a in the same sample.
 
     When a is a partial word map (each row and each column at most once per
     sample) the join is a gather and every (r, c) comes out once; otherwise
@@ -247,26 +263,20 @@ def op_sum(space: FockSpace, ops, name: str = "sum") -> StructuredOperator:
     return ops[0]._new(*merged, name)
 
 
-def amplify(coeffs, ops) -> Entries:
+def amplify(coeffs, ops) -> StructuredOperator:
     """sum_i C_i (x) A_i for operators A_i with one m x m scalar block C_i
-    per sample, as scalar entries in the A_i's stack: C_i[p, q] A_i[r, c]
-    sits at row p dim + r and column q dim + c, and the terms on one
-    position are added in order."""
-    m, dim = np.shape(coeffs[0])[-1], ops[0].space.dim
-    p, q = np.divmod(np.arange(m * m), m)
-    samples, rows, cols, values = [], [], [], []
+    per sample, in the A_i's stack: each word pair of A_i keeps its place
+    and its block B becomes kron(C_i, B), an m dim_N x m dim_N block (see
+    ``entries`` for its place in the basis), and the terms are added in
+    order."""
+    terms = []
     for C, A in zip(coeffs, ops):
-        e = A.entries()
-        C = np.asarray(C).reshape(-1, m * m)
-        samples.append(np.tile(e.samples, m * m))
-        rows.append((p[:, None] * dim + e.rows).ravel())
-        cols.append((q[:, None] * dim + e.cols).ravel())
-        values.append((C[e.samples].T * e.values).ravel())
-    size = m * dim
-    samples, rows, cols, values = coalesce(*(np.concatenate(x) for x in
-                                              (samples, rows, cols, values)), size)
-    return Entries(rows, cols, values, (size, size), samples, ops[0].n_samples,
-                   ops[0].stacked)
+        m, k = np.shape(C)[-1], A.blocks.shape[-1]
+        C = np.asarray(C).reshape(-1, m, m)[A.samples]
+        kron = C[:, :, None, :, None] * A.blocks[:, None, :, None, :]
+        terms.append(A._new(A.samples, A.rows, A.cols, kron.reshape(-1, m * k, m * k),
+                            "(C (x) %s)" % A.name))
+    return op_sum(ops[0].space, terms, "amplified")
 
 
 def _diag_op(space: FockSpace, values, name: str, block=None) -> StructuredOperator:
@@ -699,21 +709,6 @@ def _letter_maps(space: FockSpace) -> np.ndarray:
             table[t, op.cols] = op.rows
         space.cache["letter_maps"] = table
     return space.cache["letter_maps"]
-
-
-def alternating_letter_tuples(space: FockSpace, length: int) -> list:
-    """All factor-alternating letter strings of the given length."""
-    letters = space.amalgam.letters()
-    out = [()]
-    for _ in range(length):
-        nxt = []
-        for tup in out:
-            for l in letters:
-                if tup and tup[-1][0] == l[0]:
-                    continue
-                nxt.append(tup + (l,))
-        out = nxt
-    return out
 
 
 def _weight_stack(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Sparse scalar entries, with a sample axis, and the spectral norm on them.
 
-An :class:`Entries` lists the nonzero entries of a stack of sparse
-matrices, each entry carrying the index of its sample; a single matrix is a
-stack of one, and every operation here treats the samples apart.
-``coalesce`` merges entries on one position (added in entry order), and
-``op_norm``, the package's one spectral norm, takes an exact SVD of each
-connected component of the support, batched by block shape over all
-samples.  Only ``_per_sample`` reads the ``stacked`` flag: it hands a stack
-its per-sample results and a single matrix the result of its one sample.
-:mod:`radmul.operators` keeps its block-sparse operators in the same form,
-with a dim_N x dim_N block in place of each scalar.
+The entries of a stack of sparse matrices are parallel arrays (samples,
+rows, cols, values): ``values[e]`` sits at ``(rows[e], cols[e])`` of
+sample ``samples[e]``; a single matrix is a stack of one, and every
+operation here treats the samples apart.  ``coalesce`` merges entries on one
+position (added in entry order), and ``op_norm``, the package's one
+spectral norm, takes an exact SVD of each connected component of the
+support, batched by block shape over all samples.  Only ``_per_sample``
+reads the ``stacked`` flag: it hands a stack its per-sample results and a
+single matrix the result of its one sample.  The one sparse matrix type,
+:class:`radmul.operators.StructuredOperator`, keeps its entries in this
+form with a square block in place of each scalar.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def sum_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def coalesce(samples, rows, cols, values, n_cols: int) -> tuple:
-    """Entries with one value per (sample, row, col) position; repeated
+    """The entries with one value per (sample, row, col) position; repeated
     positions are added in entry order.
 
     A sample with a repeated position comes out sorted by position, the
@@ -65,44 +66,10 @@ def coalesce(samples, rows, cols, values, n_cols: int) -> tuple:
 def _per_sample(x, values: np.ndarray):
     """The results ``values`` of the samples of x, one per sample: all of
     them for a stack, and that of its one sample (a float for a scalar) for
-    an operand not built as a stack."""
-    if x.stacked:
+    an operand not built as a stack (an array among them)."""
+    if getattr(x, "stacked", False):
         return values
     return values[0] if values.ndim > 1 else float(values[0])
-
-
-class Entries:
-    """Scalar entries of a stack of ``n_samples`` sparse matrices of
-    ``shape``: ``values[e]`` at ``(rows[e], cols[e])`` of sample
-    ``samples[e]``, one entry per position.  ``Entries(rows, cols, values,
-    shape)`` is a single matrix, a stack of one whose samples are all 0."""
-
-    def __init__(self, rows, cols, values, shape, samples=0, n_samples=1, stacked=False):
-        self.rows, self.cols, self.values, self.shape = rows, cols, values, tuple(shape)
-        self.samples = (np.asarray(samples, dtype=np.intp) if np.ndim(samples)
-                        else np.full(np.shape(rows), samples, dtype=np.intp))
-        self.n_samples, self.stacked = int(n_samples), stacked
-
-    def matrix(self) -> np.ndarray:
-        """The dense matrix, or the (n_samples,) + shape array of a stack."""
-        out = np.zeros((self.n_samples,) + self.shape, dtype=complex)
-        out[self.samples, self.rows, self.cols] = self.values
-        return _per_sample(self, out)
-
-    def columns(self, mask: np.ndarray) -> "Entries":
-        """The columns ``mask`` keeps, renumbered: ``matrix()[..., mask]``."""
-        keep = mask[self.cols]
-        renumber = np.cumsum(mask) - 1
-        return Entries(self.rows[keep], renumber[self.cols[keep]], self.values[keep],
-                       (self.shape[0], int(np.count_nonzero(mask))), self.samples[keep],
-                       self.n_samples, self.stacked)
-
-    def select(self, keep: np.ndarray) -> "Entries":
-        """The stack of the samples ``keep`` marks, renumbered in order."""
-        on = keep[self.samples]
-        renumber = np.cumsum(keep) - 1
-        return Entries(self.rows[on], self.cols[on], self.values[on], self.shape,
-                       renumber[self.samples[on]], int(np.count_nonzero(keep)), True)
 
 
 def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -132,9 +99,9 @@ def _rank_in_component(lab: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _block_norms(e: Entries) -> np.ndarray:
-    """Largest singular value of each sample's matrix from one SVD per
-    support component.
+def _block_norms(samples, rows, cols, values, n_s: int, shape: tuple) -> np.ndarray:
+    """Largest singular value of each of the ``n_s`` sample matrices of
+    ``shape`` with these entries, from one SVD per support component.
 
     Rows and columns are the nodes of a bipartite graph whose edges are the
     entries; permuting both by component makes the matrix block diagonal,
@@ -142,12 +109,11 @@ def _block_norms(e: Entries) -> np.ndarray:
     entries belong to no block.  The samples of a stack are the diagonal
     blocks of one matrix, so no component spans two samples.
     """
-    n_s = e.n_samples
     best = np.zeros(n_s)
-    if e.rows.size == 0:
+    if rows.size == 0:
         return best
-    n_r, n_c = n_s * e.shape[0], n_s * e.shape[1]
-    rows, cols = e.samples * e.shape[0] + e.rows, e.samples * e.shape[1] + e.cols
+    n_r, n_c = n_s * shape[0], n_s * shape[1]
+    rows, cols = samples * shape[0] + rows, samples * shape[1] + cols
     lab = _component_labels(rows, n_r + cols, n_r + n_c)
     row_lab, col_lab = lab[:n_r], lab[n_r:]
     n_rows = np.bincount(row_lab, minlength=n_r + n_c)
@@ -169,52 +135,49 @@ def _block_norms(e: Entries) -> np.ndarray:
     col_rank = _rank_in_component(col_lab, n_cols)
     by_group = np.argsort(group[ent], kind="stable")
     ends = np.cumsum(np.bincount(group[ent], minlength=shapes.size))
-    for g, (shape, count, sel) in enumerate(zip(shapes, counts,
-                                                np.split(by_group, ends[:-1]))):
-        blocks = np.zeros((count,) + divmod(int(shape), n_c + 1), dtype=complex)
-        blocks[slot[ent[sel]], row_rank[rows[sel]], col_rank[cols[sel]]] = e.values[sel]
+    for g, (code, count, sel) in enumerate(zip(shapes, counts,
+                                               np.split(by_group, ends[:-1]))):
+        blocks = np.zeros((count,) + divmod(int(code), n_c + 1), dtype=complex)
+        blocks[slot[ent[sel]], row_rank[rows[sel]], col_rank[cols[sel]]] = values[sel]
         top = np.linalg.svd(blocks, compute_uv=False)[:, 0]
-        np.maximum.at(best, comps[group == g] // e.shape[0], top)
+        np.maximum.at(best, comps[group == g] // shape[0], top)
     return best
 
 
-def _scalar_entries(A) -> Entries:
-    """The nonzero scalar entries of an operator, of an Entries or of an
-    array."""
-    if hasattr(A, "entries"):
-        A = A.entries()
-    elif not isinstance(A, Entries):
-        A = np.asarray(A, dtype=complex)
-        r, c = np.nonzero(A)
-        A = Entries(r, c, A[r, c], A.shape)
-    keep = np.flatnonzero(A.values)
-    return Entries(A.rows[keep], A.cols[keep], A.values[keep], A.shape, A.samples[keep],
-                   A.n_samples, A.stacked)
-
-
 def op_norm(A):
-    """Spectral norm of an operator, an :class:`Entries` or an array, the
-    package's only one: a float, or for a stack an array with the norm of
-    each sample.
+    """Spectral norm of a :class:`~radmul.operators.StructuredOperator` or
+    of an array, the package's only one: a float, or for a stack an array
+    with the norm of each sample.
 
-    It works on the nonzero scalar entries (exact zeros dropped first).  The
-    matrix is split into the connected components of their support (rows
-    and columns joined by entries) and each component gets an exact SVD,
-    batched by block shape over all samples; the largest first singular
-    value of a sample is its norm.  An operand with no side longer than
-    ``SPLIT_MIN`` gets one SVD whole per sample.  An empty or all-zero
-    sample has norm 0, and one with a non-finite entry has norm inf (not
-    nan, which ``max`` would silently drop).
+    It works on the nonzero scalar entries, ``A.entries()`` of an operator
+    and ``np.nonzero`` of an array.  The matrix is split into the connected
+    components of their support (rows and columns joined by entries) and
+    each component gets an exact SVD, batched by block shape over all
+    samples; the largest first singular value of a sample is its norm.  An
+    operand with no side longer than ``SPLIT_MIN`` gets one SVD whole per
+    sample.  An empty or all-zero sample has norm 0, and one with a
+    non-finite entry has norm inf (not nan, which ``max`` would silently
+    drop).
     """
-    e = _scalar_entries(A)
-    norms = np.zeros(e.n_samples)
-    if 0 not in e.shape:
-        finite = np.ones(e.n_samples, dtype=bool)
-        finite[e.samples[~np.isfinite(e.values)]] = False
+    if hasattr(A, "entries"):
+        samples, rows, cols, values = A.entries()
+        n_samples = A.n_samples
+    else:
+        A = np.asarray(A, dtype=complex)
+        rows, cols = np.nonzero(A)
+        samples, values, n_samples = np.zeros_like(rows), A[rows, cols], 1
+    norms = np.zeros(n_samples)
+    if 0 not in A.shape:
+        finite = np.ones(n_samples, dtype=bool)
+        finite[samples[~np.isfinite(values)]] = False
         norms[~finite] = np.inf
-        live = e.select(finite)
-        if live.n_samples and max(e.shape) <= SPLIT_MIN:
-            norms[finite] = np.linalg.svd(live.matrix(), compute_uv=False)[:, 0]
-        elif live.n_samples:
-            norms[finite] = _block_norms(live)
-    return _per_sample(e, norms)
+        # the finite samples, renumbered in order
+        on, n_live = finite[samples], int(np.count_nonzero(finite))
+        live = (np.cumsum(finite)[samples[on]] - 1, rows[on], cols[on], values[on])
+        if n_live and max(A.shape) <= SPLIT_MIN:
+            dense = np.zeros((n_live,) + A.shape, dtype=complex)
+            dense[live[:3]] = live[3]
+            norms[finite] = np.linalg.svd(dense, compute_uv=False)[:, 0]
+        elif n_live:
+            norms[finite] = _block_norms(*live, n_live, A.shape)
+    return _per_sample(A, norms)

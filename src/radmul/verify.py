@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import FactorElement, cond_exp
 from .fock import FockSpace, FockVector, Word, lambda_span
 from .operators import (CaseTag, GeneratorWord, StructuredOperator, _letter_maps,
-                        adjoint_check, alternating_letter_tuples, amplify, annihilation,
+                        adjoint_check, amplify, annihilation,
                         build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
                         generator_operators, identity_op, left_mult, length_at_least_op,
                         length_exactly_op, lmul_blocks, op_norm, op_sum,
@@ -404,8 +404,8 @@ def _generator_zoo(space: FockSpace, seed: int, max_k: int = 2, max_l: int = 2,
     out = []
     for k in range(max_k + 1):
         for l in range(max_l + 1):
-            cre_tuples = alternating_letter_tuples(space, k)
-            ann_tuples = alternating_letter_tuples(space, l)
+            cre_tuples = [w.letters for w in space.words if len(w) == k]
+            ann_tuples = [w.letters for w in space.words if len(w) == l]
             for cre in cre_tuples:
                 for ann in ann_tuples:
                     out.append(GeneratorWord(cre, ann))
@@ -526,22 +526,21 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     res_action = 0.0
     res_vacuum = 0.0
     for n, sampled in words.items():
-        guard = space.guard_mask(space.L_max - n)
+        guard = space.L_max - n
         # the checks read the guard columns only, and a column of T(A) reads
         # the same or a shorter column of A; see word_operator for n - 1
-        stacks = [word_operator(space, sampled, max(space.L_max - n, n - 1))]
+        stacks = [word_operator(space, sampled, max(guard, n - 1))]
         for _, (A,) in _stacked_chunks(space, stacks):
-            A_guard = A.entries().columns(guard)
+            A_guard = A.columns_upto(guard)
             for phi, T, s in mults:
                 TA = T.apply_matrix(A)
                 # an overflowing symbol leaves inf or nan here, failing the checks
                 with np.errstate(over="ignore", invalid="ignore"):
                     diff = TA - phi(n) * A
-                # a word whose difference has no entry in the guard columns
-                # has residual exactly 0, so its two norms are not taken
-                d = diff.entries().columns(guard)
-                live = np.zeros(A.n_samples, dtype=bool)
-                live[d.samples] = True
+                # a word whose difference has no nonzero entry in the guard
+                # columns has residual exactly 0, so its two norms are not taken
+                d = diff.columns_upto(guard)
+                live = d.block_max() != 0
                 if live.any():
                     scale = np.maximum(op_norm(A_guard.select(live)), 1e-30)
                     res_action = _fold(res_action, op_norm(d.select(live)) / scale / s)
@@ -558,13 +557,13 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     B = word_operator(space, words[0][0])
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     lam = left_mult(space, space.base.random(rng))
-    guard = space.guard_mask(space.L_max - max(1, max_len))
     with np.errstate(over="ignore", invalid="ignore"):  # as above
         diff = (T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A)
                 - be * T0.apply_matrix(B))
         res_lin = op_norm(diff) / max(op_norm(A), 1.0) / s
         diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
-        res_mod = op_norm(diff.entries().columns(guard)) / max(op_norm(A), 1.0) / s
+        res_mod = (op_norm(diff.columns_upto(space.L_max - max(1, max_len)))
+                   / max(op_norm(A), 1.0) / s)
     report.add("multiplier_linearity", res_lin, 1e-12)
     report.add("multiplier_right_module", res_mod, tol)
     return report
@@ -574,8 +573,8 @@ def amplified_stacks(rng, space: FockSpace, T, samples: int, amplifications, ter
     """Draw ``samples`` combinations of ``terms`` random generator words A_i
     with random complex m x m blocks C_i per amplification m, then yield
     ``(m, sum C_i (x) A_i, sum C_i (x) T(A_i))`` per chunk of combinations
-    and amplification, as stacks of scalar entries (``amplify``), one sample
-    per combination.  Per combination the draws are the (k, l) of every
+    and amplification, as operator stacks (``amplify``), one sample per
+    combination.  Per combination the draws are the (k, l) of every
     term, the words, and then the blocks of every amplification in turn.
     """
     draws = []
@@ -629,7 +628,7 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
         lengths = range(0, min(3, space.L_max) + 1)
         for n in lengths:
             want = max(want, abs(phi(n)))
-        creations = [GeneratorWord(alternating_letter_tuples(space, n)[0] if n else (), ())
+        creations = [GeneratorWord(next(w.letters for w in space.words if len(w) == n), ())
                      for n in lengths]
         for _, (A,) in _stacked_chunks(space, [generator_operators(space, creations)]):
             na = op_norm(A)

@@ -364,9 +364,9 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
             for phi, T, s in mults:
                 with np.errstate(over="ignore", invalid="ignore"):
                     diff = T.apply_matrix(A) - phi(n) * A
-                d = diff.entries().columns(guard)
-                if d.rows.size:
-                    scale = max(op_norm(A.entries().columns(guard)), 1e-30)
+                d = diff.matrix()[:, guard]
+                if np.any(d):
+                    scale = max(op_norm(A.matrix()[:, guard]), 1e-30)
                     res_action = _fold(res_action, op_norm(d) / scale / s)
                 res_vacuum = _fold(res_vacuum, _masked_max(diff, 0)
                                    / max(_masked_max(A, 0), 1e-30) / s)
@@ -384,5 +384,5 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
     guard = space.guard_mask(space.L_max - max(1, max_len))
     diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
     report.add("multiplier_right_module",
-               op_norm(diff.entries().columns(guard)) / max(op_norm(A), 1.0) / s, tol)
+               op_norm(diff.matrix()[:, guard]) / max(op_norm(A), 1.0) / s, tol)
     return report

@@ -1,7 +1,12 @@
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from radmul.cli import main
 from radmul.config import ConfigError, load_config, parse_config, preset_config
@@ -360,6 +365,82 @@ def test_cmd_verify_all_on_uneven_sectors(tmp_path, capsys, model, runs):
         assert code == 0, [line for line in out.splitlines() if not line.startswith("PASS")]
         reports.append(report_path.read_bytes())
     assert len(set(reports)) == 1
+
+
+Z2XZ2_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+MAX_DIM = 300
+
+
+def model_dim(orders, d: int, fock_len: int) -> int:
+    """Dimension of the truncated Fock space: d^2 per reduced word, counted
+    by length and by the factor the word ends in."""
+    letters = np.array(orders) - 1
+    ending = letters.copy()
+    words = 1 + ending.sum()
+    for _ in range(fock_len - 1):
+        ending = letters * (ending.sum() - ending)
+        words += ending.sum()
+    return int(d * d * words)
+
+
+@st.composite
+def valid_models(draw):
+    """2 or 3 factors (cyclic of order 2-5, S_3 or Z_2 x Z_2 by table) over a
+    scalar base or over M_2, where a cyclic factor acts by Ad diag(1, z^j)
+    (z = exp(2 pi i / order)); a head of up to 3 complex values and a
+    constant or geometric tail; fock_len 2-4, dimension at most MAX_DIM."""
+    part = st.floats(-1, 1, allow_nan=False)
+    cplx = st.tuples(part, part).map(list)
+    d = draw(st.sampled_from([1, 2]))
+    factors, orders = [], []
+    for group in draw(st.lists(st.sampled_from([2, 3, 4, 5, "s3", "z2xz2"]),
+                               min_size=2, max_size=3)):
+        if isinstance(group, str):
+            table = _s3_table() if group == "s3" else Z2XZ2_TABLE
+            factors.append({"group": {"kind": "table", "table": table}, "action": "trivial"})
+            orders.append(len(table))
+            continue
+        factor = _cyclic(group)
+        if d == 2:
+            z = np.exp(2j * np.pi * draw(st.integers(0, group - 1)) / group)
+            factor["action"] = {"kind": "inner",
+                                "unitary": [[[1, 0], [0, 0]], [[0, 0], [z.real, z.imag]]]}
+        factors.append(factor)
+        orders.append(group)
+    lengths = [L for L in (2, 3, 4) if model_dim(orders, d, L) <= MAX_DIM]
+    assume(lengths)
+    if draw(st.booleans()):
+        tail = {"kind": "constant", "limit": draw(cplx)}
+    else:
+        radius, angle = draw(st.floats(0, 0.9)), draw(st.floats(0, 2 * np.pi))
+        tail = {"kind": "geometric", "coefficient": draw(cplx),
+                "ratio": [radius * np.cos(angle), radius * np.sin(angle)], "limit": draw(cplx)}
+    base = {"kind": "scalar"} if d == 1 else {"kind": "matrix", "dim": 2}
+    return {"base_algebra": base, "factors": factors,
+            "symbol": {"head": draw(st.lists(cplx, max_size=3)), "tail": tail},
+            "truncation": {"fock_len": draw(st.sampled_from(lengths))},
+            "seed": draw(st.integers(0, 3))}
+
+
+def test_model_dim_counts_the_words():
+    for data in (preset_config("cy3"), noncommuting_config(3)):
+        cfg = parse_config(data)
+        orders = [fac.group.order for fac in cfg.factors]
+        assert model_dim(orders, cfg.base_algebra.d, cfg.fock_len) == cfg.space().dim
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(valid_models())
+def test_cmd_verify_all_passes_on_valid_models(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), data)
+        reports = []
+        for r in range(2):
+            report_path = Path(tmp) / ("report%d.json" % r)
+            assert main(["verify", "--suite", "all", "--config", path,
+                         "--report", str(report_path)]) == 0
+            reports.append(report_path.read_bytes())
+    assert reports[0] == reports[1]
 
 # ---------------------------------------------------------------- bound command
 

@@ -7,9 +7,9 @@ from oracles import (append_star, as_op, column_matrix, epsilon_dense, left_acti
                      right_action, rho_dense, strip_first, strip_star, tower_dense,
                      weighted_sum_dense)
 from radmul.sparse import SPLIT_MIN
-from radmul.operators import (CaseTag, Entries, GeneratorWord, StructuredOperator,
-                              adjoint_check, alternating_letter_tuples,
-                              annihilation, build_T, creation, diag, epsilon_matrix,
+from radmul.operators import (CaseTag, GeneratorWord, StructuredOperator,
+                              adjoint_check, amplify, annihilation, build_T, creation,
+                              diag, epsilon_matrix,
                               identity_op, left_mult, length_at_least_op, op_norm,
                               partition_identity_residual,
                               phi_block_matrix, phi_cb_bound, right_annihilation,
@@ -387,10 +387,11 @@ def test_generator_operator_matches_factor_product(request, name):
         got = gw.operator(space).matrix()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-def test_alternating_tuples_count(dih_space, cy3_space):
-    assert len(alternating_letter_tuples(dih_space, 2)) == 2
-    # cy3: 4 letters, first free (4), then 2 choices from the other factor
-    assert len(alternating_letter_tuples(cy3_space, 2)) == 8
+def test_words_count_by_length(dih_space, cy3_space):
+    # dih: one letter per factor, so two words of every length >= 1; cy3:
+    # 4 letters, the first free (4), each next one of the other factor's 2
+    assert [sum(len(w) == n for w in dih_space.words) for n in range(6)] == [1, 2, 2, 2, 2, 2]
+    assert [sum(len(w) == n for w in cy3_space.words) for n in range(5)] == [1, 4, 8, 16, 32]
 
 
 
@@ -578,37 +579,26 @@ def test_embed_and_word_operator_match_factor_products(request, name):
     assert np.array_equal(got, left_mult(space, b).matrix())
 
 
-def random_entries(rng, n, density=0.08):
+def random_sparse(rng, n, density=0.08):
+    A = np.zeros((n, n), dtype=complex)
     r, c = np.nonzero(rng.random((n, n)) < density)
-    values = random_complex(rng, r.size)
-    values[::5] = 0  # explicit zero values
-    return Entries(r, c, values, (n, n))
+    A[r, c] = random_complex(rng, r.size)
+    return A
 
 
 # one operand on each side of SPLIT_MIN: a whole SVD and one per support block
 @pytest.mark.parametrize("n", [SPLIT_MIN - 8, SPLIT_MIN + 12])
 def test_op_norm_on_entries_matches_full_svd(n):
     rng = np.random.default_rng(23)
-    e = random_entries(rng, n)
-    assert abs(op_norm(e) - svd_norm(e.matrix())) <= 1e-13 * svd_norm(e.matrix())
-    values = e.values.copy()
-    values[3] = np.inf
-    assert op_norm(Entries(e.rows, e.cols, values, e.shape)) == float("inf")
-    none = np.zeros(0, dtype=int)
-    assert op_norm(Entries(none, none, np.zeros(0, dtype=complex), (n, n))) == 0.0
-    assert op_norm(Entries(none, none, np.zeros(0, dtype=complex), (0, n))) == 0.0
-    assert op_norm(Entries(e.rows, e.cols, np.zeros(e.rows.size), e.shape)) == 0.0
-
-
-def test_op_norm_drops_explicit_zero_entries():
-    # 3 x 3 blocks linked only by explicit zero values: dropped first, so the
-    # support still splits into the 3 x 3 blocks
-    A = permuted_block_diagonal(np.random.default_rng(24), [(3, 3)] * 20)
+    A = random_sparse(rng, n)
+    assert abs(op_norm(A) - svd_norm(A)) <= 1e-13 * svd_norm(A)
     r, c = np.nonzero(A)
-    link = np.arange(59)
-    e = Entries(np.concatenate([r, link]), np.concatenate([c, link + 1]),
-                np.concatenate([A[r, c], np.zeros(59)]), A.shape)
-    assert abs(op_norm(e) - svd_norm(A)) <= 1e-13 * svd_norm(A)
+    for bad in (np.inf, np.nan):
+        B = A.copy()
+        B[r[3], c[3]] = bad
+        assert op_norm(B) == float("inf")
+    assert op_norm(np.zeros((n, n))) == 0.0
+    assert op_norm(np.zeros((0, n))) == 0.0
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -802,6 +792,27 @@ def test_op_norm_matches_full_svd_on_amplified_samples(request, space_name):
         for A in (big, tbig):
             for dense, norm in zip(A.matrix(), op_norm(A)):
                 assert abs(norm - svd_norm(dense)) <= 1e-13 * svd_norm(dense)
+
+
+@pytest.mark.parametrize("space_name", SPACES)
+def test_amplify_matches_dense_kron(request, space_name):
+    # a stack of three samples, the middle one without entries in any term
+    space = request.getfixturevalue(space_name)
+    rng = np.random.default_rng(26)
+    ops = [stack([random_operator(space, rng), zero_op(space), random_operator(space, rng)])
+           for _ in range(3)]
+    x = random_complex(rng, 3 * space.dim)
+    for m in (1, 2, 3):
+        coeffs = [random_complex(rng, (3, m, m)) for _ in ops]
+        big = amplify(coeffs, ops)
+        assert isinstance(big, StructuredOperator) and big.shape == (m * space.dim,) * 2
+        want = np.array([sum(np.kron(C[t], A.matrix()[t]) for C, A in zip(coeffs, ops))
+                         for t in range(3)])
+        assert not want[1].any()
+        assert np.abs(big.matrix() - want).max() <= 1e-15 * np.abs(want).max()
+        assert_close(big @ x[:m * space.dim], want @ x[:m * space.dim])
+        for dense, norm in zip(want, op_norm(big)):
+            assert abs(norm - svd_norm(dense)) <= 1e-13 * max(svd_norm(dense), 1.0)
 
 
 def test_op_norm_small_blocks_above_dense_cap_stay_exact():
