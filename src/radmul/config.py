@@ -20,9 +20,10 @@ radial symbol, the truncation parameters, the tolerances, and a seed::
 Complex scalars are finite numbers or [re, im] pairs; the action unitary is
 a row-major matrix of [re, im] pairs.  Inner actions are supported for
 cyclic groups, which act through powers of the supplied unitary.  A run
-needs at least two factors, groups need order >= 2, and only the three
-tolerance names above are accepted.  ``fock_len`` is the word-length
-cutoff; ``hankel_dim`` only sizes the symbol table of ``radmul symbol --csv``.
+needs at least two factors, groups need order >= 2, and every object
+takes only the keys shown above: a misspelt key is an error, not a default.
+``fock_len`` is the word-length cutoff; ``hankel_dim`` only sizes the
+symbol table of ``radmul symbol --csv``.
 """
 
 from __future__ import annotations
@@ -64,9 +65,14 @@ def _int(value, name: str, minimum: int) -> int:
     return value
 
 
-def _object(value, name: str) -> dict:
+def _object(value, name: str, known) -> dict:
+    """value, which must be an object whose keys are all in ``known``."""
     if not isinstance(value, dict):
         raise ConfigError("%s must be an object" % name)
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigError("unknown %s key %r (known: %s)"
+                          % (name, unknown[0], ", ".join(sorted(known))))
     return value
 
 
@@ -100,7 +106,7 @@ class RunConfig:
 
 
 def _parse_base(fragment) -> TracialAlgebra:
-    if not isinstance(fragment, dict) or "kind" not in fragment:
+    if "kind" not in _object(fragment, "base_algebra", ("kind", "dim")):
         raise ConfigError("base_algebra needs a 'kind'")
     kind = fragment["kind"]
     if kind == "scalar":
@@ -111,7 +117,7 @@ def _parse_base(fragment) -> TracialAlgebra:
 
 
 def _parse_group(fragment) -> FiniteGroup:
-    if not isinstance(fragment, dict) or "kind" not in fragment:
+    if "kind" not in _object(fragment, "factor group", ("kind", "order", "table")):
         raise ConfigError("factor group needs a 'kind'")
     kind = fragment["kind"]
     if kind not in ("cyclic", "table"):
@@ -131,12 +137,13 @@ def _parse_group(fragment) -> FiniteGroup:
 
 
 def _parse_factor(base: TracialAlgebra, fragment) -> CrossedFactor:
-    _object(fragment, "each factor")
+    _object(fragment, "factor", ("group", "action"))
     group = _parse_group(fragment.get("group", {}))
     action = fragment.get("action", "trivial")
     if action == "trivial":
         return CrossedFactor.trivial(base, group)
     if isinstance(action, dict) and action.get("kind") == "inner":
+        _object(action, "action", ("kind", "unitary"))
         is_cyclic = np.array_equal(
             group.table, FiniteGroup.cyclic(group.order).table)
         if not is_cyclic:
@@ -152,11 +159,12 @@ def _parse_factor(base: TracialAlgebra, fragment) -> CrossedFactor:
 
 
 def _parse_symbol(fragment) -> RadialSymbol:
-    head = _object(fragment, "symbol").get("head", [])
+    head = _object(fragment, "symbol", ("head", "tail")).get("head", [])
     if not isinstance(head, list):
         raise ConfigError("symbol head must be a list")
     head = tuple(_complex(v) for v in head)
-    tail_frag = _object(fragment.get("tail", {"kind": "constant", "limit": 0}), "symbol tail")
+    tail_frag = _object(fragment.get("tail", {"kind": "constant", "limit": 0}), "symbol tail",
+                        ("kind", "limit", "coefficient", "ratio"))
     kind = tail_frag.get("kind")
     try:
         if kind == "constant":
@@ -173,8 +181,8 @@ def _parse_symbol(fragment) -> RadialSymbol:
 
 
 def parse_config(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a JSON object")
+    _object(data, "configuration", ("base_algebra", "factors", "symbol", "truncation",
+                                    "tolerances", "seed"))
     base = _parse_base(data.get("base_algebra", {"kind": "scalar"}))
     factor_frags = data.get("factors")
     if not isinstance(factor_frags, list) or len(factor_frags) < 2:
@@ -183,18 +191,14 @@ def parse_config(data: dict) -> RunConfig:
     factors = [_parse_factor(base, f) for f in factor_frags]
     symbol = _parse_symbol(data.get("symbol", {"head": [1.0]}))
 
-    trunc = _object(data.get("truncation", {}), "truncation")
+    trunc = _object(data.get("truncation", {}), "truncation", ("fock_len", "hankel_dim"))
     fock_len = _int(trunc.get("fock_len", 5), "fock_len", 2)
     hankel_dim = _int(trunc.get("hankel_dim", max(2 * len(symbol.head), 32)), "hankel_dim", 1)
     if isinstance(symbol.tail, ConstantTail) and hankel_dim < symbol.head_end + 1:
         raise ConfigError("hankel_dim must cover the symbol head (need >= %d)"
                           % (symbol.head_end + 1))
 
-    tol_frag = _object(data.get("tolerances", {}), "tolerances")
-    unknown = sorted(set(tol_frag) - set(DEFAULT_TOLERANCES))
-    if unknown:
-        raise ConfigError("unknown tolerance %r (known: %s)"
-                          % (unknown[0], ", ".join(sorted(DEFAULT_TOLERANCES))))
+    tol_frag = _object(data.get("tolerances", {}), "tolerances", DEFAULT_TOLERANCES)
     tolerances = dict(DEFAULT_TOLERANCES, **tol_frag)
     for name, value in tolerances.items():
         if not (_is_real(value) and value > 0):

@@ -241,6 +241,11 @@ class FockSpace:
         blocks = np.asarray(arr, dtype=complex).reshape(len(self.words), d, d) * self._scale
         return _vector(self, blocks)
 
+    def random_vector(self, rng) -> FockVector:
+        """A unit vector with complex Gaussian coordinates, drawn from rng."""
+        arr = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
+        return self.from_array(arr / np.linalg.norm(arr))
+
     def push_unitaries(self) -> np.ndarray:
         """U_w per word, stacked (n_words, d, d): pushing b through w gives
         U_w b U_w*, built on first use and cached.
@@ -284,11 +289,3 @@ def canonicalize(space: FockSpace, letters, coeffs=None) -> FockVector:
         acc = am.push(acc, letter) @ space.base.element(right)
     return FockVector(space, {word: acc})
 
-
-def lambda_span(space: FockSpace, k: int):
-    """Spanning family of the length-k sector, words paired with N basis
-    elements, yielded one vector at a time."""
-    if k > space.L_max:
-        raise ValueError("sector beyond truncation")
-    return (FockVector(space, {w: b}) for w in space.words if len(w) == k
-            for b in space.base.basis())

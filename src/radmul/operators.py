@@ -776,8 +776,9 @@ def adjoint_check(a: StructuredOperator, a_star: StructuredOperator, tol: float 
                   seed: int = 0, samples: int = 4) -> VerificationReport:
     """Confirm that ``a_star``, built by its own rule, is the adjoint of ``a``:
     entry by entry against a's conjugate transpose (the largest block of
-    the difference, 0 when it has no entries), and against random inner
-    products <A xi, eta> = <xi, A* eta> of Fock vectors.
+    the difference, 0 when it has no entries), and against inner products
+    <A xi, eta> = <xi, A* eta> of random unit vectors, so that the pairing
+    residual is rounding on the scale of A, whatever the dimension.
     """
     space = a.space
     report = VerificationReport()
@@ -787,10 +788,7 @@ def adjoint_check(a: StructuredOperator, a_star: StructuredOperator, tol: float 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        xi = space.from_array(rng.standard_normal(space.dim)
-                              + 1j * rng.standard_normal(space.dim))
-        eta = space.from_array(rng.standard_normal(space.dim)
-                               + 1j * rng.standard_normal(space.dim))
+        xi, eta = space.random_vector(rng), space.random_vector(rng)
         worst = max(worst, abs(a(xi).inner(eta) - xi.inner(a_star(eta))))
     report.add("adjoint_pairing[%s]" % a.name, worst, tol)
     return report

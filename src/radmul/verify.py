@@ -23,6 +23,10 @@ on its own, so neither the ranges nor the cuts change a report.  The
 multiplier residuals are divided by the symbol's scale (``_symbol_scale``),
 the T1/T2 component residuals by the larger of it and the largest weight of
 T1 and T2 (``_component_scale``).
+
+The rank checks build their spanning families as operators, one column per
+vector (``lambda_span``, ``word_vacuum_images``), and ``_word_block_rank``
+adds up per-word block ranks when the operator is block diagonal on words.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FactorElement, cond_exp
-from .fock import FockSpace, FockVector, Word, lambda_span
-from .operators import (CaseTag, GeneratorWord, StructuredOperator, _letter_maps,
+from .fock import FockSpace, FockVector, Word
+from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op, _letter_maps,
                         adjoint_check, amplify, annihilation,
                         build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
                         generator_operators, identity_op, left_mult, length_at_least_op,
@@ -268,8 +272,8 @@ def fock_suite(space: FockSpace, seed: int = 0,
             val = space.word_vector(w, b).inner_N(space.word_vector(w2, c))
             expect = b.conj().T @ c if w == w2 else base.zero()
             worst_onb = max(worst_onb, float(np.abs(val - expect).max()))
-    xi = _random_vector(rng, space)
-    eta = _random_vector(rng, space)
+    xi = space.random_vector(rng)
+    eta = space.random_vector(rng)
     lhs = xi.inner_N(eta.right_mul(b))
     worst_mod = float(np.abs(lhs - xi.inner_N(eta) @ b).max())
     report.add("fock_word_orthonormality", worst_onb, tol)
@@ -278,7 +282,7 @@ def fock_suite(space: FockSpace, seed: int = 0,
     # left and right actions commute; projections commute with the right action
     worst = 0.0
     for _ in range(4):
-        v = _random_vector(rng, space)
+        v = space.random_vector(rng)
         bb, cc = base.random(rng), base.random(rng)
         d1 = v.left_mul(bb).right_mul(cc) - v.right_mul(cc).left_mul(bb)
         worst = max(worst, _vec_max(d1))
@@ -289,7 +293,7 @@ def fock_suite(space: FockSpace, seed: int = 0,
     for op in [length_at_least_op(space, 1), length_at_least_op(space, 2),
                ends_in_factor_op(space, 0)]:
         for _ in range(2):
-            v = _random_vector(rng, space)
+            v = space.random_vector(rng)
             worst = max(worst, _vec_max(op(rb(v)) - rb(op(v))))
     report.add("fock_projection_right_commute", worst, tol)
 
@@ -301,40 +305,37 @@ def fock_suite(space: FockSpace, seed: int = 0,
         worst = max(worst, split.block_max())
     report.add("fock_length_projection_split", worst, tol)
 
-    # the length-k spanning families have full rank jointly; they hold one
-    # vector per word and N-basis element
-    rank = _word_block_rank(space, lambda: (v.to_array() for kk in range(space.L_max + 1)
-                                            for v in lambda_span(space, kk)))
+    # the length-k spanning families have full rank jointly
+    rank = _word_block_rank(op_sum(space, [lambda_span(space, k)
+                                           for k in range(space.L_max + 1)]))
     report.add("fock_lambda_span_rank", float(space.dim - rank), 0.5,
                rank=rank, dim=space.dim)
     return report
 
 
-def _word_block_rank(space: FockSpace, columns) -> int:
-    """Rank (singular values above 1e-10) of the matrix whose columns the
-    call ``columns()`` yields, dim_N of them per word in basis order.
+def lambda_span(space: FockSpace, k: int) -> StructuredOperator:
+    """Spanning family of the length-k sector, words paired with N basis
+    elements, as the columns of one operator: on each word of length k a
+    diagonal block whose column j holds the basis element b_j as the
+    word's coefficient."""
+    if k > space.L_max:
+        raise ValueError("sector beyond truncation")
+    basis = space.base.basis()
+    block = basis.reshape(len(basis), -1).T / np.sqrt(space.base.d)
+    return _diag_op(space, space.lengths == k, "Lambda%d" % k, block)
 
-    When every column lies on its own word's coordinates, the matrix is
-    block diagonal on words and its rank is the sum of the dim_N x dim_N
-    block ranks, one batched SVD; for the Lambda family each block is a
-    multiple of a permutation.  A column that leaks off its word sends the
-    check back to one dense ``matrix_rank``.
+
+def _word_block_rank(op: StructuredOperator) -> int:
+    """Rank (singular values above 1e-10) of a single operator.
+
+    When every block lies on the diagonal (rows == cols), the operator is
+    block diagonal on words and its rank is the sum of the block ranks, one
+    batched SVD; a block off the diagonal sends the check to one dense
+    ``matrix_rank``.
     """
-    k = space.dim_N
-    blocks = []
-    for c, col in enumerate(columns()):
-        own = col[c // k * k:c // k * k + k]
-        if np.count_nonzero(own) != np.count_nonzero(col):
-            return int(np.linalg.matrix_rank(np.stack(list(columns()), axis=1), tol=1e-10))
-        blocks.append(own.copy())  # not a view, which would keep the column
-    if not blocks:
-        return 0
-    return int(np.linalg.matrix_rank(np.reshape(blocks, (-1, k, k)), tol=1e-10).sum())
-
-
-def _random_vector(rng, space: FockSpace) -> FockVector:
-    arr = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    return space.from_array(arr / np.linalg.norm(arr))
+    if np.array_equal(op.rows, op.cols):
+        return int(np.linalg.matrix_rank(op.blocks, tol=1e-10).sum())
+    return int(np.linalg.matrix_rank(op.matrix(), tol=1e-10))
 
 
 def _vec_max(v: FockVector) -> float:
@@ -375,7 +376,7 @@ def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
            (rho_matrix(space, identity_op(space)), rb)]
     for op, rb_out in ops:
         for _ in range(3):
-            v = _random_vector(rng, space)
+            v = space.random_vector(rng)
             worst = max(worst, _vec_max(op(rb(v)) - rb_out(op(v))))
     report.add("right_module_blocks", worst, tol)
 
@@ -687,23 +688,20 @@ def embedding_suite(space: FockSpace, seed: int = 0,
     return report
 
 
-def word_vacuum_images(space: FockSpace, max_len: int):
-    """Yield the coordinate arrays of u_{g_1} ... u_{g_n} b applied to the
-    vacuum, for every word (g_1, ..., g_n) of length <= max_len (in basis
-    order) and every N-basis element b: the vacuum array multiplied, right
-    to left, by left_mult(b) and the letters' embeddings, each built once.
-    """
-    embeds = {(i, g): embed(space, space.amalgam.factor(i).unitary(g))
-              for i, g in space.amalgam.letters()}
-    vac = space.vacuum().to_array()
-    starts = [left_mult(space, b) @ vac for b in space.base.basis()]
-    for w in space.words:
-        if len(w) > max_len:
-            continue
-        for vec in starts:
-            for letter in reversed(w.letters):
-                vec = embeds[letter] @ vec
-            yield vec
+def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
+    """The vacuum images u_{g_1} ... u_{g_n} b Omega of the words (g_1, ...,
+    g_n) of length <= max_len with the N-basis elements b, as the columns of
+    one operator, in ``lambda_span``'s column order.  Grown a length at a
+    time by prefix sharing: V_0 = ``lambda_span(space, 0)`` holds the
+    columns b Omega, and V_n = sum_gamma embed(u_gamma) @ V_{n-1} @ L*_gamma,
+    since u_gamma maps the image of w to that of gamma w."""
+    letters = space.amalgam.letters()
+    embeds = [embed(space, space.amalgam.factor(i).unitary(g)) for i, g in letters]
+    images = [lambda_span(space, 0)]
+    for _ in range(max_len):
+        images.append(op_sum(space, [E @ images[-1] @ annihilation(space, letter)
+                                     for E, letter in zip(embeds, letters)]))
+    return op_sum(space, images, "images")
 
 
 def spanning_check(space: FockSpace, max_len=None) -> VerificationReport:
@@ -715,7 +713,7 @@ def spanning_check(space: FockSpace, max_len=None) -> VerificationReport:
         max_len = space.L_max
     report = VerificationReport()
     expected = int(np.count_nonzero(space.guard_mask(max_len)))
-    rank = _word_block_rank(space, lambda: word_vacuum_images(space, max_len))
+    rank = _word_block_rank(word_vacuum_images(space, max_len))
     report.add("spanning_rank_len%d" % max_len, float(expected - rank), 0.5,
                rank=rank, expected=expected)
     return report

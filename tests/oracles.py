@@ -18,7 +18,10 @@ with one whole word operator at a time.  ``generator_chain``,
 embedding and one word operator from single operators (``op_product``),
 the routes the package's stacked constructors replaced.
 ``psi_via_factors`` recovers psi1 and psi2 from the rank-one pairs of the
-truncated Hankel matrices.
+truncated Hankel matrices.  ``word_vacuum_images_dense`` and
+``lambda_span_dense`` are the spanning families as one dense column at a
+time, and ``dense_rank`` is the rank of such columns stacked whole, the
+routes the rank checks replaced.
 """
 
 import numpy as np
@@ -31,7 +34,7 @@ from radmul.operators import (CaseTag, StructuredOperator, annihilation, build_T
 from radmul.report import EIGEN_TOL, VerificationReport
 from radmul.symbols import HankelFactorization, psi_decompose
 from radmul.sparse import op_norm
-from radmul.verify import (_embed_terms, _fold, _generator_zoo, _symbol_scale,
+from radmul.verify import (_embed_terms, _fold, _generator_zoo, _symbol_scale, embed,
                            random_reduced_word)
 
 
@@ -386,3 +389,35 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
     report.add("multiplier_right_module",
                op_norm(diff.matrix()[:, guard]) / max(op_norm(A), 1.0) / s, tol)
     return report
+
+
+def word_vacuum_images_dense(space, max_len):
+    """Yield the coordinate arrays of u_{g_1} ... u_{g_n} b applied to the
+    vacuum, for every word (g_1, ..., g_n) of length <= max_len (in basis
+    order) and every N-basis element b: the vacuum array multiplied, right
+    to left, by left_mult(b) and the letters' embeddings, each built once."""
+    embeds = {(i, g): embed(space, space.amalgam.factor(i).unitary(g))
+              for i, g in space.amalgam.letters()}
+    vac = space.vacuum().to_array()
+    starts = [left_mult(space, b) @ vac for b in space.base.basis()]
+    for w in space.words:
+        if len(w) > max_len:
+            continue
+        for vec in starts:
+            for letter in reversed(w.letters):
+                vec = embeds[letter] @ vec
+            yield vec
+
+
+def lambda_span_dense(space, k):
+    """Yield the length-k sector's spanning family, one Fock vector per
+    word and N-basis element, as coordinate arrays."""
+    for w in space.words:
+        if len(w) == k:
+            for b in space.base.basis():
+                yield FockVector(space, {w: b}).to_array()
+
+
+def dense_rank(columns) -> int:
+    """Rank (singular values above 1e-10) of the columns stacked whole."""
+    return int(np.linalg.matrix_rank(np.stack(list(columns), axis=1), tol=1e-10))

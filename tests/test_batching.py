@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 import radmul.verify as verify
-from oracles import (embed_by_products, embed_per_element, generator_chain,
-                     lemma_suite_per_generator, theorem_suite_per_word, word_by_products)
+from oracles import (dense_rank, embed_by_products, embed_per_element, generator_chain,
+                     lambda_span_dense, lemma_suite_per_generator, theorem_suite_per_word,
+                     word_by_products, word_vacuum_images_dense)
 from radmul.algebra import FactorElement
 from radmul.cli import main
-from radmul.config import preset_config
-from radmul.fock import lambda_span
-from radmul.operators import GeneratorWord, build_T, generator_operators, stack, tower
+from radmul.config import parse_config, preset_config
+from radmul.fock import FockVector
+from radmul.operators import (GeneratorWord, StructuredOperator, build_T,
+                              generator_operators, stack, tower)
 from radmul.report import VerificationReport
 from radmul.symbols import GeometricTail, RadialSymbol
 from radmul.verify import (embed, embedding_suite, fock_suite, lemma_suite,
@@ -233,19 +235,20 @@ def test_one_sample_chunks_give_the_same_report(tmp_path, monkeypatch, capsys, p
     capsys.readouterr()
 
 
-def dense_rank(columns) -> int:
-    return int(np.linalg.matrix_rank(np.stack(list(columns), axis=1), tol=1e-10))
-
-
 @pytest.mark.parametrize("name", EXACT + ["noncomm_space"])
 def test_rank_fast_paths_match_dense_rank(request, name):
     space = request.getfixturevalue(name)
     fock = {c.name: c for c in fock_suite(space).checks}["fock_lambda_span_rank"]
-    assert fock.details["rank"] == dense_rank(v.to_array() for k in range(space.L_max + 1)
-                                              for v in lambda_span(space, k))
+    assert fock.details["rank"] == dense_rank(v for k in range(space.L_max + 1)
+                                              for v in lambda_span_dense(space, k))
     for max_len in range(space.L_max + 1):
         check = spanning_check(space, max_len).checks[0]
-        assert check.details["rank"] == dense_rank(word_vacuum_images(space, max_len))
+        assert check.details["rank"] == dense_rank(word_vacuum_images_dense(space, max_len))
+        # the images are the dense route's columns, bit for bit
+        images = word_vacuum_images(space, max_len).matrix()
+        want = np.stack(list(word_vacuum_images_dense(space, max_len)), axis=1)
+        assert np.array_equal(images[:, :want.shape[1]], want)
+        assert not images[:, want.shape[1]:].any()
 
 
 def test_word_block_rank_sums_blocks_and_falls_back_on_leaks(mat2_space):
@@ -254,12 +257,45 @@ def test_word_block_rank_sums_blocks_and_falls_back_on_leaks(mat2_space):
     # block diagonal on words, two blocks of rank k - 1
     blocks = rng.standard_normal((n, k, k))
     blocks[[0, 2], :, 0] = blocks[[0, 2], :, 1]
-    G = np.zeros((space.dim, space.dim))
-    for w in range(n):
-        G[w * k:(w + 1) * k, w * k:(w + 1) * k] = blocks[w]
-    assert verify._word_block_rank(space, lambda: iter(G.T)) == space.dim - 2
-    # a column of word 2 leaking onto word 0, along the direction word 0's
-    # columns miss: word by word it still looks like rank dim - 2
-    G[:k, 2 * k] = np.linalg.svd(blocks[0])[0][:, -1]
-    assert dense_rank(G.T) == space.dim - 1
-    assert verify._word_block_rank(space, lambda: iter(G.T)) == space.dim - 1
+    words = np.arange(n)
+    op = StructuredOperator(space, words, words, blocks)
+    assert verify._word_block_rank(op) == space.dim - 2
+    # one block off the diagonal: a column of word 2 leaking onto word 0,
+    # along the direction word 0's columns miss; word by word it still
+    # looks like rank dim - 2
+    leak = np.zeros((k, k))
+    leak[:, 0] = np.linalg.svd(blocks[0])[0][:, -1]
+    op = StructuredOperator(space, np.append(words, 0), np.append(words, 2),
+                            np.concatenate([blocks, leak[None]]))
+    assert dense_rank(op.matrix().T) == space.dim - 1
+    assert verify._word_block_rank(op) == space.dim - 1
+
+
+def test_rank_checks_cost_no_dense_column_per_word(monkeypatch):
+    """spanning_check applies no operator to an array, and fock_suite applies
+    operators to arrays and builds Fock vectors as often at fock_len 3 as at
+    6, so a per-column dense route shows as a count that grows with dim."""
+    calls = {"matvec": 0, "vector": 0}
+    matmul, vector_init = StructuredOperator.__matmul__, FockVector.__init__
+
+    def counting_matmul(self, other):
+        calls["matvec"] += not isinstance(other, StructuredOperator)
+        return matmul(self, other)
+
+    def counting_init(self, *args, **kwargs):
+        calls["vector"] += 1
+        vector_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StructuredOperator, "__matmul__", counting_matmul)
+    monkeypatch.setattr(FockVector, "__init__", counting_init)
+    counts = {}
+    for L in (3, 6):
+        cfg = preset_config("cy3")
+        cfg["truncation"]["fock_len"] = L
+        space = parse_config(cfg).space()
+        for name, run in (("spanning", spanning_check), ("fock", fock_suite)):
+            calls.update(matvec=0, vector=0)
+            assert run(space).passed
+            counts[name, L] = dict(calls)
+    assert counts["spanning", 3]["matvec"] == counts["spanning", 6]["matvec"] == 0
+    assert counts["fock", 3] == counts["fock", 6]

@@ -129,11 +129,20 @@ def _set(data, path, value):
     (("seed",), -1),
     (("factors",), [{"group": {"kind": "cyclic", "order": 2}}]),
     (("tolerances",), {"bogus": 1}),
+    (("truncaton",), {"fock_len": 3}),
+    (("truncation",), {"fock_len": 3, "hankle_dim": 16}),
+    (("symbol",), {"head": [1], "tail": {"kind": "constant", "limt": 3}}),
+    (("symbol",), {"haed": [1]}),
+    (("factors", 0, "acton"), {"kind": "inner", "unitary": [[[1, 0]]]}),
+    (("factors", 0, "group"), {"kind": "cyclic", "order": 2, "action": "trivial"}),
+    (("factors", 1, "action"), {"kind": "inner", "unitary": [[[1, 0]]], "unitery": 1}),
+    (("base_algebra",), {"kind": "scalar", "dimm": 2}),
 ], ids=["tail-not-object", "fock_len-string", "head-nan", "limit-inf", "head-not-list",
         "hankel_dim-float", "truncation-not-object", "tolerance-inf", "factors-not-list",
         "cyclic-order-1", "table-order-1", "table-float-entry", "table-bool-entry",
         "seed-negative", "single-factor",
-        "tolerance-unknown"])
+        "tolerance-unknown", "top-level-typo", "truncation-typo", "tail-typo",
+        "symbol-typo", "factor-typo", "group-typo", "action-typo", "base-typo"])
 def test_bad_config_fragment_exits_2(tmp_path, capsys, path, value):
     data = _set(preset_config("dih"), path, value)
     code = main(["verify", "--suite", "theorem", "--config", write_config(tmp_path, data)])
@@ -141,6 +150,15 @@ def test_bad_config_fragment_exits_2(tmp_path, capsys, path, value):
     assert code == 2
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+
+
+def test_unknown_config_key_names_the_known_keys(tmp_path, capsys):
+    data = preset_config("dih")
+    data["truncaton"] = data.pop("truncation")
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown configuration key 'truncaton' (known: base_algebra, "
+        "factors, seed, symbol, tolerances, truncation)\n")
 
 
 def test_negative_seed_override_is_a_usage_error(dih_config):

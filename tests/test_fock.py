@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import lambda_span_dense
 from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
-from radmul.fock import (Amalgam, FockVector, Word, canonicalize, enumerate_words,
-                         lambda_span)
+from radmul.fock import Amalgam, FockVector, Word, canonicalize, enumerate_words
 from radmul.operators import ends_in_factor_op, length_at_least_op, length_exactly_op
+from radmul.verify import lambda_span
 
 V2 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -197,16 +198,22 @@ def test_projection_commutes_with_right_action(mat2_space):
 # ---------------------------------------------------------------- spanning sets
 
 def test_lambda_span_dimensions(dih_space, mat2_space):
-    assert len(list(lambda_span(dih_space, 0))) == 1
-    assert len(list(lambda_span(mat2_space, 0))) == 4
-    vecs = list(lambda_span(dih_space, 1))
-    assert {tuple(v.coeffs)[0].letters for v in vecs} == {((0, 1),), ((1, 1),)}
-    # spanning: each sector family is linearly independent and full
+    def columns(space, k):
+        """The family's columns: one per word of length k and N-basis element."""
+        return lambda_span(space, k).matrix()[:, space.guard_mask(k) & ~space.guard_mask(k - 1)]
+
+    assert columns(dih_space, 0).shape[1] == 1
+    assert columns(mat2_space, 0).shape[1] == 4
+    fam = lambda_span(dih_space, 1)
+    assert {dih_space.words[r].letters for r in fam.rows} == {((0, 1),), ((1, 1),)}
+    assert np.array_equal(fam.rows, fam.cols)
+    # spanning: each sector family is linearly independent and full, and
+    # column (w, b) is the word vector w b
     for space in (dih_space, mat2_space):
         for k in (0, 1, 2):
-            fam = list(lambda_span(space, k))
-            G = np.stack([v.to_array() for v in fam], axis=1)
-            assert np.linalg.matrix_rank(G, tol=1e-10) == len(fam)
+            G = columns(space, k)
+            assert np.linalg.matrix_rank(G, tol=1e-10) == G.shape[1]
+            assert np.array_equal(G, np.stack(list(lambda_span_dense(space, k)), axis=1))
 
 
 def test_word_count_scaling(mat2_space):

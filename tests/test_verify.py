@@ -3,6 +3,7 @@ import pytest
 
 import radmul.verify as verify
 from oracles import as_op
+from radmul.config import parse_config, preset_config
 from radmul.fock import Word
 from radmul.operators import RadialMultiplier, build_T, left_mult
 from radmul.symbols import ConstantTail, GeometricTail, RadialSymbol
@@ -239,11 +240,12 @@ def test_spanning_full_truncation(dih_space):
 def test_word_vacuum_images_match_word_operators(request, name):
     # oracle: one word operator per word and N-basis element, applied to the vacuum
     space = request.getfixturevalue(name)
-    want = [word_operator(space, unit_word(space, *w.letters, right=b))(space.vacuum()).to_array()
-            for w in space.words if len(w) <= 2 for b in space.base.basis()]
-    got = list(word_vacuum_images(space, 2))
-    assert len(got) == len(want)
-    assert max(np.abs(g - v).max() for g, v in zip(got, want)) <= 1e-13
+    want = np.stack([word_operator(space, unit_word(space, *w.letters, right=b))(space.vacuum())
+                     .to_array() for w in space.words if len(w) <= 2
+                     for b in space.base.basis()], axis=1)
+    got = word_vacuum_images(space, 2).matrix()
+    assert np.abs(got[:, :want.shape[1]] - want).max() <= 1e-13
+    assert not got[:, want.shape[1]:].any()
 
 
 # ---------------------------------------------------------------- misc suites
@@ -252,6 +254,18 @@ def test_fock_and_operator_suites(dih_space, mat2_space):
     for space in (dih_space, mat2_space):
         assert fock_suite(space).passed
         assert operator_suite(space).passed
+
+
+def test_adjoint_pairing_holds_at_large_dim():
+    # on unit vectors the pairing residual is rounding on the operators'
+    # scale; on unnormalized Gaussian vectors (norm product ~ 2 dim) it was
+    # 2e-13 here and over its 1e-12 tolerance at fock_len 12
+    cfg = preset_config("cy3")
+    cfg["truncation"]["fock_len"] = 10
+    checks = operator_suite(parse_config(cfg).space(), seed=1).checks
+    pairing = [c.max_residual for c in checks if c.name.startswith("adjoint_pairing")]
+    assert len(pairing) == 3
+    assert max(pairing) <= 1e-14
 
 
 def test_norm_bound_suite(dih_space, acceptance_symbols):
