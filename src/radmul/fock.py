@@ -98,19 +98,23 @@ def enumerate_words(amalgam: Amalgam, max_len: int) -> list:
     """All reduced words of length <= max_len in length-lexicographic order."""
     if max_len < 0:
         raise ValueError("word length bound must be nonnegative")
+    return [Word()] + [w for _, _, w in _links(amalgam, max_len)]
+
+
+def _links(amalgam: Amalgam, max_len: int):
+    """Yield (t, j, w) for the nonempty reduced words w of length <= max_len
+    in length-lexicographic order: w is word j (counted in the same order,
+    the empty word 0) with letter t of ``amalgam.letters()`` appended."""
     letters = amalgam.letters()
-    words = [Word()]
-    frontier = [Word()]
+    frontier, n = [(0, Word())], 1
     for _ in range(max_len):
         nxt = []
-        for w in frontier:
-            for letter in letters:
-                if w.letters and w.last_factor == letter[0]:
-                    continue
-                nxt.append(w.append(letter))
-        frontier = nxt
-        words.extend(nxt)
-    return words
+        for j, w in frontier:
+            for t, letter in enumerate(letters):
+                if w.last_factor != letter[0]:
+                    nxt.append((n + len(nxt), w.append(letter)))
+                    yield t, j, nxt[-1][1]
+        frontier, n = nxt, n + len(nxt)
 
 
 class FockVector:
@@ -162,7 +166,7 @@ class FockVector:
 
     def left_mul(self, b) -> "FockVector":
         """Left N-action: b pushed through the letters of w is U_w b U_w*."""
-        U = self.space.push_unitaries()
+        U = self.space.push_unitaries
         pushed = U @ self.space.base.element(b) @ U.conj().transpose(0, 2, 1)
         return _vector(self.space, pushed @ self.blocks)
 
@@ -190,15 +194,30 @@ def _vector(space: "FockSpace", blocks: np.ndarray) -> FockVector:
 
 
 class FockSpace:
-    """Enumerated word basis at a fixed truncation, with coordinate maps.
+    """Enumerated word basis at a fixed truncation, with coordinate maps and
+    the word graph.
 
     The scalar orthonormal basis is (word, onb element of N) in
     length-lexicographic word order; its size is the dimension of every
     operator in :mod:`radmul.operators`.  ``lengths``, ``first_factors`` and
     ``last_factors`` hold each word's length and first and last factor (-1
-    for the vacuum), one entry per word.  The instance carries a cache dict
-    so ``push_unitaries`` and the operator-level helpers can memoize their
-    word-index maps (letter maps, right creations) per space.
+    for the vacuum), one entry per word.
+
+    The word graph is built once, as arrays over the letters t of
+    ``letters`` (configuration order) and the words j, -1 where a word is
+    not in the space.  ``appended[t, j]`` and ``prepended[t, j]`` are word j
+    with letter t appended or prepended, from the enumeration: it records
+    each word as its parent with one letter appended, and gamma (v b) =
+    (gamma v) b gives the prepended words one length at a time.
+    ``parent``, ``last_letter``, ``rest`` and ``first_letter`` are each
+    word without its last letter, that letter, the word without its first
+    letter and that letter, from the ``Word`` rules, so the creations and
+    the annihilations come from two independent constructions.
+    ``star[t]`` is gamma* = (i, g^{-1}) for gamma = (i, g), ``twists[t]``
+    the coordinate matrix kron(W_g, conj(W_g)) of c -> alpha_g(c), and
+    ``push_unitaries[j]`` is U_w with b w = w U_w b U_w*, by the prefix
+    recursion U_{w gamma} = W_{g^{-1}} U_w, since b u_g = u_g
+    alpha_{g^{-1}}(b) and alpha_h = Ad(W_h).
     """
 
     def __init__(self, amalgam: Amalgam, L_max: int):
@@ -207,7 +226,12 @@ class FockSpace:
         self.amalgam = amalgam
         self.base = amalgam.base
         self.L_max = L_max
-        self.words = tuple(enumerate_words(amalgam, L_max))
+        self.letters = tuple(amalgam.letters())
+        words, links = [Word()], []
+        for t, j, w in _links(amalgam, L_max):
+            words.append(w)
+            links.append((t, j))
+        self.words = tuple(words)
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.n_onb = self.base.onb()
         self.dim_N = len(self.n_onb)
@@ -216,7 +240,32 @@ class FockSpace:
         self.first_factors = np.array([w.first_factor for w in self.words])
         self.last_factors = np.array([w.last_factor for w in self.words])
         self._scale = np.sqrt(self.base.d)
-        self.cache: dict = {}
+
+        n, d = len(self.words), self.base.d
+        index = {letter: t for t, letter in enumerate(self.letters)}
+        unitaries = np.array([amalgam.factor(i).unitaries[g]
+                              for i, g in self.letters]).reshape(-1, d, d)
+        self.star = np.array([index[i, amalgam.factor(i).group.inv(g)]
+                              for i, g in self.letters], dtype=np.intp)
+        self.twists = np.array([np.kron(W, W.conj()) for W in unitaries]).reshape(-1, d * d, d * d)
+        link_letter, link_parent = np.array([(-1, -1)] + links, dtype=np.intp).T
+        self.appended = np.full((len(self.letters), n), -1, dtype=np.intp)
+        self.appended[link_letter[1:], link_parent[1:]] = np.arange(1, n)
+        self.prepended = np.full_like(self.appended, -1)
+        self.prepended[:, 0] = self.appended[:, 0]
+        self.push_unitaries = np.empty((n, d, d), dtype=complex)
+        self.push_unitaries[0] = self.base.identity()
+        for k in range(1, L_max + 1):
+            c = np.flatnonzero(self.lengths == k)
+            v = self.prepended[:, link_parent[c]]
+            self.prepended[:, c] = np.where(v >= 0, self.appended[link_letter[c], v], -1)
+            self.push_unitaries[c] = (unitaries[self.star[link_letter[c]]]
+                                      @ self.push_unitaries[link_parent[c]])
+        ends = [(-1, -1, -1, -1)] + [
+            (self.word_index[w.drop_last()], index[w.letters[-1]],
+             self.word_index[w.drop_first()], index[w.letters[0]]) for w in self.words[1:]]
+        self.parent, self.last_letter, self.rest, self.first_letter = np.array(
+            ends, dtype=np.intp).reshape(-1, 4).T
 
     def zero_vector(self) -> FockVector:
         return FockVector(self, {})
@@ -245,23 +294,6 @@ class FockSpace:
         """A unit vector with complex Gaussian coordinates, drawn from rng."""
         arr = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         return self.from_array(arr / np.linalg.norm(arr))
-
-    def push_unitaries(self) -> np.ndarray:
-        """U_w per word, stacked (n_words, d, d): pushing b through w gives
-        U_w b U_w*, built on first use and cached.
-
-        Built by the prefix recursion U_{w gamma} = W_{g^{-1}} U_w, since
-        b u_g = u_g alpha_{g^{-1}}(b) and alpha_h = Ad(W_h).
-        """
-        if "push_unitaries" not in self.cache:
-            U = np.empty((len(self.words), self.base.d, self.base.d), dtype=complex)
-            U[0] = self.base.identity()
-            for j, w in enumerate(self.words[1:], start=1):
-                i, g = w.letters[-1]
-                fac = self.amalgam.factor(i)
-                U[j] = fac.unitaries[fac.group.inv(g)] @ U[self.word_index[w.drop_last()]]
-            self.cache["push_unitaries"] = U
-        return self.cache["push_unitaries"]
 
     def guard_mask(self, max_len: int) -> np.ndarray:
         """Scalar-basis indices whose word length stays within max_len."""

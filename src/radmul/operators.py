@@ -34,13 +34,14 @@ closed form.
 Everything here commutes with the right N-action, except the right
 creations, which are covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b).
 A :class:`StructuredOperator` holds one dim_N x dim_N block per word pair.
-Creations and annihilations are partial word maps cached per space, left
-N-multiplication the identity map with the pushed blocks U_w b U_w*; a
-product joins the left factor's columns to the right factor's rows and adds
-the entries that meet on one pair; rho maps every entry through all the
-letters' right creations at once (``_right_maps``); epsilon keeps the
-entries whose row and column words end in the same factor.  Sums over
-letters and factors run in configuration order.
+Creations and annihilations are partial word maps, each one read of the
+space's word graph (the ``FockSpace`` tables), left N-multiplication the
+identity map with the pushed blocks U_w b U_w*; a product joins the left
+factor's columns to the right factor's rows and adds the entries that meet
+on one pair; rho maps every entry through all the letters' right creations
+at once (``appended`` at the starred letters); epsilon keeps the entries
+whose row and column words end in the same factor.  Sums over letters and
+factors run in configuration order.
 
 Every operator is a stack: each entry carries its sample, and a single
 operator is a stack of one.  Every operation runs once for a whole stack,
@@ -77,7 +78,7 @@ class StructuredOperator:
     Products, sums, scalar multiples (one scalar per sample for an array)
     and the adjoint work sample by sample.  ``entries()`` lists the nonzero
     scalar entries, and ``matrix()`` scatters them into the dense matrix
-    (cached);
+    (once, kept for later calls);
     ``op @ x`` and ``op(vec)`` apply the operator to a coordinate array and
     to a Fock vector.
     """
@@ -297,36 +298,10 @@ def zero_op(space: FockSpace) -> StructuredOperator:
     return StructuredOperator(space, [], [], np.zeros((0, k, k)), name="0")
 
 
-def _alpha_block(space: FockSpace, i: int, g: int) -> np.ndarray:
-    """Coordinate matrix of the coefficient map c -> alpha_g(c)."""
-    W = space.amalgam.factor(i).unitaries[g]
-    return np.kron(W, W.conj())
-
-
-def _right_maps(space: FockSpace) -> tuple:
-    """Word-index form of the right creations: (table, alpha).
-
-    For the letters gamma = (i, g) in configuration order, R_{gamma*} sends
-    the word j to table[gamma, j] = j gamma* (-1 where it vanishes) and
-    twists its coefficient by alpha[gamma] = alpha_g in coordinates.
-    """
-    if "right_maps" not in space.cache:
-        letters = space.amalgam.letters()
-        table = np.full((len(letters), len(space.words)), -1, dtype=np.intp)
-        for t, (i, g) in enumerate(letters):
-            appended = (i, space.amalgam.factor(i).group.inv(g))
-            for j, w in enumerate(space.words):
-                if len(w) < space.L_max and w.last_factor != i:
-                    table[t, j] = space.word_index[w.append(appended)]
-        alpha = np.stack([_alpha_block(space, i, g) for i, g in letters])
-        space.cache["right_maps"] = (table, alpha)
-    return space.cache["right_maps"]
-
-
 def lmul_blocks(space: FockSpace, b: np.ndarray, words: np.ndarray) -> np.ndarray:
     """The blocks kron(U_w b_t U_w*, 1) of left N-multiplication by b_t on
     the word w, for the pairs (b_t, w) = (b[t], words[t])."""
-    U = space.push_unitaries()[words]
+    U = space.push_unitaries[words]
     pushed = U @ b @ U.conj().transpose(0, 2, 1)
     d = space.base.d
     return np.einsum("wpr,qs->wpqrs", pushed, np.eye(d)).reshape(-1, d * d, d * d)
@@ -350,21 +325,15 @@ def right_mult(space: FockSpace, b) -> StructuredOperator:
     return _diag_op(space, np.ones(len(space.words)), "rmul", block)
 
 
-def _letter(letter) -> tuple:
+def _letter(space: FockSpace, letter) -> int:
+    """The index t of a letter in ``space.letters``."""
     letter = tuple(letter)
     if letter[1] == 0:
         raise ValueError("creation letters avoid the group identity")
-    return letter
-
-
-def _word_map(space: FockSpace, key, word_map) -> np.ndarray:
-    """Target word index per word of ``word_map`` (-1 where it gives None),
-    cached in the space under ``key``."""
-    if key not in space.cache:
-        targets = [word_map(w) for w in space.words]
-        space.cache[key] = np.array([-1 if t is None else space.word_index[t]
-                                     for t in targets], dtype=np.intp)
-    return space.cache[key]
+    if letter not in space.letters:
+        raise ValueError("letter %r is not one of the configured letters %r"
+                         % (letter, space.letters))
+    return space.letters.index(letter)
 
 
 def _map_op(space: FockSpace, target: np.ndarray, blk: np.ndarray,
@@ -377,47 +346,30 @@ def _map_op(space: FockSpace, target: np.ndarray, blk: np.ndarray,
 
 def creation(space: FockSpace, letter) -> StructuredOperator:
     """L_gamma: prepend the letter; zero against a same-factor start or overflow."""
-    letter = _letter(letter)
-
-    def word_map(w):
-        if len(w) < space.L_max and w.first_factor != letter[0]:
-            return w.prepend(letter)
-        return None
-
-    return _map_op(space, _word_map(space, ("creation", letter), word_map),
-                   np.eye(space.dim_N), "L%r" % (letter,))
+    t = _letter(space, letter)
+    return _map_op(space, space.prepended[t], np.eye(space.dim_N), "L%r" % (space.letters[t],))
 
 
 def annihilation(space: FockSpace, letter) -> StructuredOperator:
     """L*_gamma: strip a matching first letter; zero on the vacuum sector."""
-    letter = _letter(letter)
-
-    def word_map(w):
-        return w.drop_first() if w.letters and w.letters[0] == letter else None
-
-    return _map_op(space, _word_map(space, ("annihilation", letter), word_map),
-                   np.eye(space.dim_N), "L*%r" % (letter,))
+    t = _letter(space, letter)
+    return _map_op(space, np.where(space.first_letter == t, space.rest, -1),
+                   np.eye(space.dim_N), "L*%r" % (space.letters[t],))
 
 
 def right_creation(space: FockSpace, letter) -> StructuredOperator:
     """R_{gamma*}: append gamma* = u_{g^{-1}}; zero against a same-factor end."""
-    letter = _letter(letter)
-    table, alpha = _right_maps(space)
-    t = space.amalgam.letters().index(letter)
-    return _map_op(space, table[t], alpha[t], "R%r" % (letter,))
+    t = _letter(space, letter)
+    return _map_op(space, space.appended[space.star[t]], space.twists[t],
+                   "R%r" % (space.letters[t],))
 
 
 def right_annihilation(space: FockSpace, letter) -> StructuredOperator:
     """R*_{gamma*}: strip a final gamma*, twisting the coefficient by alpha_{g^{-1}}."""
-    letter = _letter(letter)
-    i, g = letter
-    gi = space.amalgam.factor(i).group.inv(g)
-
-    def word_map(w):
-        return w.drop_last() if w.letters and w.letters[-1] == (i, gi) else None
-
-    return _map_op(space, _word_map(space, ("right_annihilation", letter), word_map),
-                   _alpha_block(space, i, gi), "R*%r" % (letter,))
+    t = _letter(space, letter)
+    star = space.star[t]
+    return _map_op(space, np.where(space.last_letter == star, space.parent, -1),
+                   space.twists[star], "R*%r" % (space.letters[t],))
 
 
 def length_at_least_op(space: FockSpace, n: int) -> StructuredOperator:
@@ -462,7 +414,7 @@ def rho_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperator:
     creation is defined on both words, all letters in one vectorized step.
     The letters' target words end differently, so no two images land on the
     same word pair."""
-    table, alpha = _right_maps(space)
+    table, alpha = space.appended[space.star], space.twists
     tr, tc = table[:, A.rows], table[:, A.cols]
     t, e = np.nonzero(np.minimum(tr, tc) >= 0)
     blocks = alpha[t] @ A.blocks[e] @ alpha[t].conj().transpose(0, 2, 1)
@@ -640,18 +592,18 @@ class GeneratorWord:
         return generator_operators(space, [self]).as_single("gen(k=%d,l=%d)" % (self.k, self.l))
 
 
-def _chain(gw: GeneratorWord, letters: list) -> list:
-    """gw's factors right to left: ("map", row of ``_letter_maps``) or
-    ("lmul", coefficient), absent coefficients left out."""
+def _chain(space: FockSpace, gw: GeneratorWord) -> list:
+    """gw's factors right to left: ("L", letter index), ("L*", letter index)
+    or ("lmul", coefficient), absent coefficients left out."""
     out = []
     for j in range(gw.l):
         if gw.ann_coeffs:
             out.append(("lmul", gw.ann_coeffs[j]))
-        out.append(("map", len(letters) + letters.index(gw.ann_letters[j])))
+        out.append(("L*", _letter(space, gw.ann_letters[j])))
     if gw.cre_coeffs:
         out.append(("lmul", gw.cre_coeffs[gw.k]))
     for j in reversed(range(gw.k)):
-        out.append(("map", letters.index(gw.cre_letters[j])))
+        out.append(("L", _letter(space, gw.cre_letters[j])))
         if gw.cre_coeffs:
             out.append(("lmul", gw.cre_coeffs[j]))
     return out
@@ -662,13 +614,13 @@ def generator_operators(space: FockSpace, gens) -> StructuredOperator:
 
     Generators whose chains (``_chain``) have the same kinds of factors
     follow every column word of every sample through the chain together,
-    right to left: one gather from the letter maps per letter, and per
+    right to left: one read of the space's word graph per letter, and per
     coefficient its block at the current word multiplied on from the left,
     as the product does.  Each sample gets its product's entries in its
     order (column words ascending).
     """
-    n, letters, maps = len(space.words), space.amalgam.letters(), _letter_maps(space)
-    chains = [_chain(gw, letters) for gw in gens]
+    n = len(space.words)
+    chains = [_chain(space, gw) for gw in gens]
     groups = {}
     for t, chain in enumerate(chains):
         groups.setdefault(tuple(kind for kind, _ in chain), []).append(t)
@@ -680,8 +632,10 @@ def generator_operators(space: FockSpace, gens) -> StructuredOperator:
         rows, blocks = cols, None
         for p, kind in enumerate(kinds):
             values = [chains[t][p][1] for t in ids]
-            if kind == "map":
-                rows = maps[np.array(values)[local], rows]
+            if kind != "lmul":
+                t = np.array(values)[local]
+                rows = (space.prepended[t, rows] if kind == "L" else
+                        np.where(space.first_letter[rows] == t, space.rest[rows], -1))
                 keep = np.flatnonzero(rows >= 0)
                 local, rows, cols = local[keep], rows[keep], cols[keep]
                 blocks = None if blocks is None else blocks[keep]
@@ -696,19 +650,6 @@ def generator_operators(space: FockSpace, gens) -> StructuredOperator:
     order = np.argsort(samples, kind="stable")
     return StructuredOperator(space, rows[order], cols[order], blocks[order], "gen(stack)",
                               samples[order], len(gens), True)
-
-
-def _letter_maps(space: FockSpace) -> np.ndarray:
-    """Target word per word (-1 where it vanishes) of the left creations by
-    the T letters in configuration order (rows 0..T-1), then of their
-    annihilations (rows T..2T-1), cached in the space."""
-    if "letter_maps" not in space.cache:
-        ops = [f(space, x) for f in (creation, annihilation) for x in space.amalgam.letters()]
-        table = np.full((len(ops), len(space.words)), -1)
-        for t, op in enumerate(ops):
-            table[t, op.cols] = op.rows
-        space.cache["letter_maps"] = table
-    return space.cache["letter_maps"]
 
 
 def _weight_stack(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .algebra import FactorElement, cond_exp
 from .fock import FockSpace, FockVector, Word
-from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op, _letter_maps,
+from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op,
                         adjoint_check, amplify, annihilation,
                         build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
                         generator_operators, identity_op, left_mult, length_at_least_op,
@@ -106,23 +106,21 @@ def _component_scale(T, s: float) -> float:
 
 def _embed_terms(space: FockSpace, i: int) -> dict:
     """Per (j, k), the rows, columns (ascending) and middle words of the
-    entries of up_j lmul(c) down_k, cached: up_0 = down_0 keeps the words
-    not starting in factor i, up_j creates (i, j), down_k annihilates (i, k)."""
-    key = ("embed_terms", i)
-    if key not in space.cache:
-        letters, maps = space.amalgam.letters(), _letter_maps(space)
-        words = np.arange(len(space.words))
-        guard = np.where(space.first_factors != i, words, -1)
-        at = [letters.index((i, g)) for g in range(1, space.amalgam.factor(i).group.order)]
-        downs = [guard] + [maps[len(letters) + t] for t in at]
-        terms = {}
-        for j, up in enumerate([guard] + [maps[t] for t in at]):
-            for k, down in enumerate(downs):
-                cols = np.flatnonzero(down >= 0)
-                cols = cols[up[down[cols]] >= 0]
-                terms[j, k] = (up[down[cols]], cols, down[cols])
-        space.cache[key] = terms
-    return space.cache[key]
+    entries of up_j lmul(c) down_k, read off the space's word graph:
+    up_0 = down_0 keeps the words not starting in factor i, up_j creates
+    (i, j), down_k annihilates (i, k)."""
+    words = np.arange(len(space.words))
+    guard = np.where(space.first_factors != i, words, -1)
+    at = [space.letters.index((i, g)) for g in range(1, space.amalgam.factor(i).group.order)]
+    ups = [guard] + [space.prepended[t] for t in at]
+    downs = [guard] + [np.where(space.first_letter == t, space.rest, -1) for t in at]
+    terms = {}
+    for j, up in enumerate(ups):
+        for k, down in enumerate(downs):
+            cols = np.flatnonzero(down >= 0)
+            cols = cols[up[down[cols]] >= 0]
+            terms[j, k] = (up[down[cols]], cols, down[cols])
+    return terms
 
 
 def embed(space: FockSpace, a) -> StructuredOperator:
@@ -130,22 +128,26 @@ def embed(space: FockSpace, a) -> StructuredOperator:
     space, or the stack of them for a sequence of elements (of any factors):
     the sum of the (j, k) terms L_{e_j} E(e_j* a e_k) L*_{e_k} with nonzero
     coefficient, E(u_{g_j}* a u_{g_k}) = alpha_{g_j^{-1}}(a_{g_j g_k^{-1}})
-    for e_j = u_{g_j}, words from ``_embed_terms``, added in (j, k) order.
+    for e_j = u_{g_j}, words from ``_embed_terms`` (built once per factor
+    and call), added in (j, k) order.
     """
     single = isinstance(a, FactorElement)
     elements = [a] if single else a
     factors = space.amalgam.factors
+    words_of = {}
     terms, coefs = [(np.zeros(0, dtype=np.intp),) * 5], []
     for s, x in enumerate(elements):
         idx = next((i for i, fac in enumerate(factors) if fac is x.factor), None)
         if idx is None:
             raise ValueError("element does not belong to a configured factor")
+        if idx not in words_of:
+            words_of[idx] = _embed_terms(space, idx)
         group = x.factor.group
         j, k = np.divmod(np.arange(group.order ** 2), group.order)
         inv = group.inverses
         coef = x.factor.alpha(inv[j], x.coeffs[group.table[j, inv[k]]])
         for t in np.flatnonzero((np.abs(coef) > 0).any(axis=(1, 2))):
-            rows, cols, mid = _embed_terms(space, idx)[j[t], k[t]]
+            rows, cols, mid = words_of[idx][j[t], k[t]]
             terms.append((np.full(rows.size, s), rows, cols, mid,
                           np.full(rows.size, len(coefs))))
             coefs.append(coef[t])
@@ -232,7 +234,7 @@ def random_reduced_word(rng, space: FockSpace, n: int) -> ReducedWord:
 def random_generator_word(rng, space: FockSpace, k: int, l: int,
                           with_coeffs: bool = True) -> GeneratorWord:
     def alternating(length):
-        letters = space.amalgam.letters()
+        letters = space.letters
         out = []
         for _ in range(length):
             choices = [lt for lt in letters if not out or lt[0] != out[-1][0]]
@@ -356,7 +358,7 @@ def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
     report.add("partition_identity", worst, 1e-12, samples=n_partition)
 
     # each adjoint is built by its own rule, not as a conjugate transpose
-    letter = space.amalgam.letters()[0]
+    letter = space.letters[0]
     x = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
     for op, op_star in [(creation(space, letter), annihilation(space, letter)),
                         (right_creation(space, letter), right_annihilation(space, letter)),
@@ -695,7 +697,7 @@ def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
     time by prefix sharing: V_0 = ``lambda_span(space, 0)`` holds the
     columns b Omega, and V_n = sum_gamma embed(u_gamma) @ V_{n-1} @ L*_gamma,
     since u_gamma maps the image of w to that of gamma w."""
-    letters = space.amalgam.letters()
+    letters = space.letters
     embeds = [embed(space, space.amalgam.factor(i).unitary(g)) for i, g in letters]
     images = [lambda_span(space, 0)]
     for _ in range(max_len):

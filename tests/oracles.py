@@ -215,10 +215,10 @@ def embed_per_element(space, a):
     if not coefs:
         return zero_op(space)
     lmul = left_mult(space, np.array(coefs)).blocks
-    n = len(space.words)
+    n, words_of = len(space.words), _embed_terms(space, idx)
     terms = []
     for t, pair in enumerate(pairs):
-        rows, cols, mid = _embed_terms(space, idx)[pair]
+        rows, cols, mid = words_of[pair]
         terms.append(StructuredOperator(space, rows, cols, lmul[t * n + mid], "term"))
     return op_sum(space, terms, "embed")
 

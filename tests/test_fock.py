@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import noncommuting_config
 from oracles import lambda_span_dense
 from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
-from radmul.fock import Amalgam, FockVector, Word, canonicalize, enumerate_words
+from radmul.config import parse_config, preset_config
+from radmul.fock import Amalgam, FockSpace, FockVector, Word, canonicalize, enumerate_words
 from radmul.operators import ends_in_factor_op, length_at_least_op, length_exactly_op
 from radmul.verify import lambda_span
 
@@ -57,6 +59,66 @@ def test_single_factor_words_stop_at_length_one():
 
 def test_enumerate_length_zero(dih_space):
     assert [w.letters for w in enumerate_words(dih_space.amalgam, 0)] == [()]
+
+
+# ---------------------------------------------------------------- word graph
+
+def _graph_space(name):
+    """The spaces the word-graph tables are checked on, by name."""
+    if name == "single":
+        fac = CrossedFactor.trivial(TracialAlgebra.scalar(), FiniteGroup.cyclic(3))
+        return FockSpace(Amalgam([fac]), 4)
+    if name == "three":  # M_2 base, orders 2, 3, 2 with non-commuting actions
+        base = TracialAlgebra.matrix(2)
+        H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        V3 = np.diag([1.0, np.exp(2j * np.pi / 3)])
+        return FockSpace(Amalgam([CrossedFactor.inner_cyclic(base, order, V)
+                                  for order, V in ((2, V2), (3, V3), (2, H))]), 3)
+    preset, fock_len = name.split("-L")
+    cfg = noncommuting_config() if preset == "noncomm" else preset_config(preset)
+    return FockSpace(parse_config(cfg).amalgam(), int(fock_len))
+
+
+@pytest.mark.parametrize("name", ["dih-L5", "mat2-L4", "cy3-L5", "noncomm-L3", "cy3-L0",
+                                  "cy3-L1", "single", "three"])
+def test_word_graph_tables_match_word_rules(name):
+    space = _graph_space(name)
+    if name == "single":
+        assert len(space.words) == 3
+    if name == "three":
+        assert len(space.words) == 41
+    letters = space.amalgam.letters()
+    assert space.letters == tuple(letters)
+
+    def index(make, *args):
+        """The index of the word ``make`` gives, -1 where it is not reduced
+        or not in the space."""
+        try:
+            return space.word_index.get(make(*args), -1)
+        except ValueError:
+            return -1
+
+    want_app = [[index(w.append, x) for w in space.words] for x in letters]
+    want_pre = [[index(w.prepend, x) for w in space.words] for x in letters]
+    assert np.array_equal(space.appended, want_app)
+    assert np.array_equal(space.prepended, want_pre)
+    nonempty = [w for w in space.words if w.letters]
+    assert list(space.parent) == [-1] + [space.word_index[w.drop_last()] for w in nonempty]
+    assert list(space.rest) == [-1] + [space.word_index[w.drop_first()] for w in nonempty]
+    assert list(space.last_letter) == [-1] + [letters.index(w.letters[-1]) for w in nonempty]
+    assert list(space.first_letter) == [-1] + [letters.index(w.letters[0]) for w in nonempty]
+    for t, (i, g) in enumerate(letters):
+        fac = space.amalgam.factor(i)
+        assert letters[space.star[t]] == (i, fac.group.inv(g))
+        W = fac.unitaries[g]
+        assert np.array_equal(space.twists[t], np.kron(W, W.conj()))
+    # oracle: one word at a time, U_w = W_{g^{-1}} U_{w without gamma} for w's last letter (i, g)
+    U = [space.base.identity()]
+    for w in nonempty:
+        i, g = w.letters[-1]
+        fac = space.amalgam.factor(i)
+        U.append(fac.unitaries[fac.group.inv(g)] @ U[space.word_index[w.drop_last()]])
+    assert np.array_equal(space.push_unitaries, np.array(U))
 
 
 # ---------------------------------------------------------------- canonical form

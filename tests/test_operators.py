@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from radmul.algebra import cond_exp
+from radmul.config import parse_config, preset_config
 from radmul.fock import Word
 from oracles import (append_star, as_op, column_matrix, epsilon_dense, left_action, prepend,
                      right_action, rho_dense, strip_first, strip_star, tower_dense,
@@ -110,6 +111,33 @@ def test_direct_matrices_match_action(request):
 def test_letter_constructors_reject_group_identity(dih_space, make):
     with pytest.raises(ValueError):
         make(dih_space, (0, 0))
+
+
+@pytest.mark.parametrize("make", [creation, annihilation, right_creation, right_annihilation])
+@pytest.mark.parametrize("letter, message", [
+    ((2, 1), r"letter \(2, 1\) is not one of the configured letters \(\(0, 1\), \(1, 1\)\)"),
+    ((0, 2), r"letter \(0, 2\) is not one of the configured letters"),
+    ((0, 0), "avoid the group identity")], ids=["other-factor", "other-element", "identity"])
+def test_letter_maps_reject_unconfigured_letters(dih_space, make, letter, message):
+    with pytest.raises(ValueError, match=message):
+        make(dih_space, letter)
+
+
+def test_letter_maps_build_no_words(monkeypatch):
+    """The letter maps, rho and left multiplication read the space's word
+    graph: building them makes no ``Word``."""
+    cfg = preset_config("cy3")
+    cfg["truncation"]["fock_len"] = 8
+    space = parse_config(cfg).space()
+    made = []
+    monkeypatch.setattr(Word, "__post_init__", lambda self: made.append(self))
+    for letter in space.letters:
+        for make in (creation, annihilation, right_creation, right_annihilation):
+            make(space, letter)
+    rho_matrix(space, identity_op(space))
+    left_mult(space, 1.0)
+    assert made == []
+    assert not hasattr(space, "cache")
 
 
 # ---------------------------------------------------------------- adjoints

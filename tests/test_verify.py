@@ -268,6 +268,27 @@ def test_adjoint_pairing_holds_at_large_dim():
     assert max(pairing) <= 1e-14
 
 
+def test_adjoint_checks_compare_two_constructions():
+    """The right creations come from the enumeration's links (``appended``)
+    and the right annihilations from the ``Word`` rules (``parent``), the
+    left annihilations from ``rest``: breaking one side fails its check."""
+    def status(space, name):
+        return {c.name: c.status for c in operator_suite(space).checks}[name]
+
+    def cy3():
+        return parse_config(preset_config("cy3")).space()
+
+    space = cy3()
+    assert status(space, "adjoint_matrix[R(0, 1)]") == "pass"
+    assert status(space, "adjoint_matrix[L(0, 1)]") == "pass"
+    space.appended[space.star[0], 0] = -1  # the vacuum no longer links to (0, 2)
+    assert status(space, "adjoint_matrix[R(0, 1)]") == "fail"
+    space = cy3()
+    j = space.word_index[Word(((0, 1), (1, 1)))]
+    space.rest[j] = 0  # (0, 1)(1, 1) without its first letter "is" the vacuum
+    assert status(space, "adjoint_matrix[L(0, 1)]") == "fail"
+
+
 def test_norm_bound_suite(dih_space, acceptance_symbols):
     rep = norm_bound_suite(dih_space, acceptance_symbols, seed=13, samples=20)
     assert rep.passed, [c.name for c in rep.failed()]
