@@ -27,16 +27,17 @@ Letter = tuple  # (factor index, group element index != 0)
 
 @dataclass(frozen=True)
 class Word:
-    """Reduced word: adjacent letters from distinct factors, no identity letters."""
+    """Reduced word: adjacent letters from distinct factors, no identity letters.
+
+    ``Word(letters)`` checks every letter; ``append`` and ``prepend`` check
+    only the letter they add, and ``drop_first`` and ``drop_last`` nothing,
+    since a reduced word stays reduced when a letter is stripped."""
 
     letters: tuple = ()
 
     def __post_init__(self):
-        for j, (i, g) in enumerate(self.letters):
-            if g == 0:
-                raise ValueError("letters must avoid the group identity")
-            if j and self.letters[j - 1][0] == i:
-                raise ValueError("adjacent letters from the same factor")
+        for j, letter in enumerate(self.letters):
+            _check_letter(self.letters[j - 1] if j else None, letter)
 
     def __len__(self):
         return len(self.letters)
@@ -50,16 +51,38 @@ class Word:
         return self.letters[-1][0] if self.letters else -1
 
     def prepend(self, letter: Letter) -> "Word":
-        return Word((tuple(letter),) + self.letters)
+        letter = tuple(letter)
+        _check_letter(None, letter)
+        if self.letters:
+            _check_letter(letter, self.letters[0])
+        return _reduced((letter,) + self.letters)
 
     def append(self, letter: Letter) -> "Word":
-        return Word(self.letters + (tuple(letter),))
+        letter = tuple(letter)
+        _check_letter(self.letters[-1] if self.letters else None, letter)
+        return _reduced(self.letters + (letter,))
 
     def drop_first(self) -> "Word":
-        return Word(self.letters[1:])
+        return _reduced(self.letters[1:])
 
     def drop_last(self) -> "Word":
-        return Word(self.letters[:-1])
+        return _reduced(self.letters[:-1])
+
+
+def _check_letter(previous, letter) -> None:
+    """Raise unless ``letter`` may follow ``previous`` (None: nothing) in a reduced word."""
+    i, g = letter
+    if g == 0:
+        raise ValueError("letters must avoid the group identity")
+    if previous is not None and previous[0] == i:
+        raise ValueError("adjacent letters from the same factor")
+
+
+def _reduced(letters: tuple) -> Word:
+    """The word of ``letters``, known to be reduced, built without re-checking them."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", letters)
+    return word
 
 
 class Amalgam:

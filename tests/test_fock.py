@@ -34,6 +34,30 @@ def test_word_validation():
         Word(((0, 0),))
 
 
+def test_word_letter_maps_check_the_new_letter_only():
+    w = Word(((0, 1), (1, 2), (0, 1)))
+    for bad in ((0, 2), (1, 0), (2, 0)):
+        with pytest.raises(ValueError):
+            w.append(bad)
+    for bad in ((0, 2), (1, 0), (2, 0)):
+        with pytest.raises(ValueError):
+            w.prepend(bad)
+    for letter in ((0, 0), (3, 0)):
+        with pytest.raises(ValueError):
+            Word().append(letter)
+        with pytest.raises(ValueError):
+            Word().prepend(letter)
+    # built without re-checking, the words equal (and hash as) checked ones
+    built = [w.append((1, 1)), w.prepend((1, 1)), w.drop_first(), w.drop_last(),
+             Word().append([2, 1]), Word().prepend([2, 1]), Word(((0, 1),)).drop_last()]
+    checked = [Word(((0, 1), (1, 2), (0, 1), (1, 1))), Word(((1, 1), (0, 1), (1, 2), (0, 1))),
+               Word(((1, 2), (0, 1))), Word(((0, 1), (1, 2))), Word(((2, 1),)),
+               Word(((2, 1),)), Word()]
+    assert built == checked
+    assert [hash(b) for b in built] == [hash(c) for c in checked]
+    assert all(type(x) is tuple for b in built for x in (b.letters,) + b.letters)
+
+
 def test_enumerate_counts_dih(dih_space):
     am = dih_space.amalgam
     words = enumerate_words(am, 2)

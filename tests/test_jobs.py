@@ -1,0 +1,237 @@
+"""`verify` runs its suites as jobs spread over forked workers; the run in
+one process is the oracle for every report and every failure."""
+
+import json
+import os
+import select
+
+import pytest
+
+from radmul import cli
+from radmul.cli import _run_jobs, main
+from radmul.config import ConfigError, preset_config
+
+from conftest import noncommuting_config
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def cores(monkeypatch, n):
+    """Make ``n`` cores look usable."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def no_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def write_config(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def report_bytes(tmp_path, config, *flags):
+    path = tmp_path / "report.json"
+    assert main(["verify", "--config", config, "--report", str(path)] + list(flags)) == 0
+    return path.read_bytes()
+
+
+def geo_dih():
+    data = preset_config("dih")
+    data["symbol"] = {"head": [1.0], "tail": {"kind": "geometric", "coefficient": 1.0,
+                                              "ratio": 0.97, "limit": 0}}
+    data["truncation"] = {"fock_len": 5, "hankel_dim": 1200}
+    return data
+
+
+CONFIGS = ([(name, preset_config(name), 0) for name in ("dih", "mat2", "cy3")]
+           + [("cy3-L5", preset_config("cy3"), seed) for seed in (1, 2, 3, 4)]
+           + [("geo-dih", geo_dih(), seed) for seed in (1, 2, 3, 4)]
+           + [("noncommuting(3)", noncommuting_config(3), 0)])
+
+
+@pytest.mark.parametrize("data, seed", [c[1:] for c in CONFIGS],
+                         ids=["%s-seed%d" % (c[0], c[2]) for c in CONFIGS])
+def test_workers_give_the_one_process_report(tmp_path, monkeypatch, data, seed):
+    config = write_config(tmp_path, data)
+    with monkeypatch.context() as m:
+        cores(m, 1)
+        no_fork(m)
+        oracle = report_bytes(tmp_path, config, "--seed", str(seed))
+    cores(monkeypatch, 3)
+    assert report_bytes(tmp_path, config, "--seed", str(seed)) == oracle
+
+
+def test_more_workers_than_cores_run_each_job_once(tmp_path, monkeypatch):
+    config = write_config(tmp_path, preset_config("cy3"))
+    with monkeypatch.context() as m:
+        cores(m, 1)
+        oracle = report_bytes(tmp_path, config)
+    names = [c["name"] for c in json.loads(oracle)["checks"]]
+    assert len(names) == len(set(names)) == 42
+    cores(monkeypatch, 16)  # one worker per job after the first: 7 on 8 jobs
+    for _ in range(3):
+        assert report_bytes(tmp_path, config) == oracle
+
+
+def test_failed_fork_leaves_the_jobs_to_the_others(tmp_path, monkeypatch):
+    config = write_config(tmp_path, preset_config("dih"))
+    with monkeypatch.context() as m:
+        cores(m, 1)
+        oracle = report_bytes(tmp_path, config)
+    cores(monkeypatch, 4)
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        if len(forks) > 1:
+            raise OSError(11, "Resource temporarily unavailable")
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    assert report_bytes(tmp_path, config) == oracle
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "bound"], ["verify", "--suite", "pp"],
+                                  ["bound", "--samples", "3"]])
+def test_one_job_never_forks(tmp_path, monkeypatch, argv, capsys):
+    cores(monkeypatch, 8)
+    no_fork(monkeypatch)
+    assert main(argv + ["--config", write_config(tmp_path, preset_config("dih"))]) == 0
+
+
+@pytest.mark.parametrize("readable", [True, False])
+def test_one_usable_core_never_forks(tmp_path, monkeypatch, readable):
+    if readable:
+        cores(monkeypatch, 1)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    no_fork(monkeypatch)
+    report_bytes(tmp_path, write_config(tmp_path, preset_config("mat2")))
+
+
+# ------------------------------------------------------------ failures
+
+def worker_jobs(second):
+    """Two jobs, the second run in a worker for sure when there is one: the
+    first, in the calling process, waits until the second has started."""
+    parent = os.getpid()
+    ready, started = os.pipe()
+
+    def first():
+        waited = 30.0 if len(os.sched_getaffinity(0)) > 1 else 0.0
+        select.select([ready], [], [], waited)
+        return "first done"
+
+    def run_second():
+        if os.getpid() != parent:
+            os.write(started, b"!")
+        return second()
+    return [("first", first), ("second", run_second)], (ready, started)
+
+
+def run_both(monkeypatch, n_cores, second):
+    """The exception _run_jobs raises with ``n_cores`` usable cores."""
+    cores(monkeypatch, n_cores)
+    jobs, fds = worker_jobs(second)
+    try:
+        with pytest.raises(Exception) as info:
+            _run_jobs(jobs)
+    finally:
+        for fd in fds:
+            os.close(fd)
+    return info.value
+
+
+def boom(exc):
+    def job(*args, **kwargs):
+        raise exc
+    return job
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad value"), ConfigError("bad config"),
+                                 FileNotFoundError(2, "no such file", "x.json"),
+                                 ZeroDivisionError("division by zero")])
+def test_worker_exception_is_the_one_process_exception(monkeypatch, exc):
+    oracle = run_both(monkeypatch, 1, boom(exc))
+    raised = run_both(monkeypatch, 2, boom(exc))
+    assert type(raised) is type(oracle) is type(exc)
+    assert raised.args == oracle.args
+    assert str(raised) == str(oracle)
+    assert "raised in a worker process" in str(raised.__cause__)
+    assert oracle.__cause__ is None
+
+
+def test_worker_that_dies_names_its_job(monkeypatch):
+    def die():
+        os._exit(3)
+    cores(monkeypatch, 2)
+    jobs, fds = worker_jobs(die)
+    try:
+        with pytest.raises(RuntimeError, match="'second'.*exit code 3"):
+            _run_jobs(jobs)
+    finally:
+        for fd in fds:
+            os.close(fd)
+
+
+def test_first_failing_job_in_order_is_raised(monkeypatch):
+    ran = []
+
+    def job(name, fails):
+        def run():
+            ran.append(name)
+            if fails:
+                raise ValueError(name)
+            return name
+        return name, run
+    cores(monkeypatch, 1)
+    jobs = [job("a", False), job("b", True), job("c", True)]
+    with pytest.raises(ValueError, match="^b$"):
+        _run_jobs(jobs)
+    assert ran == ["a", "b"]  # a process whose job fails takes no further job
+    assert _run_jobs([job("a", False), job("c", False)]) == {"a": "a", "c": "c"}
+
+
+def test_no_job_runs_after_a_worker_failed(monkeypatch):
+    ran = []
+    cores(monkeypatch, 2)
+    jobs, fds = worker_jobs(boom(ValueError("second failed")))
+    try:
+        with pytest.raises(ValueError, match="second failed"):
+            _run_jobs(jobs + [("third", lambda: ran.append("third"))])
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert ran == []  # neither the failed worker nor the caller took it
+
+
+@pytest.mark.parametrize("exc, code", [(ConfigError("no such suite input"), 2),
+                                       (OSError(5, "disk went away"), 2)])
+def test_suite_error_exit_code_matches_one_process(tmp_path, monkeypatch, capsys, exc, code):
+    config = write_config(tmp_path, preset_config("dih"))
+    monkeypatch.setattr(cli, "lemma_suite", boom(exc))
+    outputs = []
+    for n in (1, 3):
+        cores(monkeypatch, n)
+        assert main(["verify", "--config", config]) == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert str(exc) in outputs[0].err
+
+
+def test_suite_exception_matches_one_process(tmp_path, monkeypatch):
+    config = write_config(tmp_path, preset_config("dih"))
+    monkeypatch.setattr(cli, "spanning_check", boom(ArithmeticError("spanning broke")))
+    for n in (1, 3):
+        cores(monkeypatch, n)
+        with pytest.raises(ArithmeticError, match="^spanning broke$"):
+            main(["verify", "--config", config])
