@@ -15,7 +15,7 @@ from .algebra import (CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra,
                       cond_exp, e0_vanishing, pp_expand, pp_reconstruct,
                       verify_pp_basis)
 from .config import ConfigError, RunConfig, load_config, parse_config, preset_config
-from .fock import Amalgam, FockSpace, FockVector, Word, canonicalize, enumerate_words
+from .fock import Amalgam, FockSpace, FockVector, Word, canonicalize
 from .operators import (CaseTag, GeneratorWord, RadialMultiplier, StructuredOperator,
                         adjoint_check, annihilation, build_T, creation, diag, epsilon_matrix,
                         identity_op, left_mult, op_norm, phi_block_matrix, phi_cb_bound,
@@ -26,6 +26,6 @@ from .symbols import (ConstantTail, GeometricTail, HankelFactorization, HankelPa
                       hankel_trace_norm, norm_C, psi_decompose,
                       ricard_xu_bound, trace_norm, write_symbol_csv)
 from .verify import (ReducedWord, embed, lambda_span, spanning_check, vacuum_expectation,
-                     verify_main_theorem, word_operator)
+                     word_operator)
 
 __version__ = "0.1.0"

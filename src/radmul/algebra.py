@@ -203,16 +203,16 @@ class CrossedFactor:
         return FactorElement(self, np.array([self.base.random(rng)
                                              for _ in range(self.group.order)]))
 
-    def random_kernel(self, rng, min_norm: float = 1e-8) -> "FactorElement":
+    def random_kernel(self, rng) -> "FactorElement":
         """Random element with vanishing conditional expectation onto N: a
         random element with its identity coefficient set to zero, drawn
-        again while its 2-norm tau(x* x)^(1/2) is at most ``min_norm``."""
+        again while its 2-norm tau(x* x)^(1/2) is at most 1e-8."""
         if self.group.order < 2:
             raise ValueError("the trivial group has no nonzero kernel elements")
         while True:
             x = self.random(rng)
             x.coeffs[0] = 0
-            if np.linalg.norm(x.coeffs) / np.sqrt(self.base.d) > min_norm:
+            if np.linalg.norm(x.coeffs) / np.sqrt(self.base.d) > 1e-8:
                 return x
 
 
@@ -331,14 +331,14 @@ def verify_pp_basis(factor: CrossedFactor, basis=None,
     return report
 
 
-def e0_vanishing(factor: CrossedFactor, g: int, b,
-                 tol: float = ALGEBRAIC_TOL) -> VerificationReport:
+def e0_vanishing(factor: CrossedFactor, g: int, b) -> VerificationReport:
     """For gamma = u_g with g != e and b in N, the expansion of gamma*b has
     no component along e_0 = 1, and the sum over j >= 1 already
-    reconstructs gamma*b.
+    reconstructs gamma*b, both to ``ALGEBRAIC_TOL``.
     """
     if g == 0:
         raise ValueError("gamma must avoid the identity element")
+    tol = ALGEBRAIC_TOL
     x = factor.unitary(g) * factor.from_base(b)
     coeffs = pp_expand(x)
     report = VerificationReport()

@@ -78,12 +78,6 @@ def cmd_symbol(args) -> int:
     return 0
 
 
-# The jobs of ``verify --suite all``, largest first: the order they are taken
-# in, so that the last one to finish starts early.  The embedding suite is a
-# job of its own, selected by --suite operators.
-TAKE_ORDER = ("bound", "theorem", "cases", "operators", "embedding", "fock", "pp", "spanning")
-
-
 def _pp_suite(space, tol: float) -> VerificationReport:
     report = VerificationReport()
     for i, fac in enumerate(space.amalgam.factors):
@@ -97,24 +91,27 @@ def _run_suites(cfg: RunConfig, suite: str, eigen_tol=None) -> VerificationRepor
     eigen = float(eigen_tol if eigen_tol is not None else tols["eigen"])
     space = cfg.space()
     symbols = [cfg.symbol]
-    # job -> (the --suite value that selects it, the job), in report order
-    jobs = {
-        "pp": ("pp", lambda: _pp_suite(space, tols["algebraic"])),
-        "fock": ("fock", lambda: fock_suite(space, seed=seed, tol=tols["algebraic"])),
-        "operators": ("operators", lambda: operator_suite(space, seed=seed)),
-        "embedding": ("operators", lambda: embedding_suite(space, seed=seed)),
-        "cases": ("cases", lambda: lemma_suite(space, symbols, seed=seed, tol=eigen)),
-        "theorem": ("theorem", lambda: main_theorem_suite(space, symbols, seed=seed, tol=eigen)),
-        "spanning": ("spanning", lambda: spanning_check(space)),
-        "bound": ("bound", lambda: norm_bound_suite(space, symbols, seed=seed, samples=25,
+    # (job, the --suite value that selects it, the job) in the order the jobs
+    # are taken: bound first, which the calling process keeps (``_run_jobs``),
+    # then the others largest first, so that the last one to finish starts
+    # early.  The embedding suite is a job of its own.  A report sorts its
+    # checks by name, so this order never shows.
+    jobs = [
+        ("bound", "bound", lambda: norm_bound_suite(space, symbols, seed=seed, samples=25,
                                                     tol=tols["spectral"])),
-    }
-    results = _run_jobs([(name, jobs[name][1]) for name in TAKE_ORDER
-                         if suite in ("all", jobs[name][0])])
+        ("theorem", "theorem", lambda: main_theorem_suite(space, symbols, seed=seed, tol=eigen)),
+        ("cases", "cases", lambda: lemma_suite(space, symbols, seed=seed, tol=eigen)),
+        ("operators", "operators", lambda: operator_suite(space, seed=seed)),
+        ("embedding", "operators", lambda: embedding_suite(space, seed=seed)),
+        ("fock", "fock", lambda: fock_suite(space, seed=seed, tol=tols["algebraic"])),
+        ("pp", "pp", lambda: _pp_suite(space, tols["algebraic"])),
+        ("spanning", "spanning", lambda: spanning_check(space)),
+    ]
+    results = _run_jobs([(name, job) for name, selector, job in jobs
+                         if suite in ("all", selector)])
     report = VerificationReport(context={"config_digest": cfg.digest(), "seed": seed})
-    for name in jobs:
-        if name in results:
-            report.extend(results[name])
+    for result in results.values():
+        report.extend(result)
     return report
 
 
@@ -168,16 +165,17 @@ def _run_jobs(jobs: list) -> dict:
     results by name.
 
     min(cores, jobs) - 1 workers are forked; none for one job or one usable
-    core.  The calling process runs the first job.  The workers take the
-    others, each the next job index off one shared pipe (a one-byte read is
-    atomic) until it is empty, and the calling process then runs whatever
-    they left: every job when there is no worker.  So the caller's share is
-    fixed, and a tracer in it sees the same jobs on every run.  A worker
-    sends each index it takes and then the pickled outcome through a pipe of
-    its own, and ends with ``os._exit``, so no atexit handler or buffered
-    output of the caller runs twice.  Fork is used, not spawn, so that
-    workers start with the space already built; the only other threads are
-    the BLAS pool's, which resets itself across fork.
+    core, and fewer when a worker's pipe or fork fails.  The calling process
+    runs the first job.  The workers take the others, each the next job
+    index off one shared pipe (a one-byte read is atomic) until it is empty,
+    and the calling process then runs whatever they left: every job when
+    there is no worker.  So the caller's share is fixed, and a tracer in it
+    sees the same jobs on every run.  A worker sends each index it takes and
+    then the pickled outcome through a pipe of its own, and ends with
+    ``os._exit``, so no atexit handler or buffered output of the caller runs
+    twice.  Fork is used, not spawn, so that workers start with the space
+    already built; the only other threads are the BLAS pool's, which resets
+    itself across fork.
 
     A process whose job fails takes no further job.  As in one process, the
     exception of the first failing job in list order is raised; a job whose
@@ -193,12 +191,13 @@ def _run_jobs(jobs: list) -> dict:
     pipes, statuses, outcomes, lost = {}, {}, {}, {}
     try:
         for _ in range(n_workers):
-            r, w = os.pipe()
+            fds = ()
             try:
+                fds = r, w = os.pipe()
                 pid = os.fork()
             except OSError:  # fewer workers: the jobs left stay on the queue
-                os.close(r)
-                os.close(w)
+                for fd in fds:
+                    os.close(fd)
                 break
             if pid == 0:
                 _serve(queue, jobs, w)

@@ -21,7 +21,8 @@ Complex scalars are finite numbers or [re, im] pairs; the action unitary is
 a row-major matrix of [re, im] pairs.  Inner actions are supported for
 cyclic groups, which act through powers of the supplied unitary.  A run
 needs at least two factors, groups need order >= 2, and every object
-takes only the keys shown above: a misspelt key is an error, not a default.
+takes only the keys shown above for its kind: a misspelt key, or a key of
+another kind, is an error, not a default.
 ``fock_len`` is the word-length cutoff; ``hankel_dim`` only sizes the
 symbol table of ``radmul symbol --csv``.
 """
@@ -76,6 +77,17 @@ def _object(value, name: str, known) -> dict:
     return value
 
 
+def _kind(fragment, name: str, kinds: dict) -> str:
+    """The "kind" of ``fragment``, an object that may hold besides it only
+    the keys ``kinds`` lists for that kind."""
+    kind = _object(fragment, name, {"kind"}.union(*kinds.values())).get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError("%s needs a 'kind'" % name if "kind" not in fragment
+                          else "unknown %s kind %r" % (name, kind))
+    _object(fragment, "%s %s" % (kind, name), ("kind",) + kinds[kind])
+    return kind
+
+
 def _complex_matrix(rows) -> np.ndarray:
     try:
         return np.array([[_complex(v) for v in row] for row in rows], dtype=complex)
@@ -106,22 +118,13 @@ class RunConfig:
 
 
 def _parse_base(fragment) -> TracialAlgebra:
-    if "kind" not in _object(fragment, "base_algebra", ("kind", "dim")):
-        raise ConfigError("base_algebra needs a 'kind'")
-    kind = fragment["kind"]
-    if kind == "scalar":
+    if _kind(fragment, "base_algebra", {"scalar": (), "matrix": ("dim",)}) == "scalar":
         return TracialAlgebra.scalar()
-    if kind == "matrix":
-        return TracialAlgebra.matrix(_int(fragment.get("dim"), "matrix base_algebra 'dim'", 1))
-    raise ConfigError("unknown base_algebra kind %r" % (kind,))
+    return TracialAlgebra.matrix(_int(fragment.get("dim"), "matrix base_algebra 'dim'", 1))
 
 
 def _parse_group(fragment) -> FiniteGroup:
-    if "kind" not in _object(fragment, "factor group", ("kind", "order", "table")):
-        raise ConfigError("factor group needs a 'kind'")
-    kind = fragment["kind"]
-    if kind not in ("cyclic", "table"):
-        raise ConfigError("unknown group kind %r" % (kind,))
+    kind = _kind(fragment, "factor group", {"cyclic": ("order",), "table": ("table",)})
     try:
         if kind == "cyclic":
             group = FiniteGroup.cyclic(_int(fragment["order"], "group order", 2))
@@ -163,18 +166,16 @@ def _parse_symbol(fragment) -> RadialSymbol:
     if not isinstance(head, list):
         raise ConfigError("symbol head must be a list")
     head = tuple(_complex(v) for v in head)
-    tail_frag = _object(fragment.get("tail", {"kind": "constant", "limit": 0}), "symbol tail",
-                        ("kind", "limit", "coefficient", "ratio"))
-    kind = tail_frag.get("kind")
+    tail_frag = fragment.get("tail", {"kind": "constant", "limit": 0})
+    kind = _kind(tail_frag, "symbol tail", {"constant": ("limit",),
+                                            "geometric": ("limit", "coefficient", "ratio")})
     try:
         if kind == "constant":
             tail = ConstantTail(_complex(tail_frag.get("limit", 0)))
-        elif kind == "geometric":
+        else:
             tail = GeometricTail(_complex(tail_frag.get("coefficient", 1)),
                                  _complex(tail_frag["ratio"]),
                                  _complex(tail_frag.get("limit", 0)))
-        else:
-            raise ConfigError("unknown tail kind %r" % (kind,))
     except (KeyError, ValueError) as exc:
         raise ConfigError("bad symbol tail: %s" % exc) from exc
     return RadialSymbol(head=head, tail=tail)

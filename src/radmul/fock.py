@@ -117,29 +117,6 @@ class Amalgam:
         return fac.alpha(fac.group.inv(g), b)
 
 
-def enumerate_words(amalgam: Amalgam, max_len: int) -> list:
-    """All reduced words of length <= max_len in length-lexicographic order."""
-    if max_len < 0:
-        raise ValueError("word length bound must be nonnegative")
-    return [Word()] + [w for _, _, w in _links(amalgam, max_len)]
-
-
-def _links(amalgam: Amalgam, max_len: int):
-    """Yield (t, j, w) for the nonempty reduced words w of length <= max_len
-    in length-lexicographic order: w is word j (counted in the same order,
-    the empty word 0) with letter t of ``amalgam.letters()`` appended."""
-    letters = amalgam.letters()
-    frontier, n = [(0, Word())], 1
-    for _ in range(max_len):
-        nxt = []
-        for j, w in frontier:
-            for t, letter in enumerate(letters):
-                if w.last_factor != letter[0]:
-                    nxt.append((n + len(nxt), w.append(letter)))
-                    yield t, j, nxt[-1][1]
-        frontier, n = nxt, n + len(nxt)
-
-
 class FockVector:
     """Right N-coefficients of a vector, one per word of the space:
     ``blocks[j]`` is the d x d coefficient of ``space.words[j]``."""
@@ -250,10 +227,17 @@ class FockSpace:
         self.base = amalgam.base
         self.L_max = L_max
         self.letters = tuple(amalgam.letters())
-        words, links = [Word()], []
-        for t, j, w in _links(amalgam, L_max):
-            words.append(w)
-            links.append((t, j))
+        # length-lexicographic: word j's children, letter t appended, follow
+        # the children of the words before it
+        words, links, frontier = [Word()], [], [0]
+        for _ in range(L_max):
+            start = len(words)
+            for j in frontier:
+                for t, letter in enumerate(self.letters):
+                    if words[j].last_factor != letter[0]:
+                        words.append(words[j].append(letter))
+                        links.append((t, j))
+            frontier = range(start, len(words))
         self.words = tuple(words)
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.n_onb = self.base.onb()
@@ -293,9 +277,8 @@ class FockSpace:
     def zero_vector(self) -> FockVector:
         return FockVector(self, {})
 
-    def vacuum(self, b=None) -> FockVector:
-        coeff = self.base.identity() if b is None else self.base.element(b)
-        return FockVector(self, {Word(): coeff})
+    def vacuum(self) -> FockVector:
+        return FockVector(self, {Word(): self.base.identity()})
 
     def basis_fock_vector(self, idx: int) -> FockVector:
         w = self.words[idx // self.dim_N]

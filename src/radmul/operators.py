@@ -37,9 +37,10 @@ A :class:`StructuredOperator` holds one dim_N x dim_N block per word pair.
 Creations and annihilations are partial word maps, each one read of the
 space's word graph (the ``FockSpace`` tables), left N-multiplication the
 identity map with the pushed blocks U_w b U_w*; a product joins the left
-factor's columns to the right factor's rows and adds the entries that meet
-on one pair; rho maps every entry through all the letters' right creations
-at once (``appended`` at the starred letters); epsilon keeps the entries
+factor's columns to the right factor's rows, and adds the entries that
+meet on one pair, which happens only when the left factor repeats a row or
+a column; rho maps every entry through all the letters' right creations at
+once (``appended`` at the starred letters); epsilon keeps the entries
 whose row and column words end in the same factor.  Sums over letters and
 factors run in configuration order.
 
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, FockVector
+from .fock import FockSpace, FockVector, Word
 from .report import VerificationReport
 from .sparse import _per_sample, coalesce, op_norm, sum_at
 from .symbols import RadialSymbol, psi_decompose
@@ -132,17 +133,13 @@ class StructuredOperator:
         return StructuredOperator(self.space, rows, cols, blocks, name, samples,
                                   self.n_samples, self.stacked)
 
-    def block_max(self, keep=None):
-        """Largest absolute block entry among the entries ``keep`` marks (all
-        of them without it), 0 where there is none, per sample (nan where a
-        kept entry is nan)."""
-        blocks, samples = self.blocks, self.samples
-        if keep is not None:
-            blocks, samples = blocks[keep], samples[keep]
+    def block_max(self):
+        """Largest absolute block entry, 0 where there is none, per sample
+        (nan where an entry is nan)."""
         out = np.zeros(self.n_samples)
-        if blocks.size:
+        if self.blocks.size:
             with np.errstate(invalid="ignore"):  # a nan entry is kept, not warned about
-                np.maximum.at(out, samples, np.abs(blocks).max(axis=(1, 2)))
+                np.maximum.at(out, self.samples, np.abs(self.blocks).max(axis=(1, 2)))
         return _per_sample(self, out)
 
     def subset(self, keep) -> "StructuredOperator":
@@ -209,11 +206,11 @@ class StructuredOperator:
         return self._new(self.samples, self.rows, self.cols, -self.blocks, "-" + self.name)
 
 
-def stack(ops, name: str = "stack") -> StructuredOperator:
+def stack(ops) -> StructuredOperator:
     """Single operators as the samples of one stack, in order."""
     return StructuredOperator(ops[0].space, np.concatenate([op.rows for op in ops]),
                               np.concatenate([op.cols for op in ops]),
-                              np.concatenate([op.blocks for op in ops]), name,
+                              np.concatenate([op.blocks for op in ops]), "stack",
                               np.repeat(np.arange(len(ops)), [op.rows.size for op in ops]),
                               len(ops), True)
 
@@ -226,32 +223,23 @@ def _same_stack(*ops) -> None:
 
 def _product(a: StructuredOperator, b: StructuredOperator) -> tuple:
     """The entries (samples, rows, cols, blocks) of a @ b: each entry (j, c)
-    of b meets every entry (r, j) of a in the same sample.
-
-    When a is a partial word map (each row and each column at most once per
-    sample) the join is a gather and every (r, c) comes out once; otherwise
-    repeated pairs are added.
+    of b meets every entry (r, j) of a in the same sample, in a's entry
+    order.  Two products land on one pair (r, c) only when a repeats a row or
+    a column in a sample; then they are added (``coalesce``).
     """
     n = len(a.space.words)
     size = a.n_samples * n
     key_a, key_b = a.samples * n + a.cols, b.samples * n + b.rows
     count = np.bincount(key_a, minlength=size)
-    if count.max(initial=0) <= 1:
-        at = np.full(size, -1)
-        at[key_a] = np.arange(key_a.size)
-        ea = at[key_b]
-        eb = np.nonzero(ea >= 0)[0]
-        ea = ea[eb]
-        repeats = np.bincount(a.samples * n + a.rows, minlength=size).max(initial=0) > 1
-    else:
-        order = np.argsort(key_a, kind="stable")
-        start = np.cumsum(count) - count
-        reps = count[key_b]
-        eb = np.repeat(np.arange(key_b.size), reps)
-        ea = order[np.repeat(start[key_b], reps) + np.arange(eb.size)
-                   - np.repeat(np.cumsum(reps) - reps, reps)]
-        repeats = True
+    order = np.argsort(key_a, kind="stable")
+    start = np.cumsum(count) - count
+    reps = count[key_b]
+    eb = np.repeat(np.arange(key_b.size), reps)
+    ea = order[np.repeat(start[key_b], reps) + np.arange(eb.size)
+               - np.repeat(np.cumsum(reps) - reps, reps)]
     out = (b.samples[eb], a.rows[ea], b.cols[eb], a.blocks[ea] @ b.blocks[eb])
+    repeats = max(count.max(initial=0),
+                  np.bincount(a.samples * n + a.rows, minlength=size).max(initial=0)) > 1
     return coalesce(*out, n) if repeats else out
 
 
@@ -550,7 +538,8 @@ class GeneratorWord:
     argument word's letters: eta_1 strips the leading letter first, and
     eta_l -- the last entry -- acts adjacent to the final creation letter
     L_{xi_k}.  ``ann_coeffs[j]`` left-multiplies right before eta_j strips.
-    Within each string, consecutive letters come from distinct factors.
+    Each string is a reduced word (``Word``): consecutive letters come from
+    distinct factors, and no letter is the group identity.
     """
 
     cre_letters: tuple = ()
@@ -562,11 +551,7 @@ class GeneratorWord:
         object.__setattr__(self, "cre_letters", tuple(tuple(l) for l in self.cre_letters))
         object.__setattr__(self, "ann_letters", tuple(tuple(l) for l in self.ann_letters))
         for seq in (self.cre_letters, self.ann_letters):
-            for j, (i, g) in enumerate(seq):
-                if g == 0:
-                    raise ValueError("generator letters avoid the group identity")
-                if j and seq[j - 1][0] == i:
-                    raise ValueError("consecutive letters from the same factor")
+            Word(seq)  # raises unless the letters form a reduced word
         if self.cre_coeffs and len(self.cre_coeffs) != self.k + 1:
             raise ValueError("need k+1 creation-side coefficients")
         if self.ann_coeffs and len(self.ann_coeffs) != self.l:
@@ -714,12 +699,13 @@ def build_T(space: FockSpace, phi: RadialSymbol) -> RadialMultiplier:
 
 
 def adjoint_check(a: StructuredOperator, a_star: StructuredOperator, tol: float = 1e-12,
-                  seed: int = 0, samples: int = 4) -> VerificationReport:
+                  seed: int = 0) -> VerificationReport:
     """Confirm that ``a_star``, built by its own rule, is the adjoint of ``a``:
     entry by entry against a's conjugate transpose (the largest block of
     the difference, 0 when it has no entries), and against inner products
-    <A xi, eta> = <xi, A* eta> of random unit vectors, so that the pairing
-    residual is rounding on the scale of A, whatever the dimension.
+    <A xi, eta> = <xi, A* eta> of four pairs of random unit vectors, so that
+    the pairing residual is rounding on the scale of A, whatever the
+    dimension.
     """
     space = a.space
     report = VerificationReport()
@@ -728,7 +714,7 @@ def adjoint_check(a: StructuredOperator, a_star: StructuredOperator, tol: float 
     report.add("adjoint_matrix[%s]" % a.name, res, tol)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(4):
         xi, eta = space.random_vector(rng), space.random_vector(rng)
         worst = max(worst, abs(a(xi).inner(eta) - xi.inner(a_star(eta))))
     report.add("adjoint_pairing[%s]" % a.name, worst, tol)

@@ -197,7 +197,7 @@ class HankelFactorization:
         return float(sum(np.linalg.norm(x) * np.linalg.norm(y) for x, y in self.pairs))
 
 
-def factorize(A: np.ndarray, rel_cutoff: float = SV_RELATIVE_CUTOFF) -> HankelFactorization:
+def factorize(A: np.ndarray) -> HankelFactorization:
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.shape[0] != A.shape[1]:
         raise ValueError("factorize expects a square matrix")
@@ -205,7 +205,7 @@ def factorize(A: np.ndarray, rel_cutoff: float = SV_RELATIVE_CUTOFF) -> HankelFa
     pairs = []
     if s.size and s[0] > 0:
         for i, sv in enumerate(s):
-            if sv <= rel_cutoff * s[0]:
+            if sv <= SV_RELATIVE_CUTOFF * s[0]:
                 break
             w = math.sqrt(sv)
             pairs.append((w * u[:, i], w * vh[i, :].conj()))

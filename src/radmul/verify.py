@@ -55,6 +55,10 @@ from .symbols import norm_C, psi_decompose
 # sample at a time; twice the cap adds about 1 MB at fock_len 5
 CHUNK_ENTRIES = 4096
 
+# the norm-bound sampler's amplifications m and terms per combination
+AMPLIFICATIONS = (1, 2, 3)
+TERMS = 3
+
 
 def _stacked_chunks(space: FockSpace, stacks, extra: int = 0):
     """Yield (slice, stacks of its samples) for consecutive ranges of the
@@ -344,18 +348,19 @@ def _vec_max(v: FockVector) -> float:
     return float(np.abs(v.blocks).max())
 
 
-def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
-                   n_partition: int = 20, vec_len: int = 32) -> VerificationReport:
-    """Adjoint pairs, the shifted-weight partition identity, and the
-    right-module property (covariance, for R_{gamma*}) of the building blocks."""
+def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
+    """Adjoint pairs, the shifted-weight partition identity on 20 random
+    vectors of length 32, and the right-module property (covariance, for
+    R_{gamma*}) of the building blocks, at tolerance 1e-12."""
     rng = np.random.default_rng([seed, 2])
     report = VerificationReport()
+    tol, n_partition, vec_len = 1e-12, 20, 32
 
     worst = 0.0
     for _ in range(n_partition):
         x = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
         worst = max(worst, partition_identity_residual(space, x))
-    report.add("partition_identity", worst, 1e-12, samples=n_partition)
+    report.add("partition_identity", worst, tol, samples=n_partition)
 
     # each adjoint is built by its own rule, not as a conjugate transpose
     letter = space.letters[0]
@@ -399,26 +404,26 @@ def operator_suite(space: FockSpace, seed: int = 0, tol: float = 1e-12,
     return report
 
 
-def _generator_zoo(space: FockSpace, seed: int, max_k: int = 2, max_l: int = 2,
-                   coeff_samples: int = 1) -> list:
-    """Deterministic family of generators covering all (k, l) and both cases."""
+def _generator_zoo(space: FockSpace, seed: int) -> list:
+    """Deterministic family of generators covering all k, l <= 2 and both
+    cases: every pair of letter strings without coefficients, and one
+    random pair with random coefficients per (k, l)."""
     rng = np.random.default_rng([seed, 3])
     base = space.base
     out = []
-    for k in range(max_k + 1):
-        for l in range(max_l + 1):
+    for k in range(3):
+        for l in range(3):
             cre_tuples = [w.letters for w in space.words if len(w) == k]
             ann_tuples = [w.letters for w in space.words if len(w) == l]
             for cre in cre_tuples:
                 for ann in ann_tuples:
                     out.append(GeneratorWord(cre, ann))
-            for _ in range(coeff_samples):
-                cre = cre_tuples[rng.integers(len(cre_tuples))]
-                ann = ann_tuples[rng.integers(len(ann_tuples))]
-                out.append(GeneratorWord(
-                    cre, ann,
-                    cre_coeffs=tuple(base.random(rng) for _ in range(k + 1)),
-                    ann_coeffs=tuple(base.random(rng) for _ in range(l))))
+            cre = cre_tuples[rng.integers(len(cre_tuples))]
+            ann = ann_tuples[rng.integers(len(ann_tuples))]
+            out.append(GeneratorWord(
+                cre, ann,
+                cre_coeffs=tuple(base.random(rng) for _ in range(k + 1)),
+                ann_coeffs=tuple(base.random(rng) for _ in range(l))))
     return out
 
 
@@ -434,9 +439,9 @@ def _phi_scalars(xs: np.ndarray, ys: np.ndarray, gw: GeneratorWord) -> tuple:
 
 
 def lemma_suite(space: FockSpace, symbols, seed: int = 0,
-                tol: float = EIGEN_TOL, max_rho_power: int = 2) -> VerificationReport:
+                tol: float = EIGEN_TOL) -> VerificationReport:
     """Scaling rules on symbolic generators, compared as matrices on the
-    guard band: rho powers, epsilon case rules, both Phi eigen-formulas,
+    guard band: rho and rho^2, epsilon case rules, both Phi eigen-formulas,
     and the component / total rules of every supplied multiplier.  The
     generators are checked a chunk at a time, as one stack."""
     rng = np.random.default_rng([seed, 4])
@@ -475,7 +480,7 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
         tw = tower(space, a)
 
         # rho^n(a) = a Q_{l+n}: the entries of a in the columns of length >= l+n
-        for n in range(1, max_rho_power + 1):
+        for n in (1, 2):
             target = a.subset(space.lengths[a.cols] >= (l[sl] + n)[a.samples])
             res_rho = _fold(res_rho, (tw[n] - target).columns_upto(g[sl] + 1 - n).block_max())
 
@@ -572,38 +577,38 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     return report
 
 
-def amplified_stacks(rng, space: FockSpace, T, samples: int, amplifications, terms: int):
-    """Draw ``samples`` combinations of ``terms`` random generator words A_i
-    with random complex m x m blocks C_i per amplification m, then yield
-    ``(m, sum C_i (x) A_i, sum C_i (x) T(A_i))`` per chunk of combinations
-    and amplification, as operator stacks (``amplify``), one sample per
-    combination.  Per combination the draws are the (k, l) of every
-    term, the words, and then the blocks of every amplification in turn.
+def amplified_stacks(rng, space: FockSpace, T, samples: int):
+    """Draw ``samples`` combinations of ``TERMS`` random generator words A_i
+    with random complex m x m blocks C_i per amplification m in
+    ``AMPLIFICATIONS``, then yield ``(m, sum C_i (x) A_i, sum C_i (x)
+    T(A_i))`` per chunk of combinations and amplification, as operator
+    stacks (``amplify``), one sample per combination.  Per combination the
+    draws are the (k, l) of every term, the words, and then the blocks of
+    every amplification in turn.
     """
     draws = []
     for _ in range(samples):
-        kls = [(int(rng.integers(0, 3)), int(rng.integers(0, 3))) for _ in range(terms)]
+        kls = [(int(rng.integers(0, 3)), int(rng.integers(0, 3))) for _ in range(TERMS)]
         gens = [random_generator_word(rng, space, k, l) for k, l in kls]
         draws.append((gens, {m: [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-                                 for _ in range(terms)] for m in amplifications}))
+                                 for _ in range(TERMS)] for m in AMPLIFICATIONS}))
     # op_norm takes an amplified matrix no longer than SPLIT_MIN whole, as
     # one dense array per sample
-    side = max(amplifications) * space.dim
+    side = max(AMPLIFICATIONS) * space.dim
     dense = side * side if side <= SPLIT_MIN else 0
-    stacks = [generator_operators(space, [gens[i] for gens, _ in draws]) for i in range(terms)]
+    stacks = [generator_operators(space, [gens[i] for gens, _ in draws]) for i in range(TERMS)]
     for sl, ops in _stacked_chunks(space, stacks, dense):
         chunk = draws[sl]
         tops = [T.apply_matrix(A) for A in ops]
-        for m in amplifications:
-            blocks = [np.array([c[m][i] for _, c in chunk]) for i in range(terms)]
+        for m in AMPLIFICATIONS:
+            blocks = [np.array([c[m][i] for _, c in chunk]) for i in range(TERMS)]
             # an overflowing symbol leaves inf or nan in tbig; op_norm reads inf
             with np.errstate(over="ignore", invalid="ignore"):
                 yield m, amplify(blocks, ops), amplify(blocks, tops)
 
 
 def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
-                     samples: int = 50, amplifications=(1, 2, 3),
-                     tol: float = SPECTRAL_TOL, terms: int = 3) -> VerificationReport:
+                     samples: int = 50, tol: float = SPECTRAL_TOL) -> VerificationReport:
     """Sampled two-sided envelope for the multiplier norm.
 
     Upper: sup ||(id_m (x) T)(a)|| / ||a|| <= class-C norm + tol over random
@@ -618,7 +623,7 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
         T = build_T(space, phi)
         c_norm = norm_C(phi)
         worst = 0.0
-        for _, big, tbig in amplified_stacks(rng, space, T, samples, amplifications, terms):
+        for _, big, tbig in amplified_stacks(rng, space, T, samples):
             na = op_norm(big)
             live = na >= 1e-12
             if live.any():
@@ -642,15 +647,15 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     return report
 
 
-def embedding_suite(space: FockSpace, seed: int = 0,
-                    tol: float = 1e-11) -> VerificationReport:
+def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     """embed is a unital *-homomorphism on each factor (guard band), with the
-    right N-valued matrix coefficients against the module basis.  The
-    sampled pairs (a, b) are checked a chunk at a time, as stacks; the
-    coefficients are compared with the ``FactorElement`` products
-    E(e_m* a e_l), a route independent of ``embed``'s closed form."""
+    right N-valued matrix coefficients against the module basis, at
+    tolerance 1e-11.  The sampled pairs (a, b) are checked a chunk at a
+    time, as stacks; the coefficients are compared with the ``FactorElement``
+    products E(e_m* a e_l), a route independent of ``embed``'s closed form."""
     rng = np.random.default_rng([seed, 7])
     report = VerificationReport()
+    tol = 1e-11
     factors = space.amalgam.factors
     draws = [(i, fac.random(rng), fac.random(rng)) for i, fac in enumerate(factors)
              for _ in range(3)]
@@ -718,17 +723,4 @@ def spanning_check(space: FockSpace, max_len=None) -> VerificationReport:
     rank = _word_block_rank(word_vacuum_images(space, max_len))
     report.add("spanning_rank_len%d" % max_len, float(expected - rank), 0.5,
                rank=rank, expected=expected)
-    return report
-
-
-def verify_main_theorem(space: FockSpace, symbols, seed: int = 0,
-                        tol: float = EIGEN_TOL, words_per_length: int = 10,
-                        bound_samples: int = 25) -> VerificationReport:
-    """Scaling action on sampled reduced words, case rules on generators,
-    the sampled norm bound, and the right-module property, in one report."""
-    report = VerificationReport()
-    report.extend(main_theorem_suite(space, symbols, seed, tol,
-                                     words_per_length=words_per_length))
-    report.extend(lemma_suite(space, symbols, seed, tol))
-    report.extend(norm_bound_suite(space, symbols, seed, samples=bound_samples))
     return report

@@ -115,7 +115,7 @@ def test_criterion_6_theorem_action(dih_space, mat2_space, acceptance_symbols):
 
 def test_criterion_7_norm_bound(dih_space, acceptance_symbols):
     rep = norm_bound_suite(dih_space, acceptance_symbols, seed=ACCEPT_SEED,
-                           samples=200, amplifications=(1, 2, 3), tol=1e-8)
+                           samples=200, tol=1e-8)
     upper = max(c.max_residual for c in rep.checks if c.name.startswith("norm_bound_upper"))
     lower = max(c.max_residual for c in rep.checks if c.name.startswith("norm_bound_lower"))
     _line(7, "cb_norm_envelope", rep.passed,

@@ -137,12 +137,18 @@ def _set(data, path, value):
     (("factors", 0, "group"), {"kind": "cyclic", "order": 2, "action": "trivial"}),
     (("factors", 1, "action"), {"kind": "inner", "unitary": [[[1, 0]]], "unitery": 1}),
     (("base_algebra",), {"kind": "scalar", "dimm": 2}),
+    (("symbol",), {"head": [1], "tail": {"kind": "constant", "limit": 0, "ratio": 0.5,
+                                         "coefficient": 3}}),
+    (("factors", 0, "group"), {"kind": "cyclic", "order": 2,
+                               "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}),
+    (("base_algebra",), {"kind": "scalar", "dim": 4}),
 ], ids=["tail-not-object", "fock_len-string", "head-nan", "limit-inf", "head-not-list",
         "hankel_dim-float", "truncation-not-object", "tolerance-inf", "factors-not-list",
         "cyclic-order-1", "table-order-1", "table-float-entry", "table-bool-entry",
         "seed-negative", "single-factor",
         "tolerance-unknown", "top-level-typo", "truncation-typo", "tail-typo",
-        "symbol-typo", "factor-typo", "group-typo", "action-typo", "base-typo"])
+        "symbol-typo", "factor-typo", "group-typo", "action-typo", "base-typo",
+        "constant-tail-ratio", "cyclic-group-table", "scalar-base-dim"])
 def test_bad_config_fragment_exits_2(tmp_path, capsys, path, value):
     data = _set(preset_config("dih"), path, value)
     code = main(["verify", "--suite", "theorem", "--config", write_config(tmp_path, data)])

@@ -7,7 +7,7 @@ from conftest import noncommuting_config
 from oracles import lambda_span_dense
 from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from radmul.config import parse_config, preset_config
-from radmul.fock import Amalgam, FockSpace, FockVector, Word, canonicalize, enumerate_words
+from radmul.fock import Amalgam, FockSpace, FockVector, Word, canonicalize
 from radmul.operators import ends_in_factor_op, length_at_least_op, length_exactly_op
 from radmul.verify import lambda_span
 
@@ -60,7 +60,7 @@ def test_word_letter_maps_check_the_new_letter_only():
 
 def test_enumerate_counts_dih(dih_space):
     am = dih_space.amalgam
-    words = enumerate_words(am, 2)
+    words = FockSpace(am, 2).words
     assert len(words) == 5
     assert [w.letters for w in words] == [
         (), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)), ((1, 1), (0, 1))]
@@ -68,7 +68,7 @@ def test_enumerate_counts_dih(dih_space):
 
 def test_enumerate_matches_brute_force(cy3_space):
     am = cy3_space.amalgam
-    words = enumerate_words(am, 3)
+    words = FockSpace(am, 3).words
     assert {w.letters for w in words} == brute_words(am.letters(), 3)
     # length-lexicographic order is part of the contract
     keys = [(len(w), w.letters) for w in words]
@@ -78,11 +78,11 @@ def test_enumerate_matches_brute_force(cy3_space):
 def test_single_factor_words_stop_at_length_one():
     fac = CrossedFactor.trivial(TracialAlgebra.scalar(), FiniteGroup.cyclic(3))
     am = Amalgam([fac])
-    assert len(enumerate_words(am, 4)) == 3  # vacuum plus the two letters
+    assert len(FockSpace(am, 4).words) == 3  # vacuum plus the two letters
 
 
 def test_enumerate_length_zero(dih_space):
-    assert [w.letters for w in enumerate_words(dih_space.amalgam, 0)] == [()]
+    assert [w.letters for w in FockSpace(dih_space.amalgam, 0).words] == [()]
 
 
 # ---------------------------------------------------------------- word graph

@@ -1,9 +1,11 @@
 """Source hygiene that a linter would check: no module of the package and no
 test module imports a name it never uses (the package's ``__init__.py``
-imports only to re-export), and every module-level private name of the
-package is used somewhere in the repository."""
+imports only to re-export), every module-level private name of the
+package is used somewhere in the repository, and every defaulted parameter
+of a package function is passed by some call (else it is a constant)."""
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -106,3 +108,81 @@ def test_unused_private_name_is_caught():
     }
     others = ["import a\na._traced()\n", "TARGET = ('radmul.a', '_named')\n"]
     assert unused_private_names(modules, others) == [("a.py", 2, "_OLD"), ("a.py", 3, "_helper")]
+
+
+def defaulted_parameters(tree: ast.AST) -> list:
+    """(line, qualified name, call name, parameter, position) of every
+    defaulted parameter of the functions and methods in ``tree``.  The
+    position counts the arguments a call passes (a method's ``self`` is not
+    one of them), None for a keyword-only parameter; a call of ``__init__``
+    is a call of its class."""
+    out = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.ClassDef)):
+            continue
+        cls = getattr(scope, "name", None)
+        for fn in scope.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            skip = 1 if cls and not static else 0
+            name = cls if fn.name == "__init__" else fn.name
+            qualified = "%s.%s" % (cls, fn.name) if cls else fn.name
+            first = len(args) - len(fn.args.defaults)
+            out += [(fn.lineno, qualified, name, a.arg, i - skip)
+                    for i, a in enumerate(args) if i >= first]
+            out += [(fn.lineno, qualified, name, a.arg, None)
+                    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def idle_parameters(modules: dict, others: list) -> list:
+    """(module, line, function, parameter) of the defaulted parameters of
+    the functions and methods of ``modules`` (name -> source) that no call
+    in them or in ``others`` passes: by keyword, or by position past the
+    required arguments.  Calls are matched by function or attribute name; a
+    ``*args`` or ``**kwargs`` argument passes everything."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    keywords, positions = set(), Counter()
+    for tree in list(trees.values()) + [ast.parse(source) for source in others]:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            positions[name] = max(positions[name], math.inf if starred else len(call.args))
+            keywords.update((name, kw.arg) for kw in call.keywords)
+    out = []
+    for module, tree in trees.items():
+        for line, qualified, name, param, position in defaulted_parameters(tree):
+            passed = ({(name, param), (name, None)} & keywords
+                      or position is not None and positions[name] > position)
+            if not passed:
+                out.append((module, line, qualified, param))
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    others = [p.read_text(encoding="utf-8") for p in OUTSIDE]
+    assert idle_parameters(modules, others) == []
+
+
+def test_idle_parameter_is_caught():
+    # f's y is passed by position, C's p by keyword to the class and m's q by
+    # position after self; f's z, m's r, the static method's u (no self) and
+    # g's k by nothing.  h gets everything through *args and **kwargs
+    modules = {
+        "a.py": "def f(x, y=1, z=2):\n    pass\n"
+                "class C:\n    def __init__(self, p=0):\n        pass\n"
+                "    def m(self, q=1, r=2):\n        pass\n"
+                "    @staticmethod\n    def s(u=1):\n        pass\n"
+                "def g(*, k=3):\n    pass\n"
+                "def h(a=1, *, b=2):\n    pass\n",
+        "b.py": "f(1, 2)\n",
+    }
+    others = ["C(p=1).m(1)\ng()\nh(*xs, **kw)\nC.s()\n"]
+    assert idle_parameters(modules, others) == [
+        ("a.py", 1, "f", "z"), ("a.py", 6, "C.m", "r"), ("a.py", 9, "C.s", "u"),
+        ("a.py", 11, "g", "k")]

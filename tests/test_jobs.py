@@ -9,7 +9,8 @@ import pytest
 
 from radmul import cli
 from radmul.cli import _run_jobs, main
-from radmul.config import ConfigError, preset_config
+from radmul.config import ConfigError, parse_config, preset_config
+from radmul.report import VerificationReport
 
 from conftest import noncommuting_config
 
@@ -98,6 +99,44 @@ def test_failed_fork_leaves_the_jobs_to_the_others(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     assert report_bytes(tmp_path, config) == oracle
     assert len(forks) == 2
+
+
+def test_failed_pipe_leaves_the_jobs_to_the_others(tmp_path, monkeypatch):
+    config = write_config(tmp_path, preset_config("dih"))
+    with monkeypatch.context() as m:
+        cores(m, 1)
+        oracle = report_bytes(tmp_path, config)
+    cores(monkeypatch, 4)
+    real_pipe, pipes = os.pipe, []
+
+    def pipe():
+        # the job queue's pipe, the first worker's, then no more descriptors
+        pipes.append(1)
+        if len(pipes) == 3:
+            raise OSError(24, "Too many open files")
+        return real_pipe()
+    monkeypatch.setattr(os, "pipe", pipe)
+    assert report_bytes(tmp_path, config) == oracle
+    assert len(pipes) == 3
+
+
+# the jobs of --suite all in the order they are taken: bound first, which the
+# calling process keeps (a tracer in it sees the same jobs on every run), then
+# the others largest first; --suite operators selects operators and embedding
+TAKEN = ("bound", "theorem", "cases", "operators", "embedding", "fock", "pp", "spanning")
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_jobs_are_handed_over_bound_first_then_largest_first(monkeypatch, suite):
+    handed = []
+
+    def run_jobs(jobs):
+        handed.extend(name for name, _ in jobs)
+        return {name: VerificationReport() for name, _ in jobs}
+    monkeypatch.setattr(cli, "_run_jobs", run_jobs)
+    cli._run_suites(parse_config(preset_config("dih")), suite)
+    selected = {"all": TAKEN, "operators": ("operators", "embedding")}.get(suite, (suite,))
+    assert handed == [name for name in TAKEN if name in selected]
 
 
 @pytest.mark.parametrize("argv", [["verify", "--suite", "bound"], ["verify", "--suite", "pp"],

@@ -10,7 +10,7 @@ from radmul.symbols import ConstantTail, GeometricTail, RadialSymbol
 from radmul.verify import (ReducedWord, embed, embedding_suite, fock_suite,
                            lemma_suite, main_theorem_suite, norm_bound_suite,
                            operator_suite, random_reduced_word, spanning_check,
-                           vacuum_expectation, verify_main_theorem, word_operator,
+                           vacuum_expectation, word_operator,
                            word_vacuum_images)
 
 
@@ -202,17 +202,6 @@ def test_rules_near_ratio_minus_one_catch_a_perturbed_weight(dih_space, monkeypa
     monkeypatch.setattr(verify, "build_T", perturbed)
     assert rule().status == "fail"
     assert 1e-7 < rule().max_residual < 1e-5
-
-
-def test_verify_main_theorem_wrapper(dih_space):
-    rep = verify_main_theorem(dih_space, [RadialSymbol.delta0()], seed=5,
-                              words_per_length=4, bound_samples=10)
-    assert rep.passed
-    names = {c.name for c in rep.checks}
-    assert "theorem_action_on_words" in names
-    assert "multiplier_case_rules" in names
-    assert "norm_bound_upper[0]" in names
-    assert "multiplier_right_module" in names
 
 
 # ---------------------------------------------------------------- spanning
