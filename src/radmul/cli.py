@@ -2,10 +2,12 @@
 
 ``verify`` spreads its suites over the usable cores (``os.sched_getaffinity``):
 the suites share only the Fock space, so after building it the process forks
-one worker per further core, up to one per suite, and the report is the same,
-byte for byte, as from one process.  ``taskset -c 0 radmul verify ...`` runs
-them all in one process.  Peak memory at a large ``fock_len`` is the sum of
-the peaks of the suites that run at the same time.
+one worker per further core, at most one per job after the first.  It runs
+the first job itself, and each worker a fixed share of the others
+(``_run_jobs``).  The report is the same, byte for byte, as from one
+process.  ``taskset -c 0 radmul verify ...`` runs them all in one process.
+Peak memory at a large ``fock_len`` is the sum of the peaks of the suites
+that run at the same time.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 usage or configuration error.
@@ -14,8 +16,6 @@ Exit codes: 0 all requested checks pass, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
-import io
-import math
 import os
 import pickle
 import signal
@@ -50,13 +50,6 @@ def _seed(text: str) -> int:
     return value
 
 
-def _tol(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be finite and positive")
-    return value
-
-
 def _samples(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -85,17 +78,17 @@ def _pp_suite(space, tol: float) -> VerificationReport:
     return report
 
 
-def _run_suites(cfg: RunConfig, suite: str, eigen_tol=None) -> VerificationReport:
+def _run_suites(cfg: RunConfig, suite: str) -> VerificationReport:
     seed = cfg.seed
     tols = cfg.tolerances
-    eigen = float(eigen_tol if eigen_tol is not None else tols["eigen"])
+    eigen = tols["eigen"]
     space = cfg.space()
     symbols = [cfg.symbol]
-    # (job, the --suite value that selects it, the job) in the order the jobs
-    # are taken: bound first, which the calling process keeps (``_run_jobs``),
-    # then the others largest first, so that the last one to finish starts
-    # early.  The embedding suite is a job of its own.  A report sorts its
-    # checks by name, so this order never shows.
+    # (job, the --suite value that selects it, the job) in list order: bound
+    # first, which the calling process keeps (``_run_jobs``), then the others
+    # largest first, so that each share starts with its longest job.  The
+    # embedding suite is a job of its own.  A report sorts its checks by
+    # name, so this order never shows.
     jobs = [
         ("bound", "bound", lambda: norm_bound_suite(space, symbols, seed=seed, samples=25,
                                                     tol=tols["spectral"])),
@@ -115,110 +108,84 @@ def _run_suites(cfg: RunConfig, suite: str, eigen_tol=None) -> VerificationRepor
     return report
 
 
-def _outcome(job) -> tuple:
-    """(True, result, None) or (False, exception, formatted traceback) of ``job()``."""
-    try:
-        return True, job(), None
-    except Exception as exc:  # handed to the caller of _run_jobs, who raises it
-        return False, exc, traceback.format_exc()
-
-
-def _taken(queue: int):
-    """The job indices this process takes off the queue pipe until it is empty."""
-    while index := os.read(queue, 1):
-        yield index[0]
-
-
-def _serve(queue: int, jobs: list, out: int) -> None:
-    """A worker's loop: for each job taken, send its index, run it, send the
-    pickled outcome; then end the process, never returning to the caller."""
-    code = 1
-    try:
-        with os.fdopen(out, "wb") as pipe:
-            for index in _taken(queue):
-                pipe.write(bytes([index]))
-                pipe.flush()
-                outcome = _outcome(jobs[index][1])
-                pipe.write(pickle.dumps(outcome))
-                pipe.flush()
-                if not outcome[0]:
-                    break
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _received(data: bytes, outcomes: dict):
-    """Add the outcomes in a worker's pipe data to ``outcomes``; the index of
-    the job the worker died in, if any."""
-    stream = io.BytesIO(data)
-    while index := stream.read(1):
+def _run_share(jobs: list, share, outcomes: dict, out=None) -> None:
+    """Run the jobs of ``share`` (indices into ``jobs``) in order, stopping
+    after the first that fails.  Each outcome, (True, result, None) or
+    (False, exception, formatted traceback), goes into ``outcomes`` and,
+    pickled, to ``out`` when given: a worker's own pipe."""
+    for index in share:
         try:
-            outcomes[index[0]] = pickle.load(stream)
-        except (EOFError, pickle.UnpicklingError):
-            return index[0]
-    return None
+            outcomes[index] = True, jobs[index][1](), None
+        except Exception as exc:  # handed to the caller of _run_jobs, who raises it
+            outcomes[index] = False, exc, traceback.format_exc()
+        if out is not None:
+            out.write(pickle.dumps(outcomes[index]))
+            out.flush()
+        if not outcomes[index][0]:
+            break
 
 
 def _run_jobs(jobs: list) -> dict:
     """Run ``jobs``, a list of (name, callable), on the usable cores; their
     results by name.
 
-    min(cores, jobs) - 1 workers are forked; none for one job or one usable
-    core, and fewer when a worker's pipe or fork fails.  The calling process
-    runs the first job.  The workers take the others, each the next job
-    index off one shared pipe (a one-byte read is atomic) until it is empty,
-    and the calling process then runs whatever they left: every job when
-    there is no worker.  So the caller's share is fixed, and a tracer in it
-    sees the same jobs on every run.  A worker sends each index it takes and
-    then the pickled outcome through a pipe of its own, and ends with
-    ``os._exit``, so no atexit handler or buffered output of the caller runs
-    twice.  Fork is used, not spawn, so that workers start with the space
+    n = min(cores, jobs) - 1 workers are forked, none for one job or one
+    usable core.  The shares are fixed: worker w runs jobs 1 + w, 1 + w + n,
+    ..., and the calling process runs job 0 and the share of any worker
+    whose pipe or fork failed (then no further worker is forked): every job
+    when there is no worker.  So the caller's share does not change from
+    run to run, and a tracer in it sees the same jobs on every run.  A
+    worker sends the pickled outcome of each job through a pipe of its own
+    and ends with ``os._exit``, so no atexit handler or buffered output of
+    the caller runs twice; it exits with code 1 when an outcome cannot be
+    pickled.  Fork is used, not spawn, so that workers start with the space
     already built; the only other threads are the BLAS pool's, which resets
     itself across fork.
 
-    A process whose job fails takes no further job.  As in one process, the
-    exception of the first failing job in list order is raised; a job whose
-    worker died raises a RuntimeError naming it.  No worker outlives the
-    call.
+    A process whose job fails runs no further job of its share.  As in one
+    process, the exception of the first failing job in list order is
+    raised; a worker that died raises a RuntimeError naming the first job
+    of its share that has no outcome.  No worker outlives the call.
     """
     # one process where the usable cores cannot be read (not Linux)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_workers = min(cores, len(jobs)) - 1
-    queue, queue_in = os.pipe()
-    os.write(queue_in, bytes(range(1, len(jobs))))
-    os.close(queue_in)
     pipes, statuses, outcomes, lost = {}, {}, {}, {}
     try:
-        for _ in range(n_workers):
+        for w in range(n_workers):
+            share = range(1 + w, len(jobs), n_workers)
             fds = ()
             try:
-                fds = r, w = os.pipe()
+                fds = r, out = os.pipe()
                 pid = os.fork()
-            except OSError:  # fewer workers: the jobs left stay on the queue
+            except OSError:  # fewer workers: the caller runs the shares left
                 for fd in fds:
                     os.close(fd)
                 break
             if pid == 0:
-                _serve(queue, jobs, w)
-            os.close(w)
-            pipes[pid] = os.fdopen(r, "rb")
-        outcomes[0] = _outcome(jobs[0][1])
-        for pid, pipe in pipes.items():
-            died_in = _received(pipe.read(), outcomes)
+                code = 1
+                try:
+                    with os.fdopen(out, "wb") as pipe:
+                        _run_share(jobs, share, {}, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(out)
+            pipes[pid] = os.fdopen(r, "rb"), share
+        taken = {index for _, share in pipes.values() for index in share}
+        _run_share(jobs, [i for i in range(len(jobs)) if i not in taken], outcomes)
+        for pid, (pipe, share) in pipes.items():
+            for index in share:
+                try:
+                    outcomes[index] = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the worker died in this job
+                    lost[index] = pid
+                    break
+                if not outcomes[index][0]:
+                    break
             statuses[pid] = os.waitpid(pid, 0)[1]
-            if died_in is not None:
-                lost[died_in] = os.waitstatus_to_exitcode(statuses[pid])
-        # what the workers left (every other job when there is none), unless
-        # a job already failed
-        failed = lost or not all(ok for ok, _, _ in outcomes.values())
-        for index in () if failed else _taken(queue):
-            outcomes[index] = _outcome(jobs[index][1])
-            if not outcomes[index][0]:
-                break
     finally:
-        os.close(queue)
-        for pid, pipe in pipes.items():
+        for pid, (pipe, _) in pipes.items():
             pipe.close()
             if pid not in statuses:
                 with suppress(ProcessLookupError, ChildProcessError):
@@ -226,10 +193,10 @@ def _run_jobs(jobs: list) -> dict:
                     os.waitpid(pid, 0)
     results = {}
     for index, (name, _) in enumerate(jobs):
-        if index not in outcomes:
-            raise RuntimeError("verify job %r was lost: its worker process ended%s"
-                               % (name, " with exit code %d" % lost[index]
-                                  if index in lost else ""))
+        if index in lost:
+            code = os.waitstatus_to_exitcode(statuses[lost[index]])
+            raise RuntimeError("verify job %r was lost: its worker process ended with exit "
+                               "code %d" % (name, code))
         ok, value, text = outcomes[index]
         if not ok and value.__traceback__ is None:  # raised in a worker
             raise value from RuntimeError("raised in a worker process:\n" + text)
@@ -244,7 +211,7 @@ def cmd_verify(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.raw = dict(cfg.raw, seed=args.seed)
-    report = _run_suites(cfg, args.suite, eigen_tol=args.tol)
+    report = _run_suites(cfg, args.suite)
     for line in report.summary_lines():
         print(line)
     if args.report:
@@ -286,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
-    p.add_argument("--tol", type=_tol, default=None, help="override the eigen tolerance")
     p.add_argument("--report", default=None, help="where to write the report JSON")
     p.add_argument("--suite", choices=SUITES, default="all")
     p.set_defaults(func=cmd_verify)

@@ -211,7 +211,9 @@ class FockSpace:
     (gamma v) b gives the prepended words one length at a time.
     ``parent``, ``last_letter``, ``rest`` and ``first_letter`` are each
     word without its last letter, that letter, the word without its first
-    letter and that letter, from the ``Word`` rules, so the creations and
+    letter and that letter, from the ``Word`` rules, and ``stripped[t, j]``
+    is word j without its first letter where that letter is t (the word
+    map of L*_t), from ``rest`` and ``first_letter``; so the creations and
     the annihilations come from two independent constructions.
     ``star[t]`` is gamma* = (i, g^{-1}) for gamma = (i, g), ``twists[t]``
     the coordinate matrix kron(W_g, conj(W_g)) of c -> alpha_g(c), and
@@ -273,6 +275,8 @@ class FockSpace:
              self.word_index[w.drop_first()], index[w.letters[0]]) for w in self.words[1:]]
         self.parent, self.last_letter, self.rest, self.first_letter = np.array(
             ends, dtype=np.intp).reshape(-1, 4).T
+        self.stripped = np.where(self.first_letter == np.arange(len(self.letters))[:, None],
+                                 self.rest, -1)
 
     def zero_vector(self) -> FockVector:
         return FockVector(self, {})

@@ -341,8 +341,7 @@ def creation(space: FockSpace, letter) -> StructuredOperator:
 def annihilation(space: FockSpace, letter) -> StructuredOperator:
     """L*_gamma: strip a matching first letter; zero on the vacuum sector."""
     t = _letter(space, letter)
-    return _map_op(space, np.where(space.first_letter == t, space.rest, -1),
-                   np.eye(space.dim_N), "L*%r" % (space.letters[t],))
+    return _map_op(space, space.stripped[t], np.eye(space.dim_N), "L*%r" % (space.letters[t],))
 
 
 def right_creation(space: FockSpace, letter) -> StructuredOperator:
@@ -619,8 +618,7 @@ def generator_operators(space: FockSpace, gens) -> StructuredOperator:
             values = [chains[t][p][1] for t in ids]
             if kind != "lmul":
                 t = np.array(values)[local]
-                rows = (space.prepended[t, rows] if kind == "L" else
-                        np.where(space.first_letter[rows] == t, space.rest[rows], -1))
+                rows = (space.prepended if kind == "L" else space.stripped)[t, rows]
                 keep = np.flatnonzero(rows >= 0)
                 local, rows, cols = local[keep], rows[keep], cols[keep]
                 blocks = None if blocks is None else blocks[keep]

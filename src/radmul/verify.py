@@ -117,7 +117,7 @@ def _embed_terms(space: FockSpace, i: int) -> dict:
     guard = np.where(space.first_factors != i, words, -1)
     at = [space.letters.index((i, g)) for g in range(1, space.amalgam.factor(i).group.order)]
     ups = [guard] + [space.prepended[t] for t in at]
-    downs = [guard] + [np.where(space.first_letter == t, space.rest, -1) for t in at]
+    downs = [guard] + [space.stripped[t] for t in at]
     terms = {}
     for j, up in enumerate(ups):
         for k, down in enumerate(downs):

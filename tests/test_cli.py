@@ -174,11 +174,9 @@ def test_negative_seed_override_is_a_usage_error(dih_config):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--tol", "nan"],
-    ["verify", "--tol", "-1"],
     ["bound", "--samples", "0"],
     ["bound", "--samples", "-3"],
-], ids=["tol-nan", "tol-negative", "samples-zero", "samples-negative"])
+], ids=["samples-zero", "samples-negative"])
 def test_bad_numeric_flag_is_a_usage_error(dih_config, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--config", dih_config])
@@ -237,15 +235,15 @@ def test_cmd_verify_seed_override(tmp_path, dih_config):
 
 
 def test_cmd_verify_tol_override_can_fail(tmp_path, dih_config):
-    # an absurdly tight tolerance flips nonzero residuals to failures -> exit 1
+    # an absurdly tight eigen tolerance flips nonzero residuals to failures -> exit 1
     data = preset_config("dih")
     data["truncation"] = {"fock_len": 4, "hankel_dim": 16}
     data["symbol"] = {"head": [],
                       "tail": {"kind": "geometric", "coefficient": 1,
                                "ratio": 0.5, "limit": 0}}
+    data["tolerances"] = {"eigen": 1e-30}
     path = write_config(tmp_path, data, "geo.json")
-    assert main(["verify", "--config", path, "--suite", "cases",
-                 "--tol", "1e-30"]) == 1
+    assert main(["verify", "--config", path, "--suite", "cases"]) == 1
 
 
 def test_cmd_verify_operators_on_noncommuting_actions(tmp_path, capsys):

@@ -131,6 +131,9 @@ def test_word_graph_tables_match_word_rules(name):
     assert list(space.rest) == [-1] + [space.word_index[w.drop_first()] for w in nonempty]
     assert list(space.last_letter) == [-1] + [letters.index(w.letters[-1]) for w in nonempty]
     assert list(space.first_letter) == [-1] + [letters.index(w.letters[0]) for w in nonempty]
+    want_strip = [[space.word_index[w.drop_first()] if w.letters[:1] == (x,) else -1
+                   for w in space.words] for x in letters]
+    assert np.array_equal(space.stripped, want_strip)
     for t, (i, g) in enumerate(letters):
         fac = space.amalgam.factor(i)
         assert letters[space.star[t]] == (i, fac.group.inv(g))

@@ -1,15 +1,20 @@
 """Source hygiene that a linter would check: no module of the package and no
 test module imports a name it never uses (the package's ``__init__.py``
 imports only to re-export), every module-level private name of the
-package is used somewhere in the repository, and every defaulted parameter
-of a package function is passed by some call (else it is a constant)."""
+package is used somewhere in the repository, every defaulted parameter
+of a package function is passed by some call (else it is a constant), and
+README's CLI section names exactly the command line's options."""
 
+import argparse
 import ast
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from radmul.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "radmul"
@@ -186,3 +191,36 @@ def test_idle_parameter_is_caught():
     assert idle_parameters(modules, others) == [
         ("a.py", 1, "f", "z"), ("a.py", 6, "C.m", "r"), ("a.py", 9, "C.s", "u"),
         ("a.py", 11, "g", "k")]
+
+
+def documented_flags(text: str) -> set:
+    """The ``--flag`` tokens of the ``## CLI`` section of a markdown text."""
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+
+
+def parser_flags(parser: argparse.ArgumentParser) -> set:
+    """The long options of the subcommands of ``parser``, without --help."""
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for sub in subcommands.choices.values() for action in sub._actions
+            for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+
+
+def test_readme_cli_section_names_every_option_and_no_other():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert documented_flags(readme) == parser_flags(build_parser())
+
+
+def test_stale_or_undocumented_flag_is_caught():
+    # --old is documented but gone, --quiet exists but is documented only
+    # outside the CLI section; -v is short, and --help every parser's
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    sub.add_parser("run").add_argument("--fast")
+    check = sub.add_parser("check")
+    check.add_argument("--quiet")
+    check.add_argument("-v")
+    text = ("# tool\n\n## CLI\n\n```sh\ntool run --fast --old -v\n```\n"
+            "\n## Other\n\ntool check --quiet\n")
+    assert documented_flags(text) == {"--fast", "--old"}
+    assert parser_flags(parser) == {"--fast", "--quiet"}

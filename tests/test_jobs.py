@@ -101,26 +101,49 @@ def test_failed_fork_leaves_the_jobs_to_the_others(tmp_path, monkeypatch):
     assert len(forks) == 2
 
 
-def test_failed_pipe_leaves_the_jobs_to_the_others(tmp_path, monkeypatch):
+@pytest.mark.parametrize("n_cores, first_failing, calls", [(4, 3, 3), (1, 1, 0), (2, 1, 1),
+                                                           (4, 1, 1)],
+                         ids=["third-of-4-cores", "every-1-core", "every-2-cores",
+                              "every-4-cores"])
+def test_failed_pipe_leaves_the_jobs_to_the_others(tmp_path, monkeypatch, n_cores,
+                                                   first_failing, calls):
     config = write_config(tmp_path, preset_config("dih"))
     with monkeypatch.context() as m:
         cores(m, 1)
         oracle = report_bytes(tmp_path, config)
-    cores(monkeypatch, 4)
+    cores(monkeypatch, n_cores)
     real_pipe, pipes = os.pipe, []
 
     def pipe():
-        # the job queue's pipe, the first worker's, then no more descriptors
+        # the first worker's pipe, the second's, then (or from the first call
+        # on) no more descriptors; one core needs no pipe at all
         pipes.append(1)
-        if len(pipes) == 3:
+        if len(pipes) >= first_failing:
             raise OSError(24, "Too many open files")
         return real_pipe()
     monkeypatch.setattr(os, "pipe", pipe)
     assert report_bytes(tmp_path, config) == oracle
-    assert len(pipes) == 3
+    assert len(pipes) == calls
 
 
-# the jobs of --suite all in the order they are taken: bound first, which the
+@pytest.mark.parametrize("n_cores", [2, 3, 4, 8])
+def test_caller_runs_job_0_and_worker_w_runs_share_w(monkeypatch, n_cores):
+    cores(monkeypatch, n_cores)
+    real_fork, workers = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            workers.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    ran_in = _run_jobs([("job%d" % i, os.getpid) for i in range(8)])
+    n = n_cores - 1
+    assert len(workers) == n
+    assert ran_in == {"job%d" % i: workers[(i - 1) % n] if i else os.getpid() for i in range(8)}
+
+
+# the jobs of --suite all in list order: bound first, which the
 # calling process keeps (a tracer in it sees the same jobs on every run), then
 # the others largest first; --suite operators selects operators and embedding
 TAKEN = ("bound", "theorem", "cases", "operators", "embedding", "fock", "pp", "spanning")
@@ -236,7 +259,7 @@ def test_first_failing_job_in_order_is_raised(monkeypatch):
     jobs = [job("a", False), job("b", True), job("c", True)]
     with pytest.raises(ValueError, match="^b$"):
         _run_jobs(jobs)
-    assert ran == ["a", "b"]  # a process whose job fails takes no further job
+    assert ran == ["a", "b"]  # a process whose job fails runs no further job
     assert _run_jobs([job("a", False), job("c", False)]) == {"a": "a", "c": "c"}
 
 
@@ -250,7 +273,7 @@ def test_no_job_runs_after_a_worker_failed(monkeypatch):
     finally:
         for fd in fds:
             os.close(fd)
-    assert ran == []  # neither the failed worker nor the caller took it
+    assert ran == []  # it is in the failed worker's share, never in the caller's
 
 
 @pytest.mark.parametrize("exc, code", [(ConfigError("no such suite input"), 2),

@@ -260,7 +260,8 @@ def test_adjoint_pairing_holds_at_large_dim():
 def test_adjoint_checks_compare_two_constructions():
     """The right creations come from the enumeration's links (``appended``)
     and the right annihilations from the ``Word`` rules (``parent``), the
-    left annihilations from ``rest``: breaking one side fails its check."""
+    left annihilations from ``stripped`` (built from ``rest``): breaking one
+    side fails its check."""
     def status(space, name):
         return {c.name: c.status for c in operator_suite(space).checks}[name]
 
@@ -274,7 +275,7 @@ def test_adjoint_checks_compare_two_constructions():
     assert status(space, "adjoint_matrix[R(0, 1)]") == "fail"
     space = cy3()
     j = space.word_index[Word(((0, 1), (1, 1)))]
-    space.rest[j] = 0  # (0, 1)(1, 1) without its first letter "is" the vacuum
+    space.stripped[space.first_letter[j], j] = 0  # (0, 1)(1, 1) stripped "is" the vacuum
     assert status(space, "adjoint_matrix[L(0, 1)]") == "fail"
 
 
