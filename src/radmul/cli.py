@@ -4,13 +4,15 @@
 the suites share only the Fock space, so after building it the process forks
 one worker per further core, at most one per job after the first.  It runs
 the first job itself, and each worker a fixed share of the others
-(``_run_jobs``).  The report is the same, byte for byte, as from one
-process.  ``taskset -c 0 radmul verify ...`` runs them all in one process.
-Peak memory at a large ``fock_len`` is the sum of the peaks of the suites
-that run at the same time.
+(``_run_jobs``).  The calling process goes through the jobs in list order,
+running its own and reading the workers' outcomes, and stops at the first
+failure with the error one process raises.  The report is the same, byte
+for byte, as from one process.  ``taskset -c 0 radmul verify ...`` runs
+them all in one process.  Peak memory at a large ``fock_len`` is the sum
+of the peaks of the suites that run at the same time.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
-2 usage or configuration error.
+2 usage or configuration error, a lost worker process or a lack of memory.
 """
 
 from __future__ import annotations
@@ -108,30 +110,13 @@ def _run_suites(cfg: RunConfig, suite: str) -> VerificationReport:
     return report
 
 
-def _run_share(jobs: list, share, outcomes: dict, out=None) -> None:
-    """Run the jobs of ``share`` (indices into ``jobs``) in order, stopping
-    after the first that fails.  Each outcome, (True, result, None) or
-    (False, exception, formatted traceback), goes into ``outcomes`` and,
-    pickled, to ``out`` when given: a worker's own pipe."""
-    for index in share:
-        try:
-            outcomes[index] = True, jobs[index][1](), None
-        except Exception as exc:  # handed to the caller of _run_jobs, who raises it
-            outcomes[index] = False, exc, traceback.format_exc()
-        if out is not None:
-            out.write(pickle.dumps(outcomes[index]))
-            out.flush()
-        if not outcomes[index][0]:
-            break
-
-
 def _run_jobs(jobs: list) -> dict:
     """Run ``jobs``, a list of (name, callable), on the usable cores; their
     results by name.
 
     n = min(cores, jobs) - 1 workers are forked, none for one job or one
     usable core.  The shares are fixed: worker w runs jobs 1 + w, 1 + w + n,
-    ..., and the calling process runs job 0 and the share of any worker
+    ..., and the calling process owns job 0 and the share of any worker
     whose pipe or fork failed (then no further worker is forked): every job
     when there is no worker.  So the caller's share does not change from
     run to run, and a tracer in it sees the same jobs on every run.  A
@@ -142,15 +127,20 @@ def _run_jobs(jobs: list) -> dict:
     already built; the only other threads are the BLAS pool's, which resets
     itself across fork.
 
-    A process whose job fails runs no further job of its share.  As in one
-    process, the exception of the first failing job in list order is
-    raised; a worker that died raises a RuntimeError naming the first job
-    of its share that has no outcome.  No worker outlives the call.
+    The caller goes through the jobs in list order: it runs each job it
+    owns and reads the outcome of each other from its worker's pipe.  It
+    stops at the first failure, as one process does, and the workers still
+    running are killed: a job's exception is raised (a worker's with its
+    traceback as the cause), and a worker that died raises a
+    ChildProcessError naming the job and its exit code.  A worker whose job
+    fails runs no further job of its share.  No worker outlives the call.
     """
     # one process where the usable cores cannot be read (not Linux)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_workers = min(cores, len(jobs)) - 1
-    pipes, statuses, outcomes, lost = {}, {}, {}, {}
+    owners = [None] * len(jobs)  # the (pid, pipe) of each job's worker
+    workers = []
+    results = {}
     try:
         for w in range(n_workers):
             share = range(1 + w, len(jobs), n_workers)
@@ -166,43 +156,44 @@ def _run_jobs(jobs: list) -> dict:
                 code = 1
                 try:
                     with os.fdopen(out, "wb") as pipe:
-                        _run_share(jobs, share, {}, pipe)
+                        for index in share:
+                            try:
+                                outcome = True, jobs[index][1](), None
+                            except Exception as exc:  # raised again by the caller
+                                outcome = False, exc, traceback.format_exc()
+                            pipe.write(pickle.dumps(outcome))
+                            pipe.flush()
+                            if not outcome[0]:
+                                break
                     code = 0
                 finally:
                     os._exit(code)
             os.close(out)
-            pipes[pid] = os.fdopen(r, "rb"), share
-        taken = {index for _, share in pipes.values() for index in share}
-        _run_share(jobs, [i for i in range(len(jobs)) if i not in taken], outcomes)
-        for pid, (pipe, share) in pipes.items():
+            workers.append((pid, os.fdopen(r, "rb")))
             for index in share:
-                try:
-                    outcomes[index] = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):  # the worker died in this job
-                    lost[index] = pid
-                    break
-                if not outcomes[index][0]:
-                    break
-            statuses[pid] = os.waitpid(pid, 0)[1]
+                owners[index] = workers[-1]
+        for (name, job), owner in zip(jobs, owners):
+            if owner is None:
+                results[name] = job()
+                continue
+            pid, pipe = owner
+            try:
+                ok, value, text = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the worker died in this job
+                # WNOWAIT reads its exit status and leaves the reaping to the finally
+                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                code = info.si_status if info.si_code == os.CLD_EXITED else -info.si_status
+                raise ChildProcessError("verify job %r was lost: its worker process ended "
+                                        "with exit code %d" % (name, code)) from None
+            if not ok:
+                raise value from RuntimeError("raised in a worker process:\n" + text)
+            results[name] = value
     finally:
-        for pid, (pipe, _) in pipes.items():
+        for pid, pipe in workers:
             pipe.close()
-            if pid not in statuses:
-                with suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-    results = {}
-    for index, (name, _) in enumerate(jobs):
-        if index in lost:
-            code = os.waitstatus_to_exitcode(statuses[lost[index]])
-            raise RuntimeError("verify job %r was lost: its worker process ended with exit "
-                               "code %d" % (name, code))
-        ok, value, text = outcomes[index]
-        if not ok and value.__traceback__ is None:  # raised in a worker
-            raise value from RuntimeError("raised in a worker process:\n" + text)
-        if not ok:
-            raise value
-        results[name] = value
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return results
 
 
@@ -276,6 +267,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print("i/o error:", exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("out of memory:", exc, file=sys.stderr)
         return 2
 
 

@@ -25,8 +25,8 @@ the T1/T2 component residuals by the larger of it and the largest weight of
 T1 and T2 (``_component_scale``).
 
 The rank checks build their spanning families as operators, one column per
-vector (``lambda_span``, ``word_vacuum_images``), and ``_word_block_rank``
-adds up per-word block ranks when the operator is block diagonal on words.
+vector (``lambda_span``, ``word_vacuum_images``).  Both are block diagonal
+on words, so ``_word_block_rank`` adds up per-word block ranks.
 """
 
 from __future__ import annotations
@@ -332,16 +332,12 @@ def lambda_span(space: FockSpace, k: int) -> StructuredOperator:
 
 
 def _word_block_rank(op: StructuredOperator) -> int:
-    """Rank (singular values above 1e-10) of a single operator.
-
-    When every block lies on the diagonal (rows == cols), the operator is
-    block diagonal on words and its rank is the sum of the block ranks, one
-    batched SVD; a block off the diagonal sends the check to one dense
-    ``matrix_rank``.
-    """
-    if np.array_equal(op.rows, op.cols):
-        return int(np.linalg.matrix_rank(op.blocks, tol=1e-10).sum())
-    return int(np.linalg.matrix_rank(op.matrix(), tol=1e-10))
+    """Rank (singular values above 1e-10) of a single operator that is block
+    diagonal on words (rows == cols): the sum of the block ranks, one
+    batched SVD.  A block off the diagonal is a ValueError."""
+    if not np.array_equal(op.rows, op.cols):
+        raise ValueError("operator %s has a block off the word diagonal" % op.name)
+    return int(np.linalg.matrix_rank(op.blocks, tol=1e-10).sum())
 
 
 def _vec_max(v: FockVector) -> float:

@@ -251,7 +251,7 @@ def test_rank_fast_paths_match_dense_rank(request, name):
         assert not images[:, want.shape[1]:].any()
 
 
-def test_word_block_rank_sums_blocks_and_falls_back_on_leaks(mat2_space):
+def test_word_block_rank_sums_blocks_and_rejects_leaks(mat2_space):
     space, rng = mat2_space, np.random.default_rng(41)
     k, n = space.dim_N, len(space.words)
     # block diagonal on words, two blocks of rank k - 1
@@ -261,14 +261,15 @@ def test_word_block_rank_sums_blocks_and_falls_back_on_leaks(mat2_space):
     op = StructuredOperator(space, words, words, blocks)
     assert verify._word_block_rank(op) == space.dim - 2
     # one block off the diagonal: a column of word 2 leaking onto word 0,
-    # along the direction word 0's columns miss; word by word it still
-    # looks like rank dim - 2
+    # along the direction word 0's columns miss; word by word it would still
+    # look like rank dim - 2, so the block sum refuses it
     leak = np.zeros((k, k))
     leak[:, 0] = np.linalg.svd(blocks[0])[0][:, -1]
     op = StructuredOperator(space, np.append(words, 0), np.append(words, 2),
                             np.concatenate([blocks, leak[None]]))
     assert dense_rank(op.matrix().T) == space.dim - 1
-    assert verify._word_block_rank(op) == space.dim - 1
+    with pytest.raises(ValueError, match="off the word diagonal"):
+        verify._word_block_rank(op)
 
 
 def test_rank_checks_cost_no_dense_column_per_word(monkeypatch):

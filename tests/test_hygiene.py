@@ -2,7 +2,8 @@
 test module imports a name it never uses (the package's ``__init__.py``
 imports only to re-export), every module-level private name of the
 package is used somewhere in the repository, every defaulted parameter
-of a package function is passed by some call (else it is a constant), and
+of a package function is passed by some call (else it is a constant), no
+module of the package makes a dense matrix of a whole operator, and
 README's CLI section names exactly the command line's options."""
 
 import argparse
@@ -191,6 +192,25 @@ def test_idle_parameter_is_caught():
     assert idle_parameters(modules, others) == [
         ("a.py", 1, "f", "z"), ("a.py", 6, "C.m", "r"), ("a.py", 9, "C.s", "u"),
         ("a.py", 11, "g", "k")]
+
+
+def dense_matrix_calls(source: str) -> list:
+    """Lines of the calls ``x.matrix()`` with no argument, which make a dense
+    matrix of a whole operator (``TracialAlgebra.matrix(d)`` takes one)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "matrix" and not node.args and not node.keywords)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dense_matrix_of_an_operator(path):
+    assert dense_matrix_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_dense_matrix_is_caught():
+    source = ("a = op.matrix()\nb = base.matrix(d)\nc = matrix()\n"
+              "d = (x @ y).matrix(\n)\ne = op.matrix\n")
+    assert dense_matrix_calls(source) == [1, 4]
 
 
 def documented_flags(text: str) -> set:

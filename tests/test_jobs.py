@@ -4,6 +4,7 @@ one process is the oracle for every report and every failure."""
 import json
 import os
 import select
+import time
 
 import pytest
 
@@ -238,7 +239,7 @@ def test_worker_that_dies_names_its_job(monkeypatch):
     cores(monkeypatch, 2)
     jobs, fds = worker_jobs(die)
     try:
-        with pytest.raises(RuntimeError, match="'second'.*exit code 3"):
+        with pytest.raises(ChildProcessError, match="'second'.*exit code 3"):
             _run_jobs(jobs)
     finally:
         for fd in fds:
@@ -264,20 +265,61 @@ def test_first_failing_job_in_order_is_raised(monkeypatch):
 
 
 def test_no_job_runs_after_a_worker_failed(monkeypatch):
-    ran = []
+    # the third job, in the failed worker's share, would write to a pipe
+    # made before the fork; the caller's job reads it until the worker ends
     cores(monkeypatch, 2)
-    jobs, fds = worker_jobs(boom(ValueError("second failed")))
+    r, w = os.pipe()
+    reads = []
+
+    def first():
+        os.close(w)  # the worker now holds the only write end
+        while select.select([r], [], [], 30.0)[0]:
+            reads.append(os.read(r, 1))
+            if not reads[-1]:  # end of file: the worker has ended
+                break
+    jobs = [("first", first), ("second", boom(ValueError("second failed"))),
+            ("third", lambda: os.write(w, b"!"))]
     try:
         with pytest.raises(ValueError, match="second failed"):
-            _run_jobs(jobs + [("third", lambda: ran.append("third"))])
+            _run_jobs(jobs)
     finally:
-        for fd in fds:
-            os.close(fd)
-    assert ran == []  # it is in the failed worker's share, never in the caller's
+        os.close(r)
+    assert reads == [b""]
+
+
+def test_failure_waits_for_no_later_job(monkeypatch):
+    # job 1, in the worker, would block for 20 s; job 0's failure is final
+    cores(monkeypatch, 2)
+    r, w = os.pipe()
+    start = time.monotonic()
+    try:
+        with pytest.raises(ValueError, match="^first failed$"):
+            _run_jobs([("first", boom(ValueError("first failed"))),
+                       ("second", lambda: select.select([r], [], [], 20.0))])
+    finally:
+        os.close(r)
+        os.close(w)
+    assert time.monotonic() - start < 5.0
+
+
+def test_worker_that_dies_exits_2(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, preset_config("dih"))
+    parent = os.getpid()
+
+    def die(*args, **kwargs):
+        assert os.getpid() != parent  # only ever in a worker
+        os._exit(3)
+    monkeypatch.setattr(cli, "lemma_suite", die)
+    cores(monkeypatch, 2)  # the caller runs bound, the worker everything else
+    assert main(["verify", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "'cases'" in err and "exit code 3" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("exc, code", [(ConfigError("no such suite input"), 2),
-                                       (OSError(5, "disk went away"), 2)])
+                                       (OSError(5, "disk went away"), 2),
+                                       (MemoryError(), 2)])
 def test_suite_error_exit_code_matches_one_process(tmp_path, monkeypatch, capsys, exc, code):
     config = write_config(tmp_path, preset_config("dih"))
     monkeypatch.setattr(cli, "lemma_suite", boom(exc))
@@ -288,6 +330,7 @@ def test_suite_error_exit_code_matches_one_process(tmp_path, monkeypatch, capsys
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
     assert str(exc) in outputs[0].err
+    assert "Traceback" not in outputs[0].err and outputs[0].err.count("\n") == 1
 
 
 def test_suite_exception_matches_one_process(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from radmul.algebra import cond_exp
 from radmul.config import parse_config, preset_config
 from radmul.fock import Word
+from conftest import noncommuting_config
 from oracles import (append_star, as_op, column_matrix, epsilon_dense, left_action, prepend,
                      right_action, rho_dense, strip_first, strip_star, tower_dense,
                      weighted_sum_dense)
@@ -737,6 +738,35 @@ def test_multiplier_collapse_on_arbitrary_matrix(dih_space):
     for z, w in k_pairs:
         total = total + phi_block_matrix(dih_space, 2, z, w, op).matrix()
     assert np.abs(total - T.apply_matrix(op).matrix()).max() <= 1e-11 * np.abs(A).max()
+
+
+def truncated(data, fock_len):
+    return parse_config(dict(data, truncation=dict(data["truncation"], fock_len=fock_len))).space()
+
+
+COMPRESSIONS = [("cy3", preset_config("cy3"), 4, 6), ("mat2", preset_config("mat2"), 3, 5),
+                ("dih", preset_config("dih"), 5, 8), ("noncomm", noncommuting_config(), 2, 3)]
+
+
+@pytest.mark.parametrize("data, L, L_big", [c[1:] for c in COMPRESSIONS],
+                         ids=["%s-%d-%d" % (c[0], c[2], c[3]) for c in COMPRESSIONS])
+def test_truncation_is_a_compression(data, L, L_big):
+    # T_L(A) = P_L T_L'(A + 0) P_L for L' > L, and so for rho and eps, bit
+    # for bit: a bound on the truncated multiplier bounds the longer ones
+    small, big = truncated(data, L), truncated(data, L_big)
+    n = small.dim
+    assert big.words[:len(small.words)] == small.words  # so A + 0 pads A's words
+    rng = np.random.default_rng(L_big)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    padded = np.zeros((big.dim, big.dim), dtype=complex)
+    padded[:n, :n] = A
+    maps = [rho_matrix, epsilon_matrix] + [
+        lambda space, X, phi=phi: build_T(space, phi).apply_matrix(X)
+        for phi in (RadialSymbol.indicator01(), RadialSymbol.geometric(-0.5),
+                    RadialSymbol.geometric(0.4 + 0.3j, coefficient=1 - 0.5j))]
+    for f in maps:
+        compressed = f(big, as_op(big, padded)).matrix()[:n, :n]
+        assert np.array_equal(f(small, as_op(small, A)).matrix(), compressed)
 
 
 # ---------------------------------------------------------------- norms
