@@ -33,14 +33,6 @@ class TracialAlgebra:
         self.d = d
         self.dim = d * d
 
-    @staticmethod
-    def scalar() -> "TracialAlgebra":
-        return TracialAlgebra(1)
-
-    @staticmethod
-    def matrix(d: int) -> "TracialAlgebra":
-        return TracialAlgebra(d)
-
     def __eq__(self, other):
         return isinstance(other, TracialAlgebra) and other.d == self.d
 
@@ -137,10 +129,6 @@ class CrossedFactor:
             unitaries = [base.identity()] * group.order
         self.unitaries = np.array(unitaries, dtype=complex)
         self._validate()
-
-    @staticmethod
-    def trivial(base: TracialAlgebra, group: FiniteGroup) -> "CrossedFactor":
-        return CrossedFactor(base, group)
 
     @staticmethod
     def inner_cyclic(base: TracialAlgebra, order: int, unitary) -> "CrossedFactor":

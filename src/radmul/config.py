@@ -110,17 +110,14 @@ class RunConfig:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
-    def amalgam(self) -> Amalgam:
-        return Amalgam(self.factors)
-
     def space(self) -> FockSpace:
-        return FockSpace(self.amalgam(), self.fock_len)
+        return FockSpace(Amalgam(self.factors), self.fock_len)
 
 
 def _parse_base(fragment) -> TracialAlgebra:
     if _kind(fragment, "base_algebra", {"scalar": (), "matrix": ("dim",)}) == "scalar":
-        return TracialAlgebra.scalar()
-    return TracialAlgebra.matrix(_int(fragment.get("dim"), "matrix base_algebra 'dim'", 1))
+        return TracialAlgebra(1)
+    return TracialAlgebra(_int(fragment.get("dim"), "matrix base_algebra 'dim'", 1))
 
 
 def _parse_group(fragment) -> FiniteGroup:
@@ -131,7 +128,7 @@ def _parse_group(fragment) -> FiniteGroup:
         else:
             group = FiniteGroup([[_int(v, "group table entry", 0) for v in row]
                                  for row in fragment["table"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("bad group fragment: %s" % exc) from exc
     if group.order < 2:
         # a trivial factor has no letters: no reduced words to sample
@@ -144,7 +141,7 @@ def _parse_factor(base: TracialAlgebra, fragment) -> CrossedFactor:
     group = _parse_group(fragment.get("group", {}))
     action = fragment.get("action", "trivial")
     if action == "trivial":
-        return CrossedFactor.trivial(base, group)
+        return CrossedFactor(base, group)
     if isinstance(action, dict) and action.get("kind") == "inner":
         _object(action, "action", ("kind", "unitary"))
         is_cyclic = np.array_equal(

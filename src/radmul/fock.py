@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CrossedFactor, TracialAlgebra
+from .algebra import TracialAlgebra
 
 Letter = tuple  # (factor index, group element index != 0)
 
@@ -107,9 +107,6 @@ class Amalgam:
                 out.append((i, g))
         return out
 
-    def factor(self, i: int) -> CrossedFactor:
-        return self.factors[i]
-
     def push(self, b: np.ndarray, letter: Letter) -> np.ndarray:
         """Move b in N from the left of u_g to its right: b u_g = u_g alpha_{g^{-1}}(b)."""
         i, g = letter
@@ -142,9 +139,6 @@ class FockVector:
     def coeff(self, word: Word) -> np.ndarray:
         j = self.space.word_index.get(word)
         return self.space.base.zero() if j is None else self.blocks[j]
-
-    def items(self):
-        return self.coeffs.items()
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.abs(self.blocks).max() <= tol)
@@ -252,9 +246,9 @@ class FockSpace:
 
         n, d = len(self.words), self.base.d
         index = {letter: t for t, letter in enumerate(self.letters)}
-        unitaries = np.array([amalgam.factor(i).unitaries[g]
+        unitaries = np.array([amalgam.factors[i].unitaries[g]
                               for i, g in self.letters]).reshape(-1, d, d)
-        self.star = np.array([index[i, amalgam.factor(i).group.inv(g)]
+        self.star = np.array([index[i, amalgam.factors[i].group.inv(g)]
                               for i, g in self.letters], dtype=np.intp)
         self.twists = np.array([np.kron(W, W.conj()) for W in unitaries]).reshape(-1, d * d, d * d)
         link_letter, link_parent = np.array([(-1, -1)] + links, dtype=np.intp).T

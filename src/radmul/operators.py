@@ -29,7 +29,9 @@ rho-iterates of eps(A), and ``weighted_sum`` scales every entry of tower
 member m between words of lengths a and b by W[m, a, b].  ``phi_weights``
 builds the stack of one Phi block; the pair sums depend on the pairs only
 through h and k, so the multiplier reads its stacks off the symbol in
-closed form.
+closed form.  ``_tower_stack`` lays out every stack: W0 on A, and one
+matrix P past it, P[a-n, b-n] on rho^n(A) or rho^{n-1}(eps(A)) between
+lengths a, b >= n; P is x y^* for a Phi block, h or k for T1 or T2.
 
 Everything here commutes with the right N-action, except the right
 creations, which are covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b).
@@ -67,7 +69,7 @@ import numpy as np
 from .fock import FockSpace, FockVector, Word
 from .report import VerificationReport
 from .sparse import _per_sample, coalesce, op_norm, sum_at
-from .symbols import RadialSymbol, psi_decompose
+from .symbols import RadialSymbol
 
 class StructuredOperator:
     """A stack of linear maps on the truncated Fock space, block-sparse on
@@ -463,18 +465,26 @@ def weighted_sum(space: FockSpace, W: np.ndarray, tower: list) -> StructuredOper
     return tower[0]._new(*out, "sum")
 
 
-def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
-    """Weight stack of Phi^(variant)_{x,y}: entry 0 holds
-    sum_t x(a+t) conj(y(b+t)), and x(a-n) conj(y(b-n)) on a, b >= n goes to
-    entry n (rho^n, variant 1) or L+n (rho^{n-1} eps, variant 2)."""
-    L = space.L_max
-    P = np.outer(x, np.conj(y))
+def _tower_stack(W0, P: np.ndarray, variant: int) -> np.ndarray:
+    """The (2L+1, L+1, L+1) weight stack, L = len(W0) - 1, of a ``tower``:
+    W0 on A, and P[a-n, b-n] between lengths a, b >= n on rho^n(A)
+    (variant 1) or rho^{n-1}(eps(A)) (variant 2), n = 1, ..., L."""
+    L = len(W0) - 1
     W = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)
-    W[0] = [[np.trace(P[a:, b:]) for b in range(L + 1)] for a in range(L + 1)]
+    W[0] = W0
     for n in range(1, L + 1):
         m = min(L + 1 - n, P.shape[0])
         W[n if variant == 1 else L + n, n:n + m, n:n + m] = P[:m, :m]
     return W
+
+
+def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
+    """Weight stack of Phi^(variant)_{x,y}: sum_t x(a+t) conj(y(b+t)) on A,
+    and P = x y^* past it (``_tower_stack``)."""
+    L = space.L_max
+    P = np.outer(x, np.conj(y))
+    return _tower_stack([[np.trace(P[a:, b:]) for b in range(L + 1)] for a in range(L + 1)],
+                        P, variant)
 
 
 def phi_block_matrix(space: FockSpace, variant: int, x, y,
@@ -641,22 +651,14 @@ def _weight_stack(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:
 
     Summing the Phi blocks over the rank-one pairs of h (or k) leaves, with
     shift = variant - 1 and d(s) = phi(s) - phi(s+1), the weight
-    psi1(a+b+shift) on entry 0 and d(a+b-2n+shift) on a, b >= n on the
-    entry of rho^n (variant 1) or of rho^{n-1} eps (variant 2).
+    psi1(a+b+shift) on A and, past it, P = (d(i+j+shift)), the Hankel
+    matrix itself in place of x y^* (``_tower_stack``).
     """
     shift = variant - 1
-    dec = psi_decompose(phi)
-    psi = np.array([dec.psi1(s + shift) for s in range(2 * L + 1)], dtype=complex)
-    d = np.array([phi(s) - phi(s + 1) for s in range(2 * L + 2)], dtype=complex)
-    idx = np.arange(L + 1)
-    total = idx[:, None] + idx[None, :]
-    low = np.minimum(idx[:, None], idx[None, :])
-    n = idx[1:, None, None]
-    W = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)
-    W[0] = psi[total]
-    first = 1 if variant == 1 else L + 1
-    W[first:first + L] = np.where(low >= n, d[np.maximum(total - 2 * n + shift, 0)], 0)
-    return W
+    psi = np.array([phi.psi1(s + shift) for s in range(2 * L + 1)], dtype=complex)
+    d = np.array([phi(s) - phi(s + 1) for s in range(2 * L)], dtype=complex)
+    total = np.add.outer(np.arange(L + 1), np.arange(L + 1))
+    return _tower_stack(psi[total], d[total[:L, :L] + shift], variant)
 
 
 class RadialMultiplier:

@@ -15,7 +15,8 @@ matrix, and the telescoped parts
 
     psi1(n) = sum_{i>=0} (phi(n+2i) - phi(n+2i+1)),   psi2(n) = psi1(n+1)
 
-recover the symbol exactly: phi = psi1 + psi2 + lim phi.
+recover the symbol exactly: phi = psi1 + psi2 + lim phi, in closed form
+``RadialSymbol.psi1``, ``psi2`` and ``limit``.
 
 The paper factors h and k into rank-one vector pairs whose sliding
 correlations reproduce psi1 and psi2.  M x M truncations with a bound on
@@ -90,6 +91,24 @@ class RadialSymbol:
         if isinstance(self.tail, GeometricTail):
             return self.tail.limit + self.tail.coefficient * self.tail.ratio ** n
         return self.tail.limit
+
+    def psi1(self, n: int) -> complex:
+        """psi1(n) = sum_{i>=0} (phi(n+2i) - phi(n+2i+1)), the head telescoped
+        and the tail closed in one step: past the head, psi1(n) is
+        r * z**n / (1 + z) for a geometric tail and 0 for a constant one."""
+        m = self.head_end
+        total = 0j
+        arg = n
+        while arg <= m:
+            total += self(arg) - self(arg + 1)
+            arg += 2
+        if isinstance(self.tail, GeometricTail):
+            total += self.tail.coefficient * self.tail.ratio ** arg / (1 + self.tail.ratio)
+        return total
+
+    def psi2(self, n: int) -> complex:
+        """psi2(n) = psi1(n+1)."""
+        return self.psi1(n + 1)
 
     # common examples used across tests and presets
     @staticmethod
@@ -212,38 +231,6 @@ def factorize(A: np.ndarray) -> HankelFactorization:
     return HankelFactorization(pairs=tuple(pairs), dim=A.shape[0])
 
 
-class PsiDecomposition:
-    """The exact splitting phi(n) = psi1(n) + psi2(n) + c.
-
-    psi1 is evaluated by telescoping the head and closing the structured
-    tail in one step: past the head, psi1(n) = r * z**n / (1 + z) for a
-    geometric tail and 0 for a constant one.
-    """
-
-    def __init__(self, phi: RadialSymbol):
-        self.phi = phi
-        self.c = phi.limit
-
-    def psi1(self, n: int) -> complex:
-        phi = self.phi
-        m = phi.head_end
-        total = 0j
-        arg = n
-        while arg <= m:
-            total += phi(arg) - phi(arg + 1)
-            arg += 2
-        if isinstance(phi.tail, GeometricTail):
-            total += phi.tail.coefficient * phi.tail.ratio ** arg / (1 + phi.tail.ratio)
-        return total
-
-    def psi2(self, n: int) -> complex:
-        return self.psi1(n + 1)
-
-
-def psi_decompose(phi: RadialSymbol) -> PsiDecomposition:
-    return PsiDecomposition(phi)
-
-
 def hankel_trace_norm(phi: RadialSymbol, shift: int) -> float:
     """Exact trace norm of (d(i+j+shift)), d(s) = phi(s) - phi(s+1): ||h||_1
     for shift 0, ||k||_1 for shift 1.
@@ -291,11 +278,10 @@ def ricard_xu_bound(phi: RadialSymbol) -> float:
 
 def write_symbol_csv(path, phi: RadialSymbol, M: int) -> None:
     """Tabulate phi, psi1, psi2 on 0 <= n <= 2M as real/imaginary columns."""
-    dec = psi_decompose(phi)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "re_phi", "im_phi", "re_psi1", "im_psi1", "re_psi2", "im_psi2"])
         for n in range(2 * M + 1):
-            p, p1, p2 = phi(n), dec.psi1(n), dec.psi2(n)
+            p, p1, p2 = phi(n), phi.psi1(n), phi.psi2(n)
             writer.writerow([n, repr(p.real), repr(p.imag), repr(p1.real),
                              repr(p1.imag), repr(p2.real), repr(p2.imag)])

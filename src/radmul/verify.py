@@ -47,7 +47,7 @@ from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op,
                         tower, weighted_sum)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
 from .sparse import SPLIT_MIN, coalesce
-from .symbols import norm_C, psi_decompose
+from .symbols import norm_C
 
 # a chunk of samples holds towers of at most this many scalar entries in all
 # (at least one sample).  The lemma suite then runs in 6 chunks at cy3
@@ -115,7 +115,7 @@ def _embed_terms(space: FockSpace, i: int) -> dict:
     (i, j), down_k annihilates (i, k)."""
     words = np.arange(len(space.words))
     guard = np.where(space.first_factors != i, words, -1)
-    at = [space.letters.index((i, g)) for g in range(1, space.amalgam.factor(i).group.order)]
+    at = [space.letters.index((i, g)) for g in range(1, space.amalgam.factors[i].group.order)]
     ups = [guard] + [space.prepended[t] for t in at]
     downs = [guard] + [space.stripped[t] for t in at]
     terms = {}
@@ -230,7 +230,7 @@ def random_reduced_word(rng, space: FockSpace, n: int) -> ReducedWord:
     for j in range(n):
         choices = [i for i in range(n_factors) if not indices or i != indices[-1]]
         indices.append(int(choices[rng.integers(len(choices))]))
-    letters = tuple(space.amalgam.factor(i).random_kernel(rng) for i in indices)
+    letters = tuple(space.amalgam.factors[i].random_kernel(rng) for i in indices)
     coeffs = tuple(base.random(rng) for _ in range(n + 1))
     return ReducedWord(letters=letters, coeffs=coeffs, factor_indices=tuple(indices))
 
@@ -371,7 +371,7 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     b = space.base.random(rng)
     rb = right_mult(space, b)
     i, g = letter
-    rb_twisted = right_mult(space, space.amalgam.factor(i).alpha(g, b))
+    rb_twisted = right_mult(space, space.amalgam.factors[i].alpha(g, b))
     worst = 0.0
     ops = [(creation(space, letter), rb), (annihilation(space, letter), rb),
            (right_creation(space, letter), rb_twisted),
@@ -447,7 +447,6 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     for phi in symbols:
         T, s = build_T(space, phi), _symbol_scale(space, phi)
         mults.append((T, s, _component_scale(T, s)))
-    decs = [psi_decompose(phi) for phi in symbols]
 
     vec_len = max(space.L_max + 2, 8)
     xs = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
@@ -465,10 +464,10 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     case2 = np.array([gw.case is CaseTag.CASE2 for gw in gens])
     g = L - np.maximum(k - l, 0) - 1  # the guard band at depth 1
     scalars = np.array([_phi_scalars(xs, ys, gw) for gw in gens])
-    wants = [(np.array([dec.psi1(int(n)) for n in k + l]),
-              np.array([dec.psi2(int(n)) for n in np.where(case2, k + l - 2, k + l)]),
+    wants = [(np.array([phi.psi1(int(n)) for n in k + l]),
+              np.array([phi.psi2(int(n)) for n in np.where(case2, k + l - 2, k + l)]),
               np.array([phi(int(n)) for n in np.where(case2, k + l - 1, k + l)]))
-             for phi, dec in zip(symbols, decs)]
+             for phi in symbols]
     # every check reads the columns of length <= g only, and a column of
     # rho(a), eps(a) or a weighted sum reads the same or a shorter column of a
     A = generator_operators(space, gens)
@@ -699,7 +698,7 @@ def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
     columns b Omega, and V_n = sum_gamma embed(u_gamma) @ V_{n-1} @ L*_gamma,
     since u_gamma maps the image of w to that of gamma w."""
     letters = space.letters
-    embeds = [embed(space, space.amalgam.factor(i).unitary(g)) for i, g in letters]
+    embeds = [embed(space, space.amalgam.factors[i].unitary(g)) for i, g in letters]
     images = [lambda_span(space, 0)]
     for _ in range(max_len):
         images.append(op_sum(space, [E @ images[-1] @ annihilation(space, letter)

@@ -32,7 +32,7 @@ from radmul.operators import (CaseTag, StructuredOperator, annihilation, build_T
                               identity_op, left_mult, length_at_least_op, op_sum, phi_weights,
                               start_complement_op, tower, weighted_sum, zero_op)
 from radmul.report import EIGEN_TOL, VerificationReport
-from radmul.symbols import HankelFactorization, psi_decompose
+from radmul.symbols import HankelFactorization
 from radmul.sparse import op_norm
 from radmul.verify import (_embed_terms, _fold, _generator_zoo, _symbol_scale, embed,
                            random_reduced_word)
@@ -47,7 +47,7 @@ def column_matrix(space, rule):
 def prepend(space, letter):
     """L_gamma: prepend the letter; zero against a same-factor start or overflow."""
     def rule(vec):
-        return FockVector(space, {w.prepend(letter): c for w, c in vec.items()
+        return FockVector(space, {w.prepend(letter): c for w, c in vec.coeffs.items()
                                   if len(w) < space.L_max and w.first_factor != letter[0]})
     return rule
 
@@ -55,7 +55,7 @@ def prepend(space, letter):
 def strip_first(space, letter):
     """L*_gamma: strip a matching first letter."""
     def rule(vec):
-        return FockVector(space, {w.drop_first(): c for w, c in vec.items()
+        return FockVector(space, {w.drop_first(): c for w, c in vec.coeffs.items()
                                   if w.letters and w.letters[0] == letter})
     return rule
 
@@ -63,11 +63,11 @@ def strip_first(space, letter):
 def append_star(space, letter):
     """R_{gamma*}: append gamma* = (i, g^{-1}) and twist the coefficient by alpha_g."""
     i, g = letter
-    fac = space.amalgam.factor(i)
+    fac = space.amalgam.factors[i]
     appended = (i, fac.group.inv(g))
 
     def rule(vec):
-        return FockVector(space, {w.append(appended): fac.alpha(g, c) for w, c in vec.items()
+        return FockVector(space, {w.append(appended): fac.alpha(g, c) for w, c in vec.coeffs.items()
                                   if len(w) < space.L_max and w.last_factor != i})
     return rule
 
@@ -75,11 +75,11 @@ def append_star(space, letter):
 def strip_star(space, letter):
     """R*_{gamma*}: strip a final gamma* and twist the coefficient by alpha_{g^{-1}}."""
     i, g = letter
-    fac = space.amalgam.factor(i)
+    fac = space.amalgam.factors[i]
     gi = fac.group.inv(g)
 
     def rule(vec):
-        return FockVector(space, {w.drop_last(): fac.alpha(gi, c) for w, c in vec.items()
+        return FockVector(space, {w.drop_last(): fac.alpha(gi, c) for w, c in vec.coeffs.items()
                                   if w.letters and w.letters[-1] == (i, gi)})
     return rule
 
@@ -90,7 +90,7 @@ def left_action(b):
     def rule(vec):
         space = vec.space
         out = {}
-        for w, c in vec.items():
+        for w, c in vec.coeffs.items():
             pushed = space.base.element(b)
             for letter in w.letters:
                 pushed = space.amalgam.push(pushed, letter)
@@ -129,7 +129,7 @@ def right_letter_maps(space):
     images w gamma* and the coordinate matrix of alpha_g."""
     out = []
     for i, g in space.amalgam.letters():
-        fac = space.amalgam.factor(i)
+        fac = space.amalgam.factors[i]
         appended = (i, fac.group.inv(g))
         src = [j for j, w in enumerate(space.words)
                if len(w) < space.L_max and w.last_factor != i]
@@ -262,7 +262,6 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
     report = VerificationReport()
     gens = _generator_zoo(space, seed)
     mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
-    decs = [psi_decompose(phi) for phi in symbols]
 
     vec_len = max(space.L_max + 2, 8)
     xs = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
@@ -302,13 +301,13 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
             phi_a = weighted_sum(space, phi_stacks[i], tw)
             res_phi[i] = max(res_phi[i], _masked_max(phi_a - scalar * a, g))
 
-        for (phi, T, s), dec in zip(mults, decs):
+        for phi, T, s in mults:
             # T1 and T2 are compared on the scale of their own weights
             s12 = max(s, np.abs(T.t1_weights).max(), np.abs(T.t2_weights).max())
             t1 = weighted_sum(space, T.t1_weights, tw)
             t2 = weighted_sum(space, T.t2_weights, tw)
-            want1 = dec.psi1(k + l)
-            want2 = dec.psi2(k + l) if case is CaseTag.CASE1 else dec.psi2(k + l - 2)
+            want1 = phi.psi1(k + l)
+            want2 = phi.psi2(k + l) if case is CaseTag.CASE1 else phi.psi2(k + l - 2)
             res_t12 = max(res_t12, _masked_max(t1 - want1 * a, g) / s12)
             res_t12 = max(res_t12, _masked_max(t2 - want2 * a, g) / s12)
             n_eff = k + l if case is CaseTag.CASE1 else k + l - 1
@@ -396,7 +395,7 @@ def word_vacuum_images_dense(space, max_len):
     vacuum, for every word (g_1, ..., g_n) of length <= max_len (in basis
     order) and every N-basis element b: the vacuum array multiplied, right
     to left, by left_mult(b) and the letters' embeddings, each built once."""
-    embeds = {(i, g): embed(space, space.amalgam.factor(i).unitary(g))
+    embeds = {(i, g): embed(space, space.amalgam.factors[i].unitary(g))
               for i, g in space.amalgam.letters()}
     vac = space.vacuum().to_array()
     starts = [left_mult(space, b) @ vac for b in space.base.basis()]

@@ -15,8 +15,7 @@ from radmul.algebra import verify_pp_basis
 from radmul.cli import _run_suites
 from radmul.config import parse_config, preset_config
 from radmul.operators import partition_identity_residual
-from radmul.symbols import (RadialSymbol, hankel_pair, norm_C, psi_decompose,
-                            ricard_xu_bound)
+from radmul.symbols import RadialSymbol, hankel_pair, norm_C, ricard_xu_bound
 from radmul.verify import lemma_suite, main_theorem_suite, norm_bound_suite
 
 from conftest import symbol_zoo
@@ -49,14 +48,13 @@ def test_criterion_2_psi_consistency():
     worst = 0.0
     M = 24
     for phi in symbol_zoo():
-        dec = psi_decompose(phi)
         hp = hankel_pair(phi, M)
         for n in range(2 * M):
-            worst = max(worst, abs(phi(n) - dec.psi1(n) - dec.psi2(n) - dec.c))
+            worst = max(worst, abs(phi(n) - phi.psi1(n) - phi.psi2(n) - phi.limit))
         for i in range(M):
             for j in range(M):
-                worst = max(worst, abs(hp.h[i, j] - dec.psi1(i + j) + dec.psi1(i + j + 2)))
-                worst = max(worst, abs(hp.k[i, j] - dec.psi2(i + j) + dec.psi2(i + j + 2)))
+                worst = max(worst, abs(hp.h[i, j] - phi.psi1(i + j) + phi.psi1(i + j + 2)))
+                worst = max(worst, abs(hp.k[i, j] - phi.psi2(i + j) + phi.psi2(i + j + 2)))
     _line(2, "psi_consistency", worst <= 1e-10, "residual=%.2e" % worst)
 
 

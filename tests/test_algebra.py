@@ -10,17 +10,17 @@ V2 = np.diag([1.0, -1.0]).astype(complex)
 
 
 def scalar_factor(order=2):
-    return CrossedFactor.trivial(TracialAlgebra.scalar(), FiniteGroup.cyclic(order))
+    return CrossedFactor(TracialAlgebra(1), FiniteGroup.cyclic(order))
 
 
 def inner_factor():
-    return CrossedFactor.inner_cyclic(TracialAlgebra.matrix(2), 2, V2)
+    return CrossedFactor.inner_cyclic(TracialAlgebra(2), 2, V2)
 
 
 # ---------------------------------------------------------------- base algebra
 
 def test_trace_axioms():
-    alg = TracialAlgebra.matrix(3)
+    alg = TracialAlgebra(3)
     rng = np.random.default_rng(0)
     assert alg.trace(alg.identity()) == pytest.approx(1.0)
     x, y = alg.random(rng), alg.random(rng)
@@ -130,7 +130,7 @@ def s3_factor():
     """S_3 acting on M_3 by conjugation with its permutation matrices."""
     perms = list(itertools.permutations(range(3)))
     table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
-    return CrossedFactor(TracialAlgebra.matrix(3), FiniteGroup(table),
+    return CrossedFactor(TracialAlgebra(3), FiniteGroup(table),
                          [np.eye(3)[:, list(p)] for p in perms])
 
 
@@ -140,7 +140,7 @@ def pauli_factor():
     X = np.array([[0, 1], [1, 0]])
     Z = np.diag([1, -1])
     idx = np.arange(4)
-    return CrossedFactor(TracialAlgebra.matrix(2), FiniteGroup(idx[:, None] ^ idx[None, :]),
+    return CrossedFactor(TracialAlgebra(2), FiniteGroup(idx[:, None] ^ idx[None, :]),
                          [np.eye(2), X, Z, X @ Z])
 
 
@@ -210,7 +210,7 @@ def test_pp_expand_identity():
 
 
 def test_pp_expand_single_unitary_component():
-    fac = CrossedFactor.trivial(TracialAlgebra.matrix(2), FiniteGroup.cyclic(3))
+    fac = CrossedFactor(TracialAlgebra(2), FiniteGroup.cyclic(3))
     rng = np.random.default_rng(5)
     b = fac.base.random(rng)
     x = fac.from_base(b) * fac.unitary(1)
@@ -225,7 +225,7 @@ def test_pp_expand_single_unitary_component():
 
 
 def test_pp_expand_two_unitaries():
-    fac = CrossedFactor.trivial(TracialAlgebra.scalar(), FiniteGroup.cyclic(3))
+    fac = CrossedFactor(TracialAlgebra(1), FiniteGroup.cyclic(3))
     x = fac.unitary(1) + fac.unitary(2)
     coeffs = pp_expand(x)
     nonzero = [g for g, c in enumerate(coeffs) if np.abs(c).max() > 0]
@@ -243,7 +243,7 @@ def test_pp_reconstruction_exact():
 
 def test_verify_pp_basis_passes():
     for fac in (scalar_factor(), inner_factor(),
-                CrossedFactor.trivial(TracialAlgebra.scalar(), FiniteGroup.cyclic(3))):
+                CrossedFactor(TracialAlgebra(1), FiniteGroup.cyclic(3))):
         report = verify_pp_basis(fac)
         assert report.passed
         assert report.worst_residual() <= 1e-13
@@ -287,7 +287,7 @@ def test_inner_action_is_trace_preserving_homomorphism():
 def test_non_unitary_action_rejected():
     bad = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
     with pytest.raises(ValueError):
-        CrossedFactor.inner_cyclic(TracialAlgebra.matrix(2), 2, bad)
+        CrossedFactor.inner_cyclic(TracialAlgebra(2), 2, bad)
 
 
 def test_non_homomorphic_powers_rejected():
@@ -296,4 +296,4 @@ def test_non_homomorphic_powers_rejected():
     V = np.array([[np.cos(theta), -np.sin(theta)],
                   [np.sin(theta), np.cos(theta)]], dtype=complex)
     with pytest.raises(ValueError):
-        CrossedFactor.inner_cyclic(TracialAlgebra.matrix(2), 2, V)
+        CrossedFactor.inner_cyclic(TracialAlgebra(2), 2, V)

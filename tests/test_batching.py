@@ -96,7 +96,7 @@ def test_embed_stack_matches_per_element_oracle(request, name):
         assert_sample_is(E, s, want)
         assert_sample_is(embed(space, a), 0, want)
         assert (want.rows.size == 0) == (not a.coeffs.any())
-    zero = embed(space, [0 * space.amalgam.factor(0).identity()])
+    zero = embed(space, [0 * space.amalgam.factors[0].identity()])
     assert (zero.n_samples, zero.rows.size) == (1, 0)
 
 

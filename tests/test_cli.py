@@ -1,5 +1,8 @@
+import contextlib
+import io
 import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -104,11 +107,14 @@ def test_malformed_config_exits_2(tmp_path):
     assert main(["verify", "--config", str(path)]) == 2
 
 
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
 def _set(data, path, value):
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    _at(data, path[:-1])[path[-1]] = value
     return data
 
 
@@ -156,6 +162,132 @@ def test_bad_config_fragment_exits_2(tmp_path, capsys, path, value):
     assert code == 2
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+
+
+# the keys each object of a configuration may hold, by its kind
+KEYS = {
+    "config": {"base_algebra", "factors", "symbol", "truncation", "tolerances", "seed"},
+    "scalar": {"kind"}, "matrix": {"kind", "dim"},
+    "factor": {"group", "action"},
+    "cyclic": {"kind", "order"}, "table": {"kind", "table"},
+    "inner": {"kind", "unitary"},
+    "symbol": {"head", "tail"},
+    "constant": {"kind", "limit"}, "geometric": {"kind", "limit", "coefficient", "ratio"},
+    "truncation": {"fock_len", "hankel_dim"},
+    "tolerances": {"algebraic", "spectral", "eigen"},
+}
+ALL_KEYS = set().union(*KEYS.values())
+NON_FINITE = [float("inf"), float("-inf"), float("nan"), 10 ** 400, [0, float("inf")],
+              [float("nan"), 1]]
+ANY_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2),
+                      st.text(max_size=3), st.lists(st.integers(0, 2), max_size=3),
+                      st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1))
+
+
+def _is_number(value) -> bool:
+    """A finite real, or an [re, im] pair of them, as the schema reads numbers."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+               for v in parts)
+
+
+@st.composite
+def fuzz_base_configs(draw):
+    """A preset at fock_len 2-4 with one tolerance, optionally a complex
+    geometric tail and the first factor given by its multiplication table."""
+    data = preset_config(draw(st.sampled_from(["dih", "mat2", "cy3"])))
+    data["truncation"]["fock_len"] = draw(st.integers(2, 4))
+    data["tolerances"] = {"eigen": 1e-10}
+    if draw(st.booleans()):
+        data["symbol"]["tail"] = {"kind": "geometric", "coefficient": [1, -0.5],
+                                  "ratio": [0.4, 0.3], "limit": 0.5}
+    if draw(st.booleans()):
+        n = data["factors"][0]["group"]["order"]
+        data["factors"][0]["group"] = {"kind": "table",
+                                       "table": [[(a + b) % n for b in range(n)] for a in range(n)]}
+    return data
+
+
+def _slots(data) -> tuple:
+    """The paths of the objects of ``data`` with their kinds, of its integers
+    with their least and largest (None: unbounded) values, and of its numbers."""
+    objects = [((), "config"), (("base_algebra",), data["base_algebra"]["kind"]),
+               (("symbol",), "symbol"), (("symbol", "tail"), data["symbol"]["tail"]["kind"]),
+               (("truncation",), "truncation"), (("tolerances",), "tolerances")]
+    ints = [(("truncation", "fock_len"), 2, None), (("truncation", "hankel_dim"), 1, None),
+            (("seed",), 0, None)]
+    numbers = [("symbol", "head", j) for j in range(len(data["symbol"]["head"]))]
+    numbers += [("symbol", "tail", key) for key in data["symbol"]["tail"] if key != "kind"]
+    numbers.append(("tolerances", "eigen"))
+    if data["base_algebra"]["kind"] == "matrix":
+        ints.append((("base_algebra", "dim"), 1, None))
+    for i, factor in enumerate(data["factors"]):
+        group = factor["group"]
+        objects += [(("factors", i), "factor"), (("factors", i, "group"), group["kind"])]
+        if group["kind"] == "cyclic":
+            ints.append((("factors", i, "group", "order"), 2, None))
+        else:
+            n = len(group["table"])
+            ints += [(("factors", i, "group", "table", a, b), 0, n - 1)
+                     for a in range(n) for b in range(n)]
+        if isinstance(factor["action"], dict):
+            objects.append((("factors", i, "action"), "inner"))
+            numbers += [("factors", i, "action", "unitary", r, c)
+                        for r in range(2) for c in range(2)]
+    return objects, ints, numbers
+
+
+@st.composite
+def invalid_configs(draw):
+    """A valid configuration (``fuzz_base_configs``) with one key set to an
+    invalid value: a wrong type, a misspelt key, a key of another kind or
+    place, a non-finite number, or an integer out of range.  Group orders
+    stay <= 16, matrix dims <= 3 and fock_len <= 4, so nothing large is
+    allocated even if the parser let a value through."""
+    data = draw(fuzz_base_configs())
+    objects, ints, numbers = _slots(data)
+    change = draw(st.sampled_from(["type", "misspelt", "foreign", "non-finite", "range"]))
+    if change == "type":
+        typed = ([(path, lambda v: not isinstance(v, dict)) for path, _ in objects if path]
+                 + [(p, lambda v: not isinstance(v, list)) for p in (("factors",), ("symbol", "head"))]
+                 + [(path, lambda v: type(v) is not int) for path, _, _ in ints]
+                 + [(path, lambda v: not _is_number(v)) for path in numbers])
+        path, wrong = draw(st.sampled_from(typed))
+        _set(data, path, draw(ANY_VALUE.filter(wrong)))
+    elif change == "misspelt":
+        obj = _at(data, draw(st.sampled_from(objects))[0])
+        key = draw(st.sampled_from(sorted(obj)))
+        i = draw(st.integers(0, len(key) - 2))
+        new = draw(st.sampled_from([key[:i] + key[i + 1:], key[:i + 1] + key[i:],
+                                    key[:i] + key[i + 1] + key[i] + key[i + 2:], key.upper()]))
+        assume(new not in ALL_KEYS)
+        obj[new] = obj.pop(key)
+    elif change == "foreign":
+        path, kind = draw(st.sampled_from(objects))
+        _at(data, path)[draw(st.sampled_from(sorted(ALL_KEYS - KEYS[kind])))] = 1
+    elif change == "non-finite":
+        _set(data, draw(st.sampled_from(numbers)), draw(st.sampled_from(NON_FINITE)))
+    else:
+        # small misses, and integers past the 64-bit range in both directions
+        path, least, largest = draw(st.sampled_from(ints))
+        outside = [st.integers(least - 3, least - 1), st.integers(max_value=-2 ** 63 - 1)]
+        if largest is not None:
+            outside += [st.integers(largest + 1, largest + 3), st.integers(min_value=2 ** 63)]
+        _set(data, path, draw(st.one_of(outside)))
+    return data
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(invalid_configs())
+def test_invalid_config_exits_2_with_one_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", "--suite", "pp", "--config", path])
+    assert code == 2
+    assert len(err.getvalue().splitlines()) == 1
+    assert "Traceback" not in err.getvalue()
 
 
 def test_unknown_config_key_names_the_known_keys(tmp_path, capsys):

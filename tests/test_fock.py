@@ -76,7 +76,7 @@ def test_enumerate_matches_brute_force(cy3_space):
 
 
 def test_single_factor_words_stop_at_length_one():
-    fac = CrossedFactor.trivial(TracialAlgebra.scalar(), FiniteGroup.cyclic(3))
+    fac = CrossedFactor(TracialAlgebra(1), FiniteGroup.cyclic(3))
     am = Amalgam([fac])
     assert len(FockSpace(am, 4).words) == 3  # vacuum plus the two letters
 
@@ -90,17 +90,17 @@ def test_enumerate_length_zero(dih_space):
 def _graph_space(name):
     """The spaces the word-graph tables are checked on, by name."""
     if name == "single":
-        fac = CrossedFactor.trivial(TracialAlgebra.scalar(), FiniteGroup.cyclic(3))
+        fac = CrossedFactor(TracialAlgebra(1), FiniteGroup.cyclic(3))
         return FockSpace(Amalgam([fac]), 4)
     if name == "three":  # M_2 base, orders 2, 3, 2 with non-commuting actions
-        base = TracialAlgebra.matrix(2)
+        base = TracialAlgebra(2)
         H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
         V3 = np.diag([1.0, np.exp(2j * np.pi / 3)])
         return FockSpace(Amalgam([CrossedFactor.inner_cyclic(base, order, V)
                                   for order, V in ((2, V2), (3, V3), (2, H))]), 3)
     preset, fock_len = name.split("-L")
     cfg = noncommuting_config() if preset == "noncomm" else preset_config(preset)
-    return FockSpace(parse_config(cfg).amalgam(), int(fock_len))
+    return FockSpace(Amalgam(parse_config(cfg).factors), int(fock_len))
 
 
 @pytest.mark.parametrize("name", ["dih-L5", "mat2-L4", "cy3-L5", "noncomm-L3", "cy3-L0",
@@ -135,7 +135,7 @@ def test_word_graph_tables_match_word_rules(name):
                    for w in space.words] for x in letters]
     assert np.array_equal(space.stripped, want_strip)
     for t, (i, g) in enumerate(letters):
-        fac = space.amalgam.factor(i)
+        fac = space.amalgam.factors[i]
         assert letters[space.star[t]] == (i, fac.group.inv(g))
         W = fac.unitaries[g]
         assert np.array_equal(space.twists[t], np.kron(W, W.conj()))
@@ -143,7 +143,7 @@ def test_word_graph_tables_match_word_rules(name):
     U = [space.base.identity()]
     for w in nonempty:
         i, g = w.letters[-1]
-        fac = space.amalgam.factor(i)
+        fac = space.amalgam.factors[i]
         U.append(fac.unitaries[fac.group.inv(g)] @ U[space.word_index[w.drop_last()]])
     assert np.array_equal(space.push_unitaries, np.array(U))
 
@@ -229,7 +229,7 @@ def test_coordinate_maps_match_word_loop(mat2_space):
     assert list(got.coeffs) == list(want)
     assert all(np.array_equal(got.coeffs[w], want[w]) for w in want)
     back = np.zeros(space.dim, dtype=complex)
-    for w, b in got.items():
+    for w, b in got.coeffs.items():
         j = space.word_index[w]
         back[j * k:(j + 1) * k] = b.reshape(-1) / s
     assert np.array_equal(got.to_array(), back)

@@ -13,12 +13,11 @@ from radmul.operators import (CaseTag, GeneratorWord, StructuredOperator,
                               adjoint_check, amplify, annihilation, build_T, creation,
                               diag, epsilon_matrix,
                               identity_op, left_mult, length_at_least_op, op_norm,
-                              partition_identity_residual,
-                              phi_block_matrix, phi_cb_bound, right_annihilation,
+                              partition_identity_residual, phi_block_matrix,
+                              phi_cb_bound, phi_weights, right_annihilation,
                               right_creation, right_mult, rho_matrix, stack, tower,
                               weighted_sum, zero_op)
-from radmul.symbols import (ConstantTail, RadialSymbol, factorize, hankel_pair,
-                            psi_decompose)
+from radmul.symbols import ConstantTail, GeometricTail, RadialSymbol, factorize, hankel_pair
 from radmul.verify import (ReducedWord, amplified_stacks, embed, random_generator_word,
                            random_reduced_word, word_operator)
 
@@ -671,11 +670,10 @@ def test_delta0_rules(dih_space):
 def test_indicator_t1_rule(dih_space):
     phi = RadialSymbol.indicator01()
     T = build_T(dih_space, phi)
-    dec = psi_decompose(phi)
     for cre, ann in [((), ()), (((0, 1),), ()), (((0, 1),), ((1, 1),))]:
         gen = GeneratorWord(cre, ann)
         op = gen.operator(dih_space)
-        want = dec.psi1(gen.k + gen.l)
+        want = phi.psi1(gen.k + gen.l)
         guard = dih_space.guard_mask(dih_space.L_max - max(gen.k - gen.l, 0) - 1)
         t1 = weighted_sum(dih_space, T.t1_weights, tower(dih_space, op)).matrix()
         assert np.abs((t1 - want * op.matrix())[:, guard]).max() <= 1e-11
@@ -702,6 +700,25 @@ def test_t1_equals_sum_of_phi_blocks(dih_space):
     for z, w in k_pairs:
         total2 += phi_block_matrix(dih_space, 2, z, w, op).matrix()
     assert np.abs(total2 - weighted_sum(dih_space, T.t2_weights, tw).matrix()).max() <= 1e-11
+
+
+@pytest.mark.parametrize("phi", [
+    RadialSymbol.indicator01(),
+    RadialSymbol.geometric(-0.5),
+    RadialSymbol.geometric(0.4 + 0.3j, coefficient=1 - 0.5j),
+    RadialSymbol(head=(1.0, 0.5j, -0.25), tail=GeometricTail(0.8 - 0.3j, -0.6 + 0.5j, 0.2 + 0.1j)),
+], ids=["indicator01", "geometric-negative", "geometric-complex", "head-complex-tail-limit"])
+def test_weight_stacks_equal_sums_of_phi_weights(phi):
+    # the paper's factorization, entry by entry: the closed-form T1 and T2
+    # stacks against the Phi stacks summed over the rank-one pairs of the
+    # truncated h (variant 1) and k (variant 2), on cy3 at L = 5; a complex
+    # ratio is where a wrong conjugate would show
+    space = parse_config(preset_config("cy3")).space()
+    T = build_T(space, phi)
+    hp = hankel_pair(phi, 96)
+    for variant, A, want in ((1, hp.h, T.t1_weights), (2, hp.k, T.t2_weights)):
+        got = sum(phi_weights(space, variant, x, y) for x, y in factorize(A).pairs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_case_convention_pinned_by_scaling(dih_space):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radmul.symbols import (ConstantTail, GeometricTail, RadialSymbol, factorize,
-                            hankel_pair, hankel_trace_norm, norm_C, psi_decompose,
+                            hankel_pair, hankel_trace_norm, norm_C,
                             ricard_xu_bound, trace_norm, write_symbol_csv)
 
 from oracles import psi_via_factors
@@ -161,39 +161,37 @@ def test_norm_C_exact_within_truncation_envelope(zoo):
 # ---------------------------------------------------------------- psi split
 
 def test_psi_delta0():
-    dec = psi_decompose(RadialSymbol.delta0())
-    assert dec.psi1(0) == pytest.approx(1.0)
-    assert all(abs(dec.psi1(n)) < 1e-15 for n in range(1, 6))
-    assert all(abs(dec.psi2(n)) < 1e-15 for n in range(6))
-    assert dec.c == 0
+    phi = RadialSymbol.delta0()
+    assert phi.psi1(0) == pytest.approx(1.0)
+    assert all(abs(phi.psi1(n)) < 1e-15 for n in range(1, 6))
+    assert all(abs(phi.psi2(n)) < 1e-15 for n in range(6))
+    assert phi.limit == 0
 
 
 def test_psi_constant_symbol():
-    dec = psi_decompose(RadialSymbol.constant(2.5))
-    assert all(abs(dec.psi1(n)) + abs(dec.psi2(n)) < 1e-15 for n in range(8))
-    assert dec.c == 2.5
+    phi = RadialSymbol.constant(2.5)
+    assert all(abs(phi.psi1(n)) + abs(phi.psi2(n)) < 1e-15 for n in range(8))
+    assert phi.limit == 2.5
 
 
 def test_psi_indicator():
-    dec = psi_decompose(RadialSymbol.indicator01())
-    assert [dec.psi1(n) for n in range(4)] == [0, 1, 0, 0]
-    assert [dec.psi2(n) for n in range(4)] == [1, 0, 0, 0]
+    phi = RadialSymbol.indicator01()
+    assert [phi.psi1(n) for n in range(4)] == [0, 1, 0, 0]
+    assert [phi.psi2(n) for n in range(4)] == [1, 0, 0, 0]
 
 
 def test_psi_matches_series_oracle(zoo):
     for phi in zoo:
-        dec = psi_decompose(phi)
         for n in range(10):
-            assert dec.psi1(n) == pytest.approx(brute_psi1(phi, n), abs=1e-12)
+            assert phi.psi1(n) == pytest.approx(brute_psi1(phi, n), abs=1e-12)
 
 
 def test_phi_recovered_from_psi(zoo):
     for phi in zoo:
-        dec = psi_decompose(phi)
         tol = 0.0 if isinstance(phi.tail, ConstantTail) else 1e-10
         for n in range(48):
             lhs = phi(n)
-            rhs = dec.psi1(n) + dec.psi2(n) + dec.c
+            rhs = phi.psi1(n) + phi.psi2(n) + phi.limit
             assert abs(lhs - rhs) <= max(tol, 1e-13)
 
 
@@ -201,13 +199,12 @@ def test_hankel_entries_from_psi(zoo):
     M = 10
     for phi in zoo:
         hp = hankel_pair(phi, M)
-        dec = psi_decompose(phi)
         for i in range(M):
             for j in range(M):
                 assert hp.h[i, j] == pytest.approx(
-                    dec.psi1(i + j) - dec.psi1(i + j + 2), abs=1e-12)
+                    phi.psi1(i + j) - phi.psi1(i + j + 2), abs=1e-12)
                 assert hp.k[i, j] == pytest.approx(
-                    dec.psi2(i + j) - dec.psi2(i + j + 2), abs=1e-12)
+                    phi.psi2(i + j) - phi.psi2(i + j + 2), abs=1e-12)
 
 
 def test_variation_bounded_by_trace_norms(zoo):
@@ -262,12 +259,11 @@ def test_psi_via_factors_matches_decomposition(zoo):
     for phi in zoo:
         hp = hankel_pair(phi, M)
         fh, fk = factorize(hp.h), factorize(hp.k)
-        dec = psi_decompose(phi)
         for k in range(4):
             for l in range(4):
                 p1, p2 = psi_via_factors(fh, fk, k, l)
-                assert p1 == pytest.approx(dec.psi1(k + l), abs=1e-9)
-                assert p2 == pytest.approx(dec.psi2(k + l), abs=1e-9)
+                assert p1 == pytest.approx(phi.psi1(k + l), abs=1e-9)
+                assert p2 == pytest.approx(phi.psi2(k + l), abs=1e-9)
 
 
 def test_psi_via_factors_spec_points():
@@ -329,12 +325,11 @@ def test_symbol_csv_roundtrip(tmp_path):
     phi = RadialSymbol.indicator01()
     path = tmp_path / "symbol.csv"
     write_symbol_csv(path, phi, 4)
-    dec = psi_decompose(phi)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 9
     for row in rows:
         n = int(row["n"])
         assert float(row["re_phi"]) == pytest.approx(phi(n).real)
-        assert float(row["re_psi1"]) == pytest.approx(dec.psi1(n).real)
-        assert float(row["re_psi2"]) == pytest.approx(dec.psi2(n).real)
+        assert float(row["re_psi1"]) == pytest.approx(phi.psi1(n).real)
+        assert float(row["re_psi2"]) == pytest.approx(phi.psi2(n).real)

@@ -16,7 +16,7 @@ from radmul.verify import (ReducedWord, embed, embedding_suite, fock_suite,
 
 def unit_word(space, *indexed_letters, right=None):
     """Reduced word of group unitaries with an optional right coefficient."""
-    letters = tuple(space.amalgam.factor(i).unitary(g) for i, g in indexed_letters)
+    letters = tuple(space.amalgam.factors[i].unitary(g) for i, g in indexed_letters)
     coeffs = [space.base.identity()] * len(indexed_letters)
     coeffs.append(space.base.identity() if right is None else right)
     return ReducedWord(letters=letters, coeffs=tuple(coeffs),
@@ -28,24 +28,24 @@ def unit_word(space, *indexed_letters, right=None):
 def test_embed_base_element_is_left_multiplication(mat2_space):
     rng = np.random.default_rng(0)
     b = mat2_space.base.random(rng)
-    got = embed(mat2_space, mat2_space.amalgam.factor(1).from_base(b)).matrix()
+    got = embed(mat2_space, mat2_space.amalgam.factors[1].from_base(b)).matrix()
     want = left_mult(mat2_space, b).matrix()
     assert np.abs(got - want).max() <= 1e-13
 
 
 def test_embed_identity_acts_as_identity(dih_space):
-    got = embed(dih_space, dih_space.amalgam.factor(0).identity()).matrix()
+    got = embed(dih_space, dih_space.amalgam.factors[0].identity()).matrix()
     assert np.abs(got - np.eye(dih_space.dim)).max() <= 1e-13
 
 
 def test_embed_unitary_creates_on_vacuum(dih_space):
-    a = dih_space.amalgam.factor(0).unitary(1)
+    a = dih_space.amalgam.factors[0].unitary(1)
     v = embed(dih_space, a)(dih_space.vacuum())
     assert list(v.coeffs) == [Word(((0, 1),))]
 
 
 def test_embed_unitary_annihilates_matching_letter(dih_space):
-    a = dih_space.amalgam.factor(0).unitary(1)
+    a = dih_space.amalgam.factors[0].unitary(1)
     w = dih_space.word_vector(Word(((0, 1), (1, 1))))
     v = embed(dih_space, a)(w)  # u^2 = 1 strips the leading letter
     assert list(v.coeffs) == [Word(((1, 1),))]
@@ -74,7 +74,7 @@ def test_word_operator_vacuum_images(mat2_space):
 
 
 def test_word_operator_rejects_bad_words(dih_space):
-    fac = dih_space.amalgam.factor(0)
+    fac = dih_space.amalgam.factors[0]
     with pytest.raises(ValueError):
         ReducedWord(letters=(fac.identity(),), coeffs=(np.eye(1), np.eye(1)),
                     factor_indices=(0,))  # expectation not zero
@@ -86,7 +86,7 @@ def test_word_operator_rejects_bad_words(dih_space):
 def test_vacuum_expectation(dih_space):
     from radmul.operators import identity_op
     assert vacuum_expectation(dih_space, identity_op(dih_space))[0, 0] == pytest.approx(1.0)
-    a = dih_space.amalgam.factor(0).unitary(1)
+    a = dih_space.amalgam.factors[0].unitary(1)
     assert np.abs(vacuum_expectation(dih_space, embed(dih_space, a))).max() < 1e-15
     b = np.array([[1.5 - 0.5j]])
     rw = ReducedWord(letters=(), coeffs=(b,), factor_indices=())
@@ -105,7 +105,7 @@ def test_multiplier_on_identity(dih_space):
 
 def test_delta0_kills_embedded_letter(dih_space):
     T = build_T(dih_space, RadialSymbol.delta0())
-    A = embed(dih_space, dih_space.amalgam.factor(0).unitary(1))
+    A = embed(dih_space, dih_space.amalgam.factors[0].unitary(1))
     guard = dih_space.guard_mask(dih_space.L_max - 1)
     assert np.abs(T.apply_matrix(A).matrix()[:, guard]).max() <= 1e-12
 
