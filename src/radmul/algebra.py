@@ -131,13 +131,14 @@ class CrossedFactor:
         self._validate()
 
     @staticmethod
-    def inner_cyclic(base: TracialAlgebra, order: int, unitary) -> "CrossedFactor":
-        """Cyclic group acting by powers of one unitary (Ad(V**k) at step k)."""
+    def inner_cyclic(base: TracialAlgebra, group: FiniteGroup, unitary) -> "CrossedFactor":
+        """The cyclic ``group``, element k being k steps of its generator,
+        acting by powers of one unitary: Ad(V**k) on element k."""
         V = np.asarray(unitary, dtype=complex)
         ws = [base.identity()]
-        for _ in range(order - 1):
+        for _ in range(group.order - 1):
             ws.append(ws[-1] @ V)
-        return CrossedFactor(base, FiniteGroup.cyclic(order), ws)
+        return CrossedFactor(base, group, ws)
 
     def _validate(self):
         d = self.base.d

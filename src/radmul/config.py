@@ -17,9 +17,11 @@ radial symbol, the truncation parameters, the tolerances, and a seed::
       "seed": 0
     }
 
-Complex scalars are finite numbers or [re, im] pairs; the action unitary is
-a row-major matrix of [re, im] pairs.  Inner actions are supported for
-cyclic groups, which act through powers of the supplied unitary.  A run
+Both tail kinds parse to one ``RadialSymbol``: a constant tail is the
+geometric one with coefficient 0.  Complex scalars are finite numbers or
+[re, im] pairs; the action unitary is a row-major matrix of [re, im]
+pairs.  Inner actions are supported for cyclic groups, which act through
+powers of the supplied unitary.  A run
 needs at least two factors, groups need order >= 2, and every object
 takes only the keys shown above for its kind: a misspelt key, or a key of
 another kind, is an error, not a default.
@@ -39,7 +41,7 @@ import numpy as np
 from .algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from .fock import Amalgam, FockSpace
 from .report import DEFAULT_TOLERANCES
-from .symbols import ConstantTail, GeometricTail, RadialSymbol
+from .symbols import RadialSymbol
 
 
 class ConfigError(ValueError):
@@ -97,7 +99,6 @@ def _complex_matrix(rows) -> np.ndarray:
 
 @dataclass
 class RunConfig:
-    base_algebra: TracialAlgebra
     factors: list
     symbol: RadialSymbol
     fock_len: int
@@ -144,15 +145,15 @@ def _parse_factor(base: TracialAlgebra, fragment) -> CrossedFactor:
         return CrossedFactor(base, group)
     if isinstance(action, dict) and action.get("kind") == "inner":
         _object(action, "action", ("kind", "unitary"))
-        is_cyclic = np.array_equal(
-            group.table, FiniteGroup.cyclic(group.order).table)
-        if not is_cyclic:
+        # element 1 taking each k to k + 1 makes element k its k-th power,
+        # so the (validated) table is the cyclic one, (a + b) mod order
+        if not np.array_equal(group.table[1], np.roll(np.arange(group.order), -1)):
             raise ConfigError("inner actions are supported for cyclic groups only")
         unitary = _complex_matrix(action.get("unitary", []))
         if unitary.shape != (base.d, base.d):
             raise ConfigError("action unitary must be %d x %d" % (base.d, base.d))
         try:
-            return CrossedFactor.inner_cyclic(base, group.order, unitary)
+            return CrossedFactor.inner_cyclic(base, group, unitary)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     raise ConfigError("unknown action %r" % (action,))
@@ -168,14 +169,12 @@ def _parse_symbol(fragment) -> RadialSymbol:
                                             "geometric": ("limit", "coefficient", "ratio")})
     try:
         if kind == "constant":
-            tail = ConstantTail(_complex(tail_frag.get("limit", 0)))
-        else:
-            tail = GeometricTail(_complex(tail_frag.get("coefficient", 1)),
-                                 _complex(tail_frag["ratio"]),
-                                 _complex(tail_frag.get("limit", 0)))
+            return RadialSymbol(head, limit=_complex(tail_frag.get("limit", 0)))
+        return RadialSymbol(head, coefficient=_complex(tail_frag.get("coefficient", 1)),
+                            ratio=_complex(tail_frag["ratio"]),
+                            limit=_complex(tail_frag.get("limit", 0)))
     except (KeyError, ValueError) as exc:
         raise ConfigError("bad symbol tail: %s" % exc) from exc
-    return RadialSymbol(head=head, tail=tail)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -192,7 +191,7 @@ def parse_config(data: dict) -> RunConfig:
     trunc = _object(data.get("truncation", {}), "truncation", ("fock_len", "hankel_dim"))
     fock_len = _int(trunc.get("fock_len", 5), "fock_len", 2)
     hankel_dim = _int(trunc.get("hankel_dim", max(2 * len(symbol.head), 32)), "hankel_dim", 1)
-    if isinstance(symbol.tail, ConstantTail) and hankel_dim < symbol.head_end + 1:
+    if symbol.coefficient == 0 and hankel_dim < symbol.head_end + 1:
         raise ConfigError("hankel_dim must cover the symbol head (need >= %d)"
                           % (symbol.head_end + 1))
 
@@ -204,7 +203,7 @@ def parse_config(data: dict) -> RunConfig:
 
     seed = _int(data.get("seed", 0), "seed", 0)
 
-    return RunConfig(base_algebra=base, factors=factors, symbol=symbol,
+    return RunConfig(factors=factors, symbol=symbol,
                      fock_len=fock_len, hankel_dim=hankel_dim,
                      tolerances=tolerances, seed=seed, raw=data)
 

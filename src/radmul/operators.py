@@ -678,8 +678,6 @@ class RadialMultiplier:
 
     def __init__(self, space: FockSpace, symbol: RadialSymbol):
         self.space = space
-        self.symbol = symbol
-        self.limit = symbol.limit
         L = space.L_max
         self.t1_weights = _weight_stack(symbol, L, 1)
         self.t2_weights = _weight_stack(symbol, L, 2)

@@ -1,10 +1,9 @@
-"""Radial symbols with structured tails and their Hankel-matrix calculus.
+"""Radial symbols with geometric tails and their Hankel-matrix calculus.
 
 A radial symbol assigns a complex value phi(n) to every word length
 n >= 0.  We restrict to symbols with finitely many free head values
-followed by a structured tail: eventually constant, or constant plus a
-damped geometric term r*z**n with |z| < 1.  For these the two Hankel
-difference matrices
+followed by a tail c + r*z**n with |z| < 1; r = 0 makes the symbol
+eventually constant.  For these the two Hankel difference matrices
 
     h[i, j] = phi(i+j)   - phi(i+j+1)
     k[i, j] = phi(i+j+1) - phi(i+j+2)
@@ -30,7 +29,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -38,73 +36,53 @@ SV_RELATIVE_CUTOFF = 1e-13  # singular values below this fraction of the top one
 
 
 @dataclass(frozen=True)
-class ConstantTail:
-    """Tail phi(n) = limit for n past the head."""
-
-    limit: complex = 0j
-
-
-@dataclass(frozen=True)
-class GeometricTail:
-    """Tail phi(n) = limit + coefficient * ratio**n for n past the head."""
-
-    coefficient: complex
-    ratio: complex
-    limit: complex = 0j
-
-    def __post_init__(self):
-        if abs(self.ratio) >= 1:
-            raise ValueError("geometric tail needs |ratio| < 1, got %r" % (self.ratio,))
-
-
-Tail = Union[ConstantTail, GeometricTail]
-
-
-@dataclass(frozen=True)
 class RadialSymbol:
-    """phi: N0 -> C given by explicit head values and a structured tail.
+    """phi: N0 -> C given by explicit head values and a tail.
 
-    ``head`` holds phi(0), ..., phi(m); the tail formula applies for n > m.
-    An empty head means the tail formula holds everywhere.
+    ``head`` holds phi(0), ..., phi(m); for n > m the tail
+    phi(n) = limit + coefficient * ratio**n applies, with |ratio| < 1.  A
+    constant tail is the case coefficient = 0; its ratio is then set to 0,
+    so a constant tail has one record.  An empty head means the tail
+    formula holds everywhere.
     """
 
     head: tuple
-    tail: Tail
+    limit: complex = 0j
+    coefficient: complex = 0j
+    ratio: complex = 0j
 
     def __post_init__(self):
         object.__setattr__(self, "head", tuple(complex(v) for v in self.head))
+        for name in ("limit", "coefficient", "ratio"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
+        if abs(self.ratio) >= 1:
+            raise ValueError("geometric tail needs |ratio| < 1, got %r" % (self.ratio,))
+        if self.coefficient == 0:
+            object.__setattr__(self, "ratio", 0j)
 
     @property
     def head_end(self) -> int:
         """Largest index covered by the head; -1 for an empty head."""
         return len(self.head) - 1
 
-    @property
-    def limit(self) -> complex:
-        return complex(self.tail.limit)
-
     def __call__(self, n: int) -> complex:
         if n < 0:
             raise ValueError("radial symbols are defined on n >= 0")
         if n < len(self.head):
             return self.head[n]
-        if isinstance(self.tail, GeometricTail):
-            return self.tail.limit + self.tail.coefficient * self.tail.ratio ** n
-        return self.tail.limit
+        return self.limit + self.coefficient * self.ratio ** n
 
     def psi1(self, n: int) -> complex:
         """psi1(n) = sum_{i>=0} (phi(n+2i) - phi(n+2i+1)), the head telescoped
         and the tail closed in one step: past the head, psi1(n) is
-        r * z**n / (1 + z) for a geometric tail and 0 for a constant one."""
+        r * z**n / (1 + z), which is 0 for a constant tail (r = 0)."""
         m = self.head_end
         total = 0j
         arg = n
         while arg <= m:
             total += self(arg) - self(arg + 1)
             arg += 2
-        if isinstance(self.tail, GeometricTail):
-            total += self.tail.coefficient * self.tail.ratio ** arg / (1 + self.tail.ratio)
-        return total
+        return total + self.coefficient * self.ratio ** arg / (1 + self.ratio)
 
     def psi2(self, n: int) -> complex:
         """psi2(n) = psi1(n+1)."""
@@ -113,20 +91,19 @@ class RadialSymbol:
     # common examples used across tests and presets
     @staticmethod
     def delta0() -> "RadialSymbol":
-        return RadialSymbol(head=(1.0,), tail=ConstantTail(0.0))
+        return RadialSymbol(head=(1.0,))
 
     @staticmethod
     def indicator01() -> "RadialSymbol":
-        return RadialSymbol(head=(1.0, 1.0), tail=ConstantTail(0.0))
+        return RadialSymbol(head=(1.0, 1.0))
 
     @staticmethod
     def constant(c) -> "RadialSymbol":
-        return RadialSymbol(head=(), tail=ConstantTail(complex(c)))
+        return RadialSymbol(head=(), limit=c)
 
     @staticmethod
     def geometric(ratio, coefficient=1.0, limit=0.0) -> "RadialSymbol":
-        return RadialSymbol(head=(), tail=GeometricTail(complex(coefficient),
-                                                        complex(ratio), complex(limit)))
+        return RadialSymbol(head=(), limit=limit, coefficient=coefficient, ratio=ratio)
 
 
 @dataclass(frozen=True)
@@ -140,7 +117,6 @@ class HankelPair:
 
     h: np.ndarray
     k: np.ndarray
-    truncation_dim: int
     tail_error: float
 
 
@@ -164,11 +140,9 @@ def _discard_bound(phi: RadialSymbol, M: int, offset: int) -> float:
     while s + offset <= m:
         total += (s + 1) * abs(phi(s + offset) - phi(s + offset + 1))
         s += 1
-    if isinstance(phi.tail, GeometricTail) and phi.tail.coefficient != 0:
-        q = abs(phi.tail.ratio)
-        amp = abs(phi.tail.coefficient * (1 - phi.tail.ratio))
-        total += amp * q ** offset * _sum_weighted_geometric(q, s)
-    return total
+    q = abs(phi.ratio)
+    amp = abs(phi.coefficient * (1 - phi.ratio))
+    return total + amp * q ** offset * _sum_weighted_geometric(q, s)
 
 
 def hankel_pair(phi: RadialSymbol, M: int) -> HankelPair:
@@ -181,7 +155,7 @@ def hankel_pair(phi: RadialSymbol, M: int) -> HankelPair:
     h = diffs[s]
     k = diffs[s + 1]
     tail_error = _discard_bound(phi, M, 0) + _discard_bound(phi, M, 1)
-    return HankelPair(h=h, k=k, truncation_dim=M, tail_error=tail_error)
+    return HankelPair(h=h, k=k, tail_error=tail_error)
 
 
 def trace_norm(A: np.ndarray) -> float:
@@ -244,12 +218,11 @@ def hankel_trace_norm(phi: RadialSymbol, shift: int) -> float:
     d = np.array([phi(s) - phi(s + 1) for s in range(2 * p + shift)], dtype=complex)
     C = np.zeros((p + 1, p + 1), dtype=complex)
     C[:p, :p] = d[i[:, None] + i[None, :] + shift]
-    if isinstance(phi.tail, GeometricTail):
-        z = phi.tail.ratio
-        g = phi.tail.coefficient * (1 - z) * z ** shift
-        N = math.sqrt(abs(z) ** (2 * p) / (1 - abs(z) ** 2))
-        C[:p, p] = C[p, :p] = g * z ** i * N
-        C[p, p] = g * N * N
+    z = phi.ratio
+    g = phi.coefficient * (1 - z) * z ** shift
+    N = math.sqrt(abs(z) ** (2 * p) / (1 - abs(z) ** 2))
+    C[:p, p] = C[p, :p] = g * z ** i * N
+    C[p, p] = g * N * N
     return trace_norm(C)
 
 
@@ -269,11 +242,9 @@ def ricard_xu_bound(phi: RadialSymbol) -> float:
     total = abs(phi(0))
     for n in range(1, m + 1):
         total += 4 * n * abs(phi(n))
-    if isinstance(phi.tail, GeometricTail) and phi.tail.coefficient != 0:
-        q = abs(phi.tail.ratio)
-        start = max(m + 1, 1)
-        total += 4 * abs(phi.tail.coefficient) * q ** start * (start * (1 - q) + q) / (1 - q) ** 2
-    return total
+    q = abs(phi.ratio)
+    start = max(m + 1, 1)
+    return total + 4 * abs(phi.coefficient) * q ** start * (start * (1 - q) + q) / (1 - q) ** 2
 
 
 def write_symbol_csv(path, phi: RadialSymbol, M: int) -> None:

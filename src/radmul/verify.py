@@ -165,19 +165,17 @@ def embed(space: FockSpace, a) -> StructuredOperator:
 
 @dataclass(frozen=True)
 class ReducedWord:
-    """b_0 a_1 b_1 ... a_n b_n with kernel letters a_j from alternating factors."""
+    """b_0 a_1 b_1 ... a_n b_n with kernel letters a_j from alternating factors
+    (adjacent letters belong to different factor objects)."""
 
     letters: tuple            # FactorElement instances with vanishing expectation
     coeffs: tuple             # n+1 base-algebra elements
-    factor_indices: tuple
 
     def __post_init__(self):
         if len(self.coeffs) != len(self.letters) + 1:
             raise ValueError("need one more coefficient than letters")
-        if len(self.factor_indices) != len(self.letters):
-            raise ValueError("one factor index per letter")
         for j, a in enumerate(self.letters):
-            if j and self.factor_indices[j - 1] == self.factor_indices[j]:
+            if j and self.letters[j - 1].factor is a.factor:
                 raise ValueError("adjacent letters from the same factor")
             if np.abs(cond_exp(a)).max() > 1e-10:
                 raise ValueError("letters must have vanishing expectation")
@@ -232,7 +230,7 @@ def random_reduced_word(rng, space: FockSpace, n: int) -> ReducedWord:
         indices.append(int(choices[rng.integers(len(choices))]))
     letters = tuple(space.amalgam.factors[i].random_kernel(rng) for i in indices)
     coeffs = tuple(base.random(rng) for _ in range(n + 1))
-    return ReducedWord(letters=letters, coeffs=coeffs, factor_indices=tuple(indices))
+    return ReducedWord(letters=letters, coeffs=coeffs)
 
 
 def random_generator_word(rng, space: FockSpace, k: int, l: int,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radmul.config import parse_config, preset_config
-from radmul.symbols import ConstantTail, GeometricTail, RadialSymbol
+from radmul.symbols import RadialSymbol
 
 
 @pytest.fixture(scope="session")
@@ -59,8 +59,8 @@ def symbol_zoo():
         RadialSymbol.geometric(0.5),
         RadialSymbol.geometric(0.3, coefficient=2.0),
         RadialSymbol.geometric(0.4 + 0.3j, coefficient=1.0 - 0.5j),
-        RadialSymbol(head=(2.0, -1.0, 0.5j), tail=ConstantTail(0.25)),
-        RadialSymbol(head=(1.0, 0.0, -0.5), tail=GeometricTail(0.8, 0.6, -0.2 + 0.1j)),
+        RadialSymbol(head=(2.0, -1.0, 0.5j), limit=0.25),
+        RadialSymbol(head=(1.0, 0.0, -0.5), coefficient=0.8, ratio=0.6, limit=-0.2 + 0.1j),
     ]
 
 

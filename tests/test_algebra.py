@@ -14,7 +14,7 @@ def scalar_factor(order=2):
 
 
 def inner_factor():
-    return CrossedFactor.inner_cyclic(TracialAlgebra(2), 2, V2)
+    return CrossedFactor.inner_cyclic(TracialAlgebra(2), FiniteGroup.cyclic(2), V2)
 
 
 # ---------------------------------------------------------------- base algebra
@@ -287,7 +287,7 @@ def test_inner_action_is_trace_preserving_homomorphism():
 def test_non_unitary_action_rejected():
     bad = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
     with pytest.raises(ValueError):
-        CrossedFactor.inner_cyclic(TracialAlgebra(2), 2, bad)
+        CrossedFactor.inner_cyclic(TracialAlgebra(2), FiniteGroup.cyclic(2), bad)
 
 
 def test_non_homomorphic_powers_rejected():
@@ -296,4 +296,4 @@ def test_non_homomorphic_powers_rejected():
     V = np.array([[np.cos(theta), -np.sin(theta)],
                   [np.sin(theta), np.cos(theta)]], dtype=complex)
     with pytest.raises(ValueError):
-        CrossedFactor.inner_cyclic(TracialAlgebra(2), 2, V)
+        CrossedFactor.inner_cyclic(TracialAlgebra(2), FiniteGroup.cyclic(2), V)

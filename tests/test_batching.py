@@ -19,7 +19,7 @@ from radmul.fock import FockVector
 from radmul.operators import (GeneratorWord, StructuredOperator, build_T,
                               generator_operators, stack, tower)
 from radmul.report import VerificationReport
-from radmul.symbols import GeometricTail, RadialSymbol
+from radmul.symbols import RadialSymbol
 from radmul.verify import (embed, embedding_suite, fock_suite, lemma_suite,
                            main_theorem_suite, random_generator_word, random_reduced_word,
                            spanning_check, word_operator, word_vacuum_images)
@@ -31,7 +31,7 @@ SPACES = EXACT + ["noncomm_space"]
 @pytest.fixture(scope="module")
 def symbols():
     return [RadialSymbol.delta0(), RadialSymbol.geometric(0.5),
-            RadialSymbol(head=(1.0, 0.3j), tail=GeometricTail(0.8 - 0.2j, 0.4 + 0.35j, 0.1))]
+            RadialSymbol(head=(1.0, 0.3j), coefficient=0.8 - 0.2j, ratio=0.4 + 0.35j, limit=0.1)]
 
 
 def assert_reports_agree(got, want, tol):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from radmul.algebra import FiniteGroup
 from radmul.cli import main
 from radmul.config import ConfigError, load_config, parse_config, preset_config
 
@@ -65,6 +66,43 @@ def test_config_digest_stable(tmp_path, dih_config):
     cfg1 = load_config(dih_config)
     cfg2 = load_config(dih_config)
     assert cfg1.digest() == cfg2.digest()
+
+
+def test_zero_coefficient_geometric_tail_is_the_constant_tail(tmp_path, capsys):
+    # one record per symbol: the two spellings of a constant tail parse to
+    # equal symbols, and their reports differ only in the config digest
+    tails = ({"kind": "constant", "limit": [0.3, -0.1]},
+             {"kind": "geometric", "coefficient": 0, "ratio": -0.5, "limit": [0.3, -0.1]})
+    symbols, reports, outs = [], [], []
+    for i, tail in enumerate(tails):
+        data = preset_config("dih")
+        data["symbol"] = {"head": [1.0, [0.5, 0.2]], "tail": tail}
+        data["truncation"]["fock_len"] = 4
+        cfg = parse_config(data)
+        symbols.append(cfg.symbol)
+        report = tmp_path / ("report%d.json" % i)
+        assert main(["verify", "--config", write_config(tmp_path, data, "c%d.json" % i),
+                     "--report", str(report)]) == 0
+        reports.append(report.read_bytes().replace(cfg.digest().encode(), b""))
+        outs.append(capsys.readouterr().out.replace(str(report), ""))
+    assert symbols[0] == symbols[1]
+    assert reports[0] == reports[1]
+    assert outs[0] == outs[1]
+
+
+def test_inner_cyclic_factor_builds_its_group_once(monkeypatch):
+    # each build of a group re-checks associativity, O(order**3): the parsed
+    # group is the one the inner action uses
+    orders = []
+    validate = FiniteGroup._validate
+
+    def counted(group):
+        orders.append(group.order)
+        validate(group)
+
+    monkeypatch.setattr(FiniteGroup, "_validate", counted)
+    parse_config(noncommuting_config())  # two inner cyclic factors
+    assert orders == [3, 3]
 
 
 # ---------------------------------------------------------------- symbol command
@@ -580,7 +618,7 @@ def test_model_dim_counts_the_words():
     for data in (preset_config("cy3"), noncommuting_config(3)):
         cfg = parse_config(data)
         orders = [fac.group.order for fac in cfg.factors]
-        assert model_dim(orders, cfg.base_algebra.d, cfg.fock_len) == cfg.space().dim
+        assert model_dim(orders, cfg.factors[0].base.d, cfg.fock_len) == cfg.space().dim
 
 
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)

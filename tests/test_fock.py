@@ -96,7 +96,7 @@ def _graph_space(name):
         base = TracialAlgebra(2)
         H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
         V3 = np.diag([1.0, np.exp(2j * np.pi / 3)])
-        return FockSpace(Amalgam([CrossedFactor.inner_cyclic(base, order, V)
+        return FockSpace(Amalgam([CrossedFactor.inner_cyclic(base, FiniteGroup.cyclic(order), V)
                                   for order, V in ((2, V2), (3, V3), (2, H))]), 3)
     preset, fock_len = name.split("-L")
     cfg = noncommuting_config() if preset == "noncomm" else preset_config(preset)

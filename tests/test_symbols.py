@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from radmul.symbols import (ConstantTail, GeometricTail, RadialSymbol, factorize,
+from radmul.symbols import (RadialSymbol, factorize,
                             hankel_pair, hankel_trace_norm, norm_C,
                             ricard_xu_bound, trace_norm, write_symbol_csv)
 
@@ -23,7 +23,7 @@ def brute_hankel_entry(phi, i, j, offset=0):
 # ---------------------------------------------------------------- evaluate
 
 def test_evaluate_constant_symbol():
-    phi = RadialSymbol(head=(1.0,), tail=ConstantTail(1.0))
+    phi = RadialSymbol(head=(1.0,), limit=1.0)
     assert phi(5) == 1.0
 
 
@@ -34,7 +34,7 @@ def test_evaluate_head_tail_boundary():
 
 
 def test_evaluate_geometric_formula():
-    phi = RadialSymbol(head=(), tail=GeometricTail(1.0, 0.5, 0.0))
+    phi = RadialSymbol(head=(), coefficient=1.0, ratio=0.5, limit=0.0)
     assert phi(3) == pytest.approx(0.125)
 
 
@@ -45,7 +45,7 @@ def test_evaluate_rejects_negative():
 
 def test_geometric_tail_requires_contraction():
     with pytest.raises(ValueError):
-        GeometricTail(1.0, 1.0)
+        RadialSymbol(head=(), coefficient=1.0, ratio=1.0)
 
 
 # ---------------------------------------------------------------- hankel pair
@@ -95,7 +95,7 @@ def test_tail_error_bounds_discarded_mass(zoo):
 
 
 def test_tail_error_zero_for_covered_constant_head():
-    phi = RadialSymbol(head=(3.0, 2.0, 1.0), tail=ConstantTail(0.5))
+    phi = RadialSymbol(head=(3.0, 2.0, 1.0), limit=0.5)
     assert hankel_pair(phi, 4).tail_error == 0.0
 
 
@@ -143,10 +143,10 @@ def test_norm_C_exact_within_truncation_envelope(zoo):
     extra = [
         RadialSymbol.geometric(0.9),
         RadialSymbol.geometric(0.0, coefficient=2.0),
-        RadialSymbol(head=(1.0,), tail=GeometricTail(1.0, 0.0)),
+        RadialSymbol(head=(1.0,), coefficient=1.0, ratio=0.0),
         RadialSymbol.geometric(-0.8 + 0.1j),
         RadialSymbol.geometric(-0.5, coefficient=0.5j, limit=0.3),
-        RadialSymbol(head=(1.0, 2.0, -1.0, 0.5j), tail=GeometricTail(0.7, -0.6, 0.2)),
+        RadialSymbol(head=(1.0, 2.0, -1.0, 0.5j), coefficient=0.7, ratio=-0.6, limit=0.2),
     ]
     for phi in zoo + extra:
         hp = hankel_pair(phi, 400)
@@ -188,7 +188,7 @@ def test_psi_matches_series_oracle(zoo):
 
 def test_phi_recovered_from_psi(zoo):
     for phi in zoo:
-        tol = 0.0 if isinstance(phi.tail, ConstantTail) else 1e-10
+        tol = 0.0 if phi.coefficient == 0 else 1e-10
         for n in range(48):
             lhs = phi(n)
             rhs = phi.psi1(n) + phi.psi2(n) + phi.limit
@@ -314,7 +314,7 @@ def test_ricard_xu_geometric_closed_form():
 
 
 def test_ricard_xu_with_head():
-    phi = RadialSymbol(head=(2.0, -1.0), tail=GeometricTail(1.0, 0.25))
+    phi = RadialSymbol(head=(2.0, -1.0), coefficient=1.0, ratio=0.25)
     brute = abs(phi(0)) + sum(4 * n * abs(phi(n)) for n in range(1, 200))
     assert ricard_xu_bound(phi) == pytest.approx(brute, rel=1e-12)
 

@@ -6,7 +6,7 @@ from oracles import as_op
 from radmul.config import parse_config, preset_config
 from radmul.fock import Word
 from radmul.operators import RadialMultiplier, build_T, left_mult
-from radmul.symbols import ConstantTail, GeometricTail, RadialSymbol
+from radmul.symbols import RadialSymbol
 from radmul.verify import (ReducedWord, embed, embedding_suite, fock_suite,
                            lemma_suite, main_theorem_suite, norm_bound_suite,
                            operator_suite, random_reduced_word, spanning_check,
@@ -19,8 +19,7 @@ def unit_word(space, *indexed_letters, right=None):
     letters = tuple(space.amalgam.factors[i].unitary(g) for i, g in indexed_letters)
     coeffs = [space.base.identity()] * len(indexed_letters)
     coeffs.append(space.base.identity() if right is None else right)
-    return ReducedWord(letters=letters, coeffs=tuple(coeffs),
-                       factor_indices=tuple(i for i, _ in indexed_letters))
+    return ReducedWord(letters=letters, coeffs=tuple(coeffs))
 
 
 # ---------------------------------------------------------------- embedding
@@ -62,7 +61,7 @@ def test_word_operator_vacuum_images(mat2_space):
     rng = np.random.default_rng(1)
     b = mat2_space.base.random(rng)
     # n = 0: plain left multiplication
-    rw = ReducedWord(letters=(), coeffs=(b,), factor_indices=())
+    rw = ReducedWord(letters=(), coeffs=(b,))
     v = word_operator(mat2_space, rw)(mat2_space.vacuum())
     assert np.allclose(v.coeff(Word()), b)
     # n = 1 and n = 2 unitary words land on the canonical word vectors
@@ -76,11 +75,22 @@ def test_word_operator_vacuum_images(mat2_space):
 def test_word_operator_rejects_bad_words(dih_space):
     fac = dih_space.amalgam.factors[0]
     with pytest.raises(ValueError):
-        ReducedWord(letters=(fac.identity(),), coeffs=(np.eye(1), np.eye(1)),
-                    factor_indices=(0,))  # expectation not zero
+        ReducedWord(letters=(fac.identity(),),
+                    coeffs=(np.eye(1), np.eye(1)))  # expectation not zero
     with pytest.raises(ValueError):
         ReducedWord(letters=(fac.unitary(1), fac.unitary(1)),
-                    coeffs=(np.eye(1),) * 3, factor_indices=(0, 0))
+                    coeffs=(np.eye(1),) * 3)
+
+
+def test_reduced_word_tells_factors_apart_by_identity(cy3_space):
+    # cy3's two factors are equal order-3 crossed products, yet distinct
+    # objects: letters alternate between factor objects, not their contents
+    f0, f1 = cy3_space.amalgam.factors
+    assert f0 is not f1 and np.array_equal(f0.group.table, f1.group.table)
+    coeffs = (np.eye(1),) * 3
+    assert ReducedWord(letters=(f0.unitary(1), f1.unitary(2)), coeffs=coeffs).length == 2
+    with pytest.raises(ValueError, match="adjacent letters"):
+        ReducedWord(letters=(f1.unitary(1), f1.unitary(2)), coeffs=coeffs)
 
 
 def test_vacuum_expectation(dih_space):
@@ -89,7 +99,7 @@ def test_vacuum_expectation(dih_space):
     a = dih_space.amalgam.factors[0].unitary(1)
     assert np.abs(vacuum_expectation(dih_space, embed(dih_space, a))).max() < 1e-15
     b = np.array([[1.5 - 0.5j]])
-    rw = ReducedWord(letters=(), coeffs=(b,), factor_indices=())
+    rw = ReducedWord(letters=(), coeffs=(b,))
     assert vacuum_expectation(dih_space, word_operator(dih_space, rw))[0, 0] \
         == pytest.approx(b[0, 0])
 
@@ -159,7 +169,7 @@ def test_case_two_pipeline_on_cyclic3(cy3_space, acceptance_symbols):
 def test_scaled_case_rules_still_catch_a_perturbed_weight(cy3_space, monkeypatch):
     # dividing by phi's scale keeps the case rules sharp: one weight of T
     # off by a relative 1e-6 still fails them on a symbol of size 1e6
-    phi = RadialSymbol(head=(1e6, -1e6), tail=ConstantTail(0.0))
+    phi = RadialSymbol(head=(1e6, -1e6), limit=0.0)
 
     def case_rules():
         checks = {c.name: c for c in lemma_suite(cy3_space, [phi]).checks}
@@ -186,7 +196,7 @@ def test_rules_near_ratio_minus_one_catch_a_perturbed_weight(dih_space, monkeypa
     # component rules are divided by the largest weight of T1 and T2, and
     # the case rules by phi's scale, so a relative 1e-6 error in the
     # largest weight of T1, T2 or T still fails at about 1e-6
-    phi = RadialSymbol(head=(1.0,), tail=GeometricTail(1.0, -0.999999))
+    phi = RadialSymbol(head=(1.0,), coefficient=1.0, ratio=-0.999999)
 
     def rule():
         return {c.name: c for c in lemma_suite(dih_space, [phi]).checks}[check]
@@ -295,9 +305,8 @@ def test_report_determinism(dih_space):
 def test_complex_symbol_pipeline(dih_space):
     # fully complex head, tail coefficient, ratio and limit: catches any
     # conjugation slip in the weight tables and towers
-    from radmul.symbols import GeometricTail
     phi = RadialSymbol(head=(1.0, 0.3j),
-                       tail=GeometricTail(0.8 - 0.2j, 0.4 + 0.35j, 0.15 - 0.1j))
+                       coefficient=0.8 - 0.2j, ratio=0.4 + 0.35j, limit=0.15 - 0.1j)
     rep = lemma_suite(dih_space, [phi], seed=31)
     assert rep.passed, [c.name for c in rep.failed()]
     rep = main_theorem_suite(dih_space, [phi], seed=31, words_per_length=6)
