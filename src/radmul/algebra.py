@@ -96,20 +96,23 @@ class FiniteGroup:
             raise ValueError("table entries out of range")
         if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
             raise ValueError("index 0 must be the group identity")
-        for g in range(n):
-            if sorted(t[g]) != list(range(n)) or sorted(t[:, g]) != list(range(n)):
+        # per element g, in order: is row g or column g not a permutation,
+        # and has row g no identity entry
+        perm = np.arange(n)
+        latin = ((np.sort(t, axis=1) != perm).any(axis=1)
+                 | (np.sort(t, axis=0) != perm[:, None]).any(axis=0))
+        no_inverse = ~(t == 0).any(axis=1)
+        bad = np.flatnonzero(latin | no_inverse)
+        if bad.size:
+            if latin[bad[0]]:
                 raise ValueError("table is not a Latin square")
-            if not np.any(t[g] == 0):
-                raise ValueError("element %d has no inverse" % g)
+            raise ValueError("element %d has no inverse" % bad[0])
         for a in range(n):
             # row a compares (ab)c, i.e. t[t[a]][b, c], with a(bc) = t[a][t][b, c]
-            bad = np.argwhere(t[t[a]] != t[a][t])
-            if len(bad):
-                b, c = bad[0]
+            lhs, rhs = t[t[a]], np.take(t[a], t)
+            if not np.array_equal(lhs, rhs):
+                b, c = np.argwhere(lhs != rhs)[0]
                 raise ValueError("table is not associative at (%d, %d, %d)" % (a, b, c))
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
@@ -145,19 +148,21 @@ class CrossedFactor:
         if self.unitaries.shape != (self.group.order, d, d):
             raise ValueError("need one %d x %d unitary per group element" % (d, d))
         eye = np.eye(d)
-        for g, w in enumerate(self.unitaries):
-            if np.abs(w.conj().T @ w - eye).max() > 1e-10:
-                raise ValueError("matrix for group element %d is not unitary" % g)
-        if np.abs(self.unitaries[0] - eye).max() > 1e-12:
+        W = self.unitaries
+        W_star = W.conj().transpose(0, 2, 1)
+        bad = np.flatnonzero(np.abs(W_star @ W - eye).max(axis=(1, 2)) > 1e-10)
+        if bad.size:
+            raise ValueError("matrix for group element %d is not unitary" % bad[0])
+        if np.abs(W[0] - eye).max() > 1e-12:
             raise ValueError("identity element must act trivially")
         # Ad must be a genuine homomorphism: w_g w_h may differ from w_{gh}
-        # only by a phase.
+        # only by a phase; every h at once for each g
         for g in range(self.group.order):
-            for h in range(self.group.order):
-                m = self.unitaries[g] @ self.unitaries[h] @ self.unitaries[self.group.mul(g, h)].conj().T
-                lam = np.trace(m) / d
-                if np.abs(m - lam * eye).max() > 1e-10 or abs(abs(lam) - 1) > 1e-10:
-                    raise ValueError("unitaries do not implement a group action")
+            m = W[g] @ W @ W_star[self.group.table[g]]
+            lam = np.trace(m, axis1=1, axis2=2)[:, None, None] / d
+            if (np.abs(m - lam * eye).max(initial=0.0) > 1e-10
+                    or (abs(np.abs(lam) - 1) > 1e-10).any()):
+                raise ValueError("unitaries do not implement a group action")
 
     @property
     def index(self) -> int:
@@ -250,21 +255,6 @@ def cond_exp(x: FactorElement) -> np.ndarray:
     return x.coeffs[0]
 
 
-def pp_expand(x: FactorElement) -> np.ndarray:
-    """Coefficients (E(x u_g))_g of the module-basis expansion of x, one
-    (|G|, d, d) array.
-
-    E(x u_g) picks out the coefficient of x at g^{-1}, so the expansion
-    sum_g E(x u_g) u_g* reproduces x exactly.
-    """
-    return x.coeffs[x.factor.group.inverses]
-
-
-def pp_reconstruct(factor: CrossedFactor, coeffs) -> FactorElement:
-    """sum_g coeffs[g] u_g* for the canonical basis: coeffs[g] u_{g^{-1}}."""
-    return FactorElement(factor, np.array(coeffs, dtype=complex)[factor.group.inverses])
-
-
 def _onb_elements(factor: CrossedFactor) -> list:
     """Orthonormal basis of L2(M_i, tau_i): {b u_g : b in onb(N), g in G}."""
     return [factor._element(g, b) for g in range(factor.group.order)
@@ -319,20 +309,3 @@ def verify_pp_basis(factor: CrossedFactor, basis=None,
     report.add("pp_expansion", expansion, tol, spanning_size=len(onb))
     return report
 
-
-def e0_vanishing(factor: CrossedFactor, g: int, b) -> VerificationReport:
-    """For gamma = u_g with g != e and b in N, the expansion of gamma*b has
-    no component along e_0 = 1, and the sum over j >= 1 already
-    reconstructs gamma*b, both to ``ALGEBRAIC_TOL``.
-    """
-    if g == 0:
-        raise ValueError("gamma must avoid the identity element")
-    tol = ALGEBRAIC_TOL
-    x = factor.unitary(g) * factor.from_base(b)
-    coeffs = pp_expand(x)
-    report = VerificationReport()
-    report.add("e0_coefficient_vanishes", float(np.abs(coeffs[0]).max()), tol, g=g)
-    coeffs[0] = 0
-    diff = pp_reconstruct(factor, coeffs) - x
-    report.add("e0_truncated_reconstruction", float(np.abs(diff.coeffs).max()), tol, g=g)
-    return report

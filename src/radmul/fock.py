@@ -29,9 +29,9 @@ Letter = tuple  # (factor index, group element index != 0)
 class Word:
     """Reduced word: adjacent letters from distinct factors, no identity letters.
 
-    ``Word(letters)`` checks every letter; ``append`` and ``prepend`` check
-    only the letter they add, and ``drop_first`` and ``drop_last`` nothing,
-    since a reduced word stays reduced when a letter is stripped."""
+    ``Word(letters)`` checks every letter; ``append`` checks only the letter
+    it adds, and ``drop_first`` and ``drop_last`` nothing, since a reduced
+    word stays reduced when a letter is stripped."""
 
     letters: tuple = ()
 
@@ -49,13 +49,6 @@ class Word:
     @property
     def last_factor(self) -> int:
         return self.letters[-1][0] if self.letters else -1
-
-    def prepend(self, letter: Letter) -> "Word":
-        letter = tuple(letter)
-        _check_letter(None, letter)
-        if self.letters:
-            _check_letter(letter, self.letters[0])
-        return _reduced((letter,) + self.letters)
 
     def append(self, letter: Letter) -> "Word":
         letter = tuple(letter)
@@ -139,9 +132,6 @@ class FockVector:
     def coeff(self, word: Word) -> np.ndarray:
         j = self.space.word_index.get(word)
         return self.space.base.zero() if j is None else self.blocks[j]
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.abs(self.blocks).max() <= tol)
 
     def __add__(self, other: "FockVector") -> "FockVector":
         return _vector(self.space, self.blocks + other.blocks)
@@ -272,15 +262,8 @@ class FockSpace:
         self.stripped = np.where(self.first_letter == np.arange(len(self.letters))[:, None],
                                  self.rest, -1)
 
-    def zero_vector(self) -> FockVector:
-        return FockVector(self, {})
-
     def vacuum(self) -> FockVector:
         return FockVector(self, {Word(): self.base.identity()})
-
-    def basis_fock_vector(self, idx: int) -> FockVector:
-        w = self.words[idx // self.dim_N]
-        return FockVector(self, {w: self.n_onb[idx % self.dim_N]})
 
     def word_vector(self, word: Word, b=None) -> FockVector:
         coeff = self.base.identity() if b is None else self.base.element(b)
@@ -302,26 +285,4 @@ class FockSpace:
     def guard_mask(self, max_len: int) -> np.ndarray:
         """Scalar-basis indices whose word length stays within max_len."""
         return np.repeat(self.lengths <= max_len, self.dim_N)
-
-
-def canonicalize(space: FockSpace, letters, coeffs=None) -> FockVector:
-    """Collapse a formal tensor b_0 u_{g_1} b_1 ... u_{g_k} b_k to canonical form.
-
-    All interior and left coefficients get pushed to the single right slot.
-    Words beyond the truncation give the zero vector; a same-factor
-    adjacency raises.
-    """
-    letters = [tuple(l) for l in letters]
-    if coeffs is None:
-        coeffs = [space.base.identity()] * (len(letters) + 1)
-    if len(coeffs) != len(letters) + 1:
-        raise ValueError("need one more coefficient than letters")
-    word = Word(tuple(letters))  # adjacency validation happens here
-    if len(word) > space.L_max:
-        return space.zero_vector()
-    am = space.amalgam
-    acc = space.base.element(coeffs[0])
-    for letter, right in zip(letters, coeffs[1:]):
-        acc = am.push(acc, letter) @ space.base.element(right)
-    return FockVector(space, {word: acc})
 

@@ -23,15 +23,13 @@ the forward shift ((S x)(0) = 0, (S x)(t) = x(t-1)), so D_{(S*)^n x}
 scales the length-k sector by x(k+n) and D_{S^n x} by x(k-n); as arrays,
 (S*)^n x is x[n:] and S^n x is n zeros followed by x.
 
-Each of these maps -- Phi1, Phi2, T1, T2 and T -- is one weight stack over
-one tower: the ``tower`` of an operator A lists A, its rho-iterates and the
-rho-iterates of eps(A), and ``weighted_sum`` scales every entry of tower
-member m between words of lengths a and b by W[m, a, b].  ``phi_weights``
-builds the stack of one Phi block; the pair sums depend on the pairs only
-through h and k, so the multiplier reads its stacks off the symbol in
-closed form.  ``_tower_stack`` lays out every stack: W0 on A, and one
-matrix P past it, P[a-n, b-n] on rho^n(A) or rho^{n-1}(eps(A)) between
-lengths a, b >= n; P is x y^* for a Phi block, h or k for T1 or T2.
+Each of these maps -- Phi1, Phi2, T1, T2 and T -- is one weight set
+(W0, P1, P2) of three tables by row and column word length: every shifted
+copy of an entry of A keeps the weight of the lengths it had before the
+shifts, so ``apply_weights`` sums the shifts by Horner's rule.
+``phi_weights`` builds the set of one Phi block (P1 or P2 is x y^*); the
+pair sums depend on the pairs only through h and k, so the multiplier
+reads its sets off the symbol in closed form.
 
 Everything here commutes with the right N-action, except the right
 creations, which are covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b).
@@ -49,9 +47,11 @@ factors run in configuration order.
 Every operator is a stack: each entry carries its sample, and a single
 operator is a stack of one.  Every operation runs once for a whole stack,
 each sample coming out exactly as it does alone, entry order included.
-``generator_operators`` builds a family of generator words as one stack;
-``matrix()``, ``op @ x``, ``block_max`` and ``op_norm`` give one result per
-sample when the flag ``stacked`` is set.
+``generator_operators`` builds a family of generator words as one stack,
+and ``tile`` copies a stack, so that ``apply_weights`` can weigh each copy
+by its own weight set in one pass; ``matrix()``, ``op @ x``, ``block_max``
+and ``op_norm`` give one result per sample when the flag ``stacked`` is
+set.
 
 The operator is the package's one sparse matrix type.  ``amplify`` builds
 the amplifications sum_i C_i (x) A_i of the norm-bound sampler on the A_i's
@@ -217,6 +217,14 @@ def stack(ops) -> StructuredOperator:
                               len(ops), True)
 
 
+def tile(A: StructuredOperator, count: int) -> StructuredOperator:
+    """``count`` copies of the stack A as one, copy j holding sample s as j n + s."""
+    samples = (np.arange(count)[:, None] * A.n_samples + A.samples).ravel()
+    return StructuredOperator(A.space, np.tile(A.rows, count), np.tile(A.cols, count),
+                              np.tile(A.blocks, (count, 1, 1)), A.name, samples,
+                              count * A.n_samples, True)
+
+
 def _same_stack(*ops) -> None:
     """Operands of one product or sum are single operators or stacks of one size."""
     if len({(op.stacked, op.n_samples) for op in ops}) > 1:
@@ -281,11 +289,6 @@ def _diag_op(space: FockSpace, values, name: str, block=None) -> StructuredOpera
 
 def identity_op(space: FockSpace) -> StructuredOperator:
     return _diag_op(space, np.ones(len(space.words)), "Id")
-
-
-def zero_op(space: FockSpace) -> StructuredOperator:
-    k = space.dim_N
-    return StructuredOperator(space, [], [], np.zeros((0, k, k)), name="0")
 
 
 def lmul_blocks(space: FockSpace, b: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -378,17 +381,6 @@ def ends_in_factor_op(space: FockSpace, i: int) -> StructuredOperator:
                     "P[ends_in_factor %d]" % i)
 
 
-def start_complement_op(space: FockSpace, i: int) -> StructuredOperator:
-    """Projection onto the vacuum plus words not starting in factor i.
-
-    This is the j = 0 slot of the factor embedding: the basis element
-    e_0 = 1 neither creates nor annihilates, it guards the sector where
-    the factor acts through its N-part.
-    """
-    return _diag_op(space, space.first_factors != i,
-                    "P[start!=%d]" % i)
-
-
 def diag(space: FockSpace, x) -> StructuredOperator:
     """D_x: multiply the length-k sector by x(k), zero past the end of x."""
     x = np.asarray(x, dtype=complex).ravel()[:space.L_max + 1]
@@ -433,64 +425,49 @@ def epsilon_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperato
     return A.subset(keep).renamed("eps(%s)" % A.name)
 
 
-def tower(space: FockSpace, A: StructuredOperator) -> list:
-    """The 2L+1 operators a weight stack weights, L = ``space.L_max``:
+def apply_weights(space: FockSpace, W: np.ndarray, A: StructuredOperator) -> StructuredOperator:
+    """W0 o A + sum_{n=1}^{L} (rho^n(P1 o A) + rho^{n-1}(P2 o eps(A))) for a
+    weight set W = (W0, P1, P2), a (3, L+1, L+1) array by row and column
+    word length (L = ``space.L_max``), or one such set per sample of A; X o B
+    scales each entry of B by X at its lengths and drops those of weight 0.
+    By Horner's rule: B2 = P2 o eps(A), C = P1 o A + B2, X_0 = 0,
+    X_k = rho(X_{k-1} + C), T(A) = W0 o A + B2 + X_L, each sum adding the
+    entries on one word pair in that order.  An overflow leaves inf or nan,
+    which fails the checks that read it, so numpy does not warn as well."""
+    W = np.broadcast_to(W, (A.n_samples,) + np.shape(W)[-3:])
 
-        [A, rho(A), ..., rho^L(A), eps(A), rho(eps(A)), ..., rho^{L-1}(eps(A))],
+    def scaled(table, B):
+        w = W[B.samples, table, space.lengths[B.rows], space.lengths[B.cols]]
+        keep = np.flatnonzero(w)
+        return B._new(B.samples[keep], B.rows[keep], B.cols[keep],
+                      w[keep, None, None] * B.blocks[keep], B.name)
 
-    so member n <= L is rho^n(A) and member L+n, n >= 1, is rho^{n-1}(eps(A)).
-    """
-    return [A] + rho_tower(space, A, space.L_max) + eps_rho_tower(space, A, space.L_max)
-
-
-def weighted_sum(space: FockSpace, W: np.ndarray, tower: list) -> StructuredOperator:
-    """sum_m W[m, |r|, |c|] tower[m][r, c] for a (2L+1, L+1, L+1) weight
-    stack W, indexed by tower member, row word length and column word length.
-
-    Each entry is scaled by the weight of its word lengths, entries of zero
-    weight are dropped, and the entries on one word pair are added in tower
-    order.  A symbol near the float range may overflow here; the inf or nan
-    it leaves makes the checks that read the result fail, so numpy is not
-    asked to warn about it as well.
-    """
-    m = np.repeat(np.arange(len(tower)), [op.rows.size for op in tower])
-    rows = np.concatenate([op.rows for op in tower])
-    cols = np.concatenate([op.cols for op in tower])
-    w = W[m, space.lengths[rows], space.lengths[cols]]
-    keep = np.nonzero(w)[0]
-    samples = np.concatenate([op.samples for op in tower])[keep]
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = w[keep, None, None] * np.concatenate([op.blocks for op in tower])[keep]
-        out = coalesce(samples, rows[keep], cols[keep], blocks, len(space.words))
-    return tower[0]._new(*out, "sum")
+        B2 = scaled(2, epsilon_matrix(space, A))
+        C = X = op_sum(space, [scaled(1, A), B2])
+        for _ in range(space.L_max - 1):  # X = X_k + C
+            X = op_sum(space, [rho_matrix(space, X), C])
+        return op_sum(space, [scaled(0, A), B2, rho_matrix(space, X)])
 
 
-def _tower_stack(W0, P: np.ndarray, variant: int) -> np.ndarray:
-    """The (2L+1, L+1, L+1) weight stack, L = len(W0) - 1, of a ``tower``:
-    W0 on A, and P[a-n, b-n] between lengths a, b >= n on rho^n(A)
-    (variant 1) or rho^{n-1}(eps(A)) (variant 2), n = 1, ..., L."""
+def _weight_set(W0, P: np.ndarray, variant: int) -> np.ndarray:
+    """The weight set (W0, P1, P2), L = len(W0) - 1, with P's top-left L x L
+    corner as P1 (variant 1) or, one length on, as P2 (variant 2)."""
     L = len(W0) - 1
-    W = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)
+    W = np.zeros((3, L + 1, L + 1), dtype=complex)
     W[0] = W0
-    for n in range(1, L + 1):
-        m = min(L + 1 - n, P.shape[0])
-        W[n if variant == 1 else L + n, n:n + m, n:n + m] = P[:m, :m]
+    m, at = min(L, P.shape[0]), variant - 1
+    W[variant, at:at + m, at:at + m] = P[:m, :m]
     return W
 
 
 def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
-    """Weight stack of Phi^(variant)_{x,y}: sum_t x(a+t) conj(y(b+t)) on A,
-    and P = x y^* past it (``_tower_stack``)."""
+    """Weight set of Phi^(variant)_{x,y}: sum_t x(a+t) conj(y(b+t)) on A,
+    and P = x y^* past it (``_weight_set``)."""
     L = space.L_max
     P = np.outer(x, np.conj(y))
-    return _tower_stack([[np.trace(P[a:, b:]) for b in range(L + 1)] for a in range(L + 1)],
-                        P, variant)
-
-
-def phi_block_matrix(space: FockSpace, variant: int, x, y,
-                     A: StructuredOperator) -> StructuredOperator:
-    """Phi^(variant)_{x,y}(A)."""
-    return weighted_sum(space, phi_weights(space, variant, x, y), tower(space, A))
+    return _weight_set([[np.trace(P[a:, b:]) for b in range(L + 1)] for a in range(L + 1)],
+                       P, variant)
 
 
 def phi_cb_bound(space: FockSpace, x, y) -> float:
@@ -582,9 +559,6 @@ class GeneratorWord:
             return CaseTag.CASE2
         return CaseTag.CASE1
 
-    def operator(self, space: FockSpace) -> StructuredOperator:
-        return generator_operators(space, [self]).as_single("gen(k=%d,l=%d)" % (self.k, self.l))
-
 
 def _chain(space: FockSpace, gw: GeneratorWord) -> list:
     """gw's factors right to left: ("L", letter index), ("L*", letter index)
@@ -645,20 +619,20 @@ def generator_operators(space: FockSpace, gens) -> StructuredOperator:
                               samples[order], len(gens), True)
 
 
-def _weight_stack(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:
-    """Weight stack of T1 (variant 1) or T2 (variant 2), laid out as the
-    stack of a Phi block of the same variant.
+def _multiplier_weights(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:
+    """Weight set of T1 (variant 1) or T2 (variant 2), laid out as the set
+    of a Phi block of the same variant.
 
     Summing the Phi blocks over the rank-one pairs of h (or k) leaves, with
     shift = variant - 1 and d(s) = phi(s) - phi(s+1), the weight
     psi1(a+b+shift) on A and, past it, P = (d(i+j+shift)), the Hankel
-    matrix itself in place of x y^* (``_tower_stack``).
+    matrix itself in place of x y^* (``_weight_set``).
     """
     shift = variant - 1
     psi = np.array([phi.psi1(s + shift) for s in range(2 * L + 1)], dtype=complex)
     d = np.array([phi(s) - phi(s + 1) for s in range(2 * L)], dtype=complex)
     total = np.add.outer(np.arange(L + 1), np.arange(L + 1))
-    return _tower_stack(psi[total], d[total[:L, :L] + shift], variant)
+    return _weight_set(psi[total], d[total[:L, :L] + shift], variant)
 
 
 class RadialMultiplier:
@@ -666,11 +640,10 @@ class RadialMultiplier:
 
     T1 sums Phi1 blocks over the rank-one pairs of the first Hankel
     difference matrix, T2 sums Phi2 blocks over the pairs of the second,
-    and c is the symbol's limit.  The pair sums collapse into weight stacks
-    over the argument's ``tower``, read off the symbol in closed form:
-    ``t1_weights`` on A and its rho-iterates, ``t2_weights`` on A and the
-    rho-iterates of eps(A), and ``weights``, which is T itself.  Past the
-    weight of A the two stacks fill disjoint members, so T's are theirs;
+    and c is the symbol's limit.  The pair sums collapse into weight sets
+    (W0, P1, P2) for ``apply_weights``, read off the symbol in closed form:
+    ``t1_weights`` (P2 = 0), ``t2_weights`` (P1 = 0) and ``weights``, which
+    is T itself.  Past W0 the two sets fill disjoint tables, so T's are theirs;
     T's weight of A, psi1(a+b) + psi2(a+b) + c, is phi(a+b), read off phi
     itself, since the sum cancels where psi1 is large (|psi1| ~ 1/(1+z) for
     a tail ratio z near -1) while |phi| stays small.
@@ -679,8 +652,8 @@ class RadialMultiplier:
     def __init__(self, space: FockSpace, symbol: RadialSymbol):
         self.space = space
         L = space.L_max
-        self.t1_weights = _weight_stack(symbol, L, 1)
-        self.t2_weights = _weight_stack(symbol, L, 2)
+        self.t1_weights = _multiplier_weights(symbol, L, 1)
+        self.t2_weights = _multiplier_weights(symbol, L, 2)
         phi = np.array([symbol(s) for s in range(2 * L + 1)], dtype=complex)
         idx = np.arange(L + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf near the float range
@@ -689,7 +662,7 @@ class RadialMultiplier:
 
     def apply_matrix(self, A: StructuredOperator) -> StructuredOperator:
         """T(A)."""
-        return weighted_sum(self.space, self.weights, tower(self.space, A))
+        return apply_weights(self.space, self.weights, A)
 
 
 def build_T(space: FockSpace, phi: RadialSymbol) -> RadialMultiplier:

@@ -71,12 +71,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
 
-    def failed(self) -> list[Check]:
-        return [c for c in self.checks if c.status == FAIL]
-
-    def worst_residual(self) -> float:
-        return max((c.max_residual for c in self.checks), default=0.0)
-
     def summary_lines(self) -> list[str]:
         return [c.line() for c in sorted(self.checks, key=lambda c: c.name)]
 

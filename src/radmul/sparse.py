@@ -6,7 +6,9 @@ sample ``samples[e]``; a single matrix is a stack of one, and every
 operation here treats the samples apart.  ``coalesce`` merges entries on one
 position (added in entry order), and ``op_norm``, the package's one
 spectral norm, takes an exact SVD of each connected component of the
-support, batched by block shape over all samples.  Only ``_per_sample``
+support, batched by block shape over all samples.  ``max_column_norm`` and
+``schur_bound`` bracket that norm from below and above in one pass over the
+entries, with no SVD.  Only ``_per_sample``
 reads the ``stacked`` flag: it hands a stack its per-sample results and a
 single matrix the result of its one sample.  The one sparse matrix type,
 :class:`radmul.operators.StructuredOperator`, keeps its entries in this
@@ -144,6 +146,49 @@ def _block_norms(samples, rows, cols, values, n_s: int, shape: tuple) -> np.ndar
     return best
 
 
+def _entries(A) -> tuple:
+    """(samples, rows, cols, values, n_samples, shape): the nonzero scalar
+    entries of an operator (``A.entries()``) or of an array (``np.nonzero``),
+    the number of samples and the shape of one."""
+    if hasattr(A, "entries"):
+        return A.entries() + (A.n_samples, A.shape)
+    A = np.asarray(A, dtype=complex)
+    rows, cols = np.nonzero(A)
+    return np.zeros_like(rows), rows, cols, A[rows, cols], 1, A.shape
+
+
+def _largest_line_sums(A, power: int) -> tuple:
+    """Per sample, the largest sum of |entry|**power over a column and over a
+    row, both inf for a sample with a non-finite entry (as ``op_norm``).
+    Each line adds its entries in (row, column) order, so an operator and
+    its dense array give the same sums."""
+    samples, rows, cols, values, n_samples, shape = _entries(A)
+    order = np.lexsort((cols, rows, samples))
+    weights = np.abs(values[order]) ** power
+    out = []
+    for lines, n in ((cols, shape[1]), (rows, shape[0])):
+        sums = np.bincount(samples[order] * n + lines[order], weights, n_samples * n)
+        line_max = sums.reshape(n_samples, n).max(axis=1, initial=0.0).astype(float)
+        line_max[samples[~np.isfinite(values)]] = np.inf
+        out.append(line_max)
+    return tuple(out)
+
+
+def max_column_norm(A):
+    """The largest column 2-norm of an operator or an array (per sample for
+    a stack): a lower bound for the spectral norm, in one pass over the
+    entries, attained where a column attains the norm."""
+    return _per_sample(A, np.sqrt(_largest_line_sums(A, 2)[0]))
+
+
+def schur_bound(A):
+    """sqrt(largest column abs-sum * largest row abs-sum) of an operator or
+    an array (per sample for a stack): an upper bound for the spectral norm
+    (||A||^2 <= ||A||_1 ||A||_inf), in one pass over the entries."""
+    cols, rows = _largest_line_sums(A, 1)
+    return _per_sample(A, np.sqrt(cols * rows))
+
+
 def op_norm(A):
     """Spectral norm of a :class:`~radmul.operators.StructuredOperator` or
     of an array, the package's only one: a float, or for a stack an array
@@ -159,25 +204,19 @@ def op_norm(A):
     non-finite entry has norm inf (not nan, which ``max`` would silently
     drop).
     """
-    if hasattr(A, "entries"):
-        samples, rows, cols, values = A.entries()
-        n_samples = A.n_samples
-    else:
-        A = np.asarray(A, dtype=complex)
-        rows, cols = np.nonzero(A)
-        samples, values, n_samples = np.zeros_like(rows), A[rows, cols], 1
+    samples, rows, cols, values, n_samples, shape = _entries(A)
     norms = np.zeros(n_samples)
-    if 0 not in A.shape:
+    if 0 not in shape:
         finite = np.ones(n_samples, dtype=bool)
         finite[samples[~np.isfinite(values)]] = False
         norms[~finite] = np.inf
         # the finite samples, renumbered in order
         on, n_live = finite[samples], int(np.count_nonzero(finite))
         live = (np.cumsum(finite)[samples[on]] - 1, rows[on], cols[on], values[on])
-        if n_live and max(A.shape) <= SPLIT_MIN:
-            dense = np.zeros((n_live,) + A.shape, dtype=complex)
+        if n_live and max(shape) <= SPLIT_MIN:
+            dense = np.zeros((n_live,) + shape, dtype=complex)
             dense[live[:3]] = live[3]
             norms[finite] = np.linalg.svd(dense, compute_uv=False)[:, 0]
         elif n_live:
-            norms[finite] = _block_norms(*live, n_live, A.shape)
+            norms[finite] = _block_norms(*live, n_live, shape)
     return _per_sample(A, norms)

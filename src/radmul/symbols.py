@@ -180,15 +180,6 @@ class HankelFactorization:
     pairs: tuple
     dim: int
 
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for x, y in self.pairs:
-            out += np.outer(x, y.conj())
-        return out
-
-    def norm_sum(self) -> float:
-        return float(sum(np.linalg.norm(x) * np.linalg.norm(y) for x, y in self.pairs))
-
 
 def factorize(A: np.ndarray) -> HankelFactorization:
     A = np.atleast_2d(np.asarray(A, dtype=complex))

@@ -16,10 +16,10 @@ completely bounded norm envelope.
 The sampled suites draw all their samples first and build each operator
 role of all of them as one stack (``embed``, ``word_operator`` and
 ``generator_operators`` take sequences), cut to the columns their checks
-read.  ``_stacked_chunks`` cuts the samples into ranges of at most
-``CHUNK_ENTRIES`` tower entries, so towers, norms and maxima run once per
-range with bounded memory.  Every sample gets exactly the numbers it gets
-on its own, so neither the ranges nor the cuts change a report.  The
+read.  ``_stacked_chunks`` cuts the samples into ranges of bounded size
+(``CHUNK_ENTRIES``), so the multiplier, rho, epsilon, norms and maxima run
+once per range with bounded memory.  Every sample gets exactly the numbers
+it gets on its own, so neither the ranges nor the cuts change a report.  The
 multiplier residuals are divided by the symbol's scale (``_symbol_scale``),
 the T1/T2 component residuals by the larger of it and the largest weight of
 T1 and T2 (``_component_scale``).
@@ -38,21 +38,22 @@ import numpy as np
 from .algebra import FactorElement, cond_exp
 from .fock import FockSpace, FockVector, Word
 from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op,
-                        adjoint_check, amplify, annihilation,
+                        adjoint_check, amplify, annihilation, apply_weights,
                         build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
                         generator_operators, identity_op, left_mult, length_at_least_op,
                         length_exactly_op, lmul_blocks, op_norm, op_sum,
                         partition_identity_residual, phi_cb_bound, phi_weights,
                         right_annihilation, right_creation, right_mult, rho_matrix, stack,
-                        tower, weighted_sum)
+                        tile)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
-from .sparse import SPLIT_MIN, coalesce
+from .sparse import SPLIT_MIN, coalesce, max_column_norm, schur_bound
 from .symbols import norm_C
 
-# a chunk of samples holds towers of at most this many scalar entries in all
+# a chunk of samples holds at most this many scalar entries in all, each
+# counted 2L+1 times, once per power of rho or eps the multiplier takes of it
 # (at least one sample).  The lemma suite then runs in 6 chunks at cy3
-# fock_len 5 and 127 at fock_len 9, within 1 MB of the peak RSS of one
-# sample at a time; twice the cap adds about 1 MB at fock_len 5
+# fock_len 5 and 127 at fock_len 9; a cap of 2**20 raised the peak RSS of
+# verify --suite all at cy3 fock_len 5 from 39.3 to 42.3 MB, gaining no time
 CHUNK_ENTRIES = 4096
 
 # the norm-bound sampler's amplifications m and terms per combination
@@ -63,9 +64,9 @@ TERMS = 3
 def _stacked_chunks(space: FockSpace, stacks, extra: int = 0):
     """Yield (slice, stacks of its samples) for consecutive ranges of the
     samples of ``stacks`` (one per operator role, all of one size).  A range
-    takes samples while their towers (2L+1 scalar entries per block entry,
-    plus ``extra`` per sample) add up to at most ``CHUNK_ENTRIES``, and at
-    least one."""
+    takes samples while their sizes (2L+1 per scalar entry of a block, plus
+    ``extra`` per sample) add up to at most ``CHUNK_ENTRIES``, and at least
+    one."""
     n = stacks[0].n_samples
     per = (2 * space.L_max + 1) * space.dim_N ** 2
     sizes = per * np.bincount(np.concatenate([op.samples for op in stacks]), minlength=n) + extra
@@ -213,12 +214,6 @@ def word_operator(space: FockSpace, w, max_col_len=None) -> StructuredOperator:
         op = lmul(j) @ op
     name = "word(n=%d)" % n
     return op.as_single(name) if single else op.renamed(name)
-
-
-def vacuum_expectation(space: FockSpace, A: StructuredOperator) -> np.ndarray:
-    """Vacuum-sector coefficient of A applied to the vacuum; realizes the
-    conditional expectation onto N for embedded words."""
-    return A(space.vacuum()).coeff(Word())
 
 
 def random_reduced_word(rng, space: FockSpace, n: int) -> ReducedWord:
@@ -449,9 +444,10 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     vec_len = max(space.L_max + 2, 8)
     xs = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
     ys = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
-    phi_stacks = [phi_weights(space, variant, xs, ys) for variant in (1, 2)]
+    weight_sets = np.array([phi_weights(space, variant, xs, ys) for variant in (1, 2)]
+                           + [W for T, _, _ in mults
+                              for W in (T.t1_weights, T.t2_weights, T.weights)])
 
-    L = space.L_max
     res_rho = 0.0
     res_eps = 0.0
     res_phi = [0.0, 0.0]
@@ -460,40 +456,44 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     k = np.array([gw.k for gw in gens])
     l = np.array([gw.l for gw in gens])
     case2 = np.array([gw.case is CaseTag.CASE2 for gw in gens])
-    g = L - np.maximum(k - l, 0) - 1  # the guard band at depth 1
+    g = space.L_max - np.maximum(k - l, 0) - 1  # the guard band at depth 1
     scalars = np.array([_phi_scalars(xs, ys, gw) for gw in gens])
     wants = [(np.array([phi.psi1(int(n)) for n in k + l]),
               np.array([phi.psi2(int(n)) for n in np.where(case2, k + l - 2, k + l)]),
               np.array([phi(int(n)) for n in np.where(case2, k + l - 1, k + l)]))
              for phi in symbols]
     # every check reads the columns of length <= g only, and a column of
-    # rho(a), eps(a) or a weighted sum reads the same or a shorter column of a
+    # rho(a), eps(a) or T(a) reads the same or a shorter column of a
     A = generator_operators(space, gens)
     for sl, (a,) in _stacked_chunks(space, [A.columns_upto(g)]):
-        tw = tower(space, a)
-
         # rho^n(a) = a Q_{l+n}: the entries of a in the columns of length >= l+n
-        for n in (1, 2):
+        rho_a = rho_matrix(space, a)
+        for n, rho_n in ((1, rho_a), (2, rho_matrix(space, rho_a))):
             target = a.subset(space.lengths[a.cols] >= (l[sl] + n)[a.samples])
-            res_rho = _fold(res_rho, (tw[n] - target).columns_upto(g[sl] + 1 - n).block_max())
+            res_rho = _fold(res_rho, (rho_n - target).columns_upto(g[sl] + 1 - n).block_max())
 
         # epsilon case rules: eps(a) = a in case 2, rho(a) in case 1
         target = op_sum(space, [a.subset(case2[sl][a.samples]),
-                                tw[1].subset(~case2[sl][tw[1].samples])])
-        res_eps = _fold(res_eps, (tw[L + 1] - target).columns_upto(g[sl]).block_max())
+                                rho_a.subset(~case2[sl][rho_a.samples])])
+        res_eps = _fold(res_eps,
+                        (epsilon_matrix(space, a) - target).columns_upto(g[sl]).block_max())
+
+        # Phi1, Phi2 and every symbol's T1, T2 and T of a in one call, copy j
+        # of a weighed by weight set j
+        images = apply_weights(space, np.repeat(weight_sets, a.n_samples, axis=0),
+                               tile(a, len(weight_sets)))
+        copy = np.arange(images.n_samples) // a.n_samples
+        images = [images.select(copy == j) for j in range(len(weight_sets))]
 
         # Phi eigen-formulas
         for i in range(2):
-            phi_a = weighted_sum(space, phi_stacks[i], tw)
             res_phi[i] = _fold(res_phi[i],
-                               (phi_a - scalars[sl, i] * a).columns_upto(g[sl]).block_max())
+                               (images[i] - scalars[sl, i] * a).columns_upto(g[sl]).block_max())
 
         # multiplier rules; an overflowing symbol leaves inf or nan here,
         # failing the checks
-        for (T, s, s12), (want1, want2, want) in zip(mults, wants):
-            t1 = weighted_sum(space, T.t1_weights, tw)
-            t2 = weighted_sum(space, T.t2_weights, tw)
-            total = weighted_sum(space, T.weights, tw)
+        for j, ((T, s, s12), (want1, want2, want)) in enumerate(zip(mults, wants)):
+            t1, t2, total = images[2 + 3 * j:5 + 3 * j]
             with np.errstate(over="ignore", invalid="ignore"):
                 res_t12 = _fold(res_t12,
                                 (t1 - want1[sl] * a).columns_upto(g[sl]).block_max() / s12,
@@ -532,19 +532,17 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
         # the same or a shorter column of A; see word_operator for n - 1
         stacks = [word_operator(space, sampled, max(guard, n - 1))]
         for _, (A,) in _stacked_chunks(space, stacks):
-            A_guard = A.columns_upto(guard)
+            # the residual is an upper bound for ||d|| over a lower bound for
+            # ||A_guard||, each one pass over the entries, so it is never
+            # smaller than ||d|| / ||A_guard||
+            scale = np.maximum(max_column_norm(A.columns_upto(guard)), 1e-30)
             for phi, T, s in mults:
                 TA = T.apply_matrix(A)
                 # an overflowing symbol leaves inf or nan here, failing the checks
                 with np.errstate(over="ignore", invalid="ignore"):
                     diff = TA - phi(n) * A
-                # a word whose difference has no nonzero entry in the guard
-                # columns has residual exactly 0, so its two norms are not taken
                 d = diff.columns_upto(guard)
-                live = d.block_max() != 0
-                if live.any():
-                    scale = np.maximum(op_norm(A_guard.select(live)), 1e-30)
-                    res_action = _fold(res_action, op_norm(d.select(live)) / scale / s)
+                res_action = _fold(res_action, schur_bound(d) / scale / s)
                 res_vacuum = _fold(res_vacuum, diff.columns_upto(0).block_max()
                                    / np.maximum(A.columns_upto(0).block_max(), 1e-30) / s)
     report.add("theorem_action_on_words", res_action, tol,

@@ -3,17 +3,22 @@
 The package builds every operator as a matrix scattered from word-index
 arrays.  The rules here act on one :class:`~radmul.fock.FockVector` at a
 time, word by word, as the definitions read; ``column_matrix`` turns a rule
-into the matrix it defines, column by column.  ``weighted_sum_dense`` is the
-weight-stack sum with every table expanded to a full matrix, and
-``rho_dense``, ``epsilon_dense`` and ``tower_dense`` are rho, epsilon and
-the tower on dense matrices, gathered and scattered block by block.
-``as_op`` turns a dense matrix into the operator the package functions take.
+into the matrix it defines, column by column.  ``rho_dense``,
+``epsilon_dense`` and ``tower_dense`` are rho, epsilon and the tower
+[A, rho(A), ..., rho^L(A), eps(A), ..., rho^{L-1}(eps(A))] on dense
+matrices, gathered and scattered block by block; ``expand`` lays a weight
+set (W0, P1, P2) out as one table per tower member, and
+``weighted_sum_dense`` weights the tower with those tables, each expanded
+to a full matrix, and adds it up in tower order: the route
+``operators.apply_weights`` replaced.  ``phi_block_matrix`` is one Phi
+block.  ``as_op`` turns a dense matrix into the operator the package
+functions take.
 
 ``embed_by_products`` and ``lemma_suite_per_generator`` are the sample-by-
 sample routes the package replaced: the factor embedding with coefficients
 from ``FactorElement`` products, and the lemma suite with one generator
-operator at a time; ``theorem_suite_per_word`` is the main theorem suite
-with one whole word operator at a time.  ``generator_chain``,
+operator at a time on the dense route; ``theorem_suite_per_word`` is the
+main theorem suite with one whole word operator at a time.  ``generator_chain``,
 ``embed_per_element`` and ``word_by_products`` build one generator, one
 embedding and one word operator from single operators (``op_product``),
 the routes the package's stacked constructors replaced.
@@ -22,32 +27,95 @@ truncated Hankel matrices.  ``word_vacuum_images_dense`` and
 ``lambda_span_dense`` are the spanning families as one dense column at a
 time, and ``dense_rank`` is the rank of such columns stacked whole, the
 routes the rank checks replaced.
+
+The rest are helpers only the tests call: ``basis_fock_vector``,
+``is_zero``, ``canonicalize`` (a formal tensor b_0 u_{g_1} b_1 ... u_{g_k}
+b_k pushed to its one right coefficient), ``zero_op``,
+``start_complement_op``, ``generator`` (one generator word as a single
+operator), ``worst_residual`` and ``failed_names``.
 """
 
 import numpy as np
 
 from radmul.algebra import cond_exp
-from radmul.fock import FockVector
-from radmul.operators import (CaseTag, StructuredOperator, annihilation, build_T, creation,
-                              identity_op, left_mult, length_at_least_op, op_sum, phi_weights,
-                              start_complement_op, tower, weighted_sum, zero_op)
+from radmul.fock import FockVector, Word
+from radmul.operators import (CaseTag, StructuredOperator, _diag_op, annihilation,
+                              apply_weights, build_T, creation, generator_operators,
+                              identity_op, left_mult, length_at_least_op, op_sum, phi_weights)
 from radmul.report import EIGEN_TOL, VerificationReport
 from radmul.symbols import HankelFactorization
-from radmul.sparse import op_norm
+from radmul.sparse import max_column_norm, op_norm, schur_bound
 from radmul.verify import (_embed_terms, _fold, _generator_zoo, _symbol_scale, embed,
                            random_reduced_word)
 
 
+def basis_fock_vector(space, idx):
+    """The scalar basis vector idx: a word with one N basis element."""
+    w = space.words[idx // space.dim_N]
+    return FockVector(space, {w: space.n_onb[idx % space.dim_N]})
+
+
+def is_zero(vec, tol=0.0):
+    return bool(np.abs(vec.blocks).max() <= tol)
+
+
+def canonicalize(space, letters, coeffs=None):
+    """Collapse a formal tensor b_0 u_{g_1} b_1 ... u_{g_k} b_k to canonical form.
+
+    All interior and left coefficients get pushed to the single right slot.
+    Words beyond the truncation give the zero vector; a same-factor
+    adjacency raises.
+    """
+    letters = [tuple(l) for l in letters]
+    if coeffs is None:
+        coeffs = [space.base.identity()] * (len(letters) + 1)
+    if len(coeffs) != len(letters) + 1:
+        raise ValueError("need one more coefficient than letters")
+    word = Word(tuple(letters))  # adjacency validation happens here
+    if len(word) > space.L_max:
+        return FockVector(space)
+    am = space.amalgam
+    acc = space.base.element(coeffs[0])
+    for letter, right in zip(letters, coeffs[1:]):
+        acc = am.push(acc, letter) @ space.base.element(right)
+    return FockVector(space, {word: acc})
+
+
+def zero_op(space):
+    k = space.dim_N
+    return StructuredOperator(space, [], [], np.zeros((0, k, k)), name="0")
+
+
+def start_complement_op(space, i):
+    """Projection onto the vacuum plus words not starting in factor i: the
+    j = 0 slot of the factor embedding, where e_0 = 1 neither creates nor
+    annihilates."""
+    return _diag_op(space, space.first_factors != i, "P[start!=%d]" % i)
+
+
+def generator(space, gw):
+    """The single operator of one generator word."""
+    return generator_operators(space, [gw]).as_single("gen(k=%d,l=%d)" % (gw.k, gw.l))
+
+
+def worst_residual(report):
+    return max((c.max_residual for c in report.checks), default=0.0)
+
+
+def failed_names(report):
+    return [c.name for c in report.checks if c.status == "fail"]
+
+
 def column_matrix(space, rule):
     """Matrix of a vector rule, one basis vector per column."""
-    cols = [space.to_array(rule(space.basis_fock_vector(i))) for i in range(space.dim)]
+    cols = [space.to_array(rule(basis_fock_vector(space, i))) for i in range(space.dim)]
     return np.stack(cols, axis=1)
 
 
 def prepend(space, letter):
     """L_gamma: prepend the letter; zero against a same-factor start or overflow."""
     def rule(vec):
-        return FockVector(space, {w.prepend(letter): c for w, c in vec.coeffs.items()
+        return FockVector(space, {Word((letter,) + w.letters): c for w, c in vec.coeffs.items()
                                   if len(w) < space.L_max and w.first_factor != letter[0]})
     return rule
 
@@ -101,6 +169,26 @@ def left_action(b):
 
 def right_action(b):
     return lambda vec: vec.right_mul(b)
+
+
+def expand(W):
+    """The weight set W = (W0, P1, P2) as the (2L+1, L+1, L+1) tables of the
+    tower members, by row and column word length: W0 on A, P1[a-n, b-n] on
+    rho^n(A) and P2[a-n+1, b-n+1] on rho^{n-1}(eps(A)) between lengths
+    a, b >= n, so that every entry keeps the weight of the lengths it had
+    before the shifts."""
+    L = W.shape[-1] - 1
+    out = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)
+    out[0] = W[0]
+    for n in range(1, L + 1):
+        out[n, n:, n:] = W[1, :L + 1 - n, :L + 1 - n]
+        out[L + n, n - 1:, n - 1:] = W[2, :L + 2 - n, :L + 2 - n]
+    return out
+
+
+def phi_block_matrix(space, variant, x, y, A):
+    """Phi^(variant)_{x,y}(A)."""
+    return apply_weights(space, phi_weights(space, variant, x, y), A)
 
 
 def weighted_sum_dense(space, W, tower):
@@ -208,7 +296,7 @@ def embed_per_element(space, a):
     pairs, coefs = [], []
     for j in range(group.order):
         for k in range(group.order):
-            coef = a.factor.alpha(group.inv(j), a.coeffs[group.mul(j, group.inv(k))])
+            coef = a.factor.alpha(group.inv(j), a.coeffs[group.table[j, group.inv(k)]])
             if np.any(np.abs(coef) > 0):
                 pairs.append((j, k))
                 coefs.append(coef)
@@ -255,9 +343,16 @@ def _masked_max(op, max_len=np.inf):
     return float(np.abs(blocks).max()) if blocks.size else 0.0
 
 
+def _masked_max_dense(space, A, max_len):
+    """Largest absolute entry of a dense matrix in the columns of words at
+    most max_len long."""
+    return float(np.abs(A[:, space.guard_mask(max_len)]).max(initial=0.0))
+
+
 def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_power=2):
-    """The lemma suite with one generator operator, one tower and one
-    check at a time."""
+    """The lemma suite with one generator, one check at a time, on dense
+    matrices: its tower (``tower_dense``) and every map as the weighted sum
+    of the tower (``weighted_sum_dense`` of the ``expand``ed weight set)."""
     rng = np.random.default_rng([seed, 4])
     report = VerificationReport()
     gens = _generator_zoo(space, seed)
@@ -266,29 +361,34 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
     vec_len = max(space.L_max + 2, 8)
     xs = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
     ys = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
-    phi_stacks = [phi_weights(space, variant, xs, ys) for variant in (1, 2)]
+    phi_sets = [phi_weights(space, variant, xs, ys) for variant in (1, 2)]
 
     L = space.L_max
     res_rho = res_eps = res_t = res_t12 = 0.0
     res_phi = [0.0, 0.0]
     for gw in gens:
-        a = generator_chain(space, gw)
+        a = generator_chain(space, gw).matrix()
         k, l = gw.k, gw.l
         case = gw.case
-        tw = tower(space, a)
+        tw = tower_dense(space, a)
 
         def guard(depth):
             return L - max(k - l, 0) - depth
 
-        for n in range(1, max_rho_power + 1):
-            target = a @ length_at_least_op(space, l + n)
-            res_rho = max(res_rho, _masked_max(tw[n] - target, guard(n)))
+        def masked(A, depth=1):
+            return _masked_max_dense(space, A, guard(depth))
 
-        g = guard(1)
+        def apply(W):
+            return weighted_sum_dense(space, expand(W), tw)
+
+        for n in range(1, max_rho_power + 1):
+            target = a @ length_at_least_op(space, l + n).matrix()
+            res_rho = max(res_rho, masked(tw[n] - target, n))
+
         if case is CaseTag.CASE2:
-            res_eps = max(res_eps, _masked_max(tw[L + 1] - a, g))
+            res_eps = max(res_eps, masked(tw[L + 1] - a))
         else:
-            res_eps = max(res_eps, _masked_max(tw[L + 1] - tw[1], g))
+            res_eps = max(res_eps, masked(tw[L + 1] - tw[1]))
 
         span = len(xs) - max(k, l)
         scalar1 = complex(np.vdot(ys[l:l + span], xs[k:k + span]))
@@ -298,21 +398,17 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
         else:
             scalar2 = scalar1
         for i, scalar in enumerate((scalar1, scalar2)):
-            phi_a = weighted_sum(space, phi_stacks[i], tw)
-            res_phi[i] = max(res_phi[i], _masked_max(phi_a - scalar * a, g))
+            res_phi[i] = max(res_phi[i], masked(apply(phi_sets[i]) - scalar * a))
 
         for phi, T, s in mults:
             # T1 and T2 are compared on the scale of their own weights
             s12 = max(s, np.abs(T.t1_weights).max(), np.abs(T.t2_weights).max())
-            t1 = weighted_sum(space, T.t1_weights, tw)
-            t2 = weighted_sum(space, T.t2_weights, tw)
             want1 = phi.psi1(k + l)
             want2 = phi.psi2(k + l) if case is CaseTag.CASE1 else phi.psi2(k + l - 2)
-            res_t12 = max(res_t12, _masked_max(t1 - want1 * a, g) / s12)
-            res_t12 = max(res_t12, _masked_max(t2 - want2 * a, g) / s12)
+            res_t12 = max(res_t12, masked(apply(T.t1_weights) - want1 * a) / s12)
+            res_t12 = max(res_t12, masked(apply(T.t2_weights) - want2 * a) / s12)
             n_eff = k + l if case is CaseTag.CASE1 else k + l - 1
-            total = weighted_sum(space, T.weights, tw)
-            res_t = max(res_t, _masked_max(total - phi(n_eff) * a, g) / s)
+            res_t = max(res_t, masked(apply(T.weights) - phi(n_eff) * a) / s)
 
     report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
     report.add("epsilon_case_rules", res_eps, tol)
@@ -350,8 +446,8 @@ def psi_via_factors(fh: HankelFactorization, fk: HankelFactorization,
 
 def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_length=10):
     """The main theorem suite with one word operator, built whole by
-    ``word_by_products``, one multiplier application and one pair of norms
-    at a time."""
+    ``word_by_products``, one multiplier application and one pair of norm
+    bounds, on the dense matrix, at a time."""
     rng = np.random.default_rng([seed, 5])
     report = VerificationReport()
     max_len = min(3, space.L_max - 2)
@@ -368,8 +464,8 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
                     diff = T.apply_matrix(A) - phi(n) * A
                 d = diff.matrix()[:, guard]
                 if np.any(d):
-                    scale = max(op_norm(A.matrix()[:, guard]), 1e-30)
-                    res_action = _fold(res_action, op_norm(d) / scale / s)
+                    scale = max(max_column_norm(A.matrix()[:, guard]), 1e-30)
+                    res_action = _fold(res_action, schur_bound(d) / scale / s)
                 res_vacuum = _fold(res_vacuum, _masked_max(diff, 0)
                                    / max(_masked_max(A, 0), 1e-30) / s)
     report.add("theorem_action_on_words", res_action, tol,

@@ -3,10 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from radmul.algebra import (CrossedFactor, FiniteGroup, TracialAlgebra, cond_exp,
-                            e0_vanishing, pp_expand, pp_reconstruct, verify_pp_basis)
+from oracles import failed_names, worst_residual
+from radmul.algebra import (CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra,
+                            cond_exp, verify_pp_basis)
+from radmul.report import ALGEBRAIC_TOL, VerificationReport
 
 V2 = np.diag([1.0, -1.0]).astype(complex)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
 
 def scalar_factor(order=2):
@@ -35,7 +38,7 @@ def test_trace_axioms():
 
 def test_cyclic_group_tables():
     g = FiniteGroup.cyclic(4)
-    assert g.mul(1, 3) == 0
+    assert g.table[1, 3] == 0
     assert g.inv(1) == 3
     assert g.inv(0) == 0
 
@@ -70,7 +73,7 @@ def test_associativity_error_names_first_failing_triple():
 
 def test_large_cyclic_group_validates():
     g = FiniteGroup.cyclic(200)
-    assert g.mul(150, 70) == 20
+    assert g.table[150, 70] == 20
     assert g.inv(1) == 199
 
 
@@ -202,6 +205,35 @@ def test_pauli_crossed_product_is_a_factor():
 
 # ---------------------------------------------------------------- module basis
 
+def pp_expand(x):
+    """Coefficients (E(x u_g))_g of the module-basis expansion of x, one
+    (|G|, d, d) array: E(x u_g) picks out the coefficient of x at g^{-1}, so
+    the expansion sum_g E(x u_g) u_g* reproduces x exactly."""
+    return x.coeffs[x.factor.group.inverses]
+
+
+def pp_reconstruct(factor, coeffs):
+    """sum_g coeffs[g] u_g* for the canonical basis: coeffs[g] u_{g^{-1}}."""
+    return FactorElement(factor, np.array(coeffs, dtype=complex)[factor.group.inverses])
+
+
+def e0_vanishing(factor, g, b):
+    """For gamma = u_g with g != e and b in N, the expansion of gamma*b has
+    no component along e_0 = 1, and the sum over j >= 1 already
+    reconstructs gamma*b, both to ``ALGEBRAIC_TOL``."""
+    if g == 0:
+        raise ValueError("gamma must avoid the identity element")
+    x = factor.unitary(g) * factor.from_base(b)
+    coeffs = pp_expand(x)
+    report = VerificationReport()
+    report.add("e0_coefficient_vanishes", float(np.abs(coeffs[0]).max()), ALGEBRAIC_TOL, g=g)
+    coeffs[0] = 0
+    diff = pp_reconstruct(factor, coeffs) - x
+    report.add("e0_truncated_reconstruction", float(np.abs(diff.coeffs).max()), ALGEBRAIC_TOL,
+               g=g)
+    return report
+
+
 def test_pp_expand_identity():
     fac = scalar_factor()
     coeffs = pp_expand(fac.identity())
@@ -246,14 +278,14 @@ def test_verify_pp_basis_passes():
                 CrossedFactor(TracialAlgebra(1), FiniteGroup.cyclic(3))):
         report = verify_pp_basis(fac)
         assert report.passed
-        assert report.worst_residual() <= 1e-13
+        assert worst_residual(report) <= 1e-13
 
 
 def test_verify_pp_basis_detects_duplicate():
     fac = scalar_factor()
     corrupted = [fac.unitary(0), fac.unitary(1), fac.unitary(1)]
     report = verify_pp_basis(fac, basis=corrupted)
-    failed = {c.name for c in report.failed()}
+    failed = set(failed_names(report))
     assert "pp_orthogonality" in failed
 
 
@@ -269,6 +301,28 @@ def test_e0_vanishing():
         e0_vanishing(fac, 0, herm)
 
 
+def first_table_defect(t):
+    """Oracle: the first failure of the per-element table checks, element by
+    element, or None."""
+    n = len(t)
+    for g in range(n):
+        if sorted(t[g]) != list(range(n)) or sorted(t[:, g]) != list(range(n)):
+            return "table is not a Latin square"
+        if not np.any(t[g] == 0):
+            return "element %d has no inverse" % g
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_latin_square_defect_at_the_last_element_is_caught(n):
+    t = FiniteGroup.cyclic(n).table.copy()
+    assert first_table_defect(t) is None
+    t[n - 1, n - 1] = t[n - 1, n - 2]  # row and column n - 1 repeat an entry
+    assert first_table_defect(t) == "table is not a Latin square"
+    with pytest.raises(ValueError, match="^table is not a Latin square$"):
+        FiniteGroup(t)
+
+
 # ---------------------------------------------------------------- actions
 
 def test_inner_action_is_trace_preserving_homomorphism():
@@ -279,7 +333,7 @@ def test_inner_action_is_trace_preserving_homomorphism():
     for g in range(2):
         for h in range(2):
             lhs = fac.alpha(g, fac.alpha(h, b))
-            rhs = fac.alpha(fac.group.mul(g, h), b)
+            rhs = fac.alpha(fac.group.table[g, h], b)
             assert np.allclose(lhs, rhs)
         assert fac.base.trace(fac.alpha(g, b)) == pytest.approx(fac.base.trace(b))
 
@@ -297,3 +351,41 @@ def test_non_homomorphic_powers_rejected():
                   [np.sin(theta), np.cos(theta)]], dtype=complex)
     with pytest.raises(ValueError):
         CrossedFactor.inner_cyclic(TracialAlgebra(2), FiniteGroup.cyclic(2), V)
+
+
+def first_action_defect(base, group, W):
+    """Oracle: the first failure of the per-element and per-pair action
+    checks, in element and pair order, or None."""
+    d, eye = base.d, np.eye(base.d)
+    for g, w in enumerate(W):
+        if np.abs(w.conj().T @ w - eye).max() > 1e-10:
+            return "matrix for group element %d is not unitary" % g
+    if np.abs(W[0] - eye).max() > 1e-12:
+        return "identity element must act trivially"
+    for g in range(group.order):
+        for h in range(group.order):
+            m = W[g] @ W[h] @ W[group.table[g, h]].conj().T
+            lam = np.trace(m) / d
+            if np.abs(m - lam * eye).max() > 1e-10 or abs(abs(lam) - 1) > 1e-10:
+                return "unitaries do not implement a group action"
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_action_defect_at_the_last_element_is_caught(n):
+    # powers of V = diag(1, exp(2 pi i / n)) act by a genuine Z_n action;
+    # the last unitary is then spoiled in two ways
+    base, group = TracialAlgebra(2), FiniteGroup.cyclic(n)
+    V = np.diag([1.0, np.exp(2j * np.pi / n)])
+    W = np.array([np.linalg.matrix_power(V, k) for k in range(n)])
+    assert first_action_defect(base, group, W) is None
+    CrossedFactor(base, group, W)
+    for spoil, message in ((np.diag([1.0, 1.5]), "matrix for group element %d is not unitary"
+                            % (n - 1)),
+                           (HADAMARD, "unitaries do not implement a group action")):
+        bad = W.copy()
+        bad[n - 1] = bad[n - 1] @ spoil
+        assert first_action_defect(base, group, bad) == message
+        with pytest.raises(ValueError, match="^%s$" % message):
+            CrossedFactor(base, group, bad)
+

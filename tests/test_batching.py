@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 import radmul.verify as verify
-from oracles import (dense_rank, embed_by_products, embed_per_element, generator_chain,
-                     lambda_span_dense, lemma_suite_per_generator, theorem_suite_per_word,
+from oracles import (dense_rank, embed_by_products, embed_per_element, generator,
+                     generator_chain, lambda_span_dense, lemma_suite_per_generator, theorem_suite_per_word,
                      word_by_products, word_vacuum_images_dense)
 from radmul.algebra import FactorElement
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
 from radmul.fock import FockVector
-from radmul.operators import (GeneratorWord, StructuredOperator, build_T,
-                              generator_operators, stack, tower)
+from radmul.operators import (GeneratorWord, StructuredOperator, apply_weights, build_T,
+                              epsilon_matrix, generator_operators, rho_matrix, stack)
 from radmul.report import VerificationReport
 from radmul.symbols import RadialSymbol
 from radmul.verify import (embed, embedding_suite, fock_suite, lemma_suite,
@@ -75,7 +75,7 @@ def test_generator_stack_matches_chain_oracle(request, name):
     for s, gw in enumerate(gens):
         want = generator_chain(space, gw)
         assert_sample_is(A, s, want)
-        single = gw.operator(space)
+        single = generator(space, gw)
         assert (single.n_samples, single.stacked) == (1, False)
         assert_sample_is(single, 0, want)
 
@@ -122,6 +122,14 @@ def kept(op, max_len):
     return np.where(cols[:, None, :], op.matrix(), 0)
 
 
+def images(space, T, A):
+    """What the suites compute from an operator A: its towers' first members
+    rho(A), rho^2(A) and eps(A), and T1(A), T2(A) and T(A)."""
+    rho = rho_matrix(space, A)
+    return [rho, rho_matrix(space, rho), epsilon_matrix(space, A)] + [
+        apply_weights(space, W, A) for W in (T.t1_weights, T.t2_weights, T.weights)]
+
+
 @pytest.mark.parametrize("name", SPACES)
 def test_column_cuts_keep_towers_and_multiplier_exact(request, name, symbols):
     space = request.getfixturevalue(name)
@@ -133,9 +141,7 @@ def test_column_cuts_keep_towers_and_multiplier_exact(request, name, symbols):
     full = generator_operators(space, gens)
     g = np.array([L - max(gw.k - gw.l, 0) - 1 for gw in gens])
     cut = full.subset(lengths[full.cols] <= g[full.samples])
-    pairs = list(zip(tower(space, full), tower(space, cut)))
-    pairs.append((T.apply_matrix(full), T.apply_matrix(cut)))
-    for a, b in pairs:
+    for a, b in zip(images(space, T, full), images(space, T, cut)):
         assert np.array_equal(kept(b, g), kept(a, g))
     # the theorem suite's cut: words of length n built on the columns of
     # length <= max(L - n, n - 1), compared on the guard band L - n
@@ -144,8 +150,7 @@ def test_column_cuts_keep_towers_and_multiplier_exact(request, name, symbols):
         full = word_operator(space, words)
         cut = word_operator(space, words, max(L - n, n - 1))
         band = np.full(len(words), L - n)
-        pairs = list(zip(tower(space, full), tower(space, cut)))
-        pairs += [(full, cut), (T.apply_matrix(full), T.apply_matrix(cut))]
+        pairs = [(full, cut)] + list(zip(images(space, T, full), images(space, T, cut)))
         for a, b in pairs:
             assert np.array_equal(kept(b, band), kept(a, band))
 
@@ -163,7 +168,9 @@ def test_lemma_suite_matches_per_generator_oracle(request, name, symbols):
     space = request.getfixturevalue(name)
     got = lemma_suite(space, symbols, seed=3)
     want = lemma_suite_per_generator(space, symbols, seed=3)
-    assert got.to_json() == want.to_json()
+    # the dense route adds the weighted tower up in tower order, the package
+    # by Horner's rule, so the residuals agree to rounding
+    assert_reports_agree(got, want, 1e-15)
 
 
 @pytest.mark.parametrize("name", EXACT + ["noncomm_space"])

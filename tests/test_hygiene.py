@@ -1,11 +1,13 @@
 """Source hygiene that a linter would check: no module of the package and no
-test module imports a name it never uses, every module-level private name
-of the package is used somewhere in the repository, every defaulted
-parameter of a package function is passed by some call (else it is a
-constant), no function of the package only forwards its parameters to
-another call, no module of the package makes a dense matrix of a whole
-operator, the set-up path (configuration to Fock space) loads no operator
-code, and README's CLI section names exactly the command line's options."""
+test module imports a name it never uses, every module-level private name of
+the package is used somewhere in the repository, every defaulted parameter
+of a package function is passed by some call (else it is a constant), every
+public function and method of the package is called by the package or is on
+a short list of documented or benchmark-read names, no function of the
+package only forwards its parameters to another call, no module of the
+package makes a dense matrix of a whole operator, the set-up path
+(configuration to Fock space) loads no operator code, and README's CLI
+section names exactly the command line's options."""
 
 import argparse
 import ast
@@ -196,6 +198,71 @@ def test_idle_parameter_is_caught():
     assert idle_parameters(modules, others) == [
         ("a.py", 1, "f", "z"), ("a.py", 6, "C.m", "r"), ("a.py", 9, "C.s", "u"),
         ("a.py", 11, "g", "k")]
+
+
+def uncalled_functions(modules: dict) -> list:
+    """(module, line, qualified name) of the public functions and methods of
+    ``modules`` (name -> source) that no module reads by name or attribute
+    outside their own body.  A name starting with _ is private or a dunder,
+    and not listed."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    reads = Counter()
+    for tree in trees.values():
+        reads.update(node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
+        reads.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    out = []
+    for module, tree in trees.items():
+        for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+            cls = getattr(scope, "name", None)
+            for fn in scope.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                own = sum(1 for node in ast.walk(fn)
+                          if (isinstance(node, ast.Name) and node.id == fn.name
+                              and not isinstance(node.ctx, ast.Store))
+                          or (isinstance(node, ast.Attribute) and node.attr == fn.name))
+                if reads[fn.name] - own <= 0:
+                    out.append((module, fn.lineno, "%s.%s" % (cls, fn.name) if cls else fn.name))
+    return sorted(out)
+
+
+# the public names the package itself never calls, each with its reason
+UNCALLED_ALLOWED = {
+    "preset_config": "documented API: the preset configurations (README)",
+    "RadialSymbol.delta0": "documented API: a named symbol (README)",
+    "RadialSymbol.indicator01": "documented API: a named symbol (README)",
+    "RadialSymbol.constant": "documented API: a named symbol (README)",
+    "RadialSymbol.geometric": "documented API: a named symbol (README)",
+    "StructuredOperator.matrix": "radbench's tracer wraps it and reads its cache, _matrix",
+    "eps_rho_tower": "radbench's tracer times it by name",
+    "Amalgam.push": "radbench's tracer counts its calls",
+    "hankel_pair": "radbench's tracer times it and setup_probe.py prints its tail_error",
+    "factorize": "radbench's tracer times the M x M Hankel route through it",
+}
+
+
+def test_every_public_function_is_called_or_allowed():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    found = {name for _, _, name in uncalled_functions(modules)}
+    # an entry whose name is now called, or gone, is stale
+    assert found == set(UNCALLED_ALLOWED)
+
+
+def test_uncalled_function_is_caught():
+    # f is called by b.py, C.m by attribute and g only by itself; C.__init__
+    # is a dunder and _h private; C.p is read as a property
+    modules = {
+        "a.py": "def f():\n    pass\n"
+                "def g(n):\n    return g(n - 1)\n"
+                "def _h():\n    pass\n"
+                "class C:\n    def __init__(self):\n        pass\n"
+                "    def m(self):\n        pass\n"
+                "    def unused(self):\n        pass\n"
+                "    @property\n    def p(self):\n        return 1\n",
+        "b.py": "from .a import f\nf()\nC().m()\nC().p\n",
+    }
+    assert uncalled_functions(modules) == [("a.py", 3, "g"), ("a.py", 12, "C.unused")]
 
 
 def pass_throughs(source: str) -> list:

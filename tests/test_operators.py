@@ -5,18 +5,17 @@ from radmul.algebra import cond_exp
 from radmul.config import parse_config, preset_config
 from radmul.fock import Word
 from conftest import noncommuting_config
-from oracles import (append_star, as_op, column_matrix, epsilon_dense, left_action, prepend,
-                     right_action, rho_dense, strip_first, strip_star, tower_dense,
-                     weighted_sum_dense)
-from radmul.sparse import SPLIT_MIN
+from oracles import (append_star, as_op, column_matrix, epsilon_dense, expand, generator,
+                     is_zero, left_action, phi_block_matrix, prepend, right_action, rho_dense,
+                     strip_first, strip_star, tower_dense, weighted_sum_dense, zero_op)
+from radmul.sparse import SPLIT_MIN, max_column_norm, schur_bound
 from radmul.operators import (CaseTag, GeneratorWord, StructuredOperator,
-                              adjoint_check, amplify, annihilation, build_T, creation,
-                              diag, epsilon_matrix,
+                              adjoint_check, amplify, annihilation, apply_weights, build_T,
+                              creation, diag, eps_rho_tower, epsilon_matrix,
                               identity_op, left_mult, length_at_least_op, op_norm,
-                              partition_identity_residual, phi_block_matrix,
-                              phi_cb_bound, phi_weights, right_annihilation,
-                              right_creation, right_mult, rho_matrix, stack, tower,
-                              weighted_sum, zero_op)
+                              partition_identity_residual, phi_cb_bound, phi_weights,
+                              right_annihilation, right_creation, right_mult, rho_matrix,
+                              rho_tower, stack)
 from radmul.symbols import RadialSymbol, factorize, hankel_pair
 from radmul.verify import (ReducedWord, amplified_stacks, embed, random_generator_word,
                            random_reduced_word, word_operator)
@@ -37,20 +36,20 @@ def brute_phi_scalar(x, y, k, l, shift=0):
 
 def test_creation_on_vacuum(dih_space):
     v = creation(dih_space, (0, 1))(dih_space.vacuum())
-    assert not v.is_zero()
+    assert not is_zero(v)
     assert list(v.coeffs) == [Word(((0, 1),))]
 
 
 def test_creation_same_factor_vanishes(dih_space):
     w = dih_space.word_vector(Word(((0, 1),)))
-    assert creation(dih_space, (0, 1))(w).is_zero()
+    assert is_zero(creation(dih_space, (0, 1))(w))
 
 
 def test_creation_overflow_truncates(dih_space):
     top = dih_space.words[-1]
     assert len(top) == dih_space.L_max
     lead = 0 if top.first_factor != 0 else 1  # admissible factor, only length blocks
-    assert creation(dih_space, (lead, 1))(dih_space.word_vector(top)).is_zero()
+    assert is_zero(creation(dih_space, (lead, 1))(dih_space.word_vector(top)))
 
 
 def test_right_creation_adjoint_convention(dih_space):
@@ -73,11 +72,11 @@ def test_annihilation_matching_letter(dih_space):
 
 def test_annihilation_mismatch(cy3_space):
     w = cy3_space.word_vector(Word(((0, 2),)))
-    assert annihilation(cy3_space, (0, 1))(w).is_zero()
+    assert is_zero(annihilation(cy3_space, (0, 1))(w))
 
 
 def test_annihilation_kills_vacuum(dih_space):
-    assert annihilation(dih_space, (0, 1))(dih_space.vacuum()).is_zero()
+    assert is_zero(annihilation(dih_space, (0, 1))(dih_space.vacuum()))
 
 
 def test_right_annihilation_coefficient_twist(mat2_space):
@@ -180,8 +179,8 @@ def test_diag_e0_kills_length_one(dih_space):
     e0 = np.zeros(4)
     e0[0] = 1.0
     D = diag(dih_space, e0)
-    assert D(dih_space.word_vector(Word(((0, 1),)))).is_zero()
-    assert not D(dih_space.vacuum()).is_zero()
+    assert is_zero(D(dih_space.word_vector(Word(((0, 1),)))))
+    assert not is_zero(D(dih_space.vacuum()))
 
 
 def test_diag_backward_shift(dih_space):
@@ -194,7 +193,7 @@ def test_diag_backward_shift(dih_space):
 def test_diag_forward_shift_vanishes_below(dih_space):
     x = np.array([1.0, 2.0, 3.0])
     D = diag(dih_space, np.concatenate([np.zeros(2), x]))  # S^2 x
-    assert D(dih_space.word_vector(Word(((0, 1),)))).is_zero()  # k=1 < n=2
+    assert is_zero(D(dih_space.word_vector(Word(((0, 1),)))))  # k=1 < n=2
 
 
 # ---------------------------------------------------------------- partition identity
@@ -294,7 +293,7 @@ def test_rho_kills_vacuum(dih_space):
 
 def test_rho_case2_generator_fixed_on_guarded_words(dih_space):
     gen = GeneratorWord(((0, 1),), ((0, 1),))
-    A = gen.operator(dih_space)
+    A = generator(dih_space, gen)
     chi = dih_space.word_vector(Word(((0, 1), (1, 1)))).to_array()  # guarded length-2 word
     lhs = rho_matrix(dih_space, A).matrix() @ chi
     assert np.abs(lhs - A @ chi).max() <= 1e-13
@@ -310,12 +309,12 @@ def test_epsilon_case_rules(cy3_space):
     space = cy3_space
     g2 = GeneratorWord(((0, 1),), ((0, 2),))  # same factor: case 2
     assert g2.case is CaseTag.CASE2
-    A = g2.operator(space)
+    A = generator(space, g2)
     assert np.abs(epsilon_matrix(space, A).matrix() - A.matrix()).max() <= 1e-13
 
     g1 = GeneratorWord(((0, 1),), ((1, 1),))  # different factors: case 1
     assert g1.case is CaseTag.CASE1
-    A = g1.operator(space)
+    A = generator(space, g1)
     assert np.abs(epsilon_matrix(space, A).matrix()
                   - rho_matrix(space, A).matrix()).max() <= 1e-13
 
@@ -337,7 +336,7 @@ def test_phi_eigen_formula_on_generators(dih_space):
     for cre, ann in [((), ()), (((0, 1),), ()), (((0, 1),), ((0, 1),)),
                      (((0, 1),), ((1, 1),)), (((0, 1), (1, 1)), ((0, 1),))]:
         gen = GeneratorWord(cre, ann)
-        op = gen.operator(dih_space)
+        op = generator(dih_space, gen)
         A = op.matrix()
         k, l = gen.k, gen.l
         guard = dih_space.guard_mask(dih_space.L_max - max(k - l, 0) - 1)
@@ -412,7 +411,7 @@ def test_generator_operator_matches_factor_product(request, name):
              for k, l in [(1, 0), (0, 1), (2, 1), (1, 2), (2, 2)] for c in (False, True)]
     for gw in gens:
         want = np.linalg.multi_dot(generator_factor_matrices(space, gw) + [np.eye(space.dim)])
-        got = gw.operator(space).matrix()
+        got = generator(space, gw).matrix()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 def test_words_count_by_length(dih_space, cy3_space):
@@ -423,8 +422,18 @@ def test_words_count_by_length(dih_space, cy3_space):
 
 
 
+def tower(space, op):
+    """[A, rho(A), ..., rho^L(A), eps(A), rho(eps(A)), ..., rho^{L-1}(eps(A))]
+    from the package's two towers."""
+    return [op] + rho_tower(space, op, space.L_max) + eps_rho_tower(space, op, space.L_max)
+
+
 @pytest.mark.parametrize("name", SPACES)
 def test_tower_layout(request, name):
+    # the package's towers iterate rho on A and on eps(A); the weight set
+    # of a multiplier lays its tables out on them as ``expand`` says: an
+    # entry of A at lengths (a, b) sits at (a + n, b + n) in rho^n(A), and
+    # keeps the weight P1[a, b] (P2[a, b] from eps(A))
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(17)
     A = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
@@ -432,6 +441,15 @@ def test_tower_layout(request, name):
     op = as_op(space, A)
     tw = tower(space, op)
     assert len(tw) == 2 * L + 1
+    W = random_complex(rng, (3, L + 1, L + 1))
+    tables = expand(W)
+    assert np.array_equal(tables[0], W[0])
+    for n in range(1, L + 1):
+        for a in range(n, L + 1):
+            for b in range(n, L + 1):
+                assert tables[n, a, b] == W[1, a - n, b - n]
+                assert tables[L + n, a, b] == W[2, a - n + 1, b - n + 1]
+        assert not tables[n, :n].any() and not tables[n, :, :n].any()
     B, E = op, epsilon_matrix(space, op)
     for n in range(L + 1):
         assert np.array_equal(tw[n].matrix(), B.matrix())
@@ -443,18 +461,46 @@ def test_tower_layout(request, name):
 
 @pytest.mark.parametrize("name", SPACES)
 def test_weighted_sum_matches_expanded_tables(request, name):
+    # apply_weights (Horner's rule) against the weighted sum of the package's
+    # towers with every table expanded to a full matrix
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(18)
     L = space.L_max
-    shape = (2 * L + 1, L + 1, L + 1)
-    W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    W[[1, L + 2]] = 0     # tower entries with no weight
-    W[0, 1] = W[L, 0] = 0  # row lengths with no weight
+    W = random_complex(rng, (3, L + 1, L + 1))
+    W[0, 1] = W[1, :, 0] = W[2, L - 1] = 0  # lengths with no weight
     A = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
-    tw = tower(space, as_op(space, A))
-    want = weighted_sum_dense(space, W, [member.matrix() for member in tw])
-    got = weighted_sum(space, W, tw).matrix()
+    op = as_op(space, A)
+    want = weighted_sum_dense(space, expand(W), [member.matrix() for member in tower(space, op)])
+    got = apply_weights(space, W, op).matrix()
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+WEIGHT_SYMBOLS = [RadialSymbol.indicator01(), RadialSymbol.geometric(0.5),
+                  RadialSymbol.geometric(-0.5),
+                  RadialSymbol(head=(1.0, 0.5j), coefficient=0.8 - 0.3j, ratio=-0.6 + 0.5j,
+                               limit=0.2 + 0.1j)]
+
+
+@pytest.mark.parametrize("name", SPACES)
+@pytest.mark.parametrize("phi", WEIGHT_SYMBOLS, ids=["preset", "geometric", "geometric-negative",
+                                                    "complex-tail"])
+def test_multiplier_matches_weighted_dense_tower(request, name, phi):
+    # T1, T2 and T by Horner's rule against the weighted dense tower, on a
+    # dense random matrix: bit for bit for the preset's 0/1 weights, where
+    # no two weighted terms meet on one entry, else to rounding; noncomm's
+    # twists are not exact in floating point, and rho_dense applies them in
+    # another order than rho_matrix
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(19)
+    A = random_complex(rng, (space.dim, space.dim))
+    T, tw = build_T(space, phi), tower_dense(space, A)
+    for W in (T.t1_weights, T.t2_weights, T.weights):
+        got = apply_weights(space, W, as_op(space, A)).matrix()
+        want = weighted_sum_dense(space, expand(W), tw)
+        if np.isin(W, (0, 1)).all() and name != "noncomm_space":
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
 
 # ---------------------------------------------------------------- entries against dense oracles
 
@@ -491,9 +537,10 @@ def test_entry_rho_epsilon_tower_match_dense_oracles(request, name):
         assert len(tw) == len(want) == 2 * L + 1
         for member, dense in zip(tw, want):
             assert_close(member.matrix(), dense)
-        W = random_complex(rng, (2 * L + 1, L + 1, L + 1))
-        W[[2, L + 1]] = 0
-        assert_close(weighted_sum(space, W, tw).matrix(), weighted_sum_dense(space, W, want))
+        W = random_complex(rng, (3, L + 1, L + 1))
+        W[1] = 0
+        assert_close(apply_weights(space, W, op).matrix(),
+                     weighted_sum_dense(space, expand(W), want))
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -529,14 +576,14 @@ def test_stacked_operations_repeat_each_sample_exactly(request, name):
     rights = [random_operator(space, rng) for _ in lefts]
     A, B = stack(lefts), stack(rights)
     scale = random_complex(rng, len(lefts))
-    W = random_complex(rng, (2 * L + 1, L + 1, L + 1))
+    W = random_complex(rng, (3, L + 1, L + 1))
     pairs = list(zip(lefts, rights, scale))
     cases = [(A @ B, [a @ b for a, b, _ in pairs]),
              (scale * A - B.adjoint(), [c * a - b.adjoint() for a, b, c in pairs]),
              (rho_matrix(space, B), [rho_matrix(space, b) for b in rights]),
              (epsilon_matrix(space, B), [epsilon_matrix(space, b) for b in rights]),
-             (weighted_sum(space, W, tower(space, A @ B)),
-              [weighted_sum(space, W, tower(space, a @ b)) for a, b, _ in pairs])]
+             (apply_weights(space, W, A @ B),
+              [apply_weights(space, W, a @ b) for a, b, _ in pairs])]
     for got, want in cases:
         assert got.n_samples == len(want)
         for s, single in enumerate(want):
@@ -638,10 +685,40 @@ def test_op_norm_on_operators_matches_full_svd(request, name):
         assert abs(op_norm(op) - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("name", SPACES)
+def test_norm_bounds_bracket_op_norm(request, name):
+    # the theorem suite's one-pass bounds: the largest column 2-norm is at
+    # most the norm, sqrt(largest column abs-sum * largest row abs-sum) at
+    # least; on an operator, a stack of them and the dense array alike
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(28)
+    words = [random_reduced_word(rng, space, n) for n in (1, 2, 2, 3)]
+    ops = entry_cases(space, rng) + [random_operator(space, rng, density=0.05)]
+    ops += [word_operator(space, w) for w in words]
+    for op in ops:
+        lower, exact, upper = max_column_norm(op), op_norm(op), schur_bound(op)
+        assert lower <= exact * (1 + 1e-14) and exact <= upper * (1 + 1e-14), op.name
+        dense = op.matrix()
+        assert (max_column_norm(dense), schur_bound(dense)) == (lower, upper)
+    stacked = stack(ops)
+    assert max_column_norm(stacked).tolist() == [max_column_norm(op) for op in ops]
+    assert schur_bound(stacked).tolist() == [schur_bound(op) for op in ops]
+    # a creation word's columns are unit vectors or zero, and its rows too:
+    # both bounds are its norm, 1
+    letters = next(w.letters for w in space.words if len(w) == 2)
+    A = generator(space, GeneratorWord(letters, ()))
+    assert max_column_norm(A) == schur_bound(A) == 1.0
+    assert op_norm(A) == pytest.approx(1.0, abs=1e-15)
+    # a non-finite entry gives inf, as op_norm does
+    bad = StructuredOperator(space, A.rows, A.cols, A.blocks.copy(), "bad")
+    bad.blocks[0, 0, 0] = np.nan
+    assert max_column_norm(bad) == schur_bound(bad) == op_norm(bad) == np.inf
+
+
 def test_op_norm_of_generator_killed_by_T(dih_space):
     # the preset symbol vanishes from length 2 on, so T leaves no entries
     T = build_T(dih_space, RadialSymbol(head=(1.0, 1.0), limit=0.0))
-    TA = T.apply_matrix(GeneratorWord(((0, 1), (1, 1)), ()).operator(dih_space))
+    TA = T.apply_matrix(generator(dih_space, GeneratorWord(((0, 1), (1, 1)), ())))
     assert TA.rows.size == 0
     assert op_norm(TA) == 0.0
 
@@ -653,9 +730,8 @@ def test_constant_symbol_gives_identity(dih_space):
     rng = np.random.default_rng(8)
     A = rng.standard_normal((dih_space.dim, dih_space.dim)) + 0j
     op = as_op(dih_space, A)
-    tw = tower(dih_space, op)
-    assert np.abs(weighted_sum(dih_space, T.t1_weights, tw).matrix()).max() == 0
-    assert np.abs(weighted_sum(dih_space, T.t2_weights, tw).matrix()).max() == 0
+    assert np.abs(apply_weights(dih_space, T.t1_weights, op).matrix()).max() == 0
+    assert np.abs(apply_weights(dih_space, T.t2_weights, op).matrix()).max() == 0
     assert np.allclose(T.apply_matrix(op).matrix(), A)
 
 
@@ -663,7 +739,7 @@ def test_delta0_rules(dih_space):
     T = build_T(dih_space, RadialSymbol.delta0())
     a00 = identity_op(dih_space)
     assert np.abs(T.apply_matrix(a00).matrix() - a00.matrix()).max() <= 1e-12
-    a10 = GeneratorWord(((0, 1),), ()).operator(dih_space)
+    a10 = generator(dih_space, GeneratorWord(((0, 1),), ()))
     assert np.abs(T.apply_matrix(a10).matrix()).max() <= 1e-12
 
 
@@ -672,10 +748,10 @@ def test_indicator_t1_rule(dih_space):
     T = build_T(dih_space, phi)
     for cre, ann in [((), ()), (((0, 1),), ()), (((0, 1),), ((1, 1),))]:
         gen = GeneratorWord(cre, ann)
-        op = gen.operator(dih_space)
+        op = generator(dih_space, gen)
         want = phi.psi1(gen.k + gen.l)
         guard = dih_space.guard_mask(dih_space.L_max - max(gen.k - gen.l, 0) - 1)
-        t1 = weighted_sum(dih_space, T.t1_weights, tower(dih_space, op)).matrix()
+        t1 = apply_weights(dih_space, T.t1_weights, op).matrix()
         assert np.abs((t1 - want * op.matrix())[:, guard]).max() <= 1e-11
 
 
@@ -690,16 +766,15 @@ def test_t1_equals_sum_of_phi_blocks(dih_space):
     T = build_T(dih_space, phi)
     h_pairs, k_pairs = _svd_pairs(phi, 24)
     gen = GeneratorWord(((0, 1),), ((0, 1),))
-    op = gen.operator(dih_space)
-    tw = tower(dih_space, op)
+    op = generator(dih_space, gen)
     total = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for x, y in h_pairs:
         total += phi_block_matrix(dih_space, 1, x, y, op).matrix()
-    assert np.abs(total - weighted_sum(dih_space, T.t1_weights, tw).matrix()).max() <= 1e-11
+    assert np.abs(total - apply_weights(dih_space, T.t1_weights, op).matrix()).max() <= 1e-11
     total2 = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for z, w in k_pairs:
         total2 += phi_block_matrix(dih_space, 2, z, w, op).matrix()
-    assert np.abs(total2 - weighted_sum(dih_space, T.t2_weights, tw).matrix()).max() <= 1e-11
+    assert np.abs(total2 - apply_weights(dih_space, T.t2_weights, op).matrix()).max() <= 1e-11
 
 
 @pytest.mark.parametrize("phi", [
@@ -710,7 +785,7 @@ def test_t1_equals_sum_of_phi_blocks(dih_space):
 ], ids=["indicator01", "geometric-negative", "geometric-complex", "head-complex-tail-limit"])
 def test_weight_stacks_equal_sums_of_phi_weights(phi):
     # the paper's factorization, entry by entry: the closed-form T1 and T2
-    # stacks against the Phi stacks summed over the rank-one pairs of the
+    # weight sets against the Phi sets summed over the rank-one pairs of the
     # truncated h (variant 1) and k (variant 2), on cy3 at L = 5; a complex
     # ratio is where a wrong conjugate would show
     space = parse_config(preset_config("cy3")).space()
@@ -730,7 +805,7 @@ def test_case_convention_pinned_by_scaling(dih_space):
     assert gen.case is CaseTag.CASE2
     phi = RadialSymbol.geometric(0.5)  # phi(2) = 0.25 != phi(3) = 0.125
     T = build_T(dih_space, phi)
-    op = gen.operator(dih_space)
+    op = generator(dih_space, gen)
     A, TA = op.matrix(), T.apply_matrix(op).matrix()
     guard = dih_space.guard_mask(dih_space.L_max - 1)
     res2 = np.abs((TA - phi(2) * A)[:, guard]).max()
