@@ -46,12 +46,11 @@ factors run in configuration order.
 
 Every operator is a stack: each entry carries its sample, and a single
 operator is a stack of one.  Every operation runs once for a whole stack,
-each sample coming out exactly as it does alone, entry order included.
-``generator_operators`` builds a family of generator words as one stack,
-and ``tile`` copies a stack, so that ``apply_weights`` can weigh each copy
-by its own weight set in one pass; ``matrix()``, ``op @ x``, ``block_max``
-and ``op_norm`` give one result per sample when the flag ``stacked`` is
-set.
+each sample coming out exactly as it does alone, entry order included, and
+``matrix()``, ``op @ x``, ``block_max`` and ``op_norm`` give one result per
+sample.  ``generator_operators`` builds a family of generator words as one
+stack, and ``stack`` joins stacks into one, so that ``apply_weights`` can
+weigh each sample by its own weight set in one pass.
 
 The operator is the package's one sparse matrix type.  ``amplify`` builds
 the amplifications sum_i C_i (x) A_i of the norm-bound sampler on the A_i's
@@ -68,7 +67,7 @@ import numpy as np
 
 from .fock import FockSpace, FockVector, Word
 from .report import VerificationReport
-from .sparse import _per_sample, coalesce, op_norm, sum_at
+from .sparse import coalesce, op_norm, sum_at
 from .symbols import RadialSymbol
 
 class StructuredOperator:
@@ -80,17 +79,16 @@ class StructuredOperator:
     per sample), k = dim_N except for an amplification (``amplify``).
     Products, sums, scalar multiples (one scalar per sample for an array)
     and the adjoint work sample by sample.  ``entries()`` lists the nonzero
-    scalar entries, and ``matrix()`` scatters them into the dense matrix
-    (once, kept for later calls);
-    ``op @ x`` and ``op(vec)`` apply the operator to a coordinate array and
-    to a Fock vector.
+    scalar entries, and ``matrix()`` scatters them into the dense matrix of
+    each sample (once, kept for later calls); ``op @ x`` applies each
+    sample to a coordinate array and ``op(vec)`` sample 0 to a Fock vector.
     """
 
     # numpy arrays and scalars leave ``array * op`` to __rmul__
     __array_ufunc__ = None
 
     def __init__(self, space: FockSpace, rows, cols, blocks, name: str = "op",
-                 samples=0, n_samples: int = 1, stacked: bool = False):
+                 samples=0, n_samples: int = 1):
         self.space = space
         self.name = name
         self.rows = np.asarray(rows, dtype=np.intp)
@@ -98,7 +96,7 @@ class StructuredOperator:
         self.blocks = np.asarray(blocks, dtype=complex)
         self.samples = (np.asarray(samples, dtype=np.intp) if np.ndim(samples)
                         else np.full(self.rows.shape, samples, dtype=np.intp))
-        self.n_samples, self.stacked = int(n_samples), stacked
+        self.n_samples = int(n_samples)
         self._matrix = None
 
     @property
@@ -107,14 +105,14 @@ class StructuredOperator:
         return (n, n)
 
     def __call__(self, vec: FockVector) -> FockVector:
-        return self.space.from_array(self @ vec.to_array())
+        return self.space.from_array((self @ vec.to_array())[0])
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             samples, rows, cols, values = self.entries()
             out = np.zeros((self.n_samples,) + self.shape, dtype=complex)
             out[samples, rows, cols] = values
-            self._matrix = _per_sample(self, out)
+            self._matrix = out
         return self._matrix
 
     def entries(self) -> tuple:
@@ -133,7 +131,7 @@ class StructuredOperator:
     def _new(self, samples, rows, cols, blocks, name: str) -> "StructuredOperator":
         """An operator with these entries in this operator's stack."""
         return StructuredOperator(self.space, rows, cols, blocks, name, samples,
-                                  self.n_samples, self.stacked)
+                                  self.n_samples)
 
     def block_max(self):
         """Largest absolute block entry, 0 where there is none, per sample
@@ -142,7 +140,7 @@ class StructuredOperator:
         if self.blocks.size:
             with np.errstate(invalid="ignore"):  # a nan entry is kept, not warned about
                 np.maximum.at(out, self.samples, np.abs(self.blocks).max(axis=(1, 2)))
-        return _per_sample(self, out)
+        return out
 
     def subset(self, keep) -> "StructuredOperator":
         """The entries ``keep`` marks, in this operator's stack."""
@@ -162,11 +160,7 @@ class StructuredOperator:
         renumber = np.cumsum(keep) - 1
         return StructuredOperator(self.space, self.rows[on], self.cols[on], self.blocks[on],
                                   self.name, renumber[self.samples[on]],
-                                  int(np.count_nonzero(keep)), True)
-
-    def as_single(self, name: str) -> "StructuredOperator":
-        """This stack of one as a single operator."""
-        return StructuredOperator(self.space, self.rows, self.cols, self.blocks, name)
+                                  int(np.count_nonzero(keep)))
 
     def renamed(self, name: str) -> "StructuredOperator":
         return self._new(self.samples, self.rows, self.cols, self.blocks, name)
@@ -186,7 +180,7 @@ class StructuredOperator:
         terms = (self.blocks @ x[self.cols][:, :, None])[:, :, 0]
         out = sum_at(self.samples * len(x) + self.rows, terms, self.n_samples * len(x))
         out = out.reshape(self.n_samples, -1, m, k).swapaxes(1, 2)
-        return _per_sample(self, out.reshape(self.n_samples, -1))
+        return out.reshape(self.n_samples, -1)
 
     def __add__(self, other: "StructuredOperator") -> "StructuredOperator":
         return op_sum(self.space, [self, other], "(%s + %s)" % (self.name, other.name))
@@ -209,25 +203,19 @@ class StructuredOperator:
 
 
 def stack(ops) -> StructuredOperator:
-    """Single operators as the samples of one stack, in order."""
+    """The stacks ``ops`` joined into one, in order: sample s of ops[i]
+    becomes s plus the sample counts of ops[:i]."""
+    offsets = np.cumsum([0] + [op.n_samples for op in ops])
     return StructuredOperator(ops[0].space, np.concatenate([op.rows for op in ops]),
                               np.concatenate([op.cols for op in ops]),
                               np.concatenate([op.blocks for op in ops]), "stack",
-                              np.repeat(np.arange(len(ops)), [op.rows.size for op in ops]),
-                              len(ops), True)
-
-
-def tile(A: StructuredOperator, count: int) -> StructuredOperator:
-    """``count`` copies of the stack A as one, copy j holding sample s as j n + s."""
-    samples = (np.arange(count)[:, None] * A.n_samples + A.samples).ravel()
-    return StructuredOperator(A.space, np.tile(A.rows, count), np.tile(A.cols, count),
-                              np.tile(A.blocks, (count, 1, 1)), A.name, samples,
-                              count * A.n_samples, True)
+                              np.concatenate([op.samples + at for op, at in zip(ops, offsets)]),
+                              offsets[-1])
 
 
 def _same_stack(*ops) -> None:
-    """Operands of one product or sum are single operators or stacks of one size."""
-    if len({(op.stacked, op.n_samples) for op in ops}) > 1:
+    """Operands of one product or sum hold the same number of samples."""
+    if len({op.n_samples for op in ops}) > 1:
         raise ValueError("operands from different stacks")
 
 
@@ -305,11 +293,10 @@ def left_mult(space: FockSpace, b) -> StructuredOperator:
     coefficient by b pushed through the letters, i.e. kron(U_w b U_w*, 1).
     For a (count, d, d) array of coefficients it is the stack of their left
     multiplications, sample t holding the blocks of b[t] on every word."""
-    stacked = np.ndim(b) == 3
-    b = np.asarray(b, dtype=complex) if stacked else space.base.element(b)[None]
+    b = np.asarray(b, dtype=complex) if np.ndim(b) == 3 else space.base.element(b)[None]
     samples, words = np.divmod(np.arange(len(b) * len(space.words)), len(space.words))
     return StructuredOperator(space, words, words, lmul_blocks(space, b[samples], words),
-                              "lmul", samples, len(b), stacked)
+                              "lmul", samples, len(b))
 
 
 def right_mult(space: FockSpace, b) -> StructuredOperator:
@@ -491,7 +478,7 @@ def phi_cb_bound(space: FockSpace, x, y) -> float:
         for n, B in enumerate(rho_tower(space, identity_op(space), space.L_max), start=1):
             dn = diag(space, np.concatenate([np.zeros(n), v]))  # S^n v
             terms.append(dn @ B @ dn.adjoint())
-        return op_norm(op_sum(space, terms))
+        return op_norm(op_sum(space, terms))[0]
 
     return float(np.sqrt(side(x)) * np.sqrt(side(y)))
 
@@ -616,7 +603,7 @@ def generator_operators(space: FockSpace, gens) -> StructuredOperator:
     samples, rows, cols, blocks = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(samples, kind="stable")
     return StructuredOperator(space, rows[order], cols[order], blocks[order], "gen(stack)",
-                              samples[order], len(gens), True)
+                              samples[order], len(gens))
 
 
 def _multiplier_weights(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:

@@ -8,9 +8,8 @@ position (added in entry order), and ``op_norm``, the package's one
 spectral norm, takes an exact SVD of each connected component of the
 support, batched by block shape over all samples.  ``max_column_norm`` and
 ``schur_bound`` bracket that norm from below and above in one pass over the
-entries, with no SVD.  Only ``_per_sample``
-reads the ``stacked`` flag: it hands a stack its per-sample results and a
-single matrix the result of its one sample.  The one sparse matrix type,
+entries, with no SVD.  Each of the three returns one result per sample, a
+dense array counting as one sample.  The one sparse matrix type,
 :class:`radmul.operators.StructuredOperator`, keeps its entries in this
 form with a square block in place of each scalar.
 """
@@ -63,15 +62,6 @@ def coalesce(samples, rows, cols, values, n_cols: int) -> tuple:
     pos, cols = np.divmod(uniq, n_cols)
     samples, rows = np.divmod(pos, n_cols)
     return samples, rows, cols, sum_at(slot, values, uniq.size)
-
-
-def _per_sample(x, values: np.ndarray):
-    """The results ``values`` of the samples of x, one per sample: all of
-    them for a stack, and that of its one sample (a float for a scalar) for
-    an operand not built as a stack (an array among them)."""
-    if getattr(x, "stacked", False):
-        return values
-    return values[0] if values.ndim > 1 else float(values[0])
 
 
 def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -175,24 +165,24 @@ def _largest_line_sums(A, power: int) -> tuple:
 
 
 def max_column_norm(A):
-    """The largest column 2-norm of an operator or an array (per sample for
-    a stack): a lower bound for the spectral norm, in one pass over the
-    entries, attained where a column attains the norm."""
-    return _per_sample(A, np.sqrt(_largest_line_sums(A, 2)[0]))
+    """The largest column 2-norm of an operator or an array, per sample: a
+    lower bound for the spectral norm, in one pass over the entries,
+    attained where a column attains the norm."""
+    return np.sqrt(_largest_line_sums(A, 2)[0])
 
 
 def schur_bound(A):
     """sqrt(largest column abs-sum * largest row abs-sum) of an operator or
-    an array (per sample for a stack): an upper bound for the spectral norm
+    an array, per sample: an upper bound for the spectral norm
     (||A||^2 <= ||A||_1 ||A||_inf), in one pass over the entries."""
     cols, rows = _largest_line_sums(A, 1)
-    return _per_sample(A, np.sqrt(cols * rows))
+    return np.sqrt(cols * rows)
 
 
 def op_norm(A):
     """Spectral norm of a :class:`~radmul.operators.StructuredOperator` or
-    of an array, the package's only one: a float, or for a stack an array
-    with the norm of each sample.
+    of an array, the package's only one: an array with the norm of each
+    sample.
 
     It works on the nonzero scalar entries, ``A.entries()`` of an operator
     and ``np.nonzero`` of an array.  The matrix is split into the connected
@@ -219,4 +209,4 @@ def op_norm(A):
             norms[finite] = np.linalg.svd(dense, compute_uv=False)[:, 0]
         elif n_live:
             norms[finite] = _block_norms(*live, n_live, shape)
-    return _per_sample(A, norms)
+    return norms

@@ -43,15 +43,14 @@ from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op,
                         generator_operators, identity_op, left_mult, length_at_least_op,
                         length_exactly_op, lmul_blocks, op_norm, op_sum,
                         partition_identity_residual, phi_cb_bound, phi_weights,
-                        right_annihilation, right_creation, right_mult, rho_matrix, stack,
-                        tile)
+                        right_annihilation, right_creation, right_mult, rho_matrix, stack)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
 from .sparse import SPLIT_MIN, coalesce, max_column_norm, schur_bound
 from .symbols import norm_C
 
-# a chunk of samples holds at most this many scalar entries in all, each
-# counted 2L+1 times, once per power of rho or eps the multiplier takes of it
-# (at least one sample).  The lemma suite then runs in 6 chunks at cy3
+# a chunk of samples holds at most this many scalar entries in all (at least
+# one sample), each weighted 2L+1: a size weight, not a count of copies, set
+# with the cap by measurement.  The lemma suite then runs in 6 chunks at cy3
 # fock_len 5 and 127 at fock_len 9; a cap of 2**20 raised the peak RSS of
 # verify --suite all at cy3 fock_len 5 from 39.3 to 42.3 MB, gaining no time
 CHUNK_ENTRIES = 4096
@@ -64,9 +63,9 @@ TERMS = 3
 def _stacked_chunks(space: FockSpace, stacks, extra: int = 0):
     """Yield (slice, stacks of its samples) for consecutive ranges of the
     samples of ``stacks`` (one per operator role, all of one size).  A range
-    takes samples while their sizes (2L+1 per scalar entry of a block, plus
-    ``extra`` per sample) add up to at most ``CHUNK_ENTRIES``, and at least
-    one."""
+    takes samples while their sizes (the size weight 2L+1 per scalar entry
+    of a block, see ``CHUNK_ENTRIES``, plus ``extra`` per sample) add up to
+    at most ``CHUNK_ENTRIES``, and at least one."""
     n = stacks[0].n_samples
     per = (2 * space.L_max + 1) * space.dim_N ** 2
     sizes = per * np.bincount(np.concatenate([op.samples for op in stacks]), minlength=n) + extra
@@ -130,14 +129,14 @@ def _embed_terms(space: FockSpace, i: int) -> dict:
 
 def embed(space: FockSpace, a) -> StructuredOperator:
     """The left multiplication by a factor element on the truncated Fock
-    space, or the stack of them for a sequence of elements (of any factors):
-    the sum of the (j, k) terms L_{e_j} E(e_j* a e_k) L*_{e_k} with nonzero
-    coefficient, E(u_{g_j}* a u_{g_k}) = alpha_{g_j^{-1}}(a_{g_j g_k^{-1}})
-    for e_j = u_{g_j}, words from ``_embed_terms`` (built once per factor
-    and call), added in (j, k) order.
+    space as a stack of one, or the stack of them for a sequence of
+    elements (of any factors): the sum of the (j, k) terms
+    L_{e_j} E(e_j* a e_k) L*_{e_k} with nonzero coefficient,
+    E(u_{g_j}* a u_{g_k}) = alpha_{g_j^{-1}}(a_{g_j g_k^{-1}}) for
+    e_j = u_{g_j}, words from ``_embed_terms`` (built once per factor and
+    call), added in (j, k) order.
     """
-    single = isinstance(a, FactorElement)
-    elements = [a] if single else a
+    elements = [a] if isinstance(a, FactorElement) else a
     factors = space.amalgam.factors
     words_of = {}
     terms, coefs = [(np.zeros(0, dtype=np.intp),) * 5], []
@@ -160,8 +159,7 @@ def embed(space: FockSpace, a) -> StructuredOperator:
     d = space.base.d
     blocks = lmul_blocks(space, np.reshape(coefs, (-1, d, d))[term], mid)
     samples, rows, cols, blocks = coalesce(samples, rows, cols, blocks, len(space.words))
-    op = StructuredOperator(space, rows, cols, blocks, "embed", samples, len(elements), True)
-    return op.as_single("embed") if single else op
+    return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(elements))
 
 
 @dataclass(frozen=True)
@@ -187,8 +185,9 @@ class ReducedWord:
 
 
 def word_operator(space: FockSpace, w, max_col_len=None) -> StructuredOperator:
-    """b_0 embed(a_1) b_1 ... embed(a_n) b_n for a reduced word, or the stack
-    of them for words of one length, multiplied right to left.
+    """b_0 embed(a_1) b_1 ... embed(a_n) b_n for a reduced word as a stack of
+    one, or the stack of them for words of one length, multiplied right to
+    left.
 
     With ``max_col_len`` the last factor is cut to the columns of words at
     most that long, and so is the product.  When ``max_col_len >= n - 1``
@@ -197,8 +196,7 @@ def word_operator(space: FockSpace, w, max_col_len=None) -> StructuredOperator:
     repeats a position in a column repeats one in the column of its first
     n - 1 letters.
     """
-    single = isinstance(w, ReducedWord)
-    words = [w] if single else w
+    words = [w] if isinstance(w, ReducedWord) else w
     n = words[0].length
     if any(x.length != n for x in words):
         raise ValueError("a stack of words holds words of one length")
@@ -212,8 +210,7 @@ def word_operator(space: FockSpace, w, max_col_len=None) -> StructuredOperator:
     for j in reversed(range(n)):
         op = embed(space, [x.letters[j] for x in words]) @ op
         op = lmul(j) @ op
-    name = "word(n=%d)" % n
-    return op.as_single(name) if single else op.renamed(name)
+    return op.renamed("word(n=%d)" % n)
 
 
 def random_reduced_word(rng, space: FockSpace, n: int) -> ReducedWord:
@@ -301,7 +298,7 @@ def fock_suite(space: FockSpace, seed: int = 0,
     for n in range(space.L_max):
         split = (length_at_least_op(space, n) - length_at_least_op(space, n + 1)
                  - length_exactly_op(space, n))
-        worst = max(worst, split.block_max())
+        worst = max(worst, split.block_max()[0])
     report.add("fock_length_projection_split", worst, tol)
 
     # the length-k spanning families have full rank jointly
@@ -378,8 +375,8 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
 
     # rho(Id) = Q_1 and epsilon(Id) = Q_1 on the truncated space
     q1 = length_at_least_op(space, 1)
-    res_rho = (rho_matrix(space, identity_op(space)) - q1).block_max()
-    res_eps = (epsilon_matrix(space, identity_op(space)) - q1).block_max()
+    res_rho = (rho_matrix(space, identity_op(space)) - q1).block_max()[0]
+    res_eps = (epsilon_matrix(space, identity_op(space)) - q1).block_max()[0]
     report.add("rho_of_identity", res_rho, tol)
     report.add("epsilon_of_identity", res_eps, tol)
 
@@ -481,7 +478,7 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
         # Phi1, Phi2 and every symbol's T1, T2 and T of a in one call, copy j
         # of a weighed by weight set j
         images = apply_weights(space, np.repeat(weight_sets, a.n_samples, axis=0),
-                               tile(a, len(weight_sets)))
+                               stack([a] * len(weight_sets)))
         copy = np.arange(images.n_samples) // a.n_samples
         images = [images.select(copy == j) for j in range(len(weight_sets))]
 
@@ -559,10 +556,10 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     with np.errstate(over="ignore", invalid="ignore"):  # as above
         diff = (T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A)
                 - be * T0.apply_matrix(B))
-        res_lin = op_norm(diff) / max(op_norm(A), 1.0) / s
+        norm_a = max(op_norm(A)[0], 1.0)
+        res_lin = op_norm(diff)[0] / norm_a / s
         diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
-        res_mod = (op_norm(diff.columns_upto(space.L_max - max(1, max_len)))
-                   / max(op_norm(A), 1.0) / s)
+        res_mod = op_norm(diff.columns_upto(space.L_max - max(1, max_len)))[0] / norm_a / s
     report.add("multiplier_linearity", res_lin, 1e-12)
     report.add("multiplier_right_module", res_mod, tol)
     return report
@@ -590,7 +587,10 @@ def amplified_stacks(rng, space: FockSpace, T, samples: int):
     stacks = [generator_operators(space, [gens[i] for gens, _ in draws]) for i in range(TERMS)]
     for sl, ops in _stacked_chunks(space, stacks, dense):
         chunk = draws[sl]
-        tops = [T.apply_matrix(A) for A in ops]
+        # one Horner pass for all TERMS stacks pays its per-call cost once
+        tops = T.apply_matrix(stack(ops))
+        term = np.arange(tops.n_samples) // ops[0].n_samples
+        tops = [tops.select(term == i) for i in range(TERMS)]
         for m in AMPLIFICATIONS:
             blocks = [np.array([c[m][i] for _, c in chunk]) for i in range(TERMS)]
             # an overflowing symbol leaves inf or nan in tbig; op_norm reads inf

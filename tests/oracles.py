@@ -94,8 +94,8 @@ def start_complement_op(space, i):
 
 
 def generator(space, gw):
-    """The single operator of one generator word."""
-    return generator_operators(space, [gw]).as_single("gen(k=%d,l=%d)" % (gw.k, gw.l))
+    """One generator word as a stack of one."""
+    return generator_operators(space, [gw]).renamed("gen(k=%d,l=%d)" % (gw.k, gw.l))
 
 
 def worst_residual(report):
@@ -367,7 +367,7 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
     res_rho = res_eps = res_t = res_t12 = 0.0
     res_phi = [0.0, 0.0]
     for gw in gens:
-        a = generator_chain(space, gw).matrix()
+        a = generator_chain(space, gw).matrix()[0]
         k, l = gw.k, gw.l
         case = gw.case
         tw = tower_dense(space, a)
@@ -382,7 +382,7 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
             return weighted_sum_dense(space, expand(W), tw)
 
         for n in range(1, max_rho_power + 1):
-            target = a @ length_at_least_op(space, l + n).matrix()
+            target = a @ length_at_least_op(space, l + n).matrix()[0]
             res_rho = max(res_rho, masked(tw[n] - target, n))
 
         if case is CaseTag.CASE2:
@@ -462,9 +462,9 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
             for phi, T, s in mults:
                 with np.errstate(over="ignore", invalid="ignore"):
                     diff = T.apply_matrix(A) - phi(n) * A
-                d = diff.matrix()[:, guard]
+                d = diff.matrix()[0][:, guard]
                 if np.any(d):
-                    scale = max(max_column_norm(A.matrix()[:, guard]), 1e-30)
+                    scale = max(max_column_norm(A.matrix()[0][:, guard])[0], 1e-30)
                     res_action = _fold(res_action, schur_bound(d) / scale / s)
                 res_vacuum = _fold(res_vacuum, _masked_max(diff, 0)
                                    / max(_masked_max(A, 0), 1e-30) / s)
@@ -477,12 +477,12 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
     B = word_by_products(space, words[0][0])
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     diff = T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A) - be * T0.apply_matrix(B)
-    report.add("multiplier_linearity", op_norm(diff) / max(op_norm(A), 1.0) / s, 1e-12)
+    report.add("multiplier_linearity", op_norm(diff)[0] / max(op_norm(A)[0], 1.0) / s, 1e-12)
     lam = left_mult(space, space.base.random(rng))
     guard = space.guard_mask(space.L_max - max(1, max_len))
     diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
     report.add("multiplier_right_module",
-               op_norm(diff.matrix()[:, guard]) / max(op_norm(A), 1.0) / s, tol)
+               op_norm(diff.matrix()[0][:, guard])[0] / max(op_norm(A)[0], 1.0) / s, tol)
     return report
 
 
@@ -494,13 +494,13 @@ def word_vacuum_images_dense(space, max_len):
     embeds = {(i, g): embed(space, space.amalgam.factors[i].unitary(g))
               for i, g in space.amalgam.letters()}
     vac = space.vacuum().to_array()
-    starts = [left_mult(space, b) @ vac for b in space.base.basis()]
+    starts = [(left_mult(space, b) @ vac)[0] for b in space.base.basis()]
     for w in space.words:
         if len(w) > max_len:
             continue
         for vec in starts:
             for letter in reversed(w.letters):
-                vec = embeds[letter] @ vec
+                vec = (embeds[letter] @ vec)[0]
             yield vec
 
 

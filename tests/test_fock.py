@@ -264,7 +264,7 @@ def test_projection_examples(dih_space):
 def test_projection_idempotent_selfadjoint(dih_space):
     for op in (length_at_least_op(dih_space, 2), length_exactly_op(dih_space, 1),
                ends_in_factor_op(dih_space, 1)):
-        P = op.matrix()
+        P = op.matrix()[0]
         assert np.allclose(P @ P, P)
         assert np.allclose(P.conj().T, P)
 
@@ -283,7 +283,7 @@ def test_projection_commutes_with_right_action(mat2_space):
 def test_lambda_span_dimensions(dih_space, mat2_space):
     def columns(space, k):
         """The family's columns: one per word of length k and N-basis element."""
-        return lambda_span(space, k).matrix()[:, space.guard_mask(k) & ~space.guard_mask(k - 1)]
+        return lambda_span(space, k).matrix()[0][:, space.guard_mask(k) & ~space.guard_mask(k - 1)]
 
     assert columns(dih_space, 0).shape[1] == 1
     assert columns(mat2_space, 0).shape[1] == 4

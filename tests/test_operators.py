@@ -212,13 +212,13 @@ def test_partition_identity_as_operators(dih_space):
     x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     total = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for n in range(len(x)):
-        D = diag(dih_space, x[n:]).matrix()
+        D = diag(dih_space, x[n:]).matrix()[0]
         total += D @ D.conj().T
     Q = as_op(dih_space, np.eye(dih_space.dim))
     for n in range(1, dih_space.L_max + 1):
         Q = rho_matrix(dih_space, Q)
-        D = diag(dih_space, np.concatenate([np.zeros(n), x])).matrix()
-        total += D @ Q.matrix() @ D.conj().T
+        D = diag(dih_space, np.concatenate([np.zeros(n), x])).matrix()[0]
+        total += D @ Q.matrix()[0] @ D.conj().T
     want = float(np.vdot(x, x).real) * np.eye(dih_space.dim)
     assert np.abs(total - want).max() <= 1e-12 * np.vdot(x, x).real
 
@@ -274,7 +274,7 @@ def test_noncommuting_fixture_push_order_matters(noncomm_space):
     # so the left-multiplication oracle above pins the order
     space = noncomm_space
     b = space.base.random(np.random.default_rng(14))
-    M = left_mult(space, b).matrix()
+    M = left_mult(space, b).matrix()[0]
     k = space.dim_N
     worst = 0.0
     for j, w in enumerate(space.words):
@@ -337,14 +337,14 @@ def test_phi_eigen_formula_on_generators(dih_space):
                      (((0, 1),), ((1, 1),)), (((0, 1), (1, 1)), ((0, 1),))]:
         gen = GeneratorWord(cre, ann)
         op = generator(dih_space, gen)
-        A = op.matrix()
+        A = op.matrix()[0]
         k, l = gen.k, gen.l
         guard = dih_space.guard_mask(dih_space.L_max - max(k - l, 0) - 1)
         s1 = brute_phi_scalar(x, y, k, l)
-        out1 = phi_block_matrix(dih_space, 1, x, y, op).matrix()
+        out1 = phi_block_matrix(dih_space, 1, x, y, op).matrix()[0]
         assert np.abs((out1 - s1 * A)[:, guard]).max() <= 1e-10
         s2 = s1 if gen.case is CaseTag.CASE1 else brute_phi_scalar(x, y, k, l, shift=1)
-        out2 = phi_block_matrix(dih_space, 2, x, y, op).matrix()
+        out2 = phi_block_matrix(dih_space, 2, x, y, op).matrix()[0]
         assert np.abs((out2 - s2 * A)[:, guard]).max() <= 1e-10
 
 
@@ -494,7 +494,7 @@ def test_multiplier_matches_weighted_dense_tower(request, name, phi):
     A = random_complex(rng, (space.dim, space.dim))
     T, tw = build_T(space, phi), tower_dense(space, A)
     for W in (T.t1_weights, T.t2_weights, T.weights):
-        got = apply_weights(space, W, as_op(space, A)).matrix()
+        got = apply_weights(space, W, as_op(space, A)).matrix()[0]
         want = weighted_sum_dense(space, expand(W), tw)
         if np.isin(W, (0, 1)).all() and name != "noncomm_space":
             assert np.array_equal(got, want)
@@ -558,14 +558,17 @@ def test_product_matches_dense_product(request, name):
             want = a.matrix() @ b.matrix()
             assert_close((a @ b).matrix(), want)
             assert_close((a + b).matrix(), a.matrix() + b.matrix())
-            assert_close((a - 2j * b.adjoint()).matrix(), a.matrix() - 2j * b.matrix().conj().T)
+            assert_close((a - 2j * b.adjoint()).matrix()[0],
+                         a.matrix()[0] - 2j * b.matrix()[0].conj().T)
 
 
 @pytest.mark.parametrize("name", SPACES)
 def test_stacked_operations_repeat_each_sample_exactly(request, name):
     # every sample of a stack comes out bit for bit, entries in the same
     # order, as its single operator does: the left factors mix a gather, a
-    # gather with repeated rows, a join with repeated pairs and an empty one
+    # gather with repeated rows, a join with repeated pairs and an empty one.
+    # The stacks are built once from the single operators and once by
+    # joining two stacks of two samples each
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(27)
     n, k, L = len(space.words), space.dim_N, space.L_max
@@ -574,41 +577,54 @@ def test_stacked_operations_repeat_each_sample_exactly(request, name):
     lefts = [creation(space, space.amalgam.letters()[-1]), to_vacuum,
              random_operator(space, rng), zero_op(space)]
     rights = [random_operator(space, rng) for _ in lefts]
-    A, B = stack(lefts), stack(rights)
     scale = random_complex(rng, len(lefts))
     W = random_complex(rng, (3, L + 1, L + 1))
     pairs = list(zip(lefts, rights, scale))
-    cases = [(A @ B, [a @ b for a, b, _ in pairs]),
-             (scale * A - B.adjoint(), [c * a - b.adjoint() for a, b, c in pairs]),
-             (rho_matrix(space, B), [rho_matrix(space, b) for b in rights]),
-             (epsilon_matrix(space, B), [epsilon_matrix(space, b) for b in rights]),
-             (apply_weights(space, W, A @ B),
-              [apply_weights(space, W, a @ b) for a, b, _ in pairs])]
-    for got, want in cases:
-        assert got.n_samples == len(want)
-        for s, single in enumerate(want):
-            on = got.samples == s
-            for field in ("rows", "cols", "blocks"):
-                assert np.array_equal(getattr(got, field)[on], getattr(single, field))
-    assert op_norm(A @ B).tolist() == [op_norm(a @ b) for a, b, _ in pairs]
-    assert (A @ B).block_max().tolist() == [(a @ b).block_max() for a, b, _ in pairs]
-    with pytest.raises(ValueError):
-        A @ stack(rights[:2])
+    for A, B in ((stack(lefts), stack(rights)),
+                 (stack([stack(lefts[:2]), stack(lefts[2:])]),
+                  stack([stack(rights[:2]), stack(rights[2:])]))):
+        cases = [(A @ B, [a @ b for a, b, _ in pairs]),
+                 (scale * A - B.adjoint(), [c * a - b.adjoint() for a, b, c in pairs]),
+                 (rho_matrix(space, B), [rho_matrix(space, b) for b in rights]),
+                 (epsilon_matrix(space, B), [epsilon_matrix(space, b) for b in rights]),
+                 (apply_weights(space, W, A @ B),
+                  [apply_weights(space, W, a @ b) for a, b, _ in pairs])]
+        for got, want in cases:
+            assert got.n_samples == len(want)
+            for s, single in enumerate(want):
+                on = got.samples == s
+                for field in ("rows", "cols", "blocks"):
+                    assert np.array_equal(getattr(got, field)[on], getattr(single, field))
+        assert op_norm(A @ B).tolist() == [op_norm(a @ b)[0] for a, b, _ in pairs]
+        assert (A @ B).block_max().tolist() == [(a @ b).block_max()[0] for a, b, _ in pairs]
+        with pytest.raises(ValueError):
+            A @ stack(rights[:2])
     # a single operator is a stack of one: stacking it alone keeps its
-    # entries and gives its results as the one sample's, but the two forms
-    # do not mix in a product
+    # entries and its results, and the two mix in a product
     x = random_complex(rng, space.dim)
     for single in lefts + rights:
         one = stack([single])
         assert one.n_samples == 1 and not one.samples.any()
         for field in ("rows", "cols", "blocks"):
             assert np.array_equal(getattr(one, field), getattr(single, field))
-        assert np.array_equal(one.matrix(), single.matrix()[None])
-        assert np.array_equal(one @ x, (single @ x)[None])
-        assert one.block_max().tolist() == [single.block_max()]
-        assert op_norm(one).tolist() == [op_norm(single)]
-        with pytest.raises(ValueError):
-            single @ one
+            assert np.array_equal(getattr(single @ one, field), getattr(single @ single, field))
+        assert np.array_equal(one.matrix(), single.matrix())
+        assert np.array_equal(one @ x, single @ x)
+        assert one.block_max().tolist() == single.block_max().tolist()
+        assert op_norm(one).tolist() == op_norm(single).tolist()
+    # T of stacks joined into one and split back by ``select`` is T of each
+    # stack, entry for entry
+    T = build_T(space, WEIGHT_SYMBOLS[-1])
+    ops = [stack(lefts) @ stack(rights), stack(rights[:3]), stack(lefts[1:3])]
+    images = T.apply_matrix(stack(ops))
+    first = np.cumsum([0] + [op.n_samples for op in ops])
+    sample = np.arange(images.n_samples)
+    assert images.n_samples == first[-1]
+    for op, start, stop in zip(ops, first, first[1:]):
+        got, want = images.select((sample >= start) & (sample < stop)), T.apply_matrix(op)
+        assert got.n_samples == want.n_samples
+        for field in ("samples", "rows", "cols", "blocks"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def dense_embed(space, a):
@@ -681,8 +697,8 @@ def test_op_norm_on_operators_matches_full_svd(request, name):
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(25)
     for op in entry_cases(space, rng):
-        want = svd_norm(op.matrix())
-        assert abs(op_norm(op) - want) <= 1e-13 * want
+        want = svd_norm(op.matrix()[0])
+        assert abs(op_norm(op)[0] - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -696,13 +712,13 @@ def test_norm_bounds_bracket_op_norm(request, name):
     ops = entry_cases(space, rng) + [random_operator(space, rng, density=0.05)]
     ops += [word_operator(space, w) for w in words]
     for op in ops:
-        lower, exact, upper = max_column_norm(op), op_norm(op), schur_bound(op)
+        lower, exact, upper = max_column_norm(op)[0], op_norm(op)[0], schur_bound(op)[0]
         assert lower <= exact * (1 + 1e-14) and exact <= upper * (1 + 1e-14), op.name
-        dense = op.matrix()
-        assert (max_column_norm(dense), schur_bound(dense)) == (lower, upper)
+        dense = op.matrix()[0]
+        assert (max_column_norm(dense)[0], schur_bound(dense)[0]) == (lower, upper)
     stacked = stack(ops)
-    assert max_column_norm(stacked).tolist() == [max_column_norm(op) for op in ops]
-    assert schur_bound(stacked).tolist() == [schur_bound(op) for op in ops]
+    assert max_column_norm(stacked).tolist() == [max_column_norm(op)[0] for op in ops]
+    assert schur_bound(stacked).tolist() == [schur_bound(op)[0] for op in ops]
     # a creation word's columns are unit vectors or zero, and its rows too:
     # both bounds are its norm, 1
     letters = next(w.letters for w in space.words if len(w) == 2)
@@ -751,8 +767,8 @@ def test_indicator_t1_rule(dih_space):
         op = generator(dih_space, gen)
         want = phi.psi1(gen.k + gen.l)
         guard = dih_space.guard_mask(dih_space.L_max - max(gen.k - gen.l, 0) - 1)
-        t1 = apply_weights(dih_space, T.t1_weights, op).matrix()
-        assert np.abs((t1 - want * op.matrix())[:, guard]).max() <= 1e-11
+        t1 = apply_weights(dih_space, T.t1_weights, op).matrix()[0]
+        assert np.abs((t1 - want * op.matrix()[0])[:, guard]).max() <= 1e-11
 
 
 def _svd_pairs(phi, M):
@@ -769,12 +785,12 @@ def test_t1_equals_sum_of_phi_blocks(dih_space):
     op = generator(dih_space, gen)
     total = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for x, y in h_pairs:
-        total += phi_block_matrix(dih_space, 1, x, y, op).matrix()
-    assert np.abs(total - apply_weights(dih_space, T.t1_weights, op).matrix()).max() <= 1e-11
+        total += phi_block_matrix(dih_space, 1, x, y, op).matrix()[0]
+    assert np.abs(total - apply_weights(dih_space, T.t1_weights, op).matrix()[0]).max() <= 1e-11
     total2 = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for z, w in k_pairs:
-        total2 += phi_block_matrix(dih_space, 2, z, w, op).matrix()
-    assert np.abs(total2 - apply_weights(dih_space, T.t2_weights, op).matrix()).max() <= 1e-11
+        total2 += phi_block_matrix(dih_space, 2, z, w, op).matrix()[0]
+    assert np.abs(total2 - apply_weights(dih_space, T.t2_weights, op).matrix()[0]).max() <= 1e-11
 
 
 @pytest.mark.parametrize("phi", [
@@ -806,7 +822,7 @@ def test_case_convention_pinned_by_scaling(dih_space):
     phi = RadialSymbol.geometric(0.5)  # phi(2) = 0.25 != phi(3) = 0.125
     T = build_T(dih_space, phi)
     op = generator(dih_space, gen)
-    A, TA = op.matrix(), T.apply_matrix(op).matrix()
+    A, TA = op.matrix()[0], T.apply_matrix(op).matrix()[0]
     guard = dih_space.guard_mask(dih_space.L_max - 1)
     res2 = np.abs((TA - phi(2) * A)[:, guard]).max()
     res1 = np.abs((TA - phi(3) * A)[:, guard]).max()
@@ -857,23 +873,23 @@ def test_truncation_is_a_compression(data, L, L_big):
         for phi in (RadialSymbol.indicator01(), RadialSymbol.geometric(-0.5),
                     RadialSymbol.geometric(0.4 + 0.3j, coefficient=1 - 0.5j))]
     for f in maps:
-        compressed = f(big, as_op(big, padded)).matrix()[:n, :n]
-        assert np.array_equal(f(small, as_op(small, A)).matrix(), compressed)
+        compressed = f(big, as_op(big, padded)).matrix()[0][:n, :n]
+        assert np.array_equal(f(small, as_op(small, A)).matrix()[0], compressed)
 
 
 # ---------------------------------------------------------------- norms
 
 def test_op_norm_identity(dih_space):
-    assert op_norm(identity_op(dih_space).matrix()) == pytest.approx(1.0)
+    assert op_norm(identity_op(dih_space).matrix()[0])[0] == pytest.approx(1.0)
 
 
 def test_op_norm_creation_is_isometry(dih_space):
-    assert op_norm(creation(dih_space, (0, 1)).matrix()) == pytest.approx(1.0)
+    assert op_norm(creation(dih_space, (0, 1)).matrix()[0])[0] == pytest.approx(1.0)
 
 
 def test_op_norm_diag(dih_space):
     x = np.array([0.5, -2.0, 1.0, 0.0, 0.0, 0.0])
-    assert op_norm(diag(dih_space, x).matrix()) == pytest.approx(2.0)
+    assert op_norm(diag(dih_space, x).matrix()[0])[0] == pytest.approx(2.0)
 
 
 def svd_norm(A):
