@@ -18,6 +18,7 @@ Exit codes: 0 all requested checks pass, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import pickle
 import signal
@@ -125,7 +126,11 @@ def _run_jobs(jobs: list) -> dict:
     the caller runs twice; it exits with code 1 when an outcome cannot be
     pickled.  Fork is used, not spawn, so that workers start with the space
     already built; the only other threads are the BLAS pool's, which resets
-    itself across fork.
+    itself across fork.  The heap is frozen first (``gc.freeze``), with or
+    without a fork: no collection walks it again, neither a worker's, which
+    would copy its pages, nor the caller's at exit.  So nothing alive at the
+    call, garbage cycles included, is ever freed: a long-lived caller such
+    as pytest keeps that memory.
 
     The caller goes through the jobs in list order: it runs each job it
     owns and reads the outcome of each other from its worker's pipe.  It
@@ -141,6 +146,7 @@ def _run_jobs(jobs: list) -> dict:
     owners = [None] * len(jobs)  # the (pid, pipe) of each job's worker
     workers = []
     results = {}
+    gc.freeze()
     try:
         for w in range(n_workers):
             share = range(1 + w, len(jobs), n_workers)

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng  # loaded at import: once, before any fork
 
 from .algebra import FactorElement, cond_exp
 from .fock import FockSpace, FockVector, Word
@@ -252,7 +253,7 @@ def random_generator_word(rng, space: FockSpace, k: int, l: int,
 def fock_suite(space: FockSpace, seed: int = 0,
                tol: float = ALGEBRAIC_TOL) -> VerificationReport:
     """Structural invariants of the truncated space itself."""
-    rng = np.random.default_rng([seed, 1])
+    rng = default_rng([seed, 1])
     base = space.base
     report = VerificationReport()
 
@@ -338,7 +339,7 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     """Adjoint pairs, the shifted-weight partition identity on 20 random
     vectors of length 32, and the right-module property (covariance, for
     R_{gamma*}) of the building blocks, at tolerance 1e-12."""
-    rng = np.random.default_rng([seed, 2])
+    rng = default_rng([seed, 2])
     report = VerificationReport()
     tol, n_partition, vec_len = 1e-12, 20, 32
 
@@ -394,7 +395,7 @@ def _generator_zoo(space: FockSpace, seed: int) -> list:
     """Deterministic family of generators covering all k, l <= 2 and both
     cases: every pair of letter strings without coefficients, and one
     random pair with random coefficients per (k, l)."""
-    rng = np.random.default_rng([seed, 3])
+    rng = default_rng([seed, 3])
     base = space.base
     out = []
     for k in range(3):
@@ -430,7 +431,7 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     guard band: rho and rho^2, epsilon case rules, both Phi eigen-formulas,
     and the component / total rules of every supplied multiplier.  The
     generators are checked a chunk at a time, as one stack."""
-    rng = np.random.default_rng([seed, 4])
+    rng = default_rng([seed, 4])
     report = VerificationReport()
     gens = _generator_zoo(space, seed)
     mults = []
@@ -513,7 +514,7 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     guard band, exact vacuum coefficients, linearity, and the right-module
     property of T.  The words of one length are checked a chunk at a time,
     as one stack."""
-    rng = np.random.default_rng([seed, 5])
+    rng = default_rng([seed, 5])
     report = VerificationReport()
     if max_len is None:
         max_len = min(3, space.L_max - 2)
@@ -608,7 +609,7 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     Norms are exact SVDs of the support components of the amplified
     matrices' entries (``op_norm``), one batched run per chunk.
     """
-    rng = np.random.default_rng([seed, 6])
+    rng = default_rng([seed, 6])
     report = VerificationReport()
     for si, phi in enumerate(symbols):
         T = build_T(space, phi)
@@ -644,7 +645,7 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     tolerance 1e-11.  The sampled pairs (a, b) are checked a chunk at a
     time, as stacks; the coefficients are compared with the ``FactorElement``
     products E(e_m* a e_l), a route independent of ``embed``'s closed form."""
-    rng = np.random.default_rng([seed, 7])
+    rng = default_rng([seed, 7])
     report = VerificationReport()
     tol = 1e-11
     factors = space.amalgam.factors

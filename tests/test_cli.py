@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from radmul.algebra import FiniteGroup
 from radmul.cli import main
-from radmul.config import ConfigError, load_config, parse_config, preset_config
+from radmul.config import (MAX_CYCLIC_ORDER, ConfigError, load_config, parse_config,
+                           preset_config)
 
 from conftest import noncommuting_config
 
@@ -263,7 +264,7 @@ def _slots(data) -> tuple:
         group = factor["group"]
         objects += [(("factors", i), "factor"), (("factors", i, "group"), group["kind"])]
         if group["kind"] == "cyclic":
-            ints.append((("factors", i, "group", "order"), 2, None))
+            ints.append((("factors", i, "group", "order"), 2, MAX_CYCLIC_ORDER))
         else:
             n = len(group["table"])
             ints += [(("factors", i, "group", "table", a, b), 0, n - 1)
@@ -280,8 +281,9 @@ def invalid_configs(draw):
     """A valid configuration (``fuzz_base_configs``) with one key set to an
     invalid value: a wrong type, a misspelt key, a key of another kind or
     place, a non-finite number, or an integer out of range.  Group orders
-    stay <= 16, matrix dims <= 3 and fock_len <= 4, so nothing large is
-    allocated even if the parser let a value through."""
+    stay <= 16 or just over ``MAX_CYCLIC_ORDER``, matrix dims <= 3 and
+    fock_len <= 4, so nothing large is allocated even if the parser let a
+    value through."""
     data = draw(fuzz_base_configs())
     objects, ints, numbers = _slots(data)
     change = draw(st.sampled_from(["type", "misspelt", "foreign", "non-finite", "range"]))
@@ -326,6 +328,22 @@ def test_invalid_config_exits_2_with_one_line(data):
     assert code == 2
     assert len(err.getvalue().splitlines()) == 1
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("order, size", [(MAX_CYCLIC_ORDER + 1, "0.00129 GB"),
+                                         (10 ** 6, "8e+03 GB")])
+def test_large_cyclic_order_exits_2_before_any_table(tmp_path, monkeypatch, capsys, order,
+                                                     size):
+    def cyclic(order):
+        raise AssertionError("FiniteGroup.cyclic(%d) called" % order)
+
+    monkeypatch.setattr(FiniteGroup, "cyclic", cyclic)
+    data = _set(preset_config("dih"), ("factors", 0, "group"), {"kind": "cyclic",
+                                                                "order": order})
+    assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: bad group fragment: cyclic group order %d is over %d: its "
+        "%d x %d table takes %s\n" % (order, MAX_CYCLIC_ORDER, order, order, size))
 
 
 def test_unknown_config_key_names_the_known_keys(tmp_path, capsys):

@@ -320,12 +320,13 @@ def test_pass_through_is_caught():
 def test_setup_path_loads_no_operator_code():
     # in a fresh interpreter, as at the start of a run: parsing a config and
     # building its space imports neither the operator layers nor the command
-    # line, so nothing (such as a package re-export) compiles them early
+    # line, so nothing (such as a package re-export) compiles them early, nor
+    # numpy.random, which the command line loads before it forks
     code = ("import sys\n"
             "from radmul.config import parse_config, preset_config\n"
             "parse_config(preset_config('cy3')).space()\n"
             "print(' '.join(m for m in ('radmul.operators', 'radmul.sparse', 'radmul.verify',\n"
-            "                           'radmul.cli') if m in sys.modules))\n")
+            "                           'radmul.cli', 'numpy.random') if m in sys.modules))\n")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
     assert run.stdout.split() == []

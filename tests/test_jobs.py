@@ -4,7 +4,10 @@ one process is the oracle for every report and every failure."""
 import json
 import os
 import select
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +182,25 @@ def test_one_usable_core_never_forks(tmp_path, monkeypatch, readable):
         monkeypatch.delattr(os, "sched_getaffinity")
     no_fork(monkeypatch)
     report_bytes(tmp_path, write_config(tmp_path, preset_config("mat2")))
+
+
+def test_rng_is_loaded_and_heap_frozen_before_the_fork():
+    # in a fresh interpreter, where nothing has frozen the heap or loaded
+    # numpy.random yet: the command line loads the RNG at import, and the
+    # forked worker runs its job with the inherited heap frozen
+    code = ("import gc, os, sys\n"
+            "import radmul.cli\n"
+            "print('numpy.random' in sys.modules, gc.get_freeze_count())\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "caller = os.getpid()\n"
+            "out = radmul.cli._run_jobs([('caller', os.getpid),\n"
+            "                            ('worker', lambda: (os.getpid(), gc.get_freeze_count()))])\n"
+            "pid, frozen = out['worker']\n"
+            "print(out['caller'] == caller != pid, frozen > 0)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert run.stdout.split() == ["True", "0", "True", "True"]
 
 
 # ------------------------------------------------------------ failures
