@@ -26,6 +26,10 @@ import sys
 import traceback
 from contextlib import suppress
 
+# before numpy loads: OpenBLAS's idle pool threads then sleep at once instead
+# of spinning for 2**28 cycles each (about 0.1 s of CPU per thread)
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .algebra import verify_pp_basis
 from .config import ConfigError, RunConfig, load_config
 from .report import VerificationReport
@@ -126,9 +130,11 @@ def _run_jobs(jobs: list) -> dict:
     the caller runs twice; it exits with code 1 when an outcome cannot be
     pickled.  Fork is used, not spawn, so that workers start with the space
     already built; the only other threads are the BLAS pool's, which resets
-    itself across fork.  The heap is frozen first (``gc.freeze``), with or
-    without a fork: no collection walks it again, neither a worker's, which
-    would copy its pages, nor the caller's at exit.  So nothing alive at the
+    itself across fork and whose idle threads sleep at once instead of
+    spinning (``OPENBLAS_THREAD_TIMEOUT``, set when this module loads).  The
+    heap is frozen first (``gc.freeze``), with or without a fork: no
+    collection walks it again, neither a worker's, which would copy its
+    pages, nor the caller's at exit.  So nothing alive at the
     call, garbage cycles included, is ever freed: a long-lived caller such
     as pytest keeps that memory.
 

@@ -6,7 +6,8 @@ public function and method of the package is called by the package or is on
 a short list of documented or benchmark-read names, no function of the
 package only forwards its parameters to another call, no module of the
 package makes a dense matrix of a whole operator, the set-up path
-(configuration to Fock space) loads no operator code, and README's CLI
+(configuration to Fock space) loads no operator code, only the command
+line sets OpenBLAS's idle timeout before numpy loads, and README's CLI
 section names exactly the command line's options."""
 
 import argparse
@@ -330,6 +331,37 @@ def test_setup_path_loads_no_operator_code():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
     assert run.stdout.split() == []
+
+
+# prints OPENBLAS_THREAD_TIMEOUT as numpy is first imported, then the code
+# under test runs and the variable is printed again
+NUMPY_WATCH = ("import os, sys\n"
+               "class Watch:\n"
+               "    def find_spec(self, name, path=None, target=None):\n"
+               "        if name == 'numpy':\n"
+               "            print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+               "            sys.meta_path.remove(self)\n"
+               "sys.meta_path.insert(0, Watch())\n")
+
+
+@pytest.mark.parametrize("code, user_value, seen", [
+    ("import radmul.cli", None, "4"),
+    ("import radmul.cli", "20", "20"),
+    ("from radmul.config import parse_config, preset_config\n"
+     "parse_config(preset_config('cy3')).space()", None, "None"),
+], ids=["cli", "cli-user-value", "library"])
+def test_only_the_command_line_sets_the_openblas_timeout(code, user_value, seen):
+    # the command line shortens OpenBLAS's idle spin before numpy starts the
+    # thread pool, and keeps a value the user set; a library import leaves
+    # the environment alone
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if user_value is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = user_value
+    code = NUMPY_WATCH + code + "\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.split() == [seen, seen]
 
 
 def dense_matrix_calls(source: str) -> list:
