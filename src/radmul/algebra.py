@@ -261,8 +261,10 @@ def _onb_elements(factor: CrossedFactor) -> list:
             for b in factor.base.onb()]
 
 
-def _coords(x: FactorElement, onb: list) -> np.ndarray:
-    return np.array([(e.star() * x).trace() for e in onb], dtype=complex)
+def _coords(x: FactorElement) -> np.ndarray:
+    """The coordinates of x in the basis ``_onb_elements``: tau((b u_g)* x) =
+    tau(b* x_g), and b = sqrt(d) E_pq reads x_g[p, q] / sqrt(d)."""
+    return x.coeffs.reshape(-1) / np.sqrt(x.factor.base.d)
 
 
 def verify_pp_basis(factor: CrossedFactor, basis=None,
@@ -295,7 +297,7 @@ def verify_pp_basis(factor: CrossedFactor, basis=None,
     total = np.zeros((len(onb), len(onb)), dtype=complex)
     for ej in basis:
         ej_star = ej.star()
-        total += np.stack([_coords(ej * factor.from_base(cond_exp(ej_star * y)), onb)
+        total += np.stack([_coords(ej * factor.from_base(cond_exp(ej_star * y)))
                            for y in onb], axis=1)
     unit_res = float(np.abs(total - np.eye(len(onb))).max())
     report.add("pp_partition_of_unity", unit_res, tol, space_dim=len(onb))

@@ -145,15 +145,6 @@ class FockVector:
     def __neg__(self) -> "FockVector":
         return _vector(self.space, -self.blocks)
 
-    def right_mul(self, b) -> "FockVector":
-        return _vector(self.space, self.blocks @ self.space.base.element(b))
-
-    def left_mul(self, b) -> "FockVector":
-        """Left N-action: b pushed through the letters of w is U_w b U_w*."""
-        U = self.space.push_unitaries
-        pushed = U @ self.space.base.element(b) @ U.conj().transpose(0, 2, 1)
-        return _vector(self.space, pushed @ self.blocks)
-
     def inner_N(self, other: "FockVector") -> np.ndarray:
         """N-valued inner product sum_w c_w* d_w, conjugate-linear in self,
         added one word at a time in basis order."""

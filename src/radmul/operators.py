@@ -37,12 +37,12 @@ A :class:`StructuredOperator` holds one dim_N x dim_N block per word pair.
 Creations and annihilations are partial word maps, each one read of the
 space's word graph (the ``FockSpace`` tables), left N-multiplication the
 identity map with the pushed blocks U_w b U_w*; a product joins the left
-factor's columns to the right factor's rows, and adds the entries that
-meet on one pair, which happens only when the left factor repeats a row or
-a column; rho maps every entry through all the letters' right creations at
-once (``appended`` at the starred letters); epsilon keeps the entries
-whose row and column words end in the same factor.  Sums over letters and
-factors run in configuration order.
+factor's columns to the right factor's rows, sorts the entries by position
+and adds those that meet on one pair (``coalesce``); rho maps every entry
+through all the letters' right creations at once (``appended`` at the
+starred letters); epsilon keeps the entries whose row and column words end
+in the same factor.  Sums over letters and factors run in configuration
+order.
 
 Every operator is a stack: each entry carries its sample, and a single
 operator is a stack of one.  Every operation runs once for a whole stack,
@@ -222,8 +222,8 @@ def _same_stack(*ops) -> None:
 def _product(a: StructuredOperator, b: StructuredOperator) -> tuple:
     """The entries (samples, rows, cols, blocks) of a @ b: each entry (j, c)
     of b meets every entry (r, j) of a in the same sample, in a's entry
-    order.  Two products land on one pair (r, c) only when a repeats a row or
-    a column in a sample; then they are added (``coalesce``).
+    order; ``coalesce`` sorts them by position and adds those on one pair
+    (r, c).
     """
     n = len(a.space.words)
     size = a.n_samples * n
@@ -235,10 +235,7 @@ def _product(a: StructuredOperator, b: StructuredOperator) -> tuple:
     eb = np.repeat(np.arange(key_b.size), reps)
     ea = order[np.repeat(start[key_b], reps) + np.arange(eb.size)
                - np.repeat(np.cumsum(reps) - reps, reps)]
-    out = (b.samples[eb], a.rows[ea], b.cols[eb], a.blocks[ea] @ b.blocks[eb])
-    repeats = max(count.max(initial=0),
-                  np.bincount(a.samples * n + a.rows, minlength=size).max(initial=0)) > 1
-    return coalesce(*out, n) if repeats else out
+    return coalesce(b.samples[eb], a.rows[ea], b.cols[eb], a.blocks[ea] @ b.blocks[eb], n)
 
 
 def op_sum(space: FockSpace, ops, name: str = "sum") -> StructuredOperator:
@@ -571,8 +568,8 @@ def generator_operators(space: FockSpace, gens) -> StructuredOperator:
     follow every column word of every sample through the chain together,
     right to left: one read of the space's word graph per letter, and per
     coefficient its block at the current word multiplied on from the left,
-    as the product does.  Each sample gets its product's entries in its
-    order (column words ascending).
+    as the product does.  A sample's entries come out in column order, as
+    they do when it is alone.
     """
     n = len(space.words)
     chains = [_chain(space, gw) for gw in gens]
@@ -601,9 +598,7 @@ def generator_operators(space: FockSpace, gens) -> StructuredOperator:
             blocks = np.broadcast_to(np.eye(k), (rows.size, k, k))
         parts.append((np.array(ids)[local], rows, cols, blocks))
     samples, rows, cols, blocks = (np.concatenate(x) for x in zip(*parts))
-    order = np.argsort(samples, kind="stable")
-    return StructuredOperator(space, rows[order], cols[order], blocks[order], "gen(stack)",
-                              samples[order], len(gens))
+    return StructuredOperator(space, rows, cols, blocks, "gen(stack)", samples, len(gens))
 
 
 def _multiplier_weights(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:

@@ -3,15 +3,15 @@
 The entries of a stack of sparse matrices are parallel arrays (samples,
 rows, cols, values): ``values[e]`` sits at ``(rows[e], cols[e])`` of
 sample ``samples[e]``; a single matrix is a stack of one, and every
-operation here treats the samples apart.  ``coalesce`` merges entries on one
-position (added in entry order), and ``op_norm``, the package's one
-spectral norm, takes an exact SVD of each connected component of the
-support, batched by block shape over all samples.  ``max_column_norm`` and
-``schur_bound`` bracket that norm from below and above in one pass over the
-entries, with no SVD.  Each of the three returns one result per sample, a
-dense array counting as one sample.  The one sparse matrix type,
-:class:`radmul.operators.StructuredOperator`, keeps its entries in this
-form with a square block in place of each scalar.
+operation here treats the samples apart.  ``coalesce`` sorts a stack's
+entries by position and merges the entries on one position (added in entry
+order), and ``op_norm``, the package's one spectral norm, takes an exact SVD
+of each connected component of the support, batched by block shape over all
+samples.  ``max_column_norm`` and ``schur_bound`` bracket that norm from
+below and above in one pass over the entries, with no SVD.  Each of the
+three returns one result per sample, a dense array counting as one sample.
+The one sparse matrix type, :class:`radmul.operators.StructuredOperator`,
+keeps its entries in this form with a square block in place of each scalar.
 """
 
 from __future__ import annotations
@@ -36,26 +36,18 @@ def sum_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def coalesce(samples, rows, cols, values, n_cols: int) -> tuple:
-    """The entries with one value per (sample, row, col) position; repeated
-    positions are added in entry order.
+    """The entries with one value per (sample, row, col) position, sorted by
+    position; repeated positions are added in entry order.
 
-    A sample with a repeated position comes out sorted by position, the
-    other samples keep their entries as they are, so every sample of a stack
-    gets exactly the entries it gets as a single operator.
+    The sort key starts with the sample, so every sample of a stack gets
+    exactly the entries it gets as a single operator.
     """
     key = (samples * n_cols + rows) * n_cols + cols
     order = np.argsort(key, kind="stable")
     first = np.ones(key.size, dtype=bool)
     np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])
     if first.all():
-        return samples, rows, cols, values
-    merge = np.zeros(samples.max() + 1, dtype=bool)
-    merge[samples[order[~first]]] = True
-    clean = ~merge[samples]
-    if clean.any():
-        merged = coalesce(samples[~clean], rows[~clean], cols[~clean], values[~clean], n_cols)
-        return tuple(np.concatenate([x[clean], y])
-                     for x, y in zip((samples, rows, cols, values), merged))
+        return samples[order], rows[order], cols[order], values[order]
     slot = np.empty(key.size, dtype=np.intp)
     slot[order] = np.cumsum(first) - 1
     uniq = key[order[first]]

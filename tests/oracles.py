@@ -28,6 +28,10 @@ truncated Hankel matrices.  ``word_vacuum_images_dense`` and
 time, and ``dense_rank`` is the rank of such columns stacked whole, the
 routes the rank checks replaced.
 
+``left_mul`` and ``right_mul`` are the N-actions on a whole vector, and
+``pp_coords`` the coordinates of a crossed-product element by traces
+against the orthonormal basis, the route ``algebra._coords`` replaced.
+
 The rest are helpers only the tests call: ``basis_fock_vector``,
 ``is_zero``, ``canonicalize`` (a formal tensor b_0 u_{g_1} b_1 ... u_{g_k}
 b_k pushed to its one right coefficient), ``zero_op``,
@@ -37,8 +41,8 @@ operator), ``worst_residual`` and ``failed_names``.
 
 import numpy as np
 
-from radmul.algebra import cond_exp
-from radmul.fock import FockVector, Word
+from radmul.algebra import _onb_elements, cond_exp
+from radmul.fock import FockVector, Word, _vector
 from radmul.operators import (CaseTag, StructuredOperator, _diag_op, annihilation,
                               apply_weights, build_T, creation, generator_operators,
                               identity_op, left_mult, length_at_least_op, op_sum, phi_weights)
@@ -167,8 +171,28 @@ def left_action(b):
     return rule
 
 
+def left_mul(vec, b):
+    """Left N-action on a whole vector: b pushed through the letters of w is
+    U_w b U_w*."""
+    U = vec.space.push_unitaries
+    pushed = U @ vec.space.base.element(b) @ U.conj().transpose(0, 2, 1)
+    return _vector(vec.space, pushed @ vec.blocks)
+
+
+def right_mul(vec, b):
+    """Right N-action on a whole vector: every coefficient times b."""
+    return _vector(vec.space, vec.blocks @ vec.space.base.element(b))
+
+
 def right_action(b):
-    return lambda vec: vec.right_mul(b)
+    return lambda vec: right_mul(vec, b)
+
+
+def pp_coords(x):
+    """The coordinates tau((b u_g)* x) of a crossed-product element in the
+    orthonormal basis ``_onb_elements``, one crossed-product product per
+    basis element."""
+    return np.array([(e.star() * x).trace() for e in _onb_elements(x.factor)], dtype=complex)
 
 
 def expand(W):

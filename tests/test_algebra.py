@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import failed_names, worst_residual
+from oracles import failed_names, pp_coords, worst_residual
 from radmul.algebra import (CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra,
-                            cond_exp, verify_pp_basis)
+                            _coords, cond_exp, verify_pp_basis)
 from radmul.report import ALGEBRAIC_TOL, VerificationReport
 
 V2 = np.diag([1.0, -1.0]).astype(complex)
@@ -279,6 +279,14 @@ def test_verify_pp_basis_passes():
         report = verify_pp_basis(fac)
         assert report.passed
         assert worst_residual(report) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["mat2_space", "noncomm_space", "cy3_space"])
+def test_coords_match_trace_route(request, name):
+    rng = np.random.default_rng(8)
+    for fac in request.getfixturevalue(name).amalgam.factors:
+        for x in (fac.random(rng), fac.random_kernel(rng), fac.identity()):
+            assert np.abs(_coords(x) - pp_coords(x)).max() <= 1e-14
 
 
 def test_verify_pp_basis_detects_duplicate():

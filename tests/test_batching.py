@@ -144,15 +144,16 @@ def test_column_cuts_keep_towers_and_multiplier_exact(request, name, symbols):
     for a, b in zip(images(space, T, full), images(space, T, cut)):
         assert np.array_equal(kept(b, g), kept(a, g))
     # the theorem suite's cut: words of length n built on the columns of
-    # length <= max(L - n, n - 1), compared on the guard band L - n
+    # length <= L - n, and every other bound, compared on the kept columns
     for n in range(min(3, L - 2) + 1):
         words = [random_reduced_word(rng, space, n) for _ in range(3)]
         full = word_operator(space, words)
-        cut = word_operator(space, words, max(L - n, n - 1))
-        band = np.full(len(words), L - n)
-        pairs = [(full, cut)] + list(zip(images(space, T, full), images(space, T, cut)))
-        for a, b in pairs:
-            assert np.array_equal(kept(b, band), kept(a, band))
+        whole = [full] + images(space, T, full)
+        for bound in range(L + 1):
+            cut = word_operator(space, words, bound)
+            band = np.full(len(words), bound)
+            for a, b in zip(whole, [cut] + images(space, T, cut)):
+                assert np.array_equal(kept(b, band), kept(a, band))
 
 
 @pytest.mark.parametrize("name", SPACES)

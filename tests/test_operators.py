@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radmul.algebra import cond_exp
 from radmul.config import parse_config, preset_config
@@ -8,7 +10,7 @@ from conftest import noncommuting_config
 from oracles import (append_star, as_op, column_matrix, epsilon_dense, expand, generator,
                      is_zero, left_action, phi_block_matrix, prepend, right_action, rho_dense,
                      strip_first, strip_star, tower_dense, weighted_sum_dense, zero_op)
-from radmul.sparse import SPLIT_MIN, max_column_norm, schur_bound
+from radmul.sparse import SPLIT_MIN, coalesce, max_column_norm, schur_bound
 from radmul.operators import (CaseTag, GeneratorWord, StructuredOperator,
                               adjoint_check, amplify, annihilation, apply_weights, build_T,
                               creation, diag, eps_rho_tower, epsilon_matrix,
@@ -875,6 +877,42 @@ def test_truncation_is_a_compression(data, L, L_big):
     for f in maps:
         compressed = f(big, as_op(big, padded)).matrix()[0][:n, :n]
         assert np.array_equal(f(small, as_op(small, A)).matrix()[0], compressed)
+
+
+# ---------------------------------------------------------------- coalesce
+
+@st.composite
+def stacks_with_repeats(draw):
+    """(samples, rows, cols, values, n_samples, n_cols) of a random stack
+    in which at least one position repeats."""
+    n_samples, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    position = st.tuples(st.integers(0, n_samples - 1), st.integers(0, n - 1),
+                         st.integers(0, n - 1))
+    positions = draw(st.lists(position, min_size=1, max_size=30))
+    positions.insert(draw(st.integers(0, len(positions))), draw(st.sampled_from(positions)))
+    values = draw(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False),
+                           min_size=len(positions), max_size=len(positions)))
+    samples, rows, cols = (np.array(x, dtype=np.intp) for x in zip(*positions))
+    return samples, rows, cols, np.array(values, dtype=complex), n_samples, n
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(stacks_with_repeats())
+def test_coalesce_sorts_positions_and_adds_in_entry_order(stack):
+    samples, rows, cols, values, n_samples, n = stack
+    out = coalesce(samples, rows, cols, values, n)
+    expected = {}
+    for key, v in zip(zip(samples.tolist(), rows.tolist(), cols.tolist()), values.tolist()):
+        expected[key] = expected[key] + v if key in expected else v
+    keys = list(zip(*(x.tolist() for x in out[:3])))
+    assert keys == sorted(expected)
+    assert out[3].tolist() == [expected[k] for k in keys]
+    for s in range(n_samples):
+        on, mine = samples == s, out[0] == s
+        alone = coalesce(np.zeros(np.count_nonzero(on), dtype=np.intp), rows[on], cols[on],
+                         values[on], n)
+        for x, y in zip(alone[1:], out[1:]):
+            assert np.array_equal(x, y[mine])
 
 
 # ---------------------------------------------------------------- norms
