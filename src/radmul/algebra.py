@@ -10,7 +10,8 @@ array operations, and a product is one loop over the group table.  The
 inclusion N in N x| G has integer index |G|, conditional expectation
 x -> b_e, and the group unitaries (u_g), with u_e = 1 listed first, form an
 orthonormal module basis: E(u_g* u_h) = delta_{g,h} and every x equals
-sum_g E(x u_g) u_g*.
+sum_g E(x u_g) u_g*.  ``verify_pp_basis`` checks such a family as matrix
+identities on L2(M_i), with no product per pair of its members.
 """
 
 from __future__ import annotations
@@ -255,59 +256,48 @@ def cond_exp(x: FactorElement) -> np.ndarray:
     return x.coeffs[0]
 
 
-def _onb_elements(factor: CrossedFactor) -> list:
-    """Orthonormal basis of L2(M_i, tau_i): {b u_g : b in onb(N), g in G}."""
-    return [factor._element(g, b) for g in range(factor.group.order)
-            for b in factor.base.onb()]
-
-
 def _coords(x: FactorElement) -> np.ndarray:
-    """The coordinates of x in the basis ``_onb_elements``: tau((b u_g)* x) =
-    tau(b* x_g), and b = sqrt(d) E_pq reads x_g[p, q] / sqrt(d)."""
+    """The coordinates of x in the orthonormal basis {b u_g : g in G, b in
+    onb(N)} of L2(M_i, tau_i), g-major: tau((b u_g)* x) = tau(b* x_g), and
+    b = sqrt(d) E_pq reads x_g[p, q] / sqrt(d)."""
     return x.coeffs.reshape(-1) / np.sqrt(x.factor.base.d)
+
+
+def multiplication_matrix(elements, side: str) -> np.ndarray:
+    """The matrices of b -> x b (``side`` "left") or b -> b x ("right") from
+    L2(N) to L2(M_i) for the elements x of one factor, side by side, in the
+    bases onb(N) and ``_coords``: the column of b is _coords(x b) or
+    _coords(b x), one ``FactorElement`` product."""
+    fac = elements[0].factor
+    onb = [fac.from_base(b) for b in fac.base.onb()]
+    return np.stack([_coords(x * b if side == "left" else b * x)
+                     for x in elements for b in onb], axis=1)
 
 
 def verify_pp_basis(factor: CrossedFactor, basis=None,
                     tol: float = ALGEBRAIC_TOL) -> VerificationReport:
-    """Check the four module-basis properties of the family (e_j).
-
-    Orthogonality and normalization of E(e_j* e_k), the partition of unity
-    sum_j e_j e_N e_j* = 1 as operators on L2(M_i), and the expansion
-    property x = sum_j E(x e_j) e_j* on a spanning set.
+    """Check the four module-basis properties of the family (e_j), with V_j
+    the matrix of b -> e_j b and U_j that of b -> b e_j*: orthogonality and
+    normalization of E(e_j* e_k) as V_j* V_k = delta_jk 1, the partition of
+    unity sum_j e_j e_N e_j* = 1 as sum_j V_j V_j* = 1, and the expansion
+    x = sum_j E(x e_j) e_j* as sum_j U_j U_j* = 1, read on coefficients.
     """
     if basis is None:
         basis = factor.pp_basis()
-    eye = factor.base.identity()
     report = VerificationReport()
+    n, k = len(basis), factor.base.dim
+    V = multiplication_matrix(basis, "left")
+    U = multiplication_matrix([e.star() for e in basis], "right")
 
-    ortho = 0.0
-    normal = 0.0
-    for j, ej in enumerate(basis):
-        for k, ek in enumerate(basis):
-            val = cond_exp(ej.star() * ek)
-            if j == k:
-                normal = max(normal, float(np.abs(val - eye).max()))
-            else:
-                ortho = max(ortho, float(np.abs(val).max()))
-    report.add("pp_orthogonality", ortho, tol, basis_size=len(basis))
-    report.add("pp_normalization", normal, tol, basis_size=len(basis))
+    # the largest entry of each block V_j* V_k - delta_jk 1
+    gram = np.abs(V.conj().T @ V - np.eye(n * k)).reshape(n, k, n, k).max(axis=(1, 3))
+    ortho = float(gram[~np.eye(n, dtype=bool)].max(initial=0.0))
+    report.add("pp_orthogonality", ortho, tol, basis_size=n)
+    report.add("pp_normalization", float(gram.diagonal().max()), tol, basis_size=n)
 
-    # the matrix of y -> sum_j e_j E(e_j* y) in the orthonormal basis
-    onb = _onb_elements(factor)
-    total = np.zeros((len(onb), len(onb)), dtype=complex)
-    for ej in basis:
-        ej_star = ej.star()
-        total += np.stack([_coords(ej * factor.from_base(cond_exp(ej_star * y)))
-                           for y in onb], axis=1)
-    unit_res = float(np.abs(total - np.eye(len(onb))).max())
-    report.add("pp_partition_of_unity", unit_res, tol, space_dim=len(onb))
-
-    expansion = 0.0
-    for x in onb:
-        rec = 0 * x
-        for ej in basis:
-            rec = rec + factor.from_base(cond_exp(x * ej)) * ej.star()
-        expansion = max(expansion, float(np.abs((rec - x).coeffs).max()))
-    report.add("pp_expansion", expansion, tol, spanning_size=len(onb))
+    eye = np.eye(len(V))
+    unit_res = float(np.abs(V @ V.conj().T - eye).max())
+    report.add("pp_partition_of_unity", unit_res, tol, space_dim=len(V))
+    expansion = float(np.abs(U @ U.conj().T - eye).max()) * np.sqrt(factor.base.d)
+    report.add("pp_expansion", expansion, tol, spanning_size=len(V))
     return report
-

@@ -44,7 +44,8 @@ from .report import DEFAULT_TOLERANCES
 from .symbols import RadialSymbol
 
 # FiniteGroup.cyclic builds the order x order table and checks associativity
-# in O(order**3): 0.3-0.7 s at order 400 and 1.4 s at 500 on a 2-core machine
+# in O(order**3): 0.3-0.7 s at order 400 and 1.4 s at 500 on a 2-core machine;
+# a run at large order is bounded by its word count and the generator zoo
 MAX_CYCLIC_ORDER = 400
 
 

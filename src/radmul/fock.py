@@ -253,9 +253,6 @@ class FockSpace:
         self.stripped = np.where(self.first_letter == np.arange(len(self.letters))[:, None],
                                  self.rest, -1)
 
-    def vacuum(self) -> FockVector:
-        return FockVector(self, {Word(): self.base.identity()})
-
     def word_vector(self, word: Word, b=None) -> FockVector:
         coeff = self.base.identity() if b is None else self.base.element(b)
         return FockVector(self, {word: coeff})

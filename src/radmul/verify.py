@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng  # loaded at import: once, before any fork
 
-from .algebra import FactorElement, cond_exp
-from .fock import FockSpace, FockVector, Word
+from .algebra import FactorElement, cond_exp, multiplication_matrix
+from .fock import FockSpace, FockVector
 from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op,
                         adjoint_check, amplify, annihilation, apply_weights,
                         build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
@@ -637,12 +637,31 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     return report
 
 
+def _coefficient_gaps(space: FockSpace, ea: StructuredOperator, elements):
+    """Yield per sample of ``ea``, one per element a, the largest entry of its
+    blocks on the word pairs (e_m Omega, e_l Omega), (e_j) the module basis
+    of a's factor, minus V_m* W_l, with V_m the matrix of b -> e_m b and W_l
+    that of b -> (a e_l) b: both are b -> E(e_m* a e_l) b on L2(N)."""
+    for s, a in enumerate(elements):
+        basis = a.factor.pp_basis()
+        # the words of e_0 Omega = Omega and of e_g Omega = (i, g), ascending
+        t = space.letters.index((space.amalgam.factors.index(a.factor), 1))
+        words = np.append(0, space.appended[t:t + len(basis) - 1, 0])
+        on = (ea.samples == s) & np.isin(ea.rows, words) & np.isin(ea.cols, words)
+        got = np.zeros((len(words),) * 2 + ea.blocks.shape[1:], dtype=complex)
+        rows, cols = np.searchsorted(words, ea.rows[on]), np.searchsorted(words, ea.cols[on])
+        got[rows, cols] = ea.blocks[on]
+        want = (multiplication_matrix(basis, "left").conj().T
+                @ multiplication_matrix([a * e for e in basis], "left"))
+        yield np.abs(got.transpose(0, 2, 1, 3).reshape(want.shape) - want).max()
+
+
 def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     """embed is a unital *-homomorphism on each factor (guard band), with the
     right N-valued matrix coefficients against the module basis, at
     tolerance 1e-11.  The sampled pairs (a, b) are checked a chunk at a
-    time, as stacks; the coefficients are compared with the ``FactorElement``
-    products E(e_m* a e_l), a route independent of ``embed``'s closed form."""
+    time, as stacks; the coefficients are read off blocks against matrices of
+    ``FactorElement`` products, a route independent of ``embed``'s closed form."""
     rng = default_rng([seed, 7])
     report = VerificationReport()
     tol = 1e-11
@@ -664,20 +683,9 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
               embed(space, [a * b for _, a, b in draws]).columns_upto(space.L_max - 2),
               embed(space, [a.star() for _, a, _ in draws])]
     for sl, (ea, eb, eab, ea_star) in _stacked_chunks(space, images):
-        chunk = draws[sl]
         res_mult = _fold(res_mult, (ea @ eb - eab).columns_upto(space.L_max - 2).block_max())
         res_star = _fold(res_star, (ea_star - ea.adjoint()).block_max())
-        # N-valued matrix coefficients against the basis vectors
-        for s, (i, a, _) in enumerate(chunk):
-            basis = factors[i].pp_basis()
-            vectors = [space.vacuum()] + [space.word_vector(Word(((i, g),)))
-                                          for g in range(1, len(basis))]
-            for el, el_vec in zip(basis, vectors):
-                ael = space.from_array((ea @ el_vec.to_array())[s])
-                for em, em_vec in zip(basis, vectors):
-                    got = em_vec.inner_N(ael)
-                    want = cond_exp(em.star() * a * el)
-                    res_coef = max(res_coef, float(np.abs(got - want).max()))
+        res_coef = _fold(res_coef, *_coefficient_gaps(space, ea, [a for _, a, _ in draws[sl]]))
     report.add("embedding_unital", res_unit, tol)
     report.add("embedding_multiplicative", res_mult, tol)
     report.add("embedding_star", res_star, tol)
@@ -693,7 +701,8 @@ def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
     columns b Omega, and V_n = sum_gamma embed(u_gamma) @ V_{n-1} @ L*_gamma,
     since u_gamma maps the image of w to that of gamma w."""
     letters = space.letters
-    embeds = [embed(space, space.amalgam.factors[i].unitary(g)) for i, g in letters]
+    stacked = embed(space, [space.amalgam.factors[i].unitary(g) for i, g in letters])
+    embeds = [stacked.select(np.arange(len(letters)) == t) for t in range(len(letters))]
     images = [lambda_span(space, 0)]
     for _ in range(max_len):
         images.append(op_sum(space, [E @ images[-1] @ annihilation(space, letter)

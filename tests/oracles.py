@@ -30,7 +30,12 @@ routes the rank checks replaced.
 
 ``left_mul`` and ``right_mul`` are the N-actions on a whole vector, and
 ``pp_coords`` the coordinates of a crossed-product element by traces
-against the orthonormal basis, the route ``algebra._coords`` replaced.
+against the orthonormal basis ``onb_elements``, the route
+``algebra._coords`` replaced.  ``pp_residuals_by_products`` and
+``coefficient_gaps_by_vectors`` are the module-basis checks pair by pair,
+from ``FactorElement`` products and Fock vectors, the routes the matrix
+identities of ``verify_pp_basis`` and ``verify._coefficient_gaps``
+replaced.
 
 The rest are helpers only the tests call: ``basis_fock_vector``,
 ``is_zero``, ``canonicalize`` (a formal tensor b_0 u_{g_1} b_1 ... u_{g_k}
@@ -41,7 +46,7 @@ operator), ``worst_residual`` and ``failed_names``.
 
 import numpy as np
 
-from radmul.algebra import _onb_elements, cond_exp
+from radmul.algebra import _coords, cond_exp
 from radmul.fock import FockVector, Word, _vector
 from radmul.operators import (CaseTag, StructuredOperator, _diag_op, annihilation,
                               apply_weights, build_T, creation, generator_operators,
@@ -188,11 +193,68 @@ def right_action(b):
     return lambda vec: right_mul(vec, b)
 
 
+def onb_elements(factor):
+    """Orthonormal basis of L2(M_i, tau_i): {b u_g : b in onb(N), g in G}."""
+    return [factor._element(g, b) for g in range(factor.group.order)
+            for b in factor.base.onb()]
+
+
 def pp_coords(x):
     """The coordinates tau((b u_g)* x) of a crossed-product element in the
-    orthonormal basis ``_onb_elements``, one crossed-product product per
+    orthonormal basis ``onb_elements``, one crossed-product product per
     basis element."""
-    return np.array([(e.star() * x).trace() for e in _onb_elements(x.factor)], dtype=complex)
+    return np.array([(e.star() * x).trace() for e in onb_elements(x.factor)], dtype=complex)
+
+
+def pp_residuals_by_products(factor, basis):
+    """The four residuals of ``verify_pp_basis`` by name, pair by pair from
+    ``FactorElement`` products: E(e_j* e_k) for every pair, the matrix of
+    y -> sum_j e_j E(e_j* y) on ``onb_elements``, and sum_j E(x e_j) e_j*
+    for every basis element x, read on coefficients."""
+    eye = factor.base.identity()
+    ortho = normal = 0.0
+    for j, ej in enumerate(basis):
+        for k, ek in enumerate(basis):
+            val = cond_exp(ej.star() * ek)
+            if j == k:
+                normal = max(normal, float(np.abs(val - eye).max()))
+            else:
+                ortho = max(ortho, float(np.abs(val).max()))
+    onb = onb_elements(factor)
+    total = np.zeros((len(onb), len(onb)), dtype=complex)
+    for ej in basis:
+        total += np.stack([_coords(ej * factor.from_base(cond_exp(ej.star() * y)))
+                           for y in onb], axis=1)
+    expansion = 0.0
+    for x in onb:
+        rec = 0 * x
+        for ej in basis:
+            rec = rec + factor.from_base(cond_exp(x * ej)) * ej.star()
+        expansion = max(expansion, float(np.abs((rec - x).coeffs).max()))
+    return {"pp_orthogonality": ortho, "pp_normalization": normal,
+            "pp_partition_of_unity": float(np.abs(total - np.eye(len(onb))).max()),
+            "pp_expansion": expansion}
+
+
+def coefficient_gaps_by_vectors(space, ea, elements):
+    """Per sample of ``ea``, one per element a, the largest entry of
+    <e_m Omega, ea e_l Omega>_N - E(e_m* a e_l) over the module basis (e_j)
+    of a's factor, on Fock vectors: ea applied to the word vector of e_l,
+    its N-valued inner product with that of e_m, and the coefficient from
+    ``FactorElement`` products, pair by pair."""
+    gaps = []
+    for s, a in enumerate(elements):
+        i = space.amalgam.factors.index(a.factor)
+        basis = a.factor.pp_basis()
+        vectors = [space.word_vector(Word(((i, g),) if g else ())) for g in range(len(basis))]
+        gap = 0.0
+        for el, el_vec in zip(basis, vectors):
+            ael = space.from_array((ea @ el_vec.to_array())[s])
+            for em, em_vec in zip(basis, vectors):
+                want = cond_exp(em.star() * a * el)
+                gap = max(gap, float(np.abs(em_vec.inner_N(ael) - want).max()))
+        gaps.append(gap)
+    return np.array(gaps)
 
 
 def expand(W):
@@ -517,7 +579,7 @@ def word_vacuum_images_dense(space, max_len):
     to left, by left_mult(b) and the letters' embeddings, each built once."""
     embeds = {(i, g): embed(space, space.amalgam.factors[i].unitary(g))
               for i, g in space.amalgam.letters()}
-    vac = space.vacuum().to_array()
+    vac = space.word_vector(Word()).to_array()
     starts = [(left_mult(space, b) @ vac)[0] for b in space.base.basis()]
     for w in space.words:
         if len(w) > max_len:

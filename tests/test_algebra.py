@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import failed_names, pp_coords, worst_residual
+from oracles import failed_names, pp_coords, pp_residuals_by_products, worst_residual
 from radmul.algebra import (CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra,
                             _coords, cond_exp, verify_pp_basis)
 from radmul.report import ALGEBRAIC_TOL, VerificationReport
@@ -287,6 +287,26 @@ def test_coords_match_trace_route(request, name):
     for fac in request.getfixturevalue(name).amalgam.factors:
         for x in (fac.random(rng), fac.random_kernel(rng), fac.identity()):
             assert np.abs(_coords(x) - pp_coords(x)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["mat2_space", "noncomm_space", "cy3_space"])
+def test_pp_residuals_match_product_route(request, name):
+    """On random families of 1 to |G| + 1 elements, none a module basis,
+    the matrix identities read the residuals of the pair-by-pair products."""
+    rng = np.random.default_rng(9)
+    for fac in request.getfixturevalue(name).amalgam.factors:
+        for size in range(1, fac.group.order + 2):
+            family = [fac.random(rng) for _ in range(size)]
+            got = {c.name: c.max_residual for c in verify_pp_basis(fac, basis=family).checks}
+            assert got == pytest.approx(pp_residuals_by_products(fac, family), rel=1e-14, abs=0)
+
+
+def test_verify_pp_basis_catches_a_scaled_element():
+    fac = inner_factor()
+    basis = fac.pp_basis()
+    basis[1] = 1.001 * basis[1]
+    failed = set(failed_names(verify_pp_basis(fac, basis=basis)))
+    assert "pp_normalization" in failed and "pp_orthogonality" not in failed
 
 
 def test_verify_pp_basis_detects_duplicate():

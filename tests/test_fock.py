@@ -251,7 +251,7 @@ def test_vector_constructor_matches_word_loop(mat2_space):
 # ---------------------------------------------------------------- projections
 
 def test_projection_examples(dih_space):
-    vac = dih_space.vacuum()
+    vac = dih_space.word_vector(Word())
     assert is_zero(length_at_least_op(dih_space, 1)(vac))
     for i in range(len(dih_space.amalgam.factors)):
         assert is_zero(ends_in_factor_op(dih_space, i)(vac))

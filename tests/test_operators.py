@@ -37,7 +37,7 @@ def brute_phi_scalar(x, y, k, l, shift=0):
 # ---------------------------------------------------------------- creation
 
 def test_creation_on_vacuum(dih_space):
-    v = creation(dih_space, (0, 1))(dih_space.vacuum())
+    v = creation(dih_space, (0, 1))(dih_space.word_vector(Word()))
     assert not is_zero(v)
     assert list(v.coeffs) == [Word(((0, 1),))]
 
@@ -62,7 +62,7 @@ def test_right_creation_adjoint_convention(dih_space):
 
 
 def test_right_creation_inverts_element(cy3_space):
-    out = right_creation(cy3_space, (0, 1))(cy3_space.vacuum())
+    out = right_creation(cy3_space, (0, 1))(cy3_space.word_vector(Word()))
     assert list(out.coeffs) == [Word(((0, 2),))]  # (u_1)* = u_2 in Z/3
 
 
@@ -78,7 +78,7 @@ def test_annihilation_mismatch(cy3_space):
 
 
 def test_annihilation_kills_vacuum(dih_space):
-    assert is_zero(annihilation(dih_space, (0, 1))(dih_space.vacuum()))
+    assert is_zero(annihilation(dih_space, (0, 1))(dih_space.word_vector(Word())))
 
 
 def test_right_annihilation_coefficient_twist(mat2_space):
@@ -182,7 +182,7 @@ def test_diag_e0_kills_length_one(dih_space):
     e0[0] = 1.0
     D = diag(dih_space, e0)
     assert is_zero(D(dih_space.word_vector(Word(((0, 1),)))))
-    assert not is_zero(D(dih_space.vacuum()))
+    assert not is_zero(D(dih_space.word_vector(Word())))
 
 
 def test_diag_backward_shift(dih_space):
@@ -290,7 +290,7 @@ def test_noncommuting_fixture_push_order_matters(noncomm_space):
 
 def test_rho_kills_vacuum(dih_space):
     R = rho_matrix(dih_space, identity_op(dih_space)).matrix()
-    assert not np.any(R @ dih_space.vacuum().to_array())
+    assert not np.any(R @ dih_space.word_vector(Word()).to_array())
 
 
 def test_rho_case2_generator_fixed_on_guarded_words(dih_space):

@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import radmul.verify as verify
-from oracles import as_op, failed_names
+from oracles import as_op, coefficient_gaps_by_vectors, failed_names
+from radmul.algebra import verify_pp_basis
 from radmul.config import parse_config, preset_config
 from radmul.fock import Word
 from radmul.operators import RadialMultiplier, build_T, left_mult
@@ -38,7 +41,7 @@ def test_embed_identity_acts_as_identity(dih_space):
 
 def test_embed_unitary_creates_on_vacuum(dih_space):
     a = dih_space.amalgam.factors[0].unitary(1)
-    v = embed(dih_space, a)(dih_space.vacuum())
+    v = embed(dih_space, a)(dih_space.word_vector(Word()))
     assert list(v.coeffs) == [Word(((0, 1),))]
 
 
@@ -54,6 +57,50 @@ def test_embedding_suite_passes(dih_space, mat2_space, cy3_space):
         assert embedding_suite(space).passed
 
 
+@pytest.mark.parametrize("name", ["mat2_space", "noncomm_space", "cy3_space"])
+def test_coefficient_gaps_match_vector_route(request, name):
+    """Families of 1 to |G| + 1 random elements, each embedding against the
+    elements' own coefficients (gaps at rounding) and against those of
+    other elements (gaps of order one): the block identities read the gaps
+    of the pair-by-pair Fock-vector route."""
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(11)
+    for fac in space.amalgam.factors:
+        for size in range(1, fac.group.order + 2):
+            elements = [fac.random(rng) for _ in range(size)]
+            own = embed(space, elements)
+            got = list(verify._coefficient_gaps(space, own, elements))
+            assert max(got + list(coefficient_gaps_by_vectors(space, own, elements))) <= 1e-13
+            other = embed(space, [fac.random(rng) for _ in range(size)])
+            got = list(verify._coefficient_gaps(space, other, elements))
+            want = list(coefficient_gaps_by_vectors(space, other, elements))
+            assert min(got) > 1 and got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_embedding_coefficients_catch_an_untwisted_coefficient(monkeypatch, noncomm_space):
+    """embed with alpha_{g_j} in place of alpha_{g_j^{-1}} in E(e_j* a e_k)
+    fails the coefficient check.  The noncommuting model's order-3 twists
+    tell the two apart; an order-2 or trivial twist would not."""
+    source = inspect.getsource(verify.embed)
+    assert source.count("alpha(inv[j]") == 1
+    namespace = dict(vars(verify))
+    exec(source.replace("alpha(inv[j]", "alpha(j"), namespace)
+    monkeypatch.setattr(verify, "embed", namespace["embed"])
+    assert "embedding_matrix_coefficients" in failed_names(embedding_suite(noncomm_space))
+
+
+def test_module_basis_checks_pass_at_large_cyclic_order():
+    """The pp and embedding checks take O(|G| d^2) products per basis or
+    sampled element, so a cyclic factor of order 48 stays in tier 1."""
+    cfg = preset_config("dih")
+    cfg["factors"][0]["group"]["order"] = 48
+    cfg["truncation"]["fock_len"] = 2
+    space = parse_config(cfg).space()
+    for fac in space.amalgam.factors:
+        assert verify_pp_basis(fac).passed
+    assert embedding_suite(space).passed
+
+
 # ---------------------------------------------------------------- word operators
 
 def test_word_operator_vacuum_images(mat2_space):
@@ -61,12 +108,13 @@ def test_word_operator_vacuum_images(mat2_space):
     b = mat2_space.base.random(rng)
     # n = 0: plain left multiplication
     rw = ReducedWord(letters=(), coeffs=(b,))
-    v = word_operator(mat2_space, rw)(mat2_space.vacuum())
+    vac = mat2_space.word_vector(Word())
+    v = word_operator(mat2_space, rw)(vac)
     assert np.allclose(v.coeff(Word()), b)
     # n = 1 and n = 2 unitary words land on the canonical word vectors
-    v = word_operator(mat2_space, unit_word(mat2_space, (0, 1)))(mat2_space.vacuum())
+    v = word_operator(mat2_space, unit_word(mat2_space, (0, 1)))(vac)
     assert list(v.coeffs) == [Word(((0, 1),))]
-    v = word_operator(mat2_space, unit_word(mat2_space, (0, 1), (1, 1)))(mat2_space.vacuum())
+    v = word_operator(mat2_space, unit_word(mat2_space, (0, 1), (1, 1)))(vac)
     assert list(v.coeffs) == [Word(((0, 1), (1, 1)))]
     assert np.allclose(v.coeff(Word(((0, 1), (1, 1)))), np.eye(2))
 
@@ -95,7 +143,7 @@ def test_reduced_word_tells_factors_apart_by_identity(cy3_space):
 def vacuum_expectation(space, A):
     """Vacuum-sector coefficient of A applied to the vacuum; realizes the
     conditional expectation onto N for embedded words."""
-    return A(space.vacuum()).coeff(Word())
+    return A(space.word_vector(Word())).coeff(Word())
 
 
 def test_vacuum_expectation(dih_space):
@@ -244,7 +292,8 @@ def test_spanning_full_truncation(dih_space):
 def test_word_vacuum_images_match_word_operators(request, name):
     # oracle: one word operator per word and N-basis element, applied to the vacuum
     space = request.getfixturevalue(name)
-    want = np.stack([word_operator(space, unit_word(space, *w.letters, right=b))(space.vacuum())
+    vac = space.word_vector(Word())
+    want = np.stack([word_operator(space, unit_word(space, *w.letters, right=b))(vac)
                      .to_array() for w in space.words if len(w) <= 2
                      for b in space.base.basis()], axis=1)
     got = word_vacuum_images(space, 2).matrix()[0]
