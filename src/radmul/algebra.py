@@ -232,11 +232,12 @@ class FactorElement:
 
     def __mul__(self, other: "FactorElement") -> "FactorElement":
         """Product in the crossed product: (b u_g)(c u_h) = b alpha_g(c) u_{gh},
-        the terms of one g for every h at once, added in the order of g."""
+        every (g, h) term at once, added at gh in the order of g."""
         fac = self.factor
+        g = np.arange(fac.group.order)
+        terms = self.coeffs[:, None] @ fac.alpha(g[:, None], other.coeffs[None])
         out = np.zeros_like(self.coeffs)
-        for g, b in enumerate(self.coeffs):
-            out[fac.group.table[g]] += b @ fac.alpha(g, other.coeffs)
+        np.add.at(out, fac.group.table, terms)
         return FactorElement(fac, out)
 
     def star(self) -> "FactorElement":

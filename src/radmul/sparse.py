@@ -18,10 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# op_norm takes one SVD of an array no longer than this on either side: there
-# a dense SVD costs less than finding the support blocks (crossover ~40-56)
-SPLIT_MIN = 48
-
 
 def sum_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """out[i] = sum of values[e] over index[e] == i, added in entry order
@@ -181,24 +177,15 @@ def op_norm(A):
     components of their support (rows and columns joined by entries) and
     each component gets an exact SVD, batched by block shape over all
     samples; the largest first singular value of a sample is its norm.  An
-    operand with no side longer than ``SPLIT_MIN`` gets one SVD whole per
-    sample.  An empty or all-zero sample has norm 0, and one with a
-    non-finite entry has norm inf (not nan, which ``max`` would silently
-    drop).
+    empty or all-zero sample has norm 0, and one with a non-finite entry has
+    norm inf (not nan, which ``max`` would silently drop): its values are
+    set to 0 before the SVDs (which do not converge on a nan), keeping its
+    support, so the other samples' blocks and norms stay the same.
     """
     samples, rows, cols, values, n_samples, shape = _entries(A)
-    norms = np.zeros(n_samples)
-    if 0 not in shape:
-        finite = np.ones(n_samples, dtype=bool)
-        finite[samples[~np.isfinite(values)]] = False
-        norms[~finite] = np.inf
-        # the finite samples, renumbered in order
-        on, n_live = finite[samples], int(np.count_nonzero(finite))
-        live = (np.cumsum(finite)[samples[on]] - 1, rows[on], cols[on], values[on])
-        if n_live and max(shape) <= SPLIT_MIN:
-            dense = np.zeros((n_live,) + shape, dtype=complex)
-            dense[live[:3]] = live[3]
-            norms[finite] = np.linalg.svd(dense, compute_uv=False)[:, 0]
-        elif n_live:
-            norms[finite] = _block_norms(*live, n_live, shape)
+    bad = np.zeros(n_samples, dtype=bool)
+    bad[samples[~np.isfinite(values)]] = True
+    values = np.where(bad[samples], 0, values)
+    norms = _block_norms(samples, rows, cols, values, n_samples, shape)
+    norms[bad] = np.inf
     return norms

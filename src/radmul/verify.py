@@ -46,14 +46,17 @@ from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op,
                         partition_identity_residual, phi_cb_bound, phi_weights,
                         right_annihilation, right_creation, right_mult, rho_matrix, stack)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
-from .sparse import SPLIT_MIN, coalesce, max_column_norm, schur_bound
+from .sparse import coalesce, max_column_norm, schur_bound
 from .symbols import norm_C
 
 # a chunk of samples holds at most this many scalar entries in all (at least
 # one sample), each weighted 2L+1: a size weight, not a count of copies, set
 # with the cap by measurement.  The lemma suite then runs in 6 chunks at cy3
-# fock_len 5 and 127 at fock_len 9; a cap of 2**20 raised the peak RSS of
-# verify --suite all at cy3 fock_len 5 from 39.3 to 42.3 MB, gaining no time
+# fock_len 5 and 127 at fock_len 9.  A larger cap trades memory for time: at
+# 65536, verify --suite all at cy3 fock_len 5 took 10% less CPU time (0.565
+# -> 0.507 s) and peaked 5.8% higher (39.8 -> 42.1 MB RSS; medians of 12
+# alternating runs each, 2 cores), past the 5% peak-RSS bound the benchmark
+# (BENCHMARK.json) allows, so the cap stays at 4096
 CHUNK_ENTRIES = 4096
 
 # the norm-bound sampler's amplifications m and terms per combination
@@ -61,15 +64,15 @@ AMPLIFICATIONS = (1, 2, 3)
 TERMS = 3
 
 
-def _stacked_chunks(space: FockSpace, stacks, extra: int = 0):
+def _stacked_chunks(space: FockSpace, stacks):
     """Yield (slice, stacks of its samples) for consecutive ranges of the
     samples of ``stacks`` (one per operator role, all of one size).  A range
     takes samples while their sizes (the size weight 2L+1 per scalar entry
-    of a block, see ``CHUNK_ENTRIES``, plus ``extra`` per sample) add up to
-    at most ``CHUNK_ENTRIES``, and at least one."""
+    of a block, see ``CHUNK_ENTRIES``) add up to at most ``CHUNK_ENTRIES``,
+    and at least one."""
     n = stacks[0].n_samples
     per = (2 * space.L_max + 1) * space.dim_N ** 2
-    sizes = per * np.bincount(np.concatenate([op.samples for op in stacks]), minlength=n) + extra
+    sizes = per * np.bincount(np.concatenate([op.samples for op in stacks]), minlength=n)
     start, total = 0, 0
     for t, size in enumerate(sizes):
         if t > start and total + size > CHUNK_ENTRIES:
@@ -109,23 +112,21 @@ def _component_scale(T, s: float) -> float:
     return max(s, np.abs(T.t1_weights).max(), np.abs(T.t2_weights).max())
 
 
-def _embed_terms(space: FockSpace, i: int) -> dict:
-    """Per (j, k), the rows, columns (ascending) and middle words of the
-    entries of up_j lmul(c) down_k, read off the space's word graph:
-    up_0 = down_0 keeps the words not starting in factor i, up_j creates
-    (i, j), down_k annihilates (i, k)."""
+def _embed_terms(space: FockSpace, i: int) -> tuple:
+    """The entries of the terms up_j lmul(c) down_k of factor i, read off
+    the space's word graph: (rows, cols, middle words, term index
+    t = j |G| + k), in (t, column) order with the columns of a term
+    ascending.  up_0 = down_0 keeps the words not starting in factor i,
+    up_j creates (i, j), down_k annihilates (i, k)."""
     words = np.arange(len(space.words))
     guard = np.where(space.first_factors != i, words, -1)
     at = [space.letters.index((i, g)) for g in range(1, space.amalgam.factors[i].group.order)]
-    ups = [guard] + [space.prepended[t] for t in at]
-    downs = [guard] + [space.stripped[t] for t in at]
-    terms = {}
-    for j, up in enumerate(ups):
-        for k, down in enumerate(downs):
-            cols = np.flatnonzero(down >= 0)
-            cols = cols[up[down[cols]] >= 0]
-            terms[j, k] = (up[down[cols]], cols, down[cols])
-    return terms
+    ups = np.vstack((guard, space.prepended[at]))
+    downs = np.vstack((guard, space.stripped[at]))
+    k, cols = np.nonzero(downs >= 0)
+    mid = downs[k, cols]
+    j, e = np.nonzero(ups[:, mid] >= 0)
+    return ups[j, mid[e]], cols[e], mid[e], j * len(ups) + k[e]
 
 
 def embed(space: FockSpace, a) -> StructuredOperator:
@@ -134,31 +135,30 @@ def embed(space: FockSpace, a) -> StructuredOperator:
     elements (of any factors): the sum of the (j, k) terms
     L_{e_j} E(e_j* a e_k) L*_{e_k} with nonzero coefficient,
     E(u_{g_j}* a u_{g_k}) = alpha_{g_j^{-1}}(a_{g_j g_k^{-1}}) for
-    e_j = u_{g_j}, words from ``_embed_terms`` (built once per factor and
+    e_j = u_{g_j}, entries from ``_embed_terms`` (built once per factor and
     call), added in (j, k) order.
     """
     elements = [a] if isinstance(a, FactorElement) else a
     factors = space.amalgam.factors
-    words_of = {}
-    terms, coefs = [(np.zeros(0, dtype=np.intp),) * 5], []
+    d = space.base.d
+    terms_of = {}
+    entries = [(np.zeros(0, dtype=np.intp),) * 4 + (np.zeros((0, d, d), dtype=complex),)]
     for s, x in enumerate(elements):
         idx = next((i for i, fac in enumerate(factors) if fac is x.factor), None)
         if idx is None:
             raise ValueError("element does not belong to a configured factor")
-        if idx not in words_of:
-            words_of[idx] = _embed_terms(space, idx)
+        if idx not in terms_of:
+            terms_of[idx] = _embed_terms(space, idx)
+        rows, cols, mid, term = terms_of[idx]
         group = x.factor.group
         j, k = np.divmod(np.arange(group.order ** 2), group.order)
         inv = group.inverses
         coef = x.factor.alpha(inv[j], x.coeffs[group.table[j, inv[k]]])
-        for t in np.flatnonzero((np.abs(coef) > 0).any(axis=(1, 2))):
-            rows, cols, mid = words_of[idx][j[t], k[t]]
-            terms.append((np.full(rows.size, s), rows, cols, mid,
-                          np.full(rows.size, len(coefs))))
-            coefs.append(coef[t])
-    samples, rows, cols, mid, term = (np.concatenate(x) for x in zip(*terms))
-    d = space.base.d
-    blocks = lmul_blocks(space, np.reshape(coefs, (-1, d, d))[term], mid)
+        keep = (np.abs(coef) > 0).any(axis=(1, 2))[term]
+        entries.append((np.full(np.count_nonzero(keep), s), rows[keep], cols[keep], mid[keep],
+                        coef[term[keep]]))
+    samples, rows, cols, mid, coefs = (np.concatenate(x) for x in zip(*entries))
+    blocks = lmul_blocks(space, coefs, mid)
     samples, rows, cols, blocks = coalesce(samples, rows, cols, blocks, len(space.words))
     return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(elements))
 
@@ -579,12 +579,8 @@ def amplified_stacks(rng, space: FockSpace, T, samples: int):
         gens = [random_generator_word(rng, space, k, l) for k, l in kls]
         draws.append((gens, {m: [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
                                  for _ in range(TERMS)] for m in AMPLIFICATIONS}))
-    # op_norm takes an amplified matrix no longer than SPLIT_MIN whole, as
-    # one dense array per sample
-    side = max(AMPLIFICATIONS) * space.dim
-    dense = side * side if side <= SPLIT_MIN else 0
     stacks = [generator_operators(space, [gens[i] for gens, _ in draws]) for i in range(TERMS)]
-    for sl, ops in _stacked_chunks(space, stacks, dense):
+    for sl, ops in _stacked_chunks(space, stacks):
         chunk = draws[sl]
         # one Horner pass for all TERMS stacks pays its per-call cost once
         tops = T.apply_matrix(stack(ops))

@@ -22,6 +22,10 @@ main theorem suite with one whole word operator at a time.  ``generator_chain``,
 ``embed_per_element`` and ``word_by_products`` build one generator, one
 embedding and one word operator from single operators (``op_product``),
 the routes the package's stacked constructors replaced.
+``embed_by_term_loop`` is the factor embedding with one Python iteration
+per (j, k) term, on the per-term words of ``embed_terms_by_pair``, and
+``product_by_loop`` the crossed-product product one left coefficient at a
+time: the loops ``verify.embed`` and ``FactorElement.__mul__`` replaced.
 ``psi_via_factors`` recovers psi1 and psi2 from the rank-one pairs of the
 truncated Hankel matrices.  ``word_vacuum_images_dense`` and
 ``lambda_span_dense`` are the spanning families as one dense column at a
@@ -46,15 +50,16 @@ operator), ``worst_residual`` and ``failed_names``.
 
 import numpy as np
 
-from radmul.algebra import _coords, cond_exp
+from radmul.algebra import FactorElement, _coords, cond_exp
 from radmul.fock import FockVector, Word, _vector
 from radmul.operators import (CaseTag, StructuredOperator, _diag_op, annihilation,
                               apply_weights, build_T, creation, generator_operators,
-                              identity_op, left_mult, length_at_least_op, op_sum, phi_weights)
+                              identity_op, left_mult, length_at_least_op, lmul_blocks, op_sum,
+                              phi_weights)
 from radmul.report import EIGEN_TOL, VerificationReport
 from radmul.symbols import HankelFactorization
-from radmul.sparse import max_column_norm, op_norm, schur_bound
-from radmul.verify import (_embed_terms, _fold, _generator_zoo, _symbol_scale, embed,
+from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
+from radmul.verify import (_fold, _generator_zoo, _symbol_scale, embed,
                            random_reduced_word)
 
 
@@ -374,6 +379,64 @@ def generator_chain(space, gw):
     return op_product(space, factors, "gen(k=%d,l=%d)" % (gw.k, gw.l))
 
 
+def embed_terms_by_pair(space, i):
+    """Per (j, k), the rows, columns (ascending) and middle words of the
+    entries of up_j lmul(c) down_k in factor i, one term at a time: the
+    form ``verify._embed_terms`` had before it concatenated the terms."""
+    words = np.arange(len(space.words))
+    guard = np.where(space.first_factors != i, words, -1)
+    at = [space.letters.index((i, g)) for g in range(1, space.amalgam.factors[i].group.order)]
+    ups = [guard] + [space.prepended[t] for t in at]
+    downs = [guard] + [space.stripped[t] for t in at]
+    terms = {}
+    for j, up in enumerate(ups):
+        for k, down in enumerate(downs):
+            cols = np.flatnonzero(down >= 0)
+            cols = cols[up[down[cols]] >= 0]
+            terms[j, k] = (up[down[cols]], cols, down[cols])
+    return terms
+
+
+def embed_by_term_loop(space, a):
+    """``verify.embed`` with one Python iteration per nonzero (j, k) term of
+    each element, its entries gathered term by term: the route the
+    package's one mask per element replaced."""
+    elements = [a] if isinstance(a, FactorElement) else a
+    factors = space.amalgam.factors
+    words_of = {}
+    terms, coefs = [(np.zeros(0, dtype=np.intp),) * 5], []
+    for s, x in enumerate(elements):
+        idx = next(i for i, fac in enumerate(factors) if fac is x.factor)
+        if idx not in words_of:
+            words_of[idx] = embed_terms_by_pair(space, idx)
+        group = x.factor.group
+        j, k = np.divmod(np.arange(group.order ** 2), group.order)
+        inv = group.inverses
+        coef = x.factor.alpha(inv[j], x.coeffs[group.table[j, inv[k]]])
+        for t in np.flatnonzero((np.abs(coef) > 0).any(axis=(1, 2))):
+            rows, cols, mid = words_of[idx][j[t], k[t]]
+            terms.append((np.full(rows.size, s), rows, cols, mid,
+                          np.full(rows.size, len(coefs))))
+            coefs.append(coef[t])
+    samples, rows, cols, mid, term = (np.concatenate(x) for x in zip(*terms))
+    d = space.base.d
+    blocks = lmul_blocks(space, np.reshape(coefs, (-1, d, d))[term], mid)
+    samples, rows, cols, blocks = coalesce(samples, rows, cols, blocks, len(space.words))
+    return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(elements))
+
+
+def product_by_loop(x, y):
+    """The coefficients of the crossed-product product x y, one left
+    coefficient g at a time: (b u_g) y = b alpha_g(y) shifted by g, added
+    in the order of g, the route ``FactorElement.__mul__``'s one gather
+    replaced."""
+    fac = x.factor
+    out = np.zeros_like(x.coeffs)
+    for g, b in enumerate(x.coeffs):
+        out[fac.group.table[g]] += b @ fac.alpha(g, y.coeffs)
+    return out
+
+
 def embed_per_element(space, a):
     """embed of one element: the closed-form coefficient of each (j, k) term
     through one left_mult, one single operator per term, and their sum."""
@@ -389,7 +452,7 @@ def embed_per_element(space, a):
     if not coefs:
         return zero_op(space)
     lmul = left_mult(space, np.array(coefs)).blocks
-    n, words_of = len(space.words), _embed_terms(space, idx)
+    n, words_of = len(space.words), embed_terms_by_pair(space, idx)
     terms = []
     for t, pair in enumerate(pairs):
         rows, cols, mid = words_of[pair]

@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import failed_names, pp_coords, pp_residuals_by_products, worst_residual
+from conftest import noncommuting_config
+from oracles import (failed_names, pp_coords, pp_residuals_by_products, product_by_loop,
+                     worst_residual)
 from radmul.algebra import (CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra,
                             _coords, cond_exp, verify_pp_basis)
+from radmul.config import parse_config, preset_config
 from radmul.report import ALGEBRAIC_TOL, VerificationReport
 
 V2 = np.diag([1.0, -1.0]).astype(complex)
@@ -190,6 +193,27 @@ def test_crossed_product_matches_regular_representation(name):
                            regular_rep(fac.from_base(fac.alpha(g, x.coeffs[1])) * fac.unitary(g)))
     k = fac.random_kernel(rng)
     assert abs(np.trace(regular_rep(k))) < 1e-12
+
+
+PRODUCT_FACTORS = {
+    "cyclic-2": lambda: scalar_factor(2),
+    "cyclic-7": lambda: scalar_factor(7),
+    "cyclic-48": lambda: scalar_factor(48),
+    "s3-on-m3": s3_factor,
+    "pauli-z2xz2": pauli_factor,
+    "inner-mat2": lambda: parse_config(preset_config("mat2")).factors[1],
+    "inner-noncommuting": lambda: parse_config(noncommuting_config()).factors[1],
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_FACTORS)
+def test_product_matches_loop_oracle_exactly(name):
+    # the gather adds the (g, h) terms at gh in the order of g, as the loop
+    fac = PRODUCT_FACTORS[name]()
+    rng = np.random.default_rng(12)
+    for x, y in [(fac.random(rng), fac.random(rng)), (fac.random_kernel(rng), fac.random(rng)),
+                 (fac.unitary(1), fac.random(rng)), (fac.random(rng), fac.identity())]:
+        assert np.array_equal((x * y).coeffs, product_by_loop(x, y))
 
 
 def test_pauli_crossed_product_is_a_factor():

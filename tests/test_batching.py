@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import radmul.verify as verify
-from oracles import (dense_rank, embed_by_products, embed_per_element, generator,
+from oracles import (dense_rank, embed_by_products, embed_by_term_loop, embed_per_element,
+                     embed_terms_by_pair, generator,
                      generator_chain, lambda_span_dense, lemma_suite_per_generator, theorem_suite_per_word,
                      word_by_products, word_vacuum_images_dense)
 from radmul.algebra import FactorElement
@@ -98,6 +99,39 @@ def test_embed_stack_matches_per_element_oracle(request, name):
         assert (want.rows.size == 0) == (not a.coeffs.any())
     zero = embed(space, [0 * space.amalgam.factors[0].identity()])
     assert (zero.n_samples, zero.rows.size) == (1, 0)
+
+
+def cyclic7_space():
+    """dih with its second factor cyclic of order 7 (dim 62 at fock_len 3)."""
+    data = preset_config("dih")
+    data["factors"][1]["group"]["order"] = 7
+    data["truncation"]["fock_len"] = 3
+    return parse_config(data).space()
+
+
+@pytest.mark.parametrize("name", SPACES + ["cyclic7"])
+def test_embed_matches_term_loop_oracle_exactly(request, name):
+    # the entries of all terms at once, masked per element, are the loop's
+    # entries in the loop's order, so the coalesced stack is the same
+    space = cyclic7_space() if name == "cyclic7" else request.getfixturevalue(name)
+    rng = np.random.default_rng(45)
+    for i, fac in enumerate(space.amalgam.factors):
+        n, by_pair = fac.group.order, embed_terms_by_pair(space, i)
+        per_term = [by_pair[divmod(t, n)] for t in range(n * n)]
+        want = [np.concatenate(x) for x in zip(*per_term)]
+        want.append(np.repeat(np.arange(n * n), [cols.size for _, cols, _ in per_term]))
+        got = verify._embed_terms(space, i)
+        assert len(got) == 4 and all(np.array_equal(x, y) for x, y in zip(got, want))
+    elements = []
+    for fac in space.amalgam.factors:
+        elements += [fac.random(rng), fac.random_kernel(rng), fac.identity(), fac.unitary(1),
+                     fac.from_base(space.base.random(rng)), 0 * fac.identity()]
+    elements = [elements[t] for t in rng.permutation(len(elements))]
+    for a in [elements, elements[0], [elements[-1]]]:
+        got, want = embed(space, a), embed_by_term_loop(space, a)
+        assert got.n_samples == want.n_samples
+        for field in ("samples", "rows", "cols", "blocks"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 @pytest.mark.parametrize("name", SPACES)

@@ -3,12 +3,14 @@ test module imports a name it never uses, every module-level private name of
 the package is used somewhere in the repository, every defaulted parameter
 of a package function is passed by some call (else it is a constant), every
 public function and method of the package is called by the package or is on
-a short list of documented or benchmark-read names, no function of the
-package only forwards its parameters to another call, no module of the
-package makes a dense matrix of a whole operator, the set-up path
-(configuration to Fock space) loads no operator code, only the command
-line sets OpenBLAS's idle timeout before numpy loads, and README's CLI
-section names exactly the command line's options."""
+a short list of documented or benchmark-read names, every module-level
+UPPER_CASE constant of the package is read by package code outside its own
+definition, no function of the package only forwards its parameters to
+another call, no module of the package makes a dense matrix of a whole
+operator, the set-up path (configuration to Fock space) loads no operator
+code, only the command line sets OpenBLAS's idle timeout before numpy
+loads, and README's CLI section names exactly the command line's
+options."""
 
 import argparse
 import ast
@@ -121,6 +123,54 @@ def test_unused_private_name_is_caught():
     }
     others = ["import a\na._traced()\n", "TARGET = ('radmul.a', '_named')\n"]
     assert unused_private_names(modules, others) == [("a.py", 2, "_OLD"), ("a.py", 3, "_helper")]
+
+
+def constant_reads(node: ast.AST) -> Counter:
+    """Per name, how often ``node`` reads it by name or by attribute; an
+    import or a string is no read."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def unread_constants(modules: dict) -> list:
+    """(module, line, name) of the module-level UPPER_CASE constants of
+    ``modules`` (name -> source) that no statement of a module reads apart
+    from the constant's own definition."""
+    bodies = {module: ast.parse(source).body for module, source in modules.items()}
+    total = Counter()
+    for body in bodies.values():
+        for node in body:
+            total.update(constant_reads(node))
+    out = []
+    for module, body in bodies.items():
+        for node in body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            own = constant_reads(node)
+            out += [(module, node.lineno, t.id) for t in targets
+                    if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)
+                    and total[t.id] == own[t.id]]
+    return sorted(out)
+
+
+def test_every_constant_is_read_by_the_package():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_constants(modules) == []
+
+
+def test_unread_constant_is_caught():
+    # LIMIT is read by a.py's function, SCALE by b.py through an attribute;
+    # OLD is only imported, LOOP only read by its own definition and STALE
+    # only named in a string; _PRIVATE and lower are not UPPER_CASE
+    modules = {
+        "a.py": "LIMIT = 3\nSCALE = 2.0\nOLD = 4\nLOOP = lambda n: LOOP(n - 1)\n"
+                "STALE = 5\n_PRIVATE = 1\nlower = 2\ndef f():\n    return LIMIT\n",
+        "b.py": "from .a import OLD\nimport a\nx = a.SCALE\ny = 'STALE'\n",
+    }
+    assert unread_constants(modules) == [("a.py", 3, "OLD"), ("a.py", 4, "LOOP"),
+                                         ("a.py", 5, "STALE")]
 
 
 def defaulted_parameters(tree: ast.AST) -> list:

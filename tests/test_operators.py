@@ -10,7 +10,7 @@ from conftest import noncommuting_config
 from oracles import (append_star, as_op, column_matrix, epsilon_dense, expand, generator,
                      is_zero, left_action, phi_block_matrix, prepend, right_action, rho_dense,
                      strip_first, strip_star, tower_dense, weighted_sum_dense, zero_op)
-from radmul.sparse import SPLIT_MIN, coalesce, max_column_norm, schur_bound
+from radmul.sparse import coalesce, max_column_norm, schur_bound
 from radmul.operators import (CaseTag, GeneratorWord, StructuredOperator,
                               adjoint_check, amplify, annihilation, apply_weights, build_T,
                               creation, diag, eps_rho_tower, epsilon_matrix,
@@ -679,8 +679,7 @@ def random_sparse(rng, n, density=0.08):
     return A
 
 
-# one operand on each side of SPLIT_MIN: a whole SVD and one per support block
-@pytest.mark.parametrize("n", [SPLIT_MIN - 8, SPLIT_MIN + 12])
+@pytest.mark.parametrize("n", [40, 60])
 def test_op_norm_on_entries_matches_full_svd(n):
     rng = np.random.default_rng(23)
     A = random_sparse(rng, n)
@@ -961,8 +960,6 @@ def _joined_blocks():
     return A
 
 
-# every nonempty input is longer than SPLIT_MIN on some side, so op_norm
-# splits it into support blocks instead of taking one dense SVD
 @pytest.mark.parametrize("A", [
     np.zeros((50, 60)),
     np.zeros((0, 3)),
@@ -981,7 +978,6 @@ def _joined_blocks():
 ], ids=["zero", "empty", "rectangular", "row", "dense", "permuted-blocks", "joined-1e-300",
         "transposed-shapes-a", "transposed-shapes-b"])
 def test_op_norm_matches_full_svd(A):
-    assert A.size == 0 or max(A.shape) > SPLIT_MIN
     assert abs(op_norm(A) - svd_norm(A)) <= 1e-13 * svd_norm(A)
 
 
@@ -1018,8 +1014,57 @@ def test_amplify_matches_dense_kron(request, space_name):
             assert abs(norm - svd_norm(dense)) <= 1e-13 * max(svd_norm(dense), 1.0)
 
 
-def test_op_norm_small_blocks_above_dense_cap_stay_exact():
-    # 60 x 60 is longer than SPLIT_MIN, so each 3 x 3 support component gets
-    # its own exact SVD
+def test_op_norm_small_blocks_stay_exact():
+    # each 3 x 3 support component gets its own exact SVD
     A = permuted_block_diagonal(np.random.default_rng(9), [(3, 3)] * 20)
     assert abs(op_norm(A) - svd_norm(A)) <= 1e-13 * svd_norm(A)
+
+
+class EntryStack:
+    """A stack of matrices of any shape given by its entries, as ``op_norm``
+    reads an operator: ``entries()``, ``n_samples``, ``shape``, ``select``."""
+
+    def __init__(self, samples, rows, cols, values, n_samples, shape):
+        self.samples, self.rows, self.cols, self.values = samples, rows, cols, values
+        self.n_samples, self.shape = n_samples, shape
+
+    def entries(self):
+        return self.samples, self.rows, self.cols, self.values
+
+    def select(self, keep):
+        on = keep[self.samples]
+        return EntryStack((np.cumsum(keep) - 1)[self.samples[on]], self.rows[on],
+                          self.cols[on], self.values[on], int(np.count_nonzero(keep)),
+                          self.shape)
+
+    def matrix(self):
+        out = np.zeros((self.n_samples,) + self.shape, dtype=complex)
+        out[self.samples, self.rows, self.cols] = self.values
+        return out
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 70), st.integers(1, 70), st.integers(3, 5),
+       st.floats(0.01, 0.3), st.sampled_from([np.inf, -np.inf, np.nan]),
+       st.integers(0, 2 ** 32 - 1))
+def test_op_norm_of_a_stack_with_a_non_finite_sample(n_r, n_c, n_samples, density, bad_value,
+                                                     seed):
+    # one sample holds a non-finite entry and one none at all; every other
+    # sample gets the norm of its dense matrix, and the same norm to the bit
+    # without the bad sample in the stack
+    rng = np.random.default_rng(seed)
+    bad, zero = rng.choice(n_samples, 2, replace=False)
+    samples, rows, cols = np.nonzero(rng.random((n_samples, n_r, n_c)) < density)
+    on = samples != zero
+    samples = np.append(samples[on], bad)
+    rows = np.append(rows[on], rng.integers(n_r))
+    cols = np.append(cols[on], rng.integers(n_c))
+    values = np.append(random_complex(rng, np.count_nonzero(on)), bad_value)
+    A = EntryStack(samples, rows, cols, values, n_samples, (n_r, n_c))
+    norms = op_norm(A)
+    assert norms[bad] == np.inf and norms[zero] == 0.0
+    good = np.arange(n_samples) != bad
+    assert np.array_equal(op_norm(A.select(good)), norms[good])
+    for t in np.flatnonzero(good):
+        want = svd_norm(A.matrix()[t])
+        assert abs(norms[t] - want) <= 1e-13 * want
