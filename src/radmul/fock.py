@@ -109,7 +109,8 @@ class Amalgam:
 
 class FockVector:
     """Right N-coefficients of a vector, one per word of the space:
-    ``blocks[j]`` is the d x d coefficient of ``space.words[j]``."""
+    ``blocks[j]`` is the d x d coefficient of ``space.words[j]``.  No
+    arithmetic: the package builds one only to check ``inner_N``."""
 
     __slots__ = ("space", "blocks")
 
@@ -133,29 +134,11 @@ class FockVector:
         j = self.space.word_index.get(word)
         return self.space.base.zero() if j is None else self.blocks[j]
 
-    def __add__(self, other: "FockVector") -> "FockVector":
-        return _vector(self.space, self.blocks + other.blocks)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return _vector(self.space, self.blocks - other.blocks)
-
-    def __rmul__(self, scalar) -> "FockVector":
-        return _vector(self.space, scalar * self.blocks)
-
-    def __neg__(self) -> "FockVector":
-        return _vector(self.space, -self.blocks)
-
     def inner_N(self, other: "FockVector") -> np.ndarray:
         """N-valued inner product sum_w c_w* d_w, conjugate-linear in self,
         added one word at a time in basis order."""
         terms = self.blocks.conj().transpose(0, 2, 1) @ other.blocks
         return np.cumsum(terms, axis=0)[-1]
-
-    def inner(self, other: "FockVector") -> complex:
-        return self.space.base.trace(self.inner_N(other))
-
-    def norm(self) -> float:
-        return float(np.sqrt(max(self.inner(self).real, 0.0)))
 
     def to_array(self) -> np.ndarray:
         return self.space.to_array(self)
@@ -265,10 +248,13 @@ class FockSpace:
         blocks = np.asarray(arr, dtype=complex).reshape(len(self.words), d, d) * self._scale
         return _vector(self, blocks)
 
-    def random_vector(self, rng) -> FockVector:
-        """A unit vector with complex Gaussian coordinates, drawn from rng."""
+    def random_array(self, rng) -> np.ndarray:
+        """Unit coordinates with complex Gaussian entries, drawn from rng."""
         arr = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return self.from_array(arr / np.linalg.norm(arr))
+        return arr / np.linalg.norm(arr)
+
+    def random_vector(self, rng) -> FockVector:
+        return self.from_array(self.random_array(rng))
 
     def guard_mask(self, max_len: int) -> np.ndarray:
         """Scalar-basis indices whose word length stays within max_len."""

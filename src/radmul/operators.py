@@ -81,7 +81,8 @@ class StructuredOperator:
     and the adjoint work sample by sample.  ``entries()`` lists the nonzero
     scalar entries, and ``matrix()`` scatters them into the dense matrix of
     each sample (once, kept for later calls); ``op @ x`` applies each
-    sample to a coordinate array and ``op(vec)`` sample 0 to a Fock vector.
+    sample to a coordinate array, and ``op(vec)`` sample 0 to a Fock vector
+    for the checks of the N-valued inner product.
     """
 
     # numpy arrays and scalars leave ``array * op`` to __rmul__
@@ -656,19 +657,19 @@ def adjoint_check(a: StructuredOperator, a_star: StructuredOperator, tol: float 
     """Confirm that ``a_star``, built by its own rule, is the adjoint of ``a``:
     entry by entry against a's conjugate transpose (the largest block of
     the difference, 0 when it has no entries), and against inner products
-    <A xi, eta> = <xi, A* eta> of four pairs of random unit vectors, so that
-    the pairing residual is rounding on the scale of A, whatever the
-    dimension.
+    <A x, y> = <x, A* y> of four pairs of random unit coordinate arrays
+    (``FockSpace.random_array``), so that the pairing residual is rounding
+    on the scale of A, whatever the dimension.
     """
-    space = a.space
     report = VerificationReport()
     diff = (a_star - a.adjoint()).blocks
     res = float(np.abs(diff).max()) if diff.size else 0.0
     report.add("adjoint_matrix[%s]" % a.name, res, tol)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     for _ in range(4):
-        xi, eta = space.random_vector(rng), space.random_vector(rng)
-        worst = max(worst, abs(a(xi).inner(eta) - xi.inner(a_star(eta))))
-    report.add("adjoint_pairing[%s]" % a.name, worst, tol)
+        x, y = a.space.random_array(rng), a.space.random_array(rng)
+        gaps.append(abs(np.vdot((a @ x)[0], y) - np.vdot(x, (a_star @ y)[0])))
+    # np.max, unlike max, keeps a nan wherever it is
+    report.add("adjoint_pairing[%s]" % a.name, float(np.max(gaps)), tol)
     return report

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.random import default_rng  # loaded at import: once, before any fork
 
 from .algebra import FactorElement, cond_exp, multiplication_matrix
-from .fock import FockSpace, FockVector
+from .fock import FockSpace
 from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op,
                         adjoint_check, amplify, annihilation, apply_weights,
                         build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
@@ -249,14 +249,15 @@ def random_generator_word(rng, space: FockSpace, k: int, l: int,
 
 def fock_suite(space: FockSpace, seed: int = 0,
                tol: float = ALGEBRAIC_TOL) -> VerificationReport:
-    """Structural invariants of the truncated space itself."""
+    """Structural invariants of the truncated space: the N-valued inner
+    product on Fock vectors, the module structure as exact identities
+    between operator stacks, the length split and the spanning rank."""
     rng = default_rng([seed, 1])
     base = space.base
     report = VerificationReport()
 
     # orthonormality of words over N and the module property of the inner product
     worst_onb = 0.0
-    worst_mod = 0.0
     sample_words = list(space.words[:min(len(space.words), 8)])
     b, c = base.random(rng), base.random(rng)
     b /= max(np.abs(b).max(), 1.0)
@@ -265,7 +266,7 @@ def fock_suite(space: FockSpace, seed: int = 0,
         for w2 in sample_words:
             val = space.word_vector(w, b).inner_N(space.word_vector(w2, c))
             expect = b.conj().T @ c if w == w2 else base.zero()
-            worst_onb = max(worst_onb, float(np.abs(val - expect).max()))
+            worst_onb = _fold(worst_onb, np.abs(val - expect))
     xi = space.random_vector(rng)
     eta = space.random_vector(rng)
     lhs = xi.inner_N(right_mult(space, b)(eta))
@@ -274,30 +275,22 @@ def fock_suite(space: FockSpace, seed: int = 0,
     report.add("fock_inner_right_linear", worst_mod, tol)
 
     # left and right actions commute; projections commute with the right action
-    worst = 0.0
-    for _ in range(4):
-        v = space.random_vector(rng)
-        bb, cc = base.random(rng), base.random(rng)
-        lb, rc = left_mult(space, bb), right_mult(space, cc)
-        d1 = rc(lb(v)) - lb(rc(v))
-        worst = max(worst, _vec_max(d1))
-    report.add("fock_left_right_commute", worst, tol)
+    pairs = [(base.random(rng), base.random(rng)) for _ in range(4)]
+    lb = left_mult(space, np.array([bb for bb, _ in pairs]))
+    rc = stack([right_mult(space, cc) for _, cc in pairs])
+    report.add("fock_left_right_commute", _fold(0.0, (lb @ rc - rc @ lb).block_max()), tol)
 
-    worst = 0.0
-    rb = right_mult(space, base.random(rng))
-    for op in [length_at_least_op(space, 1), length_at_least_op(space, 2),
-               ends_in_factor_op(space, 0)]:
-        for _ in range(2):
-            v = space.random_vector(rng)
-            worst = max(worst, _vec_max(op(rb(v)) - rb(op(v))))
-    report.add("fock_projection_right_commute", worst, tol)
+    P = stack([length_at_least_op(space, 1), length_at_least_op(space, 2),
+               ends_in_factor_op(space, 0)])
+    rb = stack([right_mult(space, base.random(rng))] * P.n_samples)
+    report.add("fock_projection_right_commute", _fold(0.0, (P @ rb - rb @ P).block_max()), tol)
 
     # Q_n = Q_{n+1} + (length exactly n)
     worst = 0.0
     for n in range(space.L_max):
         split = (length_at_least_op(space, n) - length_at_least_op(space, n + 1)
                  - length_exactly_op(space, n))
-        worst = max(worst, split.block_max()[0])
+        worst = _fold(worst, split.block_max())
     report.add("fock_length_projection_split", worst, tol)
 
     # the length-k spanning families have full rank jointly
@@ -329,14 +322,11 @@ def _word_block_rank(op: StructuredOperator) -> int:
     return int(np.linalg.matrix_rank(op.blocks, tol=1e-10).sum())
 
 
-def _vec_max(v: FockVector) -> float:
-    return float(np.abs(v.blocks).max())
-
-
 def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     """Adjoint pairs, the shifted-weight partition identity on 20 random
-    vectors of length 32, and the right-module property (covariance, for
-    R_{gamma*}) of the building blocks, at tolerance 1e-12."""
+    vectors of length 32, and the right-module property of six building
+    blocks A as the identity A R_b = R_b' A on their stack (b' = b, but
+    alpha_g(b) for the covariant R_{gamma*}), at tolerance 1e-12."""
     rng = default_rng([seed, 2])
     report = VerificationReport()
     tol, n_partition, vec_len = 1e-12, 20, 32
@@ -344,7 +334,7 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     worst = 0.0
     for _ in range(n_partition):
         x = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
-        worst = max(worst, partition_identity_residual(space, x))
+        worst = _fold(worst, partition_identity_residual(space, x))
     report.add("partition_identity", worst, tol, samples=n_partition)
 
     # each adjoint is built by its own rule, not as a conjugate transpose
@@ -361,16 +351,11 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     rb = right_mult(space, b)
     i, g = letter
     rb_twisted = right_mult(space, space.amalgam.factors[i].alpha(g, b))
-    worst = 0.0
-    ops = [(creation(space, letter), rb), (annihilation(space, letter), rb),
-           (right_creation(space, letter), rb_twisted),
-           (diag(space, x[:space.L_max + 2]), rb), (ends_in_factor_op(space, 0), rb),
-           (rho_matrix(space, identity_op(space)), rb)]
-    for op, rb_out in ops:
-        for _ in range(3):
-            v = space.random_vector(rng)
-            worst = max(worst, _vec_max(op(rb(v)) - rb_out(op(v))))
-    report.add("right_module_blocks", worst, tol)
+    ops = stack([creation(space, letter), annihilation(space, letter),
+                 right_creation(space, letter), diag(space, x[:space.L_max + 2]),
+                 ends_in_factor_op(space, 0), rho_matrix(space, identity_op(space))])
+    residual = ops @ stack([rb] * ops.n_samples) - stack([rb, rb, rb_twisted, rb, rb, rb]) @ ops
+    report.add("right_module_blocks", _fold(0.0, residual.block_max()), tol)
 
     # rho(Id) = Q_1 and epsilon(Id) = Q_1 on the truncated space
     q1 = length_at_least_op(space, 1)
@@ -395,16 +380,13 @@ def _generator_zoo(space: FockSpace, seed: int) -> list:
     random pair with random coefficients per (k, l)."""
     rng = default_rng([seed, 3])
     base = space.base
+    strings = [[w.letters for w in space.words if len(w) == n] for n in range(3)]
     out = []
     for k in range(3):
         for l in range(3):
-            cre_tuples = [w.letters for w in space.words if len(w) == k]
-            ann_tuples = [w.letters for w in space.words if len(w) == l]
-            for cre in cre_tuples:
-                for ann in ann_tuples:
-                    out.append(GeneratorWord(cre, ann))
-            cre = cre_tuples[rng.integers(len(cre_tuples))]
-            ann = ann_tuples[rng.integers(len(ann_tuples))]
+            out += [GeneratorWord(cre, ann) for cre in strings[k] for ann in strings[l]]
+            cre = strings[k][rng.integers(len(strings[k]))]
+            ann = strings[l][rng.integers(len(strings[l]))]
             out.append(GeneratorWord(
                 cre, ann,
                 cre_coeffs=tuple(base.random(rng) for _ in range(k + 1)),

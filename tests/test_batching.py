@@ -22,8 +22,9 @@ from radmul.operators import (GeneratorWord, StructuredOperator, apply_weights, 
 from radmul.report import VerificationReport
 from radmul.symbols import RadialSymbol
 from radmul.verify import (embed, embedding_suite, fock_suite, lemma_suite,
-                           main_theorem_suite, random_generator_word, random_reduced_word,
-                           spanning_check, word_operator, word_vacuum_images)
+                           main_theorem_suite, operator_suite, random_generator_word,
+                           random_reduced_word, spanning_check, word_operator,
+                           word_vacuum_images)
 
 EXACT = ["dih_space", "mat2_space", "cy3_space"]
 SPACES = EXACT + ["noncomm_space"]
@@ -342,3 +343,26 @@ def test_rank_checks_cost_no_dense_column_per_word(monkeypatch):
             counts[name, L] = dict(calls)
     assert counts["spanning", 3]["matvec"] == counts["spanning", 6]["matvec"] == 0
     assert counts["fock", 3] == counts["fock", 6]
+
+
+def test_module_checks_apply_no_operator_to_a_vector(monkeypatch):
+    """The module checks are identities between operators: operator_suite
+    applies no operator to a Fock vector, and fock_suite exactly one, the
+    right action in the check of the inner product's right linearity, at
+    fock_len 3 as at 6."""
+    calls = []
+    call = StructuredOperator.__call__
+
+    def counting_call(self, vec):
+        calls.append(self.name)
+        return call(self, vec)
+
+    monkeypatch.setattr(StructuredOperator, "__call__", counting_call)
+    for L in (3, 6):
+        cfg = preset_config("cy3")
+        cfg["truncation"]["fock_len"] = L
+        space = parse_config(cfg).space()
+        for run, want in ((operator_suite, []), (fock_suite, ["rmul"])):
+            calls.clear()
+            assert run(space).passed
+            assert calls == want

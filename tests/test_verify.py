@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+import radmul.operators as operators
 import radmul.verify as verify
 from oracles import as_op, coefficient_gaps_by_vectors, failed_names
 from radmul.algebra import verify_pp_basis
@@ -341,6 +342,31 @@ def test_adjoint_checks_compare_two_constructions():
     j = space.word_index[Word(((0, 1), (1, 1)))]
     space.stripped[space.first_letter[j], j] = 0  # (0, 1)(1, 1) stripped "is" the vacuum
     assert status(space, "adjoint_matrix[L(0, 1)]") == "fail"
+
+
+@pytest.mark.parametrize("name, old, new, space, check", [
+    # left multiplication acting on the coefficient's right factor
+    ("lmul_blocks", '"wpr,qs->wpqrs"', '"wsq,pr->wpqrs"', "mat2_space", "fock_left_right_commute"),
+    # c -> c b^T in place of c -> c b
+    ("right_mult", "element(b).T", "element(b)", "mat2_space", "fock_inner_right_linear"),
+    ("right_mult", "element(b).T", "element(b)", "noncomm_space", "right_module_blocks"),
+    # R_{gamma*} twisting by alpha_{g^{-1}} in place of alpha_g
+    ("right_creation", "space.twists[t]", "space.twists[space.star[t]]", "noncomm_space",
+     "right_module_blocks"),
+])
+def test_module_checks_catch_a_seeded_defect(monkeypatch, request, name, old, new, space, check):
+    """The module checks are operator identities, and each of these defects
+    in a building block fails its check; the M_2 base tells c b from c b^T,
+    and the noncommuting model's order-3 twists alpha_g from alpha_{g^{-1}}."""
+    source = inspect.getsource(getattr(operators, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(operators))
+    exec(source.replace(old, new), namespace)
+    for module in (operators, verify):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, namespace[name])
+    space = request.getfixturevalue(space)
+    assert check in failed_names(fock_suite(space)) + failed_names(operator_suite(space))
 
 
 def test_norm_bound_suite(dih_space, acceptance_symbols):
