@@ -6,10 +6,11 @@ N x| G by a finite group acting through trace-preserving *-automorphisms
 alpha_g = Ad(W_g); its elements are sums sum_g b_g u_g with b_g in N and
 u_g unitaries obeying u_g b = alpha_g(b) u_g, each held as one (|G|, d, d)
 array of its coefficients b_g.  Sums, scalar multiples and adjoints are
-array operations, and a product is one loop over the group table.  The
-inclusion N in N x| G has integer index |G|, conditional expectation
-x -> b_e, and the group unitaries (u_g), with u_e = 1 listed first, form an
-orthonormal module basis: E(u_g* u_h) = delta_{g,h} and every x equals
+array operations, and a product forms every (g, h) term at once and adds
+them at gh in one ``np.add.at`` over the group table.  The inclusion N in
+N x| G has integer index |G|, conditional expectation x -> b_e, and the
+group unitaries (u_g), with u_e = 1 listed first, form an orthonormal
+module basis: E(u_g* u_h) = delta_{g,h} and every x equals
 sum_g E(x u_g) u_g*.  ``verify_pp_basis`` checks such a family as matrix
 identities on L2(M_i), with no product per pair of its members.
 """
@@ -36,9 +37,6 @@ class TracialAlgebra:
 
     def __eq__(self, other):
         return isinstance(other, TracialAlgebra) and other.d == self.d
-
-    def __repr__(self):
-        return "TracialAlgebra(d=%d)" % self.d
 
     def identity(self) -> np.ndarray:
         return np.eye(self.d, dtype=complex)
@@ -97,17 +95,11 @@ class FiniteGroup:
             raise ValueError("table entries out of range")
         if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
             raise ValueError("index 0 must be the group identity")
-        # per element g, in order: is row g or column g not a permutation,
-        # and has row g no identity entry
+        # every row and column a permutation; so every row holds the
+        # identity 0, and every element has an inverse
         perm = np.arange(n)
-        latin = ((np.sort(t, axis=1) != perm).any(axis=1)
-                 | (np.sort(t, axis=0) != perm[:, None]).any(axis=0))
-        no_inverse = ~(t == 0).any(axis=1)
-        bad = np.flatnonzero(latin | no_inverse)
-        if bad.size:
-            if latin[bad[0]]:
-                raise ValueError("table is not a Latin square")
-            raise ValueError("element %d has no inverse" % bad[0])
+        if (np.sort(t, axis=1) != perm).any() or (np.sort(t, axis=0) != perm[:, None]).any():
+            raise ValueError("table is not a Latin square")
         for a in range(n):
             # row a compares (ab)c, i.e. t[t[a]][b, c], with a(bc) = t[a][t][b, c]
             lhs, rhs = t[t[a]], np.take(t[a], t)
@@ -164,10 +156,6 @@ class CrossedFactor:
             if (np.abs(m - lam * eye).max(initial=0.0) > 1e-10
                     or (abs(np.abs(lam) - 1) > 1e-10).any()):
                 raise ValueError("unitaries do not implement a group action")
-
-    @property
-    def index(self) -> int:
-        return self.group.order
 
     def alpha(self, g, b: np.ndarray) -> np.ndarray:
         """alpha_g(b) = W_g b W_g*; for an array of group elements and a

@@ -130,18 +130,11 @@ class FockVector:
         nonzero = np.flatnonzero(self.blocks.any(axis=(1, 2)))
         return {self.space.words[j]: self.blocks[j] for j in nonzero}
 
-    def coeff(self, word: Word) -> np.ndarray:
-        j = self.space.word_index.get(word)
-        return self.space.base.zero() if j is None else self.blocks[j]
-
     def inner_N(self, other: "FockVector") -> np.ndarray:
         """N-valued inner product sum_w c_w* d_w, conjugate-linear in self,
         added one word at a time in basis order."""
         terms = self.blocks.conj().transpose(0, 2, 1) @ other.blocks
         return np.cumsum(terms, axis=0)[-1]
-
-    def to_array(self) -> np.ndarray:
-        return self.space.to_array(self)
 
 
 def _vector(space: "FockSpace", blocks: np.ndarray) -> FockVector:
@@ -200,8 +193,7 @@ class FockSpace:
             frontier = range(start, len(words))
         self.words = tuple(words)
         self.word_index = {w: i for i, w in enumerate(self.words)}
-        self.n_onb = self.base.onb()
-        self.dim_N = len(self.n_onb)
+        self.dim_N = self.base.dim
         self.dim = len(self.words) * self.dim_N
         self.lengths = np.array([len(w) for w in self.words])
         self.first_factors = np.array([w.first_factor for w in self.words])

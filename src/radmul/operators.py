@@ -106,7 +106,7 @@ class StructuredOperator:
         return (n, n)
 
     def __call__(self, vec: FockVector) -> FockVector:
-        return self.space.from_array((self @ vec.to_array())[0])
+        return self.space.from_array((self @ self.space.to_array(vec))[0])
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:

@@ -223,8 +223,7 @@ def random_reduced_word(rng, space: FockSpace, n: int) -> ReducedWord:
     return ReducedWord(letters=letters, coeffs=coeffs)
 
 
-def random_generator_word(rng, space: FockSpace, k: int, l: int,
-                          with_coeffs: bool = True) -> GeneratorWord:
+def random_generator_word(rng, space: FockSpace, k: int, l: int) -> GeneratorWord:
     def alternating(length):
         letters = space.letters
         out = []
@@ -234,11 +233,7 @@ def random_generator_word(rng, space: FockSpace, k: int, l: int,
         return tuple(out)
 
     base = space.base
-    cre = alternating(k)
-    ann = alternating(l)
-    if not with_coeffs:
-        return GeneratorWord(cre, ann)
-    return GeneratorWord(cre, ann,
+    return GeneratorWord(alternating(k), alternating(l),
                          cre_coeffs=tuple(base.random(rng) for _ in range(k + 1)),
                          ann_coeffs=tuple(base.random(rng) for _ in range(l)))
 

@@ -66,7 +66,7 @@ from radmul.verify import (_fold, _generator_zoo, _symbol_scale, embed,
 def basis_fock_vector(space, idx):
     """The scalar basis vector idx: a word with one N basis element."""
     w = space.words[idx // space.dim_N]
-    return FockVector(space, {w: space.n_onb[idx % space.dim_N]})
+    return FockVector(space, {w: space.base.onb()[idx % space.dim_N]})
 
 
 def is_zero(vec, tol=0.0):
@@ -254,7 +254,7 @@ def coefficient_gaps_by_vectors(space, ea, elements):
         vectors = [space.word_vector(Word(((i, g),) if g else ())) for g in range(len(basis))]
         gap = 0.0
         for el, el_vec in zip(basis, vectors):
-            ael = space.from_array((ea @ el_vec.to_array())[s])
+            ael = space.from_array((ea @ space.to_array(el_vec))[s])
             for em, em_vec in zip(basis, vectors):
                 want = cond_exp(em.star() * a * el)
                 gap = max(gap, float(np.abs(em_vec.inner_N(ael) - want).max()))
@@ -642,7 +642,7 @@ def word_vacuum_images_dense(space, max_len):
     to left, by left_mult(b) and the letters' embeddings, each built once."""
     embeds = {(i, g): embed(space, space.amalgam.factors[i].unitary(g))
               for i, g in space.amalgam.letters()}
-    vac = space.word_vector(Word()).to_array()
+    vac = space.to_array(space.word_vector(Word()))
     starts = [(left_mult(space, b) @ vac)[0] for b in space.base.basis()]
     for w in space.words:
         if len(w) > max_len:
@@ -659,7 +659,7 @@ def lambda_span_dense(space, k):
     for w in space.words:
         if len(w) == k:
             for b in space.base.basis():
-                yield FockVector(space, {w: b}).to_array()
+                yield space.to_array(FockVector(space, {w: b}))
 
 
 def dense_rank(columns) -> int:

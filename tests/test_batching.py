@@ -60,7 +60,7 @@ def every_signature(space, rng):
         for l in range(3):
             for cre in (False, True):
                 for ann in (False, True):
-                    gw = random_generator_word(rng, space, k, l, with_coeffs=False)
+                    gw = random_generator_word(rng, space, k, l)
                     gens.append(GeneratorWord(
                         gw.cre_letters, gw.ann_letters,
                         cre_coeffs=tuple(base.random(rng) for _ in range(k + 1)) if cre else (),

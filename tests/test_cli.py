@@ -157,6 +157,9 @@ def _set(data, path, value):
     return data
 
 
+Z2XZ2_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
 @pytest.mark.parametrize("path, value", [
     (("symbol",), {"head": [1], "tail": 5}),
     (("truncation",), {"fock_len": "x"}),
@@ -187,20 +190,37 @@ def _set(data, path, value):
     (("factors", 0, "group"), {"kind": "cyclic", "order": 2,
                                "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}),
     (("base_algebra",), {"kind": "scalar", "dim": 4}),
+    (("factors", 0), {"group": {"kind": "table", "table": Z2XZ2_TABLE},
+                      "action": {"kind": "inner", "unitary": [[[1, 0]]]}}),
+    (("factors", 0, "action"), {"kind": "inner",
+                                "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+    (("factors", 0, "action"), "outer"),
+    (("base_algebra",), {"dim": 2}),
+    (("symbol",), {"head": [1], "tail": {"limit": 0}}),
+    (("factors", 0, "group"), {"kind": "table", "table": [[0, 1], [1, 0], [0, 1]]}),
+    (("factors", 0, "group"), {"kind": "table", "table": [[0, 1], [1, 2]]}),
 ], ids=["tail-not-object", "fock_len-string", "head-nan", "limit-inf", "head-not-list",
         "hankel_dim-float", "truncation-not-object", "tolerance-inf", "factors-not-list",
         "cyclic-order-1", "table-order-1", "table-float-entry", "table-bool-entry",
         "seed-negative", "single-factor",
         "tolerance-unknown", "top-level-typo", "truncation-typo", "tail-typo",
         "symbol-typo", "factor-typo", "group-typo", "action-typo", "base-typo",
-        "constant-tail-ratio", "cyclic-group-table", "scalar-base-dim"])
+        "constant-tail-ratio", "cyclic-group-table", "scalar-base-dim",
+        "inner-on-table-group", "unitary-wrong-size", "action-outer", "base-no-kind",
+        "tail-no-kind", "table-not-square", "table-entry-out-of-range"])
 def test_bad_config_fragment_exits_2(tmp_path, capsys, path, value):
     data = _set(preset_config("dih"), path, value)
     code = main(["verify", "--suite", "theorem", "--config", write_config(tmp_path, data)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("configuration error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_unknown_preset_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+        preset_config("nope")
 
 
 # the keys each object of a configuration may hold, by its kind
@@ -577,7 +597,6 @@ def test_cmd_verify_all_on_uneven_sectors(tmp_path, capsys, model, runs):
     assert len(set(reports)) == 1
 
 
-Z2XZ2_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 MAX_DIM = 300
 
 
@@ -664,6 +683,20 @@ def test_cmd_bound_constant_one_ratio_is_one(tmp_path, capsys):
     values = {line.split(" =")[0]: float(line.split("= ")[1])
               for line in out.splitlines() if " = " in line}
     assert values["sampled_sup_ratio"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cmd_bound_seed_option_overrides_the_config_seed(tmp_path, capsys):
+    data = preset_config("dih")
+
+    def bound(name, *extra):
+        assert main(["bound", "--config", write_config(tmp_path, data, name),
+                     "--samples", "3", *extra]) == 0
+        return capsys.readouterr().out
+
+    by_option = bound("option.json", "--seed", "5")
+    default = bound("default.json")
+    data["seed"] = 5
+    assert bound("config.json") == by_option != default
 
 
 def test_cmd_bound_geometric(tmp_path, capsys):

@@ -3,13 +3,14 @@ test module imports a name it never uses, every module-level private name of
 the package is used somewhere in the repository, every defaulted parameter
 of a package function is passed by some call (else it is a constant), every
 public function and method of the package is called by the package or is on
-a short list of documented or benchmark-read names, every module-level
-UPPER_CASE constant of the package is read by package code outside its own
-definition, no function of the package only forwards its parameters to
-another call, no module of the package makes a dense matrix of a whole
-operator, the set-up path (configuration to Fock space) loads no operator
-code, only the command line sets OpenBLAS's idle timeout before numpy
-loads, and README's CLI section names exactly the command line's
+a short list of documented or benchmark-read names (a method counts only
+attribute reads ``x.m``, a property only those that are not called), every
+module-level UPPER_CASE constant of the package is read by package code
+outside its own definition, no function of the package only forwards its
+parameters to another call, no module of the package makes a dense matrix
+of a whole operator, the set-up path (configuration to Fock space) loads no
+operator code, only the command line sets OpenBLAS's idle timeout before
+numpy loads, and README's CLI section names exactly the command line's
 options."""
 
 import argparse
@@ -251,17 +252,40 @@ def test_idle_parameter_is_caught():
         ("a.py", 11, "g", "k")]
 
 
+def function_reads(tree: ast.AST) -> tuple:
+    """Three counters of the names ``tree`` reads: loaded bare names,
+    attribute reads ``x.m``, and the attribute reads that are not called."""
+    names, attrs, uncalled = Counter(), Counter(), Counter()
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            attrs[node.attr] += 1
+            uncalled[node.attr] += id(node) not in called
+    return names, attrs, uncalled
+
+
 def uncalled_functions(modules: dict) -> list:
     """(module, line, qualified name) of the public functions and methods of
-    ``modules`` (name -> source) that no module reads by name or attribute
-    outside their own body.  A name starting with _ is private or a dunder,
-    and not listed."""
+    ``modules`` (name -> source) that no module reads outside their own
+    body.  A module function counts reads by name or attribute, a method
+    only attribute reads ``x.m``, and a property only attribute reads that
+    are not called, so a local variable or a list's ``.index(...)`` keeps
+    no method or property alive.  A name starting with _ is private or a
+    dunder, and not listed."""
     trees = {module: ast.parse(source) for module, source in modules.items()}
-    reads = Counter()
+    total = [Counter(), Counter(), Counter()]
     for tree in trees.values():
-        reads.update(node.id for node in ast.walk(tree)
-                     if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
-        reads.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+        for counter, reads in zip(total, function_reads(tree)):
+            counter.update(reads)
+
+    def count(reads, name, cls, prop):
+        names, attrs, uncalled = reads
+        if cls is None:
+            return names[name] + attrs[name]
+        return uncalled[name] if prop else attrs[name]
+
     out = []
     for module, tree in trees.items():
         for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
@@ -269,11 +293,9 @@ def uncalled_functions(modules: dict) -> list:
             for fn in scope.body:
                 if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
                     continue
-                own = sum(1 for node in ast.walk(fn)
-                          if (isinstance(node, ast.Name) and node.id == fn.name
-                              and not isinstance(node.ctx, ast.Store))
-                          or (isinstance(node, ast.Attribute) and node.attr == fn.name))
-                if reads[fn.name] - own <= 0:
+                prop = any(getattr(d, "id", None) == "property" for d in fn.decorator_list)
+                if (count(total, fn.name, cls, prop)
+                        - count(function_reads(fn), fn.name, cls, prop) <= 0):
                     out.append((module, fn.lineno, "%s.%s" % (cls, fn.name) if cls else fn.name))
     return sorted(out)
 
@@ -302,7 +324,9 @@ def test_every_public_function_is_called_or_allowed():
 
 def test_uncalled_function_is_caught():
     # f is called by b.py, C.m by attribute and g only by itself; C.__init__
-    # is a dunder and _h private; C.p is read as a property
+    # is a dunder and _h private; C.p is read as a property.  C.shadowed is
+    # read only as a bare variable, and the property C.index only by a
+    # list's called .index(...)
     modules = {
         "a.py": "def f():\n    pass\n"
                 "def g(n):\n    return g(n - 1)\n"
@@ -310,10 +334,14 @@ def test_uncalled_function_is_caught():
                 "class C:\n    def __init__(self):\n        pass\n"
                 "    def m(self):\n        pass\n"
                 "    def unused(self):\n        pass\n"
-                "    @property\n    def p(self):\n        return 1\n",
-        "b.py": "from .a import f\nf()\nC().m()\nC().p\n",
+                "    @property\n    def p(self):\n        return 1\n"
+                "    def shadowed(self):\n        pass\n"
+                "    @property\n    def index(self):\n        return 0\n",
+        "b.py": "from .a import f\nf()\nC().m()\nC().p\n"
+                "shadowed = 1\nprint(shadowed)\n[1].index(1)\n",
     }
-    assert uncalled_functions(modules) == [("a.py", 3, "g"), ("a.py", 12, "C.unused")]
+    assert uncalled_functions(modules) == [("a.py", 3, "g"), ("a.py", 12, "C.unused"),
+                                           ("a.py", 17, "C.shadowed"), ("a.py", 20, "C.index")]
 
 
 def pass_throughs(source: str) -> list:

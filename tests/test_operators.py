@@ -69,7 +69,7 @@ def test_right_creation_inverts_element(cy3_space):
 def test_annihilation_matching_letter(dih_space):
     w = dih_space.word_vector(Word(((0, 1),)))
     out = annihilation(dih_space, (0, 1))(w)
-    assert out.coeff(Word())[0, 0] == pytest.approx(1.0)
+    assert out.blocks[dih_space.word_index[Word()]][0, 0] == pytest.approx(1.0)
 
 
 def test_annihilation_mismatch(cy3_space):
@@ -87,7 +87,7 @@ def test_right_annihilation_coefficient_twist(mat2_space):
     V = np.diag([1.0, -1.0]).astype(complex)
     w = mat2_space.word_vector(Word(((0, 1), (1, 1))), b)
     out = right_annihilation(mat2_space, (1, 1))(w)
-    assert np.allclose(out.coeff(Word(((0, 1),))), V @ b @ V)
+    assert np.allclose(out.blocks[mat2_space.word_index[Word(((0, 1),))]], V @ b @ V)
 
 
 def test_direct_matrices_match_action(request):
@@ -189,7 +189,7 @@ def test_diag_backward_shift(dih_space):
     x = np.array([1.0, 2.0, 3.0, 4.0])
     D = diag(dih_space, x[1:])  # (S*)x
     w = dih_space.word_vector(Word(((0, 1),)))  # length 1 -> x(2) = 3
-    assert D(w).coeff(Word(((0, 1),)))[0, 0] == pytest.approx(3.0)
+    assert D(w).blocks[dih_space.word_index[Word(((0, 1),))]][0, 0] == pytest.approx(3.0)
 
 
 def test_diag_forward_shift_vanishes_below(dih_space):
@@ -290,13 +290,14 @@ def test_noncommuting_fixture_push_order_matters(noncomm_space):
 
 def test_rho_kills_vacuum(dih_space):
     R = rho_matrix(dih_space, identity_op(dih_space)).matrix()
-    assert not np.any(R @ dih_space.word_vector(Word()).to_array())
+    assert not np.any(R @ dih_space.to_array(dih_space.word_vector(Word())))
 
 
 def test_rho_case2_generator_fixed_on_guarded_words(dih_space):
     gen = GeneratorWord(((0, 1),), ((0, 1),))
     A = generator(dih_space, gen)
-    chi = dih_space.word_vector(Word(((0, 1), (1, 1)))).to_array()  # guarded length-2 word
+    # a guarded length-2 word
+    chi = dih_space.to_array(dih_space.word_vector(Word(((0, 1), (1, 1)))))
     lhs = rho_matrix(dih_space, A).matrix() @ chi
     assert np.abs(lhs - A @ chi).max() <= 1e-13
 
@@ -409,8 +410,10 @@ def test_generator_operator_matches_factor_product(request, name):
     rng = np.random.default_rng(16)
     gens = [GeneratorWord((), ()),
             GeneratorWord((), (), cre_coeffs=(space.base.random(rng),))]
-    gens += [random_generator_word(rng, space, k, l, with_coeffs=c)
-             for k, l in [(1, 0), (0, 1), (2, 1), (1, 2), (2, 2)] for c in (False, True)]
+    for k, l in [(1, 0), (0, 1), (2, 1), (1, 2), (2, 2)]:
+        for c in (False, True):
+            gw = random_generator_word(rng, space, k, l)
+            gens.append(gw if c else GeneratorWord(gw.cre_letters, gw.ann_letters))
     for gw in gens:
         want = np.linalg.multi_dot(generator_factor_matrices(space, gw) + [np.eye(space.dim)])
         got = generator(space, gw).matrix()

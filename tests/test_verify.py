@@ -111,13 +111,13 @@ def test_word_operator_vacuum_images(mat2_space):
     rw = ReducedWord(letters=(), coeffs=(b,))
     vac = mat2_space.word_vector(Word())
     v = word_operator(mat2_space, rw)(vac)
-    assert np.allclose(v.coeff(Word()), b)
+    assert np.allclose(v.blocks[mat2_space.word_index[Word()]], b)
     # n = 1 and n = 2 unitary words land on the canonical word vectors
     v = word_operator(mat2_space, unit_word(mat2_space, (0, 1)))(vac)
     assert list(v.coeffs) == [Word(((0, 1),))]
     v = word_operator(mat2_space, unit_word(mat2_space, (0, 1), (1, 1)))(vac)
     assert list(v.coeffs) == [Word(((0, 1), (1, 1)))]
-    assert np.allclose(v.coeff(Word(((0, 1), (1, 1)))), np.eye(2))
+    assert np.allclose(v.blocks[mat2_space.word_index[Word(((0, 1), (1, 1)))]], np.eye(2))
 
 
 def test_word_operator_rejects_bad_words(dih_space):
@@ -144,7 +144,7 @@ def test_reduced_word_tells_factors_apart_by_identity(cy3_space):
 def vacuum_expectation(space, A):
     """Vacuum-sector coefficient of A applied to the vacuum; realizes the
     conditional expectation onto N for embedded words."""
-    return A(space.word_vector(Word())).coeff(Word())
+    return A(space.word_vector(Word())).blocks[space.word_index[Word()]]
 
 
 def test_vacuum_expectation(dih_space):
@@ -294,9 +294,9 @@ def test_word_vacuum_images_match_word_operators(request, name):
     # oracle: one word operator per word and N-basis element, applied to the vacuum
     space = request.getfixturevalue(name)
     vac = space.word_vector(Word())
-    want = np.stack([word_operator(space, unit_word(space, *w.letters, right=b))(vac)
-                     .to_array() for w in space.words if len(w) <= 2
-                     for b in space.base.basis()], axis=1)
+    words = [unit_word(space, *w.letters, right=b) for w in space.words if len(w) <= 2
+             for b in space.base.basis()]
+    want = np.stack([space.to_array(word_operator(space, rw)(vac)) for rw in words], axis=1)
     got = word_vacuum_images(space, 2).matrix()[0]
     assert np.abs(got[:, :want.shape[1]] - want).max() <= 1e-13
     assert not got[:, want.shape[1]:].any()
@@ -344,6 +344,19 @@ def test_adjoint_checks_compare_two_constructions():
     assert status(space, "adjoint_matrix[L(0, 1)]") == "fail"
 
 
+def seed_defect(monkeypatch, name, old, new):
+    """Replace the one ``old`` in the source of ``operators.name`` by
+    ``new``, and put the result in place of ``name`` in the operator and
+    verify modules for the rest of the test."""
+    source = inspect.getsource(getattr(operators, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(operators))
+    exec(source.replace(old, new), namespace)
+    for module in (operators, verify):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, namespace[name])
+
+
 @pytest.mark.parametrize("name, old, new, space, check", [
     # left multiplication acting on the coefficient's right factor
     ("lmul_blocks", '"wpr,qs->wpqrs"', '"wsq,pr->wpqrs"', "mat2_space", "fock_left_right_commute"),
@@ -358,15 +371,38 @@ def test_module_checks_catch_a_seeded_defect(monkeypatch, request, name, old, ne
     """The module checks are operator identities, and each of these defects
     in a building block fails its check; the M_2 base tells c b from c b^T,
     and the noncommuting model's order-3 twists alpha_g from alpha_{g^{-1}}."""
-    source = inspect.getsource(getattr(operators, name))
-    assert source.count(old) == 1
-    namespace = dict(vars(operators))
-    exec(source.replace(old, new), namespace)
-    for module in (operators, verify):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, namespace[name])
+    seed_defect(monkeypatch, name, old, new)
     space = request.getfixturevalue(space)
     assert check in failed_names(fock_suite(space)) + failed_names(operator_suite(space))
+
+
+@pytest.mark.parametrize("name, old, new, space, check", [
+    # rho conjugating by its twist the wrong way, alpha* X alpha; the
+    # noncommuting model's order-3 twists tell it apart, where mat2's are
+    # self-adjoint and cy3's scalar
+    ("rho_matrix", "alpha[t] @ A.blocks[e] @ alpha[t].conj().transpose(0, 2, 1)",
+     "alpha[t].conj().transpose(0, 2, 1) @ A.blocks[e] @ alpha[t]", "noncomm_space",
+     "rho_power_sector_rule"),
+    # epsilon keeping the pairs that end in different factors
+    ("epsilon_matrix", "last[A.rows] == last[A.cols]", "last[A.rows] != last[A.cols]",
+     "cy3_space", "epsilon_case_rules"),
+    # T1's tail weights read from k = 1, as T2's are
+    ("_multiplier_weights", "d[total[:L, :L] + shift]", "d[total[:L, :L] + 1]", "cy3_space",
+     "multiplier_case_rules"),
+    # T1 weighted by psi2 in place of psi1
+    ("_multiplier_weights", "phi.psi1(s + shift)", "phi.psi1(s + 1)", "cy3_space",
+     "t1_t2_component_rules"),
+])
+def test_multiplier_checks_catch_a_seeded_defect(monkeypatch, request, name, old, new, space,
+                                                 check):
+    """Each of these defects in rho, epsilon or the multiplier's weights
+    fails its lemma or theorem check on a geometric symbol, whose tail
+    reaches every weight."""
+    seed_defect(monkeypatch, name, old, new)
+    space = request.getfixturevalue(space)
+    symbols = [RadialSymbol.geometric(0.5)]
+    assert check in (failed_names(lemma_suite(space, symbols))
+                     + failed_names(main_theorem_suite(space, symbols)))
 
 
 def test_norm_bound_suite(dih_space, acceptance_symbols):
