@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, FockVector, Word
+from .fock import FockSpace, Word
 from .report import VerificationReport
 from .sparse import coalesce, op_norm, sum_at
 from .symbols import RadialSymbol
@@ -81,8 +81,7 @@ class StructuredOperator:
     and the adjoint work sample by sample.  ``entries()`` lists the nonzero
     scalar entries, and ``matrix()`` scatters them into the dense matrix of
     each sample (once, kept for later calls); ``op @ x`` applies each
-    sample to a coordinate array, and ``op(vec)`` sample 0 to a Fock vector
-    for the checks of the N-valued inner product.
+    sample to a coordinate array, the package's one form of a Fock vector.
     """
 
     # numpy arrays and scalars leave ``array * op`` to __rmul__
@@ -104,9 +103,6 @@ class StructuredOperator:
     def shape(self) -> tuple:
         n = len(self.space.words) * self.blocks.shape[-1]
         return (n, n)
-
-    def __call__(self, vec: FockVector) -> FockVector:
-        return self.space.from_array((self @ self.space.to_array(vec))[0])
 
     def matrix(self) -> np.ndarray:
         if self._matrix is None:

@@ -37,16 +37,16 @@ import numpy as np
 from numpy.random import default_rng  # loaded at import: once, before any fork
 
 from .algebra import FactorElement, cond_exp, multiplication_matrix
-from .fock import FockSpace
+from .fock import FockSpace, inner_N
 from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op,
                         adjoint_check, amplify, annihilation, apply_weights,
                         build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
                         generator_operators, identity_op, left_mult, length_at_least_op,
-                        length_exactly_op, lmul_blocks, op_norm, op_sum,
+                        length_exactly_op, lmul_blocks, op_sum,
                         partition_identity_residual, phi_cb_bound, phi_weights,
                         right_annihilation, right_creation, right_mult, rho_matrix, stack)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
-from .sparse import coalesce, max_column_norm, schur_bound
+from .sparse import coalesce, max_column_norm, op_norm, schur_bound
 from .symbols import norm_C
 
 # a chunk of samples holds at most this many scalar entries in all (at least
@@ -245,27 +245,28 @@ def random_generator_word(rng, space: FockSpace, k: int, l: int) -> GeneratorWor
 def fock_suite(space: FockSpace, seed: int = 0,
                tol: float = ALGEBRAIC_TOL) -> VerificationReport:
     """Structural invariants of the truncated space: the N-valued inner
-    product on Fock vectors, the module structure as exact identities
+    product on coordinate arrays, the module structure as exact identities
     between operator stacks, the length split and the spanning rank."""
     rng = default_rng([seed, 1])
     base = space.base
     report = VerificationReport()
 
-    # orthonormality of words over N and the module property of the inner product
-    worst_onb = 0.0
-    sample_words = list(space.words[:min(len(space.words), 8)])
+    # orthonormality of words over N and the module property of the inner
+    # product, on coordinate arrays: the word w b has the block b / sqrt(d)
+    # at w and zeros elsewhere
     b, c = base.random(rng), base.random(rng)
     b /= max(np.abs(b).max(), 1.0)
     c /= max(np.abs(c).max(), 1.0)
-    for w in sample_words:
-        for w2 in sample_words:
-            val = space.word_vector(w, b).inner_N(space.word_vector(w2, c))
-            expect = b.conj().T @ c if w == w2 else base.zero()
-            worst_onb = _fold(worst_onb, np.abs(val - expect))
-    xi = space.random_vector(rng)
-    eta = space.random_vector(rng)
-    lhs = xi.inner_N(right_mult(space, b)(eta))
-    worst_mod = float(np.abs(lhs - xi.inner_N(eta) @ b).max())
+    units = np.eye(min(len(space.words), 8), len(space.words))[:, :, None, None]
+    words_b, words_c = ((units * (a / np.sqrt(base.d))).reshape(len(units), -1) for a in (b, c))
+    worst_onb = 0.0
+    for j, x in enumerate(words_b):
+        for k, y in enumerate(words_c):
+            expect = b.conj().T @ c if j == k else base.zero()
+            worst_onb = _fold(worst_onb, np.abs(inner_N(space, x, y) - expect))
+    xi, eta = space.random_array(rng), space.random_array(rng)
+    lhs = inner_N(space, xi, (right_mult(space, b) @ eta)[0])
+    worst_mod = float(np.abs(lhs - inner_N(space, xi, eta) @ b).max())
     report.add("fock_word_orthonormality", worst_onb, tol)
     report.add("fock_inner_right_linear", worst_mod, tol)
 

@@ -1,9 +1,16 @@
 """Word-level rules for the Fock-space building blocks, kept as test oracles.
 
-The package builds every operator as a matrix scattered from word-index
-arrays.  The rules here act on one :class:`~radmul.fock.FockVector` at a
-time, word by word, as the definitions read; ``column_matrix`` turns a rule
-into the matrix it defines, column by column.  ``rho_dense``,
+The package holds a Fock vector as its coordinate array and builds every
+operator as a matrix scattered from word-index arrays.  The block form is
+kept here: a :class:`~radmul.fock.FockVector` holds one d x d right
+coefficient per word (``vector`` wraps given blocks, ``word_vector`` builds
+w b), ``coeffs`` lists its nonzero coefficients by word, ``to_array`` and
+``from_array`` map it to and from coordinates (each coefficient over
+sqrt(d)), ``block_inner_N`` is the N-valued inner product sum_w c_w* d_w
+that ``fock.inner_N`` reads off coordinates, and ``apply`` applies sample 0
+of an operator to a vector.  The rules here act on one vector at a time,
+word by word, as the definitions read; ``column_matrix`` turns a rule into
+the matrix it defines, column by column.  ``rho_dense``,
 ``epsilon_dense`` and ``tower_dense`` are rho, epsilon and the tower
 [A, rho(A), ..., rho^L(A), eps(A), ..., rho^{L-1}(eps(A))] on dense
 matrices, gathered and scattered block by block; ``expand`` lays a weight
@@ -51,7 +58,7 @@ operator), ``worst_residual`` and ``failed_names``.
 import numpy as np
 
 from radmul.algebra import FactorElement, _coords, cond_exp
-from radmul.fock import FockVector, Word, _vector
+from radmul.fock import FockVector, Word
 from radmul.operators import (CaseTag, StructuredOperator, _diag_op, annihilation,
                               apply_weights, build_T, creation, generator_operators,
                               identity_op, left_mult, length_at_least_op, lmul_blocks, op_sum,
@@ -61,6 +68,49 @@ from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
 from radmul.verify import (_fold, _generator_zoo, _symbol_scale, embed,
                            random_reduced_word)
+
+
+def vector(space, blocks):
+    """The vector of the space holding ``blocks`` as they are."""
+    vec = FockVector.__new__(FockVector)
+    vec.space, vec.blocks = space, blocks
+    return vec
+
+
+def word_vector(space, word, b=None):
+    """The word vector w b (b = 1 by default)."""
+    coeff = space.base.identity() if b is None else space.base.element(b)
+    return FockVector(space, {word: coeff})
+
+
+def coeffs(vec):
+    """The nonzero coefficients by word, in basis order."""
+    nonzero = np.flatnonzero(vec.blocks.any(axis=(1, 2)))
+    return {vec.space.words[j]: vec.blocks[j] for j in nonzero}
+
+
+def to_array(vec):
+    """The coordinate array of a vector: each coefficient over sqrt(d)."""
+    return vec.blocks.reshape(-1) / np.sqrt(vec.space.base.d)
+
+
+def from_array(space, arr):
+    """The vector of a coordinate array: each d x d block times sqrt(d)."""
+    d = space.base.d
+    return vector(space, np.asarray(arr, dtype=complex).reshape(len(space.words), d, d)
+                  * np.sqrt(d))
+
+
+def block_inner_N(u, v):
+    """N-valued inner product sum_w c_w* d_w of two vectors, conjugate-linear
+    in u, added one word at a time in basis order."""
+    terms = u.blocks.conj().transpose(0, 2, 1) @ v.blocks
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def apply(op, vec):
+    """Sample 0 of an operator applied to a vector, through its coordinates."""
+    return from_array(vec.space, (op @ to_array(vec))[0])
 
 
 def basis_fock_vector(space, idx):
@@ -122,14 +172,14 @@ def failed_names(report):
 
 def column_matrix(space, rule):
     """Matrix of a vector rule, one basis vector per column."""
-    cols = [space.to_array(rule(basis_fock_vector(space, i))) for i in range(space.dim)]
+    cols = [to_array(rule(basis_fock_vector(space, i))) for i in range(space.dim)]
     return np.stack(cols, axis=1)
 
 
 def prepend(space, letter):
     """L_gamma: prepend the letter; zero against a same-factor start or overflow."""
     def rule(vec):
-        return FockVector(space, {Word((letter,) + w.letters): c for w, c in vec.coeffs.items()
+        return FockVector(space, {Word((letter,) + w.letters): c for w, c in coeffs(vec).items()
                                   if len(w) < space.L_max and w.first_factor != letter[0]})
     return rule
 
@@ -137,7 +187,7 @@ def prepend(space, letter):
 def strip_first(space, letter):
     """L*_gamma: strip a matching first letter."""
     def rule(vec):
-        return FockVector(space, {w.drop_first(): c for w, c in vec.coeffs.items()
+        return FockVector(space, {w.drop_first(): c for w, c in coeffs(vec).items()
                                   if w.letters and w.letters[0] == letter})
     return rule
 
@@ -149,7 +199,8 @@ def append_star(space, letter):
     appended = (i, fac.group.inv(g))
 
     def rule(vec):
-        return FockVector(space, {w.append(appended): fac.alpha(g, c) for w, c in vec.coeffs.items()
+        return FockVector(space, {w.append(appended): fac.alpha(g, c)
+                                  for w, c in coeffs(vec).items()
                                   if len(w) < space.L_max and w.last_factor != i})
     return rule
 
@@ -161,7 +212,7 @@ def strip_star(space, letter):
     gi = fac.group.inv(g)
 
     def rule(vec):
-        return FockVector(space, {w.drop_last(): fac.alpha(gi, c) for w, c in vec.coeffs.items()
+        return FockVector(space, {w.drop_last(): fac.alpha(gi, c) for w, c in coeffs(vec).items()
                                   if w.letters and w.letters[-1] == (i, gi)})
     return rule
 
@@ -172,7 +223,7 @@ def left_action(b):
     def rule(vec):
         space = vec.space
         out = {}
-        for w, c in vec.coeffs.items():
+        for w, c in coeffs(vec).items():
             pushed = space.base.element(b)
             for letter in w.letters:
                 pushed = space.amalgam.push(pushed, letter)
@@ -186,12 +237,12 @@ def left_mul(vec, b):
     U_w b U_w*."""
     U = vec.space.push_unitaries
     pushed = U @ vec.space.base.element(b) @ U.conj().transpose(0, 2, 1)
-    return _vector(vec.space, pushed @ vec.blocks)
+    return vector(vec.space, pushed @ vec.blocks)
 
 
 def right_mul(vec, b):
     """Right N-action on a whole vector: every coefficient times b."""
-    return _vector(vec.space, vec.blocks @ vec.space.base.element(b))
+    return vector(vec.space, vec.blocks @ vec.space.base.element(b))
 
 
 def right_action(b):
@@ -251,13 +302,13 @@ def coefficient_gaps_by_vectors(space, ea, elements):
     for s, a in enumerate(elements):
         i = space.amalgam.factors.index(a.factor)
         basis = a.factor.pp_basis()
-        vectors = [space.word_vector(Word(((i, g),) if g else ())) for g in range(len(basis))]
+        vectors = [word_vector(space, Word(((i, g),) if g else ())) for g in range(len(basis))]
         gap = 0.0
         for el, el_vec in zip(basis, vectors):
-            ael = space.from_array((ea @ space.to_array(el_vec))[s])
+            ael = from_array(space, (ea @ to_array(el_vec))[s])
             for em, em_vec in zip(basis, vectors):
                 want = cond_exp(em.star() * a * el)
-                gap = max(gap, float(np.abs(em_vec.inner_N(ael) - want).max()))
+                gap = max(gap, float(np.abs(block_inner_N(em_vec, ael) - want).max()))
         gaps.append(gap)
     return np.array(gaps)
 
@@ -642,7 +693,7 @@ def word_vacuum_images_dense(space, max_len):
     to left, by left_mult(b) and the letters' embeddings, each built once."""
     embeds = {(i, g): embed(space, space.amalgam.factors[i].unitary(g))
               for i, g in space.amalgam.letters()}
-    vac = space.to_array(space.word_vector(Word()))
+    vac = to_array(word_vector(space, Word()))
     starts = [(left_mult(space, b) @ vac)[0] for b in space.base.basis()]
     for w in space.words:
         if len(w) > max_len:
@@ -659,7 +710,7 @@ def lambda_span_dense(space, k):
     for w in space.words:
         if len(w) == k:
             for b in space.base.basis():
-                yield space.to_array(FockVector(space, {w: b}))
+                yield to_array(FockVector(space, {w: b}))
 
 
 def dense_rank(columns) -> int:

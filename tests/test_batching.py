@@ -4,6 +4,7 @@ ranks by word blocks; each must give the numbers of the per-sample routes it
 replaced (``oracles``), whatever the chunk size."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -22,9 +23,8 @@ from radmul.operators import (GeneratorWord, StructuredOperator, apply_weights, 
 from radmul.report import VerificationReport
 from radmul.symbols import RadialSymbol
 from radmul.verify import (embed, embedding_suite, fock_suite, lemma_suite,
-                           main_theorem_suite, operator_suite, random_generator_word,
-                           random_reduced_word, spanning_check, word_operator,
-                           word_vacuum_images)
+                           main_theorem_suite, random_generator_word, random_reduced_word,
+                           spanning_check, word_operator, word_vacuum_images)
 
 EXACT = ["dih_space", "mat2_space", "cy3_space"]
 SPACES = EXACT + ["noncomm_space"]
@@ -316,53 +316,48 @@ def test_word_block_rank_sums_blocks_and_rejects_leaks(mat2_space):
 
 
 def test_rank_checks_cost_no_dense_column_per_word(monkeypatch):
-    """spanning_check applies no operator to an array, and fock_suite applies
-    operators to arrays and builds Fock vectors as often at fock_len 3 as at
-    6, so a per-column dense route shows as a count that grows with dim."""
-    calls = {"matvec": 0, "vector": 0}
-    matmul, vector_init = StructuredOperator.__matmul__, FockVector.__init__
+    """spanning_check applies no operator to an array, and fock_suite
+    applies operators to arrays as often at fock_len 3 as at 6, so a
+    per-column dense route shows as a count that grows with dim."""
+    calls = {"matvec": 0}
+    matmul = StructuredOperator.__matmul__
 
     def counting_matmul(self, other):
         calls["matvec"] += not isinstance(other, StructuredOperator)
         return matmul(self, other)
 
-    def counting_init(self, *args, **kwargs):
-        calls["vector"] += 1
-        vector_init(self, *args, **kwargs)
-
     monkeypatch.setattr(StructuredOperator, "__matmul__", counting_matmul)
-    monkeypatch.setattr(FockVector, "__init__", counting_init)
     counts = {}
     for L in (3, 6):
         cfg = preset_config("cy3")
         cfg["truncation"]["fock_len"] = L
         space = parse_config(cfg).space()
         for name, run in (("spanning", spanning_check), ("fock", fock_suite)):
-            calls.update(matvec=0, vector=0)
+            calls.update(matvec=0)
             assert run(space).passed
             counts[name, L] = dict(calls)
     assert counts["spanning", 3]["matvec"] == counts["spanning", 6]["matvec"] == 0
     assert counts["fock", 3] == counts["fock", 6]
 
 
-def test_module_checks_apply_no_operator_to_a_vector(monkeypatch):
-    """The module checks are identities between operators: operator_suite
-    applies no operator to a Fock vector, and fock_suite exactly one, the
-    right action in the check of the inner product's right linearity, at
-    fock_len 3 as at 6."""
-    calls = []
-    call = StructuredOperator.__call__
+@pytest.mark.parametrize("preset", ["dih", "mat2"])
+def test_no_suite_builds_a_fock_vector(tmp_path, monkeypatch, capsys, preset):
+    """The suites hold Fock vectors as coordinate arrays: no suite of
+    ``verify --suite all`` builds a FockVector.  One usable core keeps
+    every suite in this process, where the spy sees it."""
+    built = []
+    init = FockVector.__init__
 
-    def counting_call(self, vec):
-        calls.append(self.name)
-        return call(self, vec)
+    def spy(self, space, *args):
+        built.append(space)
+        init(self, space, *args)
 
-    monkeypatch.setattr(StructuredOperator, "__call__", counting_call)
-    for L in (3, 6):
-        cfg = preset_config("cy3")
-        cfg["truncation"]["fock_len"] = L
-        space = parse_config(cfg).space()
-        for run, want in ((operator_suite, []), (fock_suite, ["rmul"])):
-            calls.clear()
-            assert run(space).passed
-            assert calls == want
+    monkeypatch.setattr(FockVector, "__init__", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    data = preset_config(preset)
+    data["truncation"]["fock_len"] = 3
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main(["verify", "--suite", "all", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert built == []

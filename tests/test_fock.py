@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import noncommuting_config
-from oracles import canonicalize, is_zero, lambda_span_dense, left_mul, right_mul
+from oracles import (apply, block_inner_N, canonicalize, coeffs, from_array, is_zero,
+                     lambda_span_dense, left_mul, right_mul, to_array, word_vector)
 from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from radmul.config import parse_config, preset_config
+import radmul.fock as fock
 from radmul.fock import Amalgam, FockSpace, FockVector, Word
 from radmul.operators import ends_in_factor_op, length_at_least_op, length_exactly_op
 from radmul.verify import lambda_span
@@ -177,7 +179,7 @@ def test_left_mul_matches_canonicalize(mat2_space):
     rng = np.random.default_rng(2)
     b = mat2_space.base.random(rng)
     w = Word(((1, 1), (0, 1)))
-    direct = left_mul(mat2_space.word_vector(w), b)
+    direct = left_mul(word_vector(mat2_space, w), b)
     via = canonicalize(mat2_space, list(w.letters), [b, np.eye(2), np.eye(2)])
     assert np.abs(direct.blocks - via.blocks).max() <= 1e-13
 
@@ -185,18 +187,19 @@ def test_left_mul_matches_canonicalize(mat2_space):
 # ---------------------------------------------------------------- inner product
 
 def test_inner_orthonormality(dih_space):
-    w1 = dih_space.word_vector(Word(((0, 1),)))
-    w2 = dih_space.word_vector(Word(((1, 1),)))
+    w1 = to_array(word_vector(dih_space, Word(((0, 1),))))
+    w2 = to_array(word_vector(dih_space, Word(((1, 1),))))
     trace = dih_space.base.trace
-    assert trace(w1.inner_N(w1)) == pytest.approx(1.0)
-    assert trace(w1.inner_N(w2)) == pytest.approx(0.0)
+    assert trace(fock.inner_N(dih_space, w1, w1)) == pytest.approx(1.0)
+    assert trace(fock.inner_N(dih_space, w1, w2)) == pytest.approx(0.0)
 
 
 def test_inner_module_property(mat2_space):
     rng = np.random.default_rng(3)
     b, c = mat2_space.base.random(rng), mat2_space.base.random(rng)
     w = Word(((0, 1),))
-    lhs = mat2_space.word_vector(w, b).inner_N(mat2_space.word_vector(w, c))
+    lhs = fock.inner_N(mat2_space, to_array(word_vector(mat2_space, w, b)),
+                       to_array(word_vector(mat2_space, w, c)))
     assert np.allclose(lhs, b.conj().T @ c)
 
 
@@ -204,9 +207,25 @@ def test_array_roundtrip_preserves_inner(mat2_space):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(mat2_space.dim) + 1j * rng.standard_normal(mat2_space.dim)
     y = rng.standard_normal(mat2_space.dim) + 1j * rng.standard_normal(mat2_space.dim)
-    vx, vy = mat2_space.from_array(x), mat2_space.from_array(y)
-    assert mat2_space.base.trace(vx.inner_N(vy)) == pytest.approx(complex(np.vdot(x, y)))
-    assert np.allclose(mat2_space.to_array(vx), x)
+    inner = fock.inner_N(mat2_space, x, y)
+    assert mat2_space.base.trace(inner) == pytest.approx(complex(np.vdot(x, y)))
+    assert np.allclose(to_array(from_array(mat2_space, x)), x)
+
+
+@pytest.mark.parametrize("name", ["dih_space", "mat2_space", "cy3_space", "noncomm_space"])
+def test_inner_N_matches_block_form(request, name):
+    # oracle: the vectors' coefficient blocks, sum_w c_w* d_w; on a scalar
+    # base the two routes add the same numbers in the same order
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(8)
+    x, y = space.random_array(rng), space.random_array(rng)
+    w = space.words[1]
+    b = to_array(word_vector(space, w, space.base.random(rng)))
+    pairs = [(x, y), (y, x), (x, x), (b, to_array(word_vector(space, w)))]
+    tol = 0.0 if space.base.d == 1 else 1e-15
+    for u, v in pairs:
+        want = block_inner_N(from_array(space, u), from_array(space, v))
+        assert np.abs(fock.inner_N(space, u, v) - want).max() <= tol
 
 
 def test_coordinate_maps_match_word_loop(mat2_space):
@@ -219,15 +238,15 @@ def test_coordinate_maps_match_word_loop(mat2_space):
     x[7 * k] = 1e-300  # a tiny entry keeps its word
     want = {w: x[j * k:(j + 1) * k].reshape(d, d) * s for j, w in enumerate(space.words)
             if np.any(x[j * k:(j + 1) * k])}
-    got = space.from_array(x)
-    assert list(got.coeffs) == list(want)
-    assert all(np.array_equal(got.coeffs[w], want[w]) for w in want)
+    got = coeffs(from_array(space, x))
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[w], want[w]) for w in want)
     back = np.zeros(space.dim, dtype=complex)
-    for w, b in got.coeffs.items():
+    for w, b in got.items():
         j = space.word_index[w]
         back[j * k:(j + 1) * k] = b.reshape(-1) / s
-    assert np.array_equal(space.to_array(got), back)
-    assert space.to_array(FockVector(space)).shape == (space.dim,)
+    assert np.array_equal(to_array(from_array(space, x)), back)
+    assert to_array(FockVector(space)).shape == (space.dim,)
 
 
 def test_vector_constructor_matches_word_loop(mat2_space):
@@ -235,29 +254,29 @@ def test_vector_constructor_matches_word_loop(mat2_space):
     space = mat2_space
     rng = np.random.default_rng(7)
     words = list(space.words[:6]) + [Word(((0, 1), (1, 1)) * 3)]  # beyond L_max = 5
-    coeffs = {w: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for w in words}
-    coeffs[words[2]] = np.zeros((2, 2))
-    coeffs[words[4]] = np.array([[0, 1e-300], [0, 0]])  # a tiny entry keeps its word
-    coeffs[words[5]] = np.eye(2, dtype=int)  # cast to complex
-    want = {w: np.asarray(b, dtype=complex) for w, b in coeffs.items()
+    given = {w: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for w in words}
+    given[words[2]] = np.zeros((2, 2))
+    given[words[4]] = np.array([[0, 1e-300], [0, 0]])  # a tiny entry keeps its word
+    given[words[5]] = np.eye(2, dtype=int)  # cast to complex
+    want = {w: np.asarray(b, dtype=complex) for w, b in given.items()
             if len(w) <= space.L_max and np.any(b)}
-    got = FockVector(space, coeffs).coeffs
+    got = coeffs(FockVector(space, given))
     assert list(got) == list(want)
     assert all(got[w].dtype == complex and np.array_equal(got[w], want[w]) for w in want)
-    assert FockVector(space, {}).coeffs == {}
-    assert FockVector(space, {words[-1]: np.eye(2)}).coeffs == {}
+    assert coeffs(FockVector(space, {})) == {}
+    assert coeffs(FockVector(space, {words[-1]: np.eye(2)})) == {}
 
 
 # ---------------------------------------------------------------- projections
 
 def test_projection_examples(dih_space):
-    vac = dih_space.word_vector(Word())
-    assert is_zero(length_at_least_op(dih_space, 1)(vac))
+    vac = word_vector(dih_space, Word())
+    assert is_zero(apply(length_at_least_op(dih_space, 1), vac))
     for i in range(len(dih_space.amalgam.factors)):
-        assert is_zero(ends_in_factor_op(dih_space, i)(vac))
-    w = dih_space.word_vector(Word(((0, 1), (1, 1))))
-    assert is_zero(ends_in_factor_op(dih_space, 0)(w))
-    kept = ends_in_factor_op(dih_space, 1)(w)
+        assert is_zero(apply(ends_in_factor_op(dih_space, i), vac))
+    w = word_vector(dih_space, Word(((0, 1), (1, 1))))
+    assert is_zero(apply(ends_in_factor_op(dih_space, 0), w))
+    kept = apply(ends_in_factor_op(dih_space, 1), w)
     assert not is_zero(kept)
 
 
@@ -272,9 +291,10 @@ def test_projection_idempotent_selfadjoint(dih_space):
 def test_projection_commutes_with_right_action(mat2_space):
     rng = np.random.default_rng(5)
     b = mat2_space.base.random(rng)
-    v = mat2_space.from_array(rng.standard_normal(mat2_space.dim) + 0j)
+    v = from_array(mat2_space, rng.standard_normal(mat2_space.dim) + 0j)
     P = ends_in_factor_op(mat2_space, 1)
-    assert np.abs(P(right_mul(v, b)).blocks - right_mul(P(v), b).blocks).max() <= 1e-13
+    diff = apply(P, right_mul(v, b)).blocks - right_mul(apply(P, v), b).blocks
+    assert np.abs(diff).max() <= 1e-13
 
 
 # ---------------------------------------------------------------- spanning sets

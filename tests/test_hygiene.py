@@ -1,8 +1,11 @@
 """Source hygiene that a linter would check: no module of the package and no
-test module imports a name it never uses, every module-level private name of
+test module imports a name it never uses, every ``from .m import x`` of the
+package and ``from radmul.m import x`` of the tests names a definition of
+m, every module-level private name of
 the package is used somewhere in the repository, every defaulted parameter
 of a package function is passed by some call (else it is a constant), every
-public function and method of the package is called by the package or is on
+public function and method of the package is called by the package, and
+every public class read by it outside annotations, or is on
 a short list of documented or benchmark-read names (a method counts only
 attribute reads ``x.m``, a property only those that are not called), every
 module-level UPPER_CASE constant of the package is read by package code
@@ -63,6 +66,60 @@ def test_no_unused_imports_in_tests(path):
 def test_unused_import_is_caught():
     source = "import numpy as np\nfrom .operators import stack, zero_op\nzero_op(np)\n"
     assert unused_imports(source) == [(2, "stack")]
+
+
+def definitions(source: str) -> set:
+    """The names the top-level statements of a module define: functions,
+    classes and assignment targets; an imported name is no definition."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def imports_through(package: dict, others: dict) -> list:
+    """(file, line, "m.x") of the imports ``from .m import x`` in the
+    modules of ``package`` (module name -> source) and ``from radmul.m
+    import x`` in ``others`` (file -> source) whose module m does not define
+    x, so that the name has a second import path."""
+    defined = {module: definitions(source) for module, source in package.items()}
+    out = []
+    for files, level, prefix in ((package, 1, ""), (others, 0, "radmul.")):
+        for path, source in files.items():
+            for node in ast.walk(ast.parse(source)):
+                if not isinstance(node, ast.ImportFrom) or node.level != level:
+                    continue
+                module = node.module or ""
+                module = module[len(prefix):] if module.startswith(prefix) else None
+                out += [(path, node.lineno, "%s.%s" % (module, alias.name))
+                        for alias in node.names
+                        if module in defined and alias.name not in defined[module]]
+    return sorted(out)
+
+
+def test_every_name_is_imported_from_its_module():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    others = {"tests/" + p.name: p.read_text(encoding="utf-8") for p in TESTS}
+    assert imports_through(package, others) == []
+
+
+def test_import_through_another_module_is_caught():
+    # b re-imports a's f from c, which only imports it; the test file does
+    # the same through radmul.c, and imports a module and the package's own
+    # names by other forms, which are not checked
+    package = {
+        "a": "def f():\n    pass\nX = 1\nY, Z = 2, 3\n",
+        "c": "from .a import f, X\n",
+        "b": "from .a import f, X, Z\nfrom .c import f\nfrom . import a\n",
+    }
+    others = {"t.py": "from radmul.a import Y\nfrom radmul.c import X, f\n"
+                      "from radmul import c\nfrom numpy import f\n"}
+    assert imports_through(package, others) == [("b", 2, "c.f"), ("t.py", 2, "c.X"),
+                                                ("t.py", 2, "c.f")]
 
 
 def names_read(tree: ast.AST) -> set:
@@ -300,7 +357,42 @@ def uncalled_functions(modules: dict) -> list:
     return sorted(out)
 
 
-# the public names the package itself never calls, each with its reason
+def annotations(tree: ast.AST) -> list:
+    """The annotations in ``tree``: of parameters, return values and
+    annotated assignments."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            out += [a.annotation for a in params if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            out.append(node.annotation)
+    return [a for a in out if a is not None]
+
+
+def class_reads(tree: ast.AST) -> Counter:
+    """``constant_reads`` of ``tree`` outside its annotations."""
+    reads = constant_reads(tree)
+    for annotation in annotations(tree):
+        reads.subtract(constant_reads(annotation))
+    return reads
+
+
+def unreferenced_classes(modules: dict) -> list:
+    """(module, line, name) of the public module-level classes of
+    ``modules`` (name -> source) that no module reads outside annotations
+    and the class's own body: no code builds, subclasses or inspects them."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    total = sum((class_reads(tree) for tree in trees.values()), Counter())
+    return sorted((module, node.lineno, node.name) for module, tree in trees.items()
+                  for node in tree.body if isinstance(node, ast.ClassDef)
+                  and not node.name.startswith("_")
+                  and total[node.name] - class_reads(node)[node.name] <= 0)
+
+
+# the public names the package itself never calls (a class: never reads), each
+# with its reason
 UNCALLED_ALLOWED = {
     "preset_config": "documented API: the preset configurations (README)",
     "RadialSymbol.delta0": "documented API: a named symbol (README)",
@@ -312,12 +404,14 @@ UNCALLED_ALLOWED = {
     "Amalgam.push": "radbench's tracer counts its calls",
     "hankel_pair": "radbench's tracer times it and setup_probe.py prints its tail_error",
     "factorize": "radbench's tracer times the M x M Hankel route through it",
+    "FockVector": "radbench's tracer counts calls of its __init__; the tests' block-form "
+                  "oracle vectors are instances",
 }
 
 
 def test_every_public_function_is_called_or_allowed():
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    found = {name for _, _, name in uncalled_functions(modules)}
+    found = {name for _, _, name in uncalled_functions(modules) + unreferenced_classes(modules)}
     # an entry whose name is now called, or gone, is stale
     assert found == set(UNCALLED_ALLOWED)
 
@@ -342,6 +436,24 @@ def test_uncalled_function_is_caught():
     }
     assert uncalled_functions(modules) == [("a.py", 3, "g"), ("a.py", 12, "C.unused"),
                                            ("a.py", 17, "C.shadowed"), ("a.py", 20, "C.index")]
+
+
+def test_unreferenced_class_is_caught():
+    # A is built by b.py, B subclassed and C read as an attribute; D is read
+    # only in annotations and E only in its own body, and G by nothing; _F
+    # is private
+    modules = {
+        "a.py": "class A:\n    pass\n"
+                "class B:\n    pass\n"
+                "class C:\n    pass\n"
+                "class D:\n    pass\n"
+                "class E:\n    def copy(self) -> 'E':\n        return E()\n"
+                "class _F:\n    pass\n",
+        "b.py": "from . import a\nfrom .a import D\nx = A()\nclass G(B):\n    pass\n"
+                "y = a.C\ndef f(d: D) -> D:\n    z: D = d\n    return z\n",
+    }
+    assert unreferenced_classes(modules) == [("a.py", 7, "D"), ("a.py", 9, "E"),
+                                             ("b.py", 4, "G")]
 
 
 def pass_throughs(source: str) -> list:

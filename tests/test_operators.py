@@ -7,14 +7,15 @@ from radmul.algebra import cond_exp
 from radmul.config import parse_config, preset_config
 from radmul.fock import Word
 from conftest import noncommuting_config
-from oracles import (append_star, as_op, column_matrix, epsilon_dense, expand, generator,
-                     is_zero, left_action, phi_block_matrix, prepend, right_action, rho_dense,
-                     strip_first, strip_star, tower_dense, weighted_sum_dense, zero_op)
-from radmul.sparse import coalesce, max_column_norm, schur_bound
+from oracles import (append_star, apply, as_op, coeffs, column_matrix, epsilon_dense, expand,
+                     generator, is_zero, left_action, phi_block_matrix, prepend, right_action,
+                     rho_dense, strip_first, strip_star, to_array, tower_dense,
+                     weighted_sum_dense, word_vector, zero_op)
+from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
 from radmul.operators import (CaseTag, GeneratorWord, StructuredOperator,
                               adjoint_check, amplify, annihilation, apply_weights, build_T,
                               creation, diag, eps_rho_tower, epsilon_matrix,
-                              identity_op, left_mult, length_at_least_op, op_norm,
+                              identity_op, left_mult, length_at_least_op,
                               partition_identity_residual, phi_cb_bound, phi_weights,
                               right_annihilation, right_creation, right_mult, rho_matrix,
                               rho_tower, stack)
@@ -37,56 +38,56 @@ def brute_phi_scalar(x, y, k, l, shift=0):
 # ---------------------------------------------------------------- creation
 
 def test_creation_on_vacuum(dih_space):
-    v = creation(dih_space, (0, 1))(dih_space.word_vector(Word()))
+    v = apply(creation(dih_space, (0, 1)), word_vector(dih_space, Word()))
     assert not is_zero(v)
-    assert list(v.coeffs) == [Word(((0, 1),))]
+    assert list(coeffs(v)) == [Word(((0, 1),))]
 
 
 def test_creation_same_factor_vanishes(dih_space):
-    w = dih_space.word_vector(Word(((0, 1),)))
-    assert is_zero(creation(dih_space, (0, 1))(w))
+    w = word_vector(dih_space, Word(((0, 1),)))
+    assert is_zero(apply(creation(dih_space, (0, 1)), w))
 
 
 def test_creation_overflow_truncates(dih_space):
     top = dih_space.words[-1]
     assert len(top) == dih_space.L_max
     lead = 0 if top.first_factor != 0 else 1  # admissible factor, only length blocks
-    assert is_zero(creation(dih_space, (lead, 1))(dih_space.word_vector(top)))
+    assert is_zero(apply(creation(dih_space, (lead, 1)), word_vector(dih_space, top)))
 
 
 def test_right_creation_adjoint_convention(dih_space):
     # appending gamma* inverts the group element; for order two it returns itself
-    w = dih_space.word_vector(Word(((1, 1),)))
-    out = right_creation(dih_space, (0, 1))(w)
-    assert list(out.coeffs) == [Word(((1, 1), (0, 1)))]
+    w = word_vector(dih_space, Word(((1, 1),)))
+    out = apply(right_creation(dih_space, (0, 1)), w)
+    assert list(coeffs(out)) == [Word(((1, 1), (0, 1)))]
 
 
 def test_right_creation_inverts_element(cy3_space):
-    out = right_creation(cy3_space, (0, 1))(cy3_space.word_vector(Word()))
-    assert list(out.coeffs) == [Word(((0, 2),))]  # (u_1)* = u_2 in Z/3
+    out = apply(right_creation(cy3_space, (0, 1)), word_vector(cy3_space, Word()))
+    assert list(coeffs(out)) == [Word(((0, 2),))]  # (u_1)* = u_2 in Z/3
 
 
 def test_annihilation_matching_letter(dih_space):
-    w = dih_space.word_vector(Word(((0, 1),)))
-    out = annihilation(dih_space, (0, 1))(w)
+    w = word_vector(dih_space, Word(((0, 1),)))
+    out = apply(annihilation(dih_space, (0, 1)), w)
     assert out.blocks[dih_space.word_index[Word()]][0, 0] == pytest.approx(1.0)
 
 
 def test_annihilation_mismatch(cy3_space):
-    w = cy3_space.word_vector(Word(((0, 2),)))
-    assert is_zero(annihilation(cy3_space, (0, 1))(w))
+    w = word_vector(cy3_space, Word(((0, 2),)))
+    assert is_zero(apply(annihilation(cy3_space, (0, 1)), w))
 
 
 def test_annihilation_kills_vacuum(dih_space):
-    assert is_zero(annihilation(dih_space, (0, 1))(dih_space.word_vector(Word())))
+    assert is_zero(apply(annihilation(dih_space, (0, 1)), word_vector(dih_space, Word())))
 
 
 def test_right_annihilation_coefficient_twist(mat2_space):
     rng = np.random.default_rng(0)
     b = mat2_space.base.random(rng)
     V = np.diag([1.0, -1.0]).astype(complex)
-    w = mat2_space.word_vector(Word(((0, 1), (1, 1))), b)
-    out = right_annihilation(mat2_space, (1, 1))(w)
+    w = word_vector(mat2_space, Word(((0, 1), (1, 1))), b)
+    out = apply(right_annihilation(mat2_space, (1, 1)), w)
     assert np.allclose(out.blocks[mat2_space.word_index[Word(((0, 1),))]], V @ b @ V)
 
 
@@ -181,21 +182,21 @@ def test_diag_e0_kills_length_one(dih_space):
     e0 = np.zeros(4)
     e0[0] = 1.0
     D = diag(dih_space, e0)
-    assert is_zero(D(dih_space.word_vector(Word(((0, 1),)))))
-    assert not is_zero(D(dih_space.word_vector(Word())))
+    assert is_zero(apply(D, word_vector(dih_space, Word(((0, 1),)))))
+    assert not is_zero(apply(D, word_vector(dih_space, Word())))
 
 
 def test_diag_backward_shift(dih_space):
     x = np.array([1.0, 2.0, 3.0, 4.0])
     D = diag(dih_space, x[1:])  # (S*)x
-    w = dih_space.word_vector(Word(((0, 1),)))  # length 1 -> x(2) = 3
-    assert D(w).blocks[dih_space.word_index[Word(((0, 1),))]][0, 0] == pytest.approx(3.0)
+    w = word_vector(dih_space, Word(((0, 1),)))  # length 1 -> x(2) = 3
+    assert apply(D, w).blocks[dih_space.word_index[Word(((0, 1),))]][0, 0] == pytest.approx(3.0)
 
 
 def test_diag_forward_shift_vanishes_below(dih_space):
     x = np.array([1.0, 2.0, 3.0])
     D = diag(dih_space, np.concatenate([np.zeros(2), x]))  # S^2 x
-    assert is_zero(D(dih_space.word_vector(Word(((0, 1),)))))  # k=1 < n=2
+    assert is_zero(apply(D, word_vector(dih_space, Word(((0, 1),)))))  # k=1 < n=2
 
 
 # ---------------------------------------------------------------- partition identity
@@ -290,14 +291,14 @@ def test_noncommuting_fixture_push_order_matters(noncomm_space):
 
 def test_rho_kills_vacuum(dih_space):
     R = rho_matrix(dih_space, identity_op(dih_space)).matrix()
-    assert not np.any(R @ dih_space.to_array(dih_space.word_vector(Word())))
+    assert not np.any(R @ to_array(word_vector(dih_space, Word())))
 
 
 def test_rho_case2_generator_fixed_on_guarded_words(dih_space):
     gen = GeneratorWord(((0, 1),), ((0, 1),))
     A = generator(dih_space, gen)
     # a guarded length-2 word
-    chi = dih_space.to_array(dih_space.word_vector(Word(((0, 1), (1, 1)))))
+    chi = to_array(word_vector(dih_space, Word(((0, 1), (1, 1)))))
     lhs = rho_matrix(dih_space, A).matrix() @ chi
     assert np.abs(lhs - A @ chi).max() <= 1e-13
 

@@ -3,9 +3,11 @@ import inspect
 import numpy as np
 import pytest
 
+import radmul.fock as fock
 import radmul.operators as operators
 import radmul.verify as verify
-from oracles import as_op, coefficient_gaps_by_vectors, failed_names
+from oracles import (apply, as_op, coefficient_gaps_by_vectors, coeffs, failed_names, to_array,
+                     word_vector)
 from radmul.algebra import verify_pp_basis
 from radmul.config import parse_config, preset_config
 from radmul.fock import Word
@@ -42,15 +44,15 @@ def test_embed_identity_acts_as_identity(dih_space):
 
 def test_embed_unitary_creates_on_vacuum(dih_space):
     a = dih_space.amalgam.factors[0].unitary(1)
-    v = embed(dih_space, a)(dih_space.word_vector(Word()))
-    assert list(v.coeffs) == [Word(((0, 1),))]
+    v = apply(embed(dih_space, a), word_vector(dih_space, Word()))
+    assert list(coeffs(v)) == [Word(((0, 1),))]
 
 
 def test_embed_unitary_annihilates_matching_letter(dih_space):
     a = dih_space.amalgam.factors[0].unitary(1)
-    w = dih_space.word_vector(Word(((0, 1), (1, 1))))
-    v = embed(dih_space, a)(w)  # u^2 = 1 strips the leading letter
-    assert list(v.coeffs) == [Word(((1, 1),))]
+    w = word_vector(dih_space, Word(((0, 1), (1, 1))))
+    v = apply(embed(dih_space, a), w)  # u^2 = 1 strips the leading letter
+    assert list(coeffs(v)) == [Word(((1, 1),))]
 
 
 def test_embedding_suite_passes(dih_space, mat2_space, cy3_space):
@@ -109,14 +111,14 @@ def test_word_operator_vacuum_images(mat2_space):
     b = mat2_space.base.random(rng)
     # n = 0: plain left multiplication
     rw = ReducedWord(letters=(), coeffs=(b,))
-    vac = mat2_space.word_vector(Word())
-    v = word_operator(mat2_space, rw)(vac)
+    vac = word_vector(mat2_space, Word())
+    v = apply(word_operator(mat2_space, rw), vac)
     assert np.allclose(v.blocks[mat2_space.word_index[Word()]], b)
     # n = 1 and n = 2 unitary words land on the canonical word vectors
-    v = word_operator(mat2_space, unit_word(mat2_space, (0, 1)))(vac)
-    assert list(v.coeffs) == [Word(((0, 1),))]
-    v = word_operator(mat2_space, unit_word(mat2_space, (0, 1), (1, 1)))(vac)
-    assert list(v.coeffs) == [Word(((0, 1), (1, 1)))]
+    v = apply(word_operator(mat2_space, unit_word(mat2_space, (0, 1))), vac)
+    assert list(coeffs(v)) == [Word(((0, 1),))]
+    v = apply(word_operator(mat2_space, unit_word(mat2_space, (0, 1), (1, 1))), vac)
+    assert list(coeffs(v)) == [Word(((0, 1), (1, 1)))]
     assert np.allclose(v.blocks[mat2_space.word_index[Word(((0, 1), (1, 1)))]], np.eye(2))
 
 
@@ -144,7 +146,7 @@ def test_reduced_word_tells_factors_apart_by_identity(cy3_space):
 def vacuum_expectation(space, A):
     """Vacuum-sector coefficient of A applied to the vacuum; realizes the
     conditional expectation onto N for embedded words."""
-    return A(space.word_vector(Word())).blocks[space.word_index[Word()]]
+    return apply(A, word_vector(space, Word())).blocks[space.word_index[Word()]]
 
 
 def test_vacuum_expectation(dih_space):
@@ -293,10 +295,10 @@ def test_spanning_full_truncation(dih_space):
 def test_word_vacuum_images_match_word_operators(request, name):
     # oracle: one word operator per word and N-basis element, applied to the vacuum
     space = request.getfixturevalue(name)
-    vac = space.word_vector(Word())
+    vac = word_vector(space, Word())
     words = [unit_word(space, *w.letters, right=b) for w in space.words if len(w) <= 2
              for b in space.base.basis()]
-    want = np.stack([space.to_array(word_operator(space, rw)(vac)) for rw in words], axis=1)
+    want = np.stack([to_array(apply(word_operator(space, rw), vac)) for rw in words], axis=1)
     got = word_vacuum_images(space, 2).matrix()[0]
     assert np.abs(got[:, :want.shape[1]] - want).max() <= 1e-13
     assert not got[:, want.shape[1]:].any()
@@ -345,14 +347,16 @@ def test_adjoint_checks_compare_two_constructions():
 
 
 def seed_defect(monkeypatch, name, old, new):
-    """Replace the one ``old`` in the source of ``operators.name`` by
-    ``new``, and put the result in place of ``name`` in the operator and
-    verify modules for the rest of the test."""
-    source = inspect.getsource(getattr(operators, name))
+    """Replace the one ``old`` in the source of ``name``, a function of the
+    fock or the operator module, by ``new``, and put the result in place of
+    ``name`` in the fock, operator and verify modules for the rest of the
+    test."""
+    home = fock if name in vars(fock) else operators
+    source = inspect.getsource(getattr(home, name))
     assert source.count(old) == 1
-    namespace = dict(vars(operators))
+    namespace = dict(vars(home))
     exec(source.replace(old, new), namespace)
-    for module in (operators, verify):
+    for module in (fock, operators, verify):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, namespace[name])
 
@@ -366,11 +370,23 @@ def seed_defect(monkeypatch, name, old, new):
     # R_{gamma*} twisting by alpha_{g^{-1}} in place of alpha_g
     ("right_creation", "space.twists[t]", "space.twists[space.star[t]]", "noncomm_space",
      "right_module_blocks"),
+    # the N-valued inner product without the conjugate on its first slot;
+    # right linearity holds without it
+    ("inner_N", ".conj().transpose(0, 2, 1)", ".transpose(0, 2, 1)", "mat2_space",
+     "fock_word_orthonormality"),
+    # the N-valued inner product with its slots swapped, Y* X
+    ("inner_N", "(x, (-1, d, d)).conj().transpose(0, 2, 1) @ np.reshape(y",
+     "(y, (-1, d, d)).conj().transpose(0, 2, 1) @ np.reshape(x", "mat2_space",
+     "fock_word_orthonormality"),
+    ("inner_N", "(x, (-1, d, d)).conj().transpose(0, 2, 1) @ np.reshape(y",
+     "(y, (-1, d, d)).conj().transpose(0, 2, 1) @ np.reshape(x", "mat2_space",
+     "fock_inner_right_linear"),
 ])
 def test_module_checks_catch_a_seeded_defect(monkeypatch, request, name, old, new, space, check):
-    """The module checks are operator identities, and each of these defects
-    in a building block fails its check; the M_2 base tells c b from c b^T,
-    and the noncommuting model's order-3 twists alpha_g from alpha_{g^{-1}}."""
+    """Each of these defects in a building block or in the N-valued inner
+    product fails its check; the M_2 base tells c b from c b^T and b* c
+    from b^T c or c* b, and the noncommuting model's order-3 twists alpha_g
+    from alpha_{g^{-1}}."""
     seed_defect(monkeypatch, name, old, new)
     space = request.getfixturevalue(space)
     assert check in failed_names(fock_suite(space)) + failed_names(operator_suite(space))
