@@ -35,22 +35,19 @@ Everything here commutes with the right N-action, except the right
 creations, which are covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b).
 A :class:`StructuredOperator` holds one dim_N x dim_N block per word pair.
 Creations and annihilations are partial word maps, each one read of the
-space's word graph (the ``FockSpace`` tables), left N-multiplication the
-identity map with the pushed blocks U_w b U_w*; a product joins the left
-factor's columns to the right factor's rows, sorts the entries by position
-and adds those that meet on one pair (``coalesce``); rho maps every entry
-through all the letters' right creations at once (``appended`` at the
-starred letters); epsilon keeps the entries whose row and column words end
-in the same factor.  Sums over letters and factors run in configuration
-order.
+space's word graph (the ``FockSpace`` tables), and a product joins the left
+factor's columns to the right factor's rows (``coalesce``).  Sums over
+letters and factors run in configuration order.
 
 Every operator is a stack: each entry carries its sample, and a single
 operator is a stack of one.  Every operation runs once for a whole stack,
 each sample coming out exactly as it does alone, entry order included, and
 ``matrix()``, ``op @ x``, ``block_max`` and ``op_norm`` give one result per
-sample.  ``generator_operators`` builds a family of generator words as one
-stack, and ``stack`` joins stacks into one, so that ``apply_weights`` can
-weigh each sample by its own weight set in one pass.
+sample.  A family of generator words is one :class:`Generators`, arrays of
+letter indices and coefficients, and ``generator_operators`` builds it as
+one stack from the columns where each generator acts; ``stack`` joins
+stacks into one, so that ``apply_weights`` can weigh each sample by its
+own weight set in one pass.
 
 The operator is the package's one sparse matrix type.  ``amplify`` builds
 the amplifications sum_i C_i (x) A_i of the norm-bound sampler on the A_i's
@@ -60,12 +57,11 @@ scalar entries of any operator off its blocks.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, Word
+from .fock import FockSpace
 from .report import VerificationReport
 from .sparse import coalesce, op_norm, sum_at
 from .symbols import RadialSymbol
@@ -228,10 +224,8 @@ def _product(a: StructuredOperator, b: StructuredOperator) -> tuple:
     count = np.bincount(key_a, minlength=size)
     order = np.argsort(key_a, kind="stable")
     start = np.cumsum(count) - count
-    reps = count[key_b]
-    eb = np.repeat(np.arange(key_b.size), reps)
-    ea = order[np.repeat(start[key_b], reps) + np.arange(eb.size)
-               - np.repeat(np.cumsum(reps) - reps, reps)]
+    eb, at = _runs(start[key_b], count[key_b])
+    ea = order[at]
     return coalesce(b.samples[eb], a.rows[ea], b.cols[eb], a.blocks[ea] @ b.blocks[eb], n)
 
 
@@ -406,19 +400,22 @@ def epsilon_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperato
     return A.subset(keep).renamed("eps(%s)" % A.name)
 
 
-def apply_weights(space: FockSpace, W: np.ndarray, A: StructuredOperator) -> StructuredOperator:
+def apply_weights(space: FockSpace, W: np.ndarray, A: StructuredOperator,
+                  sets=None) -> StructuredOperator:
     """W0 o A + sum_{n=1}^{L} (rho^n(P1 o A) + rho^{n-1}(P2 o eps(A))) for a
     weight set W = (W0, P1, P2), a (3, L+1, L+1) array by row and column
-    word length (L = ``space.L_max``), or one such set per sample of A; X o B
-    scales each entry of B by X at its lengths and drops those of weight 0.
+    word length (L = ``space.L_max``), or for a stack of such sets W, sample
+    s of A weighed by set ``sets[s]``; X o B scales each entry of B by X at
+    its lengths and drops those of weight 0.
     By Horner's rule: B2 = P2 o eps(A), C = P1 o A + B2, X_0 = 0,
     X_k = rho(X_{k-1} + C), T(A) = W0 o A + B2 + X_L, each sum adding the
     entries on one word pair in that order.  An overflow leaves inf or nan,
     which fails the checks that read it, so numpy does not warn as well."""
-    W = np.broadcast_to(W, (A.n_samples,) + np.shape(W)[-3:])
+    if sets is None:
+        W, sets = np.asarray(W)[None], np.zeros(A.n_samples, dtype=np.intp)
 
     def scaled(table, B):
-        w = W[B.samples, table, space.lengths[B.rows], space.lengths[B.cols]]
+        w = W[sets[B.samples], table, space.lengths[B.rows], space.lengths[B.cols]]
         keep = np.flatnonzero(w)
         return B._new(B.samples[keep], B.rows[keep], B.cols[keep],
                       w[keep, None, None] * B.blocks[keep], B.name)
@@ -451,151 +448,138 @@ def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
                        P, variant)
 
 
+def partition_sum(space: FockSpace, v) -> StructuredOperator:
+    """sum_{n>=0} D_{(S*)^n v} D*_{(S*)^n v} + sum_{n>=1} D_{S^n v} Q_n D*_{S^n v}
+    with Q_n = rho^n(Id): the row sum of the Phi factorization for v, each
+    term a row and column scaling of entries.  The shifted weights partition
+    ||v||^2 on every length, so the sum is ||v||^2 Id."""
+    v = np.asarray(v, dtype=complex).ravel()
+    terms = []
+    for n in range(len(v)):
+        dn = diag(space, v[n:])  # (S*)^n v
+        terms.append(dn @ dn.adjoint())
+    for n, B in enumerate(rho_tower(space, identity_op(space), space.L_max), start=1):
+        dn = diag(space, np.concatenate([np.zeros(n), v]))  # S^n v
+        terms.append(dn @ B @ dn.adjoint())
+    return op_sum(space, terms)
+
+
 def phi_cb_bound(space: FockSpace, x, y) -> float:
-    """Row/column bound for the Phi factorization: the product of the operator
-    norms of sum_k u_k u_k* and sum_k v_k* v_k for the concrete families
-
-        u = { D_{(S*)^n x},  D_{S^n x} R_zeta },   v likewise from y.
-
-    The exact partition of shifted weights makes both sums multiples of the
-    identity, so the value never exceeds ||x||_2 ||y||_2.  Every term is a
-    diagonal map D times a diagonal operator times D*, a row and column
-    scaling of entries.
-    """
-    def side(v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=complex).ravel()
-        terms = []
-        for n in range(len(v)):
-            dn = diag(space, v[n:])  # (S*)^n v
-            terms.append(dn @ dn.adjoint())
-        # rho^n(Id) = Q_n on the truncated space
-        for n, B in enumerate(rho_tower(space, identity_op(space), space.L_max), start=1):
-            dn = diag(space, np.concatenate([np.zeros(n), v]))  # S^n v
-            terms.append(dn @ B @ dn.adjoint())
-        return op_norm(op_sum(space, terms))[0]
-
-    return float(np.sqrt(side(x)) * np.sqrt(side(y)))
+    """Row/column bound for the Phi factorization: the square roots of the
+    norms of sum_k u_k u_k* and sum_k v_k* v_k (``partition_sum`` of x and
+    of y) for u = { D_{(S*)^n x}, D_{S^n x} R_zeta }, v likewise from y, so
+    it never exceeds ||x||_2 ||y||_2."""
+    return float(np.sqrt(op_norm(partition_sum(space, x))[0])
+                 * np.sqrt(op_norm(partition_sum(space, y))[0]))
 
 
-def partition_identity_residual(space: FockSpace, x) -> float:
-    """Scalar shadow of the shifted-weight partition: for every admissible
-    length k, sum_{n>=0} |x(k+n)|^2 + sum_{n=1}^{k} |x(k-n)|^2 = ||x||^2.
-    """
-    x = np.asarray(x, dtype=complex).ravel()
-    target = float(np.vdot(x, x).real)
-    worst = 0.0
-    for k in range(space.L_max + 1):
-        total = sum(abs(x[k + n]) ** 2 for n in range(len(x) - k))
-        total += sum(abs(x[k - n]) ** 2 for n in range(1, k + 1))
-        worst = max(worst, abs(total - target))
-    return worst
+@dataclass(frozen=True, eq=False)
+class Generators:
+    """A family of generator words
 
+        b_0 L_{xi_1} b_1 ... L_{xi_k} b_k L*_{eta_l} bt_l ... L*_{eta_1} bt_1
 
-class CaseTag(enum.Enum):
-    CASE1 = 1
-    CASE2 = 2
+    as arrays over its generators t: ``cre[t]`` holds the indices in
+    ``space.letters`` of xi_1, ..., xi_k, outside in, ``ann[t]`` those of
+    eta_1 (which strips first), ..., eta_l (next to L_{xi_k}), each string
+    in the first slots of its row and -1 in the others.  Only a generator
+    with coefficients has a row ``coeff_rows[t]`` >= 0 in ``cre_coeffs``
+    (b_0, ..., b_k, then zeros) and ``ann_coeffs`` (bt_1, ..., bt_l, then
+    zeros; bt_j left-multiplies right before eta_j strips)."""
 
-
-@dataclass(frozen=True)
-class GeneratorWord:
-    """b_0 L_{xi_1} b_1 ... L_{xi_k} b_k  L*-string  with interleaved coefficients.
-
-    ``cre_letters`` lists xi_1..xi_k outside-in (xi_1 is applied last).
-    ``ann_letters`` lists eta_1..eta_l in the order they consume the
-    argument word's letters: eta_1 strips the leading letter first, and
-    eta_l -- the last entry -- acts adjacent to the final creation letter
-    L_{xi_k}.  ``ann_coeffs[j]`` left-multiplies right before eta_j strips.
-    Each string is a reduced word (``Word``): consecutive letters come from
-    distinct factors, and no letter is the group identity.
-    """
-
-    cre_letters: tuple = ()
-    ann_letters: tuple = ()
-    cre_coeffs: tuple = ()  # (b_0, ..., b_k); empty means identities
-    ann_coeffs: tuple = ()  # (bt_1, ..., bt_l); empty means identities
-
-    def __post_init__(self):
-        object.__setattr__(self, "cre_letters", tuple(tuple(l) for l in self.cre_letters))
-        object.__setattr__(self, "ann_letters", tuple(tuple(l) for l in self.ann_letters))
-        for seq in (self.cre_letters, self.ann_letters):
-            Word(seq)  # raises unless the letters form a reduced word
-        if self.cre_coeffs and len(self.cre_coeffs) != self.k + 1:
-            raise ValueError("need k+1 creation-side coefficients")
-        if self.ann_coeffs and len(self.ann_coeffs) != self.l:
-            raise ValueError("need l annihilation-side coefficients")
+    cre: np.ndarray
+    ann: np.ndarray
+    coeff_rows: np.ndarray
+    cre_coeffs: np.ndarray = None
+    ann_coeffs: np.ndarray = None
 
     @property
-    def k(self) -> int:
-        return len(self.cre_letters)
+    def k(self) -> np.ndarray:
+        return np.count_nonzero(self.cre >= 0, axis=1)
 
     @property
-    def l(self) -> int:
-        return len(self.ann_letters)
+    def l(self) -> np.ndarray:
+        return np.count_nonzero(self.ann >= 0, axis=1)
 
-    @property
-    def case(self) -> CaseTag:
-        if self.k == 0 or self.l == 0:
-            return CaseTag.CASE1
-        if self.cre_letters[-1][0] == self.ann_letters[-1][0]:
-            return CaseTag.CASE2
-        return CaseTag.CASE1
-
-
-def _chain(space: FockSpace, gw: GeneratorWord) -> list:
-    """gw's factors right to left: ("L", letter index), ("L*", letter index)
-    or ("lmul", coefficient), absent coefficients left out."""
-    out = []
-    for j in range(gw.l):
-        if gw.ann_coeffs:
-            out.append(("lmul", gw.ann_coeffs[j]))
-        out.append(("L*", _letter(space, gw.ann_letters[j])))
-    if gw.cre_coeffs:
-        out.append(("lmul", gw.cre_coeffs[gw.k]))
-    for j in reversed(range(gw.k)):
-        out.append(("L", _letter(space, gw.cre_letters[j])))
-        if gw.cre_coeffs:
-            out.append(("lmul", gw.cre_coeffs[j]))
-    return out
+    def case2(self, space: FockSpace) -> np.ndarray:
+        """Case 2: both strings are nonempty, and xi_k and eta_l, the letters
+        that meet, come from one factor; case 1 otherwise."""
+        factor = np.array([i for i, _ in space.letters])
+        k, l, at = self.k, self.l, np.arange(len(self.cre))
+        return (k > 0) & (l > 0) & (factor[self.cre[at, k - 1]] == factor[self.ann[at, l - 1]])
 
 
-def generator_operators(space: FockSpace, gens) -> StructuredOperator:
-    """The generator words ``gens`` as one stack, sample t holding gens[t].
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> tuple:
+    """(run, index): the indices starts[r], ..., starts[r] + sizes[r] - 1 of
+    every run r, runs in order, and the run of each."""
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    return run, np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(run.size)
 
-    Generators whose chains (``_chain``) have the same kinds of factors
-    follow every column word of every sample through the chain together,
-    right to left: one read of the space's word graph per letter, and per
-    coefficient its block at the current word multiplied on from the left,
-    as the product does.  A sample's entries come out in column order, as
-    they do when it is alone.
-    """
-    n = len(space.words)
-    chains = [_chain(space, gw) for gw in gens]
-    groups = {}
-    for t, chain in enumerate(chains):
-        groups.setdefault(tuple(kind for kind, _ in chain), []).append(t)
-    k = space.dim_N
-    parts = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros((0, k, k)),)]
-    for kinds, ids in groups.items():
-        local = np.repeat(np.arange(len(ids)), n)
-        cols = np.tile(np.arange(n), len(ids))
+
+def _seeds(table: np.ndarray, strings: np.ndarray) -> tuple:
+    """(generator, column) for every column word on which all the letter
+    steps table[strings[j, 0]], table[strings[j, 1]], ... of generator j are
+    defined, in generator then column order, found once per distinct string."""
+    key = (strings + 1) @ (table.shape[0] + 1) ** np.arange(strings.shape[1])
+    _, first, at = np.unique(key, return_index=True, return_inverse=True)
+    found = []
+    for string in strings[first]:
+        cols = rows = np.arange(table.shape[1])
+        for t in string:
+            rows = table[t, rows]
+            cols, rows = cols[rows >= 0], rows[rows >= 0]
+        found.append(cols)
+    size = np.array([cols.size for cols in found])
+    local, pos = _runs((np.cumsum(size) - size)[at], size[at])
+    return local, np.concatenate(found)[pos]
+
+
+def generator_operators(space: FockSpace, gens: Generators) -> StructuredOperator:
+    """The generator family ``gens`` as one stack, sample t holding generator t.
+
+    The generators with the same k, l and coefficients (or none) follow
+    their column words through their chains together, right to left: one
+    read of ``stripped`` or ``prepended`` per letter, and per coefficient
+    its block at the current word multiplied on from the left, as the
+    product does.  They start only on the columns where the whole
+    annihilation string, or with none the creation string, is defined
+    (``_seeds``).  A sample's entries come out in column order, as alone."""
+    kinds = np.column_stack((gens.k, gens.l, gens.coeff_rows >= 0))
+    _, first, group = np.unique(kinds, axis=0, return_index=True, return_inverse=True)
+    d = space.dim_N
+    parts = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros((0, d, d)),)]
+    for g in np.argsort(first):  # the groups in the order they first appear
+        ids = np.flatnonzero(group.ravel() == g)
+        gk, gl, gc = (int(x) for x in kinds[first[g]])
+        cre, ann, at = gens.cre[ids], gens.ann[ids], gens.coeff_rows[ids]
+        steps = []  # (table, letter per generator), or (None, coefficient per generator)
+        for j in range(gl):
+            if gc:
+                steps.append((None, gens.ann_coeffs[at, j]))
+            steps.append((space.stripped, ann[:, j]))
+        if gc:
+            steps.append((None, gens.cre_coeffs[at, gk]))
+        for j in reversed(range(gk)):
+            steps.append((space.prepended, cre[:, j]))
+            if gc:
+                steps.append((None, gens.cre_coeffs[at, j]))
+        local, cols = (_seeds(space.stripped, ann[:, :gl]) if gl
+                       else _seeds(space.prepended, cre[:, :gk][:, ::-1]))
         rows, blocks = cols, None
-        for p, kind in enumerate(kinds):
-            values = [chains[t][p][1] for t in ids]
-            if kind != "lmul":
-                t = np.array(values)[local]
-                rows = (space.prepended if kind == "L" else space.stripped)[t, rows]
+        for table, values in steps:
+            if table is not None:
+                rows = table[values[local], rows]
                 keep = np.flatnonzero(rows >= 0)
                 local, rows, cols = local[keep], rows[keep], cols[keep]
                 blocks = None if blocks is None else blocks[keep]
             else:
-                coeffs = np.array([space.base.element(b) for b in values], dtype=complex)
-                lmul = lmul_blocks(space, coeffs[local], rows)
+                lmul = lmul_blocks(space, values[local], rows)
                 blocks = lmul if blocks is None else lmul @ blocks
         if blocks is None:
-            blocks = np.broadcast_to(np.eye(k), (rows.size, k, k))
-        parts.append((np.array(ids)[local], rows, cols, blocks))
+            blocks = np.broadcast_to(np.eye(d), (rows.size, d, d))
+        parts.append((ids[local], rows, cols, blocks))
     samples, rows, cols, blocks = (np.concatenate(x) for x in zip(*parts))
-    return StructuredOperator(space, rows, cols, blocks, "gen(stack)", samples, len(gens))
+    return StructuredOperator(space, rows, cols, blocks, "gen(stack)", samples, len(gens.cre))
 
 
 def _multiplier_weights(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:

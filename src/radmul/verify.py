@@ -14,15 +14,17 @@ symbolic generators, the right-module structure, and the sampled
 completely bounded norm envelope.
 
 The sampled suites draw all their samples first and build each operator
-role of all of them as one stack (``embed``, ``word_operator`` and
-``generator_operators`` take sequences), cut to the columns their checks
-read.  ``_stacked_chunks`` cuts the samples into ranges of bounded size
-(``CHUNK_ENTRIES``), so the multiplier, rho, epsilon, norms and maxima run
-once per range with bounded memory.  Every sample gets exactly the numbers
-it gets on its own, so neither the ranges nor the cuts change a report.  The
-multiplier residuals are divided by the symbol's scale (``_symbol_scale``),
-the T1/T2 component residuals by the larger of it and the largest weight of
-T1 and T2 (``_component_scale``).
+role of all of them as one stack (``embed`` and ``word_operator`` take
+sequences, ``generator_operators`` a ``Generators`` family of index and
+coefficient arrays, which the lemma suite's zoo and the bound suite's draws
+build directly), cut to the columns their checks read.  ``_stacked_chunks``
+cuts the samples into ranges of bounded size (``CHUNK_ENTRIES``), so the
+multiplier, rho, epsilon, norms and maxima run once per range with bounded
+memory.  Every sample gets exactly the numbers it gets on its own, so
+neither the ranges nor the cuts change a report.  The multiplier residuals
+are divided by the symbol's scale (``_symbol_scale``), the T1/T2 component
+residuals by the larger of it and the largest weight of T1 and T2
+(``_component_scale``).
 
 The rank checks build their spanning families as operators, one column per
 vector (``lambda_span``, ``word_vacuum_images``).  Both are block diagonal
@@ -38,25 +40,21 @@ from numpy.random import default_rng  # loaded at import: once, before any fork
 
 from .algebra import FactorElement, cond_exp, multiplication_matrix
 from .fock import FockSpace, inner_N
-from .operators import (CaseTag, GeneratorWord, StructuredOperator, _diag_op,
-                        adjoint_check, amplify, annihilation, apply_weights,
-                        build_T, creation, diag, ends_in_factor_op, epsilon_matrix,
-                        generator_operators, identity_op, left_mult, length_at_least_op,
-                        length_exactly_op, lmul_blocks, op_sum,
-                        partition_identity_residual, phi_cb_bound, phi_weights,
-                        right_annihilation, right_creation, right_mult, rho_matrix, stack)
+from .operators import (Generators, StructuredOperator, _diag_op, adjoint_check, amplify,
+                        annihilation, apply_weights, build_T, creation, diag,
+                        ends_in_factor_op, epsilon_matrix, generator_operators, identity_op,
+                        left_mult, length_at_least_op, length_exactly_op, lmul_blocks, op_sum,
+                        partition_sum, phi_cb_bound, phi_weights, right_annihilation,
+                        right_creation, right_mult, rho_matrix, stack)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
 from .sparse import coalesce, max_column_norm, op_norm, schur_bound
 from .symbols import norm_C
 
 # a chunk of samples holds at most this many scalar entries in all (at least
-# one sample), each weighted 2L+1: a size weight, not a count of copies, set
-# with the cap by measurement.  The lemma suite then runs in 6 chunks at cy3
-# fock_len 5 and 127 at fock_len 9.  A larger cap trades memory for time: at
-# 65536, verify --suite all at cy3 fock_len 5 took 10% less CPU time (0.565
-# -> 0.507 s) and peaked 5.8% higher (39.8 -> 42.1 MB RSS; medians of 12
-# alternating runs each, 2 cores), past the 5% peak-RSS bound the benchmark
-# (BENCHMARK.json) allows, so the cap stays at 4096
+# one sample), each weighted 2L+1: a size weight, not a count of copies.  The
+# lemma suite then runs in 6 chunks at cy3 fock_len 5 and 127 at fock_len 9.
+# A larger cap saves CPU time but raises peak RSS past the 5% bound of the
+# benchmark (BENCHMARK.json; measured in ROADMAP item 1, step B)
 CHUNK_ENTRIES = 4096
 
 # the norm-bound sampler's amplifications m and terms per combination
@@ -223,19 +221,34 @@ def random_reduced_word(rng, space: FockSpace, n: int) -> ReducedWord:
     return ReducedWord(letters=letters, coeffs=coeffs)
 
 
-def random_generator_word(rng, space: FockSpace, k: int, l: int) -> GeneratorWord:
-    def alternating(length):
-        letters = space.letters
-        out = []
-        for _ in range(length):
-            choices = [lt for lt in letters if not out or lt[0] != out[-1][0]]
-            out.append(choices[rng.integers(len(choices))])
-        return tuple(out)
+def _coefficients(rng, base, k: int, l: int) -> tuple:
+    """k + 1 creation and then l annihilation coefficients drawn from rng,
+    padded with zeros to the 3 and 2 slots of a row of ``Generators``."""
+    draws = [base.random(rng) for _ in range(k + 1 + l)]
+    return (np.array(draws[:k + 1] + [base.zero()] * (2 - k)),
+            np.array(draws[k + 1:] + [base.zero()] * (2 - l)))
 
-    base = space.base
-    return GeneratorWord(alternating(k), alternating(l),
-                         cre_coeffs=tuple(base.random(rng) for _ in range(k + 1)),
-                         ann_coeffs=tuple(base.random(rng) for _ in range(l)))
+
+def random_generator_word(rng, space: FockSpace, k: int, l: int) -> tuple:
+    """The rows (cre, ann, cre_coeffs, ann_coeffs) of ``Generators`` for a
+    random word of k, l <= 2 letters, each string alternating factors."""
+    factor = [i for i, _ in space.letters]
+    strings = np.full((2, 2), -1)
+    for s, length in enumerate((k, l)):
+        for j in range(length):
+            choices = [t for t, i in enumerate(factor) if not j or i != factor[strings[s, j - 1]]]
+            strings[s, j] = choices[rng.integers(len(choices))]
+    return (strings[0], strings[1]) + _coefficients(rng, space.base, k, l)
+
+
+def _strings(space: FockSpace, n: int, width: int) -> np.ndarray:
+    """The letter indices of the words of length n, one row per word in
+    basis order, padded with -1 to ``width`` slots."""
+    at = np.flatnonzero(space.lengths == n)
+    out = np.full((at.size, width), -1)
+    for j in range(n):
+        out[:, j], at = space.first_letter[at], space.rest[at]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +332,29 @@ def _word_block_rank(op: StructuredOperator) -> int:
 
 
 def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
-    """Adjoint pairs, the shifted-weight partition identity on 20 random
-    vectors of length 32, and the right-module property of six building
-    blocks A as the identity A R_b = R_b' A on their stack (b' = b, but
-    alpha_g(b) for the covariant R_{gamma*}), at tolerance 1e-12."""
+    """The shifted-weight partition identity and the Phi factorization bound
+    on the two random vectors of length 32, adjoint pairs, and the
+    right-module property of six building blocks A as the identity
+    A R_b = R_b' A on their stack (b' = b, but alpha_g(b) for the covariant
+    R_{gamma*}), at tolerance 1e-12."""
     rng = default_rng([seed, 2])
     report = VerificationReport()
-    tol, n_partition, vec_len = 1e-12, 20, 32
+    tol, vec_len = 1e-12, 32
+    # the draws first; skipping the vectors of an old partition check that read
+    # no operator keeps every draw after them as it was
+    rng.standard_normal(2 * 20 * vec_len)
+    x = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
+    b = space.base.random(rng)
+    xv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
+    yv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
 
-    worst = 0.0
-    for _ in range(n_partition):
-        x = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
-        worst = _fold(worst, partition_identity_residual(space, x))
-    report.add("partition_identity", worst, tol, samples=n_partition)
+    # the row sums of the Phi factorization, whose norms phi_cb_bound takes
+    diff = stack([partition_sum(space, v) - float(np.vdot(v, v).real) * identity_op(space)
+                  for v in (xv, yv)])
+    report.add("partition_identity", _fold(0.0, diff.block_max()), tol, samples=2)
 
     # each adjoint is built by its own rule, not as a conjugate transpose
     letter = space.letters[0]
-    x = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
     for op, op_star in [(creation(space, letter), annihilation(space, letter)),
                         (right_creation(space, letter), right_annihilation(space, letter)),
                         (diag(space, x[1:]), diag(space, np.conj(x[1:])))]:
@@ -343,7 +362,6 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
 
     # everything in sight commutes with the right action, except R_{gamma*},
     # which is covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b)
-    b = space.base.random(rng)
     rb = right_mult(space, b)
     i, g = letter
     rb_twisted = right_mult(space, space.amalgam.factors[i].alpha(g, b))
@@ -361,8 +379,6 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     report.add("epsilon_of_identity", res_eps, tol)
 
     # the factorization bound for Phi never exceeds the vector norms
-    xv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
-    yv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
     bound = phi_cb_bound(space, xv, yv)
     cap = float(np.linalg.norm(xv) * np.linalg.norm(yv))
     report.add("phi_factorization_bound", max(bound - cap, 0.0), 1e-10,
@@ -370,35 +386,34 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     return report
 
 
-def _generator_zoo(space: FockSpace, seed: int) -> list:
+def _generator_zoo(space: FockSpace, seed: int) -> Generators:
     """Deterministic family of generators covering all k, l <= 2 and both
-    cases: every pair of letter strings without coefficients, and one
-    random pair with random coefficients per (k, l)."""
+    cases: per (k, l), every pair of letter strings without coefficients,
+    then one random pair with random coefficients."""
     rng = default_rng([seed, 3])
-    base = space.base
-    strings = [[w.letters for w in space.words if len(w) == n] for n in range(3)]
-    out = []
+    strings = [_strings(space, n, 2) for n in range(3)]
+    cre, ann, rows, coeffs = [], [], [], []
     for k in range(3):
         for l in range(3):
-            out += [GeneratorWord(cre, ann) for cre in strings[k] for ann in strings[l]]
-            cre = strings[k][rng.integers(len(strings[k]))]
-            ann = strings[l][rng.integers(len(strings[l]))]
-            out.append(GeneratorWord(
-                cre, ann,
-                cre_coeffs=tuple(base.random(rng) for _ in range(k + 1)),
-                ann_coeffs=tuple(base.random(rng) for _ in range(l))))
-    return out
+            S, R = strings[k], strings[l]
+            cre += [np.repeat(S, len(R), axis=0), S[[rng.integers(len(S))]]]
+            ann += [np.tile(R, (len(S), 1)), R[[rng.integers(len(R))]]]
+            rows += [np.full(len(S) * len(R), -1), [len(coeffs)]]
+            coeffs.append(_coefficients(rng, space.base, k, l))
+    return Generators(np.concatenate(cre), np.concatenate(ann), np.concatenate(rows),
+                      *map(np.array, zip(*coeffs)))
 
 
-def _phi_scalars(xs: np.ndarray, ys: np.ndarray, gw: GeneratorWord) -> tuple:
-    """The eigenvalues of Phi1_{x,y} and Phi2_{x,y} on the generator."""
-    k, l = gw.k, gw.l
-    span = len(xs) - max(k, l)
-    scalar1 = complex(np.vdot(ys[l:l + span], xs[k:k + span]))
-    if gw.case is CaseTag.CASE1:
-        return scalar1, scalar1
-    span2 = len(xs) - max(k, l) + 1
-    return scalar1, complex(np.vdot(ys[l - 1:l - 1 + span2], xs[k - 1:k - 1 + span2]))
+def _phi_scalars(xs: np.ndarray, ys: np.ndarray, gens: Generators, case2) -> np.ndarray:
+    """The eigenvalues of Phi1_{x,y} and Phi2_{x,y}, a row per generator."""
+    table = np.zeros((3, 3, 2, 2), dtype=complex)
+    for k in range(3):
+        for l in range(3):
+            span = len(xs) - max(k, l)
+            table[k, l] = complex(np.vdot(ys[l:l + span], xs[k:k + span]))
+            if k and l:
+                table[k, l, 1, 1] = complex(np.vdot(ys[l - 1:l + span], xs[k - 1:k + span]))
+    return table[gens.k, gens.l, case2.astype(int)]
 
 
 def lemma_suite(space: FockSpace, symbols, seed: int = 0,
@@ -422,20 +437,15 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
                            + [W for T, _, _ in mults
                               for W in (T.t1_weights, T.t2_weights, T.weights)])
 
-    res_rho = 0.0
-    res_eps = 0.0
+    res_rho = res_eps = res_t = res_t12 = 0.0
     res_phi = [0.0, 0.0]
-    res_t = 0.0
-    res_t12 = 0.0
-    k = np.array([gw.k for gw in gens])
-    l = np.array([gw.l for gw in gens])
-    case2 = np.array([gw.case is CaseTag.CASE2 for gw in gens])
+    k, l, case2 = gens.k, gens.l, gens.case2(space)
     g = space.L_max - np.maximum(k - l, 0) - 1  # the guard band at depth 1
-    scalars = np.array([_phi_scalars(xs, ys, gw) for gw in gens])
-    wants = [(np.array([phi.psi1(int(n)) for n in k + l]),
-              np.array([phi.psi2(int(n)) for n in np.where(case2, k + l - 2, k + l)]),
-              np.array([phi(int(n)) for n in np.where(case2, k + l - 1, k + l)]))
-             for phi in symbols]
+    scalars = _phi_scalars(xs, ys, gens, case2)
+    # psi1(k + l), psi2(k + l) and phi(k + l), in case 2 psi2(k + l - 2) and phi(k + l - 1)
+    wants = [(np.array([phi.psi1(n) for n in range(5)])[k + l],
+              np.array([phi.psi2(n) for n in range(5)])[k + l - 2 * case2],
+              np.array([phi(n) for n in range(5)])[k + l - case2]) for phi in symbols]
     # every check reads the columns of length <= g only, and a column of
     # rho(a), eps(a) or T(a) reads the same or a shorter column of a
     A = generator_operators(space, gens)
@@ -454,9 +464,8 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
 
         # Phi1, Phi2 and every symbol's T1, T2 and T of a in one call, copy j
         # of a weighed by weight set j
-        images = apply_weights(space, np.repeat(weight_sets, a.n_samples, axis=0),
-                               stack([a] * len(weight_sets)))
-        copy = np.arange(images.n_samples) // a.n_samples
+        copy = np.repeat(np.arange(len(weight_sets)), a.n_samples)
+        images = apply_weights(space, weight_sets, stack([a] * len(weight_sets)), copy)
         images = [images.select(copy == j) for j in range(len(weight_sets))]
 
         # Phi eigen-formulas
@@ -474,7 +483,7 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
                                 (t2 - want2[sl] * a).columns_upto(g[sl]).block_max() / s12)
                 res_t = _fold(res_t, (total - want[sl] * a).columns_upto(g[sl]).block_max() / s)
 
-    report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
+    report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens.cre))
     report.add("epsilon_case_rules", res_eps, tol)
     report.add("phi1_eigenvalue_rule", res_phi[0], tol)
     report.add("phi2_eigenvalue_rule", res_phi[1], tol)
@@ -557,7 +566,11 @@ def amplified_stacks(rng, space: FockSpace, T, samples: int):
         gens = [random_generator_word(rng, space, k, l) for k, l in kls]
         draws.append((gens, {m: [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
                                  for _ in range(TERMS)] for m in AMPLIFICATIONS}))
-    stacks = [generator_operators(space, [gens[i] for gens, _ in draws]) for i in range(TERMS)]
+    # term i of every combination, as one family
+    stacks = []
+    for i in range(TERMS):
+        cre, ann, b, bt = map(np.array, zip(*(gens[i] for gens, _ in draws)))
+        stacks.append(generator_operators(space, Generators(cre, ann, np.arange(samples), b, bt)))
     for sl, ops in _stacked_chunks(space, stacks):
         chunk = draws[sl]
         # one Horner pass for all TERMS stacks pays its per-call cost once
@@ -583,6 +596,10 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     """
     rng = default_rng([seed, 6])
     report = VerificationReport()
+    # the first creation word of every length up to 3
+    lengths = range(0, min(3, space.L_max) + 1)
+    cre = np.array([_strings(space, n, 3)[0] for n in lengths])
+    creations = generator_operators(space, Generators(cre, cre[:, :0], np.full(len(cre), -1)))
     for si, phi in enumerate(symbols):
         T = build_T(space, phi)
         c_norm = norm_C(phi)
@@ -597,12 +614,9 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
 
         attained = 0.0
         want = 0.0
-        lengths = range(0, min(3, space.L_max) + 1)
         for n in lengths:
             want = max(want, abs(phi(n)))
-        creations = [GeneratorWord(next(w.letters for w in space.words if len(w) == n), ())
-                     for n in lengths]
-        for _, (A,) in _stacked_chunks(space, [generator_operators(space, creations)]):
+        for _, (A,) in _stacked_chunks(space, [creations]):
             na = op_norm(A)
             ratio = op_norm(T.apply_matrix(A)) / np.where(na > 0, na, 1.0)
             attained = _fold(attained, ratio[na > 0])

@@ -29,6 +29,14 @@ main theorem suite with one whole word operator at a time.  ``generator_chain``,
 ``embed_per_element`` and ``word_by_products`` build one generator, one
 embedding and one word operator from single operators (``op_product``),
 the routes the package's stacked constructors replaced.
+:class:`GeneratorWord` is a generator word as letter tuples and
+coefficient tuples, the object form that ``operators.Generators``
+replaced; ``family`` and ``generator_words`` convert between the two
+forms, and ``generator_operators_tiled`` is the route that followed every
+generator from every column word (``chain``) before the package seeded
+each group with the columns where it acts.  ``partition_identity_residual``
+is the scalar shadow of the partition that ``operators.partition_sum``
+sums as operators.
 ``embed_by_term_loop`` is the factor embedding with one Python iteration
 per (j, k) term, on the per-term words of ``embed_terms_by_pair``, and
 ``product_by_loop`` the crossed-product product one left coefficient at a
@@ -52,14 +60,17 @@ The rest are helpers only the tests call: ``basis_fock_vector``,
 ``is_zero``, ``canonicalize`` (a formal tensor b_0 u_{g_1} b_1 ... u_{g_k}
 b_k pushed to its one right coefficient), ``zero_op``,
 ``start_complement_op``, ``generator`` (one generator word as a single
-operator), ``worst_residual`` and ``failed_names``.
+operator), ``random_word`` (``verify.random_generator_word``'s draw as a
+``GeneratorWord``), ``worst_residual`` and ``failed_names``.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from radmul.algebra import FactorElement, _coords, cond_exp
 from radmul.fock import FockVector, Word
-from radmul.operators import (CaseTag, StructuredOperator, _diag_op, annihilation,
+from radmul.operators import (Generators, StructuredOperator, _diag_op, _letter, annihilation,
                               apply_weights, build_T, creation, generator_operators,
                               identity_op, left_mult, length_at_least_op, lmul_blocks, op_sum,
                               phi_weights)
@@ -67,7 +78,7 @@ from radmul.report import EIGEN_TOL, VerificationReport
 from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
 from radmul.verify import (_fold, _generator_zoo, _symbol_scale, embed,
-                           random_reduced_word)
+                           random_generator_word, random_reduced_word)
 
 
 def vector(space, blocks):
@@ -157,9 +168,155 @@ def start_complement_op(space, i):
     return _diag_op(space, space.first_factors != i, "P[start!=%d]" % i)
 
 
+@dataclass(frozen=True)
+class GeneratorWord:
+    """b_0 L_{xi_1} b_1 ... L_{xi_k} b_k  L*-string  with interleaved coefficients.
+
+    ``cre_letters`` lists xi_1..xi_k outside-in (xi_1 is applied last).
+    ``ann_letters`` lists eta_1..eta_l in the order they consume the
+    argument word's letters: eta_1 strips the leading letter first, and
+    eta_l -- the last entry -- acts adjacent to the final creation letter
+    L_{xi_k}.  ``ann_coeffs[j]`` left-multiplies right before eta_j strips.
+    Empty coefficient tuples mean identities.
+    """
+
+    cre_letters: tuple = ()
+    ann_letters: tuple = ()
+    cre_coeffs: tuple = ()  # (b_0, ..., b_k)
+    ann_coeffs: tuple = ()  # (bt_1, ..., bt_l)
+
+    @property
+    def k(self) -> int:
+        return len(self.cre_letters)
+
+    @property
+    def l(self) -> int:
+        return len(self.ann_letters)
+
+    @property
+    def case(self) -> int:
+        """2 when both strings are nonempty and xi_k and eta_l share a factor, else 1."""
+        if self.k and self.l and self.cre_letters[-1][0] == self.ann_letters[-1][0]:
+            return 2
+        return 1
+
+
+def family(space, gws):
+    """The array form (``Generators``) of a list of ``GeneratorWord``s; a
+    word has coefficients when it has creation coefficients, and then
+    annihilation coefficients too, if it has annihilation letters."""
+    index = {letter: t for t, letter in enumerate(space.letters)}
+    width = max([2] + [max(gw.k, gw.l) for gw in gws])
+
+    def letters(seq):
+        return [index[tuple(x)] for x in seq] + [-1] * (width - len(seq))
+
+    cre = np.array([letters(gw.cre_letters) for gw in gws], dtype=np.intp).reshape(-1, width)
+    ann = np.array([letters(gw.ann_letters) for gw in gws], dtype=np.intp).reshape(-1, width)
+    coeffed = [t for t, gw in enumerate(gws) if gw.cre_coeffs]
+    rows = np.full(len(gws), -1)
+    rows[coeffed] = np.arange(len(coeffed))
+    d = space.base.d
+    b = np.zeros((len(coeffed), width + 1, d, d), dtype=complex)
+    bt = np.zeros((len(coeffed), width, d, d), dtype=complex)
+    for r, t in enumerate(coeffed):
+        gw = gws[t]
+        assert len(gw.ann_coeffs) == gw.l, "coefficients on both strings or on neither"
+        for j, c in enumerate(gw.cre_coeffs):
+            b[r, j] = space.base.element(c)
+        for j, c in enumerate(gw.ann_coeffs):
+            bt[r, j] = space.base.element(c)
+    return Generators(cre, ann, rows, b, bt)
+
+
+def generator_words(space, gens):
+    """The ``GeneratorWord``s of an array family, in order."""
+    out = []
+    for t in range(len(gens.cre)):
+        k, l, r = gens.k[t], gens.l[t], gens.coeff_rows[t]
+        coeffs = ((tuple(gens.cre_coeffs[r, :k + 1]), tuple(gens.ann_coeffs[r, :l])) if r >= 0
+                  else ((), ()))
+        out.append(GeneratorWord(tuple(space.letters[x] for x in gens.cre[t, :k]),
+                                 tuple(space.letters[x] for x in gens.ann[t, :l]), *coeffs))
+    return out
+
+
+def random_word(rng, space, k, l):
+    """``verify.random_generator_word``'s draw as a ``GeneratorWord``."""
+    draw = random_generator_word(rng, space, k, l)
+    cre, ann, b, bt = (np.array([x]) for x in draw)
+    return generator_words(space, Generators(cre, ann, np.zeros(1, dtype=np.intp), b, bt))[0]
+
+
 def generator(space, gw):
     """One generator word as a stack of one."""
-    return generator_operators(space, [gw]).renamed("gen(k=%d,l=%d)" % (gw.k, gw.l))
+    return generator_operators(space, family(space, [gw])).renamed(
+        "gen(k=%d,l=%d)" % (gw.k, gw.l))
+
+
+def chain(space, gw):
+    """gw's factors right to left: ("L", letter index), ("L*", letter index)
+    or ("lmul", coefficient), absent coefficients left out."""
+    out = []
+    for j in range(gw.l):
+        if gw.ann_coeffs:
+            out.append(("lmul", gw.ann_coeffs[j]))
+        out.append(("L*", _letter(space, gw.ann_letters[j])))
+    if gw.cre_coeffs:
+        out.append(("lmul", gw.cre_coeffs[gw.k]))
+    for j in reversed(range(gw.k)):
+        out.append(("L", _letter(space, gw.cre_letters[j])))
+        if gw.cre_coeffs:
+            out.append(("lmul", gw.cre_coeffs[j]))
+    return out
+
+
+def generator_operators_tiled(space, gens):
+    """``GeneratorWord``s as one stack, the route that tiles every generator
+    over every column word: generators whose chains have the same kinds of
+    factors follow all the column words through the chain together, right
+    to left, and a letter step drops the columns where it is undefined."""
+    n = len(space.words)
+    chains = [chain(space, gw) for gw in gens]
+    groups = {}
+    for t, ch in enumerate(chains):
+        groups.setdefault(tuple(kind for kind, _ in ch), []).append(t)
+    k = space.dim_N
+    parts = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros((0, k, k)),)]
+    for kinds, ids in groups.items():
+        local = np.repeat(np.arange(len(ids)), n)
+        cols = np.tile(np.arange(n), len(ids))
+        rows, blocks = cols, None
+        for p, kind in enumerate(kinds):
+            values = [chains[t][p][1] for t in ids]
+            if kind != "lmul":
+                t = np.array(values)[local]
+                rows = (space.prepended if kind == "L" else space.stripped)[t, rows]
+                keep = np.flatnonzero(rows >= 0)
+                local, rows, cols = local[keep], rows[keep], cols[keep]
+                blocks = None if blocks is None else blocks[keep]
+            else:
+                coeffs = np.array([space.base.element(b) for b in values], dtype=complex)
+                lmul = lmul_blocks(space, coeffs[local], rows)
+                blocks = lmul if blocks is None else lmul @ blocks
+        if blocks is None:
+            blocks = np.broadcast_to(np.eye(k), (rows.size, k, k))
+        parts.append((np.array(ids)[local], rows, cols, blocks))
+    samples, rows, cols, blocks = (np.concatenate(x) for x in zip(*parts))
+    return StructuredOperator(space, rows, cols, blocks, "gen(stack)", samples, len(gens))
+
+
+def partition_identity_residual(space, x):
+    """Scalar shadow of the shifted-weight partition: for every admissible
+    length k, sum_{n>=0} |x(k+n)|^2 + sum_{n=1}^{k} |x(k-n)|^2 = ||x||^2."""
+    x = np.asarray(x, dtype=complex).ravel()
+    target = float(np.vdot(x, x).real)
+    worst = 0.0
+    for k in range(space.L_max + 1):
+        total = sum(abs(x[k + n]) ** 2 for n in range(len(x) - k))
+        total += sum(abs(x[k - n]) ** 2 for n in range(1, k + 1))
+        worst = max(worst, abs(total - target))
+    return worst
 
 
 def worst_residual(report):
@@ -555,7 +712,7 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
     of the tower (``weighted_sum_dense`` of the ``expand``ed weight set)."""
     rng = np.random.default_rng([seed, 4])
     report = VerificationReport()
-    gens = _generator_zoo(space, seed)
+    gens = generator_words(space, _generator_zoo(space, seed))
     mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
 
     vec_len = max(space.L_max + 2, 8)
@@ -585,14 +742,14 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
             target = a @ length_at_least_op(space, l + n).matrix()[0]
             res_rho = max(res_rho, masked(tw[n] - target, n))
 
-        if case is CaseTag.CASE2:
+        if case == 2:
             res_eps = max(res_eps, masked(tw[L + 1] - a))
         else:
             res_eps = max(res_eps, masked(tw[L + 1] - tw[1]))
 
         span = len(xs) - max(k, l)
         scalar1 = complex(np.vdot(ys[l:l + span], xs[k:k + span]))
-        if case is CaseTag.CASE2:
+        if case == 2:
             span2 = len(xs) - max(k, l) + 1
             scalar2 = complex(np.vdot(ys[l - 1:l - 1 + span2], xs[k - 1:k - 1 + span2]))
         else:
@@ -604,10 +761,10 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
             # T1 and T2 are compared on the scale of their own weights
             s12 = max(s, np.abs(T.t1_weights).max(), np.abs(T.t2_weights).max())
             want1 = phi.psi1(k + l)
-            want2 = phi.psi2(k + l) if case is CaseTag.CASE1 else phi.psi2(k + l - 2)
+            want2 = phi.psi2(k + l) if case == 1 else phi.psi2(k + l - 2)
             res_t12 = max(res_t12, masked(apply(T.t1_weights) - want1 * a) / s12)
             res_t12 = max(res_t12, masked(apply(T.t2_weights) - want2 * a) / s12)
-            n_eff = k + l if case is CaseTag.CASE1 else k + l - 1
+            n_eff = k + l if case == 1 else k + l - 1
             res_t = max(res_t, masked(apply(T.weights) - phi(n_eff) * a) / s)
 
     report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))

@@ -14,12 +14,11 @@ import numpy as np
 from radmul.algebra import verify_pp_basis
 from radmul.cli import _run_suites
 from radmul.config import parse_config, preset_config
-from radmul.operators import partition_identity_residual
 from radmul.symbols import RadialSymbol, hankel_pair, norm_C, ricard_xu_bound
 from radmul.verify import lemma_suite, main_theorem_suite, norm_bound_suite
 
 from conftest import symbol_zoo
-from oracles import worst_residual
+from oracles import partition_identity_residual, worst_residual
 
 ACCEPT_SEED = 2024
 

@@ -5,25 +5,27 @@ replaced (``oracles``), whatever the chunk size."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import radmul.verify as verify
-from oracles import (dense_rank, embed_by_products, embed_by_term_loop, embed_per_element,
-                     embed_terms_by_pair, generator,
-                     generator_chain, lambda_span_dense, lemma_suite_per_generator, theorem_suite_per_word,
+from oracles import (GeneratorWord, dense_rank, embed_by_products, embed_by_term_loop,
+                     embed_per_element, embed_terms_by_pair, family, generator, generator_chain,
+                     generator_operators_tiled, generator_words, lambda_span_dense,
+                     lemma_suite_per_generator, random_word, theorem_suite_per_word,
                      word_by_products, word_vacuum_images_dense)
 from radmul.algebra import FactorElement
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
 from radmul.fock import FockVector
-from radmul.operators import (GeneratorWord, StructuredOperator, apply_weights, build_T,
-                              epsilon_matrix, generator_operators, rho_matrix, stack)
+from radmul.operators import (StructuredOperator, apply_weights, build_T, epsilon_matrix,
+                              generator_operators, rho_matrix, stack)
 from radmul.report import VerificationReport
 from radmul.symbols import RadialSymbol
 from radmul.verify import (embed, embedding_suite, fock_suite, lemma_suite,
-                           main_theorem_suite, random_generator_word, random_reduced_word,
+                           main_theorem_suite, random_reduced_word,
                            spanning_check, word_operator, word_vacuum_images)
 
 EXACT = ["dih_space", "mat2_space", "cy3_space"]
@@ -53,26 +55,33 @@ def assert_sample_is(stack_op, s, want):
 
 
 def every_signature(space, rng):
-    """Generators of every (k, l), each with and without each coefficient
-    string, in shuffled order."""
-    base, gens = space.base, []
+    """Generators of every (k, l), two with coefficients and two without,
+    in shuffled order; the family's chains start with a letter step, with a
+    coefficient (every generator with coefficients and l > 0, whose bt_1
+    comes first) or with no letter step at all (k = l = 0)."""
+    gens = []
     for k in range(3):
         for l in range(3):
-            for cre in (False, True):
-                for ann in (False, True):
-                    gw = random_generator_word(rng, space, k, l)
-                    gens.append(GeneratorWord(
-                        gw.cre_letters, gw.ann_letters,
-                        cre_coeffs=tuple(base.random(rng) for _ in range(k + 1)) if cre else (),
-                        ann_coeffs=tuple(base.random(rng) for _ in range(l)) if ann else ()))
+            for coeffs in (False, False, True, True):
+                gw = random_word(rng, space, k, l)
+                gens.append(gw if coeffs else GeneratorWord(gw.cre_letters, gw.ann_letters))
     return [gens[t] for t in rng.permutation(len(gens))]
+
+
+def cyclic_space(order):
+    """dih with its first factor cyclic of the given order at fock_len 2
+    (dim 3 order - 1)."""
+    data = preset_config("dih")
+    data["factors"][0]["group"]["order"] = order
+    data["truncation"]["fock_len"] = 2
+    return parse_config(data).space()
 
 
 @pytest.mark.parametrize("name", SPACES)
 def test_generator_stack_matches_chain_oracle(request, name):
     space = request.getfixturevalue(name)
     gens = every_signature(space, np.random.default_rng(42))
-    A = generator_operators(space, gens)
+    A = generator_operators(space, family(space, gens))
     assert A.n_samples == len(gens)
     for s, gw in enumerate(gens):
         want = generator_chain(space, gw)
@@ -80,6 +89,46 @@ def test_generator_stack_matches_chain_oracle(request, name):
         single = generator(space, gw)
         assert single.n_samples == 1
         assert_sample_is(single, 0, want)
+
+
+@pytest.mark.parametrize("name", SPACES + ["cyclic12"])
+def test_seeded_generator_build_matches_tiled_oracle(request, name):
+    # the stack seeded with the columns where each group's leading letter
+    # steps act equals, entry for entry and in order, the one that follows
+    # every generator from every column word
+    space = cyclic_space(12) if name == "cyclic12" else request.getfixturevalue(name)
+    rng = np.random.default_rng(46)
+    families = [verify._generator_zoo(space, 5)]
+    if name != "cyclic12":
+        families.append(family(space, every_signature(space, rng)))
+    for gens in families:
+        got = generator_operators(space, gens)
+        want = generator_operators_tiled(space, generator_words(space, gens))
+        assert got.n_samples == want.n_samples == len(gens.cre)
+        for field in ("samples", "rows", "cols", "blocks"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def traced_peak(build):
+    """build() and the peak of the memory it allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_seeded_generator_build_allocates_only_what_it_keeps():
+    # dih with a cyclic factor of order 48: the zoo has 20458 generators and
+    # keeps 23189 entries.  Following every generator from every column word
+    # (``generator_operators_tiled``) takes 2.9M entries and peaks near 59
+    # times the kept bytes; the seeded build peaks near 2.7 times
+    space = cyclic_space(48)
+    gens = verify._generator_zoo(space, 1)
+    A, peak = traced_peak(lambda: generator_operators(space, gens))
+    assert (len(gens.cre), A.rows.size) == (20458, 23189)
+    assert peak <= 4 * sum(x.nbytes for x in (A.samples, A.rows, A.cols, A.blocks))
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -173,7 +222,7 @@ def test_column_cuts_keep_towers_and_multiplier_exact(request, name, symbols):
     T = build_T(space, symbols[2])
     # the lemma suite's cut: each generator to the columns of length <= g
     gens = every_signature(space, rng)
-    full = generator_operators(space, gens)
+    full = generator_operators(space, family(space, gens))
     g = np.array([L - max(gw.k - gw.l, 0) - 1 for gw in gens])
     cut = full.subset(lengths[full.cols] <= g[full.samples])
     for a, b in zip(images(space, T, full), images(space, T, cut)):

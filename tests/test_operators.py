@@ -7,21 +7,20 @@ from radmul.algebra import cond_exp
 from radmul.config import parse_config, preset_config
 from radmul.fock import Word
 from conftest import noncommuting_config
-from oracles import (append_star, apply, as_op, coeffs, column_matrix, epsilon_dense, expand,
-                     generator, is_zero, left_action, phi_block_matrix, prepend, right_action,
-                     rho_dense, strip_first, strip_star, to_array, tower_dense,
-                     weighted_sum_dense, word_vector, zero_op)
+from oracles import (GeneratorWord, append_star, apply, as_op, coeffs, column_matrix,
+                     epsilon_dense, expand, family, generator, generator_words, is_zero,
+                     left_action, partition_identity_residual, phi_block_matrix, prepend,
+                     random_word, right_action, rho_dense, strip_first, strip_star, to_array,
+                     tower_dense, weighted_sum_dense, word_vector, zero_op)
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
-from radmul.operators import (CaseTag, GeneratorWord, StructuredOperator,
-                              adjoint_check, amplify, annihilation, apply_weights, build_T,
-                              creation, diag, eps_rho_tower, epsilon_matrix,
-                              identity_op, left_mult, length_at_least_op,
-                              partition_identity_residual, phi_cb_bound, phi_weights,
-                              right_annihilation, right_creation, right_mult, rho_matrix,
-                              rho_tower, stack)
+from radmul.operators import (StructuredOperator, adjoint_check, amplify, annihilation,
+                              apply_weights, build_T, creation, diag, eps_rho_tower,
+                              epsilon_matrix, identity_op, left_mult, length_at_least_op,
+                              partition_sum, phi_cb_bound, phi_weights, right_annihilation,
+                              right_creation, right_mult, rho_matrix, rho_tower, stack)
 from radmul.symbols import RadialSymbol, factorize, hankel_pair
-from radmul.verify import (ReducedWord, amplified_stacks, embed, random_generator_word,
-                           random_reduced_word, word_operator)
+from radmul.verify import (ReducedWord, amplified_stacks, embed, random_reduced_word,
+                           word_operator)
 
 SPACES = ["dih_space", "mat2_space", "cy3_space", "noncomm_space"]
 SCALAR_BASE = {"dih_space", "cy3_space"}
@@ -202,6 +201,7 @@ def test_diag_forward_shift_vanishes_below(dih_space):
 # ---------------------------------------------------------------- partition identity
 
 def test_partition_identity_scalar(dih_space):
+    # the oracle: the partition of ||x||^2 by lengths, on scalars
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = rng.standard_normal(40) + 1j * rng.standard_normal(40)
@@ -224,6 +224,8 @@ def test_partition_identity_as_operators(dih_space):
         total += D @ Q.matrix()[0] @ D.conj().T
     want = float(np.vdot(x, x).real) * np.eye(dih_space.dim)
     assert np.abs(total - want).max() <= 1e-12 * np.vdot(x, x).real
+    # the package's sum adds the same terms as operators
+    assert np.abs(partition_sum(dih_space, x).matrix()[0] - total).max() <= 1e-13
 
 
 # ---------------------------------------------------------------- rho / epsilon
@@ -312,12 +314,12 @@ def test_epsilon_identity_is_q1(dih_space):
 def test_epsilon_case_rules(cy3_space):
     space = cy3_space
     g2 = GeneratorWord(((0, 1),), ((0, 2),))  # same factor: case 2
-    assert g2.case is CaseTag.CASE2
+    assert family(space, [g2]).case2(space).tolist() == [True]
     A = generator(space, g2)
     assert np.abs(epsilon_matrix(space, A).matrix() - A.matrix()).max() <= 1e-13
 
     g1 = GeneratorWord(((0, 1),), ((1, 1),))  # different factors: case 1
-    assert g1.case is CaseTag.CASE1
+    assert family(space, [g1]).case2(space).tolist() == [False]
     A = generator(space, g1)
     assert np.abs(epsilon_matrix(space, A).matrix()
                   - rho_matrix(space, A).matrix()).max() <= 1e-13
@@ -347,7 +349,7 @@ def test_phi_eigen_formula_on_generators(dih_space):
         s1 = brute_phi_scalar(x, y, k, l)
         out1 = phi_block_matrix(dih_space, 1, x, y, op).matrix()[0]
         assert np.abs((out1 - s1 * A)[:, guard]).max() <= 1e-10
-        s2 = s1 if gen.case is CaseTag.CASE1 else brute_phi_scalar(x, y, k, l, shift=1)
+        s2 = s1 if gen.case == 1 else brute_phi_scalar(x, y, k, l, shift=1)
         out2 = phi_block_matrix(dih_space, 2, x, y, op).matrix()[0]
         assert np.abs((out2 - s2 * A)[:, guard]).max() <= 1e-10
 
@@ -373,18 +375,19 @@ def test_phi_cb_bound_values(dih_space):
 
 # ---------------------------------------------------------------- cases
 
-def test_case_classification():
-    assert GeneratorWord((), ((0, 1),)).case is CaseTag.CASE1
-    assert GeneratorWord(((0, 1),), ()).case is CaseTag.CASE1
-    assert GeneratorWord(((0, 1),), ((1, 1),)).case is CaseTag.CASE1
-    assert GeneratorWord(((1, 1), (0, 1)), ((1, 1), (0, 1))).case is CaseTag.CASE2
-
-
-def test_generator_validation():
-    with pytest.raises(ValueError):
-        GeneratorWord(((0, 1), (0, 1)), ())
-    with pytest.raises(ValueError):
-        GeneratorWord(((0, 1),), (), cre_coeffs=(np.eye(1),))
+def test_case_classification(cy3_space):
+    # the array form's case against the letter tuples': case 2 when xi_k and
+    # eta_l, the letters that meet, share a factor
+    gens = [GeneratorWord(), GeneratorWord((), ((0, 1),)), GeneratorWord(((0, 1),), ()),
+            GeneratorWord(((0, 1),), ((1, 1),)), GeneratorWord(((0, 1),), ((0, 2),)),
+            GeneratorWord(((1, 1), (0, 1)), ((1, 1), (0, 1))),
+            GeneratorWord(((0, 1), (1, 1)), ((1, 2), (0, 1))),
+            GeneratorWord(((0, 2), (1, 1)), ((0, 1), (1, 2)))]
+    want = [False, False, False, False, True, True, False, True]
+    fam = family(cy3_space, gens)
+    assert [gw.case == 2 for gw in gens] == fam.case2(cy3_space).tolist() == want
+    assert (fam.k.tolist(), fam.l.tolist()) == ([gw.k for gw in gens], [gw.l for gw in gens])
+    assert generator_words(cy3_space, fam) == gens
 
 
 
@@ -413,7 +416,7 @@ def test_generator_operator_matches_factor_product(request, name):
             GeneratorWord((), (), cre_coeffs=(space.base.random(rng),))]
     for k, l in [(1, 0), (0, 1), (2, 1), (1, 2), (2, 2)]:
         for c in (False, True):
-            gw = random_generator_word(rng, space, k, l)
+            gw = random_word(rng, space, k, l)
             gens.append(gw if c else GeneratorWord(gw.cre_letters, gw.ann_letters))
     for gw in gens:
         want = np.linalg.multi_dot(generator_factor_matrices(space, gw) + [np.eye(space.dim)])
@@ -823,7 +826,7 @@ def test_case_convention_pinned_by_scaling(dih_space):
     # cre[-1] and ann[-1] share factor 0 while ann[0] lives in factor 1, so
     # the word is case 2 and must scale by phi(k+l-1), not phi(k+l).
     gen = GeneratorWord(((0, 1),), ((1, 1), (0, 1)))
-    assert gen.case is CaseTag.CASE2
+    assert family(dih_space, [gen]).case2(dih_space).tolist() == [True]
     phi = RadialSymbol.geometric(0.5)  # phi(2) = 0.25 != phi(3) = 0.125
     T = build_T(dih_space, phi)
     op = generator(dih_space, gen)

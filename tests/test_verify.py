@@ -381,6 +381,10 @@ def seed_defect(monkeypatch, name, old, new):
     ("inner_N", "(x, (-1, d, d)).conj().transpose(0, 2, 1) @ np.reshape(y",
      "(y, (-1, d, d)).conj().transpose(0, 2, 1) @ np.reshape(x", "mat2_space",
      "fock_inner_right_linear"),
+    # D_x scaling the length-k sector by x(k - 1): the shifted weights no
+    # longer partition ||x||^2
+    ("diag", "values[space.lengths]", "values[space.lengths - 1]", "dih_space",
+     "partition_identity"),
 ])
 def test_module_checks_catch_a_seeded_defect(monkeypatch, request, name, old, new, space, check):
     """Each of these defects in a building block or in the N-valued inner
