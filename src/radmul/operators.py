@@ -368,13 +368,25 @@ def rho_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperator:
     """sum_gamma R A R^*: every entry (r, c, X) goes to
     (r gamma*, c gamma*, alpha X alpha^*) for each letter gamma whose right
     creation is defined on both words, all letters in one vectorized step.
-    The letters' target words end differently, so no two images land on the
-    same word pair."""
-    table, alpha = space.appended[space.star], space.twists
-    tr, tc = table[:, A.rows], table[:, A.cols]
-    t, e = np.nonzero(np.minimum(tr, tc) >= 0)
+    R_{gamma*} appends a letter of gamma's factor i, so it can act only on
+    the words shorter than L_max that end outside i: one mask of the
+    entries per factor, emitted once for each of its letters, in (letter,
+    entry) order, and a pair whose image the word graph lacks dropped.
+    The letters' target words end differently, so no two images land on
+    the same word pair."""
+    short = (space.lengths[A.rows] < space.L_max) & (space.lengths[A.cols] < space.L_max)
+    ends_r, ends_c = space.last_factors[A.rows], space.last_factors[A.cols]
+    factor = np.array([i for i, _ in space.letters], dtype=np.intp)
+    parts = []
+    for i in range(len(space.amalgam.factors)):
+        e, t = np.flatnonzero(short & (ends_r != i) & (ends_c != i)), np.flatnonzero(factor == i)
+        parts.append((np.repeat(t, e.size), np.tile(e, t.size)))
+    t, e = (np.concatenate(x) for x in zip(*parts))
+    rows, cols = space.appended[space.star[t], A.rows[e]], space.appended[space.star[t], A.cols[e]]
+    keep = np.flatnonzero(np.minimum(rows, cols) >= 0)
+    t, e, rows, cols, alpha = t[keep], e[keep], rows[keep], cols[keep], space.twists
     blocks = alpha[t] @ A.blocks[e] @ alpha[t].conj().transpose(0, 2, 1)
-    return A._new(A.samples[e], tr[t, e], tc[t, e], blocks, "rho(%s)" % A.name)
+    return A._new(A.samples[e], rows, cols, blocks, "rho(%s)" % A.name)
 
 
 def rho_tower(space: FockSpace, A: StructuredOperator, n_max: int) -> list:
@@ -464,13 +476,14 @@ def partition_sum(space: FockSpace, v) -> StructuredOperator:
     return op_sum(space, terms)
 
 
-def phi_cb_bound(space: FockSpace, x, y) -> float:
-    """Row/column bound for the Phi factorization: the square roots of the
-    norms of sum_k u_k u_k* and sum_k v_k* v_k (``partition_sum`` of x and
-    of y) for u = { D_{(S*)^n x}, D_{S^n x} R_zeta }, v likewise from y, so
-    it never exceeds ||x||_2 ||y||_2."""
-    return float(np.sqrt(op_norm(partition_sum(space, x))[0])
-                 * np.sqrt(op_norm(partition_sum(space, y))[0]))
+def phi_cb_bound(sums: StructuredOperator) -> float:
+    """Row/column bound for the Phi factorization from the stack of its row
+    sums, ``partition_sum`` of x and of y: the square roots of the norms of
+    sum_k u_k u_k* and sum_k v_k* v_k for u = { D_{(S*)^n x}, D_{S^n x}
+    R_zeta }, v likewise from y, multiplied, so it never exceeds
+    ||x||_2 ||y||_2."""
+    norms = op_norm(sums)
+    return float(np.sqrt(norms[0]) * np.sqrt(norms[1]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,24 +67,26 @@ def _stacked_chunks(space: FockSpace, stacks):
     samples of ``stacks`` (one per operator role, all of one size).  A range
     takes samples while their sizes (the size weight 2L+1 per scalar entry
     of a block, see ``CHUNK_ENTRIES``) add up to at most ``CHUNK_ENTRIES``,
-    and at least one."""
+    and at least one.  Each stack's entries are sorted by sample once, so a
+    range's entries are one slice of that order, put back in entry order:
+    the stack of the range's samples that ``select`` gives."""
     n = stacks[0].n_samples
     per = (2 * space.L_max + 1) * space.dim_N ** 2
-    sizes = per * np.bincount(np.concatenate([op.samples for op in stacks]), minlength=n)
-    start, total = 0, 0
-    for t, size in enumerate(sizes):
-        if t > start and total + size > CHUNK_ENTRIES:
-            yield _chunk(stacks, start, t)
-            start, total = t, 0
-        total += size
-    if n > start:
-        yield _chunk(stacks, start, n)
-
-
-def _chunk(stacks, start: int, stop: int) -> tuple:
-    keep = np.zeros(stacks[0].n_samples, dtype=bool)
-    keep[start:stop] = True
-    return slice(start, stop), [op.select(keep) for op in stacks]
+    ends = np.cumsum(per * np.bincount(np.concatenate([op.samples for op in stacks]),
+                                       minlength=n))
+    orders = [np.argsort(op.samples, kind="stable") for op in stacks]
+    keys = [op.samples[order] for op, order in zip(stacks, orders)]
+    start = 0
+    while start < n:
+        taken = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, taken + CHUNK_ENTRIES, side="right")))
+        chunk = []
+        for op, order, key in zip(stacks, orders, keys):
+            at = np.sort(order[slice(*np.searchsorted(key, [start, stop]))])
+            chunk.append(StructuredOperator(space, op.rows[at], op.cols[at], op.blocks[at],
+                                            op.name, op.samples[at] - start, stop - start))
+        yield slice(start, stop), chunk
+        start = stop
 
 
 def _fold(worst: float, *values) -> float:
@@ -241,16 +243,6 @@ def random_generator_word(rng, space: FockSpace, k: int, l: int) -> tuple:
     return (strings[0], strings[1]) + _coefficients(rng, space.base, k, l)
 
 
-def _strings(space: FockSpace, n: int, width: int) -> np.ndarray:
-    """The letter indices of the words of length n, one row per word in
-    basis order, padded with -1 to ``width`` slots."""
-    at = np.flatnonzero(space.lengths == n)
-    out = np.full((at.size, width), -1)
-    for j in range(n):
-        out[:, j], at = space.first_letter[at], space.rest[at]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -349,8 +341,8 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     yv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
 
     # the row sums of the Phi factorization, whose norms phi_cb_bound takes
-    diff = stack([partition_sum(space, v) - float(np.vdot(v, v).real) * identity_op(space)
-                  for v in (xv, yv)])
+    sums = stack([partition_sum(space, v) for v in (xv, yv)])
+    diff = sums - stack([float(np.vdot(v, v).real) * identity_op(space) for v in (xv, yv)])
     report.add("partition_identity", _fold(0.0, diff.block_max()), tol, samples=2)
 
     # each adjoint is built by its own rule, not as a conjugate transpose
@@ -379,7 +371,7 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     report.add("epsilon_of_identity", res_eps, tol)
 
     # the factorization bound for Phi never exceeds the vector norms
-    bound = phi_cb_bound(space, xv, yv)
+    bound = phi_cb_bound(sums)
     cap = float(np.linalg.norm(xv) * np.linalg.norm(yv))
     report.add("phi_factorization_bound", max(bound - cap, 0.0), 1e-10,
                bound=bound, cap=cap)
@@ -391,7 +383,7 @@ def _generator_zoo(space: FockSpace, seed: int) -> Generators:
     cases: per (k, l), every pair of letter strings without coefficients,
     then one random pair with random coefficients."""
     rng = default_rng([seed, 3])
-    strings = [_strings(space, n, 2) for n in range(3)]
+    strings = [space.words[space.lengths == n, :2] for n in range(3)]
     cre, ann, rows, coeffs = [], [], [], []
     for k in range(3):
         for l in range(3):
@@ -598,7 +590,7 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     report = VerificationReport()
     # the first creation word of every length up to 3
     lengths = range(0, min(3, space.L_max) + 1)
-    cre = np.array([_strings(space, n, 3)[0] for n in lengths])
+    cre = space.words[np.searchsorted(space.lengths, lengths)]
     creations = generator_operators(space, Generators(cre, cre[:, :0], np.full(len(cre), -1)))
     for si, phi in enumerate(symbols):
         T = build_T(space, phi)

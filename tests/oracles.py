@@ -1,10 +1,16 @@
 """Word-level rules for the Fock-space building blocks, kept as test oracles.
 
-The package holds a Fock vector as its coordinate array and builds every
-operator as a matrix scattered from word-index arrays.  The block form is
-kept here: a :class:`~radmul.fock.FockVector` holds one d x d right
-coefficient per word (``vector`` wraps given blocks, ``word_vector`` builds
-w b), ``coeffs`` lists its nonzero coefficients by word, ``to_array`` and
+The package holds a word as its index in the space's basis (its letters
+as a row of ``FockSpace.words``), a Fock vector as its coordinate array,
+and builds every operator as a matrix scattered from word-index arrays.
+The word rules are kept here: :class:`Word` is a reduced word as letter
+tuples, checked as it is built, ``word_list`` enumerates a space's words by
+those rules, ``index_of`` maps letters to a word index and ``by_words``
+builds a vector from coefficients by ``Word``.  The block form is kept too:
+a :class:`~radmul.fock.FockVector` holds one d x d right coefficient per
+word (``vector`` wraps given blocks, ``word_vector`` builds w b for a word
+index), ``coeffs`` lists its nonzero coefficients by word index and
+``word_coeffs`` by ``Word``, ``to_array`` and
 ``from_array`` map it to and from coordinates (each coefficient over
 sqrt(d)), ``block_inner_N`` is the N-valued inner product sum_w c_w* d_w
 that ``fock.inner_N`` reads off coordinates, and ``apply`` applies sample 0
@@ -18,7 +24,10 @@ set (W0, P1, P2) out as one table per tower member, and
 ``weighted_sum_dense`` weights the tower with those tables, each expanded
 to a full matrix, and adds it up in tower order: the route
 ``operators.apply_weights`` replaced.  ``phi_block_matrix`` is one Phi
-block.  ``as_op`` turns a dense matrix into the operator the package
+block.  ``rho_matrix_by_letters`` is rho gathering every letter at every
+entry and ``select_chunks`` the chunking that selected each range from the
+whole stacks, the routes ``operators.rho_matrix`` and
+``verify._stacked_chunks`` replaced.  ``as_op`` turns a dense matrix into the operator the package
 functions take.
 
 ``embed_by_products`` and ``lemma_suite_per_generator`` are the sample-by-
@@ -64,12 +73,13 @@ operator), ``random_word`` (``verify.random_generator_word``'s draw as a
 ``GeneratorWord``), ``worst_residual`` and ``failed_names``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from radmul.algebra import FactorElement, _coords, cond_exp
-from radmul.fock import FockVector, Word
+from radmul.fock import FockVector
 from radmul.operators import (Generators, StructuredOperator, _diag_op, _letter, annihilation,
                               apply_weights, build_T, creation, generator_operators,
                               identity_op, left_mult, length_at_least_op, lmul_blocks, op_sum,
@@ -77,8 +87,97 @@ from radmul.operators import (Generators, StructuredOperator, _diag_op, _letter,
 from radmul.report import EIGEN_TOL, VerificationReport
 from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
+import radmul.verify
 from radmul.verify import (_fold, _generator_zoo, _symbol_scale, embed,
                            random_generator_word, random_reduced_word)
+
+
+@dataclass(frozen=True)
+class Word:
+    """Reduced word: adjacent letters from distinct factors, no identity letters.
+
+    ``Word(letters)`` checks every letter; ``append`` checks only the letter
+    it adds, and ``drop_first`` and ``drop_last`` nothing, since a reduced
+    word stays reduced when a letter is stripped."""
+
+    letters: tuple = ()
+
+    def __post_init__(self):
+        for j, letter in enumerate(self.letters):
+            _check_letter(self.letters[j - 1] if j else None, letter)
+
+    def __len__(self):
+        return len(self.letters)
+
+    @property
+    def first_factor(self) -> int:
+        return self.letters[0][0] if self.letters else -1
+
+    @property
+    def last_factor(self) -> int:
+        return self.letters[-1][0] if self.letters else -1
+
+    def append(self, letter) -> "Word":
+        letter = tuple(letter)
+        _check_letter(self.letters[-1] if self.letters else None, letter)
+        return _reduced(self.letters + (letter,))
+
+    def drop_first(self) -> "Word":
+        return _reduced(self.letters[1:])
+
+    def drop_last(self) -> "Word":
+        return _reduced(self.letters[:-1])
+
+
+def _check_letter(previous, letter) -> None:
+    """Raise unless ``letter`` may follow ``previous`` (None: nothing) in a reduced word."""
+    i, g = letter
+    if g == 0:
+        raise ValueError("letters must avoid the group identity")
+    if previous is not None and previous[0] == i:
+        raise ValueError("adjacent letters from the same factor")
+
+
+def _reduced(letters: tuple) -> Word:
+    """The word of ``letters``, known to be reduced, built without re-checking them."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
+@functools.cache
+def word_list(space):
+    """The space's words in basis order as ``Word``s, enumerated by the word
+    rules: length-lexicographic, word j's children (letter t appended, t in
+    configuration order) following the children of the words before it."""
+    words, frontier = [Word()], [0]
+    for _ in range(space.L_max):
+        start = len(words)
+        for j in frontier:
+            for letter in space.letters:
+                if words[j].last_factor != letter[0]:
+                    words.append(words[j].append(letter))
+        frontier = range(start, len(words))
+    return tuple(words)
+
+
+@functools.cache
+def _word_indices(space):
+    return {w: j for j, w in enumerate(word_list(space))}
+
+
+def index_of(space, *letters):
+    """The index of the word with these letters (checked by the word rules,
+    a ValueError where they do not form a reduced word), -1 where it is
+    longer than the truncation."""
+    return _word_indices(space).get(Word(tuple(tuple(x) for x in letters)), -1)
+
+
+def by_words(space, coeffs):
+    """The vector with the given {``Word``: coefficient} entries; words past
+    the truncation are dropped."""
+    index = _word_indices(space)
+    return FockVector(space, {index[w]: c for w, c in coeffs.items() if w in index})
 
 
 def vector(space, blocks):
@@ -88,16 +187,22 @@ def vector(space, blocks):
     return vec
 
 
-def word_vector(space, word, b=None):
-    """The word vector w b (b = 1 by default)."""
+def word_vector(space, j, b=None):
+    """The word vector w b of word index j (b = 1 by default)."""
     coeff = space.base.identity() if b is None else space.base.element(b)
-    return FockVector(space, {word: coeff})
+    return FockVector(space, {j: coeff})
 
 
 def coeffs(vec):
-    """The nonzero coefficients by word, in basis order."""
+    """The nonzero coefficients by word index, in basis order."""
     nonzero = np.flatnonzero(vec.blocks.any(axis=(1, 2)))
-    return {vec.space.words[j]: vec.blocks[j] for j in nonzero}
+    return {int(j): vec.blocks[j] for j in nonzero}
+
+
+def word_coeffs(vec):
+    """The nonzero coefficients by ``Word``, in basis order."""
+    words = word_list(vec.space)
+    return {words[j]: c for j, c in coeffs(vec).items()}
 
 
 def to_array(vec):
@@ -126,8 +231,7 @@ def apply(op, vec):
 
 def basis_fock_vector(space, idx):
     """The scalar basis vector idx: a word with one N basis element."""
-    w = space.words[idx // space.dim_N]
-    return FockVector(space, {w: space.base.onb()[idx % space.dim_N]})
+    return FockVector(space, {idx // space.dim_N: space.base.onb()[idx % space.dim_N]})
 
 
 def is_zero(vec, tol=0.0):
@@ -147,13 +251,11 @@ def canonicalize(space, letters, coeffs=None):
     if len(coeffs) != len(letters) + 1:
         raise ValueError("need one more coefficient than letters")
     word = Word(tuple(letters))  # adjacency validation happens here
-    if len(word) > space.L_max:
-        return FockVector(space)
     am = space.amalgam
     acc = space.base.element(coeffs[0])
     for letter, right in zip(letters, coeffs[1:]):
         acc = am.push(acc, letter) @ space.base.element(right)
-    return FockVector(space, {word: acc})
+    return by_words(space, {word: acc})
 
 
 def zero_op(space):
@@ -336,16 +438,17 @@ def column_matrix(space, rule):
 def prepend(space, letter):
     """L_gamma: prepend the letter; zero against a same-factor start or overflow."""
     def rule(vec):
-        return FockVector(space, {Word((letter,) + w.letters): c for w, c in coeffs(vec).items()
-                                  if len(w) < space.L_max and w.first_factor != letter[0]})
+        return by_words(space, {Word((letter,) + w.letters): c
+                                for w, c in word_coeffs(vec).items()
+                                if len(w) < space.L_max and w.first_factor != letter[0]})
     return rule
 
 
 def strip_first(space, letter):
     """L*_gamma: strip a matching first letter."""
     def rule(vec):
-        return FockVector(space, {w.drop_first(): c for w, c in coeffs(vec).items()
-                                  if w.letters and w.letters[0] == letter})
+        return by_words(space, {w.drop_first(): c for w, c in word_coeffs(vec).items()
+                                if w.letters and w.letters[0] == letter})
     return rule
 
 
@@ -356,9 +459,9 @@ def append_star(space, letter):
     appended = (i, fac.group.inv(g))
 
     def rule(vec):
-        return FockVector(space, {w.append(appended): fac.alpha(g, c)
-                                  for w, c in coeffs(vec).items()
-                                  if len(w) < space.L_max and w.last_factor != i})
+        return by_words(space, {w.append(appended): fac.alpha(g, c)
+                                for w, c in word_coeffs(vec).items()
+                                if len(w) < space.L_max and w.last_factor != i})
     return rule
 
 
@@ -369,8 +472,9 @@ def strip_star(space, letter):
     gi = fac.group.inv(g)
 
     def rule(vec):
-        return FockVector(space, {w.drop_last(): fac.alpha(gi, c) for w, c in coeffs(vec).items()
-                                  if w.letters and w.letters[-1] == (i, gi)})
+        return by_words(space, {w.drop_last(): fac.alpha(gi, c)
+                                for w, c in word_coeffs(vec).items()
+                                if w.letters and w.letters[-1] == (i, gi)})
     return rule
 
 
@@ -380,12 +484,12 @@ def left_action(b):
     def rule(vec):
         space = vec.space
         out = {}
-        for w, c in coeffs(vec).items():
+        for w, c in word_coeffs(vec).items():
             pushed = space.base.element(b)
             for letter in w.letters:
                 pushed = space.amalgam.push(pushed, letter)
             out[w] = pushed @ c
-        return FockVector(space, out)
+        return by_words(space, out)
     return rule
 
 
@@ -459,7 +563,8 @@ def coefficient_gaps_by_vectors(space, ea, elements):
     for s, a in enumerate(elements):
         i = space.amalgam.factors.index(a.factor)
         basis = a.factor.pp_basis()
-        vectors = [word_vector(space, Word(((i, g),) if g else ())) for g in range(len(basis))]
+        vectors = [word_vector(space, index_of(space, (i, g)) if g else index_of(space))
+                   for g in range(len(basis))]
         gap = 0.0
         for el, el_vec in zip(basis, vectors):
             ael = from_array(space, (ea @ to_array(el_vec))[s])
@@ -518,12 +623,44 @@ def right_letter_maps(space):
     for i, g in space.amalgam.letters():
         fac = space.amalgam.factors[i]
         appended = (i, fac.group.inv(g))
-        src = [j for j, w in enumerate(space.words)
-               if len(w) < space.L_max and w.last_factor != i]
-        dst = [space.word_index[space.words[j].append(appended)] for j in src]
+        words, index = word_list(space), _word_indices(space)
+        src = [j for j, w in enumerate(words) if len(w) < space.L_max and w.last_factor != i]
+        dst = [index[words[j].append(appended)] for j in src]
         W = fac.unitaries[g]
         out.append((np.array(src, dtype=int), np.array(dst, dtype=int), np.kron(W, W.conj())))
     return out
+
+
+def rho_matrix_by_letters(space, A):
+    """``operators.rho_matrix`` gathering every letter's ``appended`` row at
+    every entry, then the (letter, entry) pairs where both images exist:
+    the route the one mask per factor replaced."""
+    table, alpha = space.appended[space.star], space.twists
+    tr, tc = table[:, A.rows], table[:, A.cols]
+    t, e = np.nonzero(np.minimum(tr, tc) >= 0)
+    blocks = alpha[t] @ A.blocks[e] @ alpha[t].conj().transpose(0, 2, 1)
+    return A._new(A.samples[e], tr[t, e], tc[t, e], blocks, "rho(%s)" % A.name)
+
+
+def select_chunks(space, stacks):
+    """``verify._stacked_chunks`` with each range's stacks from ``select`` on
+    the whole stacks, the ranges grown one sample at a time: the route that
+    cost O(ranges x entries)."""
+    n = stacks[0].n_samples
+    per = (2 * space.L_max + 1) * space.dim_N ** 2
+    sizes = per * np.bincount(np.concatenate([op.samples for op in stacks]), minlength=n)
+    start, total, out = 0, 0, []
+    for t, size in enumerate(sizes):
+        if t > start and total + size > radmul.verify.CHUNK_ENTRIES:
+            out.append((start, t))
+            start, total = t, 0
+        total += size
+    if n > start:
+        out.append((start, n))
+    for start, stop in out:
+        keep = np.zeros(n, dtype=bool)
+        keep[start:stop] = True
+        yield slice(start, stop), [op.select(keep) for op in stacks]
 
 
 def rho_dense(space, A):
@@ -850,9 +987,9 @@ def word_vacuum_images_dense(space, max_len):
     to left, by left_mult(b) and the letters' embeddings, each built once."""
     embeds = {(i, g): embed(space, space.amalgam.factors[i].unitary(g))
               for i, g in space.amalgam.letters()}
-    vac = to_array(word_vector(space, Word()))
+    vac = to_array(word_vector(space, index_of(space)))
     starts = [(left_mult(space, b) @ vac)[0] for b in space.base.basis()]
-    for w in space.words:
+    for w in word_list(space):
         if len(w) > max_len:
             continue
         for vec in starts:
@@ -864,10 +1001,10 @@ def word_vacuum_images_dense(space, max_len):
 def lambda_span_dense(space, k):
     """Yield the length-k sector's spanning family, one Fock vector per
     word and N-basis element, as coordinate arrays."""
-    for w in space.words:
+    for j, w in enumerate(word_list(space)):
         if len(w) == k:
             for b in space.base.basis():
-                yield to_array(FockVector(space, {w: b}))
+                yield to_array(FockVector(space, {j: b}))
 
 
 def dense_rank(columns) -> int:

@@ -14,8 +14,8 @@ import radmul.verify as verify
 from oracles import (GeneratorWord, dense_rank, embed_by_products, embed_by_term_loop,
                      embed_per_element, embed_terms_by_pair, family, generator, generator_chain,
                      generator_operators_tiled, generator_words, lambda_span_dense,
-                     lemma_suite_per_generator, random_word, theorem_suite_per_word,
-                     word_by_products, word_vacuum_images_dense)
+                     lemma_suite_per_generator, random_word, select_chunks,
+                     theorem_suite_per_word, word_by_products, word_vacuum_images_dense)
 from radmul.algebra import FactorElement
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
@@ -325,6 +325,36 @@ def test_one_sample_chunks_give_the_same_report(tmp_path, monkeypatch, capsys, p
     assert report(tmp_path / "single.json") == batched
     assert max(runs) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cap", [1, 40, 400, 4096])
+def test_chunks_match_select_bit_for_bit(monkeypatch, cy3_space, cap):
+    """Every chunk of ``_stacked_chunks`` is the stack ``select`` gives for
+    its range of samples, entry order included: on the zoo's generators in
+    a shuffled order, whose entries then come grouped by kind, not by
+    sample, and on them cut to the vacuum column, where many samples are
+    empty, next to a stack sorted by sample (one embedding per sample)."""
+    monkeypatch.setattr(verify, "CHUNK_ENTRIES", cap)
+    space, rng = cy3_space, np.random.default_rng(43)
+    zoo = verify._generator_zoo(space, 0)
+    at = rng.permutation(len(zoo.cre))
+    gens = generator_operators(space, verify.Generators(
+        zoo.cre[at], zoo.ann[at], zoo.coeff_rows[at], zoo.cre_coeffs, zoo.ann_coeffs))
+    assert np.any(np.diff(gens.samples) < 0)
+    cut = gens.columns_upto(0)
+    assert np.count_nonzero(np.bincount(cut.samples, minlength=cut.n_samples) == 0) > 0
+    factors = space.amalgam.factors
+    embeds = embed(space, [factors[t % 2].random(rng) for t in range(gens.n_samples)])
+    stacks = [gens, cut, embeds]
+    got, want = list(verify._stacked_chunks(space, stacks)), list(select_chunks(space, stacks))
+    assert [sl for sl, _ in got] == [sl for sl, _ in want]
+    assert len(got) > (1 if cap == 4096 else 10)
+    for (_, ops), (_, wants) in zip(got, want):
+        for op, w in zip(ops, wants):
+            assert (op.n_samples, op.name) == (w.n_samples, w.name)
+            for field in ("samples", "rows", "cols", "blocks"):
+                assert np.array_equal(getattr(op, field), getattr(w, field))
+                assert getattr(op, field).dtype == getattr(w, field).dtype
 
 
 @pytest.mark.parametrize("name", EXACT + ["noncomm_space"])

@@ -1,19 +1,26 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import noncommuting_config
-from oracles import (apply, block_inner_N, canonicalize, coeffs, from_array, is_zero,
-                     lambda_span_dense, left_mul, right_mul, to_array, word_vector)
+from oracles import (Word, apply, block_inner_N, by_words, canonicalize, coeffs, from_array,
+                     index_of, is_zero, lambda_span_dense, left_mul, right_mul, to_array,
+                     word_list, word_vector)
 from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from radmul.config import parse_config, preset_config
 import radmul.fock as fock
-from radmul.fock import Amalgam, FockSpace, FockVector, Word
+from radmul.fock import Amalgam, FockSpace, FockVector
 from radmul.operators import ends_in_factor_op, length_at_least_op, length_exactly_op
 from radmul.verify import lambda_span
 
 V2 = np.diag([1.0, -1.0]).astype(complex)
+
+
+def spelled(space):
+    """The letters of every word, read off the rows of ``space.words``."""
+    return [tuple(space.letters[t] for t in row if t >= 0) for row in space.words]
 
 
 def brute_words(letters, max_len):
@@ -55,19 +62,19 @@ def test_word_letter_maps_check_the_new_letter_only():
 
 
 def test_enumerate_counts_dih(dih_space):
-    am = dih_space.amalgam
-    words = FockSpace(am, 2).words
-    assert len(words) == 5
-    assert [w.letters for w in words] == [
-        (), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)), ((1, 1), (0, 1))]
+    space = FockSpace(dih_space.amalgam, 2)
+    assert len(space.words) == 5
+    assert spelled(space) == [(), ((0, 1),), ((1, 1),), ((0, 1), (1, 1)), ((1, 1), (0, 1))]
+    assert space.words.tolist() == [[-1, -1], [0, -1], [1, -1], [0, 1], [1, 0]]
 
 
 def test_enumerate_matches_brute_force(cy3_space):
     am = cy3_space.amalgam
-    words = FockSpace(am, 3).words
-    assert {w.letters for w in words} == brute_words(am.letters(), 3)
+    words = spelled(FockSpace(am, 3))
+    assert set(words) == brute_words(am.letters(), 3)
+    assert len(words) == len(set(words))
     # length-lexicographic order is part of the contract
-    keys = [(len(w), w.letters) for w in words]
+    keys = [(len(w), w) for w in words]
     assert keys == sorted(keys)
 
 
@@ -78,7 +85,9 @@ def test_single_factor_words_stop_at_length_one():
 
 
 def test_enumerate_length_zero(dih_space):
-    assert [w.letters for w in FockSpace(dih_space.amalgam, 0).words] == [()]
+    space = FockSpace(dih_space.amalgam, 0)
+    assert spelled(space) == [()]
+    assert space.words.shape == (1, 0)
 
 
 # ---------------------------------------------------------------- word graph
@@ -109,27 +118,38 @@ def test_word_graph_tables_match_word_rules(name):
         assert len(space.words) == 41
     letters = space.amalgam.letters()
     assert space.letters == tuple(letters)
+    # oracle: the words enumerated by the Word rules, and every table read
+    # off them one word at a time
+    words, n = word_list(space), len(space.words)
+    index = {w: j for j, w in enumerate(words)}
+    assert len(words) == n
+    rows = [[letters.index(x) for x in w.letters] + [-1] * (space.L_max - len(w)) for w in words]
+    assert np.array_equal(space.words, np.array(rows, dtype=np.intp).reshape(n, space.L_max))
+    assert space.lengths.tolist() == [len(w) for w in words]
+    assert space.first_factors.tolist() == [w.first_factor for w in words]
+    assert space.last_factors.tolist() == [w.last_factor for w in words]
+    assert space.dim == n * space.dim_N
 
-    def index(make, *args):
+    def at(make, *args):
         """The index of the word ``make`` gives, -1 where it is not reduced
         or not in the space."""
         try:
-            return space.word_index.get(make(*args), -1)
+            return index.get(make(*args), -1)
         except ValueError:
             return -1
 
-    want_app = [[index(w.append, x) for w in space.words] for x in letters]
-    want_pre = [[index(Word, (x,) + w.letters) for w in space.words] for x in letters]
-    assert np.array_equal(space.appended, want_app)
-    assert np.array_equal(space.prepended, want_pre)
-    nonempty = [w for w in space.words if w.letters]
-    assert list(space.parent) == [-1] + [space.word_index[w.drop_last()] for w in nonempty]
-    assert list(space.rest) == [-1] + [space.word_index[w.drop_first()] for w in nonempty]
+    want_app = [[at(w.append, x) for w in words] for x in letters]
+    want_pre = [[at(Word, (x,) + w.letters) for w in words] for x in letters]
+    assert np.array_equal(space.appended, np.array(want_app).reshape(-1, n))
+    assert np.array_equal(space.prepended, np.array(want_pre).reshape(-1, n))
+    nonempty = [w for w in words if w.letters]
+    assert list(space.parent) == [-1] + [index[w.drop_last()] for w in nonempty]
+    assert list(space.rest) == [-1] + [index[w.drop_first()] for w in nonempty]
     assert list(space.last_letter) == [-1] + [letters.index(w.letters[-1]) for w in nonempty]
     assert list(space.first_letter) == [-1] + [letters.index(w.letters[0]) for w in nonempty]
-    want_strip = [[space.word_index[w.drop_first()] if w.letters[:1] == (x,) else -1
-                   for w in space.words] for x in letters]
-    assert np.array_equal(space.stripped, want_strip)
+    want_strip = [[index[w.drop_first()] if w.letters[:1] == (x,) else -1
+                   for w in words] for x in letters]
+    assert np.array_equal(space.stripped, np.array(want_strip).reshape(-1, n))
     for t, (i, g) in enumerate(letters):
         fac = space.amalgam.factors[i]
         assert letters[space.star[t]] == (i, fac.group.inv(g))
@@ -140,29 +160,47 @@ def test_word_graph_tables_match_word_rules(name):
     for w in nonempty:
         i, g = w.letters[-1]
         fac = space.amalgam.factors[i]
-        U.append(fac.unitaries[fac.group.inv(g)] @ U[space.word_index[w.drop_last()]])
+        U.append(fac.unitaries[fac.group.inv(g)] @ U[index[w.drop_last()]])
     assert np.array_equal(space.push_unitaries, np.array(U))
+
+
+def test_space_build_allocates_near_what_it_keeps():
+    """The word tables are built as arrays one length at a time: the peak
+    allocation of the build stays within twice the bytes of the arrays the
+    space keeps (cy3 at fock_len 10: 4093 words)."""
+    cfg = preset_config("cy3")
+    cfg["truncation"]["fock_len"] = 10
+    amalgam = Amalgam(parse_config(cfg).factors)
+    tracemalloc.start()
+    try:
+        space = FockSpace(amalgam, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(x.nbytes for x in vars(space).values() if isinstance(x, np.ndarray))
+    assert len(space.words) == 4093
+    assert peak <= 2 * kept, (peak, kept)
 
 
 # ---------------------------------------------------------------- canonical form
 
 def test_canonicalize_single_letter(dih_space):
     v = canonicalize(dih_space, [(0, 1)], [np.array([[1.0]]), np.array([[2.0]])])
-    assert v.blocks[dih_space.word_index[Word(((0, 1),))]][0, 0] == pytest.approx(2.0)
+    assert v.blocks[index_of(dih_space, (0, 1))][0, 0] == pytest.approx(2.0)
 
 
 def test_canonicalize_trivial_action_commutes(mat2_space):
     rng = np.random.default_rng(0)
     b = mat2_space.base.random(rng)
     v = canonicalize(mat2_space, [(0, 1)], [b, np.eye(2)])
-    assert np.allclose(v.blocks[mat2_space.word_index[Word(((0, 1),))]], b)
+    assert np.allclose(v.blocks[index_of(mat2_space, (0, 1))], b)
 
 
 def test_canonicalize_inner_action_twists(mat2_space):
     rng = np.random.default_rng(1)
     b = mat2_space.base.random(rng)
     v = canonicalize(mat2_space, [(1, 1)], [b, np.eye(2)])
-    assert np.allclose(v.blocks[mat2_space.word_index[Word(((1, 1),))]], V2 @ b @ V2)
+    assert np.allclose(v.blocks[index_of(mat2_space, (1, 1))], V2 @ b @ V2)
 
 
 def test_canonicalize_rejects_adjacent_same_factor(dih_space):
@@ -178,17 +216,17 @@ def test_canonicalize_truncates_to_zero(dih_space):
 def test_left_mul_matches_canonicalize(mat2_space):
     rng = np.random.default_rng(2)
     b = mat2_space.base.random(rng)
-    w = Word(((1, 1), (0, 1)))
-    direct = left_mul(word_vector(mat2_space, w), b)
-    via = canonicalize(mat2_space, list(w.letters), [b, np.eye(2), np.eye(2)])
+    letters = [(1, 1), (0, 1)]
+    direct = left_mul(word_vector(mat2_space, index_of(mat2_space, *letters)), b)
+    via = canonicalize(mat2_space, letters, [b, np.eye(2), np.eye(2)])
     assert np.abs(direct.blocks - via.blocks).max() <= 1e-13
 
 
 # ---------------------------------------------------------------- inner product
 
 def test_inner_orthonormality(dih_space):
-    w1 = to_array(word_vector(dih_space, Word(((0, 1),))))
-    w2 = to_array(word_vector(dih_space, Word(((1, 1),))))
+    w1 = to_array(word_vector(dih_space, index_of(dih_space, (0, 1))))
+    w2 = to_array(word_vector(dih_space, index_of(dih_space, (1, 1))))
     trace = dih_space.base.trace
     assert trace(fock.inner_N(dih_space, w1, w1)) == pytest.approx(1.0)
     assert trace(fock.inner_N(dih_space, w1, w2)) == pytest.approx(0.0)
@@ -197,7 +235,7 @@ def test_inner_orthonormality(dih_space):
 def test_inner_module_property(mat2_space):
     rng = np.random.default_rng(3)
     b, c = mat2_space.base.random(rng), mat2_space.base.random(rng)
-    w = Word(((0, 1),))
+    w = index_of(mat2_space, (0, 1))
     lhs = fock.inner_N(mat2_space, to_array(word_vector(mat2_space, w, b)),
                        to_array(word_vector(mat2_space, w, c)))
     assert np.allclose(lhs, b.conj().T @ c)
@@ -219,7 +257,7 @@ def test_inner_N_matches_block_form(request, name):
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(8)
     x, y = space.random_array(rng), space.random_array(rng)
-    w = space.words[1]
+    w = 1
     b = to_array(word_vector(space, w, space.base.random(rng)))
     pairs = [(x, y), (y, x), (x, x), (b, to_array(word_vector(space, w)))]
     tol = 0.0 if space.base.d == 1 else 1e-15
@@ -236,45 +274,46 @@ def test_coordinate_maps_match_word_loop(mat2_space):
     x = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     x[3 * k:5 * k] = 0  # two zero words
     x[7 * k] = 1e-300  # a tiny entry keeps its word
-    want = {w: x[j * k:(j + 1) * k].reshape(d, d) * s for j, w in enumerate(space.words)
+    want = {j: x[j * k:(j + 1) * k].reshape(d, d) * s for j in range(len(space.words))
             if np.any(x[j * k:(j + 1) * k])}
     got = coeffs(from_array(space, x))
     assert list(got) == list(want)
-    assert all(np.array_equal(got[w], want[w]) for w in want)
+    assert all(np.array_equal(got[j], want[j]) for j in want)
     back = np.zeros(space.dim, dtype=complex)
-    for w, b in got.items():
-        j = space.word_index[w]
+    for j, b in got.items():
         back[j * k:(j + 1) * k] = b.reshape(-1) / s
     assert np.array_equal(to_array(from_array(space, x)), back)
     assert to_array(FockVector(space)).shape == (space.dim,)
 
 
 def test_vector_constructor_matches_word_loop(mat2_space):
-    # oracle: one word at a time, dropping over-length and all-zero words
+    # oracle: one word index at a time, dropping all-zero words; by_words
+    # drops the words past the truncation
     space = mat2_space
     rng = np.random.default_rng(7)
-    words = list(space.words[:6]) + [Word(((0, 1), (1, 1)) * 3)]  # beyond L_max = 5
-    given = {w: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for w in words}
-    given[words[2]] = np.zeros((2, 2))
-    given[words[4]] = np.array([[0, 1e-300], [0, 0]])  # a tiny entry keeps its word
-    given[words[5]] = np.eye(2, dtype=int)  # cast to complex
-    want = {w: np.asarray(b, dtype=complex) for w, b in given.items()
-            if len(w) <= space.L_max and np.any(b)}
+    given = {j: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+             for j in (5, 0, 1, 2, 3, 4)}
+    given[2] = np.zeros((2, 2))
+    given[4] = np.array([[0, 1e-300], [0, 0]])  # a tiny entry keeps its word
+    given[5] = np.eye(2, dtype=int)  # cast to complex
+    want = {j: np.asarray(given[j], dtype=complex) for j in sorted(given) if np.any(given[j])}
     got = coeffs(FockVector(space, given))
     assert list(got) == list(want)
-    assert all(got[w].dtype == complex and np.array_equal(got[w], want[w]) for w in want)
+    assert all(got[j].dtype == complex and np.array_equal(got[j], want[j]) for j in want)
     assert coeffs(FockVector(space, {})) == {}
-    assert coeffs(FockVector(space, {words[-1]: np.eye(2)})) == {}
+    too_long = Word(((0, 1), (1, 1)) * 3)  # beyond L_max = 5
+    assert index_of(space, *too_long.letters) == -1
+    assert coeffs(by_words(space, {too_long: np.eye(2)})) == {}
 
 
 # ---------------------------------------------------------------- projections
 
 def test_projection_examples(dih_space):
-    vac = word_vector(dih_space, Word())
+    vac = word_vector(dih_space, index_of(dih_space))
     assert is_zero(apply(length_at_least_op(dih_space, 1), vac))
     for i in range(len(dih_space.amalgam.factors)):
         assert is_zero(apply(ends_in_factor_op(dih_space, i), vac))
-    w = word_vector(dih_space, Word(((0, 1), (1, 1))))
+    w = word_vector(dih_space, index_of(dih_space, (0, 1), (1, 1)))
     assert is_zero(apply(ends_in_factor_op(dih_space, 0), w))
     kept = apply(ends_in_factor_op(dih_space, 1), w)
     assert not is_zero(kept)
@@ -307,7 +346,7 @@ def test_lambda_span_dimensions(dih_space, mat2_space):
     assert columns(dih_space, 0).shape[1] == 1
     assert columns(mat2_space, 0).shape[1] == 4
     fam = lambda_span(dih_space, 1)
-    assert {dih_space.words[r].letters for r in fam.rows} == {((0, 1),), ((1, 1),)}
+    assert set(fam.rows.tolist()) == {index_of(dih_space, (0, 1)), index_of(dih_space, (1, 1))}
     assert np.array_equal(fam.rows, fam.cols)
     # spanning: each sector family is linearly independent and full, and
     # column (w, b) is the word vector w b

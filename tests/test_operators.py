@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from radmul.algebra import cond_exp
 from radmul.config import parse_config, preset_config
-from radmul.fock import Word
+from radmul.fock import Amalgam, FockSpace
 from conftest import noncommuting_config
 from oracles import (GeneratorWord, append_star, apply, as_op, coeffs, column_matrix,
-                     epsilon_dense, expand, family, generator, generator_words, is_zero,
-                     left_action, partition_identity_residual, phi_block_matrix, prepend,
-                     random_word, right_action, rho_dense, strip_first, strip_star, to_array,
-                     tower_dense, weighted_sum_dense, word_vector, zero_op)
+                     epsilon_dense, expand, family, generator, generator_words, index_of,
+                     is_zero, left_action, partition_identity_residual, phi_block_matrix,
+                     prepend, random_word, rho_matrix_by_letters, right_action, rho_dense,
+                     strip_first, strip_star, to_array, tower_dense, weighted_sum_dense,
+                     word_list, word_vector, zero_op)
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
 from radmul.operators import (StructuredOperator, adjoint_check, amplify, annihilation,
                               apply_weights, build_T, creation, diag, eps_rho_tower,
@@ -37,57 +38,59 @@ def brute_phi_scalar(x, y, k, l, shift=0):
 # ---------------------------------------------------------------- creation
 
 def test_creation_on_vacuum(dih_space):
-    v = apply(creation(dih_space, (0, 1)), word_vector(dih_space, Word()))
+    v = apply(creation(dih_space, (0, 1)), word_vector(dih_space, index_of(dih_space)))
     assert not is_zero(v)
-    assert list(coeffs(v)) == [Word(((0, 1),))]
+    assert list(coeffs(v)) == [index_of(dih_space, (0, 1))]
 
 
 def test_creation_same_factor_vanishes(dih_space):
-    w = word_vector(dih_space, Word(((0, 1),)))
+    w = word_vector(dih_space, index_of(dih_space, (0, 1)))
     assert is_zero(apply(creation(dih_space, (0, 1)), w))
 
 
 def test_creation_overflow_truncates(dih_space):
-    top = dih_space.words[-1]
+    top = word_list(dih_space)[-1]
     assert len(top) == dih_space.L_max
     lead = 0 if top.first_factor != 0 else 1  # admissible factor, only length blocks
-    assert is_zero(apply(creation(dih_space, (lead, 1)), word_vector(dih_space, top)))
+    top_vector = word_vector(dih_space, index_of(dih_space, *top.letters))
+    assert is_zero(apply(creation(dih_space, (lead, 1)), top_vector))
 
 
 def test_right_creation_adjoint_convention(dih_space):
     # appending gamma* inverts the group element; for order two it returns itself
-    w = word_vector(dih_space, Word(((1, 1),)))
+    w = word_vector(dih_space, index_of(dih_space, (1, 1)))
     out = apply(right_creation(dih_space, (0, 1)), w)
-    assert list(coeffs(out)) == [Word(((1, 1), (0, 1)))]
+    assert list(coeffs(out)) == [index_of(dih_space, (1, 1), (0, 1))]
 
 
 def test_right_creation_inverts_element(cy3_space):
-    out = apply(right_creation(cy3_space, (0, 1)), word_vector(cy3_space, Word()))
-    assert list(coeffs(out)) == [Word(((0, 2),))]  # (u_1)* = u_2 in Z/3
+    out = apply(right_creation(cy3_space, (0, 1)), word_vector(cy3_space, index_of(cy3_space)))
+    assert list(coeffs(out)) == [index_of(cy3_space, (0, 2))]  # (u_1)* = u_2 in Z/3
 
 
 def test_annihilation_matching_letter(dih_space):
-    w = word_vector(dih_space, Word(((0, 1),)))
+    w = word_vector(dih_space, index_of(dih_space, (0, 1)))
     out = apply(annihilation(dih_space, (0, 1)), w)
-    assert out.blocks[dih_space.word_index[Word()]][0, 0] == pytest.approx(1.0)
+    assert out.blocks[index_of(dih_space)][0, 0] == pytest.approx(1.0)
 
 
 def test_annihilation_mismatch(cy3_space):
-    w = word_vector(cy3_space, Word(((0, 2),)))
+    w = word_vector(cy3_space, index_of(cy3_space, (0, 2)))
     assert is_zero(apply(annihilation(cy3_space, (0, 1)), w))
 
 
 def test_annihilation_kills_vacuum(dih_space):
-    assert is_zero(apply(annihilation(dih_space, (0, 1)), word_vector(dih_space, Word())))
+    vac = word_vector(dih_space, index_of(dih_space))
+    assert is_zero(apply(annihilation(dih_space, (0, 1)), vac))
 
 
 def test_right_annihilation_coefficient_twist(mat2_space):
     rng = np.random.default_rng(0)
     b = mat2_space.base.random(rng)
     V = np.diag([1.0, -1.0]).astype(complex)
-    w = word_vector(mat2_space, Word(((0, 1), (1, 1))), b)
+    w = word_vector(mat2_space, index_of(mat2_space, (0, 1), (1, 1)), b)
     out = apply(right_annihilation(mat2_space, (1, 1)), w)
-    assert np.allclose(out.blocks[mat2_space.word_index[Word(((0, 1),))]], V @ b @ V)
+    assert np.allclose(out.blocks[index_of(mat2_space, (0, 1))], V @ b @ V)
 
 
 def test_direct_matrices_match_action(request):
@@ -122,23 +125,6 @@ def test_letter_constructors_reject_group_identity(dih_space, make):
 def test_letter_maps_reject_unconfigured_letters(dih_space, make, letter, message):
     with pytest.raises(ValueError, match=message):
         make(dih_space, letter)
-
-
-def test_letter_maps_build_no_words(monkeypatch):
-    """The letter maps, rho and left multiplication read the space's word
-    graph: building them makes no ``Word``."""
-    cfg = preset_config("cy3")
-    cfg["truncation"]["fock_len"] = 8
-    space = parse_config(cfg).space()
-    made = []
-    monkeypatch.setattr(Word, "__post_init__", lambda self: made.append(self))
-    for letter in space.letters:
-        for make in (creation, annihilation, right_creation, right_annihilation):
-            make(space, letter)
-    rho_matrix(space, identity_op(space))
-    left_mult(space, 1.0)
-    assert made == []
-    assert not hasattr(space, "cache")
 
 
 # ---------------------------------------------------------------- adjoints
@@ -181,21 +167,21 @@ def test_diag_e0_kills_length_one(dih_space):
     e0 = np.zeros(4)
     e0[0] = 1.0
     D = diag(dih_space, e0)
-    assert is_zero(apply(D, word_vector(dih_space, Word(((0, 1),)))))
-    assert not is_zero(apply(D, word_vector(dih_space, Word())))
+    assert is_zero(apply(D, word_vector(dih_space, index_of(dih_space, (0, 1)))))
+    assert not is_zero(apply(D, word_vector(dih_space, index_of(dih_space))))
 
 
 def test_diag_backward_shift(dih_space):
     x = np.array([1.0, 2.0, 3.0, 4.0])
     D = diag(dih_space, x[1:])  # (S*)x
-    w = word_vector(dih_space, Word(((0, 1),)))  # length 1 -> x(2) = 3
-    assert apply(D, w).blocks[dih_space.word_index[Word(((0, 1),))]][0, 0] == pytest.approx(3.0)
+    j = index_of(dih_space, (0, 1))  # length 1 -> x(2) = 3
+    assert apply(D, word_vector(dih_space, j)).blocks[j][0, 0] == pytest.approx(3.0)
 
 
 def test_diag_forward_shift_vanishes_below(dih_space):
     x = np.array([1.0, 2.0, 3.0])
     D = diag(dih_space, np.concatenate([np.zeros(2), x]))  # S^2 x
-    assert is_zero(apply(D, word_vector(dih_space, Word(((0, 1),)))))  # k=1 < n=2
+    assert is_zero(apply(D, word_vector(dih_space, index_of(dih_space, (0, 1)))))  # k=1 < n=2
 
 
 # ---------------------------------------------------------------- partition identity
@@ -241,7 +227,7 @@ def push_loop_left_mult(space, b):
     """Oracle: push b through every word letter by letter, one kron per word."""
     k = space.dim_N
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, w in enumerate(space.words):
+    for j, w in enumerate(word_list(space)):
         pushed = b
         for letter in w.letters:
             pushed = space.amalgam.push(pushed, letter)
@@ -282,7 +268,7 @@ def test_noncommuting_fixture_push_order_matters(noncomm_space):
     M = left_mult(space, b).matrix()[0]
     k = space.dim_N
     worst = 0.0
-    for j, w in enumerate(space.words):
+    for j, w in enumerate(word_list(space)):
         pushed = b
         for letter in reversed(w.letters):
             pushed = space.amalgam.push(pushed, letter)
@@ -293,14 +279,14 @@ def test_noncommuting_fixture_push_order_matters(noncomm_space):
 
 def test_rho_kills_vacuum(dih_space):
     R = rho_matrix(dih_space, identity_op(dih_space)).matrix()
-    assert not np.any(R @ to_array(word_vector(dih_space, Word())))
+    assert not np.any(R @ to_array(word_vector(dih_space, index_of(dih_space))))
 
 
 def test_rho_case2_generator_fixed_on_guarded_words(dih_space):
     gen = GeneratorWord(((0, 1),), ((0, 1),))
     A = generator(dih_space, gen)
     # a guarded length-2 word
-    chi = to_array(word_vector(dih_space, Word(((0, 1), (1, 1)))))
+    chi = to_array(word_vector(dih_space, index_of(dih_space, (0, 1), (1, 1))))
     lhs = rho_matrix(dih_space, A).matrix() @ chi
     assert np.abs(lhs - A @ chi).max() <= 1e-13
 
@@ -361,16 +347,22 @@ def test_phi_zero_vector_gives_zero(dih_space):
 
 
 def test_phi_cb_bound_values(dih_space):
+    def bound(x, y):
+        return phi_cb_bound(stack([partition_sum(dih_space, v) for v in (x, y)]))
+
     e0 = np.zeros(5)
     e0[0] = 1.0
-    assert phi_cb_bound(dih_space, e0, e0) == pytest.approx(1.0, abs=1e-12)
-    assert phi_cb_bound(dih_space, np.zeros(5), e0) == 0.0
+    assert bound(e0, e0) == pytest.approx(1.0, abs=1e-12)
+    assert bound(np.zeros(5), e0) == 0.0
     rng = np.random.default_rng(7)
     x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     x /= np.linalg.norm(x)
     y /= np.linalg.norm(y)
-    assert phi_cb_bound(dih_space, x, y) <= 1.0 + 1e-10
+    assert bound(x, y) <= 1.0 + 1e-10
+    # the norms of the stack are those of each sum alone
+    assert bound(x, y) == float(np.sqrt(op_norm(partition_sum(dih_space, x))[0])
+                                * np.sqrt(op_norm(partition_sum(dih_space, y))[0]))
 
 
 # ---------------------------------------------------------------- cases
@@ -426,8 +418,9 @@ def test_generator_operator_matches_factor_product(request, name):
 def test_words_count_by_length(dih_space, cy3_space):
     # dih: one letter per factor, so two words of every length >= 1; cy3:
     # 4 letters, the first free (4), each next one of the other factor's 2
-    assert [sum(len(w) == n for w in dih_space.words) for n in range(6)] == [1, 2, 2, 2, 2, 2]
-    assert [sum(len(w) == n for w in cy3_space.words) for n in range(5)] == [1, 4, 8, 16, 32]
+    assert np.bincount(dih_space.lengths).tolist() == [1, 2, 2, 2, 2, 2]
+    assert np.bincount(cy3_space.lengths).tolist() == [1, 4, 8, 16, 32]
+    assert np.array_equal(np.count_nonzero(cy3_space.words >= 0, axis=1), cy3_space.lengths)
 
 
 
@@ -529,6 +522,27 @@ def entry_cases(space, rng):
 
 def assert_close(got, want):
     assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+
+
+def test_rho_matrix_matches_letter_gather_bit_for_bit(request):
+    # oracle: every letter's appended row gathered at every entry, the
+    # (letter, entry) pairs in that order; on stacks, on the empty operator,
+    # on an order-5 factor next to an order-2 one and on one factor alone
+    rng = np.random.default_rng(23)
+    orders = dict(preset_config("dih"), truncation={"fock_len": 3})
+    orders["factors"] = [dict(orders["factors"][0], group={"kind": "cyclic", "order": 5}),
+                         orders["factors"][1]]
+    spaces = [request.getfixturevalue(name) for name in SPACES] + [parse_config(orders).space()]
+    spaces.append(FockSpace(Amalgam(spaces[-1].amalgam.factors[:1]), 3))
+    for space in spaces:
+        ops = entry_cases(space, rng)
+        ops += [stack(ops), stack([random_operator(space, rng), identity_op(space)])]
+        for op in ops + [rho_matrix(space, ops[-1])]:
+            got, want = rho_matrix(space, op), rho_matrix_by_letters(space, op)
+            assert got.n_samples == want.n_samples and got.name == want.name
+            for field in ("samples", "rows", "cols", "blocks"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+                assert getattr(got, field).dtype == getattr(want, field).dtype
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -642,7 +656,7 @@ def dense_embed(space, a):
     do not start in the factor."""
     i = next(j for j, fac in enumerate(space.amalgam.factors) if fac is a.factor)
     basis = a.factor.pp_basis()
-    guard = np.diag(np.repeat([w.first_factor != i for w in space.words],
+    guard = np.diag(np.repeat([w.first_factor != i for w in word_list(space)],
                               space.dim_N)).astype(complex)
     total = np.zeros((space.dim, space.dim), dtype=complex)
     for j, ej in enumerate(basis):
@@ -729,7 +743,7 @@ def test_norm_bounds_bracket_op_norm(request, name):
     assert schur_bound(stacked).tolist() == [schur_bound(op)[0] for op in ops]
     # a creation word's columns are unit vectors or zero, and its rows too:
     # both bounds are its norm, 1
-    letters = next(w.letters for w in space.words if len(w) == 2)
+    letters = next(w.letters for w in word_list(space) if len(w) == 2)
     A = generator(space, GeneratorWord(letters, ()))
     assert max_column_norm(A) == schur_bound(A) == 1.0
     assert op_norm(A) == pytest.approx(1.0, abs=1e-15)
@@ -871,7 +885,9 @@ def test_truncation_is_a_compression(data, L, L_big):
     # for bit: a bound on the truncated multiplier bounds the longer ones
     small, big = truncated(data, L), truncated(data, L_big)
     n = small.dim
-    assert big.words[:len(small.words)] == small.words  # so A + 0 pads A's words
+    # so A + 0 pads A's words
+    assert np.array_equal(big.words[:len(small.words), :L], small.words)
+    assert not np.any(big.words[:len(small.words), L:] >= 0)
     rng = np.random.default_rng(L_big)
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     padded = np.zeros((big.dim, big.dim), dtype=complex)

@@ -6,11 +6,10 @@ import pytest
 import radmul.fock as fock
 import radmul.operators as operators
 import radmul.verify as verify
-from oracles import (apply, as_op, coefficient_gaps_by_vectors, coeffs, failed_names, to_array,
-                     word_vector)
+from oracles import (apply, as_op, coefficient_gaps_by_vectors, coeffs, failed_names, index_of,
+                     to_array, word_list, word_vector)
 from radmul.algebra import verify_pp_basis
 from radmul.config import parse_config, preset_config
-from radmul.fock import Word
 from radmul.operators import RadialMultiplier, build_T, left_mult
 from radmul.symbols import RadialSymbol
 from radmul.verify import (ReducedWord, embed, embedding_suite, fock_suite,
@@ -44,15 +43,15 @@ def test_embed_identity_acts_as_identity(dih_space):
 
 def test_embed_unitary_creates_on_vacuum(dih_space):
     a = dih_space.amalgam.factors[0].unitary(1)
-    v = apply(embed(dih_space, a), word_vector(dih_space, Word()))
-    assert list(coeffs(v)) == [Word(((0, 1),))]
+    v = apply(embed(dih_space, a), word_vector(dih_space, index_of(dih_space)))
+    assert list(coeffs(v)) == [index_of(dih_space, (0, 1))]
 
 
 def test_embed_unitary_annihilates_matching_letter(dih_space):
     a = dih_space.amalgam.factors[0].unitary(1)
-    w = word_vector(dih_space, Word(((0, 1), (1, 1))))
+    w = word_vector(dih_space, index_of(dih_space, (0, 1), (1, 1)))
     v = apply(embed(dih_space, a), w)  # u^2 = 1 strips the leading letter
-    assert list(coeffs(v)) == [Word(((1, 1),))]
+    assert list(coeffs(v)) == [index_of(dih_space, (1, 1))]
 
 
 def test_embedding_suite_passes(dih_space, mat2_space, cy3_space):
@@ -111,15 +110,15 @@ def test_word_operator_vacuum_images(mat2_space):
     b = mat2_space.base.random(rng)
     # n = 0: plain left multiplication
     rw = ReducedWord(letters=(), coeffs=(b,))
-    vac = word_vector(mat2_space, Word())
+    vac = word_vector(mat2_space, index_of(mat2_space))
     v = apply(word_operator(mat2_space, rw), vac)
-    assert np.allclose(v.blocks[mat2_space.word_index[Word()]], b)
+    assert np.allclose(v.blocks[index_of(mat2_space)], b)
     # n = 1 and n = 2 unitary words land on the canonical word vectors
     v = apply(word_operator(mat2_space, unit_word(mat2_space, (0, 1))), vac)
-    assert list(coeffs(v)) == [Word(((0, 1),))]
+    assert list(coeffs(v)) == [index_of(mat2_space, (0, 1))]
     v = apply(word_operator(mat2_space, unit_word(mat2_space, (0, 1), (1, 1))), vac)
-    assert list(coeffs(v)) == [Word(((0, 1), (1, 1)))]
-    assert np.allclose(v.blocks[mat2_space.word_index[Word(((0, 1), (1, 1)))]], np.eye(2))
+    assert list(coeffs(v)) == [index_of(mat2_space, (0, 1), (1, 1))]
+    assert np.allclose(v.blocks[index_of(mat2_space, (0, 1), (1, 1))], np.eye(2))
 
 
 def test_word_operator_rejects_bad_words(dih_space):
@@ -146,7 +145,7 @@ def test_reduced_word_tells_factors_apart_by_identity(cy3_space):
 def vacuum_expectation(space, A):
     """Vacuum-sector coefficient of A applied to the vacuum; realizes the
     conditional expectation onto N for embedded words."""
-    return apply(A, word_vector(space, Word())).blocks[space.word_index[Word()]]
+    return apply(A, word_vector(space, index_of(space))).blocks[index_of(space)]
 
 
 def test_vacuum_expectation(dih_space):
@@ -281,7 +280,7 @@ def test_spanning_ranks(dih_space, mat2_space):
     assert rep.checks[0].details["rank"] == dih_space.dim_N == 1
 
     rep = spanning_check(mat2_space, 1)
-    count = sum(1 for w in mat2_space.words if len(w) <= 1)
+    count = np.count_nonzero(mat2_space.lengths <= 1)
     assert rep.checks[0].details["rank"] == count * mat2_space.dim_N == 12
 
 
@@ -295,8 +294,8 @@ def test_spanning_full_truncation(dih_space):
 def test_word_vacuum_images_match_word_operators(request, name):
     # oracle: one word operator per word and N-basis element, applied to the vacuum
     space = request.getfixturevalue(name)
-    vac = word_vector(space, Word())
-    words = [unit_word(space, *w.letters, right=b) for w in space.words if len(w) <= 2
+    vac = word_vector(space, index_of(space))
+    words = [unit_word(space, *w.letters, right=b) for w in word_list(space) if len(w) <= 2
              for b in space.base.basis()]
     want = np.stack([to_array(apply(word_operator(space, rw), vac)) for rw in words], axis=1)
     got = word_vacuum_images(space, 2).matrix()[0]
@@ -312,6 +311,22 @@ def test_fock_and_operator_suites(dih_space, mat2_space):
         assert operator_suite(space).passed
 
 
+def test_operator_suite_builds_each_partition_sum_once(monkeypatch, dih_space):
+    """partition_identity and phi_factorization_bound read the same two
+    partition sums, one per vector."""
+    calls = []
+    build = operators.partition_sum
+
+    def spy(space, v):
+        calls.append(v)
+        return build(space, v)
+
+    for module in (operators, verify):
+        monkeypatch.setattr(module, "partition_sum", spy)
+    assert operator_suite(dih_space).passed
+    assert len(calls) == 2
+
+
 def test_adjoint_pairing_holds_at_large_dim():
     # on unit vectors the pairing residual is rounding on the operators'
     # scale; on unnormalized Gaussian vectors (norm product ~ 2 dim) it was
@@ -325,10 +340,11 @@ def test_adjoint_pairing_holds_at_large_dim():
 
 
 def test_adjoint_checks_compare_two_constructions():
-    """The right creations come from the enumeration's links (``appended``)
-    and the right annihilations from the ``Word`` rules (``parent``), the
-    left annihilations from ``stripped`` (built from ``rest``): breaking one
-    side fails its check."""
+    """The right creations read ``appended``, the enumeration's links
+    scattered by letter, and the right annihilations the links themselves
+    (``parent``, ``last_letter``); the left creations read ``prepended`` and
+    the left annihilations ``stripped``, built by their own recursion
+    (``first_letter``, ``rest``): breaking one side fails its check."""
     def status(space, name):
         return {c.name: c.status for c in operator_suite(space).checks}[name]
 
@@ -341,7 +357,7 @@ def test_adjoint_checks_compare_two_constructions():
     space.appended[space.star[0], 0] = -1  # the vacuum no longer links to (0, 2)
     assert status(space, "adjoint_matrix[R(0, 1)]") == "fail"
     space = cy3()
-    j = space.word_index[Word(((0, 1), (1, 1)))]
+    j = index_of(space, (0, 1), (1, 1))
     space.stripped[space.first_letter[j], j] = 0  # (0, 1)(1, 1) stripped "is" the vacuum
     assert status(space, "adjoint_matrix[L(0, 1)]") == "fail"
 
