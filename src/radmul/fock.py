@@ -95,7 +95,8 @@ class FockSpace:
     length 1); ``stripped[t, j]`` is word j without its first letter where
     that letter is t (the word map of L*_t).  So the creations and the
     annihilations come from two constructions.
-    ``star[t]`` is gamma* = (i, g^{-1}) for gamma = (i, g), ``twists[t]``
+    ``letter_factors[t]`` is the factor i of the letter gamma = (i, g),
+    ``star[t]`` is gamma* = (i, g^{-1}), ``twists[t]``
     the coordinate matrix kron(W_g, conj(W_g)) of c -> alpha_g(c), and
     ``push_unitaries[j]`` is U_w with b w = w U_w b U_w*, by the prefix
     recursion U_{w gamma} = W_{g^{-1}} U_w, since b u_g = u_g
@@ -109,7 +110,7 @@ class FockSpace:
         self.base = amalgam.base
         self.L_max = L_max
         self.letters = tuple(amalgam.letters())
-        factor = np.array([i for i, _ in self.letters], dtype=np.intp)
+        self.letter_factors = factor = np.array([i for i, _ in self.letters], dtype=np.intp)
         parents, lasts = [np.array([-1])], [np.array([-1])]
         frontier, ends, n = np.zeros(1, dtype=np.intp), np.array([-1]), 1
         for _ in range(L_max):

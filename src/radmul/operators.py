@@ -1,8 +1,8 @@
 """Operator toolkit on the truncated Fock space.
 
-Building blocks: creation/annihilation by basis letters on either side,
-length-diagonal maps D_x (the length-k sector scaled by x(k)), the
-right-shift average
+Building blocks: creation/annihilation on either side by a basis letter,
+given by its index t in ``space.letters``, length-diagonal maps D_x (the
+length-k sector scaled by x(k)), the right-shift average
 
     rho(a) = sum_{gamma} R_{gamma*} a R_{gamma*}^*,
 
@@ -47,7 +47,8 @@ sample.  A family of generator words is one :class:`Generators`, arrays of
 letter indices and coefficients, and ``generator_operators`` builds it as
 one stack from the columns where each generator acts; ``stack`` joins
 stacks into one, so that ``apply_weights`` can weigh each sample by its
-own weight set in one pass.
+own weight set in one pass, and ``unstack`` is the one way to cut a stack
+back into consecutive ranges of samples.
 
 The operator is the package's one sparse matrix type.  ``amplify`` builds
 the amplifications sum_i C_i (x) A_i of the norm-bound sampler on the A_i's
@@ -147,13 +148,20 @@ class StructuredOperator:
             max_len = np.asarray(max_len)[self.samples]
         return self.subset(self.space.lengths[self.cols] <= max_len)
 
-    def select(self, keep) -> "StructuredOperator":
-        """The stack of the samples ``keep`` marks, renumbered in order."""
-        on = keep[self.samples]
-        renumber = np.cumsum(keep) - 1
-        return StructuredOperator(self.space, self.rows[on], self.cols[on], self.blocks[on],
-                                  self.name, renumber[self.samples[on]],
-                                  int(np.count_nonzero(keep)))
+    def unstack(self, bounds):
+        """Yield the stacks of the sample ranges [bounds[i], bounds[i+1]) for
+        ascending ``bounds``, the inverse of ``stack``: range i holds its
+        samples renumbered from bounds[i] and their entries in this
+        operator's entry order.  One stable sort of the samples serves all
+        ranges, so a range costs in proportion to its own entries, and each
+        range is copied only when it is taken."""
+        bounds = np.asarray(bounds, dtype=np.intp)
+        order = np.argsort(self.samples, kind="stable")
+        cuts = np.searchsorted(self.samples[order], bounds)
+        for start, stop, lo, hi in zip(bounds, bounds[1:], cuts, cuts[1:]):
+            at = np.sort(order[lo:hi])
+            yield StructuredOperator(self.space, self.rows[at], self.cols[at], self.blocks[at],
+                                     self.name, self.samples[at] - start, stop - start)
 
     def renamed(self, name: str) -> "StructuredOperator":
         return self._new(self.samples, self.rows, self.cols, self.blocks, name)
@@ -293,17 +301,6 @@ def right_mult(space: FockSpace, b) -> StructuredOperator:
     return _diag_op(space, np.ones(len(space.words)), "rmul", block)
 
 
-def _letter(space: FockSpace, letter) -> int:
-    """The index t of a letter in ``space.letters``."""
-    letter = tuple(letter)
-    if letter[1] == 0:
-        raise ValueError("creation letters avoid the group identity")
-    if letter not in space.letters:
-        raise ValueError("letter %r is not one of the configured letters %r"
-                         % (letter, space.letters))
-    return space.letters.index(letter)
-
-
 def _map_op(space: FockSpace, target: np.ndarray, blk: np.ndarray,
             name: str) -> StructuredOperator:
     """The partial word map j -> target[j], twisting each coefficient by blk."""
@@ -312,28 +309,28 @@ def _map_op(space: FockSpace, target: np.ndarray, blk: np.ndarray,
                               np.broadcast_to(blk, (src.size,) + blk.shape), name)
 
 
-def creation(space: FockSpace, letter) -> StructuredOperator:
-    """L_gamma: prepend the letter; zero against a same-factor start or overflow."""
-    t = _letter(space, letter)
+def creation(space: FockSpace, t: int) -> StructuredOperator:
+    """L_gamma, gamma = space.letters[t]: prepend gamma; zero against a
+    same-factor start or overflow."""
     return _map_op(space, space.prepended[t], np.eye(space.dim_N), "L%r" % (space.letters[t],))
 
 
-def annihilation(space: FockSpace, letter) -> StructuredOperator:
-    """L*_gamma: strip a matching first letter; zero on the vacuum sector."""
-    t = _letter(space, letter)
+def annihilation(space: FockSpace, t: int) -> StructuredOperator:
+    """L*_gamma, gamma = space.letters[t]: strip a matching first letter;
+    zero on the vacuum sector."""
     return _map_op(space, space.stripped[t], np.eye(space.dim_N), "L*%r" % (space.letters[t],))
 
 
-def right_creation(space: FockSpace, letter) -> StructuredOperator:
-    """R_{gamma*}: append gamma* = u_{g^{-1}}; zero against a same-factor end."""
-    t = _letter(space, letter)
+def right_creation(space: FockSpace, t: int) -> StructuredOperator:
+    """R_{gamma*}, gamma = space.letters[t]: append gamma* = u_{g^{-1}}; zero
+    against a same-factor end."""
     return _map_op(space, space.appended[space.star[t]], space.twists[t],
                    "R%r" % (space.letters[t],))
 
 
-def right_annihilation(space: FockSpace, letter) -> StructuredOperator:
-    """R*_{gamma*}: strip a final gamma*, twisting the coefficient by alpha_{g^{-1}}."""
-    t = _letter(space, letter)
+def right_annihilation(space: FockSpace, t: int) -> StructuredOperator:
+    """R*_{gamma*}, gamma = space.letters[t]: strip a final gamma*, twisting
+    the coefficient by alpha_{g^{-1}}."""
     star = space.star[t]
     return _map_op(space, np.where(space.last_letter == star, space.parent, -1),
                    space.twists[star], "R*%r" % (space.letters[t],))
@@ -376,10 +373,10 @@ def rho_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperator:
     the same word pair."""
     short = (space.lengths[A.rows] < space.L_max) & (space.lengths[A.cols] < space.L_max)
     ends_r, ends_c = space.last_factors[A.rows], space.last_factors[A.cols]
-    factor = np.array([i for i, _ in space.letters], dtype=np.intp)
     parts = []
     for i in range(len(space.amalgam.factors)):
-        e, t = np.flatnonzero(short & (ends_r != i) & (ends_c != i)), np.flatnonzero(factor == i)
+        e = np.flatnonzero(short & (ends_r != i) & (ends_c != i))
+        t = np.flatnonzero(space.letter_factors == i)
         parts.append((np.repeat(t, e.size), np.tile(e, t.size)))
     t, e = (np.concatenate(x) for x in zip(*parts))
     rows, cols = space.appended[space.star[t], A.rows[e]], space.appended[space.star[t], A.cols[e]]
@@ -517,7 +514,7 @@ class Generators:
     def case2(self, space: FockSpace) -> np.ndarray:
         """Case 2: both strings are nonempty, and xi_k and eta_l, the letters
         that meet, come from one factor; case 1 otherwise."""
-        factor = np.array([i for i, _ in space.letters])
+        factor = space.letter_factors
         k, l, at = self.k, self.l, np.arange(len(self.cre))
         return (k > 0) & (l > 0) & (factor[self.cre[at, k - 1]] == factor[self.ann[at, l - 1]])
 
@@ -557,13 +554,15 @@ def generator_operators(space: FockSpace, gens: Generators) -> StructuredOperato
     product does.  They start only on the columns where the whole
     annihilation string, or with none the creation string, is defined
     (``_seeds``).  A sample's entries come out in column order, as alone."""
-    kinds = np.column_stack((gens.k, gens.l, gens.coeff_rows >= 0))
-    _, first, group = np.unique(kinds, axis=0, return_index=True, return_inverse=True)
+    k, l, has = gens.k, gens.l, gens.coeff_rows >= 0
+    # one key per (k, l, has coefficients), in the triples' sort order
+    key = (k * (gens.ann.shape[1] + 1) + l) * 2 + has
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
     d = space.dim_N
     parts = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros((0, d, d)),)]
     for g in np.argsort(first):  # the groups in the order they first appear
-        ids = np.flatnonzero(group.ravel() == g)
-        gk, gl, gc = (int(x) for x in kinds[first[g]])
+        ids = np.flatnonzero(group == g)
+        gk, gl, gc = int(k[first[g]]), int(l[first[g]]), bool(has[first[g]])
         cre, ann, at = gens.cre[ids], gens.ann[ids], gens.coeff_rows[ids]
         steps = []  # (table, letter per generator), or (None, coefficient per generator)
         for j in range(gl):

@@ -67,26 +67,19 @@ def _stacked_chunks(space: FockSpace, stacks):
     samples of ``stacks`` (one per operator role, all of one size).  A range
     takes samples while their sizes (the size weight 2L+1 per scalar entry
     of a block, see ``CHUNK_ENTRIES``) add up to at most ``CHUNK_ENTRIES``,
-    and at least one.  Each stack's entries are sorted by sample once, so a
-    range's entries are one slice of that order, put back in entry order:
-    the stack of the range's samples that ``select`` gives."""
+    and at least one.  Each stack is cut into the ranges by one ``unstack``."""
     n = stacks[0].n_samples
     per = (2 * space.L_max + 1) * space.dim_N ** 2
     ends = np.cumsum(per * np.bincount(np.concatenate([op.samples for op in stacks]),
                                        minlength=n))
-    orders = [np.argsort(op.samples, kind="stable") for op in stacks]
-    keys = [op.samples[order] for op, order in zip(stacks, orders)]
-    start = 0
-    while start < n:
-        taken = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, taken + CHUNK_ENTRIES, side="right")))
-        chunk = []
-        for op, order, key in zip(stacks, orders, keys):
-            at = np.sort(order[slice(*np.searchsorted(key, [start, stop]))])
-            chunk.append(StructuredOperator(space, op.rows[at], op.cols[at], op.blocks[at],
-                                            op.name, op.samples[at] - start, stop - start))
+    bounds = [0]
+    while bounds[-1] < n:
+        taken = ends[bounds[-1] - 1] if bounds[-1] else 0
+        bounds.append(max(bounds[-1] + 1,
+                          int(np.searchsorted(ends, taken + CHUNK_ENTRIES, side="right"))))
+    ranges = zip(bounds, bounds[1:], *(op.unstack(bounds) for op in stacks))
+    for start, stop, *chunk in ranges:
         yield slice(start, stop), chunk
-        start = stop
 
 
 def _fold(worst: float, *values) -> float:
@@ -120,7 +113,7 @@ def _embed_terms(space: FockSpace, i: int) -> tuple:
     up_j creates (i, j), down_k annihilates (i, k)."""
     words = np.arange(len(space.words))
     guard = np.where(space.first_factors != i, words, -1)
-    at = [space.letters.index((i, g)) for g in range(1, space.amalgam.factors[i].group.order)]
+    at = np.flatnonzero(space.letter_factors == i)
     ups = np.vstack((guard, space.prepended[at]))
     downs = np.vstack((guard, space.stripped[at]))
     k, cols = np.nonzero(downs >= 0)
@@ -234,7 +227,7 @@ def _coefficients(rng, base, k: int, l: int) -> tuple:
 def random_generator_word(rng, space: FockSpace, k: int, l: int) -> tuple:
     """The rows (cre, ann, cre_coeffs, ann_coeffs) of ``Generators`` for a
     random word of k, l <= 2 letters, each string alternating factors."""
-    factor = [i for i, _ in space.letters]
+    factor = space.letter_factors
     strings = np.full((2, 2), -1)
     for s, length in enumerate((k, l)):
         for j in range(length):
@@ -346,19 +339,18 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     report.add("partition_identity", _fold(0.0, diff.block_max()), tol, samples=2)
 
     # each adjoint is built by its own rule, not as a conjugate transpose
-    letter = space.letters[0]
-    for op, op_star in [(creation(space, letter), annihilation(space, letter)),
-                        (right_creation(space, letter), right_annihilation(space, letter)),
+    for op, op_star in [(creation(space, 0), annihilation(space, 0)),
+                        (right_creation(space, 0), right_annihilation(space, 0)),
                         (diag(space, x[1:]), diag(space, np.conj(x[1:])))]:
         report.extend(adjoint_check(op, op_star, tol=tol, seed=seed))
 
     # everything in sight commutes with the right action, except R_{gamma*},
     # which is covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b)
     rb = right_mult(space, b)
-    i, g = letter
+    i, g = space.letters[0]
     rb_twisted = right_mult(space, space.amalgam.factors[i].alpha(g, b))
-    ops = stack([creation(space, letter), annihilation(space, letter),
-                 right_creation(space, letter), diag(space, x[:space.L_max + 2]),
+    ops = stack([creation(space, 0), annihilation(space, 0),
+                 right_creation(space, 0), diag(space, x[:space.L_max + 2]),
                  ends_in_factor_op(space, 0), rho_matrix(space, identity_op(space))])
     residual = ops @ stack([rb] * ops.n_samples) - stack([rb, rb, rb_twisted, rb, rb, rb]) @ ops
     report.add("right_module_blocks", _fold(0.0, residual.block_max()), tol)
@@ -458,7 +450,7 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
         # of a weighed by weight set j
         copy = np.repeat(np.arange(len(weight_sets)), a.n_samples)
         images = apply_weights(space, weight_sets, stack([a] * len(weight_sets)), copy)
-        images = [images.select(copy == j) for j in range(len(weight_sets))]
+        images = list(images.unstack(a.n_samples * np.arange(len(weight_sets) + 1)))
 
         # Phi eigen-formulas
         for i in range(2):
@@ -566,9 +558,7 @@ def amplified_stacks(rng, space: FockSpace, T, samples: int):
     for sl, ops in _stacked_chunks(space, stacks):
         chunk = draws[sl]
         # one Horner pass for all TERMS stacks pays its per-call cost once
-        tops = T.apply_matrix(stack(ops))
-        term = np.arange(tops.n_samples) // ops[0].n_samples
-        tops = [tops.select(term == i) for i in range(TERMS)]
+        tops = list(T.apply_matrix(stack(ops)).unstack(ops[0].n_samples * np.arange(TERMS + 1)))
         for m in AMPLIFICATIONS:
             blocks = [np.array([c[m][i] for _, c in chunk]) for i in range(TERMS)]
             # an overflowing symbol leaves inf or nan in tbig; op_norm reads inf
@@ -600,7 +590,7 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
             na = op_norm(big)
             live = na >= 1e-12
             if live.any():
-                worst = _fold(worst, op_norm(tbig.select(live)) / na[live])
+                worst = _fold(worst, op_norm(tbig)[live] / na[live])
         report.add("norm_bound_upper[%d]" % si, max(worst - c_norm, 0.0), tol,
                    observed=worst, class_c_norm=c_norm, samples=samples)
 
@@ -625,8 +615,8 @@ def _coefficient_gaps(space: FockSpace, ea: StructuredOperator, elements):
     for s, a in enumerate(elements):
         basis = a.factor.pp_basis()
         # the words of e_0 Omega = Omega and of e_g Omega = (i, g), ascending
-        t = space.letters.index((space.amalgam.factors.index(a.factor), 1))
-        words = np.append(0, space.appended[t:t + len(basis) - 1, 0])
+        at = np.flatnonzero(space.letter_factors == space.amalgam.factors.index(a.factor))
+        words = np.append(0, space.appended[at, 0])
         on = (ea.samples == s) & np.isin(ea.rows, words) & np.isin(ea.cols, words)
         got = np.zeros((len(words),) * 2 + ea.blocks.shape[1:], dtype=complex)
         rows, cols = np.searchsorted(words, ea.rows[on]), np.searchsorted(words, ea.cols[on])
@@ -682,11 +672,11 @@ def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
     since u_gamma maps the image of w to that of gamma w."""
     letters = space.letters
     stacked = embed(space, [space.amalgam.factors[i].unitary(g) for i, g in letters])
-    embeds = [stacked.select(np.arange(len(letters)) == t) for t in range(len(letters))]
+    embeds = list(stacked.unstack(np.arange(len(letters) + 1)))
     images = [lambda_span(space, 0)]
     for _ in range(max_len):
-        images.append(op_sum(space, [E @ images[-1] @ annihilation(space, letter)
-                                     for E, letter in zip(embeds, letters)]))
+        images.append(op_sum(space, [E @ images[-1] @ annihilation(space, t)
+                                     for t, E in enumerate(embeds)]))
     return op_sum(space, images, "images")
 
 

@@ -26,9 +26,10 @@ to a full matrix, and adds it up in tower order: the route
 ``operators.apply_weights`` replaced.  ``phi_block_matrix`` is one Phi
 block.  ``rho_matrix_by_letters`` is rho gathering every letter at every
 entry and ``select_chunks`` the chunking that selected each range from the
-whole stacks, the routes ``operators.rho_matrix`` and
-``verify._stacked_chunks`` replaced.  ``as_op`` turns a dense matrix into the operator the package
-functions take.
+whole stacks by ``select``, one scan of every entry per range, the routes
+``operators.rho_matrix``, ``verify._stacked_chunks`` and
+``StructuredOperator.unstack`` replaced.  ``as_op`` turns a dense matrix
+into the operator the package functions take.
 
 ``embed_by_products`` and ``lemma_suite_per_generator`` are the sample-by-
 sample routes the package replaced: the factor embedding with coefficients
@@ -65,7 +66,9 @@ from ``FactorElement`` products and Fock vectors, the routes the matrix
 identities of ``verify_pp_basis`` and ``verify._coefficient_gaps``
 replaced.
 
-The rest are helpers only the tests call: ``basis_fock_vector``,
+The rest are helpers only the tests call: ``letter_index`` (a letter's
+index in ``space.letters``, by which the letter maps of the package take
+it; it rejects a letter that is not configured), ``basis_fock_vector``,
 ``is_zero``, ``canonicalize`` (a formal tensor b_0 u_{g_1} b_1 ... u_{g_k}
 b_k pushed to its one right coefficient), ``zero_op``,
 ``start_complement_op``, ``generator`` (one generator word as a single
@@ -80,7 +83,7 @@ import numpy as np
 
 from radmul.algebra import FactorElement, _coords, cond_exp
 from radmul.fock import FockVector
-from radmul.operators import (Generators, StructuredOperator, _diag_op, _letter, annihilation,
+from radmul.operators import (Generators, StructuredOperator, _diag_op, annihilation,
                               apply_weights, build_T, creation, generator_operators,
                               identity_op, left_mult, length_at_least_op, lmul_blocks, op_sum,
                               phi_weights)
@@ -127,6 +130,18 @@ class Word:
 
     def drop_last(self) -> "Word":
         return _reduced(self.letters[:-1])
+
+
+def letter_index(space, letter) -> int:
+    """The index t in ``space.letters`` of a letter (i, g), which the letter
+    maps of ``radmul.operators`` take."""
+    letter = tuple(letter)
+    if letter[1] == 0:
+        raise ValueError("creation letters avoid the group identity")
+    if letter not in space.letters:
+        raise ValueError("letter %r is not one of the configured letters %r"
+                         % (letter, space.letters))
+    return space.letters.index(letter)
 
 
 def _check_letter(previous, letter) -> None:
@@ -363,11 +378,11 @@ def chain(space, gw):
     for j in range(gw.l):
         if gw.ann_coeffs:
             out.append(("lmul", gw.ann_coeffs[j]))
-        out.append(("L*", _letter(space, gw.ann_letters[j])))
+        out.append(("L*", letter_index(space, gw.ann_letters[j])))
     if gw.cre_coeffs:
         out.append(("lmul", gw.cre_coeffs[gw.k]))
     for j in reversed(range(gw.k)):
-        out.append(("L", _letter(space, gw.cre_letters[j])))
+        out.append(("L", letter_index(space, gw.cre_letters[j])))
         if gw.cre_coeffs:
             out.append(("lmul", gw.cre_coeffs[j]))
     return out
@@ -642,6 +657,16 @@ def rho_matrix_by_letters(space, A):
     return A._new(A.samples[e], tr[t, e], tc[t, e], blocks, "rho(%s)" % A.name)
 
 
+def select(op, keep):
+    """The stack of the samples ``keep`` marks, renumbered in order: one
+    scan of all the entries per call, the cut ``StructuredOperator.unstack``
+    replaced."""
+    on = keep[op.samples]
+    renumber = np.cumsum(keep) - 1
+    return StructuredOperator(op.space, op.rows[on], op.cols[on], op.blocks[on], op.name,
+                              renumber[op.samples[on]], int(np.count_nonzero(keep)))
+
+
 def select_chunks(space, stacks):
     """``verify._stacked_chunks`` with each range's stacks from ``select`` on
     the whole stacks, the ranges grown one sample at a time: the route that
@@ -660,7 +685,7 @@ def select_chunks(space, stacks):
     for start, stop in out:
         keep = np.zeros(n, dtype=bool)
         keep[start:stop] = True
-        yield slice(start, stop), [op.select(keep) for op in stacks]
+        yield slice(start, stop), [select(op, keep) for op in stacks]
 
 
 def rho_dense(space, A):
@@ -714,11 +739,11 @@ def generator_chain(space, gw):
     for j, xi in enumerate(gw.cre_letters):
         if cre_coeffs[j] is not None:
             factors.append(left_mult(space, cre_coeffs[j]))
-        factors.append(creation(space, xi))
+        factors.append(creation(space, letter_index(space, xi)))
     if cre_coeffs[gw.k] is not None:
         factors.append(left_mult(space, cre_coeffs[gw.k]))
     for j in range(gw.l - 1, -1, -1):
-        factors.append(annihilation(space, gw.ann_letters[j]))
+        factors.append(annihilation(space, letter_index(space, gw.ann_letters[j])))
         if ann_coeffs[j] is not None:
             factors.append(left_mult(space, ann_coeffs[j]))
     return op_product(space, factors, "gen(k=%d,l=%d)" % (gw.k, gw.l))
@@ -821,12 +846,12 @@ def embed_by_products(space, a):
     guard = start_complement_op(space, idx)
     terms = []
     for j, ej in enumerate(basis):
-        up = guard if j == 0 else creation(space, (idx, j))
+        up = guard if j == 0 else creation(space, letter_index(space, (idx, j)))
         for k, ek in enumerate(basis):
             coef = cond_exp(ej.star() * a * ek)
             if not np.any(np.abs(coef) > 0):
                 continue
-            down = guard if k == 0 else annihilation(space, (idx, k))
+            down = guard if k == 0 else annihilation(space, letter_index(space, (idx, k)))
             terms.append(op_product(space, [up, left_mult(space, coef), down], "term"))
     return op_sum(space, terms, "embed") if terms else zero_op(space)
 

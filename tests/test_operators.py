@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radmul.algebra import cond_exp
@@ -9,10 +9,10 @@ from radmul.fock import Amalgam, FockSpace
 from conftest import noncommuting_config
 from oracles import (GeneratorWord, append_star, apply, as_op, coeffs, column_matrix,
                      epsilon_dense, expand, family, generator, generator_words, index_of,
-                     is_zero, left_action, partition_identity_residual, phi_block_matrix,
-                     prepend, random_word, rho_matrix_by_letters, right_action, rho_dense,
-                     strip_first, strip_star, to_array, tower_dense, weighted_sum_dense,
-                     word_list, word_vector, zero_op)
+                     is_zero, left_action, letter_index, partition_identity_residual,
+                     phi_block_matrix, prepend, random_word, rho_matrix_by_letters,
+                     right_action, rho_dense, select, strip_first, strip_star, to_array,
+                     tower_dense, weighted_sum_dense, word_list, word_vector, zero_op)
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
 from radmul.operators import (StructuredOperator, adjoint_check, amplify, annihilation,
                               apply_weights, build_T, creation, diag, eps_rho_tower,
@@ -36,16 +36,19 @@ def brute_phi_scalar(x, y, k, l, shift=0):
 
 
 # ---------------------------------------------------------------- creation
+# a letter map takes the letter's index in ``space.letters``: (0, 1) is
+# letter 0 in every space, (1, 1) letter 1 in dih and mat2, (0, 2) letter 1
+# in cy3
 
 def test_creation_on_vacuum(dih_space):
-    v = apply(creation(dih_space, (0, 1)), word_vector(dih_space, index_of(dih_space)))
+    v = apply(creation(dih_space, 0), word_vector(dih_space, index_of(dih_space)))
     assert not is_zero(v)
     assert list(coeffs(v)) == [index_of(dih_space, (0, 1))]
 
 
 def test_creation_same_factor_vanishes(dih_space):
     w = word_vector(dih_space, index_of(dih_space, (0, 1)))
-    assert is_zero(apply(creation(dih_space, (0, 1)), w))
+    assert is_zero(apply(creation(dih_space, 0), w))
 
 
 def test_creation_overflow_truncates(dih_space):
@@ -53,35 +56,35 @@ def test_creation_overflow_truncates(dih_space):
     assert len(top) == dih_space.L_max
     lead = 0 if top.first_factor != 0 else 1  # admissible factor, only length blocks
     top_vector = word_vector(dih_space, index_of(dih_space, *top.letters))
-    assert is_zero(apply(creation(dih_space, (lead, 1)), top_vector))
+    assert is_zero(apply(creation(dih_space, letter_index(dih_space, (lead, 1))), top_vector))
 
 
 def test_right_creation_adjoint_convention(dih_space):
     # appending gamma* inverts the group element; for order two it returns itself
     w = word_vector(dih_space, index_of(dih_space, (1, 1)))
-    out = apply(right_creation(dih_space, (0, 1)), w)
+    out = apply(right_creation(dih_space, 0), w)
     assert list(coeffs(out)) == [index_of(dih_space, (1, 1), (0, 1))]
 
 
 def test_right_creation_inverts_element(cy3_space):
-    out = apply(right_creation(cy3_space, (0, 1)), word_vector(cy3_space, index_of(cy3_space)))
+    out = apply(right_creation(cy3_space, 0), word_vector(cy3_space, index_of(cy3_space)))
     assert list(coeffs(out)) == [index_of(cy3_space, (0, 2))]  # (u_1)* = u_2 in Z/3
 
 
 def test_annihilation_matching_letter(dih_space):
     w = word_vector(dih_space, index_of(dih_space, (0, 1)))
-    out = apply(annihilation(dih_space, (0, 1)), w)
+    out = apply(annihilation(dih_space, 0), w)
     assert out.blocks[index_of(dih_space)][0, 0] == pytest.approx(1.0)
 
 
 def test_annihilation_mismatch(cy3_space):
     w = word_vector(cy3_space, index_of(cy3_space, (0, 2)))
-    assert is_zero(apply(annihilation(cy3_space, (0, 1)), w))
+    assert is_zero(apply(annihilation(cy3_space, 0), w))
 
 
 def test_annihilation_kills_vacuum(dih_space):
     vac = word_vector(dih_space, index_of(dih_space))
-    assert is_zero(apply(annihilation(dih_space, (0, 1)), vac))
+    assert is_zero(apply(annihilation(dih_space, 0), vac))
 
 
 def test_right_annihilation_coefficient_twist(mat2_space):
@@ -89,7 +92,7 @@ def test_right_annihilation_coefficient_twist(mat2_space):
     b = mat2_space.base.random(rng)
     V = np.diag([1.0, -1.0]).astype(complex)
     w = word_vector(mat2_space, index_of(mat2_space, (0, 1), (1, 1)), b)
-    out = apply(right_annihilation(mat2_space, (1, 1)), w)
+    out = apply(right_annihilation(mat2_space, 1), w)
     assert np.allclose(out.blocks[index_of(mat2_space, (0, 1))], V @ b @ V)
 
 
@@ -99,11 +102,11 @@ def test_direct_matrices_match_action(request):
     for name in SPACES:
         space = request.getfixturevalue(name)
         pairs = []
-        for letter in space.amalgam.letters():
-            pairs += [(creation(space, letter), prepend(space, letter)),
-                      (annihilation(space, letter), strip_first(space, letter)),
-                      (right_creation(space, letter), append_star(space, letter)),
-                      (right_annihilation(space, letter), strip_star(space, letter))]
+        for t, letter in enumerate(space.letters):
+            pairs += [(creation(space, t), prepend(space, letter)),
+                      (annihilation(space, t), strip_first(space, letter)),
+                      (right_creation(space, t), append_star(space, letter)),
+                      (right_annihilation(space, t), strip_star(space, letter))]
         b = space.base.random(rng)
         pairs += [(left_mult(space, b), left_action(b)), (right_mult(space, b), right_action(b))]
         for op, rule in pairs:
@@ -111,10 +114,12 @@ def test_direct_matrices_match_action(request):
             assert diff <= 1e-13, (name, op.name)
 
 
+# the tests address the letter maps by letter through ``letter_index``, which
+# rejects a letter that is not configured before any map is built
 @pytest.mark.parametrize("make", [creation, annihilation, right_creation, right_annihilation])
 def test_letter_constructors_reject_group_identity(dih_space, make):
     with pytest.raises(ValueError):
-        make(dih_space, (0, 0))
+        make(dih_space, letter_index(dih_space, (0, 0)))
 
 
 @pytest.mark.parametrize("make", [creation, annihilation, right_creation, right_annihilation])
@@ -124,7 +129,7 @@ def test_letter_constructors_reject_group_identity(dih_space, make):
     ((0, 0), "avoid the group identity")], ids=["other-factor", "other-element", "identity"])
 def test_letter_maps_reject_unconfigured_letters(dih_space, make, letter, message):
     with pytest.raises(ValueError, match=message):
-        make(dih_space, letter)
+        make(dih_space, letter_index(dih_space, letter))
 
 
 # ---------------------------------------------------------------- adjoints
@@ -133,15 +138,15 @@ def test_adjoint_pairs(dih_space, mat2_space):
     rng = np.random.default_rng(1)
     for space in (dih_space, mat2_space):
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        for op, op_star in ((creation(space, (0, 1)), annihilation(space, (0, 1))),
-                            (right_creation(space, (1, 1)), right_annihilation(space, (1, 1))),
+        for op, op_star in ((creation(space, 0), annihilation(space, 0)),
+                            (right_creation(space, 1), right_annihilation(space, 1)),
                             (diag(space, x), diag(space, x.conj()))):
             assert adjoint_check(op, op_star, tol=1e-12).passed
 
 
 def test_adjoint_check_rejects_wrong_adjoint(cy3_space):
     # L*(0, 2) strips a different letter than L(0, 1) prepends
-    report = adjoint_check(creation(cy3_space, (0, 1)), annihilation(cy3_space, (0, 2)))
+    report = adjoint_check(creation(cy3_space, 0), annihilation(cy3_space, 1))
     assert [c.status for c in report.checks] == ["fail", "fail"]
 
 
@@ -575,7 +580,7 @@ def test_product_matches_dense_product(request, name):
     n, k = len(space.words), space.dim_N
     to_vacuum = StructuredOperator(space, np.zeros(n, dtype=int), np.arange(n),
                                    random_complex(rng, (n, k, k)), "to vacuum")
-    for a in (creation(space, space.amalgam.letters()[-1]), to_vacuum,
+    for a in (creation(space, len(space.letters) - 1), to_vacuum,
               random_operator(space, rng)):
         for b in entry_cases(space, rng):
             want = a.matrix() @ b.matrix()
@@ -597,7 +602,7 @@ def test_stacked_operations_repeat_each_sample_exactly(request, name):
     n, k, L = len(space.words), space.dim_N, space.L_max
     to_vacuum = StructuredOperator(space, np.zeros(n, dtype=int), np.arange(n),
                                    random_complex(rng, (n, k, k)), "to vacuum")
-    lefts = [creation(space, space.amalgam.letters()[-1]), to_vacuum,
+    lefts = [creation(space, len(space.letters) - 1), to_vacuum,
              random_operator(space, rng), zero_op(space)]
     rights = [random_operator(space, rng) for _ in lefts]
     scale = random_complex(rng, len(lefts))
@@ -635,19 +640,55 @@ def test_stacked_operations_repeat_each_sample_exactly(request, name):
         assert np.array_equal(one @ x, single @ x)
         assert one.block_max().tolist() == single.block_max().tolist()
         assert op_norm(one).tolist() == op_norm(single).tolist()
-    # T of stacks joined into one and split back by ``select`` is T of each
+    # T of stacks joined into one and split back by ``unstack`` is T of each
     # stack, entry for entry
     T = build_T(space, WEIGHT_SYMBOLS[-1])
     ops = [stack(lefts) @ stack(rights), stack(rights[:3]), stack(lefts[1:3])]
     images = T.apply_matrix(stack(ops))
     first = np.cumsum([0] + [op.n_samples for op in ops])
-    sample = np.arange(images.n_samples)
     assert images.n_samples == first[-1]
-    for op, start, stop in zip(ops, first, first[1:]):
-        got, want = images.select((sample >= start) & (sample < stop)), T.apply_matrix(op)
+    for op, got in zip(ops, images.unstack(first)):
+        want = T.apply_matrix(op)
         assert got.n_samples == want.n_samples
         for field in ("samples", "rows", "cols", "blocks"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 7), st.integers(0, 40), st.booleans(), st.integers(0, 2 ** 6 - 1),
+       st.integers(0, 2 ** 32 - 1))
+@example(1, 5, False, 0, 0)  # a stack of one
+@example(5, 0, False, 2 ** 4 - 1, 0)  # no entries at all
+@example(6, 12, False, 0b10101, 1)  # unsorted, some samples without entries
+def test_unstack_inverts_stack_and_cuts_as_select(mat2_space, n, size, by_sample, cut_bits,
+                                                  seed):
+    # a stack with random entries, its samples column sorted by sample or
+    # not, cut at the bounds cut_bits marks: each range is the stack the
+    # oracle ``select`` gives for it, and ``stack`` joins the ranges back
+    # into the whole, each range's entries in entry order, so a stack
+    # sorted by sample comes back bit for bit
+    space, rng = mat2_space, np.random.default_rng(seed)
+    samples = rng.integers(n, size=size)
+    samples = np.sort(samples) if by_sample else samples
+    words, k = len(space.words), space.dim_N
+    op = StructuredOperator(space, rng.integers(words, size=size), rng.integers(words, size=size),
+                            random_complex(rng, (size, k, k)), "A", samples, n)
+    bounds = [0] + [b for b in range(1, n) if cut_bits >> (b - 1) & 1] + [n]
+    pieces = list(op.unstack(bounds))
+    assert len(pieces) == len(bounds) - 1
+    for piece, start, stop in zip(pieces, bounds, bounds[1:]):
+        want = select(op, (np.arange(n) >= start) & (np.arange(n) < stop))
+        assert (piece.n_samples, piece.name) == (want.n_samples, want.name)
+        for field in ("samples", "rows", "cols", "blocks"):
+            assert np.array_equal(getattr(piece, field), getattr(want, field))
+            assert getattr(piece, field).dtype == getattr(want, field).dtype
+    back = stack(pieces)
+    order = np.argsort(np.searchsorted(bounds, samples, side="right"), kind="stable")
+    assert back.n_samples == n
+    if by_sample:
+        assert np.array_equal(order, np.arange(size))
+    for field in ("samples", "rows", "cols", "blocks"):
+        assert np.array_equal(getattr(back, field), getattr(op, field)[order])
 
 
 def dense_embed(space, a):
@@ -944,7 +985,7 @@ def test_op_norm_identity(dih_space):
 
 
 def test_op_norm_creation_is_isometry(dih_space):
-    assert op_norm(creation(dih_space, (0, 1)).matrix()[0])[0] == pytest.approx(1.0)
+    assert op_norm(creation(dih_space, 0).matrix()[0])[0] == pytest.approx(1.0)
 
 
 def test_op_norm_diag(dih_space):
