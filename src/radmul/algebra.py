@@ -5,12 +5,12 @@ trace (d = 1 gives the scalar case).  Each factor is the crossed product
 N x| G by a finite group acting through trace-preserving *-automorphisms
 alpha_g = Ad(W_g); its elements are sums sum_g b_g u_g with b_g in N and
 u_g unitaries obeying u_g b = alpha_g(b) u_g, each held as one (|G|, d, d)
-array of its coefficients b_g.  Sums, scalar multiples and adjoints are
-array operations, and a product forms every (g, h) term at once and adds
-them at gh in one ``np.add.at`` over the group table.  The inclusion N in
-N x| G has integer index |G|, conditional expectation x -> b_e, and the
-group unitaries (u_g), with u_e = 1 listed first, form an orthonormal
-module basis: E(u_g* u_h) = delta_{g,h} and every x equals
+array of its coefficients b_g.  Sums and scalar multiples are those of the
+arrays, the adjoint is one gather, and a product forms every (g, h) term
+at once and adds them at gh in one ``np.add.at`` over the group table.
+The inclusion N in N x| G has integer index |G|, conditional expectation
+x -> b_e, and the group unitaries (u_g), with u_e = 1 listed first, form
+an orthonormal module basis: E(u_g* u_h) = delta_{g,h} and every x equals
 sum_g E(x u_g) u_g*.  ``verify_pp_basis`` checks such a family as matrix
 identities on L2(M_i), with no product per pair of its members.
 """
@@ -208,15 +208,6 @@ class FactorElement:
     def __init__(self, factor: CrossedFactor, coeffs: np.ndarray):
         self.factor = factor
         self.coeffs = coeffs
-
-    def __add__(self, other: "FactorElement") -> "FactorElement":
-        return FactorElement(self.factor, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "FactorElement") -> "FactorElement":
-        return FactorElement(self.factor, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar) -> "FactorElement":
-        return FactorElement(self.factor, scalar * self.coeffs)
 
     def __mul__(self, other: "FactorElement") -> "FactorElement":
         """Product in the crossed product: (b u_g)(c u_h) = b alpha_g(c) u_{gh},

@@ -29,7 +29,8 @@ copy of an entry of A keeps the weight of the lengths it had before the
 shifts, so ``apply_weights`` sums the shifts by Horner's rule.
 ``phi_weights`` builds the set of one Phi block (P1 or P2 is x y^*); the
 pair sums depend on the pairs only through h and k, so the multiplier
-reads its sets off the symbol in closed form.
+reads its sets off the symbol in closed form.  The row sums of the Phi
+factorization are Phi1_{v,v}(Id), so they take the same route.
 
 Everything here commutes with the right N-action, except the right
 creations, which are covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b).
@@ -58,7 +59,7 @@ scalar entries of any operator off its blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -397,8 +398,10 @@ def rho_tower(space: FockSpace, A: StructuredOperator, n_max: int) -> list:
 
 def eps_rho_tower(space: FockSpace, A: StructuredOperator, n_max: int) -> list:
     """[eps(A), rho(eps(A)), ..., rho^{n_max-1}(eps(A))]."""
-    E = epsilon_matrix(space, A)
-    return [E] + rho_tower(space, E, n_max - 1)
+    out = [epsilon_matrix(space, A)]
+    for _ in range(n_max - 1):
+        out.append(rho_matrix(space, out[-1]))
+    return out
 
 
 def epsilon_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperator:
@@ -457,25 +460,9 @@ def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
                        P, variant)
 
 
-def partition_sum(space: FockSpace, v) -> StructuredOperator:
-    """sum_{n>=0} D_{(S*)^n v} D*_{(S*)^n v} + sum_{n>=1} D_{S^n v} Q_n D*_{S^n v}
-    with Q_n = rho^n(Id): the row sum of the Phi factorization for v, each
-    term a row and column scaling of entries.  The shifted weights partition
-    ||v||^2 on every length, so the sum is ||v||^2 Id."""
-    v = np.asarray(v, dtype=complex).ravel()
-    terms = []
-    for n in range(len(v)):
-        dn = diag(space, v[n:])  # (S*)^n v
-        terms.append(dn @ dn.adjoint())
-    for n, B in enumerate(rho_tower(space, identity_op(space), space.L_max), start=1):
-        dn = diag(space, np.concatenate([np.zeros(n), v]))  # S^n v
-        terms.append(dn @ B @ dn.adjoint())
-    return op_sum(space, terms)
-
-
 def phi_cb_bound(sums: StructuredOperator) -> float:
     """Row/column bound for the Phi factorization from the stack of its row
-    sums, ``partition_sum`` of x and of y: the square roots of the norms of
+    sums, Phi1_{x,x}(Id) and Phi1_{y,y}(Id): the square roots of the norms of
     sum_k u_k u_k* and sum_k v_k* v_k for u = { D_{(S*)^n x}, D_{S^n x}
     R_zeta }, v likewise from y, multiplied, so it never exceeds
     ||x||_2 ||y||_2."""
@@ -492,24 +479,24 @@ class Generators:
     as arrays over its generators t: ``cre[t]`` holds the indices in
     ``space.letters`` of xi_1, ..., xi_k, outside in, ``ann[t]`` those of
     eta_1 (which strips first), ..., eta_l (next to L_{xi_k}), each string
-    in the first slots of its row and -1 in the others.  Only a generator
-    with coefficients has a row ``coeff_rows[t]`` >= 0 in ``cre_coeffs``
-    (b_0, ..., b_k, then zeros) and ``ann_coeffs`` (bt_1, ..., bt_l, then
-    zeros; bt_j left-multiplies right before eta_j strips)."""
+    in the first slots of its row and -1 in the others; ``k[t]`` and
+    ``l[t]``, the lengths of the strings, are counted once, when the family
+    is made.  Only a generator with coefficients has a row
+    ``coeff_rows[t]`` >= 0 in ``cre_coeffs`` (b_0, ..., b_k, then zeros)
+    and ``ann_coeffs`` (bt_1, ..., bt_l, then zeros; bt_j left-multiplies
+    right before eta_j strips)."""
 
     cre: np.ndarray
     ann: np.ndarray
     coeff_rows: np.ndarray
     cre_coeffs: np.ndarray = None
     ann_coeffs: np.ndarray = None
+    k: np.ndarray = field(init=False)
+    l: np.ndarray = field(init=False)
 
-    @property
-    def k(self) -> np.ndarray:
-        return np.count_nonzero(self.cre >= 0, axis=1)
-
-    @property
-    def l(self) -> np.ndarray:
-        return np.count_nonzero(self.ann >= 0, axis=1)
+    def __post_init__(self):
+        object.__setattr__(self, "k", np.count_nonzero(self.cre >= 0, axis=1))
+        object.__setattr__(self, "l", np.count_nonzero(self.ann >= 0, axis=1))
 
     def case2(self, space: FockSpace) -> np.ndarray:
         """Case 2: both strings are nonempty, and xi_k and eta_l, the letters

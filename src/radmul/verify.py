@@ -44,8 +44,8 @@ from .operators import (Generators, StructuredOperator, _diag_op, adjoint_check,
                         annihilation, apply_weights, build_T, creation, diag,
                         ends_in_factor_op, epsilon_matrix, generator_operators, identity_op,
                         left_mult, length_at_least_op, length_exactly_op, lmul_blocks, op_sum,
-                        partition_sum, phi_cb_bound, phi_weights, right_annihilation,
-                        right_creation, right_mult, rho_matrix, stack)
+                        phi_cb_bound, phi_weights, right_annihilation, right_creation,
+                        right_mult, rho_matrix, stack)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
 from .sparse import coalesce, max_column_norm, op_norm, schur_bound
 from .symbols import norm_C
@@ -333,8 +333,10 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     xv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
     yv = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
 
-    # the row sums of the Phi factorization, whose norms phi_cb_bound takes
-    sums = stack([partition_sum(space, v) for v in (xv, yv)])
+    # the row sums of the Phi factorization, Phi1_{v,v}(Id) for both vectors
+    # in one call, whose norms phi_cb_bound takes
+    sums = apply_weights(space, np.array([phi_weights(space, 1, v, v) for v in (xv, yv)]),
+                         stack([identity_op(space)] * 2), np.arange(2))
     diff = sums - stack([float(np.vdot(v, v).real) * identity_op(space) for v in (xv, yv)])
     report.add("partition_identity", _fold(0.0, diff.block_max()), tol, samples=2)
 
@@ -607,22 +609,22 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     return report
 
 
-def _coefficient_gaps(space: FockSpace, ea: StructuredOperator, elements):
+def _coefficient_gaps(space: FockSpace, ea: StructuredOperator, elements, adjoints: list):
     """Yield per sample of ``ea``, one per element a, the largest entry of its
     blocks on the word pairs (e_m Omega, e_l Omega), (e_j) the module basis
     of a's factor, minus V_m* W_l, with V_m the matrix of b -> e_m b and W_l
-    that of b -> (a e_l) b: both are b -> E(e_m* a e_l) b on L2(N)."""
+    that of b -> (a e_l) b: both are b -> E(e_m* a e_l) b on L2(N).  The
+    V_m* of factor i, stacked, are ``adjoints[i]``."""
     for s, a in enumerate(elements):
-        basis = a.factor.pp_basis()
+        i = space.amalgam.factors.index(a.factor)
         # the words of e_0 Omega = Omega and of e_g Omega = (i, g), ascending
-        at = np.flatnonzero(space.letter_factors == space.amalgam.factors.index(a.factor))
+        at = np.flatnonzero(space.letter_factors == i)
         words = np.append(0, space.appended[at, 0])
         on = (ea.samples == s) & np.isin(ea.rows, words) & np.isin(ea.cols, words)
         got = np.zeros((len(words),) * 2 + ea.blocks.shape[1:], dtype=complex)
         rows, cols = np.searchsorted(words, ea.rows[on]), np.searchsorted(words, ea.cols[on])
         got[rows, cols] = ea.blocks[on]
-        want = (multiplication_matrix(basis, "left").conj().T
-                @ multiplication_matrix([a * e for e in basis], "left"))
+        want = adjoints[i] @ multiplication_matrix([a * e for e in a.factor.pp_basis()], "left")
         yield np.abs(got.transpose(0, 2, 1, 3).reshape(want.shape) - want).max()
 
 
@@ -652,10 +654,13 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
               embed(space, [b for _, _, b in draws]).columns_upto(space.L_max - 2),
               embed(space, [a * b for _, a, b in draws]).columns_upto(space.L_max - 2),
               embed(space, [a.star() for _, a, _ in draws])]
+    # per factor the V_m* of _coefficient_gaps, built once
+    adjoints = [multiplication_matrix(fac.pp_basis(), "left").conj().T for fac in factors]
     for sl, (ea, eb, eab, ea_star) in _stacked_chunks(space, images):
         res_mult = _fold(res_mult, (ea @ eb - eab).columns_upto(space.L_max - 2).block_max())
         res_star = _fold(res_star, (ea_star - ea.adjoint()).block_max())
-        res_coef = _fold(res_coef, *_coefficient_gaps(space, ea, [a for _, a, _ in draws[sl]]))
+        res_coef = _fold(res_coef, *_coefficient_gaps(space, ea, [a for _, a, _ in draws[sl]],
+                                                      adjoints))
     report.add("embedding_unital", res_unit, tol)
     report.add("embedding_multiplicative", res_mult, tol)
     report.add("embedding_star", res_star, tol)

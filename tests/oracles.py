@@ -44,9 +44,11 @@ coefficient tuples, the object form that ``operators.Generators``
 replaced; ``family`` and ``generator_words`` convert between the two
 forms, and ``generator_operators_tiled`` is the route that followed every
 generator from every column word (``chain``) before the package seeded
-each group with the columns where it acts.  ``partition_identity_residual``
-is the scalar shadow of the partition that ``operators.partition_sum``
-sums as operators.
+each group with the columns where it acts.  ``partition_sum_by_diag`` is
+the row sum of the Phi factorization as a sum of products of ``diag``
+maps and the rho tower of Id, the route the operator suite's
+Phi1_{v,v}(Id) through ``apply_weights`` replaced, and
+``partition_identity_residual`` its scalar shadow.
 ``embed_by_term_loop`` is the factor embedding with one Python iteration
 per (j, k) term, on the per-term words of ``embed_terms_by_pair``, and
 ``product_by_loop`` the crossed-product product one left coefficient at a
@@ -84,9 +86,9 @@ import numpy as np
 from radmul.algebra import FactorElement, _coords, cond_exp
 from radmul.fock import FockVector
 from radmul.operators import (Generators, StructuredOperator, _diag_op, annihilation,
-                              apply_weights, build_T, creation, generator_operators,
+                              apply_weights, build_T, creation, diag, generator_operators,
                               identity_op, left_mult, length_at_least_op, lmul_blocks, op_sum,
-                              phi_weights)
+                              phi_weights, rho_tower)
 from radmul.report import EIGEN_TOL, VerificationReport
 from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
@@ -436,6 +438,23 @@ def partition_identity_residual(space, x):
     return worst
 
 
+def partition_sum_by_diag(space, v):
+    """sum_{n>=0} D_{(S*)^n v} D*_{(S*)^n v} + sum_{n>=1} D_{S^n v} Q_n D*_{S^n v}
+    with Q_n = rho^n(Id): the row sum of the Phi factorization for v, each
+    term a product of length-diagonal maps and a member of the rho tower of
+    Id.  The shifted weights partition ||v||^2 on every length, so the sum is
+    ||v||^2 Id."""
+    v = np.asarray(v, dtype=complex).ravel()
+    terms = []
+    for n in range(len(v)):
+        dn = diag(space, v[n:])  # (S*)^n v
+        terms.append(dn @ dn.adjoint())
+    for n, B in enumerate(rho_tower(space, identity_op(space), space.L_max), start=1):
+        dn = diag(space, np.concatenate([np.zeros(n), v]))  # S^n v
+        terms.append(dn @ B @ dn.adjoint())
+    return op_sum(space, terms)
+
+
 def worst_residual(report):
     return max((c.max_residual for c in report.checks), default=0.0)
 
@@ -559,10 +578,10 @@ def pp_residuals_by_products(factor, basis):
                            for y in onb], axis=1)
     expansion = 0.0
     for x in onb:
-        rec = 0 * x
+        rec = np.zeros_like(x.coeffs)
         for ej in basis:
-            rec = rec + factor.from_base(cond_exp(x * ej)) * ej.star()
-        expansion = max(expansion, float(np.abs((rec - x).coeffs).max()))
+            rec = rec + (factor.from_base(cond_exp(x * ej)) * ej.star()).coeffs
+        expansion = max(expansion, float(np.abs(rec - x.coeffs).max()))
     return {"pp_orthogonality": ortho, "pp_normalization": normal,
             "pp_partition_of_unity": float(np.abs(total - np.eye(len(onb))).max()),
             "pp_expansion": expansion}

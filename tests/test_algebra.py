@@ -86,10 +86,10 @@ def test_crossed_product_arithmetic():
     fac = inner_factor()
     rng = np.random.default_rng(2)
     x, y, z = (fac.random(rng) for _ in range(3))
-    assoc = (x * y) * z - x * (y * z)
-    assert np.abs(assoc.coeffs).max() < 1e-12
-    anti = (x * y).star() - y.star() * x.star()
-    assert np.abs(anti.coeffs).max() < 1e-12
+    assoc = ((x * y) * z).coeffs - (x * (y * z)).coeffs
+    assert np.abs(assoc).max() < 1e-12
+    anti = (x * y).star().coeffs - (y.star() * x.star()).coeffs
+    assert np.abs(anti).max() < 1e-12
 
 
 def test_trace_state_is_tracial():
@@ -126,7 +126,8 @@ def test_cond_exp_spec_examples():
     assert cond_exp(fac.unitary(1)) == pytest.approx(0.0)
     b = 2.5 - 1.0j
     assert cond_exp(fac.from_base([[b]]))[0, 0] == pytest.approx(b)
-    x = fac.from_base([[1.5]]) * fac.unitary(1) + fac.from_base([[b]])
+    x = FactorElement(fac, (fac.from_base([[1.5]]) * fac.unitary(1)).coeffs
+                      + fac.from_base([[b]]).coeffs)
     assert cond_exp(x)[0, 0] == pytest.approx(b)
 
 
@@ -184,7 +185,8 @@ def test_crossed_product_matches_regular_representation(name):
     px, py = regular_rep(x), regular_rep(y)
     assert np.abs(regular_rep(x * y) - px @ py).max() < 1e-12
     assert np.abs(regular_rep(x.star()) - px.conj().T).max() < 1e-12
-    assert np.abs(regular_rep(x - (2 - 1j) * y) - (px - (2 - 1j) * py)).max() < 1e-12
+    combination = FactorElement(fac, x.coeffs - (2 - 1j) * y.coeffs)
+    assert np.abs(regular_rep(combination) - (px - (2 - 1j) * py)).max() < 1e-12
     assert x.trace() == pytest.approx(np.trace(px) / (n * d), abs=1e-13)
     for g in range(n):
         pu = regular_rep(fac.unitary(g))
@@ -252,9 +254,8 @@ def e0_vanishing(factor, g, b):
     report = VerificationReport()
     report.add("e0_coefficient_vanishes", float(np.abs(coeffs[0]).max()), ALGEBRAIC_TOL, g=g)
     coeffs[0] = 0
-    diff = pp_reconstruct(factor, coeffs) - x
-    report.add("e0_truncated_reconstruction", float(np.abs(diff.coeffs).max()), ALGEBRAIC_TOL,
-               g=g)
+    diff = pp_reconstruct(factor, coeffs).coeffs - x.coeffs
+    report.add("e0_truncated_reconstruction", float(np.abs(diff).max()), ALGEBRAIC_TOL, g=g)
     return report
 
 
@@ -282,7 +283,7 @@ def test_pp_expand_single_unitary_component():
 
 def test_pp_expand_two_unitaries():
     fac = CrossedFactor(TracialAlgebra(1), FiniteGroup.cyclic(3))
-    x = fac.unitary(1) + fac.unitary(2)
+    x = FactorElement(fac, fac.unitary(1).coeffs + fac.unitary(2).coeffs)
     coeffs = pp_expand(x)
     nonzero = [g for g, c in enumerate(coeffs) if np.abs(c).max() > 0]
     assert len(nonzero) == 2
@@ -294,7 +295,7 @@ def test_pp_reconstruction_exact():
         rng = np.random.default_rng(6)
         x = fac.random(rng)
         rec = pp_reconstruct(fac, pp_expand(x))
-        assert np.abs((rec - x).coeffs).max() < 1e-13
+        assert np.abs(rec.coeffs - x.coeffs).max() < 1e-13
 
 
 def test_verify_pp_basis_passes():
@@ -328,7 +329,7 @@ def test_pp_residuals_match_product_route(request, name):
 def test_verify_pp_basis_catches_a_scaled_element():
     fac = inner_factor()
     basis = fac.pp_basis()
-    basis[1] = 1.001 * basis[1]
+    basis[1] = FactorElement(fac, 1.001 * basis[1].coeffs)
     failed = set(failed_names(verify_pp_basis(fac, basis=basis)))
     assert "pp_normalization" in failed and "pp_orthogonality" not in failed
 

@@ -46,6 +46,10 @@ def assert_reports_agree(got, want, tol):
         assert abs(g.max_residual - w.max_residual) <= tol, g.name
 
 
+def zero_element(fac):
+    return FactorElement(fac, np.zeros_like(fac.identity().coeffs))
+
+
 def assert_sample_is(stack_op, s, want):
     """Sample s of the stack has exactly want's entries, in want's order."""
     on = stack_op.samples == s
@@ -138,7 +142,7 @@ def test_embed_stack_matches_per_element_oracle(request, name):
     elements = []
     for fac in space.amalgam.factors:
         elements += [fac.random(rng), fac.random_kernel(rng), fac.identity(), fac.unitary(1),
-                     fac.from_base(space.base.random(rng)), 0 * fac.identity()]
+                     fac.from_base(space.base.random(rng)), zero_element(fac)]
     elements = [elements[t] for t in rng.permutation(len(elements))]
     E = embed(space, elements)
     assert E.n_samples == len(elements)
@@ -147,7 +151,7 @@ def test_embed_stack_matches_per_element_oracle(request, name):
         assert_sample_is(E, s, want)
         assert_sample_is(embed(space, a), 0, want)
         assert (want.rows.size == 0) == (not a.coeffs.any())
-    zero = embed(space, [0 * space.amalgam.factors[0].identity()])
+    zero = embed(space, [zero_element(space.amalgam.factors[0])])
     assert (zero.n_samples, zero.rows.size) == (1, 0)
 
 
@@ -175,7 +179,7 @@ def test_embed_matches_term_loop_oracle_exactly(request, name):
     elements = []
     for fac in space.amalgam.factors:
         elements += [fac.random(rng), fac.random_kernel(rng), fac.identity(), fac.unitary(1),
-                     fac.from_base(space.base.random(rng)), 0 * fac.identity()]
+                     fac.from_base(space.base.random(rng)), zero_element(fac)]
     elements = [elements[t] for t in rng.permutation(len(elements))]
     for a in [elements, elements[0], [elements[-1]]]:
         got, want = embed(space, a), embed_by_term_loop(space, a)

@@ -16,10 +16,16 @@ parameters to another call, no module of the package makes a dense matrix
 of a whole operator, the set-up path (configuration to Fock space) loads no
 operator code, only the command line sets OpenBLAS's idle timeout before
 numpy loads, and README's CLI section names exactly the command line's
-options."""
+options.  At run time, every function and method of the package, dunders
+and nested functions included, starts in the command line's verify, bound
+and symbol runs on small models, or is on a short list with its reason:
+a name kept alive only by an unrelated read, as ``np.trace`` reads
+``trace``, or by no read at all, as a dunder, is dead code all the same."""
 
 import argparse
 import ast
+import importlib.util
+import json
 import math
 import os
 import re
@@ -30,7 +36,9 @@ from pathlib import Path
 
 import pytest
 
-from radmul.cli import build_parser
+from conftest import noncommuting_config
+from radmul.cli import build_parser, main
+from radmul.config import preset_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "radmul"
@@ -450,6 +458,7 @@ UNCALLED_ALLOWED = {
     "RadialSymbol.constant": "documented API: a named symbol (README)",
     "RadialSymbol.geometric": "documented API: a named symbol (README)",
     "StructuredOperator.matrix": "radbench's tracer wraps it and reads its cache, _matrix",
+    "rho_tower": "radbench's tracer times it by name",
     "eps_rho_tower": "radbench's tracer times it by name",
     "Amalgam.push": "radbench's tracer counts its calls",
     "hankel_pair": "radbench's tracer times it and setup_probe.py prints its tail_error",
@@ -504,6 +513,106 @@ def test_unreferenced_class_is_caught():
     }
     assert unreferenced_classes(modules) == [("a.py", 7, "D"), ("a.py", 9, "E"),
                                              ("b.py", 4, "G")]
+
+
+def defined_functions(path: Path) -> dict:
+    """(first line of its code, name) -> qualified name of every function
+    and method the module at ``path`` defines, dunders and nested functions
+    included; a decorated function's code starts at its first decorator."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                line = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                out[line, child.name] = prefix + child.name
+            visit(child, prefix + child.name + "."
+                  if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def unexecuted(paths: list, run) -> list:
+    """The qualified names of the functions and methods of the modules at
+    ``paths`` (``defined_functions``) whose code no call started while
+    ``run()`` ran, as ``sys.setprofile`` sees the calls of this thread."""
+    started = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            started.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    ran = {(Path(code.co_filename).resolve(), code.co_firstlineno, code.co_name)
+           for code in started}
+    return sorted(name for path in paths for (line, fn), name in defined_functions(path).items()
+                  if (path.resolve(), line, fn) not in ran)
+
+
+# the functions and methods of the package that the command-line runs of
+# test_every_function_runs_or_is_allowed never start, each with its reason:
+# the names radbench's tracer pins, their private helpers, and documented API
+UNEXECUTED_ALLOWED = {
+    "StructuredOperator.matrix": "radbench's tracer wraps it and reads its cache, _matrix",
+    "rho_tower": "radbench's tracer times it by name",
+    "eps_rho_tower": "radbench's tracer times it by name",
+    "Amalgam.push": "radbench's tracer counts its calls",
+    "FockVector.__init__": "radbench's tracer counts its calls",
+    "hankel_pair": "radbench's tracer times it and setup_probe.py prints its tail_error",
+    "factorize": "radbench's tracer times the M x M Hankel route through it",
+    "_discard_bound": "a helper of hankel_pair",
+    "_sum_weighted_geometric": "a helper of hankel_pair",
+    "FactorElement.trace": "documented API: the trace tau_i of a factor element",
+    "TracialAlgebra.trace": "documented API: the normalized trace of N (README)",
+    "RadialSymbol.delta0": "documented API: a named symbol (README)",
+    "RadialSymbol.indicator01": "documented API: a named symbol (README)",
+    "RadialSymbol.constant": "documented API: a named symbol (README)",
+    "RadialSymbol.geometric": "documented API: a named symbol (README)",
+}
+
+
+def test_every_function_runs_or_is_allowed(monkeypatch, tmp_path):
+    # verify, bound and symbol on the presets and a model with non-commuting
+    # actions, in this process (one usable core: no worker is forked); what
+    # no run starts is dead code, dunders included, whatever reads its name
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def run():
+        for i, data in enumerate([preset_config(name) for name in ("dih", "mat2", "cy3")]
+                                 + [noncommuting_config(3)]):
+            data["truncation"]["fock_len"] = 3
+            config = tmp_path / ("config%d.json" % i)
+            config.write_text(json.dumps(data))
+            for argv in (["verify", "--seed", "1", "--report", str(tmp_path / "report.json")],
+                         ["bound", "--samples", "3"],
+                         ["symbol", "--csv", str(tmp_path / "symbol.csv")]):
+                assert main(argv + ["--config", str(config)]) == 0
+
+    # an entry whose function now runs, or is gone, is stale
+    assert unexecuted(MODULES, run) == sorted(UNEXECUTED_ALLOWED)
+
+
+def test_unexecuted_function_is_caught(tmp_path):
+    # the run builds a C and reads its property but adds no two: C.__add__
+    # and the function nested in it never start, though both are named
+    path = tmp_path / "seeded.py"
+    path.write_text("class C:\n"
+                    "    def __init__(self, x):\n        self.x = x\n"
+                    "    def __add__(self, other):\n"
+                    "        def total():\n            return self.x + other.x\n"
+                    "        return C(total())\n"
+                    "    @property\n    def double(self):\n        return 2 * self.x\n"
+                    "def run():\n    return C(1).double, C.__add__, 'total'\n")
+    spec = importlib.util.spec_from_file_location("seeded", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert unexecuted([path], module.run) == ["C.__add__", "C.__add__.total"]
 
 
 def pass_throughs(source: str) -> list:

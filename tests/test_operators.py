@@ -10,15 +10,15 @@ from conftest import noncommuting_config
 from oracles import (GeneratorWord, append_star, apply, as_op, coeffs, column_matrix,
                      epsilon_dense, expand, family, generator, generator_words, index_of,
                      is_zero, left_action, letter_index, partition_identity_residual,
-                     phi_block_matrix, prepend, random_word, rho_matrix_by_letters,
+                     partition_sum_by_diag, phi_block_matrix, prepend, random_word, rho_matrix_by_letters,
                      right_action, rho_dense, select, strip_first, strip_star, to_array,
                      tower_dense, weighted_sum_dense, word_list, word_vector, zero_op)
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
 from radmul.operators import (StructuredOperator, adjoint_check, amplify, annihilation,
                               apply_weights, build_T, creation, diag, eps_rho_tower,
                               epsilon_matrix, identity_op, left_mult, length_at_least_op,
-                              partition_sum, phi_cb_bound, phi_weights, right_annihilation,
-                              right_creation, right_mult, rho_matrix, rho_tower, stack)
+                              phi_cb_bound, phi_weights, right_annihilation, right_creation,
+                              right_mult, rho_matrix, rho_tower, stack)
 from radmul.symbols import RadialSymbol, factorize, hankel_pair
 from radmul.verify import (ReducedWord, amplified_stacks, embed, random_reduced_word,
                            word_operator)
@@ -215,8 +215,31 @@ def test_partition_identity_as_operators(dih_space):
         total += D @ Q.matrix()[0] @ D.conj().T
     want = float(np.vdot(x, x).real) * np.eye(dih_space.dim)
     assert np.abs(total - want).max() <= 1e-12 * np.vdot(x, x).real
-    # the package's sum adds the same terms as operators
-    assert np.abs(partition_sum(dih_space, x).matrix()[0] - total).max() <= 1e-13
+    # the oracle adds the same terms as operators
+    assert np.abs(partition_sum_by_diag(dih_space, x).matrix()[0] - total).max() <= 1e-13
+
+
+def row_sums(space, vectors):
+    """Phi1_{v,v}(Id) for each of the vectors, one sample each, built as the
+    operator suite builds the row sums of the Phi factorization."""
+    W = np.array([phi_weights(space, 1, v, v) for v in vectors])
+    return apply_weights(space, W, stack([identity_op(space)] * len(vectors)),
+                         np.arange(len(vectors)))
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_row_sums_match_the_diag_route(request, name):
+    # Phi1_{v,v}(Id) through the Horner engine holds the entries of the sum
+    # of diag products and rho powers of Id, on the same word pairs
+    space = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    vectors = [rng.standard_normal(32) + 1j * rng.standard_normal(32) for _ in range(2)]
+    got = row_sums(space, vectors).unstack(np.arange(len(vectors) + 1))
+    for v, sums in zip(vectors, got):
+        want = partition_sum_by_diag(space, v)
+        assert np.array_equal(sums.rows, want.rows) and np.array_equal(sums.cols, want.cols)
+        scale = np.abs(want.blocks).max()
+        assert np.abs(sums.blocks - want.blocks).max() <= 1e-15 * scale
 
 
 # ---------------------------------------------------------------- rho / epsilon
@@ -353,7 +376,7 @@ def test_phi_zero_vector_gives_zero(dih_space):
 
 def test_phi_cb_bound_values(dih_space):
     def bound(x, y):
-        return phi_cb_bound(stack([partition_sum(dih_space, v) for v in (x, y)]))
+        return phi_cb_bound(row_sums(dih_space, [x, y]))
 
     e0 = np.zeros(5)
     e0[0] = 1.0
@@ -366,8 +389,8 @@ def test_phi_cb_bound_values(dih_space):
     y /= np.linalg.norm(y)
     assert bound(x, y) <= 1.0 + 1e-10
     # the norms of the stack are those of each sum alone
-    assert bound(x, y) == float(np.sqrt(op_norm(partition_sum(dih_space, x))[0])
-                                * np.sqrt(op_norm(partition_sum(dih_space, y))[0]))
+    assert bound(x, y) == float(np.sqrt(op_norm(row_sums(dih_space, [x]))[0])
+                                * np.sqrt(op_norm(row_sums(dih_space, [y]))[0]))
 
 
 # ---------------------------------------------------------------- cases

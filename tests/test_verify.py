@@ -8,7 +8,7 @@ import radmul.operators as operators
 import radmul.verify as verify
 from oracles import (apply, as_op, coefficient_gaps_by_vectors, coeffs, failed_names, index_of,
                      to_array, word_list, word_vector)
-from radmul.algebra import verify_pp_basis
+from radmul.algebra import multiplication_matrix, verify_pp_basis
 from radmul.config import parse_config, preset_config
 from radmul.operators import RadialMultiplier, build_T, left_mult
 from radmul.symbols import RadialSymbol
@@ -67,14 +67,16 @@ def test_coefficient_gaps_match_vector_route(request, name):
     of the pair-by-pair Fock-vector route."""
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(11)
+    adjoints = [multiplication_matrix(fac.pp_basis(), "left").conj().T
+                for fac in space.amalgam.factors]
     for fac in space.amalgam.factors:
         for size in range(1, fac.group.order + 2):
             elements = [fac.random(rng) for _ in range(size)]
             own = embed(space, elements)
-            got = list(verify._coefficient_gaps(space, own, elements))
+            got = list(verify._coefficient_gaps(space, own, elements, adjoints))
             assert max(got + list(coefficient_gaps_by_vectors(space, own, elements))) <= 1e-13
             other = embed(space, [fac.random(rng) for _ in range(size)])
-            got = list(verify._coefficient_gaps(space, other, elements))
+            got = list(verify._coefficient_gaps(space, other, elements, adjoints))
             want = list(coefficient_gaps_by_vectors(space, other, elements))
             assert min(got) > 1 and got == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -311,20 +313,19 @@ def test_fock_and_operator_suites(dih_space, mat2_space):
         assert operator_suite(space).passed
 
 
-def test_operator_suite_builds_each_partition_sum_once(monkeypatch, dih_space):
-    """partition_identity and phi_factorization_bound read the same two
-    partition sums, one per vector."""
+def test_operator_suite_builds_both_row_sums_in_one_call(monkeypatch, dih_space):
+    """partition_identity and phi_factorization_bound read the same two row
+    sums, Phi1_{v,v}(Id) for both vectors, from one apply_weights call."""
     calls = []
-    build = operators.partition_sum
+    build = operators.apply_weights
 
-    def spy(space, v):
-        calls.append(v)
-        return build(space, v)
+    def spy(space, W, A, sets=None):
+        calls.append((len(W), A.n_samples))
+        return build(space, W, A, sets)
 
-    for module in (operators, verify):
-        monkeypatch.setattr(module, "partition_sum", spy)
+    monkeypatch.setattr(verify, "apply_weights", spy)
     assert operator_suite(dih_space).passed
-    assert len(calls) == 2
+    assert calls == [(2, 2)]
 
 
 def test_adjoint_pairing_holds_at_large_dim():
@@ -397,16 +398,16 @@ def seed_defect(monkeypatch, name, old, new):
     ("inner_N", "(x, (-1, d, d)).conj().transpose(0, 2, 1) @ np.reshape(y",
      "(y, (-1, d, d)).conj().transpose(0, 2, 1) @ np.reshape(x", "mat2_space",
      "fock_inner_right_linear"),
-    # D_x scaling the length-k sector by x(k - 1): the shifted weights no
-    # longer partition ||x||^2
-    ("diag", "values[space.lengths]", "values[space.lengths - 1]", "dih_space",
+    # the weight of Phi_{x,y} on A summed from one length on: the row sums
+    # miss |v(k)|^2 on every length k
+    ("phi_weights", "np.trace(P[a:, b:])", "np.trace(P[a + 1:, b + 1:])", "dih_space",
      "partition_identity"),
 ])
 def test_module_checks_catch_a_seeded_defect(monkeypatch, request, name, old, new, space, check):
-    """Each of these defects in a building block or in the N-valued inner
-    product fails its check; the M_2 base tells c b from c b^T and b* c
-    from b^T c or c* b, and the noncommuting model's order-3 twists alpha_g
-    from alpha_{g^{-1}}."""
+    """Each of these defects in a building block, a weight set or the
+    N-valued inner product fails its check; the M_2 base tells c b from
+    c b^T and b* c from b^T c or c* b, and the noncommuting model's order-3
+    twists alpha_g from alpha_{g^{-1}}."""
     seed_defect(monkeypatch, name, old, new)
     space = request.getfixturevalue(space)
     assert check in failed_names(fock_suite(space)) + failed_names(operator_suite(space))
