@@ -6,8 +6,9 @@ N x| G by a finite group acting through trace-preserving *-automorphisms
 alpha_g = Ad(W_g); its elements are sums sum_g b_g u_g with b_g in N and
 u_g unitaries obeying u_g b = alpha_g(b) u_g, each held as one (|G|, d, d)
 array of its coefficients b_g.  Sums and scalar multiples are those of the
-arrays, the adjoint is one gather, and a product forms every (g, h) term
-at once and adds them at gh in one ``np.add.at`` over the group table.
+arrays, the adjoint is one gather, and a product forms the (g, h) terms
+of every h where the right factor is nonzero at once and adds them at gh
+in one ``np.add.at`` over the group table.
 The inclusion N in N x| G has integer index |G|, conditional expectation
 x -> b_e, and the group unitaries (u_g), with u_e = 1 listed first, form
 an orthonormal module basis: E(u_g* u_h) = delta_{g,h} and every x equals
@@ -211,12 +212,13 @@ class FactorElement:
 
     def __mul__(self, other: "FactorElement") -> "FactorElement":
         """Product in the crossed product: (b u_g)(c u_h) = b alpha_g(c) u_{gh},
-        every (g, h) term at once, added at gh in the order of g."""
+        the (g, h) terms of the h with c nonzero at once, added at gh in g order."""
         fac = self.factor
         g = np.arange(fac.group.order)
-        terms = self.coeffs[:, None] @ fac.alpha(g[:, None], other.coeffs[None])
+        h = np.flatnonzero(other.coeffs.any(axis=(1, 2)))
+        terms = self.coeffs[:, None] @ fac.alpha(g[:, None], other.coeffs[h][None])
         out = np.zeros_like(self.coeffs)
-        np.add.at(out, fac.group.table, terms)
+        np.add.at(out, fac.group.table[:, h], terms)
         return FactorElement(fac, out)
 
     def star(self) -> "FactorElement":

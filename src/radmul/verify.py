@@ -1,11 +1,12 @@
 """End-to-end verification: factor embeddings, reduced words, multiplier action.
 
-Each crossed-product factor embeds into the Fock-side operator algebra via
+The paper embeds a factor as sum_{j,k} L_{e_j} E(e_j* a e_k) L*_{e_k} over
+its module basis (e_j); for N x| G and the basis (u_g) that is
 
-    embed(a) = sum_{j,k} L_{e_j} E(e_j* a e_k) L*_{e_k},
+    embed(a) = sum_g lmul(a_g) U_g,    a = sum_g a_g u_g,
 
-summing over the module basis (e_j) with the e_0 = 1 slots realized as the
-projection onto words that do not start in that factor.  Products of
+U_g the word map of u_g (``_unitary_words``), and the embedding suite checks
+the coefficients E(e_m* a e_l) on blocks of embed(a).  Products of
 embedded kernel letters realize reduced words of the amalgamated free
 product; applied to the vacuum they reproduce the canonical word vectors.
 The suites here drive the assembled multiplier against its contract: the
@@ -105,53 +106,42 @@ def _component_scale(T, s: float) -> float:
     return max(s, np.abs(T.t1_weights).max(), np.abs(T.t2_weights).max())
 
 
-def _embed_terms(space: FockSpace, i: int) -> tuple:
-    """The entries of the terms up_j lmul(c) down_k of factor i, read off
-    the space's word graph: (rows, cols, middle words, term index
-    t = j |G| + k), in (t, column) order with the columns of a term
-    ascending.  up_0 = down_0 keeps the words not starting in factor i,
-    up_j creates (i, j), down_k annihilates (i, k)."""
+def _unitary_words(space: FockSpace, i: int) -> np.ndarray:
+    """The word maps of the u_g of factor i's group, a row per g: [g, c] is
+    the word of u_g c, -1 past the truncation.  A leading letter (i, h) of
+    c becomes (i, gh), dropped where gh = e; a word that does not start in
+    factor i takes (i, g) in front, nothing for g = e."""
     words = np.arange(len(space.words))
-    guard = np.where(space.first_factors != i, words, -1)
     at = np.flatnonzero(space.letter_factors == i)
-    ups = np.vstack((guard, space.prepended[at]))
-    downs = np.vstack((guard, space.stripped[at]))
-    k, cols = np.nonzero(downs >= 0)
-    mid = downs[k, cols]
-    j, e = np.nonzero(ups[:, mid] >= 0)
-    return ups[j, mid[e]], cols[e], mid[e], j * len(ups) + k[e]
+    # row g prepends (i, g), letter at[g - 1], to a word not starting in factor i; row 0 keeps it
+    ups = np.vstack((words, space.prepended[at]))
+    starts = space.first_factors == i
+    h = np.where(starts, space.first_letter - at[0] + 1, 0)
+    return ups[space.amalgam.factors[i].group.table[:, h], np.where(starts, space.rest, words)]
 
 
 def embed(space: FockSpace, a) -> StructuredOperator:
     """The left multiplication by a factor element on the truncated Fock
     space as a stack of one, or the stack of them for a sequence of
-    elements (of any factors): the sum of the (j, k) terms
-    L_{e_j} E(e_j* a e_k) L*_{e_k} with nonzero coefficient,
-    E(u_{g_j}* a u_{g_k}) = alpha_{g_j^{-1}}(a_{g_j g_k^{-1}}) for
-    e_j = u_{g_j}, entries from ``_embed_terms`` (built once per factor and
-    call), added in (j, k) order.
-    """
+    elements (of any factors): for a = sum_g a_g u_g, the sum of the
+    lmul(a_g) U_g with a_g nonzero, U_g the word map of u_g from
+    ``_unitary_words`` (built once per factor and call)."""
     elements = [a] if isinstance(a, FactorElement) else a
-    factors = space.amalgam.factors
     d = space.base.d
-    terms_of = {}
-    entries = [(np.zeros(0, dtype=np.intp),) * 4 + (np.zeros((0, d, d), dtype=complex),)]
+    words_of = {}
+    entries = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros((0, d, d), dtype=complex),)]
     for s, x in enumerate(elements):
-        idx = next((i for i, fac in enumerate(factors) if fac is x.factor), None)
+        idx = next((i for i, fac in enumerate(space.amalgam.factors) if fac is x.factor), None)
         if idx is None:
             raise ValueError("element does not belong to a configured factor")
-        if idx not in terms_of:
-            terms_of[idx] = _embed_terms(space, idx)
-        rows, cols, mid, term = terms_of[idx]
-        group = x.factor.group
-        j, k = np.divmod(np.arange(group.order ** 2), group.order)
-        inv = group.inverses
-        coef = x.factor.alpha(inv[j], x.coeffs[group.table[j, inv[k]]])
-        keep = (np.abs(coef) > 0).any(axis=(1, 2))[term]
-        entries.append((np.full(np.count_nonzero(keep), s), rows[keep], cols[keep], mid[keep],
-                        coef[term[keep]]))
-    samples, rows, cols, mid, coefs = (np.concatenate(x) for x in zip(*entries))
-    blocks = lmul_blocks(space, coefs, mid)
+        if idx not in words_of:
+            words_of[idx] = _unitary_words(space, idx)
+        g = np.flatnonzero(x.coeffs.any(axis=(1, 2)))
+        unitary = words_of[idx][g]
+        k, cols = np.nonzero(unitary >= 0)
+        entries.append((np.full(cols.size, s), unitary[k, cols], cols, x.coeffs[g[k]]))
+    samples, rows, cols, coefs = (np.concatenate(x) for x in zip(*entries))
+    blocks = lmul_blocks(space, coefs, rows)
     samples, rows, cols, blocks = coalesce(samples, rows, cols, blocks, len(space.words))
     return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(elements))
 
@@ -279,12 +269,16 @@ def fock_suite(space: FockSpace, seed: int = 0,
     rb = stack([right_mult(space, base.random(rng))] * P.n_samples)
     report.add("fock_projection_right_commute", _fold(0.0, (P @ rb - rb @ P).block_max()), tol)
 
-    # Q_n = Q_{n+1} + (length exactly n)
+    # Q_n = Q_{n+1} + (length exactly n), and D_x = sum_n x(n) (length
+    # exactly n) for x(n) = n + 1, a value of its own on every length
     worst = 0.0
     for n in range(space.L_max):
         split = (length_at_least_op(space, n) - length_at_least_op(space, n + 1)
                  - length_exactly_op(space, n))
         worst = _fold(worst, split.block_max())
+    x = np.arange(1, space.L_max + 2)
+    sectors = op_sum(space, [x[n] * length_exactly_op(space, n) for n in range(len(x))])
+    worst = _fold(worst, (diag(space, x) - sectors).block_max())
     report.add("fock_length_projection_split", worst, tol)
 
     # the length-k spanning families have full rank jointly
@@ -633,7 +627,7 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     right N-valued matrix coefficients against the module basis, at
     tolerance 1e-11.  The sampled pairs (a, b) are checked a chunk at a
     time, as stacks; the coefficients are read off blocks against matrices of
-    ``FactorElement`` products, a route independent of ``embed``'s closed form."""
+    ``FactorElement`` products, a route independent of ``embed``'s word maps."""
     rng = default_rng([seed, 7])
     report = VerificationReport()
     tol = 1e-11

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,24 @@ def noncommuting_config(fock_len=3):
 def noncomm_space():
     """M_2 base, two order-3 factors with non-commuting inner actions (dim 116)."""
     return parse_config(noncommuting_config()).space()
+
+
+def s3_config():
+    """dih with its second factor S_3 (an order-6 table group, composition
+    of the permutations of three points) at fock_len 3: the only test model
+    whose group is not abelian, so gh and hg differ."""
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(p[q[k]] for k in range(3))) for q in perms] for p in perms]
+    cfg = preset_config("dih")
+    cfg["factors"][1]["group"] = {"kind": "table", "table": table}
+    cfg["truncation"]["fock_len"] = 3
+    return cfg
+
+
+@pytest.fixture(scope="session")
+def s3_space():
+    """Scalar base, an order-2 factor and an S_3 factor (dim 47)."""
+    return parse_config(s3_config()).space()
 
 
 def symbol_zoo():

@@ -49,10 +49,12 @@ the row sum of the Phi factorization as a sum of products of ``diag``
 maps and the rho tower of Id, the route the operator suite's
 Phi1_{v,v}(Id) through ``apply_weights`` replaced, and
 ``partition_identity_residual`` its scalar shadow.
-``embed_by_term_loop`` is the factor embedding with one Python iteration
-per (j, k) term, on the per-term words of ``embed_terms_by_pair``, and
-``product_by_loop`` the crossed-product product one left coefficient at a
-time: the loops ``verify.embed`` and ``FactorElement.__mul__`` replaced.
+``embed_by_term_loop`` is the factor embedding as the paper writes it, a
+sum of module-basis terms with one Python iteration per (j, k) term, on the
+per-term words of ``embed_terms_by_pair``: the route ``verify.embed``'s
+word maps of the group unitaries replaced, which ``unitary_word_by_rules``
+gives word by word.  ``product_by_loop`` is the crossed-product product one
+left coefficient at a time, the loop ``FactorElement.__mul__`` replaced.
 ``psi_via_factors`` recovers psi1 and psi2 from the rank-one pairs of the
 truncated Hankel matrices.  ``word_vacuum_images_dense`` and
 ``lambda_span_dense`` are the spanning families as one dense column at a
@@ -771,7 +773,9 @@ def generator_chain(space, gw):
 def embed_terms_by_pair(space, i):
     """Per (j, k), the rows, columns (ascending) and middle words of the
     entries of up_j lmul(c) down_k in factor i, one term at a time: the
-    form ``verify._embed_terms`` had before it concatenated the terms."""
+    module-basis terms of the embedding, up_0 = down_0 keeping the words not
+    starting in factor i, up_j creating (i, j) and down_k annihilating
+    (i, k)."""
     words = np.arange(len(space.words))
     guard = np.where(space.first_factors != i, words, -1)
     at = [space.letters.index((i, g)) for g in range(1, space.amalgam.factors[i].group.order)]
@@ -787,9 +791,11 @@ def embed_terms_by_pair(space, i):
 
 
 def embed_by_term_loop(space, a):
-    """``verify.embed`` with one Python iteration per nonzero (j, k) term of
-    each element, its entries gathered term by term: the route the
-    package's one mask per element replaced."""
+    """``verify.embed`` as the sum of the module-basis terms
+    L_{e_j} E(e_j* a e_k) L*_{e_k}, E(u_{g_j}* a u_{g_k}) =
+    alpha_{g_j^{-1}}(a_{g_j g_k^{-1}}), with one Python iteration per nonzero
+    (j, k) term of each element, its entries gathered term by term: the
+    route the package's word maps of the group unitaries replaced."""
     elements = [a] if isinstance(a, FactorElement) else a
     factors = space.amalgam.factors
     words_of = {}
@@ -824,6 +830,19 @@ def product_by_loop(x, y):
     for g, b in enumerate(x.coeffs):
         out[fac.group.table[g]] += b @ fac.alpha(g, y.coeffs)
     return out
+
+
+def unitary_word_by_rules(space, i, g, j):
+    """The index of the word of u_g w, for the word w of index j and g in
+    factor i's group, by the ``Word`` rules: u_g u_h = u_{gh} on a leading
+    letter (i, h) of w, dropped where gh = e, and (i, g) put in front of a
+    word that does not start in factor i, nothing where g = e; -1 past the
+    truncation."""
+    w = word_list(space)[j]
+    letters = w.letters
+    if w.first_factor == i:
+        g, letters = int(space.amalgam.factors[i].group.table[g, letters[0][1]]), letters[1:]
+    return index_of(space, *(((i, g),) if g else ()), *letters)
 
 
 def embed_per_element(space, a):

@@ -210,11 +210,16 @@ PRODUCT_FACTORS = {
 
 @pytest.mark.parametrize("name", PRODUCT_FACTORS)
 def test_product_matches_loop_oracle_exactly(name):
-    # the gather adds the (g, h) terms at gh in the order of g, as the loop
+    # the gather adds the (g, h) terms at gh in the order of g, as the loop;
+    # the terms it leaves out, those of a zero coefficient of the right
+    # factor, are exact zeros in the loop
     fac = PRODUCT_FACTORS[name]()
     rng = np.random.default_rng(12)
+    zero = FactorElement(fac, np.zeros_like(fac.identity().coeffs))
     for x, y in [(fac.random(rng), fac.random(rng)), (fac.random_kernel(rng), fac.random(rng)),
-                 (fac.unitary(1), fac.random(rng)), (fac.random(rng), fac.identity())]:
+                 (fac.unitary(1), fac.random(rng)), (fac.random(rng), fac.identity()),
+                 (fac.random(rng), fac.unitary(1)),
+                 (fac.random(rng), fac.from_base(fac.base.random(rng))), (fac.random(rng), zero)]:
         assert np.array_equal((x * y).coeffs, product_by_loop(x, y))
 
 

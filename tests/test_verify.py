@@ -81,18 +81,6 @@ def test_coefficient_gaps_match_vector_route(request, name):
             assert min(got) > 1 and got == pytest.approx(want, rel=1e-14, abs=0)
 
 
-def test_embedding_coefficients_catch_an_untwisted_coefficient(monkeypatch, noncomm_space):
-    """embed with alpha_{g_j} in place of alpha_{g_j^{-1}} in E(e_j* a e_k)
-    fails the coefficient check.  The noncommuting model's order-3 twists
-    tell the two apart; an order-2 or trivial twist would not."""
-    source = inspect.getsource(verify.embed)
-    assert source.count("alpha(inv[j]") == 1
-    namespace = dict(vars(verify))
-    exec(source.replace("alpha(inv[j]", "alpha(j"), namespace)
-    monkeypatch.setattr(verify, "embed", namespace["embed"])
-    assert "embedding_matrix_coefficients" in failed_names(embedding_suite(noncomm_space))
-
-
 def test_module_basis_checks_pass_at_large_cyclic_order():
     """The pp and embedding checks take O(|G| d^2) products per basis or
     sampled element, so a cyclic factor of order 48 stays in tier 1."""
@@ -365,10 +353,11 @@ def test_adjoint_checks_compare_two_constructions():
 
 def seed_defect(monkeypatch, name, old, new):
     """Replace the one ``old`` in the source of ``name``, a function of the
-    fock or the operator module, by ``new``, and put the result in place of
-    ``name`` in the fock, operator and verify modules for the rest of the
-    test."""
-    home = fock if name in vars(fock) else operators
+    fock, the operator or the verify module, by ``new``, and put the result
+    in place of ``name`` in the fock, operator and verify modules for the
+    rest of the test."""
+    home = inspect.getmodule(next(vars(m)[name] for m in (fock, operators, verify)
+                                  if name in vars(m)))
     source = inspect.getsource(getattr(home, name))
     assert source.count(old) == 1
     namespace = dict(vars(home))
@@ -402,6 +391,14 @@ def seed_defect(monkeypatch, name, old, new):
     # miss |v(k)|^2 on every length k
     ("phi_weights", "np.trace(P[a:, b:])", "np.trace(P[a + 1:, b + 1:])", "dih_space",
      "partition_identity"),
+    # D_x reading x one length off; the adjoint and right-module checks hold
+    # for any length-diagonal map
+    ("diag", "values[space.lengths]", "values[space.lengths - 1]", "dih_space",
+     "fock_length_projection_split"),
+    ("diag", "values[space.lengths]", "values[space.lengths - 1]", "mat2_space",
+     "fock_length_projection_split"),
+    ("diag", "values[space.lengths]", "values[space.lengths - 1]", "cy3_space",
+     "fock_length_projection_split"),
 ])
 def test_module_checks_catch_a_seeded_defect(monkeypatch, request, name, old, new, space, check):
     """Each of these defects in a building block, a weight set or the
@@ -411,6 +408,28 @@ def test_module_checks_catch_a_seeded_defect(monkeypatch, request, name, old, ne
     seed_defect(monkeypatch, name, old, new)
     space = request.getfixturevalue(space)
     assert check in failed_names(fock_suite(space)) + failed_names(operator_suite(space))
+
+
+@pytest.mark.parametrize("name, old, new, space, checks", [
+    # a_g pushed through the column word, not through the word u_g maps it to
+    ("embed", "lmul_blocks(space, coefs, rows)", "lmul_blocks(space, coefs, cols)",
+     "noncomm_space",
+     {"embedding_multiplicative", "embedding_star", "embedding_matrix_coefficients"}),
+    ("embed", "lmul_blocks(space, coefs, rows)", "lmul_blocks(space, coefs, cols)",
+     "mat2_space", {"embedding_multiplicative", "embedding_matrix_coefficients"}),
+    # the word map of u_{g^{-1}} in place of that of u_g
+    ("embed", "words_of[idx][g]", "words_of[idx][x.factor.group.inverses[g]]", "cy3_space",
+     {"embedding_matrix_coefficients"}),
+    # u_g u_h read as u_{hg}; only a group that is not abelian tells them apart
+    ("_unitary_words", "group.table[:, h]", "group.table[h].T", "s3_space",
+     {"embedding_multiplicative", "embedding_matrix_coefficients"}),
+])
+def test_embedding_checks_catch_a_seeded_defect(monkeypatch, request, name, old, new, space,
+                                                checks):
+    """Each of these defects in the embedding's word maps or blocks fails
+    exactly these embedding checks."""
+    seed_defect(monkeypatch, name, old, new)
+    assert set(failed_names(embedding_suite(request.getfixturevalue(space)))) == checks
 
 
 @pytest.mark.parametrize("name, old, new, space, check", [
