@@ -51,10 +51,11 @@ stacks into one, so that ``apply_weights`` can weigh each sample by its
 own weight set in one pass, and ``unstack`` is the one way to cut a stack
 back into consecutive ranges of samples.
 
-The operator is the package's one sparse matrix type.  ``amplify`` builds
-the amplifications sum_i C_i (x) A_i of the norm-bound sampler on the A_i's
-word pairs, with m dim_N x m dim_N blocks, and ``op_norm`` reads the
-scalar entries of any operator off its blocks.
+The operator is the package's one sparse matrix type, with one scalar
+layout, word-major: ``entries()`` and ``op @ x`` put the k x k block of word
+pair (r, c) on rows r k, ..., r k + k - 1 and columns c k, ..., c k + k - 1.
+``amplify`` builds the amplifications sum_i A_i (x) C_i of the norm-bound
+sampler, block B of A_i becoming kron(B, C_i), and ``op_norm`` reads them.
 """
 
 from __future__ import annotations
@@ -111,17 +112,12 @@ class StructuredOperator:
         return self._matrix
 
     def entries(self) -> tuple:
-        """The nonzero scalar entries (samples, rows, cols, values).  The
-        basis is m copies of the Fock space's, m = 1 except for an
-        amplification (``amplify``), whose blocks are m x m arrays of
-        dim_N x dim_N blocks: entry [p k + a, q k + b] of the block of word
-        pair (r, c) sits at row p dim + r k + a, column q dim + c k + b
-        (k = dim_N)."""
-        k, dim = self.space.dim_N, self.space.dim
+        """The nonzero scalar entries (samples, rows, cols, values), word-major:
+        entry [a, b] of the k x k block of word pair (r, c) sits at row
+        r k + a, column c k + b."""
+        k = self.blocks.shape[-1]
         e, i, j = np.nonzero(self.blocks)
-        (p, a), (q, b) = np.divmod(i, k), np.divmod(j, k)
-        return (self.samples[e], p * dim + self.rows[e] * k + a,
-                q * dim + self.cols[e] * k + b, self.blocks[e, i, j])
+        return self.samples[e], self.rows[e] * k + i, self.cols[e] * k + j, self.blocks[e, i, j]
 
     def _new(self, samples, rows, cols, blocks, name: str) -> "StructuredOperator":
         """An operator with these entries in this operator's stack."""
@@ -175,13 +171,10 @@ class StructuredOperator:
         if isinstance(other, StructuredOperator):
             _same_stack(self, other)
             return self._new(*_product(self, other), "(%s %s)" % (self.name, other.name))
-        # the coordinates by word, those of a word's m copies side by side
-        k = self.space.dim_N
-        m = self.blocks.shape[-1] // k
-        x = np.asarray(other, dtype=complex).reshape(m, -1, k).swapaxes(0, 1).reshape(-1, m * k)
+        # the coordinates as a row per word (``entries``)
+        x = np.asarray(other, dtype=complex).reshape(-1, self.blocks.shape[-1])
         terms = (self.blocks @ x[self.cols][:, :, None])[:, :, 0]
         out = sum_at(self.samples * len(x) + self.rows, terms, self.n_samples * len(x))
-        out = out.reshape(self.n_samples, -1, m, k).swapaxes(1, 2)
         return out.reshape(self.n_samples, -1)
 
     def __add__(self, other: "StructuredOperator") -> "StructuredOperator":
@@ -191,14 +184,10 @@ class StructuredOperator:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "StructuredOperator":
-        """scalar * op; ``scalar`` may hold one scalar per sample."""
-        if np.ndim(scalar):
-            scale = np.asarray(scalar, dtype=complex)[self.samples][:, None, None]
-            return self._new(self.samples, self.rows, self.cols, scale * self.blocks,
-                             "(scaled %s)" % self.name)
-        scalar = complex(scalar)
-        return self._new(self.samples, self.rows, self.cols, scalar * self.blocks,
-                         "(%r * %s)" % (scalar, self.name))
+        """scalar * op, ``scalar`` one scalar for all samples or one per sample."""
+        scale = np.broadcast_to(np.asarray(scalar, dtype=complex), (self.n_samples,))
+        return self._new(self.samples, self.rows, self.cols,
+                         scale[self.samples, None, None] * self.blocks, "(scaled %s)" % self.name)
 
     def __neg__(self) -> "StructuredOperator":
         return self._new(self.samples, self.rows, self.cols, -self.blocks, "-" + self.name)
@@ -248,17 +237,17 @@ def op_sum(space: FockSpace, ops, name: str = "sum") -> StructuredOperator:
 
 
 def amplify(coeffs, ops) -> StructuredOperator:
-    """sum_i C_i (x) A_i for operators A_i with one m x m scalar block C_i
+    """sum_i A_i (x) C_i for operators A_i with one m x m scalar block C_i
     per sample, in the A_i's stack: each word pair of A_i keeps its place
-    and its block B becomes kron(C_i, B), an m dim_N x m dim_N block (see
-    ``entries`` for its place in the basis), and the terms are added in
-    order."""
+    and its block B becomes kron(B, C_i), an m dim_N x m dim_N block, and
+    the terms are added in order.  It is sum_i C_i (x) A_i in the word-major
+    layout (``entries``), so it has the same norm."""
     terms = []
     for C, A in zip(coeffs, ops):
         m, k = np.shape(C)[-1], A.blocks.shape[-1]
         C = np.asarray(C).reshape(-1, m, m)[A.samples]
-        kron = C[:, :, None, :, None] * A.blocks[:, None, :, None, :]
-        terms.append(A._new(A.samples, A.rows, A.cols, kron.reshape(-1, m * k, m * k),
+        kron = A.blocks[:, :, None, :, None] * C[:, None, :, None, :]
+        terms.append(A._new(A.samples, A.rows, A.cols, kron.reshape(-1, k * m, k * m),
                             "(C (x) %s)" % A.name))
     return op_sum(ops[0].space, terms, "amplified")
 

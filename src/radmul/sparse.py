@@ -9,9 +9,10 @@ order), and ``op_norm``, the package's one spectral norm, takes an exact SVD
 of each connected component of the support, batched by block shape over all
 samples.  ``max_column_norm`` and ``schur_bound`` bracket that norm from
 below and above in one pass over the entries, with no SVD.  Each of the
-three returns one result per sample, a dense array counting as one sample.
-The one sparse matrix type, :class:`radmul.operators.StructuredOperator`,
-keeps its entries in this form with a square block in place of each scalar.
+three takes an operator, anything with ``entries()``, ``n_samples`` and
+``shape``, and returns one result per sample.  The one sparse matrix type,
+:class:`radmul.operators.StructuredOperator`, keeps its entries in this
+form with a square block in place of each scalar, and lists them word-major.
 """
 
 from __future__ import annotations
@@ -124,68 +125,57 @@ def _block_norms(samples, rows, cols, values, n_s: int, shape: tuple) -> np.ndar
     return best
 
 
-def _entries(A) -> tuple:
-    """(samples, rows, cols, values, n_samples, shape): the nonzero scalar
-    entries of an operator (``A.entries()``) or of an array (``np.nonzero``),
-    the number of samples and the shape of one."""
-    if hasattr(A, "entries"):
-        return A.entries() + (A.n_samples, A.shape)
-    A = np.asarray(A, dtype=complex)
-    rows, cols = np.nonzero(A)
-    return np.zeros_like(rows), rows, cols, A[rows, cols], 1, A.shape
-
-
 def _largest_line_sums(A, power: int) -> tuple:
     """Per sample, the largest sum of |entry|**power over a column and over a
     row, both inf for a sample with a non-finite entry (as ``op_norm``).
-    Each line adds its entries in (row, column) order, so an operator and
-    its dense array give the same sums."""
-    samples, rows, cols, values, n_samples, shape = _entries(A)
+    Each line adds its entries in (row, column) order, so the sums do not
+    depend on the order of ``A.entries()``."""
+    samples, rows, cols, values = A.entries()
     order = np.lexsort((cols, rows, samples))
     weights = np.abs(values[order]) ** power
     out = []
-    for lines, n in ((cols, shape[1]), (rows, shape[0])):
-        sums = np.bincount(samples[order] * n + lines[order], weights, n_samples * n)
-        line_max = sums.reshape(n_samples, n).max(axis=1, initial=0.0).astype(float)
+    for lines, n in ((cols, A.shape[1]), (rows, A.shape[0])):
+        sums = np.bincount(samples[order] * n + lines[order], weights, A.n_samples * n)
+        line_max = sums.reshape(A.n_samples, n).max(axis=1, initial=0.0).astype(float)
         line_max[samples[~np.isfinite(values)]] = np.inf
         out.append(line_max)
     return tuple(out)
 
 
 def max_column_norm(A):
-    """The largest column 2-norm of an operator or an array, per sample: a
-    lower bound for the spectral norm, in one pass over the entries,
-    attained where a column attains the norm."""
+    """The largest column 2-norm of an operator, per sample: a lower bound
+    for the spectral norm, in one pass over the entries, attained where a
+    column attains the norm."""
     return np.sqrt(_largest_line_sums(A, 2)[0])
 
 
 def schur_bound(A):
-    """sqrt(largest column abs-sum * largest row abs-sum) of an operator or
-    an array, per sample: an upper bound for the spectral norm
+    """sqrt(largest column abs-sum * largest row abs-sum) of an operator,
+    per sample: an upper bound for the spectral norm
     (||A||^2 <= ||A||_1 ||A||_inf), in one pass over the entries."""
     cols, rows = _largest_line_sums(A, 1)
     return np.sqrt(cols * rows)
 
 
 def op_norm(A):
-    """Spectral norm of a :class:`~radmul.operators.StructuredOperator` or
-    of an array, the package's only one: an array with the norm of each
-    sample.
+    """Spectral norm of a :class:`~radmul.operators.StructuredOperator`, the
+    package's only one: an array with the norm of each sample.
 
-    It works on the nonzero scalar entries, ``A.entries()`` of an operator
-    and ``np.nonzero`` of an array.  The matrix is split into the connected
-    components of their support (rows and columns joined by entries) and
-    each component gets an exact SVD, batched by block shape over all
-    samples; the largest first singular value of a sample is its norm.  An
-    empty or all-zero sample has norm 0, and one with a non-finite entry has
-    norm inf (not nan, which ``max`` would silently drop): its values are
-    set to 0 before the SVDs (which do not converge on a nan), keeping its
-    support, so the other samples' blocks and norms stay the same.
+    It works on the nonzero scalar entries, ``A.entries()``, of the
+    ``A.n_samples`` matrices of ``A.shape``.  The matrix is split into the
+    connected components of their support (rows and columns joined by
+    entries) and each component gets an exact SVD, batched by block shape
+    over all samples; the largest first singular value of a sample is its
+    norm.  An empty or all-zero sample has norm 0, and one with a non-finite
+    entry has norm inf (not nan, which ``max`` would silently drop): its
+    values are set to 0 before the SVDs (which do not converge on a nan),
+    keeping its support, so the other samples' blocks and norms stay the
+    same.
     """
-    samples, rows, cols, values, n_samples, shape = _entries(A)
-    bad = np.zeros(n_samples, dtype=bool)
+    samples, rows, cols, values = A.entries()
+    bad = np.zeros(A.n_samples, dtype=bool)
     bad[samples[~np.isfinite(values)]] = True
     values = np.where(bad[samples], 0, values)
-    norms = _block_norms(samples, rows, cols, values, n_samples, shape)
+    norms = _block_norms(samples, rows, cols, values, A.n_samples, A.shape)
     norms[bad] = np.inf
     return norms

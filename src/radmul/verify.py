@@ -29,7 +29,8 @@ residuals by the larger of it and the largest weight of T1 and T2
 
 The rank checks build their spanning families as operators, one column per
 vector (``lambda_span``, ``word_vacuum_images``).  Both are block diagonal
-on words, so ``_word_block_rank`` adds up per-word block ranks.
+on words, so ``_word_block_rank_check`` adds up per-word block ranks, and
+a block off the diagonal fails the check.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng  # loaded at import: once, before any fork
 
-from .algebra import FactorElement, cond_exp, multiplication_matrix
+from .algebra import cond_exp, multiplication_matrix
 from .fock import FockSpace, inner_N
 from .operators import (Generators, StructuredOperator, _diag_op, adjoint_check, amplify,
                         annihilation, apply_weights, build_T, creation, diag,
@@ -120,13 +121,12 @@ def _unitary_words(space: FockSpace, i: int) -> np.ndarray:
     return ups[space.amalgam.factors[i].group.table[:, h], np.where(starts, space.rest, words)]
 
 
-def embed(space: FockSpace, a) -> StructuredOperator:
-    """The left multiplication by a factor element on the truncated Fock
-    space as a stack of one, or the stack of them for a sequence of
-    elements (of any factors): for a = sum_g a_g u_g, the sum of the
-    lmul(a_g) U_g with a_g nonzero, U_g the word map of u_g from
-    ``_unitary_words`` (built once per factor and call)."""
-    elements = [a] if isinstance(a, FactorElement) else a
+def embed(space: FockSpace, elements) -> StructuredOperator:
+    """The left multiplications by a sequence of factor elements (of any
+    factors) on the truncated Fock space, as one stack, sample s holding
+    elements[s]: for a = sum_g a_g u_g, the sum of the lmul(a_g) U_g with
+    a_g nonzero, U_g the word map of u_g from ``_unitary_words`` (built once
+    per factor and call)."""
     d = space.base.d
     words_of = {}
     entries = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros((0, d, d), dtype=complex),)]
@@ -168,16 +168,15 @@ class ReducedWord:
         return len(self.letters)
 
 
-def word_operator(space: FockSpace, w, max_col_len=None) -> StructuredOperator:
-    """b_0 embed(a_1) b_1 ... embed(a_n) b_n for a reduced word as a stack of
-    one, or the stack of them for words of one length, multiplied right to
-    left.
+def word_operator(space: FockSpace, words, max_col_len=None) -> StructuredOperator:
+    """b_0 embed(a_1) b_1 ... embed(a_n) b_n for a sequence of reduced words
+    of one length, as one stack, sample s holding words[s], multiplied right
+    to left.
 
     With ``max_col_len`` the last factor is cut to the columns of words at
     most that long, and so is the product, every kept entry adding the same
     terms in the same order.
     """
-    words = [w] if isinstance(w, ReducedWord) else w
     n = words[0].length
     if any(x.length != n for x in words):
         raise ValueError("a stack of words holds words of one length")
@@ -282,10 +281,9 @@ def fock_suite(space: FockSpace, seed: int = 0,
     report.add("fock_length_projection_split", worst, tol)
 
     # the length-k spanning families have full rank jointly
-    rank = _word_block_rank(op_sum(space, [lambda_span(space, k)
-                                           for k in range(space.L_max + 1)]))
-    report.add("fock_lambda_span_rank", float(space.dim - rank), 0.5,
-               rank=rank, dim=space.dim)
+    spans = op_sum(space, [lambda_span(space, k) for k in range(space.L_max + 1)])
+    report.extend(_word_block_rank_check("fock_lambda_span_rank", spans, space.dim,
+                                         dim=space.dim))
     return report
 
 
@@ -301,13 +299,19 @@ def lambda_span(space: FockSpace, k: int) -> StructuredOperator:
     return _diag_op(space, space.lengths == k, "Lambda%d" % k, block)
 
 
-def _word_block_rank(op: StructuredOperator) -> int:
-    """Rank (singular values above 1e-10) of a single operator that is block
-    diagonal on words (rows == cols): the sum of the block ranks, one
-    batched SVD.  A block off the diagonal is a ValueError."""
-    if not np.array_equal(op.rows, op.cols):
-        raise ValueError("operator %s has a block off the word diagonal" % op.name)
-    return int(np.linalg.matrix_rank(op.blocks, tol=1e-10).sum())
+def _word_block_rank_check(name: str, op: StructuredOperator, target: int,
+                           **details) -> VerificationReport:
+    """The check that the columns of ``op``, a single operator meant to be
+    block diagonal on words, have rank ``target``: the summed ranks (above
+    1e-10) of its diagonal blocks, one batched SVD.  Each block off the
+    diagonal adds 1 to the residual, target - rank, and counts in a detail."""
+    on = op.rows == op.cols
+    rank = int(np.linalg.matrix_rank(op.blocks[on], tol=1e-10).sum())
+    off = int(np.count_nonzero(~on))
+    report = VerificationReport()
+    report.add(name, float(target - rank + off), 0.5, rank=rank, **details,
+               **({"off_diagonal_blocks": off} if off else {}))
+    return report
 
 
 def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
@@ -515,8 +519,8 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     # linearity and the right-module property of T (right action = composing
     # with a left multiplication, the N-copy inside the algebra)
     _, T0, s = mults[0]
-    A = word_operator(space, words[min(1, max_len)][0])
-    B = word_operator(space, words[0][0])
+    A = word_operator(space, words[min(1, max_len)][:1])
+    B = word_operator(space, words[0][:1])
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     lam = left_mult(space, space.base.random(rng))
     with np.errstate(over="ignore", invalid="ignore"):  # as above
@@ -683,12 +687,10 @@ def spanning_check(space: FockSpace, max_len=None) -> VerificationReport:
     """Vacuum images of basis-letter words with N-basis coefficients
     (``word_vacuum_images``) span the truncated space, so the scaling action
     on words pins the multiplier.  Each image lies on its own word, so the
-    rank is a sum of per-word block ranks (``_word_block_rank``)."""
+    rank is a sum of per-word block ranks (``_word_block_rank_check``)."""
     if max_len is None:
         max_len = space.L_max
-    report = VerificationReport()
     expected = int(np.count_nonzero(space.guard_mask(max_len)))
-    rank = _word_block_rank(word_vacuum_images(space, max_len))
-    report.add("spanning_rank_len%d" % max_len, float(expected - rank), 0.5,
-               rank=rank, expected=expected)
-    return report
+    return _word_block_rank_check("spanning_rank_len%d" % max_len,
+                                  word_vacuum_images(space, max_len), expected,
+                                  expected=expected)

@@ -56,7 +56,10 @@ word maps of the group unitaries replaced, which ``unitary_word_by_rules``
 gives word by word.  ``product_by_loop`` is the crossed-product product one
 left coefficient at a time, the loop ``FactorElement.__mul__`` replaced.
 ``psi_via_factors`` recovers psi1 and psi2 from the rank-one pairs of the
-truncated Hankel matrices.  ``word_vacuum_images_dense`` and
+truncated Hankel matrices.  :class:`EntryStack` is a stack of matrices of
+any shape given by its entries, ``EntryStack.from_dense`` one dense
+matrix: the form in which the norms read a dense array, since the
+package's norms take operators only.  ``word_vacuum_images_dense`` and
 ``lambda_span_dense`` are the spanning families as one dense column at a
 time, and ``dense_rank`` is the rank of such columns stacked whole, the
 routes the rank checks replaced.
@@ -85,7 +88,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from radmul.algebra import FactorElement, _coords, cond_exp
+from radmul.algebra import _coords, cond_exp
 from radmul.fock import FockVector
 from radmul.operators import (Generators, StructuredOperator, _diag_op, annihilation,
                               apply_weights, build_T, creation, diag, generator_operators,
@@ -790,13 +793,12 @@ def embed_terms_by_pair(space, i):
     return terms
 
 
-def embed_by_term_loop(space, a):
+def embed_by_term_loop(space, elements):
     """``verify.embed`` as the sum of the module-basis terms
     L_{e_j} E(e_j* a e_k) L*_{e_k}, E(u_{g_j}* a u_{g_k}) =
     alpha_{g_j^{-1}}(a_{g_j g_k^{-1}}), with one Python iteration per nonzero
     (j, k) term of each element, its entries gathered term by term: the
     route the package's word maps of the group unitaries replaced."""
-    elements = [a] if isinstance(a, FactorElement) else a
     factors = space.amalgam.factors
     words_of = {}
     terms, coefs = [(np.zeros(0, dtype=np.intp),) * 5], []
@@ -892,6 +894,37 @@ def embed_by_products(space, a):
             down = guard if k == 0 else annihilation(space, letter_index(space, (idx, k)))
             terms.append(op_product(space, [up, left_mult(space, coef), down], "term"))
     return op_sum(space, terms, "embed") if terms else zero_op(space)
+
+
+class EntryStack:
+    """A stack of matrices of any shape given by its entries, as ``op_norm``
+    and the one-pass bounds read an operator: ``entries()``, ``n_samples``
+    and ``shape``; ``from_dense`` holds one dense matrix, its entries those
+    of ``np.nonzero``."""
+
+    def __init__(self, samples, rows, cols, values, n_samples, shape):
+        self.samples, self.rows, self.cols, self.values = samples, rows, cols, values
+        self.n_samples, self.shape = n_samples, shape
+
+    @classmethod
+    def from_dense(cls, A):
+        A = np.asarray(A, dtype=complex)
+        rows, cols = np.nonzero(A)
+        return cls(np.zeros_like(rows), rows, cols, A[rows, cols], 1, A.shape)
+
+    def entries(self):
+        return self.samples, self.rows, self.cols, self.values
+
+    def select(self, keep):
+        on = keep[self.samples]
+        return EntryStack((np.cumsum(keep) - 1)[self.samples[on]], self.rows[on],
+                          self.cols[on], self.values[on], int(np.count_nonzero(keep)),
+                          self.shape)
+
+    def matrix(self):
+        out = np.zeros((self.n_samples,) + self.shape, dtype=complex)
+        out[self.samples, self.rows, self.cols] = self.values
+        return out
 
 
 def _masked_max(op, max_len=np.inf):
@@ -1021,8 +1054,10 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
                     diff = T.apply_matrix(A) - phi(n) * A
                 d = diff.matrix()[0][:, guard]
                 if np.any(d):
-                    scale = max(max_column_norm(A.matrix()[0][:, guard])[0], 1e-30)
-                    res_action = _fold(res_action, schur_bound(d) / scale / s)
+                    kept = EntryStack.from_dense(A.matrix()[0][:, guard])
+                    scale = max(max_column_norm(kept)[0], 1e-30)
+                    upper = schur_bound(EntryStack.from_dense(d))
+                    res_action = _fold(res_action, upper / scale / s)
                 res_vacuum = _fold(res_vacuum, _masked_max(diff, 0)
                                    / max(_masked_max(A, 0), 1e-30) / s)
     report.add("theorem_action_on_words", res_action, tol,
@@ -1039,7 +1074,8 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
     guard = space.guard_mask(space.L_max - max(1, max_len))
     diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
     report.add("multiplier_right_module",
-               op_norm(diff.matrix()[0][:, guard])[0] / max(op_norm(A)[0], 1.0) / s, tol)
+               op_norm(EntryStack.from_dense(diff.matrix()[0][:, guard]))[0]
+               / max(op_norm(A)[0], 1.0) / s, tol)
     return report
 
 
@@ -1048,7 +1084,7 @@ def word_vacuum_images_dense(space, max_len):
     vacuum, for every word (g_1, ..., g_n) of length <= max_len (in basis
     order) and every N-basis element b: the vacuum array multiplied, right
     to left, by left_mult(b) and the letters' embeddings, each built once."""
-    embeds = {(i, g): embed(space, space.amalgam.factors[i].unitary(g))
+    embeds = {(i, g): embed(space, [space.amalgam.factors[i].unitary(g)])
               for i, g in space.amalgam.letters()}
     vac = to_array(word_vector(space, index_of(space)))
     starts = [(left_mult(space, b) @ vac)[0] for b in space.base.basis()]

@@ -224,7 +224,7 @@ def test_embed_matches_term_loop_oracle_exactly(request, name):
     # models its blocks are theirs bit for bit
     space = embed_space(request, name)
     elements = every_kind_of_element(space, np.random.default_rng(45))
-    for a in [elements, elements[0], [elements[-1]]]:
+    for a in [elements, [elements[-1]]]:
         got, want = embed(space, a), embed_by_term_loop(space, a)
         assert got.n_samples == want.n_samples
         assert_entries_agree(got, want, name != "noncomm_space")
@@ -238,7 +238,7 @@ def test_word_stack_matches_product_oracle(request, name):
         words = [random_reduced_word(rng, space, n) for _ in range(4)]
         W = word_operator(space, words)
         for s, w in enumerate(words):
-            single = word_operator(space, w)
+            single = word_operator(space, [w])
             assert_sample_is(W, s, single)
             assert_entries_agree(single, word_by_products(space, w), name != "noncomm_space")
     with pytest.raises(ValueError):
@@ -311,7 +311,7 @@ def test_embed_matches_factor_product_oracle(request, name):
     for fac in space.amalgam.factors:
         for a in (fac.random(rng), fac.random_kernel(rng), fac.identity(), fac.unitary(1),
                   fac.from_base(space.base.random(rng))):
-            got, want = embed(space, a), embed_by_products(space, a)
+            got, want = embed(space, [a]), embed_by_products(space, a)
             if name in EXACT:
                 for field in ("rows", "cols", "blocks"):
                     assert np.array_equal(getattr(got, field), getattr(want, field))
@@ -427,17 +427,20 @@ def test_word_block_rank_sums_blocks_and_rejects_leaks(mat2_space):
     blocks[[0, 2], :, 0] = blocks[[0, 2], :, 1]
     words = np.arange(n)
     op = StructuredOperator(space, words, words, blocks)
-    assert verify._word_block_rank(op) == space.dim - 2
+    check = verify._word_block_rank_check("rank", op, space.dim - 2).checks[0]
+    assert (check.status, check.max_residual, check.details) == ("pass", 0.0,
+                                                                 {"rank": space.dim - 2})
     # one block off the diagonal: a column of word 2 leaking onto word 0,
     # along the direction word 0's columns miss; word by word it would still
-    # look like rank dim - 2, so the block sum refuses it
+    # look like rank dim - 2, so the check counts the block and fails
     leak = np.zeros((k, k))
     leak[:, 0] = np.linalg.svd(blocks[0])[0][:, -1]
     op = StructuredOperator(space, np.append(words, 0), np.append(words, 2),
                             np.concatenate([blocks, leak[None]]))
     assert dense_rank(op.matrix()[0].T) == space.dim - 1
-    with pytest.raises(ValueError, match="off the word diagonal"):
-        verify._word_block_rank(op)
+    check = verify._word_block_rank_check("rank", op, space.dim - 1).checks[0]
+    assert (check.status, check.max_residual) == ("fail", 2.0)
+    assert check.details == {"rank": space.dim - 2, "off_diagonal_blocks": 1}
 
 
 def test_rank_checks_cost_no_dense_column_per_word(monkeypatch):

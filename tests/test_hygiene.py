@@ -36,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import noncommuting_config
+from conftest import noncommuting_config, s3_config
 from radmul.cli import build_parser, main
 from radmul.config import preset_config
 
@@ -578,14 +578,15 @@ UNEXECUTED_ALLOWED = {
 
 
 def test_every_function_runs_or_is_allowed(monkeypatch, tmp_path):
-    # verify, bound and symbol on the presets and a model with non-commuting
-    # actions, in this process (one usable core: no worker is forked); what
-    # no run starts is dead code, dunders included, whatever reads its name
+    # verify, bound and symbol on the presets, a model with non-commuting
+    # actions and one with a group that is not abelian, in this process (one
+    # usable core: no worker is forked); what no run starts is dead code,
+    # dunders included, whatever reads its name
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     def run():
         for i, data in enumerate([preset_config(name) for name in ("dih", "mat2", "cy3")]
-                                 + [noncommuting_config(3)]):
+                                 + [noncommuting_config(3), s3_config()]):
             data["truncation"]["fock_len"] = 3
             config = tmp_path / ("config%d.json" % i)
             config.write_text(json.dumps(data))

@@ -7,9 +7,9 @@ from radmul.algebra import cond_exp
 from radmul.config import parse_config, preset_config
 from radmul.fock import Amalgam, FockSpace
 from conftest import noncommuting_config
-from oracles import (GeneratorWord, append_star, apply, as_op, coeffs, column_matrix,
-                     epsilon_dense, expand, family, generator, generator_words, index_of,
-                     is_zero, left_action, letter_index, partition_identity_residual,
+from oracles import (EntryStack, GeneratorWord, append_star, apply, as_op, coeffs,
+                     column_matrix, epsilon_dense, expand, family, generator, generator_words,
+                     index_of, is_zero, left_action, letter_index, partition_identity_residual,
                      partition_sum_by_diag, phi_block_matrix, prepend, random_word, rho_matrix_by_letters,
                      right_action, rho_dense, select, strip_first, strip_star, to_array,
                      tower_dense, weighted_sum_dense, word_list, word_vector, zero_op)
@@ -739,10 +739,10 @@ def test_embed_and_word_operator_match_factor_products(request, name):
     for fac in space.amalgam.factors:
         a, b = fac.random(rng), fac.random(rng)
         want = dense_embed(space, a)
-        assert np.abs(embed(space, a).matrix() - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(embed(space, [a]).matrix() - want).max() <= 1e-14 * np.abs(want).max()
         # a product through an embed adds several terms on one word pair
         want = want @ dense_embed(space, b)
-        got = (embed(space, a) @ embed(space, b)).matrix()
+        got = (embed(space, [a]) @ embed(space, [b])).matrix()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     for n in (1, 2, 3):
         w = random_reduced_word(rng, space, n)
@@ -750,10 +750,10 @@ def test_embed_and_word_operator_match_factor_products(request, name):
         for a, b in zip(w.letters, w.coeffs[1:]):
             mats += [dense_embed(space, a), column_matrix(space, left_action(b))]
         want = np.linalg.multi_dot(mats)
-        got = word_operator(space, w).matrix()
+        got = word_operator(space, [w]).matrix()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     b = space.base.random(rng)
-    got = word_operator(space, ReducedWord((), (b,))).matrix()
+    got = word_operator(space, [ReducedWord((), (b,))]).matrix()
     assert np.array_equal(got, left_mult(space, b).matrix())
 
 
@@ -768,14 +768,14 @@ def random_sparse(rng, n, density=0.08):
 def test_op_norm_on_entries_matches_full_svd(n):
     rng = np.random.default_rng(23)
     A = random_sparse(rng, n)
-    assert abs(op_norm(A) - svd_norm(A)) <= 1e-13 * svd_norm(A)
+    assert abs(op_norm(EntryStack.from_dense(A)) - svd_norm(A)) <= 1e-13 * svd_norm(A)
     r, c = np.nonzero(A)
     for bad in (np.inf, np.nan):
         B = A.copy()
         B[r[3], c[3]] = bad
-        assert op_norm(B) == float("inf")
-    assert op_norm(np.zeros((n, n))) == 0.0
-    assert op_norm(np.zeros((0, n))) == 0.0
+        assert op_norm(EntryStack.from_dense(B)) == float("inf")
+    assert op_norm(EntryStack.from_dense(np.zeros((n, n)))) == 0.0
+    assert op_norm(EntryStack.from_dense(np.zeros((0, n)))) == 0.0
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -791,16 +791,17 @@ def test_op_norm_on_operators_matches_full_svd(request, name):
 def test_norm_bounds_bracket_op_norm(request, name):
     # the theorem suite's one-pass bounds: the largest column 2-norm is at
     # most the norm, sqrt(largest column abs-sum * largest row abs-sum) at
-    # least; on an operator, a stack of them and the dense array alike
+    # least; on an operator, a stack of them and the dense array's entries
+    # (np.nonzero order) alike
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(28)
     words = [random_reduced_word(rng, space, n) for n in (1, 2, 2, 3)]
     ops = entry_cases(space, rng) + [random_operator(space, rng, density=0.05)]
-    ops += [word_operator(space, w) for w in words]
+    ops += [word_operator(space, [w]) for w in words]
     for op in ops:
         lower, exact, upper = max_column_norm(op)[0], op_norm(op)[0], schur_bound(op)[0]
         assert lower <= exact * (1 + 1e-14) and exact <= upper * (1 + 1e-14), op.name
-        dense = op.matrix()[0]
+        dense = EntryStack.from_dense(op.matrix()[0])
         assert (max_column_norm(dense)[0], schur_bound(dense)[0]) == (lower, upper)
     stacked = stack(ops)
     assert max_column_norm(stacked).tolist() == [max_column_norm(op)[0] for op in ops]
@@ -1004,16 +1005,16 @@ def test_coalesce_sorts_positions_and_adds_in_entry_order(stack):
 # ---------------------------------------------------------------- norms
 
 def test_op_norm_identity(dih_space):
-    assert op_norm(identity_op(dih_space).matrix()[0])[0] == pytest.approx(1.0)
+    assert op_norm(identity_op(dih_space))[0] == pytest.approx(1.0)
 
 
 def test_op_norm_creation_is_isometry(dih_space):
-    assert op_norm(creation(dih_space, 0).matrix()[0])[0] == pytest.approx(1.0)
+    assert op_norm(creation(dih_space, 0))[0] == pytest.approx(1.0)
 
 
 def test_op_norm_diag(dih_space):
     x = np.array([0.5, -2.0, 1.0, 0.0, 0.0, 0.0])
-    assert op_norm(diag(dih_space, x).matrix()[0])[0] == pytest.approx(2.0)
+    assert op_norm(diag(dih_space, x))[0] == pytest.approx(2.0)
 
 
 def svd_norm(A):
@@ -1065,7 +1066,7 @@ def _joined_blocks():
 ], ids=["zero", "empty", "rectangular", "row", "dense", "permuted-blocks", "joined-1e-300",
         "transposed-shapes-a", "transposed-shapes-b"])
 def test_op_norm_matches_full_svd(A):
-    assert abs(op_norm(A) - svd_norm(A)) <= 1e-13 * svd_norm(A)
+    assert abs(op_norm(EntryStack.from_dense(A)) - svd_norm(A)) <= 1e-13 * svd_norm(A)
 
 
 @pytest.mark.parametrize("space_name", ["dih_space", "mat2_space", "cy3_space",
@@ -1092,42 +1093,39 @@ def test_amplify_matches_dense_kron(request, space_name):
         coeffs = [random_complex(rng, (3, m, m)) for _ in ops]
         big = amplify(coeffs, ops)
         assert isinstance(big, StructuredOperator) and big.shape == (m * space.dim,) * 2
-        want = np.array([sum(np.kron(C[t], A.matrix()[t]) for C, A in zip(coeffs, ops))
+        # word-major: sum_i A_i (x) C_i
+        want = np.array([sum(np.kron(A.matrix()[t], C[t]) for C, A in zip(coeffs, ops))
                          for t in range(3)])
         assert not want[1].any()
         assert np.abs(big.matrix() - want).max() <= 1e-15 * np.abs(want).max()
         assert_close(big @ x[:m * space.dim], want @ x[:m * space.dim])
-        for dense, norm in zip(want, op_norm(big)):
+        # the copy-major sum_i C_i (x) A_i permutes its rows and columns, so
+        # the norm does not depend on the layout
+        swapped = [sum(np.kron(C[t], A.matrix()[t]) for C, A in zip(coeffs, ops))
+                   for t in range(3)]
+        for dense, norm in zip(swapped, op_norm(big)):
             assert abs(norm - svd_norm(dense)) <= 1e-13 * max(svd_norm(dense), 1.0)
+
+
+@pytest.mark.parametrize("space_name", SPACES)
+def test_one_scalar_is_one_per_sample(request, space_name):
+    # c * op takes the path of np.full(n, c) * op: the same entries, bit for bit
+    space = request.getfixturevalue(space_name)
+    rng = np.random.default_rng(27)
+    op = stack([random_operator(space, rng), zero_op(space), random_operator(space, rng)])
+    for c in (3, 0.7, np.float64(-1.25), 0.3 - 0.4j):
+        one, each = c * op, np.full(op.n_samples, c) * op
+        assert one.name == each.name == "(scaled stack)"
+        assert one.n_samples == each.n_samples == op.n_samples
+        for field in ("samples", "rows", "cols", "blocks"):
+            assert np.array_equal(getattr(one, field), getattr(each, field))
+            assert getattr(one, field).dtype == getattr(each, field).dtype
 
 
 def test_op_norm_small_blocks_stay_exact():
     # each 3 x 3 support component gets its own exact SVD
     A = permuted_block_diagonal(np.random.default_rng(9), [(3, 3)] * 20)
-    assert abs(op_norm(A) - svd_norm(A)) <= 1e-13 * svd_norm(A)
-
-
-class EntryStack:
-    """A stack of matrices of any shape given by its entries, as ``op_norm``
-    reads an operator: ``entries()``, ``n_samples``, ``shape``, ``select``."""
-
-    def __init__(self, samples, rows, cols, values, n_samples, shape):
-        self.samples, self.rows, self.cols, self.values = samples, rows, cols, values
-        self.n_samples, self.shape = n_samples, shape
-
-    def entries(self):
-        return self.samples, self.rows, self.cols, self.values
-
-    def select(self, keep):
-        on = keep[self.samples]
-        return EntryStack((np.cumsum(keep) - 1)[self.samples[on]], self.rows[on],
-                          self.cols[on], self.values[on], int(np.count_nonzero(keep)),
-                          self.shape)
-
-    def matrix(self):
-        out = np.zeros((self.n_samples,) + self.shape, dtype=complex)
-        out[self.samples, self.rows, self.cols] = self.values
-        return out
+    assert abs(op_norm(EntryStack.from_dense(A)) - svd_norm(A)) <= 1e-13 * svd_norm(A)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
