@@ -275,11 +275,10 @@ def lmul_blocks(space: FockSpace, b: np.ndarray, words: np.ndarray) -> np.ndarra
 
 
 def left_mult(space: FockSpace, b) -> StructuredOperator:
-    """Left N-multiplication: on the word w it multiplies the right
-    coefficient by b pushed through the letters, i.e. kron(U_w b U_w*, 1).
-    For a (count, d, d) array of coefficients it is the stack of their left
-    multiplications, sample t holding the blocks of b[t] on every word."""
-    b = np.asarray(b, dtype=complex) if np.ndim(b) == 3 else space.base.element(b)[None]
+    """Left N-multiplication by a (count, d, d) stack of coefficients: sample
+    t multiplies the right coefficient of the word w by b[t] pushed through
+    the letters, i.e. kron(U_w b[t] U_w*, 1)."""
+    b = np.asarray(b, dtype=complex)
     samples, words = np.divmod(np.arange(len(b) * len(space.words)), len(space.words))
     return StructuredOperator(space, words, words, lmul_blocks(space, b[samples], words),
                               "lmul", samples, len(b))

@@ -522,7 +522,7 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     A = word_operator(space, words[min(1, max_len)][:1])
     B = word_operator(space, words[0][:1])
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
-    lam = left_mult(space, space.base.random(rng))
+    lam = left_mult(space, [space.base.random(rng)])
     with np.errstate(over="ignore", invalid="ignore"):  # as above
         diff = (T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A)
                 - be * T0.apply_matrix(B))

@@ -1,86 +1,101 @@
-"""Word-level rules for the Fock-space building blocks, kept as test oracles.
+"""Test oracles of ``radmul``, and their ledger.
 
-The package holds a word as its index in the space's basis (its letters
-as a row of ``FockSpace.words``), a Fock vector as its coordinate array,
-and builds every operator as a matrix scattered from word-index arrays.
-The word rules are kept here: :class:`Word` is a reduced word as letter
-tuples, checked as it is built, ``word_list`` enumerates a space's words by
-those rules, ``index_of`` maps letters to a word index and ``by_words``
-builds a vector from coefficients by ``Word``.  The block form is kept too:
-a :class:`~radmul.fock.FockVector` holds one d x d right coefficient per
-word (``vector`` wraps given blocks, ``word_vector`` builds w b for a word
-index), ``coeffs`` lists its nonzero coefficients by word index and
-``word_coeffs`` by ``Word``, ``to_array`` and
-``from_array`` map it to and from coordinates (each coefficient over
-sqrt(d)), ``block_inner_N`` is the N-valued inner product sum_w c_w* d_w
-that ``fock.inner_N`` reads off coordinates, and ``apply`` applies sample 0
-of an operator to a vector.  The rules here act on one vector at a time,
-word by word, as the definitions read; ``column_matrix`` turns a rule into
-the matrix it defines, column by column.  ``rho_dense``,
-``epsilon_dense`` and ``tower_dense`` are rho, epsilon and the tower
-[A, rho(A), ..., rho^L(A), eps(A), ..., rho^{L-1}(eps(A))] on dense
-matrices, gathered and scattered block by block; ``expand`` lays a weight
-set (W0, P1, P2) out as one table per tower member, and
-``weighted_sum_dense`` weights the tower with those tables, each expanded
-to a full matrix, and adds it up in tower order: the route
-``operators.apply_weights`` replaced.  ``phi_block_matrix`` is one Phi
-block.  ``rho_matrix_by_letters`` is rho gathering every letter at every
-entry and ``select_chunks`` the chunking that selected each range from the
-whole stacks by ``select``, one scan of every entry per range, the routes
-``operators.rho_matrix``, ``verify._stacked_chunks`` and
-``StructuredOperator.unstack`` replaced.  ``as_op`` turns a dense matrix
-into the operator the package functions take.
+Each route of the package is held to at most two oracles: an independent
+one, built from the paper's definition, the ``Word`` rules or dense
+matrices, and an exact one, a replaced route that a test compares bit for
+bit.  Per route the ledger gives each oracle, its file (``here`` is this
+module), what it is built from and its bound: "bit-exact", or a bound on
+the largest entry of the difference, relative to the oracle's largest
+entry unless "abs".  The exact models are every test model but
+``noncomm_space``, whose twists are not exact in floating point; the
+scalar bases are dih's and cy3's (N = C).
 
-``embed_by_products`` and ``lemma_suite_per_generator`` are the sample-by-
-sample routes the package replaced: the factor embedding with coefficients
-from ``FactorElement`` products, and the lemma suite with one generator
-operator at a time on the dense route; ``theorem_suite_per_word`` is the
-main theorem suite with one whole word operator at a time.  ``generator_chain``,
-``embed_per_element`` and ``word_by_products`` build one generator, one
-embedding and one word operator from single operators (``op_product``),
-the routes the package's stacked constructors replaced.
-:class:`GeneratorWord` is a generator word as letter tuples and
-coefficient tuples, the object form that ``operators.Generators``
-replaced; ``family`` and ``generator_words`` convert between the two
-forms, and ``generator_operators_tiled`` is the route that followed every
-generator from every column word (``chain``) before the package seeded
-each group with the columns where it acts.  ``partition_sum_by_diag`` is
-the row sum of the Phi factorization as a sum of products of ``diag``
-maps and the rho tower of Id, the route the operator suite's
-Phi1_{v,v}(Id) through ``apply_weights`` replaced, and
-``partition_identity_residual`` its scalar shadow.
-``embed_by_term_loop`` is the factor embedding as the paper writes it, a
-sum of module-basis terms with one Python iteration per (j, k) term, on the
-per-term words of ``embed_terms_by_pair``: the route ``verify.embed``'s
-word maps of the group unitaries replaced, which ``unitary_word_by_rules``
-gives word by word.  ``product_by_loop`` is the crossed-product product one
-left coefficient at a time, the loop ``FactorElement.__mul__`` replaced.
-``psi_via_factors`` recovers psi1 and psi2 from the rank-one pairs of the
-truncated Hankel matrices.  :class:`EntryStack` is a stack of matrices of
-any shape given by its entries, ``EntryStack.from_dense`` one dense
-matrix: the form in which the norms read a dense array, since the
-package's norms take operators only.  ``word_vacuum_images_dense`` and
-``lambda_span_dense`` are the spanning families as one dense column at a
-time, and ``dense_rank`` is the rank of such columns stacked whole, the
-routes the rank checks replaced.
+``FactorElement.__mul__``: ``regular_rep`` (test_algebra), the regular
+    representation from the group table and the unitaries, 1e-12 abs;
+    ``product_by_loop`` (here), one left coefficient at a time, bit-exact.
+``algebra._coords``: ``pp_coords`` (here), traces against the basis
+    ``onb_elements``, one product each, 1e-14 abs.
+``verify_pp_basis``: ``pp_residuals_by_products`` (here), the module-basis
+    identities pair by pair from products, 1e-14 per residual.
+``FiniteGroup``, ``CrossedFactor``: ``first_table_defect`` and
+    ``first_action_defect`` (test_algebra), element by element, the same
+    first message.
+``FockSpace`` word tables: ``word_list`` (here), the words by the ``Word``
+    rules and every table read off them a word at a time, equal;
+    ``brute_words`` (test_fock), letter strings filtered, the same set.
+``fock.inner_N``: ``block_inner_N`` (here), sum_w c_w* d_w on the word
+    blocks, bit-exact on scalar bases, else 1e-15 abs.
+``creation``, ``annihilation``, ``right_creation``, ``right_annihilation``,
+    ``right_mult``: ``prepend``, ``strip_first``, ``append_star``,
+    ``strip_star`` and ``right_action`` (here), the ``Word`` rules made
+    matrices by ``column_matrix``, 1e-13 abs.
+``left_mult``: ``left_action`` (here) by ``column_matrix``, the coefficient
+    pushed through the letters one at a time, bit-exact on scalar bases,
+    else 1e-13 abs.
+``generator_operators``: ``generator_factor_matrices`` (test_operators),
+    the dense product of the rule matrices of the factors, 1e-14;
+    ``generator_chain`` (here), a product of single creation, annihilation
+    and ``left_mult`` operators (``op_product``), per sample of the zoo and
+    of every signature, bit-exact.
+``rho_matrix``: ``rho_dense`` (here), sum_gamma R A R^H with R the matrix
+    of ``append_star``, bit-exact on scalar bases, else 1e-13 abs;
+    ``rho_matrix_by_letters`` (here), every letter gathered at every entry,
+    bit-exact.
+``epsilon_matrix``: ``epsilon_dense`` (here), the mask of word pairs ending
+    in one factor, 1e-14.
+``rho_tower``, ``eps_rho_tower``: ``tower_dense`` (here), ``rho_dense`` and
+    ``epsilon_dense`` iterated, 1e-14.
+``apply_weights``: ``weighted_sum_dense`` (here), the tables of ``expand``
+    each spread to a full matrix on ``tower_dense`` and added in tower
+    order, bit-exact for 0/1 weights on exact models, else 1e-14.
+``phi_weights``: ``brute_phi_scalar`` (test_operators), the sliding sums
+    of x and y against the eigenvalues on generators, 1e-10 abs;
+    ``partition_sum_by_diag`` (here), the row sum Phi1_{v,v}(Id) as
+    ``diag`` products and the rho tower of Id, 1e-15.
+``StructuredOperator.unstack``, ``verify._stacked_chunks``: ``select``
+    (here), one mask per range, with the chunks' range rule restated,
+    bit-exact.
+``sparse.op_norm``: ``svd_norm`` (test_operators), one SVD of the whole
+    matrix, read through ``EntryStack`` (here), 1e-13.
+``verify.embed``: ``dense_embed`` (test_operators), the module-basis sum
+    from rule matrices and products E(e_j* a e_k), 1e-14;
+    ``embed_by_term_loop`` (here), one iteration per (j, k) term on the
+    words of ``embed_terms_by_pair``, bit-exact on exact models, else
+    1e-15.  As ``embed`` it gives the embedding, theorem and spanning
+    suites the same report bytes on exact models, else 1e-14 abs.
+``verify._unitary_words``: ``unitary_word_by_rules`` (here), the ``Word``
+    rules, equal.
+``word_operator``: ``dense_embed`` and ``left_action`` matrices multiplied
+    (test_operators), 1e-14; ``word_by_products`` (here), single
+    ``left_mult`` and ``embed_by_term_loop`` operators multiplied,
+    bit-exact on exact models, else 1e-15.
+``verify._coefficient_gaps``: ``coefficient_gaps_by_vectors`` (here), Fock
+    vectors and products pair by pair, 1e-14 (1e-13 abs at rounding).
+``lemma_suite``: ``lemma_suite_per_generator`` (here), one generator at a
+    time on ``tower_dense``, the same statuses and details, 1e-15 abs.
+``main_theorem_suite``: ``theorem_suite_per_word`` (here), one whole
+    ``word_by_products`` operator and dense norm bounds at a time, the
+    same report bytes.
+``word_vacuum_images``, ``spanning_check``: ``word_vacuum_images_dense``
+    (here), one column at a time, bit-exact, ranks by ``dense_rank``; the
+    word operators on the vacuum (test_verify), 1e-13 abs.
+``lambda_span``: ``lambda_span_dense`` (here), one array per word and basis
+    element, the same ``dense_rank``.
+``RadialSymbol.psi1``, ``psi2``: ``brute_psi1`` (test_symbols), the
+    telescoping series summed, 1e-12 abs; ``psi_via_factors`` (here), the
+    rank-one pairs of the M x M Hankel matrices, 1e-9 abs.
 
-``left_mul`` and ``right_mul`` are the N-actions on a whole vector, and
-``pp_coords`` the coordinates of a crossed-product element by traces
-against the orthonormal basis ``onb_elements``, the route
-``algebra._coords`` replaced.  ``pp_residuals_by_products`` and
-``coefficient_gaps_by_vectors`` are the module-basis checks pair by pair,
-from ``FactorElement`` products and Fock vectors, the routes the matrix
-identities of ``verify_pp_basis`` and ``verify._coefficient_gaps``
-replaced.
-
-The rest are helpers only the tests call: ``letter_index`` (a letter's
-index in ``space.letters``, by which the letter maps of the package take
-it; it rejects a letter that is not configured), ``basis_fock_vector``,
-``is_zero``, ``canonicalize`` (a formal tensor b_0 u_{g_1} b_1 ... u_{g_k}
-b_k pushed to its one right coefficient), ``zero_op``,
-``start_complement_op``, ``generator`` (one generator word as a single
-operator), ``random_word`` (``verify.random_generator_word``'s draw as a
-``GeneratorWord``), ``worst_residual`` and ``failed_names``.
+Helpers: ``Word`` (a reduced word as letter tuples), ``letter_index``,
+``index_of``, ``by_words``; the block form of a vector, a
+:class:`~radmul.fock.FockVector` with one d x d right coefficient per
+word (``vector``, ``word_vector``, ``basis_fock_vector``, ``coeffs``,
+``word_coeffs``, ``to_array``, ``from_array``, ``apply``, ``is_zero``,
+``canonicalize``, ``left_mul``, ``right_mul``); ``GeneratorWord``, a
+generator as letter and coefficient tuples, ``family`` and
+``generator_words`` between it and ``Generators``, ``random_word`` and
+``generator``; ``zero_op``, ``as_op`` (a dense matrix as an operator),
+``onb_elements``, ``partition_identity_residual`` (the partition of
+||x||^2 by lengths on scalars), ``worst_residual`` and ``failed_names``.
 """
 
 import functools
@@ -90,14 +105,12 @@ import numpy as np
 
 from radmul.algebra import _coords, cond_exp
 from radmul.fock import FockVector
-from radmul.operators import (Generators, StructuredOperator, _diag_op, annihilation,
-                              apply_weights, build_T, creation, diag, generator_operators,
-                              identity_op, left_mult, length_at_least_op, lmul_blocks, op_sum,
-                              phi_weights, rho_tower)
+from radmul.operators import (Generators, StructuredOperator, annihilation, build_T, creation,
+                              diag, generator_operators, identity_op, left_mult,
+                              length_at_least_op, lmul_blocks, op_sum, phi_weights, rho_tower)
 from radmul.report import EIGEN_TOL, VerificationReport
 from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
-import radmul.verify
 from radmul.verify import (_fold, _generator_zoo, _symbol_scale, embed,
                            random_generator_word, random_reduced_word)
 
@@ -285,13 +298,6 @@ def zero_op(space):
     return StructuredOperator(space, [], [], np.zeros((0, k, k)), name="0")
 
 
-def start_complement_op(space, i):
-    """Projection onto the vacuum plus words not starting in factor i: the
-    j = 0 slot of the factor embedding, where e_0 = 1 neither creates nor
-    annihilates."""
-    return _diag_op(space, space.first_factors != i, "P[start!=%d]" % i)
-
-
 @dataclass(frozen=True)
 class GeneratorWord:
     """b_0 L_{xi_1} b_1 ... L_{xi_k} b_k  L*-string  with interleaved coefficients.
@@ -376,58 +382,6 @@ def generator(space, gw):
     """One generator word as a stack of one."""
     return generator_operators(space, family(space, [gw])).renamed(
         "gen(k=%d,l=%d)" % (gw.k, gw.l))
-
-
-def chain(space, gw):
-    """gw's factors right to left: ("L", letter index), ("L*", letter index)
-    or ("lmul", coefficient), absent coefficients left out."""
-    out = []
-    for j in range(gw.l):
-        if gw.ann_coeffs:
-            out.append(("lmul", gw.ann_coeffs[j]))
-        out.append(("L*", letter_index(space, gw.ann_letters[j])))
-    if gw.cre_coeffs:
-        out.append(("lmul", gw.cre_coeffs[gw.k]))
-    for j in reversed(range(gw.k)):
-        out.append(("L", letter_index(space, gw.cre_letters[j])))
-        if gw.cre_coeffs:
-            out.append(("lmul", gw.cre_coeffs[j]))
-    return out
-
-
-def generator_operators_tiled(space, gens):
-    """``GeneratorWord``s as one stack, the route that tiles every generator
-    over every column word: generators whose chains have the same kinds of
-    factors follow all the column words through the chain together, right
-    to left, and a letter step drops the columns where it is undefined."""
-    n = len(space.words)
-    chains = [chain(space, gw) for gw in gens]
-    groups = {}
-    for t, ch in enumerate(chains):
-        groups.setdefault(tuple(kind for kind, _ in ch), []).append(t)
-    k = space.dim_N
-    parts = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros((0, k, k)),)]
-    for kinds, ids in groups.items():
-        local = np.repeat(np.arange(len(ids)), n)
-        cols = np.tile(np.arange(n), len(ids))
-        rows, blocks = cols, None
-        for p, kind in enumerate(kinds):
-            values = [chains[t][p][1] for t in ids]
-            if kind != "lmul":
-                t = np.array(values)[local]
-                rows = (space.prepended if kind == "L" else space.stripped)[t, rows]
-                keep = np.flatnonzero(rows >= 0)
-                local, rows, cols = local[keep], rows[keep], cols[keep]
-                blocks = None if blocks is None else blocks[keep]
-            else:
-                coeffs = np.array([space.base.element(b) for b in values], dtype=complex)
-                lmul = lmul_blocks(space, coeffs[local], rows)
-                blocks = lmul if blocks is None else lmul @ blocks
-        if blocks is None:
-            blocks = np.broadcast_to(np.eye(k), (rows.size, k, k))
-        parts.append((np.array(ids)[local], rows, cols, blocks))
-    samples, rows, cols, blocks = (np.concatenate(x) for x in zip(*parts))
-    return StructuredOperator(space, rows, cols, blocks, "gen(stack)", samples, len(gens))
 
 
 def partition_identity_residual(space, x):
@@ -629,11 +583,6 @@ def expand(W):
     return out
 
 
-def phi_block_matrix(space, variant, x, y, A):
-    """Phi^(variant)_{x,y}(A)."""
-    return apply_weights(space, phi_weights(space, variant, x, y), A)
-
-
 def weighted_sum_dense(space, W, tower):
     """sum_m W[m, |r|, |c|] tower[m][r, c], every weight table expanded to a
     full dim x dim array by the row and column word lengths."""
@@ -641,33 +590,13 @@ def weighted_sum_dense(space, W, tower):
     return sum(W[m][np.ix_(ell, ell)] * tower[m] for m in range(len(tower)))
 
 
-def _word_blocks(space, A):
-    """View of a dim x dim matrix as (word, word, dim_N, dim_N) blocks."""
-    n, k = len(space.words), space.dim_N
-    return A.reshape(n, k, n, k).transpose(0, 2, 1, 3)
-
-
 def as_op(space, A):
     """A dense dim x dim matrix as an operator: one block per word pair
     whose block is not all zero."""
-    blocks = _word_blocks(space, np.asarray(A, dtype=complex))
+    n, k = len(space.words), space.dim_N
+    blocks = np.asarray(A, dtype=complex).reshape(n, k, n, k).transpose(0, 2, 1, 3)
     r, c = np.nonzero(blocks.any(axis=(2, 3)))
     return StructuredOperator(space, r, c, blocks[r, c], name="array")
-
-
-def right_letter_maps(space):
-    """Per letter gamma = (i, g): the words R_{gamma*} is defined on, their
-    images w gamma* and the coordinate matrix of alpha_g."""
-    out = []
-    for i, g in space.amalgam.letters():
-        fac = space.amalgam.factors[i]
-        appended = (i, fac.group.inv(g))
-        words, index = word_list(space), _word_indices(space)
-        src = [j for j, w in enumerate(words) if len(w) < space.L_max and w.last_factor != i]
-        dst = [index[words[j].append(appended)] for j in src]
-        W = fac.unitaries[g]
-        out.append((np.array(src, dtype=int), np.array(dst, dtype=int), np.kron(W, W.conj())))
-    return out
 
 
 def rho_matrix_by_letters(space, A):
@@ -691,39 +620,17 @@ def select(op, keep):
                               renumber[op.samples[on]], int(np.count_nonzero(keep)))
 
 
-def select_chunks(space, stacks):
-    """``verify._stacked_chunks`` with each range's stacks from ``select`` on
-    the whole stacks, the ranges grown one sample at a time: the route that
-    cost O(ranges x entries)."""
-    n = stacks[0].n_samples
-    per = (2 * space.L_max + 1) * space.dim_N ** 2
-    sizes = per * np.bincount(np.concatenate([op.samples for op in stacks]), minlength=n)
-    start, total, out = 0, 0, []
-    for t, size in enumerate(sizes):
-        if t > start and total + size > radmul.verify.CHUNK_ENTRIES:
-            out.append((start, t))
-            start, total = t, 0
-        total += size
-    if n > start:
-        out.append((start, n))
-    for start, stop in out:
-        keep = np.zeros(n, dtype=bool)
-        keep[start:stop] = True
-        yield slice(start, stop), [select(op, keep) for op in stacks]
+@functools.cache
+def _right_creations(space):
+    """Per letter gamma, the matrix of R_{gamma*} (``append_star``)."""
+    return [column_matrix(space, append_star(space, letter)) for letter in space.letters]
 
 
 def rho_dense(space, A):
-    """sum_gamma R A R^* on a dense matrix: per letter, gather the (src, src)
-    blocks of A, conjugate each by the alpha block and scatter them to
-    (dst, dst); the letters' target words end differently, so the scatters
-    never overlap."""
-    A = _word_blocks(space, np.asarray(A, dtype=complex))
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    out4 = _word_blocks(space, out)
-    for src, dst, blk in right_letter_maps(space):
-        out4[dst[:, None], dst] = np.einsum("ab,ijbc,dc->ijad", blk,
-                                            A[src[:, None], src], blk.conj())
-    return out
+    """rho(A) = sum_gamma R_{gamma*} A R_{gamma*}^H on a dense matrix, each
+    R_{gamma*} the matrix of the word rule ``append_star``."""
+    A = np.asarray(A, dtype=complex)
+    return sum(R @ A @ R.conj().T for R in _right_creations(space))
 
 
 def epsilon_dense(space, A):
@@ -762,14 +669,14 @@ def generator_chain(space, gw):
     factors = []
     for j, xi in enumerate(gw.cre_letters):
         if cre_coeffs[j] is not None:
-            factors.append(left_mult(space, cre_coeffs[j]))
+            factors.append(left_mult(space, [cre_coeffs[j]]))
         factors.append(creation(space, letter_index(space, xi)))
     if cre_coeffs[gw.k] is not None:
-        factors.append(left_mult(space, cre_coeffs[gw.k]))
+        factors.append(left_mult(space, [cre_coeffs[gw.k]]))
     for j in range(gw.l - 1, -1, -1):
         factors.append(annihilation(space, letter_index(space, gw.ann_letters[j])))
         if ann_coeffs[j] is not None:
-            factors.append(left_mult(space, ann_coeffs[j]))
+            factors.append(left_mult(space, [ann_coeffs[j]]))
     return op_product(space, factors, "gen(k=%d,l=%d)" % (gw.k, gw.l))
 
 
@@ -847,53 +754,12 @@ def unitary_word_by_rules(space, i, g, j):
     return index_of(space, *(((i, g),) if g else ()), *letters)
 
 
-def embed_per_element(space, a):
-    """embed of one element: the closed-form coefficient of each (j, k) term
-    through one left_mult, one single operator per term, and their sum."""
-    idx = next(i for i, fac in enumerate(space.amalgam.factors) if fac is a.factor)
-    group = a.factor.group
-    pairs, coefs = [], []
-    for j in range(group.order):
-        for k in range(group.order):
-            coef = a.factor.alpha(group.inv(j), a.coeffs[group.table[j, group.inv(k)]])
-            if np.any(np.abs(coef) > 0):
-                pairs.append((j, k))
-                coefs.append(coef)
-    if not coefs:
-        return zero_op(space)
-    lmul = left_mult(space, np.array(coefs)).blocks
-    n, words_of = len(space.words), embed_terms_by_pair(space, idx)
-    terms = []
-    for t, pair in enumerate(pairs):
-        rows, cols, mid = words_of[pair]
-        terms.append(StructuredOperator(space, rows, cols, lmul[t * n + mid], "term"))
-    return op_sum(space, terms, "embed")
-
-
 def word_by_products(space, w):
     """b_0 embed(a_1) b_1 ... embed(a_n) b_n as a product of single operators."""
-    factors = [left_mult(space, w.coeffs[0])]
+    factors = [left_mult(space, [w.coeffs[0]])]
     for a, b in zip(w.letters, w.coeffs[1:]):
-        factors += [embed_per_element(space, a), left_mult(space, b)]
+        factors += [embed_by_term_loop(space, [a]), left_mult(space, [b])]
     return op_product(space, factors, "word(n=%d)" % w.length)
-
-
-def embed_by_products(space, a):
-    """sum_{j,k} L_{e_j} E(e_j* a e_k) L*_{e_k}, each coefficient from
-    FactorElement products and each term a product of three operators."""
-    idx = next(i for i, fac in enumerate(space.amalgam.factors) if fac is a.factor)
-    basis = a.factor.pp_basis()
-    guard = start_complement_op(space, idx)
-    terms = []
-    for j, ej in enumerate(basis):
-        up = guard if j == 0 else creation(space, letter_index(space, (idx, j)))
-        for k, ek in enumerate(basis):
-            coef = cond_exp(ej.star() * a * ek)
-            if not np.any(np.abs(coef) > 0):
-                continue
-            down = guard if k == 0 else annihilation(space, letter_index(space, (idx, k)))
-            terms.append(op_product(space, [up, left_mult(space, coef), down], "term"))
-    return op_sum(space, terms, "embed") if terms else zero_op(space)
 
 
 class EntryStack:
@@ -1035,9 +901,11 @@ def psi_via_factors(fh: HankelFactorization, fk: HankelFactorization,
 
 
 def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_length=10):
-    """The main theorem suite with one word operator, built whole by
-    ``word_by_products``, one multiplier application and one pair of norm
-    bounds, on the dense matrix, at a time."""
+    """The main theorem suite with one word operator at a time, built whole
+    by ``word_by_products``: one multiplier application and one pair of
+    norm bounds on its dense matrix, read through ``EntryStack.from_dense``.
+    The right-module check composes with the left multiplication of a
+    stack of one coefficient, as the suite does."""
     rng = np.random.default_rng([seed, 5])
     report = VerificationReport()
     max_len = min(3, space.L_max - 2)
@@ -1070,7 +938,7 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     diff = T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A) - be * T0.apply_matrix(B)
     report.add("multiplier_linearity", op_norm(diff)[0] / max(op_norm(A)[0], 1.0) / s, 1e-12)
-    lam = left_mult(space, space.base.random(rng))
+    lam = left_mult(space, [space.base.random(rng)])
     guard = space.guard_mask(space.L_max - max(1, max_len))
     diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
     report.add("multiplier_right_module",
@@ -1082,12 +950,13 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
 def word_vacuum_images_dense(space, max_len):
     """Yield the coordinate arrays of u_{g_1} ... u_{g_n} b applied to the
     vacuum, for every word (g_1, ..., g_n) of length <= max_len (in basis
-    order) and every N-basis element b: the vacuum array multiplied, right
-    to left, by left_mult(b) and the letters' embeddings, each built once."""
+    order) and every N-basis element b: the vacuum array multiplied by the
+    stack of the left multiplications by the N basis, then right to left
+    by the letters' embeddings, each built once."""
     embeds = {(i, g): embed(space, [space.amalgam.factors[i].unitary(g)])
               for i, g in space.amalgam.letters()}
     vac = to_array(word_vector(space, index_of(space)))
-    starts = [(left_mult(space, b) @ vac)[0] for b in space.base.basis()]
+    starts = left_mult(space, space.base.basis()) @ vac
     for w in word_list(space):
         if len(w) > max_len:
             continue

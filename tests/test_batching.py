@@ -11,18 +11,16 @@ import numpy as np
 import pytest
 
 import radmul.verify as verify
-from oracles import (GeneratorWord, dense_rank, embed_by_products, embed_by_term_loop,
-                     embed_per_element, family, generator, generator_chain,
-                     generator_operators_tiled, generator_words, lambda_span_dense,
-                     lemma_suite_per_generator, random_word, select_chunks,
-                     theorem_suite_per_word, unitary_word_by_rules, word_by_products,
-                     word_vacuum_images_dense)
+from oracles import (GeneratorWord, dense_rank, embed_by_term_loop, family, generator,
+                     generator_chain, generator_words, lambda_span_dense,
+                     lemma_suite_per_generator, random_word, select, theorem_suite_per_word,
+                     unitary_word_by_rules, word_by_products, word_vacuum_images_dense)
 from radmul.algebra import CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
 from radmul.fock import FockVector
 from radmul.operators import (StructuredOperator, apply_weights, build_T, epsilon_matrix,
-                              generator_operators, rho_matrix, stack)
+                              generator_operators, rho_matrix)
 from radmul.report import VerificationReport
 from radmul.symbols import RadialSymbol
 from radmul.verify import (embed, embedding_suite, fock_suite, lemma_suite,
@@ -75,6 +73,20 @@ def assert_sample_is(stack_op, s, want):
         assert np.array_equal(got, expected)
 
 
+def assert_samples_are_chains(space, gens):
+    """Each sample of the family's stack is bit for bit the product of
+    single operators of its generator (``generator_chain``); the stack
+    holds no other entries."""
+    A = generator_operators(space, gens)
+    assert A.n_samples == len(gens.cre)
+    size = 0
+    for s, gw in enumerate(generator_words(space, gens)):
+        want = generator_chain(space, gw)
+        assert_sample_is(A, s, want)
+        size += want.rows.size
+    assert A.rows.size == size
+
+
 def every_signature(space, rng):
     """Generators of every (k, l), two with coefficients and two without,
     in shuffled order; the family's chains start with a letter step, with a
@@ -98,36 +110,29 @@ def cyclic_space(order):
     return parse_config(data).space()
 
 
-@pytest.mark.parametrize("name", SPACES)
+@pytest.mark.parametrize("name", SPACES + ["s3_space"])
 def test_generator_stack_matches_chain_oracle(request, name):
     space = request.getfixturevalue(name)
     gens = every_signature(space, np.random.default_rng(42))
-    A = generator_operators(space, family(space, gens))
-    assert A.n_samples == len(gens)
-    for s, gw in enumerate(gens):
-        want = generator_chain(space, gw)
-        assert_sample_is(A, s, want)
+    assert_samples_are_chains(space, family(space, gens))
+    assert_samples_are_chains(space, verify._generator_zoo(space, 0))
+    for gw in gens:
         single = generator(space, gw)
         assert single.n_samples == 1
-        assert_sample_is(single, 0, want)
+        assert_sample_is(single, 0, generator_chain(space, gw))
 
 
 @pytest.mark.parametrize("name", SPACES + ["cyclic12"])
 def test_seeded_generator_build_matches_tiled_oracle(request, name):
     # the stack seeded with the columns where each group's leading letter
-    # steps act equals, entry for entry and in order, the one that follows
-    # every generator from every column word
+    # steps act holds, sample by sample and in order, the entries of the
+    # generator's chain of single operators, whose every letter step is
+    # tiled over every column word
     space = cyclic_space(12) if name == "cyclic12" else request.getfixturevalue(name)
     rng = np.random.default_rng(46)
-    families = [verify._generator_zoo(space, 5)]
+    assert_samples_are_chains(space, verify._generator_zoo(space, 5))
     if name != "cyclic12":
-        families.append(family(space, every_signature(space, rng)))
-    for gens in families:
-        got = generator_operators(space, gens)
-        want = generator_operators_tiled(space, generator_words(space, gens))
-        assert got.n_samples == want.n_samples == len(gens.cre)
-        for field in ("samples", "rows", "cols", "blocks"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert_samples_are_chains(space, family(space, every_signature(space, rng)))
 
 
 def traced_peak(build):
@@ -143,8 +148,8 @@ def traced_peak(build):
 def test_seeded_generator_build_allocates_only_what_it_keeps():
     # dih with a cyclic factor of order 48: the zoo has 20458 generators and
     # keeps 23189 entries.  Following every generator from every column word
-    # (``generator_operators_tiled``) takes 2.9M entries and peaks near 59
-    # times the kept bytes; the seeded build peaks near 2.7 times
+    # takes 2.9M entries and peaked near 59 times the kept bytes; the seeded
+    # build peaks near 2.7 times
     space = cyclic_space(48)
     gens = verify._generator_zoo(space, 1)
     A, peak = traced_peak(lambda: generator_operators(space, gens))
@@ -199,7 +204,7 @@ def test_embed_stack_matches_per_element_oracle(request, name):
     for s, a in enumerate(elements):
         single = embed(space, [a])
         assert_sample_is(E, s, single)
-        want = embed_per_element(space, a)
+        want = embed_by_term_loop(space, [a])
         assert_entries_agree(single, want, name != "noncomm_space")
         assert (want.rows.size == 0) == (not a.coeffs.any())
     zero = embed(space, [zero_element(space.amalgam.factors[0])])
@@ -230,7 +235,7 @@ def test_embed_matches_term_loop_oracle_exactly(request, name):
         assert_entries_agree(got, want, name != "noncomm_space")
 
 
-@pytest.mark.parametrize("name", SPACES)
+@pytest.mark.parametrize("name", SPACES + ["s3_space"])
 def test_word_stack_matches_product_oracle(request, name):
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(44)
@@ -305,24 +310,8 @@ def test_lemma_suite_matches_per_generator_oracle(request, name, symbols):
 
 
 @pytest.mark.parametrize("name", EXACT + ["noncomm_space"])
-def test_embed_matches_factor_product_oracle(request, name):
-    space = request.getfixturevalue(name)
-    rng = np.random.default_rng(40)
-    for fac in space.amalgam.factors:
-        for a in (fac.random(rng), fac.random_kernel(rng), fac.identity(), fac.unitary(1),
-                  fac.from_base(space.base.random(rng))):
-            got, want = embed(space, [a]), embed_by_products(space, a)
-            if name in EXACT:
-                for field in ("rows", "cols", "blocks"):
-                    assert np.array_equal(getattr(got, field), getattr(want, field))
-            else:
-                # alpha(1) rounds away from 1 under these actions
-                assert np.abs(got.matrix()[0] - want.matrix()[0]).max() <= 1e-14
-
-
-@pytest.mark.parametrize("name", EXACT + ["noncomm_space"])
-def test_suites_with_factor_product_embed_give_the_same_reports(request, monkeypatch,
-                                                                name, symbols):
+def test_suites_with_term_loop_embed_give_the_same_reports(request, monkeypatch, name,
+                                                            symbols):
     space = request.getfixturevalue(name)
 
     def run():
@@ -332,13 +321,8 @@ def test_suites_with_factor_product_embed_give_the_same_reports(request, monkeyp
         report.extend(spanning_check(space))
         return report
 
-    def stacked_by_products(space, a):
-        if isinstance(a, FactorElement):
-            return embed_by_products(space, a)
-        return stack([embed_by_products(space, x) for x in a])
-
     got = run()
-    monkeypatch.setattr(verify, "embed", stacked_by_products)
+    monkeypatch.setattr(verify, "embed", embed_by_term_loop)
     want = run()
     if name in EXACT:
         assert got.to_json() == want.to_json()
@@ -375,11 +359,14 @@ def test_one_sample_chunks_give_the_same_report(tmp_path, monkeypatch, capsys, p
 
 @pytest.mark.parametrize("cap", [1, 40, 400, 4096])
 def test_chunks_match_select_bit_for_bit(monkeypatch, cy3_space, cap):
-    """Every chunk of ``_stacked_chunks`` is the stack ``select`` gives for
-    its range of samples, entry order included: on the zoo's generators in
-    a shuffled order, whose entries then come grouped by kind, not by
-    sample, and on them cut to the vacuum column, where many samples are
-    empty, next to a stack sorted by sample (one embedding per sample)."""
+    """The ranges of ``_stacked_chunks`` are consecutive and cover the
+    samples; each takes samples while their sizes (2L+1 per scalar entry)
+    add up to at most the cap, and at least one.  Every chunk is the stack
+    ``select`` gives for its range of samples, entry order included: on the
+    zoo's generators in a shuffled order, whose entries then come grouped by
+    kind, not by sample, and on them cut to the vacuum column, where many
+    samples are empty, next to a stack sorted by sample (one embedding per
+    sample)."""
     monkeypatch.setattr(verify, "CHUNK_ENTRIES", cap)
     space, rng = cy3_space, np.random.default_rng(43)
     zoo = verify._generator_zoo(space, 0)
@@ -391,12 +378,19 @@ def test_chunks_match_select_bit_for_bit(monkeypatch, cy3_space, cap):
     assert np.count_nonzero(np.bincount(cut.samples, minlength=cut.n_samples) == 0) > 0
     factors = space.amalgam.factors
     embeds = embed(space, [factors[t % 2].random(rng) for t in range(gens.n_samples)])
-    stacks = [gens, cut, embeds]
-    got, want = list(verify._stacked_chunks(space, stacks)), list(select_chunks(space, stacks))
-    assert [sl for sl, _ in got] == [sl for sl, _ in want]
+    stacks, n = [gens, cut, embeds], gens.n_samples
+    sizes = sum(np.bincount(op.samples, minlength=n) for op in stacks) * (
+        (2 * space.L_max + 1) * space.dim_N ** 2)
+    got = list(verify._stacked_chunks(space, stacks))
     assert len(got) > (1 if cap == 4096 else 10)
-    for (_, ops), (_, wants) in zip(got, want):
-        for op, w in zip(ops, wants):
+    assert [sl.start for sl, _ in got] == [0] + [sl.stop for sl, _ in got][:-1]
+    assert got[-1][0].stop == n
+    for sl, ops in got:
+        assert sl.stop - sl.start == 1 or sizes[sl].sum() <= cap
+        assert sl.stop == n or sizes[sl.start:sl.stop + 1].sum() > cap
+        keep = (np.arange(n) >= sl.start) & (np.arange(n) < sl.stop)
+        for op, whole in zip(ops, stacks):
+            w = select(whole, keep)
             assert (op.n_samples, op.name) == (w.n_samples, w.name)
             for field in ("samples", "rows", "cols", "blocks"):
                 assert np.array_equal(getattr(op, field), getattr(w, field))

@@ -15,8 +15,9 @@ outside its own definition, no function of the package only forwards its
 parameters to another call, no module of the package makes a dense matrix
 of a whole operator, the set-up path (configuration to Fock space) loads no
 operator code, only the command line sets OpenBLAS's idle timeout before
-numpy loads, and README's CLI section names exactly the command line's
-options.  At run time, every function and method of the package, dunders
+numpy loads, README's CLI section names exactly the command line's
+options, and every public oracle of ``tests/oracles.py`` is read by a test
+and named in the module's ledger.  At run time, every function and method of the package, dunders
 and nested functions included, starts in the command line's verify, bound
 and symbol runs on small models, or is on a short list with its reason:
 a name kept alive only by an unrelated read, as ``np.trace`` reads
@@ -191,6 +192,50 @@ def test_unused_private_name_is_caught():
     }
     others = ["import a\na._traced()\n", "TARGET = ('radmul.a', '_named')\n"]
     assert unused_private_names(modules, others) == [("a.py", 2, "_OLD"), ("a.py", 3, "_helper")]
+
+
+def oracle_gaps(oracles: str, tests: list) -> tuple:
+    """Two sorted lists of the public module-level functions and classes of
+    the oracle module (source ``oracles``): those that no source of
+    ``tests`` reads, directly or through a function or class of the module
+    that is read, and those its docstring, the ledger, does not name as
+    ``name``."""
+    tree = ast.parse(oracles)
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    todo = list(set().union(*(names_read(ast.parse(source)) for source in tests)) & set(defs))
+    live = set(todo)
+    while todo:
+        found = names_read(defs[todo.pop()]) & set(defs) - live
+        live |= found
+        todo += found
+    public = sorted(name for name in defs if not name.startswith("_"))
+    ledger = ast.get_docstring(tree) or ""
+    return ([name for name in public if name not in live],
+            [name for name in public if "``%s``" % name not in ledger])
+
+
+def test_every_oracle_is_read_and_in_the_ledger():
+    oracles = ROOT / "tests" / "oracles.py"
+    tests = [p.read_text(encoding="utf-8") for p in TESTS if p != oracles]
+    assert oracle_gaps(oracles.read_text(encoding="utf-8"), tests) == ([], [])
+
+
+def test_unread_or_unledgered_oracle_is_caught():
+    # f is read by a test, g through f and C through f's private helper _k;
+    # h only by itself and the ledger, D is read but not in the ledger, and
+    # E in neither; _p is private
+    oracles = ('"""Ledger: ``f`` from ``g``, ``C`` and ``h``."""\n'
+               "def f():\n    return g() + _k()\n"
+               "def g():\n    pass\n"
+               "def h():\n    return h()\n"
+               "def _k():\n    return C()\n"
+               "class C:\n    pass\n"
+               "class D:\n    pass\n"
+               "class E:\n    pass\n"
+               "def _p():\n    pass\n")
+    tests = ["from oracles import f, D\nf(D())\n"]
+    assert oracle_gaps(oracles, tests) == (["E", "h"], ["D", "E"])
 
 
 def constant_reads(node: ast.AST) -> Counter:

@@ -10,9 +10,9 @@ from conftest import noncommuting_config
 from oracles import (EntryStack, GeneratorWord, append_star, apply, as_op, coeffs,
                      column_matrix, epsilon_dense, expand, family, generator, generator_words,
                      index_of, is_zero, left_action, letter_index, partition_identity_residual,
-                     partition_sum_by_diag, phi_block_matrix, prepend, random_word, rho_matrix_by_letters,
-                     right_action, rho_dense, select, strip_first, strip_star, to_array,
-                     tower_dense, weighted_sum_dense, word_list, word_vector, zero_op)
+                     partition_sum_by_diag, prepend, random_word, rho_dense,
+                     rho_matrix_by_letters, right_action, select, strip_first, strip_star,
+                     to_array, tower_dense, weighted_sum_dense, word_list, word_vector, zero_op)
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
 from radmul.operators import (StructuredOperator, adjoint_check, amplify, annihilation,
                               apply_weights, build_T, creation, diag, eps_rho_tower,
@@ -108,7 +108,7 @@ def test_direct_matrices_match_action(request):
                       (right_creation(space, t), append_star(space, letter)),
                       (right_annihilation(space, t), strip_star(space, letter))]
         b = space.base.random(rng)
-        pairs += [(left_mult(space, b), left_action(b)), (right_mult(space, b), right_action(b))]
+        pairs += [(left_mult(space, [b]), left_action(b)), (right_mult(space, b), right_action(b))]
         for op, rule in pairs:
             diff = np.abs(op.matrix() - column_matrix(space, rule)).max()
             assert diff <= 1e-13, (name, op.name)
@@ -251,30 +251,14 @@ def test_rho_identity_is_q1(dih_space, mat2_space):
         assert np.abs(got - q1).max() == 0
 
 
-def push_loop_left_mult(space, b):
-    """Oracle: push b through every word letter by letter, one kron per word."""
-    k = space.dim_N
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, w in enumerate(word_list(space)):
-        pushed = b
-        for letter in w.letters:
-            pushed = space.amalgam.push(pushed, letter)
-        out[j * k:(j + 1) * k, j * k:(j + 1) * k] = np.kron(pushed, np.eye(space.base.d))
-    return out
-
-
 @pytest.mark.parametrize("name", SPACES)
 def test_rho_matrix_matches_dense_sum(request, name):
     # oracle: rho(A) = sum_gamma R A R^H, each R_{gamma*} materialized from
-    # the word-level rule
+    # the word-level rule (``rho_dense``)
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(12)
     A = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
-    want = np.zeros_like(A)
-    for letter in space.amalgam.letters():
-        R = column_matrix(space, append_star(space, letter))
-        want += R @ A @ R.conj().T
-    diff = np.abs(rho_matrix(space, as_op(space, A)).matrix() - want).max()
+    diff = np.abs(rho_matrix(space, as_op(space, A)).matrix() - rho_dense(space, A)).max()
     assert diff == 0 if name in SCALAR_BASE else diff <= 1e-13
 
 
@@ -284,7 +268,8 @@ def test_left_mult_matrix_matches_push_loop(request, name):
     rng = np.random.default_rng(13)
     for _ in range(3):
         b = space.base.random(rng)
-        diff = np.abs(left_mult(space, b).matrix() - push_loop_left_mult(space, b)).max()
+        diff = np.abs(left_mult(space, [b]).matrix()
+                      - column_matrix(space, left_action(b))).max()
         assert diff == 0 if name in SCALAR_BASE else diff <= 1e-13
 
 
@@ -293,7 +278,7 @@ def test_noncommuting_fixture_push_order_matters(noncomm_space):
     # so the left-multiplication oracle above pins the order
     space = noncomm_space
     b = space.base.random(np.random.default_rng(14))
-    M = left_mult(space, b).matrix()[0]
+    M = left_mult(space, [b]).matrix()[0]
     k = space.dim_N
     worst = 0.0
     for j, w in enumerate(word_list(space)):
@@ -344,7 +329,8 @@ def test_epsilon_case_rules(cy3_space):
 def test_phi1_of_identity_is_norm_squared(dih_space):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    out = phi_block_matrix(dih_space, 1, x, x, as_op(dih_space, np.eye(dih_space.dim))).matrix()
+    out = apply_weights(dih_space, phi_weights(dih_space, 1, x, x),
+                        as_op(dih_space, np.eye(dih_space.dim))).matrix()
     want = float(np.vdot(x, x).real) * np.eye(dih_space.dim)
     assert np.abs(out - want).max() <= 1e-12 * np.vdot(x, x).real
 
@@ -361,16 +347,16 @@ def test_phi_eigen_formula_on_generators(dih_space):
         k, l = gen.k, gen.l
         guard = dih_space.guard_mask(dih_space.L_max - max(k - l, 0) - 1)
         s1 = brute_phi_scalar(x, y, k, l)
-        out1 = phi_block_matrix(dih_space, 1, x, y, op).matrix()[0]
+        out1 = apply_weights(dih_space, phi_weights(dih_space, 1, x, y), op).matrix()[0]
         assert np.abs((out1 - s1 * A)[:, guard]).max() <= 1e-10
         s2 = s1 if gen.case == 1 else brute_phi_scalar(x, y, k, l, shift=1)
-        out2 = phi_block_matrix(dih_space, 2, x, y, op).matrix()[0]
+        out2 = apply_weights(dih_space, phi_weights(dih_space, 2, x, y), op).matrix()[0]
         assert np.abs((out2 - s2 * A)[:, guard]).max() <= 1e-10
 
 
 def test_phi_zero_vector_gives_zero(dih_space):
-    out = phi_block_matrix(dih_space, 1, np.zeros(6), np.ones(6),
-                           as_op(dih_space, np.eye(dih_space.dim))).matrix()
+    out = apply_weights(dih_space, phi_weights(dih_space, 1, np.zeros(6), np.ones(6)),
+                        as_op(dih_space, np.eye(dih_space.dim))).matrix()
     assert np.abs(out).max() == 0
 
 
@@ -754,7 +740,7 @@ def test_embed_and_word_operator_match_factor_products(request, name):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     b = space.base.random(rng)
     got = word_operator(space, [ReducedWord((), (b,))]).matrix()
-    assert np.array_equal(got, left_mult(space, b).matrix())
+    assert np.array_equal(got, left_mult(space, [b]).matrix())
 
 
 def random_sparse(rng, n, density=0.08):
@@ -872,11 +858,11 @@ def test_t1_equals_sum_of_phi_blocks(dih_space):
     op = generator(dih_space, gen)
     total = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for x, y in h_pairs:
-        total += phi_block_matrix(dih_space, 1, x, y, op).matrix()[0]
+        total += apply_weights(dih_space, phi_weights(dih_space, 1, x, y), op).matrix()[0]
     assert np.abs(total - apply_weights(dih_space, T.t1_weights, op).matrix()[0]).max() <= 1e-11
     total2 = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for z, w in k_pairs:
-        total2 += phi_block_matrix(dih_space, 2, z, w, op).matrix()[0]
+        total2 += apply_weights(dih_space, phi_weights(dih_space, 2, z, w), op).matrix()[0]
     assert np.abs(total2 - apply_weights(dih_space, T.t2_weights, op).matrix()[0]).max() <= 1e-11
 
 
@@ -929,9 +915,9 @@ def test_multiplier_collapse_on_arbitrary_matrix(dih_space):
     op = as_op(dih_space, A)
     total = phi.limit * A
     for x, y in h_pairs:
-        total = total + phi_block_matrix(dih_space, 1, x, y, op).matrix()
+        total = total + apply_weights(dih_space, phi_weights(dih_space, 1, x, y), op).matrix()
     for z, w in k_pairs:
-        total = total + phi_block_matrix(dih_space, 2, z, w, op).matrix()
+        total = total + apply_weights(dih_space, phi_weights(dih_space, 2, z, w), op).matrix()
     assert np.abs(total - T.apply_matrix(op).matrix()).max() <= 1e-11 * np.abs(A).max()
 
 

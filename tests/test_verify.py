@@ -36,7 +36,7 @@ def test_embed_base_element_is_left_multiplication(mat2_space):
     rng = np.random.default_rng(0)
     b = mat2_space.base.random(rng)
     got = embed(mat2_space, [mat2_space.amalgam.factors[1].from_base(b)]).matrix()
-    want = left_mult(mat2_space, b).matrix()
+    want = left_mult(mat2_space, [b]).matrix()
     assert np.abs(got - want).max() <= 1e-13
 
 
@@ -192,9 +192,9 @@ def test_delta0_reproduces_vacuum_expectation(mat2_space):
     b = mat2_space.base.random(rng)
     w1 = word_operator(mat2_space, [random_reduced_word(rng, mat2_space, 1)])
     w2 = word_operator(mat2_space, [random_reduced_word(rng, mat2_space, 2)])
-    A_op = left_mult(mat2_space, b)
+    A_op = left_mult(mat2_space, [b])
     A = A_op.matrix()[0] + w1.matrix()[0] + w2.matrix()[0]
-    want = left_mult(mat2_space, b).matrix()[0]  # = lambda(vacuum expectation)
+    want = left_mult(mat2_space, [b]).matrix()[0]  # = lambda(vacuum expectation)
     guard = mat2_space.guard_mask(mat2_space.L_max - 2)
     TA = T.apply_matrix(as_op(mat2_space, A)).matrix()[0]
     assert np.abs((TA - want)[:, guard]).max() <= 1e-10
