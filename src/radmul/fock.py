@@ -162,7 +162,7 @@ class FockSpace:
         return arr / np.linalg.norm(arr)
 
     def guard_mask(self, max_len: int) -> np.ndarray:
-        """Scalar-basis indices whose word length stays within max_len."""
+        """Boolean mask over the scalar basis: word length within max_len."""
         return np.repeat(self.lengths <= max_len, self.dim_N)
 
 

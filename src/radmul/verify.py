@@ -333,9 +333,10 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
 
     # the row sums of the Phi factorization, Phi1_{v,v}(Id) for both vectors
     # in one call, whose norms phi_cb_bound takes
+    ident = identity_op(space)
     sums = apply_weights(space, np.array([phi_weights(space, 1, v, v) for v in (xv, yv)]),
-                         stack([identity_op(space)] * 2), np.arange(2))
-    diff = sums - stack([float(np.vdot(v, v).real) * identity_op(space) for v in (xv, yv)])
+                         stack([ident] * 2), np.arange(2))
+    diff = sums - stack([float(np.vdot(v, v).real) * ident for v in (xv, yv)])
     report.add("partition_identity", _fold(0.0, diff.block_max()), tol, samples=2)
 
     # each adjoint is built by its own rule, not as a conjugate transpose
@@ -349,18 +350,17 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     rb = right_mult(space, b)
     i, g = space.letters[0]
     rb_twisted = right_mult(space, space.amalgam.factors[i].alpha(g, b))
+    rho_ident = rho_matrix(space, ident)
     ops = stack([creation(space, 0), annihilation(space, 0),
                  right_creation(space, 0), diag(space, x[:space.L_max + 2]),
-                 ends_in_factor_op(space, 0), rho_matrix(space, identity_op(space))])
+                 ends_in_factor_op(space, 0), rho_ident])
     residual = ops @ stack([rb] * ops.n_samples) - stack([rb, rb, rb_twisted, rb, rb, rb]) @ ops
     report.add("right_module_blocks", _fold(0.0, residual.block_max()), tol)
 
     # rho(Id) = Q_1 and epsilon(Id) = Q_1 on the truncated space
     q1 = length_at_least_op(space, 1)
-    res_rho = (rho_matrix(space, identity_op(space)) - q1).block_max()[0]
-    res_eps = (epsilon_matrix(space, identity_op(space)) - q1).block_max()[0]
-    report.add("rho_of_identity", res_rho, tol)
-    report.add("epsilon_of_identity", res_eps, tol)
+    report.add("rho_of_identity", (rho_ident - q1).block_max()[0], tol)
+    report.add("epsilon_of_identity", (epsilon_matrix(space, ident) - q1).block_max()[0], tol)
 
     # the factorization bound for Phi never exceeds the vector norms
     bound = phi_cb_bound(sums)
@@ -524,11 +524,11 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     lam = left_mult(space, [space.base.random(rng)])
     with np.errstate(over="ignore", invalid="ignore"):  # as above
-        diff = (T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A)
-                - be * T0.apply_matrix(B))
+        TA = T0.apply_matrix(A)
+        diff = T0.apply_matrix(al * A + be * B) - al * TA - be * T0.apply_matrix(B)
         norm_a = max(op_norm(A)[0], 1.0)
         res_lin = op_norm(diff)[0] / norm_a / s
-        diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
+        diff = T0.apply_matrix(A @ lam) - TA @ lam
         res_mod = op_norm(diff.columns_upto(space.L_max - max(1, max_len)))[0] / norm_a / s
     report.add("multiplier_linearity", res_lin, 1e-12)
     report.add("multiplier_right_module", res_mod, tol)

@@ -63,6 +63,17 @@ def s3_config():
     return cfg
 
 
+# the five small models that the pinned reports and the run-time liveness
+# gate run, each name with a factory of its configuration
+MODELS = {
+    "dih": lambda: preset_config("dih"),
+    "mat2": lambda: preset_config("mat2"),
+    "cy3": lambda: preset_config("cy3"),
+    "noncommuting3": lambda: noncommuting_config(3),
+    "s3": s3_config,
+}
+
+
 @pytest.fixture(scope="session")
 def s3_space():
     """Scalar base, an order-2 factor and an S_3 factor (dim 47)."""

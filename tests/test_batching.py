@@ -4,7 +4,6 @@ ranks by word blocks; each must give the numbers of the per-sample routes it
 replaced (``oracles``), whatever the chunk size."""
 
 import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -18,7 +17,6 @@ from oracles import (GeneratorWord, dense_rank, embed_by_term_loop, family, gene
 from radmul.algebra import CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
-from radmul.fock import FockVector
 from radmul.operators import (StructuredOperator, apply_weights, build_T, epsilon_matrix,
                               generator_operators, rho_matrix)
 from radmul.report import VerificationReport
@@ -460,26 +458,3 @@ def test_rank_checks_cost_no_dense_column_per_word(monkeypatch):
             counts[name, L] = dict(calls)
     assert counts["spanning", 3]["matvec"] == counts["spanning", 6]["matvec"] == 0
     assert counts["fock", 3] == counts["fock", 6]
-
-
-@pytest.mark.parametrize("preset", ["dih", "mat2"])
-def test_no_suite_builds_a_fock_vector(tmp_path, monkeypatch, capsys, preset):
-    """The suites hold Fock vectors as coordinate arrays: no suite of
-    ``verify --suite all`` builds a FockVector.  One usable core keeps
-    every suite in this process, where the spy sees it."""
-    built = []
-    init = FockVector.__init__
-
-    def spy(self, space, *args):
-        built.append(space)
-        init(self, space, *args)
-
-    monkeypatch.setattr(FockVector, "__init__", spy)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    data = preset_config(preset)
-    data["truncation"]["fock_len"] = 3
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(data))
-    assert main(["verify", "--suite", "all", "--config", str(config)]) == 0
-    capsys.readouterr()
-    assert built == []

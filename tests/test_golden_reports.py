@@ -20,18 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import noncommuting_config, s3_config
+from conftest import MODELS
 from radmul.cli import main
-from radmul.config import preset_config
 
 DATA = Path(__file__).resolve().parent / "data"
-MODELS = {
-    "dih": lambda: preset_config("dih"),
-    "mat2": lambda: preset_config("mat2"),
-    "cy3": lambda: preset_config("cy3"),
-    "noncommuting3": lambda: noncommuting_config(3),
-    "s3": s3_config,
-}
 
 
 def verify(name: str, workdir: Path, report: Path) -> int:

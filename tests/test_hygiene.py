@@ -1,27 +1,18 @@
-"""Source hygiene that a linter would check: no module of the package and no
-test module imports a name it never uses, every ``from .m import x`` of the
-package and ``from radmul.m import x`` of the tests names a definition of
-m, every module-level private name of
-the package is used somewhere in the repository, every defaulted parameter
-of a package function is passed by some call (else it is a constant), and
-that of a public one by a call in the package or is on a short list with
-its reason, every public function and method of the package is called by
-the package, and
-every public class read by it outside annotations, or is on
-a short list of documented or benchmark-read names (a method counts only
-attribute reads ``x.m``, a property only those that are not called), every
-module-level UPPER_CASE constant of the package is read by package code
-outside its own definition, no function of the package only forwards its
-parameters to another call, no module of the package makes a dense matrix
-of a whole operator, the set-up path (configuration to Fock space) loads no
-operator code, only the command line sets OpenBLAS's idle timeout before
-numpy loads, README's CLI section names exactly the command line's
-options, and every public oracle of ``tests/oracles.py`` is read by a test
-and named in the module's ledger.  At run time, every function and method of the package, dunders
-and nested functions included, starts in the command line's verify, bound
-and symbol runs on small models, or is on a short list with its reason:
-a name kept alive only by an unrelated read, as ``np.trace`` reads
-``trace``, or by no read at all, as a dunder, is dead code all the same."""
+"""Source hygiene, one gate a line; each allowlist gives its reasons:
+
+- no module of the package or the tests imports a name it never uses;
+- each ``from .m import x`` (tests: ``from radmul.m import x``) names a definition of m;
+- each module-level private name of the package is read somewhere in the repository;
+- each public oracle of ``tests/oracles.py`` is read by a test and named in its ledger;
+- each module-level UPPER_CASE constant of the package is read by package code;
+- each defaulted parameter is passed by a package call, or allowed and passed from outside it;
+- each public class is read by the package outside annotations, or allowed;
+- each function and method, dunders included, starts in small command-line runs, or is allowed;
+- no function only forwards its parameters to another call;
+- no module makes a dense matrix of a whole operator;
+- the set-up path (configuration to Fock space) loads no operator code;
+- only the command line sets OpenBLAS's idle timeout before numpy loads;
+- README's CLI section names exactly the command line's options."""
 
 import argparse
 import ast
@@ -37,9 +28,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import noncommuting_config, s3_config
+from conftest import MODELS
 from radmul.cli import build_parser, main
-from radmul.config import preset_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "radmul"
@@ -339,12 +329,6 @@ def idle_parameters(modules: dict, others: list) -> list:
     return sorted(out)
 
 
-def test_every_defaulted_parameter_is_passed_somewhere():
-    modules = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
-    others = [p.read_text(encoding="utf-8") for p in OUTSIDE]
-    assert idle_parameters(modules, others) == []
-
-
 def test_idle_parameter_is_caught():
     # f's y is passed by position, C's p by keyword to the class and m's q by
     # position after self; f's z, m's r, the static method's u (no self) and
@@ -364,18 +348,8 @@ def test_idle_parameter_is_caught():
         ("a.py", 11, "g", "k")]
 
 
-def package_idle_parameters(modules: dict) -> list:
-    """``idle_parameters`` of the public functions and methods of
-    ``modules`` (a constructor counts as public with its class) that no call
-    in ``modules`` passes: a call from the tests does not count."""
-    def private(qualified):
-        return any(part.startswith("_") and not part.endswith("__")
-                   for part in qualified.split("."))
-    return [found for found in idle_parameters(modules, []) if not private(found[2])]
-
-
-# the defaulted parameters of public package functions that no package call
-# passes, each with its reason
+# the defaulted parameters, private ones included, that no package call
+# passes, each with its reason; a test or radbench passes each
 IDLE_PARAMETERS_ALLOWED = {
     ("main_theorem_suite", "words_per_length"): "test seam: the tests size the sample",
     ("main_theorem_suite", "max_len"): "test seam: the tests size the sample",
@@ -391,14 +365,16 @@ IDLE_PARAMETERS_ALLOWED = {
 
 def test_every_public_defaulted_parameter_is_passed_by_the_package_or_allowed():
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    found = {(name, param) for _, _, name, param in package_idle_parameters(modules)}
+    found = {(name, param) for _, _, name, param in idle_parameters(modules, [])}
     # an entry whose parameter is now passed, or gone, is stale
     assert found == set(IDLE_PARAMETERS_ALLOWED)
+    # and one that no test or radbench passes is a constant
+    assert idle_parameters(modules, [p.read_text(encoding="utf-8") for p in OUTSIDE]) == []
 
 
 def test_parameter_passed_only_by_the_tests_is_caught():
-    # f's y is passed by b.py; f's z and C's p only by a test, and _g's w
-    # and the private class _D's q by nothing, but they are private
+    # f's y is passed by b.py; f's z, C's p and the private _g's w only by a
+    # test, and the private class _D's q by nothing
     modules = {
         "a.py": "def f(x, y=1, z=2):\n    pass\n"
                 "class C:\n    def __init__(self, p=0):\n        pass\n"
@@ -406,58 +382,10 @@ def test_parameter_passed_only_by_the_tests_is_caught():
                 "class _D:\n    def m(self, q=1):\n        pass\n",
         "b.py": "f(1, 2)\n",
     }
-    tests = ["f(1, z=3)\nC(p=1)\n"]
-    assert idle_parameters(modules, tests) == [("a.py", 6, "_g", "w"), ("a.py", 9, "_D.m", "q")]
-    assert package_idle_parameters(modules) == [("a.py", 1, "f", "z"),
-                                                ("a.py", 4, "C.__init__", "p")]
-
-
-def function_reads(tree: ast.AST) -> tuple:
-    """Three counters of the names ``tree`` reads: loaded bare names,
-    attribute reads ``x.m``, and the attribute reads that are not called."""
-    names, attrs, uncalled = Counter(), Counter(), Counter()
-    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            attrs[node.attr] += 1
-            uncalled[node.attr] += id(node) not in called
-    return names, attrs, uncalled
-
-
-def uncalled_functions(modules: dict) -> list:
-    """(module, line, qualified name) of the public functions and methods of
-    ``modules`` (name -> source) that no module reads outside their own
-    body.  A module function counts reads by name or attribute, a method
-    only attribute reads ``x.m``, and a property only attribute reads that
-    are not called, so a local variable or a list's ``.index(...)`` keeps
-    no method or property alive.  A name starting with _ is private or a
-    dunder, and not listed."""
-    trees = {module: ast.parse(source) for module, source in modules.items()}
-    total = [Counter(), Counter(), Counter()]
-    for tree in trees.values():
-        for counter, reads in zip(total, function_reads(tree)):
-            counter.update(reads)
-
-    def count(reads, name, cls, prop):
-        names, attrs, uncalled = reads
-        if cls is None:
-            return names[name] + attrs[name]
-        return uncalled[name] if prop else attrs[name]
-
-    out = []
-    for module, tree in trees.items():
-        for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
-            cls = getattr(scope, "name", None)
-            for fn in scope.body:
-                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
-                    continue
-                prop = any(getattr(d, "id", None) == "property" for d in fn.decorator_list)
-                if (count(total, fn.name, cls, prop)
-                        - count(function_reads(fn), fn.name, cls, prop) <= 0):
-                    out.append((module, fn.lineno, "%s.%s" % (cls, fn.name) if cls else fn.name))
-    return sorted(out)
+    tests = ["f(1, z=3)\nC(p=1)\n_g(w=2)\n"]
+    assert idle_parameters(modules, []) == [("a.py", 1, "f", "z"), ("a.py", 4, "C.__init__", "p"),
+                                            ("a.py", 6, "_g", "w"), ("a.py", 9, "_D.m", "q")]
+    assert idle_parameters(modules, tests) == [("a.py", 9, "_D.m", "q")]
 
 
 def annotations(tree: ast.AST) -> list:
@@ -494,52 +422,20 @@ def unreferenced_classes(modules: dict) -> list:
                   and total[node.name] - class_reads(node)[node.name] <= 0)
 
 
-# the public names the package itself never calls (a class: never reads), each
-# with its reason
-UNCALLED_ALLOWED = {
-    "preset_config": "documented API: the preset configurations (README)",
-    "RadialSymbol.delta0": "documented API: a named symbol (README)",
-    "RadialSymbol.indicator01": "documented API: a named symbol (README)",
-    "RadialSymbol.constant": "documented API: a named symbol (README)",
-    "RadialSymbol.geometric": "documented API: a named symbol (README)",
-    "StructuredOperator.matrix": "radbench's tracer wraps it and reads its cache, _matrix",
-    "rho_tower": "radbench's tracer times it by name",
-    "eps_rho_tower": "radbench's tracer times it by name",
-    "Amalgam.push": "radbench's tracer counts its calls",
-    "hankel_pair": "radbench's tracer times it and setup_probe.py prints its tail_error",
-    "factorize": "radbench's tracer times the M x M Hankel route through it",
+# the public classes the package itself never reads, each with its reason
+UNREFERENCED_ALLOWED = {
     "FockVector": "radbench's tracer counts calls of its __init__; the tests' block-form "
                   "oracle vectors are instances",
 }
 
 
 def test_every_public_function_is_called_or_allowed():
+    # functions and methods are held to a call by the run-time gate,
+    # test_every_function_runs_or_is_allowed; this gate holds the classes
     modules = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    found = {name for _, _, name in uncalled_functions(modules) + unreferenced_classes(modules)}
-    # an entry whose name is now called, or gone, is stale
-    assert found == set(UNCALLED_ALLOWED)
-
-
-def test_uncalled_function_is_caught():
-    # f is called by b.py, C.m by attribute and g only by itself; C.__init__
-    # is a dunder and _h private; C.p is read as a property.  C.shadowed is
-    # read only as a bare variable, and the property C.index only by a
-    # list's called .index(...)
-    modules = {
-        "a.py": "def f():\n    pass\n"
-                "def g(n):\n    return g(n - 1)\n"
-                "def _h():\n    pass\n"
-                "class C:\n    def __init__(self):\n        pass\n"
-                "    def m(self):\n        pass\n"
-                "    def unused(self):\n        pass\n"
-                "    @property\n    def p(self):\n        return 1\n"
-                "    def shadowed(self):\n        pass\n"
-                "    @property\n    def index(self):\n        return 0\n",
-        "b.py": "from .a import f\nf()\nC().m()\nC().p\n"
-                "shadowed = 1\nprint(shadowed)\n[1].index(1)\n",
-    }
-    assert uncalled_functions(modules) == [("a.py", 3, "g"), ("a.py", 12, "C.unused"),
-                                           ("a.py", 17, "C.shadowed"), ("a.py", 20, "C.index")]
+    found = {name for _, _, name in unreferenced_classes(modules)}
+    # an entry whose class is now read, or gone, is stale
+    assert found == set(UNREFERENCED_ALLOWED)
 
 
 def test_unreferenced_class_is_caught():
@@ -623,17 +519,18 @@ UNEXECUTED_ALLOWED = {
 
 
 def test_every_function_runs_or_is_allowed(monkeypatch, tmp_path):
-    # verify, bound and symbol on the presets, a model with non-commuting
-    # actions and one with a group that is not abelian, in this process (one
-    # usable core: no worker is forked); what no run starts is dead code,
-    # dunders included, whatever reads its name
+    # verify, bound and symbol on the MODELS (the presets, a model with
+    # non-commuting actions and one with a group that is not abelian), in this
+    # process (one usable core: no worker is forked); what no run starts is
+    # dead code, dunders included, whatever reads its name.  So no suite
+    # builds a FockVector either: its __init__ is allowed only as never run
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     def run():
-        for i, data in enumerate([preset_config(name) for name in ("dih", "mat2", "cy3")]
-                                 + [noncommuting_config(3), s3_config()]):
+        for name, model in MODELS.items():
+            data = model()
             data["truncation"]["fock_len"] = 3
-            config = tmp_path / ("config%d.json" % i)
+            config = tmp_path / ("%s.json" % name)
             config.write_text(json.dumps(data))
             for argv in (["verify", "--seed", "1", "--report", str(tmp_path / "report.json")],
                          ["bound", "--samples", "3"],

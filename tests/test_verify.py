@@ -403,15 +403,22 @@ def seed_defect(monkeypatch, name, old, new):
      "fock_length_projection_split"),
     ("diag", "values[space.lengths]", "values[space.lengths - 1]", "cy3_space",
      "fock_length_projection_split"),
+    # the vacuum images grown with each letter's embed on the right of the
+    # shorter images, not on the left
+    *[("word_vacuum_images", "E @ images[-1] @ annihilation(space, t)",
+       "images[-1] @ E @ annihilation(space, t)", space, "spanning_rank_len%d" % L)
+      for space, L in [("dih_space", 5), ("mat2_space", 5), ("cy3_space", 4),
+                       ("noncomm_space", 3)]],
 ])
 def test_module_checks_catch_a_seeded_defect(monkeypatch, request, name, old, new, space, check):
-    """Each of these defects in a building block, a weight set or the
-    N-valued inner product fails its check; the M_2 base tells c b from
-    c b^T and b* c from b^T c or c* b, and the noncommuting model's order-3
-    twists alpha_g from alpha_{g^{-1}}."""
+    """Each of these defects in a building block, a weight set, the
+    N-valued inner product or the vacuum images fails its check; the M_2
+    base tells c b from c b^T and b* c from b^T c or c* b, and the
+    noncommuting model's order-3 twists alpha_g from alpha_{g^{-1}}."""
     seed_defect(monkeypatch, name, old, new)
     space = request.getfixturevalue(space)
-    assert check in failed_names(fock_suite(space)) + failed_names(operator_suite(space))
+    assert check in (failed_names(fock_suite(space)) + failed_names(operator_suite(space))
+                     + failed_names(spanning_check(space)))
 
 
 @pytest.mark.parametrize("name, old, new, space, checks", [
