@@ -256,8 +256,7 @@ def multiplication_matrix(elements, side: str) -> np.ndarray:
                      for x in elements for b in onb], axis=1)
 
 
-def verify_pp_basis(factor: CrossedFactor, basis=None,
-                    tol: float = ALGEBRAIC_TOL) -> VerificationReport:
+def verify_pp_basis(factor: CrossedFactor, basis=None) -> VerificationReport:
     """Check the four module-basis properties of the family (e_j), with V_j
     the matrix of b -> e_j b and U_j that of b -> b e_j*: orthogonality and
     normalization of E(e_j* e_k) as V_j* V_k = delta_jk 1, the partition of
@@ -274,12 +273,12 @@ def verify_pp_basis(factor: CrossedFactor, basis=None,
     # the largest entry of each block V_j* V_k - delta_jk 1
     gram = np.abs(V.conj().T @ V - np.eye(n * k)).reshape(n, k, n, k).max(axis=(1, 3))
     ortho = float(gram[~np.eye(n, dtype=bool)].max(initial=0.0))
-    report.add("pp_orthogonality", ortho, tol, basis_size=n)
-    report.add("pp_normalization", float(gram.diagonal().max()), tol, basis_size=n)
+    report.add("pp_orthogonality", ortho, ALGEBRAIC_TOL, basis_size=n)
+    report.add("pp_normalization", float(gram.diagonal().max()), ALGEBRAIC_TOL, basis_size=n)
 
     eye = np.eye(len(V))
     unit_res = float(np.abs(V @ V.conj().T - eye).max())
-    report.add("pp_partition_of_unity", unit_res, tol, space_dim=len(V))
+    report.add("pp_partition_of_unity", unit_res, ALGEBRAIC_TOL, space_dim=len(V))
     expansion = float(np.abs(U @ U.conj().T - eye).max()) * np.sqrt(factor.base.d)
-    report.add("pp_expansion", expansion, tol, spanning_size=len(V))
+    report.add("pp_expansion", expansion, ALGEBRAIC_TOL, spanning_size=len(V))
     return report

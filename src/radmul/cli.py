@@ -78,17 +78,15 @@ def cmd_symbol(args) -> int:
     return 0
 
 
-def _pp_suite(space, tol: float) -> VerificationReport:
+def _pp_suite(space) -> VerificationReport:
     report = VerificationReport()
     for i, fac in enumerate(space.amalgam.factors):
-        report.extend(_tagged(verify_pp_basis(fac, tol=tol), "f%d" % i))
+        report.extend(_tagged(verify_pp_basis(fac), "f%d" % i))
     return report
 
 
 def _run_suites(cfg: RunConfig, suite: str) -> VerificationReport:
     seed = cfg.seed
-    tols = cfg.tolerances
-    eigen = tols["eigen"]
     space = cfg.space()
     symbols = [cfg.symbol]
     # (job, the --suite value that selects it, the job) in list order: bound
@@ -97,14 +95,13 @@ def _run_suites(cfg: RunConfig, suite: str) -> VerificationReport:
     # embedding suite is a job of its own.  A report sorts its checks by
     # name, so this order never shows.
     jobs = [
-        ("bound", "bound", lambda: norm_bound_suite(space, symbols, seed=seed, samples=25,
-                                                    tol=tols["spectral"])),
-        ("theorem", "theorem", lambda: main_theorem_suite(space, symbols, seed=seed, tol=eigen)),
-        ("cases", "cases", lambda: lemma_suite(space, symbols, seed=seed, tol=eigen)),
+        ("bound", "bound", lambda: norm_bound_suite(space, symbols, seed=seed, samples=25)),
+        ("theorem", "theorem", lambda: main_theorem_suite(space, symbols, seed=seed)),
+        ("cases", "cases", lambda: lemma_suite(space, symbols, seed=seed)),
         ("operators", "operators", lambda: operator_suite(space, seed=seed)),
         ("embedding", "operators", lambda: embedding_suite(space, seed=seed)),
-        ("fock", "fock", lambda: fock_suite(space, seed=seed, tol=tols["algebraic"])),
-        ("pp", "pp", lambda: _pp_suite(space, tols["algebraic"])),
+        ("fock", "fock", lambda: fock_suite(space, seed=seed)),
+        ("pp", "pp", lambda: _pp_suite(space)),
         ("spanning", "spanning", lambda: spanning_check(space)),
     ]
     results = _run_jobs([(name, job) for name, selector, job in jobs
@@ -228,8 +225,7 @@ def cmd_bound(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     space = cfg.space()
-    report = norm_bound_suite(space, [cfg.symbol], seed=cfg.seed,
-                              samples=args.samples, tol=cfg.tolerances["spectral"])
+    report = norm_bound_suite(space, [cfg.symbol], seed=cfg.seed, samples=args.samples)
     value = norm_C(cfg.symbol)
     observed = max((c.details.get("observed", 0.0) for c in report.checks
                     if "observed" in c.details), default=0.0)

@@ -1,7 +1,7 @@
 """Run configuration: JSON schema, validation, canonical digest, presets.
 
 A configuration bundles the base algebra, the crossed-product factors, the
-radial symbol, the truncation parameters, the tolerances, and a seed::
+radial symbol, the truncation parameters and a seed::
 
     {
       "base_algebra": {"kind": "scalar"} | {"kind": "matrix", "dim": 2},
@@ -13,7 +13,6 @@ radial symbol, the truncation parameters, the tolerances, and a seed::
                  "tail": {"kind": "constant", "limit": 0}
                        | {"kind": "geometric", "coefficient": 1, "ratio": 0.5, "limit": 0}},
       "truncation": {"fock_len": 5, "hankel_dim": 32},
-      "tolerances": {"algebraic": 1e-13, "spectral": 1e-8, "eigen": 1e-10},
       "seed": 0
     }
 
@@ -40,7 +39,6 @@ import numpy as np
 
 from .algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from .fock import Amalgam, FockSpace
-from .report import DEFAULT_TOLERANCES
 from .symbols import RadialSymbol
 
 # FiniteGroup.cyclic builds the order x order table and checks associativity
@@ -108,7 +106,6 @@ class RunConfig:
     symbol: RadialSymbol
     fock_len: int
     hankel_dim: int
-    tolerances: dict
     seed: int
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -187,8 +184,7 @@ def _parse_symbol(fragment) -> RadialSymbol:
 
 
 def parse_config(data: dict) -> RunConfig:
-    _object(data, "configuration", ("base_algebra", "factors", "symbol", "truncation",
-                                    "tolerances", "seed"))
+    _object(data, "configuration", ("base_algebra", "factors", "symbol", "truncation", "seed"))
     base = _parse_base(data.get("base_algebra", {"kind": "scalar"}))
     factor_frags = data.get("factors")
     if not isinstance(factor_frags, list) or len(factor_frags) < 2:
@@ -200,21 +196,10 @@ def parse_config(data: dict) -> RunConfig:
     trunc = _object(data.get("truncation", {}), "truncation", ("fock_len", "hankel_dim"))
     fock_len = _int(trunc.get("fock_len", 5), "fock_len", 2)
     hankel_dim = _int(trunc.get("hankel_dim", max(2 * len(symbol.head), 32)), "hankel_dim", 1)
-    if symbol.coefficient == 0 and hankel_dim < symbol.head_end + 1:
-        raise ConfigError("hankel_dim must cover the symbol head (need >= %d)"
-                          % (symbol.head_end + 1))
-
-    tol_frag = _object(data.get("tolerances", {}), "tolerances", DEFAULT_TOLERANCES)
-    tolerances = dict(DEFAULT_TOLERANCES, **tol_frag)
-    for name, value in tolerances.items():
-        if not (_is_real(value) and value > 0):
-            raise ConfigError("tolerance %r must be a finite positive number" % name)
-
     seed = _int(data.get("seed", 0), "seed", 0)
 
     return RunConfig(factors=factors, symbol=symbol,
-                     fock_len=fock_len, hankel_dim=hankel_dim,
-                     tolerances=tolerances, seed=seed, raw=data)
+                     fock_len=fock_len, hankel_dim=hankel_dim, seed=seed, raw=data)
 
 
 def load_config(path) -> RunConfig:

@@ -65,7 +65,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import FockSpace
-from .report import VerificationReport
 from .sparse import coalesce, op_norm, sum_at
 from .symbols import RadialSymbol
 
@@ -617,26 +616,3 @@ class RadialMultiplier:
 
 def build_T(space: FockSpace, phi: RadialSymbol) -> RadialMultiplier:
     return RadialMultiplier(space, phi)
-
-
-def adjoint_check(a: StructuredOperator, a_star: StructuredOperator, tol: float = 1e-12,
-                  seed: int = 0) -> VerificationReport:
-    """Confirm that ``a_star``, built by its own rule, is the adjoint of ``a``:
-    entry by entry against a's conjugate transpose (the largest block of
-    the difference, 0 when it has no entries), and against inner products
-    <A x, y> = <x, A* y> of four pairs of random unit coordinate arrays
-    (``FockSpace.random_array``), so that the pairing residual is rounding
-    on the scale of A, whatever the dimension.
-    """
-    report = VerificationReport()
-    diff = (a_star - a.adjoint()).blocks
-    res = float(np.abs(diff).max()) if diff.size else 0.0
-    report.add("adjoint_matrix[%s]" % a.name, res, tol)
-    rng = np.random.default_rng(seed)
-    gaps = []
-    for _ in range(4):
-        x, y = a.space.random_array(rng), a.space.random_array(rng)
-        gaps.append(abs(np.vdot((a @ x)[0], y) - np.vdot(x, (a_star @ y)[0])))
-    # np.max, unlike max, keeps a nan wherever it is
-    report.add("adjoint_pairing[%s]" % a.name, float(np.max(gaps)), tol)
-    return report

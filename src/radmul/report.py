@@ -14,11 +14,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-# default tolerances; a configuration may override each of them
+# fixed tolerances of the exact identities, guard-band rules and norm envelope
 ALGEBRAIC_TOL = 1e-13
 EIGEN_TOL = 1e-10
 SPECTRAL_TOL = 1e-8
-DEFAULT_TOLERANCES = {"algebraic": ALGEBRAIC_TOL, "spectral": SPECTRAL_TOL, "eigen": EIGEN_TOL}
 
 PASS = "pass"
 FAIL = "fail"

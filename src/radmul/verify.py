@@ -42,7 +42,7 @@ from numpy.random import default_rng  # loaded at import: once, before any fork
 
 from .algebra import cond_exp, multiplication_matrix
 from .fock import FockSpace, inner_N
-from .operators import (Generators, StructuredOperator, _diag_op, adjoint_check, amplify,
+from .operators import (Generators, StructuredOperator, _diag_op, amplify,
                         annihilation, apply_weights, build_T, creation, diag,
                         ends_in_factor_op, epsilon_matrix, generator_operators, identity_op,
                         left_mult, length_at_least_op, length_exactly_op, lmul_blocks, op_sum,
@@ -229,14 +229,14 @@ def random_generator_word(rng, space: FockSpace, k: int, l: int) -> tuple:
 # suites
 
 
-def fock_suite(space: FockSpace, seed: int = 0,
-               tol: float = ALGEBRAIC_TOL) -> VerificationReport:
-    """Structural invariants of the truncated space: the N-valued inner
-    product on coordinate arrays, the module structure as exact identities
-    between operator stacks, the length split and the spanning rank."""
+def fock_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
+    """Structural invariants of the truncated space, at ``ALGEBRAIC_TOL``: the
+    N-valued inner product on coordinate arrays, the module structure as exact
+    identities between operator stacks, the length split and the spanning rank."""
     rng = default_rng([seed, 1])
     base = space.base
     report = VerificationReport()
+    tol = ALGEBRAIC_TOL
 
     # orthonormality of words over N and the module property of the inner
     # product, on coordinate arrays: the word w b has the block b / sqrt(d)
@@ -314,6 +314,29 @@ def _word_block_rank_check(name: str, op: StructuredOperator, target: int,
     return report
 
 
+def adjoint_check(a: StructuredOperator, a_star: StructuredOperator,
+                  seed: int = 0) -> VerificationReport:
+    """Confirm that ``a_star``, built by its own rule, is the adjoint of ``a``,
+    at tolerance 1e-12: entry by entry against a's conjugate transpose (the
+    largest block of the difference, 0 when it has no entries), and against
+    inner products <A x, y> = <x, A* y> of four pairs of random unit
+    coordinate arrays (``FockSpace.random_array``), so that the pairing
+    residual is rounding on the scale of A, whatever the dimension.
+    """
+    report = VerificationReport()
+    diff = (a_star - a.adjoint()).blocks
+    res = float(np.abs(diff).max()) if diff.size else 0.0
+    report.add("adjoint_matrix[%s]" % a.name, res, 1e-12)
+    rng = default_rng(seed)
+    gaps = []
+    for _ in range(4):
+        x, y = a.space.random_array(rng), a.space.random_array(rng)
+        gaps.append(abs(np.vdot((a @ x)[0], y) - np.vdot(x, (a_star @ y)[0])))
+    # np.max, unlike max, keeps a nan wherever it is
+    report.add("adjoint_pairing[%s]" % a.name, float(np.max(gaps)), 1e-12)
+    return report
+
+
 def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     """The shifted-weight partition identity and the Phi factorization bound
     on the two random vectors of length 32, adjoint pairs, and the
@@ -343,7 +366,7 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     for op, op_star in [(creation(space, 0), annihilation(space, 0)),
                         (right_creation(space, 0), right_annihilation(space, 0)),
                         (diag(space, x[1:]), diag(space, np.conj(x[1:])))]:
-        report.extend(adjoint_check(op, op_star, tol=tol, seed=seed))
+        report.extend(adjoint_check(op, op_star, seed=seed))
 
     # everything in sight commutes with the right action, except R_{gamma*},
     # which is covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b)
@@ -400,14 +423,14 @@ def _phi_scalars(xs: np.ndarray, ys: np.ndarray, gens: Generators, case2) -> np.
     return table[gens.k, gens.l, case2.astype(int)]
 
 
-def lemma_suite(space: FockSpace, symbols, seed: int = 0,
-                tol: float = EIGEN_TOL) -> VerificationReport:
+def lemma_suite(space: FockSpace, symbols, seed: int = 0) -> VerificationReport:
     """Scaling rules on symbolic generators, compared as matrices on the
-    guard band: rho and rho^2, epsilon case rules, both Phi eigen-formulas,
-    and the component / total rules of every supplied multiplier.  The
-    generators are checked a chunk at a time, as one stack."""
+    guard band at ``EIGEN_TOL``: rho and rho^2, epsilon case rules, both Phi
+    eigen-formulas, and the component / total rules of every supplied
+    multiplier.  The generators are checked a chunk at a time, as one stack."""
     rng = default_rng([seed, 4])
     report = VerificationReport()
+    tol = EIGEN_TOL
     gens = _generator_zoo(space, seed)
     mults = []
     for phi in symbols:
@@ -476,15 +499,15 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0,
     return report
 
 
-def main_theorem_suite(space: FockSpace, symbols, seed: int = 0,
-                       tol: float = EIGEN_TOL, words_per_length: int = 10,
+def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_length: int = 10,
                        max_len=None) -> VerificationReport:
     """The multiplier action on sampled reduced words: T(A) = phi(n) A on the
     guard band, exact vacuum coefficients, linearity, and the right-module
-    property of T.  The words of one length are checked a chunk at a time,
-    as one stack."""
+    property of T, at tolerance ``EIGEN_TOL``.  The words of one length are
+    checked a chunk at a time, as one stack."""
     rng = default_rng([seed, 5])
     report = VerificationReport()
+    tol = EIGEN_TOL
     if max_len is None:
         max_len = min(3, space.L_max - 2)
     mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
@@ -567,10 +590,10 @@ def amplified_stacks(rng, space: FockSpace, T, samples: int):
 
 
 def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
-                     samples: int = 50, tol: float = SPECTRAL_TOL) -> VerificationReport:
+                     samples: int = 50) -> VerificationReport:
     """Sampled two-sided envelope for the multiplier norm.
 
-    Upper: sup ||(id_m (x) T)(a)|| / ||a|| <= class-C norm + tol over random
+    Upper: sup ||(id_m (x) T)(a)|| / ||a|| <= class-C norm + SPECTRAL_TOL over random
     combinations of generator words with m x m scalar coefficient blocks.
     Lower: the scaling action attains |phi(n)| on pure creation words.
     Norms are exact SVDs of the support components of the amplified
@@ -591,7 +614,7 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
             live = na >= 1e-12
             if live.any():
                 worst = _fold(worst, op_norm(tbig)[live] / na[live])
-        report.add("norm_bound_upper[%d]" % si, max(worst - c_norm, 0.0), tol,
+        report.add("norm_bound_upper[%d]" % si, max(worst - c_norm, 0.0), SPECTRAL_TOL,
                    observed=worst, class_c_norm=c_norm, samples=samples)
 
         attained = 0.0
@@ -602,7 +625,7 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
             na = op_norm(A)
             ratio = op_norm(T.apply_matrix(A)) / np.where(na > 0, na, 1.0)
             attained = _fold(attained, ratio[na > 0])
-        report.add("norm_bound_lower[%d]" % si, max(want - attained, 0.0), tol,
+        report.add("norm_bound_lower[%d]" % si, max(want - attained, 0.0), SPECTRAL_TOL,
                    attained=attained, eigen_max=want)
     return report
 

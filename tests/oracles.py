@@ -805,7 +805,7 @@ def _masked_max_dense(space, A, max_len):
     return float(np.abs(A[:, space.guard_mask(max_len)]).max(initial=0.0))
 
 
-def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_power=2):
+def lemma_suite_per_generator(space, symbols, seed=0, max_rho_power=2):
     """The lemma suite with one generator, one check at a time, on dense
     matrices: its tower (``tower_dense``) and every map as the weighted sum
     of the tower (``weighted_sum_dense`` of the ``expand``ed weight set)."""
@@ -866,12 +866,12 @@ def lemma_suite_per_generator(space, symbols, seed=0, tol=EIGEN_TOL, max_rho_pow
             n_eff = k + l if case == 1 else k + l - 1
             res_t = max(res_t, masked(apply(T.weights) - phi(n_eff) * a) / s)
 
-    report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens))
-    report.add("epsilon_case_rules", res_eps, tol)
-    report.add("phi1_eigenvalue_rule", res_phi[0], tol)
-    report.add("phi2_eigenvalue_rule", res_phi[1], tol)
-    report.add("t1_t2_component_rules", res_t12, tol, symbols=len(mults))
-    report.add("multiplier_case_rules", res_t, tol, symbols=len(mults))
+    report.add("rho_power_sector_rule", res_rho, EIGEN_TOL, generators=len(gens))
+    report.add("epsilon_case_rules", res_eps, EIGEN_TOL)
+    report.add("phi1_eigenvalue_rule", res_phi[0], EIGEN_TOL)
+    report.add("phi2_eigenvalue_rule", res_phi[1], EIGEN_TOL)
+    report.add("t1_t2_component_rules", res_t12, EIGEN_TOL, symbols=len(mults))
+    report.add("multiplier_case_rules", res_t, EIGEN_TOL, symbols=len(mults))
     return report
 
 
@@ -900,7 +900,7 @@ def psi_via_factors(fh: HankelFactorization, fk: HankelFactorization,
     return correlate(fh), correlate(fk)
 
 
-def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_length=10):
+def theorem_suite_per_word(space, symbols, seed=0, words_per_length=10):
     """The main theorem suite with one word operator at a time, built whole
     by ``word_by_products``: one multiplier application and one pair of
     norm bounds on its dense matrix, read through ``EntryStack.from_dense``.
@@ -928,9 +928,9 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
                     res_action = _fold(res_action, upper / scale / s)
                 res_vacuum = _fold(res_vacuum, _masked_max(diff, 0)
                                    / max(_masked_max(A, 0), 1e-30) / s)
-    report.add("theorem_action_on_words", res_action, tol,
+    report.add("theorem_action_on_words", res_action, EIGEN_TOL,
                lengths=max_len, per_length=words_per_length, symbols=len(mults))
-    report.add("theorem_vacuum_coefficients", res_vacuum, tol)
+    report.add("theorem_vacuum_coefficients", res_vacuum, EIGEN_TOL)
 
     _, T0, s = mults[0]
     A = word_by_products(space, words[min(1, max_len)][0])
@@ -943,7 +943,7 @@ def theorem_suite_per_word(space, symbols, seed=0, tol=EIGEN_TOL, words_per_leng
     diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
     report.add("multiplier_right_module",
                op_norm(EntryStack.from_dense(diff.matrix()[0][:, guard]))[0]
-               / max(op_norm(A)[0], 1.0) / s, tol)
+               / max(op_norm(A)[0], 1.0) / s, EIGEN_TOL)
     return report
 
 

@@ -73,7 +73,7 @@ def test_criterion_4_module_basis_suite(dih_space, mat2_space):
     ok = True
     for space in (dih_space, mat2_space):
         for fac in space.amalgam.factors:
-            rep = verify_pp_basis(fac, tol=1e-13)
+            rep = verify_pp_basis(fac)
             ok = ok and rep.passed
             worst = max(worst, worst_residual(rep))
     _line(4, "module_basis_properties", ok and worst <= 1e-13,
@@ -88,7 +88,7 @@ def test_criterion_5_lemma_suite(dih_space, mat2_space, acceptance_symbols):
     for space in (dih_space, mat2_space):
         assert space.L_max == 5
         total_dim += space.dim
-        rep = lemma_suite(space, acceptance_symbols, seed=ACCEPT_SEED, tol=1e-10)
+        rep = lemma_suite(space, acceptance_symbols, seed=ACCEPT_SEED)
         ok = ok and rep.passed
         worst = max(worst, worst_residual(rep))
     elapsed = time.perf_counter() - t0
@@ -102,7 +102,7 @@ def test_criterion_6_theorem_action(dih_space, mat2_space, acceptance_symbols):
     ok = True
     for space in (dih_space, mat2_space):
         rep = main_theorem_suite(space, acceptance_symbols, seed=ACCEPT_SEED,
-                                 tol=1e-10, words_per_length=50, max_len=3)
+                                 words_per_length=50, max_len=3)
         ok = ok and rep.passed
         for c in rep.checks:
             if c.name == "theorem_action_on_words":
@@ -112,8 +112,7 @@ def test_criterion_6_theorem_action(dih_space, mat2_space, acceptance_symbols):
 
 
 def test_criterion_7_norm_bound(dih_space, acceptance_symbols):
-    rep = norm_bound_suite(dih_space, acceptance_symbols, seed=ACCEPT_SEED,
-                           samples=200, tol=1e-8)
+    rep = norm_bound_suite(dih_space, acceptance_symbols, seed=ACCEPT_SEED, samples=200)
     upper = max(c.max_residual for c in rep.checks if c.name.startswith("norm_bound_upper"))
     lower = max(c.max_residual for c in rep.checks if c.name.startswith("norm_bound_lower"))
     _line(7, "cb_norm_envelope", rep.passed,

@@ -4,6 +4,7 @@ ranks by word blocks; each must give the numbers of the per-sample routes it
 replaced (``oracles``), whatever the chunk size."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -346,6 +347,8 @@ def test_one_sample_chunks_give_the_same_report(tmp_path, monkeypatch, capsys, p
                      "--report", str(path)]) == 0
         return path.read_bytes()
 
+    # one usable core: every suite runs in this process, where the spy is
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(verify, "_stacked_chunks", spy)
     batched = report(tmp_path / "batched.json")
     assert max(runs) > 1

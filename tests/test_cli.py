@@ -46,17 +46,6 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         parse_config(bad)
 
-    bad = preset_config("dih")
-    bad["symbol"] = {"head": [1, 1, 1], "tail": {"kind": "constant", "limit": 0}}
-    bad["truncation"] = {"fock_len": 4, "hankel_dim": 2}  # head not covered
-    with pytest.raises(ConfigError):
-        parse_config(bad)
-
-    bad = preset_config("dih")
-    bad["tolerances"] = {"eigen": -1.0}
-    with pytest.raises(ConfigError):
-        parse_config(bad)
-
     bad = preset_config("mat2")
     bad["factors"][1]["action"]["unitary"] = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
     with pytest.raises(ConfigError):
@@ -168,7 +157,6 @@ Z2XZ2_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     (("symbol",), {"head": 1}),
     (("truncation",), {"fock_len": 4, "hankel_dim": 2.5}),
     (("truncation",), [4]),
-    (("tolerances",), {"eigen": float("inf")}),
     (("factors",), 5),
     (("factors", 0, "group"), {"kind": "cyclic", "order": 1}),
     (("factors", 0, "group"), {"kind": "table", "table": [[0]]}),
@@ -176,7 +164,6 @@ Z2XZ2_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     (("factors", 0, "group"), {"kind": "table", "table": [[0, True], [True, 0]]}),
     (("seed",), -1),
     (("factors",), [{"group": {"kind": "cyclic", "order": 2}}]),
-    (("tolerances",), {"bogus": 1}),
     (("truncaton",), {"fock_len": 3}),
     (("truncation",), {"fock_len": 3, "hankle_dim": 16}),
     (("symbol",), {"head": [1], "tail": {"kind": "constant", "limt": 3}}),
@@ -200,10 +187,10 @@ Z2XZ2_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     (("factors", 0, "group"), {"kind": "table", "table": [[0, 1], [1, 0], [0, 1]]}),
     (("factors", 0, "group"), {"kind": "table", "table": [[0, 1], [1, 2]]}),
 ], ids=["tail-not-object", "fock_len-string", "head-nan", "limit-inf", "head-not-list",
-        "hankel_dim-float", "truncation-not-object", "tolerance-inf", "factors-not-list",
+        "hankel_dim-float", "truncation-not-object", "factors-not-list",
         "cyclic-order-1", "table-order-1", "table-float-entry", "table-bool-entry",
         "seed-negative", "single-factor",
-        "tolerance-unknown", "top-level-typo", "truncation-typo", "tail-typo",
+        "top-level-typo", "truncation-typo", "tail-typo",
         "symbol-typo", "factor-typo", "group-typo", "action-typo", "base-typo",
         "constant-tail-ratio", "cyclic-group-table", "scalar-base-dim",
         "inner-on-table-group", "unitary-wrong-size", "action-outer", "base-no-kind",
@@ -225,7 +212,7 @@ def test_unknown_preset_is_a_config_error():
 
 # the keys each object of a configuration may hold, by its kind
 KEYS = {
-    "config": {"base_algebra", "factors", "symbol", "truncation", "tolerances", "seed"},
+    "config": {"base_algebra", "factors", "symbol", "truncation", "seed"},
     "scalar": {"kind"}, "matrix": {"kind", "dim"},
     "factor": {"group", "action"},
     "cyclic": {"kind", "order"}, "table": {"kind", "table"},
@@ -233,7 +220,6 @@ KEYS = {
     "symbol": {"head", "tail"},
     "constant": {"kind", "limit"}, "geometric": {"kind", "limit", "coefficient", "ratio"},
     "truncation": {"fock_len", "hankel_dim"},
-    "tolerances": {"algebraic", "spectral", "eigen"},
 }
 ALL_KEYS = set().union(*KEYS.values())
 NON_FINITE = [float("inf"), float("-inf"), float("nan"), 10 ** 400, [0, float("inf")],
@@ -252,11 +238,10 @@ def _is_number(value) -> bool:
 
 @st.composite
 def fuzz_base_configs(draw):
-    """A preset at fock_len 2-4 with one tolerance, optionally a complex
-    geometric tail and the first factor given by its multiplication table."""
+    """A preset at fock_len 2-4, optionally with a complex geometric tail and
+    the first factor given by its multiplication table."""
     data = preset_config(draw(st.sampled_from(["dih", "mat2", "cy3"])))
     data["truncation"]["fock_len"] = draw(st.integers(2, 4))
-    data["tolerances"] = {"eigen": 1e-10}
     if draw(st.booleans()):
         data["symbol"]["tail"] = {"kind": "geometric", "coefficient": [1, -0.5],
                                   "ratio": [0.4, 0.3], "limit": 0.5}
@@ -272,12 +257,11 @@ def _slots(data) -> tuple:
     with their least and largest (None: unbounded) values, and of its numbers."""
     objects = [((), "config"), (("base_algebra",), data["base_algebra"]["kind"]),
                (("symbol",), "symbol"), (("symbol", "tail"), data["symbol"]["tail"]["kind"]),
-               (("truncation",), "truncation"), (("tolerances",), "tolerances")]
+               (("truncation",), "truncation")]
     ints = [(("truncation", "fock_len"), 2, None), (("truncation", "hankel_dim"), 1, None),
             (("seed",), 0, None)]
     numbers = [("symbol", "head", j) for j in range(len(data["symbol"]["head"]))]
     numbers += [("symbol", "tail", key) for key in data["symbol"]["tail"] if key != "kind"]
-    numbers.append(("tolerances", "eigen"))
     if data["base_algebra"]["kind"] == "matrix":
         ints.append((("base_algebra", "dim"), 1, None))
     for i, factor in enumerate(data["factors"]):
@@ -337,6 +321,13 @@ def invalid_configs(draw):
     return data
 
 
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(fuzz_base_configs())
+def test_fuzz_base_configs_are_valid(data):
+    # each invalid config below differs from a valid one in exactly one key
+    parse_config(data)
+
+
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(invalid_configs())
 def test_invalid_config_exits_2_with_one_line(data):
@@ -372,7 +363,7 @@ def test_unknown_config_key_names_the_known_keys(tmp_path, capsys):
     assert main(["verify", "--config", write_config(tmp_path, data)]) == 2
     assert capsys.readouterr().err == (
         "configuration error: unknown configuration key 'truncaton' (known: base_algebra, "
-        "factors, seed, symbol, tolerances, truncation)\n")
+        "factors, seed, symbol, truncation)\n")
 
 
 def test_negative_seed_override_is_a_usage_error(dih_config):
@@ -442,16 +433,14 @@ def test_cmd_verify_seed_override(tmp_path, dih_config):
     assert payload["seed"] == 7
 
 
-def test_cmd_verify_tol_override_can_fail(tmp_path, dih_config):
-    # an absurdly tight eigen tolerance flips nonzero residuals to failures -> exit 1
+def test_cmd_verify_tolerances_key_exits_2(tmp_path, capsys):
+    # every check's tolerance is fixed: a config cannot loosen or tighten one
     data = preset_config("dih")
-    data["truncation"] = {"fock_len": 4, "hankel_dim": 16}
-    data["symbol"] = {"head": [],
-                      "tail": {"kind": "geometric", "coefficient": 1,
-                               "ratio": 0.5, "limit": 0}}
     data["tolerances"] = {"eigen": 1e-30}
-    path = write_config(tmp_path, data, "geo.json")
-    assert main(["verify", "--config", path, "--suite", "cases"]) == 1
+    assert main(["verify", "--config", write_config(tmp_path, data), "--suite", "cases"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown configuration key 'tolerances' (known: base_algebra, "
+        "factors, seed, symbol, truncation)\n")
 
 
 def test_cmd_verify_operators_on_noncommuting_actions(tmp_path, capsys):

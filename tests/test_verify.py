@@ -356,8 +356,8 @@ def test_adjoint_checks_compare_two_constructions():
 
 
 def seed_defect(monkeypatch, name, old, new):
-    """Replace the one ``old`` in the source of ``name``, a function of the
-    fock, the operator or the verify module, by ``new``, and put the result
+    """Replace the one ``old`` in the source of ``name``, a function or class
+    of the fock, the operator or the verify module, by ``new``, and put the result
     in place of ``name`` in the fock, operator and verify modules for the
     rest of the test."""
     home = inspect.getmodule(next(vars(m)[name] for m in (fock, operators, verify)
@@ -441,6 +441,29 @@ def test_embedding_checks_catch_a_seeded_defect(monkeypatch, request, name, old,
     exactly these embedding checks."""
     seed_defect(monkeypatch, name, old, new)
     assert set(failed_names(embedding_suite(request.getfixturevalue(space)))) == checks
+
+
+@pytest.mark.parametrize("fock_len", [3, 4])
+def test_push_unitary_direction_defect_fails_its_checks(monkeypatch, fock_len):
+    """b pushed through a letter gamma by U_gamma in place of U_{gamma*}
+    fails exactly these checks of all suites (seed 1).  Only the
+    noncommuting model's order-3 inner twists tell the two apart; the
+    presets' and S3's twists are trivial or their own inverses.  The
+    configuration binds the unpatched class, so the space is built from
+    the patched one."""
+    seed_defect(monkeypatch, "FockSpace", "unitaries[self.star[last]]", "unitaries[last]")
+    cfg = parse_config(noncommuting_config(fock_len))
+    space = fock.FockSpace(fock.Amalgam(cfg.factors), cfg.fock_len)
+    symbols = [cfg.symbol]
+    reports = [fock_suite(space, seed=1), operator_suite(space, seed=1),
+               embedding_suite(space, seed=1), lemma_suite(space, symbols, seed=1),
+               main_theorem_suite(space, symbols, seed=1), spanning_check(space),
+               norm_bound_suite(space, symbols, seed=1, samples=25)]
+    assert set().union(*map(failed_names, reports)) == {
+        "embedding_matrix_coefficients", "embedding_multiplicative", "embedding_star",
+        "rho_power_sector_rule", "epsilon_case_rules", "phi1_eigenvalue_rule",
+        "phi2_eigenvalue_rule", "t1_t2_component_rules", "multiplier_case_rules",
+        "theorem_action_on_words", "multiplier_right_module"}
 
 
 @pytest.mark.parametrize("config, rank, expected", [
