@@ -11,6 +11,10 @@ for byte, as from one process.  ``taskset -c 0 radmul verify ...`` runs
 them all in one process.  Peak memory at a large ``fock_len`` is the sum
 of the peaks of the suites that run at the same time.
 
+A command runs with numpy's overflow and invalid-value warnings silenced
+(``main``), here and in the forked workers, which inherit the setting: an
+overflowing symbol leaves inf or nan, and each check that reads one fails.
+
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 usage or configuration error, a lost worker process or a lack of memory.
 """
@@ -29,6 +33,8 @@ from contextlib import suppress
 # before numpy loads: OpenBLAS's idle pool threads then sleep at once instead
 # of spinning for 2**28 cycles each (about 0.1 s of CPU per thread)
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+import numpy as np
 
 from .algebra import verify_pp_basis
 from .config import ConfigError, RunConfig, load_config
@@ -269,7 +275,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print("configuration error:", exc, file=sys.stderr)
         return 2

@@ -128,8 +128,7 @@ class StructuredOperator:
         (nan where an entry is nan)."""
         out = np.zeros(self.n_samples)
         if self.blocks.size:
-            with np.errstate(invalid="ignore"):  # a nan entry is kept, not warned about
-                np.maximum.at(out, self.samples, np.abs(self.blocks).max(axis=(1, 2)))
+            np.maximum.at(out, self.samples, np.abs(self.blocks).max(axis=(1, 2)))
         return out
 
     def subset(self, keep) -> "StructuredOperator":
@@ -409,7 +408,8 @@ def apply_weights(space: FockSpace, W: np.ndarray, A: StructuredOperator,
     By Horner's rule: B2 = P2 o eps(A), C = P1 o A + B2, X_0 = 0,
     X_k = rho(X_{k-1} + C), T(A) = W0 o A + B2 + X_L, each sum adding the
     entries on one word pair in that order.  An overflow leaves inf or nan,
-    which fails the checks that read it, so numpy does not warn as well."""
+    which fails the checks that read it; ``cli.main`` silences numpy's
+    warning."""
     if sets is None:
         W, sets = np.asarray(W)[None], np.zeros(A.n_samples, dtype=np.intp)
 
@@ -419,12 +419,11 @@ def apply_weights(space: FockSpace, W: np.ndarray, A: StructuredOperator,
         return B._new(B.samples[keep], B.rows[keep], B.cols[keep],
                       w[keep, None, None] * B.blocks[keep], B.name)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        B2 = scaled(2, epsilon_matrix(space, A))
-        C = X = op_sum(space, [scaled(1, A), B2])
-        for _ in range(space.L_max - 1):  # X = X_k + C
-            X = op_sum(space, [rho_matrix(space, X), C])
-        return op_sum(space, [scaled(0, A), B2, rho_matrix(space, X)])
+    B2 = scaled(2, epsilon_matrix(space, A))
+    C = X = op_sum(space, [scaled(1, A), B2])
+    for _ in range(space.L_max - 1):  # X = X_k + C
+        X = op_sum(space, [rho_matrix(space, X), C])
+    return op_sum(space, [scaled(0, A), B2, rho_matrix(space, X)])
 
 
 def _weight_set(W0, P: np.ndarray, variant: int) -> np.ndarray:
@@ -605,8 +604,7 @@ class RadialMultiplier:
         self.t2_weights = _multiplier_weights(symbol, L, 2)
         phi = np.array([symbol(s) for s in range(2 * L + 1)], dtype=complex)
         idx = np.arange(L + 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf near the float range
-            self.weights = self.t1_weights + self.t2_weights
+        self.weights = self.t1_weights + self.t2_weights
         self.weights[0] = phi[idx[:, None] + idx[None, :]]
 
     def apply_matrix(self, A: StructuredOperator) -> StructuredOperator:

@@ -502,24 +502,68 @@ def test_cmd_verify_overflowing_symbol_report_is_strict_json(tmp_path, capsys):
     assert residuals["theorem_vacuum_coefficients"] == "nan"
 
 
-@pytest.mark.parametrize("command", ["verify", "symbol"])
-def test_overflowing_symbol_leaves_stderr_empty(tmp_path, capfd, command):
-    # a symbol at the float range overflows T's weights, the wanted values and
-    # the Hankel matrices; the checks that read them fail, with no numpy
-    # warning (errors under pytest) and no LAPACK message on stderr
+# symbols at the float range, with whether the class-C norm is inf: inf or
+# nan in T's weights and the wanted values (the head symbol's cases are
+# named by the command alone), in a Hankel trace norm's sum (complex-limit)
+# and in schur_bound's row-column product (geometric)
+OVERFLOWING_SYMBOLS = {
+    "head": ({"head": [1e308, -1e308, 1e308]}, True),
+    "complex-limit": ({"head": [1, 1], "tail": {"kind": "constant", "limit": [0, 1e308]}}, True),
+    "geometric": ({"head": [], "tail": {"kind": "geometric", "coefficient": 1e308,
+                                        "ratio": 0.999}}, False),
+}
+COMMANDS = {"verify": ["--suite", "all"], "bound": ["--samples", "2"], "symbol": []}
+
+
+@pytest.mark.parametrize("symbol, command", [
+    pytest.param(symbol, command, id=command if symbol == "head" else symbol + "-" + command)
+    for symbol in OVERFLOWING_SYMBOLS for command in COMMANDS])
+def test_overflowing_symbol_leaves_stderr_empty(tmp_path, capfd, symbol, command):
+    # the checks that read an overflowed value fail, with no numpy warning
+    # (errors under pytest) and no LAPACK message on stderr
     data = preset_config("dih")
-    data["symbol"] = {"head": [1e308, -1e308, 1e308]}
+    data["symbol"], norm_is_inf = OVERFLOWING_SYMBOLS[symbol]
     data["truncation"] = {"fock_len": 3}
-    extra = ["--suite", "all"] if command == "verify" else []
-    code = main([command, "--config", write_config(tmp_path, data)] + extra)
+    code = main([command, "--config", write_config(tmp_path, data)] + COMMANDS[command])
     captured = capfd.readouterr()
     assert captured.err == ""
-    if command == "verify":
+    if command == "symbol":
+        assert code == 0
+        assert ("class_C_norm = inf" in captured.out) == norm_is_inf
+    else:
         assert code == 1
         assert "FAIL  norm_bound_upper[0]" in captured.out
+
+
+@st.composite
+def extreme_symbols(draw):
+    """A head of up to 3 values and a constant or geometric tail, each value
+    0, +-1 or +-1e154, +-1e200, +-1e308 (products of two overflow), real or
+    an [re, im] pair; a geometric ratio of 0.5, 0.999, -0.999 or 0.8i."""
+    real = st.sampled_from([0.0, 1.0, -1.0, 1e154, -1e154, 1e200, -1e200, 1e308, -1e308])
+    value = st.one_of(real, st.tuples(real, real).map(list))
+    if draw(st.booleans()):
+        tail = {"kind": "constant", "limit": draw(value)}
     else:
-        assert code == 0
-        assert "class_C_norm = inf" in captured.out
+        tail = {"kind": "geometric", "coefficient": draw(value),
+                "ratio": draw(st.sampled_from([0.5, 0.999, -0.999, [0, 0.8]])),
+                "limit": draw(value)}
+    return {"head": draw(st.lists(value, max_size=3)), "tail": tail}
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(extreme_symbols())
+def test_extreme_symbols_pass_or_fail_cleanly(symbol):
+    # every command exits 0 or 1 on a symbol at the float range; a numpy
+    # warning, in this process or in a forked worker (whose failure is
+    # raised again here), is an error under pytest
+    data = preset_config("dih")
+    data["symbol"] = symbol
+    data["truncation"] = {"fock_len": 2}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = write_config(Path(tmp), data)
+        for command, extra in COMMANDS.items():
+            assert main([command, "--config", path] + extra) in (0, 1), command
 
 
 @pytest.mark.parametrize("head", [[1e6, -1e6], [1, 1e9], [1e12, 1e12]])

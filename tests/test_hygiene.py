@@ -12,6 +12,7 @@
 - no module makes a dense matrix of a whole operator;
 - the set-up path (configuration to Fock space) loads no operator code;
 - only the command line sets OpenBLAS's idle timeout before numpy loads;
+- only the command line sets numpy's error state, in one call;
 - README's CLI section names exactly the command line's options."""
 
 import argparse
@@ -654,6 +655,32 @@ def test_only_the_command_line_sets_the_openblas_timeout(code, user_value, seen)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert run.stdout.split() == [seen, seen]
+
+
+def error_state_calls(source: str) -> list:
+    """Lines of the calls to a function named ``errstate`` or ``seterr``
+    (``np.errstate(...)``, ``numpy.seterr(...)``, a bare imported name)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("errstate", "seterr"))
+
+
+def test_only_the_command_line_sets_numpys_error_state():
+    # one policy: a command runs in one errstate (``cli.main``), and a
+    # non-finite value fails the check that reads it
+    calls = {path.name: error_state_calls(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    assert {name: len(lines) for name, lines in calls.items() if lines} == {"cli.py": 1}
+
+
+def test_error_state_call_is_caught():
+    source = ("import numpy\nimport numpy as np\nfrom numpy import errstate\n"
+              "numpy.seterr(over='ignore')\n"
+              "def helper(x):\n    with np.errstate(invalid='ignore'):\n        return x + x\n"
+              "def other(x):\n    with errstate(over='ignore'):\n        return x\n"
+              "state = np.geterr()\nnp.errstate\n")
+    assert error_state_calls(source) == [4, 6, 9]
 
 
 def dense_matrix_calls(source: str) -> list:
