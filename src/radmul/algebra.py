@@ -101,6 +101,22 @@ class FiniteGroup:
         perm = np.arange(n)
         if (np.sort(t, axis=1) != perm).any() or (np.sort(t, axis=0) != perm[:, None]).any():
             raise ValueError("table is not a Latin square")
+        # Light's test: (x s) y = x (s y) for every s of a generating set
+        # makes the table associative, since the s it holds for are closed
+        # under products.  The set is grown greedily: the least element that
+        # products of the set so far do not reach
+        gens, reached = [], np.zeros(n, dtype=bool)
+        reached[0] = True
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                step = np.zeros(n, dtype=bool)
+                step[t[np.ix_(frontier, gens)]] = True
+                frontier = np.flatnonzero(step & ~reached)
+                reached |= step
+        if all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in gens):
+            return
         for a in range(n):
             # row a compares (ab)c, i.e. t[t[a]][b, c], with a(bc) = t[a][t][b, c]
             lhs, rhs = t[t[a]], np.take(t[a], t)
@@ -231,11 +247,6 @@ class FactorElement:
     def trace(self) -> complex:
         """tau_i = tau of the identity coefficient."""
         return self.factor.base.trace(self.coeffs[0])
-
-
-def cond_exp(x: FactorElement) -> np.ndarray:
-    """Conditional expectation onto N: keep the identity coefficient."""
-    return x.coeffs[0]
 
 
 def _coords(x: FactorElement) -> np.ndarray:

@@ -272,16 +272,6 @@ def lmul_blocks(space: FockSpace, b: np.ndarray, words: np.ndarray) -> np.ndarra
     return np.einsum("wpr,qs->wpqrs", pushed, np.eye(d)).reshape(-1, d * d, d * d)
 
 
-def left_mult(space: FockSpace, b) -> StructuredOperator:
-    """Left N-multiplication by a (count, d, d) stack of coefficients: sample
-    t multiplies the right coefficient of the word w by b[t] pushed through
-    the letters, i.e. kron(U_w b[t] U_w*, 1)."""
-    b = np.asarray(b, dtype=complex)
-    samples, words = np.divmod(np.arange(len(b) * len(space.words)), len(space.words))
-    return StructuredOperator(space, words, words, lmul_blocks(space, b[samples], words),
-                              "lmul", samples, len(b))
-
-
 def right_mult(space: FockSpace, b) -> StructuredOperator:
     """The right N-action itself; every toolkit operator commutes with it."""
     block = np.kron(np.eye(space.base.d), space.base.element(b).T)

@@ -6,19 +6,23 @@ its module basis (e_j); for N x| G and the basis (u_g) that is
     embed(a) = sum_g lmul(a_g) U_g,    a = sum_g a_g u_g,
 
 U_g the word map of u_g (``_unitary_words``), and the embedding suite checks
-the coefficients E(e_m* a e_l) on blocks of embed(a).  Products of
-embedded kernel letters realize reduced words of the amalgamated free
-product; applied to the vacuum they reproduce the canonical word vectors.
+the coefficients E(e_m* a e_l) on blocks of embed(a).  On u_e = 1 alone,
+embed is the left N-action, lmul(b) on every word.  Products of embedded
+kernel letters realize reduced words of the amalgamated free product;
+applied to the vacuum they reproduce the canonical word vectors.
 The suites here drive the assembled multiplier against its contract: the
 scaling action phi(length) on sampled reduced words, the case rules on
 symbolic generators, the right-module structure, and the sampled
 completely bounded norm envelope.
 
 The sampled suites draw all their samples first and build each operator
-role of all of them as one stack (``embed`` and ``word_operator`` take
-sequences, ``generator_operators`` a ``Generators`` family of index and
-coefficient arrays, which the lemma suite's zoo and the bound suite's draws
-build directly), cut to the columns their checks read.  ``_stacked_chunks``
+role of all of them as one stack from arrays of factor indices and
+coefficients: ``embed`` takes a factor and a coefficient array per element,
+``word_operator`` the arrays of a family of reduced words
+(``random_word_arrays``), and ``generator_operators`` a ``Generators``
+family of letter indices and coefficients, which the lemma suite's zoo and
+the bound suite's draws build directly.  Each stack is cut to the columns
+its checks read.  ``_stacked_chunks``
 cuts the samples into ranges of bounded size (``CHUNK_ENTRIES``), so the
 multiplier, rho, epsilon, norms and maxima run once per range with bounded
 memory.  Every sample gets exactly the numbers it gets on its own, so
@@ -35,17 +39,15 @@ a block off the diagonal fails the check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import default_rng  # loaded at import: once, before any fork
 
-from .algebra import cond_exp, multiplication_matrix
+from .algebra import multiplication_matrix
 from .fock import FockSpace, inner_N
 from .operators import (Generators, StructuredOperator, _diag_op, amplify,
                         annihilation, apply_weights, build_T, creation, diag,
                         ends_in_factor_op, epsilon_matrix, generator_operators, identity_op,
-                        left_mult, length_at_least_op, length_exactly_op, lmul_blocks, op_sum,
+                        length_at_least_op, length_exactly_op, lmul_blocks, op_sum,
                         phi_cb_bound, phi_weights, right_annihilation, right_creation,
                         right_mult, rho_matrix, stack)
 from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
@@ -121,88 +123,80 @@ def _unitary_words(space: FockSpace, i: int) -> np.ndarray:
     return ups[space.amalgam.factors[i].group.table[:, h], np.where(starts, space.rest, words)]
 
 
-def embed(space: FockSpace, elements) -> StructuredOperator:
-    """The left multiplications by a sequence of factor elements (of any
-    factors) on the truncated Fock space, as one stack, sample s holding
-    elements[s]: for a = sum_g a_g u_g, the sum of the lmul(a_g) U_g with
-    a_g nonzero, U_g the word map of u_g from ``_unitary_words`` (built once
-    per factor and call)."""
-    d = space.base.d
-    words_of = {}
-    entries = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros((0, d, d), dtype=complex),)]
-    for s, x in enumerate(elements):
-        idx = next((i for i, fac in enumerate(space.amalgam.factors) if fac is x.factor), None)
-        if idx is None:
-            raise ValueError("element does not belong to a configured factor")
-        if idx not in words_of:
-            words_of[idx] = _unitary_words(space, idx)
-        g = np.flatnonzero(x.coeffs.any(axis=(1, 2)))
-        unitary = words_of[idx][g]
-        k, cols = np.nonzero(unitary >= 0)
-        entries.append((np.full(cols.size, s), unitary[k, cols], cols, x.coeffs[g[k]]))
-    samples, rows, cols, coefs = (np.concatenate(x) for x in zip(*entries))
+def embed(space: FockSpace, factors, coeffs) -> StructuredOperator:
+    """The left multiplications by a stack of factor elements (of any
+    factors) on the truncated Fock space, sample s holding a = sum_g
+    coeffs[s, g] u_g in factor ``factors[s]``: the sum of the lmul(a_g) U_g
+    with a_g nonzero, U_g the word map of u_g from ``_unitary_words``, one
+    gather per factor.  ``coeffs`` is a (count, G, d, d) array, zero past
+    the order of each sample's group; with G = 1 it holds only the
+    coefficients of u_e = 1, and the stack is the left N-action."""
+    factors, coeffs = np.asarray(factors), np.asarray(coeffs, dtype=complex)
+    s, g = np.nonzero(coeffs.any(axis=(2, 3)))  # the terms with a_g nonzero, sample-major
+    unitary = np.empty((s.size, len(space.words)), dtype=np.intp)
+    for i in np.unique(factors):
+        on = factors[s] == i
+        unitary[on] = _unitary_words(space, i)[g[on]]
+    live = unitary >= 0
+    count = np.count_nonzero(live, axis=1)
+    samples, g = np.repeat(s, count), np.repeat(g, count)
+    rows, cols = unitary[live], np.nonzero(live)[1]
+    coefs = coeffs[samples, g]
     blocks = lmul_blocks(space, coefs, rows)
     samples, rows, cols, blocks = coalesce(samples, rows, cols, blocks, len(space.words))
-    return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(elements))
+    return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(factors))
 
 
-@dataclass(frozen=True)
-class ReducedWord:
-    """b_0 a_1 b_1 ... a_n b_n with kernel letters a_j from alternating factors
-    (adjacent letters belong to different factor objects)."""
-
-    letters: tuple            # FactorElement instances with vanishing expectation
-    coeffs: tuple             # n+1 base-algebra elements
-
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.letters) + 1:
-            raise ValueError("need one more coefficient than letters")
-        for j, a in enumerate(self.letters):
-            if j and self.letters[j - 1].factor is a.factor:
-                raise ValueError("adjacent letters from the same factor")
-            if np.abs(cond_exp(a)).max() > 1e-10:
-                raise ValueError("letters must have vanishing expectation")
-
-    @property
-    def length(self) -> int:
-        return len(self.letters)
+def _element_arrays(space: FockSpace, elements) -> tuple:
+    """``embed``'s arrays (factors, coeffs) of a sequence of factor elements,
+    the coefficients padded with zeros to the largest group order."""
+    factors, d = space.amalgam.factors, space.base.d
+    coeffs = np.zeros((len(elements), max(f.group.order for f in factors), d, d), dtype=complex)
+    for s, x in enumerate(elements):
+        coeffs[s, :len(x.coeffs)] = x.coeffs
+    return np.array([factors.index(x.factor) for x in elements], dtype=np.intp), coeffs
 
 
-def word_operator(space: FockSpace, words, max_col_len=None) -> StructuredOperator:
-    """b_0 embed(a_1) b_1 ... embed(a_n) b_n for a sequence of reduced words
-    of one length, as one stack, sample s holding words[s], multiplied right
-    to left.
+def word_operator(space: FockSpace, factors, letters, coeffs,
+                  max_col_len=None) -> StructuredOperator:
+    """b_0 embed(a_1) b_1 ... embed(a_n) b_n for a family of reduced words
+    of length n, as one stack, sample s holding word s, multiplied right to
+    left: a_j has the factor ``factors[s, j-1]`` and the coefficients
+    ``letters[s, j-1]``, and b_j is ``coeffs[s, j]`` (``random_word_arrays``).
 
     With ``max_col_len`` the last factor is cut to the columns of words at
     most that long, and so is the product, every kept entry adding the same
     terms in the same order.
     """
-    n = words[0].length
-    if any(x.length != n for x in words):
-        raise ValueError("a stack of words holds words of one length")
-
-    def lmul(j):
-        return left_mult(space, np.array([space.base.element(x.coeffs[j]) for x in words]))
-
-    op = lmul(n)
+    count, n = np.shape(factors)
+    on_n = np.zeros(count, dtype=np.intp)  # b_j as u_e coefficients, of factor 0
+    op = embed(space, on_n, coeffs[:, n, None])
     if max_col_len is not None:
         op = op.columns_upto(max_col_len)
     for j in reversed(range(n)):
-        op = embed(space, [x.letters[j] for x in words]) @ op
-        op = lmul(j) @ op
+        op = embed(space, factors[:, j], letters[:, j]) @ op
+        op = embed(space, on_n, coeffs[:, j, None]) @ op
     return op.renamed("word(n=%d)" % n)
 
 
-def random_reduced_word(rng, space: FockSpace, n: int) -> ReducedWord:
-    base = space.base
+def random_word_arrays(rng, space: FockSpace, n: int, count: int) -> tuple:
+    """The arrays (factors, letters, coeffs) of ``word_operator`` for
+    ``count`` random reduced words of length n, drawn a word at a time: its
+    factors, each one other than the factor before it, then a kernel letter
+    of each (``random_kernel``), then its n + 1 coefficients."""
     n_factors = len(space.amalgam.factors)
-    indices = []
-    for j in range(n):
-        choices = [i for i in range(n_factors) if not indices or i != indices[-1]]
-        indices.append(int(choices[rng.integers(len(choices))]))
-    letters = tuple(space.amalgam.factors[i].random_kernel(rng) for i in indices)
-    coeffs = tuple(base.random(rng) for _ in range(n + 1))
-    return ReducedWord(letters=letters, coeffs=coeffs)
+    elements, coeffs = [], []
+    for _ in range(count):
+        word = []
+        for j in range(n):
+            choices = [i for i in range(n_factors) if not j or i != word[-1]]
+            word.append(choices[rng.integers(len(choices))])
+        elements += [space.amalgam.factors[i].random_kernel(rng) for i in word]
+        coeffs += [space.base.random(rng) for _ in range(n + 1)]
+    factors, letters = _element_arrays(space, elements)
+    d = space.base.d
+    return (factors.reshape(count, n), letters.reshape((count, n) + letters.shape[1:]),
+            np.reshape(coeffs, (count, n + 1, d, d)))
 
 
 def _coefficients(rng, base, k: int, l: int) -> tuple:
@@ -259,7 +253,8 @@ def fock_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
 
     # left and right actions commute; projections commute with the right action
     pairs = [(base.random(rng), base.random(rng)) for _ in range(4)]
-    lb = left_mult(space, np.array([bb for bb, _ in pairs]))
+    lb = embed(space, np.zeros(len(pairs), dtype=np.intp),
+               np.array([bb for bb, _ in pairs])[:, None])
     rc = stack([right_mult(space, cc) for _, cc in pairs])
     report.add("fock_left_right_commute", _fold(0.0, (lb @ rc - rc @ lb).block_max()), tol)
 
@@ -509,7 +504,7 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
     if max_len is None:
         max_len = min(3, space.L_max - 2)
     mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
-    words = {n: [random_reduced_word(rng, space, n) for _ in range(words_per_length)]
+    words = {n: random_word_arrays(rng, space, n, words_per_length)
              for n in range(0, max_len + 1)}
 
     res_action = 0.0
@@ -518,7 +513,7 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
         guard = space.L_max - n
         # the checks read the guard columns only, and a column of T(A) reads
         # the same or a shorter column of A
-        stacks = [word_operator(space, sampled, guard)]
+        stacks = [word_operator(space, *sampled, guard)]
         for _, (A,) in _stacked_chunks(space, stacks):
             # the residual is an upper bound for ||d|| over a lower bound for
             # ||A_guard||, each one pass over the entries, so it is never
@@ -537,10 +532,10 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
     # linearity and the right-module property of T (right action = composing
     # with a left multiplication, the N-copy inside the algebra)
     _, T0, s = mults[0]
-    A = word_operator(space, words[min(1, max_len)][:1])
-    B = word_operator(space, words[0][:1])
+    A = word_operator(space, *(x[:1] for x in words[min(1, max_len)]))
+    B = word_operator(space, *(x[:1] for x in words[0]))
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
-    lam = left_mult(space, [space.base.random(rng)])
+    lam = embed(space, [0], space.base.random(rng)[None, None])
     TA = T0.apply_matrix(A)
     diff = T0.apply_matrix(al * A + be * B) - al * TA - be * T0.apply_matrix(B)
     norm_a = max(op_norm(A)[0], 1.0)
@@ -654,7 +649,7 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     draws = [(i, fac.random(rng), fac.random(rng)) for i, fac in enumerate(factors)
              for _ in range(3)]
     res_unit = 0.0
-    units = [embed(space, [fac.identity() for fac in factors]),
+    units = [embed(space, *_element_arrays(space, [fac.identity() for fac in factors])),
              stack([identity_op(space)] * len(factors))]
     for _, (ones, ids) in _stacked_chunks(space, units):
         res_unit = _fold(res_unit, (ones - ids).columns_upto(space.L_max - 1).block_max())
@@ -663,10 +658,12 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     res_coef = 0.0
 
     # the multiplicativity check reads the columns of length <= L - 2
-    images = [embed(space, [a for _, a, _ in draws]),
-              embed(space, [b for _, _, b in draws]).columns_upto(space.L_max - 2),
-              embed(space, [a * b for _, a, b in draws]).columns_upto(space.L_max - 2),
-              embed(space, [a.star() for _, a, _ in draws])]
+    L = space.L_max
+    images = [embed(space, *_element_arrays(space, elements)).columns_upto(max_len)
+              for elements, max_len in (([a for _, a, _ in draws], L),
+                                        ([b for _, _, b in draws], L - 2),
+                                        ([a * b for _, a, b in draws], L - 2),
+                                        ([a.star() for _, a, _ in draws], L))]
     # per factor the V_m* of _coefficient_gaps, built once
     adjoints = [multiplication_matrix(fac.pp_basis(), "left").conj().T for fac in factors]
     for sl, (ea, eb, eab, ea_star) in _stacked_chunks(space, images):
@@ -689,7 +686,8 @@ def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
     columns b Omega, and V_n = sum_gamma embed(u_gamma) @ V_{n-1} @ L*_gamma,
     since u_gamma maps the image of w to that of gamma w."""
     letters = space.letters
-    stacked = embed(space, [space.amalgam.factors[i].unitary(g) for i, g in letters])
+    stacked = embed(space, *_element_arrays(space, [space.amalgam.factors[i].unitary(g)
+                                                    for i, g in letters]))
     embeds = list(stacked.unstack(np.arange(len(letters) + 1)))
     images = [lambda_span(space, 0)]
     for _ in range(max_len):

@@ -63,10 +63,21 @@ def s3_config():
     return cfg
 
 
-# the five small models that the pinned reports and the run-time liveness
+def geo_dih_config():
+    """dih with the symbol phi(n) = 0.97^n (head [1], a geometric tail): the
+    second workload of radbench, and the one model whose symbol has nonzero
+    weights past length 1."""
+    cfg = preset_config("dih")
+    cfg["symbol"] = {"head": [1.0], "tail": {"kind": "geometric", "coefficient": 1.0,
+                                             "ratio": 0.97, "limit": 0}}
+    return cfg
+
+
+# the six small models that the pinned reports and the run-time liveness
 # gate run, each name with a factory of its configuration
 MODELS = {
     "dih": lambda: preset_config("dih"),
+    "geo-dih": geo_dih_config,
     "mat2": lambda: preset_config("mat2"),
     "cy3": lambda: preset_config("cy3"),
     "noncommuting3": lambda: noncommuting_config(3),

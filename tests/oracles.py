@@ -29,9 +29,11 @@ scalar bases are dih's and cy3's (N = C).
     ``right_mult``: ``prepend``, ``strip_first``, ``append_star``,
     ``strip_star`` and ``right_action`` (here), the ``Word`` rules made
     matrices by ``column_matrix``, 1e-13 abs.
-``left_mult``: ``left_action`` (here) by ``column_matrix``, the coefficient
-    pushed through the letters one at a time, bit-exact on scalar bases,
-    else 1e-13 abs.
+``verify.embed`` on u_e coefficients alone, the left N-action:
+    ``left_action`` (here) by ``column_matrix``, the coefficient pushed
+    through the letters one at a time, bit-exact on scalar bases, else 1e-13
+    abs; ``left_mult`` (here), the diagonal ``lmul_blocks`` of every word,
+    the route it replaced, bit-exact.
 ``generator_operators``: ``generator_factor_matrices`` (test_operators),
     the dense product of the rule matrices of the factors, 1e-14;
     ``generator_chain`` (here), a product of single creation, annihilation
@@ -59,16 +61,19 @@ scalar bases are dih's and cy3's (N = C).
     matrix, read through ``EntryStack`` (here), 1e-13.
 ``verify.embed``: ``dense_embed`` (test_operators), the module-basis sum
     from rule matrices and products E(e_j* a e_k), 1e-14;
-    ``embed_by_term_loop`` (here), one iteration per (j, k) term on the
-    words of ``embed_terms_by_pair``, bit-exact on exact models, else
-    1e-15.  As ``embed`` it gives the embedding, theorem and spanning
-    suites the same report bytes on exact models, else 1e-14 abs.
+    ``embed_by_term_loop`` (here), one iteration per (j, k) term of each
+    sample on the words of ``embed_terms_by_pair``, bit-exact on exact
+    models, else 1e-15.  As ``embed`` it gives the embedding, theorem and
+    spanning suites the same report bytes on exact models, else 1e-14 abs.
 ``verify._unitary_words``: ``unitary_word_by_rules`` (here), the ``Word``
     rules, equal.
 ``word_operator``: ``dense_embed`` and ``left_action`` matrices multiplied
     (test_operators), 1e-14; ``word_by_products`` (here), single
-    ``left_mult`` and ``embed_by_term_loop`` operators multiplied,
-    bit-exact on exact models, else 1e-15.
+    ``left_mult`` and ``embed_by_term_loop`` operators multiplied per
+    ``ReducedWord``, bit-exact on exact models, else 1e-15.
+``random_word_arrays``: ``reduced_words`` (here), its arrays read back as
+    ``ReducedWord``s, which reject adjacent letters from one factor and
+    letters outside ker E; the theorem suite's oracle draws through it.
 ``verify._coefficient_gaps``: ``coefficient_gaps_by_vectors`` (here), Fock
     vectors and products pair by pair, 1e-14 (1e-13 abs at rounding).
 ``lemma_suite``: ``lemma_suite_per_generator`` (here), one generator at a
@@ -90,7 +95,11 @@ Helpers: ``Word`` (a reduced word as letter tuples), ``letter_index``,
 :class:`~radmul.fock.FockVector` with one d x d right coefficient per
 word (``vector``, ``word_vector``, ``basis_fock_vector``, ``coeffs``,
 ``word_coeffs``, ``to_array``, ``from_array``, ``apply``, ``is_zero``,
-``canonicalize``, ``left_mul``, ``right_mul``); ``GeneratorWord``, a
+``canonicalize``, ``left_mul``, ``right_mul``); ``cond_exp``, the
+expectation onto N; ``word_arrays`` and ``word_stack`` (``ReducedWord``s
+to ``word_operator``), ``random_reduced_word`` (one drawn word as a
+``ReducedWord``) and ``embedded`` (``FactorElement``s to ``embed``);
+``GeneratorWord``, a
 generator as letter and coefficient tuples, ``family`` and
 ``generator_words`` between it and ``Generators``, ``random_word`` and
 ``generator``; ``zero_op``, ``as_op`` (a dense matrix as an operator),
@@ -103,16 +112,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from radmul.algebra import _coords, cond_exp
+from radmul.algebra import FactorElement, _coords
 from radmul.fock import FockVector
 from radmul.operators import (Generators, StructuredOperator, annihilation, build_T, creation,
-                              diag, generator_operators, identity_op, left_mult,
-                              length_at_least_op, lmul_blocks, op_sum, phi_weights, rho_tower)
+                              diag, generator_operators, identity_op, length_at_least_op,
+                              lmul_blocks, op_sum, phi_weights, rho_tower)
 from radmul.report import EIGEN_TOL, VerificationReport
 from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
-from radmul.verify import (_fold, _generator_zoo, _symbol_scale, embed,
-                           random_generator_word, random_reduced_word)
+from radmul.verify import (_element_arrays, _fold, _generator_zoo, _symbol_scale, embed,
+                           random_generator_word, random_word_arrays, word_operator)
 
 
 @dataclass(frozen=True)
@@ -296,6 +305,79 @@ def canonicalize(space, letters, coeffs=None):
 def zero_op(space):
     k = space.dim_N
     return StructuredOperator(space, [], [], np.zeros((0, k, k)), name="0")
+
+
+def cond_exp(x):
+    """Conditional expectation of a factor element onto N: its identity
+    coefficient."""
+    return x.coeffs[0]
+
+
+@dataclass(frozen=True)
+class ReducedWord:
+    """b_0 a_1 b_1 ... a_n b_n with kernel letters a_j (``FactorElement``s)
+    from alternating factors: adjacent letters belong to different factor
+    objects, and each has vanishing expectation."""
+
+    letters: tuple            # FactorElement instances with vanishing expectation
+    coeffs: tuple             # n+1 base-algebra elements
+
+    def __post_init__(self):
+        if len(self.coeffs) != len(self.letters) + 1:
+            raise ValueError("need one more coefficient than letters")
+        for j, a in enumerate(self.letters):
+            if j and self.letters[j - 1].factor is a.factor:
+                raise ValueError("adjacent letters from the same factor")
+            if np.abs(cond_exp(a)).max() > 1e-10:
+                raise ValueError("letters must have vanishing expectation")
+
+    @property
+    def length(self) -> int:
+        return len(self.letters)
+
+
+def reduced_words(space, factors, letters, coeffs):
+    """The ``ReducedWord``s of the arrays of ``verify.word_operator``, each
+    checked by the word rules."""
+    fac = space.amalgam.factors
+    return [ReducedWord(tuple(FactorElement(fac[i], a[:fac[i].group.order].copy())
+                              for i, a in zip(f, x)), tuple(c))
+            for f, x, c in zip(factors, letters, coeffs)]
+
+
+def word_arrays(space, words):
+    """The arrays (factors, letters, coeffs) of ``verify.word_operator`` for
+    ``ReducedWord``s of one length."""
+    n = words[0].length
+    factors, letters = _element_arrays(space, [a for w in words for a in w.letters])
+    coeffs = np.array([[space.base.element(b) for b in w.coeffs] for w in words])
+    return (factors.reshape(len(words), n), letters.reshape((len(words), n) + letters.shape[1:]),
+            coeffs)
+
+
+def word_stack(space, words, max_col_len=None):
+    """``verify.word_operator`` of ``ReducedWord``s of one length."""
+    return word_operator(space, *word_arrays(space, words), max_col_len)
+
+
+def random_reduced_word(rng, space, n):
+    """One word of ``verify.random_word_arrays``, as a ``ReducedWord``."""
+    return reduced_words(space, *random_word_arrays(rng, space, n, 1))[0]
+
+
+def embedded(space, elements):
+    """``verify.embed`` of a sequence of ``FactorElement``s."""
+    return embed(space, *_element_arrays(space, elements))
+
+
+def left_mult(space, b):
+    """Left N-multiplication by a (count, d, d) stack of coefficients, the
+    diagonal block kron(U_w b[t] U_w*, 1) on every word w of sample t: the
+    route that ``verify.embed`` on u_e coefficients replaced."""
+    b = np.asarray(b, dtype=complex)
+    samples, words = np.divmod(np.arange(len(b) * len(space.words)), len(space.words))
+    return StructuredOperator(space, words, words, lmul_blocks(space, b[samples], words),
+                              "lmul", samples, len(b))
 
 
 @dataclass(frozen=True)
@@ -700,23 +782,25 @@ def embed_terms_by_pair(space, i):
     return terms
 
 
-def embed_by_term_loop(space, elements):
+def embed_by_term_loop(space, factors, coeffs):
     """``verify.embed`` as the sum of the module-basis terms
     L_{e_j} E(e_j* a e_k) L*_{e_k}, E(u_{g_j}* a u_{g_k}) =
     alpha_{g_j^{-1}}(a_{g_j g_k^{-1}}), with one Python iteration per nonzero
     (j, k) term of each element, its entries gathered term by term: the
     route the package's word maps of the group unitaries replaced."""
-    factors = space.amalgam.factors
+    d = space.base.d
     words_of = {}
     terms, coefs = [(np.zeros(0, dtype=np.intp),) * 5], []
-    for s, x in enumerate(elements):
-        idx = next(i for i, fac in enumerate(factors) if fac is x.factor)
+    for s, (idx, c) in enumerate(zip(factors, coeffs)):
+        fac = space.amalgam.factors[idx]
         if idx not in words_of:
             words_of[idx] = embed_terms_by_pair(space, idx)
-        group = x.factor.group
+        group = fac.group
+        x = np.zeros((group.order, d, d), dtype=complex)
+        x[:len(c)] = c[:group.order]
         j, k = np.divmod(np.arange(group.order ** 2), group.order)
         inv = group.inverses
-        coef = x.factor.alpha(inv[j], x.coeffs[group.table[j, inv[k]]])
+        coef = fac.alpha(inv[j], x[group.table[j, inv[k]]])
         for t in np.flatnonzero((np.abs(coef) > 0).any(axis=(1, 2))):
             rows, cols, mid = words_of[idx][j[t], k[t]]
             terms.append((np.full(rows.size, s), rows, cols, mid,
@@ -726,7 +810,7 @@ def embed_by_term_loop(space, elements):
     d = space.base.d
     blocks = lmul_blocks(space, np.reshape(coefs, (-1, d, d))[term], mid)
     samples, rows, cols, blocks = coalesce(samples, rows, cols, blocks, len(space.words))
-    return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(elements))
+    return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(factors))
 
 
 def product_by_loop(x, y):
@@ -758,7 +842,8 @@ def word_by_products(space, w):
     """b_0 embed(a_1) b_1 ... embed(a_n) b_n as a product of single operators."""
     factors = [left_mult(space, [w.coeffs[0]])]
     for a, b in zip(w.letters, w.coeffs[1:]):
-        factors += [embed_by_term_loop(space, [a]), left_mult(space, [b])]
+        factors += [embed_by_term_loop(space, *_element_arrays(space, [a])),
+                    left_mult(space, [b])]
     return op_product(space, factors, "word(n=%d)" % w.length)
 
 
@@ -910,7 +995,7 @@ def theorem_suite_per_word(space, symbols, seed=0, words_per_length=10):
     report = VerificationReport()
     max_len = min(3, space.L_max - 2)
     mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
-    words = {n: [random_reduced_word(rng, space, n) for _ in range(words_per_length)]
+    words = {n: reduced_words(space, *random_word_arrays(rng, space, n, words_per_length))
              for n in range(0, max_len + 1)}
     res_action = res_vacuum = 0.0
     for n, sampled in words.items():
@@ -953,7 +1038,7 @@ def word_vacuum_images_dense(space, max_len):
     order) and every N-basis element b: the vacuum array multiplied by the
     stack of the left multiplications by the N basis, then right to left
     by the letters' embeddings, each built once."""
-    embeds = {(i, g): embed(space, [space.amalgam.factors[i].unitary(g)])
+    embeds = {(i, g): embedded(space, [space.amalgam.factors[i].unitary(g)])
               for i, g in space.amalgam.letters()}
     vac = to_array(word_vector(space, index_of(space)))
     starts = left_mult(space, space.base.basis()) @ vac

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import noncommuting_config
-from oracles import (failed_names, pp_coords, pp_residuals_by_products, product_by_loop,
-                     worst_residual)
+from oracles import (cond_exp, failed_names, pp_coords, pp_residuals_by_products,
+                     product_by_loop, worst_residual)
 from radmul.algebra import (CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra,
-                            _coords, cond_exp, verify_pp_basis)
+                            _coords, verify_pp_basis)
 from radmul.config import parse_config, preset_config
 from radmul.report import ALGEBRAIC_TOL, VerificationReport
 

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import radmul.verify as verify
-from oracles import (GeneratorWord, dense_rank, embed_by_term_loop, family, generator,
-                     generator_chain, generator_words, lambda_span_dense,
-                     lemma_suite_per_generator, random_word, select, theorem_suite_per_word,
-                     unitary_word_by_rules, word_by_products, word_vacuum_images_dense)
+from oracles import (GeneratorWord, dense_rank, embed_by_term_loop, embedded, family,
+                     generator, generator_chain, generator_words, lambda_span_dense,
+                     lemma_suite_per_generator, random_reduced_word, random_word, select,
+                     theorem_suite_per_word, unitary_word_by_rules, word_by_products,
+                     word_stack, word_vacuum_images_dense)
 from radmul.algebra import CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
@@ -22,9 +23,8 @@ from radmul.operators import (StructuredOperator, apply_weights, build_T, epsilo
                               generator_operators, rho_matrix)
 from radmul.report import VerificationReport
 from radmul.symbols import RadialSymbol
-from radmul.verify import (embed, embedding_suite, fock_suite, lemma_suite,
-                           main_theorem_suite, random_reduced_word,
-                           spanning_check, word_operator, word_vacuum_images)
+from radmul.verify import (embedding_suite, fock_suite, lemma_suite, main_theorem_suite,
+                           spanning_check, word_vacuum_images)
 
 EXACT = ["dih_space", "mat2_space", "cy3_space"]
 SPACES = EXACT + ["noncomm_space"]
@@ -198,15 +198,15 @@ def test_embed_stack_matches_per_element_oracle(request, name):
     # each sample of the stack is bit for bit the element's own embedding
     space = embed_space(request, name)
     elements = every_kind_of_element(space, np.random.default_rng(43))
-    E = embed(space, elements)
+    E = embedded(space, elements)
     assert E.n_samples == len(elements)
     for s, a in enumerate(elements):
-        single = embed(space, [a])
+        single = embedded(space, [a])
         assert_sample_is(E, s, single)
-        want = embed_by_term_loop(space, [a])
+        want = embed_by_term_loop(space, *verify._element_arrays(space, [a]))
         assert_entries_agree(single, want, name != "noncomm_space")
         assert (want.rows.size == 0) == (not a.coeffs.any())
-    zero = embed(space, [zero_element(space.amalgam.factors[0])])
+    zero = embedded(space, [zero_element(space.amalgam.factors[0])])
     assert (zero.n_samples, zero.rows.size) == (1, 0)
 
 
@@ -229,7 +229,8 @@ def test_embed_matches_term_loop_oracle_exactly(request, name):
     space = embed_space(request, name)
     elements = every_kind_of_element(space, np.random.default_rng(45))
     for a in [elements, [elements[-1]]]:
-        got, want = embed(space, a), embed_by_term_loop(space, a)
+        got = embedded(space, a)
+        want = embed_by_term_loop(space, *verify._element_arrays(space, a))
         assert got.n_samples == want.n_samples
         assert_entries_agree(got, want, name != "noncomm_space")
 
@@ -240,13 +241,11 @@ def test_word_stack_matches_product_oracle(request, name):
     rng = np.random.default_rng(44)
     for n in range(min(3, space.L_max) + 1):
         words = [random_reduced_word(rng, space, n) for _ in range(4)]
-        W = word_operator(space, words)
+        W = word_stack(space, words)
         for s, w in enumerate(words):
-            single = word_operator(space, [w])
+            single = word_stack(space, [w])
             assert_sample_is(W, s, single)
             assert_entries_agree(single, word_by_products(space, w), name != "noncomm_space")
-    with pytest.raises(ValueError):
-        word_operator(space, [random_reduced_word(rng, space, n) for n in (1, 2)])
 
 
 def kept(op, max_len):
@@ -281,10 +280,10 @@ def test_column_cuts_keep_towers_and_multiplier_exact(request, name, symbols):
     # length <= L - n, and every other bound, compared on the kept columns
     for n in range(min(3, L - 2) + 1):
         words = [random_reduced_word(rng, space, n) for _ in range(3)]
-        full = word_operator(space, words)
+        full = word_stack(space, words)
         whole = [full] + images(space, T, full)
         for bound in range(L + 1):
-            cut = word_operator(space, words, bound)
+            cut = word_stack(space, words, bound)
             band = np.full(len(words), bound)
             for a, b in zip(whole, [cut] + images(space, T, cut)):
                 assert np.array_equal(kept(b, band), kept(a, band))
@@ -378,7 +377,7 @@ def test_chunks_match_select_bit_for_bit(monkeypatch, cy3_space, cap):
     cut = gens.columns_upto(0)
     assert np.count_nonzero(np.bincount(cut.samples, minlength=cut.n_samples) == 0) > 0
     factors = space.amalgam.factors
-    embeds = embed(space, [factors[t % 2].random(rng) for t in range(gens.n_samples)])
+    embeds = embedded(space, [factors[t % 2].random(rng) for t in range(gens.n_samples)])
     stacks, n = [gens, cut, embeds], gens.n_samples
     sizes = sum(np.bincount(op.samples, minlength=n) for op in stacks) * (
         (2 * space.L_max + 1) * space.dim_N ** 2)

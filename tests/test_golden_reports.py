@@ -1,4 +1,4 @@
-"""Pinned reports: ``radmul verify --suite all --seed 1`` on five models must
+"""Pinned reports: ``radmul verify --suite all --seed 1`` on six models must
 give the reports in ``tests/data``, each made by this module on one core.
 
 Check names, statuses, tolerances, strings and integers must match exactly,

@@ -520,7 +520,7 @@ UNEXECUTED_ALLOWED = {
 
 
 def test_every_function_runs_or_is_allowed(monkeypatch, tmp_path):
-    # verify, bound and symbol on the MODELS (the presets, a model with
+    # verify, bound and symbol on the MODELS (the presets, geo-dih, a model with
     # non-commuting actions and one with a group that is not abelian), in this
     # process (one usable core: no worker is forked); what no run starts is
     # dead code, dunders included, whatever reads its name.  So no suite

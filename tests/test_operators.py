@@ -3,25 +3,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radmul.algebra import cond_exp
 from radmul.config import parse_config, preset_config
 from radmul.fock import Amalgam, FockSpace
 from conftest import noncommuting_config
-from oracles import (EntryStack, GeneratorWord, append_star, apply, as_op, coeffs,
-                     column_matrix, epsilon_dense, expand, family, generator, generator_words,
-                     index_of, is_zero, left_action, letter_index, partition_identity_residual,
-                     partition_sum_by_diag, prepend, random_word, rho_dense,
-                     rho_matrix_by_letters, right_action, select, strip_first, strip_star,
-                     to_array, tower_dense, weighted_sum_dense, word_list, word_vector, zero_op)
+from oracles import (EntryStack, GeneratorWord, ReducedWord, append_star, apply, as_op,
+                     coeffs, column_matrix, cond_exp, embedded, epsilon_dense, expand, family,
+                     generator, generator_words, index_of, is_zero, left_action, left_mult,
+                     letter_index, partition_identity_residual, partition_sum_by_diag, prepend,
+                     random_reduced_word, random_word, rho_dense, rho_matrix_by_letters,
+                     right_action, select, strip_first, strip_star, to_array, tower_dense,
+                     weighted_sum_dense, word_list, word_stack, word_vector, zero_op)
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
 from radmul.operators import (StructuredOperator, amplify, annihilation,
                               apply_weights, build_T, creation, diag, eps_rho_tower,
-                              epsilon_matrix, identity_op, left_mult, length_at_least_op,
+                              epsilon_matrix, identity_op, length_at_least_op,
                               phi_cb_bound, phi_weights, right_annihilation, right_creation,
                               right_mult, rho_matrix, rho_tower, stack)
 from radmul.symbols import RadialSymbol, factorize, hankel_pair
-from radmul.verify import (ReducedWord, adjoint_check, amplified_stacks, embed,
-                           random_reduced_word, word_operator)
+from radmul.verify import adjoint_check, amplified_stacks, embed
 
 SPACES = ["dih_space", "mat2_space", "cy3_space", "noncomm_space"]
 SCALAR_BASE = {"dih_space", "cy3_space"}
@@ -108,7 +107,8 @@ def test_direct_matrices_match_action(request):
                       (right_creation(space, t), append_star(space, letter)),
                       (right_annihilation(space, t), strip_star(space, letter))]
         b = space.base.random(rng)
-        pairs += [(left_mult(space, [b]), left_action(b)), (right_mult(space, b), right_action(b))]
+        pairs += [(embed(space, [0], b[None, None]), left_action(b)),
+                  (right_mult(space, b), right_action(b))]
         for op, rule in pairs:
             diff = np.abs(op.matrix() - column_matrix(space, rule)).max()
             assert diff <= 1e-13, (name, op.name)
@@ -265,12 +265,19 @@ def test_rho_matrix_matches_dense_sum(request, name):
 
 @pytest.mark.parametrize("name", SPACES)
 def test_left_mult_matrix_matches_push_loop(request, name):
+    # the left N-action is embed on u_e coefficients alone, of either factor:
+    # against the push loop, and bit for bit against the diagonal route it
+    # replaced, ``left_mult``
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(13)
-    for _ in range(3):
-        b = space.base.random(rng)
-        diff = np.abs(left_mult(space, [b]).matrix()
-                      - column_matrix(space, left_action(b))).max()
+    b = np.array([space.base.random(rng) for _ in range(3)])
+    want = left_mult(space, b)
+    for i in range(len(space.amalgam.factors)):
+        got = embed(space, np.full(len(b), i), b[:, None])
+        for field in ("samples", "rows", "cols", "blocks"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    for t, bt in enumerate(b):
+        diff = np.abs(got.matrix()[t] - column_matrix(space, left_action(bt))).max()
         assert diff == 0 if name in SCALAR_BASE else diff <= 1e-13
 
 
@@ -279,7 +286,7 @@ def test_noncommuting_fixture_push_order_matters(noncomm_space):
     # so the left-multiplication oracle above pins the order
     space = noncomm_space
     b = space.base.random(np.random.default_rng(14))
-    M = left_mult(space, [b]).matrix()[0]
+    M = embed(space, [0], b[None, None]).matrix()[0]
     k = space.dim_N
     worst = 0.0
     for j, w in enumerate(word_list(space)):
@@ -726,10 +733,10 @@ def test_embed_and_word_operator_match_factor_products(request, name):
     for fac in space.amalgam.factors:
         a, b = fac.random(rng), fac.random(rng)
         want = dense_embed(space, a)
-        assert np.abs(embed(space, [a]).matrix() - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(embedded(space, [a]).matrix() - want).max() <= 1e-14 * np.abs(want).max()
         # a product through an embed adds several terms on one word pair
         want = want @ dense_embed(space, b)
-        got = (embed(space, [a]) @ embed(space, [b])).matrix()
+        got = (embedded(space, [a]) @ embedded(space, [b])).matrix()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     for n in (1, 2, 3):
         w = random_reduced_word(rng, space, n)
@@ -737,10 +744,10 @@ def test_embed_and_word_operator_match_factor_products(request, name):
         for a, b in zip(w.letters, w.coeffs[1:]):
             mats += [dense_embed(space, a), column_matrix(space, left_action(b))]
         want = np.linalg.multi_dot(mats)
-        got = word_operator(space, [w]).matrix()
+        got = word_stack(space, [w]).matrix()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     b = space.base.random(rng)
-    got = word_operator(space, [ReducedWord((), (b,))]).matrix()
+    got = word_stack(space, [ReducedWord((), (b,))]).matrix()
     assert np.array_equal(got, left_mult(space, [b]).matrix())
 
 
@@ -784,7 +791,7 @@ def test_norm_bounds_bracket_op_norm(request, name):
     rng = np.random.default_rng(28)
     words = [random_reduced_word(rng, space, n) for n in (1, 2, 2, 3)]
     ops = entry_cases(space, rng) + [random_operator(space, rng, density=0.05)]
-    ops += [word_operator(space, [w]) for w in words]
+    ops += [word_stack(space, [w]) for w in words]
     for op in ops:
         lower, exact, upper = max_column_norm(op)[0], op_norm(op)[0], schur_bound(op)[0]
         assert lower <= exact * (1 + 1e-14) and exact <= upper * (1 + 1e-14), op.name

@@ -9,17 +9,17 @@ import radmul.fock as fock
 import radmul.operators as operators
 import radmul.verify as verify
 from conftest import noncommuting_config, s3_config
-from oracles import (apply, as_op, coefficient_gaps_by_vectors, coeffs, failed_names, index_of,
-                     to_array, word_list, word_vector)
+from oracles import (ReducedWord, apply, as_op, coefficient_gaps_by_vectors, coeffs, embedded,
+                     failed_names, index_of, left_mult, random_reduced_word, reduced_words,
+                     to_array, word_list, word_stack, word_vector)
 from radmul.algebra import multiplication_matrix, verify_pp_basis
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
-from radmul.operators import RadialMultiplier, build_T, left_mult
+from radmul.operators import RadialMultiplier, build_T
 from radmul.symbols import RadialSymbol
-from radmul.verify import (ReducedWord, embed, embedding_suite, fock_suite,
-                           lemma_suite, main_theorem_suite, norm_bound_suite,
-                           operator_suite, random_reduced_word, spanning_check,
-                           word_operator, word_vacuum_images)
+from radmul.verify import (embedding_suite, fock_suite, lemma_suite, main_theorem_suite,
+                           norm_bound_suite, operator_suite, spanning_check,
+                           word_vacuum_images)
 
 
 def unit_word(space, *indexed_letters, right=None):
@@ -35,26 +35,26 @@ def unit_word(space, *indexed_letters, right=None):
 def test_embed_base_element_is_left_multiplication(mat2_space):
     rng = np.random.default_rng(0)
     b = mat2_space.base.random(rng)
-    got = embed(mat2_space, [mat2_space.amalgam.factors[1].from_base(b)]).matrix()
+    got = embedded(mat2_space, [mat2_space.amalgam.factors[1].from_base(b)]).matrix()
     want = left_mult(mat2_space, [b]).matrix()
     assert np.abs(got - want).max() <= 1e-13
 
 
 def test_embed_identity_acts_as_identity(dih_space):
-    got = embed(dih_space, [dih_space.amalgam.factors[0].identity()]).matrix()
+    got = embedded(dih_space, [dih_space.amalgam.factors[0].identity()]).matrix()
     assert np.abs(got - np.eye(dih_space.dim)).max() <= 1e-13
 
 
 def test_embed_unitary_creates_on_vacuum(dih_space):
     a = dih_space.amalgam.factors[0].unitary(1)
-    v = apply(embed(dih_space, [a]), word_vector(dih_space, index_of(dih_space)))
+    v = apply(embedded(dih_space, [a]), word_vector(dih_space, index_of(dih_space)))
     assert list(coeffs(v)) == [index_of(dih_space, (0, 1))]
 
 
 def test_embed_unitary_annihilates_matching_letter(dih_space):
     a = dih_space.amalgam.factors[0].unitary(1)
     w = word_vector(dih_space, index_of(dih_space, (0, 1), (1, 1)))
-    v = apply(embed(dih_space, [a]), w)  # u^2 = 1 strips the leading letter
+    v = apply(embedded(dih_space, [a]), w)  # u^2 = 1 strips the leading letter
     assert list(coeffs(v)) == [index_of(dih_space, (1, 1))]
 
 
@@ -76,10 +76,10 @@ def test_coefficient_gaps_match_vector_route(request, name):
     for fac in space.amalgam.factors:
         for size in range(1, fac.group.order + 2):
             elements = [fac.random(rng) for _ in range(size)]
-            own = embed(space, elements)
+            own = embedded(space, elements)
             got = list(verify._coefficient_gaps(space, own, elements, adjoints))
             assert max(got + list(coefficient_gaps_by_vectors(space, own, elements))) <= 1e-13
-            other = embed(space, [fac.random(rng) for _ in range(size)])
+            other = embedded(space, [fac.random(rng) for _ in range(size)])
             got = list(verify._coefficient_gaps(space, other, elements, adjoints))
             want = list(coefficient_gaps_by_vectors(space, other, elements))
             assert min(got) > 1 and got == pytest.approx(want, rel=1e-14, abs=0)
@@ -105,17 +105,17 @@ def test_word_operator_vacuum_images(mat2_space):
     # n = 0: plain left multiplication
     rw = ReducedWord(letters=(), coeffs=(b,))
     vac = word_vector(mat2_space, index_of(mat2_space))
-    v = apply(word_operator(mat2_space, [rw]), vac)
+    v = apply(word_stack(mat2_space, [rw]), vac)
     assert np.allclose(v.blocks[index_of(mat2_space)], b)
     # n = 1 and n = 2 unitary words land on the canonical word vectors
-    v = apply(word_operator(mat2_space, [unit_word(mat2_space, (0, 1))]), vac)
+    v = apply(word_stack(mat2_space, [unit_word(mat2_space, (0, 1))]), vac)
     assert list(coeffs(v)) == [index_of(mat2_space, (0, 1))]
-    v = apply(word_operator(mat2_space, [unit_word(mat2_space, (0, 1), (1, 1))]), vac)
+    v = apply(word_stack(mat2_space, [unit_word(mat2_space, (0, 1), (1, 1))]), vac)
     assert list(coeffs(v)) == [index_of(mat2_space, (0, 1), (1, 1))]
     assert np.allclose(v.blocks[index_of(mat2_space, (0, 1), (1, 1))], np.eye(2))
 
 
-def test_word_operator_rejects_bad_words(dih_space):
+def test_reduced_word_oracle_rejects_bad_words(dih_space):
     fac = dih_space.amalgam.factors[0]
     with pytest.raises(ValueError):
         ReducedWord(letters=(fac.identity(),),
@@ -146,10 +146,10 @@ def test_vacuum_expectation(dih_space):
     from radmul.operators import identity_op
     assert vacuum_expectation(dih_space, identity_op(dih_space))[0, 0] == pytest.approx(1.0)
     a = dih_space.amalgam.factors[0].unitary(1)
-    assert np.abs(vacuum_expectation(dih_space, embed(dih_space, [a]))).max() < 1e-15
+    assert np.abs(vacuum_expectation(dih_space, embedded(dih_space, [a]))).max() < 1e-15
     b = np.array([[1.5 - 0.5j]])
     rw = ReducedWord(letters=(), coeffs=(b,))
-    assert vacuum_expectation(dih_space, word_operator(dih_space, [rw]))[0, 0] \
+    assert vacuum_expectation(dih_space, word_stack(dih_space, [rw]))[0, 0] \
         == pytest.approx(b[0, 0])
 
 
@@ -164,14 +164,14 @@ def test_multiplier_on_identity(dih_space):
 
 def test_delta0_kills_embedded_letter(dih_space):
     T = build_T(dih_space, RadialSymbol.delta0())
-    A = embed(dih_space, [dih_space.amalgam.factors[0].unitary(1)])
+    A = embedded(dih_space, [dih_space.amalgam.factors[0].unitary(1)])
     guard = dih_space.guard_mask(dih_space.L_max - 1)
     assert np.abs(T.apply_matrix(A).matrix()[0][:, guard]).max() <= 1e-12
 
 
 def test_indicator_kills_length_two_word(dih_space):
     T = build_T(dih_space, RadialSymbol.indicator01())
-    A = word_operator(dih_space, [unit_word(dih_space, (0, 1), (1, 1))])
+    A = word_stack(dih_space, [unit_word(dih_space, (0, 1), (1, 1))])
     guard = dih_space.guard_mask(dih_space.L_max - 2)
     assert np.abs(T.apply_matrix(A).matrix()[0][:, guard]).max() <= 1e-11
 
@@ -180,7 +180,7 @@ def test_constant_symbol_fixes_all_words(dih_space):
     T = build_T(dih_space, RadialSymbol.constant(1.0))
     rng = np.random.default_rng(2)
     for n in range(3):
-        A = word_operator(dih_space, [random_reduced_word(rng, dih_space, n)])
+        A = word_stack(dih_space, [random_reduced_word(rng, dih_space, n)])
         assert np.abs(T.apply_matrix(A).matrix() - A.matrix()).max() <= 1e-12
 
 
@@ -190,8 +190,8 @@ def test_delta0_reproduces_vacuum_expectation(mat2_space):
     rng = np.random.default_rng(3)
     T = build_T(mat2_space, RadialSymbol.delta0())
     b = mat2_space.base.random(rng)
-    w1 = word_operator(mat2_space, [random_reduced_word(rng, mat2_space, 1)])
-    w2 = word_operator(mat2_space, [random_reduced_word(rng, mat2_space, 2)])
+    w1 = word_stack(mat2_space, [random_reduced_word(rng, mat2_space, 1)])
+    w2 = word_stack(mat2_space, [random_reduced_word(rng, mat2_space, 2)])
     A_op = left_mult(mat2_space, [b])
     A = A_op.matrix()[0] + w1.matrix()[0] + w2.matrix()[0]
     want = left_mult(mat2_space, [b]).matrix()[0]  # = lambda(vacuum expectation)
@@ -291,7 +291,7 @@ def test_word_vacuum_images_match_word_operators(request, name):
     vac = word_vector(space, index_of(space))
     words = [unit_word(space, *w.letters, right=b) for w in word_list(space) if len(w) <= 2
              for b in space.base.basis()]
-    want = np.stack([to_array(apply(word_operator(space, [rw]), vac)) for rw in words], axis=1)
+    want = np.stack([to_array(apply(word_stack(space, [rw]), vac)) for rw in words], axis=1)
     got = word_vacuum_images(space, 2).matrix()[0]
     assert np.abs(got[:, :want.shape[1]] - want).max() <= 1e-13
     assert not got[:, want.shape[1]:].any()
@@ -429,7 +429,8 @@ def test_module_checks_catch_a_seeded_defect(monkeypatch, request, name, old, ne
     ("embed", "lmul_blocks(space, coefs, rows)", "lmul_blocks(space, coefs, cols)",
      "mat2_space", {"embedding_multiplicative", "embedding_matrix_coefficients"}),
     # the word map of u_{g^{-1}} in place of that of u_g
-    ("embed", "words_of[idx][g]", "words_of[idx][x.factor.group.inverses[g]]", "cy3_space",
+    ("embed", "_unitary_words(space, i)[g[on]]",
+     "_unitary_words(space, i)[space.amalgam.factors[i].group.inverses[g[on]]]", "cy3_space",
      {"embedding_matrix_coefficients"}),
     # u_g u_h read as u_{hg}; only a group that is not abelian tells them apart
     ("_unitary_words", "group.table[:, h]", "group.table[h].T", "s3_space",
@@ -441,6 +442,28 @@ def test_embedding_checks_catch_a_seeded_defect(monkeypatch, request, name, old,
     exactly these embedding checks."""
     seed_defect(monkeypatch, name, old, new)
     assert set(failed_names(embedding_suite(request.getfixturevalue(space)))) == checks
+
+
+@pytest.mark.parametrize("old, new", [
+    # the factor before a letter kept among its choices: a same-factor pair
+    # a_1 a_2 is one element of M_i, of length at most 1
+    ("not j or i != word[-1]", "True"),
+    # letters drawn outside ker E: a word then holds shorter words too
+    ("random_kernel(rng)", "random(rng)"),
+])
+@pytest.mark.parametrize("space", ["dih_space", "cy3_space"])
+def test_theorem_checks_catch_a_seeded_word_defect(monkeypatch, request, old, new, space):
+    """The package does not check its drawn words; each of these defects of
+    the draws fails the scaling check on them, which with the preset symbol
+    (phi(0) = phi(1) = 1, phi(n) = 0 for n >= 2) expects 0 on a word of
+    length 2 but gets the shorter words' own terms back.  The oracle's
+    ``ReducedWord`` rejects the drawn words too."""
+    seed_defect(monkeypatch, "random_word_arrays", old, new)
+    space = request.getfixturevalue(space)
+    symbol = parse_config(preset_config("dih")).symbol
+    assert "theorem_action_on_words" in failed_names(main_theorem_suite(space, [symbol]))
+    with pytest.raises(ValueError):
+        reduced_words(space, *verify.random_word_arrays(np.random.default_rng(0), space, 2, 10))
 
 
 @pytest.mark.parametrize("fock_len", [3, 4])
@@ -475,8 +498,8 @@ def test_spanning_check_fails_on_an_off_diagonal_image(monkeypatch, tmp_path, ca
     # words: the spanning check counts those blocks and fails, through
     # radmul verify too (one usable core, so the defect reaches the suite),
     # with exit code 1 and no traceback
-    seed_defect(monkeypatch, "embed", "words_of[idx][g]",
-                "words_of[idx][x.factor.group.inverses[g]]")
+    seed_defect(monkeypatch, "embed", "_unitary_words(space, i)[g[on]]",
+                "_unitary_words(space, i)[space.amalgam.factors[i].group.inverses[g[on]]]")
     data = config()
     check = spanning_check(parse_config(data).space()).checks[0]
     assert check.status == "fail" and check.details["off_diagonal_blocks"] > 0
@@ -546,8 +569,8 @@ def test_seed_steers_sampling(dih_space):
     w1 = random_reduced_word(np.random.default_rng(21), dih_space, 2)
     w2 = random_reduced_word(np.random.default_rng(21), dih_space, 2)
     w3 = random_reduced_word(np.random.default_rng(22), dih_space, 2)
-    m1 = word_operator(dih_space, [w1]).matrix()
-    m2 = word_operator(dih_space, [w2]).matrix()
-    m3 = word_operator(dih_space, [w3]).matrix()
+    m1 = word_stack(dih_space, [w1]).matrix()
+    m2 = word_stack(dih_space, [w2]).matrix()
+    m3 = word_stack(dih_space, [w3]).matrix()
     assert np.abs(m1 - m2).max() == 0
     assert np.abs(m1 - m3).max() > 1e-6
