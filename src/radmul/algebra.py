@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import ALGEBRAIC_TOL, VerificationReport
+from .report import VerificationReport
 
 
 class TracialAlgebra:
@@ -284,12 +284,12 @@ def verify_pp_basis(factor: CrossedFactor, basis=None) -> VerificationReport:
     # the largest entry of each block V_j* V_k - delta_jk 1
     gram = np.abs(V.conj().T @ V - np.eye(n * k)).reshape(n, k, n, k).max(axis=(1, 3))
     ortho = float(gram[~np.eye(n, dtype=bool)].max(initial=0.0))
-    report.add("pp_orthogonality", ortho, ALGEBRAIC_TOL, basis_size=n)
-    report.add("pp_normalization", float(gram.diagonal().max()), ALGEBRAIC_TOL, basis_size=n)
+    report.add("pp_orthogonality", ortho, basis_size=n)
+    report.add("pp_normalization", float(gram.diagonal().max()), basis_size=n)
 
     eye = np.eye(len(V))
     unit_res = float(np.abs(V @ V.conj().T - eye).max())
-    report.add("pp_partition_of_unity", unit_res, ALGEBRAIC_TOL, space_dim=len(V))
+    report.add("pp_partition_of_unity", unit_res, space_dim=len(V))
     expansion = float(np.abs(U @ U.conj().T - eye).max()) * np.sqrt(factor.base.d)
-    report.add("pp_expansion", expansion, ALGEBRAIC_TOL, spanning_size=len(V))
+    report.add("pp_expansion", expansion, spanning_size=len(V))
     return report

@@ -2,10 +2,10 @@
 
 Every suite in the package reports its results as a ``VerificationReport``:
 a list of named checks, each carrying the worst residual observed, the
-tolerance it was held to, and a pass/fail status.  Reports are
-merged by concatenation and serialized deterministically (checks sorted by
-name, keys sorted, no timestamps), so identical configuration + seed pairs
-produce byte-identical files.
+tolerance of its family (``family``) in ``TOLERANCES``, and a pass/fail
+status.  Reports are merged by concatenation and serialized
+deterministically (checks sorted by name, keys sorted, no timestamps), so
+identical configuration + seed pairs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,13 +14,29 @@ import json
 import math
 from dataclasses import dataclass, field
 
-# fixed tolerances of the exact identities, guard-band rules and norm envelope
-ALGEBRAIC_TOL = 1e-13
-EIGEN_TOL = 1e-10
-SPECTRAL_TOL = 1e-8
+TOLERANCES = {
+    **dict.fromkeys("pp_orthogonality pp_normalization pp_partition_of_unity pp_expansion "
+                    "fock_word_orthonormality fock_inner_right_linear fock_left_right_commute "
+                    "fock_projection_right_commute fock_length_projection_split".split(), 1e-13),
+    **dict.fromkeys("partition_identity adjoint_matrix adjoint_pairing right_module_blocks "
+                    "rho_of_identity epsilon_of_identity multiplier_linearity".split(), 1e-12),
+    **dict.fromkeys("embedding_unital embedding_multiplicative embedding_star "
+                    "embedding_matrix_coefficients".split(), 1e-11),
+    **dict.fromkeys("phi_factorization_bound rho_power_sector_rule epsilon_case_rules "
+                    "phi1_eigenvalue_rule phi2_eigenvalue_rule t1_t2_component_rules "
+                    "multiplier_case_rules theorem_action_on_words theorem_vacuum_coefficients "
+                    "multiplier_right_module".split(), 1e-10),
+    **dict.fromkeys("norm_bound_upper norm_bound_lower".split(), 1e-8),
+    **dict.fromkeys("fock_lambda_span_rank spanning_rank_len".split(), 0.5),
+}
 
 PASS = "pass"
 FAIL = "fail"
+
+
+def family(name: str) -> str:
+    """A check's family: its name without a "[...]" tag or trailing length."""
+    return name.split("[")[0].rstrip("0123456789")
 
 
 def _json_float(value):
@@ -58,10 +74,12 @@ class VerificationReport:
     context: dict = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
 
-    def add(self, name: str, max_residual: float, tolerance: float, **details) -> Check:
-        check = Check(name, float(max_residual), float(tolerance), details=details)
-        self.checks.append(check)
-        return check
+    def add(self, name: str, max_residual: float, **details) -> None:
+        """Add the check ``name`` at its family's tolerance; an unknown family raises."""
+        tolerance = TOLERANCES.get(family(name))
+        if tolerance is None:
+            raise ValueError("no tolerance for check %r" % name)
+        self.checks.append(Check(name, float(max_residual), tolerance, details=details))
 
     def extend(self, other: "VerificationReport") -> None:
         self.checks.extend(other.checks)

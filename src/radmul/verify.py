@@ -50,7 +50,7 @@ from .operators import (Generators, StructuredOperator, _diag_op, amplify,
                         length_at_least_op, length_exactly_op, lmul_blocks, op_sum,
                         phi_cb_bound, phi_weights, right_annihilation, right_creation,
                         right_mult, rho_matrix, stack)
-from .report import ALGEBRAIC_TOL, EIGEN_TOL, SPECTRAL_TOL, VerificationReport
+from .report import VerificationReport
 from .sparse import coalesce, max_column_norm, op_norm, schur_bound
 from .symbols import norm_C
 
@@ -224,13 +224,12 @@ def random_generator_word(rng, space: FockSpace, k: int, l: int) -> tuple:
 
 
 def fock_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
-    """Structural invariants of the truncated space, at ``ALGEBRAIC_TOL``: the
-    N-valued inner product on coordinate arrays, the module structure as exact
-    identities between operator stacks, the length split and the spanning rank."""
+    """Structural invariants of the truncated space: the N-valued inner
+    product on coordinate arrays, the module structure as exact identities
+    between operator stacks, the length split and the spanning rank."""
     rng = default_rng([seed, 1])
     base = space.base
     report = VerificationReport()
-    tol = ALGEBRAIC_TOL
 
     # orthonormality of words over N and the module property of the inner
     # product, on coordinate arrays: the word w b has the block b / sqrt(d)
@@ -248,20 +247,20 @@ def fock_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     xi, eta = space.random_array(rng), space.random_array(rng)
     lhs = inner_N(space, xi, (right_mult(space, b) @ eta)[0])
     worst_mod = float(np.abs(lhs - inner_N(space, xi, eta) @ b).max())
-    report.add("fock_word_orthonormality", worst_onb, tol)
-    report.add("fock_inner_right_linear", worst_mod, tol)
+    report.add("fock_word_orthonormality", worst_onb)
+    report.add("fock_inner_right_linear", worst_mod)
 
     # left and right actions commute; projections commute with the right action
     pairs = [(base.random(rng), base.random(rng)) for _ in range(4)]
     lb = embed(space, np.zeros(len(pairs), dtype=np.intp),
                np.array([bb for bb, _ in pairs])[:, None])
     rc = stack([right_mult(space, cc) for _, cc in pairs])
-    report.add("fock_left_right_commute", _fold(0.0, (lb @ rc - rc @ lb).block_max()), tol)
+    report.add("fock_left_right_commute", _fold(0.0, (lb @ rc - rc @ lb).block_max()))
 
     P = stack([length_at_least_op(space, 1), length_at_least_op(space, 2),
                ends_in_factor_op(space, 0)])
     rb = stack([right_mult(space, base.random(rng))] * P.n_samples)
-    report.add("fock_projection_right_commute", _fold(0.0, (P @ rb - rb @ P).block_max()), tol)
+    report.add("fock_projection_right_commute", _fold(0.0, (P @ rb - rb @ P).block_max()))
 
     # Q_n = Q_{n+1} + (length exactly n), and D_x = sum_n x(n) (length
     # exactly n) for x(n) = n + 1, a value of its own on every length
@@ -273,7 +272,7 @@ def fock_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     x = np.arange(1, space.L_max + 2)
     sectors = op_sum(space, [x[n] * length_exactly_op(space, n) for n in range(len(x))])
     worst = _fold(worst, (diag(space, x) - sectors).block_max())
-    report.add("fock_length_projection_split", worst, tol)
+    report.add("fock_length_projection_split", worst)
 
     # the length-k spanning families have full rank jointly
     spans = op_sum(space, [lambda_span(space, k) for k in range(space.L_max + 1)])
@@ -304,43 +303,41 @@ def _word_block_rank_check(name: str, op: StructuredOperator, target: int,
     rank = int(np.linalg.matrix_rank(op.blocks[on], tol=1e-10).sum())
     off = int(np.count_nonzero(~on))
     report = VerificationReport()
-    report.add(name, float(target - rank + off), 0.5, rank=rank, **details,
+    report.add(name, float(target - rank + off), rank=rank, **details,
                **({"off_diagonal_blocks": off} if off else {}))
     return report
 
 
 def adjoint_check(a: StructuredOperator, a_star: StructuredOperator,
                   seed: int = 0) -> VerificationReport:
-    """Confirm that ``a_star``, built by its own rule, is the adjoint of ``a``,
-    at tolerance 1e-12: entry by entry against a's conjugate transpose (the
-    largest block of the difference, 0 when it has no entries), and against
-    inner products <A x, y> = <x, A* y> of four pairs of random unit
-    coordinate arrays (``FockSpace.random_array``), so that the pairing
-    residual is rounding on the scale of A, whatever the dimension.
-    """
+    """Confirm that ``a_star``, built by its own rule, is the adjoint of ``a``:
+    entry by entry against a's conjugate transpose (the largest block of the
+    difference, 0 when it has no entries), and against inner products
+    <A x, y> = <x, A* y> of four pairs of random unit coordinate arrays
+    (``FockSpace.random_array``), so that the pairing residual is rounding
+    on the scale of A, whatever the dimension."""
     report = VerificationReport()
     diff = (a_star - a.adjoint()).blocks
     res = float(np.abs(diff).max()) if diff.size else 0.0
-    report.add("adjoint_matrix[%s]" % a.name, res, 1e-12)
+    report.add("adjoint_matrix[%s]" % a.name, res)
     rng = default_rng(seed)
     gaps = []
     for _ in range(4):
         x, y = a.space.random_array(rng), a.space.random_array(rng)
         gaps.append(abs(np.vdot((a @ x)[0], y) - np.vdot(x, (a_star @ y)[0])))
     # np.max, unlike max, keeps a nan wherever it is
-    report.add("adjoint_pairing[%s]" % a.name, float(np.max(gaps)), 1e-12)
+    report.add("adjoint_pairing[%s]" % a.name, float(np.max(gaps)))
     return report
 
 
 def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     """The shifted-weight partition identity and the Phi factorization bound
-    on the two random vectors of length 32, adjoint pairs, and the
-    right-module property of six building blocks A as the identity
-    A R_b = R_b' A on their stack (b' = b, but alpha_g(b) for the covariant
-    R_{gamma*}), at tolerance 1e-12."""
+    on the two random vectors of length 32, adjoint pairs, and the right-module
+    property of six building blocks A as the identity A R_b = R_b' A on their
+    stack (b' = b, but alpha_g(b) for the covariant R_{gamma*})."""
     rng = default_rng([seed, 2])
     report = VerificationReport()
-    tol, vec_len = 1e-12, 32
+    vec_len = 32
     # the draws first; skipping the vectors of an old partition check that read
     # no operator keeps every draw after them as it was
     rng.standard_normal(2 * 20 * vec_len)
@@ -355,7 +352,7 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     sums = apply_weights(space, np.array([phi_weights(space, 1, v, v) for v in (xv, yv)]),
                          stack([ident] * 2), np.arange(2))
     diff = sums - stack([float(np.vdot(v, v).real) * ident for v in (xv, yv)])
-    report.add("partition_identity", _fold(0.0, diff.block_max()), tol, samples=2)
+    report.add("partition_identity", _fold(0.0, diff.block_max()), samples=2)
 
     # each adjoint is built by its own rule, not as a conjugate transpose
     for op, op_star in [(creation(space, 0), annihilation(space, 0)),
@@ -373,18 +370,17 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
                  right_creation(space, 0), diag(space, x[:space.L_max + 2]),
                  ends_in_factor_op(space, 0), rho_ident])
     residual = ops @ stack([rb] * ops.n_samples) - stack([rb, rb, rb_twisted, rb, rb, rb]) @ ops
-    report.add("right_module_blocks", _fold(0.0, residual.block_max()), tol)
+    report.add("right_module_blocks", _fold(0.0, residual.block_max()))
 
     # rho(Id) = Q_1 and epsilon(Id) = Q_1 on the truncated space
     q1 = length_at_least_op(space, 1)
-    report.add("rho_of_identity", (rho_ident - q1).block_max()[0], tol)
-    report.add("epsilon_of_identity", (epsilon_matrix(space, ident) - q1).block_max()[0], tol)
+    report.add("rho_of_identity", (rho_ident - q1).block_max()[0])
+    report.add("epsilon_of_identity", (epsilon_matrix(space, ident) - q1).block_max()[0])
 
     # the factorization bound for Phi never exceeds the vector norms
     bound = phi_cb_bound(sums)
     cap = float(np.linalg.norm(xv) * np.linalg.norm(yv))
-    report.add("phi_factorization_bound", max(bound - cap, 0.0), 1e-10,
-               bound=bound, cap=cap)
+    report.add("phi_factorization_bound", max(bound - cap, 0.0), bound=bound, cap=cap)
     return report
 
 
@@ -420,12 +416,11 @@ def _phi_scalars(xs: np.ndarray, ys: np.ndarray, gens: Generators, case2) -> np.
 
 def lemma_suite(space: FockSpace, symbols, seed: int = 0) -> VerificationReport:
     """Scaling rules on symbolic generators, compared as matrices on the
-    guard band at ``EIGEN_TOL``: rho and rho^2, epsilon case rules, both Phi
-    eigen-formulas, and the component / total rules of every supplied
-    multiplier.  The generators are checked a chunk at a time, as one stack."""
+    guard band: rho and rho^2, epsilon case rules, both Phi eigen-formulas,
+    and the component / total rules of every supplied multiplier.  The
+    generators are checked a chunk at a time, as one stack."""
     rng = default_rng([seed, 4])
     report = VerificationReport()
-    tol = EIGEN_TOL
     gens = _generator_zoo(space, seed)
     mults = []
     for phi in symbols:
@@ -483,12 +478,12 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0) -> VerificationReport:
                             (t2 - want2[sl] * a).columns_upto(g[sl]).block_max() / s12)
             res_t = _fold(res_t, (total - want[sl] * a).columns_upto(g[sl]).block_max() / s)
 
-    report.add("rho_power_sector_rule", res_rho, tol, generators=len(gens.cre))
-    report.add("epsilon_case_rules", res_eps, tol)
-    report.add("phi1_eigenvalue_rule", res_phi[0], tol)
-    report.add("phi2_eigenvalue_rule", res_phi[1], tol)
-    report.add("t1_t2_component_rules", res_t12, tol, symbols=len(mults))
-    report.add("multiplier_case_rules", res_t, tol, symbols=len(mults))
+    report.add("rho_power_sector_rule", res_rho, generators=len(gens.cre))
+    report.add("epsilon_case_rules", res_eps)
+    report.add("phi1_eigenvalue_rule", res_phi[0])
+    report.add("phi2_eigenvalue_rule", res_phi[1])
+    report.add("t1_t2_component_rules", res_t12, symbols=len(mults))
+    report.add("multiplier_case_rules", res_t, symbols=len(mults))
     return report
 
 
@@ -496,11 +491,10 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
                        max_len=None) -> VerificationReport:
     """The multiplier action on sampled reduced words: T(A) = phi(n) A on the
     guard band, exact vacuum coefficients, linearity, and the right-module
-    property of T, at tolerance ``EIGEN_TOL``.  The words of one length are
-    checked a chunk at a time, as one stack."""
+    property of T.  The words of one length are checked a chunk at a time,
+    as one stack."""
     rng = default_rng([seed, 5])
     report = VerificationReport()
-    tol = EIGEN_TOL
     if max_len is None:
         max_len = min(3, space.L_max - 2)
     mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
@@ -525,9 +519,9 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
                 res_action = _fold(res_action, schur_bound(d) / scale / s)
                 res_vacuum = _fold(res_vacuum, diff.columns_upto(0).block_max()
                                    / np.maximum(A.columns_upto(0).block_max(), 1e-30) / s)
-    report.add("theorem_action_on_words", res_action, tol,
-               lengths=max_len, per_length=words_per_length, symbols=len(mults))
-    report.add("theorem_vacuum_coefficients", res_vacuum, tol)
+    report.add("theorem_action_on_words", res_action, lengths=max_len,
+               per_length=words_per_length, symbols=len(mults))
+    report.add("theorem_vacuum_coefficients", res_vacuum)
 
     # linearity and the right-module property of T (right action = composing
     # with a left multiplication, the N-copy inside the algebra)
@@ -542,8 +536,8 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
     res_lin = op_norm(diff)[0] / norm_a / s
     diff = T0.apply_matrix(A @ lam) - TA @ lam
     res_mod = op_norm(diff.columns_upto(space.L_max - max(1, max_len)))[0] / norm_a / s
-    report.add("multiplier_linearity", res_lin, 1e-12)
-    report.add("multiplier_right_module", res_mod, tol)
+    report.add("multiplier_linearity", res_lin)
+    report.add("multiplier_right_module", res_mod)
     return report
 
 
@@ -580,7 +574,7 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
                      samples: int = 50) -> VerificationReport:
     """Sampled two-sided envelope for the multiplier norm.
 
-    Upper: sup ||(id_m (x) T)(a)|| / ||a|| <= class-C norm + SPECTRAL_TOL over random
+    Upper: sup ||(id_m (x) T)(a)|| / ||a|| <= class-C norm over random
     combinations of generator words with m x m scalar coefficient blocks.
     Lower: the scaling action attains |phi(n)| on pure creation words.
     Norms are exact SVDs of the support components of the amplified
@@ -601,8 +595,8 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
             live = na >= 1e-12
             if live.any():
                 worst = _fold(worst, op_norm(tbig)[live] / na[live])
-        report.add("norm_bound_upper[%d]" % si, max(worst - c_norm, 0.0), SPECTRAL_TOL,
-                   observed=worst, class_c_norm=c_norm, samples=samples)
+        report.add("norm_bound_upper[%d]" % si, max(worst - c_norm, 0.0), observed=worst,
+                   class_c_norm=c_norm, samples=samples)
 
         attained = 0.0
         want = 0.0
@@ -612,8 +606,8 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
             na = op_norm(A)
             ratio = op_norm(T.apply_matrix(A)) / np.where(na > 0, na, 1.0)
             attained = _fold(attained, ratio[na > 0])
-        report.add("norm_bound_lower[%d]" % si, max(want - attained, 0.0), SPECTRAL_TOL,
-                   attained=attained, eigen_max=want)
+        report.add("norm_bound_lower[%d]" % si, max(want - attained, 0.0), attained=attained,
+                   eigen_max=want)
     return report
 
 
@@ -638,13 +632,12 @@ def _coefficient_gaps(space: FockSpace, ea: StructuredOperator, elements, adjoin
 
 def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     """embed is a unital *-homomorphism on each factor (guard band), with the
-    right N-valued matrix coefficients against the module basis, at
-    tolerance 1e-11.  The sampled pairs (a, b) are checked a chunk at a
-    time, as stacks; the coefficients are read off blocks against matrices of
-    ``FactorElement`` products, a route independent of ``embed``'s word maps."""
+    right N-valued matrix coefficients against the module basis.  The
+    sampled pairs (a, b) are checked a chunk at a time, as stacks; the
+    coefficients are read off blocks against matrices of ``FactorElement``
+    products, a route independent of ``embed``'s word maps."""
     rng = default_rng([seed, 7])
     report = VerificationReport()
-    tol = 1e-11
     factors = space.amalgam.factors
     draws = [(i, fac.random(rng), fac.random(rng)) for i, fac in enumerate(factors)
              for _ in range(3)]
@@ -671,10 +664,10 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
         res_star = _fold(res_star, (ea_star - ea.adjoint()).block_max())
         res_coef = _fold(res_coef, *_coefficient_gaps(space, ea, [a for _, a, _ in draws[sl]],
                                                       adjoints))
-    report.add("embedding_unital", res_unit, tol)
-    report.add("embedding_multiplicative", res_mult, tol)
-    report.add("embedding_star", res_star, tol)
-    report.add("embedding_matrix_coefficients", res_coef, tol)
+    report.add("embedding_unital", res_unit)
+    report.add("embedding_multiplicative", res_mult)
+    report.add("embedding_star", res_star)
+    report.add("embedding_matrix_coefficients", res_coef)
     return report
 
 

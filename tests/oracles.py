@@ -117,7 +117,7 @@ from radmul.fock import FockVector
 from radmul.operators import (Generators, StructuredOperator, annihilation, build_T, creation,
                               diag, generator_operators, identity_op, length_at_least_op,
                               lmul_blocks, op_sum, phi_weights, rho_tower)
-from radmul.report import EIGEN_TOL, VerificationReport
+from radmul.report import VerificationReport
 from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
 from radmul.verify import (_element_arrays, _fold, _generator_zoo, _symbol_scale, embed,
@@ -951,12 +951,12 @@ def lemma_suite_per_generator(space, symbols, seed=0, max_rho_power=2):
             n_eff = k + l if case == 1 else k + l - 1
             res_t = max(res_t, masked(apply(T.weights) - phi(n_eff) * a) / s)
 
-    report.add("rho_power_sector_rule", res_rho, EIGEN_TOL, generators=len(gens))
-    report.add("epsilon_case_rules", res_eps, EIGEN_TOL)
-    report.add("phi1_eigenvalue_rule", res_phi[0], EIGEN_TOL)
-    report.add("phi2_eigenvalue_rule", res_phi[1], EIGEN_TOL)
-    report.add("t1_t2_component_rules", res_t12, EIGEN_TOL, symbols=len(mults))
-    report.add("multiplier_case_rules", res_t, EIGEN_TOL, symbols=len(mults))
+    report.add("rho_power_sector_rule", res_rho, generators=len(gens))
+    report.add("epsilon_case_rules", res_eps)
+    report.add("phi1_eigenvalue_rule", res_phi[0])
+    report.add("phi2_eigenvalue_rule", res_phi[1])
+    report.add("t1_t2_component_rules", res_t12, symbols=len(mults))
+    report.add("multiplier_case_rules", res_t, symbols=len(mults))
     return report
 
 
@@ -1013,22 +1013,22 @@ def theorem_suite_per_word(space, symbols, seed=0, words_per_length=10):
                     res_action = _fold(res_action, upper / scale / s)
                 res_vacuum = _fold(res_vacuum, _masked_max(diff, 0)
                                    / max(_masked_max(A, 0), 1e-30) / s)
-    report.add("theorem_action_on_words", res_action, EIGEN_TOL,
-               lengths=max_len, per_length=words_per_length, symbols=len(mults))
-    report.add("theorem_vacuum_coefficients", res_vacuum, EIGEN_TOL)
+    report.add("theorem_action_on_words", res_action, lengths=max_len,
+               per_length=words_per_length, symbols=len(mults))
+    report.add("theorem_vacuum_coefficients", res_vacuum)
 
     _, T0, s = mults[0]
     A = word_by_products(space, words[min(1, max_len)][0])
     B = word_by_products(space, words[0][0])
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     diff = T0.apply_matrix(al * A + be * B) - al * T0.apply_matrix(A) - be * T0.apply_matrix(B)
-    report.add("multiplier_linearity", op_norm(diff)[0] / max(op_norm(A)[0], 1.0) / s, 1e-12)
+    report.add("multiplier_linearity", op_norm(diff)[0] / max(op_norm(A)[0], 1.0) / s)
     lam = left_mult(space, [space.base.random(rng)])
     guard = space.guard_mask(space.L_max - max(1, max_len))
     diff = T0.apply_matrix(A @ lam) - T0.apply_matrix(A) @ lam
     report.add("multiplier_right_module",
                op_norm(EntryStack.from_dense(diff.matrix()[0][:, guard]))[0]
-               / max(op_norm(A)[0], 1.0) / s, EIGEN_TOL)
+               / max(op_norm(A)[0], 1.0) / s)
     return report
 
 

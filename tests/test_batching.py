@@ -421,7 +421,7 @@ def test_word_block_rank_sums_blocks_and_rejects_leaks(mat2_space):
     blocks[[0, 2], :, 0] = blocks[[0, 2], :, 1]
     words = np.arange(n)
     op = StructuredOperator(space, words, words, blocks)
-    check = verify._word_block_rank_check("rank", op, space.dim - 2).checks[0]
+    check = verify._word_block_rank_check("fock_lambda_span_rank", op, space.dim - 2).checks[0]
     assert (check.status, check.max_residual, check.details) == ("pass", 0.0,
                                                                  {"rank": space.dim - 2})
     # one block off the diagonal: a column of word 2 leaking onto word 0,
@@ -432,7 +432,7 @@ def test_word_block_rank_sums_blocks_and_rejects_leaks(mat2_space):
     op = StructuredOperator(space, np.append(words, 0), np.append(words, 2),
                             np.concatenate([blocks, leak[None]]))
     assert dense_rank(op.matrix()[0].T) == space.dim - 1
-    check = verify._word_block_rank_check("rank", op, space.dim - 1).checks[0]
+    check = verify._word_block_rank_check("fock_lambda_span_rank", op, space.dim - 1).checks[0]
     assert (check.status, check.max_residual) == ("fail", 2.0)
     assert check.details == {"rank": space.dim - 2, "off_diagonal_blocks": 1}
 

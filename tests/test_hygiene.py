@@ -13,7 +13,9 @@
 - the set-up path (configuration to Fock space) loads no operator code;
 - only the command line sets OpenBLAS's idle timeout before numpy loads;
 - only the command line sets numpy's error state, in one call;
-- README's CLI section names exactly the command line's options."""
+- README's CLI section names exactly the command line's options;
+- README's tolerance table states exactly ``report.TOLERANCES``;
+- each check name radbench expects has a ``TOLERANCES`` entry, and each entry such a name."""
 
 import argparse
 import ast
@@ -31,6 +33,7 @@ import pytest
 
 from conftest import MODELS
 from radmul.cli import build_parser, main
+from radmul.report import TOLERANCES, family
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "radmul"
@@ -734,3 +737,62 @@ def test_stale_or_undocumented_flag_is_caught():
             "\n## Other\n\ntool check --quiet\n")
     assert documented_flags(text) == {"--fast", "--old"}
     assert parser_flags(parser) == {"--fast", "--quiet"}
+
+
+def readme_tolerances(text: str) -> list:
+    """The (family, tolerance) rows of the ``| check | tolerance | meaning |``
+    table of a markdown text, a row's family that of its name pattern."""
+    table = text.split("\n| check | tolerance | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \|", table, re.M)
+    return [(family(pattern.rstrip("*")), float(tol)) for pattern, tol in rows]
+
+
+def tolerance_gaps(rows: list, table: dict) -> list:
+    """The (family, tolerance) pairs that only one of ``rows`` and ``table``
+    holds, or that ``rows`` holds more than once."""
+    counts = Counter(rows)
+    counts.subtract(table.items())
+    return sorted(pair for pair, n in counts.items() if n)
+
+
+def test_readme_tolerance_table_is_the_package_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert tolerance_gaps(readme_tolerances(readme), TOLERANCES) == []
+
+
+def test_wrong_or_missing_tolerance_row_is_caught():
+    # multiplier_linearity's row states 1e-10, not 1e-12, and embedding_star has no row
+    text = ("# tool\n\n| check | tolerance | meaning |\n|---|---|---|\n"
+            "| `adjoint_matrix[*]` | 1e-12 | adjoint |\n"
+            "| `multiplier_linearity` | 1e-10 | linear |\n"
+            "| `spanning_rank_len*` | 0.5 | rank |\n\nAfter the table.\n"
+            "| `embedding_star` | 1e-11 | not in the table |\n")
+    table = {"adjoint_matrix": 1e-12, "multiplier_linearity": 1e-12, "embedding_star": 1e-11,
+             "spanning_rank_len": 0.5}
+    assert tolerance_gaps(readme_tolerances(text), table) == [
+        ("embedding_star", 1e-11), ("multiplier_linearity", 1e-12),
+        ("multiplier_linearity", 1e-10)]
+
+
+def unresolved_names(names, table: dict) -> tuple:
+    """(the names whose family has no entry in ``table``, the entries no
+    name's family hits)."""
+    families = {family(name) for name in names}
+    return (sorted(name for name in names if family(name) not in table),
+            sorted(table.keys() - families))
+
+
+def test_every_benchmark_check_has_one_tolerance_and_every_tolerance_a_check(monkeypatch):
+    # radbench must not import radmul, so its copy of the names is read here
+    monkeypatch.syspath_prepend(str(ROOT / "radbench"))
+    import workloads
+
+    assert len(workloads.CHECKS) == 42
+    assert unresolved_names(workloads.CHECKS, TOLERANCES) == ([], [])
+
+
+def test_unknown_name_or_stale_tolerance_is_caught():
+    table = {"adjoint_matrix": 1e-12, "spanning_rank_len": 0.5, "embedding_old": 1e-11}
+    names = ["adjoint_matrix[D]", "adjoint_matrix[L(0, 1)]", "spanning_rank_len5",
+             "embedding_new"]
+    assert unresolved_names(names, table) == (["embedding_new"], ["embedding_old"])

@@ -16,6 +16,7 @@ from radmul.algebra import multiplication_matrix, verify_pp_basis
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
 from radmul.operators import RadialMultiplier, build_T
+from radmul.report import VerificationReport
 from radmul.symbols import RadialSymbol
 from radmul.verify import (embedding_suite, fock_suite, lemma_suite, main_theorem_suite,
                            norm_bound_suite, operator_suite, spanning_check,
@@ -552,6 +553,16 @@ def test_report_determinism(dih_space):
     b = main_theorem_suite(dih_space, [RadialSymbol.delta0()], seed=21,
                            words_per_length=3)
     assert a.to_json() == b.to_json()
+
+
+def test_add_looks_the_tolerance_up_and_raises_on_an_unknown_name():
+    report = VerificationReport()
+    report.add("spanning_rank_len7", 0.0, expected=3)
+    report.add("adjoint_pairing[L(1, 2)]", 2e-12)
+    assert [(c.tolerance, c.status) for c in report.checks] == [(0.5, "pass"), (1e-12, "fail")]
+    with pytest.raises(ValueError, match=r"no tolerance for check 'adjoint_norm\[D\]'"):
+        report.add("adjoint_norm[D]", 0.0)
+    assert len(report.checks) == 2
 
 
 def test_complex_symbol_pipeline(dih_space):
