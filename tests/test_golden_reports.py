@@ -1,5 +1,7 @@
-"""Pinned reports: ``radmul verify --suite all --seed 1`` on six models must
-give the reports in ``tests/data``, each made by this module on one core.
+"""Pinned reports: ``radmul verify --suite all`` on the six models at seed
+1, on radbench's cy3-L5 model (``MODELS["cy3"]``) and on geo-dih at seeds
+2-4, and on ``noncommuting_config(4)`` at seed 1 must give the reports in
+``tests/data``, each made by this module on one core.
 
 Check names, statuses, tolerances, strings and integers must match exactly,
 and every other float to 1e-12 relative or 1e-15 absolute: platform
@@ -20,16 +22,23 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MODELS
+from conftest import MODELS, noncommuting_config
 from radmul.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
 
+# each pinned report by its file name: the factory of its configuration and the seed
+PINNED = {**{name: (config, 1) for name, config in MODELS.items()},
+          **{"%s-seed%d" % (name, seed): (MODELS[name], seed)
+             for name in ("cy3", "geo-dih") for seed in (2, 3, 4)},
+          "noncommuting4": (lambda: noncommuting_config(4), 1)}
+
 
 def verify(name: str, workdir: Path, report: Path) -> int:
     config = workdir / ("%s-config.json" % name)
-    config.write_text(json.dumps(MODELS[name]()))
-    return main(["verify", "--suite", "all", "--seed", "1", "--config", str(config),
+    factory, seed = PINNED[name]
+    config.write_text(json.dumps(factory()))
+    return main(["verify", "--suite", "all", "--seed", str(seed), "--config", str(config),
                  "--report", str(report)])
 
 
@@ -57,7 +66,7 @@ def mismatches(got, want, path="report") -> list:
     return ["%s: %r, want %r" % (path, got, want)]
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_report_matches_the_pinned_one(monkeypatch, tmp_path, capsys, name):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     report = tmp_path / "report.json"
@@ -87,6 +96,6 @@ def test_a_moved_value_is_caught():
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for model in sorted(MODELS):
+        for model in sorted(PINNED):
             if verify(model, Path(workdir), DATA / ("%s.json" % model)) != 0:
                 sys.exit("verify failed on %s" % model)
