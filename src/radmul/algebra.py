@@ -6,9 +6,10 @@ N x| G by a finite group acting through trace-preserving *-automorphisms
 alpha_g = Ad(W_g); its elements are sums sum_g b_g u_g with b_g in N and
 u_g unitaries obeying u_g b = alpha_g(b) u_g, each held as one (|G|, d, d)
 array of its coefficients b_g.  Sums and scalar multiples are those of the
-arrays, the adjoint is one gather, and a product forms the (g, h) terms
-of every h where the right factor is nonzero at once and adds them at gh
-in one ``np.add.at`` over the group table.
+arrays, the adjoint (``CrossedFactor.star``) is one gather, and a product
+(``CrossedFactor.mul``) forms the (g, h) terms of every h where the right
+factor is nonzero at once and adds them at gh in one ``np.add.at`` over
+the group table.
 The inclusion N in N x| G has integer index |G|, conditional expectation
 x -> b_e, and the group unitaries (u_g), with u_e = 1 listed first, form
 an orthonormal module basis: E(u_g* u_h) = delta_{g,h} and every x equals
@@ -180,30 +181,29 @@ class CrossedFactor:
         w = self.unitaries[g]
         return w @ b @ np.swapaxes(w, -1, -2).conj()
 
-    def _element(self, g: int, b) -> "FactorElement":
+    def _element(self, g: int, b) -> np.ndarray:
         """b u_g."""
         coeffs = np.zeros((self.group.order, self.base.d, self.base.d), dtype=complex)
         coeffs[g] = b
-        return FactorElement(self, coeffs)
+        return coeffs
 
-    def identity(self) -> "FactorElement":
+    def identity(self) -> np.ndarray:
         return self._element(0, self.base.identity())
 
-    def from_base(self, b) -> "FactorElement":
+    def from_base(self, b) -> np.ndarray:
         return self._element(0, self.base.element(b))
 
-    def unitary(self, g: int) -> "FactorElement":
+    def unitary(self, g: int) -> np.ndarray:
         return self._element(g, self.base.identity())
 
     def pp_basis(self) -> list:
         """Group unitaries with u_e = 1 first."""
         return [self.unitary(g) for g in range(self.group.order)]
 
-    def random(self, rng) -> "FactorElement":
-        return FactorElement(self, np.array([self.base.random(rng)
-                                             for _ in range(self.group.order)]))
+    def random(self, rng) -> np.ndarray:
+        return np.array([self.base.random(rng) for _ in range(self.group.order)])
 
-    def random_kernel(self, rng) -> "FactorElement":
+    def random_kernel(self, rng) -> np.ndarray:
         """Random element with vanishing conditional expectation onto N: a
         random element with its identity coefficient set to zero, drawn
         again while its 2-norm tau(x* x)^(1/2) is at most 1e-8."""
@@ -211,59 +211,37 @@ class CrossedFactor:
             raise ValueError("the trivial group has no nonzero kernel elements")
         while True:
             x = self.random(rng)
-            x.coeffs[0] = 0
-            if np.linalg.norm(x.coeffs) / np.sqrt(self.base.d) > 1e-8:
+            x[0] = 0
+            if np.linalg.norm(x) / np.sqrt(self.base.d) > 1e-8:
                 return x
 
+    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The product x y: (b u_g)(c u_h) = b alpha_g(c) u_{gh}, the (g, h)
+        terms of the h with y_h nonzero at once, added at gh in g order."""
+        g = np.arange(self.group.order)
+        h = np.flatnonzero(y.any(axis=(1, 2)))
+        terms = x[:, None] @ self.alpha(g[:, None], y[h][None])
+        out = np.zeros_like(x)
+        np.add.at(out, self.group.table[:, h], terms)
+        return out
 
-class FactorElement:
-    """sum_g coeffs[g] u_g inside one crossed product; ``coeffs`` is the
-    (|G|, d, d) array of the coefficients, held as it is given."""
-
-    __slots__ = ("factor", "coeffs")
-
-    def __init__(self, factor: CrossedFactor, coeffs: np.ndarray):
-        self.factor = factor
-        self.coeffs = coeffs
-
-    def __mul__(self, other: "FactorElement") -> "FactorElement":
-        """Product in the crossed product: (b u_g)(c u_h) = b alpha_g(c) u_{gh},
-        the (g, h) terms of the h with c nonzero at once, added at gh in g order."""
-        fac = self.factor
-        g = np.arange(fac.group.order)
-        h = np.flatnonzero(other.coeffs.any(axis=(1, 2)))
-        terms = self.coeffs[:, None] @ fac.alpha(g[:, None], other.coeffs[h][None])
-        out = np.zeros_like(self.coeffs)
-        np.add.at(out, fac.group.table[:, h], terms)
-        return FactorElement(fac, out)
-
-    def star(self) -> "FactorElement":
-        """(b u_g)* = alpha_{g^{-1}}(b*) u_{g^{-1}}."""
-        inv = self.factor.group.inverses
-        out = np.empty_like(self.coeffs)
-        out[inv] = self.factor.alpha(inv, self.coeffs.conj().transpose(0, 2, 1))
-        return FactorElement(self.factor, out)
-
-    def trace(self) -> complex:
-        """tau_i = tau of the identity coefficient."""
-        return self.factor.base.trace(self.coeffs[0])
+    def star(self, x: np.ndarray) -> np.ndarray:
+        """The adjoint: (b u_g)* = alpha_{g^{-1}}(b*) u_{g^{-1}}."""
+        inv = self.group.inverses
+        out = np.empty_like(x)
+        out[inv] = self.alpha(inv, x.conj().transpose(0, 2, 1))
+        return out
 
 
-def _coords(x: FactorElement) -> np.ndarray:
-    """The coordinates of x in the orthonormal basis {b u_g : g in G, b in
-    onb(N)} of L2(M_i, tau_i), g-major: tau((b u_g)* x) = tau(b* x_g), and
-    b = sqrt(d) E_pq reads x_g[p, q] / sqrt(d)."""
-    return x.coeffs.reshape(-1) / np.sqrt(x.factor.base.d)
-
-
-def multiplication_matrix(elements, side: str) -> np.ndarray:
+def multiplication_matrix(factor: CrossedFactor, elements, side: str) -> np.ndarray:
     """The matrices of b -> x b (``side`` "left") or b -> b x ("right") from
-    L2(N) to L2(M_i) for the elements x of one factor, side by side, in the
-    bases onb(N) and ``_coords``: the column of b is _coords(x b) or
-    _coords(b x), one ``FactorElement`` product."""
-    fac = elements[0].factor
-    onb = [fac.from_base(b) for b in fac.base.onb()]
-    return np.stack([_coords(x * b if side == "left" else b * x)
+    L2(N) to L2(M_i) for elements x of ``factor``, side by side, in the
+    bases onb(N) and {b u_g : g in G, b in onb(N)}, g-major: the column of b
+    is the coefficients of x b or b x (one ``mul``) over sqrt(d), since
+    tau((b u_g)* y) = tau(b* y_g) and b = sqrt(d) E_pq reads y_g[p, q] / sqrt(d)."""
+    onb = [factor.from_base(b) for b in factor.base.onb()]
+    scale = np.sqrt(factor.base.d)
+    return np.stack([(factor.mul(x, b) if side == "left" else factor.mul(b, x)).reshape(-1) / scale
                      for x in elements for b in onb], axis=1)
 
 
@@ -278,8 +256,8 @@ def verify_pp_basis(factor: CrossedFactor, basis=None) -> VerificationReport:
         basis = factor.pp_basis()
     report = VerificationReport()
     n, k = len(basis), factor.base.dim
-    V = multiplication_matrix(basis, "left")
-    U = multiplication_matrix([e.star() for e in basis], "right")
+    V = multiplication_matrix(factor, basis, "left")
+    U = multiplication_matrix(factor, [factor.star(e) for e in basis], "right")
 
     # the largest entry of each block V_j* V_k - delta_jk 1
     gram = np.abs(V.conj().T @ V - np.eye(n * k)).reshape(n, k, n, k).max(axis=(1, 3))

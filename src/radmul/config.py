@@ -41,9 +41,10 @@ from .algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from .fock import Amalgam, FockSpace
 from .symbols import RadialSymbol
 
-# FiniteGroup.cyclic builds the order x order table and checks associativity
-# in O(order**3): 0.3-0.7 s at order 400 and 1.4 s at 500 on a 2-core machine;
-# a run at large order is bounded by its word count and the generator zoo
+# FiniteGroup.cyclic builds the order x order table, 8 * order**2 bytes; and
+# the cases suite's generator zoo pairs every letter string of length <= 2,
+# so it grows with the square of the letter count: at order 400 it holds
+# 1.44M generators, and the suite peaks at 431 MB on a 2-core machine
 MAX_CYCLIC_ORDER = 400
 
 

@@ -147,14 +147,14 @@ def embed(space: FockSpace, factors, coeffs) -> StructuredOperator:
     return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(factors))
 
 
-def _element_arrays(space: FockSpace, elements) -> tuple:
-    """``embed``'s arrays (factors, coeffs) of a sequence of factor elements,
-    the coefficients padded with zeros to the largest group order."""
-    factors, d = space.amalgam.factors, space.base.d
-    coeffs = np.zeros((len(elements), max(f.group.order for f in factors), d, d), dtype=complex)
+def _padded(space: FockSpace, elements) -> np.ndarray:
+    """``embed``'s coefficient array of a sequence of factor elements, each
+    a (|G|, d, d) array padded with zeros to the largest group order."""
+    order, d = max(f.group.order for f in space.amalgam.factors), space.base.d
+    coeffs = np.zeros((len(elements), order, d, d), dtype=complex)
     for s, x in enumerate(elements):
-        coeffs[s, :len(x.coeffs)] = x.coeffs
-    return np.array([factors.index(x.factor) for x in elements], dtype=np.intp), coeffs
+        coeffs[s, :len(x)] = x
+    return coeffs
 
 
 def word_operator(space: FockSpace, factors, letters, coeffs,
@@ -185,17 +185,18 @@ def random_word_arrays(rng, space: FockSpace, n: int, count: int) -> tuple:
     factors, each one other than the factor before it, then a kernel letter
     of each (``random_kernel``), then its n + 1 coefficients."""
     n_factors = len(space.amalgam.factors)
-    elements, coeffs = [], []
+    factors, elements, coeffs = [], [], []
     for _ in range(count):
         word = []
         for j in range(n):
             choices = [i for i in range(n_factors) if not j or i != word[-1]]
             word.append(choices[rng.integers(len(choices))])
+        factors += word
         elements += [space.amalgam.factors[i].random_kernel(rng) for i in word]
         coeffs += [space.base.random(rng) for _ in range(n + 1)]
-    factors, letters = _element_arrays(space, elements)
-    d = space.base.d
-    return (factors.reshape(count, n), letters.reshape((count, n) + letters.shape[1:]),
+    letters, d = _padded(space, elements), space.base.d
+    return (np.array(factors, dtype=np.intp).reshape(count, n),
+            letters.reshape((count, n) + letters.shape[1:]),
             np.reshape(coeffs, (count, n + 1, d, d)))
 
 
@@ -611,14 +612,14 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     return report
 
 
-def _coefficient_gaps(space: FockSpace, ea: StructuredOperator, elements, adjoints: list):
-    """Yield per sample of ``ea``, one per element a, the largest entry of its
-    blocks on the word pairs (e_m Omega, e_l Omega), (e_j) the module basis
-    of a's factor, minus V_m* W_l, with V_m the matrix of b -> e_m b and W_l
-    that of b -> (a e_l) b: both are b -> E(e_m* a e_l) b on L2(N).  The
-    V_m* of factor i, stacked, are ``adjoints[i]``."""
-    for s, a in enumerate(elements):
-        i = space.amalgam.factors.index(a.factor)
+def _coefficient_gaps(space: FockSpace, ea: StructuredOperator, draws, adjoints: list):
+    """Yield per sample of ``ea``, one per draw (i, a, _) of factor i, the
+    largest entry of its blocks on the word pairs (e_m Omega, e_l Omega),
+    (e_j) the module basis of factor i, minus V_m* W_l, with V_m the matrix
+    of b -> e_m b and W_l that of b -> (a e_l) b: both are b -> E(e_m* a
+    e_l) b on L2(N).  The V_m* of factor i, stacked, are ``adjoints[i]``."""
+    for s, (i, a, _) in enumerate(draws):
+        f = space.amalgam.factors[i]
         # the words of e_0 Omega = Omega and of e_g Omega = (i, g), ascending
         at = np.flatnonzero(space.letter_factors == i)
         words = np.append(0, space.appended[at, 0])
@@ -626,7 +627,7 @@ def _coefficient_gaps(space: FockSpace, ea: StructuredOperator, elements, adjoin
         got = np.zeros((len(words),) * 2 + ea.blocks.shape[1:], dtype=complex)
         rows, cols = np.searchsorted(words, ea.rows[on]), np.searchsorted(words, ea.cols[on])
         got[rows, cols] = ea.blocks[on]
-        want = adjoints[i] @ multiplication_matrix([a * e for e in a.factor.pp_basis()], "left")
+        want = adjoints[i] @ multiplication_matrix(f, [f.mul(a, e) for e in f.pp_basis()], "left")
         yield np.abs(got.transpose(0, 2, 1, 3).reshape(want.shape) - want).max()
 
 
@@ -634,7 +635,7 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     """embed is a unital *-homomorphism on each factor (guard band), with the
     right N-valued matrix coefficients against the module basis.  The
     sampled pairs (a, b) are checked a chunk at a time, as stacks; the
-    coefficients are read off blocks against matrices of ``FactorElement``
+    coefficients are read off blocks against matrices of ``CrossedFactor.mul``
     products, a route independent of ``embed``'s word maps."""
     rng = default_rng([seed, 7])
     report = VerificationReport()
@@ -642,7 +643,7 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     draws = [(i, fac.random(rng), fac.random(rng)) for i, fac in enumerate(factors)
              for _ in range(3)]
     res_unit = 0.0
-    units = [embed(space, *_element_arrays(space, [fac.identity() for fac in factors])),
+    units = [embed(space, range(len(factors)), _padded(space, [f.identity() for f in factors])),
              stack([identity_op(space)] * len(factors))]
     for _, (ones, ids) in _stacked_chunks(space, units):
         res_unit = _fold(res_unit, (ones - ids).columns_upto(space.L_max - 1).block_max())
@@ -651,19 +652,18 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     res_coef = 0.0
 
     # the multiplicativity check reads the columns of length <= L - 2
-    L = space.L_max
-    images = [embed(space, *_element_arrays(space, elements)).columns_upto(max_len)
+    L, drawn = space.L_max, [i for i, _, _ in draws]
+    images = [embed(space, drawn, _padded(space, elements)).columns_upto(max_len)
               for elements, max_len in (([a for _, a, _ in draws], L),
                                         ([b for _, _, b in draws], L - 2),
-                                        ([a * b for _, a, b in draws], L - 2),
-                                        ([a.star() for _, a, _ in draws], L))]
+                                        ([factors[i].mul(a, b) for i, a, b in draws], L - 2),
+                                        ([factors[i].star(a) for i, a, _ in draws], L))]
     # per factor the V_m* of _coefficient_gaps, built once
-    adjoints = [multiplication_matrix(fac.pp_basis(), "left").conj().T for fac in factors]
+    adjoints = [multiplication_matrix(f, f.pp_basis(), "left").conj().T for f in factors]
     for sl, (ea, eb, eab, ea_star) in _stacked_chunks(space, images):
         res_mult = _fold(res_mult, (ea @ eb - eab).columns_upto(space.L_max - 2).block_max())
         res_star = _fold(res_star, (ea_star - ea.adjoint()).block_max())
-        res_coef = _fold(res_coef, *_coefficient_gaps(space, ea, [a for _, a, _ in draws[sl]],
-                                                      adjoints))
+        res_coef = _fold(res_coef, *_coefficient_gaps(space, ea, draws[sl], adjoints))
     report.add("embedding_unital", res_unit)
     report.add("embedding_multiplicative", res_mult)
     report.add("embedding_star", res_star)
@@ -679,8 +679,8 @@ def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
     columns b Omega, and V_n = sum_gamma embed(u_gamma) @ V_{n-1} @ L*_gamma,
     since u_gamma maps the image of w to that of gamma w."""
     letters = space.letters
-    stacked = embed(space, *_element_arrays(space, [space.amalgam.factors[i].unitary(g)
-                                                    for i, g in letters]))
+    stacked = embed(space, space.letter_factors,
+                    _padded(space, [space.amalgam.factors[i].unitary(g) for i, g in letters]))
     embeds = list(stacked.unstack(np.arange(len(letters) + 1)))
     images = [lambda_span(space, 0)]
     for _ in range(max_len):

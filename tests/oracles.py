@@ -10,11 +10,11 @@ entry unless "abs".  The exact models are every test model but
 ``noncomm_space``, whose twists are not exact in floating point; the
 scalar bases are dih's and cy3's (N = C).
 
-``FactorElement.__mul__``: ``regular_rep`` (test_algebra), the regular
+``CrossedFactor.mul``: ``regular_rep`` (test_algebra), the regular
     representation from the group table and the unitaries, 1e-12 abs;
     ``product_by_loop`` (here), one left coefficient at a time, bit-exact.
-``algebra._coords``: ``pp_coords`` (here), traces against the basis
-    ``onb_elements``, one product each, 1e-14 abs.
+``multiplication_matrix``, its coordinates: ``pp_coords`` (here), traces
+    against the basis ``onb_elements``, one product each, 1e-14 abs.
 ``verify_pp_basis``: ``pp_residuals_by_products`` (here), the module-basis
     identities pair by pair from products, 1e-14 per residual.
 ``FiniteGroup``, ``CrossedFactor``: ``first_table_defect`` and
@@ -98,7 +98,8 @@ word (``vector``, ``word_vector``, ``basis_fock_vector``, ``coeffs``,
 ``canonicalize``, ``left_mul``, ``right_mul``); ``cond_exp``, the
 expectation onto N; ``word_arrays`` and ``word_stack`` (``ReducedWord``s
 to ``word_operator``), ``random_reduced_word`` (one drawn word as a
-``ReducedWord``) and ``embedded`` (``FactorElement``s to ``embed``);
+``ReducedWord``) and ``embedded`` (factor indices and coefficient arrays
+to ``embed``);
 ``GeneratorWord``, a
 generator as letter and coefficient tuples, ``family`` and
 ``generator_words`` between it and ``Generators``, ``random_word`` and
@@ -112,7 +113,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from radmul.algebra import FactorElement, _coords
 from radmul.fock import FockVector
 from radmul.operators import (Generators, StructuredOperator, annihilation, build_T, creation,
                               diag, generator_operators, identity_op, length_at_least_op,
@@ -120,7 +120,7 @@ from radmul.operators import (Generators, StructuredOperator, annihilation, buil
 from radmul.report import VerificationReport
 from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
-from radmul.verify import (_element_arrays, _fold, _generator_zoo, _symbol_scale, embed,
+from radmul.verify import (_fold, _generator_zoo, _padded, _symbol_scale, embed,
                            random_generator_word, random_word_arrays, word_operator)
 
 
@@ -310,23 +310,24 @@ def zero_op(space):
 def cond_exp(x):
     """Conditional expectation of a factor element onto N: its identity
     coefficient."""
-    return x.coeffs[0]
+    return x[0]
 
 
 @dataclass(frozen=True)
 class ReducedWord:
-    """b_0 a_1 b_1 ... a_n b_n with kernel letters a_j (``FactorElement``s)
-    from alternating factors: adjacent letters belong to different factor
-    objects, and each has vanishing expectation."""
+    """b_0 a_1 b_1 ... a_n b_n with kernel letters a_j from alternating
+    factors: adjacent letters have different factor indices, and each has
+    vanishing expectation."""
 
-    letters: tuple            # FactorElement instances with vanishing expectation
+    factors: tuple            # the factor index of each letter
+    letters: tuple            # (|G|, d, d) coefficient arrays with vanishing expectation
     coeffs: tuple             # n+1 base-algebra elements
 
     def __post_init__(self):
         if len(self.coeffs) != len(self.letters) + 1:
             raise ValueError("need one more coefficient than letters")
         for j, a in enumerate(self.letters):
-            if j and self.letters[j - 1].factor is a.factor:
+            if j and self.factors[j - 1] == self.factors[j]:
                 raise ValueError("adjacent letters from the same factor")
             if np.abs(cond_exp(a)).max() > 1e-10:
                 raise ValueError("letters must have vanishing expectation")
@@ -340,8 +341,8 @@ def reduced_words(space, factors, letters, coeffs):
     """The ``ReducedWord``s of the arrays of ``verify.word_operator``, each
     checked by the word rules."""
     fac = space.amalgam.factors
-    return [ReducedWord(tuple(FactorElement(fac[i], a[:fac[i].group.order].copy())
-                              for i, a in zip(f, x)), tuple(c))
+    return [ReducedWord(tuple(int(i) for i in f),
+                        tuple(a[:fac[i].group.order].copy() for i, a in zip(f, x)), tuple(c))
             for f, x, c in zip(factors, letters, coeffs)]
 
 
@@ -349,10 +350,10 @@ def word_arrays(space, words):
     """The arrays (factors, letters, coeffs) of ``verify.word_operator`` for
     ``ReducedWord``s of one length."""
     n = words[0].length
-    factors, letters = _element_arrays(space, [a for w in words for a in w.letters])
+    factors = np.array([w.factors for w in words], dtype=np.intp).reshape(len(words), n)
+    letters = _padded(space, [a for w in words for a in w.letters])
     coeffs = np.array([[space.base.element(b) for b in w.coeffs] for w in words])
-    return (factors.reshape(len(words), n), letters.reshape((len(words), n) + letters.shape[1:]),
-            coeffs)
+    return factors, letters.reshape((len(words), n) + letters.shape[1:]), coeffs
 
 
 def word_stack(space, words, max_col_len=None):
@@ -365,9 +366,10 @@ def random_reduced_word(rng, space, n):
     return reduced_words(space, *random_word_arrays(rng, space, n, 1))[0]
 
 
-def embedded(space, elements):
-    """``verify.embed`` of a sequence of ``FactorElement``s."""
-    return embed(space, *_element_arrays(space, elements))
+def embedded(space, factors, elements):
+    """``verify.embed`` of a sequence of coefficient arrays, element s of
+    factor ``factors[s]``, each padded to the largest group order."""
+    return embed(space, factors, _padded(space, elements))
 
 
 def left_mult(space, b):
@@ -591,23 +593,25 @@ def onb_elements(factor):
             for b in factor.base.onb()]
 
 
-def pp_coords(x):
-    """The coordinates tau((b u_g)* x) of a crossed-product element in the
+def pp_coords(factor, x):
+    """The coordinates tau((b u_g)* x) of an element x of ``factor`` in the
     orthonormal basis ``onb_elements``, one crossed-product product per
     basis element."""
-    return np.array([(e.star() * x).trace() for e in onb_elements(x.factor)], dtype=complex)
+    return np.array([factor.base.trace(factor.mul(factor.star(e), x)[0])
+                     for e in onb_elements(factor)], dtype=complex)
 
 
 def pp_residuals_by_products(factor, basis):
     """The four residuals of ``verify_pp_basis`` by name, pair by pair from
-    ``FactorElement`` products: E(e_j* e_k) for every pair, the matrix of
-    y -> sum_j e_j E(e_j* y) on ``onb_elements``, and sum_j E(x e_j) e_j*
+    ``CrossedFactor.mul`` products: E(e_j* e_k) for every pair, the matrix
+    of y -> sum_j e_j E(e_j* y) on ``onb_elements``, and sum_j E(x e_j) e_j*
     for every basis element x, read on coefficients."""
     eye = factor.base.identity()
+    mul, star = factor.mul, factor.star
     ortho = normal = 0.0
     for j, ej in enumerate(basis):
         for k, ek in enumerate(basis):
-            val = cond_exp(ej.star() * ek)
+            val = cond_exp(mul(star(ej), ek))
             if j == k:
                 normal = max(normal, float(np.abs(val - eye).max()))
             else:
@@ -615,36 +619,36 @@ def pp_residuals_by_products(factor, basis):
     onb = onb_elements(factor)
     total = np.zeros((len(onb), len(onb)), dtype=complex)
     for ej in basis:
-        total += np.stack([_coords(ej * factor.from_base(cond_exp(ej.star() * y)))
-                           for y in onb], axis=1)
+        total += np.stack([mul(ej, factor.from_base(cond_exp(mul(star(ej), y)))).reshape(-1)
+                           / np.sqrt(factor.base.d) for y in onb], axis=1)
     expansion = 0.0
     for x in onb:
-        rec = np.zeros_like(x.coeffs)
+        rec = np.zeros_like(x)
         for ej in basis:
-            rec = rec + (factor.from_base(cond_exp(x * ej)) * ej.star()).coeffs
-        expansion = max(expansion, float(np.abs(rec - x.coeffs).max()))
+            rec = rec + mul(factor.from_base(cond_exp(mul(x, ej))), star(ej))
+        expansion = max(expansion, float(np.abs(rec - x).max()))
     return {"pp_orthogonality": ortho, "pp_normalization": normal,
             "pp_partition_of_unity": float(np.abs(total - np.eye(len(onb))).max()),
             "pp_expansion": expansion}
 
 
-def coefficient_gaps_by_vectors(space, ea, elements):
-    """Per sample of ``ea``, one per element a, the largest entry of
-    <e_m Omega, ea e_l Omega>_N - E(e_m* a e_l) over the module basis (e_j)
-    of a's factor, on Fock vectors: ea applied to the word vector of e_l,
-    its N-valued inner product with that of e_m, and the coefficient from
-    ``FactorElement`` products, pair by pair."""
+def coefficient_gaps_by_vectors(space, ea, factors, elements):
+    """Per sample of ``ea``, one per element a of factor ``factors[s]``, the
+    largest entry of <e_m Omega, ea e_l Omega>_N - E(e_m* a e_l) over the
+    module basis (e_j) of a's factor, on Fock vectors: ea applied to the
+    word vector of e_l, its N-valued inner product with that of e_m, and the
+    coefficient from ``CrossedFactor.mul`` products, pair by pair."""
     gaps = []
-    for s, a in enumerate(elements):
-        i = space.amalgam.factors.index(a.factor)
-        basis = a.factor.pp_basis()
+    for s, (i, a) in enumerate(zip(factors, elements)):
+        fac = space.amalgam.factors[i]
+        basis = fac.pp_basis()
         vectors = [word_vector(space, index_of(space, (i, g)) if g else index_of(space))
                    for g in range(len(basis))]
         gap = 0.0
         for el, el_vec in zip(basis, vectors):
             ael = from_array(space, (ea @ to_array(el_vec))[s])
             for em, em_vec in zip(basis, vectors):
-                want = cond_exp(em.star() * a * el)
+                want = cond_exp(fac.mul(fac.mul(fac.star(em), a), el))
                 gap = max(gap, float(np.abs(block_inner_N(em_vec, ael) - want).max()))
         gaps.append(gap)
     return np.array(gaps)
@@ -813,15 +817,14 @@ def embed_by_term_loop(space, factors, coeffs):
     return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(factors))
 
 
-def product_by_loop(x, y):
-    """The coefficients of the crossed-product product x y, one left
-    coefficient g at a time: (b u_g) y = b alpha_g(y) shifted by g, added
-    in the order of g, the route ``FactorElement.__mul__``'s one gather
-    replaced."""
-    fac = x.factor
-    out = np.zeros_like(x.coeffs)
-    for g, b in enumerate(x.coeffs):
-        out[fac.group.table[g]] += b @ fac.alpha(g, y.coeffs)
+def product_by_loop(fac, x, y):
+    """The coefficients of the product x y in the crossed product ``fac``,
+    one left coefficient g at a time: (b u_g) y = b alpha_g(y) shifted by
+    g, added in the order of g, the route ``CrossedFactor.mul``'s one
+    gather replaced."""
+    out = np.zeros_like(x)
+    for g, b in enumerate(x):
+        out[fac.group.table[g]] += b @ fac.alpha(g, y)
     return out
 
 
@@ -841,9 +844,8 @@ def unitary_word_by_rules(space, i, g, j):
 def word_by_products(space, w):
     """b_0 embed(a_1) b_1 ... embed(a_n) b_n as a product of single operators."""
     factors = [left_mult(space, [w.coeffs[0]])]
-    for a, b in zip(w.letters, w.coeffs[1:]):
-        factors += [embed_by_term_loop(space, *_element_arrays(space, [a])),
-                    left_mult(space, [b])]
+    for i, a, b in zip(w.factors, w.letters, w.coeffs[1:]):
+        factors += [embed_by_term_loop(space, [i], _padded(space, [a])), left_mult(space, [b])]
     return op_product(space, factors, "word(n=%d)" % w.length)
 
 
@@ -1038,7 +1040,7 @@ def word_vacuum_images_dense(space, max_len):
     order) and every N-basis element b: the vacuum array multiplied by the
     stack of the left multiplications by the N basis, then right to left
     by the letters' embeddings, each built once."""
-    embeds = {(i, g): embedded(space, [space.amalgam.factors[i].unitary(g)])
+    embeds = {(i, g): embedded(space, [i], [space.amalgam.factors[i].unitary(g)])
               for i, g in space.amalgam.letters()}
     vac = to_array(word_vector(space, index_of(space)))
     starts = left_mult(space, space.base.basis()) @ vac

@@ -1,13 +1,16 @@
+import inspect
 import itertools
+import textwrap
 
 import numpy as np
 import pytest
 
+import radmul.algebra as algebra
 from conftest import noncommuting_config
-from oracles import (cond_exp, failed_names, pp_coords, pp_residuals_by_products,
+from oracles import (cond_exp, failed_names, onb_elements, pp_coords, pp_residuals_by_products,
                      product_by_loop, worst_residual)
-from radmul.algebra import (CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra,
-                            _coords, verify_pp_basis)
+from radmul.algebra import (CrossedFactor, FiniteGroup, TracialAlgebra, multiplication_matrix,
+                            verify_pp_basis)
 from radmul.config import parse_config, preset_config
 
 V2 = np.diag([1.0, -1.0]).astype(complex)
@@ -85,9 +88,9 @@ def test_crossed_product_arithmetic():
     fac = inner_factor()
     rng = np.random.default_rng(2)
     x, y, z = (fac.random(rng) for _ in range(3))
-    assoc = ((x * y) * z).coeffs - (x * (y * z)).coeffs
+    assoc = fac.mul(fac.mul(x, y), z) - fac.mul(x, fac.mul(y, z))
     assert np.abs(assoc).max() < 1e-12
-    anti = (x * y).star().coeffs - (y.star() * x.star()).coeffs
+    anti = fac.star(fac.mul(x, y)) - fac.mul(fac.star(y), fac.star(x))
     assert np.abs(anti).max() < 1e-12
 
 
@@ -95,9 +98,10 @@ def test_trace_state_is_tracial():
     fac = inner_factor()
     rng = np.random.default_rng(3)
     x, y = fac.random(rng), fac.random(rng)
-    assert (x * y).trace() == pytest.approx((y * x).trace())
+    trace = fac.base.trace
+    assert trace(fac.mul(x, y)[0]) == pytest.approx(trace(fac.mul(y, x)[0]))
     # faithfulness on a sample
-    assert (x.star() * x).trace().real > 0
+    assert trace(fac.mul(fac.star(x), x)[0]).real > 0
 
 
 def test_random_kernel_rejects_trivial_group():
@@ -115,9 +119,9 @@ def test_cond_exp_properties():
     x = fac.random(rng)
     b, c = fac.base.random(rng), fac.base.random(rng)
     assert np.allclose(cond_exp(fac.identity()), np.eye(2))
-    lhs = cond_exp(fac.from_base(b) * x * fac.from_base(c))
+    lhs = cond_exp(fac.mul(fac.mul(fac.from_base(b), x), fac.from_base(c)))
     assert np.allclose(lhs, b @ cond_exp(x) @ c)
-    assert x.trace() == pytest.approx(fac.base.trace(cond_exp(x)))
+    assert fac.base.trace(x[0]) == pytest.approx(fac.base.trace(cond_exp(x)))
 
 
 def test_cond_exp_spec_examples():
@@ -125,8 +129,7 @@ def test_cond_exp_spec_examples():
     assert cond_exp(fac.unitary(1)) == pytest.approx(0.0)
     b = 2.5 - 1.0j
     assert cond_exp(fac.from_base([[b]]))[0, 0] == pytest.approx(b)
-    x = FactorElement(fac, (fac.from_base([[1.5]]) * fac.unitary(1)).coeffs
-                      + fac.from_base([[b]]).coeffs)
+    x = fac.mul(fac.from_base([[1.5]]), fac.unitary(1)) + fac.from_base([[b]])
     assert cond_exp(x)[0, 0] == pytest.approx(b)
 
 
@@ -159,19 +162,18 @@ CROSSED_FACTORS = {
 }
 
 
-def regular_rep(x):
-    """pi(x) on C^d (x) l2(G) for x = sum_g b_g u_g, where
+def regular_rep(fac, x):
+    """pi(x) on C^d (x) l2(G) for x = sum_g b_g u_g in ``fac``, where
     pi(b u_g) = (+)_h alpha_{h^-1}(b) . (1 (x) lambda_g): the term of g sends
     the copy h to the copy gh, acting there by alpha_{(gh)^-1}(b_g).  Built
     from the group table and the unitaries alone."""
-    fac = x.factor
     n, d, table = fac.group.order, fac.base.d, fac.group.table
     inverse = [list(table[g]).index(0) for g in range(n)]
     out = np.zeros((n, d, n, d), dtype=complex)
     for g in range(n):
         for h in range(n):
             W = fac.unitaries[inverse[table[g, h]]]
-            out[table[g, h], :, h, :] += W @ x.coeffs[g] @ W.conj().T
+            out[table[g, h], :, h, :] += W @ x[g] @ W.conj().T
     return out.reshape(n * d, n * d)
 
 
@@ -181,19 +183,20 @@ def test_crossed_product_matches_regular_representation(name):
     n, d = fac.group.order, fac.base.d
     rng = np.random.default_rng(10)
     x, y = fac.random(rng), fac.random(rng)
-    px, py = regular_rep(x), regular_rep(y)
-    assert np.abs(regular_rep(x * y) - px @ py).max() < 1e-12
-    assert np.abs(regular_rep(x.star()) - px.conj().T).max() < 1e-12
-    combination = FactorElement(fac, x.coeffs - (2 - 1j) * y.coeffs)
-    assert np.abs(regular_rep(combination) - (px - (2 - 1j) * py)).max() < 1e-12
-    assert x.trace() == pytest.approx(np.trace(px) / (n * d), abs=1e-13)
+    px, py = regular_rep(fac, x), regular_rep(fac, y)
+    assert np.abs(regular_rep(fac, fac.mul(x, y)) - px @ py).max() < 1e-12
+    assert np.abs(regular_rep(fac, fac.star(x)) - px.conj().T).max() < 1e-12
+    combination = x - (2 - 1j) * y
+    assert np.abs(regular_rep(fac, combination) - (px - (2 - 1j) * py)).max() < 1e-12
+    assert fac.base.trace(x[0]) == pytest.approx(np.trace(px) / (n * d), abs=1e-13)
     for g in range(n):
-        pu = regular_rep(fac.unitary(g))
+        pu = regular_rep(fac, fac.unitary(g))
         assert np.allclose(pu.conj().T @ pu, np.eye(n * d))
-        assert np.allclose(regular_rep(fac.unitary(g) * fac.from_base(x.coeffs[1])),
-                           regular_rep(fac.from_base(fac.alpha(g, x.coeffs[1])) * fac.unitary(g)))
+        assert np.allclose(regular_rep(fac, fac.mul(fac.unitary(g), fac.from_base(x[1]))),
+                           regular_rep(fac, fac.mul(fac.from_base(fac.alpha(g, x[1])),
+                                                    fac.unitary(g))))
     k = fac.random_kernel(rng)
-    assert abs(np.trace(regular_rep(k))) < 1e-12
+    assert abs(np.trace(regular_rep(fac, k))) < 1e-12
 
 
 PRODUCT_FACTORS = {
@@ -214,19 +217,57 @@ def test_product_matches_loop_oracle_exactly(name):
     # factor, are exact zeros in the loop
     fac = PRODUCT_FACTORS[name]()
     rng = np.random.default_rng(12)
-    zero = FactorElement(fac, np.zeros_like(fac.identity().coeffs))
+    zero = np.zeros_like(fac.identity())
     for x, y in [(fac.random(rng), fac.random(rng)), (fac.random_kernel(rng), fac.random(rng)),
                  (fac.unitary(1), fac.random(rng)), (fac.random(rng), fac.identity()),
                  (fac.random(rng), fac.unitary(1)),
                  (fac.random(rng), fac.from_base(fac.base.random(rng))), (fac.random(rng), zero)]:
-        assert np.array_equal((x * y).coeffs, product_by_loop(x, y))
+        assert np.array_equal(fac.mul(x, y), product_by_loop(fac, x, y))
+
+
+def alpha_inputs(monkeypatch, fac, x, y) -> list:
+    """The shapes of the coefficient stacks that ``fac.mul(x, y)`` passes
+    ``CrossedFactor.alpha``, one per call."""
+    shapes, alpha = [], CrossedFactor.alpha
+
+    def recorded(self, g, b):
+        shapes.append(np.shape(b))
+        return alpha(self, g, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(CrossedFactor, "alpha", recorded)
+        fac.mul(x, y)
+    return shapes
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_product_by_a_unitary_or_base_element_twists_one_coefficient(monkeypatch, seeded):
+    """README's O(|G|) terms of a product by a group unitary or by an
+    element of N: at cyclic order 400, ``mul`` passes ``alpha`` the
+    coefficient of exactly one h.  The seeded twin forms the terms of every
+    h, |G|^2 of them, with the same values, and fails the check: it reads
+    all 400 coefficients."""
+    fac = scalar_factor(400)
+    if seeded:
+        source = textwrap.dedent(inspect.getsource(CrossedFactor.mul))
+        old = "np.flatnonzero(y.any(axis=(1, 2)))"
+        assert source.count(old) == 1
+        namespace = dict(vars(algebra))
+        exec(source.replace(old, "np.arange(len(y))"), namespace)
+        monkeypatch.setattr(CrossedFactor, "mul", namespace["mul"])
+    rng = np.random.default_rng(13)
+    x = fac.random(rng)
+    for y in (fac.unitary(7), fac.from_base(fac.base.random(rng))):
+        assert np.array_equal(fac.mul(x, y), product_by_loop(fac, x, y))
+        shapes = alpha_inputs(monkeypatch, fac, x, y)
+        assert shapes == [(1, 1, 1, 1)] if not seeded else shapes == [(1, 400, 1, 1)]
 
 
 def test_pauli_crossed_product_is_a_factor():
     # pi is faithful on the |G| d^2 = 16 elements E_pq u_g, and the only
     # combinations of them that commute with all of them are the scalars
     fac = pauli_factor()
-    images = np.array([regular_rep(fac.from_base(e) * fac.unitary(g))
+    images = np.array([regular_rep(fac, fac.mul(fac.from_base(e), fac.unitary(g)))
                        for g in range(4) for e in fac.base.basis()])
     assert np.linalg.matrix_rank(images.reshape(16, -1)) == 16
     brackets = np.array([[a @ b - b @ a for b in images] for a in images]).reshape(16, -1)
@@ -235,16 +276,16 @@ def test_pauli_crossed_product_is_a_factor():
 
 # ---------------------------------------------------------------- module basis
 
-def pp_expand(x):
+def pp_expand(factor, x):
     """Coefficients (E(x u_g))_g of the module-basis expansion of x, one
     (|G|, d, d) array: E(x u_g) picks out the coefficient of x at g^{-1}, so
     the expansion sum_g E(x u_g) u_g* reproduces x exactly."""
-    return x.coeffs[x.factor.group.inverses]
+    return x[factor.group.inverses]
 
 
 def pp_reconstruct(factor, coeffs):
     """sum_g coeffs[g] u_g* for the canonical basis: coeffs[g] u_{g^{-1}}."""
-    return FactorElement(factor, np.array(coeffs, dtype=complex)[factor.group.inverses])
+    return np.array(coeffs, dtype=complex)[factor.group.inverses]
 
 
 def e0_vanishing(factor, g, b):
@@ -253,17 +294,17 @@ def e0_vanishing(factor, g, b):
     over j >= 1 already reconstructs gamma*b."""
     if g == 0:
         raise ValueError("gamma must avoid the identity element")
-    x = factor.unitary(g) * factor.from_base(b)
-    coeffs = pp_expand(x)
+    x = factor.mul(factor.unitary(g), factor.from_base(b))
+    coeffs = pp_expand(factor, x)
     vanishing = float(np.abs(coeffs[0]).max())
     coeffs[0] = 0
-    diff = pp_reconstruct(factor, coeffs).coeffs - x.coeffs
+    diff = pp_reconstruct(factor, coeffs) - x
     return vanishing, float(np.abs(diff).max())
 
 
 def test_pp_expand_identity():
     fac = scalar_factor()
-    coeffs = pp_expand(fac.identity())
+    coeffs = pp_expand(fac, fac.identity())
     assert coeffs[0][0, 0] == pytest.approx(1.0)
     assert all(np.abs(c).max() < 1e-15 for c in coeffs[1:])
 
@@ -272,8 +313,8 @@ def test_pp_expand_single_unitary_component():
     fac = CrossedFactor(TracialAlgebra(2), FiniteGroup.cyclic(3))
     rng = np.random.default_rng(5)
     b = fac.base.random(rng)
-    x = fac.from_base(b) * fac.unitary(1)
-    coeffs = pp_expand(x)
+    x = fac.mul(fac.from_base(b), fac.unitary(1))
+    coeffs = pp_expand(fac, x)
     # E(x u_g) is nonzero only at g = h^{-1}
     inv = fac.group.inv(1)
     for g, c in enumerate(coeffs):
@@ -285,8 +326,8 @@ def test_pp_expand_single_unitary_component():
 
 def test_pp_expand_two_unitaries():
     fac = CrossedFactor(TracialAlgebra(1), FiniteGroup.cyclic(3))
-    x = FactorElement(fac, fac.unitary(1).coeffs + fac.unitary(2).coeffs)
-    coeffs = pp_expand(x)
+    x = fac.unitary(1) + fac.unitary(2)
+    coeffs = pp_expand(fac, x)
     nonzero = [g for g, c in enumerate(coeffs) if np.abs(c).max() > 0]
     assert len(nonzero) == 2
     assert all(coeffs[g][0, 0] == pytest.approx(1.0) for g in nonzero)
@@ -296,8 +337,8 @@ def test_pp_reconstruction_exact():
     for fac in (scalar_factor(), inner_factor()):
         rng = np.random.default_rng(6)
         x = fac.random(rng)
-        rec = pp_reconstruct(fac, pp_expand(x))
-        assert np.abs(rec.coeffs - x.coeffs).max() < 1e-13
+        rec = pp_reconstruct(fac, pp_expand(fac, x))
+        assert np.abs(rec - x).max() < 1e-13
 
 
 def test_verify_pp_basis_passes():
@@ -310,10 +351,17 @@ def test_verify_pp_basis_passes():
 
 @pytest.mark.parametrize("name", ["mat2_space", "noncomm_space", "cy3_space"])
 def test_coords_match_trace_route(request, name):
+    # the columns of multiplication_matrix, the coordinates of x b and b x,
+    # against traces with the orthonormal basis
     rng = np.random.default_rng(8)
     for fac in request.getfixturevalue(name).amalgam.factors:
+        onb = onb_elements(fac)[:fac.base.dim]
         for x in (fac.random(rng), fac.random_kernel(rng), fac.identity()):
-            assert np.abs(_coords(x) - pp_coords(x)).max() <= 1e-14
+            for side, product in (("left", lambda b: fac.mul(x, b)),
+                                  ("right", lambda b: fac.mul(b, x))):
+                want = np.stack([pp_coords(fac, product(b)) for b in onb], axis=1)
+                got = multiplication_matrix(fac, [x], side)
+                assert np.abs(got - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["mat2_space", "noncomm_space", "cy3_space"])
@@ -331,7 +379,7 @@ def test_pp_residuals_match_product_route(request, name):
 def test_verify_pp_basis_catches_a_scaled_element():
     fac = inner_factor()
     basis = fac.pp_basis()
-    basis[1] = FactorElement(fac, 1.001 * basis[1].coeffs)
+    basis[1] = 1.001 * basis[1]
     failed = set(failed_names(verify_pp_basis(fac, basis=basis)))
     assert "pp_normalization" in failed and "pp_orthogonality" not in failed
 

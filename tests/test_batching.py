@@ -16,7 +16,7 @@ from oracles import (GeneratorWord, dense_rank, embed_by_term_loop, embedded, fa
                      lemma_suite_per_generator, random_reduced_word, random_word, select,
                      theorem_suite_per_word, unitary_word_by_rules, word_by_products,
                      word_stack, word_vacuum_images_dense)
-from radmul.algebra import CrossedFactor, FactorElement, FiniteGroup, TracialAlgebra
+from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
 from radmul.operators import (StructuredOperator, apply_weights, build_T, epsilon_matrix,
@@ -44,10 +44,6 @@ def assert_reports_agree(got, want, tol):
     for g, w in zip(got.checks, want.checks):
         assert (g.status, g.details) == (w.status, w.details), g.name
         assert abs(g.max_residual - w.max_residual) <= tol, g.name
-
-
-def zero_element(fac):
-    return FactorElement(fac, np.zeros_like(fac.identity().coeffs))
 
 
 def assert_entries_agree(got, want, exact):
@@ -167,8 +163,8 @@ def test_product_by_a_sparse_factor_allocates_by_its_terms(d):
     rng = np.random.default_rng(47)
     a = fac.random(rng)
     for b in (fac.unitary(7), fac.from_base(base.random(rng))):
-        _, peak = traced_peak(lambda: a * b)
-        assert peak <= 8 * a.coeffs.nbytes
+        _, peak = traced_peak(lambda: fac.mul(a, b))
+        assert peak <= 8 * a.nbytes
 
 
 def cyclic7_space():
@@ -185,28 +181,31 @@ def embed_space(request, name):
 
 def every_kind_of_element(space, rng):
     """Per factor a random element, a kernel element, the identity, a
-    unitary, an element of N and zero, in shuffled order."""
-    elements = []
-    for fac in space.amalgam.factors:
+    unitary, an element of N and zero, in shuffled order: the factor
+    indices and the elements."""
+    factors, elements = [], []
+    for i, fac in enumerate(space.amalgam.factors):
+        factors += [i] * 6
         elements += [fac.random(rng), fac.random_kernel(rng), fac.identity(), fac.unitary(1),
-                     fac.from_base(space.base.random(rng)), zero_element(fac)]
-    return [elements[t] for t in rng.permutation(len(elements))]
+                     fac.from_base(space.base.random(rng)), np.zeros_like(fac.identity())]
+    order = rng.permutation(len(elements))
+    return [factors[t] for t in order], [elements[t] for t in order]
 
 
 @pytest.mark.parametrize("name", EMBED_SPACES)
 def test_embed_stack_matches_per_element_oracle(request, name):
     # each sample of the stack is bit for bit the element's own embedding
     space = embed_space(request, name)
-    elements = every_kind_of_element(space, np.random.default_rng(43))
-    E = embedded(space, elements)
+    factors, elements = every_kind_of_element(space, np.random.default_rng(43))
+    E = embedded(space, factors, elements)
     assert E.n_samples == len(elements)
-    for s, a in enumerate(elements):
-        single = embedded(space, [a])
+    for s, (i, a) in enumerate(zip(factors, elements)):
+        single = embedded(space, [i], [a])
         assert_sample_is(E, s, single)
-        want = embed_by_term_loop(space, *verify._element_arrays(space, [a]))
+        want = embed_by_term_loop(space, [i], verify._padded(space, [a]))
         assert_entries_agree(single, want, name != "noncomm_space")
-        assert (want.rows.size == 0) == (not a.coeffs.any())
-    zero = embedded(space, [zero_element(space.amalgam.factors[0])])
+        assert (want.rows.size == 0) == (not a.any())
+    zero = embedded(space, [0], [np.zeros_like(space.amalgam.factors[0].identity())])
     assert (zero.n_samples, zero.rows.size) == (1, 0)
 
 
@@ -227,10 +226,10 @@ def test_embed_matches_term_loop_oracle_exactly(request, name):
     # L_{e_j} E(e_j* a e_k) L*_{e_k} with nonzero coefficient; on the exact
     # models its blocks are theirs bit for bit
     space = embed_space(request, name)
-    elements = every_kind_of_element(space, np.random.default_rng(45))
-    for a in [elements, [elements[-1]]]:
-        got = embedded(space, a)
-        want = embed_by_term_loop(space, *verify._element_arrays(space, a))
+    factors, elements = every_kind_of_element(space, np.random.default_rng(45))
+    for i, a in [(factors, elements), (factors[-1:], elements[-1:])]:
+        got = embedded(space, i, a)
+        want = embed_by_term_loop(space, i, verify._padded(space, a))
         assert got.n_samples == want.n_samples
         assert_entries_agree(got, want, name != "noncomm_space")
 
@@ -377,7 +376,8 @@ def test_chunks_match_select_bit_for_bit(monkeypatch, cy3_space, cap):
     cut = gens.columns_upto(0)
     assert np.count_nonzero(np.bincount(cut.samples, minlength=cut.n_samples) == 0) > 0
     factors = space.amalgam.factors
-    embeds = embedded(space, [factors[t % 2].random(rng) for t in range(gens.n_samples)])
+    embeds = embedded(space, np.arange(gens.n_samples) % 2,
+                      [factors[t % 2].random(rng) for t in range(gens.n_samples)])
     stacks, n = [gens, cut, embeds], gens.n_samples
     sizes = sum(np.bincount(op.samples, minlength=n) for op in stacks) * (
         (2 * space.L_max + 1) * space.dim_N ** 2)

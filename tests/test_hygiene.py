@@ -513,7 +513,6 @@ UNEXECUTED_ALLOWED = {
     "factorize": "radbench's tracer times the M x M Hankel route through it",
     "_discard_bound": "a helper of hankel_pair",
     "_sum_weighted_geometric": "a helper of hankel_pair",
-    "FactorElement.trace": "documented API: the trace tau_i of a factor element",
     "TracialAlgebra.trace": "documented API: the normalized trace of N (README)",
     "RadialSymbol.delta0": "documented API: a named symbol (README)",
     "RadialSymbol.indicator01": "documented API: a named symbol (README)",

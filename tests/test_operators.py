@@ -708,12 +708,12 @@ def test_unstack_inverts_stack_and_cuts_as_select(mat2_space, n, size, by_sample
         assert np.array_equal(getattr(back, field), getattr(op, field)[order])
 
 
-def dense_embed(space, a):
-    """Oracle: sum_{j,k} L_{e_j} E(e_j* a e_k) L*_{e_k} as dense matrices from
-    the word-level rules, the e_0 slots being the projection onto words that
-    do not start in the factor."""
-    i = next(j for j, fac in enumerate(space.amalgam.factors) if fac is a.factor)
-    basis = a.factor.pp_basis()
+def dense_embed(space, i, a):
+    """Oracle: sum_{j,k} L_{e_j} E(e_j* a e_k) L*_{e_k} for an element a of
+    factor i, as dense matrices from the word-level rules, the e_0 slots
+    being the projection onto words that do not start in the factor."""
+    fac = space.amalgam.factors[i]
+    basis = fac.pp_basis()
     guard = np.diag(np.repeat([w.first_factor != i for w in word_list(space)],
                               space.dim_N)).astype(complex)
     total = np.zeros((space.dim, space.dim), dtype=complex)
@@ -721,8 +721,8 @@ def dense_embed(space, a):
         up = guard if j == 0 else column_matrix(space, prepend(space, (i, j)))
         for k, ek in enumerate(basis):
             down = guard if k == 0 else column_matrix(space, strip_first(space, (i, k)))
-            coef = column_matrix(space, left_action(cond_exp(ej.star() * a * ek)))
-            total += np.linalg.multi_dot([up, coef, down])
+            coef = cond_exp(fac.mul(fac.mul(fac.star(ej), a), ek))
+            total += np.linalg.multi_dot([up, column_matrix(space, left_action(coef)), down])
     return total
 
 
@@ -730,24 +730,25 @@ def dense_embed(space, a):
 def test_embed_and_word_operator_match_factor_products(request, name):
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(22)
-    for fac in space.amalgam.factors:
+    for i, fac in enumerate(space.amalgam.factors):
         a, b = fac.random(rng), fac.random(rng)
-        want = dense_embed(space, a)
-        assert np.abs(embedded(space, [a]).matrix() - want).max() <= 1e-14 * np.abs(want).max()
+        want = dense_embed(space, i, a)
+        got = embedded(space, [i], [a]).matrix()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         # a product through an embed adds several terms on one word pair
-        want = want @ dense_embed(space, b)
-        got = (embedded(space, [a]) @ embedded(space, [b])).matrix()
+        want = want @ dense_embed(space, i, b)
+        got = (embedded(space, [i], [a]) @ embedded(space, [i], [b])).matrix()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     for n in (1, 2, 3):
         w = random_reduced_word(rng, space, n)
         mats = [column_matrix(space, left_action(w.coeffs[0]))]
-        for a, b in zip(w.letters, w.coeffs[1:]):
-            mats += [dense_embed(space, a), column_matrix(space, left_action(b))]
+        for i, a, b in zip(w.factors, w.letters, w.coeffs[1:]):
+            mats += [dense_embed(space, i, a), column_matrix(space, left_action(b))]
         want = np.linalg.multi_dot(mats)
         got = word_stack(space, [w]).matrix()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     b = space.base.random(rng)
-    got = word_stack(space, [ReducedWord((), (b,))]).matrix()
+    got = word_stack(space, [ReducedWord((), (), (b,))]).matrix()
     assert np.array_equal(got, left_mult(space, [b]).matrix())
 
 

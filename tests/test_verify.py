@@ -28,7 +28,8 @@ def unit_word(space, *indexed_letters, right=None):
     letters = tuple(space.amalgam.factors[i].unitary(g) for i, g in indexed_letters)
     coeffs = [space.base.identity()] * len(indexed_letters)
     coeffs.append(space.base.identity() if right is None else right)
-    return ReducedWord(letters=letters, coeffs=tuple(coeffs))
+    return ReducedWord(factors=tuple(i for i, _ in indexed_letters), letters=letters,
+                       coeffs=tuple(coeffs))
 
 
 # ---------------------------------------------------------------- embedding
@@ -36,26 +37,26 @@ def unit_word(space, *indexed_letters, right=None):
 def test_embed_base_element_is_left_multiplication(mat2_space):
     rng = np.random.default_rng(0)
     b = mat2_space.base.random(rng)
-    got = embedded(mat2_space, [mat2_space.amalgam.factors[1].from_base(b)]).matrix()
+    got = embedded(mat2_space, [1], [mat2_space.amalgam.factors[1].from_base(b)]).matrix()
     want = left_mult(mat2_space, [b]).matrix()
     assert np.abs(got - want).max() <= 1e-13
 
 
 def test_embed_identity_acts_as_identity(dih_space):
-    got = embedded(dih_space, [dih_space.amalgam.factors[0].identity()]).matrix()
+    got = embedded(dih_space, [0], [dih_space.amalgam.factors[0].identity()]).matrix()
     assert np.abs(got - np.eye(dih_space.dim)).max() <= 1e-13
 
 
 def test_embed_unitary_creates_on_vacuum(dih_space):
     a = dih_space.amalgam.factors[0].unitary(1)
-    v = apply(embedded(dih_space, [a]), word_vector(dih_space, index_of(dih_space)))
+    v = apply(embedded(dih_space, [0], [a]), word_vector(dih_space, index_of(dih_space)))
     assert list(coeffs(v)) == [index_of(dih_space, (0, 1))]
 
 
 def test_embed_unitary_annihilates_matching_letter(dih_space):
     a = dih_space.amalgam.factors[0].unitary(1)
     w = word_vector(dih_space, index_of(dih_space, (0, 1), (1, 1)))
-    v = apply(embedded(dih_space, [a]), w)  # u^2 = 1 strips the leading letter
+    v = apply(embedded(dih_space, [0], [a]), w)  # u^2 = 1 strips the leading letter
     assert list(coeffs(v)) == [index_of(dih_space, (1, 1))]
 
 
@@ -72,17 +73,19 @@ def test_coefficient_gaps_match_vector_route(request, name):
     of the pair-by-pair Fock-vector route."""
     space = request.getfixturevalue(name)
     rng = np.random.default_rng(11)
-    adjoints = [multiplication_matrix(fac.pp_basis(), "left").conj().T
+    adjoints = [multiplication_matrix(fac, fac.pp_basis(), "left").conj().T
                 for fac in space.amalgam.factors]
-    for fac in space.amalgam.factors:
+    for i, fac in enumerate(space.amalgam.factors):
         for size in range(1, fac.group.order + 2):
-            elements = [fac.random(rng) for _ in range(size)]
-            own = embedded(space, elements)
-            got = list(verify._coefficient_gaps(space, own, elements, adjoints))
-            assert max(got + list(coefficient_gaps_by_vectors(space, own, elements))) <= 1e-13
-            other = embedded(space, [fac.random(rng) for _ in range(size)])
-            got = list(verify._coefficient_gaps(space, other, elements, adjoints))
-            want = list(coefficient_gaps_by_vectors(space, other, elements))
+            elements, factors = [fac.random(rng) for _ in range(size)], [i] * size
+            draws = [(i, a, None) for a in elements]
+            own = embedded(space, factors, elements)
+            got = list(verify._coefficient_gaps(space, own, draws, adjoints))
+            want = coefficient_gaps_by_vectors(space, own, factors, elements)
+            assert max(got + list(want)) <= 1e-13
+            other = embedded(space, factors, [fac.random(rng) for _ in range(size)])
+            got = list(verify._coefficient_gaps(space, other, draws, adjoints))
+            want = list(coefficient_gaps_by_vectors(space, other, factors, elements))
             assert min(got) > 1 and got == pytest.approx(want, rel=1e-14, abs=0)
 
 
@@ -104,7 +107,7 @@ def test_word_operator_vacuum_images(mat2_space):
     rng = np.random.default_rng(1)
     b = mat2_space.base.random(rng)
     # n = 0: plain left multiplication
-    rw = ReducedWord(letters=(), coeffs=(b,))
+    rw = ReducedWord(factors=(), letters=(), coeffs=(b,))
     vac = word_vector(mat2_space, index_of(mat2_space))
     v = apply(word_stack(mat2_space, [rw]), vac)
     assert np.allclose(v.blocks[index_of(mat2_space)], b)
@@ -119,22 +122,23 @@ def test_word_operator_vacuum_images(mat2_space):
 def test_reduced_word_oracle_rejects_bad_words(dih_space):
     fac = dih_space.amalgam.factors[0]
     with pytest.raises(ValueError):
-        ReducedWord(letters=(fac.identity(),),
+        ReducedWord(factors=(0,), letters=(fac.identity(),),
                     coeffs=(np.eye(1), np.eye(1)))  # expectation not zero
     with pytest.raises(ValueError):
-        ReducedWord(letters=(fac.unitary(1), fac.unitary(1)),
+        ReducedWord(factors=(0, 0), letters=(fac.unitary(1), fac.unitary(1)),
                     coeffs=(np.eye(1),) * 3)
 
 
 def test_reduced_word_tells_factors_apart_by_identity(cy3_space):
-    # cy3's two factors are equal order-3 crossed products, yet distinct
-    # objects: letters alternate between factor objects, not their contents
+    # cy3's two factors are equal order-3 crossed products, so their
+    # elements are equal arrays: letters alternate between factor indices,
+    # not between contents
     f0, f1 = cy3_space.amalgam.factors
-    assert f0 is not f1 and np.array_equal(f0.group.table, f1.group.table)
+    assert f0 is not f1 and np.array_equal(f0.unitary(1), f1.unitary(1))
     coeffs = (np.eye(1),) * 3
-    assert ReducedWord(letters=(f0.unitary(1), f1.unitary(2)), coeffs=coeffs).length == 2
+    assert ReducedWord((0, 1), (f0.unitary(1), f1.unitary(1)), coeffs).length == 2
     with pytest.raises(ValueError, match="adjacent letters"):
-        ReducedWord(letters=(f1.unitary(1), f1.unitary(2)), coeffs=coeffs)
+        ReducedWord((1, 1), (f1.unitary(1), f1.unitary(2)), coeffs)
 
 
 def vacuum_expectation(space, A):
@@ -147,9 +151,9 @@ def test_vacuum_expectation(dih_space):
     from radmul.operators import identity_op
     assert vacuum_expectation(dih_space, identity_op(dih_space))[0, 0] == pytest.approx(1.0)
     a = dih_space.amalgam.factors[0].unitary(1)
-    assert np.abs(vacuum_expectation(dih_space, embedded(dih_space, [a]))).max() < 1e-15
+    assert np.abs(vacuum_expectation(dih_space, embedded(dih_space, [0], [a]))).max() < 1e-15
     b = np.array([[1.5 - 0.5j]])
-    rw = ReducedWord(letters=(), coeffs=(b,))
+    rw = ReducedWord(factors=(), letters=(), coeffs=(b,))
     assert vacuum_expectation(dih_space, word_stack(dih_space, [rw]))[0, 0] \
         == pytest.approx(b[0, 0])
 
@@ -165,7 +169,7 @@ def test_multiplier_on_identity(dih_space):
 
 def test_delta0_kills_embedded_letter(dih_space):
     T = build_T(dih_space, RadialSymbol.delta0())
-    A = embedded(dih_space, [dih_space.amalgam.factors[0].unitary(1)])
+    A = embedded(dih_space, [0], [dih_space.amalgam.factors[0].unitary(1)])
     guard = dih_space.guard_mask(dih_space.L_max - 1)
     assert np.abs(T.apply_matrix(A).matrix()[0][:, guard]).max() <= 1e-12
 
