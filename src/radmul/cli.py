@@ -1,15 +1,16 @@
 """Batch driver: symbol tables, verification suites, norm-bound sampling.
 
-``verify`` spreads its suites over the usable cores (``os.sched_getaffinity``):
-the suites share only the Fock space, so after building it the process forks
+``verify`` spreads its suites over the usable cores (``os.sched_getaffinity``)
+when the space is large enough to repay a fork (``FORK_MIN_SIZE``): the
+suites share only the Fock space, so after building it the process forks
 one worker per further core, at most one per job after the first.  It runs
 the first job itself, and each worker a fixed share of the others
 (``_run_jobs``).  The calling process goes through the jobs in list order,
 running its own and reading the workers' outcomes, and stops at the first
 failure with the error one process raises.  The report is the same, byte
-for byte, as from one process.  ``taskset -c 0 radmul verify ...`` runs
-them all in one process.  Peak memory at a large ``fock_len`` is the sum
-of the peaks of the suites that run at the same time.
+for byte, as from one process.  A smaller space, like ``taskset -c 0
+radmul verify ...``, runs them all in one process.  Peak memory at a large
+``fock_len`` is the sum of the peaks of the suites that run at the same time.
 
 A command runs with numpy's overflow and invalid-value warnings silenced
 (``main``), here and in the forked workers, which inherit the setting: an
@@ -44,6 +45,17 @@ from .verify import (embedding_suite, fock_suite, lemma_suite, main_theorem_suit
                      norm_bound_suite, operator_suite, spanning_check)
 
 SUITES = ("all", "pp", "fock", "operators", "cases", "theorem", "spanning", "bound")
+
+# ``verify`` forks its workers only for a word graph of at least this many
+# scalar entries, len(space.letters) * space.dim.  Measured on a 2-core
+# machine, forked against one process (medians of 8-12 alternating runs):
+# up to cy3 fock_len 5 (500 entries) one process wins, with about 7% less
+# CPU and half the minor page faults; from noncommuting fock_len 6 and cy3
+# fock_len 8 (4048 and 4084 entries) on, the fork wins, 0.59 against 0.84 s
+# and 0.42 against 0.69 s of wall time.  In between (976 to 2036 entries)
+# the winner turned on whether the second core was free, and one process
+# always took less CPU, so the constant sits above that band.
+FORK_MIN_SIZE = 3072
 
 
 def _tagged(report: VerificationReport, tag: str) -> VerificationReport:
@@ -111,22 +123,25 @@ def _run_suites(cfg: RunConfig, suite: str) -> VerificationReport:
         ("spanning", "spanning", lambda: spanning_check(space)),
     ]
     results = _run_jobs([(name, job) for name, selector, job in jobs
-                         if suite in ("all", selector)])
+                         if suite in ("all", selector)],
+                        len(space.letters) * space.dim >= FORK_MIN_SIZE)
     report = VerificationReport(context={"config_digest": cfg.digest(), "seed": seed})
     for result in results.values():
         report.extend(result)
     return report
 
 
-def _run_jobs(jobs: list) -> dict:
-    """Run ``jobs``, a list of (name, callable), on the usable cores; their
-    results by name.
+def _run_jobs(jobs: list, fork: bool) -> dict:
+    """Run ``jobs``, a list of (name, callable), on the usable cores, or in
+    the calling process alone when not ``fork``; their results by name.
 
-    n = min(cores, jobs) - 1 workers are forked, none for one job or one
-    usable core.  The shares are fixed: worker w runs jobs 1 + w, 1 + w + n,
-    ..., and the calling process owns job 0 and the share of any worker
-    whose pipe or fork failed (then no further worker is forked): every job
-    when there is no worker.  So the caller's share does not change from
+    With ``fork``, n = min(cores, jobs) - 1 workers are forked, none for one
+    job or one usable core; without it none, as on one core (``_run_suites``
+    forks only for a space of ``FORK_MIN_SIZE`` entries or more).  The
+    shares are fixed: worker w runs jobs 1 + w, 1 + w + n, ..., and the
+    calling process owns job 0 and the share of any worker whose pipe or
+    fork failed (then no further worker is forked): every job when there is
+    no worker.  So the caller's share does not change from
     run to run, and a tracer in it sees the same jobs on every run.  A
     worker sends the pickled outcome of each job through a pipe of its own
     and ends with ``os._exit``, so no atexit handler or buffered output of
@@ -149,8 +164,8 @@ def _run_jobs(jobs: list) -> dict:
     ChildProcessError naming the job and its exit code.  A worker whose job
     fails runs no further job of its share.  No worker outlives the call.
     """
-    # one process where the usable cores cannot be read (not Linux)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    # one process without fork, or where the usable cores cannot be read (not Linux)
+    cores = len(os.sched_getaffinity(0)) if fork and hasattr(os, "sched_getaffinity") else 1
     n_workers = min(cores, len(jobs)) - 1
     owners = [None] * len(jobs)  # the (pid, pipe) of each job's worker
     workers = []

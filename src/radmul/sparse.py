@@ -37,9 +37,13 @@ def coalesce(samples, rows, cols, values, n_cols: int) -> tuple:
     position; repeated positions are added in entry order.
 
     The sort key starts with the sample, so every sample of a stack gets
-    exactly the entries it gets as a single operator.
+    exactly the entries it gets as a single operator.  Entries already in
+    order, one per position, come back as they are, not copied: no caller
+    writes into an operator's arrays.
     """
     key = (samples * n_cols + rows) * n_cols + cols
+    if np.all(key[1:] > key[:-1]):
+        return samples, rows, cols, values
     order = np.argsort(key, kind="stable")
     first = np.ones(key.size, dtype=bool)
     np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])

@@ -134,7 +134,8 @@ def embed(space: FockSpace, factors, coeffs) -> StructuredOperator:
     factors, coeffs = np.asarray(factors), np.asarray(coeffs, dtype=complex)
     s, g = np.nonzero(coeffs.any(axis=(2, 3)))  # the terms with a_g nonzero, sample-major
     unitary = np.empty((s.size, len(space.words)), dtype=np.intp)
-    for i in np.unique(factors):
+    # the factors present, in order; a bare np.unique would import numpy.ma
+    for i in np.flatnonzero(np.bincount(factors)):
         on = factors[s] == i
         unitary[on] = _unitary_words(space, i)[g[on]]
     live = unitary >= 0

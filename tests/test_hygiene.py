@@ -11,6 +11,7 @@
 - no function only forwards its parameters to another call;
 - no module makes a dense matrix of a whole operator;
 - the set-up path (configuration to Fock space) loads no operator code;
+- a one-process ``verify`` of each small model loads no ``numpy.ma``;
 - only the command line sets OpenBLAS's idle timeout before numpy loads;
 - only the command line sets numpy's error state, in one call;
 - README's CLI section names exactly the command line's options;
@@ -626,6 +627,30 @@ def test_setup_path_loads_no_operator_code():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
     assert run.stdout.split() == []
+
+
+def test_verify_loads_no_masked_arrays(tmp_path):
+    # in a fresh interpreter, verify --suite all in one process on each of
+    # the MODELS leaves numpy.ma unloaded: importing it takes about 14 ms of
+    # CPU, and a bare np.unique (no return_* flag) imports it in numpy 2.4
+    code = ("import json, os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "from conftest import MODELS\n"
+            "from radmul.cli import main\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "for name, model in MODELS.items():\n"
+            "    data = model()\n"
+            "    data['truncation']['fock_len'] = 3\n"
+            "    path = os.path.join(sys.argv[1], name + '.json')\n"
+            "    with open(path, 'w') as f:\n"
+            "        json.dump(data, f)\n"
+            "    assert main(['verify', '--suite', 'all', '--config', path]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join([str(SRC.parent), str(ROOT / "tests")])
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path), check=True)
+    lines = run.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")
 
 
 # prints OPENBLAS_THREAD_TIMEOUT as numpy is first imported, then the code

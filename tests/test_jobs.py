@@ -1,5 +1,6 @@
-"""`verify` runs its suites as jobs spread over forked workers; the run in
-one process is the oracle for every report and every failure."""
+"""`verify` runs its suites as jobs spread over forked workers, on a space
+large enough to repay the fork; the run in one process is the oracle for
+every report and every failure."""
 
 import json
 import os
@@ -37,6 +38,22 @@ def no_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
 
 
+def fork_any_size(monkeypatch):
+    """Let ``verify`` fork on a space of any size, however small."""
+    monkeypatch.setattr(cli, "FORK_MIN_SIZE", 0)
+
+
+def counted_forks(monkeypatch):
+    """The list that gets an item at each ``os.fork`` call."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 def write_config(tmp_path, data):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
@@ -72,7 +89,10 @@ def test_workers_give_the_one_process_report(tmp_path, monkeypatch, data, seed):
         no_fork(m)
         oracle = report_bytes(tmp_path, config, "--seed", str(seed))
     cores(monkeypatch, 3)
+    fork_any_size(monkeypatch)
+    forks = counted_forks(monkeypatch)
     assert report_bytes(tmp_path, config, "--seed", str(seed)) == oracle
+    assert len(forks) == 2
 
 
 def test_more_workers_than_cores_run_each_job_once(tmp_path, monkeypatch):
@@ -83,8 +103,11 @@ def test_more_workers_than_cores_run_each_job_once(tmp_path, monkeypatch):
     names = [c["name"] for c in json.loads(oracle)["checks"]]
     assert len(names) == len(set(names)) == 42
     cores(monkeypatch, 16)  # one worker per job after the first: 7 on 8 jobs
+    fork_any_size(monkeypatch)
+    forks = counted_forks(monkeypatch)
     for _ in range(3):
         assert report_bytes(tmp_path, config) == oracle
+    assert len(forks) == 3 * 7
 
 
 def test_failed_fork_leaves_the_jobs_to_the_others(tmp_path, monkeypatch):
@@ -93,6 +116,7 @@ def test_failed_fork_leaves_the_jobs_to_the_others(tmp_path, monkeypatch):
         cores(m, 1)
         oracle = report_bytes(tmp_path, config)
     cores(monkeypatch, 4)
+    fork_any_size(monkeypatch)
     real_fork, forks = os.fork, []
 
     def fork():
@@ -116,6 +140,7 @@ def test_failed_pipe_leaves_the_jobs_to_the_others(tmp_path, monkeypatch, n_core
         cores(m, 1)
         oracle = report_bytes(tmp_path, config)
     cores(monkeypatch, n_cores)
+    fork_any_size(monkeypatch)
     real_pipe, pipes = os.pipe, []
 
     def pipe():
@@ -141,7 +166,7 @@ def test_caller_runs_job_0_and_worker_w_runs_share_w(monkeypatch, n_cores):
             workers.append(pid)
         return pid
     monkeypatch.setattr(os, "fork", fork)
-    ran_in = _run_jobs([("job%d" % i, os.getpid) for i in range(8)])
+    ran_in = _run_jobs([("job%d" % i, os.getpid) for i in range(8)], True)
     n = n_cores - 1
     assert len(workers) == n
     assert ran_in == {"job%d" % i: workers[(i - 1) % n] if i else os.getpid() for i in range(8)}
@@ -157,7 +182,7 @@ TAKEN = ("bound", "theorem", "cases", "operators", "embedding", "fock", "pp", "s
 def test_jobs_are_handed_over_bound_first_then_largest_first(monkeypatch, suite):
     handed = []
 
-    def run_jobs(jobs):
+    def run_jobs(jobs, fork):
         handed.extend(name for name, _ in jobs)
         return {name: VerificationReport() for name, _ in jobs}
     monkeypatch.setattr(cli, "_run_jobs", run_jobs)
@@ -170,6 +195,7 @@ def test_jobs_are_handed_over_bound_first_then_largest_first(monkeypatch, suite)
                                   ["bound", "--samples", "3"]])
 def test_one_job_never_forks(tmp_path, monkeypatch, argv, capsys):
     cores(monkeypatch, 8)
+    fork_any_size(monkeypatch)
     no_fork(monkeypatch)
     assert main(argv + ["--config", write_config(tmp_path, preset_config("dih"))]) == 0
 
@@ -180,8 +206,43 @@ def test_one_usable_core_never_forks(tmp_path, monkeypatch, readable):
         cores(monkeypatch, 1)
     else:
         monkeypatch.delattr(os, "sched_getaffinity")
+    fork_any_size(monkeypatch)
     no_fork(monkeypatch)
     report_bytes(tmp_path, write_config(tmp_path, preset_config("mat2")))
+
+
+@pytest.mark.parametrize("data", [preset_config("cy3"), geo_dih()], ids=["cy3-L5", "geo-dih"])
+def test_small_space_never_forks(tmp_path, monkeypatch, data):
+    # the benchmark sizes (22 and 500 scalar entries) run in one process
+    cores(monkeypatch, 3)
+    no_fork(monkeypatch)
+    report_bytes(tmp_path, write_config(tmp_path, data))
+
+
+def test_space_at_the_size_constant_forks(tmp_path, monkeypatch):
+    config = write_config(tmp_path, preset_config("dih"))
+    space = parse_config(preset_config("dih")).space()
+    size = len(space.letters) * space.dim
+    cores(monkeypatch, 3)
+    forks = counted_forks(monkeypatch)
+    for constant, workers in ((size + 1, 0), (size, 2)):
+        monkeypatch.setattr(cli, "FORK_MIN_SIZE", constant)
+        forks.clear()
+        report_bytes(tmp_path, config)
+        assert len(forks) == workers
+
+
+@pytest.mark.parametrize("fock_len, fork", [(7, False), (8, True)])
+def test_size_constant_sits_in_the_measured_crossover(monkeypatch, fock_len, fork):
+    # cy3 at fock_len 7 (2036 entries) sits in the band where the winner
+    # turned on whether the second core was free, and at fock_len 8 (4084
+    # entries) the fork won in every run (FORK_MIN_SIZE's comment)
+    asked = []
+    monkeypatch.setattr(cli, "_run_jobs", lambda jobs, flag: asked.append(flag) or {})
+    data = preset_config("cy3")
+    data["truncation"]["fock_len"] = fock_len
+    cli._run_suites(parse_config(data), "all")
+    assert asked == [fork]
 
 
 def test_rng_is_loaded_and_heap_frozen_before_the_fork():
@@ -194,7 +255,8 @@ def test_rng_is_loaded_and_heap_frozen_before_the_fork():
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "caller = os.getpid()\n"
             "out = radmul.cli._run_jobs([('caller', os.getpid),\n"
-            "                            ('worker', lambda: (os.getpid(), gc.get_freeze_count()))])\n"
+            "                            ('worker', lambda: (os.getpid(), gc.get_freeze_count()))],\n"
+            "                           True)\n"
             "pid, frozen = out['worker']\n"
             "print(out['caller'] == caller != pid, frozen > 0)\n")
     src = Path(__file__).resolve().parents[1] / "src"
@@ -229,7 +291,7 @@ def run_both(monkeypatch, n_cores, second):
     jobs, fds = worker_jobs(second)
     try:
         with pytest.raises(Exception) as info:
-            _run_jobs(jobs)
+            _run_jobs(jobs, True)
     finally:
         for fd in fds:
             os.close(fd)
@@ -262,7 +324,7 @@ def test_worker_that_dies_names_its_job(monkeypatch):
     jobs, fds = worker_jobs(die)
     try:
         with pytest.raises(ChildProcessError, match="'second'.*exit code 3"):
-            _run_jobs(jobs)
+            _run_jobs(jobs, True)
     finally:
         for fd in fds:
             os.close(fd)
@@ -281,9 +343,9 @@ def test_first_failing_job_in_order_is_raised(monkeypatch):
     cores(monkeypatch, 1)
     jobs = [job("a", False), job("b", True), job("c", True)]
     with pytest.raises(ValueError, match="^b$"):
-        _run_jobs(jobs)
+        _run_jobs(jobs, True)
     assert ran == ["a", "b"]  # a process whose job fails runs no further job
-    assert _run_jobs([job("a", False), job("c", False)]) == {"a": "a", "c": "c"}
+    assert _run_jobs([job("a", False), job("c", False)], True) == {"a": "a", "c": "c"}
 
 
 def test_no_job_runs_after_a_worker_failed(monkeypatch):
@@ -303,7 +365,7 @@ def test_no_job_runs_after_a_worker_failed(monkeypatch):
             ("third", lambda: os.write(w, b"!"))]
     try:
         with pytest.raises(ValueError, match="second failed"):
-            _run_jobs(jobs)
+            _run_jobs(jobs, True)
     finally:
         os.close(r)
     assert reads == [b""]
@@ -317,7 +379,7 @@ def test_failure_waits_for_no_later_job(monkeypatch):
     try:
         with pytest.raises(ValueError, match="^first failed$"):
             _run_jobs([("first", boom(ValueError("first failed"))),
-                       ("second", lambda: select.select([r], [], [], 20.0))])
+                       ("second", lambda: select.select([r], [], [], 20.0))], True)
     finally:
         os.close(r)
         os.close(w)
@@ -333,6 +395,7 @@ def test_worker_that_dies_exits_2(tmp_path, monkeypatch, capsys):
         os._exit(3)
     monkeypatch.setattr(cli, "lemma_suite", die)
     cores(monkeypatch, 2)  # the caller runs bound, the worker everything else
+    fork_any_size(monkeypatch)
     assert main(["verify", "--config", config]) == 2
     err = capsys.readouterr().err
     assert "'cases'" in err and "exit code 3" in err
@@ -345,6 +408,7 @@ def test_worker_that_dies_exits_2(tmp_path, monkeypatch, capsys):
 def test_suite_error_exit_code_matches_one_process(tmp_path, monkeypatch, capsys, exc, code):
     config = write_config(tmp_path, preset_config("dih"))
     monkeypatch.setattr(cli, "lemma_suite", boom(exc))
+    fork_any_size(monkeypatch)
     outputs = []
     for n in (1, 3):
         cores(monkeypatch, n)
@@ -358,6 +422,7 @@ def test_suite_error_exit_code_matches_one_process(tmp_path, monkeypatch, capsys
 def test_suite_exception_matches_one_process(tmp_path, monkeypatch):
     config = write_config(tmp_path, preset_config("dih"))
     monkeypatch.setattr(cli, "spanning_check", boom(ArithmeticError("spanning broke")))
+    fork_any_size(monkeypatch)
     for n in (1, 3):
         cores(monkeypatch, n)
         with pytest.raises(ArithmeticError, match="^spanning broke$"):

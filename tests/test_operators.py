@@ -997,6 +997,30 @@ def test_coalesce_sorts_positions_and_adds_in_entry_order(stack):
             assert np.array_equal(x, y[mine])
 
 
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(stacks_with_repeats())
+def test_coalesce_of_sorted_entries_matches_the_general_path(stack):
+    samples, rows, cols, values, n_samples, n = stack
+    entries = (samples, rows, cols, values)
+    key = (samples * n + rows) * n + cols
+    order = np.argsort(key, kind="stable")
+    # sorted with the repeats (each position's entries in entry order) and
+    # unsorted: both take the general path and add in the same order
+    by_position = coalesce(*(x[order] for x in entries), n)
+    for x, y in zip(by_position, coalesce(*entries, n)):
+        assert np.array_equal(x, y)
+    # each position once, sorted against shuffled: the sorted entries come
+    # back as they are, and equal to what the general path makes of them
+    once = order[np.r_[True, np.diff(key[order]) != 0]]
+    unique = tuple(x[once] for x in entries)
+    shuffled = np.random.default_rng(once.size).permutation(once.size)
+    general = coalesce(*(x[shuffled] for x in unique), n)
+    fast = coalesce(*unique, n)
+    assert all(x is y for x, y in zip(fast, unique))
+    for x, y in zip(fast, general):
+        assert np.array_equal(x, y)
+
+
 # ---------------------------------------------------------------- norms
 
 def test_op_norm_identity(dih_space):
