@@ -40,6 +40,15 @@ space's word graph (the ``FockSpace`` tables), and a product joins the left
 factor's columns to the right factor's rows (``coalesce``).  Sums over
 letters and factors run in configuration order.
 
+The factor embeddings are the paper's x -> sum_{j,k} L_{e_j} E(e_j* x e_k)
+L*_{e_k} over a factor's module basis (e_j); for N x| G and the basis
+(u_g) that is embed(a) = sum_g lmul(a_g) U_g, a = sum_g a_g u_g, U_g the
+word map of u_g (``_unitary_words``), and on u_e = 1 alone it is the left
+N-action.  Products of embedded kernel letters (``word_operator``) realize
+reduced words of the amalgamated free product; ``lambda_span`` and
+``word_vacuum_images`` are the spanning families of the rank checks, one
+column per vector, block diagonal on words.
+
 Every operator is a stack: each entry carries its sample, and a single
 operator is a stack of one.  Every operation runs once for a whole stack,
 each sample coming out exactly as it does alone, entry order included, and
@@ -389,20 +398,17 @@ def epsilon_matrix(space: FockSpace, A: StructuredOperator) -> StructuredOperato
 
 
 def apply_weights(space: FockSpace, W: np.ndarray, A: StructuredOperator,
-                  sets=None) -> StructuredOperator:
-    """W0 o A + sum_{n=1}^{L} (rho^n(P1 o A) + rho^{n-1}(P2 o eps(A))) for a
-    weight set W = (W0, P1, P2), a (3, L+1, L+1) array by row and column
-    word length (L = ``space.L_max``), or for a stack of such sets W, sample
-    s of A weighed by set ``sets[s]``; X o B scales each entry of B by X at
-    its lengths and drops those of weight 0.
+                  sets: np.ndarray) -> StructuredOperator:
+    """W0 o A + sum_{n=1}^{L} (rho^n(P1 o A) + rho^{n-1}(P2 o eps(A))) for
+    sample s of A and the weight set W[sets[s]] = (W0, P1, P2), W a stack of
+    (3, L+1, L+1) arrays by row and column word length (L =
+    ``space.L_max``); X o B scales each entry of B by X at its lengths and
+    drops those of weight 0.
     By Horner's rule: B2 = P2 o eps(A), C = P1 o A + B2, X_0 = 0,
     X_k = rho(X_{k-1} + C), T(A) = W0 o A + B2 + X_L, each sum adding the
     entries on one word pair in that order.  An overflow leaves inf or nan,
     which fails the checks that read it; ``cli.main`` silences numpy's
     warning."""
-    if sets is None:
-        W, sets = np.asarray(W)[None], np.zeros(A.n_samples, dtype=np.intp)
-
     def scaled(table, B):
         w = W[sets[B.samples], table, space.lengths[B.rows], space.lengths[B.cols]]
         keep = np.flatnonzero(w)
@@ -557,6 +563,99 @@ def generator_operators(space: FockSpace, gens: Generators) -> StructuredOperato
     return StructuredOperator(space, rows, cols, blocks, "gen(stack)", samples, len(gens.cre))
 
 
+def _unitary_words(space: FockSpace, i: int) -> np.ndarray:
+    """The word maps of the u_g of factor i's group, a row per g: [g, c] is
+    the word of u_g c, -1 past the truncation.  A leading letter (i, h) of
+    c becomes (i, gh), dropped where gh = e; a word that does not start in
+    factor i takes (i, g) in front, nothing for g = e."""
+    words = np.arange(len(space.words))
+    at = np.flatnonzero(space.letter_factors == i)
+    # row g prepends (i, g), letter at[g - 1], to a word not starting in factor i; row 0 keeps it
+    ups = np.vstack((words, space.prepended[at]))
+    starts = space.first_factors == i
+    h = np.where(starts, space.first_letter - at[0] + 1, 0)
+    return ups[space.amalgam.factors[i].group.table[:, h], np.where(starts, space.rest, words)]
+
+
+def embed(space: FockSpace, factors, coeffs) -> StructuredOperator:
+    """The left multiplications by a stack of factor elements (of any
+    factors) on the truncated Fock space, sample s holding a = sum_g
+    coeffs[s, g] u_g in factor ``factors[s]``: the sum of the lmul(a_g) U_g
+    with a_g nonzero, U_g the word map of u_g from ``_unitary_words``, one
+    gather per factor.  ``coeffs`` is a (count, G, d, d) array, zero past
+    the order of each sample's group; with G = 1 it holds only the
+    coefficients of u_e = 1, and the stack is the left N-action."""
+    factors, coeffs = np.asarray(factors), np.asarray(coeffs, dtype=complex)
+    s, g = np.nonzero(coeffs.any(axis=(2, 3)))  # the terms with a_g nonzero, sample-major
+    unitary = np.empty((s.size, len(space.words)), dtype=np.intp)
+    # the factors present, in order; a bare np.unique would import numpy.ma
+    for i in np.flatnonzero(np.bincount(factors)):
+        on = factors[s] == i
+        unitary[on] = _unitary_words(space, i)[g[on]]
+    live = unitary >= 0
+    count = np.count_nonzero(live, axis=1)
+    samples, g = np.repeat(s, count), np.repeat(g, count)
+    rows, cols = unitary[live], np.nonzero(live)[1]
+    coefs = coeffs[samples, g]
+    blocks = lmul_blocks(space, coefs, rows)
+    samples, rows, cols, blocks = coalesce(samples, rows, cols, blocks, len(space.words))
+    return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(factors))
+
+
+def word_operator(space: FockSpace, factors, letters, coeffs,
+                  max_col_len=None) -> StructuredOperator:
+    """b_0 embed(a_1) b_1 ... embed(a_n) b_n for a family of reduced words
+    of length n, as one stack, sample s holding word s, multiplied right to
+    left: a_j has the factor ``factors[s, j-1]`` and the coefficients
+    ``letters[s, j-1]``, and b_j is ``coeffs[s, j]``.
+
+    With ``max_col_len`` the last factor is cut to the columns of words at
+    most that long, and so is the product, every kept entry adding the same
+    terms in the same order.
+    """
+    count, n = np.shape(factors)
+    on_n = np.zeros(count, dtype=np.intp)  # b_j as u_e coefficients, of factor 0
+    op = embed(space, on_n, coeffs[:, n, None])
+    if max_col_len is not None:
+        op = op.columns_upto(max_col_len)
+    for j in reversed(range(n)):
+        op = embed(space, factors[:, j], letters[:, j]) @ op
+        op = embed(space, on_n, coeffs[:, j, None]) @ op
+    return op.renamed("word(n=%d)" % n)
+
+
+def lambda_span(space: FockSpace, k: int) -> StructuredOperator:
+    """Spanning family of the length-k sector, words paired with N basis
+    elements, as the columns of one operator: on each word of length k a
+    diagonal block whose column j holds the basis element b_j as the
+    word's coefficient."""
+    if k > space.L_max:
+        raise ValueError("sector beyond truncation")
+    basis = space.base.basis()
+    block = basis.reshape(len(basis), -1).T / np.sqrt(space.base.d)
+    return _diag_op(space, space.lengths == k, "Lambda%d" % k, block)
+
+
+def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
+    """The vacuum images u_{g_1} ... u_{g_n} b Omega of the words (g_1, ...,
+    g_n) of length <= max_len with the N-basis elements b, as the columns of
+    one operator, in ``lambda_span``'s column order.  Grown a length at a
+    time by prefix sharing: V_0 = ``lambda_span(space, 0)`` holds the
+    columns b Omega, and V_n = sum_gamma embed(u_gamma) @ V_{n-1} @ L*_gamma,
+    since u_gamma maps the image of w to that of gamma w."""
+    # letter t = (i, g) as embed's coefficients of u_g: the identity at slot g
+    letters, d = np.array(space.letters), space.base.d
+    order = max(f.group.order for f in space.amalgam.factors)
+    units = np.zeros((len(letters), order, d, d), dtype=complex)
+    units[np.arange(len(letters)), letters[:, 1]] = space.base.identity()
+    embeds = list(embed(space, space.letter_factors, units).unstack(np.arange(len(letters) + 1)))
+    images = [lambda_span(space, 0)]
+    for _ in range(max_len):
+        images.append(op_sum(space, [E @ images[-1] @ annihilation(space, t)
+                                     for t, E in enumerate(embeds)]))
+    return op_sum(space, images, "images")
+
+
 def _multiplier_weights(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:
     """Weight set of T1 (variant 1) or T2 (variant 2), laid out as the set
     of a Phi block of the same variant.
@@ -599,7 +698,8 @@ class RadialMultiplier:
 
     def apply_matrix(self, A: StructuredOperator) -> StructuredOperator:
         """T(A)."""
-        return apply_weights(self.space, self.weights, A)
+        return apply_weights(self.space, self.weights[None], A,
+                             np.zeros(A.n_samples, dtype=np.intp))
 
 
 def build_T(space: FockSpace, phi: RadialSymbol) -> RadialMultiplier:

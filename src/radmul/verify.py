@@ -1,19 +1,11 @@
-"""End-to-end verification: factor embeddings, reduced words, multiplier action.
+"""End-to-end verification of the multiplier and its building blocks.
 
-The paper embeds a factor as sum_{j,k} L_{e_j} E(e_j* a e_k) L*_{e_k} over
-its module basis (e_j); for N x| G and the basis (u_g) that is
-
-    embed(a) = sum_g lmul(a_g) U_g,    a = sum_g a_g u_g,
-
-U_g the word map of u_g (``_unitary_words``), and the embedding suite checks
-the coefficients E(e_m* a e_l) on blocks of embed(a).  On u_e = 1 alone,
-embed is the left N-action, lmul(b) on every word.  Products of embedded
-kernel letters realize reduced words of the amalgamated free product;
-applied to the vacuum they reproduce the canonical word vectors.
-The suites here drive the assembled multiplier against its contract: the
-scaling action phi(length) on sampled reduced words, the case rules on
-symbolic generators, the right-module structure, and the sampled
-completely bounded norm envelope.
+The suites drive the assembled multiplier against its contract: the scaling
+action phi(length) on sampled reduced words (products of embedded kernel
+letters, ``operators.word_operator``), the case rules on symbolic
+generators, the right-module structure, and the sampled completely bounded
+norm envelope.  The embedding suite checks the coefficients E(e_m* a e_l) on
+blocks of ``operators.embed``, a route independent of its word maps.
 
 The sampled suites draw all their samples first and build each operator
 role of all of them as one stack from arrays of factor indices and
@@ -22,19 +14,18 @@ coefficients: ``embed`` takes a factor and a coefficient array per element,
 (``random_word_arrays``), and ``generator_operators`` a ``Generators``
 family of letter indices and coefficients, which the lemma suite's zoo and
 the bound suite's draws build directly.  Each stack is cut to the columns
-its checks read.  ``_stacked_chunks``
-cuts the samples into ranges of bounded size (``CHUNK_ENTRIES``), so the
-multiplier, rho, epsilon, norms and maxima run once per range with bounded
-memory.  Every sample gets exactly the numbers it gets on its own, so
-neither the ranges nor the cuts change a report.  The multiplier residuals
-are divided by the symbol's scale (``_symbol_scale``), the T1/T2 component
-residuals by the larger of it and the largest weight of T1 and T2
-(``_component_scale``).
+its checks read.  ``_stacked_chunks`` cuts the samples into ranges of
+bounded size (``CHUNK_ENTRIES``), so the multiplier, rho, epsilon, norms
+and maxima run once per range with bounded memory.  Every sample gets
+exactly the numbers it gets on its own, so neither the ranges nor the cuts
+change a report.  The multiplier residuals are divided by the symbol's scale
+(``_symbol_scale``), the T1/T2 component residuals by the larger of it and
+the largest weight of T1 and T2 (``_component_scale``).
 
-The rank checks build their spanning families as operators, one column per
-vector (``lambda_span``, ``word_vacuum_images``).  Both are block diagonal
-on words, so ``_word_block_rank_check`` adds up per-word block ranks, and
-a block off the diagonal fails the check.
+The rank checks take their spanning families from ``operators``
+(``lambda_span``, ``word_vacuum_images``).  Both are block diagonal on
+words, so ``_word_block_rank_check`` adds up per-word block ranks, and a
+block off the diagonal fails the check.
 """
 
 from __future__ import annotations
@@ -44,14 +35,14 @@ from numpy.random import default_rng  # loaded at import: once, before any fork
 
 from .algebra import multiplication_matrix
 from .fock import FockSpace, inner_N
-from .operators import (Generators, StructuredOperator, _diag_op, amplify,
-                        annihilation, apply_weights, build_T, creation, diag,
-                        ends_in_factor_op, epsilon_matrix, generator_operators, identity_op,
-                        length_at_least_op, length_exactly_op, lmul_blocks, op_sum,
-                        phi_cb_bound, phi_weights, right_annihilation, right_creation,
-                        right_mult, rho_matrix, stack)
+from .operators import (Generators, StructuredOperator, amplify, annihilation, apply_weights,
+                        build_T, creation, diag, embed, ends_in_factor_op, epsilon_matrix,
+                        generator_operators, identity_op, lambda_span, length_at_least_op,
+                        length_exactly_op, op_sum, phi_cb_bound, phi_weights,
+                        right_annihilation, right_creation, right_mult, rho_matrix, stack,
+                        word_operator, word_vacuum_images)
 from .report import VerificationReport
-from .sparse import coalesce, max_column_norm, op_norm, schur_bound
+from .sparse import max_column_norm, op_norm, schur_bound
 from .symbols import norm_C
 
 # a chunk of samples holds at most this many scalar entries in all (at least
@@ -109,45 +100,6 @@ def _component_scale(T, s: float) -> float:
     return max(s, np.abs(T.t1_weights).max(), np.abs(T.t2_weights).max())
 
 
-def _unitary_words(space: FockSpace, i: int) -> np.ndarray:
-    """The word maps of the u_g of factor i's group, a row per g: [g, c] is
-    the word of u_g c, -1 past the truncation.  A leading letter (i, h) of
-    c becomes (i, gh), dropped where gh = e; a word that does not start in
-    factor i takes (i, g) in front, nothing for g = e."""
-    words = np.arange(len(space.words))
-    at = np.flatnonzero(space.letter_factors == i)
-    # row g prepends (i, g), letter at[g - 1], to a word not starting in factor i; row 0 keeps it
-    ups = np.vstack((words, space.prepended[at]))
-    starts = space.first_factors == i
-    h = np.where(starts, space.first_letter - at[0] + 1, 0)
-    return ups[space.amalgam.factors[i].group.table[:, h], np.where(starts, space.rest, words)]
-
-
-def embed(space: FockSpace, factors, coeffs) -> StructuredOperator:
-    """The left multiplications by a stack of factor elements (of any
-    factors) on the truncated Fock space, sample s holding a = sum_g
-    coeffs[s, g] u_g in factor ``factors[s]``: the sum of the lmul(a_g) U_g
-    with a_g nonzero, U_g the word map of u_g from ``_unitary_words``, one
-    gather per factor.  ``coeffs`` is a (count, G, d, d) array, zero past
-    the order of each sample's group; with G = 1 it holds only the
-    coefficients of u_e = 1, and the stack is the left N-action."""
-    factors, coeffs = np.asarray(factors), np.asarray(coeffs, dtype=complex)
-    s, g = np.nonzero(coeffs.any(axis=(2, 3)))  # the terms with a_g nonzero, sample-major
-    unitary = np.empty((s.size, len(space.words)), dtype=np.intp)
-    # the factors present, in order; a bare np.unique would import numpy.ma
-    for i in np.flatnonzero(np.bincount(factors)):
-        on = factors[s] == i
-        unitary[on] = _unitary_words(space, i)[g[on]]
-    live = unitary >= 0
-    count = np.count_nonzero(live, axis=1)
-    samples, g = np.repeat(s, count), np.repeat(g, count)
-    rows, cols = unitary[live], np.nonzero(live)[1]
-    coefs = coeffs[samples, g]
-    blocks = lmul_blocks(space, coefs, rows)
-    samples, rows, cols, blocks = coalesce(samples, rows, cols, blocks, len(space.words))
-    return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(factors))
-
-
 def _padded(space: FockSpace, elements) -> np.ndarray:
     """``embed``'s coefficient array of a sequence of factor elements, each
     a (|G|, d, d) array padded with zeros to the largest group order."""
@@ -156,28 +108,6 @@ def _padded(space: FockSpace, elements) -> np.ndarray:
     for s, x in enumerate(elements):
         coeffs[s, :len(x)] = x
     return coeffs
-
-
-def word_operator(space: FockSpace, factors, letters, coeffs,
-                  max_col_len=None) -> StructuredOperator:
-    """b_0 embed(a_1) b_1 ... embed(a_n) b_n for a family of reduced words
-    of length n, as one stack, sample s holding word s, multiplied right to
-    left: a_j has the factor ``factors[s, j-1]`` and the coefficients
-    ``letters[s, j-1]``, and b_j is ``coeffs[s, j]`` (``random_word_arrays``).
-
-    With ``max_col_len`` the last factor is cut to the columns of words at
-    most that long, and so is the product, every kept entry adding the same
-    terms in the same order.
-    """
-    count, n = np.shape(factors)
-    on_n = np.zeros(count, dtype=np.intp)  # b_j as u_e coefficients, of factor 0
-    op = embed(space, on_n, coeffs[:, n, None])
-    if max_col_len is not None:
-        op = op.columns_upto(max_col_len)
-    for j in reversed(range(n)):
-        op = embed(space, factors[:, j], letters[:, j]) @ op
-        op = embed(space, on_n, coeffs[:, j, None]) @ op
-    return op.renamed("word(n=%d)" % n)
 
 
 def random_word_arrays(rng, space: FockSpace, n: int, count: int) -> tuple:
@@ -283,29 +213,17 @@ def fock_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     return report
 
 
-def lambda_span(space: FockSpace, k: int) -> StructuredOperator:
-    """Spanning family of the length-k sector, words paired with N basis
-    elements, as the columns of one operator: on each word of length k a
-    diagonal block whose column j holds the basis element b_j as the
-    word's coefficient."""
-    if k > space.L_max:
-        raise ValueError("sector beyond truncation")
-    basis = space.base.basis()
-    block = basis.reshape(len(basis), -1).T / np.sqrt(space.base.d)
-    return _diag_op(space, space.lengths == k, "Lambda%d" % k, block)
-
-
 def _word_block_rank_check(name: str, op: StructuredOperator, target: int,
                            **details) -> VerificationReport:
     """The check that the columns of ``op``, a single operator meant to be
     block diagonal on words, have rank ``target``: the summed ranks (above
-    1e-10) of its diagonal blocks, one batched SVD.  Each block off the
-    diagonal adds 1 to the residual, target - rank, and counts in a detail."""
+    1e-10) of its diagonal blocks, one batched SVD.  The residual is
+    |target - rank| plus 1 per block off the diagonal, counted in a detail."""
     on = op.rows == op.cols
     rank = int(np.linalg.matrix_rank(op.blocks[on], tol=1e-10).sum())
     off = int(np.count_nonzero(~on))
     report = VerificationReport()
-    report.add(name, float(target - rank + off), rank=rank, **details,
+    report.add(name, float(abs(target - rank) + off), rank=rank, **details,
                **({"off_diagonal_blocks": off} if off else {}))
     return report
 
@@ -670,24 +588,6 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     report.add("embedding_star", res_star)
     report.add("embedding_matrix_coefficients", res_coef)
     return report
-
-
-def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
-    """The vacuum images u_{g_1} ... u_{g_n} b Omega of the words (g_1, ...,
-    g_n) of length <= max_len with the N-basis elements b, as the columns of
-    one operator, in ``lambda_span``'s column order.  Grown a length at a
-    time by prefix sharing: V_0 = ``lambda_span(space, 0)`` holds the
-    columns b Omega, and V_n = sum_gamma embed(u_gamma) @ V_{n-1} @ L*_gamma,
-    since u_gamma maps the image of w to that of gamma w."""
-    letters = space.letters
-    stacked = embed(space, space.letter_factors,
-                    _padded(space, [space.amalgam.factors[i].unitary(g) for i, g in letters]))
-    embeds = list(stacked.unstack(np.arange(len(letters) + 1)))
-    images = [lambda_span(space, 0)]
-    for _ in range(max_len):
-        images.append(op_sum(space, [E @ images[-1] @ annihilation(space, t)
-                                     for t, E in enumerate(embeds)]))
-    return op_sum(space, images, "images")
 
 
 def spanning_check(space: FockSpace, max_len=None) -> VerificationReport:

@@ -29,7 +29,7 @@ scalar bases are dih's and cy3's (N = C).
     ``right_mult``: ``prepend``, ``strip_first``, ``append_star``,
     ``strip_star`` and ``right_action`` (here), the ``Word`` rules made
     matrices by ``column_matrix``, 1e-13 abs.
-``verify.embed`` on u_e coefficients alone, the left N-action:
+``operators.embed`` on u_e coefficients alone, the left N-action:
     ``left_action`` (here) by ``column_matrix``, the coefficient pushed
     through the letters one at a time, bit-exact on scalar bases, else 1e-13
     abs; ``left_mult`` (here), the diagonal ``lmul_blocks`` of every word,
@@ -59,13 +59,13 @@ scalar bases are dih's and cy3's (N = C).
     bit-exact.
 ``sparse.op_norm``: ``svd_norm`` (test_operators), one SVD of the whole
     matrix, read through ``EntryStack`` (here), 1e-13.
-``verify.embed``: ``dense_embed`` (test_operators), the module-basis sum
+``operators.embed``: ``dense_embed`` (test_operators), the module-basis sum
     from rule matrices and products E(e_j* a e_k), 1e-14;
     ``embed_by_term_loop`` (here), one iteration per (j, k) term of each
     sample on the words of ``embed_terms_by_pair``, bit-exact on exact
     models, else 1e-15.  As ``embed`` it gives the embedding, theorem and
     spanning suites the same report bytes on exact models, else 1e-14 abs.
-``verify._unitary_words``: ``unitary_word_by_rules`` (here), the ``Word``
+``operators._unitary_words``: ``unitary_word_by_rules`` (here), the ``Word``
     rules, equal.
 ``word_operator``: ``dense_embed`` and ``left_action`` matrices multiplied
     (test_operators), 1e-14; ``word_by_products`` (here), single
@@ -104,6 +104,7 @@ to ``embed``);
 generator as letter and coefficient tuples, ``family`` and
 ``generator_words`` between it and ``Generators``, ``random_word`` and
 ``generator``; ``zero_op``, ``as_op`` (a dense matrix as an operator),
+``weighed`` (``apply_weights`` of one weight set on every sample),
 ``onb_elements``, ``partition_identity_residual`` (the partition of
 ||x||^2 by lengths on scalars), ``worst_residual`` and ``failed_names``.
 """
@@ -114,14 +115,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from radmul.fock import FockVector
-from radmul.operators import (Generators, StructuredOperator, annihilation, build_T, creation,
-                              diag, generator_operators, identity_op, length_at_least_op,
-                              lmul_blocks, op_sum, phi_weights, rho_tower)
+from radmul.operators import (Generators, StructuredOperator, annihilation, apply_weights,
+                              build_T, creation, diag, embed, generator_operators, identity_op,
+                              length_at_least_op, lmul_blocks, op_sum, phi_weights, rho_tower,
+                              word_operator)
 from radmul.report import VerificationReport
 from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
-from radmul.verify import (_fold, _generator_zoo, _padded, _symbol_scale, embed,
-                           random_generator_word, random_word_arrays, word_operator)
+from radmul.verify import (_fold, _generator_zoo, _padded, _symbol_scale,
+                           random_generator_word, random_word_arrays)
 
 
 @dataclass(frozen=True)
@@ -338,7 +340,7 @@ class ReducedWord:
 
 
 def reduced_words(space, factors, letters, coeffs):
-    """The ``ReducedWord``s of the arrays of ``verify.word_operator``, each
+    """The ``ReducedWord``s of the arrays of ``operators.word_operator``, each
     checked by the word rules."""
     fac = space.amalgam.factors
     return [ReducedWord(tuple(int(i) for i in f),
@@ -347,7 +349,7 @@ def reduced_words(space, factors, letters, coeffs):
 
 
 def word_arrays(space, words):
-    """The arrays (factors, letters, coeffs) of ``verify.word_operator`` for
+    """The arrays (factors, letters, coeffs) of ``operators.word_operator`` for
     ``ReducedWord``s of one length."""
     n = words[0].length
     factors = np.array([w.factors for w in words], dtype=np.intp).reshape(len(words), n)
@@ -357,7 +359,7 @@ def word_arrays(space, words):
 
 
 def word_stack(space, words, max_col_len=None):
-    """``verify.word_operator`` of ``ReducedWord``s of one length."""
+    """``operators.word_operator`` of ``ReducedWord``s of one length."""
     return word_operator(space, *word_arrays(space, words), max_col_len)
 
 
@@ -367,7 +369,7 @@ def random_reduced_word(rng, space, n):
 
 
 def embedded(space, factors, elements):
-    """``verify.embed`` of a sequence of coefficient arrays, element s of
+    """``operators.embed`` of a sequence of coefficient arrays, element s of
     factor ``factors[s]``, each padded to the largest group order."""
     return embed(space, factors, _padded(space, elements))
 
@@ -375,7 +377,7 @@ def embedded(space, factors, elements):
 def left_mult(space, b):
     """Left N-multiplication by a (count, d, d) stack of coefficients, the
     diagonal block kron(U_w b[t] U_w*, 1) on every word w of sample t: the
-    route that ``verify.embed`` on u_e coefficients replaced."""
+    route that ``operators.embed`` on u_e coefficients replaced."""
     b = np.asarray(b, dtype=complex)
     samples, words = np.divmod(np.arange(len(b) * len(space.words)), len(space.words))
     return StructuredOperator(space, words, words, lmul_blocks(space, b[samples], words),
@@ -685,6 +687,11 @@ def as_op(space, A):
     return StructuredOperator(space, r, c, blocks[r, c], name="array")
 
 
+def weighed(space, W, A):
+    """``apply_weights`` of the one weight set W on every sample of A."""
+    return apply_weights(space, np.asarray(W)[None], A, np.zeros(A.n_samples, dtype=np.intp))
+
+
 def rho_matrix_by_letters(space, A):
     """``operators.rho_matrix`` gathering every letter's ``appended`` row at
     every entry, then the (letter, entry) pairs where both images exist:
@@ -787,7 +794,7 @@ def embed_terms_by_pair(space, i):
 
 
 def embed_by_term_loop(space, factors, coeffs):
-    """``verify.embed`` as the sum of the module-basis terms
+    """``operators.embed`` as the sum of the module-basis terms
     L_{e_j} E(e_j* a e_k) L*_{e_k}, E(u_{g_j}* a u_{g_k}) =
     alpha_{g_j^{-1}}(a_{g_j g_k^{-1}}), with one Python iteration per nonzero
     (j, k) term of each element, its entries gathered term by term: the

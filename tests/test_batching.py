@@ -10,21 +10,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import radmul.operators as operators
 import radmul.verify as verify
 from oracles import (GeneratorWord, dense_rank, embed_by_term_loop, embedded, family,
                      generator, generator_chain, generator_words, lambda_span_dense,
                      lemma_suite_per_generator, random_reduced_word, random_word, select,
                      theorem_suite_per_word, unitary_word_by_rules, word_by_products,
-                     word_stack, word_vacuum_images_dense)
+                     weighed, word_stack, word_vacuum_images_dense)
 from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
-from radmul.operators import (StructuredOperator, apply_weights, build_T, epsilon_matrix,
-                              generator_operators, rho_matrix)
+from radmul.operators import (StructuredOperator, _unitary_words, build_T, epsilon_matrix,
+                              generator_operators, rho_matrix, word_vacuum_images)
 from radmul.report import VerificationReport
 from radmul.symbols import RadialSymbol
 from radmul.verify import (embedding_suite, fock_suite, lemma_suite, main_theorem_suite,
-                           spanning_check, word_vacuum_images)
+                           spanning_check)
 
 EXACT = ["dih_space", "mat2_space", "cy3_space"]
 SPACES = EXACT + ["noncomm_space"]
@@ -213,7 +214,7 @@ def test_embed_stack_matches_per_element_oracle(request, name):
 def test_unitary_words_follow_the_word_rules(request, name):
     space = embed_space(request, name)
     for i, fac in enumerate(space.amalgam.factors):
-        got = verify._unitary_words(space, i)
+        got = _unitary_words(space, i)
         assert got.shape == (fac.group.order, len(space.words))
         want = [[unitary_word_by_rules(space, i, g, j) for j in range(len(space.words))]
                 for g in range(fac.group.order)]
@@ -259,7 +260,7 @@ def images(space, T, A):
     rho(A), rho^2(A) and eps(A), and T1(A), T2(A) and T(A)."""
     rho = rho_matrix(space, A)
     return [rho, rho_matrix(space, rho), epsilon_matrix(space, A)] + [
-        apply_weights(space, W, A) for W in (T.t1_weights, T.t2_weights, T.weights)]
+        weighed(space, W, A) for W in (T.t1_weights, T.t2_weights, T.weights)]
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -319,7 +320,9 @@ def test_suites_with_term_loop_embed_give_the_same_reports(request, monkeypatch,
         return report
 
     got = run()
-    monkeypatch.setattr(verify, "embed", embed_by_term_loop)
+    # the suites call embed, and word_operator and word_vacuum_images call it in operators
+    for module in (operators, verify):
+        monkeypatch.setattr(module, "embed", embed_by_term_loop)
     want = run()
     if name in EXACT:
         assert got.to_json() == want.to_json()
@@ -435,6 +438,16 @@ def test_word_block_rank_sums_blocks_and_rejects_leaks(mat2_space):
     check = verify._word_block_rank_check("fock_lambda_span_rank", op, space.dim - 1).checks[0]
     assert (check.status, check.max_residual) == ("fail", 2.0)
     assert check.details == {"rank": space.dim - 2, "off_diagonal_blocks": 1}
+
+
+def test_word_block_rank_above_its_target_fails(mat2_space):
+    # an identity block on every word has rank dim, one above the target
+    space, k = mat2_space, mat2_space.dim_N
+    words = np.arange(len(space.words))
+    op = StructuredOperator(space, words, words, np.broadcast_to(np.eye(k), (words.size, k, k)))
+    check = verify._word_block_rank_check("fock_lambda_span_rank", op, space.dim - 1).checks[0]
+    assert (check.status, check.max_residual, check.details) == ("fail", 1.0,
+                                                                 {"rank": space.dim})
 
 
 def test_rank_checks_cost_no_dense_column_per_word(monkeypatch):

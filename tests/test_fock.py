@@ -12,8 +12,8 @@ from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from radmul.config import parse_config, preset_config
 import radmul.fock as fock
 from radmul.fock import Amalgam, FockSpace, FockVector
-from radmul.operators import ends_in_factor_op, length_at_least_op, length_exactly_op
-from radmul.verify import lambda_span
+from radmul.operators import (ends_in_factor_op, lambda_span, length_at_least_op,
+                              length_exactly_op)
 
 V2 = np.diag([1.0, -1.0]).astype(complex)
 

@@ -2,6 +2,8 @@
 
 - no module of the package or the tests imports a name it never uses;
 - each ``from .m import x`` (tests: ``from radmul.m import x``) names a definition of m;
+- no module of the package imports a private name of another;
+- only ``operators`` and ``sparse`` build operators from raw entries;
 - each module-level private name of the package is read somewhere in the repository;
 - each public oracle of ``tests/oracles.py`` is read by a test and named in its ledger;
 - each module-level UPPER_CASE constant of the package is read by package code;
@@ -126,6 +128,73 @@ def test_import_through_another_module_is_caught():
                       "from radmul import c\nfrom numpy import f\n"}
     assert imports_through(package, others) == [("b", 2, "c.f"), ("t.py", 2, "c.X"),
                                                 ("t.py", 2, "c.f")]
+
+
+def private_imports(package: dict) -> list:
+    """(module, line, "m._x") of the imports ``from .m import _x`` of a
+    private name (a dunder is not one) in the modules of ``package``
+    (module name -> source)."""
+    return sorted((module, node.lineno, "%s.%s" % (node.module, alias.name))
+                  for module, source in package.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert private_imports(package) == []
+
+
+def test_private_import_is_caught():
+    # b takes a's helper _f; a dunder, a public name, a relative module and
+    # an absolute import are not checked
+    package = {"a": "def _f():\n    pass\n",
+               "b": "from .a import _f, g, __version__\nfrom . import _c\n"
+                    "from numpy import _x\n"}
+    assert private_imports(package) == [("b", 1, "a._f")]
+
+
+# the one constructor of an operator from raw entries, and the helpers that
+# make its entries: the word-pair merge and the blocks of the left N-action
+RAW_BUILDERS = {"StructuredOperator", "coalesce", "lmul_blocks"}
+# the modules that own them: the operator module and its sparse kernels
+BUILDER_MODULES = {"operators.py", "sparse.py"}
+
+
+def raw_builds(source: str) -> list:
+    """(line, name) of the calls of a ``RAW_BUILDERS`` name, bare or as an
+    attribute, and of the imports of one; ``StructuredOperator`` alone is
+    imported for annotations, so its imports are not counted."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            out += [(node.lineno, name)] if name in RAW_BUILDERS else []
+        elif isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name in RAW_BUILDERS - {"StructuredOperator"}]
+    return sorted(out)
+
+
+def test_only_the_operator_modules_build_from_raw_entries():
+    found = {p.name: raw_builds(p.read_text(encoding="utf-8")) for p in MODULES
+             if p.name not in BUILDER_MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_raw_build_is_caught():
+    # a call of the constructor and an import and a call of each helper;
+    # the constructor as an annotation or an isinstance argument is no build
+    source = ("from .operators import StructuredOperator, lmul_blocks\n"
+              "from .sparse import coalesce\n"
+              "def f(space) -> StructuredOperator:\n"
+              "    isinstance(space, StructuredOperator)\n"
+              "    coalesce(1)\n"
+              "    return operators.StructuredOperator(space, lmul_blocks(space))\n")
+    assert raw_builds(source) == [(1, "lmul_blocks"), (2, "coalesce"), (5, "coalesce"),
+                                  (6, "StructuredOperator"), (6, "lmul_blocks")]
 
 
 def names_read(tree: ast.AST) -> set:

@@ -17,7 +17,7 @@ from radmul.cli import _run_jobs, main
 from radmul.config import ConfigError, parse_config, preset_config
 from radmul.report import VerificationReport
 
-from conftest import noncommuting_config
+from conftest import geo_dih_config, noncommuting_config
 
 
 @pytest.fixture(autouse=True)
@@ -67,10 +67,9 @@ def report_bytes(tmp_path, config, *flags):
 
 
 def geo_dih():
-    data = preset_config("dih")
-    data["symbol"] = {"head": [1.0], "tail": {"kind": "geometric", "coefficient": 1.0,
-                                              "ratio": 0.97, "limit": 0}}
-    data["truncation"] = {"fock_len": 5, "hankel_dim": 1200}
+    """``conftest.geo_dih_config`` at the benchmark's Hankel size, 1200."""
+    data = geo_dih_config()
+    data["truncation"]["hankel_dim"] = 1200
     return data
 
 

@@ -12,15 +12,16 @@ from oracles import (EntryStack, GeneratorWord, ReducedWord, append_star, apply,
                      letter_index, partition_identity_residual, partition_sum_by_diag, prepend,
                      random_reduced_word, random_word, rho_dense, rho_matrix_by_letters,
                      right_action, select, strip_first, strip_star, to_array, tower_dense,
-                     weighted_sum_dense, word_list, word_stack, word_vector, zero_op)
+                     weighed, weighted_sum_dense, word_list, word_stack, word_vector,
+                     zero_op)
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
 from radmul.operators import (StructuredOperator, amplify, annihilation,
-                              apply_weights, build_T, creation, diag, eps_rho_tower,
+                              apply_weights, build_T, creation, diag, embed, eps_rho_tower,
                               epsilon_matrix, identity_op, length_at_least_op,
                               phi_cb_bound, phi_weights, right_annihilation, right_creation,
                               right_mult, rho_matrix, rho_tower, stack)
 from radmul.symbols import RadialSymbol, factorize, hankel_pair
-from radmul.verify import adjoint_check, amplified_stacks, embed
+from radmul.verify import adjoint_check, amplified_stacks
 
 SPACES = ["dih_space", "mat2_space", "cy3_space", "noncomm_space"]
 SCALAR_BASE = {"dih_space", "cy3_space"}
@@ -337,8 +338,8 @@ def test_epsilon_case_rules(cy3_space):
 def test_phi1_of_identity_is_norm_squared(dih_space):
     rng = np.random.default_rng(4)
     x = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    out = apply_weights(dih_space, phi_weights(dih_space, 1, x, x),
-                        as_op(dih_space, np.eye(dih_space.dim))).matrix()
+    out = weighed(dih_space, phi_weights(dih_space, 1, x, x),
+                  as_op(dih_space, np.eye(dih_space.dim))).matrix()
     want = float(np.vdot(x, x).real) * np.eye(dih_space.dim)
     assert np.abs(out - want).max() <= 1e-12 * np.vdot(x, x).real
 
@@ -355,16 +356,16 @@ def test_phi_eigen_formula_on_generators(dih_space):
         k, l = gen.k, gen.l
         guard = dih_space.guard_mask(dih_space.L_max - max(k - l, 0) - 1)
         s1 = brute_phi_scalar(x, y, k, l)
-        out1 = apply_weights(dih_space, phi_weights(dih_space, 1, x, y), op).matrix()[0]
+        out1 = weighed(dih_space, phi_weights(dih_space, 1, x, y), op).matrix()[0]
         assert np.abs((out1 - s1 * A)[:, guard]).max() <= 1e-10
         s2 = s1 if gen.case == 1 else brute_phi_scalar(x, y, k, l, shift=1)
-        out2 = apply_weights(dih_space, phi_weights(dih_space, 2, x, y), op).matrix()[0]
+        out2 = weighed(dih_space, phi_weights(dih_space, 2, x, y), op).matrix()[0]
         assert np.abs((out2 - s2 * A)[:, guard]).max() <= 1e-10
 
 
 def test_phi_zero_vector_gives_zero(dih_space):
-    out = apply_weights(dih_space, phi_weights(dih_space, 1, np.zeros(6), np.ones(6)),
-                        as_op(dih_space, np.eye(dih_space.dim))).matrix()
+    out = weighed(dih_space, phi_weights(dih_space, 1, np.zeros(6), np.ones(6)),
+                  as_op(dih_space, np.eye(dih_space.dim))).matrix()
     assert np.abs(out).max() == 0
 
 
@@ -495,7 +496,7 @@ def test_weighted_sum_matches_expanded_tables(request, name):
     A = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim))
     op = as_op(space, A)
     want = weighted_sum_dense(space, expand(W), [member.matrix() for member in tower(space, op)])
-    got = apply_weights(space, W, op).matrix()
+    got = weighed(space, W, op).matrix()
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 WEIGHT_SYMBOLS = [RadialSymbol.indicator01(), RadialSymbol.geometric(0.5),
@@ -518,7 +519,7 @@ def test_multiplier_matches_weighted_dense_tower(request, name, phi):
     A = random_complex(rng, (space.dim, space.dim))
     T, tw = build_T(space, phi), tower_dense(space, A)
     for W in (T.t1_weights, T.t2_weights, T.weights):
-        got = apply_weights(space, W, as_op(space, A)).matrix()[0]
+        got = weighed(space, W, as_op(space, A)).matrix()[0]
         want = weighted_sum_dense(space, expand(W), tw)
         if np.isin(W, (0, 1)).all() and name != "noncomm_space":
             assert np.array_equal(got, want)
@@ -584,7 +585,7 @@ def test_entry_rho_epsilon_tower_match_dense_oracles(request, name):
             assert_close(member.matrix(), dense)
         W = random_complex(rng, (3, L + 1, L + 1))
         W[1] = 0
-        assert_close(apply_weights(space, W, op).matrix(),
+        assert_close(weighed(space, W, op).matrix(),
                      weighted_sum_dense(space, expand(W), want))
 
 
@@ -632,8 +633,8 @@ def test_stacked_operations_repeat_each_sample_exactly(request, name):
                  (scale * A - B.adjoint(), [c * a - b.adjoint() for a, b, c in pairs]),
                  (rho_matrix(space, B), [rho_matrix(space, b) for b in rights]),
                  (epsilon_matrix(space, B), [epsilon_matrix(space, b) for b in rights]),
-                 (apply_weights(space, W, A @ B),
-                  [apply_weights(space, W, a @ b) for a, b, _ in pairs])]
+                 (weighed(space, W, A @ B),
+                  [weighed(space, W, a @ b) for a, b, _ in pairs])]
         for got, want in cases:
             assert got.n_samples == len(want)
             for s, single in enumerate(want):
@@ -828,8 +829,8 @@ def test_constant_symbol_gives_identity(dih_space):
     rng = np.random.default_rng(8)
     A = rng.standard_normal((dih_space.dim, dih_space.dim)) + 0j
     op = as_op(dih_space, A)
-    assert np.abs(apply_weights(dih_space, T.t1_weights, op).matrix()).max() == 0
-    assert np.abs(apply_weights(dih_space, T.t2_weights, op).matrix()).max() == 0
+    assert np.abs(weighed(dih_space, T.t1_weights, op).matrix()).max() == 0
+    assert np.abs(weighed(dih_space, T.t2_weights, op).matrix()).max() == 0
     assert np.allclose(T.apply_matrix(op).matrix(), A)
 
 
@@ -849,7 +850,7 @@ def test_indicator_t1_rule(dih_space):
         op = generator(dih_space, gen)
         want = phi.psi1(gen.k + gen.l)
         guard = dih_space.guard_mask(dih_space.L_max - max(gen.k - gen.l, 0) - 1)
-        t1 = apply_weights(dih_space, T.t1_weights, op).matrix()[0]
+        t1 = weighed(dih_space, T.t1_weights, op).matrix()[0]
         assert np.abs((t1 - want * op.matrix()[0])[:, guard]).max() <= 1e-11
 
 
@@ -867,12 +868,12 @@ def test_t1_equals_sum_of_phi_blocks(dih_space):
     op = generator(dih_space, gen)
     total = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for x, y in h_pairs:
-        total += apply_weights(dih_space, phi_weights(dih_space, 1, x, y), op).matrix()[0]
-    assert np.abs(total - apply_weights(dih_space, T.t1_weights, op).matrix()[0]).max() <= 1e-11
+        total += weighed(dih_space, phi_weights(dih_space, 1, x, y), op).matrix()[0]
+    assert np.abs(total - weighed(dih_space, T.t1_weights, op).matrix()[0]).max() <= 1e-11
     total2 = np.zeros((dih_space.dim, dih_space.dim), dtype=complex)
     for z, w in k_pairs:
-        total2 += apply_weights(dih_space, phi_weights(dih_space, 2, z, w), op).matrix()[0]
-    assert np.abs(total2 - apply_weights(dih_space, T.t2_weights, op).matrix()[0]).max() <= 1e-11
+        total2 += weighed(dih_space, phi_weights(dih_space, 2, z, w), op).matrix()[0]
+    assert np.abs(total2 - weighed(dih_space, T.t2_weights, op).matrix()[0]).max() <= 1e-11
 
 
 @pytest.mark.parametrize("phi", [
@@ -924,9 +925,9 @@ def test_multiplier_collapse_on_arbitrary_matrix(dih_space):
     op = as_op(dih_space, A)
     total = phi.limit * A
     for x, y in h_pairs:
-        total = total + apply_weights(dih_space, phi_weights(dih_space, 1, x, y), op).matrix()
+        total = total + weighed(dih_space, phi_weights(dih_space, 1, x, y), op).matrix()
     for z, w in k_pairs:
-        total = total + apply_weights(dih_space, phi_weights(dih_space, 2, z, w), op).matrix()
+        total = total + weighed(dih_space, phi_weights(dih_space, 2, z, w), op).matrix()
     assert np.abs(total - T.apply_matrix(op).matrix()).max() <= 1e-11 * np.abs(A).max()
 
 

@@ -28,7 +28,9 @@ def test_traced_run_matches_untraced(monkeypatch, tmp_path, capsys):
     # the tracer wraps matrix() and reads op._matrix and op.name; a traced
     # run must give the untraced report and see rho.  verify never asks for a
     # dense matrix, so one operator is materialized explicitly: the tracer
-    # must count it and tag it with its kind
+    # must count it and tag it with its kind.  embed and word_operator live in
+    # operators and the tracer wraps them as verify's: it must count the calls
+    # from the suites and those from inside operators, 28 and 6 on this run
     monkeypatch.syspath_prepend(str(RADBENCH))
     import tracer
 
@@ -57,3 +59,4 @@ def test_traced_run_matches_untraced(monkeypatch, tmp_path, capsys):
     assert metrics["operators.materialize.calls"] > 0
     assert metrics["operators.materialize.sector.calls"] == 1
     assert metrics["operators.rho.calls"] > 0
+    assert (metrics["verify.embed.calls"], metrics["verify.word_operator.calls"]) == (28, 6)

@@ -15,12 +15,11 @@ from oracles import (ReducedWord, apply, as_op, coefficient_gaps_by_vectors, coe
 from radmul.algebra import multiplication_matrix, verify_pp_basis
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
-from radmul.operators import RadialMultiplier, build_T
+from radmul.operators import RadialMultiplier, build_T, word_vacuum_images
 from radmul.report import VerificationReport
 from radmul.symbols import RadialSymbol
 from radmul.verify import (embedding_suite, fock_suite, lemma_suite, main_theorem_suite,
-                           norm_bound_suite, operator_suite, spanning_check,
-                           word_vacuum_images)
+                           norm_bound_suite, operator_suite, spanning_check)
 
 
 def unit_word(space, *indexed_letters, right=None):
