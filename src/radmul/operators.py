@@ -44,8 +44,9 @@ The factor embeddings are the paper's x -> sum_{j,k} L_{e_j} E(e_j* x e_k)
 L*_{e_k} over a factor's module basis (e_j); for N x| G and the basis
 (u_g) that is embed(a) = sum_g lmul(a_g) U_g, a = sum_g a_g u_g, U_g the
 word map of u_g (``_unitary_words``), and on u_e = 1 alone it is the left
-N-action.  Products of embedded kernel letters (``word_operator``) realize
-reduced words of the amalgamated free product; ``lambda_span`` and
+N-action (coefficient arrays: ``padded``).  ``word_operator`` multiplies
+embedded kernel letters into reduced words of the amalgamated free product,
+each N coefficient into the blocks in place; ``lambda_span`` and
 ``word_vacuum_images`` are the spanning families of the rank checks, one
 column per vector, block diagonal on words.
 
@@ -602,25 +603,36 @@ def embed(space: FockSpace, factors, coeffs) -> StructuredOperator:
     return StructuredOperator(space, rows, cols, blocks, "embed", samples, len(factors))
 
 
+def padded(space: FockSpace, elements) -> np.ndarray:
+    """``embed``'s coefficient array of a sequence of factor elements, each
+    a (|G|, d, d) array padded with zeros to the largest group order."""
+    order, d = max(f.group.order for f in space.amalgam.factors), space.base.d
+    coeffs = np.zeros((len(elements), order, d, d), dtype=complex)
+    for s, x in enumerate(elements):
+        coeffs[s, :len(x)] = x
+    return coeffs
+
+
 def word_operator(space: FockSpace, factors, letters, coeffs,
                   max_col_len=None) -> StructuredOperator:
     """b_0 embed(a_1) b_1 ... embed(a_n) b_n for a family of reduced words
     of length n, as one stack, sample s holding word s, multiplied right to
     left: a_j has the factor ``factors[s, j-1]`` and the coefficients
-    ``letters[s, j-1]``, and b_j is ``coeffs[s, j]``.
+    ``letters[s, j-1]``, and b_j is ``coeffs[s, j]``; each b_j but b_n
+    multiplies the blocks in place.
 
     With ``max_col_len`` the last factor is cut to the columns of words at
     most that long, and so is the product, every kept entry adding the same
     terms in the same order.
     """
     count, n = np.shape(factors)
-    on_n = np.zeros(count, dtype=np.intp)  # b_j as u_e coefficients, of factor 0
-    op = embed(space, on_n, coeffs[:, n, None])
+    op = embed(space, np.zeros(count, dtype=np.intp), coeffs[:, n, None])
     if max_col_len is not None:
         op = op.columns_upto(max_col_len)
     for j in reversed(range(n)):
         op = embed(space, factors[:, j], letters[:, j]) @ op
-        op = embed(space, on_n, coeffs[:, j, None]) @ op
+        op = op._new(op.samples, op.rows, op.cols,
+                     lmul_blocks(space, coeffs[op.samples, j], op.rows) @ op.blocks, op.name)
     return op.renamed("word(n=%d)" % n)
 
 
@@ -643,12 +655,9 @@ def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
     time by prefix sharing: V_0 = ``lambda_span(space, 0)`` holds the
     columns b Omega, and V_n = sum_gamma embed(u_gamma) @ V_{n-1} @ L*_gamma,
     since u_gamma maps the image of w to that of gamma w."""
-    # letter t = (i, g) as embed's coefficients of u_g: the identity at slot g
-    letters, d = np.array(space.letters), space.base.d
-    order = max(f.group.order for f in space.amalgam.factors)
-    units = np.zeros((len(letters), order, d, d), dtype=complex)
-    units[np.arange(len(letters)), letters[:, 1]] = space.base.identity()
-    embeds = list(embed(space, space.letter_factors, units).unstack(np.arange(len(letters) + 1)))
+    units = padded(space, [space.amalgam.factors[i].unitary(g) for i, g in space.letters])
+    embeds = list(embed(space, space.letter_factors, units)
+                  .unstack(np.arange(len(space.letters) + 1)))
     images = [lambda_span(space, 0)]
     for _ in range(max_len):
         images.append(op_sum(space, [E @ images[-1] @ annihilation(space, t)
@@ -656,9 +665,10 @@ def word_vacuum_images(space: FockSpace, max_len: int) -> StructuredOperator:
     return op_sum(space, images, "images")
 
 
-def _multiplier_weights(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:
-    """Weight set of T1 (variant 1) or T2 (variant 2), laid out as the set
-    of a Phi block of the same variant.
+def _multiplier_weights(phi: np.ndarray, psi1: np.ndarray, L: int, variant: int) -> np.ndarray:
+    """Weight set of T1 (variant 1) or T2 (variant 2) off the tables phi and
+    psi1 of ``RadialMultiplier``, laid out as the set of a Phi block of the
+    same variant.
 
     Summing the Phi blocks over the rank-one pairs of h (or k) leaves, with
     shift = variant - 1 and d(s) = phi(s) - phi(s+1), the weight
@@ -666,10 +676,9 @@ def _multiplier_weights(phi: RadialSymbol, L: int, variant: int) -> np.ndarray:
     matrix itself in place of x y^* (``_weight_set``).
     """
     shift = variant - 1
-    psi = np.array([phi.psi1(s + shift) for s in range(2 * L + 1)], dtype=complex)
-    d = np.array([phi(s) - phi(s + 1) for s in range(2 * L)], dtype=complex)
+    d = phi[:-1] - phi[1:]
     total = np.add.outer(np.arange(L + 1), np.arange(L + 1))
-    return _weight_set(psi[total], d[total[:L, :L] + shift], variant)
+    return _weight_set(psi1[total + shift], d[total[:L, :L] + shift], variant)
 
 
 class RadialMultiplier:
@@ -678,7 +687,8 @@ class RadialMultiplier:
     T1 sums Phi1 blocks over the rank-one pairs of the first Hankel
     difference matrix, T2 sums Phi2 blocks over the pairs of the second,
     and c is the symbol's limit.  The pair sums collapse into weight sets
-    (W0, P1, P2) for ``apply_weights``, read off the symbol in closed form:
+    (W0, P1, P2) for ``apply_weights``, read in closed form off the symbol's
+    tables ``phi`` and ``psi1`` on the lengths 0..2L+1 (psi2(n) = psi1(n+1)):
     ``t1_weights`` (P2 = 0), ``t2_weights`` (P1 = 0) and ``weights``, which
     is T itself.  Past W0 the two sets fill disjoint tables, so T's are theirs;
     T's weight of A, psi1(a+b) + psi2(a+b) + c, is phi(a+b), read off phi
@@ -689,12 +699,12 @@ class RadialMultiplier:
     def __init__(self, space: FockSpace, symbol: RadialSymbol):
         self.space = space
         L = space.L_max
-        self.t1_weights = _multiplier_weights(symbol, L, 1)
-        self.t2_weights = _multiplier_weights(symbol, L, 2)
-        phi = np.array([symbol(s) for s in range(2 * L + 1)], dtype=complex)
-        idx = np.arange(L + 1)
+        self.phi = np.array([symbol(n) for n in range(2 * L + 2)], dtype=complex)
+        self.psi1 = np.array([symbol.psi1(n) for n in range(2 * L + 2)], dtype=complex)
+        self.t1_weights = _multiplier_weights(self.phi, self.psi1, L, 1)
+        self.t2_weights = _multiplier_weights(self.phi, self.psi1, L, 2)
         self.weights = self.t1_weights + self.t2_weights
-        self.weights[0] = phi[idx[:, None] + idx[None, :]]
+        self.weights[0] = self.phi[np.add.outer(np.arange(L + 1), np.arange(L + 1))]
 
     def apply_matrix(self, A: StructuredOperator) -> StructuredOperator:
         """T(A)."""

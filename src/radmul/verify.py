@@ -18,9 +18,11 @@ its checks read.  ``_stacked_chunks`` cuts the samples into ranges of
 bounded size (``CHUNK_ENTRIES``), so the multiplier, rho, epsilon, norms
 and maxima run once per range with bounded memory.  Every sample gets
 exactly the numbers it gets on its own, so neither the ranges nor the cuts
-change a report.  The multiplier residuals are divided by the symbol's scale
-(``_symbol_scale``), the T1/T2 component residuals by the larger of it and
-the largest weight of T1 and T2 (``_component_scale``).
+change a report.  The suites read phi, psi1 and psi2 off the multiplier's
+tables ``T.phi`` and ``T.psi1``; only the class norm reads the symbol.  The
+multiplier residuals are divided by the symbol's scale (``_symbol_scale``),
+the T1/T2 component residuals by the larger of it and the largest weight of
+T1 and T2 (``_component_scale``), and the envelope's by its bounds.
 
 The rank checks take their spanning families from ``operators``
 (``lambda_span``, ``word_vacuum_images``).  Both are block diagonal on
@@ -38,7 +40,7 @@ from .fock import FockSpace, inner_N
 from .operators import (Generators, StructuredOperator, amplify, annihilation, apply_weights,
                         build_T, creation, diag, embed, ends_in_factor_op, epsilon_matrix,
                         generator_operators, identity_op, lambda_span, length_at_least_op,
-                        length_exactly_op, op_sum, phi_cb_bound, phi_weights,
+                        length_exactly_op, op_sum, padded, phi_cb_bound, phi_weights,
                         right_annihilation, right_creation, right_mult, rho_matrix, stack,
                         word_operator, word_vacuum_images)
 from .report import VerificationReport
@@ -85,29 +87,21 @@ def _fold(worst: float, *values) -> float:
     return worst
 
 
-def _symbol_scale(space: FockSpace, phi) -> float:
-    """s = max(1, |phi(n)| for 0 <= n <= 2L+1), the scale of phi on the
-    truncated space.  The multiplier residuals are rounding on phi's scale,
-    so they are divided by s; s = 1 for a symbol bounded by 1."""
-    return max(1.0, max(abs(phi(n)) for n in range(2 * space.L_max + 2)))
+def _symbol_scale(T) -> float:
+    """s = max |phi(n)| for 0 <= n <= 2L+1 (``T.phi``): the multiplier
+    residuals are rounding on phi's scale, so they are divided by s, and
+    stay absolute (s = 1) where phi vanishes on the truncated space."""
+    return float(np.abs(T.phi).max()) or 1.0
 
 
-def _component_scale(T, s: float) -> float:
-    """max(s, the largest weight of T1 and of T2): the scale of what the
-    component rules compare, T1(a) and T2(a) against psi1 a and psi2 a.
-    T1 and T2 can be far larger than phi (psi1 ~ 1/(1+z) for a tail ratio
-    z near -1), and their rounding is on their own scale."""
-    return max(s, np.abs(T.t1_weights).max(), np.abs(T.t2_weights).max())
-
-
-def _padded(space: FockSpace, elements) -> np.ndarray:
-    """``embed``'s coefficient array of a sequence of factor elements, each
-    a (|G|, d, d) array padded with zeros to the largest group order."""
-    order, d = max(f.group.order for f in space.amalgam.factors), space.base.d
-    coeffs = np.zeros((len(elements), order, d, d), dtype=complex)
-    for s, x in enumerate(elements):
-        coeffs[s, :len(x)] = x
-    return coeffs
+def _component_scale(T) -> float:
+    """The largest |phi(n)|, |psi1(n)| and weight of T1 and of T2 (1 where
+    all vanish): the scale of what the component rules compare, T1(a) and
+    T2(a) against psi1 a and psi2 a.  T1 and T2 can be far larger than phi
+    (psi1 ~ 1/(1+z) for a tail ratio z near -1), and their rounding is on
+    their own scale."""
+    tables = (T.phi, T.psi1, T.t1_weights, T.t2_weights)
+    return float(max(np.abs(W).max() for W in tables)) or 1.0
 
 
 def random_word_arrays(rng, space: FockSpace, n: int, count: int) -> tuple:
@@ -125,7 +119,7 @@ def random_word_arrays(rng, space: FockSpace, n: int, count: int) -> tuple:
         factors += word
         elements += [space.amalgam.factors[i].random_kernel(rng) for i in word]
         coeffs += [space.base.random(rng) for _ in range(n + 1)]
-    letters, d = _padded(space, elements), space.base.d
+    letters, d = padded(space, elements), space.base.d
     return (np.array(factors, dtype=np.intp).reshape(count, n),
             letters.reshape((count, n) + letters.shape[1:]),
             np.reshape(coeffs, (count, n + 1, d, d)))
@@ -237,9 +231,7 @@ def adjoint_check(a: StructuredOperator, a_star: StructuredOperator,
     (``FockSpace.random_array``), so that the pairing residual is rounding
     on the scale of A, whatever the dimension."""
     report = VerificationReport()
-    diff = (a_star - a.adjoint()).blocks
-    res = float(np.abs(diff).max()) if diff.size else 0.0
-    report.add("adjoint_matrix[%s]" % a.name, res)
+    report.add("adjoint_matrix[%s]" % a.name, (a_star - a.adjoint()).block_max()[0])
     rng = default_rng(seed)
     gaps = []
     for _ in range(4):
@@ -342,10 +334,8 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0) -> VerificationReport:
     rng = default_rng([seed, 4])
     report = VerificationReport()
     gens = _generator_zoo(space, seed)
-    mults = []
-    for phi in symbols:
-        T, s = build_T(space, phi), _symbol_scale(space, phi)
-        mults.append((T, s, _component_scale(T, s)))
+    mults = [(T, _symbol_scale(T), _component_scale(T))
+             for T in (build_T(space, phi) for phi in symbols)]
 
     vec_len = max(space.L_max + 2, 8)
     xs = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
@@ -360,9 +350,8 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0) -> VerificationReport:
     g = space.L_max - np.maximum(k - l, 0) - 1  # the guard band at depth 1
     scalars = _phi_scalars(xs, ys, gens, case2)
     # psi1(k + l), psi2(k + l) and phi(k + l), in case 2 psi2(k + l - 2) and phi(k + l - 1)
-    wants = [(np.array([phi.psi1(n) for n in range(5)])[k + l],
-              np.array([phi.psi2(n) for n in range(5)])[k + l - 2 * case2],
-              np.array([phi(n) for n in range(5)])[k + l - case2]) for phi in symbols]
+    wants = [(T.psi1[k + l], T.psi1[k + l - 2 * case2 + 1], T.phi[k + l - case2])
+             for T, _, _ in mults]
     # every check reads the columns of length <= g only, and a column of
     # rho(a), eps(a) or T(a) reads the same or a shorter column of a
     A = generator_operators(space, gens)
@@ -417,7 +406,7 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
     report = VerificationReport()
     if max_len is None:
         max_len = min(3, space.L_max - 2)
-    mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
+    mults = [(T, _symbol_scale(T)) for T in (build_T(space, phi) for phi in symbols)]
     words = {n: random_word_arrays(rng, space, n, words_per_length)
              for n in range(0, max_len + 1)}
 
@@ -433,8 +422,8 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
             # ||A_guard||, each one pass over the entries, so it is never
             # smaller than ||d|| / ||A_guard||
             scale = np.maximum(max_column_norm(A.columns_upto(guard)), 1e-30)
-            for phi, T, s in mults:
-                diff = T.apply_matrix(A) - phi(n) * A
+            for T, s in mults:
+                diff = T.apply_matrix(A) - T.phi[n] * A
                 d = diff.columns_upto(guard)
                 res_action = _fold(res_action, schur_bound(d) / scale / s)
                 res_vacuum = _fold(res_vacuum, diff.columns_upto(0).block_max()
@@ -445,7 +434,7 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
 
     # linearity and the right-module property of T (right action = composing
     # with a left multiplication, the N-copy inside the algebra)
-    _, T0, s = mults[0]
+    T0, s = mults[0]
     A = word_operator(space, *(x[:1] for x in words[min(1, max_len)]))
     B = word_operator(space, *(x[:1] for x in words[0]))
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
@@ -515,19 +504,17 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
             live = na >= 1e-12
             if live.any():
                 worst = _fold(worst, op_norm(tbig)[live] / na[live])
-        report.add("norm_bound_upper[%d]" % si, max(worst - c_norm, 0.0), observed=worst,
-                   class_c_norm=c_norm, samples=samples)
+        report.add("norm_bound_upper[%d]" % si, max(worst - c_norm, 0.0) / (c_norm or 1.0),
+                   observed=worst, class_c_norm=c_norm, samples=samples)
 
         attained = 0.0
-        want = 0.0
-        for n in lengths:
-            want = max(want, abs(phi(n)))
+        want = float(np.abs(T.phi[:len(lengths)]).max())
         for _, (A,) in _stacked_chunks(space, [creations]):
             na = op_norm(A)
             ratio = op_norm(T.apply_matrix(A)) / np.where(na > 0, na, 1.0)
             attained = _fold(attained, ratio[na > 0])
-        report.add("norm_bound_lower[%d]" % si, max(want - attained, 0.0), attained=attained,
-                   eigen_max=want)
+        report.add("norm_bound_lower[%d]" % si, max(want - attained, 0.0) / (want or 1.0),
+                   attained=attained, eigen_max=want)
     return report
 
 
@@ -562,7 +549,7 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     draws = [(i, fac.random(rng), fac.random(rng)) for i, fac in enumerate(factors)
              for _ in range(3)]
     res_unit = 0.0
-    units = [embed(space, range(len(factors)), _padded(space, [f.identity() for f in factors])),
+    units = [embed(space, range(len(factors)), padded(space, [f.identity() for f in factors])),
              stack([identity_op(space)] * len(factors))]
     for _, (ones, ids) in _stacked_chunks(space, units):
         res_unit = _fold(res_unit, (ones - ids).columns_upto(space.L_max - 1).block_max())
@@ -572,7 +559,7 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
 
     # the multiplicativity check reads the columns of length <= L - 2
     L, drawn = space.L_max, [i for i, _, _ in draws]
-    images = [embed(space, drawn, _padded(space, elements)).columns_upto(max_len)
+    images = [embed(space, drawn, padded(space, elements)).columns_upto(max_len)
               for elements, max_len in (([a for _, a, _ in draws], L),
                                         ([b for _, _, b in draws], L - 2),
                                         ([factors[i].mul(a, b) for i, a, b in draws], L - 2),

@@ -86,6 +86,10 @@ scalar bases are dih's and cy3's (N = C).
     word operators on the vacuum (test_verify), 1e-13 abs.
 ``lambda_span``: ``lambda_span_dense`` (here), one array per word and basis
     element, the same ``dense_rank``.
+``RadialMultiplier``, its weight sets: the ``phi_weights`` of the rank-one
+    pairs of the M x M Hankel matrices summed (test_operators), 1e-12;
+    ``multiplier_weights_by_calls`` (here), the route it replaced, every
+    value read by its own call of ``phi`` or ``phi.psi1``, bit-exact.
 ``RadialSymbol.psi1``, ``psi2``: ``brute_psi1`` (test_symbols), the
     telescoping series summed, 1e-12 abs; ``psi_via_factors`` (here), the
     rank-one pairs of the M x M Hankel matrices, 1e-9 abs.
@@ -115,15 +119,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from radmul.fock import FockVector
-from radmul.operators import (Generators, StructuredOperator, annihilation, apply_weights,
-                              build_T, creation, diag, embed, generator_operators, identity_op,
-                              length_at_least_op, lmul_blocks, op_sum, phi_weights, rho_tower,
-                              word_operator)
+from radmul.operators import (Generators, StructuredOperator, _weight_set, annihilation,
+                              apply_weights, build_T, creation, diag, embed, generator_operators,
+                              identity_op, length_at_least_op, lmul_blocks, op_sum, padded,
+                              phi_weights, rho_tower, word_operator)
 from radmul.report import VerificationReport
 from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
-from radmul.verify import (_fold, _generator_zoo, _padded, _symbol_scale,
-                           random_generator_word, random_word_arrays)
+from radmul.verify import (_fold, _generator_zoo, _symbol_scale, random_generator_word,
+                           random_word_arrays)
 
 
 @dataclass(frozen=True)
@@ -353,7 +357,7 @@ def word_arrays(space, words):
     ``ReducedWord``s of one length."""
     n = words[0].length
     factors = np.array([w.factors for w in words], dtype=np.intp).reshape(len(words), n)
-    letters = _padded(space, [a for w in words for a in w.letters])
+    letters = padded(space, [a for w in words for a in w.letters])
     coeffs = np.array([[space.base.element(b) for b in w.coeffs] for w in words])
     return factors, letters.reshape((len(words), n) + letters.shape[1:]), coeffs
 
@@ -371,7 +375,7 @@ def random_reduced_word(rng, space, n):
 def embedded(space, factors, elements):
     """``operators.embed`` of a sequence of coefficient arrays, element s of
     factor ``factors[s]``, each padded to the largest group order."""
-    return embed(space, factors, _padded(space, elements))
+    return embed(space, factors, padded(space, elements))
 
 
 def left_mult(space, b):
@@ -852,7 +856,7 @@ def word_by_products(space, w):
     """b_0 embed(a_1) b_1 ... embed(a_n) b_n as a product of single operators."""
     factors = [left_mult(space, [w.coeffs[0]])]
     for i, a, b in zip(w.factors, w.letters, w.coeffs[1:]):
-        factors += [embed_by_term_loop(space, [i], _padded(space, [a])), left_mult(space, [b])]
+        factors += [embed_by_term_loop(space, [i], padded(space, [a])), left_mult(space, [b])]
     return op_product(space, factors, "word(n=%d)" % w.length)
 
 
@@ -906,7 +910,8 @@ def lemma_suite_per_generator(space, symbols, seed=0, max_rho_power=2):
     rng = np.random.default_rng([seed, 4])
     report = VerificationReport()
     gens = generator_words(space, _generator_zoo(space, seed))
-    mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
+    multipliers = [build_T(space, phi) for phi in symbols]
+    mults = [(phi, T, _symbol_scale(T)) for phi, T in zip(symbols, multipliers)]
 
     vec_len = max(space.L_max + 2, 8)
     xs = rng.standard_normal(vec_len) + 1j * rng.standard_normal(vec_len)
@@ -969,6 +974,23 @@ def lemma_suite_per_generator(space, symbols, seed=0, max_rho_power=2):
     return report
 
 
+def multiplier_weights_by_calls(space, phi) -> tuple:
+    """The weight sets (T1, T2, T) of ``RadialMultiplier`` on ``space``,
+    each value read by its own call of ``phi`` or ``phi.psi1``: T1 and T2
+    from psi1(a+b+shift) and d(s) = phi(s) - phi(s+1) (shift 0 and 1), and
+    T as their sum with its weight of A read off phi(a+b)."""
+    L = space.L_max
+    total = np.add.outer(np.arange(L + 1), np.arange(L + 1))
+    sets = []
+    for shift in (0, 1):
+        psi = np.array([phi.psi1(s + shift) for s in range(2 * L + 1)], dtype=complex)
+        d = np.array([phi(s) - phi(s + 1) for s in range(2 * L)], dtype=complex)
+        sets.append(_weight_set(psi[total], d[total[:L, :L] + shift], shift + 1))
+    weights = sets[0] + sets[1]
+    weights[0] = np.array([phi(s) for s in range(2 * L + 1)], dtype=complex)[total]
+    return sets[0], sets[1], weights
+
+
 def psi_via_factors(fh: HankelFactorization, fk: HankelFactorization,
                     k: int, l: int) -> tuple:
     """(psi1(k+l), psi2(k+l)) recovered from the sliding correlations
@@ -1003,7 +1025,8 @@ def theorem_suite_per_word(space, symbols, seed=0, words_per_length=10):
     rng = np.random.default_rng([seed, 5])
     report = VerificationReport()
     max_len = min(3, space.L_max - 2)
-    mults = [(phi, build_T(space, phi), _symbol_scale(space, phi)) for phi in symbols]
+    multipliers = [build_T(space, phi) for phi in symbols]
+    mults = [(phi, T, _symbol_scale(T)) for phi, T in zip(symbols, multipliers)]
     words = {n: reduced_words(space, *random_word_arrays(rng, space, n, words_per_length))
              for n in range(0, max_len + 1)}
     res_action = res_vacuum = 0.0

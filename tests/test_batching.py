@@ -21,7 +21,7 @@ from radmul.algebra import CrossedFactor, FiniteGroup, TracialAlgebra
 from radmul.cli import main
 from radmul.config import parse_config, preset_config
 from radmul.operators import (StructuredOperator, _unitary_words, build_T, epsilon_matrix,
-                              generator_operators, rho_matrix, word_vacuum_images)
+                              generator_operators, padded, rho_matrix, word_vacuum_images)
 from radmul.report import VerificationReport
 from radmul.symbols import RadialSymbol
 from radmul.verify import (embedding_suite, fock_suite, lemma_suite, main_theorem_suite,
@@ -203,7 +203,7 @@ def test_embed_stack_matches_per_element_oracle(request, name):
     for s, (i, a) in enumerate(zip(factors, elements)):
         single = embedded(space, [i], [a])
         assert_sample_is(E, s, single)
-        want = embed_by_term_loop(space, [i], verify._padded(space, [a]))
+        want = embed_by_term_loop(space, [i], padded(space, [a]))
         assert_entries_agree(single, want, name != "noncomm_space")
         assert (want.rows.size == 0) == (not a.any())
     zero = embedded(space, [0], [np.zeros_like(space.amalgam.factors[0].identity())])
@@ -230,7 +230,7 @@ def test_embed_matches_term_loop_oracle_exactly(request, name):
     factors, elements = every_kind_of_element(space, np.random.default_rng(45))
     for i, a in [(factors, elements), (factors[-1:], elements[-1:])]:
         got = embedded(space, i, a)
-        want = embed_by_term_loop(space, i, verify._padded(space, a))
+        want = embed_by_term_loop(space, i, padded(space, a))
         assert got.n_samples == want.n_samples
         assert_entries_agree(got, want, name != "noncomm_space")
 

@@ -650,8 +650,10 @@ def valid_models(draw):
     """2 or 3 factors (cyclic of order 2-5, S_3 or Z_2 x Z_2 by table) over a
     scalar base or over M_2, where a cyclic factor acts by Ad diag(1, z^j)
     (z = exp(2 pi i / order)); a head of up to 3 complex values and a
-    constant or geometric tail; fock_len 2-4, dimension at most MAX_DIM."""
-    part = st.floats(-1, 1, allow_nan=False)
+    constant or geometric tail, all values scaled by 2^k for one k in
+    [-60, 60]; fock_len 2-4, dimension at most MAX_DIM."""
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    part = st.floats(-1, 1, allow_nan=False).map(lambda x: scale * x)
     cplx = st.tuples(part, part).map(list)
     d = draw(st.sampled_from([1, 2]))
     factors, orders = [], []

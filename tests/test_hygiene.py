@@ -10,6 +10,7 @@
 - each defaulted parameter is passed by a package call, or allowed and passed from outside it;
 - each public class is read by the package outside annotations, or allowed;
 - each function and method, dunders included, starts in small command-line runs, or is allowed;
+- in those runs only ``symbols`` and ``RadialMultiplier.__init__`` evaluate a symbol;
 - no function only forwards its parameters to another call;
 - no module makes a dense matrix of a whole operator;
 - the set-up path (configuration to Fock space) loads no operator code;
@@ -37,6 +38,7 @@ import pytest
 from conftest import MODELS
 from radmul.cli import build_parser, main
 from radmul.report import TOLERANCES, family
+from radmul.symbols import RadialSymbol
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "radmul"
@@ -548,15 +550,25 @@ def defined_functions(path: Path) -> dict:
     return out
 
 
-def unexecuted(paths: list, run) -> list:
-    """The qualified names of the functions and methods of the modules at
-    ``paths`` (``defined_functions``) whose code no call started while
-    ``run()`` ran, as ``sys.setprofile`` sees the calls of this thread."""
-    started = set()
+COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
+
+
+def profile_run(run, watch=frozenset()) -> tuple:
+    """Run ``run()`` and return what ``sys.setprofile`` sees of the calls of
+    this thread: the set of codes whose call started, and the set of pairs
+    (code, caller's code) for the calls of a code in ``watch``, the caller
+    being the function that makes the call, seen through comprehensions and
+    generator expressions."""
+    started, watched = set(), set()
 
     def profile(frame, event, arg):
         if event == "call":
             started.add(frame.f_code)
+            if frame.f_code in watch:
+                caller = frame.f_back
+                while caller.f_code.co_name in COMPREHENSIONS:
+                    caller = caller.f_back
+                watched.add((frame.f_code, caller.f_code))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -564,6 +576,13 @@ def unexecuted(paths: list, run) -> list:
         run()
     finally:
         sys.setprofile(previous)
+    return started, watched
+
+
+def unexecuted(paths: list, started: set) -> list:
+    """The qualified names of the functions and methods of the modules at
+    ``paths`` (``defined_functions``) whose code is not among the ``started``
+    codes of ``profile_run``."""
     ran = {(Path(code.co_filename).resolve(), code.co_firstlineno, code.co_name)
            for code in started}
     return sorted(name for path in paths for (line, fn), name in defined_functions(path).items()
@@ -591,13 +610,18 @@ UNEXECUTED_ALLOWED = {
 }
 
 
-def test_every_function_runs_or_is_allowed(monkeypatch, tmp_path):
-    # verify, bound and symbol on the MODELS (the presets, geo-dih, a model with
-    # non-commuting actions and one with a group that is not abelian), in this
-    # process (one usable core: no worker is forked); what no run starts is
-    # dead code, dunders included, whatever reads its name.  So no suite
-    # builds a FockVector either: its __init__ is allowed only as never run
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+# the codes that evaluate a symbol
+SYMBOL_CODES = frozenset(f.__code__ for f in (RadialSymbol.__call__, RadialSymbol.psi1,
+                                              RadialSymbol.psi2))
+
+
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory):
+    """``profile_run`` of verify, bound and symbol on the MODELS (the presets,
+    geo-dih, a model with non-commuting actions and one with a group that is
+    not abelian), in this process (one usable core: no worker is forked),
+    watching ``SYMBOL_CODES``."""
+    tmp_path = tmp_path_factory.mktemp("cli_runs")
 
     def run():
         for name, model in MODELS.items():
@@ -610,8 +634,16 @@ def test_every_function_runs_or_is_allowed(monkeypatch, tmp_path):
                          ["symbol", "--csv", str(tmp_path / "symbol.csv")]):
                 assert main(argv + ["--config", str(config)]) == 0
 
-    # an entry whose function now runs, or is gone, is stale
-    assert unexecuted(MODULES, run) == sorted(UNEXECUTED_ALLOWED)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return profile_run(run, SYMBOL_CODES)
+
+
+def test_every_function_runs_or_is_allowed(cli_runs):
+    # what no run starts is dead code, dunders included, whatever reads its
+    # name.  So no suite builds a FockVector either: its __init__ is allowed
+    # only as never run.  An entry whose function now runs, or is gone, is stale
+    assert unexecuted(MODULES, cli_runs[0]) == sorted(UNEXECUTED_ALLOWED)
 
 
 def test_unexecuted_function_is_caught(tmp_path):
@@ -628,7 +660,49 @@ def test_unexecuted_function_is_caught(tmp_path):
     spec = importlib.util.spec_from_file_location("seeded", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert unexecuted([path], module.run) == ["C.__add__", "C.__add__.total"]
+    assert unexecuted([path], profile_run(module.run)[0]) == ["C.__add__", "C.__add__.total"]
+
+
+def symbol_readers(watched: set) -> list:
+    """(file name, qualified name) of every caller in ``watched`` (pairs of
+    ``profile_run``) outside ``symbols.py`` and ``RadialMultiplier.__init__``;
+    a caller that ``defined_functions`` does not name goes by its code's name."""
+    out = set()
+    for _, code in watched:
+        path = Path(code.co_filename).resolve()
+        names = defined_functions(path) if path.suffix == ".py" else {}
+        name = names.get((code.co_firstlineno, code.co_name), code.co_name)
+        if path != SRC / "symbols.py" and (path, name) != (SRC / "operators.py",
+                                                            "RadialMultiplier.__init__"):
+            out.add((path.name, name))
+    return sorted(out)
+
+
+def test_only_the_symbol_and_the_multiplier_evaluate_a_symbol(cli_runs):
+    # the multiplier reads phi and psi1 once, on the lengths 0..2L+1, into the
+    # tables the suites read their targets and scales from
+    assert symbol_readers(cli_runs[1]) == []
+
+
+def test_symbol_evaluated_elsewhere_is_caught(tmp_path):
+    # the multiplier's tables and the symbol's own table are allowed, and
+    # psi2's calls of psi1 and of the symbol are the symbol's own; a
+    # generator expression is seen through to the function that makes it
+    path = tmp_path / "seeded.py"
+    path.write_text("from radmul.config import parse_config, preset_config\n"
+                    "from radmul.operators import RadialMultiplier\n"
+                    "from radmul.symbols import RadialSymbol, write_symbol_csv\n"
+                    "def scale(phi):\n    return max(abs(phi(n)) for n in range(3))\n"
+                    "def run(csv):\n"
+                    "    phi = RadialSymbol.geometric(0.5)\n"
+                    "    T = RadialMultiplier(parse_config(preset_config('dih')).space(), phi)\n"
+                    "    write_symbol_csv(csv, phi, 2)\n"
+                    "    return T.phi, scale(phi), [phi.psi2(n) for n in range(2)]\n")
+    spec = importlib.util.spec_from_file_location("seeded", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    _, watched = profile_run(lambda: module.run(tmp_path / "symbol.csv"), SYMBOL_CODES)
+    assert symbol_readers(watched) == [("seeded.py", "run"), ("seeded.py", "scale")]
 
 
 def pass_throughs(source: str) -> list:

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from radmul.config import parse_config, preset_config
 from radmul.fock import Amalgam, FockSpace
-from conftest import noncommuting_config
+from conftest import MODELS, noncommuting_config, symbol_zoo
 from oracles import (EntryStack, GeneratorWord, ReducedWord, append_star, apply, as_op,
                      coeffs, column_matrix, cond_exp, embedded, epsilon_dense, expand, family,
                      generator, generator_words, index_of, is_zero, left_action, left_mult,
-                     letter_index, partition_identity_residual, partition_sum_by_diag, prepend,
+                     letter_index, multiplier_weights_by_calls, partition_identity_residual,
+                     partition_sum_by_diag, prepend,
                      random_reduced_word, random_word, rho_dense, rho_matrix_by_letters,
                      right_action, select, strip_first, strip_star, to_array, tower_dense,
                      weighed, weighted_sum_dense, word_list, word_stack, word_vector,
@@ -893,6 +894,23 @@ def test_weight_stacks_equal_sums_of_phi_weights(phi):
     for variant, A, want in ((1, hp.h, T.t1_weights), (2, hp.k, T.t2_weights)):
         got = sum(phi_weights(space, variant, x, y) for x, y in factorize(A).pairs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_multiplier_weights_equal_the_per_call_route(model):
+    # the weight sets read off the tables phi and psi1 are, bit for bit, those
+    # that read every value by its own call of the symbol: the model's symbol
+    # and every tail kind, complex data included
+    data = MODELS[model]()
+    for fock_len in range(2, 6):
+        data["truncation"]["fock_len"] = fock_len
+        cfg = parse_config(data)
+        space = cfg.space()
+        for phi in [cfg.symbol] + symbol_zoo():
+            T = build_T(space, phi)
+            want = multiplier_weights_by_calls(space, phi)
+            for got, w in zip((T.t1_weights, T.t2_weights, T.weights), want):
+                assert got.shape == w.shape and np.array_equal(got, w)
 
 
 def test_case_convention_pinned_by_scaling(dih_space):

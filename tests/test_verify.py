@@ -529,8 +529,8 @@ def test_spanning_check_fails_on_an_off_diagonal_image(monkeypatch, tmp_path, ca
     # T1's tail weights read from k = 1, as T2's are
     ("_multiplier_weights", "d[total[:L, :L] + shift]", "d[total[:L, :L] + 1]", "cy3_space",
      "multiplier_case_rules"),
-    # T1 weighted by psi2 in place of psi1
-    ("_multiplier_weights", "phi.psi1(s + shift)", "phi.psi1(s + 1)", "cy3_space",
+    # T1 weighted by psi2 in place of psi1: psi1 read one length off
+    ("_multiplier_weights", "psi1[total + shift]", "psi1[total + 1]", "cy3_space",
      "t1_t2_component_rules"),
 ])
 def test_multiplier_checks_catch_a_seeded_defect(monkeypatch, request, name, old, new, space,
@@ -543,6 +543,75 @@ def test_multiplier_checks_catch_a_seeded_defect(monkeypatch, request, name, old
     symbols = [RadialSymbol.geometric(0.5)]
     assert check in (failed_names(lemma_suite(space, symbols))
                      + failed_names(main_theorem_suite(space, symbols)))
+
+
+PRESETS = ["dih", "mat2", "cy3"]
+
+
+def symbol_checks(space, phi) -> dict:
+    """(residual, status) by name of the checks of the suites that read the
+    symbol: the lemma, theorem and norm-bound suites, at seed 1."""
+    report = lemma_suite(space, [phi], seed=1)
+    report.extend(main_theorem_suite(space, [phi], seed=1))
+    report.extend(norm_bound_suite(space, [phi], seed=1, samples=5))
+    return {c.name: (c.max_residual, c.status) for c in report.checks}
+
+
+def scaled(phi: RadialSymbol, c: float) -> RadialSymbol:
+    return RadialSymbol(tuple(c * v for v in phi.head), c * phi.limit, c * phi.coefficient,
+                        phi.ratio)
+
+
+# a head, a complex geometric tail and a limit: every weight of T is nonzero
+SCALE_SYMBOL = RadialSymbol(head=(1.0, 0.5j, -0.25), coefficient=0.8 - 0.3j, ratio=-0.6 + 0.5j,
+                            limit=0.2 + 0.1j)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_residuals_are_invariant_under_power_of_two_scaling(preset):
+    # every residual is relative to the symbol's own scale, and 2^k scales
+    # every value exactly, so each residual at 2^k phi is the one at phi
+    space = parse_config(preset_config(preset)).space()
+    want = symbol_checks(space, SCALE_SYMBOL)
+    for k in (-40, -20, 20):
+        assert symbol_checks(space, scaled(SCALE_SYMBOL, 2.0 ** k)) == want, k
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_a_zero_multiplier_fails_at_every_scale(monkeypatch, preset):
+    # T with all three weight tables zeroed fails the same checks for phi at
+    # scale 1 and at scale 2^-40, where a floor at 1 on the symbol's scale
+    # let every check pass.  The second symbol vanishes on the lengths
+    # 0..2L+1 = 11 and its psi1 does not, so only the component rules see T
+    def zero_T(space, phi):
+        T = build_T(space, phi)
+        for W in (T.t1_weights, T.t2_weights, T.weights):
+            W[:] = 0
+        return T
+
+    space = parse_config(preset_config(preset)).space()
+    monkeypatch.setattr(verify, "build_T", zero_T)
+    vanishing = RadialSymbol((0.0,) * 12, coefficient=1 - 0.5j, ratio=-0.6 + 0.5j)
+    for phi, want in [(SCALE_SYMBOL, ["multiplier_case_rules", "norm_bound_lower[0]",
+                                      "t1_t2_component_rules", "theorem_action_on_words",
+                                      "theorem_vacuum_coefficients"]),
+                      (vanishing, ["t1_t2_component_rules"])]:
+        for c in (1.0, 2.0 ** -40):
+            checks = symbol_checks(space, scaled(phi, c))
+            assert sorted(n for n, (_, status) in checks.items() if status == "fail") == want
+
+
+@pytest.mark.parametrize("limit", [1e10, -1e10, [0, 1e10]], ids=["1e10", "-1e10", "1e10i"])
+def test_a_large_constant_symbol_passes_every_check(tmp_path, capsys, limit):
+    # T = c id has norm |c| = ||phi||_C: the envelope's residuals are
+    # relative to the bounds, so rounding at |c| = 1e10 passes
+    for preset in PRESETS:
+        data = preset_config(preset)
+        data["symbol"] = {"head": [], "tail": {"kind": "constant", "limit": limit}}
+        path = tmp_path / ("%s.json" % preset)
+        path.write_text(json.dumps(data))
+        assert main(["verify", "--suite", "all", "--config", str(path)]) == 0, preset
+    capsys.readouterr()
 
 
 def test_norm_bound_suite(dih_space, acceptance_symbols):
