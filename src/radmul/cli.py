@@ -1,4 +1,4 @@
-"""Batch driver: symbol tables, verification suites, norm-bound sampling.
+"""Batch driver: symbol tables, verification suites, the certified norm envelope.
 
 ``verify`` spreads its suites over the usable cores (``os.sched_getaffinity``)
 when the space is large enough to repay a fork (``FORK_MIN_SIZE``): the
@@ -75,13 +75,6 @@ def _seed(text: str) -> int:
     return value
 
 
-def _samples(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("need at least one sample")
-    return value
-
-
 def cmd_symbol(args) -> int:
     cfg = load_config(args.config)
     phi = cfg.symbol
@@ -107,20 +100,25 @@ def _run_suites(cfg: RunConfig, suite: str) -> VerificationReport:
     seed = cfg.seed
     space = cfg.space()
     symbols = [cfg.symbol]
-    # (job, the --suite value that selects it, the job) in list order: bound
-    # first, which the calling process keeps (``_run_jobs``), then the others
-    # largest first, so that each share starts with its longest job.  The
-    # embedding suite is a job of its own.  A report sorts its checks by
-    # name, so this order never shows.
+    # (job, the --suite value that selects it, the job) in list order, the
+    # longest first, so that the calling process, which keeps job 0
+    # (``_run_jobs``), and each worker's share start with their longest job.
+    # Forked, one at a time, at cy3 fock_len 10 with a 0.5**n tail the jobs
+    # took 0.97, 0.72, 0.11, 0.08, 0.05, 0.04, 0.02 and 0.007 s (medians of
+    # 3); at fock_len 12 the theorem suite takes longer than the cases suite
+    # (4.3 against 3.6 s), but on 2 cores either of them first gave about the
+    # same wall time there (5.8 and 6.1 s), and cases first the shorter one
+    # at fock_len 10 (1.65 against 1.93 s).  The embedding suite is a job of
+    # its own.  A report sorts its checks by name, so this order never shows.
     jobs = [
-        ("bound", "bound", lambda: norm_bound_suite(space, symbols, seed=seed, samples=25)),
-        ("theorem", "theorem", lambda: main_theorem_suite(space, symbols, seed=seed)),
         ("cases", "cases", lambda: lemma_suite(space, symbols, seed=seed)),
-        ("operators", "operators", lambda: operator_suite(space, seed=seed)),
+        ("theorem", "theorem", lambda: main_theorem_suite(space, symbols, seed=seed)),
+        ("bound", "bound", lambda: norm_bound_suite(space, symbols)),
         ("embedding", "operators", lambda: embedding_suite(space, seed=seed)),
+        ("operators", "operators", lambda: operator_suite(space, seed=seed)),
         ("fock", "fock", lambda: fock_suite(space, seed=seed)),
-        ("pp", "pp", lambda: _pp_suite(space)),
         ("spanning", "spanning", lambda: spanning_check(space)),
+        ("pp", "pp", lambda: _pp_suite(space)),
     ]
     results = _run_jobs([(name, job) for name, selector, job in jobs
                          if suite in ("all", selector)],
@@ -243,16 +241,12 @@ def cmd_verify(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    space = cfg.space()
-    report = norm_bound_suite(space, [cfg.symbol], seed=cfg.seed, samples=args.samples)
+    report = norm_bound_suite(cfg.space(), [cfg.symbol])
     value = norm_C(cfg.symbol)
-    observed = max((c.details.get("observed", 0.0) for c in report.checks
-                    if "observed" in c.details), default=0.0)
+    certified = next(c.details["certified"] for c in report.checks if "certified" in c.details)
     print("class_C_norm =", _fmt(value))
-    print("sampled_sup_ratio =", _fmt(observed))
-    print("margin =", _fmt(value - observed))
+    print("certified_bound =", _fmt(certified))
+    print("margin =", _fmt(value - certified))
     for line in report.summary_lines():
         print(line)
     return 0 if report.passed else 1
@@ -277,10 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, default="all")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bound", help="sampled completely bounded norm envelope")
+    p = sub.add_parser("bound", help="certified completely bounded norm envelope")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--samples", type=_samples, default=50)
     p.set_defaults(func=cmd_bound)
 
     return parser

@@ -27,10 +27,11 @@ Each of these maps -- Phi1, Phi2, T1, T2 and T -- is one weight set
 (W0, P1, P2) of three tables by row and column word length: every shifted
 copy of an entry of A keeps the weight of the lengths it had before the
 shifts, so ``apply_weights`` sums the shifts by Horner's rule.
-``phi_weights`` builds the set of one Phi block (P1 or P2 is x y^*); the
-pair sums depend on the pairs only through h and k, so the multiplier
-reads its sets off the symbol in closed form.  The row sums of the Phi
-factorization are Phi1_{v,v}(Id), so they take the same route.
+``phi_weights`` builds the set of one Phi block (P1 or P2 is x y^*),
+``tailed_weights`` that of vectors with geometric tails; the pair sums
+depend on the pairs only through h and k, so the multiplier reads its sets
+off the symbol in closed form.  The row sums of the Phi factorization are
+Phi_{v,v}(Id), so they take the same route.
 
 Everything here commutes with the right N-action, except the right
 creations, which are covariant: R_{gamma*}(xi b) = R_{gamma*}(xi) alpha_g(b).
@@ -64,8 +65,6 @@ back into consecutive ranges of samples.
 The operator is the package's one sparse matrix type, with one scalar
 layout, word-major: ``entries()`` and ``op @ x`` put the k x k block of word
 pair (r, c) on rows r k, ..., r k + k - 1 and columns c k, ..., c k + k - 1.
-``amplify`` builds the amplifications sum_i A_i (x) C_i of the norm-bound
-sampler, block B of A_i becoming kron(B, C_i), and ``op_norm`` reads them.
 """
 
 from __future__ import annotations
@@ -82,14 +81,14 @@ class StructuredOperator:
     """A stack of linear maps on the truncated Fock space, block-sparse on
     word pairs; a single map is a stack of one.
 
-    ``blocks[e]`` is the k x k block from the column word ``cols[e]`` to the
-    row word ``rows[e]`` of sample ``samples[e]`` (each pair at most once
-    per sample), k = dim_N except for an amplification (``amplify``).
-    Products, sums, scalar multiples (one scalar per sample for an array)
-    and the adjoint work sample by sample.  ``entries()`` lists the nonzero
-    scalar entries, and ``matrix()`` scatters them into the dense matrix of
-    each sample (once, kept for later calls); ``op @ x`` applies each
-    sample to a coordinate array, the package's one form of a Fock vector.
+    ``blocks[e]`` is the k x k block, k = dim_N, from the column word
+    ``cols[e]`` to the row word ``rows[e]`` of sample ``samples[e]`` (each
+    pair at most once per sample).  Products, sums, scalar multiples (one
+    scalar per sample for an array) and the adjoint work sample by sample.
+    ``entries()`` lists the nonzero scalar entries, and ``matrix()`` scatters
+    them into the dense matrix of each sample (once, kept for later calls);
+    ``op @ x`` applies each sample to a coordinate array, the package's one
+    form of a Fock vector.
     """
 
     # numpy arrays and scalars leave ``array * op`` to __rmul__
@@ -242,22 +241,6 @@ def op_sum(space: FockSpace, ops, name: str = "sum") -> StructuredOperator:
     merged = coalesce(*(np.concatenate([getattr(op, f) for op in ops])
                         for f in ("samples", "rows", "cols", "blocks")), len(space.words))
     return ops[0]._new(*merged, name)
-
-
-def amplify(coeffs, ops) -> StructuredOperator:
-    """sum_i A_i (x) C_i for operators A_i with one m x m scalar block C_i
-    per sample, in the A_i's stack: each word pair of A_i keeps its place
-    and its block B becomes kron(B, C_i), an m dim_N x m dim_N block, and
-    the terms are added in order.  It is sum_i C_i (x) A_i in the word-major
-    layout (``entries``), so it has the same norm."""
-    terms = []
-    for C, A in zip(coeffs, ops):
-        m, k = np.shape(C)[-1], A.blocks.shape[-1]
-        C = np.asarray(C).reshape(-1, m, m)[A.samples]
-        kron = A.blocks[:, :, None, :, None] * C[:, None, :, None, :]
-        terms.append(A._new(A.samples, A.rows, A.cols, kron.reshape(-1, k * m, k * m),
-                            "(C (x) %s)" % A.name))
-    return op_sum(ops[0].space, terms, "amplified")
 
 
 def _diag_op(space: FockSpace, values, name: str, block=None) -> StructuredOperator:
@@ -443,14 +426,31 @@ def phi_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
                        P, variant)
 
 
-def phi_cb_bound(sums: StructuredOperator) -> float:
-    """Row/column bound for the Phi factorization from the stack of its row
-    sums, Phi1_{x,x}(Id) and Phi1_{y,y}(Id): the square roots of the norms of
-    sum_k u_k u_k* and sum_k v_k* v_k for u = { D_{(S*)^n x}, D_{S^n x}
-    R_zeta }, v likewise from y, multiplied, so it never exceeds
-    ||x||_2 ||y||_2."""
-    norms = op_norm(sums)
-    return float(np.sqrt(norms[0]) * np.sqrt(norms[1]))
+def tailed_weights(space: FockSpace, variant: int, x, y) -> np.ndarray:
+    """``phi_weights`` for vectors (values, ratio) with geometric tails,
+    v(t) = v(p) ratio**(t-p) past the last value v(p): both spelled out to
+    the length K = p + L + 1, where for t >= K - max(a, b) both a + t and
+    b + t are past p, so the rest of sum_t x(a+t) conj(y(b+t)) is a
+    geometric series, added to W0 in closed form."""
+    L = space.L_max
+    (xv, z), (yv, w) = x, y
+    p, run = len(xv) - 1, np.arange(L + 1)
+    W = phi_weights(space, variant, np.append(xv[:p], xv[p] * z ** run),
+                    np.append(yv[:p], yv[p] * w ** run))
+    gap = run[None, :] - run[:, None]  # b - a
+    W[0] += (xv[p] * np.conj(yv[p]) * z ** (L + 1 - np.maximum(gap, 0))
+             * np.conj(w) ** (L + 1 - np.maximum(-gap, 0)) / (1 - z * np.conj(w)))
+    return W
+
+
+def phi_cb_bound(sums: StructuredOperator) -> np.ndarray:
+    """Row/column bounds of the Phi factorizations of n pairs (x, y) from the
+    stack of their row sums, the n Phi_{x,x}(Id), then the n Phi_{y,y}(Id):
+    per pair the square roots of the norms of sum_j u_j u_j* and sum_j v_j*
+    v_j for u = { D_{(S*)^n x}, D_{S^n x} R_zeta }, v likewise from y,
+    multiplied, so it never exceeds ||x||_2 ||y||_2."""
+    norms = op_norm(sums).reshape(2, -1)
+    return np.sqrt(norms[0]) * np.sqrt(norms[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,9 +18,10 @@ recover the symbol exactly: phi = psi1 + psi2 + lim phi, in closed form
 ``RadialSymbol.psi1``, ``psi2`` and ``limit``.
 
 The paper factors h and k into rank-one vector pairs whose sliding
-correlations reproduce psi1 and psi2.  M x M truncations with a bound on
-the discarded trace norm (``hankel_pair``) and their SVD pairs
-(``factorize``) keep that route as an oracle for the closed forms (see also
+correlations reproduce psi1 and psi2; ``hankel_pairs`` gives them in closed
+form, from the SVD pairs (``factorize``) of the small matrix.  M x M
+truncations with a bound on the discarded trace norm (``hankel_pair``) and
+their SVD pairs keep the truncated route as an oracle (see also
 ``psi_via_factors`` in the tests).
 """
 
@@ -196,14 +197,12 @@ def factorize(A: np.ndarray) -> HankelFactorization:
     return HankelFactorization(pairs=tuple(pairs), dim=A.shape[0])
 
 
-def hankel_trace_norm(phi: RadialSymbol, shift: int) -> float:
-    """Exact trace norm of (d(i+j+shift)), d(s) = phi(s) - phi(s+1): ||h||_1
-    for shift 0, ||k||_1 for shift 1.
-
-    Past p = head_end + 1 the entries are g z**(i+j), g = r (1-z) z**shift, so
-    rows and columns >= p collapse onto the unit vector (z**j / N)_{j>=p},
-    N**2 = |z|**(2p) / (1 - |z|**2), leaving a (p+1) x (p+1) matrix.
-    """
+def hankel_compression(phi: RadialSymbol, shift: int) -> np.ndarray:
+    """C with (d(i+j+shift)) = Q C Q^T, d(s) = phi(s) - phi(s+1), for h
+    (shift 0) and k (shift 1): past p = head_end + 1 the entries are
+    g z**(i+j), g = r (1-z) z**shift, so rows and columns >= p collapse onto
+    the unit vector v = (z**j / N)_{j>=p}, N**2 = |z|**(2p) / (1 - |z|**2),
+    and Q = [e_0, ..., e_{p-1}, v] leaves a (p+1) x (p+1) matrix C."""
     p = phi.head_end + 1
     i = np.arange(p)
     d = np.array([phi(s) - phi(s + 1) for s in range(2 * p + shift)], dtype=complex)
@@ -214,7 +213,29 @@ def hankel_trace_norm(phi: RadialSymbol, shift: int) -> float:
     N = math.sqrt(abs(z) ** (2 * p) / (1 - abs(z) ** 2))
     C[:p, p] = C[p, :p] = g * z ** i * N
     C[p, p] = g * N * N
-    return trace_norm(C)
+    return C
+
+
+def hankel_trace_norm(phi: RadialSymbol, shift: int) -> float:
+    """Exact ||h||_1 (shift 0) or ||k||_1 (shift 1), that of ``hankel_compression``."""
+    return trace_norm(hankel_compression(phi, shift))
+
+
+def hankel_pairs(phi: RadialSymbol, shift: int) -> list:
+    """The rank-one pairs (mass, x, y) of h (shift 0) or k (shift 1) from the
+    SVD pairs (x', y') of C (``factorize`` of ``hankel_compression``, which
+    must be finite): x = Q x' and y = conj(Q) y', as H = Q C Q^T, and mass
+    = ||x'|| ||y'||.  A vector is (values, ratio), its values at 0..p and
+    geometric past p, of ratio z for x and conj(z) for y; v's first entry
+    z**p / N is taken as phase and modulus, which no small z underflows."""
+    p, z = phi.head_end + 1, phi.ratio
+    lead = (z / abs(z)) ** p * math.sqrt(1 - abs(z) ** 2) if z else 1.0
+    pairs = []
+    for x, y in factorize(hankel_compression(phi, shift)).pairs:
+        mass = float(np.linalg.norm(x) * np.linalg.norm(y))
+        x[p], y[p] = x[p] * lead, y[p] * np.conj(lead)
+        pairs.append((mass, (x, z), (y, z.conjugate())))
+    return pairs
 
 
 def norm_C(phi: RadialSymbol) -> float:

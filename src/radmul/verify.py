@@ -3,9 +3,10 @@
 The suites drive the assembled multiplier against its contract: the scaling
 action phi(length) on sampled reduced words (products of embedded kernel
 letters, ``operators.word_operator``), the case rules on symbolic
-generators, the right-module structure, and the sampled completely bounded
-norm envelope.  The embedding suite checks the coefficients E(e_m* a e_l) on
-blocks of ``operators.embed``, a route independent of its word maps.
+generators, the right-module structure, and the completely bounded norm
+envelope, certified from the symbol's closed-form pairs.  The embedding
+suite checks the coefficients E(e_m* a e_l) on blocks of
+``operators.embed``, a route independent of its word maps.
 
 The sampled suites draw all their samples first and build each operator
 role of all of them as one stack from arrays of factor indices and
@@ -13,16 +14,18 @@ coefficients: ``embed`` takes a factor and a coefficient array per element,
 ``word_operator`` the arrays of a family of reduced words
 (``random_word_arrays``), and ``generator_operators`` a ``Generators``
 family of letter indices and coefficients, which the lemma suite's zoo and
-the bound suite's draws build directly.  Each stack is cut to the columns
-its checks read.  ``_stacked_chunks`` cuts the samples into ranges of
-bounded size (``CHUNK_ENTRIES``), so the multiplier, rho, epsilon, norms
+the bound suite's creation words build directly.  Each stack is cut to the
+columns its checks read.  ``_stacked_chunks`` cuts the samples into ranges
+of bounded size (``CHUNK_ENTRIES``), so the multiplier, rho, epsilon, norms
 and maxima run once per range with bounded memory.  Every sample gets
 exactly the numbers it gets on its own, so neither the ranges nor the cuts
 change a report.  The suites read phi, psi1 and psi2 off the multiplier's
-tables ``T.phi`` and ``T.psi1``; only the class norm reads the symbol.  The
-multiplier residuals are divided by the symbol's scale (``_symbol_scale``),
-the T1/T2 component residuals by the larger of it and the largest weight of
-T1 and T2 (``_component_scale``), and the envelope's by its bounds.
+tables ``T.phi`` and ``T.psi1``; only the class norm and the envelope's
+pairs read the symbol.  The multiplier residuals are divided by the
+symbol's scale (``_symbol_scale``), the T1/T2 component residuals and the
+envelope's weight identity by the larger of it and the largest weight of T1
+and T2 (``_component_scale``), and the envelope's other residuals by its
+bounds.
 
 The rank checks take their spanning families from ``operators``
 (``lambda_span``, ``word_vacuum_images``).  Both are block diagonal on
@@ -37,15 +40,15 @@ from numpy.random import default_rng  # loaded at import: once, before any fork
 
 from .algebra import multiplication_matrix
 from .fock import FockSpace, inner_N
-from .operators import (Generators, StructuredOperator, amplify, annihilation, apply_weights,
-                        build_T, creation, diag, embed, ends_in_factor_op, epsilon_matrix,
+from .operators import (Generators, StructuredOperator, annihilation, apply_weights, build_T,
+                        creation, diag, embed, ends_in_factor_op, epsilon_matrix,
                         generator_operators, identity_op, lambda_span, length_at_least_op,
                         length_exactly_op, op_sum, padded, phi_cb_bound, phi_weights,
                         right_annihilation, right_creation, right_mult, rho_matrix, stack,
-                        word_operator, word_vacuum_images)
+                        tailed_weights, word_operator, word_vacuum_images)
 from .report import VerificationReport
 from .sparse import max_column_norm, op_norm, schur_bound
-from .symbols import norm_C
+from .symbols import hankel_pairs, norm_C
 
 # a chunk of samples holds at most this many scalar entries in all (at least
 # one sample), each weighted 2L+1: a size weight, not a count of copies.  The
@@ -53,10 +56,6 @@ from .symbols import norm_C
 # A larger cap saves CPU time but raises peak RSS past the 5% bound of the
 # benchmark (BENCHMARK.json; measured in ROADMAP item 1, step B)
 CHUNK_ENTRIES = 4096
-
-# the norm-bound sampler's amplifications m and terms per combination
-AMPLIFICATIONS = (1, 2, 3)
-TERMS = 3
 
 
 def _stacked_chunks(space: FockSpace, stacks):
@@ -131,18 +130,6 @@ def _coefficients(rng, base, k: int, l: int) -> tuple:
     draws = [base.random(rng) for _ in range(k + 1 + l)]
     return (np.array(draws[:k + 1] + [base.zero()] * (2 - k)),
             np.array(draws[k + 1:] + [base.zero()] * (2 - l)))
-
-
-def random_generator_word(rng, space: FockSpace, k: int, l: int) -> tuple:
-    """The rows (cre, ann, cre_coeffs, ann_coeffs) of ``Generators`` for a
-    random word of k, l <= 2 letters, each string alternating factors."""
-    factor = space.letter_factors
-    strings = np.full((2, 2), -1)
-    for s, length in enumerate((k, l)):
-        for j in range(length):
-            choices = [t for t, i in enumerate(factor) if not j or i != factor[strings[s, j - 1]]]
-            strings[s, j] = choices[rng.integers(len(choices))]
-    return (strings[0], strings[1]) + _coefficients(rng, space.base, k, l)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +277,7 @@ def operator_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     report.add("epsilon_of_identity", (epsilon_matrix(space, ident) - q1).block_max()[0])
 
     # the factorization bound for Phi never exceeds the vector norms
-    bound = phi_cb_bound(sums)
+    bound = float(phi_cb_bound(sums)[0])
     cap = float(np.linalg.norm(xv) * np.linalg.norm(yv))
     report.add("phi_factorization_bound", max(bound - cap, 0.0), bound=bound, cap=cap)
     return report
@@ -450,46 +437,48 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
     return report
 
 
-def amplified_stacks(rng, space: FockSpace, T, samples: int):
-    """Draw ``samples`` combinations of ``TERMS`` random generator words A_i
-    with random complex m x m blocks C_i per amplification m in
-    ``AMPLIFICATIONS``, then yield ``(m, sum C_i (x) A_i, sum C_i (x)
-    T(A_i))`` per chunk of combinations and amplification, as operator
-    stacks (``amplify``), one sample per combination.  Per combination the
-    draws are the (k, l) of every term, the words, and then the blocks of
-    every amplification in turn.
+def _envelope_chain(space: FockSpace, T, phi, c_norm: float) -> tuple:
+    """(residual, certified bound, pair count) of the paper's chain
+    ||T||_cb <= ||phi||_C from the symbol's closed-form pairs
+    (``hankel_pairs``), Phi1 blocks for h's and Phi2 blocks for k's: the
+    largest of (a) T's sets T1, T2 and T against the pairs' summed
+    ``tailed_weights``, plus c Id for T, over ``_component_scale``, (b) the
+    gap between the pairs' summed mass plus |c| and ||phi||_C and (c) the
+    excess over ||phi||_C of the certified bound, the pairs'
+    ``phi_cb_bound``s (their row sums applied on the space) plus |c|; (b)
+    and (c) relative to ||phi||_C where it is nonzero.  A non-finite class
+    norm, as from a non-finite C, gives inf."""
+    if not np.isfinite(c_norm):
+        return np.inf, np.inf, 0
+    pairs = [(v, s, x, y) for v in (1, 2) for s, x, y in hankel_pairs(phi, v - 1)]
+    sets = np.zeros((3, 3, space.L_max + 1, space.L_max + 1), dtype=complex)
+    for v, _, x, y in pairs:
+        sets[v - 1] += tailed_weights(space, v, x, y)
+    sets[2] = sets[0] + sets[1]
+    sets[2, 0] += phi.limit
+    gaps = np.abs(np.array([T.t1_weights, T.t2_weights, T.weights]) - sets) / _component_scale(T)
+    mass = abs(phi.limit) + sum(pair[1] for pair in pairs)
+    certified = abs(phi.limit)
+    if pairs:
+        # the row sums Phi_{x,x}(Id) of every pair, then the Phi_{y,y}(Id)
+        rows = np.array([tailed_weights(space, pair[0], pair[side], pair[side])
+                         for side in (2, 3) for pair in pairs])
+        sums = apply_weights(space, rows, stack([identity_op(space)] * len(rows)),
+                             np.arange(len(rows)))
+        certified += float(phi_cb_bound(sums).sum())
+    scale = c_norm or 1.0
+    return (_fold(0.0, gaps, abs(mass - c_norm) / scale, max(certified - c_norm, 0.0) / scale),
+            certified, len(pairs))
+
+
+def norm_bound_suite(space: FockSpace, symbols) -> VerificationReport:
+    """The two-sided envelope for the multiplier norm.
+
+    Upper: the paper's chain ||T||_cb <= ||phi||_C, certified from the
+    symbol's closed-form pairs (``_envelope_chain``).  Lower: the scaling
+    action attains |phi(n)| on pure creation words, their norms exact SVDs
+    of the support components (``op_norm``).
     """
-    draws = []
-    for _ in range(samples):
-        kls = [(int(rng.integers(0, 3)), int(rng.integers(0, 3))) for _ in range(TERMS)]
-        gens = [random_generator_word(rng, space, k, l) for k, l in kls]
-        draws.append((gens, {m: [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-                                 for _ in range(TERMS)] for m in AMPLIFICATIONS}))
-    # term i of every combination, as one family
-    stacks = []
-    for i in range(TERMS):
-        cre, ann, b, bt = map(np.array, zip(*(gens[i] for gens, _ in draws)))
-        stacks.append(generator_operators(space, Generators(cre, ann, np.arange(samples), b, bt)))
-    for sl, ops in _stacked_chunks(space, stacks):
-        chunk = draws[sl]
-        # one Horner pass for all TERMS stacks pays its per-call cost once
-        tops = list(T.apply_matrix(stack(ops)).unstack(ops[0].n_samples * np.arange(TERMS + 1)))
-        for m in AMPLIFICATIONS:
-            blocks = [np.array([c[m][i] for _, c in chunk]) for i in range(TERMS)]
-            yield m, amplify(blocks, ops), amplify(blocks, tops)
-
-
-def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
-                     samples: int = 50) -> VerificationReport:
-    """Sampled two-sided envelope for the multiplier norm.
-
-    Upper: sup ||(id_m (x) T)(a)|| / ||a|| <= class-C norm over random
-    combinations of generator words with m x m scalar coefficient blocks.
-    Lower: the scaling action attains |phi(n)| on pure creation words.
-    Norms are exact SVDs of the support components of the amplified
-    matrices' entries (``op_norm``), one batched run per chunk.
-    """
-    rng = default_rng([seed, 6])
     report = VerificationReport()
     # the first creation word of every length up to 3
     lengths = range(0, min(3, space.L_max) + 1)
@@ -498,14 +487,9 @@ def norm_bound_suite(space: FockSpace, symbols, seed: int = 0,
     for si, phi in enumerate(symbols):
         T = build_T(space, phi)
         c_norm = norm_C(phi)
-        worst = 0.0
-        for _, big, tbig in amplified_stacks(rng, space, T, samples):
-            na = op_norm(big)
-            live = na >= 1e-12
-            if live.any():
-                worst = _fold(worst, op_norm(tbig)[live] / na[live])
-        report.add("norm_bound_upper[%d]" % si, max(worst - c_norm, 0.0) / (c_norm or 1.0),
-                   observed=worst, class_c_norm=c_norm, samples=samples)
+        upper, certified, pairs = _envelope_chain(space, T, phi, c_norm)
+        report.add("norm_bound_upper[%d]" % si, upper, class_c_norm=c_norm,
+                   certified=certified, pairs=pairs)
 
         attained = 0.0
         want = float(np.abs(T.phi[:len(lengths)]).max())

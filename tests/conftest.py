@@ -106,6 +106,16 @@ def symbol_zoo():
     ]
 
 
+def pair_symbols():
+    """The symbols of the closed-form pair tests: the zoo, a slow tail, a
+    complex ratio near -1, ratio 0 with a coefficient (phi(0) = limit + r
+    alone), and a constant symbol, whose Hankel matrices have no pair."""
+    return symbol_zoo() + [RadialSymbol.geometric(0.97),
+                           RadialSymbol.geometric(-0.9 + 0.3j, coefficient=1 - 0.5j),
+                           RadialSymbol(head=(), coefficient=2.0 - 1j, ratio=0.0, limit=0.5),
+                           RadialSymbol.constant(0.3 - 0.4j)]
+
+
 @pytest.fixture(scope="session")
 def zoo():
     return symbol_zoo()

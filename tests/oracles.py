@@ -90,6 +90,12 @@ scalar bases are dih's and cy3's (N = C).
     pairs of the M x M Hankel matrices summed (test_operators), 1e-12;
     ``multiplier_weights_by_calls`` (here), the route it replaced, every
     value read by its own call of ``phi`` or ``phi.psi1``, bit-exact.
+``symbols.hankel_pairs``: the M x M sections of h and k (``hankel_pair``)
+    against the pairs spelled out, 1e-14, and the pairs' mass against
+    ``hankel_trace_norm``, 1e-13, and against the SVD pairs of those
+    sections (``factorize``) within their tail error (test_symbols).
+``operators.tailed_weights``: the pairs' sets summed, plus c Id, against
+    ``multiplier_weights_by_calls`` (here), 1.3e-15 (test_operators).
 ``RadialSymbol.psi1``, ``psi2``: ``brute_psi1`` (test_symbols), the
     telescoping series summed, 1e-12 abs; ``psi_via_factors`` (here), the
     rank-one pairs of the M x M Hankel matrices, 1e-9 abs.
@@ -126,7 +132,7 @@ from radmul.operators import (Generators, StructuredOperator, _weight_set, annih
 from radmul.report import VerificationReport
 from radmul.symbols import HankelFactorization
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
-from radmul.verify import (_fold, _generator_zoo, _symbol_scale, random_generator_word,
+from radmul.verify import (_coefficients, _fold, _generator_zoo, _symbol_scale,
                            random_word_arrays)
 
 
@@ -462,8 +468,16 @@ def generator_words(space, gens):
 
 
 def random_word(rng, space, k, l):
-    """``verify.random_generator_word``'s draw as a ``GeneratorWord``."""
-    draw = random_generator_word(rng, space, k, l)
+    """A random ``GeneratorWord`` of k, l <= 2 letters, each string
+    alternating factors: the letters drawn first, then its coefficients
+    (``verify._coefficients``)."""
+    factor = space.letter_factors
+    strings = np.full((2, 2), -1)
+    for s, length in enumerate((k, l)):
+        for j in range(length):
+            choices = [t for t, i in enumerate(factor) if not j or i != factor[strings[s, j - 1]]]
+            strings[s, j] = choices[rng.integers(len(choices))]
+    draw = (strings[0], strings[1]) + _coefficients(rng, space.base, k, l)
     cre, ann, b, bt = (np.array([x]) for x in draw)
     return generator_words(space, Generators(cre, ann, np.zeros(1, dtype=np.intp), b, bt))[0]
 

@@ -112,11 +112,11 @@ def test_criterion_6_theorem_action(dih_space, mat2_space, acceptance_symbols):
 
 
 def test_criterion_7_norm_bound(dih_space, acceptance_symbols):
-    rep = norm_bound_suite(dih_space, acceptance_symbols, seed=ACCEPT_SEED, samples=200)
+    rep = norm_bound_suite(dih_space, acceptance_symbols)
     upper = max(c.max_residual for c in rep.checks if c.name.startswith("norm_bound_upper"))
     lower = max(c.max_residual for c in rep.checks if c.name.startswith("norm_bound_lower"))
     _line(7, "cb_norm_envelope", rep.passed,
-          "upper_excess=%.2e lower_gap=%.2e (200 samples, m<=3)" % (upper, lower))
+          "chain_residual=%.2e lower_gap=%.2e (closed-form pairs)" % (upper, lower))
 
 
 def test_criterion_8_comparison_bound():

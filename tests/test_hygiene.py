@@ -599,7 +599,6 @@ UNEXECUTED_ALLOWED = {
     "Amalgam.push": "radbench's tracer counts its calls",
     "FockVector.__init__": "radbench's tracer counts its calls",
     "hankel_pair": "radbench's tracer times it and setup_probe.py prints its tail_error",
-    "factorize": "radbench's tracer times the M x M Hankel route through it",
     "_discard_bound": "a helper of hankel_pair",
     "_sum_weighted_geometric": "a helper of hankel_pair",
     "TracialAlgebra.trace": "documented API: the normalized trace of N (README)",
@@ -630,7 +629,7 @@ def cli_runs(tmp_path_factory):
             config = tmp_path / ("%s.json" % name)
             config.write_text(json.dumps(data))
             for argv in (["verify", "--seed", "1", "--report", str(tmp_path / "report.json")],
-                         ["bound", "--samples", "3"],
+                         ["bound"],
                          ["symbol", "--csv", str(tmp_path / "symbol.csv")]):
                 assert main(argv + ["--config", str(config)]) == 0
 

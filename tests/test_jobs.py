@@ -171,14 +171,13 @@ def test_caller_runs_job_0_and_worker_w_runs_share_w(monkeypatch, n_cores):
     assert ran_in == {"job%d" % i: workers[(i - 1) % n] if i else os.getpid() for i in range(8)}
 
 
-# the jobs of --suite all in list order: bound first, which the
-# calling process keeps (a tracer in it sees the same jobs on every run), then
-# the others largest first; --suite operators selects operators and embedding
-TAKEN = ("bound", "theorem", "cases", "operators", "embedding", "fock", "pp", "spanning")
+# the jobs of --suite all in list order, the longest first (the calling
+# process keeps the first); --suite operators selects operators and embedding
+TAKEN = ("cases", "theorem", "bound", "embedding", "operators", "fock", "spanning", "pp")
 
 
 @pytest.mark.parametrize("suite", cli.SUITES)
-def test_jobs_are_handed_over_bound_first_then_largest_first(monkeypatch, suite):
+def test_jobs_are_handed_over_largest_first(monkeypatch, suite):
     handed = []
 
     def run_jobs(jobs, fork):
@@ -191,7 +190,7 @@ def test_jobs_are_handed_over_bound_first_then_largest_first(monkeypatch, suite)
 
 
 @pytest.mark.parametrize("argv", [["verify", "--suite", "bound"], ["verify", "--suite", "pp"],
-                                  ["bound", "--samples", "3"]])
+                                  ["bound"]])
 def test_one_job_never_forks(tmp_path, monkeypatch, argv, capsys):
     cores(monkeypatch, 8)
     fork_any_size(monkeypatch)
@@ -392,12 +391,12 @@ def test_worker_that_dies_exits_2(tmp_path, monkeypatch, capsys):
     def die(*args, **kwargs):
         assert os.getpid() != parent  # only ever in a worker
         os._exit(3)
-    monkeypatch.setattr(cli, "lemma_suite", die)
-    cores(monkeypatch, 2)  # the caller runs bound, the worker everything else
+    monkeypatch.setattr(cli, "main_theorem_suite", die)
+    cores(monkeypatch, 2)  # the caller runs cases, the worker everything else
     fork_any_size(monkeypatch)
     assert main(["verify", "--config", config]) == 2
     err = capsys.readouterr().err
-    assert "'cases'" in err and "exit code 3" in err
+    assert "'theorem'" in err and "exit code 3" in err
     assert "Traceback" not in err and err.count("\n") == 1
 
 

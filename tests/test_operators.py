@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from radmul.config import parse_config, preset_config
 from radmul.fock import Amalgam, FockSpace
-from conftest import MODELS, noncommuting_config, symbol_zoo
+from conftest import MODELS, noncommuting_config, pair_symbols, symbol_zoo
 from oracles import (EntryStack, GeneratorWord, ReducedWord, append_star, apply, as_op,
                      coeffs, column_matrix, cond_exp, embedded, epsilon_dense, expand, family,
                      generator, generator_words, index_of, is_zero, left_action, left_mult,
@@ -16,13 +16,13 @@ from oracles import (EntryStack, GeneratorWord, ReducedWord, append_star, apply,
                      weighed, weighted_sum_dense, word_list, word_stack, word_vector,
                      zero_op)
 from radmul.sparse import coalesce, max_column_norm, op_norm, schur_bound
-from radmul.operators import (StructuredOperator, amplify, annihilation,
+from radmul.operators import (StructuredOperator, annihilation,
                               apply_weights, build_T, creation, diag, embed, eps_rho_tower,
                               epsilon_matrix, identity_op, length_at_least_op,
                               phi_cb_bound, phi_weights, right_annihilation, right_creation,
-                              right_mult, rho_matrix, rho_tower, stack)
-from radmul.symbols import RadialSymbol, factorize, hankel_pair
-from radmul.verify import adjoint_check, amplified_stacks
+                              right_mult, rho_matrix, rho_tower, stack, tailed_weights)
+from radmul.symbols import RadialSymbol, factorize, hankel_pair, hankel_pairs
+from radmul.verify import adjoint_check
 
 SPACES = ["dih_space", "mat2_space", "cy3_space", "noncomm_space"]
 SCALAR_BASE = {"dih_space", "cy3_space"}
@@ -372,7 +372,7 @@ def test_phi_zero_vector_gives_zero(dih_space):
 
 def test_phi_cb_bound_values(dih_space):
     def bound(x, y):
-        return phi_cb_bound(row_sums(dih_space, [x, y]))
+        return phi_cb_bound(row_sums(dih_space, [x, y]))[0]
 
     e0 = np.zeros(5)
     e0[0] = 1.0
@@ -387,6 +387,11 @@ def test_phi_cb_bound_values(dih_space):
     # the norms of the stack are those of each sum alone
     assert bound(x, y) == float(np.sqrt(op_norm(row_sums(dih_space, [x]))[0])
                                 * np.sqrt(op_norm(row_sums(dih_space, [y]))[0]))
+    # n pairs in one stack, the n x sums first: one bound per pair, each the
+    # bound of its pair alone
+    pairs = [(x, y), (e0, e0), (2 * y, x)]
+    stacked = phi_cb_bound(row_sums(dih_space, [p[0] for p in pairs] + [p[1] for p in pairs]))
+    assert stacked.tolist() == [bound(*pair) for pair in pairs]
 
 
 # ---------------------------------------------------------------- cases
@@ -913,6 +918,27 @@ def test_multiplier_weights_equal_the_per_call_route(model):
                 assert got.shape == w.shape and np.array_equal(got, w)
 
 
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_pair_weights_sum_to_the_multiplier_weights(model):
+    # the Phi1 sets of h's closed-form pairs and the Phi2 sets of k's, tails
+    # summed in closed form, add up to T1 and T2, and with c Id to T, on
+    # the per-call route's tables; a complex ratio is where a wrong
+    # conjugate would show
+    data = MODELS[model]()
+    data["truncation"]["fock_len"] = 4
+    cfg = parse_config(data)
+    space = cfg.space()
+    for phi in [cfg.symbol] + pair_symbols():
+        want = multiplier_weights_by_calls(space, phi)
+        sets = [sum((tailed_weights(space, variant, x, y)
+                     for _, x, y in hankel_pairs(phi, variant - 1)), np.zeros_like(want[0]))
+                for variant in (1, 2)]
+        total = sets[0] + sets[1]
+        total[0] += phi.limit
+        for got, w in zip(sets + [total], want):
+            assert np.abs(got - w).max() <= 1.3e-15 * np.abs(w).max(), phi
+
+
 def test_case_convention_pinned_by_scaling(dih_space):
     # l = 2 separates the two possible readings of the case rule: the letter
     # adjacent to the final creation is the LAST annihilation entry.  Here
@@ -1105,44 +1131,6 @@ def _joined_blocks():
         "transposed-shapes-a", "transposed-shapes-b"])
 def test_op_norm_matches_full_svd(A):
     assert abs(op_norm(EntryStack.from_dense(A)) - svd_norm(A)) <= 1e-13 * svd_norm(A)
-
-
-@pytest.mark.parametrize("space_name", ["dih_space", "mat2_space", "cy3_space",
-                                        "noncomm_space"])
-def test_op_norm_matches_full_svd_on_amplified_samples(request, space_name):
-    space = request.getfixturevalue(space_name)
-    T = build_T(space, RadialSymbol(head=(1.0, -0.5, 0.25), limit=0.1))
-    rng = np.random.default_rng(8)
-    for _, big, tbig in amplified_stacks(rng, space, T, samples=4):
-        for A in (big, tbig):
-            for dense, norm in zip(A.matrix(), op_norm(A)):
-                assert abs(norm - svd_norm(dense)) <= 1e-13 * svd_norm(dense)
-
-
-@pytest.mark.parametrize("space_name", SPACES)
-def test_amplify_matches_dense_kron(request, space_name):
-    # a stack of three samples, the middle one without entries in any term
-    space = request.getfixturevalue(space_name)
-    rng = np.random.default_rng(26)
-    ops = [stack([random_operator(space, rng), zero_op(space), random_operator(space, rng)])
-           for _ in range(3)]
-    x = random_complex(rng, 3 * space.dim)
-    for m in (1, 2, 3):
-        coeffs = [random_complex(rng, (3, m, m)) for _ in ops]
-        big = amplify(coeffs, ops)
-        assert isinstance(big, StructuredOperator) and big.shape == (m * space.dim,) * 2
-        # word-major: sum_i A_i (x) C_i
-        want = np.array([sum(np.kron(A.matrix()[t], C[t]) for C, A in zip(coeffs, ops))
-                         for t in range(3)])
-        assert not want[1].any()
-        assert np.abs(big.matrix() - want).max() <= 1e-15 * np.abs(want).max()
-        assert_close(big @ x[:m * space.dim], want @ x[:m * space.dim])
-        # the copy-major sum_i C_i (x) A_i permutes its rows and columns, so
-        # the norm does not depend on the layout
-        swapped = [sum(np.kron(C[t], A.matrix()[t]) for C, A in zip(coeffs, ops))
-                   for t in range(3)]
-        for dense, norm in zip(swapped, op_norm(big)):
-            assert abs(norm - svd_norm(dense)) <= 1e-13 * max(svd_norm(dense), 1.0)
 
 
 @pytest.mark.parametrize("space_name", SPACES)

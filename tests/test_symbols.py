@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from radmul.symbols import (RadialSymbol, factorize,
-                            hankel_pair, hankel_trace_norm, norm_C,
-                            ricard_xu_bound, trace_norm, write_symbol_csv)
+from radmul.symbols import (RadialSymbol, factorize, hankel_pair, hankel_pairs,
+                            hankel_trace_norm, norm_C, ricard_xu_bound, trace_norm,
+                            write_symbol_csv)
 
+from conftest import pair_symbols
 from oracles import psi_via_factors
 
 
@@ -264,6 +265,43 @@ def test_factorize_zero_matrix():
 
 
 # ---------------------------------------------------------------- psi via factors
+
+def spelled_out(vector, n):
+    """The first n entries of a vector of ``hankel_pairs``, (values, ratio)
+    with v(t) = v(p) ratio**(t-p) past its last value v(p)."""
+    values, ratio = vector
+    p = len(values) - 1
+    return np.append(values[:p], values[p] * ratio ** np.arange(n - p))
+
+
+def tail_norm(vector):
+    """||v||_2 of a vector of ``hankel_pairs``, its tail summed in closed form."""
+    values, ratio = vector
+    tail = abs(values[-1]) ** 2 / (1 - abs(ratio) ** 2)
+    return math.sqrt(np.sum(np.abs(values[:-1]) ** 2) + tail)
+
+
+@pytest.mark.parametrize("phi", pair_symbols())
+def test_closed_form_pairs_factor_the_hankel_matrices(phi):
+    # sum_k x_k y_k^* spelled out on the M x M section is the section of h
+    # (k) itself, each pair balanced, and sum_k ||x_k|| ||y_k|| is the trace
+    # norm, which the M x M route's SVD pairs approach within its tail error;
+    # a matrix that vanishes (a constant symbol's) has no pair
+    M = 64
+    hp = hankel_pair(phi, M)
+    for shift, H in ((0, hp.h), (1, hp.k)):
+        pairs = hankel_pairs(phi, shift)
+        assert bool(pairs) == bool(H.any())
+        got = sum((np.outer(spelled_out(x, M), spelled_out(y, M).conj()) for _, x, y in pairs),
+                  np.zeros((M, M), dtype=complex))
+        assert np.abs(got - H).max() <= 1e-14 * max(np.abs(H).max(), 1.0)
+        for s, x, y in pairs:
+            assert tail_norm(x) == pytest.approx(math.sqrt(s), rel=1e-14)
+            assert tail_norm(y) == pytest.approx(math.sqrt(s), rel=1e-14)
+        mass = sum(tail_norm(x) * tail_norm(y) for _, x, y in pairs)
+        assert abs(mass - hankel_trace_norm(phi, shift)) <= 1e-13 * mass
+        assert abs(norm_sum(factorize(H)) - mass) <= hp.tail_error + 1e-12 * mass
+
 
 def test_psi_via_factors_matches_decomposition(zoo):
     M = 24

@@ -361,9 +361,9 @@ def test_adjoint_checks_compare_two_constructions():
 
 def seed_defect(monkeypatch, name, old, new):
     """Replace the one ``old`` in the source of ``name``, a function or class
-    of the fock, the operator or the verify module, by ``new``, and put the result
-    in place of ``name`` in the fock, operator and verify modules for the
-    rest of the test."""
+    that the fock, the operator or the verify module holds, by ``new``, and
+    put the result in place of ``name`` in the fock, operator and verify
+    modules for the rest of the test."""
     home = inspect.getmodule(next(vars(m)[name] for m in (fock, operators, verify)
                                   if name in vars(m)))
     source = inspect.getsource(getattr(home, name))
@@ -485,7 +485,7 @@ def test_push_unitary_direction_defect_fails_its_checks(monkeypatch, fock_len):
     reports = [fock_suite(space, seed=1), operator_suite(space, seed=1),
                embedding_suite(space, seed=1), lemma_suite(space, symbols, seed=1),
                main_theorem_suite(space, symbols, seed=1), spanning_check(space),
-               norm_bound_suite(space, symbols, seed=1, samples=25)]
+               norm_bound_suite(space, symbols)]
     assert set().union(*map(failed_names, reports)) == {
         "embedding_matrix_coefficients", "embedding_multiplicative", "embedding_star",
         "rho_power_sector_rule", "epsilon_case_rules", "phi1_eigenvalue_rule",
@@ -553,7 +553,7 @@ def symbol_checks(space, phi) -> dict:
     symbol: the lemma, theorem and norm-bound suites, at seed 1."""
     report = lemma_suite(space, [phi], seed=1)
     report.extend(main_theorem_suite(space, [phi], seed=1))
-    report.extend(norm_bound_suite(space, [phi], seed=1, samples=5))
+    report.extend(norm_bound_suite(space, [phi]))
     return {c.name: (c.max_residual, c.status) for c in report.checks}
 
 
@@ -582,7 +582,8 @@ def test_a_zero_multiplier_fails_at_every_scale(monkeypatch, preset):
     # T with all three weight tables zeroed fails the same checks for phi at
     # scale 1 and at scale 2^-40, where a floor at 1 on the symbol's scale
     # let every check pass.  The second symbol vanishes on the lengths
-    # 0..2L+1 = 11 and its psi1 does not, so only the component rules see T
+    # 0..2L+1 = 11 and its psi1 does not, so only the component rules and
+    # the envelope's weight identity see T
     def zero_T(space, phi):
         T = build_T(space, phi)
         for W in (T.t1_weights, T.t2_weights, T.weights):
@@ -593,12 +594,55 @@ def test_a_zero_multiplier_fails_at_every_scale(monkeypatch, preset):
     monkeypatch.setattr(verify, "build_T", zero_T)
     vanishing = RadialSymbol((0.0,) * 12, coefficient=1 - 0.5j, ratio=-0.6 + 0.5j)
     for phi, want in [(SCALE_SYMBOL, ["multiplier_case_rules", "norm_bound_lower[0]",
-                                      "t1_t2_component_rules", "theorem_action_on_words",
-                                      "theorem_vacuum_coefficients"]),
-                      (vanishing, ["t1_t2_component_rules"])]:
+                                      "norm_bound_upper[0]", "t1_t2_component_rules",
+                                      "theorem_action_on_words", "theorem_vacuum_coefficients"]),
+                      (vanishing, ["norm_bound_upper[0]", "t1_t2_component_rules"])]:
         for c in (1.0, 2.0 ** -40):
             checks = symbol_checks(space, scaled(phi, c))
             assert sorted(n for n, (_, status) in checks.items() if status == "fail") == want
+
+
+def scaled_weights(factor, names):
+    """``build_T`` with the weight sets ``names`` of T scaled by ``factor``."""
+    def build(space, phi):
+        T = build_T(space, phi)
+        for name in names:
+            getattr(T, name)[:] *= factor
+        return T
+    return build
+
+
+# defects the envelope's chain must catch: T's weights off by 1.5, T1 alone
+# off by 1 + 1e-6, phi_cb_bound dividing its two norms (about 1 per pair),
+# and the y side of the pairs built with Q in place of conj(Q) (the tail
+# ratio z for conj(z))
+ENVELOPE_DEFECTS = {
+    "weights-x1.5": lambda m: m.setattr(verify, "build_T", scaled_weights(
+        1.5, ("t1_weights", "t2_weights", "weights"))),
+    "t1-x(1+1e-6)": lambda m: m.setattr(verify, "build_T",
+                                        scaled_weights(1 + 1e-6, ("t1_weights",))),
+    "cb-bound-divides": lambda m: seed_defect(m, "phi_cb_bound",
+                                              "np.sqrt(norms[0]) * np.sqrt(norms[1])",
+                                              "np.sqrt(norms[0]) / np.sqrt(norms[1])"),
+    "y-side-Q": lambda m: seed_defect(m, "hankel_pairs",
+                                      "y[p] * np.conj(lead)\n"
+                                      "        pairs.append((mass, (x, z), (y, z.conjugate())))",
+                                      "y[p] * lead\n"
+                                      "        pairs.append((mass, (x, z), (y, z)))"),
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("defect", sorted(ENVELOPE_DEFECTS))
+def test_envelope_chain_catches_a_seeded_defect(monkeypatch, preset, defect):
+    # the symbol has a head, a complex tail ratio and a limit, scaled by 1/8
+    # so that its eight pairs outnumber its mass, ||phi||_C = 1.01: a bound
+    # of about 1 per pair then exceeds the class norm
+    space = parse_config(preset_config(preset)).space()
+    phi = scaled(SCALE_SYMBOL, 0.125)
+    assert "norm_bound_upper[0]" not in failed_names(norm_bound_suite(space, [phi]))
+    ENVELOPE_DEFECTS[defect](monkeypatch)
+    assert "norm_bound_upper[0]" in failed_names(norm_bound_suite(space, [phi]))
 
 
 @pytest.mark.parametrize("limit", [1e10, -1e10, [0, 1e10]], ids=["1e10", "-1e10", "1e10i"])
@@ -615,7 +659,7 @@ def test_a_large_constant_symbol_passes_every_check(tmp_path, capsys, limit):
 
 
 def test_norm_bound_suite(dih_space, acceptance_symbols):
-    rep = norm_bound_suite(dih_space, acceptance_symbols, seed=13, samples=20)
+    rep = norm_bound_suite(dih_space, acceptance_symbols)
     assert rep.passed, failed_names(rep)
 
 
