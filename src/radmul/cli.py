@@ -104,12 +104,11 @@ def _run_suites(cfg: RunConfig, suite: str) -> VerificationReport:
     # longest first, so that the calling process, which keeps job 0
     # (``_run_jobs``), and each worker's share start with their longest job.
     # Forked, one at a time, at cy3 fock_len 10 with a 0.5**n tail the jobs
-    # took 0.97, 0.72, 0.11, 0.08, 0.05, 0.04, 0.02 and 0.007 s (medians of
-    # 3); at fock_len 12 the theorem suite takes longer than the cases suite
-    # (4.3 against 3.6 s), but on 2 cores either of them first gave about the
-    # same wall time there (5.8 and 6.1 s), and cases first the shorter one
-    # at fock_len 10 (1.65 against 1.93 s).  The embedding suite is a job of
-    # its own.  A report sorts its checks by name, so this order never shows.
+    # took 0.76, 0.63, 0.075, 0.069, 0.043, 0.034, 0.020 and 0.005 s (medians
+    # of 5), and at fock_len 12 the cases suite is still the longest (2.75
+    # against 2.47 s for the theorem suite, medians of 3).  The embedding
+    # suite is a job of its own.  A report sorts its checks by name, so this
+    # order never shows.
     jobs = [
         ("cases", "cases", lambda: lemma_suite(space, symbols, seed=seed)),
         ("theorem", "theorem", lambda: main_theorem_suite(space, symbols, seed=seed)),
@@ -242,11 +241,9 @@ def cmd_verify(args) -> int:
 def cmd_bound(args) -> int:
     cfg = load_config(args.config)
     report = norm_bound_suite(cfg.space(), [cfg.symbol])
-    value = norm_C(cfg.symbol)
     certified = next(c.details["certified"] for c in report.checks if "certified" in c.details)
-    print("class_C_norm =", _fmt(value))
+    print("class_C_norm =", _fmt(norm_C(cfg.symbol)))
     print("certified_bound =", _fmt(certified))
-    print("margin =", _fmt(value - certified))
     for line in report.summary_lines():
         print(line)
     return 0 if report.passed else 1

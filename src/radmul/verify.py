@@ -17,9 +17,12 @@ family of letter indices and coefficients, which the lemma suite's zoo and
 the bound suite's creation words build directly.  Each stack is cut to the
 columns its checks read.  ``_stacked_chunks`` cuts the samples into ranges
 of bounded size (``CHUNK_ENTRIES``), so the multiplier, rho, epsilon, norms
-and maxima run once per range with bounded memory.  Every sample gets
-exactly the numbers it gets on its own, so neither the ranges nor the cuts
-change a report.  The suites read phi, psi1 and psi2 off the multiplier's
+and maxima run once per range with bounded memory, and
+``_joined_while_they_fit`` joins stacks built one after another (the theorem
+suite's word lengths, the operands of its linearity checks) while they fit
+one range.  Every sample gets exactly the numbers it gets on its own, so
+neither the ranges, the joins nor the cuts change a report.  The suites
+read phi, psi1 and psi2 off the multiplier's
 tables ``T.phi`` and ``T.psi1``; only the class norm and the envelope's
 pairs read the symbol.  The multiplier residuals are divided by the
 symbol's scale (``_symbol_scale``), the T1/T2 component residuals and the
@@ -50,24 +53,40 @@ from .report import VerificationReport
 from .sparse import max_column_norm, op_norm, schur_bound
 from .symbols import hankel_pairs, norm_C
 
-# a chunk of samples holds at most this many scalar entries in all (at least
-# one sample), each weighted 2L+1: a size weight, not a count of copies.  The
-# lemma suite then runs in 6 chunks at cy3 fock_len 5 and 127 at fock_len 9.
-# A larger cap saves CPU time but raises peak RSS past the 5% bound of the
-# benchmark (BENCHMARK.json; measured in ROADMAP item 1, step B)
-CHUNK_ENTRIES = 4096
+# a chunk of samples is at most this large in all (at least one sample), a
+# sample's size being the scalar entries a Horner pass can write from its
+# entries (``_sizes``), once per copy the pass takes.  At cy3 fock_len 5 the
+# lemma suite's generators, the theorem suite's four word lengths and its
+# linearity operands then take one pass each; a larger cap raises the peak
+# RSS at fock_len 8 (README, "chunks")
+CHUNK_ENTRIES = 40960
 
 
-def _stacked_chunks(space: FockSpace, stacks):
+def _sizes(space: FockSpace, stacks) -> np.ndarray:
+    """The size of each sample of ``stacks`` (one per operator role, all of
+    one size): d^2 min(subtree(r), subtree(c)) per entry on the word pair
+    (r, c), subtree(w) the number of words that extend w, w included.  rho
+    appends one letter to both words of an entry, so this bounds the scalar
+    entries that the entry adds to a Horner pass (``apply_weights``)."""
+    subtree = np.ones(len(space.words), dtype=np.intp)
+    for k in range(space.L_max, 0, -1):
+        at = np.flatnonzero(space.lengths == k)
+        np.add.at(subtree, space.parent[at], subtree[at])
+    n = stacks[0].n_samples
+    return space.dim_N ** 2 * sum(
+        np.bincount(op.samples, np.minimum(subtree[op.rows], subtree[op.cols]), minlength=n)
+        for op in stacks)
+
+
+def _stacked_chunks(space: FockSpace, stacks, copies: int = 1):
     """Yield (slice, stacks of its samples) for consecutive ranges of the
     samples of ``stacks`` (one per operator role, all of one size).  A range
-    takes samples while their sizes (the size weight 2L+1 per scalar entry
-    of a block, see ``CHUNK_ENTRIES``) add up to at most ``CHUNK_ENTRIES``,
-    and at least one.  Each stack is cut into the ranges by one ``unstack``."""
+    takes samples while their sizes (``_sizes``), each counted ``copies``
+    times for a pass on that many copies of every sample, add up to at most
+    ``CHUNK_ENTRIES``, and at least one.  Each stack is cut into the ranges
+    by one ``unstack``."""
     n = stacks[0].n_samples
-    per = (2 * space.L_max + 1) * space.dim_N ** 2
-    ends = np.cumsum(per * np.bincount(np.concatenate([op.samples for op in stacks]),
-                                       minlength=n))
+    ends = np.cumsum(copies * _sizes(space, stacks))
     bounds = [0]
     while bounds[-1] < n:
         taken = ends[bounds[-1] - 1] if bounds[-1] else 0
@@ -76,6 +95,45 @@ def _stacked_chunks(space: FockSpace, stacks):
     ranges = zip(bounds, bounds[1:], *(op.unstack(bounds) for op in stacks))
     for start, stop, *chunk in ranges:
         yield slice(start, stop), chunk
+
+
+def _joined_while_they_fit(space: FockSpace, built):
+    """Yield (keys, stack) for the (key, stack) pairs of the iterable
+    ``built``, consecutive stacks joined while their sizes (``_sizes``) add
+    up to at most ``CHUNK_ENTRIES``; ``keys`` holds each sample's key.  A
+    stack is taken from ``built`` only when the ones before it are yielded
+    or still have room, so at most a chunk's worth is held while the next
+    one is built."""
+    held, size = [], 0
+    for key, op in built:
+        more = int(_sizes(space, [op]).sum())
+        if held and size + more > CHUNK_ENTRIES:
+            yield _joined(held)
+            held, size = [], 0
+        held.append((key, op))
+        size += more
+        if size >= CHUNK_ENTRIES:
+            yield _joined(held)
+            held, size = [], 0
+    if held:
+        yield _joined(held)
+
+
+def _joined(held: list) -> tuple:
+    """(each sample's key, the stacks joined) for (key, stack) pairs; a
+    single stack is passed on as it is."""
+    keys = np.concatenate([np.full(op.n_samples, key) for key, op in held])
+    return keys, stack([op for _, op in held]) if len(held) > 1 else held[0][1]
+
+
+def _images(space: FockSpace, T, operands) -> list:
+    """[T(A) for A in operands], the operators applied as one stack, a
+    chunk at a time (``_joined_while_they_fit``, ``_stacked_chunks``)."""
+    images = []
+    for _, joined in _joined_while_they_fit(space, ((None, A) for A in operands)):
+        for _, (chunk,) in _stacked_chunks(space, [joined]):
+            images += T.apply_matrix(chunk).unstack(range(chunk.n_samples + 1))
+    return images
 
 
 def _fold(worst: float, *values) -> float:
@@ -342,7 +400,7 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0) -> VerificationReport:
     # every check reads the columns of length <= g only, and a column of
     # rho(a), eps(a) or T(a) reads the same or a shorter column of a
     A = generator_operators(space, gens)
-    for sl, (a,) in _stacked_chunks(space, [A.columns_upto(g)]):
+    for sl, (a,) in _stacked_chunks(space, [A.columns_upto(g)], copies=len(weight_sets)):
         # rho^n(a) = a Q_{l+n}: the entries of a in the columns of length >= l+n
         rho_a = rho_matrix(space, a)
         for n, rho_n in ((1, rho_a), (2, rho_matrix(space, rho_a))):
@@ -387,8 +445,9 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
                        max_len=None) -> VerificationReport:
     """The multiplier action on sampled reduced words: T(A) = phi(n) A on the
     guard band, exact vacuum coefficients, linearity, and the right-module
-    property of T.  The words of one length are checked a chunk at a time,
-    as one stack."""
+    property of T.  The words are built a length at a time, and checked a
+    chunk at a time as one stack with the lengths before them that fit one
+    chunk with them."""
     rng = default_rng([seed, 5])
     report = VerificationReport()
     if max_len is None:
@@ -399,12 +458,15 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
 
     res_action = 0.0
     res_vacuum = 0.0
-    for n, sampled in words.items():
-        guard = space.L_max - n
-        # the checks read the guard columns only, and a column of T(A) reads
-        # the same or a shorter column of A
-        stacks = [word_operator(space, *sampled, guard)]
-        for _, (A,) in _stacked_chunks(space, stacks):
+    # the checks read the guard columns of each word (length n: the columns
+    # of length <= L - n) only, and a column of T(A) reads the same or a
+    # shorter column of A.  The lengths are built one at a time and joined
+    # while they fit one chunk
+    built = ((n, word_operator(space, *sampled, space.L_max - n))
+             for n, sampled in words.items())
+    for lengths, stacked in _joined_while_they_fit(space, built):
+        for sl, (A,) in _stacked_chunks(space, [stacked]):
+            n, guard = lengths[sl], space.L_max - lengths[sl]
             # the residual is an upper bound for ||d|| over a lower bound for
             # ||A_guard||, each one pass over the entries, so it is never
             # smaller than ||d|| / ||A_guard||
@@ -420,17 +482,18 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
     report.add("theorem_vacuum_coefficients", res_vacuum)
 
     # linearity and the right-module property of T (right action = composing
-    # with a left multiplication, the N-copy inside the algebra)
+    # with a left multiplication, the N-copy inside the algebra): T applied to
+    # A, al A + be B, B and A lam as one stack, a chunk at a time
     T0, s = mults[0]
     A = word_operator(space, *(x[:1] for x in words[min(1, max_len)]))
     B = word_operator(space, *(x[:1] for x in words[0]))
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     lam = embed(space, [0], space.base.random(rng)[None, None])
-    TA = T0.apply_matrix(A)
-    diff = T0.apply_matrix(al * A + be * B) - al * TA - be * T0.apply_matrix(B)
+    TA, T_mixed, TB, T_lam = _images(space, T0, [A, al * A + be * B, B, A @ lam])
+    diff = T_mixed - al * TA - be * TB
     norm_a = max(op_norm(A)[0], 1.0)
     res_lin = op_norm(diff)[0] / norm_a / s
-    diff = T0.apply_matrix(A @ lam) - TA @ lam
+    diff = T_lam - TA @ lam
     res_mod = op_norm(diff.columns_upto(space.L_max - max(1, max_len)))[0] / norm_a / s
     report.add("multiplier_linearity", res_lin)
     report.add("multiplier_right_module", res_mod)

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import radmul.cli as cli
 import radmul.operators as operators
 import radmul.verify as verify
 from oracles import (GeneratorWord, dense_rank, embed_by_term_loop, embedded, family,
@@ -330,40 +331,130 @@ def test_suites_with_term_loop_embed_give_the_same_reports(request, monkeypatch,
         assert_reports_agree(got, want, 1e-14)
 
 
+def spy_chunks(monkeypatch) -> dict:
+    """Record the chunks of every ``_stacked_chunks`` call of a ``cli`` run
+    in this process: {suite function: [[sample count of each chunk] per
+    call, in call order]}."""
+    calls, suite, chunks = {}, [None], verify._stacked_chunks
+
+    def spy(*args, **kwargs):
+        sizes = []
+        calls.setdefault(suite[0], []).append(sizes)
+        for samples, stacks in chunks(*args, **kwargs):
+            sizes.append(samples.stop - samples.start)
+            assert all(op.n_samples == sizes[-1] for op in stacks)
+            yield samples, stacks
+
+    def tagged(name, run):
+        def job(*args, **kwargs):
+            suite[0] = name
+            return run(*args, **kwargs)
+        return job
+
+    monkeypatch.setattr(verify, "_stacked_chunks", spy)
+    for name in ("lemma_suite", "main_theorem_suite", "norm_bound_suite", "embedding_suite"):
+        monkeypatch.setattr(cli, name, tagged(name, getattr(cli, name)))
+    return calls
+
+
+def verify_in_one_process(monkeypatch, config, path):
+    """The report bytes of ``verify --suite all`` on one usable core, where
+    every suite runs in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["verify", "--suite", "all", "--config", str(config),
+                 "--report", str(path)]) == 0
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("preset", ["dih", "mat2", "cy3"])
 def test_one_sample_chunks_give_the_same_report(tmp_path, monkeypatch, capsys, preset):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(preset_config(preset)))
-    chunks, runs = verify._stacked_chunks, []
-
-    def spy(*args):
-        for samples, stacks in chunks(*args):
-            runs.append(samples.stop - samples.start)
-            assert all(op.n_samples == runs[-1] for op in stacks)
-            yield samples, stacks
-
-    def report(path):
-        runs.clear()
-        assert main(["verify", "--suite", "all", "--config", str(config),
-                     "--report", str(path)]) == 0
-        return path.read_bytes()
-
-    # one usable core: every suite runs in this process, where the spy is
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(verify, "_stacked_chunks", spy)
-    batched = report(tmp_path / "batched.json")
-    assert max(runs) > 1
+    calls = spy_chunks(monkeypatch)
+    batched = verify_in_one_process(monkeypatch, config, tmp_path / "batched.json")
+    assert max(max(sizes) for runs in calls.values() for sizes in runs) > 1
+    # the theorem suite's last call is its linearity stack, four operands
+    assert calls["main_theorem_suite"][-1] == [4]
+    calls.clear()
     monkeypatch.setattr(verify, "CHUNK_ENTRIES", 1)
-    assert report(tmp_path / "single.json") == batched
-    assert max(runs) == 1
+    assert verify_in_one_process(monkeypatch, config, tmp_path / "single.json") == batched
+    assert max(max(sizes) for runs in calls.values() for sizes in runs) == 1
+    # one operand per join and per chunk
+    assert calls["main_theorem_suite"][-4:] == [[1]] * 4
     capsys.readouterr()
+
+
+def test_cy3_workload_applies_T_in_few_passes(tmp_path, monkeypatch, capsys):
+    """On cy3 at fock_len 5 with seed 1, the input of the cy3-L5 benchmark
+    workload, one process applies T in at most 9 Horner passes
+    (``apply_weights`` calls; 27 with the flat size 2L+1 per entry and a cap
+    of 4096), and the lemma suite's generators, the theorem suite's words of
+    all four lengths and its linearity operands come in one chunk each."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(preset_config("cy3"), seed=1)))
+    passes, apply = [], operators.apply_weights
+
+    def counted(*args):
+        passes.append(args[2].n_samples)
+        return apply(*args)
+    # the multiplier calls it in operators, the suites in verify
+    for module in (operators, verify):
+        monkeypatch.setattr(module, "apply_weights", counted)
+    calls = spy_chunks(monkeypatch)
+    verify_in_one_process(monkeypatch, config, tmp_path / "report.json")
+    assert len(passes) <= 9
+    assert calls["lemma_suite"] == [[178]]
+    assert calls["main_theorem_suite"] == [[40], [4]]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cap", [verify.CHUNK_ENTRIES, 1])
+@pytest.mark.parametrize("name", EXACT + ["noncomm_space"])
+def test_stacked_images_match_separate_applications(request, monkeypatch, symbols, name,
+                                                     cap):
+    """The theorem suite's linearity operands A, al A + be B, B and A lam,
+    applied by ``_images`` as one stack a chunk at a time, get T's entries
+    bit for bit as four ``apply_matrix`` calls give them."""
+    monkeypatch.setattr(verify, "CHUNK_ENTRIES", cap)
+    space, rng = request.getfixturevalue(name), np.random.default_rng(47)
+    T = build_T(space, symbols[2])
+    A = operators.word_operator(space, *verify.random_word_arrays(rng, space, 1, 1))
+    B = operators.word_operator(space, *verify.random_word_arrays(rng, space, 0, 1))
+    lam = operators.embed(space, [0], space.base.random(rng)[None, None])
+    operands = [A, (0.3 - 1.1j) * A + 0.7 * B, B, A @ lam]
+    got = verify._images(space, T, operands)
+    assert len(got) == len(operands)
+    for image, op in zip(got, operands):
+        want = T.apply_matrix(op)
+        assert image.n_samples == 1
+        for field in ("samples", "rows", "cols", "blocks"):
+            assert np.array_equal(getattr(image, field), getattr(want, field)), field
+
+
+def subtree_sizes(space) -> np.ndarray:
+    """The number of words that start with word w, w included, per word:
+    the rows of ``space.words`` that agree with w's on its letters."""
+    words, lengths = space.words, space.lengths
+    head = np.arange(space.L_max)[None, :] < lengths[:, None]
+    same = (words[None, :, :] == words[:, None, :]) | ~head[:, None, :]
+    return same.all(axis=2).sum(axis=1)
+
+
+def chunk_sizes(space, stacks) -> np.ndarray:
+    """Each sample's size for ``_stacked_chunks``: d^2 min(subtree(r),
+    subtree(c)) per entry (r, c), from ``subtree_sizes``."""
+    sub, n = subtree_sizes(space), stacks[0].n_samples
+    return space.dim_N ** 2 * sum(
+        np.bincount(op.samples, np.minimum(sub[op.rows], sub[op.cols]), minlength=n)
+        for op in stacks)
 
 
 @pytest.mark.parametrize("cap", [1, 40, 400, 4096])
 def test_chunks_match_select_bit_for_bit(monkeypatch, cy3_space, cap):
     """The ranges of ``_stacked_chunks`` are consecutive and cover the
-    samples; each takes samples while their sizes (2L+1 per scalar entry)
-    add up to at most the cap, and at least one.  Every chunk is the stack
+    samples; each takes samples while their sizes (``chunk_sizes``, each
+    counted once and three times) add up to at most the cap, and at least
+    one.  Every chunk is the stack
     ``select`` gives for its range of samples, entry order included: on the
     zoo's generators in a shuffled order, whose entries then come grouped by
     kind, not by sample, and on them cut to the vacuum column, where many
@@ -382,22 +473,61 @@ def test_chunks_match_select_bit_for_bit(monkeypatch, cy3_space, cap):
     embeds = embedded(space, np.arange(gens.n_samples) % 2,
                       [factors[t % 2].random(rng) for t in range(gens.n_samples)])
     stacks, n = [gens, cut, embeds], gens.n_samples
-    sizes = sum(np.bincount(op.samples, minlength=n) for op in stacks) * (
-        (2 * space.L_max + 1) * space.dim_N ** 2)
-    got = list(verify._stacked_chunks(space, stacks))
-    assert len(got) > (1 if cap == 4096 else 10)
-    assert [sl.start for sl, _ in got] == [0] + [sl.stop for sl, _ in got][:-1]
-    assert got[-1][0].stop == n
-    for sl, ops in got:
-        assert sl.stop - sl.start == 1 or sizes[sl].sum() <= cap
-        assert sl.stop == n or sizes[sl.start:sl.stop + 1].sum() > cap
-        keep = (np.arange(n) >= sl.start) & (np.arange(n) < sl.stop)
-        for op, whole in zip(ops, stacks):
-            w = select(whole, keep)
-            assert (op.n_samples, op.name) == (w.n_samples, w.name)
-            for field in ("samples", "rows", "cols", "blocks"):
-                assert np.array_equal(getattr(op, field), getattr(w, field))
-                assert getattr(op, field).dtype == getattr(w, field).dtype
+    for copies in (1, 3):
+        sizes = copies * chunk_sizes(space, stacks)
+        got = list(verify._stacked_chunks(space, stacks, copies))
+        assert len(got) > (1 if cap == 4096 else 10)
+        assert [sl.start for sl, _ in got] == [0] + [sl.stop for sl, _ in got][:-1]
+        assert got[-1][0].stop == n
+        for sl, ops in got:
+            assert sl.stop - sl.start == 1 or sizes[sl].sum() <= cap
+            assert sl.stop == n or sizes[sl.start:sl.stop + 1].sum() > cap
+            keep = (np.arange(n) >= sl.start) & (np.arange(n) < sl.stop)
+            for op, whole in zip(ops, stacks):
+                w = select(whole, keep)
+                assert (op.n_samples, op.name) == (w.n_samples, w.name)
+                for field in ("samples", "rows", "cols", "blocks"):
+                    assert np.array_equal(getattr(op, field), getattr(w, field))
+                    assert getattr(op, field).dtype == getattr(w, field).dtype
+
+
+@pytest.mark.parametrize("cap", [1, 1000, 2000, 10 ** 9])
+def test_stacks_are_joined_while_they_fit(monkeypatch, cy3_space, cap):
+    """``_joined_while_they_fit`` joins consecutive stacks, in order, while
+    their sizes add up to at most the cap, each join taking at least one
+    and never one that would overflow it; it takes the next stack only when
+    the ones it holds still have room, and each join is ``stack`` of its
+    stacks, with their keys per sample."""
+    monkeypatch.setattr(verify, "CHUNK_ENTRIES", cap)
+    space, rng = cy3_space, np.random.default_rng(48)
+    ops = [operators.word_operator(space, *verify.random_word_arrays(rng, space, n, count),
+                                   space.L_max - n)
+           for n, count in ((0, 3), (1, 2), (2, 4), (1, 1), (3, 2))]
+    sizes = [chunk_sizes(space, [op]).sum() for op in ops]
+    built = []
+
+    def build():
+        for key, op in enumerate(ops):
+            built.append(key)
+            yield key, op
+
+    start = 0
+    for keys, joined in verify._joined_while_they_fit(space, build()):
+        stop = start + len(set(keys))
+        held = ops[start:stop]
+        assert np.array_equal(keys, np.repeat(np.arange(start, stop),
+                                              [op.n_samples for op in held]))
+        assert stop == start + 1 or sum(sizes[start:stop]) <= cap
+        if stop < len(ops):
+            assert sum(sizes[start:stop + 1]) > cap
+        # the next stack is built only if this join had room for it
+        room = sum(sizes[start:stop]) < cap and stop < len(ops)
+        assert built[-1] == (stop if room else stop - 1)
+        want = operators.stack(held)
+        for field in ("samples", "rows", "cols", "blocks"):
+            assert np.array_equal(getattr(joined, field), getattr(want, field))
+        start = stop
+    assert start == len(ops)
 
 
 @pytest.mark.parametrize("name", EXACT + ["noncomm_space"])

@@ -722,4 +722,3 @@ def test_cmd_bound_geometric(tmp_path, capsys):
               for line in out.splitlines() if " = " in line}
     assert values["class_C_norm"] == pytest.approx(1.0, abs=1e-8)
     assert values["certified_bound"] <= 1.0 + 1e-8
-    assert values["margin"] >= -1e-8
