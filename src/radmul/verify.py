@@ -15,20 +15,19 @@ coefficients: ``embed`` takes a factor and a coefficient array per element,
 (``random_word_arrays``), and ``generator_operators`` a ``Generators``
 family of letter indices and coefficients, which the lemma suite's zoo and
 the bound suite's creation words build directly.  Each stack is cut to the
-columns its checks read.  ``_stacked_chunks`` cuts the samples into ranges
-of bounded size (``CHUNK_ENTRIES``), so the multiplier, rho, epsilon, norms
-and maxima run once per range with bounded memory, and
-``_joined_while_they_fit`` joins stacks built one after another (the theorem
-suite's word lengths, the operands of its linearity checks) while they fit
-one range.  Every sample gets exactly the numbers it gets on its own, so
-neither the ranges, the joins nor the cuts change a report.  The suites
-read phi, psi1 and psi2 off the multiplier's
-tables ``T.phi`` and ``T.psi1``; only the class norm and the envelope's
-pairs read the symbol.  The multiplier residuals are divided by the
-symbol's scale (``_symbol_scale``), the T1/T2 component residuals and the
-envelope's weight identity by the larger of it and the largest weight of T1
-and T2 (``_component_scale``), and the envelope's other residuals by its
-bounds.
+columns its checks read.  ``_chunks`` cuts the samples of stacks built
+one after another (the theorem suite's word lengths, the operands of its
+linearity checks) into consecutive ranges of bounded size
+(``CHUNK_ENTRIES``), a range spanning stacks where they fit, so the
+multiplier, rho, epsilon, norms and maxima run once per range with bounded
+memory.  Every sample gets exactly the numbers it gets on its own, so
+neither the ranges nor the cuts change a report.  The suites read phi, psi1
+and psi2 off the multiplier's tables ``T.phi`` and ``T.psi1``; only the
+class norm and the envelope's pairs read the symbol.  The multiplier
+residuals are divided by the symbol's scale (``_symbol_scale``), the T1/T2
+component residuals and the envelope's weight identity by the larger of it
+and the largest weight of T1 and T2 (``_component_scale``), and the
+envelope's other residuals by its bounds.
 
 The rank checks take their spanning families from ``operators``
 (``lambda_span``, ``word_vacuum_images``).  Both are block diagonal on
@@ -53,87 +52,58 @@ from .report import VerificationReport
 from .sparse import max_column_norm, op_norm, schur_bound
 from .symbols import hankel_pairs, norm_C
 
-# a chunk of samples is at most this large in all (at least one sample), a
+# a range of samples is at most this large in all (at least one sample), a
 # sample's size being the scalar entries a Horner pass can write from its
-# entries (``_sizes``), once per copy the pass takes.  At cy3 fock_len 5 the
+# entries (``_chunks``), once per copy the pass takes.  At cy3 fock_len 5 the
 # lemma suite's generators, the theorem suite's four word lengths and its
 # linearity operands then take one pass each; a larger cap raises the peak
 # RSS at fock_len 8 (README, "chunks")
 CHUNK_ENTRIES = 40960
 
 
-def _sizes(space: FockSpace, stacks) -> np.ndarray:
-    """The size of each sample of ``stacks`` (one per operator role, all of
-    one size): d^2 min(subtree(r), subtree(c)) per entry on the word pair
-    (r, c), subtree(w) the number of words that extend w, w included.  rho
-    appends one letter to both words of an entry, so this bounds the scalar
-    entries that the entry adds to a Horner pass (``apply_weights``)."""
+def _chunks(space: FockSpace, built, copies: int = 1):
+    """Yield (slice, stacks) for consecutive ranges of the samples of the
+    stack tuples of the iterable ``built`` (one stack per operator role, all
+    of one size), the slice numbering the samples across all tuples.  A
+    range takes samples while their sizes, each counted ``copies`` times for
+    a pass on that many copies of every sample, add up to at most
+    ``CHUNK_ENTRIES``, and at least one.  A sample's size is d^2
+    min(subtree(r), subtree(c)) per entry on the word pair (r, c), subtree(w)
+    the number of words that extend w, w included: rho appends one letter to
+    both words of an entry, so this bounds the scalar entries that the entry
+    adds to a Horner pass (``apply_weights``).  A range may span tuples, its
+    pieces joined by ``stack``: one with room (its size below the cap) is
+    held while the next tuple is built, a full one is yielded first.  Each
+    stack is cut into its ranges by one ``unstack``."""
     subtree = np.ones(len(space.words), dtype=np.intp)
     for k in range(space.L_max, 0, -1):
         at = np.flatnonzero(space.lengths == k)
         np.add.at(subtree, space.parent[at], subtree[at])
-    n = stacks[0].n_samples
-    return space.dim_N ** 2 * sum(
-        np.bincount(op.samples, np.minimum(subtree[op.rows], subtree[op.cols]), minlength=n)
-        for op in stacks)
-
-
-def _stacked_chunks(space: FockSpace, stacks, copies: int = 1):
-    """Yield (slice, stacks of its samples) for consecutive ranges of the
-    samples of ``stacks`` (one per operator role, all of one size).  A range
-    takes samples while their sizes (``_sizes``), each counted ``copies``
-    times for a pass on that many copies of every sample, add up to at most
-    ``CHUNK_ENTRIES``, and at least one.  Each stack is cut into the ranges
-    by one ``unstack``."""
-    n = stacks[0].n_samples
-    ends = np.cumsum(copies * _sizes(space, stacks))
-    bounds = [0]
-    while bounds[-1] < n:
-        taken = ends[bounds[-1] - 1] if bounds[-1] else 0
-        bounds.append(max(bounds[-1] + 1,
-                          int(np.searchsorted(ends, taken + CHUNK_ENTRIES, side="right"))))
-    ranges = zip(bounds, bounds[1:], *(op.unstack(bounds) for op in stacks))
-    for start, stop, *chunk in ranges:
-        yield slice(start, stop), chunk
-
-
-def _joined_while_they_fit(space: FockSpace, built):
-    """Yield (keys, stack) for the (key, stack) pairs of the iterable
-    ``built``, consecutive stacks joined while their sizes (``_sizes``) add
-    up to at most ``CHUNK_ENTRIES``; ``keys`` holds each sample's key.  A
-    stack is taken from ``built`` only when the ones before it are yielded
-    or still have room, so at most a chunk's worth is held while the next
-    one is built."""
-    held, size = [], 0
-    for key, op in built:
-        more = int(_sizes(space, [op]).sum())
-        if held and size + more > CHUNK_ENTRIES:
-            yield _joined(held)
-            held, size = [], 0
-        held.append((key, op))
-        size += more
-        if size >= CHUNK_ENTRIES:
-            yield _joined(held)
-            held, size = [], 0
-    if held:
-        yield _joined(held)
-
-
-def _joined(held: list) -> tuple:
-    """(each sample's key, the stacks joined) for (key, stack) pairs; a
-    single stack is passed on as it is."""
-    keys = np.concatenate([np.full(op.n_samples, key) for key, op in held])
-    return keys, stack([op for _, op in held]) if len(held) > 1 else held[0][1]
-
-
-def _images(space: FockSpace, T, operands) -> list:
-    """[T(A) for A in operands], the operators applied as one stack, a
-    chunk at a time (``_joined_while_they_fit``, ``_stacked_chunks``)."""
-    images = []
-    for _, joined in _joined_while_they_fit(space, ((None, A) for A in operands)):
-        for _, (chunk,) in _stacked_chunks(space, [joined]):
-            images += T.apply_matrix(chunk).unstack(range(chunk.n_samples + 1))
-    return images
+    # the held range's stacks (one per role), its size and its first
+    # sample, and the samples taken so far
+    held, taken, first, done = None, 0, 0, 0
+    for stacks in built:
+        n = stacks[0].n_samples
+        ends = np.cumsum(np.append(0, copies * space.dim_N ** 2 * sum(
+            np.bincount(op.samples, np.minimum(subtree[op.rows], subtree[op.cols]), minlength=n)
+            for op in stacks)))
+        # the first range goes on with the held one, and takes no sample if
+        # that has no room for one; every other range takes at least one
+        bounds, room = [0], CHUNK_ENTRIES - taken
+        while bounds[-1] < n:
+            lo = bounds[-1]
+            stop = int(np.searchsorted(ends, ends[lo] + room, side="right")) - 1
+            bounds.append(stop if held is not None and len(bounds) == 1 else max(stop, lo + 1))
+            room = CHUNK_ENTRIES
+        for lo, hi, *piece in zip(bounds, bounds[1:], *(op.unstack(bounds) for op in stacks)):
+            if hi > lo:
+                held = piece if held is None else [stack(ops) for ops in zip(held, piece)]
+            taken, done = taken + ends[hi] - ends[lo], done + hi - lo
+            if hi < n or taken >= CHUNK_ENTRIES:
+                yield slice(first, done), held
+                held, taken, first = None, 0, done
+    if held is not None:
+        yield slice(first, done), held
 
 
 def _fold(worst: float, *values) -> float:
@@ -400,7 +370,7 @@ def lemma_suite(space: FockSpace, symbols, seed: int = 0) -> VerificationReport:
     # every check reads the columns of length <= g only, and a column of
     # rho(a), eps(a) or T(a) reads the same or a shorter column of a
     A = generator_operators(space, gens)
-    for sl, (a,) in _stacked_chunks(space, [A.columns_upto(g)], copies=len(weight_sets)):
+    for sl, (a,) in _chunks(space, [(A.columns_upto(g),)], copies=len(weight_sets)):
         # rho^n(a) = a Q_{l+n}: the entries of a in the columns of length >= l+n
         rho_a = rho_matrix(space, a)
         for n, rho_n in ((1, rho_a), (2, rho_matrix(space, rho_a))):
@@ -445,9 +415,8 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
                        max_len=None) -> VerificationReport:
     """The multiplier action on sampled reduced words: T(A) = phi(n) A on the
     guard band, exact vacuum coefficients, linearity, and the right-module
-    property of T.  The words are built a length at a time, and checked a
-    chunk at a time as one stack with the lengths before them that fit one
-    chunk with them."""
+    property of T.  The words are built a length at a time and checked a
+    range of samples at a time, as one stack; a range may span lengths."""
     rng = default_rng([seed, 5])
     report = VerificationReport()
     if max_len is None:
@@ -460,23 +429,22 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
     res_vacuum = 0.0
     # the checks read the guard columns of each word (length n: the columns
     # of length <= L - n) only, and a column of T(A) reads the same or a
-    # shorter column of A.  The lengths are built one at a time and joined
-    # while they fit one chunk
-    built = ((n, word_operator(space, *sampled, space.L_max - n))
-             for n, sampled in words.items())
-    for lengths, stacked in _joined_while_they_fit(space, built):
-        for sl, (A,) in _stacked_chunks(space, [stacked]):
-            n, guard = lengths[sl], space.L_max - lengths[sl]
-            # the residual is an upper bound for ||d|| over a lower bound for
-            # ||A_guard||, each one pass over the entries, so it is never
-            # smaller than ||d|| / ||A_guard||
-            scale = np.maximum(max_column_norm(A.columns_upto(guard)), 1e-30)
-            for T, s in mults:
-                diff = T.apply_matrix(A) - T.phi[n] * A
-                d = diff.columns_upto(guard)
-                res_action = _fold(res_action, schur_bound(d) / scale / s)
-                res_vacuum = _fold(res_vacuum, diff.columns_upto(0).block_max()
-                                   / np.maximum(A.columns_upto(0).block_max(), 1e-30) / s)
+    # shorter column of A.  The lengths are built one at a time, as a range
+    # of samples makes room for them
+    lengths = np.repeat(list(words), words_per_length)
+    built = ((word_operator(space, *sampled, space.L_max - n),) for n, sampled in words.items())
+    for sl, (A,) in _chunks(space, built):
+        n, guard = lengths[sl], space.L_max - lengths[sl]
+        # the residual is an upper bound for ||d|| over a lower bound for
+        # ||A_guard||, each one pass over the entries, so it is never
+        # smaller than ||d|| / ||A_guard||
+        scale = np.maximum(max_column_norm(A.columns_upto(guard)), 1e-30)
+        for T, s in mults:
+            diff = T.apply_matrix(A) - T.phi[n] * A
+            d = diff.columns_upto(guard)
+            res_action = _fold(res_action, schur_bound(d) / scale / s)
+            res_vacuum = _fold(res_vacuum, diff.columns_upto(0).block_max()
+                               / np.maximum(A.columns_upto(0).block_max(), 1e-30) / s)
     report.add("theorem_action_on_words", res_action, lengths=max_len,
                per_length=words_per_length, symbols=len(mults))
     report.add("theorem_vacuum_coefficients", res_vacuum)
@@ -489,7 +457,10 @@ def main_theorem_suite(space: FockSpace, symbols, seed: int = 0, words_per_lengt
     B = word_operator(space, *(x[:1] for x in words[0]))
     al, be = complex(rng.standard_normal()), complex(rng.standard_normal())
     lam = embed(space, [0], space.base.random(rng)[None, None])
-    TA, T_mixed, TB, T_lam = _images(space, T0, [A, al * A + be * B, B, A @ lam])
+    images = []
+    for _, (chunk,) in _chunks(space, [(A,), (al * A + be * B,), (B,), (A @ lam,)]):
+        images += T0.apply_matrix(chunk).unstack(range(chunk.n_samples + 1))
+    TA, T_mixed, TB, T_lam = images
     diff = T_mixed - al * TA - be * TB
     norm_a = max(op_norm(A)[0], 1.0)
     res_lin = op_norm(diff)[0] / norm_a / s
@@ -556,7 +527,7 @@ def norm_bound_suite(space: FockSpace, symbols) -> VerificationReport:
 
         attained = 0.0
         want = float(np.abs(T.phi[:len(lengths)]).max())
-        for _, (A,) in _stacked_chunks(space, [creations]):
+        for _, (A,) in _chunks(space, [(creations,)]):
             na = op_norm(A)
             ratio = op_norm(T.apply_matrix(A)) / np.where(na > 0, na, 1.0)
             attained = _fold(attained, ratio[na > 0])
@@ -598,7 +569,7 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
     res_unit = 0.0
     units = [embed(space, range(len(factors)), padded(space, [f.identity() for f in factors])),
              stack([identity_op(space)] * len(factors))]
-    for _, (ones, ids) in _stacked_chunks(space, units):
+    for _, (ones, ids) in _chunks(space, [units]):
         res_unit = _fold(res_unit, (ones - ids).columns_upto(space.L_max - 1).block_max())
     res_mult = 0.0
     res_star = 0.0
@@ -613,7 +584,7 @@ def embedding_suite(space: FockSpace, seed: int = 0) -> VerificationReport:
                                         ([factors[i].star(a) for i, a, _ in draws], L))]
     # per factor the V_m* of _coefficient_gaps, built once
     adjoints = [multiplication_matrix(f, f.pp_basis(), "left").conj().T for f in factors]
-    for sl, (ea, eb, eab, ea_star) in _stacked_chunks(space, images):
+    for sl, (ea, eb, eab, ea_star) in _chunks(space, [images]):
         res_mult = _fold(res_mult, (ea @ eb - eab).columns_upto(space.L_max - 2).block_max())
         res_star = _fold(res_star, (ea_star - ea.adjoint()).block_max())
         res_coef = _fold(res_coef, *_coefficient_gaps(space, ea, draws[sl], adjoints))

@@ -54,9 +54,9 @@ scalar bases are dih's and cy3's (N = C).
     of x and y against the eigenvalues on generators, 1e-10 abs;
     ``partition_sum_by_diag`` (here), the row sum Phi1_{v,v}(Id) as
     ``diag`` products and the rho tower of Id, 1e-15.
-``StructuredOperator.unstack``, ``verify._stacked_chunks``: ``select``
-    (here), one mask per range, with the chunks' range rule restated,
-    bit-exact.
+``StructuredOperator.unstack``, ``verify._chunks``: ``select`` (here), one
+    mask per range of the tuples' ``stack``, with the chunks' range rule
+    restated, bit-exact.
 ``sparse.op_norm``: ``svd_norm`` (test_operators), one SVD of the whole
     matrix, read through ``EntryStack`` (here), 1e-13.
 ``operators.embed``: ``dense_embed`` (test_operators), the module-basis sum

@@ -3,6 +3,7 @@ their checks read, evaluate the checks a chunk of samples at a time and take
 ranks by word blocks; each must give the numbers of the per-sample routes it
 replaced (``oracles``), whatever the chunk size."""
 
+import itertools
 import json
 import os
 import tracemalloc
@@ -332,17 +333,17 @@ def test_suites_with_term_loop_embed_give_the_same_reports(request, monkeypatch,
 
 
 def spy_chunks(monkeypatch) -> dict:
-    """Record the chunks of every ``_stacked_chunks`` call of a ``cli`` run
-    in this process: {suite function: [[sample count of each chunk] per
-    call, in call order]}."""
-    calls, suite, chunks = {}, [None], verify._stacked_chunks
+    """Record the ranges of every ``_chunks`` call of a ``cli`` run in this
+    process: {suite function: [[range of each chunk's samples] per call, in
+    call order]}."""
+    calls, suite, chunks = {}, [None], verify._chunks
 
     def spy(*args, **kwargs):
-        sizes = []
-        calls.setdefault(suite[0], []).append(sizes)
+        ranges = []
+        calls.setdefault(suite[0], []).append(ranges)
         for samples, stacks in chunks(*args, **kwargs):
-            sizes.append(samples.stop - samples.start)
-            assert all(op.n_samples == sizes[-1] for op in stacks)
+            ranges.append(range(samples.start, samples.stop))
+            assert all(op.n_samples == len(ranges[-1]) for op in stacks)
             yield samples, stacks
 
     def tagged(name, run):
@@ -351,7 +352,7 @@ def spy_chunks(monkeypatch) -> dict:
             return run(*args, **kwargs)
         return job
 
-    monkeypatch.setattr(verify, "_stacked_chunks", spy)
+    monkeypatch.setattr(verify, "_chunks", spy)
     for name in ("lemma_suite", "main_theorem_suite", "norm_bound_suite", "embedding_suite"):
         monkeypatch.setattr(cli, name, tagged(name, getattr(cli, name)))
     return calls
@@ -366,32 +367,45 @@ def verify_in_one_process(monkeypatch, config, path):
     return path.read_bytes()
 
 
+def splits_a_length(ranges) -> bool:
+    """Whether one of the theorem suite's ranges (ten words per length)
+    holds words of two lengths and only part of one of them."""
+    return any(r.start // 10 < (r.stop - 1) // 10 and (r.start % 10 or r.stop % 10)
+               for r in ranges)
+
+
 @pytest.mark.parametrize("preset", ["dih", "mat2", "cy3"])
 def test_one_sample_chunks_give_the_same_report(tmp_path, monkeypatch, capsys, preset):
+    """The report bytes are the same at the chunk cap, at cap 1 and at a cap
+    where a theorem range takes part of one word length and of the next."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(preset_config(preset)))
-    calls = spy_chunks(monkeypatch)
-    batched = verify_in_one_process(monkeypatch, config, tmp_path / "batched.json")
-    assert max(max(sizes) for runs in calls.values() for sizes in runs) > 1
-    # the theorem suite's last call is its linearity stack, four operands
-    assert calls["main_theorem_suite"][-1] == [4]
-    calls.clear()
-    monkeypatch.setattr(verify, "CHUNK_ENTRIES", 1)
-    assert verify_in_one_process(monkeypatch, config, tmp_path / "single.json") == batched
-    assert max(max(sizes) for runs in calls.values() for sizes in runs) == 1
-    # one operand per join and per chunk
-    assert calls["main_theorem_suite"][-4:] == [[1]] * 4
+    calls, reports = spy_chunks(monkeypatch), set()
+    # the words' sizes add up to 1060 on dih, 16960 on mat2 and 26670 on cy3
+    spanning = {"dih": 400, "mat2": 10000, "cy3": 10000}[preset]
+    for cap in (verify.CHUNK_ENTRIES, spanning, 1):
+        calls.clear()
+        monkeypatch.setattr(verify, "CHUNK_ENTRIES", cap)
+        reports.add(verify_in_one_process(monkeypatch, config, tmp_path / "report.json"))
+        longest = max(len(r) for runs in calls.values() for ranges in runs for r in ranges)
+        assert (longest > 1) == (cap > 1)
+        theorem = calls["main_theorem_suite"]
+        assert splits_a_length(theorem[0]) == (cap == spanning)
+        # the last call is the linearity stack, four operands
+        assert [len(r) for r in theorem[-1]] == ([4] if cap > 1 else [1] * 4)
+    assert len(reports) == 1
     capsys.readouterr()
 
 
 def test_cy3_workload_applies_T_in_few_passes(tmp_path, monkeypatch, capsys):
     """On cy3 at fock_len 5 with seed 1, the input of the cy3-L5 benchmark
-    workload, one process applies T in at most 9 Horner passes
+    workload, one process applies T in at most 6 Horner passes
     (``apply_weights`` calls; 27 with the flat size 2L+1 per entry and a cap
     of 4096), and the lemma suite's generators, the theorem suite's words of
-    all four lengths and its linearity operands come in one chunk each."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(preset_config("cy3"), seed=1)))
+    all four lengths and its linearity operands come in one chunk each.  At
+    fock_len 8 with a 0.5^n tail a word length too large for one range
+    shares its last range with the next length, in at most 35 passes (37
+    where each length's ranges held that length only)."""
     passes, apply = [], operators.apply_weights
 
     def counted(*args):
@@ -401,10 +415,20 @@ def test_cy3_workload_applies_T_in_few_passes(tmp_path, monkeypatch, capsys):
     for module in (operators, verify):
         monkeypatch.setattr(module, "apply_weights", counted)
     calls = spy_chunks(monkeypatch)
+    config, cy3 = tmp_path / "config.json", dict(preset_config("cy3"), seed=1)
+    config.write_text(json.dumps(cy3))
     verify_in_one_process(monkeypatch, config, tmp_path / "report.json")
-    assert len(passes) <= 9
-    assert calls["lemma_suite"] == [[178]]
-    assert calls["main_theorem_suite"] == [[40], [4]]
+    assert len(passes) <= 6
+    assert calls["lemma_suite"] == [[range(178)]]
+    assert calls["main_theorem_suite"] == [[range(40)], [range(4)]]
+    passes.clear()
+    cy3["symbol"] = {"head": [], "tail": {"kind": "geometric", "ratio": 0.5}}
+    cy3["truncation"] = {"fock_len": 8, "hankel_dim": 64}
+    config.write_text(json.dumps(cy3))
+    verify_in_one_process(monkeypatch, config, tmp_path / "report.json")
+    assert len(passes) <= 35
+    # the last but one call holds the words at fock_len 8
+    assert splits_a_length(calls["main_theorem_suite"][-2])
     capsys.readouterr()
 
 
@@ -413,8 +437,8 @@ def test_cy3_workload_applies_T_in_few_passes(tmp_path, monkeypatch, capsys):
 def test_stacked_images_match_separate_applications(request, monkeypatch, symbols, name,
                                                      cap):
     """The theorem suite's linearity operands A, al A + be B, B and A lam,
-    applied by ``_images`` as one stack a chunk at a time, get T's entries
-    bit for bit as four ``apply_matrix`` calls give them."""
+    cut by ``_chunks`` and applied a range at a time as one stack, get T's
+    entries bit for bit as four ``apply_matrix`` calls give them."""
     monkeypatch.setattr(verify, "CHUNK_ENTRIES", cap)
     space, rng = request.getfixturevalue(name), np.random.default_rng(47)
     T = build_T(space, symbols[2])
@@ -422,7 +446,9 @@ def test_stacked_images_match_separate_applications(request, monkeypatch, symbol
     B = operators.word_operator(space, *verify.random_word_arrays(rng, space, 0, 1))
     lam = operators.embed(space, [0], space.base.random(rng)[None, None])
     operands = [A, (0.3 - 1.1j) * A + 0.7 * B, B, A @ lam]
-    got = verify._images(space, T, operands)
+    got = []
+    for _, (chunk,) in verify._chunks(space, [(op,) for op in operands]):
+        got += T.apply_matrix(chunk).unstack(range(chunk.n_samples + 1))
     assert len(got) == len(operands)
     for image, op in zip(got, operands):
         want = T.apply_matrix(op)
@@ -440,26 +466,16 @@ def subtree_sizes(space) -> np.ndarray:
     return same.all(axis=2).sum(axis=1)
 
 
-def chunk_sizes(space, stacks) -> np.ndarray:
-    """Each sample's size for ``_stacked_chunks``: d^2 min(subtree(r),
-    subtree(c)) per entry (r, c), from ``subtree_sizes``."""
-    sub, n = subtree_sizes(space), stacks[0].n_samples
-    return space.dim_N ** 2 * sum(
-        np.bincount(op.samples, np.minimum(sub[op.rows], sub[op.cols]), minlength=n)
-        for op in stacks)
-
-
-@pytest.mark.parametrize("cap", [1, 40, 400, 4096])
+@pytest.mark.parametrize("cap", [1, 40, 400, 1000, 2000, 4096, 10 ** 9])
 def test_chunks_match_select_bit_for_bit(monkeypatch, cy3_space, cap):
-    """The ranges of ``_stacked_chunks`` are consecutive and cover the
-    samples; each takes samples while their sizes (``chunk_sizes``, each
-    counted once and three times) add up to at most the cap, and at least
-    one.  Every chunk is the stack
-    ``select`` gives for its range of samples, entry order included: on the
-    zoo's generators in a shuffled order, whose entries then come grouped by
-    kind, not by sample, and on them cut to the vacuum column, where many
-    samples are empty, next to a stack sorted by sample (one embedding per
-    sample)."""
+    """``_chunks`` on tuples of three roles, the zoo's shuffled generators
+    (entries grouped by kind), their vacuum cut (empty samples) and
+    embeddings, then words of mixed lengths, their vacuum cuts and adjoints:
+    ranges are consecutive and cover the samples, hold one sample or sizes
+    (d^2 min(subtree(r), subtree(c)) per entry, once and three times) up to
+    the cap, close only when the next sample would overflow them or, full,
+    at a tuple's end, take the next tuple only while they have room, and are
+    bit for bit, entry order included, the ``select`` of the tuples' ``stack``."""
     monkeypatch.setattr(verify, "CHUNK_ENTRIES", cap)
     space, rng = cy3_space, np.random.default_rng(43)
     zoo = verify._generator_zoo(space, 0)
@@ -469,65 +485,49 @@ def test_chunks_match_select_bit_for_bit(monkeypatch, cy3_space, cap):
     assert np.any(np.diff(gens.samples) < 0)
     cut = gens.columns_upto(0)
     assert np.count_nonzero(np.bincount(cut.samples, minlength=cut.n_samples) == 0) > 0
-    factors = space.amalgam.factors
-    embeds = embedded(space, np.arange(gens.n_samples) % 2,
-                      [factors[t % 2].random(rng) for t in range(gens.n_samples)])
-    stacks, n = [gens, cut, embeds], gens.n_samples
+    embeds = embedded(space, np.arange(gens.n_samples) % 2, [
+        space.amalgam.factors[t % 2].random(rng) for t in range(gens.n_samples)])
+    words = [operators.word_operator(space, *verify.random_word_arrays(rng, space, n, count),
+                                     space.L_max - n)
+             for n, count in ((0, 3), (1, 2), (2, 4), (1, 1), (3, 2))]
+    tuples = [(gens, cut, embeds)] + [(W, W.columns_upto(0), W.adjoint()) for W in words]
+    ends = np.cumsum([t[0].n_samples for t in tuples])
+    n = ends[-1]
+    wholes, sub = [operators.stack(list(ops)) for ops in zip(*tuples)], subtree_sizes(space)
+    spans = 0
     for copies in (1, 3):
-        sizes = copies * chunk_sizes(space, stacks)
-        got = list(verify._stacked_chunks(space, stacks, copies))
-        assert len(got) > (1 if cap == 4096 else 10)
-        assert [sl.start for sl, _ in got] == [0] + [sl.stop for sl, _ in got][:-1]
-        assert got[-1][0].stop == n
-        for sl, ops in got:
-            assert sl.stop - sl.start == 1 or sizes[sl].sum() <= cap
-            assert sl.stop == n or sizes[sl.start:sl.stop + 1].sum() > cap
+        sizes = copies * space.dim_N ** 2 * sum(
+            np.bincount(op.samples, np.minimum(sub[op.rows], sub[op.cols]), minlength=n)
+            for op in wholes)
+        built, got = [], []
+
+        def build():
+            for t in tuples:
+                built.append(t)
+                yield t
+
+        # a chunker that stops advancing fails here instead of hanging
+        chunks = itertools.islice(verify._chunks(space, build(), copies), n + len(tuples) + 1)
+        for sl, ops in chunks:
+            got.append(sl)
+            size, last = sizes[sl].sum(), int(np.searchsorted(ends, sl.stop - 1, side="right"))
+            spans += np.searchsorted(ends, sl.start, side="right") < last
+            assert sl.stop - sl.start == 1 or size <= cap
+            full = sl.stop == ends[last] and size >= cap
+            assert sl.stop == n or full or sizes[sl.start:sl.stop + 1].sum() > cap
+            assert len(built) == min(last + 1 + (sl.stop == ends[last] and not full), len(tuples))
             keep = (np.arange(n) >= sl.start) & (np.arange(n) < sl.stop)
-            for op, whole in zip(ops, stacks):
+            for op, whole in zip(ops, wholes):
                 w = select(whole, keep)
-                assert (op.n_samples, op.name) == (w.n_samples, w.name)
+                assert op.n_samples == w.n_samples
                 for field in ("samples", "rows", "cols", "blocks"):
                     assert np.array_equal(getattr(op, field), getattr(w, field))
                     assert getattr(op, field).dtype == getattr(w, field).dtype
-
-
-@pytest.mark.parametrize("cap", [1, 1000, 2000, 10 ** 9])
-def test_stacks_are_joined_while_they_fit(monkeypatch, cy3_space, cap):
-    """``_joined_while_they_fit`` joins consecutive stacks, in order, while
-    their sizes add up to at most the cap, each join taking at least one
-    and never one that would overflow it; it takes the next stack only when
-    the ones it holds still have room, and each join is ``stack`` of its
-    stacks, with their keys per sample."""
-    monkeypatch.setattr(verify, "CHUNK_ENTRIES", cap)
-    space, rng = cy3_space, np.random.default_rng(48)
-    ops = [operators.word_operator(space, *verify.random_word_arrays(rng, space, n, count),
-                                   space.L_max - n)
-           for n, count in ((0, 3), (1, 2), (2, 4), (1, 1), (3, 2))]
-    sizes = [chunk_sizes(space, [op]).sum() for op in ops]
-    built = []
-
-    def build():
-        for key, op in enumerate(ops):
-            built.append(key)
-            yield key, op
-
-    start = 0
-    for keys, joined in verify._joined_while_they_fit(space, build()):
-        stop = start + len(set(keys))
-        held = ops[start:stop]
-        assert np.array_equal(keys, np.repeat(np.arange(start, stop),
-                                              [op.n_samples for op in held]))
-        assert stop == start + 1 or sum(sizes[start:stop]) <= cap
-        if stop < len(ops):
-            assert sum(sizes[start:stop + 1]) > cap
-        # the next stack is built only if this join had room for it
-        room = sum(sizes[start:stop]) < cap and stop < len(ops)
-        assert built[-1] == (stop if room else stop - 1)
-        want = operators.stack(held)
-        for field in ("samples", "rows", "cols", "blocks"):
-            assert np.array_equal(getattr(joined, field), getattr(want, field))
-        start = stop
-    assert start == len(ops)
+        assert [sl.start for sl in got] == [0] + [sl.stop for sl in got][:-1]
+        assert got[-1].stop == n
+        assert len(got) == 1 if cap == 10 ** 9 else len(got) > (1 if cap == 4096 else 10)
+    # no two samples fit a cap below 500, and at 1000 a range spans tuples
+    assert (spans > 0) == (cap >= 1000)
 
 
 @pytest.mark.parametrize("name", EXACT + ["noncomm_space"])
