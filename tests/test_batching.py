@@ -530,6 +530,57 @@ def test_chunks_match_select_bit_for_bit(monkeypatch, cy3_space, cap):
     assert (spans > 0) == (cap >= 1000)
 
 
+@pytest.mark.parametrize("cap", [1, 1000, 2000, 10 ** 9])
+def test_stacks_are_joined_while_they_fit(monkeypatch, cy3_space, cap):
+    """``_chunks`` on one-role tuples, words of mixed lengths, joins
+    consecutive stacks, in order, while their sizes add up to at most the
+    cap: each range is ``stack`` of the stacks it holds whole and of the
+    pieces of those it holds in part, it closes at a stack's end only when
+    full or when the next stack's first sample would overflow it, and the
+    next stack is built only while the range has room."""
+    monkeypatch.setattr(verify, "CHUNK_ENTRIES", cap)
+    space, rng = cy3_space, np.random.default_rng(48)
+    ops = [operators.word_operator(space, *verify.random_word_arrays(rng, space, n, count),
+                                   space.L_max - n)
+           for n, count in ((0, 3), (1, 2), (2, 4), (1, 1), (3, 2))]
+    starts = np.cumsum([0] + [op.n_samples for op in ops])
+    n, sub = starts[-1], subtree_sizes(space)
+    sizes = space.dim_N ** 2 * np.concatenate([
+        np.bincount(op.samples, np.minimum(sub[op.rows], sub[op.cols]), minlength=op.n_samples)
+        for op in ops])
+    built, stop, two_whole = [], 0, False
+
+    def build():
+        for op in ops:
+            built.append(op)
+            yield (op,)
+
+    for sl, (joined,) in itertools.islice(verify._chunks(space, build()), n + 1):
+        assert sl.start == stop and sl.stop > sl.start
+        stop, size = sl.stop, sizes[sl].sum()
+        assert sl.stop - sl.start == 1 or size <= cap
+        held = [k for k in range(len(ops)) if starts[k] < sl.stop and starts[k + 1] > sl.start]
+        pieces = []
+        for k in held:
+            at = np.arange(starts[k], starts[k + 1])
+            whole = sl.start <= at[0] and at[-1] < sl.stop
+            pieces.append(ops[k] if whole else select(ops[k], (at >= sl.start) & (at < sl.stop)))
+        two_whole |= sum(piece is ops[k] for k, piece in zip(held, pieces)) >= 2
+        want = operators.stack(pieces)
+        assert joined.n_samples == want.n_samples
+        for field in ("samples", "rows", "cols", "blocks"):
+            assert np.array_equal(getattr(joined, field), getattr(want, field))
+        at_end = sl.stop in starts
+        if at_end and sl.stop < n:
+            assert size >= cap or sizes[sl.start:sl.stop + 1].sum() > cap
+        # the next stack is built only if this range had room for it
+        room = at_end and size < cap
+        assert len(built) == min(held[-1] + 1 + room, len(ops))
+    assert stop == n
+    # from a cap of 1000 one range holds two stacks whole
+    assert two_whole == (cap >= 1000)
+
+
 @pytest.mark.parametrize("name", EXACT + ["noncomm_space"])
 def test_rank_fast_paths_match_dense_rank(request, name):
     space = request.getfixturevalue(name)
